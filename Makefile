@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet sgvet lockreport race fuzz-short bench-smoke bench-json bench-gate bench-server bench-server-gate serve loadtest-smoke sim-soak ci
+.PHONY: all build test vet sgvet lockreport race fuzz-short bench-smoke bench-test bench-json bench-gate bench-server bench-server-gate serve loadtest-smoke sim-soak ci
 
 all: build test vet sgvet
 
@@ -42,6 +42,13 @@ fuzz-short:
 # compile or fail their correctness assertions, without measuring anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench/ is a Go module of its own, so `go test ./...` at the root never
+# compiles it: a renamed server.Options field or MetricsSnapshot key would
+# break the repository's benchmark unnoticed. Vet it and run its tests
+# (unit tests plus a smoke run of all six workloads).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the "current" side of BENCH_PR3.json from a fresh run of the
 # gated checker benchmarks (E1, E15) plus the trace-codec table (E16). The
@@ -105,4 +112,4 @@ sim-soak:
 
 # Everything CI runs, in order (CI runs the sim soak in short mode with
 # -race; sim-soak above is the long local version).
-ci: build vet sgvet race bench-smoke loadtest-smoke bench-gate bench-server-gate
+ci: build vet sgvet race bench-smoke bench-test loadtest-smoke bench-gate bench-server-gate

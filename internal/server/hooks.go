@@ -11,10 +11,13 @@ import "time"
 type Hooks interface {
 	// Now replaces time.Now for lock-wait deadlines.
 	Now() time.Time
-	// LockWait replaces the blocked-access poll sleep: the session sess
-	// parks for up to d before re-polling. The harness wakes it by
-	// returning.
-	LockWait(sess int64, d time.Duration)
+	// LockWait parks session sess, whose access was refused, until wake is
+	// signalled (an INFORM on the object, a deadlock-victim mark, Kill or a
+	// forced drain) or d — the rest of its LockTimeout — has passed. The
+	// session re-checks everything when it returns, so returning early is a
+	// legal spurious wake-up: a harness may ignore wake and return whenever
+	// its own scheduler says so.
+	LockWait(sess int64, wake <-chan struct{}, d time.Duration)
 	// CertApply is called before the certifier applies log event index to
 	// the incremental graph; a harness can block here to simulate a
 	// stalled certifier. It must not be called with server locks held.
@@ -68,14 +71,25 @@ type Hooks interface {
 // interception.
 type realHooks struct{}
 
-func (realHooks) Now() time.Time                    { return time.Now() }
-func (realHooks) LockWait(_ int64, d time.Duration) { time.Sleep(d) }
-func (realHooks) CertApply(int)                     {}
-func (realHooks) CertBatch(_, max int) int          { return max }
-func (realHooks) PartApply(int, int)                {}
-func (realHooks) PartBatch(_, _, max int) int       { return max }
-func (realHooks) MergeApply(int, int)               {}
-func (realHooks) MergeWait(int64, int)              {}
-func (realHooks) CommitWait(int64, int)             {}
-func (realHooks) SessionDone(int64)                 {}
-func (realHooks) DrainWait(d time.Duration)         { time.Sleep(d) }
+func (realHooks) Now() time.Time { return time.Now() }
+
+// LockWait blocks on the wake signal; the timer is the LockTimeout safety
+// net, the only timer on the grant path.
+func (realHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration) {
+	t := time.NewTimer(d)
+	select {
+	case <-wake:
+	case <-t.C:
+	}
+	t.Stop()
+}
+
+func (realHooks) CertApply(int)               {}
+func (realHooks) CertBatch(_, max int) int    { return max }
+func (realHooks) PartApply(int, int)          {}
+func (realHooks) PartBatch(_, _, max int) int { return max }
+func (realHooks) MergeApply(int, int)         {}
+func (realHooks) MergeWait(int64, int)        {}
+func (realHooks) CommitWait(int64, int)       {}
+func (realHooks) SessionDone(int64)           {}
+func (realHooks) DrainWait(d time.Duration)   { time.Sleep(d) }

@@ -234,8 +234,14 @@ func (l *shardedLog) mergePending() int {
 	merged := 0
 	next := l.mergedLen()
 	for {
-		l.flushDefs(next)
+		// Pick the entry first and flush definitions second: a session
+		// interns a name and only then appends the event that uses it, so
+		// every definition an entry needs is queued by the time the entry
+		// is visible. Flushing first would let a name interned between the
+		// flush and the pick reach the WAL after its first use, and
+		// recovery cuts the log at a record it cannot resolve.
 		sh, e, ok := l.eligible(next)
+		l.flushDefs(next)
 		if !ok {
 			return merged
 		}

@@ -125,7 +125,7 @@ type Metrics struct {
 	Begins       atomic.Int64 // top-level transactions opened
 	TopCommits   atomic.Int64 // top-level transactions committed (certified)
 	Accesses     atomic.Int64 // access REQUEST_COMMITs granted
-	BlockedPolls atomic.Int64 // grant polls that found the access blocked
+	BlockedPolls atomic.Int64 // refused grant attempts: an access's first refusal plus each refused re-try after a wake
 
 	// Abort/retry counters.
 	ClientAborts   atomic.Int64 // ABORT requests from clients

@@ -119,16 +119,21 @@ type recordingHooks struct {
 	drainDur atomic.Int64
 }
 
-func (h *recordingHooks) Now() time.Time                    { return time.Now() }
-func (h *recordingHooks) LockWait(_ int64, d time.Duration) { time.Sleep(d) }
-func (h *recordingHooks) CertApply(int)                     {}
-func (h *recordingHooks) CertBatch(_, max int) int          { return max }
-func (h *recordingHooks) PartApply(int, int)                {}
-func (h *recordingHooks) PartBatch(_, _, max int) int       { return max }
-func (h *recordingHooks) MergeApply(int, int)               {}
-func (h *recordingHooks) MergeWait(int64, int)              {}
-func (h *recordingHooks) CommitWait(int64, int)             {}
-func (h *recordingHooks) SessionDone(int64)                 {}
+func (h *recordingHooks) Now() time.Time { return time.Now() }
+func (h *recordingHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration) {
+	select {
+	case <-wake:
+	case <-time.After(d):
+	}
+}
+func (h *recordingHooks) CertApply(int)               {}
+func (h *recordingHooks) CertBatch(_, max int) int    { return max }
+func (h *recordingHooks) PartApply(int, int)          {}
+func (h *recordingHooks) PartBatch(_, _, max int) int { return max }
+func (h *recordingHooks) MergeApply(int, int)         {}
+func (h *recordingHooks) MergeWait(int64, int)        {}
+func (h *recordingHooks) CommitWait(int64, int)       {}
+func (h *recordingHooks) SessionDone(int64)           {}
 func (h *recordingHooks) DrainWait(d time.Duration) {
 	h.drains.Add(1)
 	h.drainDur.Store(int64(d))

@@ -25,10 +25,11 @@
 //     order the lock-visibility argument of §5.3 relies on.
 //
 // Deadlock is the blocking protocols' price for real concurrency: a session
-// whose access stays blocked runs a waits-for cycle check (aborting the
-// youngest cycle member) and, as a safety net, times out — either way the
-// server aborts the session's whole top-level transaction and the client
-// retries with bounded exponential backoff.
+// whose access is refused parks on the object's waiter queue until an INFORM
+// wakes it, after checking whether the refusal closed a waits-for cycle (the
+// youngest member of the knot aborts); a timeout is the safety net. Either
+// way the server aborts the victim's whole top-level transaction and the
+// client retries with bounded exponential backoff.
 package server
 
 import (
@@ -71,16 +72,11 @@ type Options struct {
 	// Objects pre-creates these labels at startup with DefaultSpec.
 	Objects []string
 	// LockTimeout bounds how long an access waits for its blockers before
-	// the server aborts the session's top-level transaction. Default 1s.
+	// the server aborts the session's top-level transaction. Waiters are
+	// woken by every release and deadlocks are broken when they form, so
+	// this is a safety net (a client that holds a lock and goes quiet); its
+	// firing is counted in lock_timeouts. Default 1s.
 	LockTimeout time.Duration
-	// LockPoll and LockPollMax bound the exponential poll backoff while an
-	// access is blocked. Defaults 100µs and 2ms.
-	LockPoll    time.Duration
-	LockPollMax time.Duration
-	// DeadlockEvery runs the waits-for cycle detector every N blocked polls
-	// (default 4); 0 disables detection, leaving the timeout as the only
-	// deadlock escape.
-	DeadlockEvery int
 	// LogShards stripes the event log's append path across this many
 	// shards (sessions hash to a shard; a deterministic merger restores
 	// the total order). Default 4; 1 degenerates to a single append lock.
@@ -126,17 +122,6 @@ func (o Options) withDefaults() Options {
 	if o.LockTimeout <= 0 {
 		o.LockTimeout = time.Second
 	}
-	if o.LockPoll <= 0 {
-		o.LockPoll = 100 * time.Microsecond
-	}
-	if o.LockPollMax <= 0 {
-		o.LockPollMax = 2 * time.Millisecond
-	}
-	if o.DeadlockEvery < 0 {
-		o.DeadlockEvery = 0
-	} else if o.DeadlockEvery == 0 {
-		o.DeadlockEvery = 4
-	}
 	if o.LogShards <= 0 {
 		o.LogShards = defaultLogShards
 	}
@@ -157,6 +142,9 @@ type sharedObject struct {
 	id tname.ObjID
 	sp spec.Spec
 	g  object.Generic //sgvet:guardedby mu
+	// waiters are the sessions parked on an access g refused; every INFORM
+	// applied to g wakes them (waitsfor.go).
+	waiters []*waitEntry //sgvet:guardedby mu
 }
 
 // Server is a concurrent nested-transaction server.
@@ -406,6 +394,11 @@ func (s *Server) walSync() error {
 	return s.group.sync()
 }
 
+// SyncWAL makes every record the merger has written so far durable. The
+// simulator calls it where the extent of the last fsync would otherwise
+// depend on goroutine timing.
+func (s *Server) SyncWAL() error { return s.walSync() }
+
 // WALError reports the first durability failure, if any.
 func (s *Server) WALError() error {
 	if s.wal == nil {
@@ -538,6 +531,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 			if ctx.Err() != nil {
 				s.killed.Store(true)
+				s.waits.wakeAll()
 				s.connMu.Lock()
 				for sn := range s.conns {
 					sn.conn.Close()

@@ -295,10 +295,10 @@ func (sn *session) handleChild() wire.Response {
 }
 
 // handleAccess runs one access as a child of the current transaction: it is
-// created at the object, polled until the object grants REQUEST_COMMIT (with
-// deadlock detection and a timeout aborting the whole top-level transaction),
-// and then committed and reported immediately — an access is a leaf, so
-// nothing is gained by leaving it open.
+// created at the object, waits until the object grants REQUEST_COMMIT (a
+// deadlock victim, the timeout safety net or a drain abort the whole
+// top-level transaction instead), and is then committed and reported
+// immediately — an access is a leaf, so nothing is gained by leaving it open.
 func (sn *session) handleAccess(q wire.Request) wire.Response {
 	if len(sn.frames) == 0 {
 		return errResp("ACCESS outside a transaction")
@@ -340,42 +340,46 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 	// parent. Leaf-to-root inform order holds because the session emits a
 	// child's informs before its parent can complete.
 	sn.appendLog(event.NewEvent(event.Commit, acc))
-	sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
-		obj.g.InformCommit(acc)
-		sn.appendLog(event.NewInform(event.InformCommit, acc, obj.id))
-	})
+	sn.inform(event.InformCommit, obj, acc)
 	sn.appendLog(event.NewValEvent(event.ReportCommit, acc, v))
 	return wire.Response{Status: wire.StatusOK, Value: v}
 }
 
-// waitGrant polls TryRequestCommit with exponential backoff until the object
-// grants the access, the waits-for detector picks this session's top as a
-// deadlock victim, the lock-wait times out, or the server is force-draining.
-// The REQUEST_COMMIT event is appended while the object mutex is held, so
-// the log's per-object operation order is the automaton's.
+// waitGrant asks the object for the access's REQUEST_COMMIT and, while it is
+// refused, parks the session until an INFORM on the object wakes it. The
+// wait ends with the grant, with this session's top chosen as a deadlock
+// victim, with a forced drain, or — a counted anomaly, since every release
+// wakes its waiters — with the LockTimeout safety net. The REQUEST_COMMIT
+// event is appended while the object mutex is held, so the log's per-object
+// operation order is the automaton's.
 func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, bool, string) {
 	var (
 		v       spec.Value
 		ok      bool
+		restart string
+		w       *waitEntry // allocated on the first refusal; the granted-at-once path stays alloc-free
 		opts    = &sn.s.opts
-		deadlne = opts.Hooks.Now().Add(opts.LockTimeout)
-		backoff = opts.LockPoll
-		polls   = 0
-		waiting = false
 	)
-	defer func() {
-		if waiting {
-			sn.s.waits.unregister(sn.id)
-		}
-	}()
 	for {
-		var restart string
 		sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
 			v, ok = obj.g.TryRequestCommit(acc)
 			if ok {
 				sn.appendLog(event.NewValEvent(event.RequestCommit, acc, v))
-			} else {
-				restart = sn.s.backend.restartReason(obj.g, acc)
+				if w != nil {
+					sn.s.exitWait(w)
+				}
+				return
+			}
+			restart = sn.s.backend.restartReason(obj.g, acc)
+			if restart == "" && w == nil {
+				// Entered under the mutex hold that refused: no INFORM can
+				// slip between the refusal and the park.
+				w = &waitEntry{
+					sess: sn.id, access: acc, top: sn.frames[0].id, obj: obj,
+					wake:     make(chan struct{}, 1),
+					deadline: opts.Hooks.Now().Add(opts.LockTimeout),
+				}
+				sn.s.enterWait(w)
 			}
 		})
 		if ok {
@@ -385,34 +389,44 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 			// The protocol says this access can never be granted (e.g. an
 			// MVTO access below an already granted conflicting timestamp):
 			// restart the classical transaction instead of parking forever.
+			if w != nil {
+				sn.s.leaveWait(w)
+			}
 			sn.s.metrics.RestartAborts.Add(1)
 			return spec.Nil, false, restart
 		}
-		polls++
 		sn.s.metrics.BlockedPolls.Add(1)
-		if !waiting {
-			waiting = true
-			sn.s.waits.register(&waitEntry{sess: sn.id, access: acc, top: sn.frames[0].id, obj: obj})
-		}
-		if sn.s.killed.Load() {
-			sn.s.metrics.DrainAborts.Add(1)
-			return spec.Nil, false, "server draining"
-		}
-		if opts.DeadlockEvery > 0 && polls%opts.DeadlockEvery == 0 {
-			if sn.s.deadlockVictim(sn.frames[0].id) {
-				sn.s.metrics.DeadlockAborts.Add(1)
-				return spec.Nil, false, "deadlock victim"
+		reason := sn.waitVerdict(w)
+		if reason == "" {
+			opts.Hooks.LockWait(sn.id, w.wake, w.deadline.Sub(opts.Hooks.Now()))
+			if !sn.s.killed.Load() {
+				continue
 			}
+			// A dying server grants nothing more, even if the holder's own
+			// drain abort has just released the lock.
+			reason = sn.waitVerdict(w)
 		}
-		if opts.Hooks.Now().After(deadlne) {
-			sn.s.metrics.LockTimeouts.Add(1)
-			return spec.Nil, false, "lock wait timeout"
-		}
-		opts.Hooks.LockWait(sn.id, backoff)
-		if backoff *= 2; backoff > opts.LockPollMax {
-			backoff = opts.LockPollMax
-		}
+		sn.s.leaveWait(w)
+		return spec.Nil, false, reason
 	}
+}
+
+// waitVerdict decides, after a refusal, whether w's wait goes on ("") or
+// why it ends, and counts the ending.
+func (sn *session) waitVerdict(w *waitEntry) string {
+	m := sn.s.metrics
+	switch {
+	case sn.s.killed.Load():
+		m.DrainAborts.Add(1)
+		return "server draining"
+	case w.victim.Load() || sn.s.breakDeadlock(w):
+		m.DeadlockAborts.Add(1)
+		return "deadlock victim"
+	case !sn.s.opts.Hooks.Now().Before(w.deadline):
+		m.LockTimeouts.Add(1)
+		return "lock wait timeout"
+	}
+	return ""
 }
 
 // handleCommit commits the current transaction. The response is not written
@@ -511,22 +525,28 @@ func (sn *session) abortTop(reason string) {
 	sn.s.logf("session %d: aborted %s: %s", sn.id, sn.s.nameOf(top.id), reason)
 }
 
+// inform delivers one INFORM to obj: the automaton step, its log event and
+// the wake-up of the sessions parked on obj share one critical section.
+func (sn *session) inform(kind event.Kind, obj *sharedObject, t tname.TxID) {
+	sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
+		if kind == event.InformCommit {
+			obj.g.InformCommit(t)
+		} else {
+			obj.g.InformAbort(t)
+		}
+		sn.appendLog(event.NewInform(kind, t, obj.id))
+		obj.wakeWaiters()
+	})
+}
+
 // informAll delivers INFORM_COMMIT/INFORM_ABORT of f's transaction to every
-// object its subtree touched, calling the automaton and appending the inform
-// under each object's mutex.
+// object its subtree touched.
 func (sn *session) informAll(kind event.Kind, f *txFrame) {
 	for _, x := range f.touched {
 		sn.s.mu.RLock()
 		obj := sn.s.objs[x]
 		sn.s.mu.RUnlock()
-		sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
-			if kind == event.InformCommit {
-				obj.g.InformCommit(f.id)
-			} else {
-				obj.g.InformAbort(f.id)
-			}
-			sn.appendLog(event.NewInform(kind, f.id, x))
-		})
+		sn.inform(kind, obj, f.id)
 	}
 }
 

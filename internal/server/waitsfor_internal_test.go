@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,108 +12,210 @@ import (
 	"nestedsg/internal/tname"
 )
 
-// TestOverlappingCyclesSingleVictim builds two waits-for cycles sharing a
-// transaction — T1⇄T2 and T2⇄T3 — and checks that exactly one session
-// self-selects as the deadlock victim. The per-cycle DFS this replaced let
-// both T2 (maximum of its cycle with T1) and T3 (maximum of its cycle with
-// T2) abort in the same detection round; the SCC computation must name one
-// victim for the whole knot: its largest TxID.
-//
-// Lock pattern (Moss read/update locks; reads share, writes exclude):
+// The overlapping-cycles knot both tests below build: two waits-for cycles
+// sharing a transaction, T1⇄T2 and T2⇄T3 (Moss read/update locks; reads
+// share, writes exclude):
 //
 //	T1 holds read x, blocks on read y  → edge T1→T2
 //	T3 holds read x, blocks on read z  → edge T3→T2
 //	T2 holds write y and write z, blocks on write x → edges T2→T1, T2→T3
-func TestOverlappingCyclesSingleVictim(t *testing.T) {
+//
+// A per-cycle victim rule names both T2 (maximum of its cycle with T1) and
+// T3 (maximum of its cycle with T2); the SCC rule must name one victim for
+// the whole knot: its largest TxID.
+
+// TestVictimChoiceOverlappingCycles drives the automata and the wait table
+// by hand — no sessions, so nothing resolves the knot behind the test's
+// back — and checks that whichever of the three waiters runs the scan, the
+// same single victim comes out, marked and woken when it is not the scanner.
+func TestVictimChoiceOverlappingCycles(t *testing.T) {
+	s := New(Options{Objects: []string{"x", "y", "z"}, LockTimeout: 30 * time.Second})
+	defer s.Kill()
+
+	tops := make([]tname.TxID, 3)
+	for i := range tops {
+		tops[i] = s.internTx(tname.Root, fmt.Sprintf("t%d", i+1), tname.NoObj, spec.Op{})
+	}
+	label := 0
+	// try creates one access of top on obj and attempts its grant; a granted
+	// access commits at once (its lock passes to top), a refused one enters
+	// the wait exactly as session.waitGrant does.
+	try := func(top tname.TxID, name string, op spec.Op) *waitEntry {
+		t.Helper()
+		obj, err := s.resolveObject(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label++
+		acc := s.internTx(top, fmt.Sprintf("a%d", label), obj.id, op)
+		var e *waitEntry
+		s.withObj(obj, func() { //sgvet:holds obj.mu, s.mu:r
+			obj.g.Create(acc)
+			if _, ok := obj.g.TryRequestCommit(acc); ok {
+				obj.g.InformCommit(acc)
+				return
+			}
+			e = &waitEntry{sess: int64(top), access: acc, top: top, obj: obj, wake: make(chan struct{}, 1)}
+			s.enterWait(e)
+		})
+		return e
+	}
+	hold := func(top tname.TxID, name string, op spec.Op) {
+		t.Helper()
+		if try(top, name, op) != nil {
+			t.Fatalf("access of %v to %s refused, want granted", top, name)
+		}
+	}
+	block := func(top tname.TxID, name string, op spec.Op) *waitEntry {
+		t.Helper()
+		e := try(top, name, op)
+		if e == nil {
+			t.Fatalf("access of %v to %s granted, want refused", top, name)
+		}
+		return e
+	}
+	read := spec.Op{Kind: spec.OpRead, Arg: spec.Nil}
+	write := spec.Op{Kind: spec.OpWrite, Arg: spec.Int(1)}
+
+	hold(tops[0], "x", read)
+	hold(tops[1], "y", write)
+	hold(tops[1], "z", write)
+	hold(tops[2], "x", read)
+	waiters := []*waitEntry{
+		block(tops[0], "y", read),
+		block(tops[2], "z", read),
+		block(tops[1], "x", write),
+	}
+	victim := waiters[1] // T3: the largest TxID of the one component
+
+	for _, scanner := range waiters {
+		victim.victim.Store(false)
+		select {
+		case <-victim.wake:
+		default:
+		}
+		self := s.breakDeadlock(scanner)
+		if self != (scanner == victim) {
+			t.Fatalf("scan by %v: self-selected = %v, want %v", scanner.top, self, scanner == victim)
+		}
+		for _, w := range waiters {
+			if w != victim && w.victim.Load() {
+				t.Fatalf("scan by %v marked %v; the knot needs exactly one victim, %v", scanner.top, w.top, victim.top)
+			}
+		}
+		if scanner == victim {
+			continue
+		}
+		if !victim.victim.Load() {
+			t.Fatalf("scan by %v did not mark the victim %v", scanner.top, victim.top)
+		}
+		select {
+		case <-victim.wake:
+		default:
+			t.Fatalf("scan by %v marked the victim but did not wake it", scanner.top)
+		}
+	}
+
+	// Once the victim has left, the residual T1⇄T2 cycle has its own victim.
+	s.leaveWait(victim)
+	if !s.breakDeadlock(waiters[2]) {
+		t.Fatalf("after %v left, %v must self-select in the residual cycle", victim.top, waiters[2].top)
+	}
+	for _, w := range waiters {
+		s.leaveWait(w)
+	}
+	if n := len(s.waits.entries()); n != 0 {
+		t.Fatalf("%d entries left in the wait table", n)
+	}
+}
+
+// TestOverlappingCyclesAllCommit runs the knot through real sessions: it
+// must dissolve by itself — detection is immediate, so the three sessions
+// never all stay blocked — with every transaction committing in the end,
+// at most two victims (T3, then the younger of the residual T1⇄T2 cycle)
+// and no lock timeout. An aborted transaction retries only after every
+// first attempt is over, one at a time, so retries add no new cycle.
+func TestOverlappingCyclesAllCommit(t *testing.T) {
 	s, err := Listen("127.0.0.1:0", Options{
-		Objects:       []string{"x", "y", "z"},
-		DeadlockEvery: -1, // detector off: the test invokes deadlockVictim itself
-		LockTimeout:   30 * time.Second,
+		Objects:     []string{"x", "y", "z"},
+		LockTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func() *client.Conn {
-		t.Helper()
-		c, err := client.Dial(s.Addr().String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		return c
-	}
-	c1, c2, c3 := dial(), dial(), dial()
-
-	begin := func(c *client.Conn) {
-		t.Helper()
-		if _, err := c.Begin(); err != nil {
-			t.Fatalf("begin: %v", err)
-		}
-	}
-	access := func(c *client.Conn, obj string, op spec.OpKind, arg spec.Value) {
-		t.Helper()
-		if _, err := c.Access(obj, op, arg); err != nil {
-			t.Fatalf("access %s: %v", obj, err)
-		}
-	}
-	// Sessions begin in order, so the top-level TxIDs are interned in
-	// ascending order: top(c1) < top(c2) < top(c3).
-	begin(c1)
-	access(c1, "x", spec.OpRead, spec.Nil)
-	begin(c2)
-	access(c2, "y", spec.OpWrite, spec.Int(1))
-	access(c2, "z", spec.OpWrite, spec.Int(1))
-	begin(c3)
-	access(c3, "x", spec.OpRead, spec.Nil)
-
-	// The three blocking accesses; each parks its session in the wait
-	// table until the server is killed at the end of the test.
-	var wg sync.WaitGroup
-	for _, b := range []struct {
-		c   *client.Conn
+	type step struct {
 		obj string
 		op  spec.OpKind
 		arg spec.Value
-	}{
-		{c1, "y", spec.OpRead, spec.Nil},
-		{c3, "z", spec.OpRead, spec.Nil},
-		{c2, "x", spec.OpWrite, spec.Int(2)},
-	} {
+	}
+	scripts := [][]step{
+		{{"x", spec.OpRead, spec.Nil}, {"y", spec.OpRead, spec.Nil}},
+		{{"y", spec.OpWrite, spec.Int(1)}, {"z", spec.OpWrite, spec.Int(1)}, {"x", spec.OpWrite, spec.Int(2)}},
+		{{"x", spec.OpRead, spec.Nil}, {"z", spec.OpRead, spec.Nil}},
+	}
+	var (
+		held     sync.WaitGroup // every first attempt holds its first-phase locks
+		firstRun sync.WaitGroup // every first attempt is over
+		retryMu  sync.Mutex
+		wg       sync.WaitGroup
+	)
+	held.Add(len(scripts))
+	firstRun.Add(len(scripts))
+	run := func(c *client.Conn, script []step, first bool) error {
+		if _, err := c.Begin(); err != nil {
+			return err
+		}
+		for i, st := range script {
+			if first && i == len(script)-1 {
+				held.Done()
+				held.Wait()
+			}
+			if _, err := c.Access(st.obj, st.op, st.arg); err != nil {
+				return err
+			}
+		}
+		_, err := c.Commit()
+		return err
+	}
+	errs := make([]error, len(scripts))
+	for i, script := range scripts {
 		wg.Add(1)
-		go func(c *client.Conn, obj string, op spec.OpKind, arg spec.Value) {
+		go func() {
 			defer wg.Done()
-			c.Access(obj, op, arg) // returns with an error once the server dies
-		}(b.c, b.obj, b.op, b.arg)
+			c, err := client.Dial(s.Addr().String())
+			if err != nil {
+				held.Done()
+				firstRun.Done()
+				errs[i] = err
+				return
+			}
+			defer c.Close()
+			err = run(c, script, true)
+			firstRun.Done()
+			if errors.Is(err, client.ErrTxAborted) {
+				firstRun.Wait()
+				retryMu.Lock()
+				err = run(c, script, false)
+				retryMu.Unlock()
+			}
+			errs[i] = err
+		}()
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for len(s.waits.entries()) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for the three sessions to block")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	entries := s.waits.entries()
-	var victims []tname.TxID
-	var maxTop tname.TxID
-	for _, e := range entries {
-		if e.top > maxTop {
-			maxTop = e.top
-		}
-		if s.deadlockVictim(e.top) {
-			victims = append(victims, e.top)
-		}
-	}
-	if len(victims) != 1 {
-		t.Fatalf("deadlockVictim self-selected %d of %d blocked sessions (%v); the overlapping cycles need exactly 1", len(victims), len(entries), victims)
-	}
-	if victims[0] != maxTop {
-		t.Fatalf("victim = %v, want the SCC's largest TxID %v", victims[0], maxTop)
-	}
-
-	s.Kill()
 	wg.Wait()
-	c1.Close()
-	c2.Close()
-	c3.Close()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("transaction %d never committed: %v", i+1, err)
+		}
+	}
+	m := s.Metrics()
+	if got := m.TopCommits.Load(); got != 3 {
+		t.Errorf("TopCommits = %d, want 3", got)
+	}
+	if got := m.DeadlockAborts.Load(); got < 1 || got > 2 {
+		t.Errorf("DeadlockAborts = %d, want 1 or 2", got)
+	}
+	if got := m.LockTimeouts.Load(); got != 0 {
+		t.Errorf("LockTimeouts = %d, want 0", got)
+	}
+	s.Kill()
 }

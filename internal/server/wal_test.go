@@ -3,6 +3,7 @@ package server
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
@@ -265,5 +266,49 @@ func TestRecoverRejectsDefsWithoutEvents(t *testing.T) {
 	writeRecords(t, disk, 1<<20, event.AppendWalObjectDef(nil, "x", "register"))
 	if _, _, err := Recover(Options{WAL: disk}); err == nil {
 		t.Fatal("Recover accepted definitions without events")
+	}
+}
+
+// TestMergerWritesDefinitionBeforeFirstUse pins the order inside one merger
+// step: the entry is picked first, the definitions it may need are flushed
+// second. The test holds a shard mutex so that the merger stops in the
+// middle of its scan for the next entry, interns a name and appends its
+// first event behind the merger's back, and lets go. With the flush ahead
+// of the pick the event reaches the WAL before the name and the scan cuts
+// the log there; the fixed order passes whatever the timing.
+func TestMergerWritesDefinitionBeforeFirstUse(t *testing.T) {
+	disk := NewMemDisk()
+	w, err := newWalWriter(disk, 1<<20, 1)
+	if err != nil {
+		t.Fatalf("newWalWriter: %v", err)
+	}
+	l := newShardedLog(2, realHooks{}, nil)
+	l.wal = w
+	l.startMerger()
+
+	l.shards[0].mu.Lock()
+	l.ring()
+	// Give the merger time to reach the held mutex.
+	time.Sleep(20 * time.Millisecond)
+	l.appendDef(func(buf []byte) []byte {
+		return event.AppendWalTxDef(buf, tname.Root, "s1.1", tname.NoObj, spec.Op{})
+	})
+	l.append(l.shards[1], event.NewEvent(event.RequestCreate, 1))
+	l.shards[0].mu.Unlock()
+	l.waitMerged(1)
+	l.close()
+	if err := w.close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	scan, err := scanWAL(disk)
+	if err != nil {
+		t.Fatalf("scanWAL: %v", err)
+	}
+	if scan.tornBytes != 0 {
+		t.Fatalf("scan cut %d bytes: the event was written ahead of the name it uses", scan.tornBytes)
+	}
+	if len(scan.ops) != 2 || scan.ops[0].Kind != event.WalTxDef || scan.ops[1].Kind != event.WalEvents {
+		t.Fatalf("WAL holds %d records %+v, want the definition, then the event", len(scan.ops), scan.ops)
 	}
 }

@@ -36,7 +36,6 @@ type simEvent struct {
 	sess int64 // server session id (evPark, evCommitWait, evDone)
 	slot int   // client slot index (evResp)
 	conn int   // slot connection number (evResp); filters readers of replaced connections
-	dur  time.Duration
 	seq  int
 	data []byte // raw response payload (evResp)
 	err  error  // transport error (evResp)
@@ -56,9 +55,13 @@ func (h *simHooks) Now() time.Time {
 	return time.Unix(0, h.s.clock.Load())
 }
 
-// LockWait parks the session until the driver wakes it (advancing the
-// virtual clock by d first) or the generation is retired.
-func (h *simHooks) LockWait(sess int64, d time.Duration) {
+// LockWait parks the session until the driver wakes it or the generation
+// is retired. The server's own wake signal is ignored: acting on it would
+// let a session run when another session's INFORM says so instead of when
+// the seeded scheduler does. Every driver wake is therefore a spurious
+// wake-up in the server's terms — the session re-tries its access, and a
+// release or victim mark that happened meanwhile is found then.
+func (h *simHooks) LockWait(sess int64, _ <-chan struct{}, _ time.Duration) {
 	s := h.s
 	s.mu.Lock()
 	if h.gen != s.gen.Load() {
@@ -69,7 +72,7 @@ func (h *simHooks) LockWait(sess int64, d time.Duration) {
 	s.wakes[sess] = wake
 	rel := s.release
 	s.mu.Unlock()
-	s.send(h.gen, simEvent{kind: evPark, sess: sess, dur: d})
+	s.send(h.gen, simEvent{kind: evPark, sess: sess})
 	select {
 	case <-wake:
 	case <-rel:

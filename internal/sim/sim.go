@@ -2,7 +2,7 @@
 // nested-transaction server. It wraps the real server — real sessions,
 // real locking automata, real WAL, real certifier — behind a seeded
 // virtual scheduler: a single driver goroutine issues every request,
-// wakes every blocked lock poll, advances a virtual clock, and samples
+// wakes every parked lock wait, advances a virtual clock, and samples
 // faults (connection drops mid-transaction, drops after REQUEST_COMMIT,
 // certifier stalls, lock-timeout storms, frozen certifier partitions,
 // cross-partition deadlocks, and full process crashes with torn-write
@@ -253,7 +253,6 @@ type slot struct {
 	sid     int64 // server session id
 	connID  int   // bumped on every reconnect; stale readers are ignored
 	phase   int
-	parkDur time.Duration
 	lastCmd wire.Cmd
 	lastRO  bool   // the in-flight request was a read-only BEGIN
 	lastObj string // object of the in-flight ACCESS (read-set recording)
@@ -345,14 +344,21 @@ func Run(cfg Config) (*Report, error) {
 	return s.rep, nil
 }
 
+// Virtual lock-wait timing: each driver wake of a parked session moves the
+// clock by wakeQuantum, so a session whose blocker the scheduler leaves
+// alone times out on its tenth wake, and a clock storm jumps past every
+// deadline at once.
+const (
+	lockTimeout = 40 * time.Millisecond
+	wakeQuantum = 4 * time.Millisecond
+)
+
 func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 	return server.Options{
 		Protocol:       s.cfg.Protocol,
 		Backend:        s.cfg.Backend,
 		Objects:        s.objs,
-		LockTimeout:    40 * time.Millisecond, // virtual
-		LockPoll:       time.Millisecond,
-		LockPollMax:    8 * time.Millisecond,
+		LockTimeout:    lockTimeout,
 		LogShards:      s.cfg.Shards,
 		CertPartitions: s.cfg.CertPartitions,
 		WAL:            disk,
@@ -557,10 +563,10 @@ func (s *sim) perform(sl *slot, q wire.Request) error {
 	return s.pumpUntil(func() bool { return sl.phase != phAwait })
 }
 
-// wakeOne advances the virtual clock by the parked session's requested
-// backoff, wakes it, and pumps until it settles again.
+// wakeOne advances the virtual clock by one wake quantum, wakes the parked
+// session, and pumps until it settles again.
 func (s *sim) wakeOne(sl *slot) error {
-	s.clock.Add(int64(sl.parkDur))
+	s.clock.Add(int64(wakeQuantum))
 	sl.phase = phAwait
 	s.mu.Lock()
 	wake := s.wakes[sl.sid]
@@ -595,7 +601,6 @@ func (s *sim) handleEvent(ev simEvent) error {
 				return fmt.Errorf("slot %d: snapshot read-only transaction parked on a lock wait", sl.idx)
 			}
 			sl.phase = phParkLock
-			sl.parkDur = ev.dur
 		}
 	case evCommitWait:
 		sl := s.bySid[ev.sess]
@@ -810,7 +815,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		s.rep.Faults[class]++
 		// Jump past every lock-wait deadline, then deliver the storm:
 		// every parked poll times out as it wakes.
-		s.clock.Add(int64(41 * time.Millisecond))
+		s.clock.Add(int64(lockTimeout + time.Millisecond))
 		for _, sl := range parked {
 			if err := s.wakeOne(sl); err != nil {
 				return true, err
@@ -971,7 +976,16 @@ func (s *sim) unstallMerge() error {
 		return nil
 	}
 	close(st.released)
-	return s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 })
+	if err := s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 }); err != nil {
+		return err
+	}
+	// The released sessions ran their fsyncs while the merger was still
+	// draining what had queued behind the stall, so how much of that backlog
+	// the last fsync covered was a matter of timing — and a later crash
+	// samples its torn tail from the unsynced bytes. Settle the merger and
+	// sync once more: the durable prefix is the whole log whatever the race.
+	s.srv.SettleMerged(s.srv.LogLen())
+	return s.srv.SyncWAL()
 }
 
 // pstalled reports whether a certifier-partition stall is active (locked
