@@ -28,12 +28,14 @@ lockreport:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the trace codec round-trip properties, the WAL
-# recovery path, and the moss-vs-undolog backend differential. The
+# Short fuzz pass over the trace codec round-trip properties, the precedes
+# frontier's closure lemma, the WAL recovery path, and the moss-vs-undolog
+# backend differential. The
 # committed seeds live under */testdata/fuzz/.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryTraceRoundTrip$$' -fuzztime 10s ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplay$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionedCertificate$$' -fuzztime 10s ./internal/part
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendDifferential$$' -fuzztime 10s ./internal/sim
@@ -51,10 +53,11 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the "current" side of BENCH_PR3.json from a fresh run of the
-# gated checker benchmarks (E1, E15) plus the trace-codec table (E16). The
-# committed "baseline" side (the pre-optimization numbers) is preserved.
+# gated checker benchmarks (E1, E15, E24) plus the trace-codec table (E16).
+# The committed "baseline" side (the pre-optimization numbers; for E24 the
+# numbers of the PR that introduced it, 0 allocs/op) is preserved.
 bench-json:
-	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16' -benchmem -count 1 . \
+	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24' -benchmem -count 1 . \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json
 
 # Fail when the checker benchmarks regress against the committed baseline
@@ -62,7 +65,7 @@ bench-json:
 # — wall-clock timing is hardware noise on shared runners).
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -suite BENCH_PR3.json \
-		-match 'E1MossSerialCorrectness|E15' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'E1MossSerialCorrectness|E15|E24' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (sharded log append with WAL attached and the merger

@@ -1,4 +1,4 @@
-// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E15). Each
+// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E16, E24). Each
 // benchmark exercises the hot path of its experiment under testing.B so
 // the tables' cost columns can be regenerated with:
 //
@@ -563,5 +563,80 @@ func BenchmarkE16TraceCodec(b *testing.B) {
 				}
 			}
 		}
+	})
+}
+
+// sequentialLife is the E24 workload: one client's server life, n top-level
+// transactions run one after the other, each reading one of 64 registers
+// (spread out so the per-object conflict scan, quadratic in an object's
+// accesses, stays negligible). The reads do not conflict, so every SG edge
+// is a precedes edge.
+func sequentialLife(n int) (*tname.Tree, event.Behavior) {
+	tr := tname.NewTree()
+	var objs [64]tname.ObjID
+	for i := range objs {
+		objs[i] = tr.AddObject(fmt.Sprintf("x%d", i), specRegister())
+	}
+	trace := event.Behavior{event.NewEvent(event.Create, tname.Root)}
+	for i := 0; i < n; i++ {
+		t := tr.Child(tname.Root, fmt.Sprintf("t%d", i))
+		r := tr.Access(t, "r", objs[i%len(objs)], spec.Op{Kind: spec.OpRead})
+		trace = append(trace,
+			event.NewEvent(event.RequestCreate, t), event.NewEvent(event.Create, t),
+			event.NewEvent(event.RequestCreate, r), event.NewEvent(event.Create, r),
+			event.NewValEvent(event.RequestCommit, r, spec.Int(0)), event.NewEvent(event.Commit, r),
+			event.NewValEvent(event.ReportCommit, r, spec.Int(0)),
+			event.NewValEvent(event.RequestCommit, t, spec.Nil), event.NewEvent(event.Commit, t),
+			event.NewValEvent(event.ReportCommit, t, spec.Nil))
+	}
+	return tr, trace
+}
+
+// BenchmarkE24SequentialTops measures both SG engines over a 4 000-
+// transaction sequential life — the shape on which the paper's all-pairs
+// precedes relation is quadratic (8 M edges here) and the frontier's
+// generating set is the chain. edges/tx is the regression signal; each
+// engine is warmed once so allocs/op is the steady state.
+func BenchmarkE24SequentialTops(b *testing.B) {
+	const tops = 4000
+	tr, trace := sequentialLife(tops)
+	report := func(b *testing.B, edges int) {
+		if edges != tops-1 {
+			b.Fatalf("%d edges for %d sequential transactions, want %d", edges, tops, tops-1)
+		}
+		b.ReportMetric(float64(edges)/tops, "edges/tx")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(trace)), "ns/event")
+	}
+	b.Run("incremental", func(b *testing.B) {
+		inc := core.NewIncremental(tr)
+		stream := func() int {
+			inc.Reset()
+			for _, e := range trace {
+				if inc.Append(e) != nil {
+					b.Fatal("sequential life rejected")
+				}
+			}
+			_, _, edges := inc.Counts()
+			return edges
+		}
+		edges := stream()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			edges = stream()
+		}
+		b.StopTimer()
+		report(b, edges)
+	})
+	b.Run("build", func(b *testing.B) {
+		c := core.NewChecker(tr)
+		edges := c.Build(trace).NumEdges()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			edges = c.Build(trace).NumEdges()
+		}
+		b.StopTimer()
+		report(b, edges)
 	})
 }

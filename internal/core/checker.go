@@ -50,9 +50,9 @@ type Checker struct {
 	visMemo []uint8
 	visEp   []uint32
 
-	// Per parent: children reported so far, in β order (precedes source).
-	reported [][]tname.TxID
-	repEp    []uint32
+	// prec picks the precedes(β) edges: per parent, the reported children
+	// and the frontier a request draws from.
+	prec frontier
 
 	// Per object: the visible operations in β order, and the discovery
 	// order of objects with operations.
@@ -96,9 +96,8 @@ func (c *Checker) grow() {
 			c.comEp = append(c.comEp, 0)
 			c.visMemo = append(c.visMemo, 0)
 			c.visEp = append(c.visEp, 0)
-			c.reported = append(c.reported, nil)
-			c.repEp = append(c.repEp, 0)
 		}
+		c.prec.grow(n)
 	}
 	if n := c.tr.NumObjects(); n > len(c.byObj) {
 		for len(c.byObj) < n {
@@ -122,10 +121,10 @@ func (c *Checker) begin() {
 		clear(c.pgEp)
 		clear(c.comEp)
 		clear(c.visEp)
-		clear(c.repEp)
 		clear(c.objEp)
 		c.epoch = 1
 	}
+	c.prec.reset()
 	clear(c.seen)
 	c.objs = c.objs[:0]
 	c.sg.tr = c.tr
@@ -227,9 +226,9 @@ func (c *Checker) emit(prev, cur event.AccessOp) {
 }
 
 // prepare runs the linear pass over b's serial actions: commit stamps,
-// visibility, operations(visible(β, T0)) per object, and the precedes(β)
-// edges. Inform events are skipped inline, so callers may pass generic
-// behaviors without projecting first.
+// visibility, operations(visible(β, T0)) per object, and the generating
+// precedes(β) edges (see frontier). Inform events are skipped inline, so
+// callers may pass generic behaviors without projecting first.
 //
 //sgvet:hotpath
 func (c *Checker) prepare(b event.Behavior) {
@@ -263,12 +262,7 @@ func (c *Checker) prepare(b event.Behavior) {
 				// streaming checker skips it identically.
 				continue
 			}
-			p := c.tr.Parent(e.Tx)
-			if c.repEp[p] != c.epoch {
-				c.repEp[p] = c.epoch
-				c.reported[p] = c.reported[p][:0]
-			}
-			c.reported[p] = append(c.reported[p], e.Tx)
+			c.prec.report(c.tr.Parent(e.Tx), e.Tx)
 
 		case event.RequestCreate:
 			if e.Tx == tname.Root {
@@ -277,12 +271,11 @@ func (c *Checker) prepare(b event.Behavior) {
 			}
 			p := c.tr.Parent(e.Tx)
 			if !c.visible(p) {
+				// No request under p yields an edge in this build, so none
+				// needs recording either.
 				continue
 			}
-			if c.repEp[p] != c.epoch {
-				continue
-			}
-			for _, t := range c.reported[p] {
+			for _, t := range c.prec.siblings(p, c.prec.request(p, e.Tx)) {
 				if t != e.Tx {
 					c.addEdge(p, t, e.Tx, EdgePrecedes)
 				}

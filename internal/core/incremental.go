@@ -42,18 +42,19 @@ type Incremental struct {
 
 	// Per transaction: the commit flag, the parked items keyed by their
 	// blocker — the lowest uncommitted ancestor (≠ Root) of the access /
-	// requesting parent — the reported children (precedes source), the
-	// node index in the parent's graph (-1 until materialized; every tx
-	// is a child of exactly one parent, so one array serves all graphs),
-	// and the recycled per-parent structures.
+	// requesting parent — the node index in the parent's graph (-1 until
+	// materialized; every tx is a child of exactly one parent, so one
+	// array serves all graphs), and the recycled per-parent structures.
 	committed  []bool
 	parkedOps  [][]pendingOp
 	parkedReqs [][]pendingReq
-	reported   [][]tname.TxID
 	nodeOf     []int32
 	pgOf       []*ParentGraph
 	dynOf      []*graph.Incremental
 	active     []bool
+
+	// prec picks the precedes(β) edges, exactly as in Checker.
+	prec frontier
 
 	// byObj holds the admitted (visible) operations per object, ascending
 	// by seq; visOps holds all of them, ascending by seq — exactly
@@ -96,13 +97,15 @@ type pendingOp struct {
 	seq int
 }
 
-// pendingReq is a REQUEST_CREATE awaiting its parent's visibility. n is the
-// length of reported[parent] at request time: precedes(β) relates only the
-// siblings reported before the request, however late the edges materialize.
+// pendingReq is a REQUEST_CREATE awaiting its parent's visibility. from is
+// the frontier window at request time: precedes(β) relates only the
+// siblings reported before the request, however late the edges materialize,
+// so a parked request contributes the same edges at any admission time and
+// SG stays monotone over prefixes.
 type pendingReq struct {
 	parent tname.TxID
 	child  tname.TxID
-	n      int
+	from   window
 }
 
 // NewIncremental returns an empty streaming checker for the given system.
@@ -125,12 +128,12 @@ func (inc *Incremental) grow() {
 			inc.committed = append(inc.committed, false)
 			inc.parkedOps = append(inc.parkedOps, nil)
 			inc.parkedReqs = append(inc.parkedReqs, nil)
-			inc.reported = append(inc.reported, nil)
 			inc.nodeOf = append(inc.nodeOf, -1)
 			inc.pgOf = append(inc.pgOf, nil)
 			inc.dynOf = append(inc.dynOf, nil)
 			inc.active = append(inc.active, false)
 		}
+		inc.prec.grow(n)
 	}
 	if n := inc.tr.NumObjects(); n > len(inc.byObj) {
 		for len(inc.byObj) < n {
@@ -148,8 +151,8 @@ func (inc *Incremental) Reset() {
 	for i := range inc.parkedOps {
 		inc.parkedOps[i] = inc.parkedOps[i][:0]
 		inc.parkedReqs[i] = inc.parkedReqs[i][:0]
-		inc.reported[i] = inc.reported[i][:0]
 	}
+	inc.prec.reset()
 	for _, pg := range inc.parents {
 		for _, t := range pg.Children {
 			inc.nodeOf[t] = -1
@@ -208,15 +211,14 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 			// identically (well-formedness would reject the trace).
 			break
 		}
-		p := inc.tr.Parent(e.Tx)
-		inc.reported[p] = append(inc.reported[p], e.Tx)
+		inc.prec.report(inc.tr.Parent(e.Tx), e.Tx)
 
 	case event.RequestCreate:
 		if e.Tx == tname.Root {
 			break
 		}
 		p := inc.tr.Parent(e.Tx)
-		req := pendingReq{parent: p, child: e.Tx, n: len(inc.reported[p])}
+		req := pendingReq{parent: p, child: e.Tx, from: inc.prec.request(p, e.Tx)}
 		if blk, vis := inc.blocker(p); vis {
 			inc.admitReq(req)
 		} else {
@@ -348,12 +350,12 @@ func spliceBySeq(list []pendingOp, op pendingOp) []pendingOp {
 }
 
 // admitReq materializes the precedes edges of one REQUEST_CREATE whose
-// parent is now visible: from each sibling reported before the request to
-// the requested child.
+// parent is now visible: from each sibling on the frontier at request time
+// to the requested child.
 //
 //sgvet:hotpath
 func (inc *Incremental) admitReq(req pendingReq) {
-	for _, t := range inc.reported[req.parent][:req.n] {
+	for _, t := range inc.prec.siblings(req.parent, req.from) {
 		if t != req.child {
 			inc.addEdge(req.parent, t, req.child, EdgePrecedes)
 		}

@@ -17,7 +17,12 @@
 //     (§6.1) — this package takes the relation from each object's Spec, so
 //     the same code implements both constructions.
 //   - precedes(β): the parent saw a report for T' before requesting the
-//     creation of T” (external consistency, §4).
+//     creation of T” (external consistency, §4). The graph stores a
+//     generating set of this relation, not every pair: a request takes
+//     edges only from the maximal reported siblings (see frontier), which
+//     leaves the transitive closure — hence the acyclicity verdict, the
+//     validity of a cycle certificate and the derived order R — unchanged
+//     while a life of n sequential siblings costs n−1 edges, not n(n−1)/2.
 //
 // Acyclicity is certified: the checker returns the sibling order R obtained
 // by topologically sorting each SG(β, T) and the per-object views
@@ -270,8 +275,10 @@ func (sg *SG) sortParents() {
 // contributes an edge. Inform events are ignored, so callers may pass
 // generic behaviors directly.
 //
-// Cost: the precedes scan is linear plus one edge per (reported sibling,
-// later request) pair; the conflict scan compares each visible access
+// Cost: the precedes scan is linear plus one edge per (maximal reported
+// sibling, request) pair — at most as many per request as siblings were
+// open at once, so linear for a bounded number of concurrent siblings
+// (benchmarked as E24); the conflict scan compares each visible access
 // against the earlier visible accesses on the same object, so it is
 // quadratic in the per-object access count in the worst case (benchmarked
 // as experiment E5). Repeated constructions over one tree should share a

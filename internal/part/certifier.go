@@ -203,14 +203,14 @@ func (p *partition) applyOne(tr *tname.Tree, e event.Event) {
 
 // Prime feeds a recovered or generated behavior through every partition
 // synchronously — no goroutines, no locks — then flushes each partition's
-// batch so the composed graph and watermark cover all of b. Workers
+// edges so the composed graph and watermark cover all of b. Workers
 // started afterwards stream from len(b).
 func (c *Certifier) Prime(b event.Behavior) {
 	for _, p := range c.parts {
 		for _, e := range b {
 			p.applyOne(c.tr, e)
 		}
-		c.deliver(p.encode(len(b)), nil)
+		c.flush(p, len(b), nil)
 	}
 	c.start = len(b)
 }
@@ -260,18 +260,38 @@ func (c *Certifier) worker(p *partition) {
 			}
 			c.cfg.Lock.Unlock()
 			off += n
-			c.deliver(p.encode(processed+off), c.cfg.Lock)
+			c.flush(p, processed+off, c.cfg.Lock)
 		}
 		processed += len(batch)
 	}
 }
 
-// encode freezes the partition's pending edges and bound as one
-// wire.EdgeBatch payload. The round trip through the codec is deliberate:
-// the encoded form is the exchange protocol.
-func (p *partition) encode(upTo int) []byte {
-	p.buf = wire.AppendEdgeBatch(p.buf[:0], wire.EdgeBatch{Part: p.id, UpTo: upTo, Edges: p.pend})
+// maxBatch is the most edge records one batch carries — the cap the
+// decoder enforces. A variable only so tests can lower it: a backlog past
+// the real cap takes a million edges to build.
+var maxBatch = wire.MaxEdgeBatch
+
+// flush delivers the partition's pending edges and its new event bound to
+// the composer, split into batches of at most maxBatch records (a primed
+// log's whole backlog is pending at once). Only the last batch carries
+// upTo; the earlier ones claim no events (bound 0 — deliver only ever
+// raises a bound), so the watermark never passes events whose edges are
+// still in flight.
+func (c *Certifier) flush(p *partition, upTo int, lk sync.Locker) {
+	rest := p.pend
+	for len(rest) > maxBatch {
+		c.deliver(p.encode(0, rest[:maxBatch]), lk)
+		rest = rest[maxBatch:]
+	}
+	c.deliver(p.encode(upTo, rest), lk)
 	p.pend = p.pend[:0]
+}
+
+// encode freezes edge records and a bound as one wire.EdgeBatch payload.
+// The round trip through the codec is deliberate: the encoded form is the
+// exchange protocol.
+func (p *partition) encode(upTo int, edges []wire.SGEdge) []byte {
+	p.buf = wire.AppendEdgeBatch(p.buf[:0], wire.EdgeBatch{Part: p.id, UpTo: upTo, Edges: edges})
 	return p.buf
 }
 

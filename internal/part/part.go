@@ -19,9 +19,10 @@
 // other partition derives any; the quadratic per-object conflict scan —
 // the certifier's real work — is therefore partitioned. Precedes edges
 // and the visibility relation depend only on the structural events, which
-// every partition sees, so each partition derives the full precedes set
-// (the composer dedups the copies) and parks/admits accesses with exactly
-// the global visibility. "Deciding Serializability in Network Systems"
+// every partition sees, so each partition derives the same precedes edges
+// — the generating set core.frontier selects, identical in every
+// core.Incremental — (the composer dedups the copies) and parks/admits
+// accesses with exactly the global visibility. "Deciding Serializability in Network Systems"
 // (PAPERS.md) is the template: per-node graphs certify locally and
 // compose into the global verdict when the nodes exchange the edges that
 // cross them.

@@ -21,8 +21,8 @@ import (
 // children of each parent in R order; transactions that aborted in β are
 // aborted by the serial scheduler before being created; report events to T0
 // are emitted at exactly their positions in β|T0 (the scheduler may delay
-// reports arbitrarily, which is what makes this possible — and the precedes
-// edges of SG(β) are exactly the constraint that keeps the greedy placement
+// reports arbitrarily, which is what makes this possible — and precedes(β),
+// which R extends, is exactly the constraint that keeps the greedy placement
 // feasible).
 //
 // Witness re-derives every access value from the serial objects S_X and
@@ -248,10 +248,12 @@ func (w *witness) execComposite(tx tname.TxID, node *program.Node) (spec.Value, 
 	}
 
 	for len(unfinished) > 0 {
-		// Pick the minimal unfinished child in the total sibling order;
-		// the precedes edges of SG(β) guarantee that any child requested
-		// later is ordered after some currently unfinished one, so the
-		// greedy choice is safe (see package comment).
+		// Pick the minimal unfinished child in the total sibling order. R
+		// extends all of precedes(β) — SG(β) stores only a generating set
+		// of it, whose closure R respects (THEORY.md, frontier lemma) —
+		// so any child requested later is ordered after some currently
+		// unfinished one and the greedy choice is safe (see package
+		// comment).
 		var next tname.TxID = tname.None
 		for c := range unfinished {
 			if next == tname.None || w.order.CompareSiblings(c, next) {

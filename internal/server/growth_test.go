@@ -1,0 +1,53 @@
+package server_test
+
+import (
+	"fmt"
+	"testing"
+
+	"nestedsg/internal/client"
+	"nestedsg/internal/server"
+	"nestedsg/internal/spec"
+)
+
+// TestSequentialLifeEdgesStayLinear is the guard against the quadratic
+// precedes fan-in coming back: one session running n top-level transactions
+// one after the other yields a chain under T0 and one edge between the two
+// accesses inside each transaction — the paper's all-pairs relation has
+// n(n−1)/2 under T0 alone, two million here. The reads do not conflict, so
+// every edge counted is a precedes edge.
+func TestSequentialLifeEdgesStayLinear(t *testing.T) {
+	const n = 2000
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", parts), func(t *testing.T) {
+			s := startServer(t, server.Options{Objects: []string{"x", "y"}, CertPartitions: parts})
+			c, err := client.Dial(s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := c.RunTx(1, func(tx *client.Tx) error {
+					if _, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil {
+						return err
+					}
+					_, err := tx.Access("y", spec.OpRead, spec.Nil)
+					return err
+				}); err != nil {
+					t.Fatalf("tx %d: %v", i, err)
+				}
+			}
+			c.Close()
+			shutdownAndVerify(t, s)
+			if got := s.Metrics().TopCommits.Load(); got != n {
+				t.Fatalf("%d top-level commits, want %d", got, n)
+			}
+			edges, ok := s.MetricsSnapshot()["sg_edges"].(int64)
+			if !ok {
+				t.Fatalf("sg_edges = %v", s.MetricsSnapshot()["sg_edges"])
+			}
+			if edges < n-1 || edges > 2*n {
+				t.Fatalf("sg_edges = %d after %d sequential transactions, want the chain's %d plus one per transaction",
+					edges, n, n-1)
+			}
+		})
+	}
+}
