@@ -28,17 +28,23 @@ lockreport:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the trace codec round-trip properties, the precedes
-# frontier's closure lemma, the WAL recovery path, and the moss-vs-undolog
-# backend differential. The
-# committed seeds live under */testdata/fuzz/.
+# Short fuzz pass over every fuzz target in the tree: the trace codec
+# round-trip properties, the edge-batch wire parser, the two frontiers'
+# closure lemmas, streaming ≡ batch, the WAL recovery path, the partitioned
+# certificate and the moss-vs-undolog backend differential. The committed
+# seeds live under */testdata/fuzz/. CI (and `make ci`) run it at
+# FUZZTIME=5s.
+FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/event
-	$(GO) test -run '^$$' -fuzz '^FuzzBinaryTraceRoundTrip$$' -fuzztime 10s ./internal/event
-	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplay$$' -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzPartitionedCertificate$$' -fuzztime 10s ./internal/part
-	$(GO) test -run '^$$' -fuzz '^FuzzBackendDifferential$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzConflictFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalDifferential$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplay$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionedCertificate$$' -fuzztime $(FUZZTIME) ./internal/part
+	$(GO) test -run '^$$' -fuzz '^FuzzBackendDifferential$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or fail their correctness assertions, without measuring anything.
@@ -53,11 +59,12 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the "current" side of BENCH_PR3.json from a fresh run of the
-# gated checker benchmarks (E1, E15, E24) plus the trace-codec table (E16).
-# The committed "baseline" side (the pre-optimization numbers; for E24 the
-# numbers of the PR that introduced it, 0 allocs/op) is preserved.
+# gated checker benchmarks (E1, E15, E24, E25) plus the trace-codec table
+# (E16). The committed "baseline" side (the pre-optimization numbers; for
+# E24 and E25 the numbers of the PR that introduced each, 0 allocs/op) is
+# preserved.
 bench-json:
-	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24' -benchmem -count 1 . \
+	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24|E25' -benchmem -count 1 . \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json
 
 # Fail when the checker benchmarks regress against the committed baseline
@@ -65,7 +72,7 @@ bench-json:
 # — wall-clock timing is hardware noise on shared runners).
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -suite BENCH_PR3.json \
-		-match 'E1MossSerialCorrectness|E15|E24' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'E1MossSerialCorrectness|E15|E24|E25' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (sharded log append with WAL attached and the merger
@@ -116,3 +123,4 @@ sim-soak:
 # Everything CI runs, in order (CI runs the sim soak in short mode with
 # -race; sim-soak above is the long local version).
 ci: build vet sgvet race bench-smoke bench-test loadtest-smoke bench-gate bench-server-gate
+	$(MAKE) fuzz-short FUZZTIME=5s

@@ -1,4 +1,4 @@
-// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E16, E24). Each
+// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E16, E24, E25). Each
 // benchmark exercises the hot path of its experiment under testing.B so
 // the tables' cost columns can be regenerated with:
 //
@@ -428,7 +428,7 @@ func BenchmarkE14ReplicatedData(b *testing.B) {
 }
 
 // contendedTrace generates the E15 workload: deep nesting over several
-// objects so the parallel conflict scan has independent work to fan out.
+// objects under the Moss protocol.
 func contendedTrace(b *testing.B, topLevel int) (*tname.Tree, event.Behavior) {
 	b.Helper()
 	tr := tname.NewTree()
@@ -464,9 +464,9 @@ func BenchmarkE15StreamingCheck(b *testing.B) {
 	}
 }
 
-// denseTrace generates the E15 scan-bound workload: the serial scheduler
-// commits every access, so the quadratic per-object conflict scan — the
-// phase BuildParallel fans out — dominates construction cost.
+// denseTrace generates the E15 dense workload: the serial scheduler commits
+// every access, so visible operations per event — what the conflict scan
+// works on — are at their maximum.
 func denseTrace(b *testing.B, topLevel int) (*tname.Tree, event.Behavior) {
 	b.Helper()
 	tr := tname.NewTree()
@@ -479,24 +479,17 @@ func denseTrace(b *testing.B, topLevel int) (*tname.Tree, event.Behavior) {
 	return tr, trace
 }
 
-// BenchmarkE15ParallelBuild measures the batch SG construction at several
-// worker counts on one scan-bound trace; workers=1 is the sequential
-// baseline the speedup column of EXPERIMENTS.md is computed against.
-// Speedup is hardware-dependent: on a single-core host every worker count
-// collapses to ~1×.
-func BenchmarkE15ParallelBuild(b *testing.B) {
+// BenchmarkE15BatchBuild measures the batch SG construction — the whole
+// behavior streamed through a pooled Checker's engine, then frozen — on
+// one dense trace.
+func BenchmarkE15BatchBuild(b *testing.B) {
 	tr, trace := denseTrace(b, 128)
 	want := core.Build(tr, trace).NumEdges()
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := core.NewChecker(tr)
-			for i := 0; i < b.N; i++ {
-				if got := c.BuildParallel(trace, workers).NumEdges(); got != want {
-					b.Fatalf("edges = %d, want %d", got, want)
-				}
-			}
-		})
+	c := core.NewChecker(tr)
+	for i := 0; i < b.N; i++ {
+		if got := c.Build(trace).NumEdges(); got != want {
+			b.Fatalf("edges = %d, want %d", got, want)
+		}
 	}
 }
 
@@ -567,10 +560,8 @@ func BenchmarkE16TraceCodec(b *testing.B) {
 }
 
 // sequentialLife is the E24 workload: one client's server life, n top-level
-// transactions run one after the other, each reading one of 64 registers
-// (spread out so the per-object conflict scan, quadratic in an object's
-// accesses, stays negligible). The reads do not conflict, so every SG edge
-// is a precedes edge.
+// transactions run one after the other, each reading one of 64 registers.
+// The reads do not conflict, so every SG edge is a precedes edge.
 func sequentialLife(n int) (*tname.Tree, event.Behavior) {
 	tr := tname.NewTree()
 	var objs [64]tname.ObjID
@@ -592,41 +583,37 @@ func sequentialLife(n int) (*tname.Tree, event.Behavior) {
 	return tr, trace
 }
 
-// BenchmarkE24SequentialTops measures both SG engines over a 4 000-
-// transaction sequential life — the shape on which the paper's all-pairs
-// precedes relation is quadratic (8 M edges here) and the frontier's
-// generating set is the chain. edges/tx is the regression signal; each
-// engine is warmed once so allocs/op is the steady state.
-func BenchmarkE24SequentialTops(b *testing.B) {
-	const tops = 4000
-	tr, trace := sequentialLife(tops)
+// benchLife measures both entry points of the SG engine — Incremental fed
+// event by event, and a pooled Checker's batch Build — over one life of tops
+// transactions that must yield wantEdges distinct edges. edges/tx is the
+// regression signal; each entry point is warmed once so allocs/op is the
+// steady state.
+func benchLife(b *testing.B, tr *tname.Tree, trace event.Behavior, tops, wantEdges int) {
 	report := func(b *testing.B, edges int) {
-		if edges != tops-1 {
-			b.Fatalf("%d edges for %d sequential transactions, want %d", edges, tops, tops-1)
+		if edges != wantEdges {
+			b.Fatalf("%d edges for a life of %d transactions, want %d", edges, tops, wantEdges)
 		}
-		b.ReportMetric(float64(edges)/tops, "edges/tx")
+		b.ReportMetric(float64(edges)/float64(tops), "edges/tx")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(trace)), "ns/event")
 	}
 	b.Run("incremental", func(b *testing.B) {
 		inc := core.NewIncremental(tr)
-		stream := func() int {
+		stream := func() {
 			inc.Reset()
 			for _, e := range trace {
 				if inc.Append(e) != nil {
-					b.Fatal("sequential life rejected")
+					b.Fatal("life rejected")
 				}
 			}
-			_, _, edges := inc.Counts()
-			return edges
 		}
-		edges := stream()
+		stream()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			edges = stream()
+			stream()
 		}
 		b.StopTimer()
-		report(b, edges)
+		report(b, inc.Snapshot().NumEdges())
 	})
 	b.Run("build", func(b *testing.B) {
 		c := core.NewChecker(tr)
@@ -639,4 +626,49 @@ func BenchmarkE24SequentialTops(b *testing.B) {
 		b.StopTimer()
 		report(b, edges)
 	})
+}
+
+// BenchmarkE24SequentialTops runs a 4 000-transaction sequential life — the
+// shape on which the paper's all-pairs precedes relation is quadratic (8 M
+// edges here) and the frontier's generating set is the chain.
+func BenchmarkE24SequentialTops(b *testing.B) {
+	const tops = 4000
+	tr, trace := sequentialLife(tops)
+	benchLife(b, tr, trace, tops, tops-1)
+}
+
+// hotRegisterLife is the E25 workload: one client's server life on one hot
+// register — n top-level transactions run one after the other, each a
+// single access, four writes to every read.
+func hotRegisterLife(n int) (*tname.Tree, event.Behavior) {
+	tr := tname.NewTree()
+	x := tr.AddObject("x", specRegister())
+	trace := event.Behavior{event.NewEvent(event.Create, tname.Root)}
+	for i := 0; i < n; i++ {
+		t := tr.Child(tname.Root, fmt.Sprintf("t%d", i))
+		op, val := workloadWriteOp(int64(i)), spec.OK
+		if i%5 == 4 {
+			op, val = spec.Op{Kind: spec.OpRead}, spec.Int(int64(i-1))
+		}
+		a := tr.Access(t, "a", x, op)
+		trace = append(trace,
+			event.NewEvent(event.RequestCreate, t), event.NewEvent(event.Create, t),
+			event.NewEvent(event.RequestCreate, a), event.NewEvent(event.Create, a),
+			event.NewValEvent(event.RequestCommit, a, val), event.NewEvent(event.Commit, a),
+			event.NewValEvent(event.ReportCommit, a, val),
+			event.NewValEvent(event.RequestCommit, t, spec.Nil), event.NewEvent(event.Commit, t),
+			event.NewValEvent(event.ReportCommit, t, spec.Nil))
+	}
+	return tr, trace
+}
+
+// BenchmarkE25HotRegister runs a 4 000-transaction life on one register —
+// the shape on which the paper's all-pairs conflict relation is quadratic
+// (7.7 M pairs here) and the conflict frontier's generating set is the
+// chain (conflict and precedes labels on the same pairs) plus, for each
+// write that follows a read, the pair from the write before that read.
+func BenchmarkE25HotRegister(b *testing.B) {
+	const tops = 4000
+	tr, trace := hotRegisterLife(tops)
+	benchLife(b, tr, trace, tops, tops-1+tops/5-1)
 }

@@ -342,24 +342,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nestedload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "", "server address (empty with -selfserve)")
-		selfserve = fs.Bool("selfserve", false, "start an in-process server on a loopback port")
-		workers   = fs.Int("workers", 4, "concurrent client connections")
-		sessions  = fs.Int("sessions", 25, "transactions per worker (ignored with -dur)")
-		dur       = fs.Duration("dur", 0, "run for this long instead of a fixed transaction count")
-		accesses  = fs.Int("accesses", 4, "accesses per transaction")
-		childProb = fs.Float64("childprob", 0.25, "probability an access runs inside a subtransaction")
-		readRatio = fs.Float64("readratio", 0.5, "fraction of read-class operations")
-		zipfS     = fs.Float64("zipf", 0, "zipf skew parameter s (>1 enables skewed object choice)")
-		numObj    = fs.Int("objects", 4, "number of shared objects (x0..x{n-1})")
+		addr        = fs.String("addr", "", "server address (empty with -selfserve)")
+		selfserve   = fs.Bool("selfserve", false, "start an in-process server on a loopback port")
+		workers     = fs.Int("workers", 4, "concurrent client connections")
+		sessions    = fs.Int("sessions", 25, "transactions per worker (ignored with -dur)")
+		dur         = fs.Duration("dur", 0, "run for this long instead of a fixed transaction count")
+		accesses    = fs.Int("accesses", 4, "accesses per transaction")
+		childProb   = fs.Float64("childprob", 0.25, "probability an access runs inside a subtransaction")
+		readRatio   = fs.Float64("readratio", 0.5, "fraction of read-class operations")
+		zipfS       = fs.Float64("zipf", 0, "zipf skew parameter s (>1 enables skewed object choice)")
+		numObj      = fs.Int("objects", 4, "number of shared objects (x0..x{n-1})")
 		specName    = fs.String("spec", "register", "object type")
-		protoName   = fs.String("protocol", "", "selfserve: legacy alias for -backend (moss or undolog)")
 		backendName = fs.String("backend", "", "selfserve: object backend: moss (default), undolog, mvto, replica")
 		seed        = fs.Int64("seed", 1, "per-worker RNG seed base")
-		shards    = fs.Int("shards", 0, "selfserve: event-log append shards (0 = server default)")
-		certParts = fs.Int("cert-partitions", 0, "selfserve: certifier partitions (0 or 1 = single certifier)")
-		retries   = fs.Int("retries", 8, "max attempts per transaction (bounded exponential backoff)")
-		bench     = fs.Bool("bench", false, "also print a go test -bench style summary line")
+		shards      = fs.Int("shards", 0, "selfserve: event-log append shards (0 = server default)")
+		certParts   = fs.Int("cert-partitions", 0, "selfserve: certifier partitions (0 or 1 = single certifier)")
+		retries     = fs.Int("retries", 8, "max attempts per transaction (bounded exponential backoff)")
+		bench       = fs.Bool("bench", false, "also print a go test -bench style summary line")
 
 		sweep         = fs.Bool("sweep", false, "run a backends × clients × read-ratio × zipf grid on in-process servers, one bench line per cell")
 		sweepBackends = fs.String("sweep-backends", "moss", "sweep: comma-separated object backends")
@@ -382,18 +381,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	backend := *backendName
-	if *protoName != "" {
-		// -protocol is the legacy alias; it resolves to the same backends.
-		if backend != "" {
-			fmt.Fprintln(stderr, "nestedload: -protocol and -backend are both set; use -backend")
-			return 2
-		}
-		if *protoName != "moss" && *protoName != "undolog" {
-			fmt.Fprintf(stderr, "nestedload: unknown protocol %q (want moss or undolog)\n", *protoName)
-			return 2
-		}
-		backend = *protoName
-	}
 	if backend == "" {
 		backend = "moss"
 	}

@@ -36,7 +36,7 @@ func TestSelfServeSmoke(t *testing.T) {
 func TestSelfServeZipfCounter(t *testing.T) {
 	code, out, errs := runLoad(t,
 		"-selfserve", "-workers", "3", "-sessions", "4", "-spec", "counter",
-		"-protocol", "undolog", "-zipf", "1.3", "-childprob", "0.5", "-seed", "7")
+		"-backend", "undolog", "-zipf", "1.3", "-childprob", "0.5", "-seed", "7")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
@@ -70,9 +70,6 @@ func TestLoadBadFlags(t *testing.T) {
 	}
 	if code, _, errs := runLoad(t, "-selfserve", "-backend", "nope"); code != 2 || !strings.Contains(errs, "unknown backend") {
 		t.Fatalf("bad backend: exit %d, stderr %q", code, errs)
-	}
-	if code, _, errs := runLoad(t, "-selfserve", "-backend", "mvto", "-protocol", "moss"); code != 2 || !strings.Contains(errs, "both set") {
-		t.Fatalf("backend+protocol conflict: exit %d, stderr %q", code, errs)
 	}
 	if code, _, errs := runLoad(t, "-selfserve", "-backend", "mvto", "-spec", "counter"); code != 2 || !strings.Contains(errs, "register") {
 		t.Fatalf("mvto non-register spec: exit %d, stderr %q", code, errs)

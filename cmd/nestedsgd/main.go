@@ -12,9 +12,8 @@
 //	nestedsgd -addr :7474 -metrics :7475     # JSON at /metrics, expvar at /debug/vars
 //	nestedsgd -addr :7474 -wal /var/lib/nestedsgd/wal   # durable log; replayed and audited on boot
 //
-// Backends: moss, undolog, mvto, replica (-protocol is the legacy alias
-// for the first two). Specs: register, counter, account, set, appendlog,
-// queue (mvto and replica support register only).
+// Backends: moss, undolog, mvto, replica. Specs: register, counter, account,
+// set, appendlog, queue (mvto and replica support register only).
 package main
 
 import (
@@ -31,27 +30,14 @@ import (
 	"syscall"
 	"time"
 
-	"nestedsg/internal/locking"
-	"nestedsg/internal/object"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
-	"nestedsg/internal/undolog"
 )
 
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sig, nil))
-}
-
-func protocolByName(name string) object.Protocol {
-	switch name {
-	case "moss":
-		return locking.Protocol{}
-	case "undolog":
-		return undolog.Protocol{}
-	}
-	return nil
 }
 
 // expvarOnce guards the process-global expvar name: tests run the server
@@ -74,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 	var (
 		addr         = fs.String("addr", "127.0.0.1:7474", "TCP listen address")
 		metricsAddr  = fs.String("metrics", "", "serve JSON metrics on this HTTP address ('' disables)")
-		protoName    = fs.String("protocol", "", "legacy alias for -backend: moss or undolog")
 		backendName  = fs.String("backend", "", "object backend: moss (default), undolog, mvto, replica")
 		replicaN     = fs.Int("replica-copies", 0, "replica backend: copy count N (0 = server default 3)")
 		replicaR     = fs.Int("replica-read-quorum", 0, "replica backend: read quorum R (0 = server default 2)")
@@ -92,18 +77,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 		return 2
 	}
 	backend := *backendName
-	if *protoName != "" {
-		// -protocol is the legacy alias; it resolves to the same backends.
-		if backend != "" {
-			fmt.Fprintln(stderr, "nestedsgd: -protocol and -backend are both set; use -backend")
-			return 2
-		}
-		if protocolByName(*protoName) == nil {
-			fmt.Fprintf(stderr, "nestedsgd: unknown protocol %q (want moss or undolog)\n", *protoName)
-			return 2
-		}
-		backend = *protoName
-	}
 	if backend == "" {
 		backend = "moss"
 	}

@@ -128,10 +128,10 @@ func TestDaemonWalRestart(t *testing.T) {
 
 func TestDaemonBadFlags(t *testing.T) {
 	var out, errBuf strings.Builder
-	if got := run([]string{"-protocol", "nope"}, &out, &errBuf, nil, nil); got != 2 {
-		t.Fatalf("unknown protocol: exit %d, want 2", got)
+	if got := run([]string{"-backend", "nope"}, &out, &errBuf, nil, nil); got != 2 {
+		t.Fatalf("unknown backend: exit %d, want 2", got)
 	}
-	if !strings.Contains(errBuf.String(), "unknown protocol") {
+	if !strings.Contains(errBuf.String(), "unknown backend") {
 		t.Fatalf("stderr: %s", errBuf.String())
 	}
 	errBuf.Reset()

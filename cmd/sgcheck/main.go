@@ -9,7 +9,6 @@
 //	nestedrun -seed 7 -out trace.json
 //	sgcheck -in trace.json -cert -dot sg.dot
 //	sgcheck -in trace.json -stream          # report the shortest bad prefix
-//	sgcheck -in trace.json -workers 0       # parallel SG construction
 //	sgcheck -in trace.bin                   # binary traces auto-detected
 //	nestedrun -out - | sgcheck              # '-in -' (or no -in) reads stdin
 //	nestedrun -format binary -out - | sgcheck -stream
@@ -59,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		minimizeOut  = fs.String("minimize", "", "on failure, shrink the trace to a 1-minimal failing core and write it here")
 		audit        = fs.Bool("currentsafe", false, "also audit the Lemma 6 current/safe conditions (read/write objects only)")
 		stream       = fs.Bool("stream", false, "replay the trace through the incremental checker first and report the shortest prefix with a cyclic SG")
-		workers      = fs.Int("workers", 1, "worker count for the parallel SG construction (0 = all cores, 1 = sequential)")
 		format       = fs.String("format", "auto", "trace format: auto, json, binary")
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -144,12 +142,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "stream: all %d prefixes have acyclic SGs\n", len(b))
 	}
 
-	var res *core.Result
-	if *workers == 1 {
-		res = core.Check(tr, b)
-	} else {
-		res = core.CheckParallel(tr, b, *workers)
-	}
+	res := core.Check(tr, b)
 	fmt.Fprintln(stdout, "verdict:", res.Summary(tr))
 
 	if res.SG != nil && *dotOut != "" {

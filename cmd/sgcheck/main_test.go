@@ -260,20 +260,6 @@ func TestStreamFlagRejectsAtPrefix(t *testing.T) {
 	t.Fatal("no cyclic trace found")
 }
 
-func TestWorkersFlagMatchesSequential(t *testing.T) {
-	path := writeTrace(t, false)
-	_, seqOut, _ := runCmd(t, "-in", path, "-cert")
-	for _, w := range []string{"0", "4"} {
-		code, out, errOut := runCmd(t, "-in", path, "-cert", "-workers", w)
-		if code != 0 {
-			t.Fatalf("workers=%s exit %d: %s", w, code, errOut)
-		}
-		if out != seqOut {
-			t.Fatalf("workers=%s output differs:\n%s\nvs\n%s", w, out, seqOut)
-		}
-	}
-}
-
 func TestMinimizeWriteErrorExits2(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full not available")

@@ -2,13 +2,13 @@ package core
 
 import "nestedsg/internal/tname"
 
-// frontier decides which precedes(β) edges the engines materialize. The
+// frontier decides which precedes(β) edges the engine materializes. The
 // paper relates T' to T” whenever their parent saw a report for T' before
 // it requested T” — an interval order on the children, each living from its
 // REQUEST_CREATE to its report — and a literal construction adds one edge
 // per such pair: Θ(n²) for n sequential siblings. Acyclicity of
 // precedes ∪ conflict only depends on the transitive closure of precedes,
-// so the engines store a generating set instead: a request takes edges
+// so the engine stores a generating set instead: a request takes edges
 // only from the *maximal* reported siblings, those no other reported
 // sibling's lifetime lies wholly after. Every dropped pair (S, T”) is
 // implied: some reported U was requested after S's report, S reaches U by
@@ -22,10 +22,10 @@ import "nestedsg/internal/tname"
 // starts at lo = max k over the reported children. That is one comparison
 // per report and no scan per request.
 //
-// Conventions on input no simple system produces, shared by both engines
-// because they share this type: a child's *first* REQUEST_CREATE fixes its
-// k; a child reported before any request has k = 0 (request position −∞,
-// it implies nothing); duplicate reports are kept as list entries.
+// Conventions on input no simple system produces: a child's *first*
+// REQUEST_CREATE fixes its k; a child reported before any request has k = 0
+// (request position −∞, it implies nothing); duplicate reports are kept as
+// list entries.
 type frontier struct {
 	// epoch stamps the entries below; reset bumps it, which empties every
 	// list and forgets every request in O(1).

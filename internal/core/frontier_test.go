@@ -157,21 +157,25 @@ func checkFrontierClosure(t *testing.T, tr *tname.Tree, b event.Behavior) {
 		}
 		return
 	}
-	respects := func(ctx string, order *SiblingOrder) {
-		for p, pairs := range ref {
-			for e := range pairs {
-				rf, okF := order.Rank(e.from)
-				rt, okT := order.Rank(e.to)
-				if !okF || !okT || rf >= rt {
-					t.Fatalf("%s: R under %s puts %s (rank %d, ranked %v) not before %s (rank %d, ranked %v) though it precedes it",
-						ctx, tr.Name(p), tr.Name(e.from), rf, okF, tr.Name(e.to), rt, okT)
-				}
+	orderRespects(t, tr, "Acyclicity", order, ref)
+	if res := Check(tr, b); res.OK {
+		orderRespects(t, tr, "Check", res.Certificate.Order, ref)
+	}
+}
+
+// orderRespects fails unless the sibling order ranks both ends of every pair
+// of the reference relation, the source first.
+func orderRespects(t *testing.T, tr *tname.Tree, ctx string, order *SiblingOrder, ref map[tname.TxID]map[pair]bool) {
+	t.Helper()
+	for p, pairs := range ref {
+		for e := range pairs {
+			rf, okF := order.Rank(e.from)
+			rt, okT := order.Rank(e.to)
+			if !okF || !okT || rf >= rt {
+				t.Fatalf("%s: R under %s puts %s (rank %d, ranked %v) not before %s (rank %d, ranked %v) though the paper's relation orders them",
+					ctx, tr.Name(p), tr.Name(e.from), rf, okF, tr.Name(e.to), rt, okT)
 			}
 		}
-	}
-	respects("Acyclicity", order)
-	if res := Check(tr, b); res.OK {
-		respects("Check", res.Certificate.Order)
 	}
 }
 

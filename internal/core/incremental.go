@@ -9,23 +9,24 @@ import (
 	"nestedsg/internal/tname"
 )
 
-// Incremental maintains SG(β) online: Append consumes one event at a time
-// and after the i-th call the internal state describes SG(β[:i]) exactly as
-// Build(tr, β[:i]) would construct it. Cycle detection is per appended edge
-// (Pearce–Kelly order maintenance in internal/graph), so a violating trace
-// is rejected at its shortest bad prefix — the first i at which SG(β[:i])
-// acquires a cycle — with the same certificate Build would produce there.
+// Incremental is the one engine that constructs SG(β): Append consumes one
+// event at a time and after the i-th call the internal state describes
+// SG(β[:i]); the batch entry points (Build, Check) feed it the whole behavior
+// and freeze the result. Cycle detection is per appended edge (Pearce–Kelly
+// order maintenance in internal/graph), so a violating trace is rejected at
+// its shortest bad prefix — the first i at which SG(β[:i]) acquires a cycle —
+// with the certificate Build(β[:i]) produces.
 //
 // Soundness of prefix verdicts rests on monotonicity: commits only
 // accumulate, so visibility to T0 is monotone over prefixes, and with it
 // both edge sources — a conflict edge needs its two accesses visible, a
 // precedes edge needs the requesting parent visible, and the report/request
-// position data it depends on is fixed at request time. Hence
+// position data it depends on is fixed at request time. The stored edges
+// are generating sets of the paper's two relations (frontier,
+// conflictFrontier), each monotone by construction: an edge, once stored,
+// stays, even when a later admission would have made it redundant. Hence
 // SG(β[:i]) ⊆ SG(β[:j]) edge-wise for i ≤ j: a cycle never dissolves, and
-// rejecting at the first cycle agrees with the offline verdict on every
-// extension. (The reduced register edge set is *not* prefix-monotone — a
-// late-visible write can retroactively shrink earlier reads' windows — so
-// the streaming checker always maintains the full conflict relation.)
+// rejecting at the first cycle agrees with the verdict on every extension.
 //
 // Events whose transactions are not yet visible are parked on their lowest
 // uncommitted ancestor and admitted when a COMMIT releases them; each parked
@@ -53,20 +54,20 @@ type Incremental struct {
 	dynOf      []*graph.Incremental
 	active     []bool
 
-	// prec picks the precedes(β) edges, exactly as in Checker.
+	// prec picks the precedes(β) edges and conf the conflict(β) edges the
+	// graph stores.
 	prec frontier
+	conf conflictFrontier
 
-	// byObj holds the admitted (visible) operations per object, ascending
-	// by seq; visOps holds all of them, ascending by seq — exactly
-	// operations(visible(β-prefix, T0)) in β order.
-	byObj  [][]pendingOp
+	// visOps holds the admitted (visible) operations of all objects,
+	// ascending by seq — operations(visible(β-prefix, T0)) in β order.
 	visOps []pendingOp
 
 	// parents lists the materialized parent graphs in discovery order;
 	// Snapshot sorts its clone of the list.
 	parents []*ParentGraph
 
-	// seen dedups (pair, kind) edge records, exactly as in Checker.
+	// seen dedups (pair, kind) edge records.
 	seen map[edgeKey]struct{}
 
 	cyclic     bool
@@ -80,6 +81,14 @@ type Incremental struct {
 	sink EdgeSink
 }
 
+// edgeKey identifies one (pair, kind) edge record for deduplication during
+// accumulation.
+type edgeKey struct {
+	parent   tname.TxID
+	from, to int32
+	kind     EdgeKind
+}
+
 // EdgeSink observes one new (parent, from, to, kind) edge record. The
 // callback fires at most once per distinct record (the dedup map gates
 // it), synchronously inside Append, before the cycle check — so a sink
@@ -88,14 +97,6 @@ type EdgeSink func(parent, from, to tname.TxID, kind EdgeKind)
 
 // SetEdgeSink installs (or, with nil, removes) the edge observer.
 func (inc *Incremental) SetEdgeSink(f EdgeSink) { inc.sink = f }
-
-// pendingOp is a visible-or-parked access operation tagged with the raw
-// stream position of its REQUEST_COMMIT, which fixes its place in the
-// chronological conflict order however late it becomes visible.
-type pendingOp struct {
-	op  event.AccessOp
-	seq int
-}
 
 // pendingReq is a REQUEST_CREATE awaiting its parent's visibility. from is
 // the frontier window at request time: precedes(β) relates only the
@@ -135,11 +136,7 @@ func (inc *Incremental) grow() {
 		}
 		inc.prec.grow(n)
 	}
-	if n := inc.tr.NumObjects(); n > len(inc.byObj) {
-		for len(inc.byObj) < n {
-			inc.byObj = append(inc.byObj, nil)
-		}
-	}
+	inc.conf.grow(inc.tr.NumObjects())
 }
 
 // Reset rewinds the checker to the empty prefix, retaining every backing
@@ -163,9 +160,7 @@ func (inc *Incremental) Reset() {
 		inc.dynOf[pg.Parent].Reset()
 	}
 	inc.parents = inc.parents[:0]
-	for i := range inc.byObj {
-		inc.byObj[i] = inc.byObj[i][:0]
-	}
+	inc.conf.reset()
 	inc.visOps = inc.visOps[:0]
 	clear(inc.seen)
 	inc.cyclic = false
@@ -196,8 +191,9 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 	case event.RequestCommit:
 		if inc.tr.IsAccess(e.Tx) {
 			x := inc.tr.AccessObject(e.Tx)
-			op := pendingOp{op: event.AccessOp{Tx: e.Tx, Obj: x,
-				OV: spec.OpVal{Op: inc.tr.AccessOp(e.Tx), Val: e.Val}}, seq: i}
+			ov := spec.OpVal{Op: inc.tr.AccessOp(e.Tx), Val: e.Val}
+			op := pendingOp{op: event.AccessOp{Tx: e.Tx, Obj: x, OV: ov}, seq: i,
+				wall: inc.tr.Spec(x).ConflictsWithAll(ov)}
 			if blk, vis := inc.blocker(e.Tx); vis {
 				inc.admitOp(op)
 			} else {
@@ -207,8 +203,8 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 
 	case event.ReportCommit, event.ReportAbort:
 		if e.Tx == tname.Root {
-			// Garbage: Root has no parent to report to; Build skips this
-			// identically (well-formedness would reject the trace).
+			// Garbage: Root has no parent to report to. Well-formedness
+			// rejects the trace; the engine must merely not trip over it.
 			break
 		}
 		inc.prec.report(inc.tr.Parent(e.Tx), e.Tx)
@@ -232,7 +228,7 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 		// CREATE and ABORT contribute no edges (conflict(β) is defined on
 		// REQUEST_COMMITs, precedes(β) on report/request pairs, and
 		// visibility only consults commits); Inform kinds and invalid
-		// events are not serial actions, so Build ignores them too.
+		// events are not serial actions.
 	}
 
 	if inc.cyclic && inc.rejected == nil {
@@ -307,46 +303,38 @@ func (inc *Incremental) commit(t tname.TxID) {
 	}
 }
 
-// admitOp splices a now-visible operation into its object's chronological
-// list and relates it to every other visible operation on the object, in
-// both directions: ops that became visible earlier may carry later stream
+// admitOp splices a now-visible operation into its object's log and relates
+// it to the operations of its open window (see conflictFrontier), in both
+// directions: operations that became visible earlier may carry later stream
 // positions, so the new arrival can be the chronological predecessor of
 // some and the successor of others.
 //
 //sgvet:hotpath
 func (inc *Incremental) admitOp(op pendingOp) {
-	x := op.op.Obj
-	sp := inc.tr.Spec(x)
-	list := inc.byObj[x]
-	for _, other := range list {
-		prev, cur := other, op
-		if op.seq < other.seq {
-			prev, cur = op, other
-		}
-		if sp.Conflicts(prev.op.OV, cur.op.OV) {
-			if p, u, u2, ok := conflictEdge(inc.tr, prev.op, cur.op); ok {
-				inc.addEdge(p, u, u2, EdgeConflict)
-			}
+	sp := inc.tr.Spec(op.op.Obj)
+	log, lo, at, hi := inc.conf.admit(op)
+	for _, prev := range log[lo:at] {
+		if sp.Conflicts(prev.op.OV, op.op.OV) {
+			inc.conflict(prev.op, op.op)
 		}
 	}
-	inc.byObj[x] = spliceBySeq(list, op)
-	inc.visOps = spliceBySeq(inc.visOps, op)
+	for _, next := range log[at+1 : hi] {
+		if sp.Conflicts(op.op.OV, next.op.OV) {
+			inc.conflict(op.op, next.op)
+		}
+	}
+	inc.visOps, _ = spliceBySeq(inc.visOps, op)
 }
 
-// spliceBySeq inserts op into a seq-ascending list. Late admissions are
-// commits of deep ancestors releasing old operations, so the insertion
-// point is found from the back.
-//
-//sgvet:hotpath
-func spliceBySeq(list []pendingOp, op pendingOp) []pendingOp {
-	i := len(list)
-	for i > 0 && list[i-1].seq > op.seq {
-		i--
+// conflict records the SG edge of a conflicting operation pair: between the
+// children of the least common ancestor of the two accesses. Two entries of
+// one access (a duplicated REQUEST_COMMIT) yield none.
+func (inc *Incremental) conflict(prev, cur event.AccessOp) {
+	if prev.Tx == cur.Tx {
+		return
 	}
-	list = append(list, pendingOp{})
-	copy(list[i+1:], list[i:])
-	list[i] = op
-	return list
+	lca := inc.tr.LCA(prev.Tx, cur.Tx)
+	inc.addEdge(lca, inc.tr.ChildAncestor(lca, prev.Tx), inc.tr.ChildAncestor(lca, cur.Tx), EdgeConflict)
 }
 
 // admitReq materializes the precedes edges of one REQUEST_CREATE whose
@@ -427,18 +415,38 @@ func (inc *Incremental) Counts() (parents, nodes, edges int) {
 	return len(inc.parents), nodes, len(inc.seen)
 }
 
-// Snapshot materializes SG of the consumed prefix; the result is
-// structurally identical to Build(tr, prefix) and independent of the live
-// state, which continues to accept Appends.
+// Snapshot materializes SG of the consumed prefix: the canonical freeze of
+// a copy of the live graphs, independent of the live state, which continues
+// to accept Appends. Build over the same prefix is structurally identical.
 func (inc *Incremental) Snapshot() *SG {
 	sg := &SG{tr: inc.tr}
-	var fz freezeScratch
 	for _, pg := range inc.parents {
-		c := pg.clone()
-		c.build(&fz)
-		sg.parents = append(sg.parents, c)
+		sg.parents = append(sg.parents, pg.clone())
 	}
+	return inc.freeze(sg, &freezeScratch{})
+}
+
+// freezeInto is Snapshot without the copy, into the caller's pooled SG: the
+// live graphs themselves are canonicalized, so the engine is spent and only
+// Reset may follow. It is how the batch entry points finish.
+//
+//sgvet:hotpath
+func (inc *Incremental) freezeInto(sg *SG, fz *freezeScratch) *SG {
+	sg.tr = inc.tr
+	sg.parents = append(sg.parents[:0], inc.parents...)
+	sg.VisibleOps = sg.VisibleOps[:0]
+	return inc.freeze(sg, fz)
+}
+
+// freeze canonicalizes sg's graphs — ascending parent order, per-graph
+// canonical child numbering — and fills in the visible operations.
+//
+//sgvet:hotpath
+func (inc *Incremental) freeze(sg *SG, fz *freezeScratch) *SG {
 	sg.sortParents()
+	for _, pg := range sg.parents {
+		pg.build(fz)
+	}
 	for _, r := range inc.visOps {
 		sg.VisibleOps = append(sg.VisibleOps, r.op)
 	}

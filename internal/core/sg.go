@@ -15,7 +15,10 @@
 //     for read/write objects two accesses conflict unless both are reads,
 //     and in general they conflict when they fail to commute backward
 //     (§6.1) — this package takes the relation from each object's Spec, so
-//     the same code implements both constructions.
+//     the same code implements both constructions. Here too the graph
+//     stores a generating set: a pair separated by an operation that
+//     conflicts with everything is implied through it (see
+//     conflictFrontier).
 //   - precedes(β): the parent saw a report for T' before requesting the
 //     creation of T” (external consistency, §4). The graph stores a
 //     generating set of this relation, not every pair: a request takes
@@ -29,9 +32,11 @@
 // view(β, T0, R, X), which internal/serial replays into an explicit serial
 // witness γ with γ|T0 = β|T0.
 //
-// The hot path is the Checker type: it carries pooled scratch so repeated
-// constructions over one system type amortize to near-zero steady-state
-// allocations. The free functions Build/Check/... are one-shot wrappers.
+// There is one construction: Incremental consumes the behavior event by
+// event, and the batch entry points feed it everything and freeze the
+// result. The Checker type pools that engine so repeated constructions over
+// one system type amortize to near-zero steady-state allocations; the free
+// functions Build/Check/... are one-shot wrappers.
 package core
 
 import (
@@ -42,7 +47,6 @@ import (
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/graph"
-	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
 
@@ -151,8 +155,7 @@ type freezeScratch struct {
 // renumbering children in ascending name order. Node indices — and hence
 // topological sorts, cycle certificates and DOT output — then depend only
 // on the edge *set*, not on the order edges were discovered, which is what
-// lets the sequential, parallel and streaming constructions certify
-// identically.
+// lets the engine, its partitions and the composer certify identically.
 func (pg *ParentGraph) build(fz *freezeScratch) {
 	n := len(pg.Children)
 	sorted := append(fz.sorted[:0], pg.Children...)
@@ -270,94 +273,23 @@ func (sg *SG) sortParents() {
 	slices.SortFunc(sg.parents, func(a, b *ParentGraph) int { return int(a.Parent) - int(b.Parent) })
 }
 
-// Build constructs SG(β) from the serial actions of b, with the paper's
-// full conflict relation: every pair of conflicting visible operations
-// contributes an edge. Inform events are ignored, so callers may pass
-// generic behaviors directly.
+// Build constructs SG(β) from the serial actions of b. Inform events are
+// ignored, so callers may pass generic behaviors directly. It streams b
+// through the one engine (Incremental) and freezes the result, so the graph
+// is the one an online certifier holds after the same events.
 //
-// Cost: the precedes scan is linear plus one edge per (maximal reported
-// sibling, request) pair — at most as many per request as siblings were
-// open at once, so linear for a bounded number of concurrent siblings
-// (benchmarked as E24); the conflict scan compares each visible access
-// against the earlier visible accesses on the same object, so it is
-// quadratic in the per-object access count in the worst case (benchmarked
-// as experiment E5). Repeated constructions over one tree should share a
-// Checker, which pools all working memory.
+// The graph stores generating sets of the paper's two relations, chosen so
+// that acyclicity, the shortest cyclic prefix and the topological orders
+// are the paper's (THEORY.md): a request takes precedes edges from the
+// maximal reported siblings only (frontier; benchmarked as E24), and an
+// access is compared with the operations of its object back to the nearest
+// one that conflicts with everything — a register's last write — rather
+// than with the object's whole history (conflictFrontier; E25). A type with
+// no such operation still pays one comparison per earlier operation on the
+// object (experiment E5). Repeated constructions over one tree should share
+// a Checker, which pools all working memory.
 func Build(tr *tname.Tree, b event.Behavior) *SG {
 	return NewChecker(tr).Build(b)
-}
-
-// BuildReduced constructs a transitively-reduced variant for read/write
-// objects: a read takes an edge from the latest preceding write only, and
-// a write from the operations since (and including) the latest write. The
-// omitted edges are implied within each SG(β, T) whenever the full graph
-// is acyclic, so acyclicity verdicts and derived orders stay valid —
-// TestFastPathEquivalence pins verdict equivalence, and experiment E5
-// reports the cost difference as an ablation. Non-register objects always
-// use the full pairwise scan (their conflicts depend on values).
-func BuildReduced(tr *tname.Tree, b event.Behavior) *SG {
-	return NewChecker(tr).BuildReduced(b)
-}
-
-// conflictSink receives the chronologically ordered conflicting pairs found
-// by scanObjectConflicts. Implementations are pointer-shaped so the
-// interface call does not allocate.
-type conflictSink interface {
-	emit(prev, cur event.AccessOp)
-}
-
-// scanObjectConflicts relates each operation of one object to the earlier
-// conflicting ones, emitting the chronologically ordered pair — all pairs in
-// faithful mode, or the transitive-reduction window for registers in reduced
-// mode. ops must be in β order. It reads only the spec, so distinct objects
-// can be scanned concurrently as long as sink is private to the caller. win
-// is reusable window scratch; the (possibly grown) buffer is returned.
-func scanObjectConflicts(sp spec.Spec, ops []event.AccessOp, reduced bool, win []event.AccessOp, sink conflictSink) []event.AccessOp {
-	if reduced && sp.Name() == "register" {
-		// Fast path: a read conflicts with the last write only; a write
-		// conflicts with everything since (and including) the last write.
-		// The window holds the last write (at index 0, if any) and the
-		// reads after it.
-		win = win[:0]
-		for _, cur := range ops {
-			if spec.IsRead(cur.OV.Op) {
-				if len(win) > 0 && spec.IsWrite(win[0].OV.Op) {
-					sink.emit(win[0], cur)
-				}
-				win = append(win, cur)
-			} else {
-				for _, prev := range win {
-					sink.emit(prev, cur)
-				}
-				win = append(win[:0], cur)
-			}
-		}
-		return win
-	}
-	for i, cur := range ops {
-		for _, prev := range ops[:i] {
-			if sp.Conflicts(prev.OV, cur.OV) {
-				sink.emit(prev, cur)
-			}
-		}
-	}
-	return win
-}
-
-// conflictEdge maps a conflicting operation pair to its SG edge: at the
-// children of the least common ancestor of the two accesses. The edge is
-// degenerate (ok=false) when both accesses descend from the same child.
-func conflictEdge(tr *tname.Tree, prev, cur event.AccessOp) (parent, from, to tname.TxID, ok bool) {
-	if prev.Tx == cur.Tx {
-		return 0, 0, 0, false
-	}
-	lca := tr.LCA(prev.Tx, cur.Tx)
-	u := tr.ChildAncestor(lca, prev.Tx)
-	u2 := tr.ChildAncestor(lca, cur.Tx)
-	if u == u2 {
-		return 0, 0, 0, false
-	}
-	return lca, u, u2, true
 }
 
 // Cycle describes a directed cycle found in one SG(β, T).

@@ -273,8 +273,8 @@ func E4CommutativityConcurrency(scale Scale) *Result {
 // against trace length.
 func E5SGConstruction(scale Scale) *Result {
 	res := &Result{ID: "E5", Table: stats.NewTable(
-		"E5 — SG(β) construction cost vs history length (full vs reduced ablation)",
-		"top-level txs", "trace events", "visible ops", "edges full", "µs full", "edges reduced", "µs reduced")}
+		"E5 — SG(β) construction cost vs history length",
+		"top-level txs", "trace events", "visible ops", "edges", "µs")}
 	sizes := []int{4, 8, 16, 32}
 	if scale == Full {
 		sizes = append(sizes, 64, 128)
@@ -291,21 +291,16 @@ func E5SGConstruction(scale Scale) *Result {
 			continue
 		}
 		const reps = 5
-		measure := func(build func(*tname.Tree, event.Behavior) *core.SG) (*core.SG, int64) {
-			start := time.Now()
-			var sg *core.SG
-			for i := 0; i < reps; i++ {
-				sg = build(tr, b)
-				if _, cyc := sg.Acyclicity(); cyc != nil {
-					res.Violations++
-				}
+		start := time.Now()
+		var sg *core.SG
+		for i := 0; i < reps; i++ {
+			sg = core.Build(tr, b)
+			if _, cyc := sg.Acyclicity(); cyc != nil {
+				res.Violations++
 			}
-			return sg, (time.Since(start) / reps).Microseconds()
 		}
-		full, usFull := measure(core.Build)
-		red, usRed := measure(core.BuildReduced)
-		res.Table.AddRow(topLevel, len(b), len(full.VisibleOps),
-			full.NumEdges(), usFull, red.NumEdges(), usRed)
+		res.Table.AddRow(topLevel, len(b), len(sg.VisibleOps), sg.NumEdges(),
+			(time.Since(start) / reps).Microseconds())
 	}
 	return res
 }
@@ -810,18 +805,17 @@ func (p capturingReplicaProtocol) New(tr *tname.Tree, x tname.ObjID) object.Gene
 	return o
 }
 
-// E15StreamingParallel measures the incremental (streaming) checker and the
-// parallel batch construction on a contended multi-object workload. The
-// streaming replay must agree with the offline SG verdict on every trace —
-// clean Moss rows never reject, broken-protocol rows reject at a strict
-// prefix (the table reports the mean rejection point as a fraction of the
-// trace) — and the parallel construction must produce the same graph while
-// the timing columns record its wall-clock cost per worker count.
-func E15StreamingParallel(scale Scale) *Result {
+// E15Streaming measures the incremental (streaming) checker on a contended
+// multi-object workload. The streaming replay must agree with the batch SG
+// verdict on every trace — clean Moss rows never reject, broken-protocol
+// rows reject at a strict prefix (the table reports the mean rejection
+// point as a fraction of the trace) — and the µs column records what one
+// batch construction of the same graph costs.
+func E15Streaming(scale Scale) *Result {
 	res := &Result{ID: "E15", Table: stats.NewTable(
-		"E15 — streaming check cost per event and parallel SG construction vs workers",
+		"E15 — streaming check cost per event and batch SG construction",
 		"workload", "runs", "events/run", "ns/event stream", "reject frac",
-		"µs w=1", "µs w=2", "µs w=4", "µs w=8", "violations")}
+		"µs build", "violations")}
 	topLevel := 16
 	switch scale {
 	case Standard:
@@ -837,10 +831,8 @@ func E15StreamingParallel(scale Scale) *Result {
 		return tr, b, err
 	}
 	// The serial scheduler commits every access, so its traces maximize
-	// visible operations per event: the quadratic per-object scan dominates
-	// and the parallel timing columns measure the phase that actually fans
-	// out. Lock-protocol traces under contention abort most transactions and
-	// leave the scan with little to do.
+	// visible operations per event. Lock-protocol traces under contention
+	// abort most transactions and leave the conflict scan with little to do.
 	denseTrace := func(seed int64) (*tname.Tree, event.Behavior, error) {
 		tr := tname.NewTree()
 		root := workload.Build(tr, workload.Config{Seed: seed, TopLevel: topLevel * 4, Depth: 1,
@@ -859,12 +851,11 @@ func E15StreamingParallel(scale Scale) *Result {
 		{"moss-broken-readlocks", func(s int64) (*tname.Tree, event.Behavior, error) {
 			return mossTrace(s, locking.BrokenProtocol{Mode: locking.IgnoreReadLocks})
 		}, false},
-		{"serial dense (scan-bound)", denseTrace, true},
+		{"serial dense", denseTrace, true},
 	}
 	const reps = 3
 	for _, c := range cells {
-		var events, nsPerEvent, rejectFrac []float64
-		us := make(map[int][]float64)
+		var events, nsPerEvent, rejectFrac, usBuild []float64
 		violations := 0
 		for seed := int64(0); seed < scale.seeds(); seed++ {
 			tr, b, err := c.gen(seed)
@@ -882,11 +873,16 @@ func E15StreamingParallel(scale Scale) *Result {
 			}
 			nsPerEvent = append(nsPerEvent, float64((time.Since(start)/reps).Nanoseconds())/float64(len(b)))
 
-			sg := core.Build(tr, b)
+			start = time.Now()
+			var sg *core.SG
+			for i := 0; i < reps; i++ {
+				sg = core.Build(tr, b)
+			}
+			usBuild = append(usBuild, float64((time.Since(start) / reps).Microseconds()))
 			_, cyc := sg.Acyclicity()
 			if (at >= 0) != (cyc != nil) {
 				violations++
-				res.Notes = append(res.Notes, fmt.Sprintf("%s seed %d: stream at=%d but offline cyclic=%v",
+				res.Notes = append(res.Notes, fmt.Sprintf("%s seed %d: stream at=%d but batch cyclic=%v",
 					c.name, seed, at, cyc != nil))
 			}
 			if c.clean && at >= 0 {
@@ -896,25 +892,10 @@ func E15StreamingParallel(scale Scale) *Result {
 			if at >= 0 {
 				rejectFrac = append(rejectFrac, float64(at+1)/float64(len(b)))
 			}
-
-			for _, w := range []int{1, 2, 4, 8} {
-				start := time.Now()
-				var got *core.SG
-				for i := 0; i < reps; i++ {
-					got = core.BuildParallel(tr, b, w)
-				}
-				us[w] = append(us[w], float64((time.Since(start)/reps).Microseconds()))
-				if got.NumEdges() != sg.NumEdges() {
-					violations++
-					res.Notes = append(res.Notes, fmt.Sprintf("%s seed %d: w=%d edges %d != %d",
-						c.name, seed, w, got.NumEdges(), sg.NumEdges()))
-				}
-			}
 		}
 		res.Violations += violations
 		res.Table.AddRow(c.name, scale.seeds(), stats.Mean(events), stats.Mean(nsPerEvent),
-			stats.Mean(rejectFrac), stats.Mean(us[1]), stats.Mean(us[2]), stats.Mean(us[4]),
-			stats.Mean(us[8]), violations)
+			stats.Mean(rejectFrac), stats.Mean(usBuild), violations)
 	}
 	return res
 }
@@ -936,6 +917,6 @@ func All(scale Scale) []*Result {
 		E12OrphanActivity(scale),
 		E13MultiversionGap(scale),
 		E14ReplicatedData(scale),
-		E15StreamingParallel(scale),
+		E15Streaming(scale),
 	}
 }

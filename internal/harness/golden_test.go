@@ -19,15 +19,16 @@ import (
 // construction alters the verdict or the edge counts on these traces, the
 // test fails and the change needs a conscious decision. The two labels are
 // counted apart (an edge carrying both counts in both) because they move
-// for different reasons: conflict edges with the conflict relation and
-// visibility, precedes edges with the generating set the frontier keeps.
+// for different reasons: conflict edges with the conflict relation,
+// visibility and the generating set core.conflictFrontier keeps, precedes
+// edges with the generating set core.frontier keeps.
 type golden struct {
 	file                      string
 	edges, conflict, precedes int
 }
 
 var goldens = []golden{
-	{"golden_moss.json", 20, 12, 10},
+	{"golden_moss.json", 19, 11, 10},
 	{"golden_undolog.json", 21, 9, 12},
 }
 
@@ -60,7 +61,7 @@ func TestGoldenTracesStillCertify(t *testing.T) {
 				}
 			})
 			if conflict != g.conflict {
-				t.Errorf("conflict edges: got %d, committed as %d — the conflict relation or the visibility rules moved", conflict, g.conflict)
+				t.Errorf("conflict edges: got %d, committed as %d — the conflict relation, the visibility rules or the conflict frontier (core.conflictFrontier) moved", conflict, g.conflict)
 			}
 			if precedes != g.precedes {
 				t.Errorf("precedes edges: got %d, committed as %d — the precedes frontier (core.frontier) moved", precedes, g.precedes)

@@ -60,9 +60,6 @@ type Options struct {
 	// Streaming additionally replays the trace through the incremental
 	// checker, recording the shortest prefix with a cyclic SG.
 	Streaming bool
-	// SGWorkers > 1 fans the SG construction's conflict scan out over that
-	// many workers; 0 or 1 keeps it sequential.
-	SGWorkers int
 }
 
 // RunAndCheck executes the full pipeline. Runner errors (non-quiescence)
@@ -82,11 +79,7 @@ func RunAndCheck(opts Options) (*Verdict, error) {
 	if opts.Streaming {
 		v.StreamRejectedAt, v.StreamCycle = c.StreamPrefix(trace)
 	}
-	if opts.SGWorkers > 1 {
-		v.Check = c.CheckParallel(trace, opts.SGWorkers)
-	} else {
-		v.Check = c.Check(trace)
-	}
+	v.Check = c.Check(trace)
 	if !v.Check.OK {
 		return v, nil
 	}

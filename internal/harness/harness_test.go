@@ -129,15 +129,13 @@ func TestDescribe(t *testing.T) {
 	t.Log("no failing seed found; describe failure path untested this run")
 }
 
-// TestStreamingAndParallelOptions: the streaming option agrees with the
-// offline verdict and the parallel construction does not change it.
-func TestStreamingAndParallelOptions(t *testing.T) {
+// TestStreamingOption: the streaming option agrees with the batch verdict.
+func TestStreamingOption(t *testing.T) {
 	good, err := RunAndCheck(Options{
 		Workload:    workload.Config{Seed: 5, TopLevel: 5, Depth: 1, Fanout: 3, Objects: 2, HotProb: 0.7, ParProb: 0.7},
 		Generic:     generic.Options{Seed: 9, Protocol: locking.Protocol{}},
 		SkipWitness: true,
 		Streaming:   true,
-		SGWorkers:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +154,6 @@ func TestStreamingAndParallelOptions(t *testing.T) {
 			Generic:     generic.Options{Seed: seed * 13, Protocol: undolog.BrokenProtocol{Mode: undolog.SkipCommute}},
 			SkipWitness: true,
 			Streaming:   true,
-			SGWorkers:   4,
 		})
 		if err != nil {
 			t.Fatal(err)

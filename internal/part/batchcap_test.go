@@ -74,7 +74,9 @@ func TestRecoverPrimesPastBatchCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 24; i++ {
+	// Sequential transactions store a chain — two edges each — so it takes
+	// some forty of them to outgrow four batches.
+	for i := 0; i < 40; i++ {
 		if err := c.RunTx(5, func(tx *client.Tx) error {
 			if _, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i))); err != nil {
 				return err

@@ -16,16 +16,18 @@
 // The split is chosen so the union of the partitions' edge sets is
 // exactly edges(SG(β)). Conflict edges relate two accesses of the same
 // object, so the owner derives every conflict edge of its objects and no
-// other partition derives any; the quadratic per-object conflict scan —
-// the certifier's real work — is therefore partitioned. Precedes edges
-// and the visibility relation depend only on the structural events, which
-// every partition sees, so each partition derives the same precedes edges
-// — the generating set core.frontier selects, identical in every
-// core.Incremental — (the composer dedups the copies) and parks/admits
-// accesses with exactly the global visibility. "Deciding Serializability in Network Systems"
-// (PAPERS.md) is the template: per-node graphs certify locally and
-// compose into the global verdict when the nodes exchange the edges that
-// cross them.
+// other partition derives any; the per-object conflict scan is therefore
+// partitioned, and because the owner sees all of an object's operations and
+// every COMMIT in log order, it admits them in the order a single engine
+// would and stores the same generating set (core.conflictFrontier).
+// Precedes edges and the visibility relation depend only on the structural
+// events, which every partition sees, so each partition derives the same
+// precedes edges — the generating set core.frontier selects, identical in
+// every core.Incremental — (the composer dedups the copies) and parks/admits
+// accesses with exactly the global visibility. "Deciding Serializability in
+// Network Systems" (PAPERS.md) is the template: per-node graphs certify
+// locally and compose into the global verdict when the nodes exchange the
+// edges that cross them.
 //
 // Partitions export their edges through the versioned wire.EdgeBatch
 // codec — every flush round-trips through the encoder even though this

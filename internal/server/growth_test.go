@@ -51,3 +51,58 @@ func TestSequentialLifeEdgesStayLinear(t *testing.T) {
 		})
 	}
 }
+
+// TestOneRegisterLifeEdgesStayConstant is the guard against the quadratic
+// conflict scan coming back: one session running n top-level transactions
+// one after the other on one register, four writes to every read. The
+// paper's conflict(β) relates each access to every earlier conflicting one
+// — the last hundred transactions of this life alone would add some ninety
+// thousand pairs — while the conflict frontier relates it to the accesses
+// back to the last write, so the hundredth hundred costs what the first did.
+func TestOneRegisterLifeEdgesStayConstant(t *testing.T) {
+	const n, window = 1000, 100
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", parts), func(t *testing.T) {
+			s := startServer(t, server.Options{Objects: []string{"x"}, CertPartitions: parts})
+			c, err := client.Dial(s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := func() int64 {
+				e, ok := s.MetricsSnapshot()["sg_edges"].(int64)
+				if !ok {
+					t.Fatalf("sg_edges = %v", s.MetricsSnapshot()["sg_edges"])
+				}
+				return e
+			}
+			var first, beforeLast int64
+			for i := 0; i < n; i++ {
+				if err := c.RunTx(1, func(tx *client.Tx) error {
+					if i%5 == 4 {
+						_, err := tx.Access("x", spec.OpRead, spec.Nil)
+						return err
+					}
+					_, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i)))
+					return err
+				}); err != nil {
+					t.Fatalf("tx %d: %v", i, err)
+				}
+				switch i + 1 {
+				case window:
+					first = edges()
+				case n - window:
+					beforeLast = edges()
+				}
+			}
+			last := edges() - beforeLast
+			c.Close()
+			shutdownAndVerify(t, s)
+			// The two windows run the same hundred operations; the first
+			// transaction of the life has no predecessor to take edges from.
+			if first < window || last > first+first/10 {
+				t.Fatalf("sg_edges grew by %d over the first %d transactions and by %d over the last %d",
+					first, window, last, window)
+			}
+		})
+	}
+}

@@ -96,6 +96,9 @@ func accountConflict(a, b OpVal) bool {
 	}
 }
 
+// ConflictsWithAll implements Spec: every operation commutes with another of its own kind and outcome.
+func (Account) ConflictsWithAll(OpVal) bool { return false }
+
 // Encode implements Spec.
 func (Account) Encode(s State) string { return fmt.Sprintf("%d", s.(int64)) }
 

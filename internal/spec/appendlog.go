@@ -52,6 +52,9 @@ func (AppendLog) Conflicts(a, b OpVal) bool {
 	return true
 }
 
+// ConflictsWithAll implements Spec: an append commutes with an append of the same value, len with len.
+func (AppendLog) ConflictsWithAll(OpVal) bool { return false }
+
 // Encode implements Spec.
 func (AppendLog) Encode(s State) string {
 	st := s.(logState)

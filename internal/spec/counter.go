@@ -49,6 +49,9 @@ func (Counter) Conflicts(a, b OpVal) bool {
 	return true
 }
 
+// ConflictsWithAll implements Spec: updates commute with updates and gets with gets.
+func (Counter) ConflictsWithAll(OpVal) bool { return false }
+
 // Encode implements Spec.
 func (Counter) Encode(s State) string { return fmt.Sprintf("%d", s.(int64)) }
 

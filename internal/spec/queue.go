@@ -56,6 +56,11 @@ func (Queue) Conflicts(a, b OpVal) bool {
 	return true
 }
 
+// ConflictsWithAll implements Spec: a deq that returned an element conflicts
+// with every enq and every deq; an enq commutes with an equal enq and an
+// empty deq with an empty deq.
+func (Queue) ConflictsWithAll(a OpVal) bool { return a.Op.Kind == OpDeq && a.Val != Nil }
+
 // Encode implements Spec.
 func (Queue) Encode(s State) string {
 	st := s.(queueState)

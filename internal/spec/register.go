@@ -46,6 +46,9 @@ func (Register) Conflicts(a, b OpVal) bool {
 	return a.Op.Kind != OpRead || b.Op.Kind != OpRead
 }
 
+// ConflictsWithAll implements Spec: a write conflicts with reads and writes.
+func (Register) ConflictsWithAll(a OpVal) bool { return a.Op.Kind != OpRead }
+
 // Encode implements Spec.
 func (Register) Encode(s State) string { return s.(Value).String() }
 

@@ -109,6 +109,9 @@ func setConflict(a, b OpVal) bool {
 	}
 }
 
+// ConflictsWithAll implements Spec: every operation commutes with a copy of itself.
+func (IntSet) ConflictsWithAll(OpVal) bool { return false }
+
 // Encode implements Spec.
 func (IntSet) Encode(s State) string {
 	st := s.(setState)

@@ -204,6 +204,16 @@ type Spec interface {
 	// must commute backward in every context. It is symmetric.
 	Conflicts(a, b OpVal) bool
 
+	// ConflictsWithAll reports whether a conflicts with every operation of
+	// the type, on either side: true only if Conflicts(a, b) and
+	// Conflicts(b, a) hold for every OpVal b whatsoever. Such an operation
+	// separates the object's history — everything before it is ordered
+	// before everything after it through it — which is what lets the
+	// serialization-graph engine relate an access to the operations back to
+	// the nearest one instead of to all of them (core.conflictFrontier).
+	// Answering false is always safe; a type with no such operation does.
+	ConflictsWithAll(a OpVal) bool
+
 	// ReadOnly reports whether op never changes the object state. The
 	// read/write locking objects of §5 use this to classify accesses into
 	// read-class (shared lock) and update-class (exclusive lock).

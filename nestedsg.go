@@ -247,13 +247,6 @@ func RunSerial(tr *Tree, root *Node, seed int64) (Behavior, error) {
 // carries a certificate from which serial correctness for T0 follows.
 func Check(tr *Tree, b Behavior) *CheckResult { return core.Check(tr, b) }
 
-// CheckParallel is Check with the SG construction's per-object conflict
-// scans fanned out over a bounded worker pool (workers ≤ 0 means all
-// cores). Verdicts and certificates are identical to Check's.
-func CheckParallel(tr *Tree, b Behavior, workers int) *CheckResult {
-	return core.CheckParallel(tr, b, workers)
-}
-
 // StreamCheck replays a behavior through the incremental checker and
 // returns the index of the first event whose prefix has a cyclic SG,
 // together with that prefix's cycle certificate, or (-1, nil) when every
