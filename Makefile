@@ -75,30 +75,31 @@ bench-gate: bench-json
 		-match 'E1MossSerialCorrectness|E15|E24|E25' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
-# micro benchmarks (sharded log append with WAL attached and the merger
-# live, group-commit ticket protocol, full client/server session round
-# trip, partitioned certifier apply+compose) plus a short certified
-# nestedload sweep over clients × read-ratio × zipf × shards ×
-# certifier partitions, whose latency percentiles and throughput parse
-# into the suite as first-class columns (p50-us, p99-us, tx/s).
+# micro benchmarks (log append with WAL attached, group-commit ticket
+# protocol, full client/server session round trip, partitioned certifier
+# apply+compose) plus a short certified nestedload sweep over clients ×
+# read-ratio × zipf × certifier partitions, whose latency percentiles and
+# throughput parse into the suite as first-class columns (p50-us, p99-us,
+# tx/s).
 bench-server:
-	( $(GO) test -run '^$$' -bench 'ShardedLogAppend|ServerGroupCommit|ServerSessionRoundTrip' -benchmem -count 1 ./internal/server ; \
+	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip' -benchmem -count 1 ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'PartitionedApply' -benchmem -count 1 ./internal/part ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
-		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 -sweep-shards 1,4 \
+		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 \
 		-sweep-partitions 1,4 ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-backends moss,undolog,mvto,replica -sweep-clients 8 \
-		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 -sweep-shards 1 -sweep-partitions 1 ) \
+		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 -sweep-partitions 1 ) \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_SERVER.json
 
 # Fail when the server hot-path benchmarks regress against the committed
-# baseline by more than 25% in allocs/op or B/op. Sweep latency and
+# baseline by more than 25% in allocs/op or B/op, or when a gated
+# benchmark is missing from the fresh run. Sweep latency and
 # throughput are reported in the diff table but never gated — wall-clock
 # numbers are hardware noise on shared runners.
 bench-server-gate: bench-server
 	$(GO) run ./cmd/benchdiff -suite BENCH_SERVER.json \
-		-match 'ShardedLogAppend|ServerGroupCommit|ServerSessionRoundTrip|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Run the certified transaction server on the default port. SIGTERM (or
 # ctrl-C) drains it and prints the final online-vs-batch certificate.

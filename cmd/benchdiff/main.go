@@ -16,8 +16,8 @@
 // commit the pre-optimization numbers next to the current ones and CI can
 // verify the improvement never regresses away.
 //
-// Exit status: 0 on success, 1 when a gate is exceeded, 2 on usage or I/O
-// errors.
+// Exit status: 0 on success, 1 when a gate is exceeded or a gated baseline
+// benchmark is missing from the new side, 2 on usage or I/O errors.
 package main
 
 import (
@@ -257,7 +257,19 @@ func diff(stdout, stderr io.Writer, oldS, newS Suite, match string, maxAllocs, m
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
+	// With a gate set, a baseline benchmark that is gone from the new side —
+	// renamed, deleted, no longer compiling — fails the gate: skipping it
+	// would let a gated benchmark leave the gate unnoticed.
+	var missing []string
+	if maxAllocs >= 0 || maxBytes >= 0 {
+		for name := range oldS {
+			if _, ok := newS[name]; !ok && (re == nil || re.MatchString(name)) {
+				missing = append(missing, name)
+			}
+		}
+		sort.Strings(missing)
+	}
+	if len(names) == 0 && len(missing) == 0 {
 		fmt.Fprintln(stderr, "benchdiff: no common benchmarks to compare")
 		return 2
 	}
@@ -272,7 +284,10 @@ func diff(stdout, stderr io.Writer, oldS, newS Suite, match string, maxAllocs, m
 		}
 	}
 
-	fail := false
+	fail := len(missing) > 0
+	for _, name := range missing {
+		fmt.Fprintf(stderr, "benchdiff: %s is in the baseline but missing from the new side\n", name)
+	}
 	w := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
 	w("%-55s %14s %14s %14s", "benchmark", "ns/op", "B/op", "allocs/op")
 	if latency {

@@ -72,6 +72,44 @@ func TestDiffGate(t *testing.T) {
 	}
 }
 
+// TestGateFailsOnMissingBenchmark: with a gate set, a baseline benchmark
+// that matches -match and is absent from the new side is a failure naming
+// it — a renamed or deleted benchmark must not slip out of the gate while
+// another common name keeps the comparison non-empty.
+func TestGateFailsOnMissingBenchmark(t *testing.T) {
+	oldS := Suite{
+		"BenchmarkKept":    {AllocsOp: 0},
+		"BenchmarkGone":    {AllocsOp: 0},
+		"BenchmarkUngated": {AllocsOp: 4},
+	}
+	cases := []struct {
+		name                string
+		newS                Suite
+		match               string
+		maxAllocs, maxBytes float64
+		want                int
+		naming              string
+	}{
+		{name: "all present", newS: Suite{"BenchmarkKept": {}, "BenchmarkGone": {}, "BenchmarkUngated": {AllocsOp: 4}}, maxAllocs: 25, maxBytes: 25, want: 0},
+		{name: "gated name gone, allocs gate", newS: Suite{"BenchmarkKept": {}, "BenchmarkUngated": {AllocsOp: 4}}, maxAllocs: 25, maxBytes: -1, want: 1, naming: "BenchmarkGone"},
+		{name: "gated name gone, bytes gate", newS: Suite{"BenchmarkKept": {}, "BenchmarkUngated": {AllocsOp: 4}}, maxAllocs: -1, maxBytes: 25, want: 1, naming: "BenchmarkGone"},
+		{name: "renamed", newS: Suite{"BenchmarkKept": {}, "BenchmarkGoneRenamed": {}, "BenchmarkUngated": {AllocsOp: 4}}, match: "Kept|Gone", maxAllocs: 25, maxBytes: 25, want: 1, naming: "BenchmarkGone "},
+		{name: "every gated name gone", newS: Suite{"BenchmarkUngated": {AllocsOp: 4}}, match: "Kept|Gone", maxAllocs: 25, maxBytes: 25, want: 1, naming: "BenchmarkKept"},
+		{name: "missing name outside -match", newS: Suite{"BenchmarkKept": {}, "BenchmarkGone": {}}, match: "Kept|Gone", maxAllocs: 25, maxBytes: 25, want: 0},
+		{name: "no gate: a plain diff skips it", newS: Suite{"BenchmarkKept": {}}, maxAllocs: -1, maxBytes: -1, want: 0},
+		{name: "new benchmark on the new side only", newS: Suite{"BenchmarkKept": {}, "BenchmarkGone": {}, "BenchmarkUngated": {AllocsOp: 4}, "BenchmarkNew": {AllocsOp: 9}}, maxAllocs: 25, maxBytes: 25, want: 0},
+	}
+	for _, c := range cases {
+		var out, errb bytes.Buffer
+		if code := diff(&out, &errb, oldS, c.newS, c.match, c.maxAllocs, c.maxBytes); code != c.want {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", c.name, code, c.want, errb.String())
+		}
+		if c.naming != "" && !strings.Contains(errb.String(), c.naming) {
+			t.Errorf("%s: stderr %q does not name %q", c.name, errb.String(), c.naming)
+		}
+	}
+}
+
 func TestZeroBaseGate(t *testing.T) {
 	oldS := Suite{"BenchmarkX": {AllocsOp: 0}}
 	newS := Suite{"BenchmarkX": {AllocsOp: 3}}

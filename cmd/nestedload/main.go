@@ -119,7 +119,6 @@ type loadConfig struct {
 	specName  string
 	seed      int64
 	retries   int
-	shards    int
 	parts     int
 }
 
@@ -154,7 +153,6 @@ func execute(cfg loadConfig, stderr io.Writer) (*loadResult, int) {
 			Backend:        cfg.backend,
 			DefaultSpec:    spec.ByName(cfg.specName),
 			Objects:        cfg.objects,
-			LogShards:      cfg.shards,
 			CertPartitions: cfg.parts,
 		})
 		if err != nil {
@@ -355,7 +353,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specName    = fs.String("spec", "register", "object type")
 		backendName = fs.String("backend", "", "selfserve: object backend: moss (default), undolog, mvto, replica")
 		seed        = fs.Int64("seed", 1, "per-worker RNG seed base")
-		shards      = fs.Int("shards", 0, "selfserve: event-log append shards (0 = server default)")
 		certParts   = fs.Int("cert-partitions", 0, "selfserve: certifier partitions (0 or 1 = single certifier)")
 		retries     = fs.Int("retries", 8, "max attempts per transaction (bounded exponential backoff)")
 		bench       = fs.Bool("bench", false, "also print a go test -bench style summary line")
@@ -365,7 +362,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sweepCli      = fs.String("sweep-clients", "1,4,8,16", "sweep: comma-separated worker counts")
 		sweepRatios   = fs.String("sweep-readratios", "0.2,0.8", "sweep: comma-separated read ratios")
 		sweepZipfs    = fs.String("sweep-zipfs", "0,1.5", "sweep: comma-separated zipf skews (0 = uniform)")
-		sweepShards   = fs.String("sweep-shards", "1,4", "sweep: comma-separated event-log shard counts")
 		sweepParts    = fs.String("sweep-partitions", "1", "sweep: comma-separated certifier partition counts")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -407,12 +403,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specName:  *specName,
 		seed:      *seed,
 		retries:   *retries,
-		shards:    *shards,
 		parts:     *certParts,
 	}
 
 	if *sweep {
-		return runSweep(base, *sweepBackends, *sweepCli, *sweepRatios, *sweepZipfs, *sweepShards, *sweepParts, stdout, stderr)
+		return runSweep(base, *sweepBackends, *sweepCli, *sweepRatios, *sweepZipfs, *sweepParts, stdout, stderr)
 	}
 
 	if *selfserve {
@@ -456,12 +451,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSweep executes the backends × clients × read-ratio × zipf × shards ×
-// partitions grid, each cell a fresh in-process server, and emits one
+// runSweep executes the backends × clients × read-ratio × zipf × partitions
+// grid, each cell a fresh in-process server, and emits one
 // benchmark line per cell whose custom units (p50-us, p99-us, tx/s)
 // cmd/benchdiff parses into BENCH columns. Every cell must end with a clean
 // certificate; any verdict failure fails the sweep.
-func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, shardList, partList string, stdout, stderr io.Writer) int {
+func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, partList string, stdout, stderr io.Writer) int {
 	var bks []string
 	for _, b := range strings.Split(backendList, ",") {
 		if b = strings.TrimSpace(b); b == "" {
@@ -492,11 +487,6 @@ func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, shardL
 		fmt.Fprintln(stderr, "nestedload: -sweep-zipfs:", err)
 		return 2
 	}
-	shards, err := parseInts(shardList)
-	if err != nil {
-		fmt.Fprintln(stderr, "nestedload: -sweep-shards:", err)
-		return 2
-	}
 	parts, err := parseInts(partList)
 	if err != nil {
 		fmt.Fprintln(stderr, "nestedload: -sweep-partitions:", err)
@@ -508,33 +498,30 @@ func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, shardL
 		for _, c := range clients {
 			for _, r := range ratios {
 				for _, z := range zipfs {
-					for _, sh := range shards {
-						for _, pt := range parts {
-							cfg := base
-							cfg.selfserve = true
-							cfg.backend = bk
-							cfg.workers = c
-							cfg.readRatio = r
-							cfg.zipfS = z
-							cfg.shards = sh
-							cfg.parts = pt
-							res, erc := execute(cfg, stderr)
-							if erc != 0 {
-								return erc
-							}
-							name := fmt.Sprintf("BenchmarkServerSweep/b%s/c%d/r%.2f/z%.1f/s%d/p%d", bk, c, r, z, sh, pt)
-							fmt.Fprintf(stderr, "# %s committed=%d ro=%d failed=%d aborts=%d elapsed=%s ok=%v\n",
-								strings.TrimPrefix(name, "Benchmark"), res.committed, res.roDone, res.failed,
-								res.srvAborts, res.elapsed.Round(time.Millisecond), res.ok)
-							if res.committed > 0 {
-								fmt.Fprintf(stdout, "%s %d %d ns/op %d p50-us %d p99-us %.1f tx/s\n",
-									name, res.committed, res.elapsed.Nanoseconds()/res.committed,
-									res.lat.Quantile(0.50).Microseconds(), res.lat.Quantile(0.99).Microseconds(),
-									res.tput())
-							}
-							if !res.ok || (res.committed == 0 && res.failed > 0) {
-								rc = 1
-							}
+					for _, pt := range parts {
+						cfg := base
+						cfg.selfserve = true
+						cfg.backend = bk
+						cfg.workers = c
+						cfg.readRatio = r
+						cfg.zipfS = z
+						cfg.parts = pt
+						res, erc := execute(cfg, stderr)
+						if erc != 0 {
+							return erc
+						}
+						name := fmt.Sprintf("BenchmarkServerSweep/b%s/c%d/r%.2f/z%.1f/p%d", bk, c, r, z, pt)
+						fmt.Fprintf(stderr, "# %s committed=%d ro=%d failed=%d aborts=%d elapsed=%s ok=%v\n",
+							strings.TrimPrefix(name, "Benchmark"), res.committed, res.roDone, res.failed,
+							res.srvAborts, res.elapsed.Round(time.Millisecond), res.ok)
+						if res.committed > 0 {
+							fmt.Fprintf(stdout, "%s %d %d ns/op %d p50-us %d p99-us %.1f tx/s\n",
+								name, res.committed, res.elapsed.Nanoseconds()/res.committed,
+								res.lat.Quantile(0.50).Microseconds(), res.lat.Quantile(0.99).Microseconds(),
+								res.tput())
+						}
+						if !res.ok || (res.committed == 0 && res.failed > 0) {
+							rc = 1
 						}
 					}
 				}

@@ -108,14 +108,14 @@ func TestSelfServeBackends(t *testing.T) {
 func TestSweepBackendsAxis(t *testing.T) {
 	code, out, errs := runLoad(t,
 		"-sweep", "-sweep-backends", "moss,mvto", "-sweep-clients", "2",
-		"-sweep-readratios", "0.5", "-sweep-zipfs", "0", "-sweep-shards", "1",
+		"-sweep-readratios", "0.5", "-sweep-zipfs", "0",
 		"-sessions", "3", "-seed", "29")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
 	for _, cell := range []string{
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/s1/p1 ",
-		"BenchmarkServerSweep/bmvto/c2/r0.50/z0.0/s1/p1 ",
+		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p1 ",
+		"BenchmarkServerSweep/bmvto/c2/r0.50/z0.0/p1 ",
 	} {
 		if !strings.Contains(out, cell) {
 			t.Fatalf("sweep missing cell %q:\n%s", cell, out)
@@ -129,20 +129,17 @@ func TestSweepBackendsAxis(t *testing.T) {
 	}
 }
 
-var sweepLine = regexp.MustCompile(`(?m)^BenchmarkServerSweep/bmoss/c2/r0\.50/z0\.0/s2/p1 \d+ \d+ ns/op \d+ p50-us \d+ p99-us \d+(\.\d+)? tx/s$`)
+var sweepLine = regexp.MustCompile(`(?m)^BenchmarkServerSweep/bmoss/c2/r0\.50/z0\.0/p1 \d+ \d+ ns/op \d+ p50-us \d+ p99-us \d+(\.\d+)? tx/s$`)
 
 func TestSweepBenchLines(t *testing.T) {
 	code, out, errs := runLoad(t,
 		"-sweep", "-sweep-clients", "2", "-sweep-readratios", "0.5", "-sweep-zipfs", "0",
-		"-sweep-shards", "2,8", "-sessions", "3", "-seed", "11")
+		"-sessions", "3", "-seed", "11")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
 	if !sweepLine.MatchString(out) {
 		t.Fatalf("no sweep bench line in:\n%s", out)
-	}
-	if !strings.Contains(out, "BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/s8/p1 ") {
-		t.Fatalf("sweep missing the shards=8 cell:\n%s", out)
 	}
 	if !strings.Contains(errs, "ok=true") {
 		t.Fatalf("sweep cell did not report a clean certificate:\n%s", errs)
@@ -154,13 +151,13 @@ func TestSweepBenchLines(t *testing.T) {
 func TestSweepPartitionsAxis(t *testing.T) {
 	code, out, errs := runLoad(t,
 		"-sweep", "-sweep-clients", "2", "-sweep-readratios", "0.5", "-sweep-zipfs", "0",
-		"-sweep-shards", "1", "-sweep-partitions", "1,4", "-sessions", "3", "-seed", "17")
+		"-sweep-partitions", "1,4", "-sessions", "3", "-seed", "17")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
 	for _, cell := range []string{
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/s1/p1 ",
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/s1/p4 ",
+		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p1 ",
+		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p4 ",
 	} {
 		if !strings.Contains(out, cell) {
 			t.Fatalf("sweep missing cell %q:\n%s", cell, out)
@@ -175,24 +172,8 @@ func TestSweepBadLists(t *testing.T) {
 	if code, _, errs := runLoad(t, "-sweep", "-sweep-clients", "2,x"); code != 2 || !strings.Contains(errs, "-sweep-clients") {
 		t.Fatalf("bad client list: exit %d, stderr %q", code, errs)
 	}
-	if code, _, errs := runLoad(t, "-sweep", "-sweep-shards", "4,"); code != 2 || !strings.Contains(errs, "-sweep-shards") {
-		t.Fatalf("bad shard list: exit %d, stderr %q", code, errs)
-	}
 	if code, _, errs := runLoad(t, "-sweep", "-sweep-partitions", "p"); code != 2 || !strings.Contains(errs, "-sweep-partitions") {
 		t.Fatalf("bad partition list: exit %d, stderr %q", code, errs)
-	}
-}
-
-// TestSelfServeShardsFlag: the single-run -shards knob plumbs through to
-// the server and still certifies.
-func TestSelfServeShardsFlag(t *testing.T) {
-	code, out, errs := runLoad(t,
-		"-selfserve", "-workers", "3", "-sessions", "4", "-shards", "8", "-seed", "13")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
-	}
-	if !strings.Contains(out, "final certificate: serially correct for T0") {
-		t.Errorf("no certificate:\n%s", out)
 	}
 }
 

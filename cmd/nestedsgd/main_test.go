@@ -37,7 +37,7 @@ func startDaemon(t *testing.T, args ...string) (string, chan os.Signal, <-chan i
 }
 
 func TestDaemonServeDrainVerify(t *testing.T) {
-	addr, sig, code, out := startDaemon(t, "-addr", "127.0.0.1:0", "-objects", "x,y", "-shards", "3")
+	addr, sig, code, out := startDaemon(t, "-addr", "127.0.0.1:0", "-objects", "x,y")
 
 	c, err := client.Dial(addr)
 	if err != nil {

@@ -16,21 +16,21 @@ import (
 // simulator implements it to freeze partitions at deterministic event
 // bounds; the live server's hooks are no-ops.
 type Hooks interface {
-	// PartApply is called before partition part applies the event at log
+	// CertApply is called before partition part applies the event at log
 	// index index. It may block (a stalled partition); no locks are held
 	// and the partition's previous edge batch — bound included — has
 	// already been delivered to the composer.
-	PartApply(part, index int)
-	// PartBatch returns how many events (1..max) partition part should
+	CertApply(part, index int)
+	// CertBatch returns how many events (1..max) partition part should
 	// apply in one locked run starting at index. It must not block.
-	PartBatch(part, index, max int) int
+	CertBatch(part, index, max int) int
 }
 
 // nopHooks is the live implementation: never stall, largest runs.
 type nopHooks struct{}
 
-func (nopHooks) PartApply(int, int)          {}
-func (nopHooks) PartBatch(_, _, max int) int { return max }
+func (nopHooks) CertApply(int, int)          {}
+func (nopHooks) CertBatch(_, _, max int) int { return max }
 
 // Config wires a Certifier into its host.
 type Config struct {
@@ -47,7 +47,7 @@ type Config struct {
 	// take it.
 	Lock sync.Locker
 
-	// Source streams the merged total-order log: it blocks until events
+	// Source streams the total-order log: it blocks until events
 	// beyond n exist, returning them (from n on) in buf's backing array,
 	// or ok=false once the log is closed and drained. Required by Start;
 	// a purely primed certifier (recovery audits, fuzzing) leaves it nil.
@@ -230,9 +230,9 @@ func (c *Certifier) Start() {
 	}
 }
 
-// worker streams the merged log through one partition. Each locked run is
+// worker streams the log through one partition. Each locked run is
 // bounded by the hooks; the partition's batch — edges and bound — is
-// flushed after every run and before any blocking in PartApply, so the
+// flushed after every run and before any blocking in CertApply, so the
 // composer's watermark tracks a stalled partition's frontier exactly.
 func (c *Certifier) worker(p *partition) {
 	defer c.wg.Done()
@@ -246,8 +246,8 @@ func (c *Certifier) worker(p *partition) {
 		}
 		buf = batch
 		for off := 0; off < len(batch); {
-			c.cfg.Hooks.PartApply(p.id, processed+off)
-			n := c.cfg.Hooks.PartBatch(p.id, processed+off, len(batch)-off)
+			c.cfg.Hooks.CertApply(p.id, processed+off)
+			n := c.cfg.Hooks.CertBatch(p.id, processed+off, len(batch)-off)
 			if n < 1 {
 				n = 1
 			}

@@ -35,7 +35,7 @@
 // transport, not the protocol. The composer (core.Composer) unions the
 // batches; because the canonical freeze makes SG a pure function of its
 // edge set, the composed certificate is byte-identical to a batch
-// core.Check over the merged log, which Final() and the recovery audit
+// core.Check over the log, which Final() and the recovery audit
 // verify.
 //
 // Soundness of commit acknowledgement: a batch carries the exclusive

@@ -229,13 +229,13 @@ type stallHooks struct {
 	release chan struct{}
 }
 
-func (h *stallHooks) PartApply(p, index int) {
+func (h *stallHooks) CertApply(p, index int) {
 	if p == h.part && index >= h.bound {
 		<-h.release
 	}
 }
 
-func (h *stallHooks) PartBatch(p, index, max int) int {
+func (h *stallHooks) CertBatch(p, index, max int) int {
 	if p == h.part {
 		if d := h.bound - index; d > 0 && d < max {
 			return d

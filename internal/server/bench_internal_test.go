@@ -1,46 +1,41 @@
 package server
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/tname"
 )
 
-// BenchmarkShardedLogAppend measures the sharded append path with a WAL
-// attached and the merger live — the hot path of every request the server
-// logs, under maximal cross-goroutine contention. The per-shard freelists,
-// the pooled wal-encode buffer and the writer's scratch buffer must keep
-// the appender side steady-state allocation-free (the hotalloc analyzer
-// gates the escape analysis; this benchmark gates the observed allocs/op —
-// only appender-goroutine allocations are counted, the merger's occasional
-// merged-slice growth is amortized background work).
-func BenchmarkShardedLogAppend(b *testing.B) {
+// BenchmarkLogAppend measures the append path with a WAL attached — the
+// hot path of every request the server logs, under maximal cross-goroutine
+// contention. The log's wal-encode buffer and the writer's scratch buffer
+// must keep it allocation-free (the hotalloc analyzer gates the escape
+// analysis; this benchmark gates the observed allocs/op and B/op). The log
+// slice is sized up front: its growth is retention, which depends on b.N
+// and the runtime's growth policy, not on the append path.
+func BenchmarkLogAppend(b *testing.B) {
 	w, err := newWalWriter(NewMemDisk(), 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := newShardedLog(4, realHooks{}, nil)
-	l.wal = w
-	l.startMerger()
 	evs := []event.Event{
 		event.NewEvent(event.RequestCreate, tname.TxID(2)),
 		event.NewEvent(event.Create, tname.TxID(2)),
 	}
-	var sid atomic.Int64
+	l := newEventLog()
+	l.wal = w
+	l.events = make(event.Behavior, 0, b.N*len(evs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		sh := l.shardFor(sid.Add(1))
 		for pb.Next() {
-			l.append(sh, evs...)
+			l.append(evs...)
 		}
 	})
 	b.StopTimer()
-	l.close()
-	if got, want := l.mergedLen(), l.len(); got != want {
-		b.Fatalf("merged %d of %d appended events", got, want)
+	if got, want := l.len(), b.N*len(evs); got != want {
+		b.Fatalf("log holds %d events after %d appends of %d", got, b.N, len(evs))
 	}
 }
 

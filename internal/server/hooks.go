@@ -18,40 +18,23 @@ type Hooks interface {
 	// legal spurious wake-up: a harness may ignore wake and return whenever
 	// its own scheduler says so.
 	LockWait(sess int64, wake <-chan struct{}, d time.Duration)
-	// CertApply is called before the certifier applies log event index to
-	// the incremental graph; a harness can block here to simulate a
-	// stalled certifier. It must not be called with server locks held.
-	CertApply(index int)
-	// CertBatch is called after CertApply, before the certifier applies a
+	// CertApply is called before certifier partition part — 0 for the
+	// single certifier goroutine, the partition's id with
+	// Options.CertPartitions > 1 — applies log event index to its graph; a
+	// harness can block here to stall the certifier or freeze one
+	// partition. It must not be called with server locks held. A
+	// partition's edge batch — bound included — is delivered to the
+	// composer before any blocking, so the watermark stalls exactly at
+	// index.
+	CertApply(part, index int)
+	// CertBatch is called after CertApply, before partition part applies a
 	// run of up to max events starting at log event index; it returns how
-	// many the certifier may apply under one tree read-lock acquisition
-	// (the loop clamps the answer to [1, max]). A harness returns the
-	// distance to its next stall point so batching never silently crosses
-	// an installed stall; the real implementation returns max. Unlike
-	// CertApply it must not block.
-	CertBatch(index, max int) int
-	// PartApply is called before certifier partition part applies log
-	// event index to its local graph (only with Options.CertPartitions
-	// > 1); a harness can block here to freeze one partition. It must
-	// not be called with server locks held. The partition's edge batch —
-	// bound included — is delivered to the composer before any blocking,
-	// so the watermark stalls exactly at index.
-	PartApply(part, index int)
-	// PartBatch is the partitioned analogue of CertBatch: it returns how
-	// many events (clamped to [1, max]) partition part may apply in one
-	// locked run starting at index. A harness returns the distance to
-	// its next stall point; the real implementation returns max. It must
+	// many it may apply under one tree read-lock acquisition (the loop
+	// clamps the answer to [1, max]). A harness returns the distance to its
+	// next stall point so batching never silently crosses an installed
+	// stall; the real implementation returns max. Unlike CertApply it must
 	// not block.
-	PartBatch(part, index, max int) int
-	// MergeApply is called by the log merger just before it merges the
-	// shard's entry at global log index base into the totally-ordered
-	// log; a harness can block here to stall one shard's merge. It is
-	// never called with a log, shard or tree lock held.
-	MergeApply(shard int, base int)
-	// MergeWait is called when session sess is about to block until the
-	// merged log covers log sequence seq (a completion's durability
-	// point). Notification only; it must not block on the harness.
-	MergeWait(sess int64, seq int)
+	CertBatch(part, index, max int) int
 	// CommitWait is called after a COMMIT's events are logged, just
 	// before the session blocks on the certification watermark for log
 	// sequence seq. Notification only; it must not block on the harness.
@@ -84,12 +67,8 @@ func (realHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration) {
 	t.Stop()
 }
 
-func (realHooks) CertApply(int)               {}
-func (realHooks) CertBatch(_, max int) int    { return max }
-func (realHooks) PartApply(int, int)          {}
-func (realHooks) PartBatch(_, _, max int) int { return max }
-func (realHooks) MergeApply(int, int)         {}
-func (realHooks) MergeWait(int64, int)        {}
+func (realHooks) CertApply(int, int)          {}
+func (realHooks) CertBatch(_, _, max int) int { return max }
 func (realHooks) CommitWait(int64, int)       {}
 func (realHooks) SessionDone(int64)           {}
 func (realHooks) DrainWait(d time.Duration)   { time.Sleep(d) }

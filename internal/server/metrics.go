@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/bits"
 	"net/http"
 	"sync/atomic"
@@ -152,12 +151,6 @@ type Metrics struct {
 	// retried with backoff instead of killing the accept loop.
 	AcceptRetries atomic.Int64
 
-	// Merge histograms: the appended-minus-merged gap observed by the log
-	// merger each time it wakes with work, and how many entries each wake
-	// merged (the reorder window the sharded append path creates).
-	MergeLag   Histogram
-	MergeBatch Histogram
-
 	// Latency histograms: all requests, and commit requests (which include
 	// the wait for the certifier watermark).
 	ReqLatency    Histogram
@@ -186,51 +179,40 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		wm = logLen // drained sentinel
 	}
 	snap := map[string]any{
-		"uptime_seconds":        elapsed,
-		"sessions":              m.Sessions.Load(),
-		"requests":              m.Requests.Load(),
-		"begins":                m.Begins.Load(),
-		"top_commits":           m.TopCommits.Load(),
-		"accesses":              m.Accesses.Load(),
-		"blocked_polls":         m.BlockedPolls.Load(),
-		"client_aborts":         m.ClientAborts.Load(),
-		"lock_timeouts":         m.LockTimeouts.Load(),
-		"deadlock_aborts":       m.DeadlockAborts.Load(),
-		"restart_aborts":        m.RestartAborts.Load(),
-		"drain_aborts":          m.DrainAborts.Load(),
-		"backend":               s.backend.name(),
-		"retries":               m.Retries.Load(),
-		"uncertified":           m.Uncertified.Load(),
-		"wal_failures":          m.WALFailures.Load(),
-		"commit_events":         m.CommitEvents.Load(),
-		"abort_events":          m.AbortEvents.Load(),
-		"log_events":            logLen,
-		"certified":             wm,
-		"sg_acyclic":            acyclic,
-		"sg_parents":            sgParents,
-		"sg_nodes":              sgNodes,
-		"sg_edges":              sgEdges,
-		"req_p50_us":            s.metrics.ReqLatency.Quantile(0.50).Microseconds(),
-		"req_p99_us":            s.metrics.ReqLatency.Quantile(0.99).Microseconds(),
-		"commit_p50_us":         s.metrics.CommitLatency.Quantile(0.50).Microseconds(),
-		"commit_p99_us":         s.metrics.CommitLatency.Quantile(0.99).Microseconds(),
-		"wal_sync_requests":     m.WALSyncRequests.Load(),
-		"wal_syncs":             m.WALSyncs.Load(),
-		"accept_retries":        m.AcceptRetries.Load(),
-		"group_size_p50":        m.GroupSize.QuantileVal(0.50),
-		"group_size_p99":        m.GroupSize.QuantileVal(0.99),
-		"group_size_mean":       m.GroupSize.MeanVal(),
-		"log_shards":            len(s.log.shards),
-		"log_merged":            s.log.mergedLen(),
-		"merge_lag_p50":         m.MergeLag.QuantileVal(0.50),
-		"merge_lag_p99":         m.MergeLag.QuantileVal(0.99),
-		"merge_lag_mean":        m.MergeLag.MeanVal(),
-		"merge_batch_size_p50":  m.MergeBatch.QuantileVal(0.50),
-		"merge_batch_size_p99":  m.MergeBatch.QuantileVal(0.99),
-		"merge_batch_size_mean": m.MergeBatch.MeanVal(),
-	}
-	for i, sh := range s.log.shards {
-		snap[fmt.Sprintf("log_shard_appends_%d", i)] = sh.appends.Load()
+		"uptime_seconds":    elapsed,
+		"sessions":          m.Sessions.Load(),
+		"requests":          m.Requests.Load(),
+		"begins":            m.Begins.Load(),
+		"top_commits":       m.TopCommits.Load(),
+		"accesses":          m.Accesses.Load(),
+		"blocked_polls":     m.BlockedPolls.Load(),
+		"client_aborts":     m.ClientAborts.Load(),
+		"lock_timeouts":     m.LockTimeouts.Load(),
+		"deadlock_aborts":   m.DeadlockAborts.Load(),
+		"restart_aborts":    m.RestartAborts.Load(),
+		"drain_aborts":      m.DrainAborts.Load(),
+		"backend":           s.backend.name(),
+		"retries":           m.Retries.Load(),
+		"uncertified":       m.Uncertified.Load(),
+		"wal_failures":      m.WALFailures.Load(),
+		"commit_events":     m.CommitEvents.Load(),
+		"abort_events":      m.AbortEvents.Load(),
+		"log_events":        logLen,
+		"certified":         wm,
+		"sg_acyclic":        acyclic,
+		"sg_parents":        sgParents,
+		"sg_nodes":          sgNodes,
+		"sg_edges":          sgEdges,
+		"req_p50_us":        s.metrics.ReqLatency.Quantile(0.50).Microseconds(),
+		"req_p99_us":        s.metrics.ReqLatency.Quantile(0.99).Microseconds(),
+		"commit_p50_us":     s.metrics.CommitLatency.Quantile(0.50).Microseconds(),
+		"commit_p99_us":     s.metrics.CommitLatency.Quantile(0.99).Microseconds(),
+		"wal_sync_requests": m.WALSyncRequests.Load(),
+		"wal_syncs":         m.WALSyncs.Load(),
+		"accept_retries":    m.AcceptRetries.Load(),
+		"group_size_p50":    m.GroupSize.QuantileVal(0.50),
+		"group_size_p99":    m.GroupSize.QuantileVal(0.99),
+		"group_size_mean":   m.GroupSize.MeanVal(),
 	}
 	s.cert.metricsInto(snap)
 	s.backend.metricsInto(snap)

@@ -9,7 +9,7 @@ import (
 )
 
 // partCertifier is the certBackend over internal/part: P partition
-// workers stream the merged log through their own incremental checkers
+// workers stream the log through their own incremental checkers
 // and exchange SG edges (as wire.EdgeBatch payloads) with a composer
 // whose watermark gates commit acks. Engaged by Options.CertPartitions
 // > 1; the composed certificate stays byte-identical to the single

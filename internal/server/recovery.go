@@ -123,9 +123,8 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	}
 
 	// The durable prefix is the log; repairs append after it (and, once
-	// the writer is attached, tee into the WAL like any other append —
-	// drained inline, since the merger isn't running yet).
-	s.log.prime(b)
+	// the writer is attached, tee into the WAL like any other append).
+	s.log.events = b
 	w, err := newWalWriter(opts.WAL, opts.WALSegmentBytes, scan.nextIdx)
 	if err != nil {
 		return nil, nil, err
@@ -149,7 +148,6 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	if err := s.primeCertifier(rep); err != nil {
 		return nil, nil, err
 	}
-	s.log.startMerger()
 	s.cert.start()
 	s.backend.start(s)
 	return s, rep, nil
@@ -169,7 +167,7 @@ func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *Reco
 	s.wal = w
 	s.log.wal = w
 	s.group = newGroupCommitter(w, s.metrics)
-	s.log.append(s.log.shards[0], event.NewEvent(event.Create, tname.Root))
+	s.log.append(event.NewEvent(event.Create, tname.Root))
 	for _, label := range s.opts.Objects {
 		if _, oerr := s.resolveObject(label); oerr != nil {
 			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, oerr)
@@ -182,7 +180,6 @@ func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *Reco
 	if err := s.primeCertifier(rep); err != nil {
 		return nil, nil, err
 	}
-	s.log.startMerger()
 	s.cert.start()
 	s.backend.start(s)
 	return s, rep, nil
@@ -328,11 +325,11 @@ func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
 		if _, done := completed[t]; done || !createdIn(b, t) {
 			continue
 		}
-		s.log.append(s.log.shards[0], event.NewEvent(event.Abort, t))
+		s.log.append(event.NewEvent(event.Abort, t))
 		for _, x := range touched[t] {
 			s.applyInform(event.InformAbort, t, x)
 		}
-		s.log.append(s.log.shards[0], event.NewEvent(event.ReportAbort, t))
+		s.log.append(event.NewEvent(event.ReportAbort, t))
 		rep.OrphanTops++
 	}
 	rep.StitchedEvents = s.log.len()
@@ -348,7 +345,7 @@ func (s *Server) applyInform(kind event.Kind, t tname.TxID, x tname.ObjID) {
 	} else {
 		s.objs[x].g.InformAbort(t)
 	}
-	s.log.append(s.log.shards[0], event.NewInform(kind, t, x))
+	s.log.append(event.NewInform(kind, t, x))
 }
 
 // createdIn reports whether t has a CREATE event in the durable prefix —

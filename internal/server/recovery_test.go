@@ -273,15 +273,13 @@ func BenchmarkE18Recover(b *testing.B) {
 	b.ReportMetric(float64(events), "events")
 }
 
-// TestRecoverKeepsEveryAckedCommit is the regression test for the merger's
-// definition/event order (shardedLog.mergePending): sessions on different
-// log shards intern fresh names — every BEGIN, CHILD and ACCESS defines one
-// — while the merger runs on another processor. The merger used to flush
-// pending definition records and only then pick the next entry, so a name
-// interned between the two reached the WAL after the event that used it;
-// Recover then met an event record it could not resolve in the middle of
-// fsynced bytes, took it for a torn tail and cut the log there. Every life
-// must give back each acknowledged commit, with nothing truncated.
+// TestRecoverKeepsEveryAckedCommit checks acknowledged commits against the
+// recovered log from outside: concurrent sessions on two processors intern
+// fresh names — every BEGIN, CHILD and ACCESS defines one — and commit. A
+// definition record that reached the WAL after an event using its name
+// would make Recover meet an event record it cannot resolve in the middle
+// of fsynced bytes, take it for a torn tail and cut the log there. Every
+// life must give back each acknowledged commit, with nothing truncated.
 func TestRecoverKeepsEveryAckedCommit(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -293,7 +291,7 @@ func TestRecoverKeepsEveryAckedCommit(t *testing.T) {
 	)
 	for life := 0; life < lives; life++ {
 		disk := server.NewMemDisk()
-		opts := server.Options{WAL: disk, LogShards: sessions}
+		opts := server.Options{WAL: disk}
 		s, _ := recoverAndStart(t, opts)
 		acked := make([][]uint64, sessions)
 		var wg sync.WaitGroup

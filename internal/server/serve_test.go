@@ -126,12 +126,8 @@ func (h *recordingHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration
 	case <-time.After(d):
 	}
 }
-func (h *recordingHooks) CertApply(int)               {}
-func (h *recordingHooks) CertBatch(_, max int) int    { return max }
-func (h *recordingHooks) PartApply(int, int)          {}
-func (h *recordingHooks) PartBatch(_, _, max int) int { return max }
-func (h *recordingHooks) MergeApply(int, int)         {}
-func (h *recordingHooks) MergeWait(int64, int)        {}
+func (h *recordingHooks) CertApply(int, int)          {}
+func (h *recordingHooks) CertBatch(_, _, max int) int { return max }
 func (h *recordingHooks) CommitWait(int64, int)       {}
 func (h *recordingHooks) SessionDone(int64)           {}
 func (h *recordingHooks) DrainWait(d time.Duration) {

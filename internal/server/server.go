@@ -77,13 +77,9 @@ type Options struct {
 	// this is a safety net (a client that holds a lock and goes quiet); its
 	// firing is counted in lock_timeouts. Default 1s.
 	LockTimeout time.Duration
-	// LogShards stripes the event log's append path across this many
-	// shards (sessions hash to a shard; a deterministic merger restores
-	// the total order). Default 4; 1 degenerates to a single append lock.
-	LogShards int
 	// CertPartitions splits SG(β) certification across this many
 	// partitions of the object space (internal/part): each runs its own
-	// incremental checker over its filtered view of the merged log and
+	// incremental checker over its filtered view of the log and
 	// the composed graph gates commits. Default 1 — the single certifier
 	// goroutine; values > 1 engage the partitioned multi-certifier.
 	CertPartitions int
@@ -122,9 +118,6 @@ func (o Options) withDefaults() Options {
 	if o.LockTimeout <= 0 {
 		o.LockTimeout = time.Second
 	}
-	if o.LogShards <= 0 {
-		o.LogShards = defaultLogShards
-	}
 	if o.CertPartitions <= 0 {
 		o.CertPartitions = 1
 	}
@@ -157,8 +150,10 @@ type Server struct {
 	mu   sync.RWMutex
 	tr   *tname.Tree     //sgvet:guardedby mu
 	objs []*sharedObject //sgvet:guardedby mu
+	// defBuf is the scratch buffer WAL definition records are encoded into.
+	defBuf []byte //sgvet:guardedby mu
 
-	log     *shardedLog
+	log     *eventLog
 	cert    certBackend
 	backend objectBackend
 	metrics *Metrics
@@ -192,7 +187,7 @@ func newServer(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.backend = be
-	s.log = newShardedLog(opts.LogShards, opts.Hooks, s.metrics)
+	s.log = newEventLog()
 	if opts.CertPartitions > 1 {
 		s.cert = newPartCertifier(s, opts.CertPartitions)
 	} else {
@@ -219,8 +214,7 @@ func New(opts Options) *Server {
 			panic(fmt.Sprintf("server: pre-creating object %q: %v", label, err))
 		}
 	}
-	s.log.append(s.log.shards[0], event.NewEvent(event.Create, tname.Root))
-	s.log.startMerger()
+	s.log.append(event.NewEvent(event.Create, tname.Root))
 	s.cert.start()
 	s.backend.start(s)
 	return s
@@ -343,14 +337,13 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 		return nil, errors.New("empty object label")
 	}
 	id := s.tr.AddObject(label, s.opts.DefaultSpec)
-	// The definition record is queued inside the tree's write-lock
+	// The definition record is written inside the tree's write-lock
 	// critical section, so WAL definition order equals interning order and
-	// recovery's sequential ID re-assignment reproduces the tree exactly;
-	// the merger flushes it before any event that could reference the name.
+	// recovery's sequential ID re-assignment reproduces the tree exactly —
+	// and before the caller can append an event that uses the name.
 	if s.wal != nil {
-		s.log.appendDef(func(buf []byte) []byte {
-			return event.AppendWalObjectDef(buf, label, s.opts.DefaultSpec.Name())
-		})
+		s.defBuf = event.AppendWalObjectDef(s.defBuf[:0], label, s.opts.DefaultSpec.Name())
+		s.wal.appendRecord(s.defBuf)
 	}
 	o := &sharedObject{id: id, sp: s.tr.Spec(id), g: s.backend.protocol().New(s.tr, id)}
 	for int(id) >= len(s.objs) {
@@ -374,9 +367,8 @@ func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op s
 		id = s.tr.Access(parent, label, obj, op)
 	}
 	if s.wal != nil && s.tr.NumTx() > before {
-		s.log.appendDef(func(buf []byte) []byte {
-			return event.AppendWalTxDef(buf, parent, label, obj, op)
-		})
+		s.defBuf = event.AppendWalTxDef(s.defBuf[:0], parent, label, obj, op)
+		s.wal.appendRecord(s.defBuf)
 	}
 	return id
 }
@@ -394,11 +386,6 @@ func (s *Server) walSync() error {
 	return s.group.sync()
 }
 
-// SyncWAL makes every record the merger has written so far durable. The
-// simulator calls it where the extent of the last fsync would otherwise
-// depend on goroutine timing.
-func (s *Server) SyncWAL() error { return s.walSync() }
-
 // WALError reports the first durability failure, if any.
 func (s *Server) WALError() error {
 	if s.wal == nil {
@@ -407,37 +394,8 @@ func (s *Server) WALError() error {
 	return s.wal.stickyErr()
 }
 
-// LogLen reports the current event-log length (events appended, whether or
-// not the merger has placed them in total order yet).
+// LogLen reports the current event-log length.
 func (s *Server) LogLen() int { return s.log.len() }
-
-// LogShards reports the number of append shards.
-func (s *Server) LogShards() int { return len(s.log.shards) }
-
-// MergedLen reports how many log events the merger has placed in total
-// order (MergedLen ≤ LogLen; the gap is the merge lag).
-func (s *Server) MergedLen() int { return s.log.mergedLen() }
-
-// WaitMergedLen blocks until the merged log covers n events. Test harnesses
-// use it to settle the merger at a deterministic point.
-func (s *Server) WaitMergedLen(n int) { s.log.waitMerged(n) }
-
-// SettleMerged blocks until the merged log covers n events, then flushes
-// every definition record already eligible at that point to the WAL writer.
-// The simulator calls it before snapshotting a crash: the merger announces
-// a merged prefix before its next definition-flush pass, so without the
-// explicit flush the crash-instant WAL bytes would depend on merger timing.
-func (s *Server) SettleMerged(n int) {
-	s.log.waitMerged(n)
-	s.log.flushDefs(s.log.mergedLen())
-}
-
-// MergeBoundAfter returns the smallest unmerged log index owned by shard
-// that is ≥ from, or -1 if the shard has none pending there. While a
-// harness stalls the shard's merge at from, the answer is stable — entries
-// at or past the stall can arrive but never merge — which is what makes
-// park-or-proceed decisions in the simulator deterministic.
-func (s *Server) MergeBoundAfter(shard, from int) int { return s.log.pendingIn(shard, from) }
 
 // withObj runs f while holding the object's mutex and the tree read lock —
 // the automata read the tree on most calls. Lock order is always object

@@ -41,9 +41,6 @@ type session struct {
 	s    *Server
 	conn net.Conn
 	id   int64
-	// shard is the event-log append shard this session hashes to; all of
-	// the session's appends go through it, so they queue in program order.
-	shard *logShard
 
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -69,14 +66,12 @@ type session struct {
 }
 
 func newSession(s *Server, c net.Conn) *session {
-	id := s.sessionSeq.Add(1)
 	return &session{
-		s:     s,
-		conn:  c,
-		id:    id,
-		shard: s.log.shardFor(id),
-		r:     bufio.NewReader(c),
-		w:     bufio.NewWriter(c),
+		s:    s,
+		conn: c,
+		id:   s.sessionSeq.Add(1),
+		r:    bufio.NewReader(c),
+		w:    bufio.NewWriter(c),
 	}
 }
 
@@ -183,7 +178,7 @@ func (sn *session) appendLog(evs ...event.Event) int {
 		default:
 		}
 	}
-	return sn.s.log.append(sn.shard, evs...)
+	return sn.s.log.append(evs...)
 }
 
 // handleBegin opens a top-level transaction: REQUEST_CREATE by T0 followed
@@ -445,11 +440,6 @@ func (sn *session) handleCommit() wire.Response {
 	seq := sn.appendLog(event.NewValEvent(event.ReportCommit, cur.id, spec.OK))
 	sn.popFrame(cur)
 	top := len(sn.frames) == 0
-	// The commit's records must be in the WAL writer before the durability
-	// fsync below, and a shard entry only reaches the writer when the
-	// merger places it: wait for the merged prefix to cover the report.
-	sn.s.opts.Hooks.MergeWait(sn.id, seq)
-	sn.s.log.waitMerged(seq + 1)
 	var walErr error
 	if top {
 		// Top-level completion is a durability point: fsync before the
@@ -491,14 +481,11 @@ func (sn *session) handleAbort() wire.Response {
 	cur := sn.frames[len(sn.frames)-1]
 	sn.appendLog(event.NewEvent(event.Abort, cur.id))
 	sn.informAll(event.InformAbort, cur)
-	seq := sn.appendLog(event.NewEvent(event.ReportAbort, cur.id))
+	sn.appendLog(event.NewEvent(event.ReportAbort, cur.id))
 	sn.popFrame(cur)
 	if len(sn.frames) == 0 {
 		// A sync failure here is tolerable: an abort ack promises no
-		// durability, and recovery aborts any orphan it finds anyway. The
-		// merge wait keeps the sync covering this abort's own records.
-		sn.s.opts.Hooks.MergeWait(sn.id, seq)
-		sn.s.log.waitMerged(seq + 1)
+		// durability, and recovery aborts any orphan it finds anyway.
 		sn.s.walSync()
 	}
 	return wire.Response{Status: wire.StatusOK}
@@ -513,11 +500,9 @@ func (sn *session) abortTop(reason string) {
 	top := sn.frames[0]
 	sn.appendLog(event.NewEvent(event.Abort, top.id))
 	sn.informAll(event.InformAbort, top)
-	seq := sn.appendLog(event.NewEvent(event.ReportAbort, top.id))
+	sn.appendLog(event.NewEvent(event.ReportAbort, top.id))
 	// Sync failures are ignored: an undurable abort is recovered as an
 	// orphan and aborted again, which is the same outcome.
-	sn.s.opts.Hooks.MergeWait(sn.id, seq)
-	sn.s.log.waitMerged(seq + 1)
 	sn.s.walSync()
 	sn.frames = sn.frames[:0]
 	sn.inTx.Store(false)

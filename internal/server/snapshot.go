@@ -12,7 +12,7 @@ import (
 
 // snapVersion is one committed value of one object: the value some
 // top-level transaction's last surviving write installed, tagged with the
-// merged-log index of that transaction's COMMIT event.
+// log index of that transaction's COMMIT event.
 type snapVersion struct {
 	seq int
 	val spec.Value
@@ -36,7 +36,7 @@ type pendingWrite struct {
 }
 
 // snapshotStore serves read-only transactions without locks, automata, or
-// log events: a tailer goroutine consumes the merged log in total order
+// log events: a tailer goroutine consumes the log in total order
 // and, at every top-level COMMIT event, publishes the subtree's surviving
 // register writes as versions tagged with that event's log index. A
 // read-only transaction pins a cut — a log prefix both fully published and
@@ -54,7 +54,7 @@ type snapshotStore struct {
 	// map is copy-on-insert (inserts are rare: first commit per object).
 	byObj atomic.Pointer[map[tname.ObjID]*objHist]
 
-	// published is the merged-log prefix whose commits are all published.
+	// published is the log prefix whose commits are all published.
 	published atomic.Int64
 
 	// reads counts snapshot reads served; roTx counts read-only BEGINs.
@@ -87,7 +87,7 @@ func (st *snapshotStore) start(s *Server) {
 // waitDone blocks until the closed log has drained through the tailer.
 func (st *snapshotStore) waitDone() { <-st.done }
 
-// loop tails the merged log until it closes. Tree reads happen under the
+// loop tails the log until it closes. Tree reads happen under the
 // server's read lock, like every other log consumer.
 func (st *snapshotStore) loop() {
 	defer close(st.done)
@@ -119,7 +119,7 @@ func (st *snapshotStore) topOf(tx tname.TxID) tname.TxID {
 	return st.srv.tr.ChildAncestor(tname.Root, tx)
 }
 
-// apply folds one merged event at log index idx into the pending/publish
+// apply folds the event at log index idx into the pending/publish
 // state; the caller holds the tree read lock.
 //
 //sgvet:holds st.srv.mu:r

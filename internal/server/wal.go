@@ -600,12 +600,6 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 	return pos, nil
 }
 
-// walEncodeEvents encodes one atomic event batch into a record payload
-// (reusing buf) for the event log's WAL tee.
-func walEncodeEvents(buf []byte, evs []event.Event) []byte {
-	return event.AppendWalEvents(buf[:0], evs...)
-}
-
 // isWalCorrupt reports whether err is a clean corruption rejection (as
 // opposed to an I/O failure).
 func isWalCorrupt(err error) bool { return errors.Is(err, errWalCorrupt) }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
@@ -269,46 +272,71 @@ func TestRecoverRejectsDefsWithoutEvents(t *testing.T) {
 	}
 }
 
-// TestMergerWritesDefinitionBeforeFirstUse pins the order inside one merger
-// step: the entry is picked first, the definitions it may need are flushed
-// second. The test holds a shard mutex so that the merger stops in the
-// middle of its scan for the next entry, interns a name and appends its
-// first event behind the merger's back, and lets go. With the flush ahead
-// of the pick the event reaches the WAL before the name and the scan cuts
-// the log there; the fixed order passes whatever the timing.
-func TestMergerWritesDefinitionBeforeFirstUse(t *testing.T) {
+// TestWALDefinitionPrecedesFirstUse pins the WAL's definition-before-use
+// order under real concurrency: sessions on two processors intern fresh
+// names — every BEGIN, CHILD and ACCESS defines a transaction, every first
+// touch an object — and append the events that use them. A name's
+// definition record is written inside the critical section that interns it,
+// ahead of any event its session can append, so decoding the byte stream
+// against running name counts must resolve every reference; an event record
+// ahead of a name it uses is what recovery would take for a torn tail.
+func TestWALDefinitionPrecedesFirstUse(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const (
+		sessions = 4
+		txPerSes = 50
+	)
 	disk := NewMemDisk()
-	w, err := newWalWriter(disk, 1<<20, 1)
-	if err != nil {
-		t.Fatalf("newWalWriter: %v", err)
+	s, _, err := Recover(Options{WAL: disk, WALSegmentBytes: 4 << 10})
+	must(t, err)
+	must(t, s.Start("127.0.0.1:0"))
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		c := dialIn(t, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < txPerSes; n++ {
+				obj := fmt.Sprintf("o%d.%d", i, n) // fresh object: its definition races the other sessions' events
+				_, err := c.Begin()
+				if err == nil {
+					_, err = c.Child()
+				}
+				if err == nil {
+					_, err = c.Access(obj, spec.OpWrite, spec.Int(int64(n)))
+				}
+				if err == nil {
+					_, err = c.Commit()
+				}
+				if err == nil {
+					_, err = c.Commit()
+				}
+				if err != nil {
+					t.Errorf("session %d tx %d: %v", i, n, err)
+					return
+				}
+			}
+		}()
 	}
-	l := newShardedLog(2, realHooks{}, nil)
-	l.wal = w
-	l.startMerger()
+	wg.Wait()
+	must(t, s.Shutdown(context.Background()))
 
-	l.shards[0].mu.Lock()
-	l.ring()
-	// Give the merger time to reach the held mutex.
-	time.Sleep(20 * time.Millisecond)
-	l.appendDef(func(buf []byte) []byte {
-		return event.AppendWalTxDef(buf, tname.Root, "s1.1", tname.NoObj, spec.Op{})
-	})
-	l.append(l.shards[1], event.NewEvent(event.RequestCreate, 1))
-	l.shards[0].mu.Unlock()
-	l.waitMerged(1)
-	l.close()
-	if err := w.close(); err != nil {
-		t.Fatalf("close: %v", err)
+	names, err := disk.Segments()
+	must(t, err)
+	var ops []event.WalOp
+	numTx, numObj, records := 1, 0, 0
+	for _, name := range names {
+		data, err := disk.ReadSegment(name)
+		must(t, err)
+		if at, err := scanSegment(data, &ops, &numTx, &numObj, &records); err != nil {
+			t.Fatalf("%s offset %d, after %d records defining %d transactions and %d objects: %v",
+				name, at, records, numTx, numObj, err)
+		}
 	}
-
-	scan, err := scanWAL(disk)
-	if err != nil {
-		t.Fatalf("scanWAL: %v", err)
-	}
-	if scan.tornBytes != 0 {
-		t.Fatalf("scan cut %d bytes: the event was written ahead of the name it uses", scan.tornBytes)
-	}
-	if len(scan.ops) != 2 || scan.ops[0].Kind != event.WalTxDef || scan.ops[1].Kind != event.WalEvents {
-		t.Fatalf("WAL holds %d records %+v, want the definition, then the event", len(scan.ops), scan.ops)
+	// 3 transaction names per tx plus T0, one object per tx.
+	if want := sessions*txPerSes*3 + 1; numTx != want || numObj != sessions*txPerSes {
+		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", numTx, numObj, want, sessions*txPerSes)
 	}
 }

@@ -16,9 +16,6 @@ const (
 	// evCommitWait: a session logged a COMMIT at log index seq and is
 	// about to block on the certification watermark.
 	evCommitWait
-	// evMergeWait: a session is about to block until the merged log
-	// covers log index seq (a completion's durability point).
-	evMergeWait
 	// evDone: a session's serve loop finished; all of its events are in
 	// the log.
 	evDone
@@ -79,63 +76,17 @@ func (h *simHooks) LockWait(sess int64, _ <-chan struct{}, _ time.Duration) {
 	}
 }
 
-// CertApply blocks the certifier at indexes at or beyond an active stall
-// point until the driver lifts the stall or retires the generation. The
-// server calls it without any lock held, so a stalled certifier never
-// wedges the sessions.
-func (h *simHooks) CertApply(index int) {
-	s := h.s
-	for {
-		s.mu.Lock()
-		if h.gen != s.gen.Load() {
-			s.mu.Unlock()
-			return
-		}
-		st := s.stall
-		rel := s.release
-		s.mu.Unlock()
-		if st == nil || index < st.from {
-			return
-		}
-		select {
-		case <-st.released:
-		case <-rel:
-			return
-		}
-	}
-}
-
-// CertBatch bounds a certifier run at the active stall point: events
-// before the stall may be applied as one run, events at or past it keep
-// blocking in CertApply. The happens-before chain that makes the read
-// reliable: the driver installs the stall with from = LogLen() under s.mu,
-// so any event at index ≥ from was appended — and therefore fetched by the
-// certifier — after the install, and this read (also under s.mu) sees it.
-// Without a stall the full window is allowed.
-func (h *simHooks) CertBatch(index, max int) int {
-	s := h.s
-	s.mu.Lock()
-	st := s.stall
-	stale := h.gen != s.gen.Load()
-	s.mu.Unlock()
-	if stale || st == nil {
-		return max
-	}
-	if d := st.from - index; d > 0 && d < max {
-		return d
-	}
-	return max
-}
-
-// PartApply blocks certifier partitions at the active stall fronts: a
-// certifier stall (FaultCertStall) freezes EVERY partition at indexes at
-// or beyond its from — so the fault behaves identically at any partition
-// count, watermark pinned at from — while a partition stall
-// (FaultPartStall) freezes just its chosen partition. The workers call
-// it with no lock held and with their delivered bound already at the
-// stall front (the worker flushes each run's edge batch before the next
-// PartApply), so the composed watermark settles exactly at from.
-func (h *simHooks) PartApply(part, index int) {
+// CertApply blocks the certifier at the active stall fronts until the
+// driver lifts the stall or retires the generation: a certifier stall
+// (FaultCertStall) freezes EVERY partition — the single certifier is
+// partition 0 — at indexes at or beyond its from, so the fault behaves
+// identically at any partition count, watermark pinned at from, while a
+// partition stall (FaultPartStall) freezes just its chosen partition. The
+// server calls it with no lock held, so a stalled certifier never wedges
+// the sessions, and a partition worker's delivered bound is already at the
+// stall front (it flushes each run's edge batch before the next
+// CertApply), so the composed watermark settles exactly at from.
+func (h *simHooks) CertApply(part, index int) {
 	s := h.s
 	for {
 		s.mu.Lock()
@@ -164,10 +115,14 @@ func (h *simHooks) PartApply(part, index int) {
 	}
 }
 
-// PartBatch cuts a partition's locked run at the nearest active stall
-// front, exactly like CertBatch: events before the front may be applied
-// as one run, events at or past it keep blocking in PartApply.
-func (h *simHooks) PartBatch(part, index, max int) int {
+// CertBatch cuts a certifier run at the nearest active stall front: events
+// before the front may be applied as one run, events at or past it keep
+// blocking in CertApply. The happens-before chain that makes the read
+// reliable: the driver installs a stall with from = LogLen() under s.mu, so
+// any event at index ≥ from was appended — and therefore fetched by the
+// certifier — after the install, and this read (also under s.mu) sees it.
+// Without a stall the full window is allowed.
+func (h *simHooks) CertBatch(part, index, max int) int {
 	s := h.s
 	s.mu.Lock()
 	st := s.stall
@@ -188,45 +143,6 @@ func (h *simHooks) PartBatch(part, index, max int) int {
 		}
 	}
 	return max
-}
-
-// MergeApply blocks the merger when it reaches the stalled shard's merge
-// front — entries of that shard at or past the stall's install point —
-// until the driver lifts the stall or retires the generation. Entries of
-// other shards with smaller tickets keep merging; the totally-ordered
-// front simply stops at the stalled shard's first pending ticket. The
-// merger calls it with no lock held, so a stalled shard never wedges
-// appenders or waiters on the already-merged prefix.
-func (h *simHooks) MergeApply(shard, base int) {
-	s := h.s
-	for {
-		s.mu.Lock()
-		if h.gen != s.gen.Load() {
-			s.mu.Unlock()
-			return
-		}
-		st := s.mstall
-		rel := s.release
-		s.mu.Unlock()
-		if st == nil || shard != st.shard || base < st.from {
-			return
-		}
-		select {
-		case <-st.released:
-		case <-rel:
-			return
-		}
-	}
-}
-
-// MergeWait tells the driver the session is about to block until the
-// merged log covers log sequence seq (notification only). The driver
-// decides whether that wait will block — a stalled shard with a pending
-// ticket ≤ seq — by querying the server, which is deterministic because
-// entries at or past an active stall point can only accumulate, never
-// merge, while the stall holds.
-func (h *simHooks) MergeWait(sess int64, seq int) {
-	h.s.send(h.gen, simEvent{kind: evMergeWait, sess: sess, seq: seq})
 }
 
 // CommitWait tells the driver the session is about to block on the
@@ -251,14 +167,6 @@ func (h *simHooks) DrainWait(d time.Duration) {
 // stallState is an active certifier stall: indexes >= from block until
 // released is closed.
 type stallState struct {
-	from     int
-	released chan struct{}
-}
-
-// mergeStallState is an active merge stall: the merger blocks on entries
-// of shard with tickets >= from until released is closed.
-type mergeStallState struct {
-	shard    int
 	from     int
 	released chan struct{}
 }

@@ -21,8 +21,7 @@ import (
 func TestSimPartitionCountInvariance(t *testing.T) {
 	faults := []sim.FaultClass{
 		sim.FaultDrop, sim.FaultDropAfterCommit, sim.FaultCertStall,
-		sim.FaultClockStorm, sim.FaultCrash, sim.FaultMergeStall,
-		sim.FaultXPartDeadlock,
+		sim.FaultClockStorm, sim.FaultCrash, sim.FaultXPartDeadlock,
 	}
 	var stalls int
 	for _, seed := range []uint64{11, 12} {

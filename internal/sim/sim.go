@@ -62,12 +62,6 @@ const (
 	// keeps only the synced prefix plus a random torn tail of unsynced
 	// bytes, and the server is rebuilt with server.Recover.
 	FaultCrash
-	// FaultMergeStall blocks one randomly chosen shard of the sharded
-	// event log at the current log length: entries that session appends
-	// stay pending, the totally-ordered merge front stops at the shard's
-	// first pending ticket, and completions behind it park on the merged
-	// watermark until the stall lifts.
-	FaultMergeStall
 	// FaultPartStall freezes one randomly chosen certifier partition at
 	// the current log length: the partition delivers its edge batch up to
 	// the bound and blocks, the composed watermark settles exactly there,
@@ -88,7 +82,6 @@ var faultNames = map[FaultClass]string{
 	FaultCertStall:       "cert-stall",
 	FaultClockStorm:      "clock-storm",
 	FaultCrash:           "crash",
-	FaultMergeStall:      "merge-stall",
 	FaultPartStall:       "part-stall",
 	FaultXPartDeadlock:   "xpart-deadlock",
 }
@@ -103,7 +96,7 @@ func (f FaultClass) String() string {
 
 // AllFaults lists every fault class.
 func AllFaults() []FaultClass {
-	return []FaultClass{FaultDrop, FaultDropAfterCommit, FaultCertStall, FaultClockStorm, FaultCrash, FaultMergeStall, FaultPartStall, FaultXPartDeadlock}
+	return []FaultClass{FaultDrop, FaultDropAfterCommit, FaultCertStall, FaultClockStorm, FaultCrash, FaultPartStall, FaultXPartDeadlock}
 }
 
 // Config parameterizes a simulation run. The zero value plus a seed is a
@@ -133,9 +126,6 @@ type Config struct {
 	// lock, are never aborted by the server, and that each completed
 	// read set matches the committed state of some log prefix.
 	ROPermille int
-	// Shards is the server's event-log shard count (default 2, so the
-	// merge path is exercised without drowning small runs in shards).
-	Shards int
 	// CertPartitions is the server's certifier partition count (default
 	// 1: the single certifier goroutine).
 	CertPartitions int
@@ -162,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Protocol == nil && c.Backend == "" {
 		c.Protocol = locking.Protocol{}
-	}
-	if c.Shards <= 0 {
-		c.Shards = 2
 	}
 	if c.CertPartitions <= 0 {
 		c.CertPartitions = 1
@@ -296,7 +283,6 @@ type sim struct {
 	wakes   map[int64]chan struct{} //sgvet:guardedby mu
 	release chan struct{}           //sgvet:guardedby mu
 	stall   *stallState             //sgvet:guardedby mu
-	mstall  *mergeStallState        //sgvet:guardedby mu
 	pstall  *partStallState         //sgvet:guardedby mu
 
 	disk  *server.MemDisk
@@ -306,7 +292,6 @@ type sim struct {
 	done  map[int64]bool // SessionDone seen, by server session id
 
 	stallLeft  int // scheduler decisions until the certifier stall lifts
-	mstallLeft int // scheduler decisions until the merge stall lifts
 	pstallLeft int // scheduler decisions until the partition stall lifts
 }
 
@@ -359,7 +344,6 @@ func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 		Backend:        s.cfg.Backend,
 		Objects:        s.objs,
 		LockTimeout:    lockTimeout,
-		LogShards:      s.cfg.Shards,
 		CertPartitions: s.cfg.CertPartitions,
 		WAL:            disk,
 		Hooks:          &simHooks{s: s, gen: s.gen.Load()},
@@ -450,13 +434,6 @@ func (s *sim) drive() error {
 				}
 			}
 		}
-		if s.mstalled() {
-			if s.mstallLeft--; s.mstallLeft <= 0 {
-				if err := s.unstallMerge(); err != nil {
-					return fmt.Errorf("step %d: %w", step, err)
-				}
-			}
-		}
 		if s.pstalled() {
 			if s.pstallLeft--; s.pstallLeft <= 0 {
 				if err := s.unstallPart(); err != nil {
@@ -490,9 +467,6 @@ func (s *sim) tick() error {
 	if len(idle) == 0 {
 		if s.stalled() {
 			return s.unstall()
-		}
-		if s.mstalled() {
-			return s.unstallMerge()
 		}
 		if s.pstalled() {
 			return s.unstallPart()
@@ -620,25 +594,6 @@ func (s *sim) handleEvent(ev simEvent) error {
 		if pst != nil && ev.seq >= pst.from {
 			sl.phase = phParkCert
 		}
-	case evMergeWait:
-		// The session is about to wait for the merged prefix to cover
-		// ev.seq; it blocks exactly when the stalled shard has a pending
-		// ticket ≤ ev.seq. The query is deterministic: entries at or past
-		// the stall point only accumulate while the stall holds, and no
-		// other session is mid-request when the driver handles this.
-		sl := s.bySid[ev.sess]
-		if sl == nil || sl.phase != phAwait {
-			return nil
-		}
-		s.mu.Lock()
-		mst := s.mstall
-		s.mu.Unlock()
-		if mst == nil {
-			return nil
-		}
-		if b := s.srv.MergeBoundAfter(mst.shard, mst.from); b >= 0 && b <= ev.seq {
-			sl.phase = phParkCert
-		}
 	case evDone:
 		s.done[ev.sess] = true
 	case evResp:
@@ -735,12 +690,6 @@ func (s *sim) endRO(sl *slot) {
 func (s *sim) fault(class FaultClass) (did bool, err error) {
 	switch class {
 	case FaultDrop:
-		if s.mstalled() {
-			// The disconnect abort must drain through the merged watermark
-			// before SessionDone; behind a stalled shard that would wedge
-			// the driver's wait for the session to retire.
-			return false, nil
-		}
 		var open []*slot
 		for _, sl := range s.slots {
 			if sl.phase == phIdle && sl.inTx {
@@ -753,10 +702,9 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		s.rep.Faults[class]++
 		return true, s.drop(open[s.r.intn(len(open))], wire.Request{})
 	case FaultDropAfterCommit:
-		if s.stalled() || s.mstalled() || s.pstalled() {
-			// The dropped session's COMMIT parks on the stalled watermark
-			// (or merge front), and with it the driver's wait for the
-			// session to retire.
+		if s.stalled() || s.pstalled() {
+			// The dropped session's COMMIT parks on the stalled watermark,
+			// and with it the driver's wait for the session to retire.
 			return false, nil
 		}
 		var open []*slot
@@ -771,11 +719,11 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		s.rep.Faults[class]++
 		return true, s.drop(open[s.r.intn(len(open))], wire.Request{Cmd: wire.CmdCommit})
 	case FaultCertStall:
-		// Mutually exclusive with a merge stall: their unstall drains both
-		// pump on "no slot parked behind a watermark", so overlapping
+		// Mutually exclusive with a partition stall: their unstall drains
+		// both pump on "no slot parked behind a watermark", so overlapping
 		// stalls would make either lift wait on the other's parks.
 		s.mu.Lock()
-		already := s.stall != nil || s.mstall != nil || s.pstall != nil
+		already := s.stall != nil || s.pstall != nil
 		if !already {
 			s.stall = &stallState{from: s.srv.LogLen(), released: make(chan struct{})}
 		}
@@ -784,27 +732,6 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 			return false, nil
 		}
 		s.stallLeft = 5 + s.r.intn(20)
-		s.rep.Faults[class]++
-		return true, nil
-	case FaultMergeStall:
-		s.mu.Lock()
-		already := s.stall != nil || s.mstall != nil || s.pstall != nil
-		if !already {
-			// from = LogLen(): no entry at or past the stall point exists
-			// yet, so the stalled shard's pending-set grows monotonically
-			// for the stall's whole lifetime — the driver's park decisions
-			// stay a pure function of its own history.
-			s.mstall = &mergeStallState{
-				shard:    s.r.intn(s.srv.LogShards()),
-				from:     s.srv.LogLen(),
-				released: make(chan struct{}),
-			}
-		}
-		s.mu.Unlock()
-		if already {
-			return false, nil
-		}
-		s.mstallLeft = 5 + s.r.intn(20)
 		s.rep.Faults[class]++
 		return true, nil
 	case FaultClockStorm:
@@ -829,7 +756,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 			return false, nil
 		}
 		s.mu.Lock()
-		already := s.stall != nil || s.mstall != nil || s.pstall != nil
+		already := s.stall != nil || s.pstall != nil
 		if !already {
 			// from = LogLen(): the frozen partition delivers its bound up
 			// to from and blocks, so the composed watermark settles exactly
@@ -957,37 +884,6 @@ func (s *sim) unstall() error {
 	return s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 })
 }
 
-// mstalled reports whether a merge stall is active (locked for the same
-// reason as stalled: the merger reads s.mstall from its own goroutine).
-func (s *sim) mstalled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mstall != nil
-}
-
-// unstallMerge lifts a merge stall and pumps until every completion parked
-// on the merged watermark has its response.
-func (s *sim) unstallMerge() error {
-	s.mu.Lock()
-	st := s.mstall
-	s.mstall = nil
-	s.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	close(st.released)
-	if err := s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 }); err != nil {
-		return err
-	}
-	// The released sessions ran their fsyncs while the merger was still
-	// draining what had queued behind the stall, so how much of that backlog
-	// the last fsync covered was a matter of timing — and a later crash
-	// samples its torn tail from the unsynced bytes. Settle the merger and
-	// sync once more: the durable prefix is the whole log whatever the race.
-	s.srv.SettleMerged(s.srv.LogLen())
-	return s.srv.SyncWAL()
-}
-
 // pstalled reports whether a certifier-partition stall is active (locked
 // for the same reason as stalled: the frozen partition worker reads
 // s.pstall from its own goroutine).
@@ -1014,22 +910,6 @@ func (s *sim) unstallPart() error {
 // crash kills the server at the current instant and recovers it from the
 // durable prefix plus a random torn tail.
 func (s *sim) crash() error {
-	// Settle the merger at its deterministic fixpoint before snapshotting
-	// the disk: every ticketed entry merges, except that an active merge
-	// stall pins the merge front at the stalled shard's first pending
-	// ticket. The stall is NOT lifted first — releasing it would let the
-	// parked sessions race their fsyncs against the snapshot below.
-	settle := s.srv.LogLen()
-	s.mu.Lock()
-	mst := s.mstall
-	s.mu.Unlock()
-	if mst != nil {
-		if b := s.srv.MergeBoundAfter(mst.shard, mst.from); b >= 0 && b < settle {
-			settle = b
-		}
-	}
-	s.srv.SettleMerged(settle)
-
 	keep := 0
 	if u := s.disk.UnsyncedBytes(); u > 0 {
 		keep = s.r.intn(u + 1)
@@ -1038,17 +918,14 @@ func (s *sim) crash() error {
 	s.disk.Freeze()
 
 	// Retire the generation: stale hooks return immediately, parked
-	// sessions, a stalled certifier and a stalled merger fall out of their
-	// hooks (the dying merger drains the rest of its queue onto the frozen
-	// disk, harmlessly), and every event they still emit is discarded by
-	// the gen filter.
+	// sessions and a stalled certifier fall out of their hooks, and every
+	// event they still emit is discarded by the gen filter.
 	s.mu.Lock()
 	s.gen.Add(1)
 	close(s.release)
 	s.release = make(chan struct{})
 	s.wakes = make(map[int64]chan struct{})
 	s.stall = nil
-	s.mstall = nil
 	s.pstall = nil
 	s.mu.Unlock()
 
@@ -1099,9 +976,6 @@ func (s *sim) checkOracle() error {
 func (s *sim) finish() error {
 	if err := s.unstall(); err != nil {
 		return fmt.Errorf("final unstall: %w", err)
-	}
-	if err := s.unstallMerge(); err != nil {
-		return fmt.Errorf("final merge unstall: %w", err)
 	}
 	if err := s.unstallPart(); err != nil {
 		return fmt.Errorf("final partition unstall: %w", err)

@@ -10,6 +10,7 @@ import (
 
 	"nestedsg/internal/locking"
 	"nestedsg/internal/object"
+	"nestedsg/internal/server"
 	"nestedsg/internal/sim"
 	"nestedsg/internal/undolog"
 )
@@ -73,9 +74,31 @@ func TestSimNoFaults(t *testing.T) {
 	}
 }
 
+// walBytes concatenates the final disk's segments in name order — the byte
+// stream recovery would replay.
+func walBytes(t *testing.T, d *server.MemDisk) []byte {
+	t.Helper()
+	if d == nil {
+		return nil
+	}
+	names, err := d.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, name := range names {
+		seg, err := d.ReadSegment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, seg...)
+	}
+	return all
+}
+
 // TestSimDeterministicReplay: the whole point of the simulator — the same
-// seed replays to the identical report and byte-identical event trace,
-// fault storms, crashes and all.
+// seed replays to the identical report, byte-identical event trace and
+// byte-identical WAL contents, fault storms, crashes, torn tails and all.
 func TestSimDeterministicReplay(t *testing.T) {
 	cfg := sim.Config{
 		Seed:          42,
@@ -96,6 +119,9 @@ func TestSimDeterministicReplay(t *testing.T) {
 	}
 	if !bytes.Equal(a.Trace, b.Trace) {
 		t.Fatalf("traces diverge for the same seed (%d vs %d bytes)", len(a.Trace), len(b.Trace))
+	}
+	if wa, wb := walBytes(t, a.FinalDisk), walBytes(t, b.FinalDisk); !bytes.Equal(wa, wb) {
+		t.Fatalf("WALs diverge for the same seed (%d vs %d bytes)", len(wa), len(wb))
 	}
 	if a.Recoveries == 0 {
 		t.Fatalf("determinism run never crashed — raise FaultPermille: %s", a.Summary())

@@ -48,44 +48,3 @@ func TestStalledLocksAgainstHooks(t *testing.T) {
 		t.Fatalf("writer made an even number of toggles; stall should be lifted")
 	}
 }
-
-// TestMergeStalledLocksAgainstHooks mirrors the test above for the merge
-// stall: simHooks.MergeApply reads s.mstall under mu from the merger's
-// goroutine, so the driver's mstalled() must take the lock too.
-func TestMergeStalledLocksAgainstHooks(t *testing.T) {
-	s := &sim{}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			s.mu.Lock()
-			if s.mstall == nil {
-				s.mstall = &mergeStallState{shard: i % 4, from: i, released: make(chan struct{})}
-			} else {
-				s.mstall = nil
-			}
-			s.mu.Unlock()
-		}
-		close(stop)
-	}()
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					s.mstalled()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s.mstalled() {
-		t.Fatalf("writer made an even number of toggles; merge stall should be lifted")
-	}
-}
