@@ -22,9 +22,8 @@
 package event
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -116,20 +115,22 @@ func AppendWalEvents(buf []byte, evs ...Event) []byte {
 // object reference against the caller's running counts (numTx includes the
 // root). It never panics on malformed input: any violation — short
 // payload, trailing bytes, out-of-range reference, unknown kind — is an
-// error.
+// error. It reads the payload in place and allocates nothing but the
+// strings and the event slice of its result: recovery calls it once per
+// record, and a record is a dozen bytes.
 func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
-	br := binReader{r: bufio.NewReader(bytes.NewReader(payload))}
-	kb, err := br.readByte("wal record kind")
+	c := walCursor{b: payload}
+	kb, err := c.byte()
 	if err != nil {
-		return WalOp{}, err
+		return WalOp{}, binErr("wal record kind", err)
 	}
 	op := WalOp{Kind: WalKind(kb), Obj: tname.NoObj}
 	switch op.Kind {
 	case WalObjectDef:
-		if op.Label, err = br.readStr("wal object label"); err != nil {
+		if op.Label, err = c.str("wal object label", ""); err != nil {
 			return WalOp{}, err
 		}
-		if op.SpecName, err = br.readStr("wal object spec"); err != nil {
+		if op.SpecName, err = c.str("wal object spec", ""); err != nil {
 			return WalOp{}, err
 		}
 		if op.Label == "" {
@@ -139,49 +140,45 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 			return WalOp{}, fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
 		}
 	case WalTxDef:
-		parent, err := br.readVarint("wal tx parent")
+		parent, err := c.varint()
 		if err != nil {
-			return WalOp{}, err
+			return WalOp{}, binErr("wal tx parent", err)
 		}
 		if parent < 0 || parent >= int64(numTx) {
 			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
 		}
 		op.Parent = tname.TxID(parent)
-		if op.Label, err = br.readStr("wal tx label"); err != nil {
+		if op.Label, err = c.str("wal tx label", ""); err != nil {
 			return WalOp{}, err
 		}
 		if op.Label == "" {
 			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
 		}
-		obj, err := br.readVarint("wal tx obj")
+		obj, err := c.varint()
 		if err != nil {
-			return WalOp{}, err
+			return WalOp{}, binErr("wal tx obj", err)
 		}
 		if obj != int64(tname.NoObj) {
 			if obj < 0 || obj >= int64(numObjects) {
 				return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
 			}
 			op.Obj = tname.ObjID(obj)
-			opk, err := br.readUvarint("wal tx op")
+			opk, err := c.uvarint()
 			if err != nil {
-				return WalOp{}, err
+				return WalOp{}, binErr("wal tx op", err)
 			}
 			if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
 				return WalOp{}, fmt.Errorf("wal: tx definition has unknown op kind %d", opk)
 			}
 			op.Op.Kind = spec.OpKind(opk)
-			tv, err := br.readValue("wal tx op arg")
-			if err != nil {
-				return WalOp{}, err
-			}
-			if op.Op.Arg, err = decodeValue(tv); err != nil {
+			if op.Op.Arg, err = c.value("wal tx op arg"); err != nil {
 				return WalOp{}, err
 			}
 		}
 	case WalEvents:
-		count, err := br.readUvarint("wal event count")
+		count, err := c.uvarint()
 		if err != nil {
-			return WalOp{}, err
+			return WalOp{}, binErr("wal event count", err)
 		}
 		// Every encoded event takes at least two bytes, so a count larger
 		// than the payload is corrupt; the bound also caps the allocation.
@@ -190,7 +187,7 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 		}
 		op.Events = make(Behavior, 0, count)
 		for i := uint64(0); i < count; i++ {
-			e, err := decodeWalEvent(br, numTx, numObjects)
+			e, err := decodeWalEvent(&c, numTx, numObjects)
 			if err != nil {
 				return WalOp{}, err
 			}
@@ -199,24 +196,24 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 	default:
 		return WalOp{}, fmt.Errorf("wal: unknown record kind %d", kb)
 	}
-	if _, err := br.r.ReadByte(); err != io.EOF {
+	if len(c.b) != 0 {
 		return WalOp{}, fmt.Errorf("wal: trailing bytes after %c record", byte(op.Kind))
 	}
 	return op, nil
 }
 
-func decodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
-	kb, err := br.readByte("wal event kind")
+func decodeWalEvent(c *walCursor, numTx, numObjects int) (Event, error) {
+	kb, err := c.byte()
 	if err != nil {
-		return Event{}, err
+		return Event{}, binErr("wal event kind", err)
 	}
 	kind := Kind(kb)
 	if kind < Create || kind > InformAbort {
 		return Event{}, fmt.Errorf("wal: unknown event kind %d", kb)
 	}
-	txu, err := br.readUvarint("wal event tx")
+	txu, err := c.uvarint()
 	if err != nil {
-		return Event{}, err
+		return Event{}, binErr("wal event tx", err)
 	}
 	if txu >= uint64(numTx) {
 		return Event{}, fmt.Errorf("wal: event names unknown tx %d", txu)
@@ -224,17 +221,13 @@ func decodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
 	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
 	switch kind {
 	case RequestCommit, ReportCommit:
-		tv, err := br.readValue("wal event val")
-		if err != nil {
-			return Event{}, err
-		}
-		if e.Val, err = decodeValue(tv); err != nil {
+		if e.Val, err = c.value("wal event val"); err != nil {
 			return Event{}, err
 		}
 	case InformCommit, InformAbort:
-		obju, err := br.readUvarint("wal event obj")
+		obju, err := c.uvarint()
 		if err != nil {
-			return Event{}, err
+			return Event{}, binErr("wal event obj", err)
 		}
 		if obju >= uint64(numObjects) {
 			return Event{}, fmt.Errorf("wal: event informs unknown object %d", obju)
@@ -244,4 +237,109 @@ func decodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
 		// Fully described by (kind, tx).
 	}
 	return e, nil
+}
+
+// walCursor reads the NSGB primitives off the front of a record payload.
+// It is binReader for a byte slice — the same accept/reject decisions and
+// the same error texts (FuzzDecodeWalOp holds the two together) — without
+// a reader, a buffer or a TraceValue behind it. byte, uvarint and varint
+// return the bare io error for the caller to name with binErr; str and
+// value name their own, and take the field name in two parts so that the
+// happy path never concatenates.
+type walCursor struct{ b []byte }
+
+func binErr(what string, err error) error {
+	return fmt.Errorf("trace: binary: %s: %w", what, err)
+}
+
+// errVarintOverflow has the text of encoding/binary's unexported overflow
+// error, which binReader surfaces from binary.ReadUvarint.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+func (c *walCursor) byte() (byte, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	b := c.b[0]
+	c.b = c.b[1:]
+	return b, nil
+}
+
+// uvarint gives binary.ReadUvarint's verdicts: ten continuation bytes are
+// an overflow even when nothing follows them (binary.Uvarint alone calls
+// that a short buffer), and running out mid-number is ErrUnexpectedEOF.
+func (c *walCursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b)
+	switch {
+	case n > 0:
+		c.b = c.b[n:]
+		return v, nil
+	case n < 0 || len(c.b) >= binary.MaxVarintLen64:
+		return 0, errVarintOverflow
+	case len(c.b) == 0:
+		return 0, io.EOF
+	default:
+		return 0, io.ErrUnexpectedEOF
+	}
+}
+
+func (c *walCursor) varint() (int64, error) {
+	ux, err := c.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+func (c *walCursor) str(what, part string) (string, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return "", binErr(what+part+" length", err)
+	}
+	if n > maxBinaryStr {
+		return "", fmt.Errorf("trace: binary: %s%s length %d exceeds limit", what, part, n)
+	}
+	if n > uint64(len(c.b)) {
+		err = io.ErrUnexpectedEOF
+		if len(c.b) == 0 {
+			err = io.EOF
+		}
+		return "", binErr(what+part, err)
+	}
+	s := string(c.b[:n])
+	c.b = c.b[n:]
+	return s, nil
+}
+
+// value decodes a kind-tagged value, rebuilding it through the spec
+// constructors as decodeValue does.
+func (c *walCursor) value(what string) (spec.Value, error) {
+	kb, err := c.byte()
+	if err != nil {
+		return spec.Nil, binErr(what+" kind", err)
+	}
+	switch spec.ValueKind(kb) {
+	case spec.VNil:
+		return spec.Nil, nil
+	case spec.VOK:
+		return spec.OK, nil
+	case spec.VInt, spec.VBool:
+		v, err := c.varint()
+		if err != nil {
+			return spec.Nil, binErr(what+" int", err)
+		}
+		if spec.ValueKind(kb) == spec.VBool {
+			return spec.Bool(v != 0), nil
+		}
+		return spec.Int(v), nil
+	case spec.VStr:
+		s, err := c.str(what, " str")
+		if err != nil {
+			return spec.Nil, err
+		}
+		return spec.Str(s), nil
+	default:
+		return spec.Nil, fmt.Errorf("trace: binary: %s has unknown value kind %d", what, kb)
+	}
 }

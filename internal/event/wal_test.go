@@ -1,6 +1,11 @@
 package event
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 
 	"nestedsg/internal/spec"
@@ -42,22 +47,26 @@ func walSamples() []struct {
 	}
 }
 
+// reencodeWalOp encodes a decoded record again.
+func reencodeWalOp(op WalOp) []byte {
+	switch op.Kind {
+	case WalObjectDef:
+		return AppendWalObjectDef(nil, op.Label, op.SpecName)
+	case WalTxDef:
+		return AppendWalTxDef(nil, op.Parent, op.Label, op.Obj, op.Op)
+	case WalEvents:
+		return AppendWalEvents(nil, op.Events...)
+	}
+	panic(fmt.Sprintf("decoder accepted unknown record kind %d", op.Kind))
+}
+
 func TestWalOpRoundTrip(t *testing.T) {
 	for _, s := range walSamples() {
 		op, err := DecodeWalOp(s.payload, s.numTx, s.numObj)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", s.name, err)
 		}
-		var re []byte
-		switch op.Kind {
-		case WalObjectDef:
-			re = AppendWalObjectDef(nil, op.Label, op.SpecName)
-		case WalTxDef:
-			re = AppendWalTxDef(nil, op.Parent, op.Label, op.Obj, op.Op)
-		case WalEvents:
-			re = AppendWalEvents(nil, op.Events...)
-		}
-		if string(re) != string(s.payload) {
+		if re := reencodeWalOp(op); string(re) != string(s.payload) {
 			t.Fatalf("%s: re-encode differs:\n  in:  %x\n  out: %x", s.name, s.payload, re)
 		}
 	}
@@ -75,9 +84,16 @@ func TestWalOpTruncation(t *testing.T) {
 	}
 }
 
-func TestWalOpRejects(t *testing.T) {
+// walRejects returns malformed payloads, one per way a record can be
+// wrong, with the counts it is wrong under.
+func walRejects() []struct {
+	name    string
+	payload []byte
+	numTx   int
+	numObj  int
+} {
 	good := AppendWalObjectDef(nil, "x", "register")
-	cases := []struct {
+	return []struct {
 		name    string
 		payload []byte
 		numTx   int
@@ -106,9 +122,226 @@ func TestWalOpRejects(t *testing.T) {
 		{"events-bad-obj", AppendWalEvents(nil, NewInform(InformCommit, 1, 4)), 2, 1},
 		{"events-huge-count", []byte{byte(WalEvents), 0xff, 0xff, 0xff, 0x7f}, 1, 0},
 	}
-	for _, c := range cases {
+}
+
+func TestWalOpRejects(t *testing.T) {
+	for _, c := range walRejects() {
 		if _, err := DecodeWalOp(c.payload, c.numTx, c.numObj); err == nil {
 			t.Fatalf("%s: decoded without error", c.name)
 		}
 	}
+}
+
+// TestDecodeWalOpAllocs gates the decoder's allocations at what its result
+// holds: one per string longer than a byte (the runtime interns shorter
+// ones) and one for a non-empty event slice. No reader, no buffer, no
+// intermediate value.
+func TestDecodeWalOpAllocs(t *testing.T) {
+	for _, s := range walSamples() {
+		op, err := DecodeWalOp(s.payload, s.numTx, s.numObj)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", s.name, err)
+		}
+		strs := []string{op.Label, op.SpecName, op.Op.Arg.Str}
+		for _, e := range op.Events {
+			strs = append(strs, e.Val.Str)
+		}
+		want := 0
+		for _, str := range strs {
+			if len(str) > 1 {
+				want++
+			}
+		}
+		if len(op.Events) > 0 {
+			want++
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeWalOp(s.payload, s.numTx, s.numObj); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if int(got) > want {
+			t.Errorf("%s: %v allocs per decode, its result holds %d", s.name, got, want)
+		}
+	}
+}
+
+// FuzzDecodeWalOp holds the slice-cursor decoder to three properties on
+// arbitrary payloads and counts. It never panics. It agrees with
+// refDecodeWalOp — the bufio-based decoder it replaced — on the verdict,
+// the decoded value and the error text. And what it accepts re-encodes to
+// a canonical payload: one that decodes to the same value and re-encodes
+// to itself, no longer than the input. (Not always the input itself: both
+// decoders accept a non-minimal varint and a bool payload other than 0/1,
+// and the encoders write neither.)
+func FuzzDecodeWalOp(f *testing.F) {
+	for _, s := range walSamples() {
+		f.Add(s.payload, uint8(s.numTx), uint8(s.numObj))
+	}
+	for _, c := range walRejects() {
+		f.Add(c.payload, uint8(c.numTx), uint8(c.numObj))
+	}
+	// Ten continuation bytes and nothing after: an overflow to
+	// binary.ReadUvarint, a short buffer to binary.Uvarint.
+	f.Add(append([]byte{byte(WalEvents)}, bytes.Repeat([]byte{0x80}, 10)...), uint8(1), uint8(0))
+	f.Add([]byte{byte(WalEvents), 0x81, 0x00, byte(ReportCommit), 0, byte(spec.VBool), 4}, uint8(1), uint8(0))
+
+	f.Fuzz(func(t *testing.T, payload []byte, ntx, nobj uint8) {
+		numTx, numObj := int(ntx), int(nobj)
+		op, err := DecodeWalOp(payload, numTx, numObj)
+		refOp, refErr := refDecodeWalOp(payload, numTx, numObj)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("verdicts differ on %x (numTx=%d numObj=%d):\n  cursor: %v\n  bufio:  %v", payload, numTx, numObj, err, refErr)
+		}
+		if !reflect.DeepEqual(op, refOp) {
+			t.Fatalf("values differ on %x:\n  cursor: %+v\n  bufio:  %+v", payload, op, refOp)
+		}
+		if err != nil {
+			return
+		}
+		re := reencodeWalOp(op)
+		if len(re) > len(payload) {
+			t.Fatalf("re-encoding %x grew to %x", payload, re)
+		}
+		op2, err := DecodeWalOp(re, numTx, numObj)
+		if err != nil {
+			t.Fatalf("re-encoding %x of accepted %x rejected: %v", re, payload, err)
+		}
+		if !reflect.DeepEqual(op, op2) {
+			t.Fatalf("re-encoding %x of %x decodes to %+v, want %+v", re, payload, op2, op)
+		}
+		if re2 := reencodeWalOp(op2); !bytes.Equal(re, re2) {
+			t.Fatalf("re-encoding is not a fixed point: %x then %x", re, re2)
+		}
+	})
+}
+
+// refDecodeWalOp is DecodeWalOp as it was before it read the payload in
+// place: binReader over a bufio.Reader over a bytes.Reader, values through
+// TraceValue and decodeValue. FuzzDecodeWalOp compares the two.
+func refDecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
+	br := binReader{r: bufio.NewReader(bytes.NewReader(payload))}
+	kb, err := br.readByte("wal record kind")
+	if err != nil {
+		return WalOp{}, err
+	}
+	op := WalOp{Kind: WalKind(kb), Obj: tname.NoObj}
+	switch op.Kind {
+	case WalObjectDef:
+		if op.Label, err = br.readStr("wal object label"); err != nil {
+			return WalOp{}, err
+		}
+		if op.SpecName, err = br.readStr("wal object spec"); err != nil {
+			return WalOp{}, err
+		}
+		if op.Label == "" {
+			return WalOp{}, fmt.Errorf("wal: object definition with empty label")
+		}
+		if spec.ByName(op.SpecName) == nil {
+			return WalOp{}, fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
+		}
+	case WalTxDef:
+		parent, err := br.readVarint("wal tx parent")
+		if err != nil {
+			return WalOp{}, err
+		}
+		if parent < 0 || parent >= int64(numTx) {
+			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
+		}
+		op.Parent = tname.TxID(parent)
+		if op.Label, err = br.readStr("wal tx label"); err != nil {
+			return WalOp{}, err
+		}
+		if op.Label == "" {
+			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
+		}
+		obj, err := br.readVarint("wal tx obj")
+		if err != nil {
+			return WalOp{}, err
+		}
+		if obj != int64(tname.NoObj) {
+			if obj < 0 || obj >= int64(numObjects) {
+				return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
+			}
+			op.Obj = tname.ObjID(obj)
+			opk, err := br.readUvarint("wal tx op")
+			if err != nil {
+				return WalOp{}, err
+			}
+			if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
+				return WalOp{}, fmt.Errorf("wal: tx definition has unknown op kind %d", opk)
+			}
+			op.Op.Kind = spec.OpKind(opk)
+			tv, err := br.readValue("wal tx op arg")
+			if err != nil {
+				return WalOp{}, err
+			}
+			if op.Op.Arg, err = decodeValue(tv); err != nil {
+				return WalOp{}, err
+			}
+		}
+	case WalEvents:
+		count, err := br.readUvarint("wal event count")
+		if err != nil {
+			return WalOp{}, err
+		}
+		if count > uint64(len(payload)) {
+			return WalOp{}, fmt.Errorf("wal: event count %d exceeds payload size", count)
+		}
+		op.Events = make(Behavior, 0, count)
+		for i := uint64(0); i < count; i++ {
+			e, err := refDecodeWalEvent(br, numTx, numObjects)
+			if err != nil {
+				return WalOp{}, err
+			}
+			op.Events = append(op.Events, e)
+		}
+	default:
+		return WalOp{}, fmt.Errorf("wal: unknown record kind %d", kb)
+	}
+	if _, err := br.r.ReadByte(); err != io.EOF {
+		return WalOp{}, fmt.Errorf("wal: trailing bytes after %c record", byte(op.Kind))
+	}
+	return op, nil
+}
+
+func refDecodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
+	kb, err := br.readByte("wal event kind")
+	if err != nil {
+		return Event{}, err
+	}
+	kind := Kind(kb)
+	if kind < Create || kind > InformAbort {
+		return Event{}, fmt.Errorf("wal: unknown event kind %d", kb)
+	}
+	txu, err := br.readUvarint("wal event tx")
+	if err != nil {
+		return Event{}, err
+	}
+	if txu >= uint64(numTx) {
+		return Event{}, fmt.Errorf("wal: event names unknown tx %d", txu)
+	}
+	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
+	switch kind {
+	case RequestCommit, ReportCommit:
+		tv, err := br.readValue("wal event val")
+		if err != nil {
+			return Event{}, err
+		}
+		if e.Val, err = decodeValue(tv); err != nil {
+			return Event{}, err
+		}
+	case InformCommit, InformAbort:
+		obju, err := br.readUvarint("wal event obj")
+		if err != nil {
+			return Event{}, err
+		}
+		if obju >= uint64(numObjects) {
+			return Event{}, fmt.Errorf("wal: event informs unknown object %d", obju)
+		}
+		e.Obj = tname.ObjID(obju)
+	default:
+		// Fully described by (kind, tx).
+	}
+	return e, nil
 }

@@ -10,3 +10,12 @@ func (s *Server) GroupArrived() uint64 {
 	defer s.group.mu.Unlock()
 	return s.group.arrived
 }
+
+// UnderStaging replaces the os file beneath a DirDisk segment's staging
+// buffer with wrap(file), so a test can count (or hold) the write(2)s and
+// fsyncs that actually reach the file rather than the appends the WAL
+// writer makes.
+func UnderStaging(f SegmentFile, wrap func(SegmentFile) SegmentFile) {
+	df := f.(*dirFile)
+	df.f = wrap(df.f)
+}

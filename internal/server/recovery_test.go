@@ -201,6 +201,9 @@ func TestRecoverCrashTornTail(t *testing.T) {
 	}
 
 	unsynced := disk.UnsyncedBytes()
+	if unsynced == 0 {
+		t.Fatal("nothing is unsynced with a transaction in flight: every tear point below would be the clean crash")
+	}
 	crashes := make([]*server.MemDisk, 0, unsynced+1)
 	for keep := 0; keep <= unsynced; keep++ {
 		crashes = append(crashes, disk.Crash(keep))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,7 +47,13 @@ const (
 	defaultSegmentBytes = 1 << 20
 )
 
-// SegmentFile is one open WAL segment.
+// SegmentFile is one open WAL segment. Bytes handed to Write are volatile
+// until a later Sync returns nil: an implementation may keep them in
+// process memory (DirDisk and MemDisk both do), so a crash or a process
+// kill loses them. Close does not imply Sync — whatever was written since
+// the last Sync is no more durable after Close than before it, which is
+// what the crash path (closeNoSync) wants and why rotation and clean close
+// Sync first.
 type SegmentFile interface {
 	io.Writer
 	// Sync makes everything written so far durable.
@@ -86,7 +93,8 @@ func segmentIndex(name string) (int, bool) {
 // DirDisk stores segments as files in a directory. Create and Truncate
 // fsync the directory (and Truncate the file) so segment metadata survives
 // an OS crash — the rotation invariant "only the last segment can be torn"
-// needs a synced segment's directory entry to be durable too.
+// needs a synced segment's directory entry to be durable too. A segment it
+// creates stages writes in memory until Sync (see dirFile).
 type DirDisk struct{ dir string }
 
 // NewDirDisk creates the directory if needed and returns a Disk over it.
@@ -129,7 +137,87 @@ func (d *DirDisk) Create(name string) (SegmentFile, error) {
 	if err := d.syncDir(); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	return f, nil
+	return &dirFile{f: f}, nil
+}
+
+// dirSpillBytes is how many staged bytes a dirFile hands to the OS without
+// waiting for a Sync, so a load that appends but never syncs (aborts only,
+// or one long transaction) cannot grow the staging buffer without bound.
+const dirSpillBytes = 64 << 10
+
+// dirFile is a DirDisk segment. The durability contract only needs bytes
+// on disk at Sync, so Write stages them in memory and Sync hands the whole
+// cohort to the file in one write(2) before the fsync — the WAL writer
+// appends ≈ 40 twelve-byte records per transaction, and a system call for
+// each, under the event-log mutex, was most of a durable commit's CPU.
+// What a process kill loses is therefore what a power cut loses: every
+// byte not yet synced, exactly as on MemDisk. (An orderly Close is gentler:
+// see Close.)
+type dirFile struct {
+	// f is the *os.File; the interface lets a test count what reaches it.
+	f SegmentFile
+	// mu orders staging and the write(2) that drains it, so spilled and
+	// synced bytes reach the file in append order. The fsync runs with it
+	// released: the WAL writer appends while a cohort's fsync is in flight.
+	mu  sync.Mutex
+	buf []byte //sgvet:guardedby mu
+	// err is the first write(2) failure, or os.ErrClosed after Close. It is
+	// sticky because a failed write may have been a short one: writing the
+	// buffer again would duplicate its head in the file.
+	err error //sgvet:guardedby mu
+}
+
+func (f *dirFile) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return 0, f.err
+	}
+	f.buf = append(f.buf, p...)
+	if len(f.buf) >= dirSpillBytes {
+		if err := f.drain(); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
+}
+
+// drain hands the staged bytes to the file in one write(2), unless an
+// earlier one failed or the file is closed.
+//
+//sgvet:holds f.mu
+func (f *dirFile) drain() error {
+	if f.err != nil || len(f.buf) == 0 {
+		return f.err
+	}
+	_, f.err = f.f.Write(f.buf)
+	f.buf = f.buf[:0]
+	return f.err
+}
+
+func (f *dirFile) Sync() error {
+	f.mu.Lock()
+	err := f.drain()
+	f.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return f.f.Sync()
+}
+
+// Close hands a tail staged since the last Sync to the file without an
+// fsync: the bytes are then where an unbuffered file would have left them,
+// in the page cache, promised to nobody. Every caller that needs them
+// durable Syncs first, so this costs a write(2) on the crash path only.
+func (f *dirFile) Close() error {
+	f.mu.Lock()
+	werr := f.drain()
+	if f.err == nil {
+		f.err = os.ErrClosed
+	}
+	f.buf = nil
+	f.mu.Unlock()
+	return errors.Join(werr, f.f.Close())
 }
 
 func (d *DirDisk) Truncate(name string, size int64) error {
@@ -311,10 +399,9 @@ func (f *memFile) Sync() error {
 func (f *memFile) Close() error { return nil }
 
 // walWriter appends framed records to the current segment, rotating (and
-// syncing) when it grows past segMax. Callers serialize access: the event
-// log writes event records under its own mutex, definition records are
-// written under the server's tree write lock, and both locks are ordered
-// before wmu.
+// syncing) when it grows past segMax. Event records are written under the
+// event log's mutex and definition records under the server's tree write
+// lock; both are ordered before mu, which serializes the appends.
 type walWriter struct {
 	mu      sync.Mutex
 	disk    Disk
@@ -397,7 +484,6 @@ func (w *walWriter) appendRecord(payload []byte) error {
 	return nil
 }
 
-// sync makes everything appended so far durable.
 // sync makes every record appended before the call durable. The fsync runs
 // with w.mu RELEASED: the append path holds the event-log mutex while it
 // writes records, so an fsync that held w.mu would stall every session —
@@ -563,6 +649,11 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 	if data[4] != walVersion {
 		return 0, fmt.Errorf("unsupported wal version %d", data[4])
 	}
+	// The server's records frame to about a dozen bytes (wal.bytes_per_tx
+	// over records per transaction), so this reserves close to what the
+	// segment decodes to in one allocation; growing the slice by appends
+	// instead allocates it five times over.
+	*ops = slices.Grow(*ops, len(data)/12)
 	pos := headerLen()
 	for pos < len(data) {
 		plen, n := binary.Uvarint(data[pos:])

@@ -14,7 +14,7 @@ import (
 )
 
 // writeRecords drives a walWriter over disk with the given payloads.
-func writeRecords(t *testing.T, disk Disk, segMax int, payloads ...[]byte) {
+func writeRecords(t testing.TB, disk Disk, segMax int, payloads ...[]byte) {
 	t.Helper()
 	w, err := newWalWriter(disk, segMax, 1)
 	if err != nil {

@@ -183,6 +183,10 @@ type Report struct {
 	OrphanTops   int
 	FixupInforms int
 	TornBytes    int64
+	// TornCrashes counts the crashes whose disk image kept a non-empty
+	// part of the unsynced tail — the recoveries that met a torn write. A
+	// crash test that wants torn tails exercised asserts it is not zero.
+	TornCrashes int
 	// FinalEvents is the stitched log length after the graceful drain;
 	// Trace is its binary encoding (the determinism witness).
 	FinalEvents int
@@ -913,6 +917,9 @@ func (s *sim) crash() error {
 	keep := 0
 	if u := s.disk.UnsyncedBytes(); u > 0 {
 		keep = s.r.intn(u + 1)
+	}
+	if keep > 0 {
+		s.rep.TornCrashes++
 	}
 	crashDisk := s.disk.Crash(keep)
 	s.disk.Freeze()

@@ -35,6 +35,7 @@ func TestSimFaultMatrix(t *testing.T) {
 			proto, class := proto, class
 			t.Run(fmt.Sprintf("%s/%s", proto.name, class), func(t *testing.T) {
 				t.Parallel()
+				tornCrashes := 0
 				for seed := uint64(1); seed <= 3; seed++ {
 					cfg := sim.Config{
 						Seed:     seed,
@@ -54,6 +55,13 @@ func TestSimFaultMatrix(t *testing.T) {
 					if rep.Faults[class] == 0 {
 						t.Errorf("seed %d: fault %s never injected: %s", seed, class, rep.Summary())
 					}
+					tornCrashes += rep.TornCrashes
+				}
+				// A disk that never held an unsynced byte at a crash would
+				// leave every torn-tail recovery path unexercised and this
+				// matrix green.
+				if class == sim.FaultCrash && tornCrashes == 0 {
+					t.Errorf("no crash over seeds 1..3 kept a torn tail: nothing was unsynced at any crash point")
 				}
 			})
 		}
