@@ -29,7 +29,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every fuzz target in the tree: the trace codec
-# round-trip properties, the edge-batch wire parser, the two frontiers'
+# round-trip properties, the network-facing request and response parsers,
+# the edge-batch wire parser, the two frontiers'
 # closure lemmas, streaming ≡ batch, the WAL record decoder against its
 # bufio-based reference, the WAL recovery path, the partitioned certificate
 # and the moss-vs-undolog backend differential. The committed
@@ -40,6 +41,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzConflictFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -78,13 +81,15 @@ bench-gate: bench-json
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (log append with WAL attached, group-commit ticket
-# protocol, full client/server session round trip, recovery's WAL scan,
-# partitioned certifier apply+compose) plus a short certified nestedload
+# protocol, full client/server session round trip, one whole RunTx of the
+# benchmark's shape over loopback TCP with its writes per transaction,
+# recovery's WAL scan, partitioned certifier apply+compose) plus a short
+# certified nestedload
 # sweep over clients × read-ratio × zipf × certifier partitions, whose
 # latency percentiles and throughput parse into the suite as first-class
 # columns (p50-us, p99-us, tx/s).
 bench-server:
-	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|WalScan' -benchmem -count 1 ./internal/server ; \
+	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|WalScan' -benchmem -count 1 ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'PartitionedApply' -benchmem -count 1 ./internal/part ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 \
@@ -101,7 +106,7 @@ bench-server:
 # numbers are hardware noise on shared runners.
 bench-server-gate: bench-server
 	$(GO) run ./cmd/benchdiff -suite BENCH_SERVER.json \
-		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|WalScan|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|WalScan|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Run the certified transaction server on the default port. SIGTERM (or
 # ctrl-C) drains it and prints the final online-vs-batch certificate.

@@ -2,13 +2,25 @@
 // over the session state the server keeps, plus a retry loop for the
 // server-side aborts (deadlock victims, lock timeouts, drains) that any
 // concurrent locking protocol must be allowed to issue.
+//
+// The methods of Conn are one request, one answer: when Begin or Child
+// returns, the request has reached the server. RunTx and RunReadTx pay a
+// round trip only for an answer the body needs. Their BEGIN, and each
+// Tx.Child, is a frame held back until the body's next Access, Commit or
+// Abort (or the final COMMIT) and sent in the same write; the server answers
+// the burst in one write, and every answer's status is still read and
+// checked. So a refused BEGIN surfaces at the body's first request, not
+// before the body runs, and whatever the body does before its first request
+// happens before the server has seen BEGIN.
 package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,17 +33,42 @@ import (
 // the transaction can simply be retried; RunTx does so automatically.
 var ErrTxAborted = errors.New("transaction aborted by server")
 
+// maxAhead bounds the requests sent ahead of their answers. Together with
+// put's rule that a burst is a single write, it keeps a burst and its
+// answers (BEGIN and CHILD answers are a dozen bytes each) within the peer's
+// read buffer, so neither side can block writing while the other is not
+// reading — even over a net.Pipe, which buffers nothing.
+const maxAhead = 8
+
+// sent is a request that has been put on the wire (or into the write
+// buffer) and not yet answered.
+type sent struct {
+	cmd wire.Cmd
+	// name is the name a CHILD request gave its subtransaction, which the
+	// answer must echo; "" when the server chooses.
+	name string
+}
+
 // Conn is one connection — hence one server-side session. A Conn is not
-// safe for concurrent use; the protocol is strictly request/response.
+// safe for concurrent use; the server answers requests in the order sent.
 type Conn struct {
 	nc   net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 	rbuf []byte
 	out  []byte
-	// broken marks a transport failure: the server-side session is gone,
+	// ahead holds the requests not yet answered, oldest first. Outside
+	// RunTx/RunReadTx it is empty between calls.
+	ahead []sent
+	// children numbers the subtransactions this connection has named; a
+	// session's names never repeat, so none can collide under one parent.
+	children uint64
+	// beginErr is why the BEGIN of the running RunTx attempt failed, once
+	// its answer has been read.
+	beginErr error
+	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
-	broken bool
+	dead error
 }
 
 // Dial connects to a nestedsgd server.
@@ -51,38 +88,99 @@ func NewConn(nc net.Conn) *Conn {
 
 // Broken reports that the connection has seen a transport error and is
 // dead.
-func (c *Conn) Broken() bool { return c.broken }
+func (c *Conn) Broken() bool { return c.dead != nil }
 
 // Close closes the connection. A transaction left open is aborted by the
 // server.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-func (c *Conn) roundTrip(q wire.Request) (wire.Response, error) {
-	c.out = wire.AppendRequest(c.out[:0], q)
-	if err := wire.WriteFrame(c.w, c.out); err != nil {
-		c.broken = true
-		return wire.Response{}, fmt.Errorf("client: write %s: %w", q.Cmd, err)
+// put appends q's frame to the write buffer and records that an answer is
+// owed. Nothing reaches the server before the next drain — which comes first
+// if maxAhead requests are already waiting, or if q would make the burst more
+// than one write.
+func (c *Conn) put(q wire.Request, name string) error {
+	if c.dead != nil {
+		return c.dead
 	}
+	c.out = wire.AppendRequest(c.out[:0], q)
+	if n := len(c.ahead); n == maxAhead || n > 0 && len(c.out)+binary.MaxVarintLen32 > c.w.Available() {
+		if _, err := c.drain(); err != nil {
+			return err
+		}
+	}
+	if err := wire.PutFrame(c.w, c.out); err != nil {
+		c.dead = fmt.Errorf("client: write %s: %w", q.Cmd, err)
+		return c.dead
+	}
+	c.ahead = append(c.ahead, sent{cmd: q.Cmd, name: name})
+	return nil
+}
+
+// drain flushes the write buffer and reads the answer to every unanswered
+// request, oldest first. It always consumes the whole burst, so requests and
+// answers cannot fall out of step, and returns the last request's response
+// together with the first failure. Once the transport has failed, that
+// failure is the answer to everything still waiting.
+func (c *Conn) drain() (wire.Response, error) {
+	var (
+		resp  wire.Response
+		first error
+	)
+	if c.dead == nil {
+		if err := c.w.Flush(); err != nil {
+			c.dead = fmt.Errorf("client: write: %w", err)
+		}
+	}
+	for _, s := range c.ahead {
+		err := c.dead
+		if err == nil {
+			resp, err = c.answer(s)
+		}
+		if err != nil && first == nil {
+			first = err
+			if s.cmd == wire.CmdBegin {
+				c.beginErr = err
+			}
+		}
+	}
+	c.ahead = c.ahead[:0]
+	return resp, first
+}
+
+// answer reads and checks the response to s.
+func (c *Conn) answer(s sent) (wire.Response, error) {
 	payload, err := wire.ReadFrame(c.r, c.rbuf)
 	if err != nil {
-		c.broken = true
-		return wire.Response{}, fmt.Errorf("client: read %s response: %w", q.Cmd, err)
+		c.dead = fmt.Errorf("client: read %s response: %w", s.cmd, err)
+		return wire.Response{}, c.dead
 	}
 	c.rbuf = payload
-	resp, err := wire.ParseResponse(q.Cmd, payload)
+	resp, err := wire.ParseResponse(s.cmd, payload)
 	if err != nil {
 		return wire.Response{}, err
 	}
 	switch resp.Status {
 	case wire.StatusOK:
+		if s.name != "" && resp.Name != s.name {
+			return resp, fmt.Errorf("client: server named the child %q, not %q", resp.Name, s.name)
+		}
 		return resp, nil
 	case wire.StatusTxAborted:
 		return resp, fmt.Errorf("%w: %s", ErrTxAborted, resp.Reason)
 	case wire.StatusError:
-		return resp, fmt.Errorf("client: server rejected %s: %s", q.Cmd, resp.Reason)
+		return resp, fmt.Errorf("client: server rejected %s: %s", s.cmd, resp.Reason)
 	default:
 		return resp, fmt.Errorf("client: unknown response status %d", uint8(resp.Status))
 	}
+}
+
+// roundTrip sends q, with whatever was put ahead of it, and waits for its
+// answer. An earlier request's failure is reported in place of q's own.
+func (c *Conn) roundTrip(q wire.Request) (wire.Response, error) {
+	if err := c.put(q, ""); err != nil {
+		return wire.Response{}, err
+	}
+	return c.drain()
 }
 
 // Begin opens a top-level transaction and returns its label.
@@ -149,13 +247,20 @@ type Tx struct {
 	depth int
 }
 
-// Child opens a subtransaction.
+// Child opens a subtransaction and returns its name, which the client
+// chooses: the parent names its child and moves on. The request travels with
+// the body's next Access, Commit or Abort, where a refusal would surface; a
+// nil error here only says the request was accepted for sending.
 func (t *Tx) Child() (string, error) {
-	name, err := t.c.Child()
-	if err == nil {
-		t.depth++
+	c := t.c
+	c.children++
+	c.out = strconv.AppendUint(append(c.out[:0], 'k'), c.children, 10) // put re-uses the scratch
+	name := string(c.out)
+	if err := c.put(wire.Request{Cmd: wire.CmdChild, Named: true, N: c.children}, name); err != nil {
+		return "", err
 	}
-	return name, err
+	t.depth++
+	return name, nil
 }
 
 // Access performs one access in the current transaction.
@@ -186,8 +291,13 @@ func (t *Tx) Abort() error {
 // RunTx backs off exponentially — 1ms doubling to 64ms — and retries, up to
 // maxAttempts. Any other error from fn aborts the transaction and is
 // returned as-is.
+//
+// BEGIN is sent with fn's first request (or with the COMMIT of an fn that
+// makes none), so fn starts before the server has seen it. If the server
+// refuses BEGIN (draining, WAL failed), fn's first request fails and RunTx
+// returns the server's refusal, whatever fn made of it.
 func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
-	return c.runTx(maxAttempts, (*Conn).Begin, fn)
+	return c.runTx(maxAttempts, false, fn)
 }
 
 // RunReadTx is RunTx for read-only transactions: it opens the top level
@@ -196,10 +306,10 @@ func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 // backends without snapshots serve the transaction normally and may abort
 // it like any other.
 func (c *Conn) RunReadTx(maxAttempts int, fn func(tx *Tx) error) error {
-	return c.runTx(maxAttempts, (*Conn).BeginRO, fn)
+	return c.runTx(maxAttempts, true, fn)
 }
 
-func (c *Conn) runTx(maxAttempts int, begin func(*Conn) (string, error), fn func(tx *Tx) error) error {
+func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
@@ -212,11 +322,16 @@ func (c *Conn) runTx(maxAttempts int, begin func(*Conn) (string, error), fn func
 				backoff = 64 * time.Millisecond
 			}
 		}
-		if _, err := begin(c); err != nil {
+		c.beginErr = nil
+		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, ""); err != nil {
 			return err
 		}
 		tx := &Tx{c: c}
 		err := fn(tx)
+		if c.beginErr != nil {
+			// No transaction was opened: nothing to commit or unwind.
+			return c.beginErr
+		}
 		if err == nil && tx.depth > 0 {
 			err = fmt.Errorf("client: transaction body left %d subtransaction(s) open", tx.depth)
 		}
@@ -290,7 +405,7 @@ func (p *Pool) Get() (*Conn, error) {
 // transaction) may be returned; a broken connection is closed instead of
 // pooled.
 func (p *Pool) Put(c *Conn) {
-	if c.broken {
+	if c.Broken() {
 		c.Close()
 		return
 	}

@@ -1,8 +1,11 @@
 package client_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"nestedsg/internal/client"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/wire"
 )
 
 func startServer(t *testing.T, opts server.Options) *server.Server {
@@ -150,5 +154,122 @@ func TestPoolDropsBrokenConnOnPut(t *testing.T) {
 	defer pool.Put(c2)
 	if c2 == c {
 		t.Fatal("pool handed out a broken connection")
+	}
+}
+
+// scriptedPeer plays the server's end of a net.Pipe: it answers each request
+// frame it reads with answer(request), flushing like the server does, until
+// answer returns nil, and then closes the connection. It reports the
+// commands it saw.
+func scriptedPeer(t *testing.T, answer func(q wire.Request) *wire.Response) (*client.Conn, <-chan []wire.Cmd) {
+	t.Helper()
+	srvEnd, cliEnd := net.Pipe()
+	seen := make(chan []wire.Cmd, 1)
+	go func() {
+		defer srvEnd.Close()
+		r, w := bufio.NewReader(srvEnd), bufio.NewWriter(srvEnd)
+		var cmds []wire.Cmd
+		defer func() { seen <- cmds }()
+		for {
+			payload, err := wire.ReadFrame(r, nil)
+			if err != nil {
+				return
+			}
+			q, err := wire.ParseRequest(payload)
+			if err != nil {
+				t.Errorf("peer: %v", err)
+				return
+			}
+			cmds = append(cmds, q.Cmd)
+			resp := answer(q)
+			if resp == nil {
+				w.Flush() // what was answered before arrives; then the line goes dead
+				return
+			}
+			if err := wire.PutFrame(w, wire.AppendResponse(nil, q.Cmd, *resp)); err != nil {
+				return
+			}
+			if !wire.FrameBuffered(r) {
+				if err := w.Flush(); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	c := client.NewConn(cliEnd)
+	t.Cleanup(func() { c.Close() })
+	return c, seen
+}
+
+// TestDeferredChildNameIsChecked: Tx.Child hands the body a name before the
+// server has confirmed it, so the answer, when it is read, must carry that
+// name. A peer that names the child otherwise fails the request the CHILD
+// travelled with; the answers behind it are still consumed, and RunTx
+// unwinds the subtransaction it counted.
+func TestDeferredChildNameIsChecked(t *testing.T) {
+	c, seen := scriptedPeer(t, func(q wire.Request) *wire.Response {
+		switch q.Cmd {
+		case wire.CmdBegin:
+			return &wire.Response{Name: "s1.1"}
+		case wire.CmdChild:
+			return &wire.Response{Name: "c1"} // not the k<n> it was asked for
+		case wire.CmdAccess:
+			return &wire.Response{Value: spec.OK}
+		default:
+			return &wire.Response{}
+		}
+	})
+	var promised string
+	err := c.RunTx(3, func(tx *client.Tx) (err error) {
+		if promised, err = tx.Child(); err != nil {
+			return err
+		}
+		_, err = tx.Access("x", spec.OpWrite, spec.Int(1))
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), `"c1"`) || !strings.Contains(err.Error(), promised) {
+		t.Fatalf("RunTx = %v, want a complaint that %q came back as \"c1\"", err, promised)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("stream out of step after a failed burst: %v", err)
+	}
+	c.Close()
+	want := []wire.Cmd{wire.CmdBegin, wire.CmdChild, wire.CmdAccess, wire.CmdAbort, wire.CmdAbort, wire.CmdPing}
+	if got := <-seen; !slices.Equal(got, want) {
+		t.Fatalf("peer saw %v, want %v", got, want)
+	}
+}
+
+// TestDeferredAnswersLostWithTheTransport: the connection dies between the
+// answers of one burst. The failure is the answer to everything still owed,
+// the connection is marked broken for the pool, and nothing later blocks on
+// answers that will never come.
+func TestDeferredAnswersLostWithTheTransport(t *testing.T) {
+	c, seen := scriptedPeer(t, func(q wire.Request) *wire.Response {
+		if q.Cmd == wire.CmdBegin {
+			return &wire.Response{Name: "s1.1"}
+		}
+		return nil // hang up on the CHILD, with the ACCESS unread
+	})
+	bodies := 0
+	err := c.RunTx(3, func(tx *client.Tx) error {
+		bodies++
+		if _, err := tx.Child(); err != nil {
+			return err
+		}
+		_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
+		return err
+	})
+	if err == nil || errors.Is(err, client.ErrTxAborted) || bodies != 1 {
+		t.Fatalf("RunTx = %v after %d bodies, want one body and a transport error", err, bodies)
+	}
+	if !c.Broken() {
+		t.Fatal("transport failure did not mark the connection broken")
+	}
+	if err := c.Ping(); err == nil {
+		t.Fatal("ping on a dead connection succeeded")
+	}
+	if got := <-seen; !slices.Equal(got, []wire.Cmd{wire.CmdBegin, wire.CmdChild}) {
+		t.Fatalf("peer saw %v", got)
 	}
 }

@@ -355,22 +355,22 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 
 // internTx interns a subtransaction (or access, when obj != NoObj) under
 // the tree write lock, writing the WAL definition record in the same
-// critical section when the name is new.
-func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op spec.Op) tname.TxID {
+// critical section when the name is new. fresh reports that it was.
+func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op spec.Op) (id tname.TxID, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := s.tr.NumTx()
-	var id tname.TxID
 	if obj == tname.NoObj {
 		id = s.tr.Child(parent, label)
 	} else {
 		id = s.tr.Access(parent, label, obj, op)
 	}
-	if s.wal != nil && s.tr.NumTx() > before {
+	fresh = s.tr.NumTx() > before
+	if s.wal != nil && fresh {
 		s.defBuf = event.AppendWalTxDef(s.defBuf[:0], parent, label, obj, op)
 		s.wal.appendRecord(s.defBuf)
 	}
-	return id
+	return id, fresh
 }
 
 // walSync makes the log durable through the present; sessions call it at

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -34,9 +35,9 @@ func (f *txFrame) touch(x tname.ObjID) {
 	f.touched = append(f.touched, x)
 }
 
-// session is one connection: a strictly sequential request/response loop
-// driving one fragment of the transaction tree. All transaction state lives
-// here on the server; the client only holds a cursor.
+// session is one connection: a strictly sequential request loop driving one
+// fragment of the transaction tree, answering in request order. All
+// transaction state lives here on the server; the client only holds a cursor.
 type session struct {
 	s    *Server
 	conn net.Conn
@@ -46,6 +47,7 @@ type session struct {
 	w    *bufio.Writer
 	rbuf []byte
 	out  []byte
+	lbl  []byte // scratch for building labels
 
 	frames []*txFrame
 	labelN int // session-local unique label counter for children/accesses
@@ -112,8 +114,18 @@ func (sn *session) serve() {
 			cmd = wire.CmdInvalid
 		}
 		sn.out = wire.AppendResponse(sn.out[:0], cmd, resp)
-		if err := wire.WriteFrame(sn.w, sn.out); err != nil {
+		if err := wire.PutFrame(sn.w, sn.out); err != nil {
 			break
+		}
+		// A client that sent requests ahead gets their answers in one write;
+		// one that waits for each answer finds its next request never
+		// buffered here and is answered at once. Waiting for a whole frame,
+		// not for any byte, keeps an answer from being held back behind a
+		// request the client has only half sent.
+		if !wire.FrameBuffered(sn.r) {
+			if err := sn.w.Flush(); err != nil {
+				break
+			}
 		}
 	}
 	if len(sn.frames) > 0 {
@@ -142,7 +154,7 @@ func (sn *session) handle(q wire.Request) wire.Response {
 	case wire.CmdBegin:
 		return sn.handleBegin(q)
 	case wire.CmdChild:
-		return sn.handleChild()
+		return sn.handleChild(q)
 	case wire.CmdAccess:
 		return sn.handleAccess(q)
 	case wire.CmdCommit:
@@ -162,6 +174,35 @@ func (sn *session) handle(q wire.Request) wire.Response {
 
 func errResp(reason string) wire.Response {
 	return wire.Response{Status: wire.StatusError, Reason: reason}
+}
+
+// label builds prefix+n ("a7") in the session's scratch buffer: its one
+// allocation is the string.
+func (sn *session) label(prefix byte, n uint64) string {
+	sn.lbl = strconv.AppendUint(append(sn.lbl[:0], prefix), n, 10)
+	return string(sn.lbl)
+}
+
+// topLabel builds the label of the session's topN-th top-level transaction,
+// "s<id>.<topN>", or "s<id>.r<topN>" for a read-only one.
+func (sn *session) topLabel(ro bool) string {
+	b := strconv.AppendInt(append(sn.lbl[:0], 's'), sn.id, 10)
+	b = append(b, '.')
+	if ro {
+		b = append(b, 'r')
+	}
+	sn.lbl = strconv.AppendInt(b, int64(sn.topN), 10)
+	return string(sn.lbl)
+}
+
+// childLabel is the label a CHILD request gives its subtransaction: "k<n>"
+// when the parent named it, else the next server-made "c<labelN>".
+func (sn *session) childLabel(q wire.Request) string {
+	if q.Named {
+		return sn.label('k', q.N)
+	}
+	sn.labelN++
+	return sn.label('c', uint64(sn.labelN))
 }
 
 // appendLog appends events to the server log, keeping the completion-event
@@ -216,8 +257,8 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		}
 	}
 	sn.topN++
-	label := fmt.Sprintf("s%d.%d", sn.id, sn.topN)
-	top := sn.s.internTx(tname.Root, label, tname.NoObj, spec.Op{})
+	label := sn.topLabel(false)
+	top, _ := sn.s.internTx(tname.Root, label, tname.NoObj, spec.Op{})
 	sn.appendLog(
 		event.NewEvent(event.RequestCreate, top),
 		event.NewEvent(event.Create, top),
@@ -244,8 +285,7 @@ func (sn *session) handleRO(q wire.Request) wire.Response {
 		return errResp("BEGIN with a transaction already open")
 	case wire.CmdChild:
 		sn.roDepth++
-		sn.labelN++
-		return wire.Response{Status: wire.StatusOK, Name: fmt.Sprintf("c%d", sn.labelN)}
+		return wire.Response{Status: wire.StatusOK, Name: sn.childLabel(q)}
 	case wire.CmdAccess:
 		if !sn.s.opts.DefaultSpec.ReadOnly(spec.Op{Kind: q.Op, Arg: q.Arg}) {
 			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
@@ -272,15 +312,20 @@ func (sn *session) handleRO(q wire.Request) wire.Response {
 	}
 }
 
-// handleChild opens a subtransaction of the current transaction.
-func (sn *session) handleChild() wire.Response {
+// handleChild opens a subtransaction of the current transaction, under the
+// name its parent chose or, failing that, one the server makes up. A name
+// the current transaction has already given a child is refused before
+// anything is logged: a transaction is created at most once.
+func (sn *session) handleChild(q wire.Request) wire.Response {
 	if len(sn.frames) == 0 {
 		return errResp("CHILD outside a transaction")
 	}
 	cur := sn.frames[len(sn.frames)-1]
-	sn.labelN++
-	label := fmt.Sprintf("c%d", sn.labelN)
-	child := sn.s.internTx(cur.id, label, tname.NoObj, spec.Op{})
+	label := sn.childLabel(q)
+	child, fresh := sn.s.internTx(cur.id, label, tname.NoObj, spec.Op{})
+	if !fresh {
+		return errResp("CHILD " + label + ": the current transaction already has a child of that name")
+	}
 	sn.appendLog(
 		event.NewEvent(event.RequestCreate, child),
 		event.NewEvent(event.Create, child),
@@ -307,9 +352,9 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 	}
 	cur := sn.frames[len(sn.frames)-1]
 	sn.labelN++
-	label := fmt.Sprintf("a%d", sn.labelN)
+	label := sn.label('a', uint64(sn.labelN))
 	op := spec.Op{Kind: q.Op, Arg: q.Arg}
-	acc := sn.s.internTx(cur.id, label, obj.id, op)
+	acc, _ := sn.s.internTx(cur.id, label, obj.id, op)
 
 	// Every open frame is an ancestor of the access: record the touch now,
 	// before the access can block, so an abort that interrupts the wait

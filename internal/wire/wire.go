@@ -7,12 +7,24 @@
 // spec.Values), so the module has a single binary encoding of values across
 // traces and the network protocol.
 //
-// A connection carries one session: a strictly alternating sequence of
-// request and response frames, where the session's state (the cursor into
-// its nested-transaction tree fragment) lives on the server. Requests are:
+// A connection carries one session, whose state (the cursor into its
+// nested-transaction tree fragment) lives on the server. The server handles
+// requests one at a time and answers them in request order, one response
+// frame per request frame. A client need not wait for an answer before it
+// sends the next request: one that does not need a reply yet (BEGIN, CHILD)
+// may be sent ahead in the same write as the request that does, as long as
+// the client later reads one response per request it sent. The server
+// flushes its responses when the next request frame is not already complete
+// in its read buffer — after every response for a strictly alternating
+// client, once per burst for one that sends ahead — so a response is never
+// held back while the server waits for bytes the client has yet to send.
+// Requests are:
 //
 //	BEGIN            open a top-level transaction (child of T0)
-//	CHILD            open a subtransaction of the current transaction
+//	CHILD [n]        open a subtransaction of the current transaction; with
+//	                 n the parent names it "k<n>" (an error if the current
+//	                 transaction already has a child of that name), without
+//	                 it the server invents a name
 //	ACCESS obj op v  run one access as a child of the current transaction
 //	COMMIT           commit the current transaction
 //	ABORT            abort the current transaction
@@ -103,7 +115,7 @@ func (s Status) String() string {
 const MaxFrame = 1 << 20
 
 // Request is a decoded request frame. Obj, Op and Arg are meaningful only
-// for CmdAccess; RO only for CmdBegin.
+// for CmdAccess; RO only for CmdBegin; Named and N only for CmdChild.
 type Request struct {
 	Cmd Cmd
 	Obj string
@@ -114,6 +126,13 @@ type Request struct {
 	// it as a normal transaction. Encoded as an optional flag byte after
 	// CmdBegin, so old BEGIN frames (no byte) still parse.
 	RO bool
+	// Named says the parent names this child: "k<N>". Encoded as an optional
+	// uvarint after CmdChild, the way BEGIN carries RO, so a label-less CHILD
+	// is the same one byte as before and the server then invents the name.
+	// A number, not a string: nothing to validate, and no client-chosen name
+	// can collide with a server-made "a…", "c…" or "s…" one.
+	Named bool
+	N     uint64
 }
 
 // Verdict is the server's live certification state, as reported by
@@ -147,13 +166,25 @@ type Response struct {
 	Verdict Verdict
 }
 
-// WriteFrame writes one length-prefixed frame and flushes the writer. The
+// errFrameTooLarge formats the one cold error of the framing functions. It
+// is kept out of line so that its allocation stays here and the hotalloc
+// gate can hold PutFrame and WriteFrame to zero.
+//
+//go:noinline
+func errFrameTooLarge(n uint64) error {
+	return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+}
+
+// PutFrame appends one length-prefixed frame to the writer's buffer without
+// flushing it, so several frames can share one write to the connection. The
 // length prefix goes out byte-by-byte through the bufio.Writer: a stack
 // scratch array passed to Write would escape through the underlying
 // io.Writer interface and cost the hot path an allocation per frame.
-func WriteFrame(w *bufio.Writer, payload []byte) error {
+//
+//sgvet:hotpath
+func PutFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+		return errFrameTooLarge(uint64(len(payload)))
 	}
 	n := uint64(len(payload))
 	for n >= 0x80 {
@@ -165,10 +196,31 @@ func WriteFrame(w *bufio.Writer, payload []byte) error {
 	if err := w.WriteByte(byte(n)); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
+	_, err := w.Write(payload)
+	return err
+}
+
+// WriteFrame writes one length-prefixed frame and flushes the writer.
+//
+//sgvet:hotpath
+func WriteFrame(w *bufio.Writer, payload []byte) error {
+	if err := PutFrame(w, payload); err != nil {
 		return err
 	}
 	return w.Flush()
+}
+
+// FrameBuffered reports whether r already holds a complete, well-formed
+// frame, so that the next ReadFrame returns it without reading from the
+// connection. It never blocks. A bad or oversized length prefix reads as "no":
+// the caller then flushes what it owes before ReadFrame reports the error.
+//
+//sgvet:hotpath
+func FrameBuffered(r *bufio.Reader) bool {
+	have := r.Buffered()
+	b, _ := r.Peek(min(have, binary.MaxVarintLen64)) // no more than is buffered: cannot fail, cannot block
+	n, k := binary.Uvarint(b)
+	return k > 0 && n <= MaxFrame && uint64(have-k) >= n
 }
 
 // ReadFrame reads one length-prefixed frame into buf (grown as needed) and
@@ -183,7 +235,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return nil, errFrameTooLarge(n)
 	}
 	if uint64(cap(buf)) < n {
 		newCap := 2 * cap(buf)
@@ -220,6 +272,8 @@ func AppendRequest(buf []byte, q Request) []byte {
 		buf = event.AppendValue(buf, q.Arg)
 	case q.Cmd == CmdBegin && q.RO:
 		buf = append(buf, 1)
+	case q.Cmd == CmdChild && q.Named:
+		buf = binary.AppendUvarint(buf, q.N)
 	}
 	return buf
 }
@@ -243,7 +297,8 @@ func ParseRequest(payload []byte) (Request, error) {
 		if opk, rest, err = event.CutUvarint(rest, "request op"); err != nil {
 			return Request{}, err
 		}
-		if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
+		// Compared at full width: OpKind(opk) would keep the low byte only.
+		if opk == 0 || opk > uint64(spec.OpDeq) {
 			return Request{}, fmt.Errorf("wire: request has unknown op kind %d", opk)
 		}
 		q.Op = spec.OpKind(opk)
@@ -258,7 +313,15 @@ func ParseRequest(payload []byte) (Request, error) {
 			}
 			q.RO, rest = true, rest[1:]
 		}
-	case CmdChild, CmdCommit, CmdAbort, CmdVerdict, CmdPing:
+	case CmdChild:
+		// Optional name number; absent means the server names the child.
+		if len(rest) > 0 {
+			if q.N, rest, err = event.CutUvarint(rest, "request child name"); err != nil {
+				return Request{}, err
+			}
+			q.Named = true
+		}
+	case CmdCommit, CmdAbort, CmdVerdict, CmdPing:
 		// No payload beyond the command byte.
 	case CmdInvalid:
 		return Request{}, fmt.Errorf("wire: invalid command byte 0")

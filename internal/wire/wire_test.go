@@ -57,11 +57,16 @@ func TestFrameTruncatedBody(t *testing.T) {
 	}
 }
 
-func TestRequestRoundTrip(t *testing.T) {
-	reqs := []Request{
+// sampleRequests is one well-formed request of every shape; the round-trip
+// test and FuzzParseRequest's seeds share it.
+func sampleRequests() []Request {
+	return []Request{
 		{Cmd: CmdBegin, Arg: spec.Nil},
 		{Cmd: CmdBegin, Arg: spec.Nil, RO: true},
 		{Cmd: CmdChild, Arg: spec.Nil},
+		{Cmd: CmdChild, Arg: spec.Nil, Named: true, N: 0},
+		{Cmd: CmdChild, Arg: spec.Nil, Named: true, N: 1},
+		{Cmd: CmdChild, Arg: spec.Nil, Named: true, N: 1 << 63},
 		{Cmd: CmdAccess, Obj: "x", Op: spec.OpWrite, Arg: spec.Int(42)},
 		{Cmd: CmdAccess, Obj: "long object name", Op: spec.OpRead, Arg: spec.Nil},
 		{Cmd: CmdAccess, Obj: "q", Op: spec.OpEnq, Arg: spec.Str("payload")},
@@ -70,7 +75,10 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Cmd: CmdVerdict, Arg: spec.Nil},
 		{Cmd: CmdPing, Arg: spec.Nil},
 	}
-	for _, q := range reqs {
+}
+
+func TestRequestRoundTrip(t *testing.T) {
+	for _, q := range sampleRequests() {
 		got, err := ParseRequest(AppendRequest(nil, q))
 		if err != nil {
 			t.Fatalf("%s: %v", q.Cmd, err)
@@ -81,30 +89,51 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRequestRejectsJunk(t *testing.T) {
-	cases := map[string][]byte{
+// overlongVarint is eleven bytes that binary.Uvarint rejects as an overflow:
+// a uvarint holds a uint64 in at most ten.
+var overlongVarint = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+
+// junkRequests is one malformed request of every kind the parser must
+// refuse; the junk test and FuzzParseRequest's seeds share it.
+func junkRequests() map[string][]byte {
+	return map[string][]byte{
 		"empty":          {},
 		"invalid cmd":    {0},
 		"unknown cmd":    {99},
 		"trailing bytes": append(AppendRequest(nil, Request{Cmd: CmdPing}), 1, 2),
 		"truncated access": AppendRequest(nil, Request{
 			Cmd: CmdAccess, Obj: "x", Op: spec.OpRead, Arg: spec.Nil})[:3],
-		"bad op kind":  {byte(CmdAccess), 1, 'x', 200, 0},
+		"bad op kind": {byte(CmdAccess), 1, 'x', 200, 0},
+		// 0x1800: an op kind whose low byte alone, 0, .. 6, would look valid.
+		"wide op kind": {byte(CmdAccess), 0, 0x80, 0x30, 0},
+		"op kind 257":  {byte(CmdAccess), 1, 'x', 0x81, 0x02, 0},
 		"bad RO flag":  {byte(CmdBegin), 2},
 		"RO wrong cmd": append(AppendRequest(nil, Request{Cmd: CmdCommit}), 1),
+
+		"child name overlong":  append([]byte{byte(CmdChild)}, overlongVarint...),
+		"child name truncated": {byte(CmdChild), 0x80},
+		"child name trailing":  append(AppendRequest(nil, Request{Cmd: CmdChild, Named: true, N: 7}), 0),
 	}
-	for name, payload := range cases {
+}
+
+func TestRequestRejectsJunk(t *testing.T) {
+	for name, payload := range junkRequests() {
 		if _, err := ParseRequest(payload); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-func TestResponseRoundTrip(t *testing.T) {
-	cases := []struct {
-		cmd  Cmd
-		resp Response
-	}{
+// sampleResponse is a well-formed response and the command it answers.
+type sampleResponse struct {
+	cmd  Cmd
+	resp Response
+}
+
+// sampleResponses is one response of every shape; the round-trip test and
+// FuzzParseResponse's seeds share it.
+func sampleResponses() []sampleResponse {
+	return []sampleResponse{
 		{CmdBegin, Response{Status: StatusOK, Name: "s1.1", Value: spec.Nil}},
 		{CmdChild, Response{Status: StatusOK, Name: "c7", Value: spec.Nil}},
 		{CmdAccess, Response{Status: StatusOK, Value: spec.Int(-3)}},
@@ -118,7 +147,10 @@ func TestResponseRoundTrip(t *testing.T) {
 		{CmdCommit, Response{Status: StatusTxAborted, Reason: "deadlock victim", Value: spec.Nil}},
 		{CmdAccess, Response{Status: StatusError, Reason: "unknown op", Value: spec.Nil}},
 	}
-	for _, c := range cases {
+}
+
+func TestResponseRoundTrip(t *testing.T) {
+	for _, c := range sampleResponses() {
 		got, err := ParseResponse(c.cmd, AppendResponse(nil, c.cmd, c.resp))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.cmd, c.resp.Status, err)
@@ -208,8 +240,10 @@ func TestReadFrameGeometricGrowth(t *testing.T) {
 
 // TestHotPathFrameAllocs pins the steady-state allocation count of the
 // framed request path at zero: with warmed reuse buffers, write+read+parse
-// of a PING request and its response must not allocate. This is the
-// per-frame contract the server session loop and client round trip rely on.
+// of a PING request and its response must not allocate — the response going
+// out the way the session loop sends it, PutFrame, FrameBuffered, Flush.
+// This is the per-frame contract the server session loop and client round
+// trip rely on.
 func TestHotPathFrameAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -234,7 +268,15 @@ func TestHotPathFrameAllocs(t *testing.T) {
 		}
 		buf.Reset()
 		out = AppendResponse(out[:0], CmdPing, resp)
-		if err := WriteFrame(w, out); err != nil {
+		// The server's write path: put the answer, ask whether another
+		// request is already buffered, flush if not.
+		if err := PutFrame(w, out); err != nil {
+			t.Fatal(err)
+		}
+		if FrameBuffered(r) {
+			t.Fatal("a request frame appeared from nowhere")
+		}
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if payload, err = ReadFrame(r, reuse); err != nil {
