@@ -82,7 +82,8 @@ bench-gate: bench-json
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (log append with WAL attached, group-commit ticket
 # protocol, full client/server session round trip, one whole RunTx of the
-# benchmark's shape over loopback TCP with its writes per transaction,
+# benchmark's shape — all writes, and half reads — over loopback TCP with
+# its writes per transaction,
 # recovery's WAL scan, partitioned certifier apply+compose) plus a short
 # certified nestedload
 # sweep over clients × read-ratio × zipf × certifier partitions, whose

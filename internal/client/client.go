@@ -3,15 +3,37 @@
 // server-side aborts (deadlock victims, lock timeouts, drains) that any
 // concurrent locking protocol must be allowed to issue.
 //
-// The methods of Conn are one request, one answer: when Begin or Child
-// returns, the request has reached the server. RunTx and RunReadTx pay a
-// round trip only for an answer the body needs. Their BEGIN, and each
-// Tx.Child, is a frame held back until the body's next Access, Commit or
-// Abort (or the final COMMIT) and sent in the same write; the server answers
-// the burst in one write, and every answer's status is still read and
-// checked. So a refused BEGIN surfaces at the body's first request, not
-// before the body runs, and whatever the body does before its first request
-// happens before the server has seen BEGIN.
+// The methods of Conn are one request, one answer: when Begin, Child, Access
+// or Commit returns, the request has reached the server and been answered.
+// RunTx and RunReadTx pay a round trip only for an answer the body reads.
+// Four kinds of request are frames held back and sent in the same write as
+// the body's next request that waits for its answer (or the final COMMIT):
+//
+//   - their BEGIN;
+//   - each Tx.Child, which returns the name the parent gives the child;
+//   - each Tx.Access whose op has an answer its type fixes in every state
+//     (spec.FixedAnswer: a write, increment, deposit, insert, append, enq …),
+//     which returns that answer;
+//   - each Tx.Commit of a subtransaction, which returns seq 0 — never a real
+//     log index, since those start at 1.
+//
+// The server answers the burst in one write, and every answer is still read
+// and checked: its status, a CHILD's echoed name, an access's promised value.
+// So a nil error from one of these calls means only "accepted for sending".
+// Whatever goes wrong with the request — a refused BEGIN, a deadlock victim,
+// an object that lacks the op — is reported by the body's next request that
+// waits, or by the final COMMIT, in place of that later request's own
+// outcome; and whatever the body does in between happens before the server
+// has seen it. A request whose frame would not fit an empty write buffer is
+// the exception: it is always a plain round trip, since writing it straight
+// to the connection could block both ends.
+//
+// One consequence the synchronous methods do not have: the top-level COMMIT
+// travels with the requests sent ahead of it, so it is applied even when one
+// of them was refused. Such a refusal is a programming error — the server
+// refuses a blind update only for an empty object name, an op the object's
+// type lacks, or a write inside a snapshot read-only transaction — and RunTx
+// then returns it marked as having committed (ErrCommittedAnyway).
 package client
 
 import (
@@ -33,11 +55,17 @@ import (
 // the transaction can simply be retried; RunTx does so automatically.
 var ErrTxAborted = errors.New("transaction aborted by server")
 
+// ErrCommittedAnyway is wrapped by the error RunTx returns when a request
+// sent ahead with the top-level COMMIT failed and the COMMIT did not: the
+// transaction committed all the same, without whatever the server refused.
+var ErrCommittedAnyway = errors.New("the transaction committed anyway")
+
 // maxAhead bounds the requests sent ahead of their answers. Together with
 // put's rule that a burst is a single write, it keeps a burst and its
-// answers (BEGIN and CHILD answers are a dozen bytes each) within the peer's
-// read buffer, so neither side can block writing while the other is not
-// reading — even over a net.Pipe, which buffers nothing.
+// answers (a dozen bytes each for BEGIN, CHILD, a blind update and a
+// subtransaction's COMMIT) within the peer's read buffer, so neither side
+// can block writing while the other is not reading — even over a net.Pipe,
+// which buffers nothing.
 const maxAhead = 8
 
 // sent is a request that has been put on the wire (or into the write
@@ -47,6 +75,10 @@ type sent struct {
 	// name is the name a CHILD request gave its subtransaction, which the
 	// answer must echo; "" when the server chooses.
 	name string
+	// value is the answer an ACCESS sent ahead was promised to give, when
+	// promised is set.
+	value    spec.Value
+	promised bool
 }
 
 // Conn is one connection — hence one server-side session. A Conn is not
@@ -94,11 +126,11 @@ func (c *Conn) Broken() bool { return c.dead != nil }
 // server.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// put appends q's frame to the write buffer and records that an answer is
-// owed. Nothing reaches the server before the next drain — which comes first
-// if maxAhead requests are already waiting, or if q would make the burst more
-// than one write.
-func (c *Conn) put(q wire.Request, name string) error {
+// put appends q's frame to the write buffer and records that the answer s
+// describes is owed. Nothing reaches the server before the next drain — which
+// comes first if maxAhead requests are already waiting, or if q would make
+// the burst more than one write.
+func (c *Conn) put(q wire.Request, s sent) error {
 	if c.dead != nil {
 		return c.dead
 	}
@@ -112,15 +144,34 @@ func (c *Conn) put(q wire.Request, name string) error {
 		c.dead = fmt.Errorf("client: write %s: %w", q.Cmd, err)
 		return c.dead
 	}
-	c.ahead = append(c.ahead, sent{cmd: q.Cmd, name: name})
+	s.cmd = q.Cmd
+	c.ahead = append(c.ahead, s)
 	return nil
+}
+
+// putAhead puts q to be answered with a later request. The exception is a
+// frame too big for an empty write buffer: bufio writes it straight to the
+// connection, where it can block on a peer that is itself blocked writing
+// the answers to what went before it — over a net.Pipe, which buffers
+// nothing, both ends would wait for ever. Such a request is a plain round
+// trip instead, and putAhead returns its answer with answered set.
+func (c *Conn) putAhead(q wire.Request, s sent) (resp wire.Response, answered bool, err error) {
+	if err := c.put(q, s); err != nil {
+		return wire.Response{}, true, err
+	}
+	if len(c.out)+binary.MaxVarintLen32 <= c.w.Size() {
+		return wire.Response{}, false, nil
+	}
+	resp, err = c.drain()
+	return resp, true, err
 }
 
 // drain flushes the write buffer and reads the answer to every unanswered
 // request, oldest first. It always consumes the whole burst, so requests and
 // answers cannot fall out of step, and returns the last request's response
-// together with the first failure. Once the transport has failed, that
-// failure is the answer to everything still waiting.
+// (the zero Response if it could not be read) together with the first
+// failure. Once the transport has failed, that failure is the answer to
+// everything still waiting.
 func (c *Conn) drain() (wire.Response, error) {
 	var (
 		resp  wire.Response
@@ -132,6 +183,7 @@ func (c *Conn) drain() (wire.Response, error) {
 		}
 	}
 	for _, s := range c.ahead {
+		resp = wire.Response{}
 		err := c.dead
 		if err == nil {
 			resp, err = c.answer(s)
@@ -164,6 +216,9 @@ func (c *Conn) answer(s sent) (wire.Response, error) {
 		if s.name != "" && resp.Name != s.name {
 			return resp, fmt.Errorf("client: server named the child %q, not %q", resp.Name, s.name)
 		}
+		if s.promised && resp.Value != s.value {
+			return resp, fmt.Errorf("client: server answered ACCESS with %s, not the %s its type promises", resp.Value, s.value)
+		}
 		return resp, nil
 	case wire.StatusTxAborted:
 		return resp, fmt.Errorf("%w: %s", ErrTxAborted, resp.Reason)
@@ -177,7 +232,7 @@ func (c *Conn) answer(s sent) (wire.Response, error) {
 // roundTrip sends q, with whatever was put ahead of it, and waits for its
 // answer. An earlier request's failure is reported in place of q's own.
 func (c *Conn) roundTrip(q wire.Request) (wire.Response, error) {
-	if err := c.put(q, ""); err != nil {
+	if err := c.put(q, sent{}); err != nil {
 		return wire.Response{}, err
 	}
 	return c.drain()
@@ -249,32 +304,55 @@ type Tx struct {
 
 // Child opens a subtransaction and returns its name, which the client
 // chooses: the parent names its child and moves on. The request travels with
-// the body's next Access, Commit or Abort, where a refusal would surface; a
-// nil error here only says the request was accepted for sending.
+// the body's next request that waits for its answer, where a refusal would
+// surface; a nil error here only says the request was accepted for sending.
 func (t *Tx) Child() (string, error) {
 	c := t.c
 	c.children++
 	c.out = strconv.AppendUint(append(c.out[:0], 'k'), c.children, 10) // put re-uses the scratch
 	name := string(c.out)
-	if err := c.put(wire.Request{Cmd: wire.CmdChild, Named: true, N: c.children}, name); err != nil {
+	if err := c.put(wire.Request{Cmd: wire.CmdChild, Named: true, N: c.children}, sent{name: name}); err != nil {
 		return "", err
 	}
 	t.depth++
 	return name, nil
 }
 
-// Access performs one access in the current transaction.
+// Access performs one access in the current transaction and returns its
+// value. An op whose answer its type fixes (spec.FixedAnswer) returns that
+// answer at once: the request travels with the body's next request that
+// waits, the server's answer is checked against the promise then, and any
+// failure — the transaction aborted by the server, an object that lacks the
+// op — is reported there. A nil error from such an access says only that it
+// was accepted for sending. Any other op, and a request too big to wait in
+// the write buffer, waits for its answer.
 func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
-	return t.c.Access(obj, op, arg)
+	v, fixed := spec.FixedAnswer(op)
+	if !fixed {
+		return t.c.Access(obj, op, arg)
+	}
+	resp, answered, err := t.c.putAhead(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, sent{value: v, promised: true})
+	if answered {
+		return resp.Value, err
+	}
+	return v, nil
 }
 
-// Commit commits the current subtransaction (not the top level).
+// Commit commits the current subtransaction. It returns seq 0 and a nil
+// error at once — the request travels with the body's next request that
+// waits, where a failure would surface — since a subtransaction's COMMIT is
+// its own output, not a question to its parent. Called with no
+// subtransaction open it commits the top level and waits for the log index
+// of its COMMIT event, leaving RunTx's own COMMIT to fail.
 func (t *Tx) Commit() (uint64, error) {
-	seq, err := t.c.Commit()
-	if err == nil && t.depth > 0 {
-		t.depth--
+	if t.depth == 0 {
+		return t.c.Commit()
 	}
-	return seq, err
+	if err := t.c.put(wire.Request{Cmd: wire.CmdCommit}, sent{}); err != nil {
+		return 0, err
+	}
+	t.depth--
+	return 0, nil
 }
 
 // Abort aborts the current subtransaction.
@@ -292,10 +370,15 @@ func (t *Tx) Abort() error {
 // maxAttempts. Any other error from fn aborts the transaction and is
 // returned as-is.
 //
-// BEGIN is sent with fn's first request (or with the COMMIT of an fn that
-// makes none), so fn starts before the server has seen it. If the server
-// refuses BEGIN (draining, WAL failed), fn's first request fails and RunTx
-// returns the server's refusal, whatever fn made of it.
+// BEGIN is sent with fn's first request that waits for its answer (or with
+// the COMMIT of an fn that makes none), so fn starts before the server has
+// seen it; so do Tx.Child, Tx.Access of a blind update and a subtransaction's
+// Tx.Commit (see the package comment). If the server refuses BEGIN (draining,
+// WAL failed), RunTx returns the server's refusal, whatever fn made of it.
+// Before judging fn's error, or the subtransactions it left open, RunTx reads
+// every answer still owed: a failure among them happened first and is
+// returned in place of fn's own error. One that arrives with the top-level
+// COMMIT, which the server applied all the same, wraps ErrCommittedAnyway.
 func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 	return c.runTx(maxAttempts, false, fn)
 }
@@ -323,11 +406,19 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 			}
 		}
 		c.beginErr = nil
-		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, ""); err != nil {
+		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}
 		tx := &Tx{c: c}
 		err := fn(tx)
+		if len(c.ahead) > 0 && (err != nil || tx.depth > 0) {
+			// Every answer fn is owed comes in before fn is judged: a failure
+			// among them came first. fn's own ErrTxAborted stands, since what
+			// fn sent after it was answered "outside a transaction".
+			if _, derr := c.drain(); derr != nil && !errors.Is(err, ErrTxAborted) {
+				err = derr
+			}
+		}
 		if c.beginErr != nil {
 			// No transaction was opened: nothing to commit or unwind.
 			return c.beginErr
@@ -336,13 +427,18 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 			err = fmt.Errorf("client: transaction body left %d subtransaction(s) open", tx.depth)
 		}
 		if err == nil {
-			_, err = c.Commit()
+			var resp wire.Response
+			resp, err = c.roundTrip(wire.Request{Cmd: wire.CmdCommit})
 			if err == nil {
 				return nil
 			}
 			if errors.Is(err, ErrTxAborted) {
 				last = err
 				continue
+			}
+			if resp.Status == wire.StatusOK && resp.Seq > 0 {
+				// A request that rode with the COMMIT failed; the COMMIT did not.
+				return fmt.Errorf("%w (%w at log index %d)", err, ErrCommittedAnyway, resp.Seq)
 			}
 			// COMMIT always leaves the session idle (committed, aborted, or
 			// rejected after the fact by the certifier) — nothing to clean up.

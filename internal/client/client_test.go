@@ -240,6 +240,66 @@ func TestDeferredChildNameIsChecked(t *testing.T) {
 	}
 }
 
+// TestDeferredWriteAnswerIsChecked: Tx.Access hands the body a write's OK
+// before the server has answered, so the answer, when it is read, must be
+// that OK. A peer whose type answers otherwise fails RunTx, naming both
+// values: through the body's next read, after which RunTx unwinds the
+// transaction, or through the COMMIT the write rode with, which the peer
+// applied — and RunTx says so.
+func TestDeferredWriteAnswerIsChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		readAfter bool
+		committed bool
+		want      []wire.Cmd
+	}{
+		{"read behind the write", true, false, []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdAccess, wire.CmdAbort, wire.CmdPing}},
+		{"write rides with the commit", false, true, []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdCommit, wire.CmdPing}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, seen := scriptedPeer(t, func(q wire.Request) *wire.Response {
+				switch q.Cmd {
+				case wire.CmdBegin:
+					return &wire.Response{Name: "s1.1"}
+				case wire.CmdAccess:
+					return &wire.Response{Value: spec.Int(7)} // a register that answers writes with 7
+				case wire.CmdCommit:
+					return &wire.Response{Seq: 9}
+				default:
+					return &wire.Response{}
+				}
+			})
+			var promised spec.Value
+			err := c.RunTx(3, func(tx *client.Tx) (err error) {
+				if promised, err = tx.Access("x", spec.OpWrite, spec.Int(1)); err != nil || !tc.readAfter {
+					return err
+				}
+				_, err = tx.Access("x", spec.OpRead, spec.Nil)
+				return err
+			})
+			if promised != spec.OK {
+				t.Fatalf("write returned %v before its answer, want OK", promised)
+			}
+			if err == nil || !strings.Contains(err.Error(), "with 7, not the OK") {
+				t.Fatalf("RunTx = %v, want a complaint naming 7 and OK", err)
+			}
+			if errors.Is(err, client.ErrTxAborted) || errors.Is(err, client.ErrCommittedAnyway) != tc.committed {
+				t.Fatalf("RunTx = %v; committed anyway should be %v", err, tc.committed)
+			}
+			if tc.committed && !strings.Contains(err.Error(), "log index 9") {
+				t.Fatalf("RunTx = %v, want the COMMIT's log index", err)
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatalf("stream out of step after a broken promise: %v", err)
+			}
+			c.Close()
+			if got := <-seen; !slices.Equal(got, tc.want) {
+				t.Fatalf("peer saw %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestDeferredAnswersLostWithTheTransport: the connection dies between the
 // answers of one burst. The failure is the answer to everything still owed,
 // the connection is marked broken for the pool, and nothing later blocks on

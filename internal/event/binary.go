@@ -405,10 +405,13 @@ func CutUvarint(b []byte, what string) (uint64, []byte, error) {
 // b, returning the payload as a sub-slice of b (no copy) and the rest. The
 // sub-slice aliases b and is only valid while b is.
 func CutBytes(b []byte, what string) ([]byte, []byte, error) {
-	n, rest, err := CutUvarint(b, what+" length")
-	if err != nil {
-		return nil, nil, err
+	// Not CutUvarint(b, what+" length"): the concatenation would cost every
+	// string field an allocation for an error message it almost never needs.
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("wire: %s length: truncated uvarint", what)
 	}
+	rest := b[k:]
 	if n > maxBinaryStr {
 		return nil, nil, fmt.Errorf("wire: %s length %d exceeds limit", what, n)
 	}

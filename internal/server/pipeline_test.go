@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,10 @@ import (
 	"time"
 
 	"nestedsg/internal/client"
+	"nestedsg/internal/event"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 	"nestedsg/internal/wire"
 )
 
@@ -61,9 +64,11 @@ func countedSession(t testing.TB, s *server.Server, pipe bool) (c *client.Conn, 
 }
 
 // TestPipelinedWritesPerTx counts what a RunTx costs on the wire: one
-// client write and one server write per answer its body needs, however many
-// frames that is. Made synchronous again, BEGIN costs one more of each and
-// every Tx.Child another.
+// client write and one server write per answer its body reads — each read,
+// plus the COMMIT — however many frames that is. Made synchronous again,
+// BEGIN costs one more of each, and so does every Tx.Child, every write and
+// every subtransaction's Commit that a read or the COMMIT does not follow at
+// once.
 func TestPipelinedWritesPerTx(t *testing.T) {
 	write := func(tx *client.Tx, v int64) error {
 		_, err := tx.Access("x", spec.OpWrite, spec.Int(v))
@@ -93,17 +98,34 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 		frames int64 // requests, for the record: the count that does not change
 		writes int64 // per side
 	}{
-		// The benchmark's transaction: 4 accesses, the 2nd in a
-		// subtransaction. 8 frames; BEGIN and CHILD need no answer of their
-		// own, so 6 writes where a synchronous client makes 8.
-		{"benchmark shape", benchmarkTx, 8, 6},
+		// The benchmark's transaction: 4 writes, the 2nd in a subtransaction.
+		// 8 frames and nothing read before the COMMIT, so 1 write where a
+		// client waiting only for what it reads or names itself made 6 and a
+		// synchronous one 8.
+		{"benchmark shape", benchmarkTx, 8, 1},
+		// The same with reads for the 1st and 3rd access (young's 50 % mix):
+		// [BEGIN r] [CHILD w COMMIT r] [w COMMIT], where 6 and 8 were paid.
+		{"young's mix", halfReadTx, 8, 3},
+		// Four reads: each waits, and the sub-commit rides with the third.
+		{"reads only", shapedTx(func(int) bool { return true }), 8, 5},
+		// Four writes, no subtransaction: all ride with the COMMIT.
+		{"writes only", func(tx *client.Tx) error {
+			for v := int64(0); v < 4; v++ {
+				if err := write(tx, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 6, 1},
 		// BEGIN rides with COMMIT.
 		{"empty body", func(*client.Tx) error { return nil }, 2, 1},
-		// BEGIN and three CHILDs ride with the access: 1 + 3 commits + 1.
-		{"depth 3 before the first access", nested(3), 9, 5},
-		// BEGIN and seven CHILDs fill the queue, so the eighth Child drains
-		// it first: one write more than the 1 + 9 + 1 answers.
-		{"9 nested children hit the queue bound", nested(9), 21, 12},
+		// BEGIN, three CHILDs, the write and three sub-commits fill the
+		// queue, so the COMMIT drains it first and goes alone.
+		{"depth 3 before the first access", nested(3), 9, 2},
+		// The queue bound drains after BEGIN and seven CHILDs, again after
+		// two CHILDs, the write and five sub-commits, and the COMMIT takes
+		// the last four sub-commits: 3 writes for 21 frames.
+		{"9 nested children hit the queue bound", nested(9), 21, 3},
 	}
 	for _, pipe := range []bool{false, true} {
 		transport := map[bool]string{false: "tcp", true: "pipe"}[pipe]
@@ -174,9 +196,11 @@ func (h *gatedDrainHooks) DrainWait(time.Duration) {
 }
 
 // TestDeferredFrameErrors is the error surface of a frame whose answer the
-// client reads late: whatever goes wrong with a deferred BEGIN or CHILD
-// must come out of RunTx as it would have from a synchronous one, with
-// every answer consumed and the session where the client thinks it is.
+// client reads late: whatever goes wrong with a deferred BEGIN, CHILD, write
+// or subtransaction COMMIT must come out of RunTx as it would have from a
+// synchronous one — reported by the next request that waits, not by the
+// call that sent it — with every answer consumed and the session where the
+// client thinks it is.
 func TestDeferredFrameErrors(t *testing.T) {
 	writeX := func(tx *client.Tx) error {
 		_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
@@ -184,23 +208,39 @@ func TestDeferredFrameErrors(t *testing.T) {
 	}
 
 	// (a) BEGIN refused: RunTx returns the refusal, once and bare, sends no
-	// ABORT to a session that has no transaction, and the connection lives.
+	// ABORT to a session that has no transaction, and the connection lives —
+	// whether a read in the body meets the refusal or every request of the
+	// body was sent ahead and only the COMMIT, or RunTx's look at what the
+	// body left open, reads it.
 	refused := func(t *testing.T, s *server.Server, c *client.Conn, reason string) {
 		t.Helper()
 		aborts := s.Metrics().ClientAborts.Load()
 		for _, body := range []func(*client.Tx) error{
-			writeX,
-			func(tx *client.Tx) error { // the body wraps what it gets
+			writeX, // sent ahead: the refusal arrives with the COMMIT
+			func(tx *client.Tx) error { // the body wraps what its read gets
 				if err := writeX(tx); err != nil {
+					return err
+				}
+				if _, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil {
 					return fmt.Errorf("body: %w", err)
 				}
 				return nil
 			},
-			func(tx *client.Tx) error { // BEGIN rides behind a CHILD too
+			func(tx *client.Tx) error { // BEGIN rides behind a CHILD too, left open
 				if _, err := tx.Child(); err != nil {
 					return err
 				}
 				return writeX(tx)
+			},
+			func(tx *client.Tx) error { // a whole subtransaction sent ahead
+				if _, err := tx.Child(); err != nil {
+					return err
+				}
+				if err := writeX(tx); err != nil {
+					return err
+				}
+				_, err := tx.Commit()
+				return err
 			},
 			func(*client.Tx) error { return nil }, // BEGIN rides with COMMIT
 		} {
@@ -487,6 +527,308 @@ func TestDeferredFrameErrors(t *testing.T) {
 		nc.Close()
 		shutdownAndVerify(t, s)
 	})
+
+	// From here on the deferred request is a write, whose OK the body has
+	// been handed already, or a subtransaction's COMMIT, whose seq it has
+	// been told is 0.
+
+	// (g) The deadlock victim is a write sent ahead: the requests behind it
+	// in the burst are answered "outside a transaction" — none of them runs —
+	// every answer is consumed, and RunTx retries.
+	t.Run("victim at a deferred write", func(t *testing.T) {
+		s := startServer(t, server.Options{Objects: []string{"x", "y", "z"}, LockTimeout: 30 * time.Second})
+		older, victim := dialT(t, s), dialT(t, s)
+		defer older.Close()
+		defer victim.Close()
+		if _, err := older.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := older.Access("y", spec.OpWrite, spec.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		attempts := 0
+		done := make(chan error, 1)
+		go func() {
+			// Nothing here waits for an answer: the whole body goes with the
+			// COMMIT, and on attempt 1 its write of y parks behind older.
+			done <- victim.RunTx(3, func(tx *client.Tx) error {
+				attempts++
+				if err := writeX(tx); err != nil {
+					return err
+				}
+				if _, err := tx.Access("y", spec.OpWrite, spec.Int(2)); err != nil {
+					return err
+				}
+				if _, err := tx.Child(); err != nil {
+					return err
+				}
+				if _, err := tx.Access("z", spec.OpWrite, spec.Int(3)); err != nil {
+					return err
+				}
+				_, err := tx.Commit()
+				return err
+			})
+		}()
+		waitFor(t, "the younger transaction to park on y", func() bool { return s.Metrics().BlockedPolls.Load() >= 1 })
+		if _, err := older.Access("x", spec.OpWrite, spec.Int(3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := older.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("victim never committed: %v", err)
+		}
+		m := s.Metrics()
+		if attempts != 2 || m.Retries.Load() != 1 || m.DeadlockAborts.Load() != 1 || m.LockTimeouts.Load() != 0 {
+			t.Fatalf("%d attempts, %d retries, %d deadlock aborts, %d lock timeouts; want 2, 1, 1, 0",
+				attempts, m.Retries.Load(), m.DeadlockAborts.Load(), m.LockTimeouts.Load())
+		}
+		// Granted: older's two, attempt 1's x, attempt 2's three. The CHILD,
+		// the write of z and the COMMITs behind the victim ran nowhere.
+		if got := m.Accesses.Load(); got != 6 {
+			t.Fatalf("%d accesses granted, want 6", got)
+		}
+		if err := victim.Ping(); err != nil { // answers and requests still in step
+			t.Fatal(err)
+		}
+		if err := s.AuditObjects(); err != nil {
+			t.Fatal(err)
+		}
+		shutdownAndVerify(t, s)
+	})
+
+	// (h) A write sent ahead names an object the server refuses or an op the
+	// object's type lacks. The body's next request that waits reports the
+	// refusal, once; RunTx unwinds the open subtransaction and the top level,
+	// and the session is idle. When the refused write rides with the
+	// top-level COMMIT instead, the server applies the COMMIT all the same,
+	// and RunTx says so.
+	t.Run("deferred write refused", func(t *testing.T) {
+		s := startServer(t, server.Options{Objects: []string{"x"}})
+		c := dialT(t, s)
+		defer c.Close()
+		for _, bad := range []struct {
+			obj    string
+			op     spec.OpKind
+			reason string
+		}{
+			{"x", spec.OpEnq, `object "x" (register) does not support op enq`},
+			{"", spec.OpWrite, "empty object label"},
+		} {
+			aborts := s.Metrics().ClientAborts.Load()
+			bodies := 0
+			err := c.RunTx(3, func(tx *client.Tx) error {
+				bodies++
+				if v, err := tx.Access(bad.obj, bad.op, spec.Int(1)); err != nil || v != spec.OK {
+					return fmt.Errorf("a write sent ahead returned %v, %v", v, err)
+				}
+				if _, err := tx.Child(); err != nil {
+					return err
+				}
+				_, err := tx.Access("x", spec.OpRead, spec.Nil)
+				return err
+			})
+			if err == nil || strings.Count(err.Error(), bad.reason) != 1 {
+				t.Fatalf("RunTx = %v, want the refusal %q once", err, bad.reason)
+			}
+			if errors.Is(err, client.ErrTxAborted) || errors.Is(err, client.ErrCommittedAnyway) || bodies != 1 {
+				t.Fatalf("refused write: %d bodies, %v", bodies, err)
+			}
+			if got := s.Metrics().ClientAborts.Load() - aborts; got != 2 {
+				t.Fatalf("%d ABORTs unwound the child and the top, want 2", got)
+			}
+			if v, err := c.Verdict(); err != nil || !v.Acyclic {
+				t.Fatalf("verdict after unwinding: %+v, %v", v, err)
+			}
+			if err := s.AuditObjects(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.RunTx(1, func(tx *client.Tx) error {
+			if err := writeX(tx); err != nil {
+				return err
+			}
+			_, err := tx.Access("x", spec.OpEnq, spec.Int(2))
+			return err
+		}); !errors.Is(err, client.ErrCommittedAnyway) || !strings.Contains(err.Error(), "does not support op enq") {
+			t.Fatalf("refused write riding with the COMMIT: %v", err)
+		}
+		var v spec.Value
+		if err := c.RunTx(1, func(tx *client.Tx) (err error) {
+			v, err = tx.Access("x", spec.OpRead, spec.Nil)
+			return err
+		}); err != nil || v != spec.Int(1) {
+			t.Fatalf("the write that rode with the refused one: read %v, %v; want it committed", v, err)
+		}
+		shutdownAndVerify(t, s)
+	})
+
+	// (i) A write inside a snapshot read-only transaction: mvto refuses it
+	// from the snapshot path, and the refusal comes back like any other.
+	t.Run("deferred write in a snapshot read", func(t *testing.T) {
+		s := startServer(t, server.Options{Backend: "mvto", Objects: []string{"x"}})
+		c := dialT(t, s)
+		defer c.Close()
+		bodies := 0
+		err := c.RunReadTx(3, func(tx *client.Tx) error {
+			bodies++
+			if _, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil {
+				return err
+			}
+			if err := writeX(tx); err != nil {
+				return fmt.Errorf("a write sent ahead failed at once: %w", err)
+			}
+			_, err := tx.Access("x", spec.OpRead, spec.Nil)
+			return err
+		})
+		if err == nil || strings.Count(err.Error(), "read-only transaction: op write not allowed") != 1 || bodies != 1 {
+			t.Fatalf("RunReadTx = %v after %d bodies, want the snapshot path's refusal once", err, bodies)
+		}
+		if v, err := c.Verdict(); err != nil || !v.Acyclic {
+			t.Fatalf("verdict: %+v, %v", v, err)
+		}
+		if err := c.RunTx(1, writeX); err != nil { // the session is idle
+			t.Fatal(err)
+		}
+		if err := s.AuditObjects(); err != nil {
+			t.Fatal(err)
+		}
+		shutdownAndVerify(t, s)
+	})
+
+	// (j) A subtransaction's COMMIT sent ahead is refused (the WAL failed
+	// under it): the next read reports it; the server has already popped the
+	// child, so one ABORT — not two — unwinds the top level.
+	t.Run("deferred sub-commit refused", func(t *testing.T) {
+		disk := &failingDisk{MemDisk: server.NewMemDisk()}
+		s, _ := recoverAndStart(t, server.Options{WAL: disk, Objects: []string{"x", "y"}})
+		defer s.Kill()
+		c, other := dialT(t, s), dialT(t, s)
+		defer c.Close()
+		defer other.Close()
+		aborts := s.Metrics().ClientAborts.Load()
+		err := c.RunTx(1, func(tx *client.Tx) error {
+			if _, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil { // BEGIN is in
+				return err
+			}
+			disk.fail.Store(true)
+			if err := other.RunTx(1, func(tx *client.Tx) error {
+				_, err := tx.Access("y", spec.OpWrite, spec.Int(1))
+				return err
+			}); err == nil || !strings.Contains(err.Error(), "not durable") {
+				return fmt.Errorf("the commit that should have failed the WAL: %v", err)
+			}
+			if _, err := tx.Child(); err != nil {
+				return err
+			}
+			if err := writeX(tx); err != nil {
+				return err
+			}
+			if seq, err := tx.Commit(); err != nil || seq != 0 {
+				return fmt.Errorf("a sub-commit sent ahead returned %d, %v", seq, err)
+			}
+			_, err := tx.Access("x", spec.OpRead, spec.Nil)
+			return err
+		})
+		if err == nil || strings.Count(err.Error(), "commit not durable") != 1 || strings.Contains(err.Error(), "ABORT") {
+			t.Fatalf("RunTx = %v, want the sub-commit's refusal once and a clean unwinding", err)
+		}
+		if got := s.Metrics().ClientAborts.Load() - aborts; got != 1 {
+			t.Fatalf("%d ABORTs unwound the transaction, want 1", got)
+		}
+		if err := s.AuditObjects(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// (k) A subtransaction's COMMIT returns seq 0 inside RunTx — never a real
+	// log index — while the server logs it, and the explicit API's COMMITs,
+	// at their real ones.
+	t.Run("sub-commit seq", func(t *testing.T) {
+		s := startServer(t, server.Options{Objects: []string{"x"}})
+		c := dialT(t, s)
+		defer c.Close()
+		subSeq := uint64(1)
+		if err := c.RunTx(1, func(tx *client.Tx) (err error) {
+			if _, err = tx.Child(); err != nil {
+				return err
+			}
+			if err = writeX(tx); err != nil {
+				return err
+			}
+			subSeq, err = tx.Commit()
+			return err
+		}); err != nil || subSeq != 0 {
+			t.Fatalf("sub-commit in RunTx: seq %d, %v; want 0", subSeq, err)
+		}
+		if _, err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Child(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Access("x", spec.OpWrite, spec.Int(2)); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := c.Commit()
+		if err != nil || sub == 0 || top <= sub {
+			t.Fatalf("explicit COMMITs at %d then %d, %v; want real, increasing log indices", sub, top, err)
+		}
+		log, tr := s.Log(), s.Tree()
+		commits := 0
+		for _, e := range log {
+			if e.Kind == event.Commit && !tr.IsAccess(e.Tx) {
+				commits++
+			}
+		}
+		if commits != 4 { // both transactions' child and top level
+			t.Fatalf("%d transaction COMMITs logged, want 4", commits)
+		}
+		if e, f := log[sub], log[top]; e.Kind != event.Commit || f.Kind != event.Commit || tr.Parent(f.Tx) != tname.Root || tr.Parent(e.Tx) != f.Tx {
+			t.Fatalf("explicit COMMITs answered %d and %d, but the log has %v and %v there", sub, top, e, f)
+		}
+		shutdownAndVerify(t, s)
+	})
+
+	// (l) A 12 KiB write does not fit an empty write buffer, so it is never
+	// sent ahead — over a net.Pipe both ends would block writing — whether
+	// it is the body's first request, behind a write that was, or its last.
+	t.Run("large write over a pipe", func(t *testing.T) {
+		s := server.New(server.Options{Objects: []string{"x"}})
+		c, _, _ := countedSession(t, s, true)
+		big := spec.Str(strings.Repeat("v", 12<<10))
+		done := make(chan error, 1)
+		go func() {
+			done <- c.RunTx(1, func(tx *client.Tx) error {
+				if v, err := tx.Access("x", spec.OpWrite, big); err != nil || v != spec.OK {
+					return fmt.Errorf("first: %v, %v", v, err)
+				}
+				if err := writeX(tx); err != nil {
+					return err
+				}
+				if v, err := tx.Access("x", spec.OpWrite, big); err != nil || v != spec.OK {
+					return fmt.Errorf("behind a deferred write: %v, %v", v, err)
+				}
+				_, err := tx.Access("x", spec.OpWrite, big)
+				return err
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a 12 KiB write over net.Pipe never completed: it was sent ahead of its answer")
+		}
+		c.Close()
+		shutdownAndVerify(t, s)
+	})
 }
 
 // TestPipelinedBackendsOnlineEqualsBatch: the online certificate equals the
@@ -494,6 +836,12 @@ func TestDeferredFrameErrors(t *testing.T) {
 // the differential harness cover the label-less protocol; this is their cell
 // for bursts — RunTx traffic, nesting up to depth 3, four clients on two hot
 // objects and two cool ones — on every backend.
+//
+// It also holds the client's view to the server's log: every value a body
+// was handed — a read's answer, or the OK a write returned before its answer
+// arrived — equals the value of the matching REPORT_COMMIT in the log, for
+// every committed top-level transaction, and the log has no committed
+// transaction, and no access in one, that a client did not see.
 func TestPipelinedBackendsOnlineEqualsBatch(t *testing.T) {
 	objects := []string{"h0", "h1", "c0", "c1"}
 	for _, backend := range server.BackendNames() {
@@ -505,6 +853,9 @@ func TestPipelinedBackendsOnlineEqualsBatch(t *testing.T) {
 			)
 			var wg sync.WaitGroup
 			errs := make(chan error, clients)
+			// views[i] is client i's committed transactions in order, each the
+			// accesses its last attempt made with the values it was handed.
+			views := make([][]string, clients)
 			for i := 0; i < clients; i++ {
 				wg.Add(1)
 				go func(i int) {
@@ -516,11 +867,16 @@ func TestPipelinedBackendsOnlineEqualsBatch(t *testing.T) {
 					}
 					defer c.Close()
 					rng := rand.New(rand.NewSource(int64(i)))
+					var seen []string
 					for n := 0; n < txPer; n++ {
-						if err := c.RunTx(20, func(tx *client.Tx) error { return nestedBody(tx, rng, objects, 0) }); err != nil {
+						if err := c.RunTx(20, func(tx *client.Tx) error {
+							seen = seen[:0]
+							return nestedBody(tx, rng, objects, 0, &seen)
+						}); err != nil {
 							errs <- fmt.Errorf("client %d tx %d: %w", i, n, err)
 							return
 						}
+						views[i] = append(views[i], strings.Join(seen, "; "))
 					}
 				}(i)
 			}
@@ -532,6 +888,7 @@ func TestPipelinedBackendsOnlineEqualsBatch(t *testing.T) {
 			if err := s.AuditObjects(); err != nil {
 				t.Fatal(err)
 			}
+			checkClientViews(t, s, views)
 			shutdownAndVerify(t, s) // Batch.OK and Match
 			m := s.Metrics()
 			if m.Uncertified.Load() != 0 || m.LockTimeouts.Load() != 0 {
@@ -547,14 +904,15 @@ func TestPipelinedBackendsOnlineEqualsBatch(t *testing.T) {
 // nestedBody runs one to three steps at this level: an access, mostly to a
 // hot object, or — above depth 3 — a subtransaction that does the same.
 // Subtransactions are opened back to back as often as not, so CHILD frames
-// queue behind one another and behind BEGIN.
-func nestedBody(tx *client.Tx, rng *rand.Rand, objects []string, depth int) error {
+// queue behind one another and behind BEGIN. Each access is appended to
+// seen with the value the body was handed, as accessView renders it.
+func nestedBody(tx *client.Tx, rng *rand.Rand, objects []string, depth int, seen *[]string) error {
 	for step, steps := 0, 1+rng.Intn(3); step < steps; step++ {
 		if depth < 3 && rng.Intn(2) == 0 {
 			if _, err := tx.Child(); err != nil {
 				return err
 			}
-			if err := nestedBody(tx, rng, objects, depth+1); err != nil {
+			if err := nestedBody(tx, rng, objects, depth+1, seen); err != nil {
 				return err
 			}
 			if _, err := tx.Commit(); err != nil {
@@ -566,15 +924,71 @@ func nestedBody(tx *client.Tx, rng *rand.Rand, objects []string, depth int) erro
 		if rng.Intn(4) == 0 {
 			obj = objects[2+rng.Intn(2)]
 		}
-		var err error
-		if rng.Intn(2) == 0 {
-			_, err = tx.Access(obj, spec.OpRead, spec.Nil)
-		} else {
-			_, err = tx.Access(obj, spec.OpWrite, spec.Int(int64(rng.Intn(100))))
+		op := spec.Op{Kind: spec.OpRead}
+		if rng.Intn(2) != 0 {
+			op = spec.Op{Kind: spec.OpWrite, Arg: spec.Int(int64(rng.Intn(100)))}
 		}
+		v, err := tx.Access(obj, op.Kind, op.Arg)
 		if err != nil {
 			return err
 		}
+		*seen = append(*seen, accessView(obj, op, v))
 	}
 	return nil
+}
+
+// accessView renders one access and the value it returned.
+func accessView(obj string, op spec.Op, v spec.Value) string {
+	return fmt.Sprintf("%s.%s=%s", obj, op, v)
+}
+
+// checkClientViews matches what the clients saw against s's log. A session
+// is sequential, so the REPORT_COMMITs of one top-level transaction's
+// accesses are in the log in the order its body made them, and its
+// committed top-level transactions are in the order its client ran them. So
+// each client's list of committed transactions must equal, access for
+// access and value for value, the list the log holds for one session — and
+// the two sets of lists must be the same.
+func checkClientViews(t *testing.T, s *server.Server, views [][]string) {
+	t.Helper()
+	log, tr := s.Log(), s.Tree()
+	top := func(x tname.TxID) tname.TxID {
+		for tr.Parent(x) != tname.Root {
+			x = tr.Parent(x)
+		}
+		return x
+	}
+	accesses := map[tname.TxID][]string{} // per top-level, in log order
+	var sessions []string                 // "s<id>", in order of first commit
+	committed := map[string][]string{}    // per session, in commit order
+	for _, e := range log {
+		switch {
+		case e.Kind == event.ReportCommit && tr.IsAccess(e.Tx):
+			x := top(e.Tx)
+			accesses[x] = append(accesses[x], accessView(tr.ObjectLabel(tr.AccessObject(e.Tx)), tr.AccessOp(e.Tx), e.Val))
+		case e.Kind == event.Commit && tr.Parent(e.Tx) == tname.Root:
+			sess, _, _ := strings.Cut(tr.Label(e.Tx), ".")
+			if committed[sess] == nil {
+				sessions = append(sessions, sess)
+			}
+			committed[sess] = append(committed[sess], strings.Join(accesses[e.Tx], "; "))
+		}
+	}
+	var fromLog, fromClients []string
+	for _, sess := range sessions {
+		fromLog = append(fromLog, strings.Join(committed[sess], "\n"))
+	}
+	for _, v := range views {
+		fromClients = append(fromClients, strings.Join(v, "\n"))
+	}
+	slices.Sort(fromLog)
+	slices.Sort(fromClients)
+	if !slices.Equal(fromLog, fromClients) {
+		for i, v := range fromClients {
+			if !slices.Contains(fromLog, v) {
+				t.Fatalf("client view %d matches no session's committed transactions in the log:\n%s", i, v)
+			}
+		}
+		t.Fatalf("%d sessions committed transactions in the log, %d clients saw theirs", len(fromLog), len(fromClients))
+	}
 }

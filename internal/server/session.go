@@ -253,7 +253,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 			}
 			// The name is cosmetic — a read-only transaction is a query
 			// outside the behavior β, so nothing is interned or logged.
-			return wire.Response{Status: wire.StatusOK, Name: fmt.Sprintf("s%d.r%d", sn.id, sn.topN)}
+			return wire.Response{Status: wire.StatusOK, Name: sn.topLabel(true)}
 		}
 	}
 	sn.topN++

@@ -148,6 +148,24 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
+// FixedAnswer returns the value an operation of kind k answers in every
+// state of the built-in type that defines it, and false when the answer
+// depends on the state. The fixed ones are the blind updates, which all
+// answer OK: write, increment, decrement, deposit, insert, remove, append
+// and enq. For them the paper's REPORT_COMMIT(T, v) tells the parent only
+// that T committed, so a client may hand the value to its caller before the
+// answer arrives. It must still check the answer when it does arrive: a Spec
+// outside this package may answer a kind differently, and the client then
+// fails the transaction instead of having promised a value nobody returned.
+func FixedAnswer(k OpKind) (Value, bool) {
+	switch k {
+	case OpWrite, OpIncrement, OpDecrement, OpDeposit, OpInsert, OpRemove, OpAppend, OpEnq:
+		return OK, true
+	default:
+		return Nil, false
+	}
+}
+
 // Op is an operation invocation: a kind plus its argument. Following the
 // paper, all parameters of an access are encoded in its (interned) name, so
 // Op is comparable and hashable.

@@ -11,9 +11,10 @@
 // nested-transaction tree fragment) lives on the server. The server handles
 // requests one at a time and answers them in request order, one response
 // frame per request frame. A client need not wait for an answer before it
-// sends the next request: one that does not need a reply yet (BEGIN, CHILD)
-// may be sent ahead in the same write as the request that does, as long as
-// the client later reads one response per request it sent. The server
+// sends the next request: one whose reply it does not need yet (BEGIN,
+// CHILD, a blind update whose value its type fixes, a subtransaction's
+// COMMIT) may be sent ahead in the same write as the request that does, as
+// long as the client later reads one response per request it sent. The server
 // flushes its responses when the next request frame is not already complete
 // in its read buffer — after every response for a strictly alternating
 // client, once per burst for one that sends ahead — so a response is never
