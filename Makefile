@@ -23,7 +23,7 @@ sgvet:
 # the acyclic graph the lockorder analyzer enforces; DESIGN.md §11
 # commits the current rendering.
 lockreport:
-	$(GO) run ./cmd/sgvet -lockdot ./internal/server ./internal/sim ./internal/client ./internal/core ./internal/part ./internal/mvto ./internal/replica
+	$(GO) run ./cmd/sgvet -lockdot ./internal/server ./internal/sim ./internal/client ./internal/core ./internal/mvto ./internal/replica
 
 race:
 	$(GO) test -race ./...
@@ -84,20 +84,18 @@ bench-gate: bench-json
 # protocol, full client/server session round trip, one whole RunTx of the
 # benchmark's shape — all writes, and half reads — over loopback TCP with
 # its writes per transaction,
-# recovery's WAL scan, partitioned certifier apply+compose) plus a short
-# certified nestedload
-# sweep over clients × read-ratio × zipf × certifier partitions, whose
-# latency percentiles and throughput parse into the suite as first-class
-# columns (p50-us, p99-us, tx/s).
+# recovery's WAL scan, the offline partitioned certifier's apply+compose)
+# plus two short certified nestedload sweeps — clients × read-ratio × zipf,
+# and backends × read-ratio — whose latency percentiles and throughput
+# parse into the suite as first-class columns (p50-us, p99-us, tx/s).
 bench-server:
 	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|WalScan' -benchmem -count 1 ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'PartitionedApply' -benchmem -count 1 ./internal/part ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
-		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 \
-		-sweep-partitions 1,4 ; \
+		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-backends moss,undolog,mvto,replica -sweep-clients 8 \
-		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 -sweep-partitions 1 ) \
+		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 ) \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_SERVER.json
 
 # Fail when the server hot-path benchmarks regress against the committed

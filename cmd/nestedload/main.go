@@ -43,6 +43,7 @@ import (
 	"nestedsg/internal/client"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/wire"
 )
 
 func main() {
@@ -119,7 +120,6 @@ type loadConfig struct {
 	specName  string
 	seed      int64
 	retries   int
-	parts     int
 }
 
 // loadResult is what one load run measured, plus the certification verdict
@@ -150,10 +150,9 @@ func execute(cfg loadConfig, stderr io.Writer) (*loadResult, int) {
 	if cfg.selfserve {
 		var err error
 		srv, err = server.Listen("127.0.0.1:0", server.Options{
-			Backend:        cfg.backend,
-			DefaultSpec:    spec.ByName(cfg.specName),
-			Objects:        cfg.objects,
-			CertPartitions: cfg.parts,
+			Backend:     cfg.backend,
+			DefaultSpec: spec.ByName(cfg.specName),
+			Objects:     cfg.objects,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "nestedload:", err)
@@ -282,26 +281,32 @@ func execute(cfg loadConfig, stderr io.Writer) (*loadResult, int) {
 		res.ok = f.Batch.OK && f.Match
 	} else {
 		// Remote server: read its live verdict over the wire.
-		c, err := client.Dial(target)
-		if err == nil {
-			v, verr := c.Verdict()
-			c.Close()
-			if verr == nil {
-				var rate float64
-				if v.Commits+v.Aborts > 0 {
-					rate = float64(v.Aborts) / float64(v.Commits+v.Aborts)
-				}
-				res.summary = fmt.Sprintf(
-					"server verdict: events=%d certified=%d acyclic=%v sg=%d/%d/%d (parents/nodes/edges) commits=%d aborts=%d abort-rate=%.3f\n",
-					v.Events, v.Certified, v.Acyclic, v.Parents, v.Nodes, v.Edges, v.Commits, v.Aborts, rate)
-				res.ok = v.Acyclic
-			} else {
-				fmt.Fprintln(stderr, "nestedload: verdict:", verr)
-				res.ok = false
+		v, err := remoteVerdict(target)
+		if err != nil {
+			fmt.Fprintln(stderr, "nestedload: verdict:", err)
+		} else {
+			var rate float64
+			if v.Commits+v.Aborts > 0 {
+				rate = float64(v.Aborts) / float64(v.Commits+v.Aborts)
 			}
+			res.summary = fmt.Sprintf(
+				"server verdict: events=%d certified=%d acyclic=%v sg=%d/%d/%d (parents/nodes/edges) commits=%d aborts=%d abort-rate=%.3f\n",
+				v.Events, v.Certified, v.Acyclic, v.Parents, v.Nodes, v.Edges, v.Commits, v.Aborts, rate)
+			res.ok = v.Acyclic
 		}
 	}
 	return res, 0
+}
+
+// remoteVerdict reads a remote server's live certification verdict over a
+// connection of its own.
+func remoteVerdict(target string) (wire.Verdict, error) {
+	c, err := client.Dial(target)
+	if err != nil {
+		return wire.Verdict{}, err
+	}
+	defer c.Close()
+	return c.Verdict()
 }
 
 // tput is committed transactions per wall second.
@@ -353,7 +358,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specName    = fs.String("spec", "register", "object type")
 		backendName = fs.String("backend", "", "selfserve: object backend: moss (default), undolog, mvto, replica")
 		seed        = fs.Int64("seed", 1, "per-worker RNG seed base")
-		certParts   = fs.Int("cert-partitions", 0, "selfserve: certifier partitions (0 or 1 = single certifier)")
 		retries     = fs.Int("retries", 8, "max attempts per transaction (bounded exponential backoff)")
 		bench       = fs.Bool("bench", false, "also print a go test -bench style summary line")
 
@@ -362,7 +366,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sweepCli      = fs.String("sweep-clients", "1,4,8,16", "sweep: comma-separated worker counts")
 		sweepRatios   = fs.String("sweep-readratios", "0.2,0.8", "sweep: comma-separated read ratios")
 		sweepZipfs    = fs.String("sweep-zipfs", "0,1.5", "sweep: comma-separated zipf skews (0 = uniform)")
-		sweepParts    = fs.String("sweep-partitions", "1", "sweep: comma-separated certifier partition counts")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -403,11 +406,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specName:  *specName,
 		seed:      *seed,
 		retries:   *retries,
-		parts:     *certParts,
 	}
 
 	if *sweep {
-		return runSweep(base, *sweepBackends, *sweepCli, *sweepRatios, *sweepZipfs, *sweepParts, stdout, stderr)
+		return runSweep(base, *sweepBackends, *sweepCli, *sweepRatios, *sweepZipfs, stdout, stderr)
 	}
 
 	if *selfserve {
@@ -451,12 +453,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSweep executes the backends × clients × read-ratio × zipf × partitions
-// grid, each cell a fresh in-process server, and emits one
-// benchmark line per cell whose custom units (p50-us, p99-us, tx/s)
-// cmd/benchdiff parses into BENCH columns. Every cell must end with a clean
-// certificate; any verdict failure fails the sweep.
-func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, partList string, stdout, stderr io.Writer) int {
+// runSweep executes the backends × clients × read-ratio × zipf grid, each
+// cell a fresh in-process server, and emits one benchmark line per cell
+// whose custom units (p50-us, p99-us, tx/s) cmd/benchdiff parses into BENCH
+// columns. Every cell must end with a clean certificate; any verdict
+// failure fails the sweep.
+func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList string, stdout, stderr io.Writer) int {
 	var bks []string
 	for _, b := range strings.Split(backendList, ",") {
 		if b = strings.TrimSpace(b); b == "" {
@@ -487,42 +489,34 @@ func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList, partLi
 		fmt.Fprintln(stderr, "nestedload: -sweep-zipfs:", err)
 		return 2
 	}
-	parts, err := parseInts(partList)
-	if err != nil {
-		fmt.Fprintln(stderr, "nestedload: -sweep-partitions:", err)
-		return 2
-	}
 
 	rc := 0
 	for _, bk := range bks {
 		for _, c := range clients {
 			for _, r := range ratios {
 				for _, z := range zipfs {
-					for _, pt := range parts {
-						cfg := base
-						cfg.selfserve = true
-						cfg.backend = bk
-						cfg.workers = c
-						cfg.readRatio = r
-						cfg.zipfS = z
-						cfg.parts = pt
-						res, erc := execute(cfg, stderr)
-						if erc != 0 {
-							return erc
-						}
-						name := fmt.Sprintf("BenchmarkServerSweep/b%s/c%d/r%.2f/z%.1f/p%d", bk, c, r, z, pt)
-						fmt.Fprintf(stderr, "# %s committed=%d ro=%d failed=%d aborts=%d elapsed=%s ok=%v\n",
-							strings.TrimPrefix(name, "Benchmark"), res.committed, res.roDone, res.failed,
-							res.srvAborts, res.elapsed.Round(time.Millisecond), res.ok)
-						if res.committed > 0 {
-							fmt.Fprintf(stdout, "%s %d %d ns/op %d p50-us %d p99-us %.1f tx/s\n",
-								name, res.committed, res.elapsed.Nanoseconds()/res.committed,
-								res.lat.Quantile(0.50).Microseconds(), res.lat.Quantile(0.99).Microseconds(),
-								res.tput())
-						}
-						if !res.ok || (res.committed == 0 && res.failed > 0) {
-							rc = 1
-						}
+					cfg := base
+					cfg.selfserve = true
+					cfg.backend = bk
+					cfg.workers = c
+					cfg.readRatio = r
+					cfg.zipfS = z
+					res, erc := execute(cfg, stderr)
+					if erc != 0 {
+						return erc
+					}
+					name := fmt.Sprintf("BenchmarkServerSweep/b%s/c%d/r%.2f/z%.1f", bk, c, r, z)
+					fmt.Fprintf(stderr, "# %s committed=%d ro=%d failed=%d aborts=%d elapsed=%s ok=%v\n",
+						strings.TrimPrefix(name, "Benchmark"), res.committed, res.roDone, res.failed,
+						res.srvAborts, res.elapsed.Round(time.Millisecond), res.ok)
+					if res.committed > 0 {
+						fmt.Fprintf(stdout, "%s %d %d ns/op %d p50-us %d p99-us %.1f tx/s\n",
+							name, res.committed, res.elapsed.Nanoseconds()/res.committed,
+							res.lat.Quantile(0.50).Microseconds(), res.lat.Quantile(0.99).Microseconds(),
+							res.tput())
+					}
+					if !res.ok || (res.committed == 0 && res.failed > 0) {
+						rc = 1
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net"
 	"regexp"
 	"strings"
 	"testing"
@@ -114,8 +115,8 @@ func TestSweepBackendsAxis(t *testing.T) {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
 	for _, cell := range []string{
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p1 ",
-		"BenchmarkServerSweep/bmvto/c2/r0.50/z0.0/p1 ",
+		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0 ",
+		"BenchmarkServerSweep/bmvto/c2/r0.50/z0.0 ",
 	} {
 		if !strings.Contains(out, cell) {
 			t.Fatalf("sweep missing cell %q:\n%s", cell, out)
@@ -129,7 +130,7 @@ func TestSweepBackendsAxis(t *testing.T) {
 	}
 }
 
-var sweepLine = regexp.MustCompile(`(?m)^BenchmarkServerSweep/bmoss/c2/r0\.50/z0\.0/p1 \d+ \d+ ns/op \d+ p50-us \d+ p99-us \d+(\.\d+)? tx/s$`)
+var sweepLine = regexp.MustCompile(`(?m)^BenchmarkServerSweep/bmoss/c2/r0\.50/z0\.0 \d+ \d+ ns/op \d+ p50-us \d+ p99-us \d+(\.\d+)? tx/s$`)
 
 func TestSweepBenchLines(t *testing.T) {
 	code, out, errs := runLoad(t,
@@ -146,52 +147,37 @@ func TestSweepBenchLines(t *testing.T) {
 	}
 }
 
-// TestSweepPartitionsAxis: -sweep-partitions adds the certifier partition
-// count as a grid axis, and each cell's bench name carries its /p segment.
-func TestSweepPartitionsAxis(t *testing.T) {
-	code, out, errs := runLoad(t,
-		"-sweep", "-sweep-clients", "2", "-sweep-readratios", "0.5", "-sweep-zipfs", "0",
-		"-sweep-partitions", "1,4", "-sessions", "3", "-seed", "17")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
-	}
-	for _, cell := range []string{
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p1 ",
-		"BenchmarkServerSweep/bmoss/c2/r0.50/z0.0/p4 ",
-	} {
-		if !strings.Contains(out, cell) {
-			t.Fatalf("sweep missing cell %q:\n%s", cell, out)
-		}
-	}
-	if strings.Contains(errs, "ok=false") {
-		t.Fatalf("a partitioned sweep cell failed certification:\n%s", errs)
-	}
-}
-
 func TestSweepBadLists(t *testing.T) {
 	if code, _, errs := runLoad(t, "-sweep", "-sweep-clients", "2,x"); code != 2 || !strings.Contains(errs, "-sweep-clients") {
 		t.Fatalf("bad client list: exit %d, stderr %q", code, errs)
 	}
-	if code, _, errs := runLoad(t, "-sweep", "-sweep-partitions", "p"); code != 2 || !strings.Contains(errs, "-sweep-partitions") {
-		t.Fatalf("bad partition list: exit %d, stderr %q", code, errs)
+	if code, _, errs := runLoad(t, "-sweep", "-sweep-readratios", "0.5,y"); code != 2 || !strings.Contains(errs, "-sweep-readratios") {
+		t.Fatalf("bad read-ratio list: exit %d, stderr %q", code, errs)
 	}
 }
 
-// TestSelfServeCertPartitionsFlag: -cert-partitions plumbs through to the
-// partitioned certifier backend, and the composed certificate still
-// matches the batch check at drain.
-func TestSelfServeCertPartitionsFlag(t *testing.T) {
-	code, out, errs := runLoad(t,
-		"-selfserve", "-workers", "3", "-sessions", "4", "-cert-partitions", "4", "-seed", "19")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errs)
+// TestRemoteVerdictDialFailureIsReported: a remote run whose verdict
+// connection cannot be made fails with the reason on stderr, not with a
+// bare exit 1. The listener takes the worker's connection and closes, so the
+// verdict dial finds nobody listening.
+func TestRemoteVerdictDialFailureIsReported(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"final certificate: serially correct for T0",
-		"online snapshot matches batch SG byte-for-byte",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	defer lis.Close()
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		c, err := lis.Accept()
+		lis.Close()
+		if err == nil {
+			c.Close()
 		}
+	}()
+	code, out, errs := runLoad(t, "-addr", lis.Addr().String(), "-workers", "1", "-sessions", "0")
+	<-accepted
+	if code != 1 || !strings.Contains(errs, "nestedload: verdict: ") {
+		t.Fatalf("exit %d, want 1 with the verdict failure on stderr\nstdout:\n%s\nstderr:\n%s", code, out, errs)
 	}
 }

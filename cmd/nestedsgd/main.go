@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 		specName     = fs.String("spec", "register", "object type for new objects: register, counter, account, set, appendlog, queue")
 		objects      = fs.String("objects", "", "comma-separated object labels to pre-create")
 		walDir       = fs.String("wal", "", "directory for the durable write-ahead log; on boot, replay and audit it before serving ('' = in-memory, no durability)")
-		certParts    = fs.Int("cert-partitions", 0, "certifier partitions; >1 certifies via per-partition SG workers with cross-partition edge exchange (0 or 1 = single certifier)")
 		lockTimeout  = fs.Duration("lock-timeout", time.Second, "abort a transaction whose access waits this long")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "shutdown: force-close busy connections after this long")
 		verbose      = fs.Bool("v", false, "log per-session aborts")
@@ -88,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 		Backend:            backend,
 		DefaultSpec:        sp,
 		LockTimeout:        *lockTimeout,
-		CertPartitions:     *certParts,
 		ReplicaCopies:      *replicaN,
 		ReplicaReadQuorum:  *replicaR,
 		ReplicaWriteQuorum: *replicaW,

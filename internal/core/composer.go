@@ -8,7 +8,7 @@ import (
 )
 
 // Composer rebuilds SG(β) from edge *records* rather than events. It is
-// the receiving half of the partitioned certification scheme
+// the receiving half of the offline partitioned certifier
 // (internal/part): each partition streams its local event sub-stream
 // through an Incremental and exports the edges it derives; the Composer
 // unions those edge sets into the global graph and runs the same
@@ -122,16 +122,6 @@ func (c *Composer) node(pg *ParentGraph, t tname.TxID) int32 {
 // Cyclic reports the sticky verdict: whether any delivered edge closed a
 // cycle in some parent graph.
 func (c *Composer) Cyclic() bool { return c.cyclic }
-
-// Counts reports the live size of the composed graph: materialized parent
-// graphs, child nodes across all of them, and distinct (pair, kind) edge
-// records. O(parents); cheap enough for a metrics endpoint to poll.
-func (c *Composer) Counts() (parents, nodes, edges int) {
-	for _, pg := range c.parents {
-		nodes += len(pg.Children)
-	}
-	return len(c.parents), nodes, len(c.seen)
-}
 
 // Snapshot materializes the composed SG. Given the full edge set of some
 // prefix, the result is structurally identical to Build over that prefix —

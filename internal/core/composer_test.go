@@ -84,25 +84,6 @@ func verifyComposed(t *testing.T, tr *tname.Tree, b event.Behavior) {
 	}
 }
 
-// TestComposerCounts: Counts must agree with the Incremental that fed it.
-func TestComposerCounts(t *testing.T) {
-	tr := tname.NewTree()
-	b := protocolTrace(t, "moss", 3, tr)
-	inc := NewIncremental(tr)
-	comp := NewComposer(tr)
-	inc.SetEdgeSink(func(parent, from, to tname.TxID, kind EdgeKind) {
-		comp.AddEdge(parent, from, to, kind)
-	})
-	for _, e := range b {
-		inc.Append(e)
-	}
-	ip, in, ie := inc.Counts()
-	cp, cn, ce := comp.Counts()
-	if ip != cp || in != cn || ie != ce {
-		t.Fatalf("counts diverge: incremental (%d,%d,%d) composer (%d,%d,%d)", ip, in, ie, cp, cn, ce)
-	}
-}
-
 // TestComposerReset: Reset rewinds to the empty graph and a second
 // composition over the same tree reproduces the same bytes.
 func TestComposerReset(t *testing.T) {
@@ -118,8 +99,8 @@ func TestComposerReset(t *testing.T) {
 	feed()
 	first := comp.Snapshot().DOT()
 	comp.Reset()
-	if p, n, e := comp.Counts(); p != 0 || n != 0 || e != 0 {
-		t.Fatalf("reset left state behind: %d parents %d nodes %d edges", p, n, e)
+	if sg := comp.Snapshot(); sg.NumParents() != 0 || sg.NumEdges() != 0 || comp.Cyclic() {
+		t.Fatalf("reset left state behind: %d parents, %d edges, cyclic %v", sg.NumParents(), sg.NumEdges(), comp.Cyclic())
 	}
 	feed()
 	if got := comp.Snapshot().DOT(); got != first {

@@ -1,58 +1,40 @@
-// Package part partitions SG(β) certification across P independent
-// certifier partitions and composes their verdicts into the global one.
+// Package part certifies a finished behavior β by splitting SG(β) across P
+// partitions of the object space and composing their edge sets. It is an
+// offline measurement, not a server engine: the server certifies its log
+// with one core.Incremental, and this package survives only because the
+// repository's benchmark (bench/layers.go) still times Prime at P = 1 and
+// P = 4 against that engine. It goes when the benchmark stops reading it.
 //
-// The paper defines the serialization graph over one total-order event
-// log, and internal/core certifies that log with one streaming checker.
-// This package splits the *object space* instead: each object is owned by
-// exactly one partition (a deterministic hash of its label, see Owner),
-// and each partition runs its own core.Incremental over a filtered view
-// of the shared log:
+// Each object is owned by exactly one partition (a deterministic hash of
+// its label, see Owner), and each partition runs its own core.Incremental
+// over a filtered view of β:
 //
 //   - the REQUEST_COMMIT of an access is applied only by the partition
 //     that owns the accessed object;
 //   - every other event — creations, commits, aborts, reports — is
 //     applied by all partitions.
 //
-// The split is chosen so the union of the partitions' edge sets is
-// exactly edges(SG(β)). Conflict edges relate two accesses of the same
-// object, so the owner derives every conflict edge of its objects and no
-// other partition derives any; the per-object conflict scan is therefore
-// partitioned, and because the owner sees all of an object's operations and
-// every COMMIT in log order, it admits them in the order a single engine
-// would and stores the same generating set (core.conflictFrontier).
-// Precedes edges and the visibility relation depend only on the structural
-// events, which every partition sees, so each partition derives the same
-// precedes edges — the generating set core.frontier selects, identical in
-// every core.Incremental — (the composer dedups the copies) and parks/admits
-// accesses with exactly the global visibility. "Deciding Serializability in
-// Network Systems" (PAPERS.md) is the template: per-node graphs certify
-// locally and compose into the global verdict when the nodes exchange the
-// edges that cross them.
+// The union of the partitions' edge sets is exactly edges(SG(β)). Conflict
+// edges relate two accesses of the same object, so the owner derives every
+// conflict edge of its objects and no other partition derives any; the
+// owner sees all of an object's operations and every COMMIT in log order,
+// so it admits them in the order a single engine would and stores the same
+// generating set (core.conflictFrontier). Precedes edges depend only on the
+// structural events, which every partition sees, so each partition derives
+// the same precedes edges (core.frontier) and the composer dedups the
+// copies. "Deciding Serializability in Network Systems" (PAPERS.md) is the
+// template.
 //
-// Partitions export their edges through the versioned wire.EdgeBatch
-// codec — every flush round-trips through the encoder even though this
-// build composes in-process, so a multi-process split changes the
-// transport, not the protocol. The composer (core.Composer) unions the
-// batches; because the canonical freeze makes SG a pure function of its
-// edge set, the composed certificate is byte-identical to a batch
-// core.Check over the log, which Final() and the recovery audit
-// verify.
-//
-// Soundness of commit acknowledgement: a batch carries the exclusive
-// event bound UpTo its partition has applied, delivered atomically with
-// (never before) the edges derived from those events. The composer's
-// watermark is min over partitions of UpTo, so the composed graph always
-// contains every edge of SG(β[:watermark]) — it is a superset, since fast
-// partitions run ahead. Edges are monotone over prefixes (see
-// core.Incremental), so if the superset is acyclic, every covered prefix
-// is acyclic, and a COMMIT at log position seq may be acknowledged as
-// soon as watermark > seq.
+// Partitions ship their edges through the wire.EdgeBatch codec, and the
+// composer (core.Composer) unions the batches. Because the canonical freeze
+// makes SG a pure function of its edge set, Snapshot is byte-identical to a
+// batch core.Build over β; the package's differential tests and
+// FuzzPartitionedCertificate hold it to that.
 package part
 
 // Owner maps an object label to its owning partition in [0, parts). The
-// map is a pure function of the label bytes (FNV-1a) — independent of
-// interning order, of the partition a request arrived on, and of any
-// previous run — so every process, recovery, and replay agrees on it.
+// map is a pure function of the label bytes (FNV-1a), independent of
+// interning order and of any previous run.
 //
 //sgvet:hotpath
 func Owner(label string, parts int) int {

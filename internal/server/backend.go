@@ -12,9 +12,9 @@ import (
 	"nestedsg/internal/undolog"
 )
 
-// objectBackend is the seam between the server and its object layer,
-// mirroring the certBackend seam: one concurrency-control/recovery
-// algorithm guarding every shared object, selected by Options.Backend.
+// objectBackend is the seam between the server and its object layer: one
+// concurrency-control/recovery algorithm guarding every shared object,
+// selected by Options.Backend.
 // The automaton calls themselves still flow through object.Generic under
 // the per-object mutexes; the backend adds the pieces a protocol needs
 // from the server — construction, restart verdicts for protocols that
@@ -38,7 +38,7 @@ type objectBackend interface {
 	snapshots() *snapshotStore
 	// start launches any backend goroutines after the log is seeded or
 	// primed; waitDone blocks until the closed log has drained through
-	// them. Both mirror the certBackend lifecycle.
+	// them. Both run beside the certifier's own start and waitDone.
 	start(s *Server)
 	waitDone()
 	// metricsInto adds backend-specific keys to the metrics snapshot.

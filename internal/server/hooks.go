@@ -18,23 +18,19 @@ type Hooks interface {
 	// legal spurious wake-up: a harness may ignore wake and return whenever
 	// its own scheduler says so.
 	LockWait(sess int64, wake <-chan struct{}, d time.Duration)
-	// CertApply is called before certifier partition part — 0 for the
-	// single certifier goroutine, the partition's id with
-	// Options.CertPartitions > 1 — applies log event index to its graph; a
-	// harness can block here to stall the certifier or freeze one
-	// partition. It must not be called with server locks held. A
-	// partition's edge batch — bound included — is delivered to the
-	// composer before any blocking, so the watermark stalls exactly at
-	// index.
-	CertApply(part, index int)
-	// CertBatch is called after CertApply, before partition part applies a
+	// CertApply is called before the certifier applies log event index to
+	// its graph; a harness can block here to stall the certifier. It is
+	// never called with server locks held, and the watermark already
+	// covers every event before index, so a stall pins it exactly there.
+	CertApply(index int)
+	// CertBatch is called after CertApply, before the certifier applies a
 	// run of up to max events starting at log event index; it returns how
 	// many it may apply under one tree read-lock acquisition (the loop
 	// clamps the answer to [1, max]). A harness returns the distance to its
 	// next stall point so batching never silently crosses an installed
 	// stall; the real implementation returns max. Unlike CertApply it must
 	// not block.
-	CertBatch(part, index, max int) int
+	CertBatch(index, max int) int
 	// CommitWait is called after a COMMIT's events are logged, just
 	// before the session blocks on the certification watermark for log
 	// sequence seq. Notification only; it must not block on the harness.
@@ -67,8 +63,8 @@ func (realHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration) {
 	t.Stop()
 }
 
-func (realHooks) CertApply(int, int)          {}
-func (realHooks) CertBatch(_, _, max int) int { return max }
-func (realHooks) CommitWait(int64, int)       {}
-func (realHooks) SessionDone(int64)           {}
-func (realHooks) DrainWait(d time.Duration)   { time.Sleep(d) }
+func (realHooks) CertApply(int)             {}
+func (realHooks) CertBatch(_, max int) int  { return max }
+func (realHooks) CommitWait(int64, int)     {}
+func (realHooks) SessionDone(int64)         {}
+func (realHooks) DrainWait(d time.Duration) { time.Sleep(d) }

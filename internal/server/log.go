@@ -96,43 +96,14 @@ func (l *eventLog) waitBeyond(n int, buf event.Behavior) (event.Behavior, bool) 
 	return buf, true
 }
 
-// certBackend is the seam between the server and its certification
-// engine. Two implementations exist: the single-goroutine certifier
-// below (the default, Options.CertPartitions ≤ 1) and the partitioned
-// multi-certifier of internal/part (partcert.go). Both gate every
-// commit ack on an acyclic-SG(β)-prefix covering its COMMIT event and
-// both produce a final snapshot byte-identical to the batch check.
-type certBackend interface {
-	// prime replays a recovered log synchronously — before any session
-	// or certification goroutine exists — and returns the recovery
-	// rejection error if the durable prefix is already cyclic.
-	prime(full event.Behavior) error
-	// start launches the certification goroutine(s) after the log is
-	// seeded or primed; waitDone blocks until the closed log has fully
-	// drained through them and they have exited.
-	start()
-	waitDone()
-	// waitCertified blocks until the certified watermark passes seq,
-	// returning nil when an acyclic SG(β) prefix covers it and the
-	// cycle-certificate error otherwise.
-	waitCertified(seq int) error
-	// state reports (watermark, acyclic) for the verdict request.
-	state() (watermark int, acyclic bool)
-	// gauges reports the live graph size: parents, nodes, edge records.
-	gauges() (parents, nodes, edges int64)
-	// snapshotSG materializes the online SG for audits and Final.
-	snapshotSG() *core.SG
-	// metricsInto adds backend-specific keys to the metrics snapshot.
-	metricsInto(snap map[string]any)
-}
-
 // certifier runs core.Incremental behind the event log: a single goroutine
 // consumes the log in order and certifies each prefix, so a commit
 // response can wait until the watermark covers its COMMIT event and thereby
 // carry an acyclic-SG(β)-prefix guarantee. Prefix-monotonicity of the SG
 // edge set (see core.Incremental) makes the online verdict agree with the
 // offline batch verdict on every extension, which is why certifying behind
-// the log is sound.
+// the log is sound. Final and Recover hold its snapshot byte-identical to
+// the batch check.
 type certifier struct {
 	srv *Server
 	inc *core.Incremental
@@ -193,8 +164,8 @@ func (c *certifier) loop() {
 		for off := 0; off < len(batch); {
 			// The stall hook runs without any server lock held, so a
 			// harness-stalled certifier cannot wedge the sessions.
-			c.srv.opts.Hooks.CertApply(0, processed+off)
-			n := c.srv.opts.Hooks.CertBatch(0, processed+off, len(batch)-off)
+			c.srv.opts.Hooks.CertApply(processed + off)
+			n := c.srv.opts.Hooks.CertBatch(processed+off, len(batch)-off)
 			if n < 1 {
 				n = 1
 			} else if n > len(batch)-off {
@@ -281,7 +252,3 @@ func (c *certifier) gauges() (int64, int64, int64) {
 // snapshotSG is called single-threaded (recovery) or post-drain (Final),
 // so the incremental graph is quiescent.
 func (c *certifier) snapshotSG() *core.SG { return c.inc.Snapshot() }
-
-func (c *certifier) metricsInto(snap map[string]any) {
-	snap["cert_partitions"] = 1
-}

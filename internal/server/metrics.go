@@ -214,7 +214,6 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"group_size_p99":    m.GroupSize.QuantileVal(0.99),
 		"group_size_mean":   m.GroupSize.MeanVal(),
 	}
-	s.cert.metricsInto(snap)
 	s.backend.metricsInto(snap)
 	if req := m.WALSyncRequests.Load(); req > 0 {
 		snap["wal_syncs_per_request"] = float64(m.WALSyncs.Load()) / float64(req)

@@ -126,10 +126,10 @@ func (h *recordingHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration
 	case <-time.After(d):
 	}
 }
-func (h *recordingHooks) CertApply(int, int)          {}
-func (h *recordingHooks) CertBatch(_, _, max int) int { return max }
-func (h *recordingHooks) CommitWait(int64, int)       {}
-func (h *recordingHooks) SessionDone(int64)           {}
+func (h *recordingHooks) CertApply(int)            {}
+func (h *recordingHooks) CertBatch(_, max int) int { return max }
+func (h *recordingHooks) CommitWait(int64, int)    {}
+func (h *recordingHooks) SessionDone(int64)        {}
 func (h *recordingHooks) DrainWait(d time.Duration) {
 	h.drains.Add(1)
 	h.drainDur.Store(int64(d))

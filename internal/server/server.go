@@ -77,12 +77,6 @@ type Options struct {
 	// this is a safety net (a client that holds a lock and goes quiet); its
 	// firing is counted in lock_timeouts. Default 1s.
 	LockTimeout time.Duration
-	// CertPartitions splits SG(β) certification across this many
-	// partitions of the object space (internal/part): each runs its own
-	// incremental checker over its filtered view of the log and
-	// the composed graph gates commits. Default 1 — the single certifier
-	// goroutine; values > 1 engage the partitioned multi-certifier.
-	CertPartitions int
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 
@@ -118,9 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.LockTimeout <= 0 {
 		o.LockTimeout = time.Second
 	}
-	if o.CertPartitions <= 0 {
-		o.CertPartitions = 1
-	}
 	if o.Hooks == nil {
 		o.Hooks = realHooks{}
 	}
@@ -154,7 +145,7 @@ type Server struct {
 	defBuf []byte //sgvet:guardedby mu
 
 	log     *eventLog
-	cert    certBackend
+	cert    *certifier
 	backend objectBackend
 	metrics *Metrics
 	waits   *waitTable
@@ -188,11 +179,7 @@ func newServer(opts Options) (*Server, error) {
 	}
 	s.backend = be
 	s.log = newEventLog()
-	if opts.CertPartitions > 1 {
-		s.cert = newPartCertifier(s, opts.CertPartitions)
-	} else {
-		s.cert = newCertifier(s)
-	}
+	s.cert = newCertifier(s)
 	return s, nil
 }
 
@@ -592,10 +579,6 @@ func (s *Server) Final() *Final {
 
 // Log returns a copy of the captured event log.
 func (s *Server) Log() event.Behavior { return s.log.snapshot() }
-
-// CertPartitions reports the certifier partition count (1 = the single
-// certifier goroutine).
-func (s *Server) CertPartitions() int { return s.opts.CertPartitions }
 
 // Backend reports the object backend's name ("moss", "undolog", "mvto",
 // "replica", or an injected protocol's name).

@@ -27,44 +27,39 @@ func backendCfg(backend string, seed uint64) sim.Config {
 }
 
 // TestSimBackendFaultMatrix is the headline matrix: every backend ×
-// every fault class × one and two certifier partitions, each seed a
-// full certify-crash-recover-drain cycle. Any failure reproduces from
-// the printed Config alone.
+// every fault class, each seed a full certify-crash-recover-drain cycle.
+// Any failure reproduces from the printed Config alone.
 func TestSimBackendFaultMatrix(t *testing.T) {
 	seeds := 3
 	if testing.Short() {
 		seeds = 2
 	}
 	for _, backend := range backends {
-		for _, parts := range []int{1, 2} {
-			for _, class := range sim.AllFaults() {
-				backend, parts, class := backend, parts, class
-				t.Run(fmt.Sprintf("%s/p%d/%s", backend, parts, class), func(t *testing.T) {
-					t.Parallel()
-					injected := 0
-					for seed := uint64(1); seed <= uint64(seeds); seed++ {
-						cfg := backendCfg(backend, seed)
-						cfg.Steps = 160
-						cfg.CertPartitions = parts
-						cfg.Faults = []sim.FaultClass{class}
-						cfg.FaultPermille = 200
-						rep, err := sim.Run(cfg)
-						if err != nil {
-							writeFailureArtifact(t, seed, backend, err, rep)
-							t.Fatalf("seed %d: %v\nreproduce: sim.Run(%+v)", seed, err, cfg)
-						}
-						injected += rep.Faults[class]
+		for _, class := range sim.AllFaults() {
+			backend, class := backend, class
+			t.Run(fmt.Sprintf("%s/%s", backend, class), func(t *testing.T) {
+				t.Parallel()
+				injected := 0
+				for seed := uint64(1); seed <= uint64(seeds); seed++ {
+					cfg := backendCfg(backend, seed)
+					cfg.Steps = 160
+					cfg.Faults = []sim.FaultClass{class}
+					cfg.FaultPermille = 200
+					rep, err := sim.Run(cfg)
+					if err != nil {
+						writeFailureArtifact(t, seed, backend, err, rep)
+						t.Fatalf("seed %d: %v\nreproduce: sim.Run(%+v)", seed, err, cfg)
 					}
-					// Aggregated across seeds: a class can be inapplicable on
-					// one seed's schedule (e.g. clock-storm needs a parked
-					// session, which mvto's restart discipline makes rare),
-					// but the cell as a whole must exercise its fault.
-					// part-stall needs P > 1 to inject at all.
-					if injected == 0 && !(class == sim.FaultPartStall && parts == 1) {
-						t.Errorf("fault %s never injected across %d seeds", class, seeds)
-					}
-				})
-			}
+					injected += rep.Faults[class]
+				}
+				// Aggregated across seeds: a class can be inapplicable on
+				// one seed's schedule (e.g. clock-storm needs a parked
+				// session, which mvto's restart discipline makes rare),
+				// but the cell as a whole must exercise its fault.
+				if injected == 0 {
+					t.Errorf("fault %s never injected across %d seeds", class, seeds)
+				}
+			})
 		}
 	}
 }

@@ -76,17 +76,11 @@ func (h *simHooks) LockWait(sess int64, _ <-chan struct{}, _ time.Duration) {
 	}
 }
 
-// CertApply blocks the certifier at the active stall fronts until the
-// driver lifts the stall or retires the generation: a certifier stall
-// (FaultCertStall) freezes EVERY partition — the single certifier is
-// partition 0 — at indexes at or beyond its from, so the fault behaves
-// identically at any partition count, watermark pinned at from, while a
-// partition stall (FaultPartStall) freezes just its chosen partition. The
-// server calls it with no lock held, so a stalled certifier never wedges
-// the sessions, and a partition worker's delivered bound is already at the
-// stall front (it flushes each run's edge batch before the next
-// CertApply), so the composed watermark settles exactly at from.
-func (h *simHooks) CertApply(part, index int) {
+// CertApply blocks the certifier at indexes at or beyond an active stall's
+// from (FaultCertStall) until the driver lifts the stall or retires the
+// generation, so the watermark is pinned at from. The server calls it with
+// no lock held, so a stalled certifier never wedges the sessions.
+func (h *simHooks) CertApply(index int) {
 	s := h.s
 	for {
 		s.mu.Lock()
@@ -95,52 +89,37 @@ func (h *simHooks) CertApply(part, index int) {
 			return
 		}
 		st := s.stall
-		pst := s.pstall
 		rel := s.release
 		s.mu.Unlock()
-		var released chan struct{}
-		switch {
-		case st != nil && index >= st.from:
-			released = st.released
-		case pst != nil && part == pst.part && index >= pst.from:
-			released = pst.released
-		default:
+		if st == nil || index < st.from {
 			return
 		}
 		select {
-		case <-released:
+		case <-st.released:
 		case <-rel:
 			return
 		}
 	}
 }
 
-// CertBatch cuts a certifier run at the nearest active stall front: events
-// before the front may be applied as one run, events at or past it keep
-// blocking in CertApply. The happens-before chain that makes the read
-// reliable: the driver installs a stall with from = LogLen() under s.mu, so
-// any event at index ≥ from was appended — and therefore fetched by the
-// certifier — after the install, and this read (also under s.mu) sees it.
-// Without a stall the full window is allowed.
-func (h *simHooks) CertBatch(part, index, max int) int {
+// CertBatch cuts a certifier run at the active stall front: events before
+// the front may be applied as one run, events at or past it keep blocking
+// in CertApply. The happens-before chain that makes the read reliable: the
+// driver installs a stall with from = LogLen() under s.mu, so any event at
+// index ≥ from was appended — and therefore fetched by the certifier —
+// after the install, and this read (also under s.mu) sees it. Without a
+// stall the full window is allowed.
+func (h *simHooks) CertBatch(index, max int) int {
 	s := h.s
 	s.mu.Lock()
 	st := s.stall
-	pst := s.pstall
 	stale := h.gen != s.gen.Load()
 	s.mu.Unlock()
-	if stale {
+	if stale || st == nil {
 		return max
 	}
-	if st != nil {
-		if d := st.from - index; d > 0 && d < max {
-			max = d
-		}
-	}
-	if pst != nil && part == pst.part {
-		if d := pst.from - index; d > 0 && d < max {
-			max = d
-		}
+	if d := st.from - index; d > 0 && d < max {
+		return d
 	}
 	return max
 }
@@ -167,14 +146,6 @@ func (h *simHooks) DrainWait(d time.Duration) {
 // stallState is an active certifier stall: indexes >= from block until
 // released is closed.
 type stallState struct {
-	from     int
-	released chan struct{}
-}
-
-// partStallState is an active certifier-partition stall: partition part
-// blocks at indexes >= from until released is closed.
-type partStallState struct {
-	part     int
 	from     int
 	released chan struct{}
 }

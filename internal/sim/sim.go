@@ -4,9 +4,8 @@
 // virtual scheduler: a single driver goroutine issues every request,
 // wakes every parked lock wait, advances a virtual clock, and samples
 // faults (connection drops mid-transaction, drops after REQUEST_COMMIT,
-// certifier stalls, lock-timeout storms, frozen certifier partitions,
-// cross-partition deadlocks, and full process crashes with torn-write
-// recovery) from one splitmix64 stream. Two runs with the same
+// certifier stalls, lock-timeout storms, forced deadlocks, and full
+// process crashes with torn-write recovery) from one splitmix64 stream. Two runs with the same
 // Config produce byte-identical event traces, so any failing run
 // reproduces from its uint64 seed alone.
 //
@@ -34,7 +33,6 @@ import (
 	"nestedsg/internal/locking"
 	"nestedsg/internal/object"
 	"nestedsg/internal/oracle"
-	"nestedsg/internal/part"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/wire"
@@ -62,18 +60,11 @@ const (
 	// keeps only the synced prefix plus a random torn tail of unsynced
 	// bytes, and the server is rebuilt with server.Recover.
 	FaultCrash
-	// FaultPartStall freezes one randomly chosen certifier partition at
-	// the current log length: the partition delivers its edge batch up to
-	// the bound and blocks, the composed watermark settles exactly there,
-	// and commits past it park until the stall lifts (or a crash retires
-	// the incarnation). Applicable only with CertPartitions > 1.
-	FaultPartStall
-	// FaultXPartDeadlock drives two sessions into a crossing write
-	// conflict over two distinct objects — lock waits that span certifier
-	// partitions whenever the objects hash to different owners — which
-	// the server's waits-for detector (or timeout) must resolve. The
-	// injection itself is partition-count independent.
-	FaultXPartDeadlock
+	// FaultDeadlock drives two sessions into a crossing write conflict over
+	// two distinct objects — a writes x, b writes y, a wants y, b wants x —
+	// closing a waits-for cycle on purpose, which the server's deadlock
+	// detector (or timeout) must resolve by aborting a victim.
+	FaultDeadlock
 )
 
 var faultNames = map[FaultClass]string{
@@ -82,8 +73,7 @@ var faultNames = map[FaultClass]string{
 	FaultCertStall:       "cert-stall",
 	FaultClockStorm:      "clock-storm",
 	FaultCrash:           "crash",
-	FaultPartStall:       "part-stall",
-	FaultXPartDeadlock:   "xpart-deadlock",
+	FaultDeadlock:        "deadlock",
 }
 
 // String names the fault class.
@@ -96,7 +86,7 @@ func (f FaultClass) String() string {
 
 // AllFaults lists every fault class.
 func AllFaults() []FaultClass {
-	return []FaultClass{FaultDrop, FaultDropAfterCommit, FaultCertStall, FaultClockStorm, FaultCrash, FaultPartStall, FaultXPartDeadlock}
+	return []FaultClass{FaultDrop, FaultDropAfterCommit, FaultCertStall, FaultClockStorm, FaultCrash, FaultDeadlock}
 }
 
 // Config parameterizes a simulation run. The zero value plus a seed is a
@@ -126,9 +116,6 @@ type Config struct {
 	// lock, are never aborted by the server, and that each completed
 	// read set matches the committed state of some log prefix.
 	ROPermille int
-	// CertPartitions is the server's certifier partition count (default
-	// 1: the single certifier goroutine).
-	CertPartitions int
 	// Faults enables fault classes; empty means a fault-free run.
 	Faults []FaultClass
 	// FaultPermille is the per-step probability (in 1/1000) of injecting
@@ -152,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Protocol == nil && c.Backend == "" {
 		c.Protocol = locking.Protocol{}
-	}
-	if c.CertPartitions <= 0 {
-		c.CertPartitions = 1
 	}
 	if c.FaultPermille <= 0 {
 		c.FaultPermille = 30
@@ -187,6 +171,10 @@ type Report struct {
 	// part of the unsynced tail — the recoveries that met a torn write. A
 	// crash test that wants torn tails exercised asserts it is not zero.
 	TornCrashes int
+	// DeadlockAborts sums the server's deadlock_aborts counter over every
+	// incarnation: the waits-for cycle victims, read before each crash and
+	// at the final drain. Like TornCrashes it is not part of Summary().
+	DeadlockAborts int64
 	// FinalEvents is the stitched log length after the graceful drain;
 	// Trace is its binary encoding (the determinism witness).
 	FinalEvents int
@@ -198,11 +186,6 @@ type Report struct {
 	// FinalState maps each configured object label to its committed value
 	// after the drain, replayed from the stitched log (registers).
 	FinalState map[string]spec.Value
-	// XPartSpans counts injected cross-partition deadlocks whose two
-	// objects were owned by different certifier partitions. Partition-
-	// count dependent by construction, so deliberately NOT part of
-	// Summary() — summaries stay comparable across partition counts.
-	XPartSpans int
 	// FinalDisk is the WAL left behind by the clean shutdown — tests
 	// re-recover from it. Not part of the deterministic comparison.
 	FinalDisk *server.MemDisk
@@ -287,7 +270,6 @@ type sim struct {
 	wakes   map[int64]chan struct{} //sgvet:guardedby mu
 	release chan struct{}           //sgvet:guardedby mu
 	stall   *stallState             //sgvet:guardedby mu
-	pstall  *partStallState         //sgvet:guardedby mu
 
 	disk  *server.MemDisk
 	srv   *server.Server
@@ -295,8 +277,7 @@ type sim struct {
 	bySid map[int64]*slot
 	done  map[int64]bool // SessionDone seen, by server session id
 
-	stallLeft  int // scheduler decisions until the certifier stall lifts
-	pstallLeft int // scheduler decisions until the partition stall lifts
+	stallLeft int // scheduler decisions until the certifier stall lifts
 }
 
 // Run executes one simulation and returns its deterministic report. A
@@ -344,13 +325,12 @@ const (
 
 func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 	return server.Options{
-		Protocol:       s.cfg.Protocol,
-		Backend:        s.cfg.Backend,
-		Objects:        s.objs,
-		LockTimeout:    lockTimeout,
-		CertPartitions: s.cfg.CertPartitions,
-		WAL:            disk,
-		Hooks:          &simHooks{s: s, gen: s.gen.Load()},
+		Protocol:    s.cfg.Protocol,
+		Backend:     s.cfg.Backend,
+		Objects:     s.objs,
+		LockTimeout: lockTimeout,
+		WAL:         disk,
+		Hooks:       &simHooks{s: s, gen: s.gen.Load()},
 	}
 }
 
@@ -438,13 +418,6 @@ func (s *sim) drive() error {
 				}
 			}
 		}
-		if s.pstalled() {
-			if s.pstallLeft--; s.pstallLeft <= 0 {
-				if err := s.unstallPart(); err != nil {
-					return fmt.Errorf("step %d: %w", step, err)
-				}
-			}
-		}
 		if err := s.tick(); err != nil {
 			return fmt.Errorf("step %d: %w", step, err)
 		}
@@ -471,9 +444,6 @@ func (s *sim) tick() error {
 	if len(idle) == 0 {
 		if s.stalled() {
 			return s.unstall()
-		}
-		if s.pstalled() {
-			return s.unstallPart()
 		}
 		return fmt.Errorf("no runnable session (phases %v)", s.phases())
 	}
@@ -587,15 +557,9 @@ func (s *sim) handleEvent(ev simEvent) error {
 		}
 		s.mu.Lock()
 		st := s.stall
-		pst := s.pstall
 		s.mu.Unlock()
-		// Either stall pins the certified watermark at its from — the
-		// partition stall because the frozen partition's bound is the min
-		// — so the park rule is the same for both.
+		// A stall pins the certified watermark at its from.
 		if st != nil && ev.seq >= st.from {
-			sl.phase = phParkCert
-		}
-		if pst != nil && ev.seq >= pst.from {
 			sl.phase = phParkCert
 		}
 	case evDone:
@@ -706,7 +670,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		s.rep.Faults[class]++
 		return true, s.drop(open[s.r.intn(len(open))], wire.Request{})
 	case FaultDropAfterCommit:
-		if s.stalled() || s.pstalled() {
+		if s.stalled() {
 			// The dropped session's COMMIT parks on the stalled watermark,
 			// and with it the driver's wait for the session to retire.
 			return false, nil
@@ -723,11 +687,8 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		s.rep.Faults[class]++
 		return true, s.drop(open[s.r.intn(len(open))], wire.Request{Cmd: wire.CmdCommit})
 	case FaultCertStall:
-		// Mutually exclusive with a partition stall: their unstall drains
-		// both pump on "no slot parked behind a watermark", so overlapping
-		// stalls would make either lift wait on the other's parks.
 		s.mu.Lock()
-		already := s.stall != nil || s.pstall != nil
+		already := s.stall != nil
 		if !already {
 			s.stall = &stallState{from: s.srv.LogLen(), released: make(chan struct{})}
 		}
@@ -753,32 +714,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 			}
 		}
 		return true, nil
-	case FaultPartStall:
-		// Applicability is decided before any random draw, so runs with a
-		// single certifier treat the class as a deterministic no-op.
-		if s.srv.CertPartitions() <= 1 {
-			return false, nil
-		}
-		s.mu.Lock()
-		already := s.stall != nil || s.pstall != nil
-		if !already {
-			// from = LogLen(): the frozen partition delivers its bound up
-			// to from and blocks, so the composed watermark settles exactly
-			// at from and the park decisions below stay deterministic.
-			s.pstall = &partStallState{
-				part:     s.r.intn(s.srv.CertPartitions()),
-				from:     s.srv.LogLen(),
-				released: make(chan struct{}),
-			}
-		}
-		s.mu.Unlock()
-		if already {
-			return false, nil
-		}
-		s.pstallLeft = 5 + s.r.intn(20)
-		s.rep.Faults[class]++
-		return true, nil
-	case FaultXPartDeadlock:
+	case FaultDeadlock:
 		if len(s.objs) < 2 {
 			return false, nil
 		}
@@ -794,9 +730,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 			return false, nil
 		}
 		s.rep.Faults[class]++
-		// Two distinct objects and two distinct sessions, all drawn
-		// independently of the partition count so the injection (and the
-		// trace it produces) is identical at any CertPartitions.
+		// Two distinct objects and two distinct sessions.
 		i := s.r.intn(len(s.objs))
 		j := s.r.intn(len(s.objs) - 1)
 		if j >= i {
@@ -807,11 +741,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		if b >= a {
 			b++
 		}
-		p := s.srv.CertPartitions()
-		if part.Owner(s.objs[i], p) != part.Owner(s.objs[j], p) {
-			s.rep.XPartSpans++
-		}
-		return true, s.xpartDeadlock(open[a], open[b], s.objs[i], s.objs[j])
+		return true, s.crossWrites(open[a], open[b], s.objs[i], s.objs[j])
 	case FaultCrash:
 		s.rep.Faults[class]++
 		return true, s.crash()
@@ -840,14 +770,14 @@ func (s *sim) drop(sl *slot, last wire.Request) error {
 	return s.connect(sl)
 }
 
-// xpartDeadlock drives sessions a and b into a crossing write conflict:
-// a writes x then wants y, b writes y then wants x. Whenever both halves
-// of the cross block, the waits-for edge spans the two objects' owner
-// partitions (when they differ); the server's deadlock detector or lock
-// timeout must resolve it exactly as a same-partition cycle. Each access
-// is only issued while its session is still idle inside its transaction
-// — an earlier park or abort leaves a harmless partial pattern.
-func (s *sim) xpartDeadlock(a, b *slot, x, y string) error {
+// crossWrites drives sessions a and b into a crossing write conflict:
+// a writes x then wants y, b writes y then wants x. When both halves of
+// the cross block, the waits-for graph has the cycle a → b → a, which the
+// server's deadlock detector (or lock timeout) must break by aborting a
+// victim. Each access is only issued while its session is still idle
+// inside its transaction — an earlier park or abort leaves a harmless
+// partial pattern.
+func (s *sim) crossWrites(a, b *slot, x, y string) error {
 	steps := []struct {
 		sl  *slot
 		obj string
@@ -888,32 +818,12 @@ func (s *sim) unstall() error {
 	return s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 })
 }
 
-// pstalled reports whether a certifier-partition stall is active (locked
-// for the same reason as stalled: the frozen partition worker reads
-// s.pstall from its own goroutine).
-func (s *sim) pstalled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pstall != nil
-}
-
-// unstallPart lifts a partition stall and pumps until every commit parked
-// on the composed watermark has its response.
-func (s *sim) unstallPart() error {
-	s.mu.Lock()
-	st := s.pstall
-	s.pstall = nil
-	s.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	close(st.released)
-	return s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 })
-}
-
 // crash kills the server at the current instant and recovers it from the
 // durable prefix plus a random torn tail.
 func (s *sim) crash() error {
+	// Every session is settled, so the counter is a function of the
+	// schedule; once the generation retires, parked sessions run again.
+	s.rep.DeadlockAborts += s.srv.Metrics().DeadlockAborts.Load()
 	keep := 0
 	if u := s.disk.UnsyncedBytes(); u > 0 {
 		keep = s.r.intn(u + 1)
@@ -933,7 +843,6 @@ func (s *sim) crash() error {
 	s.release = make(chan struct{})
 	s.wakes = make(map[int64]chan struct{})
 	s.stall = nil
-	s.pstall = nil
 	s.mu.Unlock()
 
 	// Discard the incarnation's read-only read sets: a set may have read a
@@ -984,9 +893,6 @@ func (s *sim) finish() error {
 	if err := s.unstall(); err != nil {
 		return fmt.Errorf("final unstall: %w", err)
 	}
-	if err := s.unstallPart(); err != nil {
-		return fmt.Errorf("final partition unstall: %w", err)
-	}
 	for {
 		parked := s.phaseSlots(phParkLock)
 		if len(parked) == 0 {
@@ -1023,6 +929,7 @@ func (s *sim) finish() error {
 	if err := s.srv.Shutdown(context.Background()); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
+	s.rep.DeadlockAborts += s.srv.Metrics().DeadlockAborts.Load()
 	if err := s.srv.WALError(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}

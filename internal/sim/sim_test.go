@@ -38,15 +38,11 @@ func TestSimFaultMatrix(t *testing.T) {
 				tornCrashes := 0
 				for seed := uint64(1); seed <= 3; seed++ {
 					cfg := sim.Config{
-						Seed:     seed,
-						Steps:    160,
-						Protocol: proto.p,
-						// Two certifier partitions: part-stall needs P > 1
-						// to inject, and every other class should certify
-						// through the partitioned backend too.
-						CertPartitions: 2,
-						Faults:         []sim.FaultClass{class},
-						FaultPermille:  200,
+						Seed:          seed,
+						Steps:         160,
+						Protocol:      proto.p,
+						Faults:        []sim.FaultClass{class},
+						FaultPermille: 200,
 					}
 					rep, err := sim.Run(cfg)
 					if err != nil {
@@ -65,6 +61,38 @@ func TestSimFaultMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSimDeadlockFaultMakesVictims: FaultDeadlock is the one class that
+// closes a waits-for cycle on purpose, so its injections must turn into
+// deadlock victims. Two sessions on five objects, seeds 1..8: without
+// faults the seeds give 9 victims; with the fault, 113 injections give 75.
+// An injection whose crossing writes go to one object instead makes no
+// cycle of its own — about one victim per four injections, from the extra
+// contention — so the bar is one victim per two injections.
+func TestSimDeadlockFaultMakesVictims(t *testing.T) {
+	var injected int
+	var victims, baseline int64
+	for seed := uint64(1); seed <= 8; seed++ {
+		cfg := sim.Config{Seed: seed, Steps: 220, Sessions: 2, Objects: 5}
+		rep, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("no faults: %v\nreproduce: sim.Run(%+v)", err, cfg)
+		}
+		baseline += rep.DeadlockAborts
+		cfg.Faults = []sim.FaultClass{sim.FaultDeadlock}
+		cfg.FaultPermille = 250
+		rep, err = sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("%v\nreproduce: sim.Run(%+v)", err, cfg)
+		}
+		injected += rep.Faults[sim.FaultDeadlock]
+		victims += rep.DeadlockAborts
+	}
+	t.Logf("%d injections, %d deadlock victims; %d victims without faults", injected, victims, baseline)
+	if injected == 0 || victims == 0 || 2*victims < int64(injected) {
+		t.Fatalf("%d injections made %d deadlock victims, want at least one per two", injected, victims)
 	}
 }
 

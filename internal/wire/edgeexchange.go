@@ -7,13 +7,12 @@ import (
 	"nestedsg/internal/event"
 )
 
-// Edge exchange is the message layer of the partitioned certifier
-// (internal/part): each certifier partition periodically flushes the SG
-// edges it has derived, together with the event bound its local stream has
-// reached, and the composer unions the batches into the global graph. In
-// this repository the partitions compose in-process, but the batch still
-// crosses the codec on every flush — the encoded form IS the exchange, so
-// a future multi-process split changes the transport, not the protocol.
+// Edge exchange is the message layer of the offline partitioned certifier
+// (internal/part): each partition flushes the SG edges it has derived,
+// together with the event bound its stream has reached, and the composer
+// unions the batches into the global graph. The partitions compose
+// in-process, but the batch still crosses the codec on every flush — the
+// encoded form IS the exchange.
 //
 // An EdgeBatch payload is:
 //
@@ -44,10 +43,9 @@ type SGEdge struct {
 
 // EdgeBatch is one partition's flush: every edge record it derived since
 // the previous flush, plus the exclusive event bound the partition's local
-// stream has consumed. The soundness invariant of the exchange is that a
-// batch's edges are delivered before (atomically with) its bound — the
-// composer may only advance its watermark over events whose edges it
-// already holds.
+// stream has consumed. A batch's edges travel with (never after) its
+// bound, so a receiver never counts an event as covered before holding its
+// edges.
 type EdgeBatch struct {
 	Part  int
 	UpTo  int
