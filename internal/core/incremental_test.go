@@ -253,3 +253,55 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		checkDifferential(t, "fuzz", tr, b)
 	})
 }
+
+// TestIncrementalCountsMatchRecount: the O(1) Counts must equal a full
+// recount over the materialized parent graphs after every Append, on
+// protocol traces and on event soup, across Reset — one Incremental is
+// reused for every stream over a tree, as the pooled checker does.
+func TestIncrementalCountsMatchRecount(t *testing.T) {
+	check := func(inc *Incremental, b event.Behavior) bool {
+		for _, e := range b {
+			inc.Append(e)
+			parents, nodes, edges := inc.Counts()
+			wantNodes := 0
+			for _, pg := range inc.parents {
+				wantNodes += len(pg.Children)
+			}
+			if parents != len(inc.parents) || nodes != wantNodes || edges != len(inc.seen) {
+				t.Errorf("Counts() = (%d, %d, %d), recount (%d, %d, %d)",
+					parents, nodes, edges, len(inc.parents), wantNodes, len(inc.seen))
+				return false
+			}
+		}
+		return true
+	}
+	for _, name := range []string{"moss", "broken"} {
+		tr := tname.NewTree()
+		b := protocolTrace(t, name, 5, tr)
+		inc := NewIncremental(tr)
+		for round := 0; round < 2; round++ {
+			if !check(inc, b) {
+				t.Fatalf("%s: round %d", name, round)
+			}
+			inc.Reset()
+			if p, n, e := inc.Counts(); p != 0 || n != 0 || e != 0 {
+				t.Fatalf("%s: Counts() after Reset = (%d, %d, %d)", name, p, n, e)
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr, names := randomSystem(rng)
+		inc := NewIncremental(tr)
+		for round := 0; round < 3; round++ {
+			if !check(inc, randomEvents(rng, tr, names, 1+rng.Intn(60))) {
+				return false
+			}
+			inc.Reset()
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

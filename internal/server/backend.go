@@ -18,8 +18,8 @@ import (
 // The automaton calls themselves still flow through object.Generic under
 // the per-object mutexes; the backend adds the pieces a protocol needs
 // from the server — construction, restart verdicts for protocols that
-// abort instead of blocking, an optional read-only snapshot engine, and
-// lifecycle/metrics hooks.
+// abort instead of blocking, an optional read-only snapshot engine (fed by
+// the certifier), and metrics.
 type objectBackend interface {
 	// name identifies the backend ("moss", "undolog", "mvto", "replica" —
 	// or the wrapped protocol's name when Options.Protocol was injected).
@@ -36,11 +36,6 @@ type objectBackend interface {
 	// snapshots returns the read-only snapshot engine, or nil when the
 	// backend has none (read-only BEGINs then run as normal transactions).
 	snapshots() *snapshotStore
-	// start launches any backend goroutines after the log is seeded or
-	// primed; waitDone blocks until the closed log has drained through
-	// them. Both run beside the certifier's own start and waitDone.
-	start(s *Server)
-	waitDone()
 	// metricsInto adds backend-specific keys to the metrics snapshot.
 	metricsInto(snap map[string]any)
 }
@@ -66,8 +61,6 @@ func (b *protoBackend) restartReason(g object.Generic, acc tname.TxID) string {
 	return aborterReason(g, acc)
 }
 func (b *protoBackend) snapshots() *snapshotStore  { return nil }
-func (b *protoBackend) start(*Server)              {}
-func (b *protoBackend) waitDone()                  {}
 func (b *protoBackend) metricsInto(map[string]any) {}
 
 // mvtoBackend runs strict-admission multiversion timestamp ordering plus
@@ -83,8 +76,6 @@ func (b *mvtoBackend) restartReason(g object.Generic, acc tname.TxID) string {
 	return aborterReason(g, acc)
 }
 func (b *mvtoBackend) snapshots() *snapshotStore { return b.snap }
-func (b *mvtoBackend) start(s *Server)           { b.snap.start(s) }
-func (b *mvtoBackend) waitDone()                 { b.snap.waitDone() }
 func (b *mvtoBackend) metricsInto(snap map[string]any) {
 	snap["mvto_snapshot_reads"] = b.snap.reads.Load()
 	snap["mvto_ro_begins"] = b.snap.roTx.Load()
@@ -107,8 +98,6 @@ func (b *replicaBackend) restartReason(g object.Generic, acc tname.TxID) string 
 	return aborterReason(g, acc)
 }
 func (b *replicaBackend) snapshots() *snapshotStore { return nil }
-func (b *replicaBackend) start(*Server)             {}
-func (b *replicaBackend) waitDone()                 {}
 func (b *replicaBackend) metricsInto(snap map[string]any) {
 	snap["replica_copies"] = b.proto.Cfg.Copies
 	snap["replica_quorum_reads"] = b.ctrs.QuorumReads.Load()
@@ -122,13 +111,13 @@ func BackendNames() []string { return []string{"moss", "undolog", "mvto", "repli
 // building a server — the CLIs' pre-flight, so an unknown -backend name or
 // bad quorum arithmetic is a clean error instead of a panic inside New.
 func ValidateBackendOptions(opts Options) error {
-	_, err := resolveBackend(opts.withDefaults(), tname.NewTree())
+	_, err := resolveBackend(opts.withDefaults(), tname.NewTree(), nil)
 	return err
 }
 
-// resolveBackend builds the object backend newServer installs. The tree
-// must already exist (the MVTO clock binds to it).
-func resolveBackend(opts Options, tr *tname.Tree) (objectBackend, error) {
+// resolveBackend builds the object backend newServer installs for s. The
+// tree must already exist (the MVTO clock binds to it).
+func resolveBackend(opts Options, tr *tname.Tree, s *Server) (objectBackend, error) {
 	if opts.Backend != "" && opts.Protocol != nil {
 		return nil, fmt.Errorf("server: Options.Backend %q and Options.Protocol %q are both set; pick one",
 			opts.Backend, opts.Protocol.Name())
@@ -155,7 +144,7 @@ func resolveBackend(opts Options, tr *tname.Tree) (objectBackend, error) {
 		if err := registerOnly("mvto"); err != nil {
 			return nil, err
 		}
-		return &mvtoBackend{p: mvto.NewStrictProtocol(tr), snap: newSnapshotStore()}, nil
+		return &mvtoBackend{p: mvto.NewStrictProtocol(tr), snap: newSnapshotStore(s)}, nil
 	case "replica":
 		if err := registerOnly("replica"); err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package server_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"nestedsg/internal/client"
 	"nestedsg/internal/locking"
@@ -48,20 +47,12 @@ func roReadValue(t *testing.T, c *client.Conn, label string) (string, spec.Value
 	return name, v
 }
 
-// awaitSnapshot polls read-only transactions until one's cut covers a
-// state where label reads want — the snapshot tailer publishes
-// asynchronously, so a cut pinned right after a commit ack may predate it.
-func awaitSnapshot(t *testing.T, c *client.Conn, label string, want spec.Value) {
+// expectSnapshot opens one read-only transaction and requires it to read
+// want from label: a commit acknowledged before the BEGIN is inside its cut.
+func expectSnapshot(t *testing.T, c *client.Conn, label string, want spec.Value) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, v := roReadValue(t, c, label); v == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot never published %s=%s", label, want)
-		}
-		time.Sleep(time.Millisecond)
+	if _, v := roReadValue(t, c, label); v != want {
+		t.Fatalf("snapshot read %s=%s after the acknowledged commit of %s", label, v, want)
 	}
 }
 
@@ -98,7 +89,7 @@ func TestMVTOReadOnlySnapshotLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	awaitSnapshot(t, c, "x", spec.Int(5))
+	expectSnapshot(t, c, "x", spec.Int(5))
 
 	// One read-only transaction observes both writes at a single cut, with
 	// a subtransaction in the middle, and rejects a write operation.
@@ -141,7 +132,7 @@ func TestMVTOReadOnlySnapshotLifecycle(t *testing.T) {
 	if _, err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	awaitSnapshot(t, c, "x", spec.Int(9))
+	expectSnapshot(t, c, "x", spec.Int(9))
 
 	if err := s.AuditObjects(); err != nil {
 		t.Fatalf("audit: %v", err)
@@ -177,7 +168,7 @@ func TestReadOnlyDegradesWithoutSnapshots(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// No tailer to wait for: the degraded read locks the live object.
+	// No snapshot store: the degraded read locks the live object.
 	name, v := roReadValue(t, c, "x")
 	if v != spec.Int(3) {
 		t.Fatalf("degraded RO read: got %s, want 3", v)

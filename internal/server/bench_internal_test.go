@@ -25,7 +25,7 @@ func BenchmarkLogAppend(b *testing.B) {
 		event.NewEvent(event.RequestCreate, tname.TxID(2)),
 		event.NewEvent(event.Create, tname.TxID(2)),
 	}
-	l := newEventLog()
+	l := &eventLog{}
 	l.wal = w
 	l.events = make(event.Behavior, 0, b.N*len(evs))
 	b.ReportAllocs()

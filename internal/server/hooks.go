@@ -18,22 +18,21 @@ type Hooks interface {
 	// legal spurious wake-up: a harness may ignore wake and return whenever
 	// its own scheduler says so.
 	LockWait(sess int64, wake <-chan struct{}, d time.Duration)
-	// CertApply is called before the certifier applies log event index to
-	// its graph; a harness can block here to stall the certifier. It is
-	// never called with server locks held, and the watermark already
-	// covers every event before index, so a stall pins it exactly there.
-	CertApply(index int)
-	// CertBatch is called after CertApply, before the certifier applies a
-	// run of up to max events starting at log event index; it returns how
-	// many it may apply under one tree read-lock acquisition (the loop
-	// clamps the answer to [1, max]). A harness returns the distance to its
-	// next stall point so batching never silently crosses an installed
-	// stall; the real implementation returns max. Unlike CertApply it must
-	// not block.
-	CertBatch(index, max int) int
-	// CommitWait is called after a COMMIT's events are logged, just
-	// before the session blocks on the certification watermark for log
-	// sequence seq. Notification only; it must not block on the harness.
+	// CertApply is called before a combining committer applies a run of
+	// up to max log events, starting at index, to the certifier's graph;
+	// it returns how many the run may hold (clamped to [1, max]). The
+	// watermark already covers every event before index. A harness stalls
+	// the certifier by blocking here at its stall point, and cuts a run
+	// that would cross the point by returning the distance to it; the real
+	// implementation returns max. It is called with no server lock held,
+	// but with the certifier's mutex, so a stall parks every top-level
+	// committer queued behind it — which is what a stalled certifier
+	// means — while sessions, read-only BEGINs and metrics go on.
+	CertApply(index, max int) int
+	// CommitWait is called after a top-level COMMIT's events are logged
+	// (and synced), just before the session waits for the certification
+	// watermark to cover log sequence seq. Notification only; it must not
+	// block on the harness.
 	CommitWait(sess int64, seq int)
 	// SessionDone is called when a session's serve loop has fully
 	// finished: all of its events (including any disconnect abort) are in
@@ -63,8 +62,7 @@ func (realHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration) {
 	t.Stop()
 }
 
-func (realHooks) CertApply(int)             {}
-func (realHooks) CertBatch(_, max int) int  { return max }
+func (realHooks) CertApply(_, max int) int  { return max }
 func (realHooks) CommitWait(int64, int)     {}
 func (realHooks) SessionDone(int64)         {}
 func (realHooks) DrainWait(d time.Duration) { time.Sleep(d) }

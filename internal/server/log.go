@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -18,9 +17,7 @@ import (
 // result is a generic behavior.
 type eventLog struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	events event.Behavior //sgvet:guardedby mu
-	closed bool           //sgvet:guardedby mu
 
 	// wal, when set, receives every atomic append as one WalEvents record —
 	// written under mu, so the durable record order IS the log order.
@@ -28,12 +25,6 @@ type eventLog struct {
 	// before any session exists.
 	wal    *walWriter //sgvet:guardedby mu
 	walBuf []byte     //sgvet:guardedby mu
-}
-
-func newEventLog() *eventLog {
-	l := &eventLog{}
-	l.cond = sync.NewCond(&l.mu)
-	return l
 }
 
 // append atomically appends evs and returns the log index of the first one.
@@ -50,7 +41,6 @@ func (l *eventLog) append(evs ...event.Event) int {
 		l.wal.appendRecord(l.walBuf)
 	}
 	l.mu.Unlock()
-	l.cond.Broadcast()
 	return base
 }
 
@@ -70,180 +60,152 @@ func (l *eventLog) snapshot() event.Behavior {
 	return append(event.Behavior(nil), l.events...)
 }
 
-// close marks the log complete (appenders are gone: Shutdown/Kill wait for
-// sessions first) and wakes the certifier so it can drain and exit.
-func (l *eventLog) close() {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// waitBeyond blocks until the log extends past n (returning a copy of the
-// new suffix in buf) or is closed with nothing left (returning ok=false).
+// suffix copies the log from index n on into buf.
 //
 //sgvet:hotpath
-func (l *eventLog) waitBeyond(n int, buf event.Behavior) (event.Behavior, bool) {
+func (l *eventLog) suffix(n int, buf event.Behavior) event.Behavior {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.events) <= n && !l.closed {
-		l.cond.Wait()
-	}
-	if len(l.events) <= n {
-		return nil, false
-	}
-	buf = append(buf[:0], l.events[n:]...)
-	return buf, true
+	return append(buf[:0], l.events[n:]...)
 }
 
-// certifier runs core.Incremental behind the event log: a single goroutine
-// consumes the log in order and certifies each prefix, so a commit
-// response can wait until the watermark covers its COMMIT event and thereby
-// carry an acyclic-SG(β)-prefix guarantee. Prefix-monotonicity of the SG
-// edge set (see core.Incremental) makes the online verdict agree with the
-// offline batch verdict on every extension, which is why certifying behind
-// the log is sound. Final and Recover hold its snapshot byte-identical to
-// the batch check.
+// certifier runs core.Incremental behind the event log, with no goroutine
+// of its own: whoever needs the watermark — a top-level COMMIT, a VERDICT,
+// Shutdown, recovery — applies the uncertified suffix itself under mu
+// (flat combining, the leader rule of the group committer), so a commit
+// response carries an acyclic-SG(β)-prefix guarantee without a hand-off.
+// Prefix-monotonicity of the SG edge set (see core.Incremental) makes the
+// online verdict agree with the offline batch verdict on every extension,
+// which is why certifying behind the log, in runs of any length, is sound.
+// Final and Recover hold its snapshot byte-identical to the batch check.
+//
+// The mvto snapshot store is fed in the same pass, so the snapshot cut
+// equals the watermark: a commit acknowledged to one client is visible to
+// every read-only BEGIN that follows. Readers of the watermark, the verdict
+// and the gauges use atomics and never take mu.
 type certifier struct {
-	srv *Server
-	inc *core.Incremental
+	srv  *Server
+	snap *snapshotStore // nil unless the backend serves snapshots
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	watermark int         //sgvet:guardedby mu
-	cycle     *core.Cycle //sgvet:guardedby mu
-	cycleAt   int         //sgvet:guardedby mu
+	// mu serializes the combiners; the engine and the copy buffer are
+	// theirs.
+	mu  sync.Mutex
+	inc *core.Incremental //sgvet:guardedby mu
+	buf event.Behavior    //sgvet:guardedby mu
 
-	// Live gauges, readable without the certifier's locks.
+	// watermark is the certified log prefix; it only grows, under mu.
+	watermark atomic.Int64
+	// rejected is the first cycle, stored before the watermark that
+	// covers it is published.
+	rejected atomic.Pointer[rejection]
+
+	// Live gauges.
 	parents, nodes, edges atomic.Int64
+}
 
-	// primed is how many log events Recover replayed synchronously
-	// before the loop began; the loop resumes after them.
-	primed int
-
-	done chan struct{}
+// rejection is the sticky verdict: the cycle certificate and the log
+// index of the first event whose prefix made SG(β) cyclic.
+type rejection struct {
+	cyc *core.Cycle
+	at  int
 }
 
 //sgvet:ignore[lockguard] construction: runs inside newServer before the server is shared with any goroutine
-func newCertifier(s *Server) *certifier {
-	c := &certifier{
-		srv:     s,
-		inc:     core.NewIncremental(s.tr),
-		cycleAt: -1,
-		done:    make(chan struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+func newCertifier(s *Server, snap *snapshotStore) *certifier {
+	return &certifier{srv: s, snap: snap, inc: core.NewIncremental(s.tr)}
 }
 
-// loop consumes the log until it is closed and drained. The tree read lock
-// is held while appending (sessions intern names under the write lock).
-func (c *certifier) loop() {
-	defer close(c.done)
-	processed := c.primed
-	var buf event.Behavior
-	for {
-		batch, ok := c.srv.log.waitBeyond(processed, buf)
-		if !ok {
-			// Closed and drained: release any lingering waiters.
-			c.mu.Lock()
-			c.watermark = math.MaxInt
-			c.mu.Unlock()
-			c.cond.Broadcast()
-			return
-		}
-		buf = batch
-		// Apply the suffix as runs: one tree read-lock acquisition, one
-		// gauge refresh and one watermark publish per run instead of per
-		// event. Prefix-monotonicity of the SG edge set makes this sound —
-		// judging the run's end prefix certifies every prefix inside it,
-		// and Incremental records the exact index of the first rejection
-		// regardless of how the appends were grouped. CertBatch lets a
-		// harness cut runs at its stall point so batching never crosses
-		// one.
-		for off := 0; off < len(batch); {
-			// The stall hook runs without any server lock held, so a
-			// harness-stalled certifier cannot wedge the sessions.
-			c.srv.opts.Hooks.CertApply(processed + off)
-			n := c.srv.opts.Hooks.CertBatch(processed+off, len(batch)-off)
-			if n < 1 {
-				n = 1
-			} else if n > len(batch)-off {
-				n = len(batch) - off
-			}
-			c.srv.mu.RLock()
-			for _, e := range batch[off : off+n] {
-				c.inc.Append(e)
-			}
-			p, nn, ed := c.inc.Counts()
-			c.srv.mu.RUnlock()
-			c.parents.Store(int64(p))
-			c.nodes.Store(int64(nn))
-			c.edges.Store(int64(ed))
-			off += n
-
-			c.mu.Lock()
-			c.watermark = processed + off
-			if c.cycle == nil {
-				c.cycle, c.cycleAt = c.inc.Rejected()
-			}
-			c.mu.Unlock()
-			c.cond.Broadcast()
-		}
-		processed += len(batch)
-	}
-}
-
-// waitCertified blocks until the certifier has consumed the log through seq
-// and returns nil when every prefix up to seq has an acyclic SG, or the
-// cycle certificate error from the first violating prefix at or before seq.
-func (c *certifier) waitCertified(seq int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.watermark <= seq {
-		c.cond.Wait()
-	}
-	if c.cycle != nil && c.cycleAt <= seq {
-		c.srv.mu.RLock()
-		msg := c.cycle.Format(c.srv.tr)
-		c.srv.mu.RUnlock()
-		return fmt.Errorf("server: SG(β) acquired a cycle at log event %d: %s", c.cycleAt, msg)
-	}
-	return nil
-}
-
-// state reports (watermark, acyclic) for the verdict request.
-func (c *certifier) state() (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.watermark, c.cycle == nil
-}
-
-// prime replays the recovered log through the incremental graph
-// synchronously; recovery calls it single-threaded before the loop
-// starts, so the loop resumes exactly after the primed prefix.
+// combine certifies the log through index target-1. The suffix is applied
+// in runs — one tree read-lock acquisition, one gauge refresh and one
+// watermark publish per run — whose length Hooks.CertApply bounds, so a
+// harness can cut a run at its stall point and block there. Judging a
+// run's end prefix certifies every prefix inside it, and Incremental
+// records the exact index of the first rejection however the appends were
+// grouped. No run starts at or past target, so a combiner never waits on
+// a stall beyond its own commit.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
-func (c *certifier) prime(full event.Behavior) error {
-	for _, e := range full {
-		c.inc.Append(e)
+//sgvet:holds c.mu
+func (c *certifier) combine(target int) {
+	wm := int(c.watermark.Load())
+	if wm >= target {
+		return
 	}
-	if cyc, at := c.inc.Rejected(); cyc != nil {
-		return fmt.Errorf("server: recovery rejected wal: SG(β) cyclic at durable event %d: %s", at, cyc.Format(c.srv.tr))
+	c.buf = c.srv.log.suffix(wm, c.buf)
+	for off := 0; wm < target; {
+		n := c.srv.opts.Hooks.CertApply(wm, len(c.buf)-off)
+		n = max(1, min(n, len(c.buf)-off))
+		c.srv.mu.RLock()
+		for i, e := range c.buf[off : off+n] {
+			c.inc.Append(e)
+			if c.snap != nil {
+				c.snap.apply(wm+i, e)
+			}
+		}
+		p, nn, ed := c.inc.Counts()
+		c.srv.mu.RUnlock()
+		c.parents.Store(int64(p))
+		c.nodes.Store(int64(nn))
+		c.edges.Store(int64(ed))
+		off += n
+		wm += n
+		if c.rejected.Load() == nil {
+			if cyc, at := c.inc.Rejected(); cyc != nil {
+				c.rejected.Store(&rejection{cyc: cyc, at: at})
+			}
+		}
+		c.watermark.Store(int64(wm))
 	}
-	p, n, ed := c.inc.Counts()
-	c.parents.Store(int64(p))
-	c.nodes.Store(int64(n))
-	c.edges.Store(int64(ed))
-	c.primed = len(full)
-	c.mu.Lock()
-	c.watermark = len(full)
-	c.mu.Unlock()
+}
+
+// waitCertified returns once the watermark covers seq: nil when every
+// prefix up to seq has an acyclic SG, or the cycle certificate error from
+// the first violating prefix at or before seq. A short watermark is
+// extended by this caller, behind any combiner already holding mu.
+func (c *certifier) waitCertified(seq int) error {
+	if int(c.watermark.Load()) <= seq {
+		c.mu.Lock()
+		c.combine(seq + 1)
+		c.mu.Unlock()
+	}
+	if r := c.rejected.Load(); r != nil && r.at <= seq {
+		c.srv.mu.RLock()
+		msg := r.cyc.Format(c.srv.tr)
+		c.srv.mu.RUnlock()
+		return fmt.Errorf("server: SG(β) acquired a cycle at log event %d: %s", r.at, msg)
+	}
 	return nil
 }
 
-func (c *certifier) start()    { go c.loop() }
-func (c *certifier) waitDone() { <-c.done }
+// catchUp certifies the whole current log.
+func (c *certifier) catchUp() {
+	if n := c.srv.log.len(); n > 0 {
+		_ = c.waitCertified(n - 1) // the verdict is read through state
+	}
+}
+
+// state reports (watermark, acyclic through it) without combining, so a
+// metrics scrape or a snapshot cut never waits behind a certifier stall.
+func (c *certifier) state() (int, bool) {
+	wm := int(c.watermark.Load())
+	r := c.rejected.Load()
+	return wm, r == nil || r.at >= wm
+}
+
+// prime certifies the recovered log before any session exists and refuses
+// it when SG(β) is cyclic. The copy buffer is dropped: it held the whole
+// recovered log, where a commit's suffix is a few events.
+//
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
+func (c *certifier) prime() error {
+	c.catchUp()
+	c.mu.Lock()
+	c.buf = nil
+	c.mu.Unlock()
+	if r := c.rejected.Load(); r != nil {
+		return fmt.Errorf("server: recovery rejected wal: SG(β) cyclic at durable event %d: %s", r.at, r.cyc.Format(c.srv.tr))
+	}
+	return nil
+}
 
 func (c *certifier) gauges() (int64, int64, int64) {
 	return c.parents.Load(), c.nodes.Load(), c.edges.Load()
@@ -251,4 +213,6 @@ func (c *certifier) gauges() (int64, int64, int64) {
 
 // snapshotSG is called single-threaded (recovery) or post-drain (Final),
 // so the incremental graph is quiescent.
+//
+//sgvet:ignore[lockguard] recovery or post-drain: no combiner can run
 func (c *certifier) snapshotSG() *core.SG { return c.inc.Snapshot() }

@@ -151,8 +151,8 @@ type Metrics struct {
 	// retried with backoff instead of killing the accept loop.
 	AcceptRetries atomic.Int64
 
-	// Latency histograms: all requests, and commit requests (which include
-	// the wait for the certifier watermark).
+	// Latency histograms: all requests, and commit requests (a top-level
+	// commit's includes certifying the log through its REPORT_COMMIT).
 	ReqLatency    Histogram
 	CommitLatency Histogram
 }
@@ -175,9 +175,6 @@ func (s *Server) MetricsSnapshot() map[string]any {
 	wm, acyclic := s.cert.state()
 	sgParents, sgNodes, sgEdges := s.cert.gauges()
 	logLen := s.log.len()
-	if wm > logLen {
-		wm = logLen // drained sentinel
-	}
 	snap := map[string]any{
 		"uptime_seconds":    elapsed,
 		"sessions":          m.Sessions.Load(),

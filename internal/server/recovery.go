@@ -65,7 +65,7 @@ func (r *RecoveryReport) Summary() string {
 // segment, semantic replay divergence, or failed audit is returned as an
 // error.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	opts = opts.withDefaults()
 	if opts.WAL == nil {
@@ -148,8 +148,6 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	if err := s.primeCertifier(rep); err != nil {
 		return nil, nil, err
 	}
-	s.cert.start()
-	s.backend.start(s)
 	return s, rep, nil
 }
 
@@ -158,7 +156,7 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 // seeded log goes through the same primeCertifier audit as a non-empty
 // recovery, so AuditOK is earned (trivially) rather than assumed.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *RecoveryReport, error) {
 	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx)
 	if err != nil {
@@ -180,8 +178,6 @@ func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *Reco
 	if err := s.primeCertifier(rep); err != nil {
 		return nil, nil, err
 	}
-	s.cert.start()
-	s.backend.start(s)
 	return s, rep, nil
 }
 
@@ -189,7 +185,7 @@ func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *Reco
 // the interner assigns the same sequential IDs the live server got, and
 // collects the event records into the durable behavior prefix.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 	var b event.Behavior
 	for _, op := range ops {
@@ -229,7 +225,7 @@ func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 // value — the automata are deterministic and failed polls don't mutate, so
 // a faithful log replays to the same state), informs at inform events.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayAutomata(b event.Behavior) error {
 	for i, e := range b {
 		switch e.Kind {
@@ -267,7 +263,7 @@ func (s *Server) replayAutomata(b event.Behavior) error {
 // abortTop would have logged had the connection merely dropped. Every
 // repair goes through the normal append path, so it is also made durable.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
 	// touched[T] = objects of automaton-created accesses in T's subtree,
 	// in first-create order — the recovery analogue of txFrame.touched.
@@ -338,7 +334,7 @@ func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
 // applyInform calls the automaton and logs the inform, like informAll but
 // single-threaded (recovery runs before any session exists).
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) applyInform(kind event.Kind, t tname.TxID, x tname.ObjID) {
 	if kind == event.InformCommit {
 		s.objs[x].g.InformCommit(t)
@@ -364,7 +360,7 @@ func createdIn(b event.Behavior, t tname.TxID) bool {
 // label ("s<session>.<n>" tops), so resumed sessions never collide with a
 // dead session's transaction names.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) bumpSessionSeq() {
 	max := int64(0)
 	for _, t := range s.tr.Children(tname.Root) {
@@ -380,7 +376,7 @@ func (s *Server) bumpSessionSeq() {
 // recoverMetrics rebuilds the counters derivable from the stitched log so
 // verdicts and the final report stay consistent across a restart.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) recoverMetrics() {
 	for _, e := range s.log.snapshot() {
 		switch e.Kind {
@@ -405,16 +401,15 @@ func (s *Server) recoverMetrics() {
 // core.Check: the two must be byte-identical, which is exactly the
 // acceptance bar the live server's Final() enforces.
 //
-//sgvet:ignore[lockguard] recovery is single-threaded: no session or certifier goroutine exists yet
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) primeCertifier(rep *RecoveryReport) error {
-	full := s.log.snapshot()
-	if err := s.cert.prime(full); err != nil {
+	if err := s.cert.prime(); err != nil {
 		return err
 	}
 	if s.opts.SkipRecoveryAudit {
 		return nil
 	}
-	res := core.Check(s.tr, full)
+	res := core.Check(s.tr, s.log.snapshot())
 	if !res.OK {
 		return fmt.Errorf("server: recovery rejected wal: stitched log fails batch check: %s", res.Summary(s.tr))
 	}

@@ -126,8 +126,7 @@ func (h *recordingHooks) LockWait(_ int64, wake <-chan struct{}, d time.Duration
 	case <-time.After(d):
 	}
 }
-func (h *recordingHooks) CertApply(int)            {}
-func (h *recordingHooks) CertBatch(_, max int) int { return max }
+func (h *recordingHooks) CertApply(_, max int) int { return max }
 func (h *recordingHooks) CommitWait(int64, int)    {}
 func (h *recordingHooks) SessionDone(int64)        {}
 func (h *recordingHooks) DrainWait(d time.Duration) {

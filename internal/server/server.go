@@ -162,9 +162,8 @@ type Server struct {
 	shutdown   sync.Once
 }
 
-// newServer allocates the shared state; it neither seeds the log nor
-// starts the certifier or backend goroutines — New and Recover finish
-// construction their own way.
+// newServer allocates the shared state; it does not seed the log — New and
+// Recover finish construction their own way.
 func newServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
@@ -173,13 +172,13 @@ func newServer(opts Options) (*Server, error) {
 		waits:   newWaitTable(),
 		conns:   make(map[*session]struct{}),
 	}
-	be, err := resolveBackend(opts, s.tr)
+	be, err := resolveBackend(opts, s.tr, s)
 	if err != nil {
 		return nil, err
 	}
 	s.backend = be
-	s.log = newEventLog()
-	s.cert = newCertifier(s)
+	s.log = &eventLog{}
+	s.cert = newCertifier(s, be.snapshots())
 	return s, nil
 }
 
@@ -202,8 +201,6 @@ func New(opts Options) *Server {
 		}
 	}
 	s.log.append(event.NewEvent(event.Create, tname.Root))
-	s.cert.start()
-	s.backend.start(s)
 	return s
 }
 
@@ -211,9 +208,6 @@ func New(opts Options) *Server {
 func Listen(addr string, opts Options) (*Server, error) {
 	s := New(opts)
 	if err := s.Start(addr); err != nil {
-		s.log.close()
-		s.cert.waitDone()
-		s.backend.waitDone()
 		return nil, err
 	}
 	return s, nil
@@ -450,9 +444,9 @@ func specAllows(sp spec.Spec, k spec.OpKind) bool {
 // Shutdown drains the server: the listener closes, idle connections are
 // closed immediately, and connections with an open transaction get until
 // ctx's deadline to finish before being force-closed (their transactions
-// are then aborted server-side). After the last session exits, the
-// certifier drains the log and stops. Shutdown is idempotent; the first
-// call's ctx governs.
+// are then aborted server-side). After the last session exits, one final
+// catch-up certifies the whole log, so Final compares all of it. Shutdown
+// is idempotent; the first call's ctx governs.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutdown.Do(func() {
@@ -490,9 +484,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.opts.Hooks.DrainWait(2 * time.Millisecond)
 		}
 		s.wg.Wait()
-		s.log.close()
-		s.cert.waitDone()
-		s.backend.waitDone()
+		s.cert.catchUp()
 		if s.wal != nil {
 			s.wal.close()
 		}
@@ -503,10 +495,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Kill abandons the server without draining, simulating a process crash
 // for everything above the WAL: connections are force-closed, in-flight
 // transactions are NOT aborted in the durable log (recovery must do it),
-// and no final sync is issued. The in-memory log still drains through the
-// certifier so the dying process's goroutines all stop. A simulator that
-// wants crash semantics freezes its MemDisk first, so the post-Kill
-// appends never reach the "disk".
+// and no final sync is issued, nor any final certification: the watermark
+// stays where the last top-level commit left it. A simulator that wants
+// crash semantics freezes its MemDisk first, so the post-Kill appends never
+// reach the "disk".
 func (s *Server) Kill() {
 	s.shutdown.Do(func() {
 		s.killed.Store(true)
@@ -520,9 +512,6 @@ func (s *Server) Kill() {
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
-		s.log.close()
-		s.cert.waitDone()
-		s.backend.waitDone()
 		if s.wal != nil {
 			s.wal.closeNoSync()
 		}
@@ -544,12 +533,14 @@ type Final struct {
 	Summary string
 }
 
-// Final recomputes the whole run offline and cross-checks the online
-// snapshot. Call only after Shutdown has returned (the certifier must be
-// drained and all sessions stopped).
+// Final certifies the rest of the log online — nothing after Shutdown,
+// the tail after the last top-level commit after Kill — then recomputes
+// the whole run offline and cross-checks the online snapshot. Call only
+// after Shutdown or Kill has returned (all sessions stopped).
 //
 //sgvet:ignore[lockguard] post-Shutdown: sessions and certifier are quiesced, so the tree is immutable here
 func (s *Server) Final() *Final {
+	s.cert.catchUp()
 	b := s.log.snapshot()
 	f := &Final{Events: len(b)}
 	for _, e := range b {

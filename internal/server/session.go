@@ -469,9 +469,14 @@ func (sn *session) waitVerdict(w *waitEntry) string {
 	return ""
 }
 
-// handleCommit commits the current transaction. The response is not written
-// until the online certifier's watermark covers the appended events, so a
-// StatusOK commit is always backed by an acyclic SG(β) prefix.
+// handleCommit commits the current transaction. A top-level commit's
+// response is not written until the certified watermark covers its
+// REPORT_COMMIT — this session extends the watermark itself when it is
+// short — so a StatusOK top-level commit is always backed by an acyclic
+// SG(β) prefix. A sub-commit does not wait: its report goes only to its
+// parent, and the paper's serial correctness is stated for T0, whose next
+// commit check covers every earlier event because SG(β) grows
+// monotonically with the prefix.
 func (sn *session) handleCommit() wire.Response {
 	if len(sn.frames) == 0 {
 		return errResp("COMMIT outside a transaction")
@@ -490,19 +495,19 @@ func (sn *session) handleCommit() wire.Response {
 		// Top-level completion is a durability point: fsync before the
 		// client can observe the commit.
 		walErr = sn.s.walSync()
+		sn.s.opts.Hooks.CommitWait(sn.id, seq)
+		if err := sn.s.cert.waitCertified(seq); err != nil {
+			// The commit is already in the log; certification failing
+			// here means the protocol let a non-serializable history
+			// through (a broken protocol under test). Surface it loudly
+			// instead of claiming OK.
+			sn.s.metrics.Uncertified.Add(1)
+			return errResp(err.Error())
+		}
 	} else {
 		// Writer failures are sticky: if any earlier append was dropped,
 		// this subtree's events are not on their way to disk either.
 		walErr = sn.s.WALError()
-	}
-	sn.s.opts.Hooks.CommitWait(sn.id, seq)
-
-	if err := sn.s.cert.waitCertified(seq); err != nil {
-		// The commit is already in the log; certification failing here means
-		// the protocol let a non-serializable history through (a broken
-		// protocol under test). Surface it loudly instead of claiming OK.
-		sn.s.metrics.Uncertified.Add(1)
-		return errResp(err.Error())
 	}
 	if walErr != nil {
 		// The commit is in the in-memory log but not durable: acking OK
@@ -602,13 +607,11 @@ func (s *Server) nameOf(t tname.TxID) string {
 	return s.tr.Name(t)
 }
 
-// handleVerdict reports the live certification state.
+// handleVerdict certifies the log as it stands and reports the verdict.
 func (sn *session) handleVerdict() wire.Response {
+	sn.s.cert.catchUp()
 	wm, acyclic := sn.s.cert.state()
 	logLen := sn.s.log.len()
-	if wm > logLen {
-		wm = logLen
-	}
 	parents, nodes, edges := sn.s.cert.gauges()
 	return wire.Response{Status: wire.StatusOK, Verdict: wire.Verdict{
 		Events:    uint64(logLen),

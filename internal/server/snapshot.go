@@ -26,7 +26,7 @@ type objHist struct {
 	versions atomic.Pointer[[]snapVersion]
 }
 
-// pendingWrite is a granted-but-uncommitted write the tailer tracks until
+// pendingWrite is a granted-but-uncommitted write the store tracks until
 // its top-level transaction commits (publish) or some ancestor aborts
 // (discard).
 type pendingWrite struct {
@@ -36,17 +36,15 @@ type pendingWrite struct {
 }
 
 // snapshotStore serves read-only transactions without locks, automata, or
-// log events: a tailer goroutine consumes the log in total order
-// and, at every top-level COMMIT event, publishes the subtree's surviving
-// register writes as versions tagged with that event's log index. A
-// read-only transaction pins a cut — a log prefix both fully published and
-// certified — at BEGIN and resolves every read against the latest version
-// at or below its cut, so its whole read set equals the committed state of
-// one acyclic SG(β) prefix: reads never block, never deadlock, and never
-// force an abort.
-//
-// The cut is pinned to min(published, certified) so a stalled certifier
-// only makes read-only snapshots older, never uncertified.
+// log events: the certifier feeds it every event in log order as it
+// certifies, and at every top-level COMMIT event it publishes the subtree's
+// surviving register writes as versions tagged with that event's log index.
+// A read-only transaction pins a cut — the certified watermark, which is
+// also the published prefix — at BEGIN and resolves every read against the
+// latest version at or below its cut, so its whole read set equals the
+// committed state of one acyclic SG(β) prefix: reads never block, never
+// deadlock, and never force an abort. A stalled certifier only makes
+// read-only snapshots older, never uncertified.
 type snapshotStore struct {
 	srv *Server
 
@@ -54,59 +52,23 @@ type snapshotStore struct {
 	// map is copy-on-insert (inserts are rare: first commit per object).
 	byObj atomic.Pointer[map[tname.ObjID]*objHist]
 
-	// published is the log prefix whose commits are all published.
-	published atomic.Int64
-
 	// reads counts snapshot reads served; roTx counts read-only BEGINs.
 	reads atomic.Int64
 	roTx  atomic.Int64
 
-	// pending is tailer-private state: granted writes per open top.
+	// pending is the certifier's private state: granted writes per open
+	// top.
 	pending map[tname.TxID][]pendingWrite
-
-	done chan struct{}
 }
 
-func newSnapshotStore() *snapshotStore {
+func newSnapshotStore(s *Server) *snapshotStore {
 	st := &snapshotStore{
+		srv:     s,
 		pending: make(map[tname.TxID][]pendingWrite),
-		done:    make(chan struct{}),
 	}
 	empty := make(map[tname.ObjID]*objHist)
 	st.byObj.Store(&empty)
 	return st
-}
-
-// start launches the tailer after the log is seeded or primed (it then
-// consumes the primed prefix first, exactly like the certifier).
-func (st *snapshotStore) start(s *Server) {
-	st.srv = s
-	go st.loop()
-}
-
-// waitDone blocks until the closed log has drained through the tailer.
-func (st *snapshotStore) waitDone() { <-st.done }
-
-// loop tails the log until it closes. Tree reads happen under the
-// server's read lock, like every other log consumer.
-func (st *snapshotStore) loop() {
-	defer close(st.done)
-	processed := 0
-	var buf event.Behavior
-	for {
-		batch, ok := st.srv.log.waitBeyond(processed, buf)
-		if !ok {
-			return
-		}
-		buf = batch
-		st.srv.mu.RLock()
-		for i, e := range batch {
-			st.apply(processed+i, e)
-		}
-		st.srv.mu.RUnlock()
-		processed += len(batch)
-		st.published.Store(int64(processed))
-	}
 }
 
 // topOf resolves the top-level ancestor of tx (tx itself when it is one).
@@ -198,15 +160,12 @@ func (st *snapshotStore) publish(obj tname.ObjID, seq int, val spec.Value) {
 	h.versions.Store(&nv)
 }
 
-// cut pins the snapshot point for a new read-only transaction: the log
-// prefix that is both fully published and certified acyclic.
+// cut pins the snapshot point for a new read-only transaction: the
+// certified, hence published, log prefix.
 func (st *snapshotStore) cut() int {
 	st.roTx.Add(1)
-	pub := int(st.published.Load())
-	if wm, _ := st.srv.cert.state(); wm < pub {
-		pub = wm
-	}
-	return pub
+	wm, _ := st.srv.cert.state()
+	return wm
 }
 
 // read resolves one read at the given cut: the latest version whose

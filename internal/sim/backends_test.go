@@ -39,7 +39,7 @@ func TestSimBackendFaultMatrix(t *testing.T) {
 			backend, class := backend, class
 			t.Run(fmt.Sprintf("%s/%s", backend, class), func(t *testing.T) {
 				t.Parallel()
-				injected := 0
+				injected, certParks := 0, 0
 				for seed := uint64(1); seed <= uint64(seeds); seed++ {
 					cfg := backendCfg(backend, seed)
 					cfg.Steps = 160
@@ -51,6 +51,7 @@ func TestSimBackendFaultMatrix(t *testing.T) {
 						t.Fatalf("seed %d: %v\nreproduce: sim.Run(%+v)", seed, err, cfg)
 					}
 					injected += rep.Faults[class]
+					certParks += rep.CertParks
 				}
 				// Aggregated across seeds: a class can be inapplicable on
 				// one seed's schedule (e.g. clock-storm needs a parked
@@ -58,6 +59,9 @@ func TestSimBackendFaultMatrix(t *testing.T) {
 				// but the cell as a whole must exercise its fault.
 				if injected == 0 {
 					t.Errorf("fault %s never injected across %d seeds", class, seeds)
+				}
+				if class == sim.FaultCertStall && certParks == 0 {
+					t.Errorf("no top-level commit across %d seeds parked on a certifier stall", seeds)
 				}
 			})
 		}

@@ -13,8 +13,8 @@ const (
 	// evPark: a session entered Hooks.LockWait and is blocked until the
 	// driver wakes it.
 	evPark evKind = iota
-	// evCommitWait: a session logged a COMMIT at log index seq and is
-	// about to block on the certification watermark.
+	// evCommitWait: a session logged a top-level COMMIT at log index seq
+	// and is about to wait for the certification watermark.
 	evCommitWait
 	// evDone: a session's serve loop finished; all of its events are in
 	// the log.
@@ -76,56 +76,42 @@ func (h *simHooks) LockWait(sess int64, _ <-chan struct{}, _ time.Duration) {
 	}
 }
 
-// CertApply blocks the certifier at indexes at or beyond an active stall's
-// from (FaultCertStall) until the driver lifts the stall or retires the
-// generation, so the watermark is pinned at from. The server calls it with
-// no lock held, so a stalled certifier never wedges the sessions.
-func (h *simHooks) CertApply(index int) {
+// CertApply stalls the certifier (FaultCertStall): a run starting at or
+// beyond an active stall's from blocks until the driver lifts the stall or
+// retires the generation, so the watermark is pinned at from, and a run
+// starting before it is cut there. The happens-before chain that makes the
+// cut reliable: the driver installs a stall with from = LogLen() under
+// s.mu, so any event at index ≥ from was appended — and therefore copied
+// by a combiner — after the install, and this read (also under s.mu) sees
+// it. The server calls it with no server lock held, so a stalled
+// certifier parks only the top-level committers queued on it.
+func (h *simHooks) CertApply(index, max int) int {
 	s := h.s
 	for {
 		s.mu.Lock()
 		if h.gen != s.gen.Load() {
 			s.mu.Unlock()
-			return
+			return max
 		}
 		st := s.stall
 		rel := s.release
 		s.mu.Unlock()
-		if st == nil || index < st.from {
-			return
+		if st == nil {
+			return max
+		}
+		if d := st.from - index; d > 0 {
+			return min(d, max)
 		}
 		select {
 		case <-st.released:
 		case <-rel:
-			return
+			return max
 		}
 	}
 }
 
-// CertBatch cuts a certifier run at the active stall front: events before
-// the front may be applied as one run, events at or past it keep blocking
-// in CertApply. The happens-before chain that makes the read reliable: the
-// driver installs a stall with from = LogLen() under s.mu, so any event at
-// index ≥ from was appended — and therefore fetched by the certifier —
-// after the install, and this read (also under s.mu) sees it. Without a
-// stall the full window is allowed.
-func (h *simHooks) CertBatch(index, max int) int {
-	s := h.s
-	s.mu.Lock()
-	st := s.stall
-	stale := h.gen != s.gen.Load()
-	s.mu.Unlock()
-	if stale || st == nil {
-		return max
-	}
-	if d := st.from - index; d > 0 && d < max {
-		return d
-	}
-	return max
-}
-
-// CommitWait tells the driver the session is about to block on the
-// certification watermark for log sequence seq (notification only).
+// CommitWait tells the driver the session is about to wait for the
+// certification watermark to cover log sequence seq (notification only).
 func (h *simHooks) CommitWait(sess int64, seq int) {
 	h.s.send(h.gen, simEvent{kind: evCommitWait, sess: sess, seq: seq})
 }

@@ -24,9 +24,10 @@ func TestDrainWaitAdvancesVirtualClock(t *testing.T) {
 	}
 }
 
-// TestCertBatchCutsAtStall: the batch-size hook must bound a certifier run
-// at the installed stall front — batching may never silently carry the
-// certifier across a stall — and pass the full window through otherwise.
+// TestCertBatchCutsAtStall: CertApply must bound a certifier run at the
+// installed stall front — batching may never silently carry the certifier
+// across a stall — pass the full window through otherwise, and block a
+// run that starts at the front until the driver lifts the stall.
 func TestCertBatchCutsAtStall(t *testing.T) {
 	certStall := &stallState{from: 10, released: make(chan struct{})}
 	cases := []struct {
@@ -39,17 +40,33 @@ func TestCertBatchCutsAtStall(t *testing.T) {
 		{name: "no stall", index: 0, max: 16, want: 16},
 		{name: "cut at the stall", stall: certStall, index: 4, max: 16, want: 6},
 		{name: "window ends before the stall", stall: certStall, index: 4, max: 3, want: 3},
-		// At or past the stall CertApply blocks first, so the size hook
-		// just passes the window through.
-		{name: "at the stall", stall: certStall, index: 10, max: 16, want: 16},
 		// A stale generation (its server was crashed) ignores the stall.
 		{name: "stale generation", stall: certStall, gen: 7, index: 4, max: 16, want: 16},
 	}
 	for _, c := range cases {
 		s := &sim{stall: c.stall}
 		h := &simHooks{s: s, gen: c.gen}
-		if got := h.CertBatch(c.index, c.max); got != c.want {
-			t.Errorf("%s: CertBatch(%d, %d) = %d, want %d", c.name, c.index, c.max, got, c.want)
+		if got := h.CertApply(c.index, c.max); got != c.want {
+			t.Errorf("%s: CertApply(%d, %d) = %d, want %d", c.name, c.index, c.max, got, c.want)
 		}
+	}
+
+	// At the stall front the run blocks until the stall lifts, then
+	// passes the whole window.
+	s := &sim{stall: certStall}
+	h := &simHooks{s: s}
+	got := make(chan int, 1)
+	go func() { got <- h.CertApply(10, 16) }()
+	select {
+	case n := <-got:
+		t.Fatalf("CertApply at the stall front returned %d without waiting", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.mu.Lock()
+	s.stall = nil
+	s.mu.Unlock()
+	close(certStall.released)
+	if n := <-got; n != 16 {
+		t.Fatalf("CertApply after the stall lifted = %d, want 16", n)
 	}
 }

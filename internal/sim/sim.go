@@ -50,8 +50,9 @@ const (
 	// reading the response: the commit is durable but unacknowledged.
 	FaultDropAfterCommit
 	// FaultCertStall blocks the online certifier at the current log
-	// length for a sampled number of scheduler decisions; commits queue
-	// on the watermark and must all drain when the stall lifts.
+	// length for a sampled number of scheduler decisions; top-level
+	// commits queue on the watermark and must all drain when the stall
+	// lifts.
 	FaultCertStall
 	// FaultClockStorm jumps the virtual clock past every blocked
 	// access's lock-wait deadline, forcing a storm of timeout aborts.
@@ -175,6 +176,10 @@ type Report struct {
 	// incarnation: the waits-for cycle victims, read before each crash and
 	// at the final drain. Like TornCrashes it is not part of Summary().
 	DeadlockAborts int64
+	// CertParks counts the top-level commits that parked on a stalled
+	// certifier — the work FaultCertStall exists to hold up. Not part of
+	// Summary().
+	CertParks int
 	// FinalEvents is the stitched log length after the graceful drain;
 	// Trace is its binary encoding (the determinism witness).
 	FinalEvents int
@@ -214,7 +219,7 @@ const (
 	phIdle     = iota // no outstanding request
 	phAwait           // request sent, no settlement yet
 	phParkLock        // blocked access parked in LockWait
-	phParkCert        // commit parked behind a stalled certifier
+	phParkCert        // top-level commit parked behind a stalled certifier
 	phClosed          // connection dropped, waiting for SessionDone
 )
 
@@ -558,9 +563,11 @@ func (s *sim) handleEvent(ev simEvent) error {
 		s.mu.Lock()
 		st := s.stall
 		s.mu.Unlock()
-		// A stall pins the certified watermark at its from.
+		// A stall pins the certified watermark at its from; only a
+		// top-level COMMIT waits for the watermark, and only it reports.
 		if st != nil && ev.seq >= st.from {
 			sl.phase = phParkCert
+			s.rep.CertParks++
 		}
 	case evDone:
 		s.done[ev.sess] = true
@@ -795,9 +802,10 @@ func (s *sim) crossWrites(a, b *slot, x, y string) error {
 }
 
 // stalled reports whether a certifier stall is active. Only the driver
-// writes s.stall, but the stalled certifier reads it under mu from its own
-// goroutine (simHooks.CertApply), so the driver's reads take the lock too
-// rather than rely on "single writer" reasoning the analyzer cannot check.
+// writes s.stall, but a combining committer reads it under mu from its
+// session's goroutine (simHooks.CertApply), so the driver's reads take the
+// lock too rather than rely on "single writer" reasoning the analyzer
+// cannot check.
 func (s *sim) stalled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -835,7 +843,7 @@ func (s *sim) crash() error {
 	s.disk.Freeze()
 
 	// Retire the generation: stale hooks return immediately, parked
-	// sessions and a stalled certifier fall out of their hooks, and every
+	// sessions and a stalled committer fall out of their hooks, and every
 	// event they still emit is discarded by the gen filter.
 	s.mu.Lock()
 	s.gen.Add(1)
