@@ -15,17 +15,32 @@ import (
 // the race itself — whichever session wins the mutex appends first — and the
 // per-object/per-session emission discipline (see session.go) guarantees the
 // result is a generic behavior.
+//
+// β only grows at the end, so the log is a list of fixed-size chunks rather
+// than one slice: growing it allocates one small chunk per logChunk events
+// and never copies or rewrites an event already published, which lets
+// readers walk the published events in place (view).
 type eventLog struct {
-	mu     sync.Mutex
-	events event.Behavior //sgvet:guardedby mu
+	mu sync.Mutex
+	// chunks holds event i at chunks[i/logChunk][i%logChunk]; n counts the
+	// events appended. Every chunk but the last is full.
+	chunks []*[logChunk]event.Event //sgvet:guardedby mu
+	n      int                      //sgvet:guardedby mu
 
 	// wal, when set, receives every atomic append as one WalEvents record —
 	// written under mu, so the durable record order IS the log order.
-	// Recovery installs it (and seeds events with the durable prefix)
-	// before any session exists.
+	// Recovery installs it after the durable prefix, before any session
+	// exists.
 	wal    *walWriter //sgvet:guardedby mu
 	walBuf []byte     //sgvet:guardedby mu
 }
+
+// logChunk is the number of events in one chunk. It keeps a chunk under the
+// runtime's 32 KiB small-object limit, and it is not 512: an object over
+// 512 B that holds pointers carries an 8 B header, so 512 × 48 B would
+// round up to the 27 264 B size class, where 511 × 48 B + 8 B fills the
+// 24 576 B one (TestLogAppendAllocatesOnce holds the bytes to the events').
+const logChunk = 511
 
 // append atomically appends evs and returns the log index of the first one.
 // A write failure is sticky in the writer and surfaces at the next walSync
@@ -34,8 +49,15 @@ type eventLog struct {
 //sgvet:hotpath
 func (l *eventLog) append(evs ...event.Event) int {
 	l.mu.Lock()
-	base := len(l.events)
-	l.events = append(l.events, evs...)
+	base := l.n
+	for rest := evs; len(rest) > 0; {
+		if l.n == len(l.chunks)*logChunk {
+			l.grow()
+		}
+		k := copy(l.chunks[l.n/logChunk][l.n%logChunk:], rest)
+		l.n += k
+		rest = rest[k:]
+	}
 	if l.wal != nil {
 		l.walBuf = event.AppendWalEvents(l.walBuf[:0], evs...)
 		l.wal.appendRecord(l.walBuf)
@@ -44,29 +66,45 @@ func (l *eventLog) append(evs ...event.Event) int {
 	return base
 }
 
+// grow adds an empty chunk. It is kept out of line so that the append
+// path's one allocation stays here and the hotalloc gate can hold append to
+// zero.
+//
+//go:noinline
+//sgvet:holds l.mu
+func (l *eventLog) grow() {
+	l.chunks = append(l.chunks, new([logChunk]event.Event))
+}
+
 // len reports the current log length.
 //
 //sgvet:hotpath
 func (l *eventLog) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.n
 }
 
-// snapshot copies the current log.
-func (l *eventLog) snapshot() event.Behavior {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append(event.Behavior(nil), l.events...)
-}
-
-// suffix copies the log from index n on into buf.
+// view returns the chunk headers and the log length. Chunks are never moved
+// and an event below the length is never rewritten, so the caller reads
+// events [0, n) without mu: taking n under mu orders those reads after the
+// appends that wrote them.
 //
 //sgvet:hotpath
-func (l *eventLog) suffix(n int, buf event.Behavior) event.Behavior {
+func (l *eventLog) view() ([]*[logChunk]event.Event, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append(buf[:0], l.events[n:]...)
+	return l.chunks, l.n
+}
+
+// snapshot copies the current log into one contiguous behavior.
+func (l *eventLog) snapshot() event.Behavior {
+	chunks, n := l.view()
+	b := make(event.Behavior, 0, n)
+	for i := 0; i < n; i += logChunk {
+		b = append(b, chunks[i/logChunk][:min(logChunk, n-i)]...)
+	}
+	return b
 }
 
 // certifier runs core.Incremental behind the event log, with no goroutine
@@ -87,11 +125,9 @@ type certifier struct {
 	srv  *Server
 	snap *snapshotStore // nil unless the backend serves snapshots
 
-	// mu serializes the combiners; the engine and the copy buffer are
-	// theirs.
+	// mu serializes the combiners; the engine is theirs.
 	mu  sync.Mutex
 	inc *core.Incremental //sgvet:guardedby mu
-	buf event.Behavior    //sgvet:guardedby mu
 
 	// watermark is the certified log prefix; it only grows, under mu.
 	watermark atomic.Int64
@@ -115,14 +151,15 @@ func newCertifier(s *Server, snap *snapshotStore) *certifier {
 	return &certifier{srv: s, snap: snap, inc: core.NewIncremental(s.tr)}
 }
 
-// combine certifies the log through index target-1. The suffix is applied
-// in runs — one tree read-lock acquisition, one gauge refresh and one
-// watermark publish per run — whose length Hooks.CertApply bounds, so a
-// harness can cut a run at its stall point and block there. Judging a
-// run's end prefix certifies every prefix inside it, and Incremental
-// records the exact index of the first rejection however the appends were
-// grouped. No run starts at or past target, so a combiner never waits on
-// a stall beyond its own commit.
+// combine certifies the log through index target-1, reading the events in
+// place in the log's chunks. The suffix is applied in runs — one tree
+// read-lock acquisition, one gauge refresh and one watermark publish per
+// run — whose length Hooks.CertApply bounds, so a harness can cut a run at
+// its stall point and block there; a run may span a chunk boundary.
+// Judging a run's end prefix certifies every prefix inside it, and
+// Incremental records the exact index of the first rejection however the
+// appends were grouped. No run starts at or past target, so a combiner
+// never waits on a stall beyond its own commit.
 //
 //sgvet:holds c.mu
 func (c *certifier) combine(target int) {
@@ -130,15 +167,16 @@ func (c *certifier) combine(target int) {
 	if wm >= target {
 		return
 	}
-	c.buf = c.srv.log.suffix(wm, c.buf)
-	for off := 0; wm < target; {
-		n := c.srv.opts.Hooks.CertApply(wm, len(c.buf)-off)
-		n = max(1, min(n, len(c.buf)-off))
+	chunks, logLen := c.srv.log.view()
+	for wm < target {
+		n := c.srv.opts.Hooks.CertApply(wm, logLen-wm)
+		n = max(1, min(n, logLen-wm))
 		c.srv.mu.RLock()
-		for i, e := range c.buf[off : off+n] {
+		for i := wm; i < wm+n; i++ {
+			e := chunks[i/logChunk][i%logChunk]
 			c.inc.Append(e)
 			if c.snap != nil {
-				c.snap.apply(wm+i, e)
+				c.snap.apply(i, e)
 			}
 		}
 		p, nn, ed := c.inc.Counts()
@@ -146,7 +184,6 @@ func (c *certifier) combine(target int) {
 		c.parents.Store(int64(p))
 		c.nodes.Store(int64(nn))
 		c.edges.Store(int64(ed))
-		off += n
 		wm += n
 		if c.rejected.Load() == nil {
 			if cyc, at := c.inc.Rejected(); cyc != nil {
@@ -192,15 +229,11 @@ func (c *certifier) state() (int, bool) {
 }
 
 // prime certifies the recovered log before any session exists and refuses
-// it when SG(β) is cyclic. The copy buffer is dropped: it held the whole
-// recovered log, where a commit's suffix is a few events.
+// it when SG(β) is cyclic.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (c *certifier) prime() error {
 	c.catchUp()
-	c.mu.Lock()
-	c.buf = nil
-	c.mu.Unlock()
 	if r := c.rejected.Load(); r != nil {
 		return fmt.Errorf("server: recovery rejected wal: SG(β) cyclic at durable event %d: %s", r.at, r.cyc.Format(c.srv.tr))
 	}

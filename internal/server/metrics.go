@@ -151,8 +151,10 @@ type Metrics struct {
 	// retried with backoff instead of killing the accept loop.
 	AcceptRetries atomic.Int64
 
-	// Latency histograms: all requests, and commit requests (a top-level
-	// commit's includes certifying the log through its REPORT_COMMIT).
+	// Latency histograms: all requests, and the COMMITs that closed a
+	// top-level transaction (each includes the fsync and certifying the log
+	// through its REPORT_COMMIT). Sub-commits, which wait for neither, and
+	// read-only commits, which log nothing, are not in CommitLatency.
 	ReqLatency    Histogram
 	CommitLatency Histogram
 }

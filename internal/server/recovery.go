@@ -122,9 +122,10 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 		return nil, nil, err
 	}
 
-	// The durable prefix is the log; repairs append after it (and, once
-	// the writer is attached, tee into the WAL like any other append).
-	s.log.events = b
+	// The durable prefix is the log, appended before the writer is attached
+	// so that it is not written again; repairs append after it and tee into
+	// the WAL like any other append.
+	s.log.append(b...)
 	w, err := newWalWriter(opts.WAL, opts.WALSegmentBytes, scan.nextIdx)
 	if err != nil {
 		return nil, nil, err

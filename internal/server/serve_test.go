@@ -205,11 +205,25 @@ func TestMalformedFrameRejectedWithoutKillingSession(t *testing.T) {
 	if resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdBegin}), wire.CmdBegin); resp.Status != wire.StatusOK {
 		t.Fatalf("begin after malformed frames: status %v reason %q", resp.Status, resp.Reason)
 	}
+	if resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdChild}), wire.CmdChild); resp.Status != wire.StatusOK {
+		t.Fatalf("child after malformed frames: status %v reason %q", resp.Status, resp.Reason)
+	}
 	if resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdAccess, Obj: "x", Op: spec.OpWrite, Arg: spec.Int(1)}), wire.CmdAccess); resp.Status != wire.StatusOK {
 		t.Fatalf("access after malformed frames: status %v reason %q", resp.Status, resp.Reason)
 	}
+	// A sub-commit neither syncs nor certifies: CommitLatency times only
+	// the COMMIT that closes the top-level transaction.
+	if resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdCommit}), wire.CmdCommit); resp.Status != wire.StatusOK {
+		t.Fatalf("sub-commit after malformed frames: status %v reason %q", resp.Status, resp.Reason)
+	}
+	if got := s.Metrics().CommitLatency.Count(); got != base {
+		t.Fatalf("a sub-commit moved CommitLatency (%d -> %d)", base, got)
+	}
 	if resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdCommit}), wire.CmdCommit); resp.Status != wire.StatusOK {
 		t.Fatalf("commit after malformed frames: status %v reason %q", resp.Status, resp.Reason)
+	}
+	if got := s.Metrics().CommitLatency.Count(); got != base+1 {
+		t.Fatalf("the top-level commit left CommitLatency at %d, want %d", got, base+1)
 	}
 	nc.Close()
 	shutdownAndVerify(t, s)

@@ -94,6 +94,10 @@ func (sn *session) serve() {
 		}
 		sn.rbuf = payload
 		start := time.Now()
+		// A COMMIT now would close a logged top-level transaction: the only
+		// kind that syncs and certifies, and the only kind CommitLatency
+		// times.
+		closesTop := len(sn.frames) == 1
 		q, perr := wire.ParseRequest(payload)
 		var resp wire.Response
 		if perr != nil {
@@ -103,7 +107,7 @@ func (sn *session) serve() {
 		}
 		sn.s.metrics.Requests.Add(1)
 		sn.s.metrics.ReqLatency.Observe(time.Since(start))
-		if perr == nil && q.Cmd == wire.CmdCommit && resp.Status == wire.StatusOK {
+		if perr == nil && q.Cmd == wire.CmdCommit && closesTop && resp.Status == wire.StatusOK {
 			sn.s.metrics.CommitLatency.Observe(time.Since(start))
 		}
 		cmd := q.Cmd

@@ -81,9 +81,8 @@ func (h *simHooks) LockWait(sess int64, _ <-chan struct{}, _ time.Duration) {
 // retires the generation, so the watermark is pinned at from, and a run
 // starting before it is cut there. The happens-before chain that makes the
 // cut reliable: the driver installs a stall with from = LogLen() under
-// s.mu, so any event at index ≥ from was appended — and therefore copied
-// by a combiner — after the install, and this read (also under s.mu) sees
-// it. The server calls it with no server lock held, so a stalled
+// s.mu, so any event at index ≥ from was appended — and therefore read by
+// a combiner — after the install, and this read (also under s.mu) sees it. The server calls it with no server lock held, so a stalled
 // certifier parks only the top-level committers queued on it.
 func (h *simHooks) CertApply(index, max int) int {
 	s := h.s
