@@ -72,12 +72,13 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24|E25' -benchmem -count 1 . \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json
 
-# Fail when the checker benchmarks regress against the committed baseline
-# by more than 25% in allocs/op or B/op (ns/op is reported but never gated
-# — wall-clock timing is hardware noise on shared runners).
+# Fail when the checker benchmarks or the two trace-decode rows of E16
+# regress against the committed baseline by more than 25% in allocs/op or
+# B/op (ns/op is reported but never gated — wall-clock timing is hardware
+# noise on shared runners).
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -suite BENCH_PR3.json \
-		-match 'E1MossSerialCorrectness|E15|E24|E25' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (log append with WAL attached, group-commit ticket

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -31,6 +32,10 @@ import (
 // decoding rebuilds a Trace and reuses DecodeTrace for validation; the
 // event section can additionally be consumed one event at a time through
 // BinaryDecoder without materializing a Behavior.
+//
+// The same primitives frame the server's WAL records (wal.go), which reuse
+// the transaction-entry and event encodings verbatim, and the network
+// protocol (internal/wire). Cursor is the one reader of all three.
 
 // binaryMagic identifies a binary trace stream.
 var binaryMagic = [4]byte{'N', 'S', 'G', 'B'}
@@ -42,20 +47,56 @@ const binaryVersion = 1
 // length prefixes fail fast instead of allocating gigabytes.
 const maxBinaryStr = 1 << 20
 
-func appendStr(buf []byte, s string) []byte {
+// AppendString appends a uvarint-length-prefixed string, the encoding
+// Cursor.Str reads.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func appendValue(buf []byte, v spec.Value) []byte {
+// AppendValue appends a kind-tagged value, the encoding Cursor.Value reads.
+func AppendValue(buf []byte, v spec.Value) []byte {
 	buf = append(buf, byte(v.Kind))
 	switch v.Kind {
 	case spec.VInt, spec.VBool:
 		buf = binary.AppendVarint(buf, v.Int)
 	case spec.VStr:
-		buf = appendStr(buf, v.Str)
+		buf = AppendString(buf, v.Str)
 	default:
 		// VNil and VOK carry no payload beyond the kind byte.
+	}
+	return buf
+}
+
+// appendTxDef appends a transaction entry: parent svarint, label str, obj
+// svarint and, for an access (obj >= 0), op kind uvarint and arg value.
+//
+//sgvet:hotpath
+func appendTxDef(buf []byte, parent tname.TxID, label string, obj tname.ObjID, op spec.Op) []byte {
+	buf = binary.AppendVarint(buf, int64(parent))
+	buf = AppendString(buf, label)
+	buf = binary.AppendVarint(buf, int64(obj))
+	if obj >= 0 {
+		buf = binary.AppendUvarint(buf, uint64(op.Kind))
+		buf = AppendValue(buf, op.Arg)
+	}
+	return buf
+}
+
+// appendEvent appends one event: kind byte, tx uvarint, then a value for
+// REQUEST_COMMIT/REPORT_COMMIT or an object uvarint for informs.
+//
+//sgvet:hotpath
+func appendEvent(buf []byte, e Event) []byte {
+	buf = append(buf, byte(e.Kind))
+	buf = binary.AppendUvarint(buf, uint64(e.Tx))
+	switch e.Kind {
+	case RequestCommit, ReportCommit:
+		buf = AppendValue(buf, e.Val)
+	case InformCommit, InformAbort:
+		buf = binary.AppendUvarint(buf, uint64(e.Obj))
+	default:
+		// Every other kind is fully described by (kind, tx).
 	}
 	return buf
 }
@@ -67,36 +108,22 @@ func MarshalBinaryTrace(tr *tname.Tree, b Behavior) []byte {
 
 	buf = binary.AppendUvarint(buf, uint64(tr.NumObjects()))
 	for x := tname.ObjID(0); int(x) < tr.NumObjects(); x++ {
-		buf = appendStr(buf, tr.ObjectLabel(x))
-		buf = appendStr(buf, tr.Spec(x).Name())
+		buf = AppendString(buf, tr.ObjectLabel(x))
+		buf = AppendString(buf, tr.Spec(x).Name())
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(tr.NumTx()))
 	for id := tname.TxID(0); int(id) < tr.NumTx(); id++ {
-		buf = binary.AppendVarint(buf, int64(tr.Parent(id)))
-		buf = appendStr(buf, tr.Label(id))
-		if !tr.IsAccess(id) {
-			buf = binary.AppendVarint(buf, int64(tname.NoObj))
-			continue
+		obj, op := tname.NoObj, spec.Op{}
+		if tr.IsAccess(id) {
+			obj, op = tr.AccessObject(id), tr.AccessOp(id)
 		}
-		op := tr.AccessOp(id)
-		buf = binary.AppendVarint(buf, int64(tr.AccessObject(id)))
-		buf = binary.AppendUvarint(buf, uint64(op.Kind))
-		buf = appendValue(buf, op.Arg)
+		buf = appendTxDef(buf, tr.Parent(id), tr.Label(id), obj, op)
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	for _, e := range b {
-		buf = append(buf, byte(e.Kind))
-		buf = binary.AppendUvarint(buf, uint64(e.Tx))
-		switch e.Kind {
-		case RequestCommit, ReportCommit:
-			buf = appendValue(buf, e.Val)
-		case InformCommit, InformAbort:
-			buf = binary.AppendUvarint(buf, uint64(e.Obj))
-		default:
-			// Every other kind is fully described by (kind, tx).
-		}
+		buf = appendEvent(buf, e)
 	}
 	return buf
 }
@@ -107,146 +134,254 @@ func WriteBinaryTrace(w io.Writer, tr *tname.Tree, b Behavior) error {
 	return err
 }
 
-// binReader wraps the byte-oriented reads the decoder needs, turning any
-// short read into a decode error.
-type binReader struct {
-	r *bufio.Reader
+// Cursor reads the NSGB primitives off the front of a byte slice: the one
+// decoder of binary traces, WAL record payloads and wire frames. It reads in
+// place — no reader, buffer or intermediate value behind it — so a field
+// costs an allocation only when it is a string. Every method names its
+// field, what, in the error it returns; the verdicts on a short or
+// overlong varint are binary.ReadUvarint's.
+type Cursor struct{ b []byte }
+
+// NewCursor returns a cursor over b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+// Len reports how many bytes are left unread.
+func (c *Cursor) Len() int { return len(c.b) }
+
+// nsgbErr names a decode failure: what is the field, part a suffix to it
+// (taken apart so that the happy path never concatenates).
+func nsgbErr(what, part string, err error) error {
+	return fmt.Errorf("nsgb: %s%s: %w", what, part, err)
 }
 
-func (br binReader) readStr(what string) (string, error) {
-	n, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return "", fmt.Errorf("trace: binary: %s length: %w", what, err)
-	}
-	if n > maxBinaryStr {
-		return "", fmt.Errorf("trace: binary: %s length %d exceeds limit", what, n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br.r, b); err != nil {
-		return "", fmt.Errorf("trace: binary: %s: %w", what, err)
-	}
-	return string(b), nil
-}
+// errVarintOverflow has the text of encoding/binary's unexported overflow
+// error, which binary.ReadUvarint returns.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-func (br binReader) readUvarint(what string) (uint64, error) {
-	n, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return 0, fmt.Errorf("trace: binary: %s: %w", what, err)
+// Byte reads one byte.
+func (c *Cursor) Byte(what string) (byte, error) {
+	if len(c.b) == 0 {
+		return 0, nsgbErr(what, "", io.EOF)
 	}
-	return n, nil
-}
-
-func (br binReader) readVarint(what string) (int64, error) {
-	n, err := binary.ReadVarint(br.r)
-	if err != nil {
-		return 0, fmt.Errorf("trace: binary: %s: %w", what, err)
-	}
-	return n, nil
-}
-
-func (br binReader) readByte(what string) (byte, error) {
-	b, err := br.r.ReadByte()
-	if err != nil {
-		return 0, fmt.Errorf("trace: binary: %s: %w", what, err)
-	}
+	b := c.b[0]
+	c.b = c.b[1:]
 	return b, nil
 }
 
-// readValue decodes a value payload into its JSON-trace form so that the
-// shared decodeValue path rebuilds the spec.Value through the constructors.
-func (br binReader) readValue(what string) (*TraceValue, error) {
-	kb, err := br.readByte(what + " kind")
-	if err != nil {
-		return nil, err
-	}
-	name, ok := valueKindNames[spec.ValueKind(kb)]
-	if !ok {
-		return nil, fmt.Errorf("trace: binary: %s has unknown value kind %d", what, kb)
-	}
-	tv := &TraceValue{Kind: name}
-	switch spec.ValueKind(kb) {
-	case spec.VInt, spec.VBool:
-		tv.Int, err = br.readVarint(what + " int")
-	case spec.VStr:
-		tv.Str, err = br.readStr(what + " str")
+// uvarint reads a uvarint and returns a bare error for the caller to name.
+// Ten continuation bytes are an overflow even when nothing follows them
+// (binary.Uvarint alone calls that a short buffer), and running out
+// mid-number is io.ErrUnexpectedEOF.
+func (c *Cursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b)
+	switch {
+	case n > 0:
+		c.b = c.b[n:]
+		return v, nil
+	case n < 0 || len(c.b) >= binary.MaxVarintLen64:
+		return 0, errVarintOverflow
+	case len(c.b) == 0:
+		return 0, io.EOF
 	default:
-		// VNil and VOK carry no payload beyond the kind byte.
+		return 0, io.ErrUnexpectedEOF
 	}
-	if err != nil {
-		return nil, err
-	}
-	return tv, nil
 }
 
-// readHeader decodes the object and transaction tables into a Trace header
-// and validates them through DecodeTrace (with no events), returning the
+// Uvarint reads a uvarint.
+func (c *Cursor) Uvarint(what string) (uint64, error) {
+	v, err := c.uvarint()
+	if err != nil {
+		return 0, nsgbErr(what, "", err)
+	}
+	return v, nil
+}
+
+func (c *Cursor) varint(what, part string) (int64, error) {
+	ux, err := c.uvarint()
+	if err != nil {
+		return 0, nsgbErr(what, part, err)
+	}
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, nil
+}
+
+// Str reads a uvarint-length-prefixed string, copied out of the slice.
+func (c *Cursor) Str(what string) (string, error) { return c.str(what, "") }
+
+func (c *Cursor) str(what, part string) (string, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return "", fmt.Errorf("nsgb: %s%s length: %w", what, part, err)
+	}
+	if n > maxBinaryStr {
+		return "", fmt.Errorf("nsgb: %s%s length %d exceeds limit", what, part, n)
+	}
+	if n > uint64(len(c.b)) {
+		err = io.ErrUnexpectedEOF
+		if len(c.b) == 0 {
+			err = io.EOF
+		}
+		return "", nsgbErr(what, part, err)
+	}
+	s := string(c.b[:n])
+	c.b = c.b[n:]
+	return s, nil
+}
+
+// OpKind reads an operation kind. It is compared at full width:
+// spec.OpKind(v) would keep the low byte only.
+func (c *Cursor) OpKind(what string) (spec.OpKind, error) {
+	v, err := c.Uvarint(what)
+	if err != nil {
+		return 0, err
+	}
+	if v == 0 || v > uint64(spec.OpDeq) {
+		return 0, fmt.Errorf("nsgb: %s: unknown op kind %d", what, v)
+	}
+	return spec.OpKind(v), nil
+}
+
+// Value reads a kind-tagged value, rebuilt through the spec constructors so
+// that it carries exactly the fields its kind selects.
+func (c *Cursor) Value(what string) (spec.Value, error) {
+	if len(c.b) == 0 {
+		return spec.Nil, nsgbErr(what, " kind", io.EOF)
+	}
+	kind := spec.ValueKind(c.b[0])
+	c.b = c.b[1:]
+	switch kind {
+	case spec.VNil:
+		return spec.Nil, nil
+	case spec.VOK:
+		return spec.OK, nil
+	case spec.VInt, spec.VBool:
+		v, err := c.varint(what, " int")
+		if err != nil {
+			return spec.Nil, err
+		}
+		if kind == spec.VBool {
+			return spec.Bool(v != 0), nil
+		}
+		return spec.Int(v), nil
+	case spec.VStr:
+		s, err := c.str(what, " str")
+		if err != nil {
+			return spec.Nil, err
+		}
+		return spec.Str(s), nil
+	default:
+		return spec.Nil, fmt.Errorf("nsgb: %s has unknown value kind %d", what, kind)
+	}
+}
+
+// txDef reads a transaction entry as appendTxDef writes it. The parent and
+// the object are the caller's to range-check.
+func (c *Cursor) txDef() (parent, obj int64, label string, op spec.Op, err error) {
+	if parent, err = c.varint("tx parent", ""); err != nil {
+		return
+	}
+	if label, err = c.Str("tx label"); err != nil {
+		return
+	}
+	if obj, err = c.varint("tx obj", ""); err != nil || obj < 0 {
+		return
+	}
+	if op.Kind, err = c.OpKind("tx op"); err != nil {
+		return
+	}
+	op.Arg, err = c.Value("tx op arg")
+	return
+}
+
+// event reads an event as appendEvent writes it, checking its transaction
+// against numTx and an inform's object against numObjects.
+func (c *Cursor) event(numTx, numObjects int) (Event, error) {
+	kb, err := c.Byte("event kind")
+	if err != nil {
+		return Event{}, err
+	}
+	kind := Kind(kb)
+	if kind < Create || kind > InformAbort {
+		return Event{}, fmt.Errorf("nsgb: unknown event kind %d", kb)
+	}
+	txu, err := c.Uvarint("event tx")
+	if err != nil {
+		return Event{}, err
+	}
+	if txu >= uint64(numTx) {
+		return Event{}, fmt.Errorf("nsgb: event names unknown tx %d", txu)
+	}
+	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
+	switch kind {
+	case RequestCommit, ReportCommit:
+		if e.Val, err = c.Value("event val"); err != nil {
+			return Event{}, err
+		}
+	case InformCommit, InformAbort:
+		obju, err := c.Uvarint("event obj")
+		if err != nil {
+			return Event{}, err
+		}
+		if obju >= uint64(numObjects) {
+			return Event{}, fmt.Errorf("nsgb: event informs unknown object %d", obju)
+		}
+		e.Obj = tname.ObjID(obju)
+	default:
+		// Every other kind is fully described by (kind, tx); the kind
+		// range was checked above.
+	}
+	return e, nil
+}
+
+// header decodes the object and transaction tables into a Trace header and
+// validates them through DecodeTrace (with no events), returning the
 // interned tree.
-func (br binReader) readHeader() (*tname.Tree, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: binary: magic: %w", err)
+func (c *Cursor) header() (*tname.Tree, error) {
+	if !bytes.HasPrefix(c.b, binaryMagic[:]) {
+		return nil, fmt.Errorf("nsgb: bad magic %q", c.b[:min(len(c.b), len(binaryMagic))])
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: binary: bad magic %q", magic[:])
-	}
-	ver, err := br.readUvarint("version")
+	c.b = c.b[len(binaryMagic):]
+	ver, err := c.Uvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != binaryVersion {
-		return nil, fmt.Errorf("trace: binary: unsupported version %d", ver)
+		return nil, fmt.Errorf("nsgb: unsupported version %d", ver)
 	}
 
 	var t Trace
-	nObj, err := br.readUvarint("object count")
+	nObj, err := c.Uvarint("object count")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nObj; i++ {
 		var to TraceObject
-		if to.Label, err = br.readStr("object label"); err != nil {
+		if to.Label, err = c.Str("object label"); err != nil {
 			return nil, err
 		}
-		if to.Spec, err = br.readStr("object spec"); err != nil {
+		if to.Spec, err = c.Str("object spec"); err != nil {
 			return nil, err
 		}
 		t.Objects = append(t.Objects, to)
 	}
 
-	nTx, err := br.readUvarint("tx count")
+	nTx, err := c.Uvarint("tx count")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nTx; i++ {
-		var tt TraceTx
-		parent, err := br.readVarint("tx parent")
+		parent, obj, label, op, err := c.txDef()
 		if err != nil {
 			return nil, err
 		}
-		tt.Parent = int32(parent)
-		if tt.Label, err = br.readStr("tx label"); err != nil {
-			return nil, err
-		}
-		obj, err := br.readVarint("tx obj")
-		if err != nil {
-			return nil, err
-		}
-		tt.Obj = int32(obj)
+		tt := TraceTx{Parent: int32(parent), Label: label, Obj: int32(obj)}
 		if obj >= 0 {
-			opk, err := br.readUvarint("tx op")
-			if err != nil {
-				return nil, err
-			}
-			if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
-				return nil, fmt.Errorf("trace: binary: tx %d has unknown op kind %d", i, opk)
-			}
-			tt.Op = spec.OpKind(opk).String()
-			arg, err := br.readValue("tx op arg")
-			if err != nil {
-				return nil, err
-			}
-			if arg.Kind != "nil" {
-				tt.OpArg = arg
+			tt.Op = op.Kind.String()
+			if op.Arg.Kind != spec.VNil {
+				tt.OpArg = encodeValue(op.Arg)
 			}
 		}
 		t.Tx = append(t.Tx, tt)
@@ -258,27 +393,39 @@ func (br binReader) readHeader() (*tname.Tree, error) {
 
 // BinaryDecoder decodes a binary trace incrementally: the header (system
 // type) is read eagerly by NewBinaryDecoder, then Next yields one validated
-// event at a time, so arbitrarily long behaviors can feed an incremental
-// checker without ever materializing a full Behavior.
+// event at a time, so an incremental checker can consume a behavior without
+// it ever being materialized. The decoder holds the encoded trace (a few
+// bytes per event), never a Behavior (48 B per event); the tname.Tree it
+// returns from Tree is larger than the encoded trace.
 type BinaryDecoder struct {
-	br   binReader
+	c    Cursor
 	tr   *tname.Tree
 	left uint64
 	err  error
 }
 
-// NewBinaryDecoder reads the header from r and prepares to stream events.
+// NewBinaryDecoder reads r to its end, decodes the header and prepares to
+// decode events.
 func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
-	br := binReader{r: bufio.NewReader(r)}
-	tr, err := br.readHeader()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("nsgb: read: %w", err)
+	}
+	c := NewCursor(data)
+	tr, err := c.header()
 	if err != nil {
 		return nil, err
 	}
-	n, err := br.readUvarint("event count")
+	n, err := c.Uvarint("event count")
 	if err != nil {
 		return nil, err
 	}
-	return &BinaryDecoder{br: br, tr: tr, left: n}, nil
+	// Every encoded event takes at least two bytes; the bound also caps
+	// what ReadBinaryTrace reserves.
+	if n > uint64(c.Len()/2) {
+		return nil, fmt.Errorf("nsgb: event count %d exceeds input size", n)
+	}
+	return &BinaryDecoder{c: c, tr: tr, left: n}, nil
 }
 
 // Tree returns the system type decoded from the header.
@@ -297,54 +444,12 @@ func (d *BinaryDecoder) Next() (Event, error) {
 		d.err = io.EOF
 		return Event{}, io.EOF
 	}
-	e, err := d.next()
+	e, err := d.c.event(d.tr.NumTx(), d.tr.NumObjects())
 	if err != nil {
 		d.err = err
 		return Event{}, err
 	}
 	d.left--
-	return e, nil
-}
-
-func (d *BinaryDecoder) next() (Event, error) {
-	kb, err := d.br.readByte("event kind")
-	if err != nil {
-		return Event{}, err
-	}
-	kind := Kind(kb)
-	if kind < Create || kind > InformAbort {
-		return Event{}, fmt.Errorf("trace: binary: unknown event kind %d", kb)
-	}
-	txu, err := d.br.readUvarint("event tx")
-	if err != nil {
-		return Event{}, err
-	}
-	if txu >= uint64(d.tr.NumTx()) {
-		return Event{}, fmt.Errorf("trace: binary: event names unknown tx %d", txu)
-	}
-	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
-	switch kind {
-	case RequestCommit, ReportCommit:
-		tv, err := d.br.readValue("event val")
-		if err != nil {
-			return Event{}, err
-		}
-		if e.Val, err = decodeValue(tv); err != nil {
-			return Event{}, err
-		}
-	case InformCommit, InformAbort:
-		obju, err := d.br.readUvarint("event obj")
-		if err != nil {
-			return Event{}, err
-		}
-		if obju >= uint64(d.tr.NumObjects()) {
-			return Event{}, fmt.Errorf("trace: binary: event informs unknown object %d", obju)
-		}
-		e.Obj = tname.ObjID(obju)
-	default:
-		// Every other kind is fully described by (kind, tx); the kind
-		// range was checked above.
-	}
 	return e, nil
 }
 
@@ -356,7 +461,7 @@ func ReadBinaryTrace(r io.Reader) (*tname.Tree, Behavior, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var b Behavior
+	b := make(Behavior, 0, d.left)
 	for {
 		e, err := d.Next()
 		if err == io.EOF {
@@ -369,113 +474,10 @@ func ReadBinaryTrace(r io.Reader) (*tname.Tree, Behavior, error) {
 	}
 	// Trailing garbage after the declared event count is a malformed trace,
 	// not silent success.
-	if _, err := d.br.r.ReadByte(); err != io.EOF {
-		return nil, nil, fmt.Errorf("trace: binary: trailing data after events")
+	if d.c.Len() != 0 {
+		return nil, nil, fmt.Errorf("nsgb: trailing data after events")
 	}
 	return d.tr, b, nil
-}
-
-// The exported Append/Read helpers below expose the NSGB wire primitives
-// (uvarint-length-prefixed strings and kind-tagged values) to other framed
-// protocols in this module — internal/wire speaks them verbatim — so the
-// module has exactly one binary encoding of strings and spec.Values.
-
-// AppendString appends a uvarint-length-prefixed string.
-func AppendString(buf []byte, s string) []byte { return appendStr(buf, s) }
-
-// AppendValue appends a kind-tagged value in the NSGB value encoding.
-func AppendValue(buf []byte, v spec.Value) []byte { return appendValue(buf, v) }
-
-// ReadString decodes a uvarint-length-prefixed string; what names the field
-// in decode errors.
-func ReadString(r *bufio.Reader, what string) (string, error) {
-	return binReader{r: r}.readStr(what)
-}
-
-// CutUvarint decodes a uvarint from the front of b and returns the rest.
-func CutUvarint(b []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: %s: truncated uvarint", what)
-	}
-	return v, b[n:], nil
-}
-
-// CutBytes decodes a uvarint-length-prefixed byte string from the front of
-// b, returning the payload as a sub-slice of b (no copy) and the rest. The
-// sub-slice aliases b and is only valid while b is.
-func CutBytes(b []byte, what string) ([]byte, []byte, error) {
-	// Not CutUvarint(b, what+" length"): the concatenation would cost every
-	// string field an allocation for an error message it almost never needs.
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("wire: %s length: truncated uvarint", what)
-	}
-	rest := b[k:]
-	if n > maxBinaryStr {
-		return nil, nil, fmt.Errorf("wire: %s length %d exceeds limit", what, n)
-	}
-	if uint64(len(rest)) < n {
-		return nil, nil, fmt.Errorf("wire: %s: truncated payload", what)
-	}
-	return rest[:n], rest[n:], nil
-}
-
-// CutString decodes a uvarint-length-prefixed string from the front of b and
-// returns the rest. The string is copied out of b (strings are immutable),
-// so it is the one unavoidable allocation of a string-carrying frame.
-func CutString(b []byte, what string) (string, []byte, error) {
-	v, rest, err := CutBytes(b, what)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(v), rest, nil
-}
-
-// CutValue decodes a kind-tagged value in the NSGB value encoding from the
-// front of b and returns the rest. Like ReadValue it rebuilds the payload
-// through the spec constructors, but it reads the byte slice directly — no
-// intermediate reader or TraceValue — so int/bool/nil/ok values decode
-// without allocating.
-func CutValue(b []byte, what string) (spec.Value, []byte, error) {
-	if len(b) == 0 {
-		return spec.Nil, nil, fmt.Errorf("wire: %s kind: truncated value", what)
-	}
-	kind, rest := spec.ValueKind(b[0]), b[1:]
-	switch kind {
-	case spec.VNil:
-		return spec.Nil, rest, nil
-	case spec.VOK:
-		return spec.OK, rest, nil
-	case spec.VInt, spec.VBool:
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return spec.Nil, nil, fmt.Errorf("wire: %s int: truncated varint", what)
-		}
-		if kind == spec.VBool {
-			return spec.Bool(v != 0), rest[n:], nil
-		}
-		return spec.Int(v), rest[n:], nil
-	case spec.VStr:
-		s, rest, err := CutString(rest, what+" str")
-		if err != nil {
-			return spec.Nil, nil, err
-		}
-		return spec.Str(s), rest, nil
-	default:
-		return spec.Nil, nil, fmt.Errorf("wire: %s has unknown value kind %d", what, b[0])
-	}
-}
-
-// ReadValue decodes a kind-tagged value in the NSGB value encoding. The
-// payload is rebuilt through the spec constructors, exactly as the trace
-// decoder does.
-func ReadValue(r *bufio.Reader, what string) (spec.Value, error) {
-	tv, err := binReader{r: r}.readValue(what)
-	if err != nil {
-		return spec.Nil, err
-	}
-	return decodeValue(tv)
 }
 
 // ReadTraceAuto sniffs the stream and dispatches to the binary or JSON

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -123,6 +124,15 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, _, err := ReadBinaryTrace(bytes.NewReader(append(bin, 0))); err == nil {
 		t.Fatalf("trailing data accepted")
 	}
+	// An event count no input of this size can hold is refused up front, so
+	// that a caller reserving Remaining() events reserves nothing absurd.
+	header := MarshalBinaryTrace(emptyTree(t), nil)
+	header = header[:len(header)-1] // drop the event count, a one-byte 0
+	for _, n := range []uint64{1, 1 << 62} {
+		if _, err := NewBinaryDecoder(bytes.NewReader(binary.AppendUvarint(header, n))); err == nil {
+			t.Fatalf("event count %d with no events accepted", n)
+		}
+	}
 }
 
 // TestRegenerateBinaryFuzzCorpus rewrites the committed seed corpus for
@@ -225,89 +235,126 @@ func FuzzBinaryTraceRoundTrip(f *testing.F) {
 	})
 }
 
-// TestCutPrimitivesMatchReaders: the slice-cutting decoders must accept
-// exactly what the Append* encoders produce and agree with the
-// reader-based decoders on every value kind, then report the exact
-// remainder so a caller can chain cuts through a frame.
-func TestCutPrimitivesMatchReaders(t *testing.T) {
+// TestCursorPrimitivesMatchReaders: the cursor must accept exactly what the
+// Append* encoders produce, agree with binReader, the reader-based
+// reference, on every value kind, and leave the exact remainder so that a
+// caller can chain reads through a frame.
+func TestCursorPrimitivesMatchReaders(t *testing.T) {
+	ref := func(buf []byte) binReader { return binReader{r: bufio.NewReader(bytes.NewReader(buf))} }
 	values := []spec.Value{
 		spec.Nil, spec.OK, spec.Int(0), spec.Int(-1), spec.Int(1 << 40),
 		spec.Bool(true), spec.Bool(false), spec.Str(""), spec.Str("payload"),
 	}
 	for _, v := range values {
-		buf := AppendValue(nil, v)
-		buf = append(buf, 0xEE) // sentinel remainder
-		got, rest, err := CutValue(buf, "test")
+		buf := append(AppendValue(nil, v), 0xEE) // sentinel remainder
+		c := NewCursor(buf)
+		got, err := c.Value("test")
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if got != v {
-			t.Fatalf("CutValue round trip: got %v want %v", got, v)
+		tv, err := ref(buf).readValue("test")
+		if err != nil {
+			t.Fatalf("%v: reference: %v", v, err)
 		}
-		if len(rest) != 1 || rest[0] != 0xEE {
-			t.Fatalf("%v: remainder %v, want the sentinel", v, rest)
+		if want, _ := decodeValue(tv); got != v || got != want {
+			t.Fatalf("Value round trip: got %v, reference %v, want %v", got, want, v)
+		}
+		if b, err := c.Byte("sentinel"); err != nil || b != 0xEE || c.Len() != 0 {
+			t.Fatalf("%v: remainder %x (%v), %d more, want the sentinel alone", v, b, err, c.Len())
 		}
 	}
 	for _, s := range []string{"", "x", "a longer string value"} {
-		buf := append(AppendString(nil, s), 0xEE)
-		got, rest, err := CutString(buf, "test")
-		if err != nil {
-			t.Fatalf("%q: %v", s, err)
-		}
-		if got != s || len(rest) != 1 {
-			t.Fatalf("CutString round trip: got %q rest %v", got, rest)
+		c := NewCursor(append(AppendString(nil, s), 0xEE))
+		if got, err := c.Str("test"); err != nil || got != s || c.Len() != 1 {
+			t.Fatalf("Str round trip: got %q, %v, %d left", got, err, c.Len())
 		}
 	}
 	for _, n := range []uint64{0, 1, 127, 128, 1 << 60} {
-		buf := append(binary.AppendUvarint(nil, n), 0xEE)
-		got, rest, err := CutUvarint(buf, "test")
-		if err != nil {
-			t.Fatalf("%d: %v", n, err)
-		}
-		if got != n || len(rest) != 1 {
-			t.Fatalf("CutUvarint round trip: got %d rest %v", got, rest)
+		c := NewCursor(append(binary.AppendUvarint(nil, n), 0xEE))
+		if got, err := c.Uvarint("test"); err != nil || got != n || c.Len() != 1 {
+			t.Fatalf("Uvarint round trip: got %d, %v, %d left", got, err, c.Len())
 		}
 	}
 }
 
-// TestCutPrimitivesRejectJunk: truncations and forged prefixes must fail
-// with an error, never panic or return garbage.
-func TestCutPrimitivesRejectJunk(t *testing.T) {
-	if _, _, err := CutUvarint(nil, "t"); err == nil {
-		t.Error("empty uvarint accepted")
-	}
-	if _, _, err := CutUvarint([]byte{0x80}, "t"); err == nil {
-		t.Error("truncated uvarint accepted")
-	}
-	if _, _, err := CutString(binary.AppendUvarint(nil, 5), "t"); err == nil {
-		t.Error("string with truncated payload accepted")
-	}
-	if _, _, err := CutString(binary.AppendUvarint(nil, maxBinaryStr+1), "t"); err == nil {
-		t.Error("forged oversized string length accepted")
-	}
-	if _, _, err := CutValue(nil, "t"); err == nil {
-		t.Error("empty value accepted")
-	}
-	if _, _, err := CutValue([]byte{200}, "t"); err == nil {
-		t.Error("unknown value kind accepted")
-	}
-	if _, _, err := CutValue([]byte{byte(spec.VInt)}, "t"); err == nil {
-		t.Error("int value with no payload accepted")
-	}
-	if _, _, err := CutValue(AppendValue(nil, spec.Str("xy"))[:2], "t"); err == nil {
-		t.Error("str value with truncated payload accepted")
+// TestCursorRejectsJunk: truncations and forged prefixes must fail with an
+// error, never panic or return garbage.
+func TestCursorRejectsJunk(t *testing.T) {
+	readByte := func(c *Cursor) error { _, err := c.Byte("t"); return err }
+	uvarint := func(c *Cursor) error { _, err := c.Uvarint("t"); return err }
+	opKind := func(c *Cursor) error { _, err := c.OpKind("t"); return err }
+	str := func(c *Cursor) error { _, err := c.Str("t"); return err }
+	value := func(c *Cursor) error { _, err := c.Value("t"); return err }
+	for _, j := range []struct {
+		name string
+		buf  []byte
+		read func(c *Cursor) error
+	}{
+		{"empty byte", nil, readByte},
+		{"empty uvarint", nil, uvarint},
+		{"truncated uvarint", []byte{0x80}, uvarint},
+		{"overlong uvarint", bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64), uvarint},
+		{"op kind 0", []byte{0}, opKind},
+		{"op kind 256", []byte{0x80, 0x02}, opKind},
+		{"empty str", nil, str},
+		{"str with truncated payload", binary.AppendUvarint(nil, 5), str},
+		{"forged oversized str length", binary.AppendUvarint(nil, maxBinaryStr+1), str},
+		{"empty value", nil, value},
+		{"unknown value kind", []byte{200}, value},
+		{"int value with no payload", []byte{byte(spec.VInt)}, value},
+		{"str value with truncated payload", AppendValue(nil, spec.Str("xy"))[:2], value},
+	} {
+		c := NewCursor(j.buf)
+		if err := j.read(&c); err == nil {
+			t.Errorf("%s accepted", j.name)
+		}
 	}
 }
 
-// TestCutScalarValueAllocs: scalar values must cut without allocating —
-// the property that keeps ACCESS responses off the allocator.
-func TestCutScalarValueAllocs(t *testing.T) {
+// TestCursorScalarValueAllocs: scalar values must decode without allocating
+// — the property that keeps ACCESS responses off the allocator.
+func TestCursorScalarValueAllocs(t *testing.T) {
 	buf := AppendValue(nil, spec.Int(42))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if v, _, err := CutValue(buf, "t"); err != nil || v != spec.Int(42) {
-			t.Fatalf("cut: %v, %v", v, err)
+		c := NewCursor(buf)
+		if v, err := c.Value("t"); err != nil || v != spec.Int(42) {
+			t.Fatalf("value: %v, %v", v, err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("CutValue(int) allocates %.1f times, want 0", allocs)
+		t.Fatalf("Value(int) allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestBinaryDecoderNextAllocs: streaming an event that carries a scalar
+// value or an object allocates nothing — the decoder hands back the event
+// it read in place, with no intermediate TraceValue.
+func TestBinaryDecoderNextAllocs(t *testing.T) {
+	tr := tname.NewTree()
+	x := tr.AddObject("x", spec.Register{})
+	t1 := tr.Child(tname.Root, "T1")
+	for _, e := range []Event{
+		NewValEvent(RequestCommit, t1, spec.Int(7)),
+		NewValEvent(ReportCommit, t1, spec.OK),
+		NewValEvent(ReportCommit, t1, spec.Bool(true)),
+		NewInform(InformCommit, t1, x),
+		NewInform(InformAbort, t1, x),
+	} {
+		const runs = 100
+		b := make(Behavior, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range b {
+			b[i] = e
+		}
+		d, err := NewBinaryDecoder(bytes.NewReader(MarshalBinaryTrace(tr, b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			if got, err := d.Next(); err != nil || got != e {
+				t.Fatalf("Next = %v, %v; want %v", got, err, e)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Next on %s allocates %.1f times, want 0", e.Kind, allocs)
+		}
 	}
 }

@@ -1,31 +1,31 @@
 // WAL record codec: the payloads of the server's write-ahead log.
 //
 // The server's durable log (internal/server) is a sequence of framed
-// records; each record payload is encoded here with the same NSGB
-// primitives as the binary trace codec (binary.go), so values, labels and
-// events have exactly one wire form in the repo. Three record kinds exist:
+// records; each record payload is encoded here with the NSGB encoders of
+// the binary trace codec (binary.go) and decoded with its Cursor, so
+// values, labels, transaction definitions and events have exactly one
+// encoder and one decoder in the repo. Three record kinds exist:
 //
 //	WalObjectDef  'O' | label str | spec-name str
 //	WalTxDef      'T' | parent svarint | label str | obj svarint
 //	              [| op uvarint | arg value]          (obj >= 0 only)
 //	WalEvents     'E' | count uvarint | count × event
 //
-// where an event is encoded as in the binary trace event section: kind
-// byte, tx uvarint, then a value for REQUEST_COMMIT/REPORT_COMMIT or an
-// object uvarint for informs. Definitions are written before first use and
-// IDs are implicit: the i'th WalObjectDef defines ObjID i, the i'th
-// WalTxDef defines TxID i+1 (TxID 0 is the pre-existing root T0), exactly
-// mirroring the tname interner's sequential assignment. DecodeWalOp
-// therefore validates every reference against the running (numTx,
-// numObjects) counts the caller maintains, so a torn or corrupted record
-// is rejected instead of panicking downstream in the interner.
+// where a WalTxDef body is a binary trace's transaction entry and an event
+// is encoded as in its event section: kind byte, tx uvarint, then a value
+// for REQUEST_COMMIT/REPORT_COMMIT or an object uvarint for informs.
+// Definitions are written before first use and IDs are implicit: the i'th
+// WalObjectDef defines ObjID i, the i'th WalTxDef defines TxID i+1 (TxID 0
+// is the pre-existing root T0), exactly mirroring the tname interner's
+// sequential assignment. DecodeWalOp therefore validates every reference
+// against the running (numTx, numObjects) counts the caller maintains, so
+// a torn or corrupted record is rejected instead of panicking downstream
+// in the interner.
 package event
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
@@ -69,8 +69,8 @@ type WalOp struct {
 //sgvet:hotpath
 func AppendWalObjectDef(buf []byte, label, specName string) []byte {
 	buf = append(buf, byte(WalObjectDef))
-	buf = appendStr(buf, label)
-	return appendStr(buf, specName)
+	buf = AppendString(buf, label)
+	return AppendString(buf, specName)
 }
 
 // AppendWalTxDef appends a transaction-definition payload to buf. For an
@@ -79,15 +79,7 @@ func AppendWalObjectDef(buf []byte, label, specName string) []byte {
 //
 //sgvet:hotpath
 func AppendWalTxDef(buf []byte, parent tname.TxID, label string, obj tname.ObjID, op spec.Op) []byte {
-	buf = append(buf, byte(WalTxDef))
-	buf = binary.AppendVarint(buf, int64(parent))
-	buf = appendStr(buf, label)
-	buf = binary.AppendVarint(buf, int64(obj))
-	if obj != tname.NoObj {
-		buf = binary.AppendUvarint(buf, uint64(op.Kind))
-		buf = appendValue(buf, op.Arg)
-	}
-	return buf
+	return appendTxDef(append(buf, byte(WalTxDef)), parent, label, obj, op)
 }
 
 // AppendWalEvents appends an event-batch payload to buf.
@@ -97,16 +89,7 @@ func AppendWalEvents(buf []byte, evs ...Event) []byte {
 	buf = append(buf, byte(WalEvents))
 	buf = binary.AppendUvarint(buf, uint64(len(evs)))
 	for _, e := range evs {
-		buf = append(buf, byte(e.Kind))
-		buf = binary.AppendUvarint(buf, uint64(e.Tx))
-		switch e.Kind {
-		case RequestCommit, ReportCommit:
-			buf = appendValue(buf, e.Val)
-		case InformCommit, InformAbort:
-			buf = binary.AppendUvarint(buf, uint64(e.Obj))
-		default:
-			// Every other kind is fully described by (kind, tx).
-		}
+		buf = appendEvent(buf, e)
 	}
 	return buf
 }
@@ -119,18 +102,18 @@ func AppendWalEvents(buf []byte, evs ...Event) []byte {
 // strings and the event slice of its result: recovery calls it once per
 // record, and a record is a dozen bytes.
 func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
-	c := walCursor{b: payload}
-	kb, err := c.byte()
+	c := NewCursor(payload)
+	kb, err := c.Byte("wal record kind")
 	if err != nil {
-		return WalOp{}, binErr("wal record kind", err)
+		return WalOp{}, err
 	}
 	op := WalOp{Kind: WalKind(kb), Obj: tname.NoObj}
 	switch op.Kind {
 	case WalObjectDef:
-		if op.Label, err = c.str("wal object label", ""); err != nil {
+		if op.Label, err = c.Str("wal object label"); err != nil {
 			return WalOp{}, err
 		}
-		if op.SpecName, err = c.str("wal object spec", ""); err != nil {
+		if op.SpecName, err = c.Str("wal object spec"); err != nil {
 			return WalOp{}, err
 		}
 		if op.Label == "" {
@@ -140,45 +123,22 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 			return WalOp{}, fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
 		}
 	case WalTxDef:
-		parent, err := c.varint()
-		if err != nil {
-			return WalOp{}, binErr("wal tx parent", err)
-		}
-		if parent < 0 || parent >= int64(numTx) {
-			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
-		}
-		op.Parent = tname.TxID(parent)
-		if op.Label, err = c.str("wal tx label", ""); err != nil {
+		parent, obj, label, txop, err := c.txDef()
+		switch {
+		case err != nil:
 			return WalOp{}, err
-		}
-		if op.Label == "" {
+		case parent < 0 || parent >= int64(numTx):
+			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
+		case label == "":
 			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
+		case obj != int64(tname.NoObj) && (obj < 0 || obj >= int64(numObjects)):
+			return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
 		}
-		obj, err := c.varint()
-		if err != nil {
-			return WalOp{}, binErr("wal tx obj", err)
-		}
-		if obj != int64(tname.NoObj) {
-			if obj < 0 || obj >= int64(numObjects) {
-				return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
-			}
-			op.Obj = tname.ObjID(obj)
-			opk, err := c.uvarint()
-			if err != nil {
-				return WalOp{}, binErr("wal tx op", err)
-			}
-			if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
-				return WalOp{}, fmt.Errorf("wal: tx definition has unknown op kind %d", opk)
-			}
-			op.Op.Kind = spec.OpKind(opk)
-			if op.Op.Arg, err = c.value("wal tx op arg"); err != nil {
-				return WalOp{}, err
-			}
-		}
+		op.Parent, op.Label, op.Obj, op.Op = tname.TxID(parent), label, tname.ObjID(obj), txop
 	case WalEvents:
-		count, err := c.uvarint()
+		count, err := c.Uvarint("wal event count")
 		if err != nil {
-			return WalOp{}, binErr("wal event count", err)
+			return WalOp{}, err
 		}
 		// Every encoded event takes at least two bytes, so a count larger
 		// than the payload is corrupt; the bound also caps the allocation.
@@ -187,7 +147,7 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 		}
 		op.Events = make(Behavior, 0, count)
 		for i := uint64(0); i < count; i++ {
-			e, err := decodeWalEvent(&c, numTx, numObjects)
+			e, err := c.event(numTx, numObjects)
 			if err != nil {
 				return WalOp{}, err
 			}
@@ -196,150 +156,8 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 	default:
 		return WalOp{}, fmt.Errorf("wal: unknown record kind %d", kb)
 	}
-	if len(c.b) != 0 {
+	if c.Len() != 0 {
 		return WalOp{}, fmt.Errorf("wal: trailing bytes after %c record", byte(op.Kind))
 	}
 	return op, nil
-}
-
-func decodeWalEvent(c *walCursor, numTx, numObjects int) (Event, error) {
-	kb, err := c.byte()
-	if err != nil {
-		return Event{}, binErr("wal event kind", err)
-	}
-	kind := Kind(kb)
-	if kind < Create || kind > InformAbort {
-		return Event{}, fmt.Errorf("wal: unknown event kind %d", kb)
-	}
-	txu, err := c.uvarint()
-	if err != nil {
-		return Event{}, binErr("wal event tx", err)
-	}
-	if txu >= uint64(numTx) {
-		return Event{}, fmt.Errorf("wal: event names unknown tx %d", txu)
-	}
-	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
-	switch kind {
-	case RequestCommit, ReportCommit:
-		if e.Val, err = c.value("wal event val"); err != nil {
-			return Event{}, err
-		}
-	case InformCommit, InformAbort:
-		obju, err := c.uvarint()
-		if err != nil {
-			return Event{}, binErr("wal event obj", err)
-		}
-		if obju >= uint64(numObjects) {
-			return Event{}, fmt.Errorf("wal: event informs unknown object %d", obju)
-		}
-		e.Obj = tname.ObjID(obju)
-	default:
-		// Fully described by (kind, tx).
-	}
-	return e, nil
-}
-
-// walCursor reads the NSGB primitives off the front of a record payload.
-// It is binReader for a byte slice — the same accept/reject decisions and
-// the same error texts (FuzzDecodeWalOp holds the two together) — without
-// a reader, a buffer or a TraceValue behind it. byte, uvarint and varint
-// return the bare io error for the caller to name with binErr; str and
-// value name their own, and take the field name in two parts so that the
-// happy path never concatenates.
-type walCursor struct{ b []byte }
-
-func binErr(what string, err error) error {
-	return fmt.Errorf("trace: binary: %s: %w", what, err)
-}
-
-// errVarintOverflow has the text of encoding/binary's unexported overflow
-// error, which binReader surfaces from binary.ReadUvarint.
-var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
-
-func (c *walCursor) byte() (byte, error) {
-	if len(c.b) == 0 {
-		return 0, io.EOF
-	}
-	b := c.b[0]
-	c.b = c.b[1:]
-	return b, nil
-}
-
-// uvarint gives binary.ReadUvarint's verdicts: ten continuation bytes are
-// an overflow even when nothing follows them (binary.Uvarint alone calls
-// that a short buffer), and running out mid-number is ErrUnexpectedEOF.
-func (c *walCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b)
-	switch {
-	case n > 0:
-		c.b = c.b[n:]
-		return v, nil
-	case n < 0 || len(c.b) >= binary.MaxVarintLen64:
-		return 0, errVarintOverflow
-	case len(c.b) == 0:
-		return 0, io.EOF
-	default:
-		return 0, io.ErrUnexpectedEOF
-	}
-}
-
-func (c *walCursor) varint() (int64, error) {
-	ux, err := c.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, err
-}
-
-func (c *walCursor) str(what, part string) (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", binErr(what+part+" length", err)
-	}
-	if n > maxBinaryStr {
-		return "", fmt.Errorf("trace: binary: %s%s length %d exceeds limit", what, part, n)
-	}
-	if n > uint64(len(c.b)) {
-		err = io.ErrUnexpectedEOF
-		if len(c.b) == 0 {
-			err = io.EOF
-		}
-		return "", binErr(what+part, err)
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s, nil
-}
-
-// value decodes a kind-tagged value, rebuilding it through the spec
-// constructors as decodeValue does.
-func (c *walCursor) value(what string) (spec.Value, error) {
-	kb, err := c.byte()
-	if err != nil {
-		return spec.Nil, binErr(what+" kind", err)
-	}
-	switch spec.ValueKind(kb) {
-	case spec.VNil:
-		return spec.Nil, nil
-	case spec.VOK:
-		return spec.OK, nil
-	case spec.VInt, spec.VBool:
-		v, err := c.varint()
-		if err != nil {
-			return spec.Nil, binErr(what+" int", err)
-		}
-		if spec.ValueKind(kb) == spec.VBool {
-			return spec.Bool(v != 0), nil
-		}
-		return spec.Int(v), nil
-	case spec.VStr:
-		s, err := c.str(what, " str")
-		if err != nil {
-			return spec.Nil, err
-		}
-		return spec.Str(s), nil
-	default:
-		return spec.Nil, fmt.Errorf("trace: binary: %s has unknown value kind %d", what, kb)
-	}
 }

@@ -3,6 +3,7 @@ package event
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"reflect"
@@ -168,7 +169,7 @@ func TestDecodeWalOpAllocs(t *testing.T) {
 
 // FuzzDecodeWalOp holds the slice-cursor decoder to three properties on
 // arbitrary payloads and counts. It never panics. It agrees with
-// refDecodeWalOp — the bufio-based decoder it replaced — on the verdict,
+// refDecodeWalOp — the same decoder over a bufio.Reader — on the verdict,
 // the decoded value and the error text. And what it accepts re-encodes to
 // a canonical payload: one that decodes to the same value and re-encodes
 // to itself, no longer than the input. (Not always the input itself: both
@@ -185,6 +186,9 @@ func FuzzDecodeWalOp(f *testing.F) {
 	// binary.ReadUvarint, a short buffer to binary.Uvarint.
 	f.Add(append([]byte{byte(WalEvents)}, bytes.Repeat([]byte{0x80}, 10)...), uint8(1), uint8(0))
 	f.Add([]byte{byte(WalEvents), 0x81, 0x00, byte(ReportCommit), 0, byte(spec.VBool), 4}, uint8(1), uint8(0))
+	// Op kind 256, whose low byte alone is 0: a decoder that narrows before
+	// it compares accepts it and re-encodes op 0, which it then refuses.
+	f.Add([]byte{byte(WalTxDef), 0, 1, 'a', 0, 0x80, 0x02, byte(spec.VNil)}, uint8(1), uint8(1))
 
 	f.Fuzz(func(t *testing.T, payload []byte, ntx, nobj uint8) {
 		numTx, numObj := int(ntx), int(nobj)
@@ -216,9 +220,10 @@ func FuzzDecodeWalOp(f *testing.F) {
 	})
 }
 
-// refDecodeWalOp is DecodeWalOp as it was before it read the payload in
-// place: binReader over a bufio.Reader over a bytes.Reader, values through
-// TraceValue and decodeValue. FuzzDecodeWalOp compares the two.
+// refDecodeWalOp is DecodeWalOp over a reader rather than a slice:
+// binReader over a bufio.Reader over a bytes.Reader, values through
+// TraceValue and decodeValue — the decoder binary traces and WAL records
+// had before both moved to Cursor. FuzzDecodeWalOp compares the two.
 func refDecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 	br := binReader{r: bufio.NewReader(bytes.NewReader(payload))}
 	kb, err := br.readByte("wal record kind")
@@ -241,44 +246,46 @@ func refDecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 			return WalOp{}, fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
 		}
 	case WalTxDef:
-		parent, err := br.readVarint("wal tx parent")
+		parent, err := br.readVarint("tx parent")
 		if err != nil {
 			return WalOp{}, err
 		}
-		if parent < 0 || parent >= int64(numTx) {
-			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
-		}
-		op.Parent = tname.TxID(parent)
-		if op.Label, err = br.readStr("wal tx label"); err != nil {
+		if op.Label, err = br.readStr("tx label"); err != nil {
 			return WalOp{}, err
 		}
-		if op.Label == "" {
-			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
-		}
-		obj, err := br.readVarint("wal tx obj")
+		obj, err := br.readVarint("tx obj")
 		if err != nil {
 			return WalOp{}, err
 		}
-		if obj != int64(tname.NoObj) {
-			if obj < 0 || obj >= int64(numObjects) {
-				return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
-			}
-			op.Obj = tname.ObjID(obj)
-			opk, err := br.readUvarint("wal tx op")
+		if obj >= 0 {
+			opk, err := br.readUvarint("tx op")
 			if err != nil {
 				return WalOp{}, err
 			}
-			if opk == 0 || spec.OpKind(opk) > spec.OpDeq {
-				return WalOp{}, fmt.Errorf("wal: tx definition has unknown op kind %d", opk)
+			if opk == 0 || opk > uint64(spec.OpDeq) {
+				return WalOp{}, fmt.Errorf("nsgb: tx op: unknown op kind %d", opk)
 			}
 			op.Op.Kind = spec.OpKind(opk)
-			tv, err := br.readValue("wal tx op arg")
+			tv, err := br.readValue("tx op arg")
 			if err != nil {
 				return WalOp{}, err
 			}
 			if op.Op.Arg, err = decodeValue(tv); err != nil {
 				return WalOp{}, err
 			}
+		}
+		if parent < 0 || parent >= int64(numTx) {
+			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
+		}
+		op.Parent = tname.TxID(parent)
+		if op.Label == "" {
+			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
+		}
+		if obj != int64(tname.NoObj) {
+			if obj < 0 || obj >= int64(numObjects) {
+				return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
+			}
+			op.Obj = tname.ObjID(obj)
 		}
 	case WalEvents:
 		count, err := br.readUvarint("wal event count")
@@ -290,7 +297,7 @@ func refDecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 		}
 		op.Events = make(Behavior, 0, count)
 		for i := uint64(0); i < count; i++ {
-			e, err := refDecodeWalEvent(br, numTx, numObjects)
+			e, err := refDecodeEvent(br, numTx, numObjects)
 			if err != nil {
 				return WalOp{}, err
 			}
@@ -305,26 +312,26 @@ func refDecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 	return op, nil
 }
 
-func refDecodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
-	kb, err := br.readByte("wal event kind")
+func refDecodeEvent(br binReader, numTx, numObjects int) (Event, error) {
+	kb, err := br.readByte("event kind")
 	if err != nil {
 		return Event{}, err
 	}
 	kind := Kind(kb)
 	if kind < Create || kind > InformAbort {
-		return Event{}, fmt.Errorf("wal: unknown event kind %d", kb)
+		return Event{}, fmt.Errorf("nsgb: unknown event kind %d", kb)
 	}
-	txu, err := br.readUvarint("wal event tx")
+	txu, err := br.readUvarint("event tx")
 	if err != nil {
 		return Event{}, err
 	}
 	if txu >= uint64(numTx) {
-		return Event{}, fmt.Errorf("wal: event names unknown tx %d", txu)
+		return Event{}, fmt.Errorf("nsgb: event names unknown tx %d", txu)
 	}
 	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
 	switch kind {
 	case RequestCommit, ReportCommit:
-		tv, err := br.readValue("wal event val")
+		tv, err := br.readValue("event val")
 		if err != nil {
 			return Event{}, err
 		}
@@ -332,16 +339,87 @@ func refDecodeWalEvent(br binReader, numTx, numObjects int) (Event, error) {
 			return Event{}, err
 		}
 	case InformCommit, InformAbort:
-		obju, err := br.readUvarint("wal event obj")
+		obju, err := br.readUvarint("event obj")
 		if err != nil {
 			return Event{}, err
 		}
 		if obju >= uint64(numObjects) {
-			return Event{}, fmt.Errorf("wal: event informs unknown object %d", obju)
+			return Event{}, fmt.Errorf("nsgb: event informs unknown object %d", obju)
 		}
 		e.Obj = tname.ObjID(obju)
 	default:
 		// Fully described by (kind, tx).
 	}
 	return e, nil
+}
+
+// binReader reads the NSGB primitives off a bufio.Reader, turning any short
+// read into a decode error.
+type binReader struct {
+	r *bufio.Reader
+}
+
+func (br binReader) readStr(what string) (string, error) {
+	n, err := binary.ReadUvarint(br.r)
+	if err != nil {
+		return "", fmt.Errorf("nsgb: %s length: %w", what, err)
+	}
+	if n > maxBinaryStr {
+		return "", fmt.Errorf("nsgb: %s length %d exceeds limit", what, n)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(br.r, b); err != nil {
+		return "", fmt.Errorf("nsgb: %s: %w", what, err)
+	}
+	return string(b), nil
+}
+
+func (br binReader) readUvarint(what string) (uint64, error) {
+	n, err := binary.ReadUvarint(br.r)
+	if err != nil {
+		return 0, fmt.Errorf("nsgb: %s: %w", what, err)
+	}
+	return n, nil
+}
+
+func (br binReader) readVarint(what string) (int64, error) {
+	n, err := binary.ReadVarint(br.r)
+	if err != nil {
+		return 0, fmt.Errorf("nsgb: %s: %w", what, err)
+	}
+	return n, nil
+}
+
+func (br binReader) readByte(what string) (byte, error) {
+	b, err := br.r.ReadByte()
+	if err != nil {
+		return 0, fmt.Errorf("nsgb: %s: %w", what, err)
+	}
+	return b, nil
+}
+
+// readValue decodes a value payload into its JSON-trace form so that the
+// shared decodeValue path rebuilds the spec.Value through the constructors.
+func (br binReader) readValue(what string) (*TraceValue, error) {
+	kb, err := br.readByte(what + " kind")
+	if err != nil {
+		return nil, err
+	}
+	name, ok := valueKindNames[spec.ValueKind(kb)]
+	if !ok {
+		return nil, fmt.Errorf("nsgb: %s has unknown value kind %d", what, kb)
+	}
+	tv := &TraceValue{Kind: name}
+	switch spec.ValueKind(kb) {
+	case spec.VInt, spec.VBool:
+		tv.Int, err = br.readVarint(what + " int")
+	case spec.VStr:
+		tv.Str, err = br.readStr(what + " str")
+	default:
+		// VNil and VOK carry no payload beyond the kind byte.
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tv, nil
 }

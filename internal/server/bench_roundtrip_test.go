@@ -117,9 +117,7 @@ func benchmarkRunTx(b *testing.B, body func(tx *client.Tx) error) {
 // transaction: the request's object name, the access's label — built in the
 // session's scratch buffer, where fmt.Sprintf would box its operand and
 // cost one more — and what the name tree, the log, the object and the graph
-// keep per access: just over 3 in all. (The object name's parse cost one
-// more while event.CutBytes built its error label before it knew of an
-// error.)
+// keep per access: just over 3 in all.
 func TestAccessRequestAllocs(t *testing.T) {
 	s := server.New(server.Options{Objects: []string{"x"}})
 	srvEnd, cliEnd := net.Pipe()

@@ -30,8 +30,7 @@ type RecoveryReport struct {
 	FixupInforms int
 	// AuditOK reports that the offline batch check of the stitched log
 	// passed and its SG matched the primed online certifier byte for
-	// byte (always true when Recover returns nil error and the audit was
-	// not skipped).
+	// byte (always true when Recover returns a nil error).
 	AuditOK bool
 }
 
@@ -39,7 +38,7 @@ type RecoveryReport struct {
 func (r *RecoveryReport) Summary() string {
 	audit := "audit: ok"
 	if !r.AuditOK {
-		audit = "audit: skipped"
+		audit = "audit: not run"
 	}
 	return fmt.Sprintf(
 		"recovered %d events from %d wal records in %d segments (%d torn bytes truncated); aborted %d orphan transactions, delivered %d missing informs; log now %d events; %s",
@@ -57,9 +56,9 @@ func (r *RecoveryReport) Summary() string {
 // dropped connection would have been (the paper's well-formedness keeps
 // orphans harmless: an aborted top's INFORM_ABORT discards the whole
 // subtree's locks). The online certifier is primed synchronously over the
-// stitched log and, unless SkipRecoveryAudit is set, cross-checked against
-// a batch core.Check — so the resumed server's certificate is
-// byte-identical to an uninterrupted batch check of the stitched log.
+// stitched log and cross-checked against a batch core.Check — so the
+// resumed server's certificate is byte-identical to an uninterrupted batch
+// check of the stitched log.
 //
 // Recovery never panics on bad WAL bytes: any torn tail outside the last
 // segment, semantic replay divergence, or failed audit is returned as an
@@ -398,17 +397,14 @@ func (s *Server) recoverMetrics() {
 }
 
 // primeCertifier replays the stitched log through the online incremental
-// graph synchronously, then (unless skipped) audits it against a batch
-// core.Check: the two must be byte-identical, which is exactly the
-// acceptance bar the live server's Final() enforces.
+// graph synchronously, then audits it against a batch core.Check: the two
+// must be byte-identical, which is exactly the acceptance bar the live
+// server's Final() enforces.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) primeCertifier(rep *RecoveryReport) error {
 	if err := s.cert.prime(); err != nil {
 		return err
-	}
-	if s.opts.SkipRecoveryAudit {
-		return nil
 	}
 	res := core.Check(s.tr, s.log.snapshot())
 	if !res.OK {

@@ -88,10 +88,6 @@ type Options struct {
 	WAL Disk
 	// WALSegmentBytes rotates WAL segments at this size (default 1 MiB).
 	WALSegmentBytes int
-	// SkipRecoveryAudit disables Recover's offline batch re-check of the
-	// stitched log (the audit is cheap insurance; only large recoveries
-	// would want to skip it).
-	SkipRecoveryAudit bool
 	// Hooks intercepts timing nondeterminism; default is real time.
 	Hooks Hooks
 }

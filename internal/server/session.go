@@ -492,7 +492,7 @@ func (sn *session) handleCommit() wire.Response {
 	)
 	sn.informAll(event.InformCommit, cur)
 	seq := sn.appendLog(event.NewValEvent(event.ReportCommit, cur.id, spec.OK))
-	sn.popFrame(cur)
+	sn.popFrame()
 	top := len(sn.frames) == 0
 	var walErr error
 	if top {
@@ -536,7 +536,7 @@ func (sn *session) handleAbort() wire.Response {
 	sn.appendLog(event.NewEvent(event.Abort, cur.id))
 	sn.informAll(event.InformAbort, cur)
 	sn.appendLog(event.NewEvent(event.ReportAbort, cur.id))
-	sn.popFrame(cur)
+	sn.popFrame()
 	if len(sn.frames) == 0 {
 		// A sync failure here is tolerable: an abort ack promises no
 		// durability, and recovery aborts any orphan it finds anyway.
@@ -590,16 +590,10 @@ func (sn *session) informAll(kind event.Kind, f *txFrame) {
 }
 
 // popFrame closes the innermost frame after its completion events are in the
-// log, folding its touched set into the parent (already done eagerly at
-// access time, but kept for frames opened after the touches).
-func (sn *session) popFrame(cur *txFrame) {
+// log.
+func (sn *session) popFrame() {
 	sn.frames = sn.frames[:len(sn.frames)-1]
-	if len(sn.frames) > 0 {
-		parent := sn.frames[len(sn.frames)-1]
-		for _, x := range cur.touched {
-			parent.touch(x)
-		}
-	} else {
+	if len(sn.frames) == 0 {
 		sn.inTx.Store(false)
 	}
 }

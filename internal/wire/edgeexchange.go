@@ -72,22 +72,23 @@ func AppendEdgeBatch(buf []byte, b EdgeBatch) []byte {
 // one backing array; the other fields of into are ignored.
 func ParseEdgeBatch(payload []byte, into EdgeBatch) (EdgeBatch, error) {
 	b := EdgeBatch{Edges: into.Edges[:0]}
-	if len(payload) == 0 {
-		return b, fmt.Errorf("wire: empty edge batch")
+	c := event.NewCursor(payload)
+	v, err := c.Byte("edge batch version")
+	if err != nil {
+		return b, err
 	}
-	if v := payload[0]; v != EdgeBatchVersion {
+	if v != EdgeBatchVersion {
 		return b, fmt.Errorf("wire: edge batch version %d, want %d", v, EdgeBatchVersion)
 	}
-	rest := payload[1:]
-	part, rest, err := event.CutUvarint(rest, "edge batch partition")
+	part, err := c.Uvarint("edge batch partition")
 	if err != nil {
 		return b, err
 	}
-	upTo, rest, err := event.CutUvarint(rest, "edge batch bound")
+	upTo, err := c.Uvarint("edge batch bound")
 	if err != nil {
 		return b, err
 	}
-	count, rest, err := event.CutUvarint(rest, "edge batch count")
+	count, err := c.Uvarint("edge batch count")
 	if err != nil {
 		return b, err
 	}
@@ -97,26 +98,24 @@ func ParseEdgeBatch(payload []byte, into EdgeBatch) (EdgeBatch, error) {
 	b.Part = int(part)
 	b.UpTo = int(upTo)
 	for i := uint64(0); i < count; i++ {
-		var e SGEdge
 		var p, f, t uint64
-		if p, rest, err = event.CutUvarint(rest, "edge parent"); err != nil {
+		var k byte
+		if p, err = c.Uvarint("edge parent"); err != nil {
 			return b, err
 		}
-		if f, rest, err = event.CutUvarint(rest, "edge from"); err != nil {
+		if f, err = c.Uvarint("edge from"); err != nil {
 			return b, err
 		}
-		if t, rest, err = event.CutUvarint(rest, "edge to"); err != nil {
+		if t, err = c.Uvarint("edge to"); err != nil {
 			return b, err
 		}
-		if len(rest) == 0 {
-			return b, fmt.Errorf("wire: edge batch truncated before kind")
+		if k, err = c.Byte("edge kind"); err != nil {
+			return b, err
 		}
-		e.Parent, e.From, e.To, e.Kind = uint32(p), uint32(f), uint32(t), rest[0]
-		rest = rest[1:]
-		b.Edges = append(b.Edges, e)
+		b.Edges = append(b.Edges, SGEdge{Parent: uint32(p), From: uint32(f), To: uint32(t), Kind: k})
 	}
-	if len(rest) != 0 {
-		return b, fmt.Errorf("wire: %d trailing bytes after edge batch", len(rest))
+	if c.Len() != 0 {
+		return b, fmt.Errorf("wire: %d trailing bytes after edge batch", c.Len())
 	}
 	return b, nil
 }

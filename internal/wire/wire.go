@@ -4,8 +4,9 @@
 // Every message is one frame: a uvarint payload length followed by the
 // payload, capped at MaxFrame. Payloads are built from the NSGB primitives
 // exported by internal/event (uvarint-prefixed strings and kind-tagged
-// spec.Values), so the module has a single binary encoding of values across
-// traces and the network protocol.
+// spec.Values) and read back with its Cursor, so the module has one binary
+// encoding of values, and one decoder, across traces, the WAL and the
+// network protocol. A parser refuses a payload with bytes left over.
 //
 // A connection carries one session, whose state (the cursor into its
 // nested-transaction tree fragment) lives on the server. The server handles
@@ -279,45 +280,39 @@ func AppendRequest(buf []byte, q Request) []byte {
 	return buf
 }
 
-// ParseRequest decodes a request payload. It reads the byte slice directly
-// (no intermediate reader), so commands without string payloads parse
+// ParseRequest decodes a request payload. It reads the byte slice in place
+// through an event.Cursor, so commands without string payloads parse
 // without allocating; an ACCESS request's one allocation is the Obj string.
 func ParseRequest(payload []byte) (Request, error) {
-	if len(payload) == 0 {
-		return Request{}, fmt.Errorf("wire: request cmd: %w", io.ErrUnexpectedEOF)
+	c := event.NewCursor(payload)
+	cb, err := c.Byte("request cmd")
+	if err != nil {
+		return Request{}, err
 	}
-	cb, rest := payload[0], payload[1:]
 	q := Request{Cmd: Cmd(cb), Arg: spec.Nil}
-	var err error
 	switch q.Cmd {
 	case CmdAccess:
-		if q.Obj, rest, err = event.CutString(rest, "request obj"); err != nil {
+		if q.Obj, err = c.Str("request obj"); err != nil {
 			return Request{}, err
 		}
-		var opk uint64
-		if opk, rest, err = event.CutUvarint(rest, "request op"); err != nil {
+		if q.Op, err = c.OpKind("request op"); err != nil {
 			return Request{}, err
 		}
-		// Compared at full width: OpKind(opk) would keep the low byte only.
-		if opk == 0 || opk > uint64(spec.OpDeq) {
-			return Request{}, fmt.Errorf("wire: request has unknown op kind %d", opk)
-		}
-		q.Op = spec.OpKind(opk)
-		if q.Arg, rest, err = event.CutValue(rest, "request arg"); err != nil {
+		if q.Arg, err = c.Value("request arg"); err != nil {
 			return Request{}, err
 		}
 	case CmdBegin:
 		// Optional read-only flag byte; absent means read/write.
-		if len(rest) > 0 {
-			if rest[0] != 1 {
-				return Request{}, fmt.Errorf("wire: BEGIN flag byte %d", rest[0])
+		if c.Len() > 0 {
+			if f, _ := c.Byte("request flag"); f != 1 { // cannot fail: a byte is left
+				return Request{}, fmt.Errorf("wire: BEGIN flag byte %d", f)
 			}
-			q.RO, rest = true, rest[1:]
+			q.RO = true
 		}
 	case CmdChild:
 		// Optional name number; absent means the server names the child.
-		if len(rest) > 0 {
-			if q.N, rest, err = event.CutUvarint(rest, "request child name"); err != nil {
+		if c.Len() > 0 {
+			if q.N, err = c.Uvarint("request child name"); err != nil {
 				return Request{}, err
 			}
 			q.Named = true
@@ -329,8 +324,8 @@ func ParseRequest(payload []byte) (Request, error) {
 	default:
 		return Request{}, fmt.Errorf("wire: unknown command byte %d", cb)
 	}
-	if len(rest) > 0 {
-		return Request{}, fmt.Errorf("wire: %d trailing bytes after %s request", len(rest), q.Cmd)
+	if c.Len() > 0 {
+		return Request{}, fmt.Errorf("wire: %d trailing bytes after %s request", c.Len(), q.Cmd)
 	}
 	return q, nil
 }
@@ -380,61 +375,57 @@ func AppendResponse(buf []byte, cmd Cmd, resp Response) []byte {
 }
 
 // ParseResponse decodes the response to a cmd request. Like ParseRequest it
-// reads the byte slice directly, so responses without string payloads (PING,
+// reads the byte slice in place, so responses without string payloads (PING,
 // ACCESS with a scalar value, COMMIT) parse without allocating.
 func ParseResponse(cmd Cmd, payload []byte) (Response, error) {
-	if len(payload) == 0 {
-		return Response{}, fmt.Errorf("wire: response status: %w", io.ErrUnexpectedEOF)
+	c := event.NewCursor(payload)
+	sb, err := c.Byte("response status")
+	if err != nil {
+		return Response{}, err
 	}
-	sb, rest := payload[0], payload[1:]
 	resp := Response{Status: Status(sb), Value: spec.Nil}
-	var err error
-	switch resp.Status {
-	case StatusTxAborted, StatusError:
-		if resp.Reason, _, err = event.CutString(rest, "response reason"); err != nil {
-			return Response{}, err
-		}
-		return resp, nil
-	case StatusOK:
-		// Fall through to the per-command payload below.
-	default:
+	switch {
+	case resp.Status == StatusTxAborted || resp.Status == StatusError:
+		resp.Reason, err = c.Str("response reason")
+	case resp.Status != StatusOK:
 		return Response{}, fmt.Errorf("wire: unknown response status %d", sb)
+	case cmd == CmdBegin || cmd == CmdChild:
+		resp.Name, err = c.Str("response name")
+	case cmd == CmdAccess:
+		resp.Value, err = c.Value("response value")
+	case cmd == CmdCommit:
+		resp.Seq, err = c.Uvarint("response seq")
+	case cmd == CmdVerdict:
+		err = parseVerdict(&c, &resp.Verdict)
 	}
-	switch cmd {
-	case CmdBegin, CmdChild:
-		if resp.Name, rest, err = event.CutString(rest, "response name"); err != nil {
-			return Response{}, err
-		}
-	case CmdAccess:
-		if resp.Value, rest, err = event.CutValue(rest, "response value"); err != nil {
-			return Response{}, err
-		}
-	case CmdCommit:
-		if resp.Seq, rest, err = event.CutUvarint(rest, "response seq"); err != nil {
-			return Response{}, err
-		}
-	case CmdVerdict:
-		v := &resp.Verdict
-		if v.Events, rest, err = event.CutUvarint(rest, "response verdict"); err != nil {
-			return Response{}, err
-		}
-		if v.Certified, rest, err = event.CutUvarint(rest, "response verdict"); err != nil {
-			return Response{}, err
-		}
-		if len(rest) == 0 {
-			return Response{}, fmt.Errorf("wire: response verdict acyclic: %w", io.ErrUnexpectedEOF)
-		}
-		v.Acyclic = rest[0] != 0
-		rest = rest[1:]
-		for _, f := range []*uint64{&v.Parents, &v.Nodes, &v.Edges, &v.Commits, &v.Aborts} {
-			if *f, rest, err = event.CutUvarint(rest, "response verdict"); err != nil {
-				return Response{}, err
-			}
-		}
-	case CmdAbort, CmdPing, CmdInvalid:
-		// No payload.
-	default:
-		// Unknown commands have no response payload.
+	// An OK answer to any other command has no payload.
+	if err != nil {
+		return Response{}, err
+	}
+	if c.Len() > 0 {
+		return Response{}, fmt.Errorf("wire: %d trailing bytes after %s response", c.Len(), cmd)
 	}
 	return resp, nil
+}
+
+// parseVerdict reads the payload of an OK answer to VERDICT.
+func parseVerdict(c *event.Cursor, v *Verdict) error {
+	var err error
+	if v.Events, err = c.Uvarint("response verdict"); err != nil {
+		return err
+	}
+	if v.Certified, err = c.Uvarint("response verdict"); err != nil {
+		return err
+	}
+	acyclic, err := c.Byte("response verdict acyclic")
+	if err != nil {
+		return err
+	}
+	v.Acyclic = acyclic != 0
+	for _, f := range []*uint64{&v.Parents, &v.Nodes, &v.Edges, &v.Commits, &v.Aborts} {
+		if *f, err = c.Uvarint("response verdict"); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -173,6 +173,16 @@ func TestResponseRejectsJunk(t *testing.T) {
 	if _, err := ParseResponse(CmdVerdict, trunc[:3]); err == nil {
 		t.Error("truncated verdict accepted")
 	}
+	// A byte past the payload, for every payload shape.
+	for _, c := range sampleResponses() {
+		long := append(AppendResponse(nil, c.cmd, c.resp), 0xff)
+		if _, err := ParseResponse(c.cmd, long); err == nil {
+			t.Errorf("%s/%s: trailing byte accepted", c.cmd, c.resp.Status)
+		}
+	}
+	if _, err := ParseResponse(CmdChild, []byte{byte(StatusOK), 2, 'k', '1', 0xff}); err == nil {
+		t.Error("CHILD answer with a trailing byte accepted")
+	}
 }
 
 func TestNames(t *testing.T) {
