@@ -81,8 +81,8 @@ bench-gate: bench-json
 		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
-# micro benchmarks (log append with WAL attached, group-commit ticket
-# protocol, full client/server session round trip, one whole RunTx of the
+# micro benchmarks (log append with WAL attached, the WAL writer's group
+# commit, full client/server session round trip, one whole RunTx of the
 # benchmark's shape — all writes, and half reads — over loopback TCP with
 # its writes per transaction,
 # recovery's WAL scan, the offline partitioned certifier's apply+compose)

@@ -58,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		minimizeOut  = fs.String("minimize", "", "on failure, shrink the trace to a 1-minimal failing core and write it here")
 		audit        = fs.Bool("currentsafe", false, "also audit the Lemma 6 current/safe conditions (read/write objects only)")
 		stream       = fs.Bool("stream", false, "replay the trace through the incremental checker first and report the shortest prefix with a cyclic SG")
-		format       = fs.String("format", "auto", "trace format: auto, json, binary")
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		verbose      = fs.Bool("v", false, "print the trace as it is read")
@@ -89,7 +88,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	)
 	fromStdin := *in == "" || *in == "-"
 	stdinBuf := bufio.NewReader(stdin)
-	if *stream && *format != "json" {
+	if *stream {
 		if !fromStdin && isBinaryFile(*in) {
 			code, ok := streamBinaryFile(*in, stdout, stderr)
 			if !ok {
@@ -123,7 +122,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			r = f
 		}
 		var err error
-		tr, b, err = readTrace(r, *format)
+		tr, b, err = event.ReadTraceAuto(r)
 		if err != nil {
 			fmt.Fprintln(stderr, "sgcheck:", err)
 			return 2
@@ -219,19 +218,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// readTrace dispatches on the -format flag; "auto" sniffs the stream.
-func readTrace(r io.Reader, format string) (*tname.Tree, event.Behavior, error) {
-	switch format {
-	case "json":
-		return event.ReadTrace(r)
-	case "binary":
-		return event.ReadBinaryTrace(r)
-	case "auto":
-		return event.ReadTraceAuto(r)
-	}
-	return nil, nil, fmt.Errorf("unknown -format %q (want auto, json or binary)", format)
 }
 
 // isBinaryFile reports whether the file starts with the binary trace magic.

@@ -30,7 +30,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracestats", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "trace file to summarize ('-' or empty for stdin)")
-	format := fs.String("format", "auto", "trace format: auto, json, binary")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -44,22 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close() //sgvet:ignore[checkederr] read-only open; a close error cannot lose data
 		r = f
 	}
-	var (
-		tr  *tname.Tree
-		b   event.Behavior
-		err error
-	)
-	switch *format {
-	case "json":
-		tr, b, err = event.ReadTrace(r)
-	case "binary":
-		tr, b, err = event.ReadBinaryTrace(r)
-	case "auto":
-		tr, b, err = event.ReadTraceAuto(r)
-	default:
-		fmt.Fprintf(stderr, "tracestats: unknown -format %q (want auto, json or binary)\n", *format)
-		return 2
-	}
+	tr, b, err := event.ReadTraceAuto(r)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracestats:", err)
 		return 2

@@ -201,77 +201,6 @@ func (g *Graph) findCycle() []int {
 	return nil
 }
 
-// SCCs returns the strongly connected components in reverse topological
-// order (Tarjan, iterative). Components are sorted internally by node index.
-func (g *Graph) SCCs() [][]int {
-	index := make([]int32, g.n)
-	low := make([]int32, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		counter int32
-		stack   []int32
-		out     [][]int
-	)
-	type frame struct {
-		v    int32
-		next int
-	}
-	for start := 0; start < g.n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		call := []frame{{v: int32(start)}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, int32(start))
-		onStack[start] = true
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.next < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.next]
-				f.next++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			} else {
-				if len(call) > 1 {
-					p := call[len(call)-2].v
-					if low[f.v] < low[p] {
-						low[p] = low[f.v]
-					}
-				}
-				if low[f.v] == index[f.v] {
-					var comp []int
-					for {
-						w := stack[len(stack)-1]
-						stack = stack[:len(stack)-1]
-						onStack[w] = false
-						comp = append(comp, int(w))
-						if w == f.v {
-							break
-						}
-					}
-					sort.Ints(comp)
-					out = append(out, comp)
-				}
-				call = call[:len(call)-1]
-			}
-		}
-	}
-	return out
-}
-
 // DOT renders the graph in Graphviz DOT syntax. label maps node indices to
 // display names; nil uses the index.
 func (g *Graph) DOT(name string, label func(int) string) string {

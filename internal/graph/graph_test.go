@@ -116,33 +116,6 @@ func assertIsCycle(t *testing.T, g *Graph, cycle []int) {
 	}
 }
 
-func TestSCCs(t *testing.T) {
-	g := New(6)
-	// Component {0,1,2}, component {3,4}, singleton {5}.
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 3)
-	g.AddEdge(4, 5)
-	comps := g.SCCs()
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
-	}
-	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 1 {
-		t.Fatalf("components = %v", comps)
-	}
-	// Reverse topological order: {5} first, then {3,4}, then {0,1,2}.
-	if len(comps[0]) != 1 || comps[0][0] != 5 {
-		t.Errorf("first component = %v, want [5]", comps[0])
-	}
-	if len(comps[2]) != 3 {
-		t.Errorf("last component = %v, want the 3-cycle", comps[2])
-	}
-}
-
 func TestDOT(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
@@ -214,32 +187,6 @@ func TestTopoSortProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSCCsAgreeWithAcyclicity: a graph is acyclic iff every SCC is a
-// singleton without a self-loop.
-func TestSCCsAgreeWithAcyclicity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := New(n)
-		m := rng.Intn(3 * n)
-		for k := 0; k < m; k++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		allSingle := true
-		for _, c := range g.SCCs() {
-			if len(c) > 1 {
-				allSingle = false
-			} else if g.HasEdge(c[0], c[0]) {
-				allSingle = false
-			}
-		}
-		return g.Acyclic() == allSingle
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,15 +1,18 @@
 package server
 
-// GroupArrived reports how many committers have entered the group
-// committer since boot. Test-only observability: the group-commit tests
-// gate the leader's fsync and need to know when the whole cohort has
-// arrived before releasing it, so the coalescing assertion is
-// deterministic instead of timing-dependent.
+// GroupArrived reports how many callers have entered the WAL writer's sync
+// since boot. Test-only observability: the group-commit tests gate the
+// first fsync and need to know when the whole cohort has arrived before
+// releasing it, so the coalescing assertion is deterministic instead of
+// timing-dependent.
 func (s *Server) GroupArrived() uint64 {
-	s.group.mu.Lock()
-	defer s.group.mu.Unlock()
-	return s.group.arrived
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return s.wal.arrived
 }
+
+// WALSync runs the sync a top-level completion runs.
+func (s *Server) WALSync() error { return s.walSync() }
 
 // UnderStaging replaces the os file beneath a DirDisk segment's staging
 // buffer with wrap(file), so a test can count (or hold) the write(2)s and

@@ -15,7 +15,7 @@ import (
 func segmentImage(t testing.TB) []byte {
 	t.Helper()
 	disk := NewMemDisk()
-	w, err := newWalWriter(disk, 1<<20, 1)
+	w, err := newWalWriter(disk, 1<<20, 1, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

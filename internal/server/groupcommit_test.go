@@ -14,10 +14,10 @@ import (
 )
 
 // gatedDisk wraps a MemDisk, counts the fsyncs that actually reach it, and
-// can hold every fsync at a gate: the group-commit tests park the cohort
-// leader inside its sync, let the rest of the cohort pile up behind the
-// generation ticket, and only then release — so the coalescing they assert
-// is deterministic, not a race the test happens to win.
+// can hold every fsync at a gate: the group-commit tests park the first
+// committer inside its fsync, let the rest of the cohort pile up behind it,
+// and only then release — so the coalescing they assert is deterministic,
+// not a race the test happens to win.
 type gatedDisk struct {
 	*server.MemDisk
 	syncs atomic.Int64 // fsyncs that reached the backing MemDisk
@@ -82,11 +82,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestGroupCommitCoalescesFsyncs: 8 concurrent top-level commits must
-// share fsyncs instead of issuing one each. The first committer becomes
-// the generation leader and parks inside the gated fsync; the other 7
-// arrive and wait on the next generation ticket; releasing the gate must
-// drain all 8 with exactly two fsyncs — the leader's own and one covering
-// the whole remaining cohort.
+// share fsyncs instead of issuing one each. The first committer parks
+// inside the gated fsync, which covers its own records; the other 7 arrive
+// and queue behind it; releasing the gate must drain all 8 with exactly
+// two fsyncs — the first committer's own and one covering the whole
+// remaining cohort.
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	disk := newGatedDisk()
 	const n = 8
@@ -121,8 +121,8 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 			errs <- err
 		}(c)
 	}
-	// The leader is parked inside the gated fsync; wait until the whole
-	// cohort has joined the group committer before letting it through.
+	// The first committer is parked inside the gated fsync; wait until the
+	// whole cohort has entered the sync before letting it through.
 	<-g.entered
 	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= baseArrived+n })
 	close(g.release)
@@ -136,8 +136,8 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	if fsyncs >= n {
 		t.Fatalf("no coalescing: %d fsyncs for %d commits (want < %d)", fsyncs, n, n)
 	}
-	// Deterministically: the leader's generation serves itself, the next
-	// generation serves the remaining 7.
+	// Deterministically: the first fsync serves its own committer, the
+	// next serves the remaining 7.
 	if fsyncs != 2 {
 		t.Fatalf("got %d fsyncs for %d gated commits, want exactly 2", fsyncs, n)
 	}
@@ -189,6 +189,46 @@ func TestGroupCommitAckOrdering(t *testing.T) {
 	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatalf("commit after fsync returned: %v", err)
+	}
+	c.Close()
+	shutdownAndVerify(t, s)
+}
+
+// TestWALSyncSkipsCoveredRecords: a sync whose records an earlier fsync
+// already covered returns without one. After a commit's fsync, a second
+// sync with nothing appended since is counted as a request and issues no
+// fsync; the next commit fsyncs again.
+func TestWALSyncSkipsCoveredRecords(t *testing.T) {
+	disk := newGatedDisk()
+	s, _ := recoverAndStart(t, server.Options{WAL: disk, Objects: []string{"x"}})
+	c := dialT(t, s)
+	commit := func(v int64) {
+		t.Helper()
+		if err := c.RunTx(1, func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpWrite, spec.Int(v))
+			return err
+		}); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+	m := s.Metrics()
+	commit(1)
+	syncs, req, walSyncs := disk.syncs.Load(), m.WALSyncRequests.Load(), m.WALSyncs.Load()
+	if err := s.WALSync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if got := disk.syncs.Load() - syncs; got != 0 {
+		t.Fatalf("a sync with every record durable issued %d fsyncs, want 0", got)
+	}
+	if got := m.WALSyncs.Load() - walSyncs; got != 0 {
+		t.Fatalf("WALSyncs grew by %d for a covered sync", got)
+	}
+	if got := m.WALSyncRequests.Load() - req; got != 1 {
+		t.Fatalf("WALSyncRequests grew by %d, want 1", got)
+	}
+	commit(2)
+	if got := disk.syncs.Load() - syncs; got != 1 {
+		t.Fatalf("the next commit issued %d fsyncs, want 1", got)
 	}
 	c.Close()
 	shutdownAndVerify(t, s)

@@ -110,7 +110,7 @@ func (l *eventLog) snapshot() event.Behavior {
 // certifier runs core.Incremental behind the event log, with no goroutine
 // of its own: whoever needs the watermark — a top-level COMMIT, a VERDICT,
 // Shutdown, recovery — applies the uncertified suffix itself under mu
-// (flat combining, the leader rule of the group committer), so a commit
+// (flat combining, the rule walWriter.sync also syncs by), so a commit
 // response carries an acyclic-SG(β)-prefix guarantee without a hand-off.
 // Prefix-monotonicity of the SG edge set (see core.Incremental) makes the
 // online verdict agree with the offline batch verdict on every extension,

@@ -63,10 +63,7 @@ func (r *RecoveryReport) Summary() string {
 // Recovery never panics on bad WAL bytes: any torn tail outside the last
 // segment, semantic replay divergence, or failed audit is returned as an
 // error.
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
-	opts = opts.withDefaults()
 	if opts.WAL == nil {
 		return nil, nil, fmt.Errorf("server: Recover requires Options.WAL")
 	}
@@ -80,105 +77,51 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 			err = fmt.Errorf("server: recovery rejected wal: %v", r)
 		}
 	}()
+	return newServer(opts)
+}
 
-	scan, err := scanWAL(opts.WAL)
+// replayWAL scans the WAL, replays its durable prefix through the tree
+// interner and the object automata, and appends the prefix to the log
+// before attaching the writer, so that it is not written again; every
+// later append, repairs included, tees into the WAL.
+//
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
+func (s *Server) replayWAL(rep *RecoveryReport) (event.Behavior, error) {
+	scan, err := scanWAL(s.opts.WAL)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, err = newServer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep = &RecoveryReport{
-		Segments:    scan.segments,
-		Records:     scan.records,
-		TornBytes:   scan.tornBytes,
-		TornSegment: scan.tornSegment,
-	}
-
+	rep.Segments, rep.Records = scan.segments, scan.records
+	rep.TornBytes, rep.TornSegment = scan.tornBytes, scan.tornSegment
 	b, err := s.replayDefs(scan.ops)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.DurableEvents = len(b)
-
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0:
 		if s.tr.NumTx() > 1 || s.tr.NumObjects() > 0 {
 			// Definitions with no events cannot come from a live server,
 			// which logs CREATE(T0) before anything else.
-			return nil, nil, fmt.Errorf("server: recovery rejected wal: definitions without events")
+			return nil, fmt.Errorf("server: recovery rejected wal: definitions without events")
 		}
-		return s.finishFresh(scan, rep)
+	case b[0].Kind != event.Create || b[0].Tx != tname.Root:
+		return nil, fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
+	default:
+		if err := simple.CheckWellFormed(s.tr, b); err != nil {
+			return nil, fmt.Errorf("server: recovery rejected wal: %w", err)
+		}
+		if err := s.replayAutomata(b); err != nil {
+			return nil, err
+		}
 	}
-
-	if b[0].Kind != event.Create || b[0].Tx != tname.Root {
-		return nil, nil, fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
-	}
-	if err := simple.CheckWellFormed(s.tr, b); err != nil {
-		return nil, nil, fmt.Errorf("server: recovery rejected wal: %w", err)
-	}
-	if err := s.replayAutomata(b); err != nil {
-		return nil, nil, err
-	}
-
-	// The durable prefix is the log, appended before the writer is attached
-	// so that it is not written again; repairs append after it and tee into
-	// the WAL like any other append.
 	s.log.append(b...)
-	w, err := newWalWriter(opts.WAL, opts.WALSegmentBytes, scan.nextIdx)
+	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s.wal = w
-	s.log.wal = w
-	s.group = newGroupCommitter(w, s.metrics)
-
-	s.stitch(b, rep)
-	for _, label := range s.opts.Objects {
-		if _, oerr := s.resolveObject(label); oerr != nil {
-			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, oerr)
-		}
-	}
-	if err := w.sync(); err != nil {
-		return nil, nil, fmt.Errorf("server: recovery sync: %w", err)
-	}
-
-	s.bumpSessionSeq()
-	s.recoverMetrics()
-	if err := s.primeCertifier(rep); err != nil {
-		return nil, nil, err
-	}
-	return s, rep, nil
-}
-
-// finishFresh completes Recover for an empty WAL: attach a writer, seed
-// the log with CREATE(T0), pre-create objects, and start certifying. The
-// seeded log goes through the same primeCertifier audit as a non-empty
-// recovery, so AuditOK is earned (trivially) rather than assumed.
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) finishFresh(scan *walScan, rep *RecoveryReport) (*Server, *RecoveryReport, error) {
-	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.wal = w
-	s.log.wal = w
-	s.group = newGroupCommitter(w, s.metrics)
-	s.log.append(event.NewEvent(event.Create, tname.Root))
-	for _, label := range s.opts.Objects {
-		if _, oerr := s.resolveObject(label); oerr != nil {
-			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, oerr)
-		}
-	}
-	if err := w.sync(); err != nil {
-		return nil, nil, fmt.Errorf("server: recovery sync: %w", err)
-	}
-	rep.StitchedEvents = s.log.len()
-	if err := s.primeCertifier(rep); err != nil {
-		return nil, nil, err
-	}
-	return s, rep, nil
+	s.wal, s.log.wal = w, w
+	return b, nil
 }
 
 // replayDefs re-interns every definition record in WAL order, asserting
@@ -259,9 +202,9 @@ func (s *Server) replayAutomata(b event.Behavior) error {
 
 // stitch appends the repair events: missing informs for completions whose
 // session died before delivering them, then an abort for every orphaned
-// in-flight top-level transaction (ascending TxID), mirroring what
-// abortTop would have logged had the connection merely dropped. Every
-// repair goes through the normal append path, so it is also made durable.
+// in-flight top-level transaction (ascending TxID). Both go through the
+// sessions' own paths — inform, and the abort a dropped connection's
+// abortTop appends — so they are also made durable.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
@@ -311,7 +254,7 @@ func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
 			if informed[[2]int64{int64(t), int64(x)}] {
 				continue
 			}
-			s.applyInform(kind, t, x)
+			s.inform(kind, s.objs[x], t)
 			rep.FixupInforms++
 		}
 	}
@@ -321,27 +264,10 @@ func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
 		if _, done := completed[t]; done || !createdIn(b, t) {
 			continue
 		}
-		s.log.append(event.NewEvent(event.Abort, t))
-		for _, x := range touched[t] {
-			s.applyInform(event.InformAbort, t, x)
-		}
-		s.log.append(event.NewEvent(event.ReportAbort, t))
+		s.abort(t, touched[t])
 		rep.OrphanTops++
 	}
 	rep.StitchedEvents = s.log.len()
-}
-
-// applyInform calls the automaton and logs the inform, like informAll but
-// single-threaded (recovery runs before any session exists).
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) applyInform(kind event.Kind, t tname.TxID, x tname.ObjID) {
-	if kind == event.InformCommit {
-		s.objs[x].g.InformCommit(t)
-	} else {
-		s.objs[x].g.InformAbort(t)
-	}
-	s.log.append(event.NewInform(kind, t, x))
 }
 
 // createdIn reports whether t has a CREATE event in the durable prefix —
@@ -373,12 +299,13 @@ func (s *Server) bumpSessionSeq() {
 	s.sessionSeq.Store(max)
 }
 
-// recoverMetrics rebuilds the counters derivable from the stitched log so
-// verdicts and the final report stay consistent across a restart.
+// recoverMetrics rebuilds the counters derivable from the replayed prefix
+// b so verdicts and the final report stay consistent across a restart; the
+// repairs stitch appends after it count themselves, like any session's.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) recoverMetrics() {
-	for _, e := range s.log.snapshot() {
+func (s *Server) recoverMetrics(b event.Behavior) {
+	for _, e := range b {
 		switch e.Kind {
 		case event.Commit:
 			s.metrics.CommitEvents.Add(1)

@@ -53,27 +53,46 @@ func TestRecoverFreshThenResume(t *testing.T) {
 		t.Fatalf("fresh report: %+v", rep1)
 	}
 
-	c := dialT(t, s1)
-	for i := 0; i < 3; i++ {
-		if err := c.RunTx(5, func(tx *client.Tx) error {
-			if _, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i))); err != nil {
+	// runThree runs the same three transactions on s and returns its trace
+	// after a clean shutdown.
+	runThree := func(s *server.Server) []byte {
+		t.Helper()
+		c := dialT(t, s)
+		for i := 0; i < 3; i++ {
+			if err := c.RunTx(5, func(tx *client.Tx) error {
+				if _, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i))); err != nil {
+					return err
+				}
+				_, err := tx.Access("y", spec.OpRead, spec.Nil)
 				return err
+			}); err != nil {
+				t.Fatalf("tx %d: %v", i, err)
 			}
-			_, err := tx.Access("y", spec.OpRead, spec.Nil)
-			return err
-		}); err != nil {
-			t.Fatalf("tx %d: %v", i, err)
 		}
+		c.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		return event.MarshalBinaryTrace(s.Tree(), s.Log())
 	}
-	c.Close()
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
+	wantTrace := runThree(s1)
 	if err := s1.WALError(); err != nil {
 		t.Fatalf("wal error: %v", err)
 	}
 	wantLog := s1.Log()
-	wantTrace := event.MarshalBinaryTrace(s1.Tree(), wantLog)
+
+	// New and Recover build servers through one path: the same Options
+	// minus the WAL give the same trace.
+	volatile := opts
+	volatile.WAL = nil
+	volatile.LockTimeout = 2 * time.Second
+	s0 := server.New(volatile)
+	if err := s0.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if got := runThree(s0); !bytes.Equal(got, wantTrace) {
+		t.Fatal("a New server's trace differs from the fresh Recover server's")
+	}
 
 	s2, rep2 := recoverAndStart(t, opts)
 	if rep2.DurableEvents != len(wantLog) || rep2.OrphanTops != 0 || rep2.FixupInforms != 0 {
@@ -159,6 +178,34 @@ func TestRecoverAfterCrashAbortsOrphans(t *testing.T) {
 	res := core.Check(s2.Tree(), s2.Log())
 	if !res.OK {
 		t.Fatalf("stitched log fails batch check: %s", res.Summary(s2.Tree()))
+	}
+
+	// Recovery repairs the orphan with the events a dropped connection
+	// logs: session 1 again, on a second server, disconnecting instead of
+	// crashing.
+	stitched := s2.Log()[rep.DurableEvents:rep.StitchedEvents]
+	s3, _ := recoverAndStart(t, server.Options{WAL: server.NewMemDisk(), Objects: []string{"x"}})
+	c4 := dialT(t, s3)
+	if _, err := c4.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c4.Access("x", spec.OpWrite, spec.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	before := s3.LogLen()
+	c4.Close()
+	if err := s3.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dropped := s3.Log()[before:]
+	if len(stitched) != len(dropped) {
+		t.Fatalf("recovery stitched %d events for the orphan, a disconnect logs %d:\n%s\n%s",
+			len(stitched), len(dropped), stitched.Format(s2.Tree()), dropped.Format(s3.Tree()))
+	}
+	for i := range stitched {
+		if got, want := stitched[i].Format(s2.Tree()), dropped[i].Format(s3.Tree()); got != want {
+			t.Fatalf("stitched event %d is %s, a disconnect logs %s", i, got, want)
+		}
 	}
 
 	// The orphan's write lock on x must be gone: a new transaction can

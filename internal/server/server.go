@@ -145,8 +145,7 @@ type Server struct {
 	backend objectBackend
 	metrics *Metrics
 	waits   *waitTable
-	wal     *walWriter      // nil without durability
-	group   *groupCommitter // fsync coalescer over wal; nil without durability
+	wal     *walWriter // nil without durability
 
 	lis        net.Listener
 	connMu     sync.Mutex
@@ -158,46 +157,75 @@ type Server struct {
 	shutdown   sync.Once
 }
 
-// newServer allocates the shared state; it does not seed the log — New and
-// Recover finish construction their own way.
-func newServer(opts Options) (*Server, error) {
+// New builds a server (not yet listening). The log opens with CREATE(T0),
+// exactly like the generic runner: T0 models the environment and must be
+// created before any top-level REQUEST_CREATE is well-formed. Durable
+// servers are built with Recover instead.
+func New(opts Options) *Server {
+	if opts.WAL != nil {
+		panic("server: Options.WAL is set; build durable servers with Recover")
+	}
+	s, _, err := newServer(opts)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// newServer builds every server; New calls it without a WAL, Recover with
+// one. A WAL's durable prefix is replayed into the log and the writer
+// attached behind it (replayWAL); an empty log is seeded with CREATE(T0);
+// then the prefix is stitched (nothing to stitch without a WAL) and the
+// objects are pre-created. A durable server then syncs the WAL, and primes
+// the certifier over the log and audits it against a batch check before
+// serving; a server without a WAL leaves its watermark at 0, so its
+// certifier (and Hooks.CertApply) first runs at the first top-level COMMIT.
+//
+//sgvet:ignore[lockguard] construction is single-threaded: no session exists yet
+func newServer(opts Options) (*Server, *RecoveryReport, error) {
+	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
 		tr:      tname.NewTree(),
+		log:     &eventLog{},
 		metrics: newMetrics(),
 		waits:   newWaitTable(),
 		conns:   make(map[*session]struct{}),
 	}
 	be, err := resolveBackend(opts, s.tr, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.backend = be
-	s.log = &eventLog{}
 	s.cert = newCertifier(s, be.snapshots())
-	return s, nil
-}
 
-// New builds a server (not yet listening). The log opens with CREATE(T0),
-// exactly like the generic runner: T0 models the environment and must be
-// created before any top-level REQUEST_CREATE is well-formed. Durable
-// servers are built with Recover instead.
-func New(opts Options) *Server {
-	opts = opts.withDefaults()
+	rep := &RecoveryReport{}
+	var b event.Behavior
 	if opts.WAL != nil {
-		panic("server: Options.WAL is set; build durable servers with Recover")
-	}
-	s, err := newServer(opts)
-	if err != nil {
-		panic(err)
-	}
-	for _, label := range s.opts.Objects {
-		if _, err := s.resolveObject(label); err != nil {
-			panic(fmt.Sprintf("server: pre-creating object %q: %v", label, err))
+		if b, err = s.replayWAL(rep); err != nil {
+			return nil, nil, err
 		}
 	}
-	s.log.append(event.NewEvent(event.Create, tname.Root))
-	return s
+	if len(b) == 0 {
+		s.log.append(event.NewEvent(event.Create, tname.Root))
+	}
+	s.stitch(b, rep)
+	for _, label := range opts.Objects {
+		if _, err := s.resolveObject(label); err != nil {
+			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, err)
+		}
+	}
+	s.bumpSessionSeq()
+	s.recoverMetrics(b)
+	if s.wal != nil {
+		if err := s.wal.sync(); err != nil {
+			return nil, nil, fmt.Errorf("server: recovery sync: %w", err)
+		}
+		if err := s.primeCertifier(rep); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s, rep, nil
 }
 
 // Listen builds a server and starts accepting connections on addr.
@@ -351,16 +379,15 @@ func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op s
 }
 
 // walSync makes the log durable through the present; sessions call it at
-// top-level completion points. It routes through the group committer, so
-// concurrent completions coalesce onto one fsync per generation. The first
-// failure is sticky in the writer (also surfaced by WALError) and returned
-// here, so the commit path can refuse to ack a completion the WAL never
-// persisted.
+// top-level completion points. Concurrent completions coalesce onto one
+// fsync (walWriter.sync). The first failure is sticky in the writer (also
+// surfaced by WALError) and returned here, so the commit path can refuse
+// to ack a completion the WAL never persisted.
 func (s *Server) walSync() error {
-	if s.group == nil {
+	if s.wal == nil {
 		return nil
 	}
-	return s.group.sync()
+	return s.wal.sync()
 }
 
 // WALError reports the first durability failure, if any.

@@ -213,17 +213,17 @@ func (sn *session) childLabel(q wire.Request) string {
 // counters in step, and returns the log index of the first event.
 //
 //sgvet:hotpath
-func (sn *session) appendLog(evs ...event.Event) int {
+func (s *Server) appendLog(evs ...event.Event) int {
 	for _, e := range evs {
 		switch e.Kind {
 		case event.Commit:
-			sn.s.metrics.CommitEvents.Add(1)
+			s.metrics.CommitEvents.Add(1)
 		case event.Abort:
-			sn.s.metrics.AbortEvents.Add(1)
+			s.metrics.AbortEvents.Add(1)
 		default:
 		}
 	}
-	return sn.s.log.append(evs...)
+	return s.log.append(evs...)
 }
 
 // handleBegin opens a top-level transaction: REQUEST_CREATE by T0 followed
@@ -263,7 +263,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 	sn.topN++
 	label := sn.topLabel(false)
 	top, _ := sn.s.internTx(tname.Root, label, tname.NoObj, spec.Op{})
-	sn.appendLog(
+	sn.s.appendLog(
 		event.NewEvent(event.RequestCreate, top),
 		event.NewEvent(event.Create, top),
 	)
@@ -330,7 +330,7 @@ func (sn *session) handleChild(q wire.Request) wire.Response {
 	if !fresh {
 		return errResp("CHILD " + label + ": the current transaction already has a child of that name")
 	}
-	sn.appendLog(
+	sn.s.appendLog(
 		event.NewEvent(event.RequestCreate, child),
 		event.NewEvent(event.Create, child),
 	)
@@ -367,10 +367,10 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 		f.touch(obj.id)
 	}
 
-	sn.appendLog(event.NewEvent(event.RequestCreate, acc))
+	sn.s.appendLog(event.NewEvent(event.RequestCreate, acc))
 	sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
 		obj.g.Create(acc)
-		sn.appendLog(event.NewEvent(event.Create, acc))
+		sn.s.appendLog(event.NewEvent(event.Create, acc))
 	})
 
 	v, granted, reason := sn.waitGrant(obj, acc)
@@ -383,9 +383,9 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 	// The access auto-commits: COMMIT, inform its object, report to the
 	// parent. Leaf-to-root inform order holds because the session emits a
 	// child's informs before its parent can complete.
-	sn.appendLog(event.NewEvent(event.Commit, acc))
-	sn.inform(event.InformCommit, obj, acc)
-	sn.appendLog(event.NewValEvent(event.ReportCommit, acc, v))
+	sn.s.appendLog(event.NewEvent(event.Commit, acc))
+	sn.s.inform(event.InformCommit, obj, acc)
+	sn.s.appendLog(event.NewValEvent(event.ReportCommit, acc, v))
 	return wire.Response{Status: wire.StatusOK, Value: v}
 }
 
@@ -408,7 +408,7 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 		sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
 			v, ok = obj.g.TryRequestCommit(acc)
 			if ok {
-				sn.appendLog(event.NewValEvent(event.RequestCommit, acc, v))
+				sn.s.appendLog(event.NewValEvent(event.RequestCommit, acc, v))
 				if w != nil {
 					sn.s.exitWait(w)
 				}
@@ -486,12 +486,12 @@ func (sn *session) handleCommit() wire.Response {
 		return errResp("COMMIT outside a transaction")
 	}
 	cur := sn.frames[len(sn.frames)-1]
-	base := sn.appendLog(
+	base := sn.s.appendLog(
 		event.NewValEvent(event.RequestCommit, cur.id, spec.OK),
 		event.NewEvent(event.Commit, cur.id),
 	)
-	sn.informAll(event.InformCommit, cur)
-	seq := sn.appendLog(event.NewValEvent(event.ReportCommit, cur.id, spec.OK))
+	sn.s.informAll(event.InformCommit, cur.id, cur.touched)
+	seq := sn.s.appendLog(event.NewValEvent(event.ReportCommit, cur.id, spec.OK))
 	sn.popFrame()
 	top := len(sn.frames) == 0
 	var walErr error
@@ -533,9 +533,7 @@ func (sn *session) handleAbort() wire.Response {
 	}
 	sn.s.metrics.ClientAborts.Add(1)
 	cur := sn.frames[len(sn.frames)-1]
-	sn.appendLog(event.NewEvent(event.Abort, cur.id))
-	sn.informAll(event.InformAbort, cur)
-	sn.appendLog(event.NewEvent(event.ReportAbort, cur.id))
+	sn.s.abort(cur.id, cur.touched)
 	sn.popFrame()
 	if len(sn.frames) == 0 {
 		// A sync failure here is tolerable: an abort ack promises no
@@ -552,9 +550,7 @@ func (sn *session) handleAbort() wire.Response {
 // abort discards the entire subtree's locks and log entries.
 func (sn *session) abortTop(reason string) {
 	top := sn.frames[0]
-	sn.appendLog(event.NewEvent(event.Abort, top.id))
-	sn.informAll(event.InformAbort, top)
-	sn.appendLog(event.NewEvent(event.ReportAbort, top.id))
+	sn.s.abort(top.id, top.touched)
 	// Sync failures are ignored: an undurable abort is recovered as an
 	// orphan and aborted again, which is the same outcome.
 	sn.s.walSync()
@@ -564,28 +560,38 @@ func (sn *session) abortTop(reason string) {
 	sn.s.logf("session %d: aborted %s: %s", sn.id, sn.s.nameOf(top.id), reason)
 }
 
+// abort appends t's abort: ABORT(t), INFORM_ABORT(t, x) at every object x
+// its subtree touched, REPORT_ABORT(t). A client's ABORT, the server's
+// abortTop and recovery's orphan repair all append it here, so the events
+// a crash repair logs are the events a dropped connection logs.
+func (s *Server) abort(t tname.TxID, touched []tname.ObjID) {
+	s.appendLog(event.NewEvent(event.Abort, t))
+	s.informAll(event.InformAbort, t, touched)
+	s.appendLog(event.NewEvent(event.ReportAbort, t))
+}
+
 // inform delivers one INFORM to obj: the automaton step, its log event and
 // the wake-up of the sessions parked on obj share one critical section.
-func (sn *session) inform(kind event.Kind, obj *sharedObject, t tname.TxID) {
-	sn.s.withObj(obj, func() { //sgvet:holds obj.mu, sn.s.mu:r
+func (s *Server) inform(kind event.Kind, obj *sharedObject, t tname.TxID) {
+	s.withObj(obj, func() { //sgvet:holds obj.mu, s.mu:r
 		if kind == event.InformCommit {
 			obj.g.InformCommit(t)
 		} else {
 			obj.g.InformAbort(t)
 		}
-		sn.appendLog(event.NewInform(kind, t, obj.id))
+		s.appendLog(event.NewInform(kind, t, obj.id))
 		obj.wakeWaiters()
 	})
 }
 
-// informAll delivers INFORM_COMMIT/INFORM_ABORT of f's transaction to every
-// object its subtree touched.
-func (sn *session) informAll(kind event.Kind, f *txFrame) {
-	for _, x := range f.touched {
-		sn.s.mu.RLock()
-		obj := sn.s.objs[x]
-		sn.s.mu.RUnlock()
-		sn.inform(kind, obj, f.id)
+// informAll delivers INFORM_COMMIT/INFORM_ABORT of t to every object its
+// subtree touched.
+func (s *Server) informAll(kind event.Kind, t tname.TxID, touched []tname.ObjID) {
+	for _, x := range touched {
+		s.mu.RLock()
+		obj := s.objs[x]
+		s.mu.RUnlock()
+		s.inform(kind, obj, t)
 	}
 }
 

@@ -405,8 +405,8 @@ func (f *memFile) Close() error { return nil }
 type walWriter struct {
 	mu      sync.Mutex
 	disk    Disk
+	m       *Metrics
 	cur     SegmentFile //sgvet:guardedby mu
-	curName string      //sgvet:guardedby mu
 	curSize int         //sgvet:guardedby mu
 	nextIdx int         //sgvet:guardedby mu
 	segMax  int
@@ -414,16 +414,23 @@ type walWriter struct {
 	// err is sticky: the first write/sync failure, surfaced on every
 	// later call.
 	err error //sgvet:guardedby mu
+	// records counts the records appended; arrived counts sync callers, and
+	// began is what arrived was when the last fsync began.
+	records int    //sgvet:guardedby mu
+	arrived uint64 //sgvet:guardedby mu
+	began   uint64 //sgvet:guardedby mu
 	// syncMu serializes sync callers; the fsync itself runs with mu
 	// RELEASED so appends never stall behind the disk (see sync).
 	syncMu sync.Mutex
+	// durable is the record count the last completed fsync covered.
+	durable int //sgvet:guardedby syncMu
 }
 
-func newWalWriter(disk Disk, segMax, firstIndex int) (*walWriter, error) {
+func newWalWriter(disk Disk, segMax, firstIndex int, m *Metrics) (*walWriter, error) {
 	if segMax <= 0 {
 		segMax = defaultSegmentBytes
 	}
-	w := &walWriter{disk: disk, segMax: segMax, nextIdx: firstIndex}
+	w := &walWriter{disk: disk, m: m, segMax: segMax, nextIdx: firstIndex}
 	if err := w.rotate(); err != nil {
 		return nil, err
 	}
@@ -444,8 +451,7 @@ func (w *walWriter) rotate() error {
 			return err
 		}
 	}
-	name := segmentName(w.nextIdx)
-	f, err := w.disk.Create(name)
+	f, err := w.disk.Create(segmentName(w.nextIdx))
 	if err != nil {
 		return err
 	}
@@ -454,7 +460,7 @@ func (w *walWriter) rotate() error {
 	if _, err := f.Write(hdr); err != nil {
 		return errors.Join(err, f.Close())
 	}
-	w.cur, w.curName, w.curSize = f, name, len(hdr)
+	w.cur, w.curSize = f, len(hdr)
 	w.nextIdx++
 	return nil
 }
@@ -481,49 +487,59 @@ func (w *walWriter) appendRecord(payload []byte) error {
 		return err
 	}
 	w.curSize += len(w.scratch)
+	w.records++
 	return nil
 }
 
-// sync makes every record appended before the call durable. The fsync runs
-// with w.mu RELEASED: the append path holds the event-log mutex while it
-// writes records, so an fsync that held w.mu would stall every session —
-// and in particular would keep concurrent committers from ever reaching
-// the group committer, defeating the coalescing entirely. syncMu
-// serializes syncers (the group committer admits one leader at a time
-// anyway; recovery syncs single-threaded).
+// sync makes every record appended before the call durable, and it is the
+// group commit: the certifier's rule (certifier.waitCertified) applied to
+// fsyncs. A caller notes its target — the record count after its own
+// records — and queues on syncMu; whoever holds it finds the durable
+// watermark already past its target (some fsync that began after its
+// records were appended covered them) and returns without I/O, or fsyncs
+// once for every record appended so far and publishes the new watermark.
+// The fsync runs with mu RELEASED: the append path holds the event-log
+// mutex while it writes records, so an fsync that held mu would stall every
+// session, and with them the next cohort.
 //
 // If the segment is rotated away while the fsync is in flight, rotation
 // has already synced it before closing, so every record this call must
 // cover is durable and a racing fsync error on the closed file is not a
 // durability failure.
 func (w *walWriter) sync() error {
+	w.m.WALSyncRequests.Add(1)
+	w.mu.Lock()
+	target := w.records
+	w.arrived++
+	w.mu.Unlock()
+
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
+	if w.durable >= target {
+		return w.stickyErr()
+	}
 	w.mu.Lock()
-	if err := w.err; err != nil {
-		w.mu.Unlock()
+	cur, n, cohort, err := w.cur, w.records, w.arrived-w.began, w.err
+	w.began = w.arrived
+	w.mu.Unlock()
+	if err != nil || cur == nil {
+		// A sticky failure, or a closed writer: close synced what it owed.
 		return err
 	}
-	cur := w.cur
-	w.mu.Unlock()
-	if cur == nil {
-		// Closed cleanly; close already synced everything.
-		return nil
-	}
-	err := cur.Sync()
+	err = cur.Sync()
+	w.m.WALSyncs.Add(1)
+	w.m.GroupSize.ObserveVal(int64(cohort))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err != nil {
-		if w.cur != cur {
-			// Rotated (or closed) mid-fsync: the records are durable.
-			return w.err
-		}
+	if err != nil && w.cur == cur {
 		if w.err == nil {
 			w.err = err
 		}
 		return err
 	}
-	return nil
+	// Synced, or rotated (or closed) mid-fsync: the records are durable.
+	w.durable = n
+	return w.err
 }
 
 // stickyErr reports the writer's first failure, if any, without issuing

@@ -16,7 +16,7 @@ import (
 // writeRecords drives a walWriter over disk with the given payloads.
 func writeRecords(t testing.TB, disk Disk, segMax int, payloads ...[]byte) {
 	t.Helper()
-	w, err := newWalWriter(disk, segMax, 1)
+	w, err := newWalWriter(disk, segMax, 1, newMetrics())
 	if err != nil {
 		t.Fatalf("newWalWriter: %v", err)
 	}
