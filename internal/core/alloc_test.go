@@ -7,10 +7,15 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 
+	"nestedsg/internal/event"
 	"nestedsg/internal/generic"
 	"nestedsg/internal/locking"
+	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 	"nestedsg/internal/workload"
 )
@@ -67,5 +72,82 @@ func TestIncrementalResetSteadyStateAllocs(t *testing.T) {
 	feed() // warm up
 	if n := testing.AllocsPerRun(20, feed); n > 0 {
 		t.Errorf("Incremental Reset+Append allocates %.1f/op after warm-up, want 0", n)
+	}
+}
+
+// youngStream is a life shaped like the benchmark's young workload: n
+// top-level transactions run one after the other, each making four accesses
+// to 256 registers, half of them reads and one in four inside a child.
+func youngStream(n int) (*tname.Tree, event.Behavior) {
+	tr := tname.NewTree()
+	rng := rand.New(rand.NewSource(1))
+	objs := make([]tname.ObjID, 256)
+	state := make([]spec.Value, len(objs))
+	for i := range objs {
+		objs[i] = tr.AddObject("x"+strconv.Itoa(i), spec.Register{})
+		state[i] = spec.Int(0)
+	}
+	b := event.Behavior{event.NewEvent(event.Create, tname.Root)}
+	for i := 0; i < n; i++ {
+		top := tr.Child(tname.Root, "t"+strconv.Itoa(i))
+		b = append(b, event.NewEvent(event.RequestCreate, top), event.NewEvent(event.Create, top))
+		for j := 0; j < 4; j++ {
+			home := top
+			if j == 3 {
+				home = tr.Child(top, "c")
+				b = append(b, event.NewEvent(event.RequestCreate, home), event.NewEvent(event.Create, home))
+			}
+			x := rng.Intn(len(objs))
+			op, v := spec.Op{Kind: spec.OpRead}, state[x]
+			if j%2 == 0 {
+				op, v = spec.Op{Kind: spec.OpWrite, Arg: spec.Int(int64(i))}, spec.OK
+				state[x] = op.Arg
+			}
+			a := tr.Access(home, "a"+strconv.Itoa(j), objs[x], op)
+			b = append(b, event.NewEvent(event.RequestCreate, a), event.NewEvent(event.Create, a),
+				event.NewValEvent(event.RequestCommit, a, v), event.NewEvent(event.Commit, a),
+				event.NewValEvent(event.ReportCommit, a, v))
+			if home != top {
+				b = append(b, event.NewValEvent(event.RequestCommit, home, spec.Nil),
+					event.NewEvent(event.Commit, home), event.NewValEvent(event.ReportCommit, home, spec.Nil))
+			}
+		}
+		b = append(b, event.NewValEvent(event.RequestCommit, top, spec.Nil),
+			event.NewEvent(event.Commit, top), event.NewValEvent(event.ReportCommit, top, spec.Nil))
+	}
+	return tr, b
+}
+
+// TestIncrementalRetainedBytesPerAccess bounds the heap a fresh engine
+// keeps per access after a young-shaped life, which is what a server life
+// holds on to for as long as it runs. The bound lies midway between the
+// 1 022 bytes of the engine whose records held an AccessOp, in three places,
+// and deduplicated edges through a map, and the 460 of pointer-free records.
+func TestIncrementalRetainedBytesPerAccess(t *testing.T) {
+	const n = 250
+	tr, b := youngStream(n)
+	// Two collections empty sync.Pool's victim caches too, so the live heap
+	// read after them moves only with what the test itself keeps.
+	live := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	inc := NewIncremental(tr)
+	for _, e := range b {
+		if inc.Append(e) != nil {
+			t.Fatal("young-shaped life rejected")
+		}
+	}
+	after := live()
+	runtime.KeepAlive(inc)
+	runtime.KeepAlive(b)
+	perAccess := float64(after-before) / (4 * n)
+	t.Logf("%.1f retained bytes per access", perAccess)
+	if perAccess > 740 {
+		t.Errorf("the engine retains %.1f bytes per access, want at most 740", perAccess)
 	}
 }

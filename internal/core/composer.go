@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"nestedsg/internal/graph"
 	"nestedsg/internal/tname"
 )
 
@@ -23,7 +22,7 @@ import (
 // dissolves and the composed verdict is sticky, exactly like the
 // single-stream checker's.
 //
-// The dense bookkeeping mirrors Incremental: nodeOf is indexed by the
+// The bookkeeping is dense: nodeOf is indexed by the
 // interned transaction name (every transaction is a child of exactly one
 // parent, so one array serves all parent graphs), and Reset rewinds to
 // the empty graph while keeping every backing array.
@@ -34,17 +33,23 @@ type Composer struct {
 	// materialized) and the recycled per-parent structures.
 	nodeOf []int32
 	pgOf   []*ParentGraph
-	dynOf  []*graph.Incremental
 	active []bool
 
 	// parents lists the materialized parent graphs in arrival order;
 	// Snapshot sorts its clone of the list.
 	parents []*ParentGraph
 
-	// seen dedups (pair, kind) edge records, exactly as in Incremental.
+	// seen dedups (pair, kind) edge records.
 	seen map[edgeKey]struct{}
 
 	cyclic bool
+}
+
+// edgeKey identifies one (pair, kind) edge record for deduplication.
+type edgeKey struct {
+	parent   tname.TxID
+	from, to int32
+	kind     EdgeKind
 }
 
 // NewComposer returns an empty edge-fed graph for the given system.
@@ -61,7 +66,6 @@ func (c *Composer) grow() {
 		for len(c.nodeOf) < n {
 			c.nodeOf = append(c.nodeOf, -1)
 			c.pgOf = append(c.pgOf, nil)
-			c.dynOf = append(c.dynOf, nil)
 			c.active = append(c.active, false)
 		}
 	}
@@ -77,13 +81,12 @@ func (c *Composer) AddEdge(parent, from, to tname.TxID, kind EdgeKind) bool {
 	if pg == nil {
 		pg = &ParentGraph{Parent: parent}
 		c.pgOf[parent] = pg
-		c.dynOf[parent] = graph.NewIncremental(0)
 	}
 	if !c.active[parent] {
 		c.active[parent] = true
 		c.parents = append(c.parents, pg)
 	}
-	d := c.dynOf[parent]
+	d := &pg.dyn
 	f := c.node(pg, from)
 	t := c.node(pg, to)
 	for d.Len() < len(pg.Children) {
@@ -150,7 +153,7 @@ func (c *Composer) Reset() {
 		pg.Children = pg.Children[:0]
 		pg.edges = pg.edges[:0]
 		c.active[pg.Parent] = false
-		c.dynOf[pg.Parent].Reset()
+		pg.dyn.Reset()
 	}
 	c.parents = c.parents[:0]
 	clear(c.seen)

@@ -1,6 +1,6 @@
 package core
 
-import "nestedsg/internal/event"
+import "nestedsg/internal/tname"
 
 // conflictFrontier decides which conflict(β) edges the engine materializes.
 // The paper relates every two conflicting operations of an object that are
@@ -25,28 +25,41 @@ import "nestedsg/internal/event"
 // admission, which is why there is one engine (Incremental) and the batch
 // entry points feed it rather than scanning on their own.
 //
+// Two read-only operations commute (neither changes the state), so a
+// read-only access is compared only with the window's other entries: those
+// are kept a second time, in a list of their own, and a read costs the
+// updates of its window rather than every read since the last wall.
+//
 // A type without walls has the whole log as every window: the all-pairs
 // scan, through the same code.
 type conflictFrontier struct {
 	// logs[x] holds the operations of object x admitted so far, ascending
-	// by seq — operations(visible(β-prefix, T0))|x in β order.
-	logs [][]pendingOp
+	// by seq — operations(visible(β-prefix, T0))|x in β order. upd[x] is its
+	// subsequence of operations that are not read-only, walls included.
+	logs, upd [][]pendingOp
 }
 
-// pendingOp is a visible-or-parked access operation tagged with the raw
-// stream position of its REQUEST_COMMIT, which fixes its place in the
-// object's log however late it becomes visible, and with whether it is a
-// wall.
+// pendingOp is a visible-or-parked access operation. It holds no pointer:
+// the operation and its argument are the access's name in the tree, and
+// val indexes the engine's store of returned values (Incremental.opVal
+// rebuilds the OpVal for a comparison). seq is the raw stream position of
+// the REQUEST_COMMIT, which fixes the operation's place in the object's log
+// however late it becomes visible; it stays 64-bit because events outnumber
+// names. wall marks an operation that conflicts with all (ConflictsWithAll),
+// ro one that is read-only and not a wall.
 type pendingOp struct {
-	op   event.AccessOp
-	seq  int
-	wall bool
+	seq      int
+	tx       tname.TxID
+	obj      tname.ObjID
+	val      int32
+	wall, ro bool
 }
 
 // grow sizes the per-object logs to n objects.
 func (cf *conflictFrontier) grow(n int) {
 	for len(cf.logs) < n {
 		cf.logs = append(cf.logs, nil)
+		cf.upd = append(cf.upd, nil)
 	}
 }
 
@@ -54,43 +67,73 @@ func (cf *conflictFrontier) grow(n int) {
 func (cf *conflictFrontier) reset() {
 	for i := range cf.logs {
 		cf.logs[i] = cf.logs[i][:0]
+		cf.upd[i] = cf.upd[i][:0]
 	}
 }
 
 // admit splices a now-visible operation into its object's log and returns
-// the log with op's position and the bounds of its open window: the caller
-// relates op to log[lo:at] as the later operation and to log[at+1:hi] as the
-// earlier one.
+// the operations of its open window that it must be compared with: before
+// holds those earlier in β, after those later. For a read-only operation
+// both come from the object's non-read-only list, the only entries a read
+// can conflict with.
 //
 //sgvet:hotpath
-func (cf *conflictFrontier) admit(op pendingOp) (log []pendingOp, lo, at, hi int) {
-	log, at = spliceBySeq(cf.logs[op.op.Obj], op)
-	cf.logs[op.op.Obj] = log
-	for lo = at; lo > 0; {
+func (cf *conflictFrontier) admit(op pendingOp) (before, after []pendingOp) {
+	x := op.obj
+	log, at := spliceBySeq(cf.logs[x], op)
+	cf.logs[x] = log
+	if op.ro {
+		upd := cf.upd[x]
+		j := seqIndex(upd, op.seq)
+		return openWindow(upd, j, j)
+	}
+	cf.upd[x], _ = spliceBySeq(cf.upd[x], op)
+	return openWindow(log, at, at+1)
+}
+
+// openWindow returns the entries of a seq-ascending list around an operation,
+// out to and including the nearest wall on each side: list[lo:at] before it
+// and list[from:hi] after it, where from is at+1 when list[at] is the
+// operation itself and at when the list does not hold it.
+//
+//sgvet:hotpath
+func openWindow(list []pendingOp, at, from int) (before, after []pendingOp) {
+	lo := at
+	for lo > 0 {
 		lo--
-		if log[lo].wall {
+		if list[lo].wall {
 			break
 		}
 	}
-	for hi = at + 1; hi < len(log); {
+	hi := from
+	for hi < len(list) {
 		hi++
-		if log[hi-1].wall {
+		if list[hi-1].wall {
 			break
 		}
 	}
-	return log, lo, at, hi
+	return list[lo:at], list[from:hi]
+}
+
+// seqIndex returns where an operation at stream position seq belongs in a
+// seq-ascending list. Late admissions are commits of deep ancestors
+// releasing old operations, so the position is found from the back.
+//
+//sgvet:hotpath
+func seqIndex(list []pendingOp, seq int) int {
+	i := len(list)
+	for i > 0 && list[i-1].seq > seq {
+		i--
+	}
+	return i
 }
 
 // spliceBySeq inserts op into a seq-ascending list and returns the list and
-// op's index. Late admissions are commits of deep ancestors releasing old
-// operations, so the insertion point is found from the back.
+// op's index.
 //
 //sgvet:hotpath
 func spliceBySeq(list []pendingOp, op pendingOp) ([]pendingOp, int) {
-	i := len(list)
-	for i > 0 && list[i-1].seq > op.seq {
-		i--
-	}
+	i := seqIndex(list, op.seq)
 	list = append(list, pendingOp{})
 	copy(list[i+1:], list[i:])
 	list[i] = op

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/generic"
@@ -296,8 +298,10 @@ func TestConflictFrontierClosure(t *testing.T) {
 // visible late and is spliced between two writes, an aborted writer between
 // two visible ones, a chain W₁ → X → W₂ whose middle operation (a read, and
 // a write) lies outside lca(W₁, W₂)'s subtree, a cycle produced by
-// locking.BrokenProtocol, and a queue, whose wall depends on a returned
-// value.
+// locking.BrokenProtocol, a queue, whose wall depends on a returned value,
+// and the two shapes of the read-only admission: a register read 50 times
+// and then written, and a write admitted late into the middle of a run of
+// reads, with one read of the run admitted after it.
 func FuzzConflictFrontierClosure(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -311,9 +315,10 @@ func FuzzConflictFrontierClosure(f *testing.F) {
 }
 
 // registerLife is a life of n top-level transactions run one after the
-// other on one register, each a single access — a write unless reads(i).
-func registerLife(tr *tname.Tree, n int, read func(i int) bool) event.Behavior {
-	x := tr.AddObject("x", spec.Register{})
+// other on one register of type sp, each a single access — a write unless
+// reads(i).
+func registerLife(tr *tname.Tree, sp spec.Spec, n int, read func(i int) bool) event.Behavior {
+	x := tr.AddObject("x", sp)
 	b := event.Behavior{event.NewEvent(event.Create, tname.Root)}
 	for i := 0; i < n; i++ {
 		top := tr.Child(tname.Root, "t"+strconv.Itoa(i))
@@ -345,7 +350,7 @@ func TestConflictFrontierWidths(t *testing.T) {
 	t.Run("writes", func(t *testing.T) {
 		const n = 200
 		tr := tname.NewTree()
-		b := registerLife(tr, n, func(int) bool { return false })
+		b := registerLife(tr, spec.Register{}, n, func(int) bool { return false })
 		if got := conflicts(Build(tr, b)); got != n-1 {
 			t.Fatalf("%d conflict edges for %d sequential writers, want %d", got, n, n-1)
 		}
@@ -359,7 +364,7 @@ func TestConflictFrontierWidths(t *testing.T) {
 	t.Run("reads between writes", func(t *testing.T) {
 		const blocks, k = 20, 4
 		tr := tname.NewTree()
-		b := registerLife(tr, blocks*(k+1), func(i int) bool { return i%(k+1) != 0 })
+		b := registerLife(tr, spec.Register{}, blocks*(k+1), func(i int) bool { return i%(k+1) != 0 })
 		want := blocks*k + (blocks-1)*(k+1)
 		if got := conflicts(Build(tr, b)); got != want {
 			t.Fatalf("%d conflict edges, want %d", got, want)
@@ -387,4 +392,66 @@ func TestConflictFrontierWidths(t *testing.T) {
 			t.Fatalf("%d conflict edges, reference %d, want %d", got, want, n/2*(n/2))
 		}
 	})
+}
+
+// countingSpec counts the Conflicts calls made on the type it wraps.
+type countingSpec struct {
+	spec.Spec
+	calls *int
+}
+
+func (c countingSpec) Conflicts(a, b spec.OpVal) bool {
+	*c.calls++
+	return c.Spec.Conflicts(a, b)
+}
+
+// TestReadOnlyAdmissionStaysFlat: a read is compared only with the updates
+// of its window. A register written once and then read n times costs one
+// Conflicts call per read, against the write; comparing each read with every
+// read since the write cost one call per earlier read.
+func TestReadOnlyAdmissionStaysFlat(t *testing.T) {
+	const n = 5000
+	calls := 0
+	tr := tname.NewTree()
+	b := registerLife(tr, countingSpec{Spec: spec.Register{}, calls: &calls}, n+1, func(i int) bool { return i > 0 })
+	inc := NewIncremental(tr)
+	worst := 0
+	for _, e := range b {
+		before := calls
+		inc.Append(e)
+		worst = max(worst, calls-before)
+	}
+	if worst > 1 {
+		t.Errorf("an admission made %d Conflicts calls over %d reads, want at most 1", worst, n)
+	}
+	if got := len(labelled(inc.Snapshot().Parent(tname.Root), EdgeConflict)); got != n {
+		t.Errorf("%d conflict edges, want %d: one from the write to each read", got, n)
+	}
+}
+
+// TestAccessRecordIsPointerFree: the engine keeps a pendingOp per access in
+// up to two per-object logs, and parked items and per-name state in arrays
+// as long as the stream; these records must stay small and hold nothing the
+// garbage collector has to scan.
+func TestAccessRecordIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(pendingOp{}); n > 24 {
+		t.Errorf("pendingOp is %d bytes, want at most 24", n)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	for _, v := range []any{pendingOp{}, pendingReq{}, txState{}, parkedItem[pendingOp]{}, parkedItem[pendingReq]{}} {
+		walk(reflect.TypeOf(v).String(), reflect.TypeOf(v))
+	}
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nestedsg/internal/event"
-	"nestedsg/internal/graph"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
@@ -41,35 +42,30 @@ type Incremental struct {
 	tr  *tname.Tree
 	seq int // raw events consumed
 
-	// Per transaction: the commit flag, the parked items keyed by their
-	// blocker — the lowest uncommitted ancestor (≠ Root) of the access /
-	// requesting parent — the node index in the parent's graph (-1 until
-	// materialized; every tx is a child of exactly one parent, so one
-	// array serves all graphs), and the recycled per-parent structures.
-	committed  []bool
-	parkedOps  [][]pendingOp
-	parkedReqs [][]pendingReq
-	nodeOf     []int32
-	pgOf       []*ParentGraph
-	dynOf      []*graph.Incremental
-	active     []bool
+	// txs holds one txState per transaction name and graphs the recycled
+	// per-parent structures they index. Parked items wait in the arenas on
+	// their blocker — the lowest uncommitted ancestor (≠ Root) of the
+	// access / requesting parent.
+	txs        []txState
+	graphs     []*ParentGraph
+	parkedOps  parkArena[pendingOp]
+	parkedReqs parkArena[pendingReq]
 
 	// prec picks the precedes(β) edges and conf the conflict(β) edges the
 	// graph stores.
 	prec frontier
 	conf conflictFrontier
 
-	// visOps holds the admitted (visible) operations of all objects,
-	// ascending by seq — operations(visible(β-prefix, T0)) in β order.
-	visOps []pendingOp
+	// vals holds the value each access record returned, indexed by
+	// pendingOp.val, so the records themselves stay free of pointers.
+	vals []spec.Value
 
 	// parents lists the materialized parent graphs in discovery order;
-	// Snapshot sorts its clone of the list. nodes counts their children.
-	parents []*ParentGraph
-	nodes   int
-
-	// seen dedups (pair, kind) edge records.
-	seen map[edgeKey]struct{}
+	// Snapshot sorts its clone of the list. nodes counts their children,
+	// edges their (pair, kind) records, which the labelled arcs of the
+	// Pearce–Kelly graphs dedup.
+	parents      []*ParentGraph
+	nodes, edges int
 
 	cyclic     bool
 	rejected   *Cycle
@@ -82,22 +78,26 @@ type Incremental struct {
 	sink EdgeSink
 }
 
-// edgeKey identifies one (pair, kind) edge record for deduplication during
-// accumulation.
-type edgeKey struct {
-	parent   tname.TxID
-	from, to int32
-	kind     EdgeKind
-}
-
 // EdgeSink observes one new (parent, from, to, kind) edge record. The
-// callback fires at most once per distinct record (the dedup map gates
-// it), synchronously inside Append, before the cycle check — so a sink
-// always sees the edge that closes a cycle.
+// callback fires at most once per distinct record (the arc labels gate
+// it), synchronously inside Append, whether or not the edge closes a cycle
+// — so a sink always sees the edge that closes one.
 type EdgeSink func(parent, from, to tname.TxID, kind EdgeKind)
 
 // SetEdgeSink installs (or, with nil, removes) the edge observer.
 func (inc *Incremental) SetEdgeSink(f EdgeSink) { inc.sink = f }
+
+// txState is what the engine keeps per transaction name, free of pointers:
+// the tails of the lists of items parked on it as their blocker (-1 when
+// none), its node index in its parent's graph (-1 until materialized; every
+// tx is a child of exactly one parent, so one index serves all graphs), the
+// index in graphs of the graph of its own children (-1 until first used),
+// and its commit flag.
+type txState struct {
+	ops, reqs   int32
+	node, graph int32
+	committed   bool
+}
 
 // pendingReq is a REQUEST_CREATE awaiting its parent's visibility. from is
 // the frontier window at request time: precedes(β) relates only the
@@ -114,7 +114,6 @@ type pendingReq struct {
 func NewIncremental(tr *tname.Tree) *Incremental {
 	inc := &Incremental{
 		tr:         tr,
-		seen:       make(map[edgeKey]struct{}),
 		rejectedAt: -1,
 	}
 	inc.grow()
@@ -125,15 +124,9 @@ func NewIncremental(tr *tname.Tree) *Incremental {
 // and may gain names between Appends (a generator interning fresh
 // transactions mid-stream), so Append re-checks on every call.
 func (inc *Incremental) grow() {
-	if n := inc.tr.NumTx(); n > len(inc.committed) {
-		for len(inc.committed) < n {
-			inc.committed = append(inc.committed, false)
-			inc.parkedOps = append(inc.parkedOps, nil)
-			inc.parkedReqs = append(inc.parkedReqs, nil)
-			inc.nodeOf = append(inc.nodeOf, -1)
-			inc.pgOf = append(inc.pgOf, nil)
-			inc.dynOf = append(inc.dynOf, nil)
-			inc.active = append(inc.active, false)
+	if n := inc.tr.NumTx(); n > len(inc.txs) {
+		for len(inc.txs) < n {
+			inc.txs = append(inc.txs, txState{ops: -1, reqs: -1, node: -1, graph: -1})
 		}
 		inc.prec.grow(n)
 	}
@@ -145,26 +138,25 @@ func (inc *Incremental) grow() {
 // so the next stream over the same tree allocates nothing.
 func (inc *Incremental) Reset() {
 	inc.seq = 0
-	clear(inc.committed)
-	for i := range inc.parkedOps {
-		inc.parkedOps[i] = inc.parkedOps[i][:0]
-		inc.parkedReqs[i] = inc.parkedReqs[i][:0]
+	for i := range inc.txs {
+		st := &inc.txs[i]
+		st.ops, st.reqs, st.committed = -1, -1, false
 	}
+	inc.parkedOps.reset()
+	inc.parkedReqs.reset()
 	inc.prec.reset()
 	for _, pg := range inc.parents {
 		for _, t := range pg.Children {
-			inc.nodeOf[t] = -1
+			inc.txs[t].node = -1
 		}
 		pg.Children = pg.Children[:0]
 		pg.edges = pg.edges[:0]
-		inc.active[pg.Parent] = false
-		inc.dynOf[pg.Parent].Reset()
+		pg.dyn.Reset()
 	}
 	inc.parents = inc.parents[:0]
-	inc.nodes = 0
+	inc.nodes, inc.edges = 0, 0
 	inc.conf.reset()
-	inc.visOps = inc.visOps[:0]
-	clear(inc.seen)
+	inc.vals = inc.vals[:0]
 	inc.cyclic = false
 	inc.rejected = nil
 	inc.rejectedAt = -1
@@ -193,13 +185,16 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 	case event.RequestCommit:
 		if inc.tr.IsAccess(e.Tx) {
 			x := inc.tr.AccessObject(e.Tx)
+			sp := inc.tr.Spec(x)
 			ov := spec.OpVal{Op: inc.tr.AccessOp(e.Tx), Val: e.Val}
-			op := pendingOp{op: event.AccessOp{Tx: e.Tx, Obj: x, OV: ov}, seq: i,
-				wall: inc.tr.Spec(x).ConflictsWithAll(ov)}
+			op := pendingOp{seq: i, tx: e.Tx, obj: x, val: int32(len(inc.vals)),
+				wall: sp.ConflictsWithAll(ov)}
+			op.ro = !op.wall && sp.ReadOnly(ov.Op)
+			inc.vals = append(inc.vals, e.Val)
 			if blk, vis := inc.blocker(e.Tx); vis {
 				inc.admitOp(op)
 			} else {
-				inc.parkedOps[blk] = append(inc.parkedOps[blk], op)
+				inc.parkedOps.push(&inc.txs[blk].ops, op)
 			}
 		}
 
@@ -220,7 +215,7 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 		if blk, vis := inc.blocker(p); vis {
 			inc.admitReq(req)
 		} else {
-			inc.parkedReqs[blk] = append(inc.parkedReqs[blk], req)
+			inc.parkedReqs.push(&inc.txs[blk].reqs, req)
 		}
 
 	case event.Commit:
@@ -264,7 +259,7 @@ func (inc *Incremental) blocker(start tname.TxID) (tname.TxID, bool) {
 		if u == tname.Root {
 			return tname.None, true
 		}
-		if !inc.committed[u] {
+		if !inc.txs[u].committed {
 			return u, false
 		}
 	}
@@ -272,36 +267,32 @@ func (inc *Incremental) blocker(start tname.TxID) (tname.TxID, bool) {
 }
 
 // commit records COMMIT(t) and releases everything parked on t. Released
-// items resume their ancestor walk above t; items still blocked re-park on
-// the new blocker, so each item pays each ancestor edge at most once.
+// items resume their ancestor walk above t: all of them share the walk, so
+// either they are admitted, operations first, each list in parking order,
+// or the lists move whole onto the end of the new blocker's, and each item
+// pays each ancestor edge at most once.
 //
 //sgvet:hotpath
 func (inc *Incremental) commit(t tname.TxID) {
-	if inc.committed[t] {
+	st := &inc.txs[t]
+	if st.committed {
 		return
 	}
-	inc.committed[t] = true
-	ops := inc.parkedOps[t]
-	reqs := inc.parkedReqs[t]
-	// t is committed, so nothing parks on it again: truncating (rather than
-	// nil-ing) keeps the backing arrays for the next Reset+stream.
-	inc.parkedOps[t] = ops[:0]
-	inc.parkedReqs[t] = reqs[:0]
-	next := inc.tr.Parent(t)
-	blk, vis := inc.blocker(next)
-	for _, op := range ops {
-		if vis {
-			inc.admitOp(op)
-		} else {
-			inc.parkedOps[blk] = append(inc.parkedOps[blk], op)
-		}
+	st.committed = true
+	blk, vis := inc.blocker(inc.tr.Parent(t))
+	if !vis {
+		b := &inc.txs[blk]
+		inc.parkedOps.splice(&b.ops, &st.ops)
+		inc.parkedReqs.splice(&b.reqs, &st.reqs)
+		return
 	}
-	for _, req := range reqs {
-		if vis {
-			inc.admitReq(req)
-		} else {
-			inc.parkedReqs[blk] = append(inc.parkedReqs[blk], req)
-		}
+	// Admission parks nothing and grows no per-name array, so st stays
+	// valid across it.
+	for op, ok := inc.parkedOps.pop(&st.ops); ok; op, ok = inc.parkedOps.pop(&st.ops) {
+		inc.admitOp(op)
+	}
+	for req, ok := inc.parkedReqs.pop(&st.reqs); ok; req, ok = inc.parkedReqs.pop(&st.reqs) {
+		inc.admitReq(req)
 	}
 }
 
@@ -313,30 +304,37 @@ func (inc *Incremental) commit(t tname.TxID) {
 //
 //sgvet:hotpath
 func (inc *Incremental) admitOp(op pendingOp) {
-	sp := inc.tr.Spec(op.op.Obj)
-	log, lo, at, hi := inc.conf.admit(op)
-	for _, prev := range log[lo:at] {
-		if sp.Conflicts(prev.op.OV, op.op.OV) {
-			inc.conflict(prev.op, op.op)
+	sp := inc.tr.Spec(op.obj)
+	ov := inc.opVal(op)
+	before, after := inc.conf.admit(op)
+	for _, prev := range before {
+		if sp.Conflicts(inc.opVal(prev), ov) {
+			inc.conflict(prev.tx, op.tx)
 		}
 	}
-	for _, next := range log[at+1 : hi] {
-		if sp.Conflicts(op.op.OV, next.op.OV) {
-			inc.conflict(op.op, next.op)
+	for _, next := range after {
+		if sp.Conflicts(ov, inc.opVal(next)) {
+			inc.conflict(op.tx, next.tx)
 		}
 	}
-	inc.visOps, _ = spliceBySeq(inc.visOps, op)
+}
+
+// opVal rebuilds the operation of an access record with its returned value.
+//
+//sgvet:hotpath
+func (inc *Incremental) opVal(op pendingOp) spec.OpVal {
+	return spec.OpVal{Op: inc.tr.AccessOp(op.tx), Val: inc.vals[op.val]}
 }
 
 // conflict records the SG edge of a conflicting operation pair: between the
 // children of the least common ancestor of the two accesses. Two entries of
 // one access (a duplicated REQUEST_COMMIT) yield none.
-func (inc *Incremental) conflict(prev, cur event.AccessOp) {
-	if prev.Tx == cur.Tx {
+func (inc *Incremental) conflict(prev, cur tname.TxID) {
+	if prev == cur {
 		return
 	}
-	lca := inc.tr.LCA(prev.Tx, cur.Tx)
-	inc.addEdge(lca, inc.tr.ChildAncestor(lca, prev.Tx), inc.tr.ChildAncestor(lca, cur.Tx), EdgeConflict)
+	lca := inc.tr.LCA(prev, cur)
+	inc.addEdge(lca, inc.tr.ChildAncestor(lca, prev), inc.tr.ChildAncestor(lca, cur), EdgeConflict)
 }
 
 // admitReq materializes the precedes edges of one REQUEST_CREATE whose
@@ -353,41 +351,35 @@ func (inc *Incremental) admitReq(req pendingReq) {
 }
 
 // addEdge records from→to in SG(β, parent) and feeds any new pair to the
-// parent's Pearce–Kelly order, flagging the first cycle.
+// parent's Pearce–Kelly order, flagging the first cycle. Once a cycle is
+// flagged, the orders are stale: new pairs are still recorded, so records
+// stay deduplicated and Snapshot stays truthful, but no order is updated.
 func (inc *Incremental) addEdge(parent, from, to tname.TxID, kind EdgeKind) {
-	pg := inc.pgOf[parent]
-	if pg == nil {
-		pg = &ParentGraph{Parent: parent}
-		inc.pgOf[parent] = pg
-		inc.dynOf[parent] = graph.NewIncremental(0)
+	ps := &inc.txs[parent]
+	if ps.graph < 0 {
+		ps.graph = int32(len(inc.graphs))
+		inc.graphs = append(inc.graphs, &ParentGraph{Parent: parent})
 	}
-	if !inc.active[parent] {
-		inc.active[parent] = true
+	pg := inc.graphs[ps.graph]
+	if len(pg.Children) == 0 {
+		// First edge of this prefix: every graph in parents has children.
 		inc.parents = append(inc.parents, pg)
 	}
-	d := inc.dynOf[parent]
 	f := inc.node(pg, from)
 	t := inc.node(pg, to)
-	for d.Len() < len(pg.Children) {
-		d.AddNode()
+	for pg.dyn.Len() < len(pg.Children) {
+		pg.dyn.AddNode()
 	}
-	k := edgeKey{parent: parent, from: f, to: t, kind: kind}
-	if _, dup := inc.seen[k]; dup {
+	fresh, cyc := pg.dyn.AddLabel(int(f), int(t), uint8(kind), !inc.cyclic)
+	if !fresh {
 		return
 	}
-	inc.seen[k] = struct{}{}
 	pg.edges = append(pg.edges, Edge{From: f, To: t, Kind: kind})
+	inc.edges++
 	if inc.sink != nil {
 		inc.sink(parent, from, to, kind)
 	}
-	if inc.cyclic {
-		// Already rejected: keep the edge bookkeeping (Snapshot stays
-		// truthful) but the stale order cannot answer further queries.
-		return
-	}
-	// The pair may already be in the order under the other kind label;
-	// AddEdge dedups internally, so feeding it again is a cheap no-op scan.
-	if cyc := d.AddEdge(int(f), int(t)); cyc != nil {
+	if cyc != nil {
 		inc.cyclic = true
 	}
 }
@@ -397,12 +389,12 @@ func (inc *Incremental) addEdge(parent, from, to tname.TxID, kind EdgeKind) {
 //
 //sgvet:hotpath
 func (inc *Incremental) node(pg *ParentGraph, t tname.TxID) int32 {
-	if i := inc.nodeOf[t]; i >= 0 {
+	if i := inc.txs[t].node; i >= 0 {
 		return i
 	}
 	i := int32(len(pg.Children))
 	pg.Children = append(pg.Children, t)
-	inc.nodeOf[t] = i
+	inc.txs[t].node = i
 	inc.nodes++
 	return i
 }
@@ -412,7 +404,7 @@ func (inc *Incremental) node(pg *ParentGraph, t tname.TxID) int32 {
 // records. It is O(1) and does not materialize a snapshot, so a committer
 // can refresh the server's gauges after every certified run.
 func (inc *Incremental) Counts() (parents, nodes, edges int) {
-	return len(inc.parents), inc.nodes, len(inc.seen)
+	return len(inc.parents), inc.nodes, inc.edges
 }
 
 // Snapshot materializes SG of the consumed prefix: the canonical freeze of
@@ -439,7 +431,10 @@ func (inc *Incremental) freezeInto(sg *SG, fz *freezeScratch) *SG {
 }
 
 // freeze canonicalizes sg's graphs — ascending parent order, per-graph
-// canonical child numbering — and fills in the visible operations.
+// canonical child numbering — and fills in the visible operations: the
+// per-object logs hold exactly the admitted operations, so their union
+// sorted by stream position is operations(visible(β-prefix, T0)) in β
+// order.
 //
 //sgvet:hotpath
 func (inc *Incremental) freeze(sg *SG, fz *freezeScratch) *SG {
@@ -447,9 +442,15 @@ func (inc *Incremental) freeze(sg *SG, fz *freezeScratch) *SG {
 	for _, pg := range sg.parents {
 		pg.build(fz)
 	}
-	for _, r := range inc.visOps {
-		sg.VisibleOps = append(sg.VisibleOps, r.op)
+	ops := fz.ops[:0]
+	for _, log := range inc.conf.logs {
+		ops = append(ops, log...)
 	}
+	slices.SortFunc(ops, func(a, b pendingOp) int { return cmp.Compare(a.seq, b.seq) })
+	for _, op := range ops {
+		sg.VisibleOps = append(sg.VisibleOps, event.AccessOp{Tx: op.tx, Obj: op.obj, OV: inc.opVal(op)})
+	}
+	fz.ops = ops
 	return sg
 }
 

@@ -263,13 +263,14 @@ func TestIncrementalCountsMatchRecount(t *testing.T) {
 		for _, e := range b {
 			inc.Append(e)
 			parents, nodes, edges := inc.Counts()
-			wantNodes := 0
+			wantNodes, wantEdges := 0, 0
 			for _, pg := range inc.parents {
 				wantNodes += len(pg.Children)
+				wantEdges += len(pg.edges)
 			}
-			if parents != len(inc.parents) || nodes != wantNodes || edges != len(inc.seen) {
+			if parents != len(inc.parents) || nodes != wantNodes || edges != wantEdges {
 				t.Errorf("Counts() = (%d, %d, %d), recount (%d, %d, %d)",
-					parents, nodes, edges, len(inc.parents), wantNodes, len(inc.seen))
+					parents, nodes, edges, len(inc.parents), wantNodes, wantEdges)
 				return false
 			}
 		}

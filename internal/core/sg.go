@@ -104,6 +104,10 @@ type ParentGraph struct {
 	// indices are in discovery order and the builder dedups — and the
 	// canonical merged edge set, sorted by (From, To), after build.
 	edges []Edge
+
+	// dyn is the live Pearce–Kelly order over the discovery-order indices
+	// while the graph accumulates; build leaves it stale.
+	dyn graph.Incremental
 }
 
 // Edges returns the labeled edge set over canonical child indices, sorted
@@ -145,10 +149,12 @@ func (pg *ParentGraph) HasEdge(from, to tname.TxID) (EdgeKind, bool) {
 	return k, k != 0
 }
 
-// freezeScratch is the reusable working memory of ParentGraph.build.
+// freezeScratch is the reusable working memory of ParentGraph.build and of
+// Incremental.freeze's merge of the per-object logs.
 type freezeScratch struct {
 	perm   []int32
 	sorted []tname.TxID
+	ops    []pendingOp
 }
 
 // build freezes the accumulated edge records into the canonical form, first

@@ -19,12 +19,17 @@ import (
 // immediately — the checker rejects the trace at that exact prefix instead
 // of re-running a full sort per event.
 //
+// Each edge carries a label set, opaque to this package (the serialization
+// graph's edge kinds), in the out-list entry that already holds the pair, so
+// a caller that dedups labelled records needs no map beside the graph.
+//
 // All search scratch (visited stamps, discovery buffers, the slot pool) is
 // owned by the struct and epoch-stamped, so a long append sequence — and a
 // Reset followed by a refill — runs without steady-state allocations.
 type Incremental struct {
-	out, in [][]int32
-	m       int
+	out [][]arc
+	in  [][]int32
+	m   int
 	// pos[v] is v's position in the maintained topological order; positions
 	// always form a permutation of 0..n-1.
 	pos []int32
@@ -38,6 +43,12 @@ type Incremental struct {
 	deltaF, deltaB []int32
 	stack          []int32
 	nodes, slots   []int32
+}
+
+// arc is one out-edge with the labels recorded on it.
+type arc struct {
+	to    int32
+	kinds uint8
 }
 
 // NewIncremental returns an incremental DAG with n nodes, no edges, and
@@ -96,12 +107,17 @@ func (g *Incremental) HasEdge(from, to int) bool {
 	if from < 0 || from >= len(g.out) {
 		return false
 	}
-	for _, w := range g.out[from] {
-		if int(w) == to {
-			return true
+	return g.find(from, to) >= 0
+}
+
+// find returns the index of the arc from→to in out[from], or -1.
+func (g *Incremental) find(from, to int) int {
+	for i, a := range g.out[from] {
+		if int(a.to) == to {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Pos returns the position of v in the maintained topological order.
@@ -128,15 +144,39 @@ func (g *Incremental) bumpEpoch() uint32 {
 // maintained order is stale; the caller is expected to stop feeding edges
 // (the serialization checker rejects the trace at this point).
 func (g *Incremental) AddEdge(from, to int) []int {
+	_, cyc := g.AddLabel(from, to, 0, true)
+	return cyc
+}
+
+// AddLabel records the labels kind on the edge from→to, inserting the edge
+// when the pair is new, and reports whether kind added a label the pair did
+// not carry yet — one scan of out[from] answers both. Only a new pair can
+// change the order: with order set it is then maintained as AddEdge does,
+// and cyc is the cycle the edge closes. With order unset the edge is only
+// recorded, which is how a caller whose order went stale at a cycle keeps
+// deduplicating later records.
+func (g *Incremental) AddLabel(from, to int, kind uint8, order bool) (fresh bool, cyc []int) {
 	if from < 0 || from >= len(g.pos) || to < 0 || to >= len(g.pos) {
 		panic(fmt.Sprintf("graph: incremental edge (%d,%d) out of range [0,%d)", from, to, len(g.pos)))
 	}
-	if g.HasEdge(from, to) {
-		return nil
+	if i := g.find(from, to); i >= 0 {
+		a := &g.out[from][i]
+		fresh = a.kinds|kind != a.kinds
+		a.kinds |= kind
+		return fresh, nil
 	}
-	g.out[from] = append(g.out[from], int32(to))
+	g.out[from] = append(g.out[from], arc{to: int32(to), kinds: kind})
 	g.in[to] = append(g.in[to], int32(from))
 	g.m++
+	if !order {
+		return true, nil
+	}
+	return true, g.reorder(from, to)
+}
+
+// reorder restores the topological order after the new edge from→to, or
+// returns the cycle it closes.
+func (g *Incremental) reorder(from, to int) []int {
 	if from == to {
 		return []int{from}
 	}
@@ -156,7 +196,8 @@ func (g *Incremental) AddEdge(from, to int) []int {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.out[v] {
+		for _, a := range g.out[v] {
+			w := a.to
 			if int(w) == from {
 				// Cycle: to → … → v → from, closed by the new from→to.
 				g.deltaF, g.stack = deltaF, stack

@@ -36,6 +36,43 @@ func TestIncrementalBookkeeping(t *testing.T) {
 	}
 }
 
+// TestIncrementalLabels: AddLabel reports a (pair, label) record as fresh
+// exactly once, counts the pair once whatever its labels, and with order
+// unset records the edge without reordering.
+func TestIncrementalLabels(t *testing.T) {
+	g := NewIncremental(3)
+	for _, c := range []struct {
+		from, to int
+		kind     uint8
+		fresh    bool
+	}{
+		{0, 1, 1, true},
+		{0, 1, 1, false},
+		{0, 1, 2, true},
+		{0, 1, 3, false},
+		{1, 2, 3, true},
+		{1, 2, 2, false},
+	} {
+		if fresh, cyc := g.AddLabel(c.from, c.to, c.kind, true); fresh != c.fresh || cyc != nil {
+			t.Fatalf("AddLabel(%d, %d, %d) = %v, %v; want %v, nil", c.from, c.to, c.kind, fresh, cyc, c.fresh)
+		}
+	}
+	if g.NumEdges() != 2 {
+		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
+	}
+	// An edge against the order, recorded without reordering: it closes a
+	// cycle, yet nothing is reported and the order is left alone.
+	if fresh, cyc := g.AddLabel(2, 0, 1, false); !fresh || cyc != nil {
+		t.Fatalf("unordered AddLabel = %v, %v; want true, nil", fresh, cyc)
+	}
+	if !g.HasEdge(2, 0) || g.NumEdges() != 3 || g.Pos(2) != 2 || g.Pos(0) != 0 {
+		t.Errorf("unordered edge: HasEdge %v, NumEdges %d, pos %d/%d", g.HasEdge(2, 0), g.NumEdges(), g.Pos(2), g.Pos(0))
+	}
+	if fresh, _ := g.AddLabel(2, 0, 1, true); fresh {
+		t.Error("a recorded (pair, label) came back fresh")
+	}
+}
+
 func TestIncrementalOutOfRange(t *testing.T) {
 	g := NewIncremental(2)
 	defer func() {
@@ -77,7 +114,8 @@ func orderValid(t *testing.T, g *Incremental) {
 		seen[p] = true
 	}
 	for v := range g.out {
-		for _, w := range g.out[v] {
+		for _, a := range g.out[v] {
+			w := a.to
 			if int(w) == v {
 				continue
 			}

@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -407,6 +409,60 @@ func TestReadOnlyClassification(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadOnlyOpsCommute: two read-only operations never conflict, in
+// either order, and no read-only operation is a wall. These are the two
+// properties the serialization-graph engine relies on when it compares a
+// read-only access only with the other operations of its window
+// (core.conflictFrontier). Every read-only kind of every built-in type is
+// paired with every boundary argument and return value.
+func TestReadOnlyOpsCommute(t *testing.T) {
+	boundary := []Value{Nil, OK, Int(0), Int(1), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
+		Bool(false), Bool(true), Str(""), Str("x")}
+	readOnly := map[string][]OpKind{
+		"register":  {OpRead},
+		"counter":   {OpGet},
+		"account":   {OpBalance},
+		"set":       {OpMember, OpSize},
+		"appendlog": {OpLen},
+		"queue":     nil,
+	}
+	for _, sp := range All() {
+		want, ok := readOnly[sp.Name()]
+		if !ok {
+			t.Errorf("%s: built-in type missing from the table", sp.Name())
+		}
+		var ro []OpVal
+		var kinds []OpKind
+		for k := OpRead; k <= OpDeq; k++ {
+			for i, arg := range boundary {
+				op := Op{Kind: k, Arg: arg}
+				if !sp.ReadOnly(op) {
+					continue
+				}
+				if i == 0 {
+					kinds = append(kinds, k)
+				}
+				for _, v := range boundary {
+					ro = append(ro, OpVal{Op: op, Val: v})
+				}
+			}
+		}
+		if !reflect.DeepEqual(kinds, want) {
+			t.Errorf("%s: read-only kinds %v, want %v", sp.Name(), kinds, want)
+		}
+		for _, a := range ro {
+			if sp.ConflictsWithAll(a) {
+				t.Errorf("%s: read-only %s is a wall", sp.Name(), a)
+			}
+			for _, b := range ro {
+				if sp.Conflicts(a, b) {
+					t.Errorf("%s: read-only %s conflicts with read-only %s", sp.Name(), a, b)
+				}
+			}
+		}
 	}
 }
 
