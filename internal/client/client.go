@@ -6,7 +6,7 @@
 // The methods of Conn are one request, one answer: when Begin, Child, Access
 // or Commit returns, the request has reached the server and been answered.
 // RunTx and RunReadTx pay a round trip only for an answer the body reads.
-// Four kinds of request are frames held back and sent in the same write as
+// Five kinds of request are frames held back and sent in the same write as
 // the body's next request that waits for its answer (or the final COMMIT):
 //
 //   - their BEGIN;
@@ -15,7 +15,14 @@
 //     (spec.FixedAnswer: a write, increment, deposit, insert, append, enq …),
 //     which returns that answer;
 //   - each Tx.Commit of a subtransaction, which returns seq 0 — never a real
-//     log index, since those start at 1.
+//     log index, since those start at 1;
+//   - the top-level COMMIT of a RunReadTx whose BEGIN the server answered
+//     "snapshot", after a body that read something and left nothing owed
+//     but CHILD and COMMIT answers. Such a transaction is a query outside
+//     the behavior the server certifies: its COMMIT logs, syncs and certifies
+//     nothing, and the server answers it OK unconditionally. RunReadTx then
+//     returns nil at once, and the COMMIT travels with the connection's next
+//     request, whatever call makes it.
 //
 // The server answers the burst in one write, and every answer is still read
 // and checked: its status, a CHILD's echoed name, an access's promised value.
@@ -27,6 +34,13 @@
 // has seen it. A request whose frame would not fit an empty write buffer is
 // the exception: it is always a plain round trip, since writing it straight
 // to the connection could block both ends.
+//
+// So after RunReadTx the connection may still be owed answers between calls,
+// and the next call — a synchronous method, a RunTx, a Pool's health-check
+// Ping — reads them first. Should one of them fail, which takes a transport
+// failure, that call reports it in place of its own outcome. Close drops
+// them unsent; the server then closes the snapshot transaction without a
+// trace, as it does for a client that vanishes mid-read.
 //
 // One consequence the synchronous methods do not have: the top-level COMMIT
 // travels with the requests sent ahead of it, so it is applied even when one
@@ -89,8 +103,9 @@ type Conn struct {
 	w    *bufio.Writer
 	rbuf []byte
 	out  []byte
-	// ahead holds the requests not yet answered, oldest first. Outside
-	// RunTx/RunReadTx it is empty between calls.
+	// ahead holds the requests not yet answered, oldest first. Between calls
+	// it is empty, except after a RunReadTx that left its snapshot COMMIT
+	// (and the CHILD and COMMIT answers before it) owed.
 	ahead []sent
 	// children numbers the subtransactions this connection has named; a
 	// session's names never repeat, so none can collide under one parent.
@@ -98,6 +113,9 @@ type Conn struct {
 	// beginErr is why the BEGIN of the running RunTx attempt failed, once
 	// its answer has been read.
 	beginErr error
+	// snapshot says the BEGIN of the running RunTx attempt was answered OK
+	// with the snapshot flag, once its answer has been read.
+	snapshot bool
 	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
 	dead error
@@ -188,11 +206,13 @@ func (c *Conn) drain() (wire.Response, error) {
 		if err == nil {
 			resp, err = c.answer(s)
 		}
+		if s.cmd == wire.CmdBegin {
+			// BEGIN is the first request owed, but for answers a RunReadTx
+			// left behind: its own failure is why no transaction opened.
+			c.beginErr, c.snapshot = err, err == nil && resp.Snapshot
+		}
 		if err != nil && first == nil {
 			first = err
-			if s.cmd == wire.CmdBegin {
-				c.beginErr = err
-			}
 		}
 	}
 	c.ahead = c.ahead[:0]
@@ -387,7 +407,10 @@ func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 // with BeginRO, so on a snapshot-capable backend the body runs lock-free
 // against a consistent certified snapshot. The retry loop is kept because
 // backends without snapshots serve the transaction normally and may abort
-// it like any other.
+// it like any other; their COMMIT carries the certifier's verdict, and
+// RunReadTx waits for it. A snapshot transaction's COMMIT, whose answer
+// carries nothing, is left to ride with the connection's next request (see
+// the package comment), so the body's last read is its last round trip.
 func (c *Conn) RunReadTx(maxAttempts int, fn func(tx *Tx) error) error {
 	return c.runTx(maxAttempts, true, fn)
 }
@@ -405,7 +428,7 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 				backoff = 64 * time.Millisecond
 			}
 		}
-		c.beginErr = nil
+		c.beginErr, c.snapshot = nil, false
 		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}
@@ -425,6 +448,12 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 		}
 		if err == nil && tx.depth > 0 {
 			err = fmt.Errorf("client: transaction body left %d subtransaction(s) open", tx.depth)
+		}
+		if err == nil && ro && c.snapshot && c.owesNoVerdict() {
+			// Nothing the server could still refuse is owed, and a snapshot
+			// transaction's COMMIT is answered OK whatever happens: it rides
+			// with the connection's next request.
+			return c.put(wire.Request{Cmd: wire.CmdCommit}, sent{})
 		}
 		if err == nil {
 			var resp wire.Response
@@ -464,6 +493,18 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 	return fmt.Errorf("client: transaction failed after %d attempts: %w", maxAttempts, last)
 }
 
+// owesNoVerdict reports that every request still owed an answer is a CHILD
+// or a COMMIT, which a snapshot transaction answers OK unconditionally: an
+// ACCESS sent ahead there is a blind update, which the snapshot refuses.
+func (c *Conn) owesNoVerdict() bool {
+	for _, s := range c.ahead {
+		if s.cmd == wire.CmdAccess {
+			return false
+		}
+	}
+	return true
+}
+
 // Pool is a trivial free-list of connections to one server, for callers
 // that multiplex many logical sessions over a bounded set of workers.
 type Pool struct {
@@ -478,7 +519,8 @@ func NewPool(addr string) *Pool { return &Pool{addr: addr} }
 // Get returns a pooled connection or dials a fresh one. A pooled
 // connection is health-checked with a Ping first, so a connection the
 // server dropped while it sat in the free list (restart, drain, frame
-// error) is discarded instead of handed out.
+// error) is discarded instead of handed out. The Ping also reads whatever a
+// RunReadTx left owed on the connection.
 func (p *Pool) Get() (*Conn, error) {
 	for {
 		p.mu.Lock()

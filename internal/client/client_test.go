@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,5 +333,140 @@ func TestDeferredAnswersLostWithTheTransport(t *testing.T) {
 	}
 	if got := <-seen; !slices.Equal(got, []wire.Cmd{wire.CmdBegin, wire.CmdChild}) {
 		t.Fatalf("peer saw %v", got)
+	}
+}
+
+// snapshotPeer is a scriptedPeer that answers like a snapshot backend — it
+// flags every BEGIN "snapshot" when flag(q) holds, refuses writes and
+// answers everything else OK — and keeps the list of commands it has
+// answered so far.
+func snapshotPeer(t *testing.T, flag func(q wire.Request) bool) (c *client.Conn, answered func() []wire.Cmd) {
+	var (
+		mu   sync.Mutex
+		cmds []wire.Cmd
+	)
+	c, _ = scriptedPeer(t, func(q wire.Request) *wire.Response {
+		mu.Lock()
+		cmds = append(cmds, q.Cmd)
+		mu.Unlock()
+		switch {
+		case q.Cmd == wire.CmdBegin:
+			return &wire.Response{Name: "s1.r1", Snapshot: flag(q)}
+		case q.Cmd == wire.CmdChild:
+			return &wire.Response{Name: "k" + strconv.FormatUint(q.N, 10)}
+		case q.Cmd == wire.CmdAccess && q.Op == spec.OpWrite:
+			return &wire.Response{Status: wire.StatusError, Reason: "read-only transaction: op write not allowed"}
+		case q.Cmd == wire.CmdAccess:
+			return &wire.Response{Value: spec.Int(5)}
+		default:
+			return &wire.Response{}
+		}
+	})
+	return c, func() []wire.Cmd {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(cmds)
+	}
+}
+
+// TestSnapshotCommitRidesAhead: RunReadTx leaves the top-level COMMIT in
+// the write buffer only when the BEGIN it asked to be read-only was
+// answered "snapshot" and nothing owed could still be refused; the next
+// request carries it, and its answer is read first. In every other case the
+// COMMIT is a round trip, as RunTx's always is.
+func TestSnapshotCommitRidesAhead(t *testing.T) {
+	read := func(tx *client.Tx) error {
+		_, err := tx.Access("x", spec.OpRead, spec.Nil)
+		return err
+	}
+	always := func(wire.Request) bool { return true }
+	B, A, K, C, P := wire.CmdBegin, wire.CmdAccess, wire.CmdChild, wire.CmdCommit, wire.CmdPing
+	for _, tc := range []struct {
+		name     string
+		ro       bool
+		flag     func(wire.Request) bool
+		body     func(tx *client.Tx) error
+		atReturn []wire.Cmd // what the peer has answered when RunTx returns
+		atPing   []wire.Cmd // … and once a PING has been answered
+	}{
+		{"snapshot read", true, always, read, []wire.Cmd{B, A}, []wire.Cmd{B, A, C, P}},
+		{"snapshot read, then a whole subtransaction", true, always, func(tx *client.Tx) error {
+			if err := read(tx); err != nil {
+				return err
+			}
+			if _, err := tx.Child(); err != nil {
+				return err
+			}
+			_, err := tx.Commit()
+			return err
+		}, []wire.Cmd{B, A}, []wire.Cmd{B, A, K, C, C, P}},
+		{"no read: BEGIN's answer unread", true, always, func(*client.Tx) error { return nil }, []wire.Cmd{B, C}, []wire.Cmd{B, C, P}},
+		{"not flagged: degraded", true, func(wire.Request) bool { return false }, read, []wire.Cmd{B, A, C}, []wire.Cmd{B, A, C, P}},
+		{"flagged without being asked: RunTx", false, always, read, []wire.Cmd{B, A, C}, []wire.Cmd{B, A, C, P}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, answered := snapshotPeer(t, tc.flag)
+			run := c.RunTx
+			if tc.ro {
+				run = c.RunReadTx
+			}
+			if err := run(1, tc.body); err != nil {
+				t.Fatal(err)
+			}
+			if got := answered(); !slices.Equal(got, tc.atReturn) {
+				t.Fatalf("peer had answered %v when RunTx returned, want %v", got, tc.atReturn)
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			if got := answered(); !slices.Equal(got, tc.atPing) {
+				t.Fatalf("peer had answered %v after the PING, want %v", got, tc.atPing)
+			}
+		})
+	}
+
+	// A write sent ahead in a snapshot transaction is refused there, so a
+	// COMMIT behind it is not left owed: RunReadTx reports the refusal.
+	c, answered := snapshotPeer(t, always)
+	err := c.RunReadTx(1, func(tx *client.Tx) error {
+		if err := read(tx); err != nil {
+			return err
+		}
+		_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "op write not allowed") {
+		t.Fatalf("RunReadTx = %v, want the refused write", err)
+	}
+	if got, want := answered(), []wire.Cmd{B, A, A, C}; !slices.Equal(got, want) {
+		t.Fatalf("peer answered %v, want %v", got, want)
+	}
+}
+
+// TestOwedSnapshotCommitLostWithTheTransport: the connection dies with a
+// snapshot COMMIT owed. The next call reports the transport failure in
+// place of its own outcome, and the connection is marked broken.
+func TestOwedSnapshotCommitLostWithTheTransport(t *testing.T) {
+	c, seen := scriptedPeer(t, func(q wire.Request) *wire.Response {
+		switch q.Cmd {
+		case wire.CmdBegin:
+			return &wire.Response{Name: "s1.r1", Snapshot: true}
+		case wire.CmdAccess:
+			return &wire.Response{Value: spec.Int(5)}
+		default:
+			return nil // hang up on the COMMIT
+		}
+	})
+	if err := c.RunReadTx(1, func(tx *client.Tx) error {
+		_, err := tx.Access("x", spec.OpRead, spec.Nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Verdict(); err == nil || !strings.Contains(err.Error(), "COMMIT") || !c.Broken() {
+		t.Fatalf("Verdict = %v (broken %v), want the owed COMMIT's transport failure", err, c.Broken())
+	}
+	if got, want := <-seen, []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdCommit}; !slices.Equal(got, want) {
+		t.Fatalf("peer saw %v, want %v", got, want)
 	}
 }

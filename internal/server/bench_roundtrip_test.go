@@ -75,6 +75,9 @@ var (
 	// halfReadTx reads a and c and writes b and d: the 50 % read mix of the
 	// benchmark's young, durable and aged workloads.
 	halfReadTx = shapedTx(func(i int) bool { return i%2 == 0 })
+	// readOnlyTx reads all four: the all-read transactions of the
+	// benchmark's readmostly workload.
+	readOnlyTx = shapedTx(func(int) bool { return true })
 )
 
 // BenchmarkClientRunTx measures one whole RunTx of the benchmark's shape,
@@ -83,24 +86,36 @@ var (
 // writes and a subtransaction reads no answer before the COMMIT, against the
 // 8 of a client that waits out every frame. allocs/op and B/op count both
 // ends and the certifier behind them.
-func BenchmarkClientRunTx(b *testing.B) { benchmarkRunTx(b, benchmarkTx) }
+func BenchmarkClientRunTx(b *testing.B) { benchmarkRunTx(b, "moss", (*client.Conn).RunTx, benchmarkTx) }
 
 // BenchmarkClientRunTxReadHalf is BenchmarkClientRunTx for the shape whose
 // first and third accesses are reads: 3 writes per transaction, one for each
 // read and one for the COMMIT.
-func BenchmarkClientRunTxReadHalf(b *testing.B) { benchmarkRunTx(b, halfReadTx) }
+func BenchmarkClientRunTxReadHalf(b *testing.B) {
+	benchmarkRunTx(b, "moss", (*client.Conn).RunTx, halfReadTx)
+}
 
-func benchmarkRunTx(b *testing.B, body func(tx *client.Tx) error) {
-	s := server.New(server.Options{Objects: []string{"a", "b", "c", "d"}})
+// BenchmarkClientRunReadTx is BenchmarkClientRunTx for the shape's all-read
+// form through RunReadTx on mvto, which serves it from a certified snapshot:
+// 4 writes per transaction, one for each read, since the COMMIT rides with
+// the next transaction's first.
+func BenchmarkClientRunReadTx(b *testing.B) {
+	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, readOnlyTx)
+}
+
+// benchmarkRunTx times run(body) on one loopback connection to a backend
+// server.
+func benchmarkRunTx(b *testing.B, backend string, run func(*client.Conn, int, func(*client.Tx) error) error, body func(tx *client.Tx) error) {
+	s := server.New(server.Options{Backend: backend, Objects: []string{"a", "b", "c", "d"}})
 	c, cli, _ := countedSession(b, s, false)
-	if err := c.RunTx(1, body); err != nil {
+	if err := run(c, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	writes := cli.writes.Load()
 	for i := 0; i < b.N; i++ {
-		if err := c.RunTx(1, body); err != nil {
+		if err := run(c, 1, body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,3 +98,35 @@ func TestCommitNotAckedAfterWALFailure(t *testing.T) {
 	c.Close()
 	s.Kill()
 }
+
+// TestDegradedReadOnlyCommitIsAwaited: on moss a read-only transaction is
+// served as an ordinary one, logged and made durable, so its COMMIT answer
+// is a verdict and RunReadTx must wait for it. Here the disk fails under the
+// body: RunReadTx itself returns the refusal, and leaves nothing owed.
+func TestDegradedReadOnlyCommitIsAwaited(t *testing.T) {
+	disk := &failingDisk{MemDisk: server.NewMemDisk()}
+	s, _ := recoverAndStart(t, server.Options{WAL: disk, Objects: []string{"x"}})
+	defer s.Kill()
+	c := dialT(t, s)
+	defer c.Close()
+	err := c.RunReadTx(1, func(tx *client.Tx) error {
+		if _, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil { // BEGIN is answered
+			return err
+		}
+		disk.fail.Store(true)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "commit not durable") {
+		t.Fatalf("RunReadTx = %v, want the COMMIT's refusal", err)
+	}
+	if got := s.Metrics().WALFailures.Load(); got != 1 {
+		t.Fatalf("WALFailures = %d, want 1", got)
+	}
+	req := s.Metrics().Requests.Load()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().Requests.Load() - req; n != 1 {
+		t.Fatalf("the PING after RunReadTx sent %d requests, want itself alone", n)
+	}
+}

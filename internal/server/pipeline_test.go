@@ -107,7 +107,7 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 		// [BEGIN r] [CHILD w COMMIT r] [w COMMIT], where 6 and 8 were paid.
 		{"young's mix", halfReadTx, 8, 3},
 		// Four reads: each waits, and the sub-commit rides with the third.
-		{"reads only", shapedTx(func(int) bool { return true }), 8, 5},
+		{"reads only", readOnlyTx, 8, 5},
 		// Four writes, no subtransaction: all ride with the COMMIT.
 		{"writes only", func(tx *client.Tx) error {
 			for v := int64(0); v < 4; v++ {
@@ -152,6 +152,52 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 		}
 		c.Close()
 		shutdownAndVerify(t, s)
+	}
+
+	// Read-only: the four-read shape through RunReadTx, three times, then a
+	// PING. On mvto the BEGIN answer says "snapshot", so the COMMIT, whose
+	// answer carries nothing, is left in the write buffer: 4 writes each way,
+	// the next transaction's first write carries it, and so does the PING's.
+	// On moss read-only is degraded to an ordinary transaction, whose COMMIT
+	// answer is the certifier's verdict: that is waited for, 5 writes. The
+	// frames are the same on both: every COMMIT is still sent.
+	for _, tc := range []struct {
+		backend string
+		writes  int64 // per side, per transaction
+	}{{"mvto", 4}, {"moss", 5}} {
+		for _, pipe := range []bool{false, true} {
+			name := tc.backend + "/" + map[bool]string{false: "tcp", true: "pipe"}[pipe]
+			s := server.New(server.Options{Backend: tc.backend, Objects: []string{"a", "b", "c", "d"}})
+			c, cli, srv := countedSession(t, s, pipe)
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			req0 := s.Metrics().Requests.Load()
+			for i := 0; i < 3; i++ {
+				cli0, srv0 := cli.writes.Load(), srv.writes.Load()
+				if err := c.RunReadTx(1, readOnlyTx); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := cli.writes.Load() - cli0; got != tc.writes {
+					t.Errorf("%s, read-only tx %d: %d client writes, want %d", name, i, got, tc.writes)
+				}
+				if got := srv.writes.Load() - srv0; got != tc.writes {
+					t.Errorf("%s, read-only tx %d: %d server writes, want %d", name, i, got, tc.writes)
+				}
+			}
+			cli0, srv0 := cli.writes.Load(), srv.writes.Load()
+			if err := c.Ping(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cw, sw := cli.writes.Load()-cli0, srv.writes.Load()-srv0; cw != 1 || sw != 1 {
+				t.Errorf("%s: the PING took %d client and %d server writes, want 1 and 1", name, cw, sw)
+			}
+			if got := s.Metrics().Requests.Load() - req0; got != 3*8+1 {
+				t.Errorf("%s: server handled %d requests, want %d", name, got, 3*8+1)
+			}
+			c.Close()
+			shutdownAndVerify(t, s)
+		}
 	}
 }
 
@@ -828,6 +874,168 @@ func TestDeferredFrameErrors(t *testing.T) {
 		}
 		c.Close()
 		shutdownAndVerify(t, s)
+	})
+}
+
+// doneHooks is the real-time hook set counting the sessions that have
+// ended.
+type doneHooks struct {
+	recordingHooks
+	done atomic.Int64
+}
+
+func (h *doneHooks) SessionDone(int64) { h.done.Add(1) }
+
+// TestDeferredSnapshotCommit follows the COMMIT a snapshot RunReadTx leaves
+// owed through what the connection does next: the next call sends it and
+// reads its answer before its own, and a connection closed or drained with
+// it owed leaves no trace in the log or the abort counters.
+func TestDeferredSnapshotCommit(t *testing.T) {
+	readX := func(tx *client.Tx) error {
+		_, err := tx.Access("x", spec.OpRead, spec.Nil)
+		return err
+	}
+	// owe runs one snapshot transaction on a connection that owes nothing,
+	// and checks that its COMMIT has not reached the server.
+	owe := func(t *testing.T, s *server.Server, c *client.Conn) {
+		t.Helper()
+		req := s.Metrics().Requests.Load()
+		if err := c.RunReadTx(1, readX); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Metrics().Requests.Load() - req; got != 2 {
+			t.Fatalf("the server handled %d requests of the transaction, want BEGIN and the read", got)
+		}
+	}
+	// untouched fails unless s logged nothing since the log was before
+	// events long and counted no abort of any kind.
+	untouched := func(t *testing.T, s *server.Server, before int) {
+		t.Helper()
+		m := s.Metrics()
+		if got := s.LogLen(); got != before {
+			t.Fatalf("%d events logged for a snapshot transaction", got-before)
+		}
+		if m.ClientAborts.Load() != 0 || m.DrainAborts.Load() != 0 {
+			t.Fatalf("%d client and %d drain aborts counted", m.ClientAborts.Load(), m.DrainAborts.Load())
+		}
+	}
+	mvto := server.Options{Backend: "mvto", Objects: []string{"x"}}
+
+	t.Run("close", func(t *testing.T) {
+		h := &doneHooks{}
+		opts := mvto
+		opts.Hooks = h
+		s := startServer(t, opts)
+		c := dialT(t, s)
+		owe(t, s, c)
+		before := s.LogLen()
+		c.Close()
+		waitFor(t, "the session to end", func() bool { return h.done.Load() == 1 })
+		untouched(t, s, before)
+		shutdownAndVerify(t, s)
+	})
+
+	t.Run("pool", func(t *testing.T) {
+		s := startServer(t, mvto)
+		pool := client.NewPool(s.Addr().String())
+		defer pool.Close()
+		c, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owe(t, s, c)
+		pool.Put(c)
+		req := s.Metrics().Requests.Load()
+		got, err := pool.Get()
+		if err != nil || got != c {
+			t.Fatalf("Get = %p, %v; want the pooled connection %p back", got, err, c)
+		}
+		if n := s.Metrics().Requests.Load() - req; n != 2 {
+			t.Fatalf("the health check sent %d requests, want the owed COMMIT and the PING", n)
+		}
+		owe(t, s, c) // nothing was left owed
+		pool.Put(c)
+		pool.Close()
+		shutdownAndVerify(t, s)
+	})
+
+	t.Run("verdict", func(t *testing.T) {
+		s := startServer(t, mvto)
+		c := dialT(t, s)
+		defer c.Close()
+		if err := c.RunTx(1, func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpWrite, spec.Int(4))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		owe(t, s, c)
+		req := s.Metrics().Requests.Load()
+		v, err := c.Verdict()
+		if err != nil || !v.Acyclic || v.Commits == 0 || v.Events != uint64(s.LogLen()) {
+			t.Fatalf("Verdict = %+v, %v; want the live verdict, not the COMMIT's answer", v, err)
+		}
+		if n := s.Metrics().Requests.Load() - req; n != 2 {
+			t.Fatalf("Verdict sent %d requests, want the owed COMMIT and the VERDICT", n)
+		}
+		shutdownAndVerify(t, s)
+	})
+
+	// A draining server closes a snapshot reader's connection at once, so a
+	// refused BEGIN behind an owed COMMIT comes from a failed WAL.
+	t.Run("begin refused behind it", func(t *testing.T) {
+		disk := &failingDisk{MemDisk: server.NewMemDisk()}
+		opts := mvto
+		opts.WAL = disk
+		s, _ := recoverAndStart(t, opts)
+		defer s.Kill()
+		c, other := dialT(t, s), dialT(t, s)
+		defer c.Close()
+		defer other.Close()
+		owe(t, s, c)
+		disk.fail.Store(true)
+		if err := other.RunTx(1, func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
+			return err
+		}); err == nil || !strings.Contains(err.Error(), "not durable") {
+			t.Fatalf("the commit that should have failed the WAL: %v", err)
+		}
+		bodies := 0
+		err := c.RunTx(3, func(tx *client.Tx) error { bodies++; return readX(tx) })
+		if err == nil || !strings.HasPrefix(err.Error(), "client: server rejected BEGIN: wal unavailable") ||
+			strings.Count(err.Error(), "wal unavailable") != 1 || strings.Contains(err.Error(), "COMMIT") {
+			t.Fatalf("RunTx = %v, want the BEGIN's refusal, once and bare", err)
+		}
+		if errors.Is(err, client.ErrTxAborted) || bodies != 1 {
+			t.Fatalf("refused BEGIN was retried: %d bodies, %v", bodies, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("connection unusable after a refused BEGIN: %v", err)
+		}
+	})
+
+	t.Run("drained", func(t *testing.T) {
+		h := &recordingHooks{}
+		opts := mvto
+		opts.Hooks = h
+		s := startServer(t, opts)
+		c := dialT(t, s)
+		defer c.Close()
+		owe(t, s, c)
+		before := s.LogLen()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil || h.drains.Load() != 0 {
+			t.Fatalf("Shutdown = %v after %d polls, want nil and none", err, h.drains.Load())
+		}
+		untouched(t, s, before)
+		if f := s.Final(); !f.Batch.OK || !f.Match {
+			t.Fatal(f.Summary)
+		}
+		err := c.RunTx(1, readX)
+		if err == nil || errors.Is(err, client.ErrTxAborted) || !c.Broken() {
+			t.Fatalf("RunTx on a drained connection = %v (broken %v), want a transport failure", err, c.Broken())
+		}
 	})
 }
 

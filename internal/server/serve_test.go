@@ -163,6 +163,37 @@ func TestShutdownDrainPollsThroughHooks(t *testing.T) {
 	}
 }
 
+// TestShutdownDoesNotWaitForSnapshotReader: a session in a snapshot
+// read-only transaction holds no lock and logged nothing, so a drain closes
+// it like an idle connection — without a single poll, nothing aborted and
+// nothing logged — instead of waiting out its deadline for a COMMIT.
+func TestShutdownDoesNotWaitForSnapshotReader(t *testing.T) {
+	h := &recordingHooks{}
+	s := startServer(t, server.Options{Backend: "mvto", Objects: []string{"x"}, Hooks: h})
+	c := dialT(t, s)
+	defer c.Close()
+	if _, err := c.BeginRO(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Access("x", spec.OpRead, spec.Nil); err != nil {
+		t.Fatal(err)
+	}
+	before := s.LogLen()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown = %v, want nil at once", err)
+	}
+	m := s.Metrics()
+	if h.drains.Load() != 0 || m.DrainAborts.Load() != 0 || m.ClientAborts.Load() != 0 || s.LogLen() != before {
+		t.Fatalf("%d drain polls, %d drain and %d client aborts, %d events logged; want none",
+			h.drains.Load(), m.DrainAborts.Load(), m.ClientAborts.Load(), s.LogLen()-before)
+	}
+	if _, err := c.Access("x", spec.OpRead, spec.Nil); err == nil {
+		t.Fatal("a read on the drained connection was answered")
+	}
+}
+
 // TestMalformedFrameRejectedWithoutKillingSession: a frame that fails
 // ParseRequest must be answered StatusError with the parse reason —
 // encoded against CmdInvalid, never against whatever half-parsed command

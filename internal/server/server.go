@@ -467,9 +467,10 @@ func specAllows(sp spec.Spec, k spec.OpKind) bool {
 // Shutdown drains the server: the listener closes, idle connections are
 // closed immediately, and connections with an open transaction get until
 // ctx's deadline to finish before being force-closed (their transactions
-// are then aborted server-side). After the last session exits, one final
-// catch-up certifies the whole log, so Final compares all of it. Shutdown
-// is idempotent; the first call's ctx governs.
+// are then aborted server-side). A snapshot read-only transaction holds no
+// lock and logged nothing, so its connection counts as idle. After the
+// last session exits, one final catch-up certifies the whole log, so Final
+// compares all of it. Shutdown is idempotent; the first call's ctx governs.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutdown.Do(func() {

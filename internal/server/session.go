@@ -54,8 +54,8 @@ type session struct {
 	topN   int // top-level transactions begun on this session
 
 	// roDepth > 0 means the open transaction is read-only on the backend's
-	// snapshot store: it has no frames, appends no events, and every read
-	// resolves against the log prefix pinned in roCut at BEGIN.
+	// snapshot store: it has no frames, appends no events, holds no lock, and
+	// every read resolves against the log prefix pinned in roCut at BEGIN.
 	roDepth int
 	roCut   int
 
@@ -63,7 +63,9 @@ type session struct {
 	// server-side abort, so the next BEGIN counts as a retry.
 	lastAborted bool
 	// inTx mirrors len(frames) > 0 for the drain loop, which must read it
-	// from another goroutine.
+	// from another goroutine. A snapshot read-only transaction does not set
+	// it: a drain has nothing to wait for there, and its client may owe the
+	// COMMIT until its next request.
 	inTx atomic.Bool
 }
 
@@ -77,8 +79,9 @@ func newSession(s *Server, c net.Conn) *session {
 	}
 }
 
-// idle reports whether the session has no open transaction; Shutdown closes
-// idle connections immediately.
+// idle reports whether the session has no open transaction that logged
+// anything; Shutdown closes idle connections immediately, a snapshot reader's
+// among them.
 func (sn *session) idle() bool { return !sn.inTx.Load() }
 
 // serve runs the request loop until the connection closes. A connection
@@ -132,6 +135,8 @@ func (sn *session) serve() {
 			}
 		}
 	}
+	// A snapshot read-only transaction left open (roDepth > 0) holds no locks
+	// and logged nothing: dropping it needs no abort events.
 	if len(sn.frames) > 0 {
 		// Disconnect (or force-close during drain) with an open transaction.
 		if sn.s.draining.Load() {
@@ -141,11 +146,6 @@ func (sn *session) serve() {
 			sn.s.metrics.ClientAborts.Add(1)
 			sn.abortTop("client disconnected")
 		}
-	} else if sn.roDepth > 0 {
-		// A read-only transaction holds no locks and logged nothing;
-		// dropping it needs no abort events.
-		sn.roDepth = 0
-		sn.inTx.Store(false)
 	}
 	sn.s.opts.Hooks.SessionDone(sn.id)
 }
@@ -250,14 +250,15 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 			sn.topN++
 			sn.roDepth = 1
 			sn.roCut = st.cut()
-			sn.inTx.Store(true)
 			if sn.lastAborted {
 				sn.s.metrics.Retries.Add(1)
 				sn.lastAborted = false
 			}
 			// The name is cosmetic — a read-only transaction is a query
-			// outside the behavior β, so nothing is interned or logged.
-			return wire.Response{Status: wire.StatusOK, Name: sn.topLabel(true)}
+			// outside the behavior β, so nothing is interned or logged. The
+			// flag tells the client so: the COMMIT it will send is answered
+			// OK unconditionally, and need not be waited for.
+			return wire.Response{Status: wire.StatusOK, Name: sn.topLabel(true), Snapshot: true}
 		}
 	}
 	sn.topN++
@@ -301,9 +302,6 @@ func (sn *session) handleRO(q wire.Request) wire.Response {
 		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.CmdCommit, wire.CmdAbort:
 		sn.roDepth--
-		if sn.roDepth == 0 {
-			sn.inTx.Store(false)
-		}
 		return wire.Response{Status: wire.StatusOK}
 	case wire.CmdVerdict:
 		return sn.handleVerdict()

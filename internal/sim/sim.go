@@ -601,6 +601,11 @@ func (s *sim) applyResp(sl *slot, resp wire.Response) error {
 	case wire.StatusOK:
 		switch sl.lastCmd {
 		case wire.CmdBegin:
+			// The flag promises a COMMIT answered OK whatever happens, so it
+			// must say exactly what the snapshot path serves.
+			if want := sl.lastRO && s.roSnap; resp.Snapshot != want {
+				return fmt.Errorf("slot %d: BEGIN (ro %v) answered with snapshot flag %v, want %v", sl.idx, sl.lastRO, resp.Snapshot, want)
+			}
 			sl.inTx = true
 			sl.depth = 1
 			sl.ro = sl.lastRO

@@ -49,6 +49,7 @@ func FuzzParseResponse(f *testing.F) {
 	f.Add(byte(CmdVerdict), []byte{byte(StatusOK), 0xac, 0x02, 0xac})
 	f.Add(byte(CmdChild), []byte{byte(StatusOK), 2, 'k', '1', 0xff})
 	f.Add(byte(CmdCommit), append([]byte{byte(StatusOK)}, overlongVarint...))
+	f.Add(byte(CmdBegin), []byte{byte(StatusOK), 4, 's', '1', '.', '1', 2}) // no such flag
 	f.Fuzz(func(t *testing.T, cmd byte, data []byte) {
 		resp, err := ParseResponse(Cmd(cmd), data)
 		if err != nil {

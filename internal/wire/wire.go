@@ -14,12 +14,13 @@
 // frame per request frame. A client need not wait for an answer before it
 // sends the next request: one whose reply it does not need yet (BEGIN,
 // CHILD, a blind update whose value its type fixes, a subtransaction's
-// COMMIT) may be sent ahead in the same write as the request that does, as
-// long as the client later reads one response per request it sent. The server
-// flushes its responses when the next request frame is not already complete
-// in its read buffer — after every response for a strictly alternating
-// client, once per burst for one that sends ahead — so a response is never
-// held back while the server waits for bytes the client has yet to send.
+// COMMIT, a snapshot transaction's COMMIT) may be sent ahead in the same
+// write as the request that does, as long as the client later reads one
+// response per request it sent. The server flushes its responses when the
+// next request frame is not already complete in its read buffer — after
+// every response for a strictly alternating client, once per burst for one
+// that sends ahead — so a response is never held back while the server waits
+// for bytes the client has yet to send.
 // Requests are:
 //
 //	BEGIN            open a top-level transaction (child of T0)
@@ -36,7 +37,10 @@
 // Responses carry a status byte: OK, TX_ABORTED (the server aborted the
 // session's whole top-level transaction — deadlock timeout or drain; the
 // session is reset to idle and the client should retry the transaction), or
-// ERROR (protocol misuse; the transaction state is unchanged).
+// ERROR (protocol misuse; the transaction state is unchanged). An OK answer
+// to BEGIN may end in a flag byte 1, which says the server opened a snapshot
+// read-only transaction: one outside the behavior, whose COMMIT is answered
+// OK whatever happens, so a client need not wait for that answer.
 package wire
 
 import (
@@ -157,8 +161,8 @@ type Verdict struct {
 
 // Response is a decoded response frame. Which payload fields are meaningful
 // depends on (Status, request Cmd): Value for ACCESS, Name for BEGIN/CHILD,
-// Seq for COMMIT (the certified log index of the COMMIT event), Verdict for
-// VERDICT, Reason for TX_ABORTED and ERROR.
+// Snapshot for BEGIN, Seq for COMMIT (the certified log index of the COMMIT
+// event), Verdict for VERDICT, Reason for TX_ABORTED and ERROR.
 type Response struct {
 	Status  Status
 	Value   spec.Value
@@ -166,6 +170,10 @@ type Response struct {
 	Seq     uint64
 	Reason  string
 	Verdict Verdict
+	// Snapshot says the BEGIN opened a snapshot read-only transaction.
+	// Encoded as an optional flag byte after the name, the way a request's
+	// RO travels, so an answer without it is the same bytes as before.
+	Snapshot bool
 }
 
 // errFrameTooLarge formats the one cold error of the framing functions. It
@@ -348,6 +356,9 @@ func AppendResponse(buf []byte, cmd Cmd, resp Response) []byte {
 	switch cmd {
 	case CmdBegin, CmdChild:
 		buf = event.AppendString(buf, resp.Name)
+		if cmd == CmdBegin && resp.Snapshot {
+			buf = append(buf, 1)
+		}
 	case CmdAccess:
 		buf = event.AppendValue(buf, resp.Value)
 	case CmdCommit:
@@ -389,7 +400,15 @@ func ParseResponse(cmd Cmd, payload []byte) (Response, error) {
 		resp.Reason, err = c.Str("response reason")
 	case resp.Status != StatusOK:
 		return Response{}, fmt.Errorf("wire: unknown response status %d", sb)
-	case cmd == CmdBegin || cmd == CmdChild:
+	case cmd == CmdBegin:
+		if resp.Name, err = c.Str("response name"); err == nil && c.Len() > 0 {
+			// Optional snapshot flag byte; absent means an ordinary transaction.
+			if f, _ := c.Byte("response flag"); f != 1 { // cannot fail: a byte is left
+				return Response{}, fmt.Errorf("wire: BEGIN answer flag byte %d", f)
+			}
+			resp.Snapshot = true
+		}
+	case cmd == CmdChild:
 		resp.Name, err = c.Str("response name")
 	case cmd == CmdAccess:
 		resp.Value, err = c.Value("response value")

@@ -135,6 +135,7 @@ type sampleResponse struct {
 func sampleResponses() []sampleResponse {
 	return []sampleResponse{
 		{CmdBegin, Response{Status: StatusOK, Name: "s1.1", Value: spec.Nil}},
+		{CmdBegin, Response{Status: StatusOK, Name: "s1.r2", Value: spec.Nil, Snapshot: true}},
 		{CmdChild, Response{Status: StatusOK, Name: "c7", Value: spec.Nil}},
 		{CmdAccess, Response{Status: StatusOK, Value: spec.Int(-3)}},
 		{CmdAccess, Response{Status: StatusOK, Value: spec.OK}},
@@ -182,6 +183,46 @@ func TestResponseRejectsJunk(t *testing.T) {
 	}
 	if _, err := ParseResponse(CmdChild, []byte{byte(StatusOK), 2, 'k', '1', 0xff}); err == nil {
 		t.Error("CHILD answer with a trailing byte accepted")
+	}
+	// BEGIN's snapshot flag is the one byte 1: neither 0 nor 2 stands for
+	// it, and nothing may follow it.
+	begin := AppendResponse(nil, CmdBegin, Response{Status: StatusOK, Name: "s1.r1"})
+	for name, tail := range map[string][]byte{
+		"flag byte 0":         {0},
+		"flag byte 2":         {2},
+		"byte after the flag": {1, 1},
+	} {
+		if resp, err := ParseResponse(CmdBegin, append(begin[:len(begin):len(begin)], tail...)); err == nil {
+			t.Errorf("BEGIN answer, %s: accepted as %+v", name, resp)
+		}
+	}
+}
+
+// TestBeginSnapshotFlag: the flag is one byte after BEGIN's name and
+// nothing else. An answer without it is the bytes it always was, and no
+// other command's answer carries it.
+func TestBeginSnapshotFlag(t *testing.T) {
+	plain := Response{Status: StatusOK, Name: "s3.r7", Value: spec.Nil}
+	flagged := plain
+	flagged.Snapshot = true
+	want := append(AppendResponse(nil, CmdBegin, plain), 1)
+	if got := AppendResponse(nil, CmdBegin, flagged); !bytes.Equal(got, want) {
+		t.Fatalf("flagged BEGIN answer encodes to %x, want %x", got, want)
+	}
+	for _, r := range []Response{plain, flagged} {
+		got, err := ParseResponse(CmdBegin, AppendResponse(nil, CmdBegin, r))
+		if err != nil || got != r {
+			t.Fatalf("BEGIN answer %+v round-tripped to %+v, %v", r, got, err)
+		}
+	}
+	if got, want := AppendResponse(nil, CmdChild, flagged), AppendResponse(nil, CmdChild, plain); !bytes.Equal(got, want) {
+		t.Fatalf("CHILD answer carries the snapshot flag: %x, want %x", got, want)
+	}
+	for _, status := range []Status{StatusTxAborted, StatusError} {
+		r := Response{Status: status, Reason: "no", Value: spec.Nil, Snapshot: true}
+		if got, err := ParseResponse(CmdBegin, AppendResponse(nil, CmdBegin, r)); err != nil || got.Snapshot {
+			t.Fatalf("%s answer to BEGIN parsed as %+v, %v; want no flag", status, got, err)
+		}
 	}
 }
 
