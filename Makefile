@@ -23,7 +23,7 @@ sgvet:
 # the acyclic graph the lockorder analyzer enforces; DESIGN.md §11
 # commits the current rendering.
 lockreport:
-	$(GO) run ./cmd/sgvet -lockdot ./internal/server ./internal/sim ./internal/client ./internal/core ./internal/mvto ./internal/replica
+	$(GO) run ./cmd/sgvet -lockdot ./internal/server ./internal/sim ./internal/client ./internal/core ./internal/mvto
 
 race:
 	$(GO) test -race ./...
@@ -96,7 +96,7 @@ bench-server:
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
-		-sweep-backends moss,undolog,mvto,replica -sweep-clients 8 \
+		-sweep-backends moss,undolog,mvto -sweep-clients 8 \
 		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 ) \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_SERVER.json
 
@@ -121,7 +121,6 @@ loadtest-smoke:
 	$(GO) run ./cmd/nestedload -selfserve -backend moss -workers 8 -dur 1s -objects 4 -zipf 1.2 -bench
 	$(GO) run ./cmd/nestedload -selfserve -backend undolog -workers 8 -dur 250ms -objects 4 -zipf 1.2
 	$(GO) run ./cmd/nestedload -selfserve -backend mvto -workers 8 -dur 250ms -objects 4 -readratio 0.8
-	$(GO) run ./cmd/nestedload -selfserve -backend replica -workers 8 -dur 250ms -objects 4 -zipf 1.2
 
 # Long deterministic fault-injection soak: 64 seeds, every fault class,
 # both protocols. Any failure prints the uint64 seed that replays it;

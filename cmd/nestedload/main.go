@@ -12,7 +12,7 @@
 //	nestedload -selfserve -backend mvto -readratio 0.95   # snapshot reads
 //	nestedload -selfserve -workers 4 -bench        # go test -bench format
 //	nestedload -sweep -dur 250ms                   # clients × read-ratio × zipf grid
-//	nestedload -sweep -sweep-backends moss,undolog,mvto,replica
+//	nestedload -sweep -sweep-backends moss,undolog,mvto
 //
 // The sweep runs every combination of -sweep-backends, -sweep-clients,
 // -sweep-readratios and -sweep-zipfs against a fresh in-process server and
@@ -356,7 +356,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		zipfS       = fs.Float64("zipf", 0, "zipf skew parameter s (>1 enables skewed object choice)")
 		numObj      = fs.Int("objects", 4, "number of shared objects (x0..x{n-1})")
 		specName    = fs.String("spec", "register", "object type")
-		backendName = fs.String("backend", "", "selfserve: object backend: moss (default), undolog, mvto, replica")
+		backendName = fs.String("backend", "", "selfserve: object backend: moss (default), undolog, mvto")
 		seed        = fs.Int64("seed", 1, "per-worker RNG seed base")
 		retries     = fs.Int("retries", 8, "max attempts per transaction (bounded exponential backoff)")
 		bench       = fs.Bool("bench", false, "also print a go test -bench style summary line")

@@ -81,7 +81,7 @@ func TestLoadBadFlags(t *testing.T) {
 // clean certificate, and a read-heavy mvto run routes all-read
 // transactions through the snapshot path.
 func TestSelfServeBackends(t *testing.T) {
-	for _, backend := range []string{"moss", "undolog", "mvto", "replica"} {
+	for _, backend := range []string{"moss", "undolog", "mvto"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			t.Parallel()

@@ -8,12 +8,11 @@
 //
 //	nestedsgd -addr :7474 -backend moss -spec register -objects x,y,z
 //	nestedsgd -addr :7474 -backend mvto          # multiversion TO + lock-free read-only snapshots
-//	nestedsgd -addr :7474 -backend replica -replica-copies 5 -replica-read-quorum 3 -replica-write-quorum 3
 //	nestedsgd -addr :7474 -metrics :7475     # JSON at /metrics, expvar at /debug/vars
 //	nestedsgd -addr :7474 -wal /var/lib/nestedsgd/wal   # durable log; replayed and audited on boot
 //
-// Backends: moss, undolog, mvto, replica. Specs: register, counter, account,
-// set, appendlog, queue (mvto and replica support register only).
+// Backends: moss, undolog, mvto. Specs: register, counter, account, set,
+// appendlog, queue (mvto supports register only).
 package main
 
 import (
@@ -60,10 +59,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 	var (
 		addr         = fs.String("addr", "127.0.0.1:7474", "TCP listen address")
 		metricsAddr  = fs.String("metrics", "", "serve JSON metrics on this HTTP address ('' disables)")
-		backendName  = fs.String("backend", "", "object backend: moss (default), undolog, mvto, replica")
-		replicaN     = fs.Int("replica-copies", 0, "replica backend: copy count N (0 = server default 3)")
-		replicaR     = fs.Int("replica-read-quorum", 0, "replica backend: read quorum R (0 = server default 2)")
-		replicaW     = fs.Int("replica-write-quorum", 0, "replica backend: write quorum W (0 = server default 2)")
+		backendName  = fs.String("backend", "", "object backend: moss (default), undolog, mvto")
 		specName     = fs.String("spec", "register", "object type for new objects: register, counter, account, set, appendlog, queue")
 		objects      = fs.String("objects", "", "comma-separated object labels to pre-create")
 		walDir       = fs.String("wal", "", "directory for the durable write-ahead log; on boot, replay and audit it before serving ('' = in-memory, no durability)")
@@ -83,14 +79,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 		fmt.Fprintf(stderr, "nestedsgd: unknown spec %q\n", *specName)
 		return 2
 	}
-	opts := server.Options{
-		Backend:            backend,
-		DefaultSpec:        sp,
-		LockTimeout:        *lockTimeout,
-		ReplicaCopies:      *replicaN,
-		ReplicaReadQuorum:  *replicaR,
-		ReplicaWriteQuorum: *replicaW,
-	}
+	opts := server.Options{Backend: backend, DefaultSpec: sp, LockTimeout: *lockTimeout}
 	if err := server.ValidateBackendOptions(opts); err != nil {
 		fmt.Fprintln(stderr, "nestedsgd:", err)
 		return 2

@@ -139,3 +139,19 @@ func TestDaemonBadFlags(t *testing.T) {
 		t.Fatalf("unknown spec: exit %d, want 2", got)
 	}
 }
+
+// TestDaemonHasNoReplicaBackend: quorum replication runs offline only
+// (nestedrun -protocol replica), so the daemon refuses the backend name and
+// the quorum flags. A daemon that did start drains at once on the closed
+// signal channel and exits 0.
+func TestDaemonHasNoReplicaBackend(t *testing.T) {
+	sig := make(chan os.Signal)
+	close(sig)
+	for _, refused := range [][]string{{"-backend", "replica"}, {"-replica-copies", "3"}} {
+		args := append([]string{"-addr", "127.0.0.1:0"}, refused...)
+		var out, errBuf strings.Builder
+		if got := run(args, &out, &errBuf, sig, nil); got != 2 {
+			t.Errorf("%v: exit %d, want 2\nstderr: %s", args, got, errBuf.String())
+		}
+	}
+}

@@ -20,9 +20,9 @@ func TestValidateBackendOptions(t *testing.T) {
 	}
 	for what, opts := range map[string]server.Options{
 		"unknown name":       {Backend: "nope"},
+		"replica (offline)":  {Backend: "replica"},
 		"backend + protocol": {Backend: "mvto", Protocol: locking.Protocol{}},
 		"mvto non-register":  {Backend: "mvto", DefaultSpec: spec.Counter{}},
-		"replica bad quorum": {Backend: "replica", ReplicaCopies: 4, ReplicaReadQuorum: 2, ReplicaWriteQuorum: 2},
 	} {
 		if err := server.ValidateBackendOptions(opts); err == nil {
 			t.Errorf("%s: validated, want error", what)
@@ -191,46 +191,4 @@ func TestReadOnlyDegradesWithoutSnapshots(t *testing.T) {
 	if f.Commits < 3 {
 		t.Fatalf("degraded read-only transactions missing from the log: %d commits", f.Commits)
 	}
-}
-
-// TestReplicaBackendEndToEnd: the replica backend serves real traffic with
-// the default 3/2/2 geometry, counts quorum traffic, passes the
-// quorum-intersection audit, and certifies the run.
-func TestReplicaBackendEndToEnd(t *testing.T) {
-	s := startServer(t, server.Options{Backend: "replica", Objects: []string{"x", "y"}})
-	c, err := client.Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for i := 0; i < 4; i++ {
-		i := i
-		if err := c.RunTx(8, func(tx *client.Tx) error {
-			if _, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i))); err != nil {
-				return err
-			}
-			_, err := tx.Access("y", spec.OpRead, spec.Nil)
-			return err
-		}); err != nil {
-			t.Fatalf("tx %d: %v", i, err)
-		}
-	}
-	if err := s.AuditObjects(); err != nil {
-		t.Fatalf("audit: %v", err)
-	}
-	snap := s.MetricsSnapshot()
-	if snap["backend"] != "replica" {
-		t.Fatalf("metrics backend = %v", snap["backend"])
-	}
-	if n, _ := snap["replica_copies"].(int); n != 3 {
-		t.Fatalf("replica_copies = %v, want 3", snap["replica_copies"])
-	}
-	if n, _ := snap["replica_quorum_writes"].(int64); n == 0 {
-		t.Fatal("replica_quorum_writes stayed 0")
-	}
-	if n, _ := snap["replica_quorum_reads"].(int64); n == 0 {
-		t.Fatal("replica_quorum_reads stayed 0")
-	}
-	shutdownAndVerify(t, s)
 }

@@ -123,7 +123,7 @@ func (l *eventLog) snapshot() event.Behavior {
 // and the gauges use atomics and never take mu.
 type certifier struct {
 	srv  *Server
-	snap *snapshotStore // nil unless the backend serves snapshots
+	snap *snapshotStore // nil except on the mvto backend
 
 	// mu serializes the combiners; the engine is theirs.
 	mu  sync.Mutex
@@ -147,8 +147,8 @@ type rejection struct {
 }
 
 //sgvet:ignore[lockguard] construction: runs inside newServer before the server is shared with any goroutine
-func newCertifier(s *Server, snap *snapshotStore) *certifier {
-	return &certifier{srv: s, snap: snap, inc: core.NewIncremental(s.tr)}
+func newCertifier(s *Server) *certifier {
+	return &certifier{srv: s, inc: core.NewIncremental(s.tr)}
 }
 
 // combine certifies the log through index target-1, reading the events in

@@ -190,7 +190,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"deadlock_aborts":   m.DeadlockAborts.Load(),
 		"restart_aborts":    m.RestartAborts.Load(),
 		"drain_aborts":      m.DrainAborts.Load(),
-		"backend":           s.backend.name(),
+		"backend":           s.backend,
 		"retries":           m.Retries.Load(),
 		"uncertified":       m.Uncertified.Load(),
 		"wal_failures":      m.WALFailures.Load(),
@@ -213,7 +213,10 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"group_size_p99":    m.GroupSize.QuantileVal(0.99),
 		"group_size_mean":   m.GroupSize.MeanVal(),
 	}
-	s.backend.metricsInto(snap)
+	if st := s.cert.snap; st != nil {
+		snap["mvto_snapshot_reads"] = st.reads.Load()
+		snap["mvto_ro_begins"] = st.roTx.Load()
+	}
 	if req := m.WALSyncRequests.Load(); req > 0 {
 		snap["wal_syncs_per_request"] = float64(m.WALSyncs.Load()) / float64(req)
 	}

@@ -142,7 +142,7 @@ func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 			for int(id) >= len(s.objs) {
 				s.objs = append(s.objs, nil)
 			}
-			s.objs[id] = &sharedObject{id: id, sp: s.tr.Spec(id), g: s.backend.protocol().New(s.tr, id)}
+			s.objs[id] = &sharedObject{id: id, sp: s.tr.Spec(id), g: s.proto.New(s.tr, id)}
 		case event.WalTxDef:
 			before := s.tr.NumTx()
 			var id tname.TxID

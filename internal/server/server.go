@@ -51,17 +51,11 @@ import (
 // Options configures a server.
 type Options struct {
 	// Backend selects the object layer by name: "moss" (the default Moss
-	// read/update locking), "undolog", "mvto" (strict multiversion
+	// read/update locking), "undolog", or "mvto" (strict multiversion
 	// timestamp ordering with a lock-free snapshot path for read-only
-	// transactions), or "replica" (quorum reads/writes over ReplicaCopies
-	// copies). Empty behaves like "moss" unless Protocol is set. Setting
-	// both Backend and Protocol is an error.
+	// transactions). Empty behaves like "moss" unless Protocol is set.
+	// Setting both Backend and Protocol is an error.
 	Backend string
-	// ReplicaCopies/ReplicaReadQuorum/ReplicaWriteQuorum configure the
-	// "replica" backend (defaults 3/2/2; R+W must exceed N).
-	ReplicaCopies      int
-	ReplicaReadQuorum  int
-	ReplicaWriteQuorum int
 	// Protocol injects an arbitrary generic object automaton instead of a
 	// named Backend (tests use it for broken protocols); default is Moss
 	// read/update locking.
@@ -93,15 +87,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ReplicaCopies <= 0 {
-		o.ReplicaCopies = 3
-	}
-	if o.ReplicaReadQuorum <= 0 {
-		o.ReplicaReadQuorum = 2
-	}
-	if o.ReplicaWriteQuorum <= 0 {
-		o.ReplicaWriteQuorum = 2
-	}
 	if o.DefaultSpec == nil {
 		o.DefaultSpec = spec.Register{}
 	}
@@ -140,9 +125,12 @@ type Server struct {
 	// defBuf is the scratch buffer WAL definition records are encoded into.
 	defBuf []byte //sgvet:guardedby mu
 
-	log     *eventLog
-	cert    *certifier
-	backend objectBackend
+	log  *eventLog
+	cert *certifier
+	// backend names the object layer (Options.Backend, or the injected
+	// protocol's name); proto builds every object automaton.
+	backend string
+	proto   object.Protocol
 	metrics *Metrics
 	waits   *waitTable
 	wal     *walWriter // nil without durability
@@ -192,12 +180,19 @@ func newServer(opts Options) (*Server, *RecoveryReport, error) {
 		waits:   newWaitTable(),
 		conns:   make(map[*session]struct{}),
 	}
-	be, err := resolveBackend(opts, s.tr, s)
+	p, err := resolveProtocol(opts, s.tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.backend = be
-	s.cert = newCertifier(s, be.snapshots())
+	s.proto, s.backend = p, opts.Backend
+	if s.backend == "" {
+		s.backend = p.Name()
+	}
+	s.cert = newCertifier(s)
+	if opts.Backend == "mvto" {
+		// Only mvto serves read-only transactions from certified snapshots.
+		s.cert.snap = newSnapshotStore(s)
+	}
 
 	rep := &RecoveryReport{}
 	var b event.Behavior
@@ -350,7 +345,7 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 		s.defBuf = event.AppendWalObjectDef(s.defBuf[:0], label, s.opts.DefaultSpec.Name())
 		s.wal.appendRecord(s.defBuf)
 	}
-	o := &sharedObject{id: id, sp: s.tr.Spec(id), g: s.backend.protocol().New(s.tr, id)}
+	o := &sharedObject{id: id, sp: s.tr.Spec(id), g: s.proto.New(s.tr, id)}
 	for int(id) >= len(s.objs) {
 		s.objs = append(s.objs, nil)
 	}
@@ -416,9 +411,7 @@ func (s *Server) withObj(o *sharedObject, f func()) {
 // AuditObjects runs every object's protocol self-audit (object.Auditor)
 // under its mutex and returns the first violation. Safe on a live server;
 // the simulator calls it after every crash recovery and at the final
-// drain, so backend invariants — e.g. the replica backend's rule that the
-// latest installed version sits on a full write quorum — are re-proved
-// across torn-write recoveries.
+// drain, so backend invariants are re-proved across torn-write recoveries.
 func (s *Server) AuditObjects() error {
 	s.mu.RLock()
 	objs := append([]*sharedObject(nil), s.objs...)
@@ -595,9 +588,9 @@ func (s *Server) Final() *Final {
 // Log returns a copy of the captured event log.
 func (s *Server) Log() event.Behavior { return s.log.snapshot() }
 
-// Backend reports the object backend's name ("moss", "undolog", "mvto",
-// "replica", or an injected protocol's name).
-func (s *Server) Backend() string { return s.backend.name() }
+// Backend reports the object backend's name ("moss", "undolog", "mvto", or
+// an injected protocol's name).
+func (s *Server) Backend() string { return s.backend }
 
 // Tree returns the server's system type. It must only be read concurrently
 // with running sessions under external synchronization; tests use it after

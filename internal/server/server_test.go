@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"nestedsg/internal/core"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 	"nestedsg/internal/undolog"
 )
 
@@ -49,6 +51,24 @@ func shutdownAndVerify(t *testing.T, s *server.Server) *server.Final {
 	if got, want := f.Snapshot.DOT(), core.Check(s.Tree(), s.Log()).SG.DOT(); got != want {
 		t.Fatal("snapshot DOT diverges from a recheck over the captured log")
 	}
+	// The DOT text does not render edge kinds: compare every parent graph's
+	// children and labelled edges as well.
+	batch := f.Batch.SG
+	if got, want := f.Snapshot.NumParents(), batch.NumParents(); got != want {
+		t.Fatalf("online SG has %d parent graphs, batch SG %d", got, want)
+	}
+	f.Snapshot.ForEachParent(func(parent tname.TxID, pg *core.ParentGraph) {
+		name := s.Tree().Name(parent)
+		bg := batch.Parent(parent)
+		switch {
+		case bg == nil:
+			t.Errorf("SG(β, %s) is online only", name)
+		case !slices.Equal(pg.Children, bg.Children):
+			t.Errorf("SG(β, %s): online children %v, batch %v", name, pg.Children, bg.Children)
+		case !slices.Equal(pg.Edges(), bg.Edges()):
+			t.Errorf("SG(β, %s): online edges %v, batch %v", name, pg.Edges(), bg.Edges())
+		}
+	})
 	return f
 }
 

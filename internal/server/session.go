@@ -150,20 +150,46 @@ func (sn *session) serve() {
 	sn.s.opts.Hooks.SessionDone(sn.id)
 }
 
+// handle answers one request. While a snapshot read-only transaction is open
+// (roDepth > 0), BEGIN is refused, children are pure depth bookkeeping,
+// accesses must be read-only ops answered from the snapshot cut, and
+// completions just pop depth — none of it touches objects, locks, or the
+// event log, so a read-only transaction can never block, deadlock, or be
+// chosen as a victim.
 func (sn *session) handle(q wire.Request) wire.Response {
-	if sn.roDepth > 0 {
-		return sn.handleRO(q)
-	}
+	ro := sn.roDepth > 0
 	switch q.Cmd {
 	case wire.CmdBegin:
+		if ro {
+			return errResp("BEGIN with a transaction already open")
+		}
 		return sn.handleBegin(q)
 	case wire.CmdChild:
+		if ro {
+			sn.roDepth++
+			return wire.Response{Status: wire.StatusOK, Name: sn.childLabel(q)}
+		}
 		return sn.handleChild(q)
 	case wire.CmdAccess:
-		return sn.handleAccess(q)
-	case wire.CmdCommit:
-		return sn.handleCommit()
-	case wire.CmdAbort:
+		if !ro {
+			return sn.handleAccess(q)
+		}
+		if !sn.s.opts.DefaultSpec.ReadOnly(spec.Op{Kind: q.Op, Arg: q.Arg}) {
+			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
+		}
+		v, err := sn.s.cert.snap.read(q.Obj, sn.roCut)
+		if err != nil {
+			return errResp(err.Error())
+		}
+		return wire.Response{Status: wire.StatusOK, Value: v}
+	case wire.CmdCommit, wire.CmdAbort:
+		if ro {
+			sn.roDepth--
+			return wire.Response{Status: wire.StatusOK}
+		}
+		if q.Cmd == wire.CmdCommit {
+			return sn.handleCommit()
+		}
 		return sn.handleAbort()
 	case wire.CmdVerdict:
 		return sn.handleVerdict()
@@ -246,7 +272,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		return errResp(fmt.Sprintf("wal unavailable: %v", err))
 	}
 	if q.RO {
-		if st := sn.s.backend.snapshots(); st != nil {
+		if st := sn.s.cert.snap; st != nil {
 			sn.topN++
 			sn.roDepth = 1
 			sn.roCut = st.cut()
@@ -276,42 +302,6 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		sn.lastAborted = false
 	}
 	return wire.Response{Status: wire.StatusOK, Name: label}
-}
-
-// handleRO serves every request of an open read-only transaction: children
-// are pure depth bookkeeping, accesses must be read-only ops answered from
-// the snapshot cut, and completions just pop depth — none of it touches
-// objects, locks, or the event log, so a read-only transaction can never
-// block, deadlock, or be chosen as a victim.
-func (sn *session) handleRO(q wire.Request) wire.Response {
-	st := sn.s.backend.snapshots()
-	switch q.Cmd {
-	case wire.CmdBegin:
-		return errResp("BEGIN with a transaction already open")
-	case wire.CmdChild:
-		sn.roDepth++
-		return wire.Response{Status: wire.StatusOK, Name: sn.childLabel(q)}
-	case wire.CmdAccess:
-		if !sn.s.opts.DefaultSpec.ReadOnly(spec.Op{Kind: q.Op, Arg: q.Arg}) {
-			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
-		}
-		v, err := st.read(q.Obj, sn.roCut)
-		if err != nil {
-			return errResp(err.Error())
-		}
-		return wire.Response{Status: wire.StatusOK, Value: v}
-	case wire.CmdCommit, wire.CmdAbort:
-		sn.roDepth--
-		return wire.Response{Status: wire.StatusOK}
-	case wire.CmdVerdict:
-		return sn.handleVerdict()
-	case wire.CmdPing:
-		return wire.Response{Status: wire.StatusOK}
-	case wire.CmdInvalid:
-		return errResp("invalid command")
-	default:
-		return errResp(fmt.Sprintf("unknown command %d", uint8(q.Cmd)))
-	}
 }
 
 // handleChild opens a subtransaction of the current transaction, under the
@@ -412,7 +402,7 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 				}
 				return
 			}
-			restart = sn.s.backend.restartReason(obj.g, acc)
+			restart = restartReason(obj.g, acc)
 			if restart == "" && w == nil {
 				// Entered under the mutex hold that refused: no INFORM can
 				// slip between the refusal and the park.

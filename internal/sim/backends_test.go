@@ -12,94 +12,19 @@ import (
 	"nestedsg/internal/sim"
 )
 
-// Backends is the full object-backend surface the server exposes through
-// -backend; the matrix below runs every one of them through every fault
-// class. mvto additionally carries read-only snapshot traffic, so its
-// lock-free path is exercised under the same faults.
-var backends = []string{"moss", "undolog", "mvto", "replica"}
-
-func backendCfg(backend string, seed uint64) sim.Config {
-	cfg := sim.Config{Seed: seed, Backend: backend}
-	if backend == "mvto" {
-		cfg.ROPermille = 250
-	}
-	return cfg
-}
-
-// TestSimBackendFaultMatrix is the headline matrix: every backend ×
-// every fault class, each seed a full certify-crash-recover-drain cycle.
-// Any failure reproduces from the printed Config alone.
+// TestSimBackendFaultMatrix: every backend × every fault class on seeds
+// 4..6, the seeds TestSimFaultMatrix leaves out.
 func TestSimBackendFaultMatrix(t *testing.T) {
-	seeds := 3
-	if testing.Short() {
-		seeds = 2
-	}
-	for _, backend := range backends {
-		for _, class := range sim.AllFaults() {
-			backend, class := backend, class
-			t.Run(fmt.Sprintf("%s/%s", backend, class), func(t *testing.T) {
-				t.Parallel()
-				injected, certParks := 0, 0
-				for seed := uint64(1); seed <= uint64(seeds); seed++ {
-					cfg := backendCfg(backend, seed)
-					cfg.Steps = 160
-					cfg.Faults = []sim.FaultClass{class}
-					cfg.FaultPermille = 200
-					rep, err := sim.Run(cfg)
-					if err != nil {
-						writeFailureArtifact(t, seed, backend, err, rep)
-						t.Fatalf("seed %d: %v\nreproduce: sim.Run(%+v)", seed, err, cfg)
-					}
-					injected += rep.Faults[class]
-					certParks += rep.CertParks
-				}
-				// Aggregated across seeds: a class can be inapplicable on
-				// one seed's schedule (e.g. clock-storm needs a parked
-				// session, which mvto's restart discipline makes rare),
-				// but the cell as a whole must exercise its fault.
-				if injected == 0 {
-					t.Errorf("fault %s never injected across %d seeds", class, seeds)
-				}
-				if class == sim.FaultCertStall && certParks == 0 {
-					t.Errorf("no top-level commit across %d seeds parked on a certifier stall", seeds)
-				}
-			})
-		}
-	}
+	faultMatrix(t, backends, 4)
 }
 
-// TestSimBackendDeterministicReplay: per backend, the same seed replays
-// to the identical report, byte-identical trace, and byte-identical
-// certificate — crashes, restarts and read-only traffic included.
+// TestSimBackendDeterministicReplay: per backend, seed 43 replays to the
+// identical run (TestSimDeterministicReplay holds moss on seed 42).
 func TestSimBackendDeterministicReplay(t *testing.T) {
 	for _, backend := range backends {
-		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			t.Parallel()
-			cfg := backendCfg(backend, 42)
-			cfg.Steps = 250
-			cfg.Faults = sim.AllFaults()
-			cfg.FaultPermille = 120
-			a, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatalf("first run: %v", err)
-			}
-			b, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatalf("second run: %v", err)
-			}
-			if a.Summary() != b.Summary() {
-				t.Fatalf("reports diverge:\n  %s\n  %s", a.Summary(), b.Summary())
-			}
-			if !bytes.Equal(a.Trace, b.Trace) {
-				t.Fatalf("traces diverge for the same seed (%d vs %d bytes)", len(a.Trace), len(b.Trace))
-			}
-			if a.CertDOT == "" || a.CertDOT != b.CertDOT {
-				t.Fatalf("certificates diverge for the same seed")
-			}
-			if a.Recoveries == 0 {
-				t.Fatalf("determinism run never crashed — raise FaultPermille: %s", a.Summary())
-			}
+			checkReplay(t, replayCfg(backend, 43))
 		})
 	}
 }
@@ -119,20 +44,19 @@ func stateString(rep *sim.Report) string {
 	return b.String()
 }
 
-// TestSimBackendDifferential drives moss, undolog and replica with the
-// identical seed and fault schedule. Their grant conditions are provably
-// equivalent for registers (undolog logs inverse operations instead of
-// deferring writes but admits exactly the Moss lock set; replica runs
-// Moss admission over quorum copies with the failure process disabled),
-// so the whole runs must agree byte for byte: same trace, same
-// serialization certificate, same final committed state.
+// TestSimBackendDifferential drives moss and undolog with the identical
+// seed and fault schedule. Their grant conditions are provably equivalent
+// for registers (undolog logs inverse operations instead of deferring
+// writes but admits exactly the Moss lock set), so the whole runs must
+// agree byte for byte: same trace, same serialization certificate, same
+// final committed state.
 func TestSimBackendDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			var ref *sim.Report
-			for _, backend := range []string{"moss", "undolog", "replica"} {
+			for _, backend := range lockers {
 				cfg := sim.Config{
 					Seed:          seed,
 					Steps:         200,
@@ -205,37 +129,6 @@ func TestSimMVTOReadOnly(t *testing.T) {
 	t.Logf("validated %d read-only transactions, %d snapshot reads", totalRO, totalReads)
 }
 
-// TestSimReplicaTornInstall is the torn-write / partial-quorum recovery
-// test: with the replica backend and crash faults only, every recovery
-// replays the stitched log through fresh quorum copies and then re-proves
-// the quorum-intersection audit (sim.boot calls Server.AuditObjects). A
-// commit whose WAL record was torn is aborted as an orphan — its install
-// never reaches any copy — and a surviving commit reinstalls into a full
-// write quorum, so no crash can leave the latest version on a minority.
-func TestSimReplicaTornInstall(t *testing.T) {
-	crashes, torn := 0, int64(0)
-	for seed := uint64(1); seed <= 8; seed++ {
-		cfg := sim.Config{
-			Seed:          seed,
-			Steps:         200,
-			Backend:       "replica",
-			Faults:        []sim.FaultClass{sim.FaultCrash},
-			FaultPermille: 120,
-		}
-		rep, err := sim.Run(cfg)
-		if err != nil {
-			writeFailureArtifact(t, seed, "replica-torn", err, rep)
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		crashes += rep.Recoveries
-		torn += rep.TornBytes
-	}
-	if crashes == 0 {
-		t.Fatal("no crash ever injected — the torn-install path was not exercised")
-	}
-	t.Logf("audited %d crash recoveries (%d torn bytes) under the replica backend", crashes, torn)
-}
-
 // FuzzBackendDifferential runs the moss-vs-undolog differential over
 // fuzzed seeds: for any seed, both backends must produce byte-identical
 // traces, certificates and final committed snapshots.
@@ -245,7 +138,7 @@ func FuzzBackendDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		var ref *sim.Report
-		for _, backend := range []string{"moss", "undolog"} {
+		for _, backend := range lockers {
 			cfg := sim.Config{
 				Seed:          seed,
 				Steps:         140,

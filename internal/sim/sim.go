@@ -30,8 +30,6 @@ import (
 	"time"
 
 	"nestedsg/internal/event"
-	"nestedsg/internal/locking"
-	"nestedsg/internal/object"
 	"nestedsg/internal/oracle"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
@@ -103,12 +101,8 @@ type Config struct {
 	// Steps is the number of scheduler decisions before the graceful
 	// drain (default 150).
 	Steps int
-	// Protocol is the concurrency-control protocol under test (default
-	// Moss locking when Backend is empty).
-	Protocol object.Protocol
-	// Backend selects a named server object backend ("moss", "undolog",
-	// "mvto", "replica"); empty uses Protocol. Setting both is a server
-	// configuration error, exactly as over server.Options.
+	// Backend selects the server's object backend by name ("moss",
+	// "undolog", "mvto"; default "moss").
 	Backend string
 	// ROPermille is the per-BEGIN probability (in 1/1000) that a
 	// top-level transaction opens read-only (default 0: none). Read-only
@@ -138,8 +132,8 @@ func (c Config) withDefaults() Config {
 	if c.Steps <= 0 {
 		c.Steps = 150
 	}
-	if c.Protocol == nil && c.Backend == "" {
-		c.Protocol = locking.Protocol{}
+	if c.Backend == "" {
+		c.Backend = "moss"
 	}
 	if c.FaultPermille <= 0 {
 		c.FaultPermille = 30
@@ -330,7 +324,6 @@ const (
 
 func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 	return server.Options{
-		Protocol:    s.cfg.Protocol,
 		Backend:     s.cfg.Backend,
 		Objects:     s.objs,
 		LockTimeout: lockTimeout,
@@ -974,10 +967,9 @@ func (s *sim) finish() error {
 	// The WAL of the clean shutdown must recover to the identical trace,
 	// through the same backend that produced it.
 	s2, rrep, err := server.Recover(server.Options{
-		Protocol: s.cfg.Protocol,
-		Backend:  s.cfg.Backend,
-		Objects:  s.objs,
-		WAL:      s.disk,
+		Backend: s.cfg.Backend,
+		Objects: s.objs,
+		WAL:     s.disk,
 	})
 	if err != nil {
 		return fmt.Errorf("re-recovering final wal: %w", err)
