@@ -59,8 +59,8 @@ func (d *countedDirDisk) Create(name string) (server.SegmentFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	server.UnderStaging(f, func(osFile server.SegmentFile) server.SegmentFile {
-		return &countedOSFile{SegmentFile: osFile, d: d}
+	server.UnderStaging(f, func(osFile server.OSFile) server.OSFile {
+		return &countedOSFile{OSFile: osFile, d: d}
 	})
 	seg := &countedSegment{SegmentFile: f, d: d, name: name}
 	d.mu.Lock()
@@ -132,14 +132,15 @@ func (s *countedSegment) Sync() error {
 }
 
 // countedOSFile sits below the staging buffer, in place of the *os.File.
+// Truncate, which grows the segment, passes through uncounted.
 type countedOSFile struct {
-	server.SegmentFile
+	server.OSFile
 	d *countedDirDisk
 }
 
 func (f *countedOSFile) Write(p []byte) (int, error) {
 	f.d.writes.Add(1)
-	return f.SegmentFile.Write(p)
+	return f.OSFile.Write(p)
 }
 
 func (f *countedOSFile) Sync() error {
@@ -148,7 +149,7 @@ func (f *countedOSFile) Sync() error {
 		<-g.release
 	}
 	f.d.syncs.Add(1)
-	return f.SegmentFile.Sync()
+	return f.OSFile.Sync()
 }
 
 func writeX(i int) func(tx *client.Tx) error {
@@ -161,14 +162,16 @@ func writeX(i int) func(tx *client.Tx) error {
 // TestDirDiskKillLosesOnlyUnsynced: N acknowledged commits and one
 // transaction in flight over a real directory. The directory as it stands
 // at that instant is what a SIGKILL would leave, so the test copies it:
-// every segment file must end exactly where its last Sync did — not one
-// byte of the in-flight transaction's records, which exist only in the
-// staging buffer — and Recover from the copy must give back exactly the N
-// commits with nothing to truncate. (Server.Kill itself is too polite to
-// show this: its session teardown aborts the open transaction and syncs
-// the abort.) Run once in a single segment and once with segments small
-// enough to rotate many times, where Create checks that each rotation
-// flushed and fsynced the old segment first.
+// every segment file's records must end exactly where its last Sync did —
+// not one byte of the in-flight transaction's records, which exist only in
+// the staging buffer — and the rest of the file must be zeros: the open
+// segment has grown ahead of its records, the closed ones were trimmed.
+// Recover from the copy must give back exactly the N commits, trimming the
+// zeros without a torn byte. (Server.Kill itself is too polite to show
+// this: its session teardown aborts the open transaction and syncs the
+// abort.) Run once in a single segment and once with segments small enough
+// to rotate many times, where Create checks that each rotation flushed and
+// fsynced the old segment first.
 func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 	const n = 12
 	for _, segBytes := range []int{0, 256} {
@@ -205,8 +208,8 @@ func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if int64(len(data)) != seg.synced {
-					t.Errorf("%s holds %d bytes, its last Sync covered %d (of %d appended)",
+				if int64(len(data)) < seg.synced || len(bytes.TrimRight(data[seg.synced:], "\x00")) != 0 {
+					t.Errorf("%s holds %d bytes, not the %d its last Sync covered (of %d appended) and then zeros",
 						seg.name, len(data), seg.synced, seg.appended)
 				}
 				if err := os.WriteFile(filepath.Join(killed.Dir(), seg.name), data, 0o644); err != nil {
@@ -218,8 +221,8 @@ func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 
 			opts.WAL = killed
 			s2, rep := recoverAndStart(t, opts)
-			if !rep.AuditOK || rep.TornBytes != 0 {
-				t.Fatalf("recovery saw more than a synced prefix: %s", rep.Summary())
+			if !rep.AuditOK || rep.TornBytes != 0 || rep.ZeroBytes == 0 {
+				t.Fatalf("recovery saw more than a synced prefix and a zero tail: %s", rep.Summary())
 			}
 			if got := s2.Metrics().TopCommits.Load(); got != n {
 				t.Fatalf("recovered %d top-level commits, want the %d acknowledged", got, n)
@@ -232,6 +235,69 @@ func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 			shutdownAndVerify(t, s2)
 		})
 	}
+}
+
+// TestDirDiskSyncKeepsFileSize: a segment file grows in whole steps ahead
+// of its records, so the fsync a commit waits for does not change the
+// file's size. 2 000 commit-sized writes, each synced, with the file
+// stat'ed after every Sync: its size changes at most once per step of
+// records written, always covers them, and after Close is exactly them.
+func TestDirDiskSyncKeepsFileSize(t *testing.T) {
+	const (
+		commits = 2000
+		record  = 600 // bytes per commit: 2 000 of them pass one growth step
+		step    = 1 << 20
+	)
+	disk, err := server.NewDirDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "wal-00000001.seg"
+	f, err := disk.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(disk.Dir(), name)
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	buf := make([]byte, record)
+	var written, last int64
+	changes := 0
+	for i := 0; i < commits; i++ {
+		for j := range buf {
+			buf[j] = byte(1 + (i+j)%255)
+		}
+		if _, err := f.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		written += record
+		got := size()
+		if got < written {
+			t.Fatalf("commit %d: the file holds %d bytes, %d were synced", i, got, written)
+		}
+		if got != last {
+			changes++
+			last = got
+		}
+	}
+	if maxChanges := int((written + step - 1) / step); changes > maxChanges {
+		t.Fatalf("the file's size changed %d times over %d bytes of records, want at most %d", changes, written, maxChanges)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != written {
+		t.Fatalf("closed segment holds %d bytes, want exactly its %d bytes of records", got, written)
+	}
+	t.Logf("%d syncs of %d B: the size changed %d times, ending at %d B", commits, record, changes, written)
 }
 
 // TestDirDiskOneWritePerFsync counts what reaches the os file. Sequential

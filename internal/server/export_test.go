@@ -14,11 +14,16 @@ func (s *Server) GroupArrived() uint64 {
 // WALSync runs the sync a top-level completion runs.
 func (s *Server) WALSync() error { return s.walSync() }
 
+// OSFile is the file beneath a DirDisk segment's staging buffer: a
+// SegmentFile that can also Truncate, which is how the segment grows.
+type OSFile = osFile
+
 // UnderStaging replaces the os file beneath a DirDisk segment's staging
-// buffer with wrap(file), so a test can count (or hold) the write(2)s and
-// fsyncs that actually reach the file rather than the appends the WAL
-// writer makes.
-func UnderStaging(f SegmentFile, wrap func(SegmentFile) SegmentFile) {
+// buffer with wrap(file), so a test can count (or hold) the write(2)s,
+// truncates and fsyncs that actually reach the file rather than the appends
+// the WAL writer makes. A wrapper must forward Truncate: without it the
+// segment could not grow ahead of its records.
+func UnderStaging(f SegmentFile, wrap func(OSFile) OSFile) {
 	df := f.(*dirFile)
 	df.f = wrap(df.f)
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -57,6 +59,8 @@ func FuzzRecoveryReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("NSGW\x01"))
 	f.Add([]byte("not a wal"))
+	f.Add(zeroPad(img, 4<<10))              // a killed DirDisk's grown file
+	f.Add(zeroPad(img[:len(img)-3], 4<<10)) // torn, then zeros
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		disk := NewMemDisk()
@@ -76,7 +80,7 @@ func FuzzRecoveryReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("stitched wal does not recover: %v (first: %s)", err, rep.Summary())
 		}
-		if rep2.OrphanTops != 0 || rep2.FixupInforms != 0 || rep2.TornBytes != 0 {
+		if rep2.OrphanTops != 0 || rep2.FixupInforms != 0 || rep2.TornBytes != 0 || rep2.ZeroBytes != 0 {
 			t.Fatalf("second recovery repaired a stitched wal: %s", rep2.Summary())
 		}
 		trace2 := event.MarshalBinaryTrace(s2.tr, s2.log.snapshot())
@@ -104,6 +108,80 @@ func TestRecoverTruncationPrefixes(t *testing.T) {
 	}
 }
 
+// zeroPad returns data followed by zeros up to size bytes.
+func zeroPad(data []byte, size int) []byte {
+	out := make([]byte, max(size, len(data)))
+	copy(out, data)
+	return out
+}
+
+// TestRecoverZeroPaddedPrefixes: a DirDisk segment grows ahead of its
+// records, so a killed server leaves every byte prefix of a segment
+// followed by zeros. Padded to a page or to a whole growth step, each
+// prefix must recover to the bare prefix's trace with the same torn bytes,
+// or be rejected with the same error; the padding shows up as zero bytes
+// trimmed, never as torn ones.
+func TestRecoverZeroPaddedPrefixes(t *testing.T) {
+	img := segmentImage(t)
+	for n := 0; n <= len(img); n++ {
+		s, bare, err := recoverSegment(img[:n])
+		var want []byte
+		if err == nil {
+			want = event.MarshalBinaryTrace(s.tr, s.log.snapshot())
+			s.Kill()
+		}
+		for _, size := range []int{4 << 10, dirGrowBytes} {
+			s, rep, perr := recoverSegment(zeroPad(img[:n], size))
+			if err != nil || perr != nil {
+				if err == nil || perr == nil || perr.Error() != err.Error() {
+					t.Fatalf("prefix %d padded to %d: %v, bare prefix: %v", n, size, perr, err)
+				}
+				continue
+			}
+			got := event.MarshalBinaryTrace(s.tr, s.log.snapshot())
+			s.Kill()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("prefix %d padded to %d: recovered trace differs from the bare prefix's", n, size)
+			}
+			if rep.TornBytes != bare.TornBytes || rep.ZeroBytes != bare.ZeroBytes+int64(size-n) {
+				t.Fatalf("prefix %d padded to %d: %d torn and %d zero bytes, want %d and %d",
+					n, size, rep.TornBytes, rep.ZeroBytes, bare.TornBytes, bare.ZeroBytes+int64(size-n))
+			}
+		}
+	}
+}
+
+// TestRecoverZeroPaddedAllocs: scanSegment reserves its decoded operations
+// from the record region, not the segment's length, so a segment padded
+// with a growth step of zeros scans with the allocations of its records.
+func TestRecoverZeroPaddedAllocs(t *testing.T) {
+	img := segmentImage(t)
+	padded := zeroPad(img, dirGrowBytes)
+	scanBytes := func(data []byte) uint64 {
+		const runs = 20
+		best := uint64(math.MaxUint64)
+		for round := 0; round < 5; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				var ops []event.WalOp
+				numTx, numObj, records := 1, 0, 0
+				if _, err := scanSegment(data, &ops, &numTx, &numObj, &records); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return best
+	}
+	bare, pad := scanBytes(img), scanBytes(padded)
+	t.Logf("scanSegment allocates %d B for %d bytes of records, %d B padded to %d", bare, len(img), pad, len(padded))
+	if pad > 2*bare {
+		t.Fatalf("scanning the padded segment allocates %d B, over twice the %d B of its records", pad, bare)
+	}
+}
+
 // TestRegenerateRecoveryFuzzCorpus rewrites the committed seed corpus for
 // FuzzRecoveryReplay when UPDATE_FUZZ_CORPUS=1; otherwise it checks the
 // committed files are current.
@@ -115,6 +193,9 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 		"seed_header":   img[:6],
 		"seed_garbage":  []byte("not a wal"),
 		"seed_headless": []byte("NS"),
+		// A page of zeros after the records, and after a torn record.
+		"seed_zero_tail":      zeroPad(img, 4<<10),
+		"seed_torn_zero_tail": zeroPad(img[:len(img)-3], 4<<10),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzRecoveryReplay")
 	for name, data := range seeds {

@@ -14,11 +14,14 @@ import (
 type RecoveryReport struct {
 	// Segments and Records count what the WAL scan read; TornBytes is the
 	// size of a truncated torn tail (0 for a clean shutdown), and
-	// TornSegment names the segment it was cut from.
+	// TornSegment names the segment it was cut from. ZeroBytes counts the
+	// zeros trimmed from the last segment's end: a segment file grown ahead
+	// of its records leaves them, and they are not a torn write.
 	Segments    int
 	Records     int
 	TornBytes   int64
 	TornSegment string
+	ZeroBytes   int64
 	// DurableEvents is the replayed event prefix; StitchedEvents is the
 	// log length after appending recovery's own repair events.
 	DurableEvents  int
@@ -41,8 +44,8 @@ func (r *RecoveryReport) Summary() string {
 		audit = "audit: not run"
 	}
 	return fmt.Sprintf(
-		"recovered %d events from %d wal records in %d segments (%d torn bytes truncated); aborted %d orphan transactions, delivered %d missing informs; log now %d events; %s",
-		r.DurableEvents, r.Records, r.Segments, r.TornBytes, r.OrphanTops, r.FixupInforms, r.StitchedEvents, audit)
+		"recovered %d events from %d wal records in %d segments (%d torn bytes truncated, %d zero bytes trimmed); aborted %d orphan transactions, delivered %d missing informs; log now %d events; %s",
+		r.DurableEvents, r.Records, r.Segments, r.TornBytes, r.ZeroBytes, r.OrphanTops, r.FixupInforms, r.StitchedEvents, audit)
 }
 
 // Recover builds a server from the durable WAL in opts.WAL (an empty WAL
@@ -92,7 +95,7 @@ func (s *Server) replayWAL(rep *RecoveryReport) (event.Behavior, error) {
 		return nil, err
 	}
 	rep.Segments, rep.Records = scan.segments, scan.records
-	rep.TornBytes, rep.TornSegment = scan.tornBytes, scan.tornSegment
+	rep.TornBytes, rep.TornSegment, rep.ZeroBytes = scan.tornBytes, scan.tornSegment, scan.zeroBytes
 	b, err := s.replayDefs(scan.ops)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,6 +36,12 @@ import (
 // invalid byte of the last segment (truncating the torn tail so the next
 // recovery sees a clean log), and treats an invalid byte in any earlier
 // segment as corruption to be rejected, not repaired.
+//
+// A zero byte where a record's length would start ends a segment's records:
+// no payload is empty, so every real record starts with a non-zero byte, and
+// a DirDisk segment is grown ahead of its records with zeros (see dirFile).
+// A zero tail is the end of the records, not a torn write; non-zero bytes
+// after it are a torn tail in the last segment and corruption in any other.
 
 var walMagic = [4]byte{'N', 'S', 'G', 'W'}
 
@@ -53,7 +60,9 @@ const (
 // kill loses them. Close does not imply Sync — whatever was written since
 // the last Sync is no more durable after Close than before it, which is
 // what the crash path (closeNoSync) wants and why rotation and clean close
-// Sync first.
+// Sync first. While it is open, a segment may be longer than its records,
+// with zeros after them (DirDisk grows its files ahead of the writes); after
+// Close it holds exactly the bytes written.
 type SegmentFile interface {
 	io.Writer
 	// Sync makes everything written so far durable.
@@ -94,7 +103,8 @@ func segmentIndex(name string) (int, bool) {
 // fsync the directory (and Truncate the file) so segment metadata survives
 // an OS crash — the rotation invariant "only the last segment can be torn"
 // needs a synced segment's directory entry to be durable too. A segment it
-// creates stages writes in memory until Sync (see dirFile).
+// creates stages writes in memory until Sync, and its file grows in
+// dirGrowBytes steps of zeros ahead of the records (see dirFile).
 type DirDisk struct{ dir string }
 
 // NewDirDisk creates the directory if needed and returns a Disk over it.
@@ -140,6 +150,20 @@ func (d *DirDisk) Create(name string) (SegmentFile, error) {
 	return &dirFile{f: f}, nil
 }
 
+// dirGrowBytes is the step a DirDisk segment file grows by. An fsync that
+// changes a file's size also commits the inode, and on ext4 that is most of
+// the fsync's cost (DESIGN §10); a file grown ahead of its records keeps its
+// size across the commits that fill it, so they fsync data only. One step
+// is a default segment, so a segment that rotates at the default size
+// changes its size once while open and once more when Close trims it.
+const dirGrowBytes = defaultSegmentBytes
+
+// osFile is what a dirFile needs of the file beneath its staging buffer.
+type osFile interface {
+	SegmentFile
+	Truncate(size int64) error
+}
+
 // dirSpillBytes is how many staged bytes a dirFile hands to the OS without
 // waiting for a Sync, so a load that appends but never syncs (aborts only,
 // or one long transaction) cannot grow the staging buffer without bound.
@@ -153,14 +177,26 @@ const dirSpillBytes = 64 << 10
 // What a process kill loses is therefore what a power cut loses: every
 // byte not yet synced, exactly as on MemDisk. (An orderly Close is gentler:
 // see Close.)
+//
+// The file grows in dirGrowBytes steps: a drain that would write past its
+// length first extends it with Truncate, which writes no bytes and leaves a
+// sparse run of zeros that the records then overwrite. A commit's fsync
+// therefore finds the file's size unchanged. Close trims the file back to
+// the bytes written; a process killed before it leaves records up to the
+// last drain and zeros after them, which recovery reads as the end of the
+// records.
 type dirFile struct {
 	// f is the *os.File; the interface lets a test count what reaches it.
-	f SegmentFile
+	f osFile
 	// mu orders staging and the write(2) that drains it, so spilled and
 	// synced bytes reach the file in append order. The fsync runs with it
 	// released: the WAL writer appends while a cohort's fsync is in flight.
 	mu  sync.Mutex
 	buf []byte //sgvet:guardedby mu
+	// size is the bytes handed to the file, and length the file's length:
+	// zeros fill the file from size to length.
+	size   int64 //sgvet:guardedby mu
+	length int64 //sgvet:guardedby mu
 	// err is the first write(2) failure, or os.ErrClosed after Close. It is
 	// sticky because a failed write may have been a short one: writing the
 	// buffer again would duplicate its head in the file.
@@ -183,14 +219,24 @@ func (f *dirFile) Write(p []byte) (int, error) {
 }
 
 // drain hands the staged bytes to the file in one write(2), unless an
-// earlier one failed or the file is closed.
+// earlier one failed or the file is closed, growing the file first if the
+// write would pass its end.
 //
 //sgvet:holds f.mu
 func (f *dirFile) drain() error {
 	if f.err != nil || len(f.buf) == 0 {
 		return f.err
 	}
-	_, f.err = f.f.Write(f.buf)
+	if end := f.size + int64(len(f.buf)); end > f.length {
+		length := (end + dirGrowBytes - 1) / dirGrowBytes * dirGrowBytes
+		if f.err = f.f.Truncate(length); f.err != nil {
+			return f.err
+		}
+		f.length = length
+	}
+	n, err := f.f.Write(f.buf)
+	f.size += int64(n)
+	f.err = err
 	f.buf = f.buf[:0]
 	return f.err
 }
@@ -209,15 +255,24 @@ func (f *dirFile) Sync() error {
 // fsync: the bytes are then where an unbuffered file would have left them,
 // in the page cache, promised to nobody. Every caller that needs them
 // durable Syncs first, so this costs a write(2) on the crash path only.
+// Close then trims the file's zeros, on the clean path and the crash path
+// alike, so a closed segment holds exactly the bytes written; the trim is
+// not fsynced, and a zero tail that outlives an OS crash is one recovery
+// accepts.
 func (f *dirFile) Close() error {
 	f.mu.Lock()
 	werr := f.drain()
+	var terr error
+	if f.length > f.size {
+		terr = f.f.Truncate(f.size)
+		f.length = f.size
+	}
 	if f.err == nil {
 		f.err = os.ErrClosed
 	}
 	f.buf = nil
 	f.mu.Unlock()
-	return errors.Join(werr, f.f.Close())
+	return errors.Join(werr, terr, f.f.Close())
 }
 
 func (d *DirDisk) Truncate(name string, size int64) error {
@@ -343,20 +398,35 @@ func (d *MemDisk) SetSegment(name string, data []byte) {
 	d.mu.Unlock()
 }
 
+// memPadBytes is the boundary Crash zero-pads the last segment's image to.
+// A killed DirDisk leaves zeros up to its next dirGrowBytes step; a page of
+// them exercises the same recovery path at a fraction of the memory, which
+// matters to tests that hold a crash image for every tear point.
+const memPadBytes = 4 << 10
+
 // Crash returns the disk a process crash would leave behind: every segment
 // keeps its synced prefix, and the segment with unsynced bytes (only the
 // last can have any, by the rotation invariant) additionally keeps
-// keepTail bytes of its unsynced tail to model a torn in-flight write.
+// keepTail bytes of its unsynced tail to model a torn in-flight write. The
+// last segment's image is then zero-padded to a memPadBytes boundary, as a
+// killed DirDisk leaves its grown file.
 func (d *MemDisk) Crash(keepTail int) *MemDisk {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := &MemDisk{segs: make(map[string]*memSegment)}
+	last := ""
 	for n, s := range d.segs {
 		keep := s.synced + keepTail
 		if keep > len(s.data) {
 			keep = len(s.data)
 		}
 		out.segs[n] = &memSegment{data: append([]byte(nil), s.data[:keep]...), synced: keep}
+		last = max(last, n)
+	}
+	if s := out.segs[last]; s != nil {
+		pad := (memPadBytes - len(s.data)%memPadBytes) % memPadBytes
+		s.data = append(s.data, make([]byte, pad)...)
+		s.synced = len(s.data)
 	}
 	return out
 }
@@ -465,9 +535,17 @@ func (w *walWriter) rotate() error {
 	return nil
 }
 
+// errEmptyRecord refuses an empty payload: its framing would start with a
+// zero byte, which recovery reads as the end of a segment's records.
+var errEmptyRecord = errors.New("wal: empty record payload")
+
 // appendRecord frames and writes one payload. Errors are sticky; the
-// server surfaces them rather than silently dropping durability.
+// server surfaces them rather than silently dropping durability. An empty
+// payload is refused without touching the segment.
 func (w *walWriter) appendRecord(payload []byte) error {
+	if len(payload) == 0 {
+		return errEmptyRecord
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -588,9 +666,11 @@ type walScan struct {
 	// nextIdx is the segment index a writer resuming this WAL must use.
 	nextIdx int
 	// tornSegment/tornBytes report a truncated torn tail (last segment
-	// only); tornBytes is 0 when the WAL ended cleanly.
+	// only); tornBytes is 0 when the WAL ended cleanly. zeroBytes counts
+	// the zeros trimmed from the last segment's end with it.
 	tornSegment string
 	tornBytes   int64
+	zeroBytes   int64
 }
 
 // errWalCorrupt marks corruption outside the repairable torn tail.
@@ -600,7 +680,10 @@ var errWalCorrupt = errors.New("wal: corrupt")
 // against running (numTx, numObjects) counts. An invalid suffix of the
 // last segment is a torn tail: it is physically truncated away and the
 // scan succeeds with what precedes it. Invalid bytes anywhere else mean
-// the WAL is corrupt and recovery must refuse.
+// the WAL is corrupt and recovery must refuse. Trailing zeros are not torn
+// bytes: the last segment's are trimmed with its torn tail (or alone), and
+// an earlier segment's, which an OS crash can leave when it loses Close's
+// trim, are left in place.
 func scanWAL(disk Disk) (*walScan, error) {
 	names, err := disk.Segments()
 	if err != nil {
@@ -627,13 +710,17 @@ func scanWAL(disk Disk) (*walScan, error) {
 			return nil, fmt.Errorf("wal: reading %s: %w", name, err)
 		}
 		validTo, serr := scanSegment(data, &res.ops, &numTx, &numObj, &res.records)
-		if serr != nil {
-			if !last {
-				return nil, fmt.Errorf("%w: segment %s offset %d: %v", errWalCorrupt, name, validTo, serr)
+		if serr != nil && !last {
+			return nil, fmt.Errorf("%w: segment %s offset %d: %v", errWalCorrupt, name, validTo, serr)
+		}
+		if last && (serr != nil || validTo < len(data)) {
+			// Torn tail, zero tail or both: truncate so the next recovery
+			// (and the resuming writer's successors) see a clean WAL.
+			torn := len(bytes.TrimRight(data[validTo:], "\x00"))
+			res.zeroBytes = int64(len(data) - validTo - torn)
+			if torn > 0 {
+				res.tornSegment, res.tornBytes = name, int64(torn)
 			}
-			// Torn tail: truncate so the next recovery (and the resuming
-			// writer's successors) see a clean WAL.
-			res.tornSegment, res.tornBytes = name, int64(len(data))-int64(validTo)
 			if validTo < headerLen() {
 				// Not even a full header survived: recreate this segment
 				// from scratch by reusing its index.
@@ -657,7 +744,9 @@ func headerLen() int { return len(walMagic) + 1 /* version uvarint, 1 byte for v
 // scanSegment decodes records from one segment image, appending to ops and
 // updating the running counts. It returns the byte offset of the end of
 // the last fully valid record (or 0 if the header itself is bad) plus an
-// error describing the first invalid byte, if any.
+// error describing the first invalid byte, if any. A zero byte where a
+// record would start ends the records; it is an error only if a non-zero
+// byte follows it.
 func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (int, error) {
 	if len(data) < headerLen() || string(data[:4]) != string(walMagic[:]) {
 		return 0, errors.New("bad segment header")
@@ -665,13 +754,23 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 	if data[4] != walVersion {
 		return 0, fmt.Errorf("unsupported wal version %d", data[4])
 	}
+	// zeros is where the segment's trailing zeros begin. Valid records end
+	// at or after it, since a record may itself end in zero bytes; a
+	// marker before it has non-zero bytes after it.
+	zeros := len(bytes.TrimRight(data, "\x00"))
 	// The server's records frame to about a dozen bytes (wal.bytes_per_tx
 	// over records per transaction), so this reserves close to what the
-	// segment decodes to in one allocation; growing the slice by appends
-	// instead allocates it five times over.
-	*ops = slices.Grow(*ops, len(data)/12)
+	// record region decodes to in one allocation; growing the slice by
+	// appends instead allocates it five times over.
+	*ops = slices.Grow(*ops, max(zeros-headerLen(), 0)/12)
 	pos := headerLen()
 	for pos < len(data) {
+		if data[pos] == 0 {
+			if pos < zeros {
+				return pos, errors.New("non-zero bytes after the end of records")
+			}
+			return pos, nil
+		}
 		plen, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
 			return pos, errors.New("short record length")

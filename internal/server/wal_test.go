@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -93,7 +95,7 @@ func TestWalScanTornTail(t *testing.T) {
 	for _, garbage := range [][]byte{
 		{0x01},                            // short record
 		{0xff, 0xff, 0xff, 0xff, 0x7f},    // absurd record length
-		{0x03, 'b', 'a', 'd', 0, 0, 0, 0}, // framed garbage, bad payload+crc
+		{0x03, 'b', 'a', 'd', 1, 2, 3, 4}, // framed garbage, bad payload+crc
 	} {
 		disk := NewMemDisk()
 		writeRecords(t, disk, 1<<20, tinyWal()...)
@@ -213,7 +215,8 @@ func TestMemDiskFreezeCreate(t *testing.T) {
 }
 
 // TestMemDiskCrashSemantics: Crash keeps only the synced prefix (plus the
-// requested torn tail) and Freeze drops later writes.
+// requested torn tail), zero-pads the last segment to a memPadBytes
+// boundary, and Freeze drops later writes.
 func TestMemDiskCrashSemantics(t *testing.T) {
 	disk := NewMemDisk()
 	f, _ := disk.Create(segmentName(1))
@@ -225,8 +228,10 @@ func TestMemDiskCrashSemantics(t *testing.T) {
 	}
 	crash := disk.Crash(3)
 	data, _ := crash.ReadSegment(segmentName(1))
-	if string(data) != "durable-vo" {
-		t.Fatalf("crash copy = %q, want %q", data, "durable-vo")
+	kept := bytes.TrimRight(data, "\x00")
+	if string(kept) != "durable-vo" || len(data) != memPadBytes {
+		t.Fatalf("crash copy = %q and %d zeros, want %q padded with zeros to %d bytes",
+			kept, len(data)-len(kept), "durable-vo", memPadBytes)
 	}
 	disk.Freeze()
 	f.Write([]byte("ignored"))
@@ -234,6 +239,87 @@ func TestMemDiskCrashSemantics(t *testing.T) {
 	data, _ = disk.ReadSegment(segmentName(1))
 	if strings.Contains(string(data), "ignored") {
 		t.Fatal("write after Freeze reached the disk")
+	}
+}
+
+// TestWalAppendRefusesEmptyPayload: an empty payload would frame to a
+// zero length byte, which recovery reads as the end of the records, so the
+// writer refuses it, writes nothing, and keeps working.
+func TestWalAppendRefusesEmptyPayload(t *testing.T) {
+	disk := NewMemDisk()
+	w, err := newWalWriter(disk, 1<<20, 1, newMetrics())
+	must(t, err)
+	payloads := tinyWal()
+	must(t, w.appendRecord(payloads[0]))
+	for _, empty := range [][]byte{nil, {}} {
+		if err := w.appendRecord(empty); !errors.Is(err, errEmptyRecord) {
+			t.Fatalf("appendRecord(%#v) = %v, want %v", empty, err, errEmptyRecord)
+		}
+	}
+	for _, p := range payloads[1:] {
+		must(t, w.appendRecord(p))
+	}
+	must(t, w.close())
+	scan, err := scanWAL(disk)
+	must(t, err)
+	if scan.records != len(payloads) || scan.tornBytes != 0 || scan.zeroBytes != 0 {
+		t.Fatalf("scan read %d records (%d torn, %d zero bytes), want the %d appended and nothing to trim",
+			scan.records, scan.tornBytes, scan.zeroBytes, len(payloads))
+	}
+}
+
+// TestRecoverRejectsBytesAfterZeroMarker: a zero byte where a record would
+// start ends a segment's records. Only zeros may follow it in a segment
+// before the last; anything else there is corruption, while in the last
+// segment it is a torn tail cut back to the marker.
+func TestRecoverRejectsBytesAfterZeroMarker(t *testing.T) {
+	src := NewMemDisk()
+	writeRecords(t, src, 48, tinyWal()...) // rotates into several segments
+	names, _ := src.Segments()
+	if len(names) < 2 {
+		t.Fatal("test needs at least two segments")
+	}
+	zeros := make([]byte, 64)
+	garbage := append(append([]byte(nil), zeros...), 0x05, 0x01)
+	// recoverWith recovers a copy of src whose segment i has tail appended.
+	recoverWith := func(i int, tail []byte) (*RecoveryReport, error) {
+		disk := NewMemDisk()
+		for j, name := range names {
+			data, _ := src.ReadSegment(name)
+			if j == i {
+				data = append(data, tail...)
+			}
+			disk.SetSegment(name, data)
+		}
+		s, rep, err := Recover(Options{WAL: disk})
+		if err == nil {
+			s.Kill()
+		}
+		return rep, err
+	}
+
+	// Zeros only after the first segment's records: its records end there,
+	// and the zeros stay.
+	rep, err := recoverWith(0, zeros)
+	if err != nil {
+		t.Fatalf("zero-padded first segment: %v", err)
+	}
+	if rep.Records != len(tinyWal()) || rep.TornBytes != 0 || rep.ZeroBytes != 0 {
+		t.Fatalf("zero-padded first segment: %s", rep.Summary())
+	}
+
+	// Non-zero bytes after the marker in the last segment: torn.
+	rep, err = recoverWith(len(names)-1, garbage)
+	if err != nil {
+		t.Fatalf("garbage after the last segment's marker: %v", err)
+	}
+	if rep.TornBytes != int64(len(garbage)) || rep.ZeroBytes != 0 || rep.Records != len(tinyWal()) {
+		t.Fatalf("garbage after the last segment's marker: %s, want %d torn bytes", rep.Summary(), len(garbage))
+	}
+
+	// The same bytes after the first segment's records: corruption.
+	if _, err := recoverWith(0, garbage); !isWalCorrupt(err) {
+		t.Fatalf("non-zero bytes after the first segment's marker: %v, want wal corruption", err)
 	}
 }
 

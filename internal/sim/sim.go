@@ -166,6 +166,10 @@ type Report struct {
 	// part of the unsynced tail — the recoveries that met a torn write. A
 	// crash test that wants torn tails exercised asserts it is not zero.
 	TornCrashes int
+	// ZeroTailCrashes counts the recoveries whose last segment ended in
+	// zeros, as a killed DirDisk's grown file does (MemDisk.Crash pads
+	// its image so). Like TornCrashes it is not part of Summary().
+	ZeroTailCrashes int
 	// DeadlockAborts sums the server's deadlock_aborts counter over every
 	// incarnation: the waits-for cycle victims, read before each crash and
 	// at the final drain. Like TornCrashes it is not part of Summary().
@@ -348,6 +352,9 @@ func (s *sim) boot(disk *server.MemDisk, into []*slot) error {
 	s.rep.OrphanTops += rrep.OrphanTops
 	s.rep.FixupInforms += rrep.FixupInforms
 	s.rep.TornBytes += rrep.TornBytes
+	if rrep.ZeroBytes > 0 {
+		s.rep.ZeroTailCrashes++
+	}
 	if err := s.checkOracle(); err != nil {
 		return err
 	}

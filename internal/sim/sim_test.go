@@ -44,7 +44,7 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 		for _, class := range sim.AllFaults() {
 			t.Run(fmt.Sprintf("%s/%s", backend, class), func(t *testing.T) {
 				t.Parallel()
-				injected, tornCrashes, certParks := 0, 0, 0
+				injected, recoveries, tornCrashes, zeroTailCrashes, certParks := 0, 0, 0, 0, 0
 				for seed := firstSeed; seed < firstSeed+seeds; seed++ {
 					cfg := backendCfg(backend, seed)
 					cfg.Steps = 160
@@ -63,7 +63,9 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 						t.Errorf("seed %d: fault %s never injected: %s", seed, class, rep.Summary())
 					}
 					injected += rep.Faults[class]
+					recoveries += rep.Recoveries
 					tornCrashes += rep.TornCrashes
+					zeroTailCrashes += rep.ZeroTailCrashes
 					certParks += rep.CertParks
 				}
 				if injected == 0 {
@@ -74,6 +76,13 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 				// matrix green.
 				if class == sim.FaultCrash && tornCrashes == 0 {
 					t.Errorf("no crash over %d seeds kept a torn tail: nothing was unsynced at any crash point", seeds)
+				}
+				// A killed DirDisk leaves zeros after its records, and
+				// MemDisk.Crash pads every image but an empty or
+				// page-aligned one so. Without the padding only a torn tail
+				// that happens to end in zero bytes would meet this path.
+				if class == sim.FaultCrash && 2*zeroTailCrashes <= recoveries {
+					t.Errorf("%d of %d recoveries over %d seeds met a zero tail, want most", zeroTailCrashes, recoveries, seeds)
 				}
 				// Only a top-level commit waits for the watermark; a stall
 				// that holds up none of them tests nothing.
