@@ -133,6 +133,8 @@ type Metrics struct {
 	DrainAborts    atomic.Int64 // top-level aborts forced by shutdown
 	RestartAborts  atomic.Int64 // top-level aborts forced by a protocol restart verdict (e.g. mvto too-late)
 	Retries        atomic.Int64 // BEGINs that follow a server-side abort on the same session
+	ROBegins       atomic.Int64 // read-only BEGINs served as snapshot transactions
+	SnapshotReads  atomic.Int64 // reads served from snapshots
 	Uncertified    atomic.Int64 // commits whose certification failed (SG cycle)
 	WALFailures    atomic.Int64 // commits refused because the WAL write/sync failed
 
@@ -212,10 +214,9 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"group_size_p50":    m.GroupSize.QuantileVal(0.50),
 		"group_size_p99":    m.GroupSize.QuantileVal(0.99),
 		"group_size_mean":   m.GroupSize.MeanVal(),
-	}
-	if st := s.cert.snap; st != nil {
-		snap["mvto_snapshot_reads"] = st.reads.Load()
-		snap["mvto_ro_begins"] = st.roTx.Load()
+		// The snapshot path's counters: 0 on a backend without one.
+		"mvto_snapshot_reads": m.SnapshotReads.Load(),
+		"mvto_ro_begins":      m.ROBegins.Load(),
 	}
 	if req := m.WALSyncRequests.Load(); req > 0 {
 		snap["wal_syncs_per_request"] = float64(m.WALSyncs.Load()) / float64(req)

@@ -141,11 +141,7 @@ func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 				return nil, fmt.Errorf("server: recovery rejected wal: duplicate object %q", op.Label)
 			}
 			sp := spec.ByName(op.SpecName) // non-nil: DecodeWalOp validated
-			id := s.tr.AddObject(op.Label, sp)
-			for int(id) >= len(s.objs) {
-				s.objs = append(s.objs, nil)
-			}
-			s.objs[id] = &sharedObject{id: id, sp: s.tr.Spec(id), g: s.proto.New(s.tr, id)}
+			s.newSharedObject(s.tr.AddObject(op.Label, sp))
 		case event.WalTxDef:
 			before := s.tr.NumTx()
 			var id tname.TxID

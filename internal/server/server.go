@@ -110,6 +110,27 @@ type sharedObject struct {
 	// waiters are the sessions parked on an access g refused; every INFORM
 	// applied to g wakes them (waitsfor.go).
 	waiters []*waitEntry //sgvet:guardedby mu
+	// versions is the newest of the object's committed states, which the
+	// certifier publishes and read-only transactions read (snapshot.go);
+	// nil on a server without a snapshot store.
+	versions atomic.Pointer[snapVersion]
+}
+
+// newSharedObject builds the object interned as id. On a server with a
+// snapshot store its initial state is its one version.
+//
+//sgvet:holds s.mu
+func (s *Server) newSharedObject(id tname.ObjID) *sharedObject {
+	sp := s.tr.Spec(id)
+	o := &sharedObject{id: id, sp: sp, g: s.proto.New(s.tr, id)}
+	if s.cert.snap != nil {
+		o.versions.Store(initVersion(sp))
+	}
+	for int(id) >= len(s.objs) {
+		s.objs = append(s.objs, nil)
+	}
+	s.objs[id] = o
+	return o
 }
 
 // Server is a concurrent nested-transaction server.
@@ -345,12 +366,7 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 		s.defBuf = event.AppendWalObjectDef(s.defBuf[:0], label, s.opts.DefaultSpec.Name())
 		s.wal.appendRecord(s.defBuf)
 	}
-	o := &sharedObject{id: id, sp: s.tr.Spec(id), g: s.proto.New(s.tr, id)}
-	for int(id) >= len(s.objs) {
-		s.objs = append(s.objs, nil)
-	}
-	s.objs[id] = o
-	return o, nil
+	return s.newSharedObject(id), nil
 }
 
 // internTx interns a subtransaction (or access, when obj != NoObj) under

@@ -174,12 +174,12 @@ func (sn *session) handle(q wire.Request) wire.Response {
 		if !ro {
 			return sn.handleAccess(q)
 		}
-		if !sn.s.opts.DefaultSpec.ReadOnly(spec.Op{Kind: q.Op, Arg: q.Arg}) {
-			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
+		if q.Obj == "" {
+			return errResp("empty object label")
 		}
-		v, err := sn.s.cert.snap.read(q.Obj, sn.roCut)
-		if err != nil {
-			return errResp(err.Error())
+		v, ok := sn.s.cert.snap.read(q.Obj, spec.Op{Kind: q.Op, Arg: q.Arg}, sn.roCut)
+		if !ok {
+			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
 		}
 		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.CmdCommit, wire.CmdAbort:

@@ -1,74 +1,77 @@
 package server
 
 import (
-	"fmt"
-	"sort"
-	"sync/atomic"
-
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
 
-// snapVersion is one committed value of one object: the value some
-// top-level transaction's last surviving write installed, tagged with the
-// log index of that transaction's COMMIT event.
-type snapVersion struct {
-	seq int
-	val spec.Value
-}
-
-// objHist is one object's committed-version history. The slice behind the
-// pointer is never mutated — publication copies it, appends, and swaps the
-// pointer — so readers work from whatever consistent slice they loaded
+// snapVersion is one committed state of one object, tagged with the log
+// index of the top-level COMMIT event that published it. An object's
+// versions form a newest-first list behind sharedObject.versions; a version
+// is never mutated once stored, so a reader walks whatever list it loaded
 // without any lock.
-type objHist struct {
-	versions atomic.Pointer[[]snapVersion]
+type snapVersion struct {
+	seq   int
+	state spec.State
+	older *snapVersion
 }
 
-// pendingWrite is a granted-but-uncommitted write the store tracks until
-// its top-level transaction commits (publish) or some ancestor aborts
-// (discard).
-type pendingWrite struct {
-	writer tname.TxID // the access that wrote
-	obj    tname.ObjID
-	val    spec.Value
+// initVersion is an object's first version: its type's initial state, inside
+// every cut.
+func initVersion(sp spec.Spec) *snapVersion {
+	return &snapVersion{seq: -1, state: sp.Init()}
 }
 
-// snapshotStore serves read-only transactions without locks, automata, or
-// log events: the certifier feeds it every event in log order as it
-// certifies, and at every top-level COMMIT event it publishes the subtree's
-// surviving register writes as versions tagged with that event's log index.
-// A read-only transaction pins a cut — the certified watermark, which is
-// also the published prefix — at BEGIN and resolves every read against the
-// latest version at or below its cut, so its whole read set equals the
-// committed state of one acyclic SG(β) prefix: reads never block, never
-// deadlock, and never force an abort. A stalled certifier only makes
-// read-only snapshots older, never uncertified.
+// publish applies op to the newest version and stores the result as the
+// state the COMMIT at log index seq leaves. A version that COMMIT already
+// published is superseded rather than stacked: no cut contains it yet.
+func (o *sharedObject) publish(seq int, op spec.Op) {
+	head := o.versions.Load()
+	older := head
+	if head.seq == seq {
+		older = head.older
+	}
+	st, _ := o.sp.Apply(head.state, op)
+	o.versions.Store(&snapVersion{seq: seq, state: st, older: older})
+}
+
+// stateAt is the state published by the last COMMIT inside the log prefix
+// [0, cut).
+func (o *sharedObject) stateAt(cut int) spec.State {
+	v := o.versions.Load()
+	for v.seq >= cut {
+		v = v.older
+	}
+	return v.state
+}
+
+// snapshotStore serves read-only transactions on the mvto backend without
+// locks, automata, or log events. The certifier feeds it every event in log
+// order as it certifies. It buffers the update accesses of each open
+// top-level transaction, and at the top's COMMIT applies the survivors in
+// log order, with the object type's own Apply, to each object's newest
+// version. A read-only transaction pins a cut — the certified watermark,
+// which is also the published prefix — at BEGIN and answers every read from
+// the state at its cut, so its whole read set is the committed state of one
+// acyclic SG(β) prefix: reads never block, never deadlock, and never force
+// an abort. A stalled certifier only makes snapshots older, never
+// uncertified.
 type snapshotStore struct {
 	srv *Server
-
-	// byObj maps objects to their histories behind an atomic pointer; the
-	// map is copy-on-insert (inserts are rare: first commit per object).
-	byObj atomic.Pointer[map[tname.ObjID]*objHist]
-
-	// reads counts snapshot reads served; roTx counts read-only BEGINs.
-	reads atomic.Int64
-	roTx  atomic.Int64
-
-	// pending is the certifier's private state: granted writes per open
-	// top.
-	pending map[tname.TxID][]pendingWrite
+	// init is the state of an object no transaction has created yet.
+	init spec.State
+	// pending is the certifier's private state: the granted update accesses
+	// of each open top, in log order.
+	pending map[tname.TxID][]tname.TxID
 }
 
 func newSnapshotStore(s *Server) *snapshotStore {
-	st := &snapshotStore{
+	return &snapshotStore{
 		srv:     s,
-		pending: make(map[tname.TxID][]pendingWrite),
+		init:    s.opts.DefaultSpec.Init(),
+		pending: make(map[tname.TxID][]tname.TxID),
 	}
-	empty := make(map[tname.ObjID]*objHist)
-	st.byObj.Store(&empty)
-	return st
 }
 
 // topOf resolves the top-level ancestor of tx (tx itself when it is one).
@@ -92,12 +95,11 @@ func (st *snapshotStore) apply(idx int, e event.Event) {
 		if e.Tx == tname.Root || !tr.IsAccess(e.Tx) {
 			return
 		}
-		op := tr.AccessOp(e.Tx)
-		if !spec.IsWrite(op) {
+		if tr.Spec(tr.AccessObject(e.Tx)).ReadOnly(tr.AccessOp(e.Tx)) {
 			return
 		}
 		top := st.topOf(e.Tx)
-		st.pending[top] = append(st.pending[top], pendingWrite{writer: e.Tx, obj: tr.AccessObject(e.Tx), val: op.Arg})
+		st.pending[top] = append(st.pending[top], e.Tx)
 	case event.Abort:
 		if e.Tx == tname.Root {
 			return
@@ -109,9 +111,9 @@ func (st *snapshotStore) apply(idx int, e event.Event) {
 		top := st.topOf(e.Tx)
 		pend := st.pending[top]
 		kept := pend[:0]
-		for _, w := range pend {
-			if w.writer != e.Tx && !tr.IsDescendant(w.writer, e.Tx) {
-				kept = append(kept, w)
+		for _, acc := range pend {
+			if !tr.IsDescendant(acc, e.Tx) {
+				kept = append(kept, acc)
 			}
 		}
 		st.pending[top] = kept
@@ -119,87 +121,41 @@ func (st *snapshotStore) apply(idx int, e event.Event) {
 		if e.Tx == tname.Root || tr.Parent(e.Tx) != tname.Root {
 			return
 		}
-		pend := st.pending[e.Tx]
-		if len(pend) == 0 {
-			delete(st.pending, e.Tx)
-			return
-		}
-		// Last write per object wins; pend is in log (= program) order.
-		last := make(map[tname.ObjID]spec.Value, len(pend))
-		for _, w := range pend {
-			last[w.obj] = w.val
-		}
-		for obj, val := range last {
-			st.publish(obj, idx, val)
+		for _, acc := range st.pending[e.Tx] {
+			st.srv.objs[tr.AccessObject(acc)].publish(idx, tr.AccessOp(acc))
 		}
 		delete(st.pending, e.Tx)
 	default:
 	}
 }
 
-// publish appends (seq, val) to obj's history. Copy-on-write on both the
-// map (insert) and the slice (append) keeps concurrent readers safe.
-func (st *snapshotStore) publish(obj tname.ObjID, seq int, val spec.Value) {
-	m := st.byObj.Load()
-	h, ok := (*m)[obj]
-	if !ok {
-		h = &objHist{}
-		empty := []snapVersion{}
-		h.versions.Store(&empty)
-		nm := make(map[tname.ObjID]*objHist, len(*m)+1)
-		for k, v := range *m {
-			nm[k] = v
-		}
-		nm[obj] = h
-		st.byObj.Store(&nm)
-	}
-	old := h.versions.Load()
-	nv := make([]snapVersion, len(*old)+1)
-	copy(nv, *old)
-	nv[len(*old)] = snapVersion{seq: seq, val: val}
-	h.versions.Store(&nv)
-}
-
 // cut pins the snapshot point for a new read-only transaction: the
 // certified, hence published, log prefix.
 func (st *snapshotStore) cut() int {
-	st.roTx.Add(1)
+	st.srv.metrics.ROBegins.Add(1)
 	wm, _ := st.srv.cert.state()
 	return wm
 }
 
-// read resolves one read at the given cut: the latest version whose
-// publishing COMMIT event lies inside the cut prefix, or the spec's
-// initial value when none does (or the object has never been created —
-// to a prefix that predates an object, it holds its initial value).
+// read answers op on the object named label from the state at the cut: the
+// state the last top-level COMMIT inside the cut prefix published, or the
+// initial state when none did (to a prefix that predates an object, it holds
+// its initial value). ok is false when op is not a read-only op of the
+// object's type, which a snapshot cannot serve.
 //
 //sgvet:hotpath
-func (st *snapshotStore) read(label string, cutSeq int) (spec.Value, error) {
-	if label == "" {
-		return spec.Nil, errEmptyObjectLabel
-	}
-	st.reads.Add(1)
+func (st *snapshotStore) read(label string, op spec.Op, cut int) (v spec.Value, ok bool) {
+	sp, state := st.srv.opts.DefaultSpec, st.init
 	st.srv.mu.RLock()
-	obj := st.srv.tr.Object(label)
+	if id := st.srv.tr.Object(label); id != tname.NoObj {
+		o := st.srv.objs[id]
+		sp, state = o.sp, o.stateAt(cut)
+	}
 	st.srv.mu.RUnlock()
-	if obj == tname.NoObj {
-		return st.initVal(), nil
+	if !sp.ReadOnly(op) {
+		return spec.Nil, false
 	}
-	h, ok := (*st.byObj.Load())[obj]
-	if !ok {
-		return st.initVal(), nil
-	}
-	vs := *h.versions.Load()
-	// Last version with seq < cutSeq; versions are sorted by seq.
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].seq >= cutSeq })
-	if i == 0 {
-		return st.initVal(), nil
-	}
-	return vs[i-1].val, nil
+	st.srv.metrics.SnapshotReads.Add(1)
+	_, v = sp.Apply(state, op)
+	return v, true
 }
-
-func (st *snapshotStore) initVal() spec.Value {
-	return st.srv.opts.DefaultSpec.Init().(spec.Value)
-}
-
-var errEmptyObjectLabel = fmt.Errorf("empty object label")

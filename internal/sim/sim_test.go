@@ -16,9 +16,7 @@ import (
 var seedsFlag = flag.Int("seeds", 16, "number of seeds for TestSimLongSoak")
 
 // backends lists every server object backend: TestSimBackendFaultMatrix
-// and TestSimBackendDeterministicReplay run all three. mvto additionally
-// carries read-only snapshot traffic, so its lock-free path is exercised
-// under the same faults.
+// and TestSimBackendDeterministicReplay run all three.
 var backends = []string{"moss", "undolog", "mvto"}
 
 // lockers are the two backends whose algorithms the paper proves correct,
@@ -26,12 +24,12 @@ var backends = []string{"moss", "undolog", "mvto"}
 // fault-free run cycle through them.
 var lockers = backends[:2]
 
+// backendCfg is the base of every fault-matrix and replay run. Each
+// backend carries read-only traffic under the same faults: mvto serves it
+// from lock-free snapshots, moss and undolog as ordinary locking
+// transactions.
 func backendCfg(backend string, seed uint64) sim.Config {
-	cfg := sim.Config{Seed: seed, Backend: backend}
-	if backend == "mvto" {
-		cfg.ROPermille = 250
-	}
-	return cfg
+	return sim.Config{Seed: seed, Backend: backend, ROPermille: 250}
 }
 
 // faultMatrix runs each backend × every fault class as a named standalone

@@ -44,7 +44,7 @@ func (Account) Apply(s State, op Op) (State, Value) {
 		}
 		return bal, Bool(false)
 	case OpBalance:
-		return bal, Int(bal)
+		return s, Int(bal)
 	default:
 		panic(fmt.Sprintf("account: unsupported op %s", op))
 	}

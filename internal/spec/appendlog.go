@@ -31,7 +31,7 @@ func (AppendLog) Apply(s State, op Op) (State, Value) {
 		out[len(st)] = op.Arg.Int
 		return out, OK
 	case OpLen:
-		return st, Int(int64(len(st)))
+		return s, Int(int64(len(st)))
 	default:
 		panic(fmt.Sprintf("appendlog: unsupported op %s", op))
 	}

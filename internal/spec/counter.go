@@ -26,7 +26,7 @@ func (Counter) Apply(s State, op Op) (State, Value) {
 	case OpDecrement:
 		return cur - op.Arg.Int, OK
 	case OpGet:
-		return cur, Int(cur)
+		return s, Int(cur)
 	default:
 		panic(fmt.Sprintf("counter: unsupported op %s", op))
 	}

@@ -33,7 +33,7 @@ func (Register) Apply(s State, op Op) (State, Value) {
 	cur := s.(Value)
 	switch op.Kind {
 	case OpRead:
-		return cur, cur
+		return s, cur
 	case OpWrite:
 		return op.Arg, OK
 	default:

@@ -37,9 +37,9 @@ func (IntSet) Apply(s State, op Op) (State, Value) {
 		}
 		return st.without(op.Arg.Int), OK
 	case OpMember:
-		return st, Bool(st.has(op.Arg.Int))
+		return s, Bool(st.has(op.Arg.Int))
 	case OpSize:
-		return st, Int(int64(len(st)))
+		return s, Int(int64(len(st)))
 	default:
 		panic(fmt.Sprintf("set: unsupported op %s", op))
 	}
