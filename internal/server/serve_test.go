@@ -194,6 +194,40 @@ func TestShutdownDoesNotWaitForSnapshotReader(t *testing.T) {
 	}
 }
 
+// TestBeginAnswerSnapshotFlag: the BEGIN answer's snapshot flag promises a
+// COMMIT answered OK whatever happens, so a client may leave that COMMIT
+// owed. It must be set exactly for a read-only BEGIN the backend serves
+// from its snapshot store.
+func TestBeginAnswerSnapshotFlag(t *testing.T) {
+	cases := []struct {
+		backend string
+		ro      bool
+		want    bool
+	}{
+		{"moss", false, false},
+		{"moss", true, false},
+		{"undolog", false, false},
+		{"undolog", true, false},
+		{"mvto", false, false},
+		{"mvto", true, true},
+	}
+	for _, c := range cases {
+		s := server.New(server.Options{Backend: c.backend, Objects: []string{"x"}})
+		cliEnd, srvEnd := net.Pipe()
+		if s.ServeConn(srvEnd) < 0 {
+			t.Fatalf("%s: server refused the connection", c.backend)
+		}
+		rs := newRawSession(t, cliEnd)
+		resp := rs.roundTrip(wire.AppendRequest(nil, wire.Request{Cmd: wire.CmdBegin, RO: c.ro}), wire.CmdBegin)
+		if resp.Status != wire.StatusOK || resp.Snapshot != c.want {
+			t.Errorf("%s BEGIN (ro %v): status %v reason %q snapshot %v, want OK and snapshot %v",
+				c.backend, c.ro, resp.Status, resp.Reason, resp.Snapshot, c.want)
+		}
+		cliEnd.Close()
+		s.Kill()
+	}
+}
+
 // TestMalformedFrameRejectedWithoutKillingSession: a frame that fails
 // ParseRequest must be answered StatusError with the parse reason —
 // encoded against CmdInvalid, never against whatever half-parsed command

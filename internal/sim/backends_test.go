@@ -168,8 +168,10 @@ func FuzzBackendDifferential(f *testing.F) {
 }
 
 // fuzzSeeds is the committed seed corpus for FuzzBackendDifferential.
+// Seed 1384 crashes early, so later sessions reuse the ids of sessions the
+// first incarnation retired; a drop must still wait for its own session.
 func fuzzSeeds() []uint64 {
-	return []uint64{1, 7, 42, 1234, 99991}
+	return []uint64{1, 7, 42, 1234, 1384, 99991}
 }
 
 // TestRegenerateBackendFuzzCorpus rewrites the committed seed corpus for

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Event kinds flowing from the server (via hooks and per-connection
-// readers) to the single driver goroutine.
+// Event kinds flowing from the server (via hooks) and from the sessions'
+// goroutines to the single driver goroutine.
 type evKind uint8
 
 const (
@@ -19,9 +19,8 @@ const (
 	// evDone: a session's serve loop finished; all of its events are in
 	// the log.
 	evDone
-	// evResp: a response frame (or transport error) arrived on a client
-	// connection.
-	evResp
+	// evReturn: a client call made for the driver returned.
+	evReturn
 )
 
 // simEvent is one message on the driver's central channel. Events carry
@@ -30,12 +29,12 @@ const (
 type simEvent struct {
 	gen  uint64
 	kind evKind
-	sess int64 // server session id (evPark, evCommitWait, evDone)
-	slot int   // client slot index (evResp)
-	conn int   // slot connection number (evResp); filters readers of replaced connections
-	seq  int
-	data []byte // raw response payload (evResp)
-	err  error  // transport error (evResp)
+	sess int64 // server session id
+	seq  int   // log index of the top-level COMMIT (evCommitWait)
+	// ended: RunTx or RunReadTx returned err; reads: a read-only one's.
+	ended bool
+	err   error
+	reads []roRead
 }
 
 // simHooks implements server.Hooks for one server incarnation

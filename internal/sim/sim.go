@@ -1,13 +1,19 @@
 // Package sim is a deterministic fault-injection simulator for the
 // nested-transaction server. It wraps the real server — real sessions,
 // real locking automata, real WAL, real certifier — behind a seeded
-// virtual scheduler: a single driver goroutine issues every request,
+// virtual scheduler: a single driver goroutine decides every client call,
 // wakes every parked lock wait, advances a virtual clock, and samples
-// faults (connection drops mid-transaction, drops after REQUEST_COMMIT,
+// faults (connection drops mid-transaction, drops after a top-level COMMIT,
 // certifier stalls, lock-timeout storms, forced deadlocks, and full
 // process crashes with torn-write recovery) from one splitmix64 stream. Two runs with the same
 // Config produce byte-identical event traces, so any failing run
 // reproduces from its uint64 seed alone.
+//
+// Every session is a client.Conn over a net.Pipe, run by a goroutine of its
+// own inside RunTx or RunReadTx, whose body makes the driver's calls one at
+// a time; the driver pumps each call until it returns, parks on a lock or
+// waits on a stalled certifier. The client pipelines as in production, so
+// drops and crashes land with answers still owed (Report.MidPipeline).
 //
 // Crashes use the in-memory Disk: the simulator snapshots the durable
 // prefix (plus a random torn tail of unsynced bytes), freezes the old
@@ -19,16 +25,18 @@
 package sim
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nestedsg/internal/client"
 	"nestedsg/internal/event"
 	"nestedsg/internal/oracle"
 	"nestedsg/internal/server"
@@ -44,8 +52,8 @@ const (
 	// FaultDrop closes a client connection while its transaction is open;
 	// the server must abort the orphaned top and release its locks.
 	FaultDrop FaultClass = iota
-	// FaultDropAfterCommit sends COMMIT and closes the connection before
-	// reading the response: the commit is durable but unacknowledged.
+	// FaultDropAfterCommit hangs up once Hooks.CommitWait reports a top-level
+	// COMMIT logged and synced: the commit is durable but unacknowledged.
 	FaultDropAfterCommit
 	// FaultCertStall blocks the online certifier at the current log
 	// length for a sampled number of scheduler decisions; top-level
@@ -149,7 +157,9 @@ func (c Config) withDefaults() Config {
 type Report struct {
 	Seed  uint64
 	Steps int
-	// Request counters, as observed by the driver.
+	// Begins counts the driver's BEGINs. Accesses, TopCommits and TxAborts
+	// sum server counters over every incarnation: granted accesses and
+	// snapshot reads, logged top-level commits, server-made aborts.
 	Begins, Accesses, TopCommits, TxAborts int
 	// ROBegins and ROReads count read-only top-level BEGINs and the
 	// reads they issued (zero unless Config.ROPermille > 0).
@@ -178,6 +188,10 @@ type Report struct {
 	// certifier — the work FaultCertStall exists to hold up. Not part of
 	// Summary().
 	CertParks int
+	// MidPipeline counts the drops and crashes that hit a client owing
+	// answers to requests it put ahead, buffered or parked in a burst (a
+	// snapshot COMMIT among them). Not part of Summary().
+	MidPipeline int
 	// FinalEvents is the stitched log length after the graceful drain;
 	// Trace is its binary encoding (the determinism witness).
 	FinalEvents int
@@ -212,10 +226,10 @@ func (r *Report) Summary() string {
 		r.Recoveries, r.OrphanTops, r.FixupInforms, r.TornBytes, r.FinalEvents)
 }
 
-// Slot phases: where one client session is in its request cycle.
+// Slot phases: where one client session is in its call cycle.
 const (
-	phIdle     = iota // no outstanding request
-	phAwait           // request sent, no settlement yet
+	phIdle     = iota // no call in flight
+	phAwait           // call handed to the session's goroutine, not settled yet
 	phParkLock        // blocked access parked in LockWait
 	phParkCert        // top-level commit parked behind a stalled certifier
 	phClosed          // connection dropped, waiting for SessionDone
@@ -223,20 +237,20 @@ const (
 
 // slot is one simulated client session.
 type slot struct {
-	idx     int
-	conn    net.Conn
-	w       *bufio.Writer
-	out     []byte
-	sid     int64 // server session id
-	connID  int   // bumped on every reconnect; stale readers are ignored
-	phase   int
-	lastCmd wire.Cmd
-	lastRO  bool   // the in-flight request was a read-only BEGIN
-	lastObj string // object of the in-flight ACCESS (read-set recording)
-	inTx    bool
-	depth   int
-	ro      bool     // the open top-level transaction is read-only
-	roReads []roRead // reads of the open read-only transaction (snapshot backends)
+	idx    int
+	c      *client.Conn
+	calls  chan wire.Request // to the goroutine running c; closed to stop it
+	exited chan struct{}     // closed when that goroutine returns
+	sid    int64             // server session id
+	phase  int
+	inTx   bool
+	depth  int
+	ro     bool // the open top-level transaction is read-only
+	// owed mirrors the requests c has put ahead of their answers, by the
+	// client package comment's rule; drains: the call in flight reads them.
+	owed         []wire.Cmd
+	drains       bool
+	dropAtCommit bool // FaultDropAfterCommit hangs up at this call's top-level COMMIT
 }
 
 // roRead is one observed read of a read-only transaction: the object label
@@ -296,15 +310,16 @@ func Run(cfg Config) (*Report, error) {
 		events:  make(chan simEvent, 4096),
 		wakes:   make(map[int64]chan struct{}),
 		release: make(chan struct{}),
-		done:    make(map[int64]bool),
-		bySid:   make(map[int64]*slot),
 		roSnap:  cfg.Backend == "mvto",
 	}
 	s.clock.Store(1)
 	for i := 0; i < cfg.Objects; i++ {
 		s.objs = append(s.objs, fmt.Sprintf("r%d", i))
 	}
-	if err := s.boot(server.NewMemDisk(), nil); err != nil {
+	for i := 0; i < cfg.Sessions; i++ {
+		s.slots = append(s.slots, &slot{idx: i})
+	}
+	if err := s.boot(server.NewMemDisk()); err != nil {
 		return s.rep, err
 	}
 	err := s.drive()
@@ -338,7 +353,7 @@ func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 
 // boot recovers a server from disk (fresh or post-crash) and connects
 // every client slot to it over a pipe.
-func (s *sim) boot(disk *server.MemDisk, into []*slot) error {
+func (s *sim) boot(disk *server.MemDisk) error {
 	s.disk = disk
 	srv, rrep, err := server.Recover(s.serverOpts(disk))
 	if err != nil {
@@ -361,14 +376,10 @@ func (s *sim) boot(disk *server.MemDisk, into []*slot) error {
 	if err := srv.AuditObjects(); err != nil {
 		return fmt.Errorf("post-recovery object audit: %w", err)
 	}
-	s.bySid = make(map[int64]*slot)
-	if into == nil {
-		for i := 0; i < s.cfg.Sessions; i++ {
-			s.slots = append(s.slots, &slot{idx: i})
-		}
-		into = s.slots
-	}
-	for _, sl := range into {
+	// A recovered server numbers its sessions on from the last one it
+	// logged, so an incarnation's ids may repeat an earlier one's.
+	s.bySid, s.done = make(map[int64]*slot), make(map[int64]bool)
+	for _, sl := range s.slots {
 		if err := s.connect(sl); err != nil {
 			return err
 		}
@@ -383,33 +394,63 @@ func (s *sim) connect(sl *slot) error {
 	if sid < 0 {
 		return fmt.Errorf("slot %d: server refused connection", sl.idx)
 	}
-	sl.conn = clientEnd
-	sl.w = bufio.NewWriter(clientEnd)
-	sl.sid = sid
-	sl.connID++
-	sl.phase = phIdle
-	sl.inTx = false
-	sl.depth = 0
-	sl.ro = false
-	sl.roReads = nil
+	*sl = slot{
+		idx:    sl.idx,
+		c:      client.NewConn(clientEnd),
+		calls:  make(chan wire.Request),
+		exited: make(chan struct{}),
+		sid:    sid,
+	}
 	s.bySid[sid] = sl
-	go s.reader(s.gen.Load(), sl.idx, sl.connID, clientEnd)
+	go s.run(s.gen.Load(), sid, sl.c, sl.calls, sl.exited)
 	return nil
 }
 
-// reader forwards response frames (or the terminal transport error) from
-// one connection to the driver.
-func (s *sim) reader(gen uint64, idx, connID int, c net.Conn) {
-	r := bufio.NewReader(c)
-	var buf []byte
-	for {
-		payload, err := wire.ReadFrame(r, buf)
-		if err != nil {
-			s.send(gen, simEvent{kind: evResp, slot: idx, conn: connID, err: err})
-			return
+// errAbortTop is what a transaction body returns to abort its top level.
+var errAbortTop = errors.New("sim: the driver aborts the transaction")
+
+// run makes the driver's calls on c until calls is closed: a BEGIN starts a
+// one-attempt RunTx (RunReadTx if RO) whose body makes each later call as a
+// Tx method, up to a top-level COMMIT or ABORT, and reports it as evReturn.
+func (s *sim) run(gen uint64, sid int64, c *client.Conn, calls <-chan wire.Request, exited chan<- struct{}) {
+	defer close(exited)
+	for begin := range calls {
+		var reads []roRead
+		body := func(tx *client.Tx) error {
+			depth := 0
+			var err error
+			for err == nil {
+				s.send(gen, simEvent{kind: evReturn, sess: sid}) // BEGIN or the last call returned
+				q, ok := <-calls
+				switch {
+				case q.Cmd == wire.CmdAccess:
+					var v spec.Value
+					if v, err = tx.Access(q.Obj, q.Op, q.Arg); err == nil && begin.RO {
+						reads = append(reads, roRead{obj: q.Obj, val: v})
+					}
+				case q.Cmd == wire.CmdChild:
+					_, err = tx.Child()
+					depth++
+				case depth == 0 && q.Cmd == wire.CmdCommit:
+					return nil
+				case depth == 0 || !ok: // an ABORT, or the driver hung up
+					return errAbortTop
+				case q.Cmd == wire.CmdCommit:
+					_, err = tx.Commit()
+					depth--
+				default:
+					err = tx.Abort()
+					depth--
+				}
+			}
+			return err
 		}
-		buf = payload
-		s.send(gen, simEvent{kind: evResp, slot: idx, conn: connID, data: append([]byte(nil), payload...)})
+		run := c.RunTx
+		if begin.RO {
+			run = c.RunReadTx
+		}
+		err := run(1, body)
+		s.send(gen, simEvent{kind: evReturn, sess: sid, ended: true, err: err, reads: reads})
 	}
 }
 
@@ -453,7 +494,7 @@ func (s *sim) tick() error {
 		return fmt.Errorf("no runnable session (phases %v)", s.phases())
 	}
 	sl := idle[s.r.intn(len(idle))]
-	return s.perform(sl, s.nextRequest(sl))
+	return s.issue(sl, s.nextRequest(sl))
 }
 
 func (s *sim) phases() []int {
@@ -474,7 +515,7 @@ func (s *sim) phaseSlots(phase int) []*slot {
 	return out
 }
 
-// nextRequest samples the next workload request for an idle slot. The
+// nextRequest samples the next workload call for an idle slot. The
 // read-only draw happens only when ROPermille is set, so configurations
 // without read-only traffic consume exactly the rng stream they always did.
 func (s *sim) nextRequest(sl *slot) wire.Request {
@@ -502,17 +543,38 @@ func (s *sim) nextRequest(sl *slot) wire.Request {
 	}
 }
 
-// perform sends one request on sl and pumps events until the session
-// settles (response, lock park, or certifier park).
-func (s *sim) perform(sl *slot, q wire.Request) error {
-	sl.out = wire.AppendRequest(sl.out[:0], q)
-	if err := wire.WriteFrame(sl.w, sl.out); err != nil {
-		return fmt.Errorf("slot %d: write %s: %w", sl.idx, q.Cmd, err)
+// issue hands q to sl's goroutine as one client call and pumps until it
+// returns, parks on a lock or waits on a stalled certifier.
+func (s *sim) issue(sl *slot, q wire.Request) error {
+	switch q.Cmd {
+	case wire.CmdBegin:
+		sl.inTx, sl.depth, sl.ro = true, 1, q.RO
+		s.rep.Begins++
+		if q.RO {
+			s.rep.ROBegins++
+		}
+	case wire.CmdAccess:
+		if sl.ro {
+			s.rep.ROReads++
+		}
+		_, fixed := spec.FixedAnswer(q.Op)
+		sl.drains = !fixed
+	case wire.CmdChild:
+		sl.depth++
+	case wire.CmdCommit:
+		// RunReadTx leaves a snapshot transaction's COMMIT owed once its
+		// BEGIN is answered (its reads owe no update).
+		sl.depth--
+		sl.drains = sl.depth == 0 && !(sl.ro && s.roSnap && !slices.Contains(sl.owed, wire.CmdBegin))
+	default:
+		sl.depth--
+		sl.drains = true
 	}
-	sl.lastCmd = q.Cmd
-	sl.lastRO = q.RO
-	sl.lastObj = q.Obj
+	if !sl.drains {
+		sl.owed = append(sl.owed, q.Cmd)
+	}
 	sl.phase = phAwait
+	sl.calls <- q
 	return s.pumpUntil(func() bool { return sl.phase != phAwait })
 }
 
@@ -560,6 +622,10 @@ func (s *sim) handleEvent(ev simEvent) error {
 		if sl == nil || sl.phase != phAwait {
 			return nil
 		}
+		if sl.dropAtCommit {
+			sl.phase = phClosed
+			return nil
+		}
 		s.mu.Lock()
 		st := s.stall
 		s.mu.Unlock()
@@ -571,125 +637,49 @@ func (s *sim) handleEvent(ev simEvent) error {
 		}
 	case evDone:
 		s.done[ev.sess] = true
-	case evResp:
-		sl := s.slots[ev.slot]
-		if ev.conn != sl.connID {
-			return nil // a reader of a replaced connection winding down
+	case evReturn:
+		sl := s.bySid[ev.sess]
+		if sl == nil || sl.phase == phClosed {
+			return nil // a call that raced a drop
 		}
-		if ev.err != nil {
-			if sl.phase == phClosed {
-				return nil // expected: we dropped this connection
-			}
-			return fmt.Errorf("slot %d: transport error: %w", sl.idx, ev.err)
+		sl.phase = phIdle
+		if sl.drains || ev.err != nil { // RunTx reads what is owed before it judges a failure
+			sl.owed = sl.owed[:0]
 		}
-		if sl.phase == phClosed {
-			return nil // response raced our drop; the session is dying
+		sl.drains = false
+		if !ev.ended {
+			return nil
 		}
-		resp, err := wire.ParseResponse(sl.lastCmd, ev.data)
-		if err != nil {
-			return fmt.Errorf("slot %d: parse %s response: %w", sl.idx, sl.lastCmd, err)
-		}
-		return s.applyResp(sl, resp)
-	}
-	return nil
-}
-
-// applyResp folds a response into the slot's workload cursor.
-func (s *sim) applyResp(sl *slot, resp wire.Response) error {
-	sl.phase = phIdle
-	switch resp.Status {
-	case wire.StatusOK:
-		switch sl.lastCmd {
-		case wire.CmdBegin:
-			// The flag promises a COMMIT answered OK whatever happens, so it
-			// must say exactly what the snapshot path serves.
-			if want := sl.lastRO && s.roSnap; resp.Snapshot != want {
-				return fmt.Errorf("slot %d: BEGIN (ro %v) answered with snapshot flag %v, want %v", sl.idx, sl.lastRO, resp.Snapshot, want)
-			}
-			sl.inTx = true
-			sl.depth = 1
-			sl.ro = sl.lastRO
-			sl.roReads = nil
-			s.rep.Begins++
-			if sl.ro {
-				s.rep.ROBegins++
-			}
-		case wire.CmdChild:
-			sl.depth++
-		case wire.CmdAccess:
-			s.rep.Accesses++
-			if sl.ro {
-				s.rep.ROReads++
-				if s.roSnap {
-					sl.roReads = append(sl.roReads, roRead{obj: sl.lastObj, val: resp.Value})
-				}
-			}
-		case wire.CmdCommit:
-			if sl.depth--; sl.depth == 0 {
-				sl.inTx = false
-				s.rep.TopCommits++
-				s.endRO(sl)
-			}
-		case wire.CmdAbort:
-			if sl.depth--; sl.depth == 0 {
-				sl.inTx = false
-				s.endRO(sl)
+		snap := sl.ro && s.roSnap
+		sl.inTx, sl.depth, sl.ro = false, 0, false
+		switch {
+		case errors.Is(ev.err, client.ErrTxAborted) && !snap:
+		case ev.err == nil, ev.err == errAbortTop: // RunTx returns the body's error as-is
+			if snap && len(ev.reads) > 0 {
+				s.roSets = append(s.roSets, ev.reads) // validated in finish()
 			}
 		default:
-			// CmdVerdict/CmdPing responses carry no cursor state; the
-			// workload generator never sends them anyway.
+			return fmt.Errorf("slot %d (snapshot read-only %v): %w", sl.idx, snap, ev.err)
 		}
-	case wire.StatusTxAborted:
-		if sl.ro && s.roSnap {
-			return fmt.Errorf("slot %d: snapshot read-only transaction aborted by server: %s", sl.idx, resp.Reason)
-		}
-		sl.inTx = false
-		sl.depth = 0
-		sl.ro = false
-		sl.roReads = nil
-		s.rep.TxAborts++
-	default:
-		return fmt.Errorf("slot %d: server rejected %s: %s", sl.idx, sl.lastCmd, resp.Reason)
 	}
 	return nil
-}
-
-// endRO closes out a finished read-only top-level transaction: on a
-// snapshot backend its completed read set is queued for the
-// prefix-consistency validation in finish().
-func (s *sim) endRO(sl *slot) {
-	if sl.ro && s.roSnap && len(sl.roReads) > 0 {
-		s.roSets = append(s.roSets, sl.roReads)
-	}
-	sl.ro = false
-	sl.roReads = nil
 }
 
 // fault injects one fault; did=false means the class is not applicable in
 // the current state and the step should fall through to normal work.
 func (s *sim) fault(class FaultClass) (did bool, err error) {
 	switch class {
-	case FaultDrop:
-		var open []*slot
-		for _, sl := range s.slots {
-			if sl.phase == phIdle && sl.inTx {
-				open = append(open, sl)
-			}
-		}
-		if len(open) == 0 {
-			return false, nil
-		}
-		s.rep.Faults[class]++
-		return true, s.drop(open[s.r.intn(len(open))], wire.Request{})
-	case FaultDropAfterCommit:
-		if s.stalled() {
+	case FaultDrop, FaultDropAfterCommit:
+		if class == FaultDropAfterCommit && s.stalled() {
 			// The dropped session's COMMIT parks on the stalled watermark,
 			// and with it the driver's wait for the session to retire.
 			return false, nil
 		}
 		var open []*slot
 		for _, sl := range s.slots {
-			if sl.phase == phIdle && sl.inTx {
+			// A dropped COMMIT closes the top level, and its burst must not
+			// park on a lock: no blind write may be owed ahead of it.
+			if sl.phase == phIdle && sl.inTx && (class == FaultDrop || sl.depth == 1 && !slices.Contains(sl.owed, wire.CmdAccess)) {
 				open = append(open, sl)
 			}
 		}
@@ -697,7 +687,15 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 			return false, nil
 		}
 		s.rep.Faults[class]++
-		return true, s.drop(open[s.r.intn(len(open))], wire.Request{Cmd: wire.CmdCommit})
+		sl := open[s.r.intn(len(open))]
+		if class == FaultDropAfterCommit {
+			// A COMMIT that logs nothing (a snapshot's) drops after it returns.
+			sl.dropAtCommit = true
+			if err := s.issue(sl, wire.Request{Cmd: wire.CmdCommit}); err != nil {
+				return true, err
+			}
+		}
+		return true, s.drop(sl)
 	case FaultCertStall:
 		s.mu.Lock()
 		already := s.stall != nil
@@ -761,34 +759,42 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 	return false, fmt.Errorf("unknown fault class %d", class)
 }
 
-// drop closes a slot's connection (optionally sending one last frame
-// first — the drop-after-commit variant), waits for the server to retire
-// the session, and reconnects the slot.
-func (s *sim) drop(sl *slot, last wire.Request) error {
-	if last.Cmd != wire.CmdInvalid {
-		sl.out = wire.AppendRequest(sl.out[:0], last)
-		if err := wire.WriteFrame(sl.w, sl.out); err != nil {
-			return fmt.Errorf("slot %d: write %s before drop: %w", sl.idx, last.Cmd, err)
-		}
-		sl.lastCmd = last.Cmd
+// drop closes a slot's connection, waits for the server to retire the
+// session, and reconnects the slot.
+func (s *sim) drop(sl *slot) error {
+	if len(sl.owed) > 0 {
+		s.rep.MidPipeline++
 	}
-	sl.phase = phClosed
-	sl.conn.Close()
-	sid := sl.sid
-	if err := s.pumpUntil(func() bool { return s.done[sid] }); err != nil {
+	if err := s.retire(sl); err != nil {
 		return err
 	}
-	delete(s.bySid, sid)
 	return s.connect(sl)
 }
 
+// retire hangs up sl and waits for the server to end its session.
+func (s *sim) retire(sl *slot) error {
+	sl.phase = phClosed
+	s.hangUp(sl)
+	delete(s.bySid, sl.sid)
+	return s.pumpUntil(func() bool { return s.done[sl.sid] })
+}
+
+// hangUp closes sl's connection, which fails any call in flight, then stops
+// the goroutine running it and waits until it has returned.
+func (s *sim) hangUp(sl *slot) {
+	sl.c.Close()
+	close(sl.calls)
+	<-sl.exited
+}
+
 // crossWrites drives sessions a and b into a crossing write conflict:
-// a writes x then wants y, b writes y then wants x. When both halves of
-// the cross block, the waits-for graph has the cycle a → b → a, which the
-// server's deadlock detector (or lock timeout) must break by aborting a
-// victim. Each access is only issued while its session is still idle
-// inside its transaction — an earlier park or abort leaves a harmless
-// partial pattern.
+// a writes x then wants y, b writes y then wants x. Each write is followed
+// by a read of its object, which sends the write the client put ahead and
+// waits for it. When both halves of the cross block, the waits-for graph
+// has the cycle a → b → a, which the server's deadlock detector (or lock
+// timeout) must break by aborting a victim. Each call is only issued while
+// its session is still idle inside its transaction — an earlier park or
+// abort leaves a harmless partial pattern.
 func (s *sim) crossWrites(a, b *slot, x, y string) error {
 	steps := []struct {
 		sl  *slot
@@ -799,7 +805,14 @@ func (s *sim) crossWrites(a, b *slot, x, y string) error {
 			continue
 		}
 		q := wire.Request{Cmd: wire.CmdAccess, Obj: st.obj, Op: spec.OpWrite, Arg: spec.Int(int64(s.r.intn(8)))}
-		if err := s.perform(st.sl, q); err != nil {
+		if err := s.issue(st.sl, q); err != nil {
+			return err
+		}
+		if st.sl.phase != phIdle || !st.sl.inTx {
+			continue
+		}
+		q.Op, q.Arg = spec.OpRead, spec.Nil
+		if err := s.issue(st.sl, q); err != nil {
 			return err
 		}
 	}
@@ -834,9 +847,12 @@ func (s *sim) unstall() error {
 // crash kills the server at the current instant and recovers it from the
 // durable prefix plus a random torn tail.
 func (s *sim) crash() error {
-	// Every session is settled, so the counter is a function of the
+	// Every session is settled, so the counters are a function of the
 	// schedule; once the generation retires, parked sessions run again.
-	s.rep.DeadlockAborts += s.srv.Metrics().DeadlockAborts.Load()
+	s.count()
+	if slices.ContainsFunc(s.slots, func(sl *slot) bool { return len(sl.owed) > 0 }) {
+		s.rep.MidPipeline++
+	}
 	keep := 0
 	if u := s.disk.UnsyncedBytes(); u > 0 {
 		keep = s.r.intn(u + 1)
@@ -865,18 +881,20 @@ func (s *sim) crash() error {
 
 	s.srv.Kill()
 	for _, sl := range s.slots {
-		sl.conn.Close()
-	}
-	for {
-		select {
-		case <-s.events: // drain stale events
-			continue
-		default:
-		}
-		break
+		s.hangUp(sl)
 	}
 	s.rep.Recoveries++
-	return s.boot(crashDisk, s.slots)
+	return s.boot(crashDisk)
+}
+
+// count adds the incarnation's server counters to the report; the driver
+// calls it with every session settled, so the sums are a function of the seed.
+func (s *sim) count() {
+	m := s.srv.Metrics()
+	s.rep.Accesses += int(m.Accesses.Load() + m.SnapshotReads.Load())
+	s.rep.TopCommits = int(m.TopCommits.Load()) // recovery counts the replayed log's
+	s.rep.TxAborts += int(m.LockTimeouts.Load() + m.DeadlockAborts.Load() + m.RestartAborts.Load())
+	s.rep.DeadlockAborts += m.DeadlockAborts.Load()
 }
 
 // checkOracle cross-checks the current log against the sibling-order
@@ -898,8 +916,8 @@ func (s *sim) checkOracle() error {
 }
 
 // finish drains the run deterministically: lift any stall, wake every
-// parked session to its resolution, abort the open transactions, retire
-// all sessions, shut down, and verify the final certificate — the online
+// parked session to its resolution, hang up every session (which aborts
+// the open transactions), shut down, and verify the final certificate — the online
 // snapshot must match the batch check byte for byte, and recovering the
 // final WAL must reproduce the exact trace.
 func (s *sim) finish() error {
@@ -915,34 +933,16 @@ func (s *sim) finish() error {
 			return fmt.Errorf("final wake: %w", err)
 		}
 	}
+	// One slot at a time, so the aborts are logged in slot order.
 	for _, sl := range s.slots {
-		for sl.inTx {
-			if err := s.perform(sl, wire.Request{Cmd: wire.CmdAbort}); err != nil {
-				return fmt.Errorf("final abort: %w", err)
-			}
-			if sl.phase != phIdle {
-				return fmt.Errorf("final abort parked slot %d (phase %d)", sl.idx, sl.phase)
-			}
+		if err := s.retire(sl); err != nil {
+			return err
 		}
-	}
-	for _, sl := range s.slots {
-		sl.phase = phClosed
-		sl.conn.Close()
-	}
-	if err := s.pumpUntil(func() bool {
-		for _, sl := range s.slots {
-			if !s.done[sl.sid] {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return err
 	}
 	if err := s.srv.Shutdown(context.Background()); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	s.rep.DeadlockAborts += s.srv.Metrics().DeadlockAborts.Load()
+	s.count()
 	if err := s.srv.WALError(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}

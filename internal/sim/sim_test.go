@@ -42,7 +42,7 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 		for _, class := range sim.AllFaults() {
 			t.Run(fmt.Sprintf("%s/%s", backend, class), func(t *testing.T) {
 				t.Parallel()
-				injected, recoveries, tornCrashes, zeroTailCrashes, certParks := 0, 0, 0, 0, 0
+				injected, recoveries, tornCrashes, zeroTailCrashes, certParks, midPipeline := 0, 0, 0, 0, 0, 0
 				for seed := firstSeed; seed < firstSeed+seeds; seed++ {
 					cfg := backendCfg(backend, seed)
 					cfg.Steps = 160
@@ -65,6 +65,7 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 					tornCrashes += rep.TornCrashes
 					zeroTailCrashes += rep.ZeroTailCrashes
 					certParks += rep.CertParks
+					midPipeline += rep.MidPipeline
 				}
 				if injected == 0 {
 					t.Errorf("fault %s never injected across %d seeds", class, seeds)
@@ -86,6 +87,12 @@ func faultMatrix(t *testing.T, backends []string, firstSeed uint64) {
 				// that holds up none of them tests nothing.
 				if class == sim.FaultCertStall && certParks == 0 {
 					t.Errorf("no top-level commit over %d seeds parked on a certifier stall", seeds)
+				}
+				// The client puts writes, CHILDs and COMMITs ahead of their
+				// answers; a drop or crash that never meets one owed leaves
+				// that state out of the fault model.
+				if (class == sim.FaultDrop || class == sim.FaultCrash) && midPipeline == 0 {
+					t.Errorf("no %s over %d seeds hit a client owing answers", class, seeds)
 				}
 			})
 		}
