@@ -28,10 +28,13 @@ import (
 //
 // where str is a uvarint length followed by raw bytes, and value is a
 // spec.ValueKind byte followed by an svarint (int, bool) or str (str)
-// payload. The header is identical in content to the JSON Trace header, so
-// decoding rebuilds a Trace and reuses DecodeTrace for validation; the
-// event section can additionally be consumed one event at a time through
-// BinaryDecoder without materializing a Behavior.
+// payload. The header is identical in content to the JSON Trace header, and
+// both decoders run each of its entries through the same checks (nameTable,
+// trace.go), so the two codecs accept the same system types and refuse the
+// rest with the same message; the binary one defines each name as it reads
+// it, with no Trace in between. The event section can additionally be
+// consumed one event at a time through BinaryDecoder without materializing
+// a Behavior.
 //
 // The same primitives frame the server's WAL records (wal.go), which reuse
 // the transaction-entry and event encodings verbatim, and the network
@@ -140,13 +143,23 @@ func WriteBinaryTrace(w io.Writer, tr *tname.Tree, b Behavior) error {
 // costs an allocation only when it is a string. Every method names its
 // field, what, in the error it returns; the verdicts on a short or
 // overlong varint are binary.ReadUvarint's.
-type Cursor struct{ b []byte }
+type Cursor struct {
+	// b is never re-sliced: reading moves off, an integer, so that it
+	// stores no pointer and costs no write barrier while the collector
+	// runs.
+	b   []byte
+	off int
+	// copied, when not empty, is a copy of b: a string is then cut out of
+	// it instead of copied on its own. The trace header reads its
+	// transaction table so (header), with one allocation for all labels.
+	copied string
+}
 
 // NewCursor returns a cursor over b.
 func NewCursor(b []byte) Cursor { return Cursor{b: b} }
 
 // Len reports how many bytes are left unread.
-func (c *Cursor) Len() int { return len(c.b) }
+func (c *Cursor) Len() int { return len(c.b) - c.off }
 
 // nsgbErr names a decode failure: what is the field, part a suffix to it
 // (taken apart so that the happy path never concatenates).
@@ -160,11 +173,11 @@ var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // Byte reads one byte.
 func (c *Cursor) Byte(what string) (byte, error) {
-	if len(c.b) == 0 {
+	if c.off == len(c.b) {
 		return 0, nsgbErr(what, "", io.EOF)
 	}
-	b := c.b[0]
-	c.b = c.b[1:]
+	b := c.b[c.off]
+	c.off++
 	return b, nil
 }
 
@@ -173,14 +186,15 @@ func (c *Cursor) Byte(what string) (byte, error) {
 // (binary.Uvarint alone calls that a short buffer), and running out
 // mid-number is io.ErrUnexpectedEOF.
 func (c *Cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b)
+	rest := c.b[c.off:]
+	v, n := binary.Uvarint(rest)
 	switch {
 	case n > 0:
-		c.b = c.b[n:]
+		c.off += n
 		return v, nil
-	case n < 0 || len(c.b) >= binary.MaxVarintLen64:
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
 		return 0, errVarintOverflow
-	case len(c.b) == 0:
+	case len(rest) == 0:
 		return 0, io.EOF
 	default:
 		return 0, io.ErrUnexpectedEOF
@@ -219,16 +233,19 @@ func (c *Cursor) str(what, part string) (string, error) {
 	if n > maxBinaryStr {
 		return "", fmt.Errorf("nsgb: %s%s length %d exceeds limit", what, part, n)
 	}
-	if n > uint64(len(c.b)) {
+	if left := c.Len(); n > uint64(left) {
 		err = io.ErrUnexpectedEOF
-		if len(c.b) == 0 {
+		if left == 0 {
 			err = io.EOF
 		}
 		return "", nsgbErr(what, part, err)
 	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s, nil
+	start := c.off
+	c.off += int(n)
+	if c.copied != "" {
+		return c.copied[start:c.off], nil
+	}
+	return string(c.b[start:c.off]), nil
 }
 
 // OpKind reads an operation kind. It is compared at full width:
@@ -247,11 +264,11 @@ func (c *Cursor) OpKind(what string) (spec.OpKind, error) {
 // Value reads a kind-tagged value, rebuilt through the spec constructors so
 // that it carries exactly the fields its kind selects.
 func (c *Cursor) Value(what string) (spec.Value, error) {
-	if len(c.b) == 0 {
+	if c.off == len(c.b) {
 		return spec.Nil, nsgbErr(what, " kind", io.EOF)
 	}
-	kind := spec.ValueKind(c.b[0])
-	c.b = c.b[1:]
+	kind := spec.ValueKind(c.b[c.off])
+	c.off++
 	switch kind {
 	case spec.VNil:
 		return spec.Nil, nil
@@ -296,6 +313,52 @@ func (c *Cursor) txDef() (parent, obj int64, label string, op spec.Op, err error
 	return
 }
 
+// skipTxDefs steps over n transaction entries, reading no string, and
+// returns the bytes they take, or -1 if they are not all there. It checks
+// only their lengths: txDef judges what they hold.
+func (c Cursor) skipTxDefs(n int) int {
+	start := c.off
+	skipStr := func() bool {
+		l, err := c.uvarint()
+		if err != nil || l > uint64(c.Len()) {
+			return false
+		}
+		c.off += int(l)
+		return true
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.uvarint(); err != nil || !skipStr() { // parent, label
+			return -1
+		}
+		obj, err := c.uvarint() // zigzag: odd is negative, no access
+		if err != nil {
+			return -1
+		}
+		if obj&1 != 0 {
+			continue
+		}
+		if _, err := c.uvarint(); err != nil || c.Len() == 0 { // op kind, arg kind
+			return -1
+		}
+		kind := spec.ValueKind(c.b[c.off])
+		c.off++
+		switch kind {
+		case spec.VInt, spec.VBool:
+			_, err = c.uvarint()
+		case spec.VStr:
+			if !skipStr() {
+				return -1
+			}
+		default:
+			// VNil and VOK carry no payload; txDef refuses any other kind.
+		}
+		if err != nil {
+			return -1
+		}
+	}
+	return c.off - start
+}
+
 // event reads an event as appendEvent writes it, checking its transaction
 // against numTx and an inform's object against numObjects.
 func (c *Cursor) event(numTx, numObjects int) (Event, error) {
@@ -336,14 +399,13 @@ func (c *Cursor) event(numTx, numObjects int) (Event, error) {
 	return e, nil
 }
 
-// header decodes the object and transaction tables into a Trace header and
-// validates them through DecodeTrace (with no events), returning the
-// interned tree.
+// header decodes the object and transaction tables straight into a tree,
+// one entry at a time, through the checks DecodeTrace runs on a JSON header.
 func (c *Cursor) header() (*tname.Tree, error) {
-	if !bytes.HasPrefix(c.b, binaryMagic[:]) {
-		return nil, fmt.Errorf("nsgb: bad magic %q", c.b[:min(len(c.b), len(binaryMagic))])
+	if rest := c.b[c.off:]; !bytes.HasPrefix(rest, binaryMagic[:]) {
+		return nil, fmt.Errorf("nsgb: bad magic %q", rest[:min(len(rest), len(binaryMagic))])
 	}
-	c.b = c.b[len(binaryMagic):]
+	c.off += len(binaryMagic)
 	ver, err := c.Uvarint("version")
 	if err != nil {
 		return nil, err
@@ -352,43 +414,57 @@ func (c *Cursor) header() (*tname.Tree, error) {
 		return nil, fmt.Errorf("nsgb: unsupported version %d", ver)
 	}
 
-	var t Trace
+	nt := newNameTable()
 	nObj, err := c.Uvarint("object count")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nObj; i++ {
-		var to TraceObject
-		if to.Label, err = c.Str("object label"); err != nil {
+		label, err := c.Str("object label")
+		if err != nil {
 			return nil, err
 		}
-		if to.Spec, err = c.Str("object spec"); err != nil {
+		specName, err := c.Str("object spec")
+		if err != nil {
 			return nil, err
 		}
-		t.Objects = append(t.Objects, to)
+		if err := nt.object(int(i), label, specName); err != nil {
+			return nil, err
+		}
 	}
 
 	nTx, err := c.Uvarint("tx count")
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nTx; i++ {
-		parent, obj, label, op, err := c.txDef()
+	// Every entry takes at least three bytes (parent, label length, obj):
+	// the bound caps what grow reserves.
+	if nTx > uint64(c.Len()/3) {
+		return nil, fmt.Errorf("nsgb: tx count %d exceeds input size", nTx)
+	}
+	nt.grow(int(nTx))
+	// Read the table through one copy of its bytes, so that its labels are
+	// cut out of one string instead of allocated one by one. A table that
+	// does not skip whole is read in place, where its first bad entry is
+	// named.
+	tab := NewCursor(c.b[c.off:])
+	if n := tab.skipTxDefs(int(nTx)); n >= 0 {
+		tab = Cursor{b: tab.b[:n], copied: string(tab.b[:n])}
+	}
+	for i := 0; i < int(nTx); i++ {
+		parent, obj, label, op, err := tab.txDef()
 		if err != nil {
 			return nil, err
 		}
-		tt := TraceTx{Parent: int32(parent), Label: label, Obj: int32(obj)}
-		if obj >= 0 {
-			tt.Op = op.Kind.String()
-			if op.Arg.Kind != spec.VNil {
-				tt.OpArg = encodeValue(op.Arg)
-			}
+		if err := nt.check(i, parent, label, obj); err != nil {
+			return nil, err
 		}
-		t.Tx = append(t.Tx, tt)
+		if i > 0 {
+			nt.define(parent, label, obj, op)
+		}
 	}
-
-	tr, _, err := DecodeTrace(&t)
-	return tr, err
+	c.off += tab.off
+	return nt.tr, nil
 }
 
 // BinaryDecoder decodes a binary trace incrementally: the header (system

@@ -144,9 +144,10 @@ func TestRegenerateBinaryFuzzCorpus(t *testing.T) {
 		t.Fatalf("reading seed trace: %v", err)
 	}
 	seeds := map[string][]byte{
-		"seed_valid":     MarshalBinaryTrace(tr, b),
-		"seed_empty":     MarshalBinaryTrace(emptyTree(t), nil),
-		"seed_truncated": MarshalBinaryTrace(tr, b)[:20],
+		"seed_valid":       MarshalBinaryTrace(tr, b),
+		"seed_empty":       MarshalBinaryTrace(emptyTree(t), nil),
+		"seed_truncated":   MarshalBinaryTrace(tr, b)[:20],
+		"seed_dup_sibling": dupSiblingTrace(),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzBinaryTraceRoundTrip")
 	for name, data := range seeds {
@@ -169,6 +170,16 @@ func TestRegenerateBinaryFuzzCorpus(t *testing.T) {
 			t.Fatalf("seed corpus %s is stale (run with UPDATE_FUZZ_CORPUS=1)", name)
 		}
 	}
+}
+
+// dupSiblingTrace encodes a header the decoder must refuse: T0 has two
+// children labelled "a". Define takes a label's uniqueness on trust, so the
+// tree can hold them.
+func dupSiblingTrace() []byte {
+	tr := tname.NewTree()
+	a := tr.Define(tname.Root, "a", tname.NoObj, spec.Op{})
+	tr.Define(tname.Root, "a", tname.NoObj, spec.Op{})
+	return MarshalBinaryTrace(tr, Behavior{NewEvent(Create, tname.Root), NewEvent(RequestCreate, a)})
 }
 
 func emptyTree(t testing.TB) *tname.Tree {
@@ -194,6 +205,7 @@ func FuzzBinaryTraceRoundTrip(f *testing.F) {
 		f.Add(MarshalBinaryTrace(tr, b))
 		f.Add(MarshalBinaryTrace(tr, b)[:20])
 	}
+	f.Add(dupSiblingTrace())
 	f.Add([]byte("NSGB"))
 	f.Add([]byte{})
 

@@ -2,6 +2,7 @@ package event
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -127,70 +128,120 @@ func EncodeTrace(tr *tname.Tree, b Behavior) *Trace {
 	return t
 }
 
+// nameTable checks a trace's object and transaction tables entry by entry
+// and defines each name in a fresh tree. It is the one validation behind
+// both codecs' headers, DecodeTrace's and the NSGB Cursor's, so the two
+// accept the same system types and refuse the rest with the same message.
+// Every malformed entry is an error here, never a tname panic: a name is
+// defined only once its parent, label and object have been checked.
+type nameTable struct {
+	tr *tname.Tree
+	// seen holds every (parent, label) defined so far: tname.Define takes
+	// the uniqueness of a sibling label on trust.
+	seen map[nameKey]struct{}
+}
+
+type nameKey struct {
+	parent tname.TxID
+	label  string
+}
+
+func newNameTable() *nameTable { return &nameTable{tr: tname.NewTree()} }
+
+// object defines object i, label, under the specification named specName.
+func (nt *nameTable) object(i int, label, specName string) error {
+	sp := spec.ByName(specName)
+	if sp == nil {
+		return fmt.Errorf("trace: unknown spec %q", specName)
+	}
+	if nt.tr.Object(label) != tname.NoObj {
+		return fmt.Errorf("trace: object %d reuses label %q", i, label)
+	}
+	nt.tr.AddObject(label, sp)
+	return nil
+}
+
+// grow reserves room for a transaction table of n entries, T0 included.
+func (nt *nameTable) grow(n int) {
+	nt.tr.Grow(n)
+	nt.seen = make(map[nameKey]struct{}, n)
+}
+
+// check checks transaction entry i. Entry 0 must be T0 (parent -1; the rest
+// of it is ignored). Every other entry names a parent defined before it that
+// is not an access, a label none of its siblings has, and, if it is an
+// access (obj >= 0), an object of the table.
+func (nt *nameTable) check(i int, parent int64, label string, obj int64) error {
+	if i == 0 {
+		if parent != -1 {
+			return errors.New("trace: entry 0 must be T0")
+		}
+		return nil
+	}
+	if parent < 0 || parent >= int64(i) {
+		return fmt.Errorf("trace: tx %d has bad parent %d", i, parent)
+	}
+	if nt.tr.IsAccess(tname.TxID(parent)) {
+		return fmt.Errorf("trace: tx %d is a child of access %d", i, parent)
+	}
+	key := nameKey{tname.TxID(parent), label}
+	if _, dup := nt.seen[key]; dup {
+		return fmt.Errorf("trace: tx %d duplicates name %q under parent %d", i, label, parent)
+	}
+	nt.seen[key] = struct{}{}
+	if obj >= int64(nt.tr.NumObjects()) {
+		return fmt.Errorf("trace: tx %d accesses unknown object %d", i, obj)
+	}
+	return nil
+}
+
+// define defines an entry other than T0 that check has passed; op is
+// ignored unless the entry is an access.
+func (nt *nameTable) define(parent int64, label string, obj int64, op spec.Op) {
+	x := tname.NoObj
+	if obj >= 0 {
+		x = tname.ObjID(obj)
+	} else {
+		op = spec.Op{}
+	}
+	nt.tr.Define(tname.TxID(parent), label, x, op)
+}
+
 // DecodeTrace reconstructs the tree and behavior from a Trace.
 //
 // Every malformed input must surface as an error, never as a panic: the
-// tname interner panics on programming errors (re-interning a name with
-// different metadata, giving an access a child), so the decoder validates
-// each entry before handing it over. FuzzTraceRoundTrip drives this
-// contract with arbitrary inputs.
+// header goes through nameTable, the same checks the NSGB decoder runs.
+// FuzzTraceRoundTrip drives this contract with arbitrary inputs.
 func DecodeTrace(t *Trace) (*tname.Tree, Behavior, error) {
-	tr := tname.NewTree()
+	nt := newNameTable()
 	for i, to := range t.Objects {
-		sp := spec.ByName(to.Spec)
-		if sp == nil {
-			return nil, nil, fmt.Errorf("trace: unknown spec %q", to.Spec)
+		if err := nt.object(i, to.Label, to.Spec); err != nil {
+			return nil, nil, err
 		}
-		if tr.Object(to.Label) != tname.NoObj {
-			return nil, nil, fmt.Errorf("trace: object %d reuses label %q", i, to.Label)
-		}
-		tr.AddObject(to.Label, sp)
 	}
-	type nameKey struct {
-		parent int32
-		label  string
-	}
-	seen := make(map[nameKey]bool)
+	nt.grow(len(t.Tx))
 	for i, tt := range t.Tx {
+		parent, obj := int64(tt.Parent), int64(tt.Obj)
+		if err := nt.check(i, parent, tt.Label, obj); err != nil {
+			return nil, nil, err
+		}
 		if i == 0 {
-			if tt.Parent != -1 {
-				return nil, nil, fmt.Errorf("trace: entry 0 must be T0")
-			}
 			continue
 		}
-		parent := tname.TxID(tt.Parent)
-		if parent < 0 || int(parent) >= i {
-			return nil, nil, fmt.Errorf("trace: tx %d has bad parent %d", i, tt.Parent)
-		}
-		if tr.IsAccess(parent) {
-			return nil, nil, fmt.Errorf("trace: tx %d is a child of access %d", i, tt.Parent)
-		}
-		key := nameKey{tt.Parent, tt.Label}
-		if seen[key] {
-			return nil, nil, fmt.Errorf("trace: tx %d duplicates name %q under parent %d", i, tt.Label, tt.Parent)
-		}
-		seen[key] = true
-		var id tname.TxID
-		if tt.Obj >= 0 {
-			if int(tt.Obj) >= tr.NumObjects() {
-				return nil, nil, fmt.Errorf("trace: tx %d accesses unknown object %d", i, tt.Obj)
-			}
-			kind, ok := opKindByName[tt.Op]
-			if !ok {
+		var op spec.Op
+		if obj >= 0 {
+			var ok bool
+			if op.Kind, ok = opKindByName[tt.Op]; !ok {
 				return nil, nil, fmt.Errorf("trace: tx %d has unknown op %q", i, tt.Op)
 			}
-			arg, err := decodeValue(tt.OpArg)
-			if err != nil {
+			var err error
+			if op.Arg, err = decodeValue(tt.OpArg); err != nil {
 				return nil, nil, err
 			}
-			id = tr.Access(parent, tt.Label, tname.ObjID(tt.Obj), spec.Op{Kind: kind, Arg: arg})
-		} else {
-			id = tr.Child(parent, tt.Label)
 		}
-		if id != tname.TxID(i) {
-			return nil, nil, fmt.Errorf("trace: tx %d interned out of order (got %d); duplicate name?", i, id)
-		}
+		nt.define(parent, tt.Label, obj, op)
 	}
+	tr := nt.tr
 	var b Behavior
 	for i, te := range t.Events {
 		kind, ok := eventKindByName[te.Kind]

@@ -491,6 +491,43 @@ func TestDeferredFrameErrors(t *testing.T) {
 		shutdownAndVerify(t, s)
 	})
 
+	// The name check holds for names out of ascending order, the
+	// order this repository's client never uses: each name once per parent,
+	// whatever order the names come in.
+	t.Run("child names out of order", func(t *testing.T) {
+		s := startServer(t, server.Options{Objects: []string{"x"}})
+		nc, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		rs := newRawSession(t, nc)
+		send := func(q wire.Request, want wire.Status) {
+			t.Helper()
+			if resp := rs.roundTrip(wire.AppendRequest(nil, q), q.Cmd); resp.Status != want {
+				t.Fatalf("%s %d: status %v (%s), want %v", q.Cmd, q.N, resp.Status, resp.Reason, want)
+			}
+		}
+		child := func(n uint64) wire.Request { return wire.Request{Cmd: wire.CmdChild, Named: true, N: n} }
+		commit := wire.Request{Cmd: wire.CmdCommit}
+		send(wire.Request{Cmd: wire.CmdBegin}, wire.StatusOK)
+		for _, n := range []uint64{7, 3, 9, 5, 1} {
+			send(child(n), wire.StatusOK)
+			send(commit, wire.StatusOK)
+		}
+		for _, n := range []uint64{1, 3, 5, 7, 9} {
+			send(child(n), wire.StatusError)
+		}
+		for _, n := range []uint64{2, 8, 4} {
+			send(child(n), wire.StatusOK)
+			send(commit, wire.StatusOK)
+		}
+		send(child(4), wire.StatusError)
+		send(commit, wire.StatusOK)
+		nc.Close()
+		shutdownAndVerify(t, s)
+	})
+
 	// (e) The client vanishes after sending a burst and before reading any
 	// of its answers: the server aborts what the burst opened.
 	t.Run("client vanishes mid-burst", func(t *testing.T) {

@@ -369,24 +369,20 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 	return s.newSharedObject(id), nil
 }
 
-// internTx interns a subtransaction (or access, when obj != NoObj) under
+// internTx defines a subtransaction (or access, when obj != NoObj) under
 // the tree write lock, writing the WAL definition record in the same
-// critical section when the name is new. fresh reports that it was.
-func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op spec.Op) (id tname.TxID, fresh bool) {
+// critical section. The session vouches that the name is new: every
+// server-made label is unique by construction, and a client-chosen one has
+// passed its parent frame's check (txFrame.name), so nothing is looked up.
+func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op spec.Op) tname.TxID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	before := s.tr.NumTx()
-	if obj == tname.NoObj {
-		id = s.tr.Child(parent, label)
-	} else {
-		id = s.tr.Access(parent, label, obj, op)
-	}
-	fresh = s.tr.NumTx() > before
-	if s.wal != nil && fresh {
+	id := s.tr.Define(parent, label, obj, op)
+	if s.wal != nil {
 		s.defBuf = event.AppendWalTxDef(s.defBuf[:0], parent, label, obj, op)
 		s.wal.appendRecord(s.defBuf)
 	}
-	return id, fresh
+	return id
 }
 
 // walSync makes the log durable through the present; sessions call it at

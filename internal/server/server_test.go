@@ -40,6 +40,11 @@ func shutdownAndVerify(t *testing.T, s *server.Server) *server.Final {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	// The server defines its names without looking them up: hold it to
+	// the uniqueness it vouches for.
+	if err := s.Tree().Validate(); err != nil {
+		t.Fatalf("name tree: %v", err)
+	}
 	f := s.Final()
 	if !f.Batch.OK {
 		t.Fatalf("batch check failed:\n%s", f.Batch.Summary(s.Tree()))

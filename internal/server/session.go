@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,26 @@ type txFrame struct {
 	// objects (the runner's markTouched, maintained eagerly at access
 	// creation).
 	touched []tname.ObjID
+	// named holds the numbers of the children this frame's client has
+	// named ("k<n>"), ascending: the one place a duplicate name can arise,
+	// since every other label the server gives is unique by construction.
+	named []uint64
+}
+
+// name records that the client names a child of this frame k<n>, and
+// reports false if it already has. A client numbers its children in
+// ascending order, so the usual record is an append.
+func (f *txFrame) name(n uint64) bool {
+	if k := len(f.named); k == 0 || f.named[k-1] < n {
+		f.named = append(f.named, n)
+		return true
+	}
+	i, found := slices.BinarySearch(f.named, n)
+	if found {
+		return false
+	}
+	f.named = slices.Insert(f.named, i, n)
+	return true
 }
 
 func (f *txFrame) touch(x tname.ObjID) {
@@ -289,7 +310,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 	}
 	sn.topN++
 	label := sn.topLabel(false)
-	top, _ := sn.s.internTx(tname.Root, label, tname.NoObj, spec.Op{})
+	top := sn.s.internTx(tname.Root, label, tname.NoObj, spec.Op{})
 	sn.s.appendLog(
 		event.NewEvent(event.RequestCreate, top),
 		event.NewEvent(event.Create, top),
@@ -314,10 +335,10 @@ func (sn *session) handleChild(q wire.Request) wire.Response {
 	}
 	cur := sn.frames[len(sn.frames)-1]
 	label := sn.childLabel(q)
-	child, fresh := sn.s.internTx(cur.id, label, tname.NoObj, spec.Op{})
-	if !fresh {
+	if q.Named && !cur.name(q.N) {
 		return errResp("CHILD " + label + ": the current transaction already has a child of that name")
 	}
+	child := sn.s.internTx(cur.id, label, tname.NoObj, spec.Op{})
 	sn.s.appendLog(
 		event.NewEvent(event.RequestCreate, child),
 		event.NewEvent(event.Create, child),
@@ -346,7 +367,7 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 	sn.labelN++
 	label := sn.label('a', uint64(sn.labelN))
 	op := spec.Op{Kind: q.Op, Arg: q.Arg}
-	acc, _ := sn.s.internTx(cur.id, label, obj.id, op)
+	acc := sn.s.internTx(cur.id, label, obj.id, op)
 
 	// Every open frame is an ancestor of the access: record the touch now,
 	// before the access can block, so an abort that interrupts the wait

@@ -34,7 +34,7 @@ func TestVictimChoiceOverlappingCycles(t *testing.T) {
 
 	tops := make([]tname.TxID, 3)
 	for i := range tops {
-		tops[i], _ = s.internTx(tname.Root, fmt.Sprintf("t%d", i+1), tname.NoObj, spec.Op{})
+		tops[i] = s.internTx(tname.Root, fmt.Sprintf("t%d", i+1), tname.NoObj, spec.Op{})
 	}
 	label := 0
 	// try creates one access of top on obj and attempts its grant; a granted
@@ -47,7 +47,7 @@ func TestVictimChoiceOverlappingCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		label++
-		acc, _ := s.internTx(top, fmt.Sprintf("a%d", label), obj.id, op)
+		acc := s.internTx(top, fmt.Sprintf("a%d", label), obj.id, op)
 		var e *waitEntry
 		s.withObj(obj, func() { //sgvet:holds obj.mu, s.mu:r
 			obj.g.Create(acc)

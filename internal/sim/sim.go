@@ -946,6 +946,11 @@ func (s *sim) finish() error {
 	if err := s.srv.WALError(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	// The server defines its names without looking them up: hold it to
+	// the uniqueness it vouches for.
+	if err := s.srv.Tree().Validate(); err != nil {
+		return fmt.Errorf("final name tree: %w", err)
+	}
 	f := s.srv.Final()
 	if !f.Batch.OK {
 		return fmt.Errorf("final batch check failed: %s", f.Batch.Summary(s.srv.Tree()))

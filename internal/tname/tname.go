@@ -3,19 +3,29 @@
 // may be designated as accesses to named objects.
 //
 // The paper treats the name tree as infinite and "known in advance by all
-// components of a system"; we realize it lazily, interning each name the
-// first time a component mentions it. Interned names are small integer IDs
-// (TxID), so ancestor/descendant/lca queries are cheap pointer-free walks.
+// components of a system"; we realize the part of it a run uses, one name at
+// a time. Names are small integer IDs (TxID) assigned in creation order, so
+// a parent always precedes its children and ancestor/descendant/lca queries
+// are cheap pointer-free walks up a slice of parents.
+//
+// A name enters the tree one of two ways. Define appends a name its caller
+// knows to be new (the server makes its names unique by construction, and
+// the trace decoders check each table entry) and touches nothing but that
+// slice. Child and Access intern: they return the existing name of that
+// label under that parent, or define it; they serve offline callers that
+// mention a name more than once, through a label index built only when the
+// first lookup asks for it.
 package tname
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nestedsg/internal/spec"
 )
 
-// TxID identifies an interned transaction name. The root T0 is always ID 0.
+// TxID identifies a transaction name. The root T0 is always ID 0.
 // The zero value therefore denotes T0; callers that need "no transaction"
 // should use None.
 type TxID int32
@@ -33,7 +43,7 @@ type ObjID int32
 // NoObj is a sentinel ObjID meaning "no object".
 const NoObj ObjID = -1
 
-// node is the interned record for one transaction name.
+// node is the record for one transaction name.
 type node struct {
 	parent TxID
 	depth  int32 // depth of T0 is 0
@@ -49,20 +59,23 @@ type object struct {
 	sp    spec.Spec
 }
 
-// Tree is a system type: the set of interned transaction names organized
-// into a tree by parent, together with the set of object names and, for each
-// access name, the object it accesses and the operation it performs.
+// Tree is a system type: the set of transaction names organized into a tree
+// by parent, together with the set of object names and, for each access
+// name, the object it accesses and the operation it performs.
 //
 // A Tree is not safe for concurrent mutation; the runners in this module
-// intern all names they need before or while holding their own locks.
+// define all names they need before or while holding their own locks. Child
+// and Access mutate even when they find the name: they catch the label
+// index up.
 type Tree struct {
 	nodes   []node
 	objects []object
-	// children holds the interned children of each name in creation order;
-	// used by pretty-printers and generators, not by the checkers.
-	children [][]TxID
-	// byLabel resolves "parentID/label" for idempotent interning.
+	// byLabel resolves (parent, label) for Child and Access. It is nil
+	// until the first lookup, and covers nodes[:indexed]: each lookup first
+	// catches it up with the names defined since, so a tree that is only
+	// ever Defined into never hashes a label.
 	byLabel    map[childKey]TxID
+	indexed    int
 	objByLabel map[string]ObjID
 }
 
@@ -73,16 +86,16 @@ type childKey struct {
 
 // NewTree returns a system type containing only T0 and no objects.
 func NewTree() *Tree {
-	t := &Tree{
-		byLabel:    make(map[childKey]TxID),
-		objByLabel: make(map[string]ObjID),
-	}
+	t := &Tree{objByLabel: make(map[string]ObjID), indexed: 1} // T0 is no one's child
 	t.nodes = append(t.nodes, node{parent: None, depth: 0, label: "T0", obj: NoObj})
-	t.children = append(t.children, nil)
 	return t
 }
 
-// NumTx reports how many transaction names have been interned.
+// Grow reserves room for n more transaction names, so that the next n
+// Defines do not allocate.
+func (t *Tree) Grow(n int) { t.nodes = slices.Grow(t.nodes, n) }
+
+// NumTx reports how many transaction names the tree holds.
 func (t *Tree) NumTx() int { return len(t.nodes) }
 
 // NumObjects reports how many object names have been interned.
@@ -132,28 +145,58 @@ func (t *Tree) Access(parent TxID, label string, x ObjID, op spec.Op) TxID {
 	if x < 0 || int(x) >= len(t.objects) {
 		panic(fmt.Sprintf("tname: access %q to unknown object %d", label, x))
 	}
-	id := t.intern(parent, label, x, op)
-	return id
+	return t.intern(parent, label, x, op)
 }
 
 func (t *Tree) intern(parent TxID, label string, x ObjID, op spec.Op) TxID {
 	if t.IsAccess(parent) {
 		panic(fmt.Sprintf("tname: %s is an access and cannot have children", t.Name(parent)))
 	}
-	key := childKey{parent, label}
-	if id, ok := t.byLabel[key]; ok {
+	if t.byLabel == nil {
+		t.byLabel = make(map[childKey]TxID, len(t.nodes))
+	}
+	for ; t.indexed < len(t.nodes); t.indexed++ {
+		n := &t.nodes[t.indexed]
+		key := childKey{n.parent, n.label}
+		if _, dup := t.byLabel[key]; !dup { // a Defined duplicate: the first one names it
+			t.byLabel[key] = TxID(t.indexed)
+		}
+	}
+	if id, ok := t.byLabel[childKey{parent, label}]; ok {
 		n := t.nodes[id]
 		if n.obj != x || n.op != op {
 			panic(fmt.Sprintf("tname: name %s re-interned with different access metadata", t.Name(id)))
 		}
 		return id
 	}
+	return t.Define(parent, label, x, op)
+}
+
+// Define appends a new name: the child of parent with the given label, and
+// an access to x performing op unless x is NoObj. The caller vouches that
+// parent has no child of that label yet: Define neither looks the label up
+// nor records it, so it hashes nothing and, within room reserved by Grow,
+// allocates nothing. Validate reports a label given twice. Define panics if
+// parent is an access or x is not an object.
+//
+//sgvet:hotpath
+func (t *Tree) Define(parent TxID, label string, x ObjID, op spec.Op) TxID {
+	p := &t.nodes[parent]
+	if p.obj != NoObj || x != NoObj && (x < 0 || int(x) >= len(t.objects)) {
+		t.badDefine(parent, label, x)
+	}
 	id := TxID(len(t.nodes))
-	t.nodes = append(t.nodes, node{parent: parent, depth: t.nodes[parent].depth + 1, label: label, obj: x, op: op})
-	t.children = append(t.children, nil)
-	t.children[parent] = append(t.children[parent], id)
-	t.byLabel[key] = id
+	t.nodes = append(t.nodes, node{parent: parent, depth: p.depth + 1, label: label, obj: x, op: op})
 	return id
+}
+
+// badDefine panics with what is wrong with a Define: a child of an access or
+// an access to an unknown object.
+func (t *Tree) badDefine(parent TxID, label string, x ObjID) {
+	if t.IsAccess(parent) {
+		panic(fmt.Sprintf("tname: %s is an access and cannot have children", t.Name(parent)))
+	}
+	panic(fmt.Sprintf("tname: access %q to unknown object %d", label, x))
 }
 
 // Parent returns the parent of tx, or None for T0.
@@ -162,12 +205,21 @@ func (t *Tree) Parent(tx TxID) TxID { return t.nodes[tx].parent }
 // Depth returns the depth of tx (T0 has depth 0).
 func (t *Tree) Depth(tx TxID) int { return int(t.nodes[tx].depth) }
 
-// Label returns the local label tx was interned under.
+// Label returns the local label tx was defined under.
 func (t *Tree) Label(tx TxID) string { return t.nodes[tx].label }
 
-// Children returns the children of tx interned so far, in creation order.
-// The returned slice is owned by the tree and must not be mutated.
-func (t *Tree) Children(tx TxID) []TxID { return t.children[tx] }
+// Children returns the children of tx defined so far, in creation order, in
+// a fresh slice. It scans every name defined after tx: it serves walks and
+// pretty-printers, not the checkers.
+func (t *Tree) Children(tx TxID) []TxID {
+	var out []TxID
+	for id := int(tx) + 1; id < len(t.nodes); id++ {
+		if t.nodes[id].parent == tx {
+			out = append(out, TxID(id))
+		}
+	}
+	return out
+}
 
 // IsAccess reports whether tx is an access (a leaf that operates on data).
 func (t *Tree) IsAccess(tx TxID) bool { return t.nodes[tx].obj != NoObj }
@@ -272,11 +324,15 @@ func (t *Tree) Name(tx TxID) string {
 	return s
 }
 
-// Validate checks internal invariants of the tree; it is used by tests.
+// Validate checks the invariants of the tree, among them that no two
+// siblings share a label — the uniqueness Define takes on trust. Tests call
+// it, and so do the fault simulator's final drain and the server tests'
+// shutdown check.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 || t.nodes[0].parent != None || t.nodes[0].depth != 0 {
 		return fmt.Errorf("tname: malformed root")
 	}
+	seen := make(map[childKey]TxID, len(t.nodes))
 	for id := 1; id < len(t.nodes); id++ {
 		n := t.nodes[id]
 		if n.parent < 0 || int(n.parent) >= len(t.nodes) {
@@ -294,6 +350,11 @@ func (t *Tree) Validate() error {
 		if n.obj != NoObj && int(n.obj) >= len(t.objects) {
 			return fmt.Errorf("tname: node %d accesses unknown object %d", id, n.obj)
 		}
+		key := childKey{n.parent, n.label}
+		if first, dup := seen[key]; dup {
+			return fmt.Errorf("tname: nodes %d and %d are both named %s", first, id, t.Name(TxID(id)))
+		}
+		seen[key] = TxID(id)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package tname
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +320,155 @@ func TestAncestryViaAncestors(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefineAgreesWithInterning: defining a generated tree's names in order
+// gives the tree interning them gives — the same IDs, Name, Parent,
+// Children and access metadata for every name — and a lookup after the
+// definitions resolves each defined name rather than adding one.
+func TestDefineAgreesWithInterning(t *testing.T) {
+	f := func(seed int64) bool {
+		interned, names := randomTree(seed, 80)
+		defined := NewTree()
+		defined.AddObject("x", spec.Register{})
+		for id := TxID(1); int(id) < interned.NumTx(); id++ {
+			x, op := NoObj, spec.Op{}
+			if interned.IsAccess(id) {
+				x, op = interned.AccessObject(id), interned.AccessOp(id)
+			}
+			if got := defined.Define(interned.Parent(id), interned.Label(id), x, op); got != id {
+				t.Errorf("seed %d: Define gave %d, want %d", seed, got, id)
+				return false
+			}
+		}
+		if defined.NumTx() != interned.NumTx() || defined.Validate() != nil {
+			return false
+		}
+		for _, id := range names {
+			if defined.Name(id) != interned.Name(id) || defined.Parent(id) != interned.Parent(id) ||
+				!slices.Equal(defined.Children(id), interned.Children(id)) ||
+				defined.AccessObject(id) != interned.AccessObject(id) {
+				t.Errorf("seed %d: %s differs: %s", seed, interned.Name(id), defined.Name(id))
+				return false
+			}
+			if interned.IsAccess(id) && defined.AccessOp(id) != interned.AccessOp(id) {
+				return false
+			}
+			if id == Root {
+				continue
+			}
+			var again TxID
+			if interned.IsAccess(id) {
+				again = defined.Access(defined.Parent(id), defined.Label(id), defined.AccessObject(id), defined.AccessOp(id))
+			} else {
+				again = defined.Child(defined.Parent(id), defined.Label(id))
+			}
+			if again != id {
+				t.Errorf("seed %d: looking %s up after Define gave %d", seed, interned.Name(id), again)
+				return false
+			}
+		}
+		return defined.NumTx() == interned.NumTx()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDefineCatchesUpTheIndex: names defined after a lookup built the label
+// index are found by the next lookup too.
+func TestDefineCatchesUpTheIndex(t *testing.T) {
+	tr := NewTree()
+	a := tr.Child(Root, "a") // builds the index
+	b := tr.Define(Root, "b", NoObj, spec.Op{})
+	ab := tr.Define(a, "b", NoObj, spec.Op{})
+	if got := tr.Child(Root, "b"); got != b {
+		t.Errorf("Child(T0, b) = %d, want the defined %d", got, b)
+	}
+	if got := tr.Child(a, "b"); got != ab {
+		t.Errorf("Child(a, b) = %d, want the defined %d", got, ab)
+	}
+	if tr.NumTx() != 4 {
+		t.Errorf("lookups of defined names grew the tree to %d names", tr.NumTx())
+	}
+}
+
+func TestDefinePanics(t *testing.T) {
+	tr, ids, _ := buildSample(t)
+	assertPanics(t, "child of access", func() { tr.Define(ids["a2"], "sub", NoObj, spec.Op{}) })
+	assertPanics(t, "access to unknown object", func() {
+		tr.Define(ids["a"], "zz", ObjID(99), spec.Op{Kind: spec.OpRead})
+	})
+	assertPanics(t, "unknown parent", func() { tr.Define(TxID(tr.NumTx()), "zz", NoObj, spec.Op{}) })
+}
+
+// TestDefineAllocs: defining a name into a tree reserved with Grow costs no
+// allocation — no label map, no children list.
+func TestDefineAllocs(t *testing.T) {
+	const n = 1000
+	tr := NewTree()
+	x := tr.AddObject("x", spec.Register{})
+	tr.Grow(n + 1) // AllocsPerRun calls once more to warm up
+	top := tr.Define(Root, "top", NoObj, spec.Op{})
+	labels := make([]string, n+1)
+	for i := range labels {
+		labels[i] = label(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(n, func() {
+		if i%2 == 0 {
+			tr.Define(top, labels[i], NoObj, spec.Op{})
+		} else {
+			tr.Define(top, labels[i], x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(int64(i))})
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Define allocates %.2f times per name, want 0", allocs)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsDuplicateSiblings: Define takes a label's uniqueness on
+// trust, so Validate must catch two siblings sharing one — composite or
+// access — while the same label under different parents is fine.
+func TestValidateRejectsDuplicateSiblings(t *testing.T) {
+	read := spec.Op{Kind: spec.OpRead}
+	for _, c := range []struct {
+		name  string
+		build func(tr *Tree, x ObjID)
+		ok    bool
+	}{
+		{"distinct labels", func(tr *Tree, x ObjID) {
+			tr.Define(Root, "a", NoObj, spec.Op{})
+			tr.Define(Root, "b", NoObj, spec.Op{})
+		}, true},
+		{"one label under two parents", func(tr *Tree, x ObjID) {
+			a := tr.Define(Root, "a", NoObj, spec.Op{})
+			tr.Define(a, "a", NoObj, spec.Op{})
+		}, true},
+		{"two composite siblings", func(tr *Tree, x ObjID) {
+			tr.Define(Root, "a", NoObj, spec.Op{})
+			tr.Define(Root, "a", NoObj, spec.Op{})
+		}, false},
+		{"an access and a composite", func(tr *Tree, x ObjID) {
+			a := tr.Define(Root, "a", NoObj, spec.Op{})
+			tr.Define(a, "r", x, read)
+			tr.Define(a, "r", NoObj, spec.Op{})
+		}, false},
+		{"two accesses, different ops", func(tr *Tree, x ObjID) {
+			a := tr.Define(Root, "a", NoObj, spec.Op{})
+			tr.Define(a, "w", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(1)})
+			tr.Define(a, "w", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(2)})
+		}, false},
+	} {
+		tr := NewTree()
+		c.build(tr, tr.AddObject("x", spec.Register{}))
+		if err := tr.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 }
