@@ -17,7 +17,7 @@ import (
 // starts empty, so B/op includes the log's own growth: the events' bytes
 // once, in chunks, and nothing that a regrowing slice would copy again.
 func BenchmarkLogAppend(b *testing.B) {
-	w, err := newWalWriter(NewMemDisk(), 0, 0, newMetrics())
+	w, err := newTestWalWriter(NewMemDisk(), 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkLogAppend(b *testing.B) {
 // returns without one. The segments discard their bytes, so B/op and
 // allocs/op are the protocol's own, and it must not allocate.
 func BenchmarkServerGroupCommit(b *testing.B) {
-	w, err := newWalWriter(discardDisk{NewMemDisk()}, 0, 0, newMetrics())
+	w, err := newTestWalWriter(discardDisk{NewMemDisk()}, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

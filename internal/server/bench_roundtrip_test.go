@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"nestedsg/internal/client"
@@ -45,8 +47,13 @@ func BenchmarkServerSessionRoundTrip(b *testing.B) {
 // accesses to a, b, c and d, the second inside a subtransaction — 8 request
 // frames — where access i is a read if read(i) and a write otherwise.
 func shapedTx(read func(i int) bool) func(tx *client.Tx) error {
+	return shapedTxOn([4]string{"a", "b", "c", "d"}, read)
+}
+
+// shapedTxOn is shapedTx over the objects objs.
+func shapedTxOn(objs [4]string, read func(i int) bool) func(tx *client.Tx) error {
 	return func(tx *client.Tx) error {
-		for i, obj := range [...]string{"a", "b", "c", "d"} {
+		for i, obj := range objs {
 			if i == 1 {
 				if _, err := tx.Child(); err != nil {
 					return err
@@ -124,6 +131,79 @@ func benchmarkRunTx(b *testing.B, backend string, run func(*client.Conn, int, fu
 	c.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkServerDurableRunTx measures whole RunTx calls of the benchmark's
+// half-read shape against a durable server on a real directory, from 1, 2
+// and 8 clients over loopback TCP at once, each on objects of its own, and
+// reports what group commit made of them: fsyncs per top-level commit, 1
+// when every commit pays its own. ns/op is per transaction, whichever
+// client ran it. Run it with -cpu 1,2: at GOMAXPROCS=1 a cohort forms only
+// if the sync leader settles before its fsync (walWriter.settle).
+func BenchmarkServerDurableRunTx(b *testing.B) {
+	for _, clients := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			disk, err := server.NewDirDisk(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var objs []string
+			bodies := make([]func(*client.Tx) error, clients)
+			for k := range bodies {
+				own := [4]string{}
+				for i, o := range [...]string{"a", "b", "c", "d"} {
+					own[i] = fmt.Sprintf("%s%d", o, k)
+				}
+				objs = append(objs, own[:]...)
+				bodies[k] = shapedTxOn(own, func(i int) bool { return i%2 == 0 })
+			}
+			s, _, err := server.Recover(server.Options{WAL: disk, Objects: objs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				b.Fatal(err)
+			}
+			conns := make([]*client.Conn, clients)
+			for k := range conns {
+				if conns[k], err = client.Dial(s.Addr().String()); err != nil {
+					b.Fatal(err)
+				}
+				if err := conns[k].RunTx(1, bodies[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m := s.Metrics()
+			syncs, commits := m.WALSyncs.Load(), m.TopCommits.Load()
+			var next atomic.Int64
+			errs := make(chan error, clients)
+			b.ResetTimer()
+			for k := range conns {
+				go func(k int) {
+					for next.Add(1) <= int64(b.N) {
+						if err := conns[k].RunTx(10, bodies[k]); err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}(k)
+			}
+			for range conns {
+				if err := <-errs; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m.WALSyncs.Load()-syncs)/float64(m.TopCommits.Load()-commits), "fsyncs/tx")
+			for _, c := range conns {
+				c.Close()
+			}
+			if err := s.Shutdown(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

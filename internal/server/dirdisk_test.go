@@ -69,6 +69,29 @@ func (d *countedDirDisk) Create(name string) (server.SegmentFile, error) {
 	return seg, nil
 }
 
+func (d *countedDirDisk) hold() *syncGate {
+	g := &syncGate{entered: make(chan struct{}), release: make(chan struct{})}
+	d.gate.Store(g)
+	return g
+}
+
+func (d *countedDirDisk) fsyncs() int64 { return d.syncs.Load() }
+
+// durableImage is the disk a crash would leave now: each segment's synced
+// prefix, read back from its file.
+func (d *countedDirDisk) durableImage() *server.MemDisk {
+	img := server.NewMemDisk()
+	for _, s := range d.snapshot() {
+		data, err := d.ReadSegment(s.name)
+		if err != nil {
+			d.t.Errorf("read %s: %v", s.name, err)
+			continue
+		}
+		img.SetSegment(s.name, data[:s.synced])
+	}
+	return img
+}
+
 func (d *countedDirDisk) fileSize(name string) int64 {
 	fi, err := os.Stat(filepath.Join(d.Dir(), name))
 	if err != nil {
@@ -343,54 +366,29 @@ func TestDirDiskOneWritePerFsync(t *testing.T) {
 	}
 }
 
-// TestDirDiskCohortOneWritePerFsync: a cohort of concurrent committers held
-// on one gated fsync, as in TestGroupCommitCoalescesFsyncs, drains with two
-// fsyncs (the leader's own, one for the rest) and exactly one write(2)
-// before each.
+// TestDirDiskCohortOneWritePerFsync: the gated cohorts of
+// TestGroupCommitCoalescesFsyncs over a real directory. Each drains as it
+// does there — 1 or 2 fsyncs when every top is open at the gate, exactly 2
+// when the others arrive while the first fsync is in flight — with no
+// member acked before its COMMIT is durable, and with exactly one write(2)
+// before each fsync.
 func TestDirDiskCohortOneWritePerFsync(t *testing.T) {
 	const cohort = 6
-	disk := newCountedDirDisk(t, t.TempDir())
-	objs := make([]string, cohort)
-	for i := range objs {
-		objs[i] = fmt.Sprintf("x%d", i)
+	for _, tc := range []struct {
+		name string
+		open int
+	}{{"cohort", cohort}, {"arriving_mid_fsync", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := newCountedDirDisk(t, t.TempDir())
+			gatedCohort(t, disk, cohort, tc.open, func() {
+				// Boot's sync and every cohort fsync each wrote what was
+				// staged in one write(2).
+				if writes, syncs := disk.writes.Load(), disk.syncs.Load(); writes != syncs {
+					t.Fatalf("%d write(2)s for %d fsyncs, want one before each", writes, syncs)
+				}
+			})
+		})
 	}
-	s, _ := recoverAndStart(t, server.Options{WAL: disk, Objects: objs})
-	conns := make([]*client.Conn, cohort)
-	for i := range conns {
-		conns[i] = dialT(t, s)
-		if _, err := conns[i].Begin(); err != nil {
-			t.Fatalf("begin %d: %v", i, err)
-		}
-		if _, err := conns[i].Access(objs[i], spec.OpWrite, spec.Int(1)); err != nil {
-			t.Fatalf("access %d: %v", i, err)
-		}
-	}
-	writes0, syncs0 := disk.writes.Load(), disk.syncs.Load()
-	arrived0 := s.GroupArrived()
-	g := &syncGate{entered: make(chan struct{}), release: make(chan struct{})}
-	disk.gate.Store(g)
-	errs := make(chan error, cohort)
-	for _, c := range conns {
-		go func(c *client.Conn) {
-			_, err := c.Commit()
-			errs <- err
-		}(c)
-	}
-	<-g.entered
-	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= arrived0+cohort })
-	close(g.release)
-	for i := 0; i < cohort; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-	}
-	if writes, syncs := disk.writes.Load()-writes0, disk.syncs.Load()-syncs0; syncs != 2 || writes != 2 {
-		t.Fatalf("gated cohort of %d: %d write(2)s, %d fsyncs, want 2 and 2", cohort, writes, syncs)
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	shutdownAndVerify(t, s)
 }
 
 // TestDirDiskConcurrentWriteSync overlaps Write and Sync on one segment

@@ -11,6 +11,15 @@ func (s *Server) GroupArrived() uint64 {
 	return s.wal.arrived
 }
 
+// GroupPending reports how many sync callers have arrived since the last
+// fsync began: the callers the next fsync will count as its cohort.
+// Together with GroupSize it accounts for every arrival.
+func (s *Server) GroupPending() uint64 {
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return s.wal.arrived - s.wal.began
+}
+
 // WALSync runs the sync a top-level completion runs.
 func (s *Server) WALSync() error { return s.walSync() }
 
@@ -27,3 +36,7 @@ func UnderStaging(f SegmentFile, wrap func(OSFile) OSFile) {
 	df := f.(*dirFile)
 	df.f = wrap(df.f)
 }
+
+// SettleRounds reports how many netpoll rounds the WAL's sync leaders have
+// settled for since boot (walWriter.settle).
+func (s *Server) SettleRounds() int64 { return s.wal.rounds.Load() }

@@ -17,7 +17,7 @@ import (
 func segmentImage(t testing.TB) []byte {
 	t.Helper()
 	disk := NewMemDisk()
-	w, err := newWalWriter(disk, 1<<20, 1, newMetrics())
+	w, err := newTestWalWriter(disk, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

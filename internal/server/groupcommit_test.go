@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,8 +10,10 @@ import (
 	"time"
 
 	"nestedsg/internal/client"
+	"nestedsg/internal/event"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 )
 
 // gatedDisk wraps a MemDisk, counts the fsyncs that actually reach it, and
@@ -35,6 +38,19 @@ type syncGate struct {
 }
 
 func newGatedDisk() *gatedDisk { return &gatedDisk{MemDisk: server.NewMemDisk()} }
+
+// cohortDisk is a Disk the gated cohort tests can hold at an fsync gate,
+// count the fsyncs of, and take the durable image of.
+type cohortDisk interface {
+	server.Disk
+	hold() *syncGate
+	fsyncs() int64
+	durableImage() *server.MemDisk
+}
+
+func (d *gatedDisk) hold() *syncGate               { return d.arm(nil) }
+func (d *gatedDisk) fsyncs() int64                 { return d.syncs.Load() }
+func (d *gatedDisk) durableImage() *server.MemDisk { return d.Crash(0) }
 
 func (d *gatedDisk) arm(err error) *syncGate {
 	g := &syncGate{entered: make(chan struct{}), release: make(chan struct{}), err: err}
@@ -81,79 +97,169 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGroupCommitCoalescesFsyncs: 8 concurrent top-level commits must
-// share fsyncs instead of issuing one each. The first committer parks
-// inside the gated fsync, which covers its own records; the other 7 arrive
-// and queue behind it; releasing the gate must drain all 8 with exactly
-// two fsyncs — the first committer's own and one covering the whole
-// remaining cohort.
+// TestGroupCommitCoalescesFsyncs: 8 top-level commits held on one gated
+// fsync share fsyncs instead of issuing one each, and no member is acked
+// before an fsync that covers its COMMIT has completed.
+//
+//   - cohort: all 8 tops are open when the first committer leads, so it
+//     may settle and take some of the others into its fsync. Whatever it
+//     took, the rest arrive while that fsync is held, and one more fsync
+//     covers them all: 1 or 2 fsyncs for the 8.
+//   - arriving mid-fsync: the first committer is alone, so it fsyncs at
+//     once and parks at the gate covering only its own COMMIT; the other
+//     7 open, commit and queue while that fsync is in flight, and the next
+//     fsync covers all 7: exactly 2.
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
-	disk := newGatedDisk()
 	const n = 8
+	t.Run("cohort", func(t *testing.T) { gatedCohort(t, newGatedDisk(), n, n, nil) })
+	t.Run("arriving_mid_fsync", func(t *testing.T) { gatedCohort(t, newGatedDisk(), n, 1, nil) })
+}
+
+// gatedCohort runs n committers on n connections with the first fsync
+// held at a gate. open of them (the first committer among them) have their
+// tops open when the gate is armed; the rest begin only once the first
+// committer's fsync has entered the gate. Every commit must be acked only
+// after the gate opens, with its COMMIT in the disk's durable image at the
+// moment of its ack, and the cohort must drain in at most two fsyncs —
+// exactly two when the first committer was alone — whose recorded cohort
+// sizes count every committer once. check, when set, runs once every
+// commit is acked, before the server shuts down.
+func gatedCohort(t *testing.T, disk cohortDisk, n, open int, check func()) {
 	objs := make([]string, n)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("x%d", i)
 	}
 	s, _ := recoverAndStart(t, server.Options{WAL: disk, Objects: objs})
-
+	// One commit before the cohort: with boot's fsync, two fsyncs have been
+	// timed, so the first committer may settle.
+	warm := dialT(t, s)
+	commitOne(t, warm, objs[0], 0)
+	warm.Close()
 	conns := make([]*client.Conn, n)
-	for i := range conns {
+	labels := make([]string, n)
+	begin := func(i int) {
 		conns[i] = dialT(t, s)
-		if _, err := conns[i].Begin(); err != nil {
+		var err error
+		if labels[i], err = conns[i].Begin(); err != nil {
 			t.Fatalf("begin %d: %v", i, err)
 		}
 		if _, err := conns[i].Access(objs[i], spec.OpWrite, spec.Int(1)); err != nil {
 			t.Fatalf("access %d: %v", i, err)
 		}
 	}
+	for i := 0; i < open; i++ {
+		begin(i)
+	}
 
 	m := s.Metrics()
-	baseSyncs := disk.syncs.Load()
+	baseSyncs := disk.fsyncs()
 	baseReq := m.WALSyncRequests.Load()
 	baseWALSyncs := m.WALSyncs.Load()
-	baseArrived := s.GroupArrived()
+	baseGroups, baseMembers := m.GroupSize.Count(), cohortMembers(m)
+	baseArrived, basePending := s.GroupArrived(), s.GroupPending()
 
-	g := disk.arm(nil)
-	errs := make(chan error, n)
-	for _, c := range conns {
-		go func(c *client.Conn) {
-			_, err := c.Commit()
-			errs <- err
-		}(c)
+	g := disk.hold()
+	type ack struct {
+		i     int
+		err   error
+		image *server.MemDisk // the durable image when the ack arrived
 	}
-	// The first committer is parked inside the gated fsync; wait until the
-	// whole cohort has entered the sync before letting it through.
+	acks := make(chan ack, n)
+	commit := func(i int) {
+		go func() {
+			_, err := conns[i].Commit()
+			acks <- ack{i, err, disk.durableImage()}
+		}()
+	}
+	for i := 0; i < open; i++ {
+		commit(i)
+	}
 	<-g.entered
-	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= baseArrived+n })
+	for i := open; i < n; i++ {
+		begin(i)
+		commit(i)
+	}
+	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= baseArrived+uint64(n) })
+	select {
+	case a := <-acks:
+		t.Fatalf("commit %d acked (err=%v) while the first fsync was held", a.i, a.err)
+	default:
+	}
 	close(g.release)
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("commit: %v", err)
+	for k := 0; k < n; k++ {
+		a := <-acks
+		if a.err != nil {
+			t.Errorf("commit %d: %v", a.i, a.err)
+		} else if !durableCommits(t, a.image)[labels[a.i]] {
+			t.Errorf("commit %d (%s) was acked before its COMMIT was durable", a.i, labels[a.i])
 		}
 	}
+	if t.Failed() {
+		return
+	}
 
-	fsyncs := disk.syncs.Load() - baseSyncs
-	if fsyncs >= n {
-		t.Fatalf("no coalescing: %d fsyncs for %d commits (want < %d)", fsyncs, n, n)
+	fsyncs := disk.fsyncs() - baseSyncs
+	want := "1 or 2"
+	if open == 1 {
+		want = "exactly 2"
 	}
-	// Deterministically: the first fsync serves its own committer, the
-	// next serves the remaining 7.
-	if fsyncs != 2 {
-		t.Fatalf("got %d fsyncs for %d gated commits, want exactly 2", fsyncs, n)
+	if fsyncs < 1 || fsyncs > 2 || open == 1 && fsyncs != 2 {
+		t.Fatalf("got %d fsyncs for %d gated commits, want %s", fsyncs, n, want)
 	}
-	if got := m.WALSyncRequests.Load() - baseReq; got != n {
+	if got := m.WALSyncRequests.Load() - baseReq; got != int64(n) {
 		t.Fatalf("WALSyncRequests delta = %d, want %d", got, n)
 	}
 	if got := m.WALSyncs.Load() - baseWALSyncs; got != fsyncs {
 		t.Fatalf("WALSyncs metric = %d, disk counted %d", got, fsyncs)
 	}
-	if mean := m.GroupSize.MeanVal(); mean < 2 {
-		t.Fatalf("GroupSize mean = %.2f, want >= 2 (cohorts of 1 and 7)", mean)
+	if got := m.GroupSize.Count() - baseGroups; got != fsyncs {
+		t.Fatalf("GroupSize observed %d cohorts, want one per fsync (%d)", got, fsyncs)
+	}
+	// Every sync caller is counted in exactly one cohort: the n committers
+	// and the callers pending before them are in the drained fsyncs'
+	// cohorts, or still pending if an fsync that began before they arrived
+	// covered their records. With two fsyncs nobody is left pending: the
+	// second began after the whole cohort had arrived.
+	pending := s.GroupPending()
+	if got, want := cohortMembers(m)-baseMembers, int64(n)+int64(basePending)-int64(pending); got != want {
+		t.Fatalf("the %d drained cohorts counted %d members, want %d: %d committers, %d pending before, %d after",
+			fsyncs, got, want, n, basePending, pending)
+	}
+	t.Logf("%d fsyncs drained %d commits; %d settle rounds since boot", fsyncs, n, s.SettleRounds())
+	if fsyncs == 2 && pending != 0 {
+		t.Fatalf("%d sync callers left pending after the second fsync, want 0", pending)
+	}
+	if check != nil {
+		check()
 	}
 	for _, c := range conns {
 		c.Close()
 	}
 	shutdownAndVerify(t, s)
+}
+
+// cohortMembers is the sum of the cohort sizes GroupSize has observed.
+func cohortMembers(m *server.Metrics) int64 {
+	return int64(math.Round(m.GroupSize.MeanVal() * float64(m.GroupSize.Count())))
+}
+
+// durableCommits recovers a server from a durable disk image and returns
+// the labels of the top-level transactions committed in it.
+func durableCommits(t *testing.T, image *server.MemDisk) map[string]bool {
+	t.Helper()
+	s, _, err := server.Recover(server.Options{WAL: image})
+	if err != nil {
+		t.Fatalf("recover image: %v", err)
+	}
+	defer s.Kill()
+	tr := s.Tree()
+	out := make(map[string]bool)
+	for _, e := range s.Log() {
+		if e.Kind == event.Commit && tr.Parent(e.Tx) == tname.Root {
+			out[tr.Label(e.Tx)] = true
+		}
+	}
+	return out
 }
 
 // TestGroupCommitAckOrdering: a commit must not be acknowledged while the
@@ -279,7 +385,7 @@ func TestCrashMidGroupRefusesLostCohort(t *testing.T) {
 		}(c)
 	}
 	<-g.entered
-	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= baseArrived+n })
+	waitFor(t, "cohort arrival", func() bool { return s.GroupArrived() >= baseArrived+uint64(n) })
 
 	// Snapshot the disk at the crash point: the cohort's COMMIT records
 	// are appended but unsynced, so Crash(0) drops them.

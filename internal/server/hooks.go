@@ -9,7 +9,9 @@ import "time"
 // Hooks produces a generic behavior by the same emission-discipline
 // argument as the real-time server.
 type Hooks interface {
-	// Now replaces time.Now for lock-wait deadlines.
+	// Now replaces time.Now for lock-wait deadlines and for timing the
+	// WAL's fsyncs: a sync leader waits for peers' COMMITs for at most as
+	// long as the shorter of the last two fsyncs took (walWriter.settle).
 	Now() time.Time
 	// LockWait parks session sess, whose access was refused, until wake is
 	// signalled (an INFORM on the object, a deadlock-victim mark, Kill or a

@@ -119,7 +119,7 @@ func (s *Server) replayWAL(rep *RecoveryReport) (event.Behavior, error) {
 		}
 	}
 	s.log.append(b...)
-	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics)
+	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
 	if err != nil {
 		return nil, err
 	}

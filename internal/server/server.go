@@ -164,6 +164,11 @@ type Server struct {
 	draining   atomic.Bool
 	killed     atomic.Bool
 	shutdown   sync.Once
+
+	// openTops counts the sessions with a logged top-level transaction open
+	// (session.inTx); the WAL's sync leader settles only while it is
+	// non-zero (walWriter.settle).
+	openTops atomic.Int64
 }
 
 // New builds a server (not yet listening). The log opens with CREATE(T0),

@@ -86,7 +86,8 @@ type session struct {
 	// inTx mirrors len(frames) > 0 for the drain loop, which must read it
 	// from another goroutine. A snapshot read-only transaction does not set
 	// it: a drain has nothing to wait for there, and its client may owe the
-	// COMMIT until its next request.
+	// COMMIT until its next request. Server.openTops counts the sessions
+	// with it set (setInTx).
 	inTx atomic.Bool
 }
 
@@ -104,6 +105,17 @@ func newSession(s *Server, c net.Conn) *session {
 // anything; Shutdown closes idle connections immediately, a snapshot reader's
 // among them.
 func (sn *session) idle() bool { return !sn.inTx.Load() }
+
+// setInTx opens or closes the session's logged top-level transaction, in
+// inTx and in the server's count of open ones.
+func (sn *session) setInTx(open bool) {
+	sn.inTx.Store(open)
+	if open {
+		sn.s.openTops.Add(1)
+	} else {
+		sn.s.openTops.Add(-1)
+	}
+}
 
 // serve runs the request loop until the connection closes. A connection
 // that drops mid-transaction has its top-level transaction aborted so the
@@ -316,7 +328,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		event.NewEvent(event.Create, top),
 	)
 	sn.frames = append(sn.frames, &txFrame{id: top})
-	sn.inTx.Store(true)
+	sn.setInTx(true)
 	sn.s.metrics.Begins.Add(1)
 	if sn.lastAborted {
 		sn.s.metrics.Retries.Add(1)
@@ -560,11 +572,11 @@ func (sn *session) handleAbort() wire.Response {
 func (sn *session) abortTop(reason string) {
 	top := sn.frames[0]
 	sn.s.abort(top.id, top.touched)
+	sn.frames = sn.frames[:0]
+	sn.setInTx(false)
 	// Sync failures are ignored: an undurable abort is recovered as an
 	// orphan and aborted again, which is the same outcome.
 	sn.s.walSync()
-	sn.frames = sn.frames[:0]
-	sn.inTx.Store(false)
 	sn.lastAborted = true
 	sn.s.logf("session %d: aborted %s: %s", sn.id, sn.s.nameOf(top.id), reason)
 }
@@ -609,7 +621,7 @@ func (s *Server) informAll(kind event.Kind, t tname.TxID, touched []tname.ObjID)
 func (sn *session) popFrame() {
 	sn.frames = sn.frames[:len(sn.frames)-1]
 	if len(sn.frames) == 0 {
-		sn.inTx.Store(false)
+		sn.setInTx(false)
 	}
 }
 

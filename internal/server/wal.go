@@ -12,6 +12,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"nestedsg/internal/event"
 )
@@ -489,18 +491,31 @@ type walWriter struct {
 	records int    //sgvet:guardedby mu
 	arrived uint64 //sgvet:guardedby mu
 	began   uint64 //sgvet:guardedby mu
+	// settler parks a settling sync leader in the netpoller (see settle). The
+	// first leader to settle makes it; close and closeNoSync release it.
+	settler *settler //sgvet:guardedby mu
 	// syncMu serializes sync callers; the fsync itself runs with mu
 	// RELEASED so appends never stall behind the disk (see sync).
 	syncMu sync.Mutex
 	// durable is the record count the last completed fsync covered.
 	durable int //sgvet:guardedby syncMu
+	// syncTimes are how long the last two fsyncs took on the now clock,
+	// the latest first; a settle lasts at most as long as the shorter.
+	syncTimes [2]time.Duration //sgvet:guardedby syncMu
+	// rounds counts the netpoll rounds sync leaders have settled for; it is
+	// atomic so that a test can watch a leader that holds syncMu.
+	rounds atomic.Int64
+	// open counts the sessions with a logged top-level transaction open
+	// (the server's openTops), and now is the clock fsyncs are timed on.
+	open *atomic.Int64
+	now  func() time.Time
 }
 
-func newWalWriter(disk Disk, segMax, firstIndex int, m *Metrics) (*walWriter, error) {
+func newWalWriter(disk Disk, segMax, firstIndex int, m *Metrics, open *atomic.Int64, now func() time.Time) (*walWriter, error) {
 	if segMax <= 0 {
 		segMax = defaultSegmentBytes
 	}
-	w := &walWriter{disk: disk, m: m, segMax: segMax, nextIdx: firstIndex}
+	w := &walWriter{disk: disk, m: m, segMax: segMax, nextIdx: firstIndex, open: open, now: now}
 	if err := w.rotate(); err != nil {
 		return nil, err
 	}
@@ -574,11 +589,13 @@ func (w *walWriter) appendRecord(payload []byte) error {
 // fsyncs. A caller notes its target — the record count after its own
 // records — and queues on syncMu; whoever holds it finds the durable
 // watermark already past its target (some fsync that began after its
-// records were appended covered them) and returns without I/O, or fsyncs
-// once for every record appended so far and publishes the new watermark.
-// The fsync runs with mu RELEASED: the append path holds the event-log
-// mutex while it writes records, so an fsync that held mu would stall every
-// session, and with them the next cohort.
+// records were appended covered them) and returns without I/O, or leads:
+// it settles (see settle), so that peers a hop away from their own COMMITs
+// append them and queue behind it, then fsyncs once for every record
+// appended so far and publishes the new watermark. The fsync runs with mu
+// RELEASED: the append path holds the event-log mutex while it writes
+// records, so an fsync that held mu would stall every session, and with
+// them the next cohort.
 //
 // If the segment is rotated away while the fsync is in flight, rotation
 // has already synced it before closing, so every record this call must
@@ -596,6 +613,7 @@ func (w *walWriter) sync() error {
 	if w.durable >= target {
 		return w.stickyErr()
 	}
+	w.settle()
 	w.mu.Lock()
 	cur, n, cohort, err := w.cur, w.records, w.arrived-w.began, w.err
 	w.began = w.arrived
@@ -604,7 +622,9 @@ func (w *walWriter) sync() error {
 		// A sticky failure, or a closed writer: close synced what it owed.
 		return err
 	}
+	start := w.now()
 	err = cur.Sync()
+	w.syncTimes = [2]time.Duration{w.now().Sub(start), w.syncTimes[0]}
 	w.m.WALSyncs.Add(1)
 	w.m.GroupSize.ObserveVal(int64(cohort))
 	w.mu.Lock()
@@ -620,6 +640,138 @@ func (w *walWriter) sync() error {
 	return w.err
 }
 
+// settle holds a sync leader back from its fsync while peers may still join
+// the cohort. On one processor the thread blocked in fsync keeps the only
+// P, so a peer session one client hop and one session hop away from its
+// COMMIT cannot append it during the fsync, and every commit pays its own.
+// A settling leader instead parks in the netpoller round by round
+// (settler.round): everything runnable runs first, and every connection
+// that became ready is served, so a peer that appends its COMMIT and calls
+// sync queues on syncMu and is covered by the fsync that follows. The
+// settle ends at the first of:
+//
+//   - no other session has a top-level transaction open, so no COMMIT is
+//     coming (a lone committer syncs at once);
+//   - two rounds pass with no record appended: one loopback round trip,
+//     a client hop and a session hop, brought nothing;
+//   - it has lasted as long as the shorter of the last two fsyncs took:
+//     waiting longer costs more than a second fsync would. Taking the
+//     shorter keeps one stalled fsync from stretching the next settle, and
+//     with it every committer queued behind it. A disk whose Sync takes no
+//     time on the server's clock (MemDisk under the simulator) never
+//     settles, and neither does a leader with fewer than two fsyncs timed.
+//
+// Followers the watermark already covers never get here, and soundness is
+// the watermark's, unchanged: the leader reads the record count it
+// publishes after settling, before its fsync begins.
+//
+//sgvet:holds w.syncMu
+//sgvet:hotpath
+func (w *walWriter) settle() {
+	budget := min(w.syncTimes[0], w.syncTimes[1])
+	if w.open.Load() == 0 || budget <= 0 {
+		return
+	}
+	w.mu.Lock()
+	if w.settler == nil && w.cur != nil {
+		w.settler = newSettler()
+	}
+	p, seen := w.settler, w.records
+	w.mu.Unlock()
+	if p == nil {
+		return // the writer is closed, or no pipe could be made
+	}
+	start := w.now()
+	for quiet := 0; quiet < 2 && w.open.Load() > 0 && w.now().Sub(start) < budget; {
+		if !p.round() {
+			return // the writer was closed under the leader
+		}
+		w.rounds.Add(1)
+		w.mu.Lock()
+		n := w.records
+		w.mu.Unlock()
+		if n == seen {
+			quiet++
+		} else {
+			quiet, seen = 0, n
+		}
+	}
+}
+
+// releaseSettler stops the settler, if one was made; a leader parked in it
+// wakes and fsyncs at once.
+//
+//sgvet:holds w.mu
+func (w *walWriter) releaseSettler() {
+	if w.settler != nil {
+		w.settler.close()
+		w.settler = nil
+	}
+}
+
+// settler is a pipe a settling sync leader parks on and a helper goroutine
+// that writes its byte. A round kicks the helper and reads: the kick
+// readies the helper to run next, so its byte is written as soon as the
+// leader parks, but the read end waits in the netpoller, which the
+// scheduler polls only once its run queues are empty. The leader therefore
+// runs again after everything that was runnable has run, and together with
+// the sessions and clients whose connections became ready. runtime.Gosched
+// is not this: the yielded goroutine goes on the global run queue, which
+// the scheduler takes from before it polls the network.
+type settler struct {
+	r, w   *os.File
+	kick   chan struct{}
+	done   chan struct{}
+	exited chan struct{}
+	rbuf   [1]byte
+	wbuf   [1]byte
+}
+
+func newSettler() *settler {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return nil
+	}
+	p := &settler{r: r, w: w, kick: make(chan struct{}), done: make(chan struct{}), exited: make(chan struct{})}
+	go p.run()
+	return p
+}
+
+// run is the helper: one byte per kick until close.
+func (p *settler) run() {
+	defer close(p.exited)
+	for {
+		select {
+		case <-p.kick:
+			p.w.Write(p.wbuf[:]) // fails only once closed, which the leader's read reports
+		case <-p.done:
+			return
+		}
+	}
+}
+
+// round parks the caller in the netpoller once; false means the settler
+// was closed.
+//
+//sgvet:hotpath
+func (p *settler) round() bool {
+	select {
+	case p.kick <- struct{}{}:
+	case <-p.done:
+		return false
+	}
+	_, err := p.r.Read(p.rbuf[:])
+	return err == nil
+}
+
+// close stops the helper and closes the pipe, waking a reader parked on it.
+func (p *settler) close() {
+	close(p.done)
+	<-p.exited
+	p.r.Close() //sgvet:ignore[checkederr] a pipe holds nothing to lose
+	p.w.Close() //sgvet:ignore[checkederr] a pipe holds nothing to lose
+}
+
 // stickyErr reports the writer's first failure, if any, without issuing
 // any I/O.
 func (w *walWriter) stickyErr() error {
@@ -633,6 +785,7 @@ func (w *walWriter) stickyErr() error {
 func (w *walWriter) closeNoSync() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.releaseSettler()
 	if w.cur != nil {
 		w.cur.Close() //sgvet:ignore[checkederr] crash path: the close error is moot once the tail is deliberately not synced
 		w.cur = nil
@@ -642,6 +795,7 @@ func (w *walWriter) closeNoSync() {
 func (w *walWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.releaseSettler()
 	if w.cur == nil {
 		return w.err
 	}

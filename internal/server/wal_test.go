@@ -8,17 +8,25 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
 
+// newTestWalWriter is newWalWriter on the real clock, with fresh metrics and
+// an open-tops count of its own that a test may set.
+func newTestWalWriter(disk Disk, segMax, firstIndex int) (*walWriter, error) {
+	return newWalWriter(disk, segMax, firstIndex, newMetrics(), new(atomic.Int64), time.Now)
+}
+
 // writeRecords drives a walWriter over disk with the given payloads.
 func writeRecords(t testing.TB, disk Disk, segMax int, payloads ...[]byte) {
 	t.Helper()
-	w, err := newWalWriter(disk, segMax, 1, newMetrics())
+	w, err := newTestWalWriter(disk, segMax, 1)
 	if err != nil {
 		t.Fatalf("newWalWriter: %v", err)
 	}
@@ -247,7 +255,7 @@ func TestMemDiskCrashSemantics(t *testing.T) {
 // writer refuses it, writes nothing, and keeps working.
 func TestWalAppendRefusesEmptyPayload(t *testing.T) {
 	disk := NewMemDisk()
-	w, err := newWalWriter(disk, 1<<20, 1, newMetrics())
+	w, err := newTestWalWriter(disk, 1<<20, 1)
 	must(t, err)
 	payloads := tinyWal()
 	must(t, w.appendRecord(payloads[0]))
@@ -424,5 +432,72 @@ func TestWALDefinitionPrecedesFirstUse(t *testing.T) {
 	// 3 transaction names per tx plus T0, one object per tx.
 	if want := sessions*txPerSes*3 + 1; numTx != want || numObj != sessions*txPerSes {
 		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", numTx, numObj, want, sessions*txPerSes)
+	}
+}
+
+// TestSettleEndsAfterOneFsync: while a peer's top stays open and records
+// keep being appended, neither of the settle's other ends comes, and it
+// lasts as long as the shorter of the last two fsyncs took — and not much
+// longer: the leader looks at the clock after every round. A stalled latest
+// fsync does not stretch it. At GOMAXPROCS=1 the appender keeps the
+// processor between the leader's rounds, so every round sees records
+// appended; the disk discards them, so the appender never waits on the
+// collector.
+//
+// With the appender always runnable, a round ends only when the runtime
+// preempts it and polls the network, every 10–20 ms (a 20 ms budget reads
+// 20–63 ms, and up to 80 ms under the race detector); slack allows for
+// that and is still far below the second the appender runs for.
+func TestSettleEndsAfterOneFsync(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const budget = 20 * time.Millisecond
+	const slack = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		times [2]time.Duration
+	}{
+		{"steady", [2]time.Duration{budget, budget}},
+		{"after_a_stall", [2]time.Duration{time.Hour, budget}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := newTestWalWriter(discardDisk{NewMemDisk()}, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.close()
+			w.open.Store(1)
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				// A settle without its time bound would never end while
+				// records come; the appender gives up after a second, so
+				// such a settle fails the test instead of hanging it.
+				for give := time.Now().Add(time.Second); time.Now().Before(give); {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := w.appendRecord([]byte{1}); err != nil {
+						return
+					}
+				}
+			}()
+			w.syncMu.Lock()
+			w.syncTimes = tc.times
+			start := time.Now()
+			w.settle()
+			d := time.Since(start)
+			w.syncMu.Unlock()
+			close(stop)
+			<-stopped
+			if d < budget || d > budget+slack {
+				t.Fatalf("settled for %v with records arriving throughout and fsyncs of %v, want %v to %v",
+					d, tc.times, budget, budget+slack)
+			}
+			if w.rounds.Load() == 0 {
+				t.Fatal("the settle ran no rounds")
+			}
+		})
 	}
 }
