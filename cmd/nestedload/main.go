@@ -245,7 +245,7 @@ func execute(cfg loadConfig, stderr io.Writer) (*loadResult, int) {
 					}
 					continue
 				}
-				lat.Observe(time.Since(t0))
+				lat.Observe(time.Since(t0).Microseconds())
 				committed.Add(1)
 				if allRead {
 					roDone.Add(1)
@@ -438,7 +438,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, " elapsed=%s throughput=%.1f tx/s\n", res.elapsed.Round(time.Millisecond), tput)
 	fmt.Fprintf(stdout, "latency: mean=%s p50=%s p99=%s\n",
-		res.lat.Mean().Round(time.Microsecond), res.lat.Quantile(0.50), res.lat.Quantile(0.99))
+		time.Duration(res.lat.Mean()*float64(time.Microsecond)).Round(time.Microsecond),
+		time.Duration(res.lat.Quantile(0.50))*time.Microsecond, time.Duration(res.lat.Quantile(0.99))*time.Microsecond)
 	fmt.Fprint(stdout, res.summary)
 
 	if *bench && res.committed > 0 {
@@ -512,7 +513,7 @@ func runSweep(base loadConfig, backendList, cliList, ratioList, zipfList string,
 					if res.committed > 0 {
 						fmt.Fprintf(stdout, "%s %d %d ns/op %d p50-us %d p99-us %.1f tx/s\n",
 							name, res.committed, res.elapsed.Nanoseconds()/res.committed,
-							res.lat.Quantile(0.50).Microseconds(), res.lat.Quantile(0.99).Microseconds(),
+							res.lat.Quantile(0.50), res.lat.Quantile(0.99),
 							res.tput())
 					}
 					if !res.ok || (res.committed == 0 && res.failed > 0) {

@@ -274,6 +274,15 @@ func (sg *SG) NumEdges() int {
 	return n
 }
 
+// Equal reports whether sg and o are the same graph: the same parents, each
+// with the same children and the same labelled edges. It is stricter than
+// comparing DOT renderings, which do not show edge kinds.
+func (sg *SG) Equal(o *SG) bool {
+	return slices.EqualFunc(sg.parents, o.parents, func(a, b *ParentGraph) bool {
+		return a.Parent == b.Parent && slices.Equal(a.Children, b.Children) && slices.Equal(a.edges, b.edges)
+	})
+}
+
 // sortParents establishes the ascending-parent invariant after accumulation.
 func (sg *SG) sortParents() {
 	slices.SortFunc(sg.parents, func(a, b *ParentGraph) int { return int(a.Parent) - int(b.Parent) })

@@ -479,3 +479,38 @@ func TestParentsReturnsDefensiveCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestSGEqual: Equal compares parents, children and labelled edges. Two
+// graphs that differ only in one edge's kind render the same DOT, and Equal
+// still tells them apart.
+func TestSGEqual(t *testing.T) {
+	f := newFix(t)
+	b := f.wellFormedRun(spec.Int(5))
+	for _, c := range []struct {
+		name             string
+		mutate           func(sg *SG)
+		wantEq, wantDOTs bool
+	}{
+		{"same", func(*SG) {}, true, true},
+		{"edge kind", func(sg *SG) { sg.Parent(tname.Root).edges[0].Kind |= EdgePrecedes }, false, true},
+		{"edge missing", func(sg *SG) {
+			pg := sg.Parent(tname.Root)
+			pg.edges = nil
+			pg.G.Reset(len(pg.Children))
+		}, false, false},
+		{"child", func(sg *SG) { sg.Parent(tname.Root).Children[1] = f.w1 }, false, false},
+		{"parent missing", func(sg *SG) { sg.parents = nil }, false, false},
+	} {
+		want, got := Build(f.tr, b), Build(f.tr, b)
+		c.mutate(got)
+		if eq := got.Equal(want); eq != c.wantEq {
+			t.Errorf("%s: Equal = %v, want %v", c.name, eq, c.wantEq)
+		}
+		if eq := want.Equal(got); eq != c.wantEq {
+			t.Errorf("%s: Equal is not symmetric", c.name)
+		}
+		if dots := got.DOT() == want.DOT(); dots != c.wantDOTs {
+			t.Errorf("%s: DOT equal = %v, want %v", c.name, dots, c.wantDOTs)
+		}
+	}
+}

@@ -3,25 +3,33 @@ package server
 import (
 	"bytes"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
 
+	"nestedsg/internal/client"
 	"nestedsg/internal/event"
+	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 )
 
 // segmentImage renders the tinyWal records into one durable segment and
 // returns its raw bytes.
-func segmentImage(t testing.TB) []byte {
+func segmentImage(t testing.TB) []byte { return walImage(t, tinyWal()) }
+
+// walImage renders payloads into one durable segment and returns its raw
+// bytes.
+func walImage(t testing.TB, payloads [][]byte) []byte {
 	t.Helper()
 	disk := NewMemDisk()
 	w, err := newTestWalWriter(disk, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range tinyWal() {
+	for _, p := range payloads {
 		if err := w.appendRecord(p); err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +113,139 @@ func TestRecoverTruncationPrefixes(t *testing.T) {
 			t.Fatalf("prefix %d: recovered without audit: %s", n, rep.Summary())
 		}
 		s.Kill()
+	}
+}
+
+// twoSessionWal returns the payloads of a crash image in which two
+// sessions interleave, laid out so that its prefixes need every repair:
+//
+//   - s2.1 is defined before s1.1 and created after it, so a cut between
+//     the two CREATEs leaves session 2's label defined but not created, and
+//     a cut after both leaves two orphans whose CREATE order is not their
+//     TxID order;
+//   - s1.1/c1 commits in one record and delivers its INFORM_COMMIT in the
+//     next, and s2.1/c1 aborts with its INFORM_ABORT in a record of its own,
+//     so cuts between them leave informs owed;
+//   - the last record defines s1.2, whose CREATE never made it.
+func twoSessionWal() [][]byte {
+	const (
+		s21, s11, c11, a11, c21, a21, s12 tname.TxID  = 1, 2, 3, 4, 5, 6, 7
+		x, y                              tname.ObjID = 0, 1
+	)
+	evs := func(es ...event.Event) []byte { return event.AppendWalEvents(nil, es...) }
+	e := event.NewEvent
+	return [][]byte{
+		evs(e(event.Create, tname.Root)),
+		event.AppendWalObjectDef(nil, "x", "register"),
+		event.AppendWalObjectDef(nil, "y", "register"),
+		event.AppendWalTxDef(nil, tname.Root, "s2.1", tname.NoObj, spec.Op{}),
+		event.AppendWalTxDef(nil, tname.Root, "s1.1", tname.NoObj, spec.Op{}),
+		evs(e(event.RequestCreate, s11), e(event.Create, s11)),
+		evs(e(event.RequestCreate, s21), e(event.Create, s21)),
+		// Session 1: a subtransaction writes x and commits.
+		event.AppendWalTxDef(nil, s11, "c1", tname.NoObj, spec.Op{}),
+		evs(e(event.RequestCreate, c11), e(event.Create, c11)),
+		event.AppendWalTxDef(nil, c11, "a1", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(7)}),
+		evs(e(event.RequestCreate, a11)),
+		evs(e(event.Create, a11)),
+		evs(event.NewValEvent(event.RequestCommit, a11, spec.OK)),
+		evs(e(event.Commit, a11), event.NewInform(event.InformCommit, a11, x), event.NewValEvent(event.ReportCommit, a11, spec.OK)),
+		evs(event.NewValEvent(event.RequestCommit, c11, spec.OK), e(event.Commit, c11)),
+		evs(event.NewInform(event.InformCommit, c11, x)),
+		evs(event.NewValEvent(event.ReportCommit, c11, spec.OK)),
+		// Session 2: a subtransaction writes y and is aborted.
+		event.AppendWalTxDef(nil, s21, "c1", tname.NoObj, spec.Op{}),
+		evs(e(event.RequestCreate, c21), e(event.Create, c21)),
+		event.AppendWalTxDef(nil, c21, "a1", y, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(9)}),
+		evs(e(event.RequestCreate, a21)),
+		evs(e(event.Create, a21)),
+		evs(event.NewValEvent(event.RequestCommit, a21, spec.OK)),
+		evs(e(event.Commit, a21), event.NewInform(event.InformCommit, a21, y), event.NewValEvent(event.ReportCommit, a21, spec.OK)),
+		evs(e(event.Abort, c21)),
+		evs(event.NewInform(event.InformAbort, c21, y)),
+		evs(e(event.ReportAbort, c21)),
+		// Session 1 commits its top and defines its next one.
+		evs(event.NewValEvent(event.RequestCommit, s11, spec.OK), e(event.Commit, s11)),
+		evs(event.NewInform(event.InformCommit, s11, x)),
+		evs(event.NewValEvent(event.ReportCommit, s11, spec.OK)),
+		event.AppendWalTxDef(nil, tname.Root, "s1.2", tname.NoObj, spec.Op{}),
+	}
+}
+
+// TestRecoverRepairPrefixes runs Recover on every byte prefix of the
+// twoSessionWal image. Each must be rejected cleanly or recover to a log
+// whose name tree validates, whose orphans abort in TxID order, and which
+// recovers again with no repairs to the identical trace; and the next
+// session's top-level label must be new, defined or not.
+func TestRecoverRepairPrefixes(t *testing.T) {
+	img := walImage(t, twoSessionWal())
+	var fixups, twoOrphans, recovered int
+	for n := 0; n <= len(img); n++ {
+		disk := NewMemDisk()
+		disk.SetSegment(segmentName(1), img[:n])
+		s, rep, err := Recover(Options{WAL: disk})
+		if err != nil {
+			continue
+		}
+		recovered++
+		if err := s.tr.Validate(); err != nil {
+			t.Fatalf("prefix %d: %v", n, err)
+		}
+		log := s.log.snapshot()
+		last := tname.Root
+		for _, e := range log[rep.DurableEvents:] {
+			if e.Kind == event.Abort && s.tr.Parent(e.Tx) == tname.Root {
+				if e.Tx < last {
+					t.Fatalf("prefix %d: orphan %s aborted after %s", n, s.tr.Name(e.Tx), s.tr.Name(last))
+				}
+				last = e.Tx
+			}
+		}
+		if rep.FixupInforms > 0 {
+			fixups++
+		}
+		if rep.OrphanTops == 2 {
+			twoOrphans++
+		}
+		trace := event.MarshalBinaryTrace(s.tr, log)
+		s.Kill()
+
+		s2, rep2, err := Recover(Options{WAL: disk})
+		if err != nil {
+			t.Fatalf("prefix %d: stitched wal does not recover: %v (first: %s)", n, err, rep.Summary())
+		}
+		if rep2.OrphanTops != 0 || rep2.FixupInforms != 0 {
+			t.Fatalf("prefix %d: second recovery repaired a stitched wal: %s", n, rep2.Summary())
+		}
+		if !bytes.Equal(trace, event.MarshalBinaryTrace(s2.tr, s2.log.snapshot())) {
+			t.Fatalf("prefix %d: stitched trace not stable across recoveries", n)
+		}
+		tops := map[string]bool{}
+		for id := 1; id < s2.tr.NumTx(); id++ {
+			if s2.tr.Parent(tname.TxID(id)) == tname.Root {
+				tops[s2.tr.Label(tname.TxID(id))] = true
+			}
+		}
+		cli, srv := net.Pipe()
+		s2.ServeConn(srv)
+		c := client.NewConn(cli)
+		name, err := c.Begin()
+		c.Close()
+		s2.Kill()
+		if err != nil {
+			t.Fatalf("prefix %d: begin after recovery: %v", n, err)
+		}
+		if tops[name] {
+			t.Fatalf("prefix %d: the next session's top is %s, a recovered label", n, name)
+		}
+	}
+	t.Logf("%d of %d prefixes recovered, %d with fix-up informs, %d with two orphans",
+		recovered, len(img)+1, fixups, twoOrphans)
+	// Whole records recover, so most prefixes do; the layout must have
+	// exercised both repairs and the TxID order of two orphans.
+	if recovered < len(img)/2 || fixups == 0 || twoOrphans == 0 {
+		t.Fatalf("%d of %d prefixes recovered, %d with fix-up informs, %d with two orphans",
+			recovered, len(img)+1, fixups, twoOrphans)
 	}
 }
 
@@ -196,6 +337,8 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 		// A page of zeros after the records, and after a torn record.
 		"seed_zero_tail":      zeroPad(img, 4<<10),
 		"seed_torn_zero_tail": zeroPad(img[:len(img)-3], 4<<10),
+		// Two interleaved sessions whose prefixes need every repair.
+		"seed_two_sessions": walImage(t, twoSessionWal()),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzRecoveryReplay")
 	for name, data := range seeds {

@@ -240,7 +240,7 @@ func gatedCohort(t *testing.T, disk cohortDisk, n, open int, check func()) {
 
 // cohortMembers is the sum of the cohort sizes GroupSize has observed.
 func cohortMembers(m *server.Metrics) int64 {
-	return int64(math.Round(m.GroupSize.MeanVal() * float64(m.GroupSize.Count())))
+	return int64(math.Round(m.GroupSize.Mean() * float64(m.GroupSize.Count())))
 }
 
 // durableCommits recovers a server from a durable disk image and returns

@@ -8,49 +8,37 @@ import (
 	"time"
 )
 
-// histBuckets is the number of power-of-two latency buckets; bucket i counts
-// observations with ceil(log2(µs+1)) == i, so the range spans sub-µs to
-// ~9 hours.
+// histBuckets is the number of power-of-two buckets; bucket i counts the
+// samples v with bits.Len64(v) == i, so bucket 0 holds 0, bucket i > 0
+// holds [2^(i-1), 2^i), and the last bucket also holds everything larger
+// (negative samples among them). In microseconds the last bucket opens at
+// 2^43 µs, about 100 days.
 const histBuckets = 45
 
-// Histogram is a lock-free power-of-two latency histogram.
+// Histogram is a lock-free power-of-two histogram of int64 samples.
+// Latencies are recorded in microseconds.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
-	sumNs   atomic.Int64
+	sum     atomic.Int64
 }
 
-// Observe records one latency sample.
+// Observe records one sample.
 //
 //sgvet:hotpath
-func (h *Histogram) Observe(d time.Duration) {
-	us := uint64(d / time.Microsecond)
-	i := bits.Len64(us)
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// ObserveVal records one dimensionless sample (e.g. a commit-group size)
-// in the same power-of-two buckets; read it back with QuantileVal/MeanVal.
-//
-//sgvet:hotpath
-func (h *Histogram) ObserveVal(v int64) {
+func (h *Histogram) Observe(v int64) {
 	i := bits.Len64(uint64(v))
 	if i >= histBuckets {
 		i = histBuckets - 1
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sumNs.Add(v)
+	h.sum.Add(v)
 }
 
-// QuantileVal is Quantile for dimensionless samples: the upper bound of
-// the bucket containing the q-quantile, 0 with no samples.
-func (h *Histogram) QuantileVal(q float64) int64 {
+// Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound 2^i of
+// the bucket i containing it. Returns 0 with no samples.
+func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -69,43 +57,13 @@ func (h *Histogram) QuantileVal(q float64) int64 {
 	return int64(1) << uint(histBuckets-1)
 }
 
-// MeanVal returns the exact mean of dimensionless samples.
-func (h *Histogram) MeanVal() float64 {
+// Mean returns the exact mean of the samples, 0 with none.
+func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	return float64(h.sumNs.Load()) / float64(n)
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of the
-// bucket containing it. Returns 0 with no samples.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(uint64(1)<<uint(histBuckets-1)) * time.Microsecond
-}
-
-// Mean returns the mean observed latency.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumNs.Load() / n)
+	return float64(h.sum.Load()) / float64(n)
 }
 
 // Count returns the number of samples.
@@ -204,16 +162,16 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"sg_parents":        sgParents,
 		"sg_nodes":          sgNodes,
 		"sg_edges":          sgEdges,
-		"req_p50_us":        s.metrics.ReqLatency.Quantile(0.50).Microseconds(),
-		"req_p99_us":        s.metrics.ReqLatency.Quantile(0.99).Microseconds(),
-		"commit_p50_us":     s.metrics.CommitLatency.Quantile(0.50).Microseconds(),
-		"commit_p99_us":     s.metrics.CommitLatency.Quantile(0.99).Microseconds(),
+		"req_p50_us":        m.ReqLatency.Quantile(0.50),
+		"req_p99_us":        m.ReqLatency.Quantile(0.99),
+		"commit_p50_us":     m.CommitLatency.Quantile(0.50),
+		"commit_p99_us":     m.CommitLatency.Quantile(0.99),
 		"wal_sync_requests": m.WALSyncRequests.Load(),
 		"wal_syncs":         m.WALSyncs.Load(),
 		"accept_retries":    m.AcceptRetries.Load(),
-		"group_size_p50":    m.GroupSize.QuantileVal(0.50),
-		"group_size_p99":    m.GroupSize.QuantileVal(0.99),
-		"group_size_mean":   m.GroupSize.MeanVal(),
+		"group_size_p50":    m.GroupSize.Quantile(0.50),
+		"group_size_p99":    m.GroupSize.Quantile(0.99),
+		"group_size_mean":   m.GroupSize.Mean(),
 		// The snapshot path's counters: 0 on a backend without one.
 		"mvto_snapshot_reads": m.SnapshotReads.Load(),
 		"mvto_ro_begins":      m.ROBegins.Load(),

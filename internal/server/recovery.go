@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
-	"nestedsg/internal/core"
 	"nestedsg/internal/event"
 	"nestedsg/internal/simple"
 	"nestedsg/internal/spec"
@@ -37,31 +39,29 @@ type RecoveryReport struct {
 	AuditOK bool
 }
 
-// Summary renders the report in one line.
+// Summary renders the report in one line. Recover returns a report only
+// with a passing audit, so the line always ends "audit: ok".
 func (r *RecoveryReport) Summary() string {
-	audit := "audit: ok"
-	if !r.AuditOK {
-		audit = "audit: not run"
-	}
 	return fmt.Sprintf(
-		"recovered %d events from %d wal records in %d segments (%d torn bytes truncated, %d zero bytes trimmed); aborted %d orphan transactions, delivered %d missing informs; log now %d events; %s",
-		r.DurableEvents, r.Records, r.Segments, r.TornBytes, r.ZeroBytes, r.OrphanTops, r.FixupInforms, r.StitchedEvents, audit)
+		"recovered %d events from %d wal records in %d segments (%d torn bytes truncated, %d zero bytes trimmed); aborted %d orphan transactions, delivered %d missing informs; log now %d events; audit: ok",
+		r.DurableEvents, r.Records, r.Segments, r.TornBytes, r.ZeroBytes, r.OrphanTops, r.FixupInforms, r.StitchedEvents)
 }
 
 // Recover builds a server from the durable WAL in opts.WAL (an empty WAL
-// is a fresh start). The durable record prefix is replayed through the
-// tree interner and the object automata — asserting at each logged
-// REQUEST_COMMIT that the automaton grants the same value, so a WAL that
-// could not have come from a faithful run is rejected instead of served —
-// then the log is "stitched": transactions whose completion was logged
-// but whose informs were lost get the missing informs, and top-level
-// transactions still in flight at the crash are aborted exactly as a
-// dropped connection would have been (the paper's well-formedness keeps
-// orphans harmless: an aborted top's INFORM_ABORT discards the whole
-// subtree's locks). The online certifier is primed synchronously over the
-// stitched log and cross-checked against a batch core.Check — so the
-// resumed server's certificate is byte-identical to an uninterrupted batch
-// check of the stitched log.
+// is a fresh start). The definition records rebuild the name tree, and one
+// pass over the durable event prefix drives the object automata —
+// asserting at each logged REQUEST_COMMIT that the automaton grants the
+// same value, so a WAL that could not have come from a faithful run is
+// rejected instead of served — and gathers what the repairs need. Then the
+// log is "stitched": transactions whose completion was logged but whose
+// informs were lost get the missing informs, and top-level transactions
+// still in flight at the crash are aborted exactly as a dropped connection
+// would have been (the paper's well-formedness keeps orphans harmless: an
+// aborted top's INFORM_ABORT discards the whole subtree's locks). The
+// online certifier is primed synchronously over the stitched log and
+// audited as Final audits a drained server — so the resumed server's
+// certificate is byte-identical to an uninterrupted batch check of the
+// stitched log.
 //
 // Recovery never panics on bad WAL bytes: any torn tail outside the last
 // segment, semantic replay divergence, or failed audit is returned as an
@@ -70,8 +70,8 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	if opts.WAL == nil {
 		return nil, nil, fmt.Errorf("server: Recover requires Options.WAL")
 	}
-	// The interner panics on programming errors (duplicate labels with
-	// different metadata); for recovery those can also be provoked by
+	// The tree and the automata panic on programming errors (a child of
+	// an access, say); for recovery those can also be provoked by
 	// corrupt-but-parseable WAL bytes, so they must surface as clean
 	// rejections — this guard is the fuzz contract's armor.
 	defer func() {
@@ -83,22 +83,44 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	return newServer(opts)
 }
 
-// replayWAL scans the WAL, replays its durable prefix through the tree
-// interner and the object automata, and appends the prefix to the log
-// before attaching the writer, so that it is not written again; every
+// replayed is what the one pass over the durable prefix leaves the
+// repairs; its zero value repairs nothing.
+type replayed struct {
+	// touched[T] lists the objects of automaton-created accesses in T's
+	// subtree, in first-create order: the recovery analogue of
+	// txFrame.touched.
+	touched [][]tname.ObjID
+	// informed holds the (transaction, object) pairs already informed.
+	informed map[informPair]bool
+	// done marks the completed transactions; completions are their COMMIT
+	// and ABORT events in log order.
+	done        []bool
+	completions []event.Event
+	// tops are the created top-level transactions, in CREATE order.
+	tops []tname.TxID
+}
+
+type informPair struct {
+	t tname.TxID
+	x tname.ObjID
+}
+
+// replayWAL scans the WAL, rebuilds the name tree from its definitions,
+// replays its durable event prefix into r, and appends the prefix to the
+// log before attaching the writer, so that it is not written again; every
 // later append, repairs included, tees into the WAL.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replayWAL(rep *RecoveryReport) (event.Behavior, error) {
+func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 	scan, err := scanWAL(s.opts.WAL)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Segments, rep.Records = scan.segments, scan.records
 	rep.TornBytes, rep.TornSegment, rep.ZeroBytes = scan.tornBytes, scan.tornSegment, scan.zeroBytes
 	b, err := s.replayDefs(scan.ops)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.DurableEvents = len(b)
 	switch {
@@ -106,34 +128,38 @@ func (s *Server) replayWAL(rep *RecoveryReport) (event.Behavior, error) {
 		if s.tr.NumTx() > 1 || s.tr.NumObjects() > 0 {
 			// Definitions with no events cannot come from a live server,
 			// which logs CREATE(T0) before anything else.
-			return nil, fmt.Errorf("server: recovery rejected wal: definitions without events")
+			return fmt.Errorf("server: recovery rejected wal: definitions without events")
 		}
 	case b[0].Kind != event.Create || b[0].Tx != tname.Root:
-		return nil, fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
+		return fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
 	default:
 		if err := simple.CheckWellFormed(s.tr, b); err != nil {
-			return nil, fmt.Errorf("server: recovery rejected wal: %w", err)
+			return fmt.Errorf("server: recovery rejected wal: %w", err)
 		}
-		if err := s.replayAutomata(b); err != nil {
-			return nil, err
+		if err := s.replay(b, r); err != nil {
+			return err
 		}
 	}
 	s.log.append(b...)
 	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.wal, s.log.wal = w, w
-	return b, nil
+	return nil
 }
 
-// replayDefs re-interns every definition record in WAL order, asserting
-// the interner assigns the same sequential IDs the live server got, and
-// collects the event records into the durable behavior prefix.
+// replayDefs defines every name in WAL order, as the live server did, and
+// collects the event records into the durable behavior prefix. Define
+// takes the labels' uniqueness on trust, so the tree is validated once at
+// the end. The session counter moves past every session named in a
+// top-level definition, created or not: a name defined durably owns its
+// label even when its CREATE was lost.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 	var b event.Behavior
+	var sessions int64
 	for _, op := range ops {
 		switch op.Kind {
 		case event.WalObjectDef:
@@ -143,37 +169,70 @@ func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 			sp := spec.ByName(op.SpecName) // non-nil: DecodeWalOp validated
 			s.newSharedObject(s.tr.AddObject(op.Label, sp))
 		case event.WalTxDef:
-			before := s.tr.NumTx()
-			var id tname.TxID
-			if op.Obj == tname.NoObj {
-				id = s.tr.Child(op.Parent, op.Label)
-			} else {
-				id = s.tr.Access(op.Parent, op.Label, op.Obj, op.Op)
-			}
-			if s.tr.NumTx() != before+1 || id != tname.TxID(before) {
-				return nil, fmt.Errorf("server: recovery rejected wal: duplicate tx definition %q under %s",
-					op.Label, s.tr.Name(op.Parent))
+			s.tr.Define(op.Parent, op.Label, op.Obj, op.Op)
+			if op.Parent == tname.Root {
+				sessions = max(sessions, sessionOf(op.Label))
 			}
 		case event.WalEvents:
 			b = append(b, op.Events...)
 		}
 	}
+	if err := s.tr.Validate(); err != nil {
+		return nil, fmt.Errorf("server: recovery rejected wal: %w", err)
+	}
+	s.sessionSeq.Store(sessions)
 	return b, nil
 }
 
-// replayAutomata drives the object automata through the durable prefix
-// exactly as the live sessions did: CREATE at an access's CREATE event,
-// TryRequestCommit at its REQUEST_COMMIT (asserting the grant and the
-// value — the automata are deterministic and failed polls don't mutate, so
-// a faithful log replays to the same state), informs at inform events.
+// sessionOf returns n for a label "s<n>.<k>", the label session n gives its
+// k-th top-level transaction (session.topLabel), and 0 for any other.
+func sessionOf(label string) int64 {
+	id, _, ok := strings.Cut(label, ".")
+	if !ok || !strings.HasPrefix(id, "s") {
+		return 0
+	}
+	n, err := strconv.ParseInt(id[1:], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// replay is the one pass over the well-formed durable prefix b. It drives
+// the object automata exactly as the live sessions did: CREATE at an
+// access's CREATE event, TryRequestCommit at its REQUEST_COMMIT (asserting
+// the grant and the value — the automata are deterministic and failed
+// polls don't mutate, so a faithful log replays to the same state), informs
+// at inform events. It counts the metrics b accounts for, so verdicts and
+// the final report stay consistent across a restart (the repairs count
+// themselves, like any session's appends), and records in r what the
+// repairs need.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replayAutomata(b event.Behavior) error {
+func (s *Server) replay(b event.Behavior, r *replayed) error {
+	n := s.tr.NumTx()
+	r.touched = make([][]tname.ObjID, n)
+	r.informed = make(map[informPair]bool)
+	r.done = make([]bool, n)
+	m := s.metrics
 	for i, e := range b {
 		switch e.Kind {
 		case event.Create:
-			if e.Tx != tname.Root && s.tr.IsAccess(e.Tx) {
-				s.objs[s.tr.AccessObject(e.Tx)].g.Create(e.Tx)
+			if e.Tx == tname.Root {
+				continue
+			}
+			if s.tr.IsAccess(e.Tx) {
+				x := s.tr.AccessObject(e.Tx)
+				s.objs[x].g.Create(e.Tx)
+				for u := e.Tx; u != tname.Root; u = s.tr.Parent(u) {
+					if !slices.Contains(r.touched[u], x) {
+						r.touched[u] = append(r.touched[u], x)
+					}
+				}
+			}
+			if s.tr.Parent(e.Tx) == tname.Root {
+				m.Begins.Add(1)
+				r.tops = append(r.tops, e.Tx)
 			}
 		case event.RequestCommit:
 			if s.tr.IsAccess(e.Tx) {
@@ -188,12 +247,26 @@ func (s *Server) replayAutomata(b event.Behavior) error {
 						i, s.tr.Name(e.Tx), v, e.Val)
 				}
 			}
+		case event.Commit, event.Abort:
+			// CheckWellFormed admits one completion per transaction.
+			if e.Kind == event.Commit {
+				m.CommitEvents.Add(1)
+				if s.tr.Parent(e.Tx) == tname.Root {
+					m.TopCommits.Add(1)
+				}
+			} else {
+				m.AbortEvents.Add(1)
+			}
+			r.done[e.Tx] = true
+			r.completions = append(r.completions, e)
 		case event.InformCommit:
 			s.objs[e.Obj].g.InformCommit(e.Tx)
+			r.informed[informPair{e.Tx, e.Obj}] = true
 		case event.InformAbort:
 			s.objs[e.Obj].g.InformAbort(e.Tx)
+			r.informed[informPair{e.Tx, e.Obj}] = true
 		default:
-			// RequestCreate, Commit, Abort, reports: no automaton call.
+			// RequestCreate, reports: no automaton call.
 		}
 	}
 	return nil
@@ -201,142 +274,56 @@ func (s *Server) replayAutomata(b event.Behavior) error {
 
 // stitch appends the repair events: missing informs for completions whose
 // session died before delivering them, then an abort for every orphaned
-// in-flight top-level transaction (ascending TxID). Both go through the
-// sessions' own paths — inform, and the abort a dropped connection's
-// abortTop appends — so they are also made durable.
+// in-flight top-level transaction. Both go through the sessions' own
+// paths — inform, and the abort a dropped connection's abortTop appends —
+// so they are also made durable.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) stitch(b event.Behavior, rep *RecoveryReport) {
-	// touched[T] = objects of automaton-created accesses in T's subtree,
-	// in first-create order — the recovery analogue of txFrame.touched.
-	touched := make(map[tname.TxID][]tname.ObjID)
-	touch := func(t tname.TxID, x tname.ObjID) {
-		for _, y := range touched[t] {
-			if y == x {
-				return
-			}
-		}
-		touched[t] = append(touched[t], x)
-	}
-	informed := make(map[[2]int64]bool) // (tx, obj) pairs already informed
-	completed := make(map[tname.TxID]event.Kind)
-	var completions []tname.TxID
-	for _, e := range b {
-		switch e.Kind {
-		case event.Create:
-			if e.Tx != tname.Root && s.tr.IsAccess(e.Tx) {
-				x := s.tr.AccessObject(e.Tx)
-				for u := e.Tx; u != tname.Root; u = s.tr.Parent(u) {
-					touch(u, x)
-				}
-			}
-		case event.Commit, event.Abort:
-			if _, dup := completed[e.Tx]; !dup {
-				completed[e.Tx] = e.Kind
-				completions = append(completions, e.Tx)
-			}
-		case event.InformCommit, event.InformAbort:
-			informed[[2]int64{int64(e.Tx), int64(e.Obj)}] = true
-		default:
-		}
-	}
-
+func (s *Server) stitch(r *replayed, rep *RecoveryReport) {
 	// Missing informs, in completion order — leaf completions precede
 	// their ancestors' in any well-formed log, so lock hand-up replays in
 	// the right order.
-	for _, t := range completions {
+	for _, e := range r.completions {
 		kind := event.InformCommit
-		if completed[t] == event.Abort {
+		if e.Kind == event.Abort {
 			kind = event.InformAbort
 		}
-		for _, x := range touched[t] {
-			if informed[[2]int64{int64(t), int64(x)}] {
-				continue
+		for _, x := range r.touched[e.Tx] {
+			if !r.informed[informPair{e.Tx, x}] {
+				s.inform(kind, s.objs[x], e.Tx)
+				rep.FixupInforms++
 			}
-			s.inform(kind, s.objs[x], t)
-			rep.FixupInforms++
 		}
 	}
 
-	// Orphaned tops: created, never completed, session gone.
-	for _, t := range s.tr.Children(tname.Root) {
-		if _, done := completed[t]; done || !createdIn(b, t) {
-			continue
+	// Orphaned tops: created, never completed, session gone. They abort in
+	// TxID order, which is not CREATE order when two sessions interleave
+	// defining a name and logging its CREATE.
+	slices.Sort(r.tops)
+	for _, t := range r.tops {
+		if !r.done[t] {
+			s.abort(t, r.touched[t])
+			rep.OrphanTops++
 		}
-		s.abort(t, touched[t])
-		rep.OrphanTops++
 	}
 	rep.StitchedEvents = s.log.len()
 }
 
-// createdIn reports whether t has a CREATE event in the durable prefix —
-// a definition record alone (crash between intern and append) leaves a
-// name that never entered the behavior and needs no abort.
-func createdIn(b event.Behavior, t tname.TxID) bool {
-	for _, e := range b {
-		if e.Kind == event.Create && e.Tx == t {
-			return true
-		}
-	}
-	return false
-}
-
-// bumpSessionSeq moves the session counter past every recovered session
-// label ("s<session>.<n>" tops), so resumed sessions never collide with a
-// dead session's transaction names.
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) bumpSessionSeq() {
-	max := int64(0)
-	for _, t := range s.tr.Children(tname.Root) {
-		var sess int64
-		var n int
-		if _, err := fmt.Sscanf(s.tr.Label(t), "s%d.%d", &sess, &n); err == nil && sess > max {
-			max = sess
-		}
-	}
-	s.sessionSeq.Store(max)
-}
-
-// recoverMetrics rebuilds the counters derivable from the replayed prefix
-// b so verdicts and the final report stay consistent across a restart; the
-// repairs stitch appends after it count themselves, like any session's.
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) recoverMetrics(b event.Behavior) {
-	for _, e := range b {
-		switch e.Kind {
-		case event.Commit:
-			s.metrics.CommitEvents.Add(1)
-			if s.tr.Parent(e.Tx) == tname.Root {
-				s.metrics.TopCommits.Add(1)
-			}
-		case event.Abort:
-			s.metrics.AbortEvents.Add(1)
-		case event.Create:
-			if e.Tx != tname.Root && s.tr.Parent(e.Tx) == tname.Root {
-				s.metrics.Begins.Add(1)
-			}
-		default:
-		}
-	}
-}
-
 // primeCertifier replays the stitched log through the online incremental
-// graph synchronously, then audits it against a batch core.Check: the two
-// must be byte-identical, which is exactly the acceptance bar the live
-// server's Final() enforces.
+// graph synchronously, then audits it as Final audits a drained server: a
+// batch core.Check of the log must pass, and its SG must match the primed
+// snapshot byte for byte.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) primeCertifier(rep *RecoveryReport) error {
 	if err := s.cert.prime(); err != nil {
 		return err
 	}
-	res := core.Check(s.tr, s.log.snapshot())
-	if !res.OK {
-		return fmt.Errorf("server: recovery rejected wal: stitched log fails batch check: %s", res.Summary(s.tr))
+	f := s.Final()
+	if !f.Batch.OK {
+		return fmt.Errorf("server: recovery rejected wal: stitched log fails batch check: %s", f.Batch.Summary(s.tr))
 	}
-	if got, want := s.cert.snapshotSG().DOT(), res.SG.DOT(); got != want {
+	if !f.Match {
 		return fmt.Errorf("server: recovery audit: online snapshot differs from batch SG")
 	}
 	rep.AuditOK = true

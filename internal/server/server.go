@@ -187,13 +187,14 @@ func New(opts Options) *Server {
 }
 
 // newServer builds every server; New calls it without a WAL, Recover with
-// one. A WAL's durable prefix is replayed into the log and the writer
-// attached behind it (replayWAL); an empty log is seeded with CREATE(T0);
-// then the prefix is stitched (nothing to stitch without a WAL) and the
-// objects are pre-created. A durable server then syncs the WAL, and primes
-// the certifier over the log and audits it against a batch check before
-// serving; a server without a WAL leaves its watermark at 0, so its
-// certifier (and Hooks.CertApply) first runs at the first top-level COMMIT.
+// one. A WAL's durable prefix is replayed into the log in one pass and the
+// writer attached behind it (replayWAL); an empty log is seeded with
+// CREATE(T0); then the prefix is stitched (nothing to stitch without a
+// WAL) and the objects are pre-created. A durable server then syncs the
+// WAL, and primes the certifier over the log and audits it against a batch
+// check before serving; a server without a WAL leaves its watermark at 0,
+// so its certifier (and Hooks.CertApply) first runs at the first top-level
+// COMMIT.
 //
 //sgvet:ignore[lockguard] construction is single-threaded: no session exists yet
 func newServer(opts Options) (*Server, *RecoveryReport, error) {
@@ -221,23 +222,21 @@ func newServer(opts Options) (*Server, *RecoveryReport, error) {
 	}
 
 	rep := &RecoveryReport{}
-	var b event.Behavior
+	var r replayed
 	if opts.WAL != nil {
-		if b, err = s.replayWAL(rep); err != nil {
+		if err := s.replayWAL(&r, rep); err != nil {
 			return nil, nil, err
 		}
 	}
-	if len(b) == 0 {
+	if s.log.len() == 0 {
 		s.log.append(event.NewEvent(event.Create, tname.Root))
 	}
-	s.stitch(b, rep)
+	s.stitch(&r, rep)
 	for _, label := range opts.Objects {
 		if _, err := s.resolveObject(label); err != nil {
 			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, err)
 		}
 	}
-	s.bumpSessionSeq()
-	s.recoverMetrics(b)
 	if s.wal != nil {
 		if err := s.wal.sync(); err != nil {
 			return nil, nil, fmt.Errorf("server: recovery sync: %w", err)
@@ -570,7 +569,8 @@ type Final struct {
 // Final certifies the rest of the log online — nothing after Shutdown,
 // the tail after the last top-level commit after Kill — then recomputes
 // the whole run offline and cross-checks the online snapshot. Call only
-// after Shutdown or Kill has returned (all sessions stopped).
+// after Shutdown or Kill has returned (all sessions stopped); Recover
+// audits with it before any session exists.
 //
 //sgvet:ignore[lockguard] post-Shutdown: sessions and certifier are quiesced, so the tree is immutable here
 func (s *Server) Final() *Final {

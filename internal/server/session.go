@@ -142,9 +142,9 @@ func (sn *session) serve() {
 			resp = sn.handle(q)
 		}
 		sn.s.metrics.Requests.Add(1)
-		sn.s.metrics.ReqLatency.Observe(time.Since(start))
+		sn.s.metrics.ReqLatency.Observe(time.Since(start).Microseconds())
 		if perr == nil && q.Cmd == wire.CmdCommit && closesTop && resp.Status == wire.StatusOK {
-			sn.s.metrics.CommitLatency.Observe(time.Since(start))
+			sn.s.metrics.CommitLatency.Observe(time.Since(start).Microseconds())
 		}
 		cmd := q.Cmd
 		if perr != nil {

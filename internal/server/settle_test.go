@@ -112,7 +112,7 @@ func TestCohortFormsOnOneProcessor(t *testing.T) {
 	syncs, commits := disk.syncs.Load()-syncs0, s.Metrics().TopCommits.Load()-commits0
 	perCommit := float64(syncs) / float64(commits)
 	t.Logf("%d fsyncs for %d commits (%.3f per commit), group size mean %.2f, %d rounds",
-		syncs, commits, perCommit, s.Metrics().GroupSize.MeanVal(), s.SettleRounds())
+		syncs, commits, perCommit, s.Metrics().GroupSize.Mean(), s.SettleRounds())
 	if perCommit > 0.6 {
 		t.Fatalf("%d fsyncs for %d top-level commits: %.3f per commit, want <= 0.6", syncs, commits, perCommit)
 	}

@@ -626,7 +626,7 @@ func (w *walWriter) sync() error {
 	err = cur.Sync()
 	w.syncTimes = [2]time.Duration{w.now().Sub(start), w.syncTimes[0]}
 	w.m.WALSyncs.Add(1)
-	w.m.GroupSize.ObserveVal(int64(cohort))
+	w.m.GroupSize.Observe(int64(cohort))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil && w.cur == cur {

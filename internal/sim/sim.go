@@ -955,7 +955,9 @@ func (s *sim) finish() error {
 	if !f.Batch.OK {
 		return fmt.Errorf("final batch check failed: %s", f.Batch.Summary(s.srv.Tree()))
 	}
-	if !f.Match {
+	// Match compares DOT renderings, which do not show edge kinds; Equal
+	// compares the labelled edges too.
+	if !f.Match || !f.Snapshot.Equal(f.Batch.SG) {
 		return fmt.Errorf("final online SG differs from batch SG")
 	}
 	s.rep.FinalEvents = f.Events
@@ -994,6 +996,9 @@ func (s *sim) finish() error {
 	s2.Kill()
 	if !bytes.Equal(s.rep.Trace, trace2) {
 		return fmt.Errorf("final wal recovers to a different trace (%d vs %d bytes)", len(trace2), len(s.rep.Trace))
+	}
+	if !s2.Final().Snapshot.Equal(f.Batch.SG) {
+		return fmt.Errorf("re-recovered online SG differs from the final batch SG")
 	}
 	return nil
 }
