@@ -64,8 +64,9 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the "current" side of BENCH_PR3.json from a fresh run of the
-# gated checker benchmarks (E1, E15, E24, E25) plus the trace-codec table
-# (E16). The committed "baseline" side (the pre-optimization numbers; for
+# gated checker benchmarks (E1; E15's batch build, streaming check and
+# one-shot core.Check, all matched by `E15`; E24, E25) plus the
+# trace-codec table (E16). The committed "baseline" side (the pre-optimization numbers; for
 # E24 and E25 the numbers of the PR that introduced each, 0 allocs/op) is
 # preserved.
 bench-json:

@@ -513,6 +513,20 @@ func BenchmarkE15BatchBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkE15BatchCheck measures one-shot core.Check — well-formedness,
+// SG(β), return values, acyclicity and the views — on the dense trace of
+// BenchmarkE15BatchBuild. It is the call Server.Final audits a life with
+// and the check workload times.
+func BenchmarkE15BatchCheck(b *testing.B) {
+	tr, trace := denseTrace(b, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := core.Check(tr, trace); !res.OK {
+			b.Fatal(res.Summary(tr))
+		}
+	}
+}
+
 // BenchmarkE16TraceCodec measures the two trace codecs on one mid-sized
 // trace: encode cost, decode cost, and — for the binary format — streaming
 // decode feeding the incremental checker without materializing a behavior.

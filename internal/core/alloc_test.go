@@ -38,16 +38,14 @@ func TestCheckerReuseSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { c.StreamPrefix(b) }); n > 0 {
 		t.Errorf("Checker.StreamPrefix allocates %.1f/op after warm-up, want 0", n)
 	}
-	// Check materializes a fresh Result and certificate views for the
-	// caller, so it cannot be literally zero; the pooled part is the graph
-	// construction, which the Build assertion above pins at 0. Here require
-	// that reuse saves at least a quarter of the one-shot allocations, so a
-	// regression back to per-call graph rebuilds cannot hide behind the
-	// (legitimately allocating) Result materialization.
-	reused := testing.AllocsPerRun(20, func() { c.Check(b) })
-	oneShot := testing.AllocsPerRun(20, func() { Check(tr, b) })
-	if reused*4 > oneShot*3 {
-		t.Errorf("Checker.Check reuse allocates %.1f/op vs %.1f/op one-shot; want ≤ 75%%", reused, oneShot)
+	// Check materializes a fresh Result, sibling order and views for the
+	// caller, so it cannot be literally zero; everything else — the
+	// well-formedness state, the engine, the value replay and the view
+	// scratch — is pooled. Pin the measured count, so that a pool lost to
+	// a per-call allocation shows.
+	const checkAllocs = 53
+	if n := testing.AllocsPerRun(20, func() { c.Check(b) }); n > checkAllocs {
+		t.Errorf("Checker.Check allocates %.1f/op after warm-up, want at most %d", n, checkAllocs)
 	}
 }
 

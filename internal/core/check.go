@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,26 +101,73 @@ func Check(tr *tname.Tree, b event.Behavior) *Result {
 // verifies each resulting view is a behavior of the serial object. The
 // error identifies the object and operation that failed.
 func ComputeViews(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]View, error) {
-	byObj := make(map[tname.ObjID][]event.AccessOp)
-	var objs []tname.ObjID
-	for _, op := range sg.VisibleOps {
-		if _, ok := byObj[op.Obj]; !ok {
+	var vs viewScratch
+	return vs.compute(tr, sg, order)
+}
+
+// viewScratch is the working memory of ComputeViews; a Checker pools one.
+type viewScratch struct {
+	keys opKeys
+	// seen[x] is one more than x's position among the objects in order of
+	// first visible operation, or 0.
+	seen []int32
+	objs []tname.ObjID
+	idx  []int32
+	xi   []spec.OpVal
+}
+
+// compute is ComputeViews over the scratch. Views come out in the order
+// of each object's first visible operation, and share one fresh backing
+// array, so they outlive the scratch.
+func (vs *viewScratch) compute(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]View, error) {
+	ops := sg.VisibleOps
+	vs.keys.fill(order, ops)
+	n := tr.NumObjects()
+	seen := slices.Grow(vs.seen[:0], n)[:n]
+	clear(seen)
+	objs, idx := vs.objs[:0], vs.idx[:0]
+	for j, op := range ops {
+		if seen[op.Obj] == 0 {
 			objs = append(objs, op.Obj)
+			seen[op.Obj] = int32(len(objs))
 		}
-		byObj[op.Obj] = append(byObj[op.Obj], op)
+		idx = append(idx, int32(j))
 	}
-	var out []View
-	for _, x := range objs {
-		ops := order.SortOps(byObj[x])
-		xi := make([]spec.OpVal, len(ops))
-		for i, op := range ops {
-			xi[i] = op.OV
+	vs.seen, vs.objs, vs.idx = seen, objs, idx
+	// Sort by object, then by R_trans within each object.
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(seen[ops[a].Obj], seen[ops[b].Obj]); c != 0 {
+			return c
 		}
+		return vs.keys.compare(a, b)
+	})
+
+	var out []View
+	if len(objs) > 0 {
+		out = make([]View, 0, len(objs))
+	}
+	sorted := make([]event.AccessOp, len(ops))
+	for j, i := range idx {
+		sorted[j] = ops[i]
+	}
+	for lo := 0; lo < len(sorted); {
+		x := sorted[lo].Obj
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Obj == x {
+			hi++
+		}
+		view := sorted[lo:hi:hi]
+		xi := vs.xi[:0]
+		for _, op := range view {
+			xi = append(xi, op.OV)
+		}
+		vs.xi = xi
 		if ok, i := spec.IsBehavior(tr.Spec(x), xi); !ok {
 			return nil, fmt.Errorf("view(β,T0,R,%s): operation %d (%s by %s) is not legal in the reordered sequence",
-				tr.ObjectLabel(x), i, xi[i], tr.Name(ops[i].Tx))
+				tr.ObjectLabel(x), i, xi[i], tr.Name(view[i].Tx))
 		}
-		out = append(out, View{Obj: x, Ops: ops})
+		out = append(out, View{Obj: x, Ops: view})
+		lo = hi
 	}
 	return out, nil
 }

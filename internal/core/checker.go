@@ -3,14 +3,16 @@ package core
 import (
 	"nestedsg/internal/event"
 	"nestedsg/internal/simple"
+	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
 
 // Checker runs the batch entry points — Build, Check, StreamPrefix — over
 // one system type. There is one SG engine, Incremental; the Checker pools
-// one together with the result graph, the freeze scratch and the serial
-// projection buffer, so repeated calls over the same tname.Tree amortize to
-// (near-)zero steady-state allocations.
+// one together with the result graph, the freeze scratch, the
+// well-formedness state, the per-object value replay and the view scratch,
+// so repeated calls over the same tname.Tree amortize to (near-)zero
+// steady-state allocations.
 //
 // A Checker is not safe for concurrent use, and the *SG / *Result returned
 // by its methods alias the pooled buffers: each return value is valid only
@@ -20,16 +22,25 @@ import (
 type Checker struct {
 	tr *tname.Tree
 
-	inc       *Incremental
-	sg        SG
-	fz        freezeScratch
-	serialBuf event.Behavior
+	inc   *Incremental
+	sg    SG
+	fz    freezeScratch
+	wf    *simple.WellFormed
+	objs  []objReplay
+	views viewScratch
+}
+
+// objReplay is one object's running state while the Checker replays the
+// visible operations; started is false until the first operation.
+type objReplay struct {
+	st      spec.State
+	started bool
 }
 
 // NewChecker returns a Checker for the given system type. The pooled
 // engine grows with the tree and is retained across calls.
 func NewChecker(tr *tname.Tree) *Checker {
-	return &Checker{tr: tr, inc: NewIncremental(tr)}
+	return &Checker{tr: tr, inc: NewIncremental(tr), wf: simple.NewWellFormed(tr)}
 }
 
 // stream returns the pooled engine, rewound to the empty prefix.
@@ -51,40 +62,39 @@ func (c *Checker) Build(b event.Behavior) *SG {
 	return inc.freezeInto(&c.sg, &c.fz)
 }
 
-// serialInto refills the pooled projection buffer with b's serial actions.
-//
-//sgvet:hotpath
-func (c *Checker) serialInto(b event.Behavior) event.Behavior {
-	c.serialBuf = c.serialBuf[:0]
-	for _, e := range b {
-		if e.Kind.IsSerial() {
-			c.serialBuf = append(c.serialBuf, e)
-		}
-	}
-	return c.serialBuf
-}
-
 // Check verifies the hypotheses of Theorem 8/19 exactly as the
 // package-level Check, reusing the checker's pooled scratch. The result is
 // valid until the next call on this Checker.
+//
+// It reads β once: each serial action is checked against the simple-system
+// axioms and then appended to the engine. The visible operations the
+// frozen engine holds are operations(visible(β, T0)) in β order, so
+// replaying them per object decides appropriate return values without
+// recomputing visibility; only a failing behavior goes back to
+// simple.AppropriateReturnValues, the definition, for its report.
 func (c *Checker) Check(b event.Behavior) *Result {
 	res := &Result{}
-	serial := c.serialInto(b)
-	if err := simple.CheckWellFormed(c.tr, serial); err != nil {
+	sg, err := c.construct(b)
+	if err != nil {
 		res.WFErr = err
 		return res
 	}
-	res.SG = c.Build(serial)
-	res.ValueViolations = simple.AppropriateReturnValues(c.tr, serial)
-	if len(res.ValueViolations) > 0 {
+	res.SG = sg
+	if !c.valuesAppropriate(sg) {
+		// visible(β, T0) skips the actions that are not serial, so the
+		// definition reads b as it would read serial(β).
+		res.ValueViolations = simple.AppropriateReturnValues(c.tr, b)
+		if len(res.ValueViolations) == 0 {
+			panic("core: visible operations disagree with visible(β, T0)")
+		}
 		return res
 	}
-	order, cycle := res.SG.Acyclicity()
+	order, cycle := sg.Acyclicity()
 	if cycle != nil {
 		res.Cycle = cycle
 		return res
 	}
-	views, err := ComputeViews(c.tr, res.SG, order)
+	views, err := c.views.compute(c.tr, sg, order)
 	if err != nil {
 		res.ViewErr = err
 		return res
@@ -92,6 +102,56 @@ func (c *Checker) Check(b event.Behavior) *Result {
 	res.OK = true
 	res.Certificate = &Certificate{Order: order, Views: views}
 	return res
+}
+
+// construct is Check's one pass over β: it steps the well-formedness
+// checker through the serial actions, numbering them as serial(β) does,
+// and appends each to the pooled engine. It returns the frozen SG(β), or
+// the first violation of the axioms.
+//
+//sgvet:hotpath
+func (c *Checker) construct(b event.Behavior) (*SG, error) {
+	inc := c.stream()
+	c.wf.Reset()
+	n := 0
+	for _, e := range b {
+		if !e.Kind.IsSerial() {
+			continue
+		}
+		if err := c.wf.Step(n, e); err != nil {
+			return nil, err
+		}
+		inc.Append(e)
+		n++
+	}
+	return inc.freezeInto(&c.sg, &c.fz), nil
+}
+
+// valuesAppropriate replays each object's visible operations through its
+// serial specification and reports whether every recorded value is the
+// one the specification returns: that is, whether
+// simple.AppropriateReturnValues finds no violation.
+//
+//sgvet:hotpath
+func (c *Checker) valuesAppropriate(sg *SG) bool {
+	objs := c.objs[:0]
+	for range c.tr.NumObjects() {
+		objs = append(objs, objReplay{})
+	}
+	c.objs = objs
+	for _, op := range sg.VisibleOps {
+		sp := c.tr.Spec(op.Obj)
+		o := &objs[op.Obj]
+		if !o.started {
+			o.st, o.started = sp.Init(), true
+		}
+		var want spec.Value
+		o.st, want = sp.Apply(o.st, op.OV.Op)
+		if want != op.OV.Val {
+			return false
+		}
+	}
+	return true
 }
 
 // StreamPrefix replays b through the checker's pooled engine and returns

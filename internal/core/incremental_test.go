@@ -241,8 +241,9 @@ func TestStreamPrefixReportsRawIndex(t *testing.T) {
 }
 
 // FuzzIncrementalDifferential decodes fuzz-discovered traces and pins the
-// streaming checker to the batch entry points. Seeds come from the
-// committed FuzzTraceRoundTrip corpus.
+// streaming checker to the batch entry points, and Check's one pass to the
+// reference definitions on the trace and on a copy with one visible return
+// value changed. Seeds come from the committed FuzzTraceRoundTrip corpus.
 func FuzzIncrementalDifferential(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -251,6 +252,7 @@ func FuzzIncrementalDifferential(f *testing.F) {
 			return
 		}
 		checkDifferential(t, "fuzz", tr, b)
+		checkWithPerturbation(t, "fuzz", tr, b)
 	})
 }
 

@@ -40,6 +40,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -340,15 +341,30 @@ type SiblingOrder struct {
 	tr *tname.Tree
 	// ByParent maps each parent to its ordered children.
 	ByParent map[tname.TxID][]tname.TxID
-	// rank[t] is t's position among its ordered siblings.
-	rank map[tname.TxID]int
+	// rank[t] is one more than t's position among its ordered siblings, and
+	// 0 when t is not ordered. Names defined after the order was built lie
+	// beyond the slice and are not ordered either.
+	rank []int32
+}
+
+// newSiblingOrder returns an order over tr that ranks nothing yet.
+func newSiblingOrder(tr *tname.Tree) *SiblingOrder {
+	return &SiblingOrder{tr: tr, ByParent: make(map[tname.TxID][]tname.TxID), rank: make([]int32, tr.NumTx())}
+}
+
+// rankOf returns t's position among its ordered siblings plus one, or 0.
+func (r *SiblingOrder) rankOf(t tname.TxID) int32 {
+	if t < 0 || int(t) >= len(r.rank) {
+		return 0
+	}
+	return r.rank[t]
 }
 
 // Rank returns the position of t in its sibling order and whether t is
 // ordered at all.
 func (r *SiblingOrder) Rank(t tname.TxID) (int, bool) {
-	n, ok := r.rank[t]
-	return n, ok
+	n := r.rankOf(t)
+	return int(n) - 1, n > 0
 }
 
 // CompareSiblings is a deterministic total order on siblings that extends
@@ -358,21 +374,17 @@ func (r *SiblingOrder) Rank(t tname.TxID) (int, bool) {
 // order for both the view computation and the serial-witness replay keeps
 // the two consistent.
 func (r *SiblingOrder) CompareSiblings(a, b tname.TxID) bool {
-	if a == b {
-		return false
+	return a != b && r.siblingKey(a) < r.siblingKey(b)
+}
+
+// siblingKey maps a name to an integer that orders it among its siblings
+// as CompareSiblings does: ranks fill [1, 2³¹) and unranked names follow
+// at 2³² plus the name.
+func (r *SiblingOrder) siblingKey(t tname.TxID) int64 {
+	if n := r.rankOf(t); n > 0 {
+		return int64(n)
 	}
-	ra, okA := r.rank[a]
-	rb, okB := r.rank[b]
-	switch {
-	case okA && okB:
-		return ra < rb
-	case okA:
-		return true
-	case okB:
-		return false
-	default:
-		return a < b
-	}
+	return 1<<32 + int64(t)
 }
 
 // Less reports whether (a, b) ∈ the total extension of R_trans: a and b are
@@ -402,17 +414,63 @@ func (r *SiblingOrder) SortSiblings(ts []tname.TxID) []tname.TxID {
 // SortOps sorts access operations by R_trans on their transaction
 // components. The order is total on the operations of one behavior because
 // R orders all sibling pairs that occur in it (Theorem 8's construction
-// totally orders the children of every visible parent).
+// totally orders the children of every visible parent). The input is not
+// modified.
 func (r *SiblingOrder) SortOps(ops []event.AccessOp) []event.AccessOp {
+	var k opKeys
+	k.fill(r, ops)
+	idx := make([]int32, len(ops))
+	for j := range idx {
+		idx[j] = int32(j)
+	}
+	slices.SortFunc(idx, k.compare)
 	out := make([]event.AccessOp, len(ops))
-	copy(out, ops)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tx == out[j].Tx {
-			return false
-		}
-		return r.Less(out[i].Tx, out[j].Tx)
-	})
+	for j, i := range idx {
+		out[j] = ops[i]
+	}
 	return out
+}
+
+// opKeys holds R_trans sort keys for a list of access operations, so that
+// sorting them compares integers instead of walking the tree to a least
+// common ancestor per comparison. An operation's key is the path of
+// siblingKeys from the child of T0 down to its access: two paths first
+// differ at the children of the two accesses' LCA, where the keys compare
+// as CompareSiblings does, so comparing paths is Less.
+type opKeys struct {
+	off  []int32 // the path of operation j is keys[off[j]:off[j+1]]
+	keys []int64
+}
+
+// fill computes the key paths of ops under r.
+func (k *opKeys) fill(r *SiblingOrder, ops []event.AccessOp) {
+	k.off = append(k.off[:0], 0)
+	k.keys = k.keys[:0]
+	for _, op := range ops {
+		start := len(k.keys)
+		for u := op.Tx; u != tname.Root; u = r.tr.Parent(u) {
+			k.keys = append(k.keys, r.siblingKey(u))
+		}
+		slices.Reverse(k.keys[start:])
+		k.off = append(k.off, int32(len(k.keys)))
+	}
+}
+
+// compare orders operations i and j by R_trans; two entries of one access
+// compare equal. It panics when the accesses are related by ancestry, as
+// Less does.
+func (k *opKeys) compare(i, j int32) int {
+	a := k.keys[k.off[i]:k.off[i+1]]
+	b := k.keys[k.off[j]:k.off[j+1]]
+	for n := range min(len(a), len(b)) {
+		if a[n] != b[n] {
+			return cmp.Compare(a[n], b[n])
+		}
+	}
+	if len(a) != len(b) {
+		panic("core: SiblingOrder.Less on ancestrally related names")
+	}
+	return 0
 }
 
 // ForgeOrderForTest builds a SiblingOrder from explicit per-parent child
@@ -420,10 +478,11 @@ func (r *SiblingOrder) SortOps(ops []event.AccessOp) []event.AccessOp {
 // witness machinery a *wrong* order and watch it refuse; production code
 // must obtain orders from Acyclicity.
 func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *SiblingOrder {
-	order := &SiblingOrder{tr: tr, ByParent: byParent, rank: make(map[tname.TxID]int)}
+	order := newSiblingOrder(tr)
+	order.ByParent = byParent
 	for _, kids := range byParent {
 		for i, k := range kids {
-			order.rank[k] = i
+			order.rank[k] = int32(i + 1)
 		}
 	}
 	return order
@@ -432,7 +491,7 @@ func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *Si
 // Acyclicity checks SG(β) and, when it is acyclic, derives the sibling
 // order certificate. On failure it returns the concrete cycle.
 func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
-	order := &SiblingOrder{tr: sg.tr, ByParent: make(map[tname.TxID][]tname.TxID), rank: make(map[tname.TxID]int)}
+	order := newSiblingOrder(sg.tr)
 	// sg.parents is sorted ascending, so parents are processed in a
 	// deterministic order and certificates are reproducible.
 	for _, pgr := range sg.parents {
@@ -451,7 +510,7 @@ func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
 		kids := make([]tname.TxID, len(topo))
 		for i, n := range topo {
 			kids[i] = pgr.Children[n]
-			order.rank[pgr.Children[n]] = i
+			order.rank[pgr.Children[n]] = int32(i + 1)
 		}
 		order.ByParent[pgr.Parent] = kids
 	}

@@ -356,6 +356,24 @@ func TestWellFormedViolations(t *testing.T) {
 	}
 }
 
+// TestWellFormedUnknownTransaction: every serial kind naming a transaction
+// the system type does not have — one past the last name, or None — is a
+// violation, never an index panic.
+func TestWellFormedUnknownTransaction(t *testing.T) {
+	tr := tname.NewTree()
+	kinds := []event.Kind{event.Create, event.RequestCreate, event.RequestCommit,
+		event.Commit, event.Abort, event.ReportCommit, event.ReportAbort}
+	for _, k := range kinds {
+		for _, tx := range []tname.TxID{tname.TxID(tr.NumTx()), tname.None} {
+			err := CheckWellFormed(tr, event.Behavior{ev(event.Create, tname.Root), ev(k, tx)})
+			var wf *WFError
+			if !errorsAs(err, &wf) || wf.Index != 1 || wf.Msg != "names unknown transaction" {
+				t.Errorf("%v %d: got %v, want an unknown-transaction error at event 1", k, tx, err)
+			}
+		}
+	}
+}
+
 func TestWellFormedIgnoresInforms(t *testing.T) {
 	f := newFix(t)
 	b := event.Behavior{
