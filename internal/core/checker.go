@@ -73,13 +73,31 @@ func (c *Checker) Build(b event.Behavior) *SG {
 // recomputing visibility; only a failing behavior goes back to
 // simple.AppropriateReturnValues, the definition, for its report.
 func (c *Checker) Check(b event.Behavior) *Result {
-	res := &Result{}
-	sg, err := c.construct(b)
-	if err != nil {
-		res.WFErr = err
-		return res
+	res, _ := c.CheckAgainst(b, nil)
+	return res
+}
+
+// CheckAgainst is Check that also audits an online engine fed the same
+// behavior, INFORMs and all. match reports that online holds the records
+// the batch construction accumulated: the same parent graphs in the same
+// discovery order, each with the same children and the same edge records.
+// The canonical freeze is a function of those records alone, so a match
+// implies online.Snapshot().Equal(res.SG), and with it equal DOT text
+// (THEORY.md §4), without materializing the online graph. match is false
+// when online is nil or β is not a simple behavior. online is only read.
+func (c *Checker) CheckAgainst(b event.Behavior, online *Incremental) (res *Result, match bool) {
+	if err := c.construct(b); err != nil {
+		return &Result{WFErr: err}, false
 	}
-	res.SG = sg
+	// Compare before the freeze canonicalizes the batch records in place.
+	match = online != nil && c.inc.sameRecords(online)
+	return c.certify(b, c.inc.freezeInto(&c.sg, &c.fz)), match
+}
+
+// certify decides the hypotheses that follow well-formedness on the frozen
+// SG(β): appropriate return values, acyclicity and the views.
+func (c *Checker) certify(b event.Behavior, sg *SG) *Result {
+	res := &Result{SG: sg}
 	if !c.valuesAppropriate(sg) {
 		// visible(β, T0) skips the actions that are not serial, so the
 		// definition reads b as it would read serial(β).
@@ -106,11 +124,11 @@ func (c *Checker) Check(b event.Behavior) *Result {
 
 // construct is Check's one pass over β: it steps the well-formedness
 // checker through the serial actions, numbering them as serial(β) does,
-// and appends each to the pooled engine. It returns the frozen SG(β), or
-// the first violation of the axioms.
+// and appends each to the pooled engine, which it leaves unfrozen. It
+// returns the first violation of the axioms, if any.
 //
 //sgvet:hotpath
-func (c *Checker) construct(b event.Behavior) (*SG, error) {
+func (c *Checker) construct(b event.Behavior) error {
 	inc := c.stream()
 	c.wf.Reset()
 	n := 0
@@ -119,12 +137,12 @@ func (c *Checker) construct(b event.Behavior) (*SG, error) {
 			continue
 		}
 		if err := c.wf.Step(n, e); err != nil {
-			return nil, err
+			return err
 		}
 		inc.Append(e)
 		n++
 	}
-	return inc.freezeInto(&c.sg, &c.fz), nil
+	return nil
 }
 
 // valuesAppropriate replays each object's visible operations through its

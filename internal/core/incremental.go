@@ -399,6 +399,18 @@ func (inc *Incremental) node(pg *ParentGraph, t tname.TxID) int32 {
 	return i
 }
 
+// sameRecords reports whether inc and o, both accumulating, hold the same
+// parent graphs in the same discovery order, each with the same children
+// and edge records (ParentGraph.sameAs). An event that is not a serial
+// action, such as an INFORM, only advances the stream position, which
+// leaves the relative order of any two positions as it was, so an engine
+// also fed those events keeps the same records.
+//
+//sgvet:hotpath
+func (inc *Incremental) sameRecords(o *Incremental) bool {
+	return slices.EqualFunc(inc.parents, o.parents, (*ParentGraph).sameAs)
+}
+
 // Counts reports the live size of the maintained graph: materialized parent
 // graphs, child nodes across all of them, and distinct (pair, kind) edge
 // records. It is O(1) and does not materialize a snapshot, so a committer

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/generic"
 	"nestedsg/internal/locking"
+	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 	"nestedsg/internal/undolog"
 	"nestedsg/internal/workload"
@@ -253,7 +256,78 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		}
 		checkDifferential(t, "fuzz", tr, b)
 		checkWithPerturbation(t, "fuzz", tr, b)
+		checkAgainstDifferential(t, "fuzz", tr, b, -1)
 	})
+}
+
+// checkAgainstDifferential feeds an online engine every event of b, INFORMs
+// included, except the one at index skip (none when skip < 0), and pins
+// CheckAgainst to Check: the same Result on every hypothesis, and a match
+// that the materialized online graph confirms. It returns the match.
+func checkAgainstDifferential(t *testing.T, ctx string, tr *tname.Tree, b event.Behavior, skip int) bool {
+	t.Helper()
+	online := NewIncremental(tr)
+	for i, e := range b {
+		if i != skip {
+			online.Append(e)
+		}
+	}
+	res, match := NewChecker(tr).CheckAgainst(b, online)
+	want := Check(tr, b)
+	if !reflect.DeepEqual(res.WFErr, want.WFErr) || !reflect.DeepEqual(res.ValueViolations, want.ValueViolations) ||
+		!reflect.DeepEqual(res.Cycle, want.Cycle) || !reflect.DeepEqual(res.ViewErr, want.ViewErr) || res.OK != want.OK {
+		t.Fatalf("%s: CheckAgainst says %q, Check says %q", ctx, res.Summary(tr), want.Summary(tr))
+	}
+	if (res.SG == nil) != (want.SG == nil) || res.SG != nil && !res.SG.Equal(want.SG) {
+		t.Fatalf("%s: CheckAgainst's SG differs from Check's", ctx)
+	}
+	if want.OK && (!reflect.DeepEqual(res.Certificate.Order.ByParent, want.Certificate.Order.ByParent) ||
+		!reflect.DeepEqual(res.Certificate.Views, want.Certificate.Views)) {
+		t.Fatalf("%s: CheckAgainst's certificate differs from Check's", ctx)
+	}
+	if skip < 0 && match != (want.WFErr == nil) {
+		t.Fatalf("%s: match = %v for an engine fed all of a behavior whose WFErr is %v", ctx, match, want.WFErr)
+	}
+	if match && !online.Snapshot().Equal(res.SG) {
+		t.Fatalf("%s: records match, but the online snapshot differs from the batch SG", ctx)
+	}
+	return match
+}
+
+// TestCheckAgainstMatchesCheck runs checkAgainstDifferential over protocol
+// traces, with their INFORMs, and over event soup; and on a run whose
+// online engine skipped one serial event, where it must not match.
+func TestCheckAgainstMatchesCheck(t *testing.T) {
+	for _, name := range []string{"moss", "broken"} {
+		for seed := int64(0); seed < 10; seed++ {
+			tr := tname.NewTree()
+			b := protocolTrace(t, name, seed, tr)
+			if !checkAgainstDifferential(t, fmt.Sprintf("%s seed %d", name, seed), tr, b, -1) {
+				t.Fatalf("%s seed %d: an engine fed the whole behavior does not match", name, seed)
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr, names := randomSystem(rng)
+		checkAgainstDifferential(t, fmt.Sprintf("soup %d", seed), tr, randomEvents(rng, tr, names, 1+rng.Intn(60)), -1)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without COMMIT(t2), r2 never becomes visible to the online engine,
+	// so it lacks the conflict edge t1 → t2 the batch construction has.
+	fx := newFix(t)
+	b := fx.wellFormedRun(spec.Int(5))
+	skip := slices.Index(b, ev(event.Commit, fx.t2))
+	if checkAgainstDifferential(t, "skipped COMMIT(t2)", fx.tr, b, skip) {
+		t.Fatal("an engine that skipped COMMIT(t2) matches the batch construction")
+	}
+	if res, match := NewChecker(fx.tr).CheckAgainst(b, nil); !res.OK || match {
+		t.Fatalf("CheckAgainst(b, nil) = (%s, %v), want a pass without a match", res.Summary(fx.tr), match)
+	}
 }
 
 // TestIncrementalCountsMatchRecount: the O(1) Counts must equal a full

@@ -209,6 +209,15 @@ func (pg *ParentGraph) build(fz *freezeScratch) {
 	}
 }
 
+// sameAs reports whether pg and o have the same parent, the same children
+// and the same edge records, each in the order the graph holds them: the
+// canonical order on built graphs, discovery order on accumulating ones.
+//
+//sgvet:hotpath
+func (pg *ParentGraph) sameAs(o *ParentGraph) bool {
+	return pg.Parent == o.Parent && slices.Equal(pg.Children, o.Children) && slices.Equal(pg.edges, o.edges)
+}
+
 // clone copies the accumulating fields (not G); callers freeze the copy with
 // build(). The streaming checker uses this to snapshot SG(β-prefix) without
 // disturbing its live state.
@@ -279,9 +288,7 @@ func (sg *SG) NumEdges() int {
 // with the same children and the same labelled edges. It is stricter than
 // comparing DOT renderings, which do not show edge kinds.
 func (sg *SG) Equal(o *SG) bool {
-	return slices.EqualFunc(sg.parents, o.parents, func(a, b *ParentGraph) bool {
-		return a.Parent == b.Parent && slices.Equal(a.Children, b.Children) && slices.Equal(a.edges, b.edges)
-	})
+	return slices.EqualFunc(sg.parents, o.parents, (*ParentGraph).sameAs)
 }
 
 // sortParents establishes the ascending-parent invariant after accumulation.

@@ -99,9 +99,48 @@ func AppendWalEvents(buf []byte, evs ...Event) []byte {
 // root). It never panics on malformed input: any violation — short
 // payload, trailing bytes, out-of-range reference, unknown kind — is an
 // error. It reads the payload in place and allocates nothing but the
-// strings and the event slice of its result: recovery calls it once per
-// record, and a record is a dozen bytes.
+// strings and the event slice of its result.
 func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
+	return decodeWalOp(payload, numTx, numObjects, nil)
+}
+
+// DecodeWalOpInto is DecodeWalOp for a caller that gathers the events of
+// many records into one behavior, as recovery does: a WalEvents record's
+// events are appended to b rather than returned in the result's Events,
+// which stays nil. It makes every check DecodeWalOp makes, and on any
+// error it returns b with its length and contents unchanged, so a record
+// that fails part-way through its events leaves none of them behind.
+func DecodeWalOpInto(b Behavior, payload []byte, numTx, numObjects int) (WalOp, Behavior, error) {
+	op, err := decodeWalOp(payload, numTx, numObjects, b)
+	if err != nil {
+		// The failed record appended only past len(b).
+		return WalOp{}, b, err
+	}
+	if op.Kind == WalEvents {
+		b, op.Events = op.Events, nil
+	}
+	return op, b, nil
+}
+
+// WalEventsCount reports whether payload is a WalEvents record and, if so,
+// how many events it declares, capped at the payload's size. It neither
+// decodes nor validates the events: a caller sizing a behavior before
+// DecodeWalOpInto fills it needs only an upper bound a corrupt record
+// cannot inflate.
+func WalEventsCount(payload []byte) (int, bool) {
+	if len(payload) == 0 || WalKind(payload[0]) != WalEvents {
+		return 0, false
+	}
+	count, n := binary.Uvarint(payload[1:])
+	if n <= 0 {
+		return 0, true
+	}
+	return int(min(count, uint64(len(payload)))), true
+}
+
+// decodeWalOp is DecodeWalOp with a WalEvents record's events appended to
+// evs, or to a slice of their own when evs is nil.
+func decodeWalOp(payload []byte, numTx, numObjects int, evs Behavior) (WalOp, error) {
 	c := NewCursor(payload)
 	kb, err := c.Byte("wal record kind")
 	if err != nil {
@@ -145,7 +184,10 @@ func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
 		if count > uint64(len(payload)) {
 			return WalOp{}, fmt.Errorf("wal: event count %d exceeds payload size", count)
 		}
-		op.Events = make(Behavior, 0, count)
+		op.Events = evs
+		if op.Events == nil {
+			op.Events = make(Behavior, 0, count)
+		}
 		for i := uint64(0); i < count; i++ {
 			e, err := c.event(numTx, numObjects)
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nestedsg/internal/spec"
@@ -122,6 +123,9 @@ func walRejects() []struct {
 		{"events-bad-tx", AppendWalEvents(nil, NewEvent(Create, 9)), 2, 0},
 		{"events-bad-obj", AppendWalEvents(nil, NewInform(InformCommit, 1, 4)), 2, 1},
 		{"events-huge-count", []byte{byte(WalEvents), 0xff, 0xff, 0xff, 0x7f}, 1, 0},
+		// Two events decode, the third names an unknown transaction.
+		{"events-bad-tx-after-good", AppendWalEvents(nil,
+			NewEvent(RequestCreate, 1), NewEvent(Create, 1), NewEvent(Create, 9)), 2, 0},
 	}
 }
 
@@ -130,6 +134,49 @@ func TestWalOpRejects(t *testing.T) {
 		if _, err := DecodeWalOp(c.payload, c.numTx, c.numObj); err == nil {
 			t.Fatalf("%s: decoded without error", c.name)
 		}
+		checkDecodeInto(t, c.payload, c.numTx, c.numObj, 1, 4)
+	}
+}
+
+// walPrefix is the behavior checkDecodeInto appends to.
+var walPrefix = Behavior{
+	NewEvent(Create, tname.Root),
+	NewEvent(RequestCreate, 1),
+	NewEvent(Create, 1),
+	NewValEvent(RequestCommit, 1, spec.Str("prefix")),
+}
+
+// checkDecodeInto holds DecodeWalOpInto to DecodeWalOp on payload, appending
+// to the first n events of walPrefix (1 ≤ n ≤ len(walPrefix)) in a slice
+// with spare capacity: it returns the prefix followed by DecodeWalOp's
+// events, or, on DecodeWalOp's error, the prefix unchanged in length and
+// content.
+func checkDecodeInto(t *testing.T, payload []byte, numTx, numObj, n, spare int) {
+	t.Helper()
+	prefix := append(make(Behavior, 0, n+spare), walPrefix[:n]...)
+	want, wantErr := DecodeWalOp(payload, numTx, numObj)
+	op, got, err := DecodeWalOpInto(prefix, payload, numTx, numObj)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%x: DecodeWalOpInto says %v, DecodeWalOp %v", payload, err, wantErr)
+	}
+	if !slices.Equal(prefix, walPrefix[:n]) {
+		t.Fatalf("%x: the caller's prefix changed to %v", payload, prefix)
+	}
+	if err != nil {
+		if !slices.Equal(got, walPrefix[:n]) {
+			t.Fatalf("%x: failed decode left %v, want the prefix %v", payload, got, walPrefix[:n])
+		}
+		return
+	}
+	if op.Events != nil {
+		t.Fatalf("%x: DecodeWalOpInto returned events in the op", payload)
+	}
+	if !slices.Equal(got, append(slices.Clone(walPrefix[:n]), want.Events...)) {
+		t.Fatalf("%x: appended %v to the prefix, DecodeWalOp decodes %v", payload, got[n:], want.Events)
+	}
+	want.Events = nil
+	if !reflect.DeepEqual(op, want) {
+		t.Fatalf("%x: DecodeWalOpInto decodes %+v, DecodeWalOp %+v", payload, op, want)
 	}
 }
 
@@ -167,8 +214,10 @@ func TestDecodeWalOpAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDecodeWalOp holds the slice-cursor decoder to three properties on
-// arbitrary payloads and counts. It never panics. It agrees with
+// FuzzDecodeWalOp holds the slice-cursor decoder to four properties on
+// arbitrary payloads and counts. It never panics. DecodeWalOpInto decodes
+// what it decodes or leaves its caller's behavior as it was
+// (checkDecodeInto). It agrees with
 // refDecodeWalOp — the same decoder over a bufio.Reader — on the verdict,
 // the decoded value and the error text. And what it accepts re-encodes to
 // a canonical payload: one that decodes to the same value and re-encodes
@@ -177,21 +226,24 @@ func TestDecodeWalOpAllocs(t *testing.T) {
 // and the encoders write neither.)
 func FuzzDecodeWalOp(f *testing.F) {
 	for _, s := range walSamples() {
-		f.Add(s.payload, uint8(s.numTx), uint8(s.numObj))
+		f.Add(s.payload, uint8(s.numTx), uint8(s.numObj), uint8(0))
 	}
 	for _, c := range walRejects() {
-		f.Add(c.payload, uint8(c.numTx), uint8(c.numObj))
+		f.Add(c.payload, uint8(c.numTx), uint8(c.numObj), uint8(3))
 	}
 	// Ten continuation bytes and nothing after: an overflow to
 	// binary.ReadUvarint, a short buffer to binary.Uvarint.
-	f.Add(append([]byte{byte(WalEvents)}, bytes.Repeat([]byte{0x80}, 10)...), uint8(1), uint8(0))
-	f.Add([]byte{byte(WalEvents), 0x81, 0x00, byte(ReportCommit), 0, byte(spec.VBool), 4}, uint8(1), uint8(0))
+	f.Add(append([]byte{byte(WalEvents)}, bytes.Repeat([]byte{0x80}, 10)...), uint8(1), uint8(0), uint8(1))
+	f.Add([]byte{byte(WalEvents), 0x81, 0x00, byte(ReportCommit), 0, byte(spec.VBool), 4}, uint8(1), uint8(0), uint8(2))
 	// Op kind 256, whose low byte alone is 0: a decoder that narrows before
 	// it compares accepts it and re-encodes op 0, which it then refuses.
-	f.Add([]byte{byte(WalTxDef), 0, 1, 'a', 0, 0x80, 0x02, byte(spec.VNil)}, uint8(1), uint8(1))
+	f.Add([]byte{byte(WalTxDef), 0, 1, 'a', 0, 0x80, 0x02, byte(spec.VNil)}, uint8(1), uint8(1), uint8(0))
 
-	f.Fuzz(func(t *testing.T, payload []byte, ntx, nobj uint8) {
+	f.Fuzz(func(t *testing.T, payload []byte, ntx, nobj, pre uint8) {
 		numTx, numObj := int(ntx), int(nobj)
+		// The appending decoder, onto a prefix of 1 to 4 events with 0 to
+		// 63 spare slots, is the plain decoder or no change at all.
+		checkDecodeInto(t, payload, numTx, numObj, 1+int(pre%4), int(pre/4))
 		op, err := DecodeWalOp(payload, numTx, numObj)
 		refOp, refErr := refDecodeWalOp(payload, numTx, numObj)
 		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -69,6 +70,7 @@ func FuzzRecoveryReplay(f *testing.F) {
 	f.Add([]byte("not a wal"))
 	f.Add(zeroPad(img, 4<<10))              // a killed DirDisk's grown file
 	f.Add(zeroPad(img[:len(img)-3], 4<<10)) // torn, then zeros
+	f.Add(walImage(f, partlyDecodedTailWal()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		disk := NewMemDisk()
@@ -97,6 +99,51 @@ func FuzzRecoveryReplay(f *testing.F) {
 			t.Fatal("stitched trace not stable across recoveries")
 		}
 	})
+}
+
+// partlyDecodedTailWal returns tinyWal's records followed by a definition
+// of s1.2 and a WalEvents record that passes its checksum but decodes only
+// part-way: s1.2's REQUEST_CREATE and CREATE decode, and the third event
+// names an unknown transaction.
+func partlyDecodedTailWal() [][]byte {
+	return append(tinyWal(),
+		event.AppendWalTxDef(nil, tname.Root, "s1.2", tname.NoObj, spec.Op{}),
+		event.AppendWalEvents(nil,
+			event.NewEvent(event.RequestCreate, 3),
+			event.NewEvent(event.Create, 3),
+			event.NewEvent(event.Create, 99)))
+}
+
+// TestRecoverDropsPartlyDecodedTail: as the last segment's tail, a record
+// that fails to decode part-way through its events is torn, and none of
+// the events before the failure may enter the recovered log.
+func TestRecoverDropsPartlyDecodedTail(t *testing.T) {
+	payloads := partlyDecodedTailWal()
+	img, bareImg := walImage(t, payloads), walImage(t, payloads[:len(payloads)-1])
+	s, rep, err := recoverSegment(img)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	got := s.log.snapshot()
+	s.Kill()
+	bare, bareRep, err := recoverSegment(bareImg)
+	if err != nil {
+		t.Fatalf("Recover without the tail: %v", err)
+	}
+	want := bare.log.snapshot()
+	bare.Kill()
+	if rep.TornBytes != int64(len(img)-len(bareImg)) || rep.DurableEvents != bareRep.DurableEvents {
+		t.Fatalf("recovered %d events with %d torn bytes, want %d events and the %d-byte tail torn",
+			rep.DurableEvents, rep.TornBytes, bareRep.DurableEvents, len(img)-len(bareImg))
+	}
+	for i, e := range got {
+		if e.Tx == 3 {
+			t.Fatalf("recovered log event %d is %v, from the torn record", i, e)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("recovered log differs from the log recovered without the torn record:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestRecoverTruncationPrefixes runs Recover on every byte prefix of a
@@ -305,9 +352,8 @@ func TestRecoverZeroPaddedAllocs(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				var ops []event.WalOp
-				numTx, numObj, records := 1, 0, 0
-				if _, err := scanSegment(data, &ops, &numTx, &numObj, &records); err != nil {
+				sc := walScan{numTx: 1}
+				if _, err := sc.scanSegment(data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -339,6 +385,8 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 		"seed_torn_zero_tail": zeroPad(img[:len(img)-3], 4<<10),
 		// Two interleaved sessions whose prefixes need every repair.
 		"seed_two_sessions": walImage(t, twoSessionWal()),
+		// A torn tail record that decodes part-way.
+		"seed_partly_decoded_tail": walImage(t, partlyDecodedTailWal()),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzRecoveryReplay")
 	for name, data := range seeds {

@@ -115,7 +115,8 @@ func (l *eventLog) snapshot() event.Behavior {
 // Prefix-monotonicity of the SG edge set (see core.Incremental) makes the
 // online verdict agree with the offline batch verdict on every extension,
 // which is why certifying behind the log, in runs of any length, is sound.
-// Final and Recover hold its snapshot byte-identical to the batch check.
+// Final and Recover hold its engine to the batch construction record for
+// record (core.Checker.CheckAgainst), without materializing its graph.
 //
 // The mvto snapshot store is fed in the same pass, so the snapshot cut
 // equals the watermark: a commit acknowledged to one client is visible to
@@ -243,9 +244,3 @@ func (c *certifier) prime() error {
 func (c *certifier) gauges() (int64, int64, int64) {
 	return c.parents.Load(), c.nodes.Load(), c.edges.Load()
 }
-
-// snapshotSG is called single-threaded (recovery) or post-drain (Final),
-// so the incremental graph is quiescent.
-//
-//sgvet:ignore[lockguard] recovery or post-drain: no combiner can run
-func (c *certifier) snapshotSG() *core.SG { return c.inc.Snapshot() }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,5 +285,73 @@ func TestLogConcurrentAppendsAndVerdicts(t *testing.T) {
 	f := finalMatches(t, s)
 	if f.Events < 4*logChunk || n == 0 {
 		t.Fatalf("%d events and %d verdicts: the log must cross several chunks under VERDICTs", f.Events, n)
+	}
+}
+
+// TestFinalDetectsDivergedEngine: Final's audit compares the online engine
+// with the batch construction, so an engine that was fed a different
+// behavior than the log — one event short, or one event over — must fail
+// it, and recovery must refuse to serve behind it.
+func TestFinalDetectsDivergedEngine(t *testing.T) {
+	s := listenT(t, Options{Objects: []string{"x"}})
+	c := dialIn(t, s)
+	for i := range 2 {
+		must(t, c.RunTx(1, func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i)))
+			return err
+		}))
+	}
+	must(t, s.Shutdown(context.Background()))
+	if f := s.Final(); !f.Batch.OK || !f.Match {
+		t.Fatalf("drained server fails its own audit:\n%s", f.Summary)
+	}
+
+	b := s.log.snapshot()
+	lastTop, firstAccess := -1, -1
+	for i, e := range b {
+		switch {
+		case e.Kind == event.Commit && s.tr.Parent(e.Tx) == tname.Root:
+			lastTop = i
+		case e.Kind == event.RequestCommit && s.tr.IsAccess(e.Tx) && firstAccess < 0:
+			firstAccess = i
+		}
+	}
+	if lastTop < 0 || firstAccess < 0 {
+		t.Fatalf("log has no top-level COMMIT or no access:\n%v", b)
+	}
+	// Without the last top-level COMMIT, its write never becomes visible,
+	// so the engine lacks the conflict edge into that top. A second copy of
+	// the first write, appended after the second, adds the reverse edge.
+	dropped := slices.Delete(slices.Clone(b), lastTop, lastTop+1)
+	duplicated := append(slices.Clone(b), b[firstAccess])
+	refeed := func(evs event.Behavior) {
+		s.cert.mu.Lock()
+		defer s.cert.mu.Unlock()
+		s.cert.inc.Reset()
+		for _, e := range evs {
+			s.cert.inc.Append(e)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		feed event.Behavior
+	}{
+		{"dropped top-level COMMIT", dropped},
+		{"duplicated REQUEST_COMMIT", duplicated},
+	} {
+		refeed(tc.feed)
+		f := s.Final()
+		if !f.Batch.OK {
+			t.Fatalf("%s: the log itself fails the batch check:\n%s", tc.name, f.Summary)
+		}
+		if f.Match || !strings.Contains(f.Summary, "MISMATCH") {
+			t.Fatalf("%s: audit passes a diverged engine (Match = %v):\n%s", tc.name, f.Match, f.Summary)
+		}
+	}
+
+	refeed(dropped)
+	rep := &RecoveryReport{}
+	if err := s.primeCertifier(rep); err == nil || !strings.Contains(err.Error(), "online snapshot differs") || rep.AuditOK {
+		t.Fatalf("primeCertifier on a diverged engine: %v (AuditOK = %v), want an online snapshot mismatch", err, rep.AuditOK)
 	}
 }

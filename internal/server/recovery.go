@@ -34,8 +34,10 @@ type RecoveryReport struct {
 	OrphanTops   int
 	FixupInforms int
 	// AuditOK reports that the offline batch check of the stitched log
-	// passed and its SG matched the primed online certifier byte for
-	// byte (always true when Recover returns a nil error).
+	// passed and that the primed online certifier holds the records the
+	// batch construction accumulated (Final.Match), so the two graphs are
+	// equal and render to byte-identical DOT (always true when Recover
+	// returns a nil error).
 	AuditOK bool
 }
 
@@ -118,10 +120,10 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 	}
 	rep.Segments, rep.Records = scan.segments, scan.records
 	rep.TornBytes, rep.TornSegment, rep.ZeroBytes = scan.tornBytes, scan.tornSegment, scan.zeroBytes
-	b, err := s.replayDefs(scan.ops)
-	if err != nil {
+	if err := s.replayDefs(scan.defs); err != nil {
 		return err
 	}
+	b := scan.events
 	rep.DurableEvents = len(b)
 	switch {
 	case len(b) == 0:
@@ -149,24 +151,22 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 	return nil
 }
 
-// replayDefs defines every name in WAL order, as the live server did, and
-// collects the event records into the durable behavior prefix. Define
-// takes the labels' uniqueness on trust, so the tree is validated once at
-// the end. The session counter moves past every session named in a
+// replayDefs defines every name in WAL order, as the live server did.
+// Define takes the labels' uniqueness on trust, so the tree is validated
+// once at the end. The session counter moves past every session named in a
 // top-level definition, created or not: a name defined durably owns its
 // label even when its CREATE was lost.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
-	var b event.Behavior
+func (s *Server) replayDefs(defs []event.WalOp) error {
 	var sessions int64
-	for _, op := range ops {
+	for _, op := range defs {
 		switch op.Kind {
 		case event.WalObjectDef:
 			if s.tr.Object(op.Label) != tname.NoObj {
-				return nil, fmt.Errorf("server: recovery rejected wal: duplicate object %q", op.Label)
+				return fmt.Errorf("server: recovery rejected wal: duplicate object %q", op.Label)
 			}
-			sp := spec.ByName(op.SpecName) // non-nil: DecodeWalOp validated
+			sp := spec.ByName(op.SpecName) // non-nil: DecodeWalOpInto validated
 			s.newSharedObject(s.tr.AddObject(op.Label, sp))
 		case event.WalTxDef:
 			s.tr.Define(op.Parent, op.Label, op.Obj, op.Op)
@@ -174,14 +174,14 @@ func (s *Server) replayDefs(ops []event.WalOp) (event.Behavior, error) {
 				sessions = max(sessions, sessionOf(op.Label))
 			}
 		case event.WalEvents:
-			b = append(b, op.Events...)
+			// scanSegment keeps the events apart, in walScan.events.
 		}
 	}
 	if err := s.tr.Validate(); err != nil {
-		return nil, fmt.Errorf("server: recovery rejected wal: %w", err)
+		return fmt.Errorf("server: recovery rejected wal: %w", err)
 	}
 	s.sessionSeq.Store(sessions)
-	return b, nil
+	return nil
 }
 
 // sessionOf returns n for a label "s<n>.<k>", the label session n gives its
@@ -311,8 +311,8 @@ func (s *Server) stitch(r *replayed, rep *RecoveryReport) {
 
 // primeCertifier replays the stitched log through the online incremental
 // graph synchronously, then audits it as Final audits a drained server: a
-// batch core.Check of the log must pass, and its SG must match the primed
-// snapshot byte for byte.
+// batch core.Check of the log must pass, and the primed engine must hold
+// the records the batch construction accumulated.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) primeCertifier(rep *RecoveryReport) error {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -324,6 +326,54 @@ func BenchmarkE18Recover(b *testing.B) {
 		s.Kill()
 	}
 	b.ReportMetric(float64(events), "events")
+}
+
+// BenchmarkServerFinal measures the end-of-life audit — a batch core.Check
+// of the log and its record-for-record comparison with the online engine —
+// on a drained server the size of one life of the benchmark's young
+// workload: 2 sessions, 250 transactions of its shape over 256 registers,
+// each access a read or a write with even odds. The server is frozen, so
+// every iteration audits the same log.
+func BenchmarkServerFinal(b *testing.B) {
+	objs := make([]string, 256)
+	for i := range objs {
+		objs[i] = fmt.Sprintf("x%d", i)
+	}
+	s := server.New(server.Options{Objects: objs})
+	var conns [2]*client.Conn
+	for i := range conns {
+		srvEnd, cliEnd := net.Pipe()
+		s.ServeConn(srvEnd)
+		conns[i] = client.NewConn(cliEnd)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 250; n++ {
+		var on [4]string
+		var read [4]bool
+		for i := range on {
+			on[i], read[i] = objs[rng.Intn(len(objs))], rng.Intn(2) == 0
+		}
+		if err := conns[n%2].RunTx(1, shapedTxOn(on, func(i int) bool { return read[i] })); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	if f := s.Final(); !f.Batch.OK || !f.Match {
+		b.Fatalf("drained server fails its audit:\n%s", f.Summary)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f := s.Final(); !f.Match {
+			b.Fatalf("audit diverged:\n%s", f.Summary)
+		}
+	}
+	b.ReportMetric(float64(s.LogLen()), "events")
 }
 
 // TestRecoverKeepsEveryAckedCommit checks acknowledged commits against the

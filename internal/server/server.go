@@ -552,25 +552,27 @@ func (s *Server) Kill() {
 }
 
 // Final is the end-of-run report: the batch verdict over the captured log
-// and the online certifier's snapshot, which must agree.
+// and its audit of the online certifier, which must agree.
 type Final struct {
 	// Events, Commits and Aborts summarize the captured log.
 	Events, Commits, Aborts int
 	// Batch is the offline Theorem 8/19 check over the whole log.
 	Batch *core.Result
-	// Snapshot is the online certifier's final SG; Match reports that its
-	// DOT rendering is byte-identical to the batch-built graph's.
-	Snapshot *core.SG
-	Match    bool
+	// Match reports that the online certifier's engine holds the records
+	// the batch construction accumulated (core.Checker.CheckAgainst), so
+	// its graph equals Batch.SG, labelled edges included, and renders to
+	// byte-identical DOT.
+	Match bool
 	// Summary is a human-readable multi-line rendering.
 	Summary string
 }
 
 // Final certifies the rest of the log online — nothing after Shutdown,
 // the tail after the last top-level commit after Kill — then recomputes
-// the whole run offline and cross-checks the online snapshot. Call only
-// after Shutdown or Kill has returned (all sessions stopped); Recover
-// audits with it before any session exists.
+// the whole run offline and compares the online engine with it record for
+// record, without materializing the online graph. Call only after
+// Shutdown or Kill has returned (all sessions stopped); Recover audits
+// with it before any session exists.
 //
 //sgvet:ignore[lockguard] post-Shutdown: sessions and certifier are quiesced, so the tree is immutable here
 func (s *Server) Final() *Final {
@@ -586,11 +588,7 @@ func (s *Server) Final() *Final {
 		default:
 		}
 	}
-	f.Batch = core.Check(s.tr, b)
-	f.Snapshot = s.cert.snapshotSG()
-	if f.Batch.SG != nil {
-		f.Match = f.Snapshot.DOT() == f.Batch.SG.DOT()
-	}
+	f.Batch, f.Match = core.NewChecker(s.tr).CheckAgainst(b, s.cert.inc)
 	verdict := f.Batch.Summary(s.tr)
 	match := "online snapshot matches batch SG byte-for-byte"
 	if !f.Match {
@@ -601,6 +599,14 @@ func (s *Server) Final() *Final {
 		verdict, f.Events, f.Commits, f.Aborts, match)
 	return f
 }
+
+// OnlineSG materializes the online certifier's SG(β) of the certified
+// prefix: a canonical copy, independent of the engine. Final does not need
+// it; it is for callers that hold the graph itself to a batch check. Call
+// only after Shutdown or Kill has returned, as for Final.
+//
+//sgvet:ignore[lockguard] post-Shutdown: no combiner can run
+func (s *Server) OnlineSG() *core.SG { return s.cert.inc.Snapshot() }
 
 // Log returns a copy of the captured event log.
 func (s *Server) Log() event.Behavior { return s.log.snapshot() }

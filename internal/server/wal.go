@@ -814,9 +814,16 @@ func (w *walWriter) close() error {
 
 // walScan is the result of reading a WAL off a Disk.
 type walScan struct {
-	ops      []event.WalOp // decoded records, in WAL order
-	records  int
-	segments int
+	// defs holds the decoded definition records in WAL order, and events
+	// the events of every WalEvents record in WAL order: the durable
+	// behavior prefix.
+	defs    []event.WalOp
+	events  event.Behavior
+	records int
+	// numTx and numObj count the names defined so far, the root T0
+	// included: the references a record may make.
+	numTx, numObj int
+	segments      int
 	// nextIdx is the segment index a writer resuming this WAL must use.
 	nextIdx int
 	// tornSegment/tornBytes report a truncated torn tail (last segment
@@ -843,8 +850,7 @@ func scanWAL(disk Disk) (*walScan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing segments: %w", err)
 	}
-	res := &walScan{nextIdx: 1, segments: len(names)}
-	numTx, numObj := 1, 0 // the root T0 always exists
+	res := &walScan{nextIdx: 1, segments: len(names), numTx: 1} // the root T0 always exists
 	prevIdx := -1
 	for si, name := range names {
 		idx, ok := segmentIndex(name)
@@ -863,7 +869,7 @@ func scanWAL(disk Disk) (*walScan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading %s: %w", name, err)
 		}
-		validTo, serr := scanSegment(data, &res.ops, &numTx, &numObj, &res.records)
+		validTo, serr := res.scanSegment(data)
 		if serr != nil && !last {
 			return nil, fmt.Errorf("%w: segment %s offset %d: %v", errWalCorrupt, name, validTo, serr)
 		}
@@ -895,13 +901,13 @@ func scanWAL(disk Disk) (*walScan, error) {
 
 func headerLen() int { return len(walMagic) + 1 /* version uvarint, 1 byte for v1 */ }
 
-// scanSegment decodes records from one segment image, appending to ops and
-// updating the running counts. It returns the byte offset of the end of
-// the last fully valid record (or 0 if the header itself is bad) plus an
-// error describing the first invalid byte, if any. A zero byte where a
-// record would start ends the records; it is an error only if a non-zero
-// byte follows it.
-func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (int, error) {
+// scanSegment decodes records from one segment image into sc, updating
+// its running counts. It returns the byte offset of the end of the last
+// fully valid record (or 0 if the header itself is bad) plus an error
+// describing the first invalid byte, if any; a record that fails leaves
+// nothing in sc. A zero byte where a record would start ends the records;
+// it is an error only if a non-zero byte follows it.
+func (sc *walScan) scanSegment(data []byte) (int, error) {
 	if len(data) < headerLen() || string(data[:4]) != string(walMagic[:]) {
 		return 0, errors.New("bad segment header")
 	}
@@ -912,11 +918,9 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 	// at or after it, since a record may itself end in zero bytes; a
 	// marker before it has non-zero bytes after it.
 	zeros := len(bytes.TrimRight(data, "\x00"))
-	// The server's records frame to about a dozen bytes (wal.bytes_per_tx
-	// over records per transaction), so this reserves close to what the
-	// record region decodes to in one allocation; growing the slice by
-	// appends instead allocates it five times over.
-	*ops = slices.Grow(*ops, max(zeros-headerLen(), 0)/12)
+	defs, events := recordCounts(data[headerLen():zeros])
+	sc.defs = reserve(sc.defs, defs)
+	sc.events = reserve(sc.events, events)
 	pos := headerLen()
 	for pos < len(data) {
 		if data[pos] == 0 {
@@ -941,23 +945,56 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[body+int(plen):end]) {
 			return pos, errors.New("record checksum mismatch")
 		}
-		op, err := event.DecodeWalOp(payload, *numTx, *numObj)
+		op, events, err := event.DecodeWalOpInto(sc.events, payload, sc.numTx, sc.numObj)
 		if err != nil {
 			return pos, err
 		}
+		sc.events = events
 		switch op.Kind {
 		case event.WalObjectDef:
-			*numObj++
+			sc.numObj++
+			sc.defs = append(sc.defs, op)
 		case event.WalTxDef:
-			*numTx++
+			sc.numTx++
+			sc.defs = append(sc.defs, op)
 		case event.WalEvents:
 			// No new names.
 		}
-		*ops = append(*ops, op)
-		*records++
+		sc.records++
 		pos = end
 	}
 	return pos, nil
+}
+
+// recordCounts frames the records of a segment's record region without
+// checking or decoding them, and counts the definition records and the
+// events the WalEvents records declare: what decoding the region appends.
+// It stops at the first byte that does not frame a record, so a torn or
+// corrupt region reserves no more than its bytes allow.
+func recordCounts(region []byte) (defs, events int) {
+	for len(region) > 0 && region[0] != 0 {
+		plen, n := binary.Uvarint(region)
+		if n <= 0 || plen > maxWalRecord || n+int(plen)+4 > len(region) {
+			break
+		}
+		if k, ok := event.WalEventsCount(region[n : n+int(plen)]); ok {
+			events += k
+		} else {
+			defs++
+		}
+		region = region[n+int(plen)+4:]
+	}
+	return defs, events
+}
+
+// reserve returns s with room for n more elements. When it must grow, it
+// at least doubles, so reserving segment by segment copies each element
+// a bounded number of times.
+func reserve[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
 }
 
 // isWalCorrupt reports whether err is a clean corruption rejection (as

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,14 +85,15 @@ func TestWalScanRoundTrip(t *testing.T) {
 		if segMax == 48 && scan.segments < 2 {
 			t.Fatalf("segMax=48 never rotated (got %d segments)", scan.segments)
 		}
-		events := 0
-		for _, op := range scan.ops {
-			if op.Kind == event.WalEvents {
-				events += len(op.Events)
-			}
+		if len(scan.events) != 13 {
+			t.Fatalf("segMax=%d: got %d events, want 13", segMax, len(scan.events))
 		}
-		if events != 13 {
-			t.Fatalf("segMax=%d: got %d events, want 13", segMax, events)
+		var kinds []event.WalKind
+		for _, op := range scan.defs {
+			kinds = append(kinds, op.Kind)
+		}
+		if want := []event.WalKind{event.WalObjectDef, event.WalTxDef, event.WalTxDef}; !slices.Equal(kinds, want) {
+			t.Fatalf("segMax=%d: got definitions %q, want %q", segMax, kinds, want)
 		}
 	}
 }
@@ -419,19 +421,18 @@ func TestWALDefinitionPrecedesFirstUse(t *testing.T) {
 
 	names, err := disk.Segments()
 	must(t, err)
-	var ops []event.WalOp
-	numTx, numObj, records := 1, 0, 0
+	sc := walScan{numTx: 1}
 	for _, name := range names {
 		data, err := disk.ReadSegment(name)
 		must(t, err)
-		if at, err := scanSegment(data, &ops, &numTx, &numObj, &records); err != nil {
+		if at, err := sc.scanSegment(data); err != nil {
 			t.Fatalf("%s offset %d, after %d records defining %d transactions and %d objects: %v",
-				name, at, records, numTx, numObj, err)
+				name, at, sc.records, sc.numTx, sc.numObj, err)
 		}
 	}
 	// 3 transaction names per tx plus T0, one object per tx.
-	if want := sessions*txPerSes*3 + 1; numTx != want || numObj != sessions*txPerSes {
-		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", numTx, numObj, want, sessions*txPerSes)
+	if want := sessions*txPerSes*3 + 1; sc.numTx != want || sc.numObj != sessions*txPerSes {
+		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", sc.numTx, sc.numObj, want, sessions*txPerSes)
 	}
 }
 

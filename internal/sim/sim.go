@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"nestedsg/internal/client"
+	"nestedsg/internal/core"
 	"nestedsg/internal/event"
 	"nestedsg/internal/oracle"
 	"nestedsg/internal/server"
@@ -955,9 +956,12 @@ func (s *sim) finish() error {
 	if !f.Batch.OK {
 		return fmt.Errorf("final batch check failed: %s", f.Batch.Summary(s.srv.Tree()))
 	}
-	// Match compares DOT renderings, which do not show edge kinds; Equal
-	// compares the labelled edges too.
-	if !f.Match || !f.Snapshot.Equal(f.Batch.SG) {
+	// Match compares the online engine's records with the batch
+	// construction's. Hold the materialized online graph to the batch SG
+	// and to a fresh check of the log as well, so online ≡ batch is also
+	// checked by a path that does not go through Match.
+	online := s.srv.OnlineSG()
+	if !f.Match || !online.Equal(f.Batch.SG) || !online.Equal(core.Check(s.srv.Tree(), s.srv.Log()).SG) {
 		return fmt.Errorf("final online SG differs from batch SG")
 	}
 	s.rep.FinalEvents = f.Events
@@ -997,7 +1001,7 @@ func (s *sim) finish() error {
 	if !bytes.Equal(s.rep.Trace, trace2) {
 		return fmt.Errorf("final wal recovers to a different trace (%d vs %d bytes)", len(trace2), len(s.rep.Trace))
 	}
-	if !s2.Final().Snapshot.Equal(f.Batch.SG) {
+	if !s2.Final().Match || !s2.OnlineSG().Equal(f.Batch.SG) {
 		return fmt.Errorf("re-recovered online SG differs from the final batch SG")
 	}
 	return nil
