@@ -1,4 +1,4 @@
-// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E16, E24, E25). Each
+// Benchmarks: one per experiment table of EXPERIMENTS.md (E1–E16, E24, E25, E45). Each
 // benchmark exercises the hot path of its experiment under testing.B so
 // the tables' cost columns can be regenerated with:
 //
@@ -705,4 +705,39 @@ func BenchmarkE25HotRegister(b *testing.B) {
 	const tops = 4000
 	tr, trace := hotRegisterLife(tops)
 	benchLife(b, tr, trace, tops, tops-1+tops/5-1)
+}
+
+// BenchmarkGenericRun is one generic.Run on each of two contended shapes of
+// the check workload's corpus (E45): 64 top-level transactions nested three
+// deep on 4 objects under Moss locking, and 96 flat ones on 4 objects under
+// undo logging, with half the accesses on the hot object. The program is
+// built outside the timer; the seeds are fixed, so every iteration takes
+// the same steps.
+func BenchmarkGenericRun(b *testing.B) {
+	shapes := []struct {
+		proto object.Protocol
+		cfg   workload.Config
+	}{
+		{locking.Protocol{}, workload.Config{Seed: 7, TopLevel: 64, Depth: 3, Fanout: 3,
+			Objects: 4, HotProb: 0.5, ParProb: 0.5}},
+		{undolog.Protocol{}, workload.Config{Seed: 7, TopLevel: 96, Depth: 1, Fanout: 3,
+			Objects: 4, HotProb: 0.5, ParProb: 0.5}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.proto.Name(), func(b *testing.B) {
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := tname.NewTree()
+				root := workload.Build(tr, sh.cfg)
+				b.StartTimer()
+				_, st, err := generic.Run(tr, root, generic.Options{Seed: 11, Protocol: sh.proto})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += st.Steps
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
 }

@@ -24,20 +24,26 @@
 // appears. Protocols that abort rather than block (object.Aborter, e.g.
 // MVTO) have their restarts executed by the runner as well.
 //
-// The scheduler loop is allocation-lean: enabled actions are value structs
-// in a reused slice (not closures), per-object automata and per-transaction
-// states are dense slices indexed by the interned names, and the per-step
-// blocking poll uses the object.BlockChecker fast path when the protocol
-// provides it. The enumeration order and random-number consumption are
+// A step costs what it changed. An object's answers to ShouldAbort, Blocked
+// and Blockers are functions of its automaton's state, which only the
+// runner's own calls into it change (object.Generic states the contract),
+// so the runner keeps an epoch per object, bumped on every such call, and
+// each pending access caches its answers with the epoch they were asked
+// at: a step re-asks only the accesses whose object moved. The enumeration
+// walks the live transactions only, those that can still take a step.
+// Enabled actions are value structs in a reused slice, and per-object
+// automata and per-transaction states are dense slices indexed by the
+// interned names. The enumeration order and random-number consumption are
 // exactly those of the original closure-based loop, so seeds reproduce the
 // same traces.
 package generic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/graph"
@@ -96,9 +102,10 @@ type Stats struct {
 	// counts aborts issued to break deadlocks; ProtocolAborts counts
 	// restarts demanded by the protocol itself (object.Aborter).
 	SpontaneousAborts, DeadlockVictims, ProtocolAborts int
-	// Accesses counts access REQUEST_COMMITs granted; Blocked counts
-	// scheduler polls that found an access waiting for locks or
-	// commutativity.
+	// Accesses counts access REQUEST_COMMITs granted; Blocked counts, per
+	// step, the pending accesses the enumeration found waiting for locks or
+	// commutativity (whether or not their object had to be asked again),
+	// plus refused REQUEST_COMMIT attempts.
 	Accesses, Blocked int
 }
 
@@ -129,6 +136,17 @@ type txState struct {
 	// exactly these objects. Subtrees touch few objects, so a scanned
 	// slice beats a map.
 	touched []tname.ObjID
+
+	// A pending access's object answers: abort (ShouldAbort) and blocked
+	// (Blocked) as of object epoch askedAt, blockers (Blockers) as of
+	// blockersAt. Creating the access moves its object's epoch past 0, so
+	// 0 means never asked.
+	askedAt, blockersAt uint64
+	abort, blocked      bool
+	blockers            []tname.TxID
+	// victimRound marks the breakDeadlock round that already chose this
+	// transaction as a candidate victim.
+	victimRound uint64
 }
 
 func (ts *txState) touch(x tname.ObjID) {
@@ -182,12 +200,20 @@ type Runner struct {
 	checkers []object.BlockChecker
 	auditors []object.Auditor
 	informQ  [][]informMsg
+	// epochs counts, per object, the runner's calls into its automaton:
+	// answers cached at an older epoch are stale.
+	epochs []uint64
 
 	txs   []*txState   // indexed by TxID; nil for unknown names
 	order []tname.TxID // stable enumeration order of known transactions
+	// live is order without the transactions that can take no more steps
+	// (dead ones, and completed ones that have reported); the enumeration
+	// compacts it as it walks.
+	live []*txState
 
-	acts  []act      // reused action buffer
-	cands []*txState // reused failure-injection candidate buffer
+	acts   []act      // reused action buffer
+	cands  []*txState // reused candidate buffer (failure injection, victims)
+	rounds uint64     // breakDeadlock calls, the victimRound stamp
 
 	trace event.Behavior
 	stats Stats
@@ -211,6 +237,7 @@ func (r *Runner) putTx(ts *txState) {
 	}
 	r.txs[ts.id] = ts
 	r.order = append(r.order, ts.id)
+	r.live = append(r.live, ts)
 }
 
 // Run executes the program of T0 under the generic controller and returns
@@ -241,6 +268,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		checkers: make([]object.BlockChecker, numObj),
 		auditors: make([]object.Auditor, numObj),
 		informQ:  make([][]informMsg, numObj),
+		epochs:   make([]uint64, numObj),
 	}
 	for x := tname.ObjID(0); int(x) < numObj; x++ {
 		g := opts.Protocol.New(tr, x)
@@ -305,26 +333,50 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 
 func (r *Runner) emit(e event.Event) { r.trace = append(r.trace, e) }
 
-// blocked reports whether access t at x currently has blockers, via the
-// protocol's fast path when it offers one.
-func (r *Runner) blocked(x tname.ObjID, t tname.TxID) bool {
-	if bc := r.checkers[x]; bc != nil {
-		return bc.Blocked(t)
+// ask brings the pending access ts's cached ShouldAbort and Blocked answers
+// up to its object's epoch, asking the object only if it moved. Blocked
+// uses the protocol's fast path when it offers one.
+func (r *Runner) ask(ts *txState) {
+	x := ts.node.Obj
+	if ts.askedAt == r.epochs[x] {
+		return
 	}
-	return len(r.objects[x].Blockers(t)) > 0
+	ts.askedAt = r.epochs[x]
+	ts.abort = r.aborters[x] != nil && r.aborters[x].ShouldAbort(ts.id)
+	if ts.abort {
+		return
+	}
+	if bc := r.checkers[x]; bc != nil {
+		ts.blocked = bc.Blocked(ts.id)
+	} else {
+		ts.blocked = len(r.blockersOf(ts)) > 0
+	}
+}
+
+// blockersOf returns the pending access ts's blockers as of its object's
+// epoch, in the object's order. The caller may reorder them.
+func (r *Runner) blockersOf(ts *txState) []tname.TxID {
+	x := ts.node.Obj
+	if ts.blockersAt != r.epochs[x] {
+		ts.blockersAt = r.epochs[x]
+		ts.blockers = append(ts.blockers[:0], r.objects[x].Blockers(ts.id)...)
+	}
+	return ts.blockers
 }
 
 // enabledActions enumerates every enabled action of the composed system
-// into the reused buffer. The enumeration order is fixed (transactions in
-// creation order, then object inform queues), so the scheduler's uniform
-// pick is a pure function of the seed.
+// into the reused buffer, dropping from live the transactions that can take
+// no more steps. The enumeration order is fixed (transactions in creation
+// order, then object inform queues), so the scheduler's uniform pick is a
+// pure function of the seed.
 func (r *Runner) enabledActions() []act {
 	acts := r.acts[:0]
-	for _, id := range r.order {
-		ts := r.txs[id]
-		if ts.dead {
+	live := r.live[:0]
+	for _, ts := range r.live {
+		if ts.dead || ts.status >= stCommitted && ts.reported {
 			continue
 		}
+		live = append(live, ts)
 		switch ts.status {
 		case stRequested:
 			acts = append(acts, act{kind: akCreate, ts: ts})
@@ -334,13 +386,13 @@ func (r *Runner) enabledActions() []act {
 			// abort rates are a workload parameter.
 		case stCreated:
 			if ts.node.IsAccess {
-				x := ts.node.Obj
-				if ab := r.aborters[x]; ab != nil && ab.ShouldAbort(ts.id) {
+				r.ask(ts)
+				if ts.abort {
 					// The protocol demands a restart (e.g. an MVTO write
 					// that arrived too late): abort the classical
 					// transaction the access belongs to.
 					acts = append(acts, act{kind: akProtocolAbort, ts: ts})
-				} else if !r.blocked(x, ts.id) {
+				} else if !ts.blocked {
 					acts = append(acts, act{kind: akRespond, ts: ts})
 				} else {
 					r.stats.Blocked++
@@ -374,6 +426,7 @@ func (r *Runner) enabledActions() []act {
 			acts = append(acts, act{kind: akInform, x: tname.ObjID(x)})
 		}
 	}
+	r.live = live
 	r.acts = acts
 	return acts
 }
@@ -408,6 +461,7 @@ func (r *Runner) doCreate(ts *txState) {
 	if ts.node.IsAccess {
 		x := ts.node.Obj
 		r.objects[x].Create(ts.id)
+		r.epochs[x]++
 		r.markTouched(ts.id, x)
 		return
 	}
@@ -442,6 +496,9 @@ func (r *Runner) doIssueRequest(ts *txState) {
 func (r *Runner) doRespond(ts *txState) {
 	x := ts.node.Obj
 	v, ok := r.objects[x].TryRequestCommit(ts.id)
+	// A refused attempt may change state too (replica's consumes its
+	// availability draws).
+	r.epochs[x]++
 	if !ok {
 		// Blockers said it was enabled; a protocol for which that is
 		// not equivalent would simply lose a step.
@@ -498,7 +555,9 @@ func (r *Runner) abortTx(ts *txState) {
 	if r.opts.AllowOrphans {
 		return
 	}
-	// Freeze descendants.
+	// Freeze descendants. This walks order, not live: finished descendants
+	// must be marked dead too, because breakDeadlock's ancestor walk stops
+	// at a dead transaction instead of climbing past this abort.
 	for _, id := range r.order {
 		if id != ts.id && r.tr.IsDescendant(id, ts.id) {
 			r.txs[id].dead = true
@@ -541,6 +600,7 @@ func (r *Runner) doInform(x tname.ObjID) {
 	q := r.informQ[x]
 	msg := q[0]
 	r.informQ[x] = q[1:]
+	r.epochs[x]++
 	if msg.commit {
 		r.objects[x].InformCommit(msg.tx)
 		r.emit(event.NewInform(event.InformCommit, msg.tx, x))
@@ -560,9 +620,8 @@ func (r *Runner) maybeInjectAbort() bool {
 		return false
 	}
 	candidates := r.cands[:0]
-	for _, id := range r.order {
-		ts := r.txs[id]
-		if id != tname.Root && !ts.dead && ts.status < stCommitted {
+	for _, ts := range r.live {
+		if ts.id != tname.Root && !ts.dead && ts.status < stCommitted {
 			candidates = append(candidates, ts)
 		}
 	}
@@ -585,37 +644,40 @@ func (r *Runner) maybeInjectAbort() bool {
 // informed of the abort and discards the whole subtree's locks or log
 // entries.
 func (r *Runner) breakDeadlock() bool {
-	var blockers []tname.TxID
-	for _, id := range r.order {
-		ts := r.txs[id]
-		if ts.dead || ts.status != stCreated || !ts.node.IsAccess {
+	r.rounds++
+	victims := r.cands[:0]
+	for _, w := range r.live {
+		if w.dead || w.status != stCreated || !w.node.IsAccess {
 			continue
 		}
-		blockers = append(blockers, r.objects[ts.node.Obj].Blockers(ts.id)...)
-	}
-	var victims []*txState
-	seen := make(map[tname.TxID]bool)
-	for _, blk := range blockers {
-		for u := blk; u != tname.Root && u != tname.None; u = r.tr.Parent(u) {
-			ts := r.tx(u)
-			if ts == nil || ts.dead {
-				break
-			}
-			if ts.status < stCommitted {
-				if !seen[u] {
-					seen[u] = true
-					victims = append(victims, ts)
+		for _, blk := range r.blockersOf(w) {
+			for u := blk; u != tname.Root && u != tname.None; u = r.tr.Parent(u) {
+				ts := r.tx(u)
+				if ts == nil || ts.dead {
+					break
 				}
-				break
+				if ts.status < stCommitted {
+					if ts.victimRound != r.rounds {
+						ts.victimRound = r.rounds
+						victims = append(victims, ts)
+					}
+					break
+				}
 			}
 		}
 	}
+	r.cands = victims
+	return r.abortVictim(victims)
+}
+
+// abortVictim aborts one of victims, if there are any, drawn by the seed
+// after sorting them, so the choice does not depend on the order in which
+// they were found.
+func (r *Runner) abortVictim(victims []*txState) bool {
 	if len(victims) == 0 {
 		return false
 	}
-	// Objects may report blockers in map order; sort so the victim choice
-	// is a pure function of the seed.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	slices.SortFunc(victims, func(a, b *txState) int { return cmp.Compare(a.id, b.id) })
 	r.stats.DeadlockVictims++
 	r.abortTx(victims[r.rng.Intn(len(victims))])
 	return true
@@ -639,13 +701,17 @@ func (r *Runner) breakWaitsForCycle() bool {
 	}
 	type edge struct{ from, to tname.TxID }
 	var edges []edge
-	for _, id := range r.order {
-		ts := r.txs[id]
+	for _, ts := range r.live {
 		if ts.dead || ts.status != stCreated || !ts.node.IsAccess {
 			continue
 		}
-		waiter := r.tr.ChildAncestor(tname.Root, id)
-		for _, blk := range r.objects[ts.node.Obj].Blockers(id) {
+		waiter := r.tr.ChildAncestor(tname.Root, ts.id)
+		// Objects may report blockers in map order, and node numbering
+		// decides which cycle TopoSort reports: sort so the victim is a
+		// pure function of the seed.
+		blks := r.blockersOf(ts)
+		slices.Sort(blks)
+		for _, blk := range blks {
 			holder := r.tr.ChildAncestor(tname.Root, blk)
 			if holder != waiter {
 				node(waiter)
@@ -666,18 +732,13 @@ func (r *Runner) breakWaitsForCycle() bool {
 		return false
 	}
 	// Abort one cycle member that is still abortable.
-	var victims []*txState
+	victims := r.cands[:0]
 	for _, n := range cyc {
 		ts := r.tx(tops[n])
 		if ts != nil && !ts.dead && ts.status < stCommitted {
 			victims = append(victims, ts)
 		}
 	}
-	if len(victims) == 0 {
-		return false
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
-	r.stats.DeadlockVictims++
-	r.abortTx(victims[r.rng.Intn(len(victims))])
-	return true
+	r.cands = victims
+	return r.abortVictim(victims)
 }

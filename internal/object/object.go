@@ -16,6 +16,18 @@ import (
 // Generic is one generic object automaton G_X. Implementations are not
 // required to be safe for concurrent use: the generic controller serializes
 // all calls (the paper's automata take atomic steps).
+//
+// The queries — Blockers, BlockChecker.Blocked and Aborter.ShouldAbort —
+// are functions of the automaton's state, and that state changes only
+// through its own actions: Create, TryRequestCommit (performed or refused)
+// and the two INFORMs. This is the I/O-automaton discipline of §2, and the
+// runner in internal/generic relies on it: it caches each pending access's
+// answers until the next call into the same object. A query may keep a
+// memo of derived state, but its answer must not depend on anything that
+// can change without such a call, such as another object's state or a
+// random draw. Shared state that is fixed by the time it is read is fine:
+// MVTO's clock assigns an access its path at Create, and later reads only
+// return it.
 type Generic interface {
 	// Create handles the CREATE(T) input for an access T to this object.
 	Create(t tname.TxID)
@@ -38,16 +50,17 @@ type Generic interface {
 	// Blockers returns the transactions whose activity currently disables
 	// REQUEST_COMMIT for access t (lock holders that are not ancestors of
 	// t, or uncommitted non-commuting operations). The runner uses this for
-	// deadlock victim selection; it must not change state.
+	// deadlock victim selection; it must not change state. The order of the
+	// list carries no meaning, and the caller does not keep the slice.
 	Blockers(t tname.TxID) []tname.TxID
 }
 
 // BlockChecker is optionally implemented by generic objects that can
 // answer "is access t currently blocked?" without materializing the
 // blocker list. Blocked(t) must be equivalent to len(Blockers(t)) > 0 —
-// the runner polls it on every scheduler step and only falls back to
-// Blockers when choosing deadlock victims, where the full list is needed.
-// Blocked must not change state.
+// the runner asks it whenever the object has moved since it last asked
+// about t, and only falls back to Blockers when choosing deadlock victims,
+// where the full list is needed. Blocked must not change state.
 type BlockChecker interface {
 	Blocked(t tname.TxID) bool
 }
