@@ -66,11 +66,13 @@ bench-test:
 # Refresh the "current" side of BENCH_PR3.json from a fresh run of the
 # gated checker benchmarks (E1; E15's batch build, streaming check and
 # one-shot core.Check, all matched by `E15`; E24, E25; the generic runner,
-# GenericRun) plus the trace-codec table (E16). The committed "baseline"
-# side (the pre-optimization numbers; for E24 and E25 the numbers of the PR
-# that introduced each, 0 allocs/op) is preserved.
+# GenericRun; the one-shot certification of a check-corpus trace by each
+# engine, CheckFresh) plus the trace-codec table (E16). The committed
+# "baseline" side (the pre-optimization numbers; for E24 and E25 the numbers
+# of the PR that introduced each, 0 allocs/op; for CheckFresh the per-parent
+# engine it replaced) is preserved.
 bench-json:
-	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24|E25|GenericRun' -benchmem -count 1 . \
+	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24|E25|GenericRun|CheckFresh' -benchmem -count 1 . \
 		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json
 
 # Fail when the checker or runner benchmarks or the two trace-decode rows of E16
@@ -79,7 +81,7 @@ bench-json:
 # noise on shared runners).
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -suite BENCH_PR3.json \
-		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25|GenericRun' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25|GenericRun|CheckFresh' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (log append with WAL attached, the WAL writer's group

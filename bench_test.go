@@ -741,3 +741,55 @@ func BenchmarkGenericRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheckFresh certifies one NSGB trace from scratch, as the check
+// workload does for every trace of its corpus: the batch row decodes the
+// whole trace and runs a one-shot core.Check, the stream row decodes event
+// by event into a fresh core.NewIncremental. The trace is the corpus shape
+// with the most parent graphs — 48 top-level transactions nested three deep
+// on 32 objects under undo logging, half the accesses on the hot object —
+// so allocs/op shows whatever one-shot certification pays per parent graph.
+func BenchmarkCheckFresh(b *testing.B) {
+	tr := tname.NewTree()
+	root := workload.Build(tr, workload.Config{Seed: 81, TopLevel: 48, Depth: 3, Fanout: 3,
+		Objects: 32, HotProb: 0.5, ParProb: 0.5})
+	trace, _, err := generic.Run(tr, root, generic.Options{Seed: 82, Protocol: undolog.Protocol{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := event.MarshalBinaryTrace(tr, trace)
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr, trace, err := event.ReadBinaryTrace(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res := core.Check(tr, trace); !res.OK {
+				b.Fatal(res.Summary(tr))
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := event.NewBinaryDecoder(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			inc := core.NewIncremental(d.Tree())
+			for {
+				e, err := d.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if inc.Append(e) != nil {
+					b.Fatal("clean trace rejected")
+				}
+			}
+		}
+	})
+}

@@ -43,7 +43,7 @@ func TestCheckerReuseSteadyStateAllocs(t *testing.T) {
 	// well-formedness state, the engine, the value replay and the view
 	// scratch — is pooled. Pin the measured count, so that a pool lost to
 	// a per-call allocation shows.
-	const checkAllocs = 53
+	const checkAllocs = 33
 	if n := testing.AllocsPerRun(20, func() { c.Check(b) }); n > checkAllocs {
 		t.Errorf("Checker.Check allocates %.1f/op after warm-up, want at most %d", n, checkAllocs)
 	}
@@ -147,5 +147,57 @@ func TestIncrementalRetainedBytesPerAccess(t *testing.T) {
 	t.Logf("%.1f retained bytes per access", perAccess)
 	if perAccess > 740 {
 		t.Errorf("the engine retains %.1f bytes per access, want at most 740", perAccess)
+	}
+}
+
+// nestedSequential is a life of n top-level transactions run one after the
+// other, each running three empty subtransactions one after the other: every
+// top is a parent graph of its own (two precedes edges) beside T0's chain,
+// and the behavior has no access, so what a check allocates beyond a
+// constant is what it pays per parent graph, name and edge.
+func nestedSequential(n int) (*tname.Tree, event.Behavior) {
+	tr := tname.NewTree()
+	b := event.Behavior{event.NewEvent(event.Create, tname.Root)}
+	run := func(t tname.TxID, body func()) {
+		b = append(b, event.NewEvent(event.RequestCreate, t), event.NewEvent(event.Create, t))
+		body()
+		b = append(b, event.NewValEvent(event.RequestCommit, t, spec.Nil), event.NewEvent(event.Commit, t),
+			event.NewValEvent(event.ReportCommit, t, spec.Nil))
+	}
+	for i := 0; i < n; i++ {
+		top := tr.Child(tname.Root, "t"+strconv.Itoa(i))
+		run(top, func() {
+			for j := 0; j < 3; j++ {
+				run(tr.Child(top, "c"+strconv.Itoa(j)), func() {})
+			}
+		})
+	}
+	return tr, b
+}
+
+// TestOneShotCheckAllocsPerParent pins what a fresh one-shot Check
+// allocates: a fixed number of arrays per engine and per result, grown by
+// appending, never an object per parent graph. Four times the top-level
+// transactions — four times the parent graphs, names and edges — may only
+// add the few reallocations of arrays that grow by doubling.
+func TestOneShotCheckAllocsPerParent(t *testing.T) {
+	allocs := func(n int) (float64, int) {
+		tr, b := nestedSequential(n)
+		res := Check(tr, b)
+		if !res.OK {
+			t.Fatal(res.Summary(tr))
+		}
+		return testing.AllocsPerRun(10, func() { Check(tr, b) }), res.SG.NumParents()
+	}
+	small, ps := allocs(16)
+	large, pl := allocs(64)
+	t.Logf("fresh Check: %.0f allocs at %d parent graphs, %.0f at %d", small, ps, large, pl)
+	const base, perQuadrupling = 68, 12
+	if small > base {
+		t.Errorf("a fresh Check of %d parent graphs allocates %.0f times, want at most %d", ps, small, base)
+	}
+	if large-small > perQuadrupling {
+		t.Errorf("%d more parent graphs cost a fresh Check %.0f more allocations, want at most %d",
+			pl-ps, large-small, perQuadrupling)
 	}
 }

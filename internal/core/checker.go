@@ -89,7 +89,6 @@ func (c *Checker) CheckAgainst(b event.Behavior, online *Incremental) (res *Resu
 	if err := c.construct(b); err != nil {
 		return &Result{WFErr: err}, false
 	}
-	// Compare before the freeze canonicalizes the batch records in place.
 	match = online != nil && c.inc.sameRecords(online)
 	return c.certify(b, c.inc.freezeInto(&c.sg, &c.fz)), match
 }

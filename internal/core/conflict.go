@@ -55,11 +55,11 @@ type pendingOp struct {
 	wall, ro bool
 }
 
-// grow sizes the per-object logs to n objects.
+// grow sizes the per-object logs to n objects, in one step.
 func (cf *conflictFrontier) grow(n int) {
-	for len(cf.logs) < n {
-		cf.logs = append(cf.logs, nil)
-		cf.upd = append(cf.upd, nil)
+	if k := n - len(cf.logs); k > 0 {
+		cf.logs = append(cf.logs, make([][]pendingOp, k)...)
+		cf.upd = append(cf.upd, make([][]pendingOp, k)...)
 	}
 }
 

@@ -430,9 +430,11 @@ func TestReadOnlyAdmissionStaysFlat(t *testing.T) {
 }
 
 // TestAccessRecordIsPointerFree: the engine keeps a pendingOp per access in
-// up to two per-object logs, and parked items and per-name state in arrays
-// as long as the stream; these records must stay small and hold nothing the
-// garbage collector has to scan.
+// up to two per-object logs, and parked items, per-name state, child links,
+// edge records and report lists in arrays as long as the stream; these
+// records must stay small and hold nothing the garbage collector has to
+// scan. (The Pearce–Kelly order's vertices and arcs are held to the same
+// rule in internal/graph.)
 func TestAccessRecordIsPointerFree(t *testing.T) {
 	if n := unsafe.Sizeof(pendingOp{}); n > 24 {
 		t.Errorf("pendingOp is %d bytes, want at most 24", n)
@@ -451,7 +453,8 @@ func TestAccessRecordIsPointerFree(t *testing.T) {
 			t.Errorf("%s is a %s", path, typ.Kind())
 		}
 	}
-	for _, v := range []any{pendingOp{}, pendingReq{}, txState{}, parkedItem[pendingOp]{}, parkedItem[pendingReq]{}} {
+	for _, v := range []any{pendingOp{}, pendingReq{}, txState{}, parkedItem[pendingOp]{}, parkedItem[pendingReq]{},
+		nameRec{}, edgeRec{}, repList{}, repEnt{}, reqMark{}} {
 		walk(reflect.TypeOf(v).String(), reflect.TypeOf(v))
 	}
 }

@@ -20,7 +20,8 @@ import "nestedsg/internal/tname"
 // requested when the list had length k is preceded by exactly the first k
 // entries, so once it reports, those k are implied through it: the suffix
 // starts at lo = max k over the reported children. That is one comparison
-// per report and no scan per request.
+// per report, plus one walk of each list in all to keep the suffix's first
+// entry at hand, and no scan per request.
 //
 // Conventions on input no simple system produces: a child's *first*
 // REQUEST_CREATE fixes its k; a child reported before any request has k = 0
@@ -31,21 +32,45 @@ type frontier struct {
 	// list and forgets every request in O(1).
 	epoch uint32
 
-	// Per transaction as a parent: the children reported so far in β order,
-	// and the start of the maximal suffix.
-	reported [][]tname.TxID
-	lo       []int32
-	repEp    []uint32
+	// lists holds, per transaction as a parent, its list of reported
+	// children and the start of the maximal suffix; reqs holds, per
+	// transaction as a child, the length of its parent's list at its first
+	// REQUEST_CREATE (a stale stamp means not requested yet).
+	lists []repList
+	reqs  []reqMark
 
-	// Per transaction as a child: len(reported[parent]) at its first
-	// REQUEST_CREATE; a stale stamp means not requested yet.
-	reqN  []int32
-	reqEp []uint32
+	// ents holds every list's entries, in β order, each linked to the next
+	// entry of its own list: the lists share one pointer-free arena.
+	ents []repEnt
 }
 
-// window is the slice reported[parent][lo:n] a request takes its precedes
-// edges from, fixed at request time however late the edges materialize.
-type window struct{ lo, n int32 }
+// repList is one parent's list of reported children: its length n, its
+// last entry, and the start lo of the maximal suffix with that entry's
+// arena index at (-1 while lo = n).
+type repList struct {
+	ep       uint32
+	n, lo    int32
+	at, last int32
+}
+
+// repEnt is one report: the child and the next entry of its parent's list
+// (-1 at the end).
+type repEnt struct {
+	child tname.TxID
+	next  int32
+}
+
+// reqMark is one child's request position in its parent's list.
+type reqMark struct {
+	ep uint32
+	n  int32
+}
+
+// window is the n entries of a parent's list, starting at arena index at,
+// that a request takes its precedes edges from: the maximal suffix at
+// request time, fixed however late the edges materialize. The list only
+// grows, so the entries stay where they are.
+type window struct{ at, n int32 }
 
 // grow sizes the per-transaction entries to n names. Fresh stamps are 0,
 // so the first epoch is 1: the zero frontier is ready to use.
@@ -53,12 +78,9 @@ func (f *frontier) grow(n int) {
 	if f.epoch == 0 {
 		f.epoch = 1
 	}
-	for len(f.lo) < n {
-		f.reported = append(f.reported, nil)
-		f.lo = append(f.lo, 0)
-		f.repEp = append(f.repEp, 0)
-		f.reqN = append(f.reqN, 0)
-		f.reqEp = append(f.reqEp, 0)
+	if k := n - len(f.lists); k > 0 {
+		f.lists = append(f.lists, make([]repList, k)...)
+		f.reqs = append(f.reqs, make([]reqMark, k)...)
 	}
 }
 
@@ -66,12 +88,13 @@ func (f *frontier) grow(n int) {
 //
 //sgvet:hotpath
 func (f *frontier) reset() {
+	f.ents = f.ents[:0]
 	f.epoch++
 	if f.epoch == 0 {
 		// Wraparound after 2^32 resets: stale stamps could collide, so pay
 		// one full clear.
-		clear(f.repEp)
-		clear(f.reqEp)
+		clear(f.lists)
+		clear(f.reqs)
 		f.epoch = 1
 	}
 }
@@ -80,14 +103,28 @@ func (f *frontier) reset() {
 //
 //sgvet:hotpath
 func (f *frontier) report(p, t tname.TxID) {
-	if f.repEp[p] != f.epoch {
-		f.repEp[p] = f.epoch
-		f.reported[p] = f.reported[p][:0]
-		f.lo[p] = 0
+	l := &f.lists[p]
+	if l.ep != f.epoch {
+		*l = repList{ep: f.epoch, at: -1, last: -1}
 	}
-	f.reported[p] = append(f.reported[p], t)
-	if f.reqEp[t] == f.epoch && f.reqN[t] > f.lo[p] {
-		f.lo[p] = f.reqN[t]
+	k := int32(len(f.ents))
+	f.ents = append(f.ents, repEnt{child: t, next: -1})
+	if l.last >= 0 {
+		f.ents[l.last].next = k
+	}
+	l.last = k
+	if l.at < 0 {
+		// lo was n: the new entry is the first of the suffix.
+		l.at = k
+	}
+	l.n++
+	// Advancing lo walks the list, and lo only grows, so a list is walked
+	// once in all.
+	if r := f.reqs[t]; r.ep == f.epoch {
+		for l.lo < r.n {
+			l.at = f.ents[l.at].next
+			l.lo++
+		}
 	}
 }
 
@@ -97,20 +134,23 @@ func (f *frontier) report(p, t tname.TxID) {
 //sgvet:hotpath
 func (f *frontier) request(p, t tname.TxID) window {
 	var w window
-	if f.repEp[p] == f.epoch {
-		w = window{lo: f.lo[p], n: int32(len(f.reported[p]))}
+	n := int32(0)
+	if l := &f.lists[p]; l.ep == f.epoch {
+		w, n = window{at: l.at, n: l.n - l.lo}, l.n
 	}
-	if f.reqEp[t] != f.epoch {
-		f.reqEp[t] = f.epoch
-		f.reqN[t] = w.n
+	if r := &f.reqs[t]; r.ep != f.epoch {
+		*r = reqMark{ep: f.epoch, n: n}
 	}
 	return w
 }
 
-// siblings returns the reported children of p inside w. The caller skips
-// the requested child itself (a duplicate request can find it there).
+// sibling returns the child of the report at arena index k and the index
+// of the next report of the same list: a window's entries are w.n steps
+// from w.at. The caller skips the requested child itself (a duplicate
+// request can find it there).
 //
 //sgvet:hotpath
-func (f *frontier) siblings(p tname.TxID, w window) []tname.TxID {
-	return f.reported[p][w.lo:w.n]
+func (f *frontier) sibling(k int32) (tname.TxID, int32) {
+	e := f.ents[k]
+	return e.child, e.next
 }

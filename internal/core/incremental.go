@@ -35,21 +35,24 @@ import (
 // blocker, so admission costs amortized O(depth) per item.
 //
 // All bookkeeping is dense, indexed by the interned transaction and object
-// names, and Reset rewinds the checker to the empty prefix while keeping
-// every backing array — a long sequence of stream checks over one system
-// type runs without steady-state allocations.
+// names or by position in shared arenas — there is no per-parent object
+// (sgRecords) — and Reset rewinds the checker to the empty prefix while
+// keeping every backing array: a long sequence of stream checks over one
+// system type runs without steady-state allocations.
 type Incremental struct {
 	tr  *tname.Tree
 	seq int // raw events consumed
 
-	// txs holds one txState per transaction name and graphs the recycled
-	// per-parent structures they index. Parked items wait in the arenas on
-	// their blocker — the lowest uncommitted ancestor (≠ Root) of the
-	// access / requesting parent.
+	// txs holds one txState per transaction name. Parked items wait in the
+	// arenas on their blocker — the lowest uncommitted ancestor (≠ Root) of
+	// the access / requesting parent.
 	txs        []txState
-	graphs     []*ParentGraph
 	parkedOps  parkArena[pendingOp]
 	parkedReqs parkArena[pendingReq]
+
+	// sg holds the parent graphs' children and edge records and the one
+	// Pearce–Kelly order over all names.
+	sg sgRecords
 
 	// prec picks the precedes(β) edges and conf the conflict(β) edges the
 	// graph stores.
@@ -60,14 +63,6 @@ type Incremental struct {
 	// pendingOp.val, so the records themselves stay free of pointers.
 	vals []spec.Value
 
-	// parents lists the materialized parent graphs in discovery order;
-	// Snapshot sorts its clone of the list. nodes counts their children,
-	// edges their (pair, kind) records, which the labelled arcs of the
-	// Pearce–Kelly graphs dedup.
-	parents      []*ParentGraph
-	nodes, edges int
-
-	cyclic     bool
 	rejected   *Cycle
 	rejectedAt int
 
@@ -87,16 +82,12 @@ type EdgeSink func(parent, from, to tname.TxID, kind EdgeKind)
 // SetEdgeSink installs (or, with nil, removes) the edge observer.
 func (inc *Incremental) SetEdgeSink(f EdgeSink) { inc.sink = f }
 
-// txState is what the engine keeps per transaction name, free of pointers:
-// the tails of the lists of items parked on it as their blocker (-1 when
-// none), its node index in its parent's graph (-1 until materialized; every
-// tx is a child of exactly one parent, so one index serves all graphs), the
-// index in graphs of the graph of its own children (-1 until first used),
-// and its commit flag.
+// txState is what the engine keeps per transaction name beside its graph
+// records, free of pointers: the tails of the lists of items parked on it
+// as their blocker (-1 when none) and its commit flag.
 type txState struct {
-	ops, reqs   int32
-	node, graph int32
-	committed   bool
+	ops, reqs int32
+	committed bool
 }
 
 // pendingReq is a REQUEST_CREATE awaiting its parent's visibility. from is
@@ -114,6 +105,7 @@ type pendingReq struct {
 func NewIncremental(tr *tname.Tree) *Incremental {
 	inc := &Incremental{
 		tr:         tr,
+		sg:         newRecords(tr),
 		rejectedAt: -1,
 	}
 	inc.grow()
@@ -122,42 +114,45 @@ func NewIncremental(tr *tname.Tree) *Incremental {
 
 // grow sizes the dense arrays to the current tree. The tree is append-only
 // and may gain names between Appends (a generator interning fresh
-// transactions mid-stream), so Append re-checks on every call.
+// transactions mid-stream), so Append re-checks on every call; the check is
+// two comparisons, and growTo does the rest.
+//
+//sgvet:hotpath
 func (inc *Incremental) grow() {
+	if inc.tr.NumTx() > len(inc.txs) || inc.tr.NumObjects() > len(inc.conf.logs) {
+		inc.growTo()
+	}
+}
+
+// growTo sizes every array indexed by name or object to the tree, each in
+// one step however many names arrived.
+func (inc *Incremental) growTo() {
 	if n := inc.tr.NumTx(); n > len(inc.txs) {
-		for len(inc.txs) < n {
-			inc.txs = append(inc.txs, txState{ops: -1, reqs: -1, node: -1, graph: -1})
+		old := len(inc.txs)
+		inc.txs = append(inc.txs, make([]txState, n-old)...)
+		for i := old; i < n; i++ {
+			inc.txs[i] = txState{ops: -1, reqs: -1}
 		}
 		inc.prec.grow(n)
+		inc.sg.grow()
 	}
 	inc.conf.grow(inc.tr.NumObjects())
 }
 
 // Reset rewinds the checker to the empty prefix, retaining every backing
-// array (including the recycled per-parent graphs and Pearce–Kelly orders)
-// so the next stream over the same tree allocates nothing.
+// array (including the records' arenas and the Pearce–Kelly order) so the
+// next stream over the same tree allocates nothing.
 func (inc *Incremental) Reset() {
 	inc.seq = 0
 	for i := range inc.txs {
-		st := &inc.txs[i]
-		st.ops, st.reqs, st.committed = -1, -1, false
+		inc.txs[i] = txState{ops: -1, reqs: -1}
 	}
 	inc.parkedOps.reset()
 	inc.parkedReqs.reset()
 	inc.prec.reset()
-	for _, pg := range inc.parents {
-		for _, t := range pg.Children {
-			inc.txs[t].node = -1
-		}
-		pg.Children = pg.Children[:0]
-		pg.edges = pg.edges[:0]
-		pg.dyn.Reset()
-	}
-	inc.parents = inc.parents[:0]
-	inc.nodes, inc.edges = 0, 0
+	inc.sg.reset()
 	inc.conf.reset()
 	inc.vals = inc.vals[:0]
-	inc.cyclic = false
 	inc.rejected = nil
 	inc.rejectedAt = -1
 }
@@ -228,7 +223,7 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 		// events are not serial actions.
 	}
 
-	if inc.cyclic && inc.rejected == nil {
+	if inc.sg.cyclic && inc.rejected == nil {
 		inc.freezeVerdict(i)
 	}
 	return inc.rejected
@@ -343,72 +338,36 @@ func (inc *Incremental) conflict(prev, cur tname.TxID) {
 //
 //sgvet:hotpath
 func (inc *Incremental) admitReq(req pendingReq) {
-	for _, t := range inc.prec.siblings(req.parent, req.from) {
+	k := req.from.at
+	for range req.from.n {
+		var t tname.TxID
+		t, k = inc.prec.sibling(k)
 		if t != req.child {
 			inc.addEdge(req.parent, t, req.child, EdgePrecedes)
 		}
 	}
 }
 
-// addEdge records from→to in SG(β, parent) and feeds any new pair to the
-// parent's Pearce–Kelly order, flagging the first cycle. Once a cycle is
-// flagged, the orders are stale: new pairs are still recorded, so records
-// stay deduplicated and Snapshot stays truthful, but no order is updated.
-func (inc *Incremental) addEdge(parent, from, to tname.TxID, kind EdgeKind) {
-	ps := &inc.txs[parent]
-	if ps.graph < 0 {
-		ps.graph = int32(len(inc.graphs))
-		inc.graphs = append(inc.graphs, &ParentGraph{Parent: parent})
-	}
-	pg := inc.graphs[ps.graph]
-	if len(pg.Children) == 0 {
-		// First edge of this prefix: every graph in parents has children.
-		inc.parents = append(inc.parents, pg)
-	}
-	f := inc.node(pg, from)
-	t := inc.node(pg, to)
-	for pg.dyn.Len() < len(pg.Children) {
-		pg.dyn.AddNode()
-	}
-	fresh, cyc := pg.dyn.AddLabel(int(f), int(t), uint8(kind), !inc.cyclic)
-	if !fresh {
-		return
-	}
-	pg.edges = append(pg.edges, Edge{From: f, To: t, Kind: kind})
-	inc.edges++
-	if inc.sink != nil {
-		inc.sink(parent, from, to, kind)
-	}
-	if cyc != nil {
-		inc.cyclic = true
-	}
-}
-
-// node returns t's node index in pg, materializing the child on first use.
-// Discovery-order indices; Snapshot's freeze canonicalizes.
+// addEdge records from→to in SG(β, parent) (sgRecords.add) and hands a new
+// record to the sink.
 //
 //sgvet:hotpath
-func (inc *Incremental) node(pg *ParentGraph, t tname.TxID) int32 {
-	if i := inc.txs[t].node; i >= 0 {
-		return i
+func (inc *Incremental) addEdge(parent, from, to tname.TxID, kind EdgeKind) {
+	if inc.sg.add(parent, from, to, kind) && inc.sink != nil {
+		inc.sink(parent, from, to, kind)
 	}
-	i := int32(len(pg.Children))
-	pg.Children = append(pg.Children, t)
-	inc.txs[t].node = i
-	inc.nodes++
-	return i
 }
 
 // sameRecords reports whether inc and o, both accumulating, hold the same
 // parent graphs in the same discovery order, each with the same children
-// and edge records (ParentGraph.sameAs). An event that is not a serial
+// and edge records in discovery order. An event that is not a serial
 // action, such as an INFORM, only advances the stream position, which
 // leaves the relative order of any two positions as it was, so an engine
 // also fed those events keeps the same records.
 //
 //sgvet:hotpath
 func (inc *Incremental) sameRecords(o *Incremental) bool {
-	return slices.EqualFunc(inc.parents, o.parents, (*ParentGraph).sameAs)
+	return inc.sg.same(&o.sg)
 }
 
 // Counts reports the live size of the maintained graph: materialized parent
@@ -416,44 +375,35 @@ func (inc *Incremental) sameRecords(o *Incremental) bool {
 // records. It is O(1) and does not materialize a snapshot, so a committer
 // can refresh the server's gauges after every certified run.
 func (inc *Incremental) Counts() (parents, nodes, edges int) {
-	return len(inc.parents), inc.nodes, inc.edges
+	return len(inc.sg.parents), inc.sg.nodes, len(inc.sg.recs)
 }
 
 // Snapshot materializes SG of the consumed prefix: the canonical freeze of
-// a copy of the live graphs, independent of the live state, which continues
-// to accept Appends. Build over the same prefix is structurally identical.
+// the live records into a fresh SG, independent of the live state, which
+// continues to accept Appends. Build over the same prefix is structurally
+// identical.
 func (inc *Incremental) Snapshot() *SG {
-	sg := &SG{tr: inc.tr}
-	for _, pg := range inc.parents {
-		sg.parents = append(sg.parents, pg.clone())
-	}
-	return inc.freeze(sg, &freezeScratch{})
+	return inc.freezeInto(&SG{}, &freezeScratch{})
 }
 
-// freezeInto is Snapshot without the copy, into the caller's pooled SG: the
-// live graphs themselves are canonicalized, so the engine is spent and only
-// Reset may follow. It is how the batch entry points finish.
+// freezeInto is Snapshot into the caller's pooled SG. It is how the batch
+// entry points finish.
 //
 //sgvet:hotpath
 func (inc *Incremental) freezeInto(sg *SG, fz *freezeScratch) *SG {
 	sg.tr = inc.tr
-	sg.parents = append(sg.parents[:0], inc.parents...)
 	sg.VisibleOps = sg.VisibleOps[:0]
 	return inc.freeze(sg, fz)
 }
 
-// freeze canonicalizes sg's graphs — ascending parent order, per-graph
-// canonical child numbering — and fills in the visible operations: the
-// per-object logs hold exactly the admitted operations, so their union
-// sorted by stream position is operations(visible(β-prefix, T0)) in β
-// order.
+// freeze writes the canonical graphs into sg (sgRecords.freeze) and fills
+// in the visible operations: the per-object logs hold exactly the admitted
+// operations, so their union sorted by stream position is
+// operations(visible(β-prefix, T0)) in β order.
 //
 //sgvet:hotpath
 func (inc *Incremental) freeze(sg *SG, fz *freezeScratch) *SG {
-	sg.sortParents()
-	for _, pg := range sg.parents {
-		pg.build(fz)
-	}
+	inc.sg.freeze(sg, fz)
 	ops := fz.ops[:0]
 	for _, log := range inc.conf.logs {
 		ops = append(ops, log...)
@@ -482,5 +432,5 @@ func (inc *Incremental) String() string {
 	if inc.rejected != nil {
 		return fmt.Sprintf("incremental: rejected at event %d after %d events", inc.rejectedAt, inc.seq)
 	}
-	return fmt.Sprintf("incremental: %d events, %d parents, acyclic", inc.seq, len(inc.parents))
+	return fmt.Sprintf("incremental: %d events, %d parents, acyclic", inc.seq, len(inc.sg.parents))
 }

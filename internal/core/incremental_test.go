@@ -340,13 +340,18 @@ func TestIncrementalCountsMatchRecount(t *testing.T) {
 			inc.Append(e)
 			parents, nodes, edges := inc.Counts()
 			wantNodes, wantEdges := 0, 0
-			for _, pg := range inc.parents {
-				wantNodes += len(pg.Children)
-				wantEdges += len(pg.edges)
+			r := &inc.sg
+			for _, p := range r.parents {
+				for c := r.names[p].firstKid; c >= 0; c = r.names[c].next {
+					wantNodes++
+				}
+				for i := r.names[p].firstEdge; i >= 0; i = r.recs[i].next {
+					wantEdges++
+				}
 			}
-			if parents != len(inc.parents) || nodes != wantNodes || edges != wantEdges {
+			if parents != len(r.parents) || nodes != wantNodes || edges != wantEdges {
 				t.Errorf("Counts() = (%d, %d, %d), recount (%d, %d, %d)",
-					parents, nodes, edges, len(inc.parents), wantNodes, wantEdges)
+					parents, nodes, edges, len(r.parents), wantNodes, wantEdges)
 				return false
 			}
 		}

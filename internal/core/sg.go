@@ -44,10 +44,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nestedsg/internal/event"
-	"nestedsg/internal/graph"
 	"nestedsg/internal/tname"
 )
 
@@ -85,38 +85,31 @@ type Edge struct {
 // ParentGraph is SG(β, T) for one transaction T visible to T0: the directed
 // graph on the children of T induced by conflict(β) ∪ precedes(β).
 //
-// The representation is dense: children are renumbered canonically
-// (ascending by name) when the graph is frozen, and the labeled edge set is
-// a slice sorted by (From, To) — no maps, so a recycled ParentGraph refills
-// without allocating.
+// The representation is dense: children are numbered canonically
+// (ascending by name), and the labeled edge set is sorted by (From, To), so
+// a node's out-edges are one run of it. Both are spans of the owning SG's
+// flat arrays — no maps and no per-graph allocation, so a recycled SG
+// refills without allocating.
 type ParentGraph struct {
 	// Parent is T.
 	Parent tname.TxID
-	// Children maps node index to child transaction name. Only children
-	// that occur in the behavior are materialized; the paper's graph has a
-	// node per (possibly never-invoked) child, but isolated nodes affect
-	// neither acyclicity nor the derived order. After build the slice is
-	// sorted ascending — the canonical numbering.
+	// Children maps node index to child transaction name, sorted ascending
+	// — the canonical numbering. Only children that occur in the behavior
+	// are materialized; the paper's graph has a node per (possibly
+	// never-invoked) child, but isolated nodes affect neither acyclicity
+	// nor the derived order.
 	Children []tname.TxID
-	// G is the edge structure over node indices.
-	G *graph.Graph
 
-	// edges holds one record per (pair, kind) during accumulation — node
-	// indices are in discovery order and the builder dedups — and the
-	// canonical merged edge set, sorted by (From, To), after build.
+	// edges is the canonical merged edge set, sorted by (From, To).
 	edges []Edge
-
-	// dyn is the live Pearce–Kelly order over the discovery-order indices
-	// while the graph accumulates; build leaves it stale.
-	dyn graph.Incremental
 }
 
 // Edges returns the labeled edge set over canonical child indices, sorted
 // by (From, To). The slice is owned by the graph; callers must not modify
-// it. Only valid on a built graph (any SG handed out by the package).
+// it.
 func (pg *ParentGraph) Edges() []Edge { return pg.edges }
 
-// nodeIndex returns t's canonical node index, or -1. Built graphs only.
+// nodeIndex returns t's canonical node index, or -1.
 func (pg *ParentGraph) nodeIndex(t tname.TxID) int {
 	if i, ok := slices.BinarySearch(pg.Children, t); ok {
 		return i
@@ -124,14 +117,9 @@ func (pg *ParentGraph) nodeIndex(t tname.TxID) int {
 	return -1
 }
 
-// kindAt returns the labels of the edge f→t on a built graph (0 if absent).
+// kindAt returns the labels of the edge f→t (0 if absent).
 func (pg *ParentGraph) kindAt(f, t int32) EdgeKind {
-	i, ok := slices.BinarySearchFunc(pg.edges, Edge{From: f, To: t}, func(a, b Edge) int {
-		if a.From != b.From {
-			return int(a.From) - int(b.From)
-		}
-		return int(a.To) - int(b.To)
-	})
+	i, ok := slices.BinarySearchFunc(pg.edges, Edge{From: f, To: t}, compareEdges)
 	if !ok {
 		return 0
 	}
@@ -139,7 +127,6 @@ func (pg *ParentGraph) kindAt(f, t int32) EdgeKind {
 }
 
 // HasEdge reports whether the edge from→to is present, with its labels.
-// Only valid on a built graph.
 func (pg *ParentGraph) HasEdge(from, to tname.TxID) (EdgeKind, bool) {
 	f := pg.nodeIndex(from)
 	t := pg.nodeIndex(to)
@@ -150,83 +137,18 @@ func (pg *ParentGraph) HasEdge(from, to tname.TxID) (EdgeKind, bool) {
 	return k, k != 0
 }
 
-// freezeScratch is the reusable working memory of ParentGraph.build and of
+// freezeScratch is the reusable working memory of sgRecords.freeze and of
 // Incremental.freeze's merge of the per-object logs.
 type freezeScratch struct {
-	perm   []int32
-	sorted []tname.TxID
-	ops    []pendingOp
-}
-
-// build freezes the accumulated edge records into the canonical form, first
-// renumbering children in ascending name order. Node indices — and hence
-// topological sorts, cycle certificates and DOT output — then depend only
-// on the edge *set*, not on the order edges were discovered, which is what
-// lets the engine, its partitions and the composer certify identically.
-func (pg *ParentGraph) build(fz *freezeScratch) {
-	n := len(pg.Children)
-	sorted := append(fz.sorted[:0], pg.Children...)
-	slices.Sort(sorted)
-	perm := fz.perm[:0]
-	for _, t := range pg.Children {
-		i, _ := slices.BinarySearch(sorted, t)
-		perm = append(perm, int32(i))
-	}
-	copy(pg.Children, sorted)
-	fz.perm, fz.sorted = perm, sorted
-
-	for i := range pg.edges {
-		e := &pg.edges[i]
-		e.From, e.To = perm[e.From], perm[e.To]
-	}
-	slices.SortFunc(pg.edges, func(a, b Edge) int {
-		if a.From != b.From {
-			return int(a.From) - int(b.From)
-		}
-		return int(a.To) - int(b.To)
-	})
-	// Merge the per-kind records of one pair into a single labeled edge.
-	out := pg.edges[:0]
-	for _, e := range pg.edges {
-		if k := len(out); k > 0 && out[k-1].From == e.From && out[k-1].To == e.To {
-			out[k-1].Kind |= e.Kind
-		} else {
-			out = append(out, e)
-		}
-	}
-	pg.edges = out
-
-	// Insert edges in sorted order: adjacency-list order feeds the cycle
-	// certificate's DFS, so it must not inherit discovery order. The edge
-	// set is already deduplicated, so the unchecked insert applies.
-	if pg.G == nil {
-		pg.G = graph.New(n)
-	} else {
-		pg.G.Reset(n)
-	}
-	for _, e := range pg.edges {
-		pg.G.AddEdgeUnchecked(int(e.From), int(e.To))
-	}
+	parents []tname.TxID
+	rank    []int32
+	ops     []pendingOp
 }
 
 // sameAs reports whether pg and o have the same parent, the same children
-// and the same edge records, each in the order the graph holds them: the
-// canonical order on built graphs, discovery order on accumulating ones.
-//
-//sgvet:hotpath
+// and the same edges.
 func (pg *ParentGraph) sameAs(o *ParentGraph) bool {
 	return pg.Parent == o.Parent && slices.Equal(pg.Children, o.Children) && slices.Equal(pg.edges, o.edges)
-}
-
-// clone copies the accumulating fields (not G); callers freeze the copy with
-// build(). The streaming checker uses this to snapshot SG(β-prefix) without
-// disturbing its live state.
-func (pg *ParentGraph) clone() *ParentGraph {
-	return &ParentGraph{
-		Parent:   pg.Parent,
-		Children: slices.Clone(pg.Children),
-		edges:    slices.Clone(pg.edges),
-	}
 }
 
 // SG is the serialization graph SG(β): the union of the disjoint graphs
@@ -234,8 +156,11 @@ func (pg *ParentGraph) clone() *ParentGraph {
 type SG struct {
 	tr *tname.Tree
 	// parents holds the materialized per-parent graphs in ascending parent
-	// order.
-	parents []*ParentGraph
+	// order; their children and edges are spans of kids and edges (CSR
+	// form).
+	parents []ParentGraph
+	kids    []tname.TxID
+	edges   []Edge
 	// VisibleOps is operations(visible(β, T0)) in β order; reused by the
 	// view computation.
 	VisibleOps []event.AccessOp
@@ -247,8 +172,8 @@ type SG struct {
 // the graphs in ascending parent order without allocating.
 func (sg *SG) Parents() map[tname.TxID]*ParentGraph {
 	out := make(map[tname.TxID]*ParentGraph, len(sg.parents))
-	for _, pg := range sg.parents {
-		out[pg.Parent] = pg
+	for i := range sg.parents {
+		out[sg.parents[i].Parent] = &sg.parents[i]
 	}
 	return out
 }
@@ -256,8 +181,8 @@ func (sg *SG) Parents() map[tname.TxID]*ParentGraph {
 // ForEachParent calls f for every materialized SG(β, T) in ascending parent
 // order.
 func (sg *SG) ForEachParent(f func(parent tname.TxID, pg *ParentGraph)) {
-	for _, pg := range sg.parents {
-		f(pg.Parent, pg)
+	for i := range sg.parents {
+		f(sg.parents[i].Parent, &sg.parents[i])
 	}
 }
 
@@ -266,20 +191,20 @@ func (sg *SG) NumParents() int { return len(sg.parents) }
 
 // Parent returns SG(β, T), or nil if T contributed no edges.
 func (sg *SG) Parent(t tname.TxID) *ParentGraph {
-	i, ok := slices.BinarySearchFunc(sg.parents, t, func(pg *ParentGraph, t tname.TxID) int {
+	i, ok := slices.BinarySearchFunc(sg.parents, t, func(pg ParentGraph, t tname.TxID) int {
 		return int(pg.Parent) - int(t)
 	})
 	if !ok {
 		return nil
 	}
-	return sg.parents[i]
+	return &sg.parents[i]
 }
 
 // NumEdges returns the total number of distinct edges in SG(β).
 func (sg *SG) NumEdges() int {
 	n := 0
-	for _, pg := range sg.parents {
-		n += len(pg.edges)
+	for i := range sg.parents {
+		n += len(sg.parents[i].edges)
 	}
 	return n
 }
@@ -288,12 +213,7 @@ func (sg *SG) NumEdges() int {
 // with the same children and the same labelled edges. It is stricter than
 // comparing DOT renderings, which do not show edge kinds.
 func (sg *SG) Equal(o *SG) bool {
-	return slices.EqualFunc(sg.parents, o.parents, (*ParentGraph).sameAs)
-}
-
-// sortParents establishes the ascending-parent invariant after accumulation.
-func (sg *SG) sortParents() {
-	slices.SortFunc(sg.parents, func(a, b *ParentGraph) int { return int(a.Parent) - int(b.Parent) })
+	return slices.EqualFunc(sg.parents, o.parents, func(a, b ParentGraph) bool { return a.sameAs(&b) })
 }
 
 // Build constructs SG(β) from the serial actions of b. Inform events are
@@ -355,8 +275,9 @@ type SiblingOrder struct {
 }
 
 // newSiblingOrder returns an order over tr that ranks nothing yet.
-func newSiblingOrder(tr *tname.Tree) *SiblingOrder {
-	return &SiblingOrder{tr: tr, ByParent: make(map[tname.TxID][]tname.TxID), rank: make([]int32, tr.NumTx())}
+// hint is the number of parents it will order.
+func newSiblingOrder(tr *tname.Tree, hint int) *SiblingOrder {
+	return &SiblingOrder{tr: tr, ByParent: make(map[tname.TxID][]tname.TxID, hint), rank: make([]int32, tr.NumTx())}
 }
 
 // rankOf returns t's position among its ordered siblings plus one, or 0.
@@ -485,7 +406,7 @@ func (k *opKeys) compare(i, j int32) int {
 // witness machinery a *wrong* order and watch it refuse; production code
 // must obtain orders from Acyclicity.
 func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *SiblingOrder {
-	order := newSiblingOrder(tr)
+	order := newSiblingOrder(tr, 0)
 	order.ByParent = byParent
 	for _, kids := range byParent {
 		for i, k := range kids {
@@ -497,24 +418,38 @@ func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *Si
 
 // Acyclicity checks SG(β) and, when it is acyclic, derives the sibling
 // order certificate. On failure it returns the concrete cycle.
+//
+// Each SG(β, T) is sorted by Kahn's algorithm over a min-heap frontier, so
+// ties always break toward the smallest canonical index and certificates
+// are reproducible regardless of edge insertion order; a cyclic graph's
+// certificate is the first cycle an iterative depth-first search meets,
+// starting from each node in index order and following out-edges in
+// ascending order. The graphs share one scratch, sized once for the
+// largest, and the orders one backing array.
 func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
-	order := newSiblingOrder(sg.tr)
+	order := newSiblingOrder(sg.tr, len(sg.parents))
+	var s topoScratch
+	s.size(sg)
+	var all []tname.TxID
 	// sg.parents is sorted ascending, so parents are processed in a
 	// deterministic order and certificates are reproducible.
-	for _, pgr := range sg.parents {
-		topo, cyc := pgr.G.TopoSort()
-		if cyc != nil {
-			c := &Cycle{Parent: pgr.Parent}
-			for _, n := range cyc {
-				c.Nodes = append(c.Nodes, pgr.Children[n])
-			}
-			for i := range cyc {
-				j := (i + 1) % len(cyc)
-				c.Kinds = append(c.Kinds, pgr.kindAt(int32(cyc[i]), int32(cyc[j])))
+	for i := range sg.parents {
+		pgr := &sg.parents[i]
+		topo := s.sort(pgr)
+		if topo == nil {
+			cyc := s.findCycle(pgr)
+			c := &Cycle{Parent: pgr.Parent, Nodes: make([]tname.TxID, len(cyc)), Kinds: make([]EdgeKind, len(cyc))}
+			for i, n := range cyc {
+				c.Nodes[i] = pgr.Children[n]
+				c.Kinds[i] = pgr.kindAt(n, cyc[(i+1)%len(cyc)])
 			}
 			return nil, c
 		}
-		kids := make([]tname.TxID, len(topo))
+		if all == nil {
+			all = make([]tname.TxID, len(sg.kids))
+		}
+		kids := all[:len(topo):len(topo)]
+		all = all[len(topo):]
 		for i, n := range topo {
 			kids[i] = pgr.Children[n]
 			order.rank[pgr.Children[n]] = int32(i + 1)
@@ -524,15 +459,191 @@ func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
 	return order, nil
 }
 
+// topoScratch is the working memory Acyclicity shares across the parent
+// graphs of one SG. off indexes a graph's edges as adjacency runs (CSR):
+// node v's out-edges are edges[off[v]:off[v+1]], in ascending target order.
+type topoScratch struct {
+	off, indeg, heap, order []int32
+	stack                   []dfsFrame
+}
+
+// dfsFrame is a node on the cycle search's path and the index of the next
+// out-edge to follow.
+type dfsFrame struct{ v, next int32 }
+
+// size reserves room for the largest parent graph of sg.
+func (s *topoScratch) size(sg *SG) {
+	n := 0
+	for i := range sg.parents {
+		n = max(n, len(sg.parents[i].Children))
+	}
+	s.off = make([]int32, 0, n+1)
+	s.indeg = make([]int32, 0, n)
+	s.heap = make([]int32, 0, n)
+	s.order = make([]int32, 0, n)
+}
+
+// index fills s.off for pg, whose edges are sorted by (From, To).
+func (s *topoScratch) index(pg *ParentGraph) []int32 {
+	n := len(pg.Children)
+	off := slices.Grow(s.off[:0], n+1)[:n+1]
+	clear(off)
+	for _, e := range pg.edges {
+		off[e.From+1]++
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	s.off = off
+	return off
+}
+
+// sort returns pg's topological order (Kahn's algorithm over a min-heap
+// frontier), or nil when pg has a cycle. The order is s's until the next
+// call.
+func (s *topoScratch) sort(pg *ParentGraph) []int32 {
+	n := len(pg.Children)
+	off := s.index(pg)
+	indeg := slices.Grow(s.indeg[:0], n)[:n]
+	clear(indeg)
+	for _, e := range pg.edges {
+		indeg[e.To]++
+	}
+	// Ascending append order is already a valid min-heap.
+	h := s.heap[:0]
+	for v := range n {
+		if indeg[v] == 0 {
+			h = append(h, int32(v))
+		}
+	}
+	order := s.order[:0]
+	for len(h) > 0 {
+		v := h[0]
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h)
+		order = append(order, v)
+		for _, e := range pg.edges[off[v]:off[v+1]] {
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				h = append(h, e.To)
+				siftUp(h)
+			}
+		}
+	}
+	s.indeg, s.heap, s.order = indeg, h, order
+	if len(order) < n {
+		return nil
+	}
+	return order
+}
+
+// siftDown restores the min-heap h after its root was replaced.
+func siftDown(h []int32) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// siftUp restores the min-heap h after an append.
+func siftUp(h []int32) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// findCycle returns a directed cycle of pg, in edge order; it must only be
+// called when one exists. Iterative DFS with an explicit stack, tracking
+// the path, from each unvisited node in index order.
+func (s *topoScratch) findCycle(pg *ParentGraph) []int32 {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	n := len(pg.Children)
+	off := s.index(pg)
+	color := make([]byte, n)
+	parent := make([]int32, n)
+	for start := range int32(n) {
+		if color[start] != white {
+			continue
+		}
+		stack := append(s.stack[:0], dfsFrame{v: start, next: off[start]})
+		color[start] = grey
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next == off[f.v+1] {
+				color[f.v] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			w := pg.edges[f.next].To
+			f.next++
+			switch color[w] {
+			case white:
+				color[w] = grey
+				parent[w] = f.v
+				stack = append(stack, dfsFrame{v: w, next: off[w]})
+			case grey:
+				// Found a back edge f.v -> w; walk parents from f.v to w.
+				cyc := []int32{w}
+				for u := f.v; u != w; u = parent[u] {
+					cyc = append(cyc, u)
+				}
+				// Reverse so the cycle reads in edge direction.
+				slices.Reverse(cyc)
+				return cyc
+			}
+		}
+		s.stack = stack
+	}
+	return nil
+}
+
 // DOT renders one digraph per materialized parent graph — every SG(β, T)
 // that acquired at least one edge, in ascending parent order — concatenated.
 // Parents whose children have no conflict or precedes constraints are never
-// materialized and so do not appear.
+// materialized and so do not appear. Nodes are the canonical indices,
+// labelled with the children's labels, and edges come in (From, To) order.
 func (sg *SG) DOT() string {
-	var sb strings.Builder
-	for _, pgr := range sg.parents {
-		name := fmt.Sprintf("SG_%s", sg.tr.Name(pgr.Parent))
-		sb.WriteString(pgr.G.DOT(name, func(v int) string { return sg.tr.Label(pgr.Children[v]) }))
+	var b []byte
+	for i := range sg.parents {
+		pgr := &sg.parents[i]
+		b = append(b, "digraph "...)
+		b = strconv.AppendQuote(b, "SG_"+sg.tr.Name(pgr.Parent))
+		b = append(b, " {\n"...)
+		for v, t := range pgr.Children {
+			b = append(b, "  n"...)
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, " [label="...)
+			b = strconv.AppendQuote(b, sg.tr.Label(t))
+			b = append(b, "];\n"...)
+		}
+		for _, e := range pgr.edges {
+			b = append(b, "  n"...)
+			b = strconv.AppendInt(b, int64(e.From), 10)
+			b = append(b, " -> n"...)
+			b = strconv.AppendInt(b, int64(e.To), 10)
+			b = append(b, ";\n"...)
+		}
+		b = append(b, "}\n"...)
 	}
-	return sb.String()
+	return string(b)
 }

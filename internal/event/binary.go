@@ -483,7 +483,7 @@ type BinaryDecoder struct {
 // NewBinaryDecoder reads r to its end, decodes the header and prepares to
 // decode events.
 func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("nsgb: read: %w", err)
 	}
@@ -502,6 +502,32 @@ func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
 		return nil, fmt.Errorf("nsgb: event count %d exceeds input size", n)
 	}
 	return &BinaryDecoder{c: c, tr: tr, left: n}, nil
+}
+
+// readAll reads r to its end, as io.ReadAll does, except that a reader
+// which reports how much it holds through Len() int, as *bytes.Reader does,
+// is read into one buffer of that size plus the byte that sees the end,
+// where io.ReadAll grows its buffer by doubling from 512 bytes.
+func readAll(r io.Reader) ([]byte, error) {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, l.Len()+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			// The reader held more than it reported.
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // Tree returns the system type decoded from the header.

@@ -138,12 +138,84 @@ type nameTable struct {
 	tr *tname.Tree
 	// seen holds every (parent, label) defined so far: tname.Define takes
 	// the uniqueness of a sibling label on trust.
-	seen map[nameKey]struct{}
+	seen labelSet
 }
 
-type nameKey struct {
-	parent tname.TxID
-	label  string
+// labelSet is a set of (parent, label) pairs of defined names, by open
+// addressing with linear probing. A slot holds no pointer, only the pair's
+// hash and the name (plus one; 0 is an empty slot): the pair itself is read
+// back from the tree, so the set costs one allocation however many names
+// it holds. A hit is exact — a probe compares parent and label, not just
+// the hash — so the verdict does not depend on the probe sequence.
+type labelSet struct {
+	slots []labelSlot // a power of two, at most half full
+	n     int
+}
+
+type labelSlot struct {
+	hash uint32
+	tx   int32
+}
+
+// hashName is FNV-1a over the parent's four bytes and the label.
+func hashName(parent tname.TxID, label string) uint32 {
+	h := uint32(2166136261)
+	for p, k := uint32(parent), 0; k < 4; p, k = p>>8, k+1 {
+		h = (h ^ p&0xff) * 16777619
+	}
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint32(label[i])) * 16777619
+	}
+	return h
+}
+
+// reset empties the set and sizes it for n names.
+func (s *labelSet) reset(n int) {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	s.slots = make([]labelSlot, size)
+	s.n = 0
+}
+
+// insert adds (tr.Parent(tx), tr.Label(tx)) under the given hash, the
+// caller having checked it is absent. tx need not be defined yet: insert
+// never reads the pair.
+func (s *labelSet) insert(h uint32, tx tname.TxID) {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.reset(2 * s.n)
+		for _, sl := range old {
+			if sl.tx != 0 {
+				s.insert(sl.hash, tname.TxID(sl.tx-1))
+			}
+		}
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s.slots[i].tx == 0 {
+			s.slots[i] = labelSlot{hash: h, tx: int32(tx) + 1}
+			s.n++
+			return
+		}
+	}
+}
+
+// has reports whether tr defines a name (parent, label) in the set.
+func (s *labelSet) has(tr *tname.Tree, h uint32, parent tname.TxID, label string) bool {
+	if len(s.slots) == 0 {
+		return false
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; s.slots[i].tx != 0; i = (i + 1) & mask {
+		if sl := s.slots[i]; sl.hash == h {
+			if tx := tname.TxID(sl.tx - 1); tr.Parent(tx) == parent && tr.Label(tx) == label {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func newNameTable() *nameTable { return &nameTable{tr: tname.NewTree()} }
@@ -164,7 +236,7 @@ func (nt *nameTable) object(i int, label, specName string) error {
 // grow reserves room for a transaction table of n entries, T0 included.
 func (nt *nameTable) grow(n int) {
 	nt.tr.Grow(n)
-	nt.seen = make(map[nameKey]struct{}, n)
+	nt.seen.reset(n)
 }
 
 // check checks transaction entry i. Entry 0 must be T0 (parent -1; the rest
@@ -184,11 +256,13 @@ func (nt *nameTable) check(i int, parent int64, label string, obj int64) error {
 	if nt.tr.IsAccess(tname.TxID(parent)) {
 		return fmt.Errorf("trace: tx %d is a child of access %d", i, parent)
 	}
-	key := nameKey{tname.TxID(parent), label}
-	if _, dup := nt.seen[key]; dup {
+	h := hashName(tname.TxID(parent), label)
+	if nt.seen.has(nt.tr, h, tname.TxID(parent), label) {
 		return fmt.Errorf("trace: tx %d duplicates name %q under parent %d", i, label, parent)
 	}
-	nt.seen[key] = struct{}{}
+	// Entry i passes and is defined as name i before the next check reads
+	// the set.
+	nt.seen.insert(h, tname.TxID(i))
 	if obj >= int64(nt.tr.NumObjects()) {
 		return fmt.Errorf("trace: tx %d accesses unknown object %d", i, obj)
 	}

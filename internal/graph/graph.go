@@ -1,9 +1,11 @@
-// Package graph provides the small directed-graph substrate used by the
-// serialization-graph construction: cycle detection, topological sorting,
-// strongly connected components and DOT export.
+// Package graph provides the small directed-graph substrate: the
+// incremental topological order the serialization-graph construction keeps
+// over all transaction names (Incremental), and a static graph with cycle
+// detection, topological sorting and DOT export (Graph) for the classical
+// checker, the suitability audit and the generic runner's waits-for graph.
 //
-// Nodes are dense small integers supplied by the caller (the checker maps
-// transaction names to node indices). The implementation is iterative —
+// Nodes are dense small integers supplied by the caller (the SG engine uses
+// transaction names themselves). The implementation is iterative —
 // histories can contain very long sibling chains and Go stacks, while
 // growable, are better left out of complexity arguments.
 package graph
@@ -15,9 +17,8 @@ import (
 	"strings"
 )
 
-// Graph is a directed graph over nodes 0..n-1 with deduplicated edges. The
-// representation is adjacency lists only — no auxiliary edge set — so a
-// Graph can be Reset and refilled without steady-state allocations.
+// Graph is a directed graph over nodes 0..n-1 with deduplicated edges, as
+// adjacency lists only — no auxiliary edge set.
 type Graph struct {
 	n   int
 	m   int
@@ -31,20 +32,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n)}
 }
 
-// Reset reshapes the graph to n isolated nodes, retaining the adjacency
-// backing arrays so a refill of similar shape allocates nothing.
-func (g *Graph) Reset(n int) {
-	if cap(g.adj) < n {
-		g.adj = append(g.adj[:cap(g.adj)], make([][]int32, n-cap(g.adj))...)
-	}
-	g.adj = g.adj[:n]
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-	g.n = n
-	g.m = 0
-}
-
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.n }
 
@@ -53,8 +40,7 @@ func (g *Graph) NumEdges() int { return g.m }
 
 // AddEdge inserts the edge from→to, ignoring duplicates and panicking on
 // out-of-range nodes. Self-loops are recorded (they are cycles). The
-// duplicate check scans from's adjacency list; callers that already
-// deduplicated should use AddEdgeUnchecked.
+// duplicate check scans from's adjacency list.
 func (g *Graph) AddEdge(from, to int) {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.n))
@@ -64,13 +50,6 @@ func (g *Graph) AddEdge(from, to int) {
 			return
 		}
 	}
-	g.adj[from] = append(g.adj[from], int32(to))
-	g.m++
-}
-
-// AddEdgeUnchecked inserts from→to without the duplicate scan; the caller
-// guarantees the edge is in range and not already present.
-func (g *Graph) AddEdgeUnchecked(from, to int) {
 	g.adj[from] = append(g.adj[from], int32(to))
 	g.m++
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -113,9 +114,9 @@ func orderValid(t *testing.T, g *Incremental) {
 		}
 		seen[p] = true
 	}
-	for v := range g.out {
-		for _, a := range g.out[v] {
-			w := a.to
+	for v := range g.vs {
+		for i := g.vs[v].out; i >= 0; i = g.arcs[i].next {
+			w := g.arcs[i].to
 			if int(w) == v {
 				continue
 			}
@@ -271,6 +272,23 @@ func BenchmarkIncrementalChain(b *testing.B) {
 		for v := n - 1; v > 0; v-- {
 			if cyc := g.AddEdge(v, v-1); cyc != nil {
 				b.Fatal("chain is acyclic")
+			}
+		}
+	}
+}
+
+// TestArenaRecordsArePointerFree: a server life keeps one Incremental over
+// every transaction name for as long as it runs, with a vertex per name and
+// an arc and an in-arc per edge, and a search mark per name; none may hold
+// anything the garbage collector has to scan.
+func TestArenaRecordsArePointerFree(t *testing.T) {
+	for _, v := range []any{vertex{}, mark{}, arc{}, inArc{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Int32, reflect.Uint32, reflect.Uint8:
+			default:
+				t.Errorf("%s.%s is a %s", typ, f.Name, f.Type.Kind())
 			}
 		}
 	}

@@ -222,7 +222,8 @@ func (c *certifier) catchUp() {
 }
 
 // state reports (watermark, acyclic through it) without combining, so a
-// metrics scrape or a snapshot cut never waits behind a certifier stall.
+// metrics scrape never waits behind a certifier stall (nor does a snapshot
+// cut, which reads the same two atomics).
 func (c *certifier) state() (int, bool) {
 	wm := int(c.watermark.Load())
 	r := c.rejected.Load()

@@ -130,10 +130,15 @@ func (st *snapshotStore) apply(idx int, e event.Event) {
 }
 
 // cut pins the snapshot point for a new read-only transaction: the
-// certified, hence published, log prefix.
+// certified, hence published, log prefix, but never past the first event
+// whose prefix made SG(β) cyclic — the prefix before it is the longest one
+// certified acyclic, so a reader is never handed an uncertified state.
 func (st *snapshotStore) cut() int {
 	st.srv.metrics.ROBegins.Add(1)
-	wm, _ := st.srv.cert.state()
+	wm := int(st.srv.cert.watermark.Load())
+	if r := st.srv.cert.rejected.Load(); r != nil {
+		return min(wm, r.at)
+	}
 	return wm
 }
 

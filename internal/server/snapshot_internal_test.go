@@ -49,6 +49,30 @@ func TestPublishCostIsFlat(t *testing.T) {
 	}
 }
 
+// TestSnapshotCutStopsAtRejection: once the certifier has stored a
+// rejection at log index k, a read-only BEGIN pins a cut at most k, however
+// far the watermark has run past it — the events from k on belong to no
+// acyclic SG(β) prefix, and a snapshot reader must not see what they
+// published.
+func TestSnapshotCutStopsAtRejection(t *testing.T) {
+	s := New(Options{Backend: "mvto", Objects: []string{"x"}})
+	st := newSnapshotStore(s)
+	s.cert.watermark.Store(10)
+	if got := st.cut(); got != 10 {
+		t.Fatalf("cut without a rejection = %d, want the watermark 10", got)
+	}
+	const k = 4
+	s.cert.rejected.Store(&rejection{at: k})
+	if got := st.cut(); got > k {
+		t.Fatalf("cut = %d with a rejection at log index %d and the watermark at 10, want at most %d", got, k, k)
+	}
+	// A rejection the watermark has not reached yet changes nothing.
+	s.cert.rejected.Store(&rejection{at: 12})
+	if got := st.cut(); got != 10 {
+		t.Fatalf("cut = %d with a rejection at 12 beyond the watermark 10, want 10", got)
+	}
+}
+
 // snapshotServer starts a server whose certifier feeds a snapshot store
 // whatever its backend, so read-only BEGINs open snapshot transactions on
 // it. The store's publication is spec-general; the locking backends are the
