@@ -32,7 +32,8 @@ race:
 # round-trip properties, the network-facing request and response parsers,
 # the edge-batch wire parser, the two frontiers'
 # closure lemmas, streaming ≡ batch, the WAL record decoder against its
-# bufio-based reference, the WAL recovery path, the partitioned certificate
+# bufio-based reference, the WAL recovery path, the event log's packed
+# records, the partitioned certificate
 # and the moss-vs-undolog backend differential. The committed
 # seeds live under */testdata/fuzz/. CI (and `make ci`) run it at
 # FUZZTIME=5s.
@@ -48,6 +49,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzConflictFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalDifferential$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplay$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzLogRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionedCertificate$$' -fuzztime $(FUZZTIME) ./internal/part
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendDifferential$$' -fuzztime $(FUZZTIME) ./internal/sim
 

@@ -314,31 +314,37 @@ func (c *Cursor) txDef() (parent, obj int64, label string, op spec.Op, err error
 }
 
 // skipTxDefs steps over n transaction entries, reading no string, and
-// returns the bytes they take, or -1 if they are not all there. It checks
-// only their lengths: txDef judges what they hold.
-func (c Cursor) skipTxDefs(n int) int {
+// returns the bytes they take and the bytes their labels take, or size -1
+// if they are not all there. It checks only their lengths: txDef judges
+// what they hold.
+func (c Cursor) skipTxDefs(n int) (size, labels int) {
 	start := c.off
-	skipStr := func() bool {
+	skipStr := func() int {
 		l, err := c.uvarint()
 		if err != nil || l > uint64(c.Len()) {
-			return false
+			return -1
 		}
 		c.off += int(l)
-		return true
+		return int(l)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := c.uvarint(); err != nil || !skipStr() { // parent, label
-			return -1
+		if _, err := c.uvarint(); err != nil { // parent
+			return -1, 0
 		}
+		l := skipStr()
+		if l < 0 {
+			return -1, 0
+		}
+		labels += l
 		obj, err := c.uvarint() // zigzag: odd is negative, no access
 		if err != nil {
-			return -1
+			return -1, 0
 		}
 		if obj&1 != 0 {
 			continue
 		}
 		if _, err := c.uvarint(); err != nil || c.Len() == 0 { // op kind, arg kind
-			return -1
+			return -1, 0
 		}
 		kind := spec.ValueKind(c.b[c.off])
 		c.off++
@@ -346,17 +352,17 @@ func (c Cursor) skipTxDefs(n int) int {
 		case spec.VInt, spec.VBool:
 			_, err = c.uvarint()
 		case spec.VStr:
-			if !skipStr() {
-				return -1
+			if skipStr() < 0 {
+				return -1, 0
 			}
 		default:
 			// VNil and VOK carry no payload; txDef refuses any other kind.
 		}
 		if err != nil {
-			return -1
+			return -1, 0
 		}
 	}
-	return c.off - start
+	return c.off - start, labels
 }
 
 // event reads an event as appendEvent writes it, checking its transaction
@@ -442,13 +448,14 @@ func (c *Cursor) header() (*tname.Tree, error) {
 	if nTx > uint64(c.Len()/3) {
 		return nil, fmt.Errorf("nsgb: tx count %d exceeds input size", nTx)
 	}
-	nt.grow(int(nTx))
 	// Read the table through one copy of its bytes, so that its labels are
-	// cut out of one string instead of allocated one by one. A table that
-	// does not skip whole is read in place, where its first bad entry is
-	// named.
+	// cut out of one string instead of allocated one by one on their way
+	// into the tree's text. A table that does not skip whole is read in
+	// place, where its first bad entry is named.
 	tab := NewCursor(c.b[c.off:])
-	if n := tab.skipTxDefs(int(nTx)); n >= 0 {
+	n, labels := tab.skipTxDefs(int(nTx))
+	nt.grow(int(nTx), labels)
+	if n >= 0 {
 		tab = Cursor{b: tab.b[:n], copied: string(tab.b[:n])}
 	}
 	for i := 0; i < int(nTx); i++ {

@@ -148,9 +148,11 @@ func TestBinaryRejectsOverclaimedTxCount(t *testing.T) {
 // the names go into a tree reserved to the declared count, and the labels
 // are cut out of one copy of the transaction table. Only the duplicate-name
 // map grows with the table, by one table of slots per several hundred
-// names.
+// names. Encoding the header allocates nothing per name either: the labels
+// are read out of the tree's text without a copy, and only the output
+// buffer grows.
 func TestBinaryHeaderAllocs(t *testing.T) {
-	allocs := func(names int) float64 {
+	allocs := func(names int) (decode, encode float64) {
 		tr := tname.NewTree()
 		x := tr.AddObject("x", spec.Register{})
 		parents := []tname.TxID{tname.Root}
@@ -160,16 +162,24 @@ func TestBinaryHeaderAllocs(t *testing.T) {
 			tr.Access(p, "a"+strconv.Itoa(i), x, spec.Op{Kind: spec.OpWrite, Arg: spec.Str("v" + strconv.Itoa(i))})
 		}
 		data := MarshalBinaryTrace(tr, nil)
-		return testing.AllocsPerRun(10, func() {
+		decode = testing.AllocsPerRun(10, func() {
 			c := NewCursor(data)
 			if _, err := c.header(); err != nil {
 				t.Fatal(err)
 			}
 		})
+		encode = testing.AllocsPerRun(10, func() { MarshalBinaryTrace(tr, nil) })
+		return decode, encode
 	}
-	small, large := allocs(100), allocs(10000)
-	if perName := (large - small) / (20000 - 200); perName > 0.01 {
-		t.Fatalf("a header of 20 000 names takes %.0f allocations, one of 200 takes %.0f: %.3f per name, want < 0.01",
-			large, small, perName)
+	smallDec, smallEnc := allocs(100)
+	largeDec, largeEnc := allocs(10000)
+	for _, c := range []struct {
+		what         string
+		small, large float64
+	}{{"decoding", smallDec, largeDec}, {"encoding", smallEnc, largeEnc}} {
+		if perName := (c.large - c.small) / (20000 - 200); perName > 0.01 {
+			t.Errorf("%s a header of 20 000 names takes %.0f allocations, one of 200 takes %.0f: %.3f per name, want < 0.01",
+				c.what, c.large, c.small, perName)
+		}
 	}
 }

@@ -233,9 +233,10 @@ func (nt *nameTable) object(i int, label, specName string) error {
 	return nil
 }
 
-// grow reserves room for a transaction table of n entries, T0 included.
-func (nt *nameTable) grow(n int) {
-	nt.tr.Grow(n)
+// grow reserves room for a transaction table of n entries, T0 included,
+// whose labels take text bytes.
+func (nt *nameTable) grow(n, text int) {
+	nt.tr.Grow(n, text)
 	nt.seen.reset(n)
 }
 
@@ -293,7 +294,11 @@ func DecodeTrace(t *Trace) (*tname.Tree, Behavior, error) {
 			return nil, nil, err
 		}
 	}
-	nt.grow(len(t.Tx))
+	text := 0
+	for _, tt := range t.Tx {
+		text += len(tt.Label)
+	}
+	nt.grow(len(t.Tx), text)
 	for i, tt := range t.Tx {
 		parent, obj := int64(tt.Parent), int64(tt.Obj)
 		if err := nt.check(i, parent, tt.Label, obj); err != nil {

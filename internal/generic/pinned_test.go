@@ -21,8 +21,9 @@ import (
 // protocol the runner drives, plus the broken variants, whose traces
 // exercise the victim and abort paths hardest. spec is the workload's data
 // type (mvto and replica support registers only). Moss's KeepAbortState
-// variant is left out: its InformAbort merges whichever aborted state its
-// lock map yields last, so its traces are not a function of the seed.
+// variant is left out, so that the digest stays the one made before that
+// variant became deterministic; TestKeepAbortStateDeterministic holds it
+// to its seed instead.
 var pinnedProtocols = []struct {
 	name string
 	spec string
@@ -127,6 +128,31 @@ func TestEagerDeadlockDeterministicPerSeed(t *testing.T) {
 		if !b.Equal(b0) || st != st0 {
 			t.Fatalf("repeat %d: the same seed gave a different trace (victims %d vs %d)",
 				i, st.DeadlockVictims, st0.DeadlockVictims)
+		}
+	}
+}
+
+// TestKeepAbortStateDeterministic: Moss's KeepAbortState variant merges the
+// state of the deepest aborted write-lockholder, not whichever one its lock
+// map yields last, so the same seed gives the same trace. The shape is the
+// negative-control experiment's, aborts injected over one hot object, with
+// the tree three deep, where an abort finds two holders below it.
+func TestKeepAbortStateDeterministic(t *testing.T) {
+	run := func(seed int64) (event.Behavior, Stats, error) {
+		tr := tname.NewTree()
+		root := workload.Build(tr, workload.Config{Seed: seed, TopLevel: 6, Depth: 3, Fanout: 3,
+			Objects: 1, HotProb: 1, ParProb: 0.8, ReadRatio: 0.35, SpecName: "register"})
+		return Run(tr, root, Options{Seed: seed * 977, AbortProb: 0.15, MaxAborts: 30,
+			Protocol: locking.BrokenProtocol{Mode: locking.KeepAbortState}})
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		b0, st0, err0 := run(seed)
+		for i := 1; i < 8; i++ {
+			b, st, err := run(seed)
+			if fmt.Sprint(err) != fmt.Sprint(err0) || !b.Equal(b0) || st != st0 {
+				t.Fatalf("seed %d, repeat %d: the same seed gave a different trace (%d vs %d events, err %v vs %v)",
+					seed, i, len(b), len(b0), err, err0)
+			}
 		}
 	}
 }

@@ -98,13 +98,20 @@ func (m *Moss) InformCommit(t tname.TxID) {
 func (m *Moss) InformAbort(t tname.TxID) {
 	if m.brokenKeepAbortState {
 		// Negative control: "forget to undo" — instead of discarding the
-		// aborted writer's state, merge it into the parent as if it had
-		// committed.
-		for u, st := range m.writeLockholders {
+		// aborted writers' state, merge it into the parent as if it had
+		// committed. The holders form a chain, so if any holder lies below
+		// t, the least one does, and it holds the latest write: merging
+		// its state, whatever order the lock map yields the holders in,
+		// keeps the run a function of its seed.
+		latest := m.least()
+		st, merge := m.writeLockholders[latest], latest != tname.Root && m.tr.IsDescendant(latest, t)
+		for u := range m.writeLockholders {
 			if u != tname.Root && m.tr.IsDescendant(u, t) {
 				delete(m.writeLockholders, u)
-				m.writeLockholders[m.tr.Parent(t)] = st
 			}
+		}
+		if merge {
+			m.writeLockholders[m.tr.Parent(t)] = st
 		}
 		for u := range m.readLockholders {
 			if m.tr.IsDescendant(u, t) {

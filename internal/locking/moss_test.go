@@ -266,6 +266,36 @@ func TestBrokenNoInheritance(t *testing.T) {
 	}
 }
 
+// TestKeepAbortStateMergesLatestWrite: when the aborted transaction and a
+// descendant both hold write locks, KeepAbortState merges the descendant's
+// state — the chain's latest write — into the parent, whatever order the
+// lock map yields the two holders in.
+func TestKeepAbortStateMergesLatestWrite(t *testing.T) {
+	for i := 0; i < 32; i++ {
+		tr := tname.NewTree()
+		x := tr.AddObject("x", spec.Register{})
+		t1 := tr.Child(tname.Root, "t1")
+		w1 := tr.Access(t1, "w1", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(5)})
+		w2 := tr.Access(t1, "w2", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(9)})
+		r := tr.Access(tr.Child(tname.Root, "t2"), "r", x, spec.Op{Kind: spec.OpRead})
+		m := BrokenProtocol{Mode: KeepAbortState}.New(tr, x).(*Moss)
+		for _, w := range []tname.TxID{w1, w2} {
+			m.Create(w)
+			if _, ok := m.TryRequestCommit(w); !ok {
+				t.Fatalf("%s should respond", tr.Name(w))
+			}
+			if w == w1 {
+				m.InformCommit(w1) // t1 holds 5; w2 then holds 9 below it
+			}
+		}
+		m.InformAbort(t1)
+		m.Create(r)
+		if v, ok := m.TryRequestCommit(r); !ok || v != spec.Int(9) {
+			t.Fatalf("repeat %d: read %v (ok %v) after the merge, want the latest write 9", i, v, ok)
+		}
+	}
+}
+
 func TestBrokenKeepAbortState(t *testing.T) {
 	f := newFix(t)
 	m := BrokenProtocol{Mode: KeepAbortState}.New(f.tr, f.x).(*Moss)

@@ -174,6 +174,44 @@ func TestSnapshotSeesAckedCommit(t *testing.T) {
 	shutdownAndVerify(t, s)
 }
 
+// TestSnapshotNeverAheadOfDisk: a VERDICT certifies the whole log, COMMITs
+// whose group-commit fsync is still in flight included, but a read-only
+// BEGIN's cut stops at the prefix the last fsync made durable. Client A's
+// commit of x=7 is held inside its fsync; a VERDICT certifies it; client
+// B's snapshot must still read x=0, which every recovered history agrees
+// with, and read 7 once A's fsync completes and A is acknowledged.
+func TestSnapshotNeverAheadOfDisk(t *testing.T) {
+	disk := newGatedDisk()
+	s, _ := recoverAndStart(t, server.Options{WAL: disk, Backend: "mvto", Objects: []string{"x"}})
+	a, v, b := dial(t, s), dial(t, s), dial(t, s)
+	step := stepper(t)
+	step(a.Begin())
+	step(a.Access("x", spec.OpWrite, spec.Int(7)))
+	g := disk.hold()
+	acked := make(chan error, 1)
+	go func() {
+		_, err := a.Commit()
+		acked <- err
+	}()
+	<-g.entered
+	vd, err := v.Verdict()
+	if err != nil || !vd.Acyclic || vd.Certified != vd.Events {
+		t.Fatalf("VERDICT %+v (err %v): want the whole log certified acyclic", vd, err)
+	}
+	if _, got := roReadValue(t, b, "x"); got != spec.Int(0) {
+		t.Fatalf("read-only BEGIN during the held fsync read x=%s, want 0", got)
+	}
+	for label := range durableCommits(t, disk.durableImage()) {
+		t.Fatalf("setup: top-level %s is already durable", label)
+	}
+	close(g.release)
+	if err := <-acked; err != nil {
+		t.Fatalf("COMMIT after the fsync: %v", err)
+	}
+	expectSnapshot(t, b, "x", spec.Int(7))
+	shutdownAndVerify(t, s)
+}
+
 // TestFinalAfterKillCertifiesTail: Kill runs no final certification, so
 // the events after the last top-level commit — here an open transaction's
 // — are still uncertified when it returns; Final must certify them before

@@ -374,7 +374,7 @@ func TestRecoverZeroPaddedAllocs(t *testing.T) {
 // committed files are current.
 func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 	img := segmentImage(t)
-	seeds := map[string][]byte{
+	checkFuzzCorpus(t, "FuzzRecoveryReplay", map[string][]byte{
 		"seed_segment":  img,
 		"seed_torn":     img[:len(img)-3],
 		"seed_header":   img[:6],
@@ -387,8 +387,15 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 		"seed_two_sessions": walImage(t, twoSessionWal()),
 		// A torn tail record that decodes part-way.
 		"seed_partly_decoded_tail": walImage(t, partlyDecodedTailWal()),
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzRecoveryReplay")
+	})
+}
+
+// checkFuzzCorpus writes seeds as the committed corpus of the fuzz target
+// when UPDATE_FUZZ_CORPUS=1, and otherwise checks the committed files are
+// current.
+func checkFuzzCorpus(t *testing.T, target string, seeds map[string][]byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	for name, data := range seeds {
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 		path := filepath.Join(dir, name)
@@ -406,7 +413,84 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 			t.Fatalf("seed corpus missing (run with UPDATE_FUZZ_CORPUS=1): %v", err)
 		}
 		if string(got) != content {
-			t.Fatalf("seed corpus %s is stale (run with UPDATE_FUZZ_CORPUS=1)", name)
+			t.Fatalf("seed corpus %s/%s is stale (run with UPDATE_FUZZ_CORPUS=1)", target, name)
 		}
 	}
+}
+
+// logSeeds are the committed seeds of FuzzLogRoundTrip: WalEvents payloads
+// with every event kind and every value kind, strings among them.
+func logSeeds() map[string][]byte {
+	all := []event.Event{
+		event.NewEvent(event.Create, tname.Root),
+		event.NewEvent(event.RequestCreate, 1),
+		event.NewValEvent(event.RequestCommit, 2, spec.Str("hello")),
+		event.NewValEvent(event.ReportCommit, 2, spec.Str("")),
+		event.NewValEvent(event.RequestCommit, 3, spec.Int(-5)),
+		event.NewValEvent(event.RequestCommit, 4, spec.Bool(true)),
+		event.NewValEvent(event.ReportCommit, 4, spec.Bool(false)),
+		event.NewValEvent(event.RequestCommit, 1, spec.OK),
+		event.NewValEvent(event.ReportCommit, 5, spec.Nil),
+		event.NewEvent(event.Commit, 1),
+		event.NewInform(event.InformCommit, 1, 0),
+		event.NewInform(event.InformAbort, 6, 3),
+		event.NewEvent(event.Abort, 6),
+		event.NewEvent(event.ReportAbort, 6),
+	}
+	var strs []event.Event
+	for i := range 300 {
+		strs = append(strs, event.NewValEvent(event.RequestCommit, tname.TxID(i), spec.Str(strconv.Itoa(i))))
+	}
+	return map[string][]byte{
+		"seed_every_kind":  event.AppendWalEvents(nil, all...),
+		"seed_one_string":  event.AppendWalEvents(nil, all[2]),
+		"seed_strings":     event.AppendWalEvents(nil, strs...),
+		"seed_not_events":  event.AppendWalObjectDef(nil, "x", "register"),
+		"seed_bad_payload": []byte("E\x05\x01"),
+	}
+}
+
+// TestRegenerateLogFuzzCorpus is TestRegenerateRecoveryFuzzCorpus for
+// FuzzLogRoundTrip.
+func TestRegenerateLogFuzzCorpus(t *testing.T) {
+	checkFuzzCorpus(t, "FuzzLogRoundTrip", logSeeds())
+}
+
+// FuzzLogRoundTrip: any events DecodeWalOp accepts, string values
+// included, survive the log's packed records. Appended batch after batch
+// from just short of a chunk boundary until the log is past it, they read
+// back equal to the input through snapshot and through the in-place walk
+// the certifier makes (logView.at). Its seeds are committed
+// (TestRegenerateLogFuzzCorpus).
+func FuzzLogRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		op, err := event.DecodeWalOp(payload, math.MaxInt32, math.MaxInt32)
+		if err != nil || op.Kind != event.WalEvents || len(op.Events) == 0 {
+			return
+		}
+		l := &eventLog{}
+		want := make(event.Behavior, logChunk-1-len(payload)%64)
+		for i := range want {
+			want[i] = event.NewEvent(event.Create, tname.Root)
+		}
+		l.append(want...)
+		for l.len() <= logChunk+len(op.Events) {
+			if base := l.append(op.Events...); base != len(want) {
+				t.Fatalf("append at length %d returned %d", len(want), base)
+			}
+			want = append(want, op.Events...)
+		}
+		if got := l.snapshot(); !got.Equal(want) {
+			t.Fatalf("snapshot of %d events differs from the %d appended", len(got), len(want))
+		}
+		v := l.view()
+		if v.n != len(want) {
+			t.Fatalf("view holds %d events, want %d", v.n, len(want))
+		}
+		for i, e := range want {
+			if got := v.at(i); got != e {
+				t.Fatalf("event %d reads back as %v, want %v", i, got, e)
+			}
+		}
+	})
 }

@@ -7,6 +7,8 @@ import (
 
 	"nestedsg/internal/core"
 	"nestedsg/internal/event"
+	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 )
 
 // eventLog is the totally-ordered atomic event log of the server: every
@@ -19,13 +21,18 @@ import (
 // β only grows at the end, so the log is a list of fixed-size chunks rather
 // than one slice: growing it allocates one small chunk per logChunk events
 // and never copies or rewrites an event already published, which lets
-// readers walk the published events in place (view).
+// readers walk the published events in place (view). An event is stored as
+// a 16-byte logRec that holds no pointer, so the garbage collector never
+// scans the chunks; the rare string value goes to one side table.
 type eventLog struct {
 	mu sync.Mutex
 	// chunks holds event i at chunks[i/logChunk][i%logChunk]; n counts the
 	// events appended. Every chunk but the last is full.
-	chunks []*[logChunk]event.Event //sgvet:guardedby mu
-	n      int                      //sgvet:guardedby mu
+	chunks []*[logChunk]logRec //sgvet:guardedby mu
+	n      int                 //sgvet:guardedby mu
+	// strs holds the string values of the events, by spec.Pack. Like the
+	// chunks, an entry once appended is never rewritten.
+	strs []string //sgvet:guardedby mu
 
 	// wal, when set, receives every atomic append as one WalEvents record —
 	// written under mu, so the durable record order IS the log order.
@@ -35,12 +42,37 @@ type eventLog struct {
 	walBuf []byte     //sgvet:guardedby mu
 }
 
-// logChunk is the number of events in one chunk. It keeps a chunk under the
-// runtime's 32 KiB small-object limit, and it is not 512: an object over
-// 512 B that holds pointers carries an 8 B header, so 512 × 48 B would
-// round up to the 27 264 B size class, where 511 × 48 B + 8 B fills the
-// 24 576 B one (TestLogAppendAllocatesOnce holds the bytes to the events').
-const logChunk = 511
+// logRec is one event of the log, as appendEvent puts it on the wire: the
+// kind, the transaction, and x, which is the object of an INFORM and
+// otherwise the integer of the value spec.Pack split off its kind vk (the
+// index in eventLog.strs of a string value; 0 for an event that carries
+// none).
+type logRec struct {
+	x    int64
+	tx   tname.TxID
+	kind event.Kind
+	vk   spec.ValueKind
+}
+
+// logChunk is the number of events in one chunk: 2048 logRecs are 32 KiB,
+// the runtime's largest small-object size class, which a chunk fills
+// exactly because it holds no pointer and so carries no header.
+const logChunk = 2048
+
+// rec packs e into a record, appending a string value to l.strs.
+//
+//sgvet:holds l.mu
+//sgvet:hotpath
+func (l *eventLog) rec(e event.Event) logRec {
+	r := logRec{tx: e.Tx, kind: e.Kind}
+	switch e.Kind {
+	case event.InformCommit, event.InformAbort:
+		r.x = int64(e.Obj)
+	default:
+		r.vk, r.x, l.strs = spec.Pack(e.Val, l.strs)
+	}
+	return r
+}
 
 // append atomically appends evs and returns the log index of the first one.
 // A write failure is sticky in the writer and surfaces at the next walSync
@@ -50,17 +82,16 @@ const logChunk = 511
 func (l *eventLog) append(evs ...event.Event) int {
 	l.mu.Lock()
 	base := l.n
-	for rest := evs; len(rest) > 0; {
+	for _, e := range evs {
 		if l.n == len(l.chunks)*logChunk {
 			l.grow()
 		}
-		k := copy(l.chunks[l.n/logChunk][l.n%logChunk:], rest)
-		l.n += k
-		rest = rest[k:]
+		l.chunks[l.n/logChunk][l.n%logChunk] = l.rec(e)
+		l.n++
 	}
 	if l.wal != nil {
 		l.walBuf = event.AppendWalEvents(l.walBuf[:0], evs...)
-		l.wal.appendRecord(l.walBuf)
+		l.wal.appendEvents(l.walBuf, l.n)
 	}
 	l.mu.Unlock()
 	return base
@@ -73,7 +104,7 @@ func (l *eventLog) append(evs ...event.Event) int {
 //go:noinline
 //sgvet:holds l.mu
 func (l *eventLog) grow() {
-	l.chunks = append(l.chunks, new([logChunk]event.Event))
+	l.chunks = append(l.chunks, new([logChunk]logRec))
 }
 
 // len reports the current log length.
@@ -85,24 +116,45 @@ func (l *eventLog) len() int {
 	return l.n
 }
 
-// view returns the chunk headers and the log length. Chunks are never moved
-// and an event below the length is never rewritten, so the caller reads
-// events [0, n) without mu: taking n under mu orders those reads after the
-// appends that wrote them.
+// logView is the published log at one instant: its chunk headers, its
+// string table and its length.
+type logView struct {
+	chunks []*[logChunk]logRec
+	strs   []string
+	n      int
+}
+
+// view returns the published log. Chunks are never moved, and neither an
+// event below the length nor a string it refers to is ever rewritten, so
+// the caller reads events [0, n) without mu: taking the view under mu
+// orders those reads after the appends that wrote them.
 //
 //sgvet:hotpath
-func (l *eventLog) view() ([]*[logChunk]event.Event, int) {
+func (l *eventLog) view() logView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.chunks, l.n
+	return logView{chunks: l.chunks, strs: l.strs, n: l.n}
+}
+
+// at rebuilds event i < v.n, through the event constructors.
+func (v logView) at(i int) event.Event {
+	r := &v.chunks[i/logChunk][i%logChunk]
+	switch r.kind {
+	case event.InformCommit, event.InformAbort:
+		return event.NewInform(r.kind, r.tx, tname.ObjID(r.x))
+	case event.RequestCommit, event.ReportCommit:
+		return event.NewValEvent(r.kind, r.tx, spec.Unpack(r.vk, r.x, v.strs))
+	default:
+		return event.NewEvent(r.kind, r.tx)
+	}
 }
 
 // snapshot copies the current log into one contiguous behavior.
 func (l *eventLog) snapshot() event.Behavior {
-	chunks, n := l.view()
-	b := make(event.Behavior, 0, n)
-	for i := 0; i < n; i += logChunk {
-		b = append(b, chunks[i/logChunk][:min(logChunk, n-i)]...)
+	v := l.view()
+	b := make(event.Behavior, v.n)
+	for i := range b {
+		b[i] = v.at(i)
 	}
 	return b
 }
@@ -168,13 +220,13 @@ func (c *certifier) combine(target int) {
 	if wm >= target {
 		return
 	}
-	chunks, logLen := c.srv.log.view()
+	v := c.srv.log.view()
 	for wm < target {
-		n := c.srv.opts.Hooks.CertApply(wm, logLen-wm)
-		n = max(1, min(n, logLen-wm))
+		n := c.srv.opts.Hooks.CertApply(wm, v.n-wm)
+		n = max(1, min(n, v.n-wm))
 		c.srv.mu.RLock()
 		for i := wm; i < wm+n; i++ {
-			e := chunks[i/logChunk][i%logChunk]
+			e := v.at(i)
 			c.inc.Append(e)
 			if c.snap != nil {
 				c.snap.apply(i, e)

@@ -20,13 +20,17 @@ import (
 )
 
 // TestLogAppendAllocatesOnce: a log that grows to N events allocates their
-// bytes once — N events' worth of chunks, at most one chunk of slack, and
+// bytes once — N records' worth of chunks, at most one chunk of slack, and
 // the chunk-pointer array's own doubling — where one slice regrown by
-// append allocates about five times its final size.
+// append allocates about five times its final size. A record is 16 bytes
+// and a chunk exactly the 32 KiB size class.
 func TestLogAppendAllocatesOnce(t *testing.T) {
-	size := uint64(unsafe.Sizeof(event.Event{}))
-	if logChunk*size > 32<<10 {
-		t.Fatalf("a chunk of %d events is %d B, past the 32 KiB small-object limit", logChunk, logChunk*size)
+	size := uint64(unsafe.Sizeof(logRec{}))
+	if size != 16 {
+		t.Fatalf("logRec is %d bytes, want 16", size)
+	}
+	if logChunk*size != 32<<10 {
+		t.Fatalf("a chunk of %d records is %d B, want the 32 KiB size class", logChunk, logChunk*size)
 	}
 	const n = 64 * logChunk
 	evs := []event.Event{
@@ -46,11 +50,26 @@ func TestLogAppendAllocatesOnce(t *testing.T) {
 	header := 4 * uint64(n/logChunk) * uint64(unsafe.Sizeof(uintptr(0)))
 	bound := n*size + logChunk*size + header
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Fatalf("appending %d events of %d B allocated %d B, want at most %d (%.2f× the events)",
+		t.Fatalf("appending %d events of %d B allocated %d B, want at most %d (%.2f× the records)",
 			n, size, got, bound, float64(got)/float64(n*size))
 	}
 	if got := l.len(); got != n {
 		t.Fatalf("log holds %d events, want %d", got, n)
+	}
+}
+
+// TestLogRecordIsPointerFree: the log keeps a record per event for as long
+// as the server runs, so a record must hold nothing the garbage collector
+// has to scan (the records of internal/graph and internal/core are held to
+// the same rule).
+func TestLogRecordIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(logRec{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Int64, reflect.Uint8:
+		default:
+			t.Errorf("%s.%s is a %s", typ, f.Name, f.Type.Kind())
+		}
 	}
 }
 
@@ -84,9 +103,9 @@ func TestLogAppendStraddlesChunks(t *testing.T) {
 	if got := l.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot of %d events differs from the %d appended", len(got), len(want))
 	}
-	chunks, n := l.view()
-	if n != len(want) || len(chunks) != (n+logChunk-1)/logChunk {
-		t.Fatalf("%d events in %d chunks, want %d in %d", n, len(chunks), len(want), (len(want)+logChunk-1)/logChunk)
+	v := l.view()
+	if v.n != len(want) || len(v.chunks) != (v.n+logChunk-1)/logChunk {
+		t.Fatalf("%d events in %d chunks, want %d in %d", v.n, len(v.chunks), len(want), (len(want)+logChunk-1)/logChunk)
 	}
 }
 
@@ -196,36 +215,41 @@ func walOfEvents(m int) (recs [][]byte, b event.Behavior) {
 // and k·logChunk+1 events is installed as chunks, audited, and extended —
 // by recovery's repairs and then by a live transaction — across the
 // boundary, with the online certificate byte-identical to the batch one.
+// Prefixes that end inside the first chunk (510–512, 1021–1023 events) are
+// held to the same.
 func TestRecoverChunkBoundaryLogs(t *testing.T) {
+	sizes := []int{510, 511, 512, 1021, 1022, 1023}
 	for _, k := range []int{1, 2} {
 		for _, d := range []int{-1, 0, 1} {
-			m := k*logChunk + d
-			t.Run(fmt.Sprint(m), func(t *testing.T) {
-				recs, durable := walOfEvents(m)
-				disk := NewMemDisk()
-				writeRecords(t, disk, 0, recs...)
-				s, rep, err := Recover(Options{WAL: disk})
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				if rep.DurableEvents != m || !rep.AuditOK {
-					t.Fatalf("recovered %d durable events (audit ok %v), want %d: %s", rep.DurableEvents, rep.AuditOK, m, rep.Summary())
-				}
-				if got := s.Log()[:m]; !reflect.DeepEqual(got, durable) {
-					t.Fatal("the recovered log's prefix differs from the durable events")
-				}
-				must(t, s.Start("127.0.0.1:0"))
-				c := dialIn(t, s)
-				must(t, c.RunTx(1, func(tx *client.Tx) error {
-					_, err := tx.Access("x", spec.OpWrite, spec.Int(-1))
-					return err
-				}))
-				f := finalMatches(t, s)
-				if f.Events <= rep.StitchedEvents {
-					t.Fatalf("log holds %d events after a transaction on the %d recovered", f.Events, rep.StitchedEvents)
-				}
-			})
+			sizes = append(sizes, k*logChunk+d)
 		}
+	}
+	for _, m := range sizes {
+		t.Run(fmt.Sprint(m), func(t *testing.T) {
+			recs, durable := walOfEvents(m)
+			disk := NewMemDisk()
+			writeRecords(t, disk, 0, recs...)
+			s, rep, err := Recover(Options{WAL: disk})
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if rep.DurableEvents != m || !rep.AuditOK {
+				t.Fatalf("recovered %d durable events (audit ok %v), want %d: %s", rep.DurableEvents, rep.AuditOK, m, rep.Summary())
+			}
+			if got := s.Log()[:m]; !reflect.DeepEqual(got, durable) {
+				t.Fatal("the recovered log's prefix differs from the durable events")
+			}
+			must(t, s.Start("127.0.0.1:0"))
+			c := dialIn(t, s)
+			must(t, c.RunTx(1, func(tx *client.Tx) error {
+				_, err := tx.Access("x", spec.OpWrite, spec.Int(-1))
+				return err
+			}))
+			f := finalMatches(t, s)
+			if f.Events <= rep.StitchedEvents {
+				t.Fatalf("log holds %d events after a transaction on the %d recovered", f.Events, rep.StitchedEvents)
+			}
+		})
 	}
 }
 
@@ -233,7 +257,7 @@ func TestRecoverChunkBoundaryLogs(t *testing.T) {
 // asks for VERDICTs, so combiners walk chunks that appenders are filling
 // and extending. Run it under -race.
 func TestLogConcurrentAppendsAndVerdicts(t *testing.T) {
-	const sessions, txs = 4, 100
+	const sessions, txs = 4, 150
 	s := listenT(t, Options{Objects: []string{"x0", "x1", "x2", "x3", "y"}, LockTimeout: noTimeout})
 	var wg sync.WaitGroup
 	var done atomic.Bool

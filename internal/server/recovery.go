@@ -147,6 +147,9 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 	if err != nil {
 		return err
 	}
+	// The prefix was read back from the disk, so it is durable.
+	w.logEnd = len(b)
+	w.durableLog.Store(int64(len(b)))
 	s.wal, s.log.wal = w, w
 	return nil
 }
@@ -159,6 +162,13 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayDefs(defs []event.WalOp) error {
+	names, text := 0, 0
+	for _, op := range defs {
+		if op.Kind == event.WalTxDef {
+			names, text = names+1, text+len(op.Label)
+		}
+	}
+	s.tr.Grow(names, text)
 	var sessions int64
 	for _, op := range defs {
 		switch op.Kind {

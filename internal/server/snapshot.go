@@ -130,16 +130,23 @@ func (st *snapshotStore) apply(idx int, e event.Event) {
 }
 
 // cut pins the snapshot point for a new read-only transaction: the
-// certified, hence published, log prefix, but never past the first event
-// whose prefix made SG(β) cyclic — the prefix before it is the longest one
-// certified acyclic, so a reader is never handed an uncertified state.
+// certified, hence published, log prefix, but never past the prefix the
+// WAL's last fsync made durable — a VERDICT certifies COMMITs whose fsync
+// is still in flight, and a reader must not be handed a state a crash can
+// lose — nor past the first event whose prefix made SG(β) cyclic: the
+// prefix before it is the longest one certified acyclic, so a reader is
+// never handed an uncertified state. A commit acknowledged to a client is
+// durable and certified before the ack, so it is inside every later cut.
 func (st *snapshotStore) cut() int {
 	st.srv.metrics.ROBegins.Add(1)
-	wm := int(st.srv.cert.watermark.Load())
-	if r := st.srv.cert.rejected.Load(); r != nil {
-		return min(wm, r.at)
+	c := int(st.srv.cert.watermark.Load())
+	if w := st.srv.wal; w != nil {
+		c = min(c, int(w.durableLog.Load()))
 	}
-	return wm
+	if r := st.srv.cert.rejected.Load(); r != nil {
+		c = min(c, r.at)
+	}
+	return c
 }
 
 // read answers op on the object named label from the state at the cut: the

@@ -486,9 +486,11 @@ type walWriter struct {
 	// err is sticky: the first write/sync failure, surfaced on every
 	// later call.
 	err error //sgvet:guardedby mu
-	// records counts the records appended; arrived counts sync callers, and
-	// began is what arrived was when the last fsync began.
+	// records counts the records appended; logEnd is the event-log length
+	// their events reach; arrived counts sync callers, and began is what
+	// arrived was when the last fsync began.
 	records int    //sgvet:guardedby mu
+	logEnd  int    //sgvet:guardedby mu
 	arrived uint64 //sgvet:guardedby mu
 	began   uint64 //sgvet:guardedby mu
 	// settler parks a settling sync leader in the netpoller (see settle). The
@@ -497,8 +499,11 @@ type walWriter struct {
 	// syncMu serializes sync callers; the fsync itself runs with mu
 	// RELEASED so appends never stall behind the disk (see sync).
 	syncMu sync.Mutex
-	// durable is the record count the last completed fsync covered.
-	durable int //sgvet:guardedby syncMu
+	// durable is the record count the last completed fsync covered, and
+	// durableLog the event-log length: the snapshot cut's disk bound. It is
+	// stored before the committers that fsync covers are woken.
+	durable    int //sgvet:guardedby syncMu
+	durableLog atomic.Int64
 	// syncTimes are how long the last two fsyncs took on the now clock,
 	// the latest first; a settle lasts at most as long as the shorter.
 	syncTimes [2]time.Duration //sgvet:guardedby syncMu
@@ -554,10 +559,14 @@ func (w *walWriter) rotate() error {
 // zero byte, which recovery reads as the end of a segment's records.
 var errEmptyRecord = errors.New("wal: empty record payload")
 
-// appendRecord frames and writes one payload. Errors are sticky; the
-// server surfaces them rather than silently dropping durability. An empty
-// payload is refused without touching the segment.
-func (w *walWriter) appendRecord(payload []byte) error {
+// appendRecord frames and writes one payload that carries no event.
+func (w *walWriter) appendRecord(payload []byte) error { return w.appendEvents(payload, 0) }
+
+// appendEvents frames and writes one payload whose events end the event log
+// at length logEnd (0 when it carries none). Errors are sticky; the server
+// surfaces them rather than silently dropping durability. An empty payload
+// is refused without touching the segment.
+func (w *walWriter) appendEvents(payload []byte, logEnd int) error {
 	if len(payload) == 0 {
 		return errEmptyRecord
 	}
@@ -581,6 +590,7 @@ func (w *walWriter) appendRecord(payload []byte) error {
 	}
 	w.curSize += len(w.scratch)
 	w.records++
+	w.logEnd = max(w.logEnd, logEnd)
 	return nil
 }
 
@@ -615,7 +625,7 @@ func (w *walWriter) sync() error {
 	}
 	w.settle()
 	w.mu.Lock()
-	cur, n, cohort, err := w.cur, w.records, w.arrived-w.began, w.err
+	cur, n, logN, cohort, err := w.cur, w.records, w.logEnd, w.arrived-w.began, w.err
 	w.began = w.arrived
 	w.mu.Unlock()
 	if err != nil || cur == nil {
@@ -637,6 +647,7 @@ func (w *walWriter) sync() error {
 	}
 	// Synced, or rotated (or closed) mid-fsync: the records are durable.
 	w.durable = n
+	w.durableLog.Store(int64(logN))
 	return w.err
 }
 

@@ -63,6 +63,28 @@ func Str(s string) Value { return Value{Kind: VStr, Str: s} }
 // AsBool reports the boolean content of v (false for non-bool kinds).
 func (v Value) AsBool() bool { return v.Kind == VBool && v.Int != 0 }
 
+// Pack splits v for a record that holds no pointer: it returns v's kind and
+// one int64, which is v's integer, or for a VStr the index in strs of v's
+// string, which Pack appends to strs. Unpack rebuilds v from the three. The
+// server's event log and the name tree store their values this way.
+//
+//sgvet:hotpath
+func Pack(v Value, strs []string) (ValueKind, int64, []string) {
+	if v.Kind == VStr {
+		return VStr, int64(len(strs)), append(strs, v.Str)
+	}
+	return v.Kind, v.Int, strs
+}
+
+// Unpack is the value Pack split into k and x, with strs the side table
+// Pack appended to.
+func Unpack(k ValueKind, x int64, strs []string) Value {
+	if k == VStr {
+		return Str(strs[x])
+	}
+	return Value{Kind: k, Int: x}
+}
+
 // String renders the value for traces and error messages.
 func (v Value) String() string {
 	switch v.Kind {

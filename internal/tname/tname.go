@@ -8,6 +8,11 @@
 // a parent always precedes its children and ancestor/descendant/lca queries
 // are cheap pointer-free walks up a slice of parents.
 //
+// A name's record holds no pointer: its label is a span of one text arena
+// shared by every name, and a string argument of its operation is an index
+// in one side table, so the garbage collector never scans the names and the
+// tree keeps no object per name.
+//
 // A name enters the tree one of two ways. Define appends a name its caller
 // knows to be new (the server makes its names unique by construction, and
 // the trace decoders check each table entry) and touches nothing but that
@@ -19,8 +24,10 @@ package tname
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"nestedsg/internal/spec"
 )
@@ -43,14 +50,21 @@ type ObjID int32
 // NoObj is a sentinel ObjID meaning "no object".
 const NoObj ObjID = -1
 
-// node is the record for one transaction name.
+// node is the record for one transaction name: 32 bytes, none of them a
+// pointer.
 type node struct {
 	parent TxID
 	depth  int32 // depth of T0 is 0
-	label  string
-	// Access metadata; obj == NoObj for non-access names.
+	// Access metadata; obj == NoObj for non-access names. An access
+	// performs op with the argument spec.Pack split into argKind and arg.
 	obj ObjID
-	op  spec.Op
+	// The label is text[label : label+size].
+	label uint32
+	arg   int64
+	size  uint32
+	op    spec.OpKind
+	// argKind is the kind of the access's argument.
+	argKind spec.ValueKind
 }
 
 // object is the interned record for one object name.
@@ -68,7 +82,13 @@ type object struct {
 // and Access mutate even when they find the name: they catch the label
 // index up.
 type Tree struct {
-	nodes   []node
+	nodes []node
+	// text holds every label back to back, in definition order. It is
+	// append-only: a byte once written is never written again, which is
+	// what lets Label hand out strings that share it.
+	text []byte
+	// strs holds the string arguments of accesses, by spec.Pack.
+	strs    []string
 	objects []object
 	// byLabel resolves (parent, label) for Child and Access. It is nil
 	// until the first lookup, and covers nodes[:indexed]: each lookup first
@@ -87,13 +107,18 @@ type childKey struct {
 // NewTree returns a system type containing only T0 and no objects.
 func NewTree() *Tree {
 	t := &Tree{objByLabel: make(map[string]ObjID), indexed: 1} // T0 is no one's child
-	t.nodes = append(t.nodes, node{parent: None, depth: 0, label: "T0", obj: NoObj})
+	t.nodes = append(t.nodes, node{parent: None, depth: 0, obj: NoObj, size: 2})
+	t.text = append(t.text, "T0"...)
 	return t
 }
 
-// Grow reserves room for n more transaction names, so that the next n
-// Defines do not allocate.
-func (t *Tree) Grow(n int) { t.nodes = slices.Grow(t.nodes, n) }
+// Grow reserves room for n more transaction names whose labels take text
+// bytes in all, so that the next n Defines of such names do not allocate
+// (an access with a string argument aside).
+func (t *Tree) Grow(n, text int) {
+	t.nodes = slices.Grow(t.nodes, n)
+	t.text = slices.Grow(t.text, text)
+}
 
 // NumTx reports how many transaction names the tree holds.
 func (t *Tree) NumTx() int { return len(t.nodes) }
@@ -156,15 +181,13 @@ func (t *Tree) intern(parent TxID, label string, x ObjID, op spec.Op) TxID {
 		t.byLabel = make(map[childKey]TxID, len(t.nodes))
 	}
 	for ; t.indexed < len(t.nodes); t.indexed++ {
-		n := &t.nodes[t.indexed]
-		key := childKey{n.parent, n.label}
+		key := childKey{t.nodes[t.indexed].parent, t.Label(TxID(t.indexed))}
 		if _, dup := t.byLabel[key]; !dup { // a Defined duplicate: the first one names it
 			t.byLabel[key] = TxID(t.indexed)
 		}
 	}
 	if id, ok := t.byLabel[childKey{parent, label}]; ok {
-		n := t.nodes[id]
-		if n.obj != x || n.op != op {
+		if n := &t.nodes[id]; n.obj != x || x != NoObj && t.accessOp(n) != op {
 			panic(fmt.Sprintf("tname: name %s re-interned with different access metadata", t.Name(id)))
 		}
 		return id
@@ -176,27 +199,37 @@ func (t *Tree) intern(parent TxID, label string, x ObjID, op spec.Op) TxID {
 // an access to x performing op unless x is NoObj. The caller vouches that
 // parent has no child of that label yet: Define neither looks the label up
 // nor records it, so it hashes nothing and, within room reserved by Grow,
-// allocates nothing. Validate reports a label given twice. Define panics if
-// parent is an access or x is not an object.
+// allocates nothing: it copies the label into the tree's text, and keeps
+// no reference to the caller's string. Validate reports a label given
+// twice. Define panics if parent is an access or x is not an object. The
+// op of a name that is not an access is not kept.
 //
 //sgvet:hotpath
 func (t *Tree) Define(parent TxID, label string, x ObjID, op spec.Op) TxID {
 	p := &t.nodes[parent]
-	if p.obj != NoObj || x != NoObj && (x < 0 || int(x) >= len(t.objects)) {
+	if p.obj != NoObj || x != NoObj && (x < 0 || int(x) >= len(t.objects)) || uint64(len(t.text))+uint64(len(label)) > math.MaxUint32 {
 		t.badDefine(parent, label, x)
 	}
-	id := TxID(len(t.nodes))
-	t.nodes = append(t.nodes, node{parent: parent, depth: p.depth + 1, label: label, obj: x, op: op})
-	return id
+	n := node{parent: parent, depth: p.depth + 1, obj: x, label: uint32(len(t.text)), size: uint32(len(label))}
+	if x != NoObj {
+		n.op = op.Kind
+		n.argKind, n.arg, t.strs = spec.Pack(op.Arg, t.strs)
+	}
+	t.text = append(t.text, label...)
+	t.nodes = append(t.nodes, n)
+	return TxID(len(t.nodes) - 1)
 }
 
-// badDefine panics with what is wrong with a Define: a child of an access or
-// an access to an unknown object.
+// badDefine panics with what is wrong with a Define: a child of an access,
+// an access to an unknown object, or a label past the text's 4 GiB.
 func (t *Tree) badDefine(parent TxID, label string, x ObjID) {
 	if t.IsAccess(parent) {
 		panic(fmt.Sprintf("tname: %s is an access and cannot have children", t.Name(parent)))
 	}
-	panic(fmt.Sprintf("tname: access %q to unknown object %d", label, x))
+	if x != NoObj && (x < 0 || int(x) >= len(t.objects)) {
+		panic(fmt.Sprintf("tname: access %q to unknown object %d", label, x))
+	}
+	panic(fmt.Sprintf("tname: no room for a label of %d bytes after %d", len(label), len(t.text)))
 }
 
 // Parent returns the parent of tx, or None for T0.
@@ -205,8 +238,25 @@ func (t *Tree) Parent(tx TxID) TxID { return t.nodes[tx].parent }
 // Depth returns the depth of tx (T0 has depth 0).
 func (t *Tree) Depth(tx TxID) int { return int(t.nodes[tx].depth) }
 
-// Label returns the local label tx was defined under.
-func (t *Tree) Label(tx TxID) string { return t.nodes[tx].label }
+// Label returns the local label tx was defined under, without copying it:
+// the string shares its bytes with the tree's text. That is sound because
+// the text is append-only. Define writes a label's bytes once, past every
+// byte written before, and nothing writes them again; when the text
+// regrows, the old array is left as it was and lives on for as long as a
+// string points into it. So the string never changes, even after more
+// Defines. A copy would allocate once per name wherever the string outlives
+// the call: as a key of Validate's map or the interning index, and in the
+// JSON encoder's records. Recovery validates every name it replays, and a
+// copying Label takes BenchmarkE18Recover from 856 to 1 006 allocations.
+// This is the package's one use of unsafe; TestLabelSharesStableText
+// holds it to that.
+func (t *Tree) Label(tx TxID) string {
+	n := &t.nodes[tx]
+	if n.size == 0 {
+		return ""
+	}
+	return unsafe.String(&t.text[n.label], n.size)
+}
 
 // Children returns the children of tx defined so far, in creation order, in
 // a fresh slice. It scans every name defined after tx: it serves walks and
@@ -234,7 +284,12 @@ func (t *Tree) AccessOp(tx TxID) spec.Op {
 	if !t.IsAccess(tx) {
 		panic(fmt.Sprintf("tname: %s is not an access", t.Name(tx)))
 	}
-	return t.nodes[tx].op
+	return t.accessOp(&t.nodes[tx])
+}
+
+// accessOp rebuilds the operation of access n.
+func (t *Tree) accessOp(n *node) spec.Op {
+	return spec.Op{Kind: n.op, Arg: spec.Unpack(n.argKind, n.arg, t.strs)}
 }
 
 // IsAncestor reports whether a is an ancestor of b. Following the paper, a
@@ -312,14 +367,14 @@ func (t *Tree) Name(tx TxID) string {
 	}
 	var parts []string
 	for u := tx; u != None; u = t.nodes[u].parent {
-		parts = append(parts, t.nodes[u].label)
+		parts = append(parts, t.Label(u))
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
 	s := strings.Join(parts, "/")
 	if t.IsAccess(tx) {
-		s += fmt.Sprintf("[%s %s]", t.objects[t.nodes[tx].obj].label, t.nodes[tx].op)
+		s += fmt.Sprintf("[%s %s]", t.objects[t.nodes[tx].obj].label, t.accessOp(&t.nodes[tx]))
 	}
 	return s
 }
@@ -350,7 +405,7 @@ func (t *Tree) Validate() error {
 		if n.obj != NoObj && int(n.obj) >= len(t.objects) {
 			return fmt.Errorf("tname: node %d accesses unknown object %d", id, n.obj)
 		}
-		key := childKey{n.parent, n.label}
+		key := childKey{n.parent, t.Label(TxID(id))}
 		if first, dup := seen[key]; dup {
 			return fmt.Errorf("tname: nodes %d and %d are both named %s", first, id, t.Name(TxID(id)))
 		}

@@ -2,9 +2,13 @@ package tname
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nestedsg/internal/spec"
 )
@@ -403,24 +407,32 @@ func TestDefinePanics(t *testing.T) {
 	assertPanics(t, "unknown parent", func() { tr.Define(TxID(tr.NumTx()), "zz", NoObj, spec.Op{}) })
 }
 
-// TestDefineAllocs: defining a name into a tree reserved with Grow costs no
-// allocation — no label map, no children list.
+// TestDefineAllocs: defining N names into a tree reserved with Grow costs no
+// allocation — no label map, no children list, no string per name — for
+// composites and accesses alike, string arguments included once the side
+// table has room.
 func TestDefineAllocs(t *testing.T) {
 	const n = 1000
 	tr := NewTree()
 	x := tr.AddObject("x", spec.Register{})
-	tr.Grow(n + 1) // AllocsPerRun calls once more to warm up
-	top := tr.Define(Root, "top", NoObj, spec.Op{})
-	labels := make([]string, n+1)
+	labels := make([]string, n+2)
+	text := 0
 	for i := range labels {
 		labels[i] = label(i)
+		text += len(labels[i])
 	}
+	tr.Grow(n+2, text) // AllocsPerRun calls once more to warm up
+	top := tr.Define(Root, labels[n+1], NoObj, spec.Op{})
+	tr.strs = slices.Grow(tr.strs, n)
 	i := 0
 	allocs := testing.AllocsPerRun(n, func() {
-		if i%2 == 0 {
+		switch i % 3 {
+		case 0:
 			tr.Define(top, labels[i], NoObj, spec.Op{})
-		} else {
+		case 1:
 			tr.Define(top, labels[i], x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(int64(i))})
+		default:
+			tr.Define(top, labels[i], x, spec.Op{Kind: spec.OpWrite, Arg: spec.Str(labels[i])})
 		}
 		i++
 	})
@@ -429,6 +441,105 @@ func TestDefineAllocs(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTreeKeepsNoObjectPerName: once the caller's label strings are
+// garbage, a tree of N names holds a handful of heap objects, not one per
+// name: the labels live in the text arena and the records hold no pointer.
+func TestTreeKeepsNoObjectPerName(t *testing.T) {
+	const n = 50000
+	objects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	before := objects()
+	tr := NewTree()
+	x := tr.AddObject("x", spec.Register{})
+	top := tr.Define(Root, "top", NoObj, spec.Op{})
+	for i := 0; i < n; i++ {
+		l := strconv.Itoa(i) // a fresh string, dropped once defined
+		if i%2 == 0 {
+			tr.Define(top, l, NoObj, spec.Op{})
+		} else {
+			tr.Define(top, l, x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(int64(i))})
+		}
+	}
+	after := objects()
+	runtime.KeepAlive(tr)
+	if after > before && after-before > n/100 {
+		t.Fatalf("a tree of %d names keeps %d more heap objects, want at most %d", n, after-before, n/100)
+	}
+	if got := tr.Label(TxID(tr.NumTx() - 1)); got != strconv.Itoa(n-1) {
+		t.Fatalf("last label %q, want %q", got, strconv.Itoa(n-1))
+	}
+}
+
+// TestNodeIsPointerFree: the tree keeps a node per name for as long as it
+// lives, so a node must stay within 32 bytes and hold nothing the garbage
+// collector has to scan (the records of internal/graph and internal/core
+// are held to the same rule).
+func TestNodeIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n > 32 {
+		t.Errorf("node is %d bytes, want at most 32", n)
+	}
+	typ := reflect.TypeOf(node{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Uint32, reflect.Int64, reflect.Uint8:
+		default:
+			t.Errorf("%s.%s is a %s", typ, f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestLabelSharesStableText holds Label's use of unsafe to its contract: a
+// label handed out before the text regrows — by Define or by Grow — reads
+// the same afterwards, its bytes are the text's own (no copy), and no
+// later Define writes into them.
+func TestLabelSharesStableText(t *testing.T) {
+	tr := NewTree()
+	x := tr.AddObject("x", spec.Register{})
+	var ids []TxID
+	var got []string
+	for i := 0; i < 2000; i++ {
+		id := tr.Define(Root, label(i)+strconv.Itoa(i), NoObj, spec.Op{})
+		if i%3 == 0 {
+			id = tr.Define(id, "acc"+strconv.Itoa(i), x, spec.Op{Kind: spec.OpWrite, Arg: spec.Str("v" + strconv.Itoa(i))})
+		}
+		ids = append(ids, id)
+		got = append(got, tr.Label(id))
+		if i == 1000 {
+			tr.Grow(1, 1<<16) // move the text at once
+		}
+	}
+	for i, id := range ids {
+		want := label(i) + strconv.Itoa(i)
+		if i%3 == 0 {
+			want = "acc" + strconv.Itoa(i)
+			if op := tr.AccessOp(id); op.Arg != spec.Str("v"+strconv.Itoa(i)) {
+				t.Fatalf("name %d: op %v", i, op)
+			}
+		}
+		if got[i] != want || tr.Label(id) != want {
+			t.Fatalf("name %d: label read %q then %q, want %q", i, got[i], tr.Label(id), want)
+		}
+	}
+	last := ids[len(ids)-1]
+	n := &tr.nodes[last]
+	if l := tr.Label(last); unsafe.StringData(l) != &tr.text[n.label] {
+		t.Fatal("Label copied the text")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Label(last) }); allocs != 0 {
+		t.Fatalf("Label allocates %.2f times, want 0", allocs)
+	}
+	if tr.Label(Root) != "T0" {
+		t.Fatalf("root label %q", tr.Label(Root))
+	}
+	if id := tr.Define(Root, "", NoObj, spec.Op{}); tr.Label(id) != "" {
+		t.Fatalf("empty label reads %q", tr.Label(id))
 	}
 }
 
