@@ -8,7 +8,7 @@
 //
 //	nestedsgd -addr :7474 -backend moss -spec register -objects x,y,z
 //	nestedsgd -addr :7474 -backend mvto          # multiversion TO + lock-free read-only snapshots
-//	nestedsgd -addr :7474 -metrics :7475     # JSON at /metrics, expvar at /debug/vars
+//	nestedsgd -addr :7474 -metrics :7475     # JSON at /metrics, expvar at /debug/vars, pprof at /debug/pprof/
 //	nestedsgd -addr :7474 -wal /var/lib/nestedsgd/wal   # durable log; replayed and audited on boot
 //
 // Backends: moss, undolog, mvto. Specs: register, counter, account, set,
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -130,6 +131,13 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, ready ch
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", s.MetricsHandler())
 		mux.Handle("/debug/vars", expvar.Handler())
+		// The profiles, on this mux: the package's init registers them on
+		// http.DefaultServeMux, which the daemon never serves.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		msrv = &http.Server{Addr: *metricsAddr, Handler: mux}
 		go func() {
 			if merr := msrv.ListenAndServe(); merr != nil && merr != http.ErrServerClosed {

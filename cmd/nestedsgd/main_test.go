@@ -1,10 +1,14 @@
 package main
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"nestedsg/internal/client"
 	"nestedsg/internal/spec"
@@ -66,6 +70,43 @@ func TestDaemonServeDrainVerify(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestDaemonMetricsServesPprof: the -metrics listener serves the runtime
+// profiles beside the JSON metrics — the index and the heap profile.
+func TestDaemonMetricsServesPprof(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	maddr := l.Addr().String()
+	l.Close()
+	_, sig, code, out := startDaemon(t, "-addr", "127.0.0.1:0", "-objects", "x", "-metrics", maddr)
+	defer func() {
+		sig <- syscall.SIGTERM
+		if got := <-code; got != 0 {
+			t.Errorf("daemon exited %d\noutput:\n%s", got, out.String())
+		}
+	}()
+	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/heap"} {
+		// The listener comes up beside the daemon's; retry until it does.
+		var resp *http.Response
+		for try := 0; ; try++ {
+			resp, err = http.Get("http://" + maddr + path)
+			if err == nil || try == 50 {
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %s", path, resp.Status)
 		}
 	}
 }

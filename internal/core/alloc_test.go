@@ -176,10 +176,11 @@ func nestedSequential(n int) (*tname.Tree, event.Behavior) {
 }
 
 // TestOneShotCheckAllocsPerParent pins what a fresh one-shot Check
-// allocates: a fixed number of arrays per engine and per result, grown by
-// appending, never an object per parent graph. Four times the top-level
-// transactions — four times the parent graphs, names and edges — may only
-// add the few reallocations of arrays that grow by doubling.
+// allocates: a fixed number of arrays per engine and per result, each
+// sized once by the counting pass or the freeze, never an object per
+// parent graph. Four times the top-level transactions — four times the
+// parent graphs, names and edges — may only add the reallocations of the
+// few arrays no count sizes.
 func TestOneShotCheckAllocsPerParent(t *testing.T) {
 	allocs := func(n int) (float64, int) {
 		tr, b := nestedSequential(n)
@@ -192,7 +193,7 @@ func TestOneShotCheckAllocsPerParent(t *testing.T) {
 	small, ps := allocs(16)
 	large, pl := allocs(64)
 	t.Logf("fresh Check: %.0f allocs at %d parent graphs, %.0f at %d", small, ps, large, pl)
-	const base, perQuadrupling = 68, 12
+	const base, perQuadrupling = 48, 2
 	if small > base {
 		t.Errorf("a fresh Check of %d parent graphs allocates %.0f times, want at most %d", ps, small, base)
 	}

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"cmp"
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -79,6 +80,35 @@ func (r *Result) Summary(tr *tname.Tree) string {
 	return "unknown failure"
 }
 
+// Diff reports the first way r and o differ — their summary text, their
+// graphs (SG.Equal), their sibling orders or their views — or nil when
+// they agree on all four. Two routes to the verdict on one behavior, such
+// as a check of a log read in place and one of the log copied out, must
+// not differ.
+func (r *Result) Diff(tr *tname.Tree, o *Result) error {
+	if a, b := r.Summary(tr), o.Summary(tr); a != b {
+		return fmt.Errorf("verdicts differ: %q, %q", a, b)
+	}
+	if (r.SG == nil) != (o.SG == nil) || r.SG != nil && !r.SG.Equal(o.SG) {
+		return errors.New("graphs differ")
+	}
+	if (r.Certificate == nil) != (o.Certificate == nil) {
+		return errors.New("one result has a certificate, the other none")
+	}
+	if r.Certificate == nil {
+		return nil
+	}
+	if !maps.EqualFunc(r.Certificate.Order.ByParent, o.Certificate.Order.ByParent, slices.Equal) {
+		return errors.New("sibling orders differ")
+	}
+	if !slices.EqualFunc(r.Certificate.Views, o.Certificate.Views, func(a, b View) bool {
+		return a.Obj == b.Obj && slices.Equal(a.Ops, b.Ops)
+	}) {
+		return errors.New("views differ")
+	}
+	return nil
+}
+
 // Check verifies the hypotheses of Theorem 8 (read/write objects) and
 // Theorem 19 (arbitrary types) on the serial actions of b:
 //
@@ -107,56 +137,121 @@ func ComputeViews(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]View, error) {
 
 // viewScratch is the working memory of ComputeViews; a Checker pools one.
 type viewScratch struct {
-	keys opKeys
 	// seen[x] is one more than x's position among the objects in order of
-	// first visible operation, or 0.
+	// first visible operation, or 0; at[i] is where the view of the i-th
+	// of them continues in the output.
 	seen []int32
 	objs []tname.ObjID
-	idx  []int32
-	xi   []spec.OpVal
+	at   []int32
+	// names holds the walk's tree, per name, and opNext links the
+	// visible operations of one access in β order.
+	names  []viewName
+	opNext []int32
+	stack  []tname.TxID
+	xi     []spec.OpVal
 }
+
+// viewName is one name's place in the tree the views walk: the names on a
+// path from T0 to a visible operation. kids is its first child on such a
+// path and next its next sibling in R (-1 for none), or next is offPath
+// or unlisted; op is its first visible operation, -1 for none.
+type viewName struct {
+	kids, next tname.TxID
+	op         int32
+}
+
+// States of viewName.next before the name is listed among its siblings.
+const (
+	offPath  tname.TxID = -3
+	unlisted tname.TxID = -2
+)
 
 // compute is ComputeViews over the scratch. Views come out in the order
 // of each object's first visible operation, and share one fresh backing
 // array, so they outlive the scratch.
+//
+// R_trans orders two operations as R orders the children of their least
+// common ancestor they descend from, so a depth-first walk of the names
+// that lead to visible operations, each name's children taken in R,
+// meets the operations in R_trans order: each is then placed at the next
+// position of its object's view, and no two are compared. Under a name R
+// puts the children it ranks first, in rank order — the lists of the
+// order taken whole — and then the rest in name order.
 func (vs *viewScratch) compute(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]View, error) {
 	ops := sg.VisibleOps
-	vs.keys.fill(order, ops)
-	n := tr.NumObjects()
-	seen := slices.Grow(vs.seen[:0], n)[:n]
+	nx, nt := tr.NumObjects(), tr.NumTx()
+	seen := slices.Grow(vs.seen[:0], nx)[:nx]
 	clear(seen)
-	objs, idx := vs.objs[:0], vs.idx[:0]
-	for j, op := range ops {
+	names := slices.Grow(vs.names[:0], nt)[:nt]
+	for t := range names {
+		names[t] = viewName{kids: -1, next: offPath, op: -1}
+	}
+	opNext := slices.Grow(vs.opNext[:0], len(ops))[:len(ops)]
+	objs, at := vs.objs[:0], vs.at[:0]
+	for j := len(ops) - 1; j >= 0; j-- {
+		a := ops[j].Tx
+		opNext[j], names[a].op = names[a].op, int32(j)
+	}
+	for _, op := range ops {
 		if seen[op.Obj] == 0 {
 			objs = append(objs, op.Obj)
+			at = append(at, 0)
 			seen[op.Obj] = int32(len(objs))
 		}
-		idx = append(idx, int32(j))
-	}
-	vs.seen, vs.objs, vs.idx = seen, objs, idx
-	// Sort by object, then by R_trans within each object.
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := cmp.Compare(seen[ops[a].Obj], seen[ops[b].Obj]); c != 0 {
-			return c
+		at[seen[op.Obj]-1]++
+		for u := op.Tx; u != tname.Root && names[u].next == offPath; u = tr.Parent(u) {
+			names[u].next = unlisted
 		}
-		return vs.keys.compare(a, b)
-	})
+	}
+	start := int32(0)
+	for i, n := range at {
+		at[i], start = start, start+n
+	}
+
+	// Each list is built from its end: first the unranked names in
+	// descending name order, then in front of them the ranked ones, the
+	// order's lists taken backwards.
+	list := func(t tname.TxID) {
+		p := tr.Parent(t)
+		names[t].next, names[p].kids = names[p].kids, t
+	}
+	for t := tname.TxID(nt - 1); t >= 0; t-- {
+		if names[t].next == unlisted && order.rankOf(t) == 0 {
+			list(t)
+		}
+	}
+	for i := len(order.flat) - 1; i >= 0; i-- {
+		if t := order.flat[i]; int(t) < nt && names[t].next == unlisted {
+			list(t)
+		}
+	}
+
+	sorted := make([]event.AccessOp, len(ops))
+	stack := append(vs.stack[:0], names[tname.Root].kids)
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		if t < 0 {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		stack[len(stack)-1] = names[t].next
+		for j := names[t].op; j >= 0; j = opNext[j] {
+			i := seen[ops[j].Obj] - 1
+			sorted[at[i]] = ops[j]
+			at[i]++
+		}
+		stack = append(stack, names[t].kids)
+	}
+	vs.seen, vs.names, vs.opNext, vs.objs, vs.at, vs.stack = seen, names, opNext, objs, at, stack
 
 	var out []View
 	if len(objs) > 0 {
 		out = make([]View, 0, len(objs))
 	}
-	sorted := make([]event.AccessOp, len(ops))
-	for j, i := range idx {
-		sorted[j] = ops[i]
-	}
-	for lo := 0; lo < len(sorted); {
-		x := sorted[lo].Obj
-		hi := lo + 1
-		for hi < len(sorted) && sorted[hi].Obj == x {
-			hi++
-		}
-		view := sorted[lo:hi:hi]
+	lo := int32(0)
+	for i, x := range objs {
+		// at[i] has advanced to the end of the view.
+		view := sorted[lo:at[i]:at[i]]
 		xi := vs.xi[:0]
 		for _, op := range view {
 			xi = append(xi, op.OV)
@@ -167,7 +262,7 @@ func (vs *viewScratch) compute(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]V
 				tr.ObjectLabel(x), i, xi[i], tr.Name(view[i].Tx))
 		}
 		out = append(out, View{Obj: x, Ops: view})
-		lo = hi
+		lo = at[i]
 	}
 	return out, nil
 }

@@ -28,7 +28,17 @@ type Checker struct {
 	wf    *simple.WellFormed
 	objs  []objReplay
 	views viewScratch
+
+	// buf receives the events of a source that does not hold Events
+	// (event.Source.Run); it is allocated at the first such source.
+	buf []event.Event
+	// counts is what presize found the behavior to hold.
+	counts batchCounts
 }
+
+// runLen is the length of Checker.buf: a run of 128 events, 6 KiB, stays
+// in the cache between the source's decode and the engine's reads.
+const runLen = 128
 
 // objReplay is one object's running state while the Checker replays the
 // visible operations; started is false until the first operation.
@@ -49,6 +59,77 @@ func (c *Checker) stream() *Incremental {
 	return c.inc
 }
 
+// readRun returns the events of src from index i on (event.Source.Run),
+// decoded into the checker's buffer when src needs one. The batch passes
+// are generic in the source, so a Behavior is read without boxing and
+// each run, not each event, costs one call through the source.
+func readRun[S event.Source](c *Checker, src S, i int) []event.Event {
+	if r := src.Run(i, c.buf); len(r) > 0 {
+		return r
+	}
+	c.buf = make([]event.Event, runLen)
+	return src.Run(i, c.buf)
+}
+
+// presize reserves, in one step each, the engine's arrays that accumulate
+// over the behavior — the returned values, the per-object logs, the
+// report list and the edge records — so that the construction seldom
+// regrows them. An online engine fed the same behavior has counted all of
+// them already, exactly (Incremental.count): taking its counts rather
+// than decoding the log a second time makes Final about 8 % and young's
+// set-up 4 % faster (EXPERIMENTS.md E48). Counts from an engine fed
+// another behavior are only wrong sizes: the arrays regrow, and the
+// records then differ. Without an engine, a counting pass reads src once:
+// the accesses that requested commit on each object, and of them those
+// that are not read-only, bound the logs and the values, the reports
+// bound the report list, and the edge records, which no count bounds, are
+// estimated at one per request and per access.
+//
+//sgvet:hotpath
+func presize[S event.Source](c *Checker, src S, online *Incremental) {
+	k := &c.counts
+	*k = batchCounts{perObj: sized(k.perObj, c.tr.NumObjects())}
+	if online != nil {
+		online.count(k)
+	} else {
+		countPass(c, src, k)
+	}
+	c.inc.reserve(k)
+}
+
+// countPass is presize's counting pass over src.
+//
+//sgvet:hotpath
+func countPass[S event.Source](c *Checker, src S, k *batchCounts) {
+	tr := c.tr
+	nt := tr.NumTx()
+	requests := 0
+	for i, n := 0, src.Len(); i < n; {
+		run := readRun(c, src, i)
+		for _, e := range run {
+			switch e.Kind {
+			case event.RequestCommit:
+				if e.Tx >= 0 && int(e.Tx) < nt && tr.IsAccess(e.Tx) {
+					x := tr.AccessObject(e.Tx)
+					k.perObj[x].all++
+					k.accesses++
+					if !tr.Spec(x).ReadOnly(tr.AccessOp(e.Tx)) {
+						k.perObj[x].upd++
+						k.upd++
+					}
+				}
+			case event.ReportCommit, event.ReportAbort:
+				k.reports++
+			case event.RequestCreate:
+				requests++
+			case event.Create, event.Commit, event.Abort, event.InformCommit, event.InformAbort, event.KindInvalid:
+			}
+		}
+		i += len(run)
+	}
+	k.edges = requests + k.accesses
+}
+
 // Build constructs SG(β) exactly as the package-level Build, reusing the
 // checker's pooled engine. The result is valid until the next call on this
 // Checker.
@@ -56,6 +137,7 @@ func (c *Checker) stream() *Incremental {
 //sgvet:hotpath
 func (c *Checker) Build(b event.Behavior) *SG {
 	inc := c.stream()
+	presize(c, b, nil)
 	for _, e := range b {
 		inc.Append(e)
 	}
@@ -73,34 +155,42 @@ func (c *Checker) Build(b event.Behavior) *SG {
 // recomputing visibility; only a failing behavior goes back to
 // simple.AppropriateReturnValues, the definition, for its report.
 func (c *Checker) Check(b event.Behavior) *Result {
-	res, _ := c.CheckAgainst(b, nil)
+	res, _ := checkAgainst(c, b, nil)
 	return res
 }
 
-// CheckAgainst is Check that also audits an online engine fed the same
-// behavior, INFORMs and all. match reports that online holds the records
-// the batch construction accumulated: the same parent graphs in the same
-// discovery order, each with the same children and the same edge records.
-// The canonical freeze is a function of those records alone, so a match
+// CheckAgainst is Check over a source of β, such as a server's event log
+// read in place, that also audits an online engine fed the same behavior,
+// INFORMs and all. match reports that online holds the records the batch
+// construction accumulated: the same parent graphs in the same discovery
+// order, each with the same children and the same edge records. The
+// canonical freeze is a function of those records alone, so a match
 // implies online.Snapshot().Equal(res.SG), and with it equal DOT text
 // (THEORY.md §4), without materializing the online graph. match is false
-// when online is nil or β is not a simple behavior. online is only read.
-func (c *Checker) CheckAgainst(b event.Behavior, online *Incremental) (res *Result, match bool) {
-	if err := c.construct(b); err != nil {
+// when online is nil or β is not a simple behavior. online is only read,
+// and src is materialized as a Behavior only to report inappropriate
+// return values.
+func (c *Checker) CheckAgainst(src event.Source, online *Incremental) (res *Result, match bool) {
+	return checkAgainst(c, src, online)
+}
+
+// checkAgainst is CheckAgainst over any source type.
+func checkAgainst[S event.Source](c *Checker, src S, online *Incremental) (res *Result, match bool) {
+	if err := construct(c, src, online); err != nil {
 		return &Result{WFErr: err}, false
 	}
 	match = online != nil && c.inc.sameRecords(online)
-	return c.certify(b, c.inc.freezeInto(&c.sg, &c.fz)), match
+	return certify(c, src, c.inc.freezeInto(&c.sg, &c.fz)), match
 }
 
 // certify decides the hypotheses that follow well-formedness on the frozen
 // SG(β): appropriate return values, acyclicity and the views.
-func (c *Checker) certify(b event.Behavior, sg *SG) *Result {
+func certify[S event.Source](c *Checker, src S, sg *SG) *Result {
 	res := &Result{SG: sg}
 	if !c.valuesAppropriate(sg) {
 		// visible(β, T0) skips the actions that are not serial, so the
-		// definition reads b as it would read serial(β).
-		res.ValueViolations = simple.AppropriateReturnValues(c.tr, b)
+		// definition reads β as it would read serial(β).
+		res.ValueViolations = simple.AppropriateReturnValues(c.tr, event.Collect(src))
 		if len(res.ValueViolations) == 0 {
 			panic("core: visible operations disagree with visible(β, T0)")
 		}
@@ -121,25 +211,30 @@ func (c *Checker) certify(b event.Behavior, sg *SG) *Result {
 	return res
 }
 
-// construct is Check's one pass over β: it steps the well-formedness
-// checker through the serial actions, numbering them as serial(β) does,
-// and appends each to the pooled engine, which it leaves unfrozen. It
-// returns the first violation of the axioms, if any.
+// construct is Check's pass over β, after the counting pass (presize): it
+// steps the well-formedness checker through the serial actions, numbering
+// them as serial(β) does, and appends each to the pooled engine, which it
+// leaves unfrozen. It returns the first violation of the axioms, if any.
 //
 //sgvet:hotpath
-func (c *Checker) construct(b event.Behavior) error {
+func construct[S event.Source](c *Checker, src S, online *Incremental) error {
 	inc := c.stream()
+	presize(c, src, online)
 	c.wf.Reset()
-	n := 0
-	for _, e := range b {
-		if !e.Kind.IsSerial() {
-			continue
+	k := 0
+	for i, n := 0, src.Len(); i < n; {
+		run := readRun(c, src, i)
+		for _, e := range run {
+			if !e.Kind.IsSerial() {
+				continue
+			}
+			if err := c.wf.Step(k, e); err != nil {
+				return err
+			}
+			inc.Append(e)
+			k++
 		}
-		if err := c.wf.Step(n, e); err != nil {
-			return err
-		}
-		inc.Append(e)
-		n++
+		i += len(run)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package core
 
-import "nestedsg/internal/tname"
+import (
+	"slices"
+
+	"nestedsg/internal/tname"
+)
 
 // conflictFrontier decides which conflict(β) edges the engine materializes.
 // The paper relates every two conflicting operations of an object that are
@@ -37,6 +41,10 @@ type conflictFrontier struct {
 	// by seq — operations(visible(β-prefix, T0))|x in β order. upd[x] is its
 	// subsequence of operations that are not read-only, walls included.
 	logs, upd [][]pendingOp
+
+	// logArena and updArena back the logs and the non-read-only lists of
+	// a batch construction, which reserve presizes.
+	logArena, updArena []pendingOp
 }
 
 // pendingOp is a visible-or-parked access operation. It holds no pointer:
@@ -68,6 +76,24 @@ func (cf *conflictFrontier) reset() {
 	for i := range cf.logs {
 		cf.logs[i] = cf.logs[i][:0]
 		cf.upd[i] = cf.upd[i][:0]
+	}
+}
+
+// reserve carves every empty log out of one array and every
+// non-read-only list out of another, each as long as the counting pass
+// found accesses of its kind on its object (Incremental.reserve). The
+// spans are capped, so a list that outgrows its share moves rather than
+// run into its neighbour's.
+func (cf *conflictFrontier) reserve(k *batchCounts) {
+	logs := slices.Grow(cf.logArena[:0], k.accesses)
+	ups := slices.Grow(cf.updArena[:0], k.upd)
+	cf.logArena, cf.updArena = logs, ups
+	var a, u int
+	for x, n := range k.perObj {
+		cf.logs[x] = logs[a : a : a+int(n.all)]
+		cf.upd[x] = ups[u : u : u+int(n.upd)]
+		a += int(n.all)
+		u += int(n.upd)
 	}
 }
 

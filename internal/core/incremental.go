@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nestedsg/internal/event"
@@ -60,8 +60,11 @@ type Incremental struct {
 	conf conflictFrontier
 
 	// vals holds the value each access record returned, indexed by
-	// pendingOp.val, so the records themselves stay free of pointers.
-	vals []spec.Value
+	// pendingOp.val, so the records themselves stay free of pointers; the
+	// values are packed by spec.Pack, so the array holds none either, and
+	// strs is the side table of their strings.
+	vals []packedVal
+	strs []string
 
 	rejected   *Cycle
 	rejectedAt int
@@ -99,6 +102,12 @@ type pendingReq struct {
 	parent tname.TxID
 	child  tname.TxID
 	from   window
+}
+
+// packedVal is a returned value as spec.Pack splits it.
+type packedVal struct {
+	x int64
+	k spec.ValueKind
 }
 
 // NewIncremental returns an empty streaming checker for the given system.
@@ -143,6 +152,10 @@ func (inc *Incremental) growTo() {
 // array (including the records' arenas and the Pearce–Kelly order) so the
 // next stream over the same tree allocates nothing.
 func (inc *Incremental) Reset() {
+	if inc.seq == 0 {
+		// Nothing was appended since the engine was made or last reset.
+		return
+	}
 	inc.seq = 0
 	for i := range inc.txs {
 		inc.txs[i] = txState{ops: -1, reqs: -1}
@@ -153,8 +166,50 @@ func (inc *Incremental) Reset() {
 	inc.sg.reset()
 	inc.conf.reset()
 	inc.vals = inc.vals[:0]
+	clear(inc.strs)
+	inc.strs = inc.strs[:0]
 	inc.rejected = nil
 	inc.rejectedAt = -1
+}
+
+// batchCounts is what the counting pass of a batch construction
+// (Checker.presize) finds in a behavior: per object the accesses that
+// requested commit on it and those of them that are not read-only, the
+// totals of both, the reports, and the parent graphs and edge records to
+// expect.
+type batchCounts struct {
+	perObj                 []objCount
+	accesses, upd, reports int
+	parents, edges         int
+}
+
+// objCount is one object's share of batchCounts.
+type objCount struct{ all, upd int32 }
+
+// count fills k, whose perObj is sized to the objects and zero, with what
+// inc holds: the operations admitted to each object's logs, the returned
+// values, the reports, the parent graphs and the edge records — exactly
+// what a batch construction of the same behavior accumulates.
+func (inc *Incremental) count(k *batchCounts) {
+	for x := range min(len(k.perObj), len(inc.conf.logs)) {
+		all, upd := len(inc.conf.logs[x]), len(inc.conf.upd[x])
+		k.perObj[x] = objCount{all: int32(all), upd: int32(upd)}
+		k.upd += upd
+	}
+	k.accesses = len(inc.vals)
+	k.reports = len(inc.prec.ents)
+	k.parents, _, k.edges = inc.Counts()
+}
+
+// reserve makes room, after Reset, for a behavior with counts k: each
+// array that accumulates over the behavior is reserved once, at its final
+// size, and the per-object logs are spans of one array each.
+func (inc *Incremental) reserve(k *batchCounts) {
+	inc.grow()
+	inc.vals = slices.Grow(inc.vals, k.accesses)
+	inc.conf.reserve(k)
+	inc.prec.ents = slices.Grow(inc.prec.ents, k.reports)
+	inc.sg.reserve(k.parents, k.edges)
 }
 
 // EventsSeen returns how many events have been appended.
@@ -185,7 +240,9 @@ func (inc *Incremental) Append(e event.Event) *Cycle {
 			op := pendingOp{seq: i, tx: e.Tx, obj: x, val: int32(len(inc.vals)),
 				wall: sp.ConflictsWithAll(ov)}
 			op.ro = !op.wall && sp.ReadOnly(ov.Op)
-			inc.vals = append(inc.vals, e.Val)
+			var v packedVal
+			v.k, v.x, inc.strs = spec.Pack(e.Val, inc.strs)
+			inc.vals = append(inc.vals, v)
 			if blk, vis := inc.blocker(e.Tx); vis {
 				inc.admitOp(op)
 			} else {
@@ -318,7 +375,8 @@ func (inc *Incremental) admitOp(op pendingOp) {
 //
 //sgvet:hotpath
 func (inc *Incremental) opVal(op pendingOp) spec.OpVal {
-	return spec.OpVal{Op: inc.tr.AccessOp(op.tx), Val: inc.vals[op.val]}
+	v := inc.vals[op.val]
+	return spec.OpVal{Op: inc.tr.AccessOp(op.tx), Val: spec.Unpack(v.k, v.x, inc.strs)}
 }
 
 // conflict records the SG edge of a conflicting operation pair: between the
@@ -398,21 +456,37 @@ func (inc *Incremental) freezeInto(sg *SG, fz *freezeScratch) *SG {
 
 // freeze writes the canonical graphs into sg (sgRecords.freeze) and fills
 // in the visible operations: the per-object logs hold exactly the admitted
-// operations, so their union sorted by stream position is
-// operations(visible(β-prefix, T0)) in β order.
+// operations, so their union in stream-position order is
+// operations(visible(β-prefix, T0)) in β order. The positions are distinct
+// and below the events consumed, so a bitmap over them, with the count of
+// set bits before each word, places every operation without comparing
+// two.
 //
 //sgvet:hotpath
 func (inc *Incremental) freeze(sg *SG, fz *freezeScratch) *SG {
 	inc.sg.freeze(sg, fz)
-	ops := fz.ops[:0]
+	words := (inc.seq + 63) / 64
+	seen := sized(fz.seen, words)
+	below := sized(fz.below, words)
 	for _, log := range inc.conf.logs {
-		ops = append(ops, log...)
+		for _, op := range log {
+			seen[op.seq/64] |= 1 << (op.seq % 64)
+		}
 	}
-	slices.SortFunc(ops, func(a, b pendingOp) int { return cmp.Compare(a.seq, b.seq) })
-	for _, op := range ops {
-		sg.VisibleOps = append(sg.VisibleOps, event.AccessOp{Tx: op.tx, Obj: op.obj, OV: inc.opVal(op)})
+	n := int32(0)
+	for w, word := range seen {
+		below[w] = n
+		n += int32(bits.OnesCount64(word))
 	}
-	fz.ops = ops
+	fz.seen, fz.below = seen, below
+	ops := sized(sg.VisibleOps, int(n))
+	for _, log := range inc.conf.logs {
+		for _, op := range log {
+			w, b := op.seq/64, op.seq%64
+			ops[below[w]+int32(bits.OnesCount64(seen[w]&(1<<b-1)))] = event.AccessOp{Tx: op.tx, Obj: op.obj, OV: inc.opVal(op)}
+		}
+	}
+	sg.VisibleOps = ops
 	return sg
 }
 

@@ -257,6 +257,7 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		checkDifferential(t, "fuzz", tr, b)
 		checkWithPerturbation(t, "fuzz", tr, b)
 		checkAgainstDifferential(t, "fuzz", tr, b, -1)
+		checkReference(t, "fuzz", tr, b)
 	})
 }
 
@@ -290,6 +291,13 @@ func checkAgainstDifferential(t *testing.T, ctx string, tr *tname.Tree, b event.
 	}
 	if match && !online.Snapshot().Equal(res.SG) {
 		t.Fatalf("%s: records match, but the online snapshot differs from the batch SG", ctx)
+	}
+	// The same check read through a source that decodes in short runs.
+	src, srcMatch := NewChecker(tr).CheckAgainst(runSource{b}, online)
+	if src.Summary(tr) != want.Summary(tr) || srcMatch != match || !reflect.DeepEqual(src.ValueViolations, want.ValueViolations) ||
+		(src.SG == nil) != (want.SG == nil) || src.SG != nil && !src.SG.Equal(want.SG) {
+		t.Fatalf("%s: through a source, CheckAgainst says %q (match %v), on the behavior %q (match %v)",
+			ctx, src.Summary(tr), srcMatch, want.Summary(tr), match)
 	}
 	return match
 }

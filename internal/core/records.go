@@ -89,6 +89,14 @@ func (r *sgRecords) grow() {
 	}
 }
 
+// reserve makes room for the given numbers of parent graphs and edge
+// records, in the records and in the order's arcs.
+func (r *sgRecords) reserve(parents, edges int) {
+	r.parents = slices.Grow(r.parents, parents)
+	r.recs = slices.Grow(r.recs, edges)
+	r.order.Reserve(edges)
+}
+
 // reset rewinds to the empty graph, keeping every backing array.
 func (r *sgRecords) reset() {
 	for _, p := range r.parents {
@@ -199,64 +207,115 @@ func (r *sgRecords) same(o *sgRecords) bool {
 // discovered, which is what lets the engine, its partitions and the
 // composer certify identically. The records are only read. A pooled SG
 // refills without allocating; a fresh one takes one allocation per array.
+//
+// Every key is dense, so nothing is compared: one ascending scan of the
+// names lists the parents in order, a second places each child in its
+// parent's span, and the edge records are put in order by two counting
+// passes over the children's positions in sg.kids — stably by target, then
+// by source, which also groups them by parent, since the spans lie in
+// parent order — before the records of one pair merge into a labelled
+// edge.
+//
+//sgvet:hotpath
 func (r *sgRecords) freeze(sg *SG, fz *freezeScratch) {
-	ps := append(fz.parents[:0], r.parents...)
-	slices.Sort(ps)
-	fz.parents = ps
-	// rank[t] is t's canonical index among its siblings, written for the
-	// children of each parent before its edges are renumbered.
-	if k := len(r.names) - len(fz.rank); k > 0 {
-		fz.rank = append(fz.rank, make([]int32, k)...)
-	}
+	// at[t] is first the index of t's parent among the parents, then t's
+	// position in sg.kids; next[i] is the next free position of parent i's
+	// span.
+	at := sized(fz.at, len(r.names))
+	next := sized(fz.next, len(r.parents))[:0]
 	// Reserve every span up front: the spans alias the arrays, so the
 	// arrays must not move while they fill.
-	sg.parents = append(sg.parents[:0], make([]ParentGraph, len(ps))...)[:0]
-	sg.kids = append(sg.kids[:0], make([]tname.TxID, r.nodes)...)[:0]
-	sg.edges = append(sg.edges[:0], make([]Edge, len(r.recs))...)[:0]
-	for _, p := range ps {
-		k0 := len(sg.kids)
+	sg.parents = sized(sg.parents, len(r.parents))[:0]
+	sg.kids = sized(sg.kids, r.nodes)
+	sg.edges = sized(sg.edges, len(r.recs))
+	k := int32(0)
+	for p := range r.names {
+		if r.names[p].firstKid < 0 {
+			continue
+		}
+		i := int32(len(next))
+		k0 := k
 		for t := r.names[p].firstKid; t >= 0; t = r.names[t].next {
-			sg.kids = append(sg.kids, t)
+			at[t] = i
+			k++
 		}
-		kids := sg.kids[k0:len(sg.kids):len(sg.kids)]
-		slices.Sort(kids)
-		for i, t := range kids {
-			fz.rank[t] = int32(i)
+		next = append(next, k0)
+		sg.parents = append(sg.parents, ParentGraph{Parent: tname.TxID(p), Children: sg.kids[k0:k:k]})
+	}
+	for t := range r.names {
+		if r.names[t].next == notChild {
+			continue
 		}
+		i := at[t]
+		at[t] = next[i]
+		sg.kids[next[i]] = tname.TxID(t)
+		next[i]++
+	}
 
-		// Sorting by names sorts by canonical indices, which are ranks
-		// of the names among the children.
-		e0 := len(sg.edges)
-		for i := r.names[p].firstEdge; i >= 0; i = r.recs[i].next {
-			e := r.recs[i]
-			sg.edges = append(sg.edges, Edge{From: int32(e.from), To: int32(e.to), Kind: e.kind})
-		}
-		es := sg.edges[e0:]
-		slices.SortFunc(es, compareEdges)
-		// Merge the per-kind records of one pair into a single labelled
-		// edge, and renumber.
-		m := 0
-		for _, e := range es {
-			if m > 0 && es[m-1].From == e.From && es[m-1].To == e.To {
-				es[m-1].Kind |= e.Kind
+	// Counting passes over positions in sg.kids: the records, by index,
+	// by target into perm, then stably by source into sg.edges.
+	count := sized(fz.count, int(k)+1)
+	perm := sized(fz.perm, len(r.recs))
+	for _, e := range r.recs {
+		count[at[e.to]+1]++
+	}
+	for v := range k {
+		count[v+1] += count[v]
+	}
+	for i, e := range r.recs {
+		to := at[e.to]
+		perm[count[to]] = int32(i)
+		count[to]++
+	}
+	clear(count)
+	for _, e := range r.recs {
+		count[at[e.from]+1]++
+	}
+	for v := range k {
+		count[v+1] += count[v]
+	}
+	for _, i := range perm {
+		e := &r.recs[i]
+		from := at[e.from]
+		sg.edges[count[from]] = Edge{From: from, To: at[e.to], Kind: e.kind}
+		count[from]++
+	}
+	fz.at, fz.next, fz.count, fz.perm = at, next, count, perm
+
+	// After the placement pass next[i] is where span i ends.
+	m, j, k0 := 0, 0, int32(0)
+	for i := range sg.parents {
+		pg := &sg.parents[i]
+		end := next[i]
+		e0 := m
+		for ; j < len(sg.edges) && sg.edges[j].From < end; j++ {
+			e := sg.edges[j]
+			e.From -= k0
+			e.To -= k0
+			if m > e0 && sg.edges[m-1].From == e.From && sg.edges[m-1].To == e.To {
+				sg.edges[m-1].Kind |= e.Kind
 				continue
 			}
-			es[m] = e
+			sg.edges[m] = e
 			m++
 		}
-		es = es[:m:m]
-		for i := range es {
-			es[i].From, es[i].To = fz.rank[es[i].From], fz.rank[es[i].To]
-		}
-		sg.edges = sg.edges[:e0+m]
-		sg.parents = append(sg.parents, ParentGraph{Parent: p, Children: kids, edges: es})
+		pg.edges = sg.edges[e0:m:m]
+		k0 = end
 	}
+	sg.edges = sg.edges[:m]
 }
 
-// compareEdges orders edges by (From, To).
-func compareEdges(a, b Edge) int {
-	if a.From != b.From {
-		return int(a.From) - int(b.From)
+// sized returns s resized to n zeroed elements, in place when its capacity
+// allows. It is kept out of line, so that a growth is this function's
+// allocation and the hotalloc gate holds the pooled paths that call it to
+// their steady state, in which nothing grows.
+//
+//go:noinline
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return int(a.To) - int(b.To)
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -126,6 +126,14 @@ func (pg *ParentGraph) kindAt(f, t int32) EdgeKind {
 	return pg.edges[i].Kind
 }
 
+// compareEdges orders edges by (From, To).
+func compareEdges(a, b Edge) int {
+	if a.From != b.From {
+		return int(a.From) - int(b.From)
+	}
+	return int(a.To) - int(b.To)
+}
+
 // HasEdge reports whether the edge from→to is present, with its labels.
 func (pg *ParentGraph) HasEdge(from, to tname.TxID) (EdgeKind, bool) {
 	f := pg.nodeIndex(from)
@@ -138,11 +146,11 @@ func (pg *ParentGraph) HasEdge(from, to tname.TxID) (EdgeKind, bool) {
 }
 
 // freezeScratch is the reusable working memory of sgRecords.freeze and of
-// Incremental.freeze's merge of the per-object logs.
+// Incremental.freeze's placement of the visible operations.
 type freezeScratch struct {
-	parents []tname.TxID
-	rank    []int32
-	ops     []pendingOp
+	at, next, count, perm []int32
+	seen                  []uint64
+	below                 []int32
 }
 
 // sameAs reports whether pg and o have the same parent, the same children
@@ -272,6 +280,9 @@ type SiblingOrder struct {
 	// 0 when t is not ordered. Names defined after the order was built lie
 	// beyond the slice and are not ordered either.
 	rank []int32
+	// flat holds the lists of ByParent one after the other, each in its
+	// order, so a walk of the orders needs no map.
+	flat []tname.TxID
 }
 
 // newSiblingOrder returns an order over tr that ranks nothing yet.
@@ -412,6 +423,7 @@ func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *Si
 		for i, k := range kids {
 			order.rank[k] = int32(i + 1)
 		}
+		order.flat = append(order.flat, kids...)
 	}
 	return order
 }
@@ -447,7 +459,9 @@ func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
 		}
 		if all == nil {
 			all = make([]tname.TxID, len(sg.kids))
+			order.flat = all[:0]
 		}
+		order.flat = order.flat[:len(order.flat)+len(topo)]
 		kids := all[:len(topo):len(topo)]
 		all = all[len(topo):]
 		for i, n := range topo {

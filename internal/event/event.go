@@ -153,6 +153,37 @@ func (e Event) Object(tr *tname.Tree) tname.ObjID {
 // of the systems in this module.
 type Behavior []Event
 
+// Source is read access to a behavior kept in some other form — a server's
+// packed event log, say — so that a checker reads it in place instead of
+// copying it into a Behavior first. Len is the number of events. Run
+// returns the events from index i on, at least one when i < Len: a span of
+// the source's own storage when it holds Events, and otherwise buf, filled
+// with as many as fit. A Behavior is a Source of itself, whose first Run is
+// the whole behavior.
+type Source interface {
+	Len() int
+	Run(i int, buf []Event) []Event
+}
+
+// Len returns the number of events, as Source asks.
+func (b Behavior) Len() int { return len(b) }
+
+// Run returns b[i:]; b holds its events, so buf is not needed.
+func (b Behavior) Run(i int, _ []Event) []Event { return b[i:] }
+
+// Collect returns the behavior src holds: src itself when it is a
+// Behavior, and otherwise a fresh copy of its events.
+func Collect(src Source) Behavior {
+	if b, ok := src.(Behavior); ok {
+		return b
+	}
+	b := make(Behavior, 0, src.Len())
+	for len(b) < cap(b) {
+		b = append(b, src.Run(len(b), b[len(b):cap(b)])...)
+	}
+	return b
+}
+
 // Serial returns serial(β): the subsequence of serial actions.
 func (b Behavior) Serial() Behavior {
 	out := make(Behavior, 0, len(b))

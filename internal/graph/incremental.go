@@ -37,8 +37,9 @@ type Incremental struct {
 	arcs []arc   // out-arcs, linked per source
 	ins  []inArc // in-arcs, linked per target
 
-	// Search scratch, reused across AddEdge calls. marks is per node and
-	// epoch-stamped, so Reset keeps it as it is.
+	// Search scratch, reused across AddEdge calls. marks is per node,
+	// sized at the first search that needs one, and epoch-stamped, so
+	// Reset keeps it as it is.
 	epoch          uint32
 	marks          []mark
 	deltaF, deltaB []int32
@@ -79,7 +80,7 @@ type inArc struct {
 // NewIncremental returns an incremental DAG with n nodes, no edges, and
 // the identity order.
 func NewIncremental(n int) *Incremental {
-	g := &Incremental{vs: make([]vertex, 0, n), marks: make([]mark, 0, n)}
+	g := &Incremental{vs: make([]vertex, 0, n)}
 	for i := 0; i < n; i++ {
 		g.AddNode()
 	}
@@ -95,14 +96,18 @@ func (g *Incremental) Reset() {
 	g.ins = g.ins[:0]
 }
 
+// Reserve makes room for n more edges, so that a caller that knows how
+// many it will insert grows the arc arenas once.
+func (g *Incremental) Reserve(n int) {
+	g.arcs = slices.Grow(g.arcs, n)
+	g.ins = slices.Grow(g.ins, n)
+}
+
 // AddNode appends a node at the end of the maintained order and returns
 // its index.
 func (g *Incremental) AddNode() int {
 	v := len(g.vs)
 	g.vs = append(g.vs, vertex{pos: int32(v), out: -1, outLast: -1, in: -1, inLast: -1})
-	if len(g.marks) == v {
-		g.marks = append(g.marks, mark{})
-	}
 	return v
 }
 
@@ -132,6 +137,16 @@ func (g *Incremental) find(from, to int) int32 {
 
 // Pos returns the position of v in the maintained topological order.
 func (g *Incremental) Pos(v int) int { return int(g.vs[v].pos) }
+
+// growMarks sizes the search marks to the nodes. They are only needed
+// once an edge disagrees with the order, so a graph whose edges all agree
+// with it never allocates them.
+//
+//go:noinline
+func (g *Incremental) growMarks() []mark {
+	g.marks = append(g.marks, make([]mark, len(g.vs)-len(g.marks))...)
+	return g.marks
+}
 
 // bumpEpoch advances the scratch stamp, clearing the marks on the
 // (effectively unreachable) wraparound so stale stamps can never collide.
@@ -205,6 +220,9 @@ func (g *Incremental) reorder(from, to int) []int {
 	if ub < lb {
 		// The edge already agrees with the order: nothing to do.
 		return nil
+	}
+	if len(marks) < len(vs) {
+		marks = g.growMarks()
 	}
 	ep := g.bumpEpoch()
 	// Discovery: forward from `to` over nodes positioned ≤ ub. Any path

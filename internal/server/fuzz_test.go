@@ -459,9 +459,9 @@ func TestRegenerateLogFuzzCorpus(t *testing.T) {
 // FuzzLogRoundTrip: any events DecodeWalOp accepts, string values
 // included, survive the log's packed records. Appended batch after batch
 // from just short of a chunk boundary until the log is past it, they read
-// back equal to the input through snapshot and through the in-place walk
-// the certifier makes (logView.at). Its seeds are committed
-// (TestRegenerateLogFuzzCorpus).
+// back equal to the input through snapshot and through runs of seven
+// decoded in place (logView.Run), as the certifier reads them. Its seeds
+// are committed (TestRegenerateLogFuzzCorpus).
 func FuzzLogRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		op, err := event.DecodeWalOp(payload, math.MaxInt32, math.MaxInt32)
@@ -487,10 +487,18 @@ func FuzzLogRoundTrip(f *testing.F) {
 		if v.n != len(want) {
 			t.Fatalf("view holds %d events, want %d", v.n, len(want))
 		}
-		for i, e := range want {
-			if got := v.at(i); got != e {
-				t.Fatalf("event %d reads back as %v, want %v", i, got, e)
+		var buf [7]event.Event
+		for i := 0; i < len(want); {
+			run := v.Run(i, buf[:])
+			if len(run) == 0 {
+				t.Fatalf("run at event %d is empty", i)
 			}
+			for k, got := range run {
+				if e := want[i+k]; got != e {
+					t.Fatalf("event %d reads back as %v, want %v", i+k, got, e)
+				}
+			}
+			i += len(run)
 		}
 	})
 }

@@ -136,28 +136,47 @@ func (l *eventLog) view() logView {
 	return logView{chunks: l.chunks, strs: l.strs, n: l.n}
 }
 
-// at rebuilds event i < v.n, through the event constructors.
-func (v logView) at(i int) event.Event {
-	r := &v.chunks[i/logChunk][i%logChunk]
-	switch r.kind {
-	case event.InformCommit, event.InformAbort:
-		return event.NewInform(r.kind, r.tx, tname.ObjID(r.x))
-	case event.RequestCommit, event.ReportCommit:
-		return event.NewValEvent(r.kind, r.tx, spec.Unpack(r.vk, r.x, v.strs))
-	default:
-		return event.NewEvent(r.kind, r.tx)
+// Len is the number of published events: a logView is an event.Source,
+// which is how Final and Recover hand the log to the batch check in place.
+func (v logView) Len() int { return v.n }
+
+// Run rebuilds events i, i+1, … into buf, up to the end of i's chunk, of
+// the log or of buf, whichever comes first, through the event
+// constructors. It is the log's one decoder: the certifier, the batch
+// check and snapshot all read through it, a run per call.
+func (v logView) Run(i int, buf []event.Event) []event.Event {
+	recs := v.chunks[i/logChunk][i%logChunk:]
+	recs = recs[:min(len(recs), len(buf), v.n-i)]
+	buf = buf[:len(recs)]
+	for k := range recs {
+		r := &recs[k]
+		e := &buf[k]
+		switch r.kind {
+		case event.InformCommit, event.InformAbort:
+			*e = event.NewInform(r.kind, r.tx, tname.ObjID(r.x))
+		case event.RequestCommit, event.ReportCommit:
+			*e = event.NewValEvent(r.kind, r.tx, spec.Unpack(r.vk, r.x, v.strs))
+		default:
+			*e = event.NewEvent(r.kind, r.tx)
+		}
 	}
+	return buf
+}
+
+// kinds counts the published events by kind, reading the records in place.
+func (v logView) kinds() (n [event.InformAbort + 1]int) {
+	for i := 0; i < v.n; i += logChunk {
+		for _, r := range v.chunks[i/logChunk][:min(logChunk, v.n-i)] {
+			if r.kind <= event.InformAbort {
+				n[r.kind]++
+			}
+		}
+	}
+	return n
 }
 
 // snapshot copies the current log into one contiguous behavior.
-func (l *eventLog) snapshot() event.Behavior {
-	v := l.view()
-	b := make(event.Behavior, v.n)
-	for i := range b {
-		b[i] = v.at(i)
-	}
-	return b
-}
+func (l *eventLog) snapshot() event.Behavior { return event.Collect(l.view()) }
 
 // certifier runs core.Incremental behind the event log, with no goroutine
 // of its own: whoever needs the watermark — a top-level COMMIT, a VERDICT,
@@ -178,9 +197,11 @@ type certifier struct {
 	srv  *Server
 	snap *snapshotStore // nil except on the mvto backend
 
-	// mu serializes the combiners; the engine is theirs.
+	// mu serializes the combiners; the engine and the buffer the log is
+	// decoded into are theirs.
 	mu  sync.Mutex
-	inc *core.Incremental //sgvet:guardedby mu
+	inc *core.Incremental    //sgvet:guardedby mu
+	buf [certRun]event.Event //sgvet:guardedby mu
 
 	// watermark is the certified log prefix; it only grows, under mu.
 	watermark atomic.Int64
@@ -191,6 +212,10 @@ type certifier struct {
 	// Live gauges.
 	parents, nodes, edges atomic.Int64
 }
+
+// certRun is the length of certifier.buf: a combiner decodes the log a
+// run of at most 64 events, 3 KiB, at a time.
+const certRun = 64
 
 // rejection is the sticky verdict: the cycle certificate and the log
 // index of the first event whose prefix made SG(β) cyclic.
@@ -225,12 +250,15 @@ func (c *certifier) combine(target int) {
 		n := c.srv.opts.Hooks.CertApply(wm, v.n-wm)
 		n = max(1, min(n, v.n-wm))
 		c.srv.mu.RLock()
-		for i := wm; i < wm+n; i++ {
-			e := v.at(i)
-			c.inc.Append(e)
-			if c.snap != nil {
-				c.snap.apply(i, e)
+		for i := wm; i < wm+n; {
+			run := v.Run(i, c.buf[:min(certRun, wm+n-i)])
+			for k, e := range run {
+				c.inc.Append(e)
+				if c.snap != nil {
+					c.snap.apply(i+k, e)
+				}
 			}
+			i += len(run)
 		}
 		p, nn, ed := c.inc.Counts()
 		c.srv.mu.RUnlock()

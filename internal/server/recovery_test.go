@@ -328,13 +328,12 @@ func BenchmarkE18Recover(b *testing.B) {
 	b.ReportMetric(float64(events), "events")
 }
 
-// BenchmarkServerFinal measures the end-of-life audit — a batch core.Check
-// of the log and its record-for-record comparison with the online engine —
-// on a drained server the size of one life of the benchmark's young
-// workload: 2 sessions, 250 transactions of its shape over 256 registers,
-// each access a read or a write with even odds. The server is frozen, so
-// every iteration audits the same log.
-func BenchmarkServerFinal(b *testing.B) {
+// drainedYoungServer returns a drained server the size of one life of the
+// benchmark's young workload: 2 sessions, 250 transactions of its shape
+// over 256 registers, each access a read or a write with even odds. Its
+// log is frozen, so every Final audits the same events.
+func drainedYoungServer(tb testing.TB) *server.Server {
+	tb.Helper()
 	objs := make([]string, 256)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("x%d", i)
@@ -354,18 +353,26 @@ func BenchmarkServerFinal(b *testing.B) {
 			on[i], read[i] = objs[rng.Intn(len(objs))], rng.Intn(2) == 0
 		}
 		if err := conns[n%2].RunTx(1, shapedTxOn(on, func(i int) bool { return read[i] })); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for _, c := range conns {
 		c.Close()
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if f := s.Final(); !f.Batch.OK || !f.Match {
-		b.Fatalf("drained server fails its audit:\n%s", f.Summary)
+		tb.Fatalf("drained server fails its audit:\n%s", f.Summary)
 	}
+	return s
+}
+
+// BenchmarkServerFinal measures the end-of-life audit — a batch core.Check
+// of the log, read in place, and its record-for-record comparison with the
+// online engine — on drainedYoungServer.
+func BenchmarkServerFinal(b *testing.B) {
+	s := drainedYoungServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

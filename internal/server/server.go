@@ -569,26 +569,18 @@ type Final struct {
 
 // Final certifies the rest of the log online — nothing after Shutdown,
 // the tail after the last top-level commit after Kill — then recomputes
-// the whole run offline and compares the online engine with it record for
-// record, without materializing the online graph. Call only after
-// Shutdown or Kill has returned (all sessions stopped); Recover audits
-// with it before any session exists.
+// the whole run offline, reading the log's records in place, and compares
+// the online engine with it record for record, without materializing the
+// online graph. Call only after Shutdown or Kill has returned (all
+// sessions stopped); Recover audits with it before any session exists.
 //
 //sgvet:ignore[lockguard] post-Shutdown: sessions and certifier are quiesced, so the tree is immutable here
 func (s *Server) Final() *Final {
 	s.cert.catchUp()
-	b := s.log.snapshot()
-	f := &Final{Events: len(b)}
-	for _, e := range b {
-		switch e.Kind {
-		case event.Commit:
-			f.Commits++
-		case event.Abort:
-			f.Aborts++
-		default:
-		}
-	}
-	f.Batch, f.Match = core.NewChecker(s.tr).CheckAgainst(b, s.cert.inc)
+	v := s.log.view()
+	kinds := v.kinds()
+	f := &Final{Events: v.n, Commits: kinds[event.Commit], Aborts: kinds[event.Abort]}
+	f.Batch, f.Match = core.NewChecker(s.tr).CheckAgainst(v, s.cert.inc)
 	verdict := f.Batch.Summary(s.tr)
 	match := "online snapshot matches batch SG byte-for-byte"
 	if !f.Match {

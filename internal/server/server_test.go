@@ -50,15 +50,15 @@ func shutdownAndVerify(t *testing.T, s *server.Server) *server.Final {
 	if !f.Match {
 		t.Fatal("online engine's records differ from the batch construction's")
 	}
-	// Belt and braces, independent of Match: the materialized online graph
-	// must equal the batch SG and a fresh batch build's, labelled edges and
-	// all.
-	online := s.OnlineSG()
-	if !online.Equal(f.Batch.SG) {
-		t.Fatal("online SG differs from the batch SG in its parents, children or labelled edges")
+	// Final reads the log in place: its whole result must be a fresh check's
+	// of the log copied out — verdict text, graph, sibling order and views.
+	if err := f.Batch.Diff(s.Tree(), core.Check(s.Tree(), s.Log())); err != nil {
+		t.Fatalf("Final's batch check differs from a recheck over the captured log: %v", err)
 	}
-	if !online.Equal(core.Check(s.Tree(), s.Log()).SG) {
-		t.Fatal("online SG diverges from a recheck over the captured log")
+	// Belt and braces, independent of Match: the materialized online graph
+	// must equal the batch SG, labelled edges and all.
+	if !s.OnlineSG().Equal(f.Batch.SG) {
+		t.Fatal("online SG differs from the batch SG in its parents, children or labelled edges")
 	}
 	return f
 }

@@ -104,11 +104,9 @@ func (s *sim) finalState(timeline []map[tname.ObjID]spec.Value) map[string]spec.
 }
 
 // validateROSets proves the snapshot-isolation property for every
-// completed read-only transaction of the final incarnation: its whole
-// read set must equal the committed state of SOME log prefix, i.e. some
-// timeline entry serves every read in the set. (Sets recorded before a
-// crash were discarded — they may have read a published commit whose WAL
-// record was unsynced and hence absent from the stitched log.)
+// completed read-only transaction of every incarnation: its whole read set
+// must equal the committed state of SOME prefix of the final stitched log,
+// i.e. some timeline entry serves every read in the set.
 func (s *sim) validateROSets(timeline []map[tname.ObjID]spec.Value) error {
 	if len(s.roSets) == 0 {
 		return nil

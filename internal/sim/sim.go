@@ -193,6 +193,11 @@ type Report struct {
 	// answers to requests it put ahead, buffered or parked in a burst (a
 	// snapshot COMMIT among them). Not part of Summary().
 	MidPipeline int
+	// ROSetsBeforeCrash counts the read-only read sets recorded by an
+	// incarnation a crash ended. They are validated against the final
+	// stitched log like the others; a crash test asserts some exist, so
+	// that check cannot pass vacuously. Not part of Summary().
+	ROSetsBeforeCrash int
 	// FinalEvents is the stitched log length after the graceful drain;
 	// Trace is its binary encoding (the determinism witness).
 	FinalEvents int
@@ -273,10 +278,8 @@ type sim struct {
 	// certified snapshot, so the driver asserts they never park and never
 	// abort, and records their read sets for the prefix-consistency check.
 	roSnap bool
-	// roSets are the completed read-only read sets of the CURRENT server
-	// incarnation. A crash discards them: a set may have read a published
-	// commit whose WAL record was still unsynced, and such a commit is
-	// legitimately absent from the stitched post-crash log.
+	// roSets are the completed read-only read sets of every server
+	// incarnation, validated against the final stitched log in finish().
 	roSets [][]roRead
 
 	clock atomic.Int64  // virtual ns
@@ -875,11 +878,7 @@ func (s *sim) crash() error {
 	s.stall = nil
 	s.mu.Unlock()
 
-	// Discard the incarnation's read-only read sets: a set may have read a
-	// published commit whose WAL record was unsynced at the crash instant,
-	// and such a commit is legitimately missing from the stitched log.
-	s.roSets = nil
-
+	s.rep.ROSetsBeforeCrash = len(s.roSets)
 	s.srv.Kill()
 	for _, sl := range s.slots {
 		s.hangUp(sl)
@@ -956,12 +955,15 @@ func (s *sim) finish() error {
 	if !f.Batch.OK {
 		return fmt.Errorf("final batch check failed: %s", f.Batch.Summary(s.srv.Tree()))
 	}
-	// Match compares the online engine's records with the batch
-	// construction's. Hold the materialized online graph to the batch SG
-	// and to a fresh check of the log as well, so online ≡ batch is also
-	// checked by a path that does not go through Match.
-	online := s.srv.OnlineSG()
-	if !f.Match || !online.Equal(f.Batch.SG) || !online.Equal(core.Check(s.srv.Tree(), s.srv.Log()).SG) {
+	// Final reads the log in place; hold its whole result to a fresh check
+	// of the materialized log. Match compares the online engine's records
+	// with the batch construction's; hold the materialized online graph to
+	// the batch SG as well, so online ≡ batch is also checked by a path
+	// that does not go through Match.
+	if err := f.Batch.Diff(s.srv.Tree(), core.Check(s.srv.Tree(), s.srv.Log())); err != nil {
+		return fmt.Errorf("final audit differs from a check of the materialized log: %w", err)
+	}
+	if !f.Match || !s.srv.OnlineSG().Equal(f.Batch.SG) {
 		return fmt.Errorf("final online SG differs from batch SG")
 	}
 	s.rep.FinalEvents = f.Events

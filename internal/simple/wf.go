@@ -20,17 +20,31 @@ func (e *WFError) Error() string {
 	return fmt.Sprintf("well-formedness violated at event %d (%v %d): %s", e.Index, e.Event.Kind, e.Event.Tx, e.Msg)
 }
 
-// txWFState tracks the lifecycle facts the axioms mention.
+// txWFState tracks the lifecycle facts the axioms mention, in 16 bytes
+// that hold no pointer: the facts are bits, and the value REQUEST_COMMIT
+// carried is kept as spec.Pack splits it, its string, if any, in the
+// checker's side table.
 type txWFState struct {
-	requested       bool
-	created         bool
-	commitRequested bool
-	committed       bool
-	aborted         bool
-	reported        bool
-	openChildren    int        // children whose creation was requested but not yet reported
-	val             spec.Value // the value REQUEST_COMMIT carried, once commitRequested
+	x            int64 // the value's integer or string index, once commitRequested
+	openChildren int32 // children whose creation was requested but not yet reported
+	facts        wfFacts
+	vk           spec.ValueKind // the value's kind, once commitRequested
 }
+
+// wfFacts is a set of lifecycle facts of one transaction.
+type wfFacts uint8
+
+const (
+	requested wfFacts = 1 << iota
+	created
+	commitRequested
+	committed
+	aborted
+	reported
+)
+
+// has reports whether every fact of f holds.
+func (s *txWFState) has(f wfFacts) bool { return s.facts&f == f }
 
 // WellFormed checks the axioms of CheckWellFormed one event at a time, so a
 // caller that walks a behavior for another reason can decide
@@ -38,8 +52,9 @@ type txWFState struct {
 // transaction name, and Reset rewinds it to the empty prefix while keeping
 // the backing array.
 type WellFormed struct {
-	tr *tname.Tree
-	st []txWFState
+	tr   *tname.Tree
+	st   []txWFState
+	strs []string
 }
 
 // NewWellFormed returns a checker positioned at the empty prefix.
@@ -50,6 +65,8 @@ func NewWellFormed(tr *tname.Tree) *WellFormed {
 // Reset rewinds the checker to the empty prefix.
 func (w *WellFormed) Reset() {
 	clear(w.st)
+	clear(w.strs)
+	w.strs = w.strs[:0]
 	w.grow()
 }
 
@@ -76,93 +93,93 @@ func (w *WellFormed) Step(i int, e event.Event) error {
 	s := &w.st[e.Tx]
 	switch e.Kind {
 	case event.Create:
-		if e.Tx != tname.Root && !s.requested {
+		if e.Tx != tname.Root && !s.has(requested) {
 			return wfFail(i, e, "CREATE without prior REQUEST_CREATE")
 		}
-		if s.created {
+		if s.has(created) {
 			return wfFail(i, e, "second CREATE")
 		}
-		if s.aborted || s.committed {
+		if s.has(aborted) || s.has(committed) {
 			return wfFail(i, e, "CREATE after completion")
 		}
-		s.created = true
+		s.facts |= created
 
 	case event.RequestCreate:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "REQUEST_CREATE of T0")
 		}
-		if s.requested {
+		if s.has(requested) {
 			return wfFail(i, e, "second REQUEST_CREATE")
 		}
 		p := &w.st[w.tr.Parent(e.Tx)]
-		if !p.created {
+		if !p.has(created) {
 			return wfFail(i, e, "parent not created")
 		}
-		if p.commitRequested {
+		if p.has(commitRequested) {
 			return wfFail(i, e, "parent already requested commit")
 		}
-		s.requested = true
+		s.facts |= requested
 		p.openChildren++
 
 	case event.RequestCommit:
-		if !s.created {
+		if !s.has(created) {
 			return wfFail(i, e, "REQUEST_COMMIT without CREATE")
 		}
-		if s.commitRequested {
+		if s.has(commitRequested) {
 			return wfFail(i, e, "second REQUEST_COMMIT")
 		}
 		if !w.tr.IsAccess(e.Tx) && e.Tx != tname.Root && s.openChildren > 0 {
 			return wfFail(i, e, "REQUEST_COMMIT with %d unreported children", s.openChildren)
 		}
-		s.commitRequested = true
-		s.val = e.Val
+		s.facts |= commitRequested
+		s.vk, s.x, w.strs = spec.Pack(e.Val, w.strs)
 
 	case event.Commit:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "COMMIT of T0")
 		}
-		if !s.commitRequested {
+		if !s.has(commitRequested) {
 			return wfFail(i, e, "COMMIT without REQUEST_COMMIT")
 		}
-		if s.committed || s.aborted {
+		if s.has(committed) || s.has(aborted) {
 			return wfFail(i, e, "second completion event")
 		}
-		s.committed = true
+		s.facts |= committed
 
 	case event.Abort:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "ABORT of T0")
 		}
-		if !s.requested {
+		if !s.has(requested) {
 			return wfFail(i, e, "ABORT without REQUEST_CREATE")
 		}
-		if s.committed || s.aborted {
+		if s.has(committed) || s.has(aborted) {
 			return wfFail(i, e, "second completion event")
 		}
-		s.aborted = true
+		s.facts |= aborted
 
 	case event.ReportCommit:
-		// A committed transaction requested commit, so s.val is set.
-		if !s.committed {
+		// A committed transaction requested commit, so its value is set.
+		if !s.has(committed) {
 			return wfFail(i, e, "REPORT_COMMIT without COMMIT")
 		}
-		if s.reported {
+		if s.has(reported) {
 			return wfFail(i, e, "second report")
 		}
-		if s.val != e.Val {
-			return wfFail(i, e, "REPORT_COMMIT value %s does not match requested %s", e.Val, s.val)
+		if v := spec.Unpack(s.vk, s.x, w.strs); v != e.Val {
+			return wfFail(i, e, "REPORT_COMMIT value %s does not match requested %s", e.Val, v)
 		}
-		s.reported = true
+		s.facts |= reported
 		w.st[w.tr.Parent(e.Tx)].openChildren--
 
 	case event.ReportAbort:
-		if !s.aborted {
+		if !s.has(aborted) {
 			return wfFail(i, e, "REPORT_ABORT without ABORT")
 		}
-		if s.reported {
+		if s.has(reported) {
 			return wfFail(i, e, "second report")
 		}
-		s.reported = true
+		s.facts |= reported
 		w.st[w.tr.Parent(e.Tx)].openChildren--
 
 	default:
