@@ -92,13 +92,14 @@ bench-gate: bench-json
 # RunReadTx on mvto's snapshot path, over loopback TCP with its writes per
 # transaction,
 # recovery's WAL scan, one whole recovery of a shut-down 951-event log,
+# and of the WAL one young life leaves,
 # Final's audit of a drained server one young life in size,
 # the offline partitioned certifier's apply+compose)
 # plus two short certified nestedload sweeps — clients × read-ratio × zipf,
 # and backends × read-ratio — whose latency percentiles and throughput
 # parse into the suite as first-class columns (p50-us, p99-us, tx/s).
 bench-server:
-	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerFinal' -benchmem -count 1 ./internal/server ; \
+	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerRecover|ServerFinal' -benchmem -count 1 ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'PartitionedApply' -benchmem -count 1 ./internal/part ; \
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-clients 1,4,8 -sweep-readratios 0.2,0.8 -sweep-zipfs 0,1.5 ; \
@@ -114,7 +115,7 @@ bench-server:
 # numbers are hardware noise on shared runners.
 bench-server-gate: bench-server
 	$(GO) run ./cmd/benchdiff -suite BENCH_SERVER.json \
-		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerFinal|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerRecover|ServerFinal|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
 
 # Run the certified transaction server on the default port. SIGTERM (or
 # ctrl-C) drains it and prints the final online-vs-batch certificate.

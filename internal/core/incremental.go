@@ -212,6 +212,18 @@ func (inc *Incremental) reserve(k *batchCounts) {
 	inc.sg.reserve(k.parents, k.edges)
 }
 
+// Reserve makes room, in an engine nothing has been appended to, for the
+// behavior src holds, read once by the counting pass a batch construction
+// is presized with (presize), so that certifying src seldom regrows the
+// engine's arrays. Recovery reserves the online engine for the durable log
+// before its one pass certifies it; the log may grow past src, and the
+// arrays then grow with it.
+func (inc *Incremental) Reserve(src event.Source) {
+	k := &batchCounts{perObj: make([]objCount, inc.tr.NumObjects())}
+	countPass(&Checker{tr: inc.tr}, src, k)
+	inc.reserve(k)
+}
+
 // EventsSeen returns how many events have been appended.
 func (inc *Incremental) EventsSeen() int { return inc.seq }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
@@ -153,6 +154,9 @@ type Cursor struct {
 	// it instead of copied on its own. The trace header reads its
 	// transaction table so (header), with one allocation for all labels.
 	copied string
+	// views makes a label a view of b instead of a copy (label), for a
+	// caller that copies it on (DecodeWalRecord).
+	views bool
 }
 
 // NewCursor returns a cursor over b.
@@ -226,26 +230,50 @@ func (c *Cursor) varint(what, part string) (int64, error) {
 func (c *Cursor) Str(what string) (string, error) { return c.str(what, "") }
 
 func (c *Cursor) str(what, part string) (string, error) {
+	start, err := c.span(what, part)
+	if err != nil {
+		return "", err
+	}
+	if c.copied != "" {
+		return c.copied[start:c.off], nil
+	}
+	return string(c.b[start:c.off]), nil
+}
+
+// label reads a name's label as Str does. With views set it returns a
+// view of the cursor's bytes rather than a copy: a label the caller copies
+// into its own table (tname.Tree.Define) then costs no allocation.
+func (c *Cursor) label(what string) (string, error) {
+	if !c.views {
+		return c.str(what, "")
+	}
+	start, err := c.span(what, "")
+	if err != nil || start == c.off {
+		return "", err
+	}
+	return unsafe.String(&c.b[start], c.off-start), nil
+}
+
+// span steps over a uvarint-length-prefixed string and returns where its
+// bytes start; they end at the cursor.
+func (c *Cursor) span(what, part string) (int, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", fmt.Errorf("nsgb: %s%s length: %w", what, part, err)
+		return 0, fmt.Errorf("nsgb: %s%s length: %w", what, part, err)
 	}
 	if n > maxBinaryStr {
-		return "", fmt.Errorf("nsgb: %s%s length %d exceeds limit", what, part, n)
+		return 0, fmt.Errorf("nsgb: %s%s length %d exceeds limit", what, part, n)
 	}
 	if left := c.Len(); n > uint64(left) {
 		err = io.ErrUnexpectedEOF
 		if left == 0 {
 			err = io.EOF
 		}
-		return "", nsgbErr(what, part, err)
+		return 0, nsgbErr(what, part, err)
 	}
 	start := c.off
 	c.off += int(n)
-	if c.copied != "" {
-		return c.copied[start:c.off], nil
-	}
-	return string(c.b[start:c.off]), nil
+	return start, nil
 }
 
 // OpKind reads an operation kind. It is compared at full width:
@@ -300,7 +328,7 @@ func (c *Cursor) txDef() (parent, obj int64, label string, op spec.Op, err error
 	if parent, err = c.varint("tx parent", ""); err != nil {
 		return
 	}
-	if label, err = c.Str("tx label"); err != nil {
+	if label, err = c.label("tx label"); err != nil {
 		return
 	}
 	if obj, err = c.varint("tx obj", ""); err != nil || obj < 0 {
@@ -368,41 +396,73 @@ func (c Cursor) skipTxDefs(n int) (size, labels int) {
 // event reads an event as appendEvent writes it, checking its transaction
 // against numTx and an inform's object against numObjects.
 func (c *Cursor) event(numTx, numObjects int) (Event, error) {
-	kb, err := c.Byte("event kind")
+	kind, tx, val, obj, err := c.eventFields(numTx, numObjects)
 	if err != nil {
 		return Event{}, err
 	}
-	kind := Kind(kb)
+	return Event{Kind: kind, Tx: tx, Val: val, Obj: obj}, nil
+}
+
+// packed reads an event as event does into *p, appending a string value
+// to *strs; on an error it leaves both unspecified. It writes no pointer
+// but a string's, so a decoder filling a slice of records pays no write
+// barrier per event.
+func (c *Cursor) packed(p *Packed, strs *[]string, numTx, numObjects int) error {
+	kind, tx, val, obj, err := c.eventFields(numTx, numObjects)
+	if err != nil {
+		return err
+	}
+	p.Kind, p.Tx = kind, tx
+	if obj != tname.NoObj {
+		p.X, p.VK = int64(obj), spec.VNil
+	} else {
+		p.VK, p.X, *strs = spec.Pack(val, *strs)
+	}
+	return nil
+}
+
+// eventFields is the one reading of an event as appendEvent writes it:
+// its kind, its transaction, checked against numTx, and its value or, for
+// an INFORM, its object, checked against numObjects (NoObj for any other
+// kind).
+func (c *Cursor) eventFields(numTx, numObjects int) (kind Kind, tx tname.TxID, val spec.Value, obj tname.ObjID, err error) {
+	obj = tname.NoObj
+	kb, err := c.Byte("event kind")
+	if err != nil {
+		return
+	}
+	kind = Kind(kb)
 	if kind < Create || kind > InformAbort {
-		return Event{}, fmt.Errorf("nsgb: unknown event kind %d", kb)
+		err = fmt.Errorf("nsgb: unknown event kind %d", kb)
+		return
 	}
 	txu, err := c.Uvarint("event tx")
 	if err != nil {
-		return Event{}, err
+		return
 	}
 	if txu >= uint64(numTx) {
-		return Event{}, fmt.Errorf("nsgb: event names unknown tx %d", txu)
+		err = fmt.Errorf("nsgb: event names unknown tx %d", txu)
+		return
 	}
-	e := Event{Kind: kind, Tx: tname.TxID(txu), Val: spec.Nil, Obj: tname.NoObj}
+	tx = tname.TxID(txu)
 	switch kind {
 	case RequestCommit, ReportCommit:
-		if e.Val, err = c.Value("event val"); err != nil {
-			return Event{}, err
-		}
+		val, err = c.Value("event val")
 	case InformCommit, InformAbort:
-		obju, err := c.Uvarint("event obj")
-		if err != nil {
-			return Event{}, err
+		var obju uint64
+		if obju, err = c.Uvarint("event obj"); err != nil {
+			return
 		}
 		if obju >= uint64(numObjects) {
-			return Event{}, fmt.Errorf("nsgb: event informs unknown object %d", obju)
+			err = fmt.Errorf("nsgb: event informs unknown object %d", obju)
+			return
 		}
-		e.Obj = tname.ObjID(obju)
+		obj = tname.ObjID(obju)
 	default:
 		// Every other kind is fully described by (kind, tx); the kind
 		// range was checked above.
 	}
-	return e, nil
+	return
 }
 
 // header decodes the object and transaction tables straight into a tree,

@@ -96,6 +96,33 @@ func NewInform(k Kind, tx tname.TxID, x tname.ObjID) Event {
 	return Event{Kind: k, Tx: tx, Obj: x}
 }
 
+// Packed is an event in 16 bytes that hold no pointer: the form in which
+// the server's log keeps β, and into which recovery decodes its WAL
+// (DecodeWalRecord). X is the object of an INFORM, and otherwise the
+// integer spec.Pack splits the event's value into beside its kind VK; a
+// string value's X indexes a side table of strings. The server's log
+// rebuilds the events through the event constructors (logView.Run).
+type Packed struct {
+	X    int64
+	Tx   tname.TxID
+	Kind Kind
+	VK   spec.ValueKind
+}
+
+// Pack packs e, appending its string value, if any, to strs.
+//
+//sgvet:hotpath
+func Pack(e Event, strs []string) (Packed, []string) {
+	p := Packed{Tx: e.Tx, Kind: e.Kind}
+	switch e.Kind {
+	case InformCommit, InformAbort:
+		p.X = int64(e.Obj)
+	default:
+		p.VK, p.X, strs = spec.Pack(e.Val, strs)
+	}
+	return p, strs
+}
+
 // Format renders the event using fully qualified transaction names.
 func (e Event) Format(tr *tname.Tree) string {
 	switch e.Kind {

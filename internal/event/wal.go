@@ -101,105 +101,137 @@ func AppendWalEvents(buf []byte, evs ...Event) []byte {
 // error. It reads the payload in place and allocates nothing but the
 // strings and the event slice of its result.
 func DecodeWalOp(payload []byte, numTx, numObjects int) (WalOp, error) {
-	return decodeWalOp(payload, numTx, numObjects, nil)
-}
-
-// DecodeWalOpInto is DecodeWalOp for a caller that gathers the events of
-// many records into one behavior, as recovery does: a WalEvents record's
-// events are appended to b rather than returned in the result's Events,
-// which stays nil. It makes every check DecodeWalOp makes, and on any
-// error it returns b with its length and contents unchanged, so a record
-// that fails part-way through its events leaves none of them behind.
-func DecodeWalOpInto(b Behavior, payload []byte, numTx, numObjects int) (WalOp, Behavior, error) {
-	op, err := decodeWalOp(payload, numTx, numObjects, b)
-	if err != nil {
-		// The failed record appended only past len(b).
-		return WalOp{}, b, err
-	}
-	if op.Kind == WalEvents {
-		b, op.Events = op.Events, nil
-	}
-	return op, b, nil
-}
-
-// WalEventsCount reports whether payload is a WalEvents record and, if so,
-// how many events it declares, capped at the payload's size. It neither
-// decodes nor validates the events: a caller sizing a behavior before
-// DecodeWalOpInto fills it needs only an upper bound a corrupt record
-// cannot inflate.
-func WalEventsCount(payload []byte) (int, bool) {
-	if len(payload) == 0 || WalKind(payload[0]) != WalEvents {
-		return 0, false
-	}
-	count, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return 0, true
-	}
-	return int(min(count, uint64(len(payload)))), true
-}
-
-// decodeWalOp is DecodeWalOp with a WalEvents record's events appended to
-// evs, or to a slice of their own when evs is nil.
-func decodeWalOp(payload []byte, numTx, numObjects int, evs Behavior) (WalOp, error) {
-	c := NewCursor(payload)
-	kb, err := c.Byte("wal record kind")
-	if err != nil {
+	var op WalOp
+	if err := decodeWalOp(&op, nil, payload, numTx, numObjects); err != nil {
 		return WalOp{}, err
 	}
-	op := WalOp{Kind: WalKind(kb), Obj: tname.NoObj}
+	return op, nil
+}
+
+// PackedEvents gathers decoded events as the server's log keeps them:
+// Recs in order, and the string values they index in Strs.
+type PackedEvents struct {
+	Recs []Packed
+	Strs []string
+}
+
+// DecodeWalRecord is DecodeWalOp for a caller that decodes a whole WAL
+// into its own tables, as recovery does: it decodes into *op and evs, and
+// allocates only for a string value and to grow evs. A definition's Label
+// and SpecName are views of payload, not copies: they read whatever
+// payload's bytes hold, so a caller that keeps one past a change to those
+// bytes must copy it (tname.Tree.Define copies a label; AddObject keeps
+// it). A WalEvents record's events are appended to evs, packed, and
+// op.Events is left alone; so is every other field of *op but Kind and Obj
+// that the record's kind does not describe. It makes every check
+// DecodeWalOp makes; on an
+// error evs is as it was — a record that fails part-way leaves none of its
+// events behind — and *op is unspecified.
+func DecodeWalRecord(op *WalOp, evs *PackedEvents, payload []byte, numTx, numObjects int) error {
+	n, strs := len(evs.Recs), len(evs.Strs)
+	err := decodeWalOp(op, evs, payload, numTx, numObjects)
+	if err != nil {
+		evs.Recs, evs.Strs = evs.Recs[:n], evs.Strs[:strs]
+	}
+	return err
+}
+
+// WalNames reports, without decoding or validating payload, what decoding
+// it adds to a name tree: a WalTxDef one transaction name whose label
+// takes labelBytes, capped at the payload's size, a WalObjectDef one
+// object, any other record nothing. A caller presizing its tree needs only
+// bounds a corrupt record cannot inflate.
+func WalNames(payload []byte) (txNames, objects, labelBytes int) {
+	if len(payload) == 0 {
+		return 0, 0, 0
+	}
+	switch WalKind(payload[0]) {
+	case WalObjectDef:
+		return 0, 1, 0
+	case WalTxDef:
+		c := NewCursor(payload[1:])
+		if _, err := c.uvarint(); err != nil { // parent
+			return 1, 0, 0
+		}
+		n, err := c.uvarint()
+		if err != nil {
+			return 1, 0, 0
+		}
+		return 1, 0, int(min(n, uint64(len(payload))))
+	default:
+		return 0, 0, 0
+	}
+}
+
+// decodeWalOp decodes payload into *op. With evs, a definition's strings
+// are left views of payload and a WalEvents record's events are appended
+// to evs; without, *op is zero and they get a slice of their own.
+func decodeWalOp(op *WalOp, evs *PackedEvents, payload []byte, numTx, numObjects int) error {
+	c := Cursor{b: payload, views: evs != nil}
+	kb, err := c.Byte("wal record kind")
+	if err != nil {
+		return err
+	}
+	op.Kind, op.Obj = WalKind(kb), tname.NoObj
 	switch op.Kind {
 	case WalObjectDef:
-		if op.Label, err = c.Str("wal object label"); err != nil {
-			return WalOp{}, err
+		if op.Label, err = c.label("wal object label"); err != nil {
+			return err
 		}
-		if op.SpecName, err = c.Str("wal object spec"); err != nil {
-			return WalOp{}, err
+		if op.SpecName, err = c.label("wal object spec"); err != nil {
+			return err
 		}
 		if op.Label == "" {
-			return WalOp{}, fmt.Errorf("wal: object definition with empty label")
+			return fmt.Errorf("wal: object definition with empty label")
 		}
 		if spec.ByName(op.SpecName) == nil {
-			return WalOp{}, fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
+			return fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
 		}
 	case WalTxDef:
 		parent, obj, label, txop, err := c.txDef()
 		switch {
 		case err != nil:
-			return WalOp{}, err
+			return err
 		case parent < 0 || parent >= int64(numTx):
-			return WalOp{}, fmt.Errorf("wal: tx definition names unknown parent %d", parent)
+			return fmt.Errorf("wal: tx definition names unknown parent %d", parent)
 		case label == "":
-			return WalOp{}, fmt.Errorf("wal: tx definition with empty label")
+			return fmt.Errorf("wal: tx definition with empty label")
 		case obj != int64(tname.NoObj) && (obj < 0 || obj >= int64(numObjects)):
-			return WalOp{}, fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
+			return fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
 		}
 		op.Parent, op.Label, op.Obj, op.Op = tname.TxID(parent), label, tname.ObjID(obj), txop
 	case WalEvents:
 		count, err := c.Uvarint("wal event count")
 		if err != nil {
-			return WalOp{}, err
+			return err
 		}
 		// Every encoded event takes at least two bytes, so a count larger
 		// than the payload is corrupt; the bound also caps the allocation.
 		if count > uint64(len(payload)) {
-			return WalOp{}, fmt.Errorf("wal: event count %d exceeds payload size", count)
+			return fmt.Errorf("wal: event count %d exceeds payload size", count)
 		}
-		op.Events = evs
-		if op.Events == nil {
-			op.Events = make(Behavior, 0, count)
+		if evs != nil {
+			for i := uint64(0); i < count; i++ {
+				evs.Recs = append(evs.Recs, Packed{})
+				if err := c.packed(&evs.Recs[len(evs.Recs)-1], &evs.Strs, numTx, numObjects); err != nil {
+					return err
+				}
+			}
+			break
 		}
+		op.Events = make(Behavior, 0, count)
 		for i := uint64(0); i < count; i++ {
 			e, err := c.event(numTx, numObjects)
 			if err != nil {
-				return WalOp{}, err
+				return err
 			}
 			op.Events = append(op.Events, e)
 		}
 	default:
-		return WalOp{}, fmt.Errorf("wal: unknown record kind %d", kb)
+		return fmt.Errorf("wal: unknown record kind %d", kb)
 	}
 	if c.Len() != 0 {
-		return WalOp{}, fmt.Errorf("wal: trailing bytes after %c record", byte(op.Kind))
+		return fmt.Errorf("wal: trailing bytes after %c record", byte(op.Kind))
 	}
-	return op, nil
+	return nil
 }

@@ -134,11 +134,12 @@ func TestWalOpRejects(t *testing.T) {
 		if _, err := DecodeWalOp(c.payload, c.numTx, c.numObj); err == nil {
 			t.Fatalf("%s: decoded without error", c.name)
 		}
-		checkDecodeInto(t, c.payload, c.numTx, c.numObj, 1, 4)
+		checkDecodeRecord(t, c.payload, c.numTx, c.numObj, 1, 4)
 	}
 }
 
-// walPrefix is the behavior checkDecodeInto appends to.
+// walPrefix fills the scratch checkDecodeRecord hands DecodeWalRecord, as
+// the events of earlier records would.
 var walPrefix = Behavior{
 	NewEvent(Create, tname.Root),
 	NewEvent(RequestCreate, 1),
@@ -146,37 +147,112 @@ var walPrefix = Behavior{
 	NewValEvent(RequestCommit, 1, spec.Str("prefix")),
 }
 
-// checkDecodeInto holds DecodeWalOpInto to DecodeWalOp on payload, appending
-// to the first n events of walPrefix (1 ≤ n ≤ len(walPrefix)) in a slice
-// with spare capacity: it returns the prefix followed by DecodeWalOp's
-// events, or, on DecodeWalOp's error, the prefix unchanged in length and
-// content.
-func checkDecodeInto(t *testing.T, payload []byte, numTx, numObj, n, spare int) {
+// checkDecodeRecord holds DecodeWalRecord to DecodeWalOp on payload,
+// decoding into a scratch that holds the first n events of walPrefix
+// (1 ≤ n ≤ len(walPrefix)), packed, with spare room: the same verdict and
+// error text; on an error the scratch as it was; on success the same
+// record, its events appended to the scratch, in place whenever they fit,
+// and unpacking to DecodeWalOp's.
+func checkDecodeRecord(t *testing.T, payload []byte, numTx, numObj, n, spare int) {
 	t.Helper()
-	prefix := append(make(Behavior, 0, n+spare), walPrefix[:n]...)
-	want, wantErr := DecodeWalOp(payload, numTx, numObj)
-	op, got, err := DecodeWalOpInto(prefix, payload, numTx, numObj)
-	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("%x: DecodeWalOpInto says %v, DecodeWalOp %v", payload, err, wantErr)
+	evs := PackedEvents{Recs: make([]Packed, 0, n+spare)}
+	for _, e := range walPrefix[:n] {
+		var p Packed
+		p, evs.Strs = Pack(e, evs.Strs)
+		evs.Recs = append(evs.Recs, p)
 	}
-	if !slices.Equal(prefix, walPrefix[:n]) {
-		t.Fatalf("%x: the caller's prefix changed to %v", payload, prefix)
+	scratch, strs := evs.Recs, len(evs.Strs)
+	want, wantErr := DecodeWalOp(payload, numTx, numObj)
+	var op WalOp
+	err := DecodeWalRecord(&op, &evs, payload, numTx, numObj)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%x: DecodeWalRecord says %v, DecodeWalOp %v", payload, err, wantErr)
+	}
+	var got Behavior
+	for i := range evs.Recs {
+		got = append(got, unpack(evs.Recs[i], evs.Strs))
+	}
+	if !slices.Equal(got[:min(n, len(got))], walPrefix[:n]) {
+		t.Fatalf("%x: the scratch's events became %v", payload, got)
 	}
 	if err != nil {
-		if !slices.Equal(got, walPrefix[:n]) {
-			t.Fatalf("%x: failed decode left %v, want the prefix %v", payload, got, walPrefix[:n])
+		if len(evs.Recs) != n || len(evs.Strs) != strs {
+			t.Fatalf("%x: failed decode left %d events and %d strings in the scratch, want its %d and %d",
+				payload, len(evs.Recs), len(evs.Strs), n, strs)
 		}
 		return
 	}
-	if op.Events != nil {
-		t.Fatalf("%x: DecodeWalOpInto returned events in the op", payload)
+	if !slices.Equal(got[n:], want.Events) {
+		t.Fatalf("%x: appended %v, DecodeWalOp decodes %v", payload, got[n:], want.Events)
 	}
-	if !slices.Equal(got, append(slices.Clone(walPrefix[:n]), want.Events...)) {
-		t.Fatalf("%x: appended %v to the prefix, DecodeWalOp decodes %v", payload, got[n:], want.Events)
+	if len(evs.Recs) <= cap(scratch) && &evs.Recs[0] != &scratch[0] {
+		t.Fatalf("%x: events that fit the scratch were decoded elsewhere", payload)
+	}
+	if op.Events != nil {
+		t.Fatalf("%x: DecodeWalRecord returned events in the op", payload)
 	}
 	want.Events = nil
 	if !reflect.DeepEqual(op, want) {
-		t.Fatalf("%x: DecodeWalOpInto decodes %+v, DecodeWalOp %+v", payload, op, want)
+		t.Fatalf("%x: DecodeWalRecord decodes %+v, DecodeWalOp %+v", payload, op, want)
+	}
+}
+
+// unpack is the event p packs, with strs the side table Pack appended to.
+func unpack(p Packed, strs []string) Event {
+	switch p.Kind {
+	case InformCommit, InformAbort:
+		return NewInform(p.Kind, p.Tx, tname.ObjID(p.X))
+	case RequestCommit, ReportCommit:
+		return NewValEvent(p.Kind, p.Tx, spec.Unpack(p.VK, p.X, strs))
+	default:
+		return NewEvent(p.Kind, p.Tx)
+	}
+}
+
+// TestDecodeWalRecordAllocs: DecodeWalRecord allocates nothing for a
+// record without a string value, whose events fit its scratch.
+func TestDecodeWalRecordAllocs(t *testing.T) {
+	evs := PackedEvents{Recs: make([]Packed, 0, 64)}
+	for _, s := range walSamples() {
+		var op WalOp
+		if err := DecodeWalRecord(&op, &evs, s.payload, s.numTx, s.numObj); err != nil {
+			t.Fatalf("%s: decode: %v", s.name, err)
+		}
+		if op.Op.Arg.Kind == spec.VStr || len(evs.Strs) > 0 {
+			evs = PackedEvents{Recs: evs.Recs[:0]}
+			continue
+		}
+		got := testing.AllocsPerRun(100, func() {
+			evs.Recs = evs.Recs[:0]
+			if err := DecodeWalRecord(&op, &evs, s.payload, s.numTx, s.numObj); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %v allocs per decode, want 0", s.name, got)
+		}
+		evs.Recs = evs.Recs[:0]
+	}
+}
+
+// TestWalNames: WalNames counts the names a decode adds and their label
+// bytes, and a corrupt label length is capped at the record's size.
+func TestWalNames(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		payload                  []byte
+		txNames, objects, labels int
+	}{
+		{"object", AppendWalObjectDef(nil, "x", "register"), 0, 1, 0},
+		{"tx", AppendWalTxDef(nil, tname.Root, "s12.3", tname.NoObj, spec.Op{}), 1, 0, 5},
+		{"access", AppendWalTxDef(nil, 1, "a1", 0, spec.Op{Kind: spec.OpWrite, Arg: spec.Str("long")}), 1, 0, 2},
+		{"events", AppendWalEvents(nil, NewEvent(Create, 0), NewEvent(RequestCreate, 1)), 0, 0, 0},
+		{"huge-label", []byte{byte(WalTxDef), 0, 0xff, 0xff, 0xff, 0x7f}, 1, 0, 6},
+		{"empty", nil, 0, 0, 0},
+	} {
+		if n, o, l := WalNames(c.payload); n != c.txNames || o != c.objects || l != c.labels {
+			t.Errorf("%s: WalNames = %d, %d, %d, want %d, %d, %d", c.name, n, o, l, c.txNames, c.objects, c.labels)
+		}
 	}
 }
 
@@ -215,9 +291,9 @@ func TestDecodeWalOpAllocs(t *testing.T) {
 }
 
 // FuzzDecodeWalOp holds the slice-cursor decoder to four properties on
-// arbitrary payloads and counts. It never panics. DecodeWalOpInto decodes
-// what it decodes or leaves its caller's behavior as it was
-// (checkDecodeInto). It agrees with
+// arbitrary payloads and counts. It never panics. DecodeWalRecord decodes
+// what it decodes, into its caller's scratch (checkDecodeRecord). It
+// agrees with
 // refDecodeWalOp — the same decoder over a bufio.Reader — on the verdict,
 // the decoded value and the error text. And what it accepts re-encodes to
 // a canonical payload: one that decodes to the same value and re-encodes
@@ -241,9 +317,9 @@ func FuzzDecodeWalOp(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, ntx, nobj, pre uint8) {
 		numTx, numObj := int(ntx), int(nobj)
-		// The appending decoder, onto a prefix of 1 to 4 events with 0 to
-		// 63 spare slots, is the plain decoder or no change at all.
-		checkDecodeInto(t, payload, numTx, numObj, 1+int(pre%4), int(pre/4))
+		// The in-place decoder, into a scratch that holds 1 to 4 events
+		// and 0 to 63 spare slots, is the plain decoder.
+		checkDecodeRecord(t, payload, numTx, numObj, 1+int(pre%4), int(pre/4))
 		op, err := DecodeWalOp(payload, numTx, numObj)
 		refOp, refErr := refDecodeWalOp(payload, numTx, numObj)
 		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {

@@ -79,10 +79,11 @@ func (discardFile) Sync() error                 { return nil }
 func (discardFile) Close() error                { return nil }
 
 // BenchmarkWalScan measures recovery's first pass — read, frame-check and
-// decode every record — over a ≈ 10 k-record WAL of the shape the server
-// writes: per transaction two definitions and eight event records of a
-// dozen bytes each. Its B/op is the segment image plus the decoded ops;
-// a decoder that builds a reader per record shows up here ten-fold.
+// decode every record into a name tree and an event log — over a ≈ 10
+// k-record WAL of the shape the server writes: per transaction two
+// definitions and eight event records of a dozen bytes each. Its B/op is
+// the segment image plus the tree and the log; a decoder that builds a
+// reader per record shows up here ten-fold.
 func BenchmarkWalScan(b *testing.B) {
 	const txs = 1000
 	payloads := [][]byte{
@@ -112,7 +113,7 @@ func BenchmarkWalScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scan, err := scanWAL(disk)
+		scan, err := scanFresh(disk)
 		if err != nil {
 			b.Fatal(err)
 		}

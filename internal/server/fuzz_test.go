@@ -57,9 +57,10 @@ func recoverSegment(data []byte) (*Server, *RecoveryReport, error) {
 // stitch pipeline as a torn/corrupted segment. The contract: Recover never
 // panics — it either rejects the bytes with an error, or returns a server
 // whose stitched log passed both the batch check and the online/batch
-// certificate audit. A served WAL must also be stable: recovering the
-// stitched disk again needs no further repairs and yields the identical
-// trace.
+// certificate audit. It agrees with referenceRecover on the verdict and,
+// when it recovers, on everything checkRecoveryDifferential compares. A
+// served WAL must also be stable: recovering the stitched disk again needs
+// no further repairs and yields the identical trace.
 func FuzzRecoveryReplay(f *testing.F) {
 	img := segmentImage(f)
 	f.Add(img)
@@ -71,10 +72,11 @@ func FuzzRecoveryReplay(f *testing.F) {
 	f.Add(zeroPad(img, 4<<10))              // a killed DirDisk's grown file
 	f.Add(zeroPad(img[:len(img)-3], 4<<10)) // torn, then zeros
 	f.Add(walImage(f, partlyDecodedTailWal()))
+	f.Add(emptyRecordTail(img))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		disk := NewMemDisk()
-		disk.SetSegment(segmentName(1), data)
+		checkRecoveryDifferential(t, "input", segmentDisk(data), false)
+		disk := segmentDisk(data)
 		s, rep, err := Recover(Options{WAL: disk})
 		if err != nil {
 			return // clean rejection is fine; panics are not
@@ -99,6 +101,15 @@ func FuzzRecoveryReplay(f *testing.F) {
 			t.Fatal("stitched trace not stable across recoveries")
 		}
 	})
+}
+
+// emptyRecordTail returns img followed by a record whose payload is empty
+// and a stray byte: its length a zero in two bytes, which no writer emits
+// (an empty payload is refused) but which frames and passes its checksum,
+// the empty payload's zero. The stray byte keeps the record from reading
+// as trailing zeros.
+func emptyRecordTail(img []byte) []byte {
+	return append(slices.Clone(img), 0x80, 0x00, 0, 0, 0, 0, 0x01)
 }
 
 // partlyDecodedTailWal returns tinyWal's records followed by a definition
@@ -339,9 +350,9 @@ func TestRecoverZeroPaddedPrefixes(t *testing.T) {
 	}
 }
 
-// TestRecoverZeroPaddedAllocs: scanSegment reserves its decoded operations
-// from the record region, not the segment's length, so a segment padded
-// with a growth step of zeros scans with the allocations of its records.
+// TestRecoverZeroPaddedAllocs: scanSegment presizes the name tree from the
+// record region, not the segment's length, so a segment padded with a
+// growth step of zeros scans with the allocations of its records.
 func TestRecoverZeroPaddedAllocs(t *testing.T) {
 	img := segmentImage(t)
 	padded := zeroPad(img, dirGrowBytes)
@@ -352,8 +363,7 @@ func TestRecoverZeroPaddedAllocs(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				sc := walScan{numTx: 1}
-				if _, err := sc.scanSegment(data); err != nil {
+				if _, err := newTestScan().scanSegment(data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -387,6 +397,8 @@ func TestRegenerateRecoveryFuzzCorpus(t *testing.T) {
 		"seed_two_sessions": walImage(t, twoSessionWal()),
 		// A torn tail record that decodes part-way.
 		"seed_partly_decoded_tail": walImage(t, partlyDecodedTailWal()),
+		// A tail record framed with an empty payload.
+		"seed_empty_record": emptyRecordTail(img),
 	})
 }
 

@@ -42,37 +42,14 @@ type eventLog struct {
 	walBuf []byte     //sgvet:guardedby mu
 }
 
-// logRec is one event of the log, as appendEvent puts it on the wire: the
-// kind, the transaction, and x, which is the object of an INFORM and
-// otherwise the integer of the value spec.Pack split off its kind vk (the
-// index in eventLog.strs of a string value; 0 for an event that carries
-// none).
-type logRec struct {
-	x    int64
-	tx   tname.TxID
-	kind event.Kind
-	vk   spec.ValueKind
-}
+// logRec is one event of the log, packed into 16 bytes that hold no
+// pointer (event.Packed): a string value's X indexes eventLog.strs.
+type logRec = event.Packed
 
 // logChunk is the number of events in one chunk: 2048 logRecs are 32 KiB,
 // the runtime's largest small-object size class, which a chunk fills
 // exactly because it holds no pointer and so carries no header.
 const logChunk = 2048
-
-// rec packs e into a record, appending a string value to l.strs.
-//
-//sgvet:holds l.mu
-//sgvet:hotpath
-func (l *eventLog) rec(e event.Event) logRec {
-	r := logRec{tx: e.Tx, kind: e.Kind}
-	switch e.Kind {
-	case event.InformCommit, event.InformAbort:
-		r.x = int64(e.Obj)
-	default:
-		r.vk, r.x, l.strs = spec.Pack(e.Val, l.strs)
-	}
-	return r
-}
 
 // append atomically appends evs and returns the log index of the first one.
 // A write failure is sticky in the writer and surfaces at the next walSync
@@ -86,7 +63,7 @@ func (l *eventLog) append(evs ...event.Event) int {
 		if l.n == len(l.chunks)*logChunk {
 			l.grow()
 		}
-		l.chunks[l.n/logChunk][l.n%logChunk] = l.rec(e)
+		l.chunks[l.n/logChunk][l.n%logChunk], l.strs = event.Pack(e, l.strs)
 		l.n++
 	}
 	if l.wal != nil {
@@ -95,6 +72,25 @@ func (l *eventLog) append(evs ...event.Event) int {
 	}
 	l.mu.Unlock()
 	return base
+}
+
+// appendPacked appends the events evs holds, packed, with no WAL record:
+// recovery puts what it reads back from the WAL into the log so.
+func (l *eventLog) appendPacked(evs *event.PackedEvents) {
+	l.mu.Lock()
+	base := int64(len(l.strs))
+	for _, r := range evs.Recs {
+		if l.n == len(l.chunks)*logChunk {
+			l.grow()
+		}
+		if r.VK == spec.VStr {
+			r.X += base
+		}
+		l.chunks[l.n/logChunk][l.n%logChunk] = r
+		l.n++
+	}
+	l.strs = append(l.strs, evs.Strs...)
+	l.mu.Unlock()
 }
 
 // grow adds an empty chunk. It is kept out of line so that the append
@@ -151,13 +147,13 @@ func (v logView) Run(i int, buf []event.Event) []event.Event {
 	for k := range recs {
 		r := &recs[k]
 		e := &buf[k]
-		switch r.kind {
+		switch r.Kind {
 		case event.InformCommit, event.InformAbort:
-			*e = event.NewInform(r.kind, r.tx, tname.ObjID(r.x))
+			*e = event.NewInform(r.Kind, r.Tx, tname.ObjID(r.X))
 		case event.RequestCommit, event.ReportCommit:
-			*e = event.NewValEvent(r.kind, r.tx, spec.Unpack(r.vk, r.x, v.strs))
+			*e = event.NewValEvent(r.Kind, r.Tx, spec.Unpack(r.VK, r.X, v.strs))
 		default:
-			*e = event.NewEvent(r.kind, r.tx)
+			*e = event.NewEvent(r.Kind, r.Tx)
 		}
 	}
 	return buf
@@ -167,8 +163,8 @@ func (v logView) Run(i int, buf []event.Event) []event.Event {
 func (v logView) kinds() (n [event.InformAbort + 1]int) {
 	for i := 0; i < v.n; i += logChunk {
 		for _, r := range v.chunks[i/logChunk][:min(logChunk, v.n-i)] {
-			if r.kind <= event.InformAbort {
-				n[r.kind]++
+			if r.Kind <= event.InformAbort {
+				n[r.Kind]++
 			}
 		}
 	}
@@ -240,10 +236,19 @@ func newCertifier(s *Server) *certifier {
 // never waits on a stall beyond its own commit.
 //
 //sgvet:holds c.mu
-func (c *certifier) combine(target int) {
+func (c *certifier) combine(target int) { _ = c.apply(target, nil) }
+
+// apply is combine with every piece of a run, as the log's decoder hands
+// it out, first handed to check under the tree read lock: recovery checks
+// and replays the durable prefix in the pass that certifies it. When check
+// refuses a piece, apply returns its error at once, with that piece and
+// the rest uncertified.
+//
+//sgvet:holds c.mu
+func (c *certifier) apply(target int, check func(i int, evs []event.Event) error) error {
 	wm := int(c.watermark.Load())
 	if wm >= target {
-		return
+		return nil
 	}
 	v := c.srv.log.view()
 	for wm < target {
@@ -252,6 +257,12 @@ func (c *certifier) combine(target int) {
 		c.srv.mu.RLock()
 		for i := wm; i < wm+n; {
 			run := v.Run(i, c.buf[:min(certRun, wm+n-i)])
+			if check != nil {
+				if err := check(i, run); err != nil {
+					c.srv.mu.RUnlock()
+					return err
+				}
+			}
 			for k, e := range run {
 				c.inc.Append(e)
 				if c.snap != nil {
@@ -273,6 +284,7 @@ func (c *certifier) combine(target int) {
 		}
 		c.watermark.Store(int64(wm))
 	}
+	return nil
 }
 
 // waitCertified returns once the watermark covers seq: nil when every
@@ -310,8 +322,8 @@ func (c *certifier) state() (int, bool) {
 	return wm, r == nil || r.at >= wm
 }
 
-// prime certifies the recovered log before any session exists and refuses
-// it when SG(β) is cyclic.
+// prime certifies the recovered log, as far as recovery's pass has not,
+// before any session exists and refuses it when SG(β) is cyclic.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (c *certifier) prime() error {

@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"nestedsg/internal/event"
-	"nestedsg/internal/simple"
-	"nestedsg/internal/spec"
+	"nestedsg/internal/generic"
+	"nestedsg/internal/object"
 	"nestedsg/internal/tname"
 )
 
@@ -50,20 +50,22 @@ func (r *RecoveryReport) Summary() string {
 }
 
 // Recover builds a server from the durable WAL in opts.WAL (an empty WAL
-// is a fresh start). The definition records rebuild the name tree, and one
-// pass over the durable event prefix drives the object automata —
-// asserting at each logged REQUEST_COMMIT that the automaton grants the
-// same value, so a WAL that could not have come from a faithful run is
-// rejected instead of served — and gathers what the repairs need. Then the
-// log is "stitched": transactions whose completion was logged but whose
-// informs were lost get the missing informs, and top-level transactions
-// still in flight at the crash are aborted exactly as a dropped connection
-// would have been (the paper's well-formedness keeps orphans harmless: an
-// aborted top's INFORM_ABORT discards the whole subtree's locks). The
-// online certifier is primed synchronously over the stitched log and
-// audited as Final audits a drained server — so the resumed server's
-// certificate is byte-identical to an uninterrupted batch check of the
-// stitched log.
+// is a fresh start). The scan decodes each record once, the definitions
+// straight into the name tree and the events straight into the log's
+// records. Then one pass over the durable event prefix checks that it is a
+// behavior of the generic system — well-formed, every INFORM after its
+// completion, and every logged REQUEST_COMMIT granted by its object's
+// automaton with the logged value, so a WAL that could not have come from
+// a faithful run is rejected instead of served — gathers what the repairs
+// need, and certifies it. Then the log is "stitched": transactions whose
+// completion was logged but whose informs were lost get the missing
+// informs, and top-level transactions still in flight at the crash are
+// aborted exactly as a dropped connection would have been (the paper's
+// well-formedness keeps orphans harmless: an aborted top's INFORM_ABORT
+// discards the whole subtree's locks). The online certifier catches up
+// over the repairs synchronously and is audited as Final audits a drained
+// server — so the resumed server's certificate is byte-identical to an
+// uninterrupted batch check of the stitched log.
 //
 // Recovery never panics on bad WAL bytes: any torn tail outside the last
 // segment, semantic replay divergence, or failed audit is returned as an
@@ -86,111 +88,77 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 }
 
 // replayed is what the one pass over the durable prefix leaves the
-// repairs; its zero value repairs nothing.
+// repairs, in arrays dense in the log and in the names; its zero value
+// repairs nothing.
 type replayed struct {
-	// touched[T] lists the objects of automaton-created accesses in T's
-	// subtree, in first-create order: the recovery analogue of
-	// txFrame.touched.
-	touched [][]tname.ObjID
-	// informed holds the (transaction, object) pairs already informed.
-	informed map[informPair]bool
-	// done marks the completed transactions; completions are their COMMIT
-	// and ABORT events in log order.
-	done        []bool
-	completions []event.Event
+	// acc has stepped the prefix; it knows each transaction's completion.
+	acc *generic.Acceptor
+	// accesses are the accesses created, in CREATE order: the objects
+	// they touch are the recovery analogue of txFrame.touched.
+	accesses []tname.TxID
+	// informs are the INFORM events, in log order.
+	informs []txObj
+	// completions are the COMMITted and ABORTed transactions, in log
+	// order.
+	completions []tname.TxID
 	// tops are the created top-level transactions, in CREATE order.
 	tops []tname.TxID
 }
 
-type informPair struct {
+// txObj is a transaction and an object.
+type txObj struct {
 	t tname.TxID
 	x tname.ObjID
 }
 
-// replayWAL scans the WAL, rebuilds the name tree from its definitions,
-// replays its durable event prefix into r, and appends the prefix to the
-// log before attaching the writer, so that it is not written again; every
-// later append, repairs included, tees into the WAL.
+// replayWAL scans the WAL straight into the name tree and the log, makes
+// its objects, and replays its durable event prefix into r. The writer is
+// attached after the prefix, so that it is not written again; every later
+// append, repairs included, tees into the WAL.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
-	scan, err := scanWAL(s.opts.WAL)
+	scan, err := scanWAL(s.opts.WAL, s.tr, s.log)
 	if err != nil {
 		return err
 	}
 	rep.Segments, rep.Records = scan.segments, scan.records
 	rep.TornBytes, rep.TornSegment, rep.ZeroBytes = scan.tornBytes, scan.tornSegment, scan.zeroBytes
-	if err := s.replayDefs(scan.defs); err != nil {
-		return err
+	for x := range s.tr.NumObjects() {
+		s.newSharedObject(tname.ObjID(x))
 	}
-	b := scan.events
-	rep.DurableEvents = len(b)
+	// Define takes the labels' uniqueness on trust, so the tree is
+	// validated once, whole. The session counter moves past every session
+	// named in a top-level definition, created or not: a name defined
+	// durably owns its label even when its CREATE was lost.
+	if err := s.tr.Validate(); err != nil {
+		return fmt.Errorf("server: recovery rejected wal: %w", err)
+	}
+	s.sessionSeq.Store(scan.sessions)
+	n := s.log.len()
+	rep.DurableEvents = n
 	switch {
-	case len(b) == 0:
+	case n == 0:
 		if s.tr.NumTx() > 1 || s.tr.NumObjects() > 0 {
 			// Definitions with no events cannot come from a live server,
 			// which logs CREATE(T0) before anything else.
 			return fmt.Errorf("server: recovery rejected wal: definitions without events")
 		}
-	case b[0].Kind != event.Create || b[0].Tx != tname.Root:
+	case s.log.chunks[0][0].Kind != event.Create || s.log.chunks[0][0].Tx != tname.Root:
 		return fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
 	default:
-		if err := simple.CheckWellFormed(s.tr, b); err != nil {
-			return fmt.Errorf("server: recovery rejected wal: %w", err)
-		}
-		if err := s.replay(b, r); err != nil {
+		if err := s.replay(r); err != nil {
 			return err
 		}
 	}
-	s.log.append(b...)
 	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
 	if err != nil {
 		return err
 	}
 	// The prefix was read back from the disk, so it is durable.
-	w.logEnd = len(b)
-	w.durableLog.Store(int64(len(b)))
+	w.logEnd = n
+	w.durableLog.Store(int64(n))
 	s.wal, s.log.wal = w, w
-	return nil
-}
-
-// replayDefs defines every name in WAL order, as the live server did.
-// Define takes the labels' uniqueness on trust, so the tree is validated
-// once at the end. The session counter moves past every session named in a
-// top-level definition, created or not: a name defined durably owns its
-// label even when its CREATE was lost.
-//
-//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replayDefs(defs []event.WalOp) error {
-	names, text := 0, 0
-	for _, op := range defs {
-		if op.Kind == event.WalTxDef {
-			names, text = names+1, text+len(op.Label)
-		}
-	}
-	s.tr.Grow(names, text)
-	var sessions int64
-	for _, op := range defs {
-		switch op.Kind {
-		case event.WalObjectDef:
-			if s.tr.Object(op.Label) != tname.NoObj {
-				return fmt.Errorf("server: recovery rejected wal: duplicate object %q", op.Label)
-			}
-			sp := spec.ByName(op.SpecName) // non-nil: DecodeWalOpInto validated
-			s.newSharedObject(s.tr.AddObject(op.Label, sp))
-		case event.WalTxDef:
-			s.tr.Define(op.Parent, op.Label, op.Obj, op.Op)
-			if op.Parent == tname.Root {
-				sessions = max(sessions, sessionOf(op.Label))
-			}
-		case event.WalEvents:
-			// scanSegment keeps the events apart, in walScan.events.
-		}
-	}
-	if err := s.tr.Validate(); err != nil {
-		return fmt.Errorf("server: recovery rejected wal: %w", err)
-	}
-	s.sessionSeq.Store(sessions)
 	return nil
 }
 
@@ -208,78 +176,67 @@ func sessionOf(label string) int64 {
 	return n
 }
 
-// replay is the one pass over the well-formed durable prefix b. It drives
-// the object automata exactly as the live sessions did: CREATE at an
-// access's CREATE event, TryRequestCommit at its REQUEST_COMMIT (asserting
-// the grant and the value — the automata are deterministic and failed
-// polls don't mutate, so a faithful log replays to the same state), informs
-// at inform events. It counts the metrics b accounts for, so verdicts and
-// the final report stay consistent across a restart (the repairs count
-// themselves, like any session's appends), and records in r what the
-// repairs need.
+// replay is the one pass over the durable prefix: the certifier reads it
+// in place, a run at a time, and hands each run first to an Acceptor over
+// the object automata — the simple-database axioms, the two INFORM rules,
+// and the automata driven exactly as the live sessions drove them, with
+// the grant and the value of every access's REQUEST_COMMIT asserted (the
+// automata are deterministic and failed polls don't mutate, so a faithful
+// log replays to the same state) — then counts the metrics the prefix
+// accounts for, so verdicts and the final report stay consistent across a
+// restart (the repairs count themselves, like any session's appends), and
+// records in r what the repairs need; then it certifies the run. A log
+// that could not have come from a faithful run is rejected instead of
+// served.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replay(b event.Behavior, r *replayed) error {
-	n := s.tr.NumTx()
-	r.touched = make([][]tname.ObjID, n)
-	r.informed = make(map[informPair]bool)
-	r.done = make([]bool, n)
+func (s *Server) replay(r *replayed) error {
+	objs := make([]object.Generic, len(s.objs))
+	for x, o := range s.objs {
+		objs[x] = o.g
+	}
+	r.acc = generic.NewAcceptor(s.tr, objs)
+	v := s.log.view()
+	k := v.kinds()
+	r.accesses, r.tops = make([]tname.TxID, 0, k[event.Create]), make([]tname.TxID, 0, k[event.Create])
+	r.completions = make([]tname.TxID, 0, k[event.Commit]+k[event.Abort])
+	r.informs = make([]txObj, 0, k[event.InformCommit]+k[event.InformAbort])
 	m := s.metrics
-	for i, e := range b {
-		switch e.Kind {
-		case event.Create:
-			if e.Tx == tname.Root {
-				continue
+	check := func(i int, evs []event.Event) error {
+		for k, e := range evs {
+			if err := r.acc.Step(i+k, e); err != nil {
+				return fmt.Errorf("server: recovery rejected wal: %w", err)
 			}
-			if s.tr.IsAccess(e.Tx) {
-				x := s.tr.AccessObject(e.Tx)
-				s.objs[x].g.Create(e.Tx)
-				for u := e.Tx; u != tname.Root; u = s.tr.Parent(u) {
-					if !slices.Contains(r.touched[u], x) {
-						r.touched[u] = append(r.touched[u], x)
-					}
+			switch e.Kind {
+			case event.Create:
+				if s.tr.IsAccess(e.Tx) {
+					r.accesses = append(r.accesses, e.Tx)
 				}
-			}
-			if s.tr.Parent(e.Tx) == tname.Root {
-				m.Begins.Add(1)
-				r.tops = append(r.tops, e.Tx)
-			}
-		case event.RequestCommit:
-			if s.tr.IsAccess(e.Tx) {
-				g := s.objs[s.tr.AccessObject(e.Tx)].g
-				v, ok := g.TryRequestCommit(e.Tx)
-				if !ok {
-					return fmt.Errorf("server: recovery rejected wal: event %d: access %s not grantable at its logged position",
-						i, s.tr.Name(e.Tx))
+				if e.Tx != tname.Root && s.tr.Parent(e.Tx) == tname.Root {
+					m.Begins.Add(1)
+					r.tops = append(r.tops, e.Tx)
 				}
-				if v != e.Val {
-					return fmt.Errorf("server: recovery rejected wal: event %d: access %s replays to %s, log says %s",
-						i, s.tr.Name(e.Tx), v, e.Val)
-				}
-			}
-		case event.Commit, event.Abort:
-			// CheckWellFormed admits one completion per transaction.
-			if e.Kind == event.Commit {
+			case event.Commit:
 				m.CommitEvents.Add(1)
 				if s.tr.Parent(e.Tx) == tname.Root {
 					m.TopCommits.Add(1)
 				}
-			} else {
+				r.completions = append(r.completions, e.Tx)
+			case event.Abort:
 				m.AbortEvents.Add(1)
+				r.completions = append(r.completions, e.Tx)
+			case event.InformCommit, event.InformAbort:
+				r.informs = append(r.informs, txObj{e.Tx, e.Obj})
+			default:
+				// RequestCreate, RequestCommit, reports: nothing to count.
 			}
-			r.done[e.Tx] = true
-			r.completions = append(r.completions, e)
-		case event.InformCommit:
-			s.objs[e.Obj].g.InformCommit(e.Tx)
-			r.informed[informPair{e.Tx, e.Obj}] = true
-		case event.InformAbort:
-			s.objs[e.Obj].g.InformAbort(e.Tx)
-			r.informed[informPair{e.Tx, e.Obj}] = true
-		default:
-			// RequestCreate, reports: no automaton call.
 		}
+		return nil
 	}
-	return nil
+	s.cert.mu.Lock()
+	defer s.cert.mu.Unlock()
+	s.cert.inc.Reserve(v)
+	return s.cert.apply(v.n, check)
 }
 
 // stitch appends the repair events: missing informs for completions whose
@@ -290,39 +247,106 @@ func (s *Server) replay(b event.Behavior, r *replayed) error {
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) stitch(r *replayed, rep *RecoveryReport) {
-	// Missing informs, in completion order — leaf completions precede
-	// their ancestors' in any well-formed log, so lock hand-up replays in
-	// the right order.
-	for _, e := range r.completions {
-		kind := event.InformCommit
-		if e.Kind == event.Abort {
-			kind = event.InformAbort
+	if r.acc != nil {
+		touched, informed := r.touched(s.tr), groupByTx(s.tr.NumTx(), r.informs)
+		// mark[x] == q once x is done with for the q-th transaction looked
+		// at; fresh returns the objects of xs not done with, once each.
+		mark, q := make([]int32, s.tr.NumObjects()), int32(0)
+		var buf []tname.ObjID
+		fresh := func(xs []tname.ObjID) []tname.ObjID {
+			buf = buf[:0]
+			for _, x := range xs {
+				if mark[x] != q {
+					mark[x] = q
+					buf = append(buf, x)
+				}
+			}
+			return buf
 		}
-		for _, x := range r.touched[e.Tx] {
-			if !r.informed[informPair{e.Tx, x}] {
-				s.inform(kind, s.objs[x], e.Tx)
+
+		// Missing informs, in completion order — leaf completions precede
+		// their ancestors' in any well-formed log, so lock hand-up replays
+		// in the right order — at the objects the transaction's subtree
+		// touched, in first-touch order.
+		for _, t := range r.completions {
+			kind := event.InformCommit
+			if r.acc.Completion(t) == event.Abort {
+				kind = event.InformAbort
+			}
+			q++
+			fresh(informed.of(t))
+			for _, x := range fresh(touched.of(t)) {
+				s.inform(kind, s.objs[x], t)
 				rep.FixupInforms++
 			}
 		}
-	}
 
-	// Orphaned tops: created, never completed, session gone. They abort in
-	// TxID order, which is not CREATE order when two sessions interleave
-	// defining a name and logging its CREATE.
-	slices.Sort(r.tops)
-	for _, t := range r.tops {
-		if !r.done[t] {
-			s.abort(t, r.touched[t])
-			rep.OrphanTops++
+		// Orphaned tops: created, never completed, session gone. They
+		// abort in TxID order, which is not CREATE order when two sessions
+		// interleave defining a name and logging its CREATE.
+		slices.Sort(r.tops)
+		for _, t := range r.tops {
+			if r.acc.Completion(t) == event.KindInvalid {
+				q++
+				s.abort(t, fresh(touched.of(t)))
+				rep.OrphanTops++
+			}
 		}
 	}
 	rep.StitchedEvents = s.log.len()
 }
 
-// primeCertifier replays the stitched log through the online incremental
-// graph synchronously, then audits it as Final audits a drained server: a
-// batch core.Check of the log must pass, and the primed engine must hold
-// the records the batch construction accumulated.
+// touched groups, by transaction, the objects of the accesses created in
+// each subtree, in CREATE order: an object appears once per access to it.
+func (r *replayed) touched(tr *tname.Tree) objsByTx {
+	n := 0
+	for _, a := range r.accesses {
+		n += tr.Depth(a)
+	}
+	pairs := make([]txObj, 0, n)
+	for _, a := range r.accesses {
+		x := tr.AccessObject(a)
+		for u := a; u != tname.Root; u = tr.Parent(u) {
+			pairs = append(pairs, txObj{u, x})
+		}
+	}
+	return groupByTx(tr.NumTx(), pairs)
+}
+
+// objsByTx holds objects grouped by transaction: t's are
+// objs[start[t]:start[t+1]], in the order they were given.
+type objsByTx struct {
+	start []int32
+	objs  []tname.ObjID
+}
+
+// groupByTx groups pairs, over n transactions, by transaction with one
+// counting pass, keeping each transaction's objects in order.
+func groupByTx(n int, pairs []txObj) objsByTx {
+	g := objsByTx{start: make([]int32, n+1), objs: make([]tname.ObjID, len(pairs))}
+	for _, p := range pairs {
+		g.start[p.t+1]++
+	}
+	for t := range n {
+		g.start[t+1] += g.start[t]
+	}
+	next := slices.Clone(g.start[:n])
+	for _, p := range pairs {
+		g.objs[next[p.t]] = p.x
+		next[p.t]++
+	}
+	return g
+}
+
+// of returns t's objects.
+func (g objsByTx) of(t tname.TxID) []tname.ObjID { return g.objs[g.start[t]:g.start[t+1]] }
+
+// primeCertifier certifies the rest of the stitched log — the replay pass
+// certified the durable prefix, so what is left is the repairs — through
+// the online incremental graph synchronously, then audits the log as Final
+// audits a drained server: a batch core.Check of the log must pass, and
+// the primed engine must hold the records the batch construction
+// accumulated.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) primeCertifier(rep *RecoveryReport) error {

@@ -334,11 +334,41 @@ func BenchmarkE18Recover(b *testing.B) {
 // log is frozen, so every Final audits the same events.
 func drainedYoungServer(tb testing.TB) *server.Server {
 	tb.Helper()
+	s := server.New(server.Options{Objects: youngObjects()})
+	youngLife(tb, s)
+	return s
+}
+
+// youngRecoveryOptions returns the options of a durable server, on a frozen
+// MemDisk that holds one young life (drainedYoungServer's traffic), whose
+// every Recover reads the same WAL.
+func youngRecoveryOptions(tb testing.TB) server.Options {
+	tb.Helper()
+	disk := server.NewMemDisk()
+	opts := server.Options{WAL: disk, Objects: youngObjects()}
+	s, _, err := server.Recover(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	youngLife(tb, s)
+	disk.Freeze()
+	return opts
+}
+
+// youngObjects are the 256 registers of a young life.
+func youngObjects() []string {
 	objs := make([]string, 256)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("x%d", i)
 	}
-	s := server.New(server.Options{Objects: objs})
+	return objs
+}
+
+// youngLife runs one young life's traffic on s over in-memory pipes and
+// drains it.
+func youngLife(tb testing.TB, s *server.Server) {
+	tb.Helper()
+	objs := youngObjects()
 	var conns [2]*client.Conn
 	for i := range conns {
 		srvEnd, cliEnd := net.Pipe()
@@ -365,7 +395,27 @@ func drainedYoungServer(tb testing.TB) *server.Server {
 	if f := s.Final(); !f.Batch.OK || !f.Match {
 		tb.Fatalf("drained server fails its audit:\n%s", f.Summary)
 	}
-	return s
+}
+
+// BenchmarkServerRecover measures a whole recovery — scan, replay, stitch,
+// priming and the audit — of one young life's WAL (youngRecoveryOptions).
+func BenchmarkServerRecover(b *testing.B) {
+	opts := youngRecoveryOptions(b)
+	var events int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, rep, err := server.Recover(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.AuditOK || rep.OrphanTops != 0 || rep.FixupInforms != 0 {
+			b.Fatalf("recovery of a drained life repaired or failed: %s", rep.Summary())
+		}
+		events = rep.DurableEvents
+		s.Kill()
+	}
+	b.ReportMetric(float64(events), "events")
 }
 
 // BenchmarkServerFinal measures the end-of-life audit — a batch core.Check

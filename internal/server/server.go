@@ -187,13 +187,14 @@ func New(opts Options) *Server {
 }
 
 // newServer builds every server; New calls it without a WAL, Recover with
-// one. A WAL's durable prefix is replayed into the log in one pass and the
+// one. A WAL is scanned straight into the name tree and the log, and its
+// durable prefix is checked, replayed and certified in one pass, with the
 // writer attached behind it (replayWAL); an empty log is seeded with
 // CREATE(T0); then the prefix is stitched (nothing to stitch without a
 // WAL) and the objects are pre-created. A durable server then syncs the
-// WAL, and primes the certifier over the log and audits it against a batch
-// check before serving; a server without a WAL leaves its watermark at 0,
-// so its certifier (and Hooks.CertApply) first runs at the first top-level
+// WAL, and certifies the repairs and audits the log against a batch check
+// before serving; a server without a WAL leaves its watermark at 0, so its
+// certifier (and Hooks.CertApply) first runs at the first top-level
 // COMMIT.
 //
 //sgvet:ignore[lockguard] construction is single-threaded: no session exists yet

@@ -9,13 +9,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nestedsg/internal/event"
+	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 )
 
 // The write-ahead log is a sequence of segment files, each
@@ -823,18 +825,23 @@ func (w *walWriter) close() error {
 	return w.err
 }
 
-// walScan is the result of reading a WAL off a Disk.
+// walScan reads a WAL off a Disk straight into a name tree and an event
+// log: each definition record defines its name in the tree, and each
+// WalEvents record's events go into the log's records.
 type walScan struct {
-	// defs holds the decoded definition records in WAL order, and events
-	// the events of every WalEvents record in WAL order: the durable
-	// behavior prefix.
-	defs    []event.WalOp
-	events  event.Behavior
-	records int
-	// numTx and numObj count the names defined so far, the root T0
-	// included: the references a record may make.
-	numTx, numObj int
-	segments      int
+	tr  *tname.Tree
+	log *eventLog
+	// op is the record being decoded, and evs the scratch WalEvents
+	// records are decoded into, packed: a record that fails part-way
+	// leaves none of its events there, and the log takes them a batch of
+	// whole records at a time (flush).
+	op  event.WalOp
+	evs event.PackedEvents
+	// sessions is the largest session number a top-level definition
+	// names (sessionOf).
+	sessions int64
+	records  int
+	segments int
 	// nextIdx is the segment index a writer resuming this WAL must use.
 	nextIdx int
 	// tornSegment/tornBytes report a truncated torn tail (last segment
@@ -848,20 +855,21 @@ type walScan struct {
 // errWalCorrupt marks corruption outside the repairable torn tail.
 var errWalCorrupt = errors.New("wal: corrupt")
 
-// scanWAL reads every segment in order, decoding and validating records
-// against running (numTx, numObjects) counts. An invalid suffix of the
-// last segment is a torn tail: it is physically truncated away and the
-// scan succeeds with what precedes it. Invalid bytes anywhere else mean
+// scanWAL reads every segment in order into tr and log, decoding and
+// validating records against the names defined so far. An invalid suffix
+// of the last segment is a torn tail: it is physically truncated away and
+// the scan succeeds with what precedes it. Invalid bytes anywhere else mean
 // the WAL is corrupt and recovery must refuse. Trailing zeros are not torn
 // bytes: the last segment's are trimmed with its torn tail (or alone), and
 // an earlier segment's, which an OS crash can leave when it loses Close's
 // trim, are left in place.
-func scanWAL(disk Disk) (*walScan, error) {
+func scanWAL(disk Disk, tr *tname.Tree, log *eventLog) (*walScan, error) {
 	names, err := disk.Segments()
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing segments: %w", err)
 	}
-	res := &walScan{nextIdx: 1, segments: len(names), numTx: 1} // the root T0 always exists
+	res := &walScan{tr: tr, log: log, nextIdx: 1, segments: len(names),
+		evs: event.PackedEvents{Recs: make([]logRec, 0, 2*scanBatch)}}
 	prevIdx := -1
 	for si, name := range names {
 		idx, ok := segmentIndex(name)
@@ -912,12 +920,14 @@ func scanWAL(disk Disk) (*walScan, error) {
 
 func headerLen() int { return len(walMagic) + 1 /* version uvarint, 1 byte for v1 */ }
 
-// scanSegment decodes records from one segment image into sc, updating
-// its running counts. It returns the byte offset of the end of the last
-// fully valid record (or 0 if the header itself is bad) plus an error
-// describing the first invalid byte, if any; a record that fails leaves
-// nothing in sc. A zero byte where a record would start ends the records;
-// it is an error only if a non-zero byte follows it.
+// scanSegment decodes records from one segment image into the tree and
+// the log. It returns the byte offset of the end of the last fully valid
+// record (or 0 if the header itself is bad) plus an error describing the
+// first invalid byte, if any; a record that fails leaves nothing behind. A
+// zero byte where a record would start ends the records; it is an error
+// only if a non-zero byte follows it.
+//
+//sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (sc *walScan) scanSegment(data []byte) (int, error) {
 	if len(data) < headerLen() || string(data[:4]) != string(walMagic[:]) {
 		return 0, errors.New("bad segment header")
@@ -929,9 +939,10 @@ func (sc *walScan) scanSegment(data []byte) (int, error) {
 	// at or after it, since a record may itself end in zero bytes; a
 	// marker before it has non-zero bytes after it.
 	zeros := len(bytes.TrimRight(data, "\x00"))
-	defs, events := recordCounts(data[headerLen():zeros])
-	sc.defs = reserve(sc.defs, defs)
-	sc.events = reserve(sc.events, events)
+	names, objects, text := recordNames(data[headerLen():zeros])
+	sc.tr.Grow(names, text)
+	sc.tr.GrowObjects(objects)
+	defer sc.flush()
 	pos := headerLen()
 	for pos < len(data) {
 		if data[pos] == 0 {
@@ -956,20 +967,28 @@ func (sc *walScan) scanSegment(data []byte) (int, error) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[body+int(plen):end]) {
 			return pos, errors.New("record checksum mismatch")
 		}
-		op, events, err := event.DecodeWalOpInto(sc.events, payload, sc.numTx, sc.numObj)
-		if err != nil {
+		op := &sc.op
+		if err := event.DecodeWalRecord(op, &sc.evs, payload, sc.tr.NumTx(), sc.tr.NumObjects()); err != nil {
 			return pos, err
 		}
-		sc.events = events
 		switch op.Kind {
 		case event.WalObjectDef:
-			sc.numObj++
-			sc.defs = append(sc.defs, op)
+			if sc.tr.Object(op.Label) != tname.NoObj {
+				// Not a torn record but a WAL no server writes: like the
+				// tree's own panics, Recover's guard rejects it whole.
+				panic(fmt.Sprintf("duplicate object %q", op.Label))
+			}
+			// The label is a view of data; the tree keeps a copy.
+			sc.tr.AddObject(strings.Clone(op.Label), spec.ByName(op.SpecName))
 		case event.WalTxDef:
-			sc.numTx++
-			sc.defs = append(sc.defs, op)
+			sc.tr.Define(op.Parent, op.Label, op.Obj, op.Op)
+			if op.Parent == tname.Root {
+				sc.sessions = max(sc.sessions, sessionOf(op.Label))
+			}
 		case event.WalEvents:
-			// No new names.
+			if len(sc.evs.Recs) >= scanBatch {
+				sc.flush()
+			}
 		}
 		sc.records++
 		pos = end
@@ -977,35 +996,34 @@ func (sc *walScan) scanSegment(data []byte) (int, error) {
 	return pos, nil
 }
 
-// recordCounts frames the records of a segment's record region without
-// checking or decoding them, and counts the definition records and the
-// events the WalEvents records declare: what decoding the region appends.
-// It stops at the first byte that does not frame a record, so a torn or
-// corrupt region reserves no more than its bytes allow.
-func recordCounts(region []byte) (defs, events int) {
+// scanBatch is how many decoded events the scan gathers before the log
+// takes them: 256 records, 4 KiB.
+const scanBatch = 256
+
+// flush moves the events gathered in the scratch into the log.
+func (sc *walScan) flush() {
+	sc.log.appendPacked(&sc.evs)
+	sc.evs.Recs, sc.evs.Strs = sc.evs.Recs[:0], sc.evs.Strs[:0]
+}
+
+// recordNames frames the records of a segment's record region without
+// checking or decoding them, and counts the transaction names, the
+// objects and the label bytes that decoding the region defines. It stops
+// at the first byte that does not frame a record, so a torn or corrupt
+// region reserves no more than its bytes allow.
+func recordNames(region []byte) (names, objects, text int) {
 	for len(region) > 0 && region[0] != 0 {
 		plen, n := binary.Uvarint(region)
 		if n <= 0 || plen > maxWalRecord || n+int(plen)+4 > len(region) {
 			break
 		}
-		if k, ok := event.WalEventsCount(region[n : n+int(plen)]); ok {
-			events += k
-		} else {
-			defs++
+		if payload := region[n : n+int(plen)]; len(payload) > 0 && event.WalKind(payload[0]) != event.WalEvents {
+			d, o, l := event.WalNames(payload)
+			names, objects, text = names+d, objects+o, text+l
 		}
 		region = region[n+int(plen)+4:]
 	}
-	return defs, events
-}
-
-// reserve returns s with room for n more elements. When it must grow, it
-// at least doubles, so reserving segment by segment copies each element
-// a bounded number of times.
-func reserve[S ~[]E, E any](s S, n int) S {
-	if n <= cap(s)-len(s) {
-		return s
-	}
-	return slices.Grow(s, max(n, len(s)))
+	return names, objects, text
 }
 
 // isWalCorrupt reports whether err is a clean corruption rejection (as

@@ -24,6 +24,12 @@ func newTestWalWriter(disk Disk, segMax, firstIndex int) (*walWriter, error) {
 	return newWalWriter(disk, segMax, firstIndex, newMetrics(), new(atomic.Int64), time.Now)
 }
 
+// newTestScan returns a scan into a fresh tree and log.
+func newTestScan() *walScan { return &walScan{tr: tname.NewTree(), log: &eventLog{}} }
+
+// scanFresh scans disk into a fresh tree and log.
+func scanFresh(disk Disk) (*walScan, error) { return scanWAL(disk, tname.NewTree(), &eventLog{}) }
+
 // writeRecords drives a walWriter over disk with the given payloads.
 func writeRecords(t testing.TB, disk Disk, segMax int, payloads ...[]byte) {
 	t.Helper()
@@ -72,7 +78,7 @@ func TestWalScanRoundTrip(t *testing.T) {
 	for _, segMax := range []int{1 << 20, 48} { // one segment vs forced rotation
 		disk := NewMemDisk()
 		writeRecords(t, disk, segMax, payloads...)
-		scan, err := scanWAL(disk)
+		scan, err := scanFresh(disk)
 		if err != nil {
 			t.Fatalf("segMax=%d: scanWAL: %v", segMax, err)
 		}
@@ -85,15 +91,12 @@ func TestWalScanRoundTrip(t *testing.T) {
 		if segMax == 48 && scan.segments < 2 {
 			t.Fatalf("segMax=48 never rotated (got %d segments)", scan.segments)
 		}
-		if len(scan.events) != 13 {
-			t.Fatalf("segMax=%d: got %d events, want 13", segMax, len(scan.events))
+		if n := scan.log.len(); n != 13 {
+			t.Fatalf("segMax=%d: got %d events, want 13", segMax, n)
 		}
-		var kinds []event.WalKind
-		for _, op := range scan.defs {
-			kinds = append(kinds, op.Kind)
-		}
-		if want := []event.WalKind{event.WalObjectDef, event.WalTxDef, event.WalTxDef}; !slices.Equal(kinds, want) {
-			t.Fatalf("segMax=%d: got definitions %q, want %q", segMax, kinds, want)
+		if scan.tr.NumObjects() != 1 || scan.tr.NumTx() != 3 || !scan.tr.IsAccess(2) || scan.tr.Parent(2) != 1 {
+			t.Fatalf("segMax=%d: the definitions made %d objects and %d names, want an object and a top with one access",
+				segMax, scan.tr.NumObjects(), scan.tr.NumTx())
 		}
 	}
 }
@@ -114,7 +117,7 @@ func TestWalScanTornTail(t *testing.T) {
 		data, _ := disk.ReadSegment(last)
 		disk.SetSegment(last, append(append([]byte(nil), data...), garbage...))
 
-		scan, err := scanWAL(disk)
+		scan, err := scanFresh(disk)
 		if err != nil {
 			t.Fatalf("garbage %x: scanWAL: %v", garbage, err)
 		}
@@ -124,7 +127,7 @@ func TestWalScanTornTail(t *testing.T) {
 		if scan.records != len(tinyWal()) {
 			t.Fatalf("garbage %x: got %d records, want %d", garbage, scan.records, len(tinyWal()))
 		}
-		again, err := scanWAL(disk)
+		again, err := scanFresh(disk)
 		if err != nil || again.tornBytes != 0 || again.records != scan.records {
 			t.Fatalf("garbage %x: rescan after truncation: %v (torn=%d records=%d)",
 				garbage, err, again.tornBytes, again.records)
@@ -139,7 +142,7 @@ func TestWalScanHeaderlessLastSegment(t *testing.T) {
 	disk := NewMemDisk()
 	writeRecords(t, disk, 1<<20, tinyWal()...)
 	disk.SetSegment(segmentName(2), []byte{'N', 'S'})
-	scan, err := scanWAL(disk)
+	scan, err := scanFresh(disk)
 	if err != nil {
 		t.Fatalf("scanWAL: %v", err)
 	}
@@ -163,7 +166,7 @@ func TestWalScanRejectsCorruptMiddle(t *testing.T) {
 	data, _ := disk.ReadSegment(names[0])
 	data[len(data)-1] ^= 0xff // corrupt the first segment's last record
 	disk.SetSegment(names[0], data)
-	_, err := scanWAL(disk)
+	_, err := scanFresh(disk)
 	if err == nil || !isWalCorrupt(err) {
 		t.Fatalf("scanWAL on corrupt middle segment: %v, want wal corruption", err)
 	}
@@ -186,7 +189,7 @@ func TestWalScanRejectsSegmentHole(t *testing.T) {
 		data, _ := disk.ReadSegment(n)
 		holed.SetSegment(n, data)
 	}
-	_, err := scanWAL(holed)
+	_, err := scanFresh(holed)
 	if err == nil || !isWalCorrupt(err) {
 		t.Fatalf("scanWAL with a missing middle segment: %v, want wal corruption", err)
 	}
@@ -270,7 +273,7 @@ func TestWalAppendRefusesEmptyPayload(t *testing.T) {
 		must(t, w.appendRecord(p))
 	}
 	must(t, w.close())
-	scan, err := scanWAL(disk)
+	scan, err := scanFresh(disk)
 	must(t, err)
 	if scan.records != len(payloads) || scan.tornBytes != 0 || scan.zeroBytes != 0 {
 		t.Fatalf("scan read %d records (%d torn, %d zero bytes), want the %d appended and nothing to trim",
@@ -368,6 +371,22 @@ func TestRecoverRejectsDefsWithoutEvents(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsDuplicateObject: a WAL that defines one object label
+// twice, with the same specification or another, comes from no server;
+// the scan refuses it whole, in the words the reference recovery uses,
+// even when a torn tail follows it.
+func TestRecoverRejectsDuplicateObject(t *testing.T) {
+	for _, sp := range []string{"register", "counter"} {
+		payloads := append(tinyWal(), event.AppendWalObjectDef(nil, "x", sp))
+		img := append(walImage(t, payloads), 0x05, 0x01)
+		_, _, err := recoverSegment(img)
+		if want := `server: recovery rejected wal: duplicate object "x"`; err == nil || err.Error() != want {
+			t.Fatalf("%s: Recover: %v, want %q", sp, err, want)
+		}
+		checkRecoveryDifferential(t, sp, segmentDisk(img), true)
+	}
+}
+
 // TestWALDefinitionPrecedesFirstUse pins the WAL's definition-before-use
 // order under real concurrency: sessions on two processors intern fresh
 // names — every BEGIN, CHILD and ACCESS defines a transaction, every first
@@ -421,18 +440,18 @@ func TestWALDefinitionPrecedesFirstUse(t *testing.T) {
 
 	names, err := disk.Segments()
 	must(t, err)
-	sc := walScan{numTx: 1}
+	sc := newTestScan()
 	for _, name := range names {
 		data, err := disk.ReadSegment(name)
 		must(t, err)
 		if at, err := sc.scanSegment(data); err != nil {
 			t.Fatalf("%s offset %d, after %d records defining %d transactions and %d objects: %v",
-				name, at, sc.records, sc.numTx, sc.numObj, err)
+				name, at, sc.records, sc.tr.NumTx(), sc.tr.NumObjects(), err)
 		}
 	}
 	// 3 transaction names per tx plus T0, one object per tx.
-	if want := sessions*txPerSes*3 + 1; sc.numTx != want || sc.numObj != sessions*txPerSes {
-		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", sc.numTx, sc.numObj, want, sessions*txPerSes)
+	if want := sessions*txPerSes*3 + 1; sc.tr.NumTx() != want || sc.tr.NumObjects() != sessions*txPerSes {
+		t.Fatalf("WAL defines %d transactions and %d objects, want %d and %d", sc.tr.NumTx(), sc.tr.NumObjects(), want, sessions*txPerSes)
 	}
 }
 
@@ -499,6 +518,71 @@ func TestSettleEndsAfterOneFsync(t *testing.T) {
 			if w.rounds.Load() == 0 {
 				t.Fatal("the settle ran no rounds")
 			}
+		})
+	}
+}
+
+// TestRecoverRejectsEarlyInform: the controller of §5.1 informs an object
+// of a completion only after it: INFORM_COMMIT_AT(X)OF(T) needs COMMIT(T)
+// earlier in the log, and INFORM_ABORT_AT(X)OF(T) needs ABORT(T). A WAL
+// that breaks either rule is not a behavior of the generic system, and
+// recovery refuses it, naming the event and the rule. Each row is a
+// minimal log that breaks one rule and nothing else: the reference
+// recovery, which checks every other rule, accepts it, and with the INFORM
+// moved after the completion Recover does too.
+func TestRecoverRejectsEarlyInform(t *testing.T) {
+	const a1 tname.TxID = 2
+	x := tname.ObjID(0)
+	evs := func(es ...event.Event) []byte { return event.AppendWalEvents(nil, es...) }
+	head := [][]byte{
+		evs(event.NewEvent(event.Create, tname.Root)),
+		event.AppendWalObjectDef(nil, "x", "register"),
+		event.AppendWalTxDef(nil, tname.Root, "s1.1", tname.NoObj, spec.Op{}),
+		evs(event.NewEvent(event.RequestCreate, 1), event.NewEvent(event.Create, 1)),
+		event.AppendWalTxDef(nil, 1, "a1", x, spec.Op{Kind: spec.OpWrite, Arg: spec.Int(7)}),
+		evs(event.NewEvent(event.RequestCreate, a1), event.NewEvent(event.Create, a1)),
+	}
+	requested := evs(event.NewValEvent(event.RequestCommit, a1, spec.OK))
+	for _, c := range []struct {
+		name string
+		// inform, completion: the inform comes first in the rejected log
+		// and second in the accepted one.
+		inform, completion event.Event
+		tail               [][]byte
+		want               string
+	}{
+		{
+			name:       "inform_commit_before_commit",
+			inform:     event.NewInform(event.InformCommit, a1, x),
+			completion: event.NewEvent(event.Commit, a1),
+			tail:       [][]byte{requested},
+			want:       "event 6: INFORM_COMMIT_AT(x)OF(T0/s1.1/a1[x write(7)]) breaks rule INFORM_COMMIT: no earlier COMMIT(T0/s1.1/a1[x write(7)])",
+		},
+		{
+			name:       "inform_abort_before_abort",
+			inform:     event.NewInform(event.InformAbort, a1, x),
+			completion: event.NewEvent(event.Abort, a1),
+			want:       "event 5: INFORM_ABORT_AT(x)OF(T0/s1.1/a1[x write(7)]) breaks rule INFORM_ABORT: no earlier ABORT(T0/s1.1/a1[x write(7)])",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			early := append(slices.Clone(head), c.tail...)
+			late := slices.Clone(early)
+			early = append(early, evs(c.inform), evs(c.completion))
+			late = append(late, evs(c.completion), evs(c.inform))
+			if _, _, err := recoverSegment(walImage(t, early)); err == nil || !strings.HasSuffix(err.Error(), c.want) {
+				t.Fatalf("Recover: %v, want a rejection ending %q", err, c.want)
+			}
+			ref, _, err := referenceRecover(Options{WAL: segmentDisk(walImage(t, early))})
+			if err != nil {
+				t.Fatalf("the reference refuses the log for another rule: %v", err)
+			}
+			ref.Kill()
+			s, _, err := recoverSegment(walImage(t, late))
+			if err != nil {
+				t.Fatalf("with the INFORM after the completion: %v", err)
+			}
+			s.Kill()
 		})
 	}
 }

@@ -120,6 +120,16 @@ func (t *Tree) Grow(n, text int) {
 	t.text = slices.Grow(t.text, text)
 }
 
+// GrowObjects reserves room for n more object names. The label index of a
+// tree with no objects yet is made anew at that size, so that interning
+// them does not rehash it.
+func (t *Tree) GrowObjects(n int) {
+	if len(t.objects) == 0 {
+		t.objByLabel = make(map[string]ObjID, n)
+	}
+	t.objects = slices.Grow(t.objects, n)
+}
+
 // NumTx reports how many transaction names the tree holds.
 func (t *Tree) NumTx() int { return len(t.nodes) }
 
@@ -381,35 +391,87 @@ func (t *Tree) Name(tx TxID) string {
 
 // Validate checks the invariants of the tree, among them that no two
 // siblings share a label — the uniqueness Define takes on trust. Tests call
-// it, and so do the fault simulator's final drain and the server tests'
-// shutdown check.
+// it, and so do the fault simulator's final drain, the server tests'
+// shutdown check and recovery. It reports the violation at the lowest
+// name.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 || t.nodes[0].parent != None || t.nodes[0].depth != 0 {
 		return fmt.Errorf("tname: malformed root")
 	}
-	seen := make(map[childKey]TxID, len(t.nodes))
-	for id := 1; id < len(t.nodes); id++ {
-		n := t.nodes[id]
-		if n.parent < 0 || int(n.parent) >= len(t.nodes) {
-			return fmt.Errorf("tname: node %d has out-of-range parent %d", id, n.parent)
+	bad, err := len(t.nodes), error(nil)
+	for id := 1; id < len(t.nodes) && err == nil; id++ {
+		if err = t.checkNode(TxID(id)); err != nil {
+			bad = id
 		}
-		if n.parent >= TxID(id) {
-			return fmt.Errorf("tname: node %d has non-topological parent %d", id, n.parent)
-		}
-		if n.depth != t.nodes[n.parent].depth+1 {
-			return fmt.Errorf("tname: node %d has wrong depth", id)
-		}
-		if t.nodes[n.parent].obj != NoObj {
-			return fmt.Errorf("tname: node %d is a child of an access", id)
-		}
-		if n.obj != NoObj && int(n.obj) >= len(t.objects) {
-			return fmt.Errorf("tname: node %d accesses unknown object %d", id, n.obj)
-		}
-		key := childKey{n.parent, t.Label(TxID(id))}
-		if first, dup := seen[key]; dup {
-			return fmt.Errorf("tname: nodes %d and %d are both named %s", first, id, t.Name(TxID(id)))
-		}
-		seen[key] = TxID(id)
+	}
+	if first, dup := t.firstDuplicate(bad); dup != None {
+		return fmt.Errorf("tname: nodes %d and %d are both named %s", first, dup, t.Name(dup))
+	}
+	return err
+}
+
+// checkNode checks the invariants of name id against the names before it.
+func (t *Tree) checkNode(id TxID) error {
+	n := t.nodes[id]
+	switch {
+	case n.parent < 0 || int(n.parent) >= len(t.nodes):
+		return fmt.Errorf("tname: node %d has out-of-range parent %d", id, n.parent)
+	case n.parent >= id:
+		return fmt.Errorf("tname: node %d has non-topological parent %d", id, n.parent)
+	case n.depth != t.nodes[n.parent].depth+1:
+		return fmt.Errorf("tname: node %d has wrong depth", id)
+	case t.nodes[n.parent].obj != NoObj:
+		return fmt.Errorf("tname: node %d is a child of an access", id)
+	case n.obj != NoObj && int(n.obj) >= len(t.objects):
+		return fmt.Errorf("tname: node %d accesses unknown object %d", id, n.obj)
 	}
 	return nil
+}
+
+// firstDuplicate returns, among the names below end, the lowest one whose
+// label an earlier sibling already has, and that sibling's first name with
+// it; dup is None when the labels are unique. Siblings are grouped by one
+// counting pass over their parents and sorted by label within each group,
+// so no label is hashed.
+func (t *Tree) firstDuplicate(end int) (first, dup TxID) {
+	first, dup = None, None
+	start := make([]int32, end+1)
+	for id := 1; id < end; id++ {
+		start[t.nodes[id].parent+1]++
+	}
+	for p := range end {
+		start[p+1] += start[p]
+	}
+	kids := make([]TxID, end)
+	for id := 1; id < end; id++ {
+		p := t.nodes[id].parent
+		kids[start[p]] = TxID(id)
+		start[p]++
+	}
+	// start[p] now ends p's group, and the group before it ends where
+	// p's begins.
+	lo := int32(0)
+	for p := range end {
+		group := kids[lo:start[p]]
+		lo = start[p]
+		if len(group) < 2 {
+			continue
+		}
+		// Siblings are one name exactly when their labels are one, so
+		// labels, not names, are compared: sameAsLast(i) reports that
+		// group[i] has group[i-1]'s label.
+		sameAsLast := func(i int) bool { return strings.Compare(t.Label(group[i]), t.Label(group[i-1])) == 0 }
+		slices.SortFunc(group, func(a, b TxID) int {
+			if c := strings.Compare(t.Label(a), t.Label(b)); c != 0 {
+				return c
+			}
+			return int(a - b)
+		})
+		for i := 1; i < len(group); i++ {
+			if b := group[i]; (dup == None || b < dup) && sameAsLast(i) && (i == 1 || !sameAsLast(i-1)) {
+				first, dup = group[i-1], b
+			}
+		}
+	}
+	return first, dup
 }

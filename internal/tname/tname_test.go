@@ -1,11 +1,13 @@
 package tname
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -581,5 +583,54 @@ func TestValidateRejectsDuplicateSiblings(t *testing.T) {
 		if err := tr.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
 		}
+	}
+}
+
+// referenceValidate is Validate as one pass over the names in definition
+// order, the siblings' labels in a map: the first violation it meets is
+// the one to report.
+func referenceValidate(t *Tree) error {
+	if len(t.nodes) == 0 || t.nodes[0].parent != None || t.nodes[0].depth != 0 {
+		return fmt.Errorf("tname: malformed root")
+	}
+	seen := make(map[childKey]TxID, len(t.nodes))
+	for id := 1; id < len(t.nodes); id++ {
+		if err := t.checkNode(TxID(id)); err != nil {
+			return err
+		}
+		key := childKey{t.nodes[id].parent, t.Label(TxID(id))}
+		if first, dup := seen[key]; dup {
+			return fmt.Errorf("tname: nodes %d and %d are both named %s", first, id, t.Name(TxID(id)))
+		}
+		seen[key] = TxID(id)
+	}
+	return nil
+}
+
+// TestValidateMatchesReference: on random trees whose labels come from a
+// three-letter alphabet, so that siblings often share one, and on copies
+// with one name's depth broken, Validate reports what referenceValidate
+// reports, in the same words.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dups := 0
+	for round := 0; round < 2000; round++ {
+		tr := NewTree()
+		for n := rng.Intn(12); n > 0; n-- {
+			tr.Define(TxID(rng.Intn(tr.NumTx())), string(rune('a'+rng.Intn(3))), NoObj, spec.Op{})
+		}
+		if round%3 == 0 && tr.NumTx() > 1 {
+			tr.nodes[1+rng.Intn(tr.NumTx()-1)].depth += 5
+		}
+		got, want := tr.Validate(), referenceValidate(tr)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: Validate() = %v, the reference %v", round, got, want)
+		}
+		if got != nil && strings.Contains(got.Error(), "both named") {
+			dups++
+		}
+	}
+	if dups < 100 {
+		t.Fatalf("only %d of the trees had a duplicate label", dups)
 	}
 }
