@@ -30,9 +30,9 @@ race:
 
 # Short fuzz pass over every fuzz target in the tree: the trace codec
 # round-trip properties, the network-facing request and response parsers,
-# the edge-batch wire parser, the two frontiers'
-# closure lemmas, streaming ≡ batch, the WAL record decoder against its
-# bufio-based reference, the WAL recovery path, the event log's packed
+# the edge-batch wire parser, the graph search against the searches it
+# replaced, the two frontiers' closure lemmas, streaming ≡ batch, the WAL
+# record decoder against its bufio-based reference, the WAL recovery path, the event log's packed
 # records, the partitioned certificate
 # and the moss-vs-undolog backend differential. The committed
 # seeds live under */testdata/fuzz/. CI (and `make ci`) run it at
@@ -45,6 +45,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphSearchDifferential$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzConflictFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalDifferential$$' -fuzztime $(FUZZTIME) ./internal/core

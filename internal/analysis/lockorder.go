@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
+
+	"nestedsg/internal/graph"
 )
 
 // LockOrder detects potential deadlocks by cycle detection on the global
@@ -218,29 +221,45 @@ func (lf *lockOrderFacts) resolveEdges() map[[2]string]lockEdgeInfo {
 
 // finishLockOrder reports each strongly connected component of the
 // resolved graph (of size > 1, or a self-loop) as a potential deadlock.
+// The locks are numbered in name order and each one's edges laid out in
+// name order, so graph.Search.Components finds the components in the order
+// the recursive Tarjan over sorted names did.
 func finishLockOrder(store *FactStore, report func(token.Position, string)) error {
 	lf, ok := store.Get("lockorder").(*lockOrderFacts)
 	if !ok {
 		return nil
 	}
 	edges := lf.resolveEdges()
+	keys := sortedEdges(edges)
 	adj := make(map[string][]string)
-	nodes := make(map[string]bool)
-	for k := range edges {
+	var names []string
+	for _, k := range keys {
 		adj[k[0]] = append(adj[k[0]], k[1])
-		nodes[k[0]], nodes[k[1]] = true, true
+		names = append(names, k[0], k[1])
 	}
-	for n := range adj {
-		sort.Strings(adj[n])
+	sort.Strings(names)
+	names = slices.Compact(names)
+	g := graph.CSR{Off: make([]int32, len(names)+1), To: make([]int32, len(keys))}
+	for i, k := range keys {
+		g.Off[sort.SearchStrings(names, k[0])+1]++
+		g.To[i] = int32(sort.SearchStrings(names, k[1]))
 	}
-	for _, scc := range stronglyConnected(nodes, adj) {
+	for v := range names {
+		g.Off[v+1] += g.Off[v]
+	}
+	var search graph.Search
+	comp, count := search.Components(g)
+	sccs := make([][]string, count)
+	for v, c := range comp {
+		sccs[c] = append(sccs[c], names[v])
+	}
+	for _, scc := range sccs {
 		if len(scc) == 1 {
 			self := [2]string{scc[0], scc[0]}
 			if _, ok := edges[self]; !ok {
 				continue
 			}
 		}
-		sort.Strings(scc)
 		cycle := cyclePath(scc, adj)
 		var b strings.Builder
 		b.WriteString("lock-order cycle (potential deadlock): ")
@@ -252,6 +271,21 @@ func finishLockOrder(store *FactStore, report func(token.Position, string)) erro
 		report(first.pos, b.String())
 	}
 	return nil
+}
+
+// sortedEdges returns the keys of edges sorted by (held, acquired).
+func sortedEdges(edges map[[2]string]lockEdgeInfo) [][2]string {
+	keys := make([][2]string, 0, len(edges))
+	for k := range edges {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	return keys
 }
 
 // cyclePath walks a concrete cycle within one SCC starting from its
@@ -285,61 +319,6 @@ func cyclePath(scc []string, adj map[string][]string) []string {
 	}
 }
 
-// stronglyConnected is Tarjan's algorithm over the lock graph; the graph
-// has a handful of nodes, so the recursive form is fine.
-func stronglyConnected(nodes map[string]bool, adj map[string][]string) [][]string {
-	sorted := make([]string, 0, len(nodes))
-	for n := range nodes {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	next := 0
-	var out [][]string
-
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			out = append(out, scc)
-		}
-	}
-	for _, n := range sorted {
-		if _, seen := index[n]; !seen {
-			strong(n)
-		}
-	}
-	return out
-}
-
 // LockOrderDOT runs the lock-order collection over already-loaded
 // packages and renders the global nested-acquisition graph as Graphviz
 // DOT. Edges are deduplicated and sorted so the output is stable enough
@@ -362,18 +341,7 @@ func LockOrderDOT(pkgs []*Package) (string, error) {
 			return "", fmt.Errorf("analysis: lockorder on %s: %w", pkg.PkgPath, err)
 		}
 	}
-	lf := lockOrderFactsOf(store)
-	edges := lf.resolveEdges()
-	keys := make([][2]string, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	keys := sortedEdges(lockOrderFactsOf(store).resolveEdges())
 	var b strings.Builder
 	b.WriteString("digraph lockorder {\n")
 	b.WriteString("  rankdir=LR;\n")

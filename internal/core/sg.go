@@ -48,6 +48,7 @@ import (
 	"strings"
 
 	"nestedsg/internal/event"
+	"nestedsg/internal/graph"
 	"nestedsg/internal/tname"
 )
 
@@ -431,25 +432,32 @@ func ForgeOrderForTest(tr *tname.Tree, byParent map[tname.TxID][]tname.TxID) *Si
 // Acyclicity checks SG(β) and, when it is acyclic, derives the sibling
 // order certificate. On failure it returns the concrete cycle.
 //
-// Each SG(β, T) is sorted by Kahn's algorithm over a min-heap frontier, so
-// ties always break toward the smallest canonical index and certificates
-// are reproducible regardless of edge insertion order; a cyclic graph's
-// certificate is the first cycle an iterative depth-first search meets,
-// starting from each node in index order and following out-edges in
-// ascending order. The graphs share one scratch, sized once for the
-// largest, and the orders one backing array.
+// Each SG(β, T) is sorted by graph.Search.TopoSort, Kahn's algorithm over a
+// min-heap frontier, so ties always break toward the smallest canonical
+// index and certificates are reproducible regardless of edge insertion
+// order; a cyclic graph's certificate is graph.Search.Cycle's, the first
+// cycle an iterative depth-first search meets, starting from each node in
+// index order and following out-edges in ascending order. The graphs share
+// one scratch, sized once for the largest, and the orders one backing array.
 func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
 	order := newSiblingOrder(sg.tr, len(sg.parents))
-	var s topoScratch
-	s.size(sg)
+	n, m := 0, 0
+	for i := range sg.parents {
+		n = max(n, len(sg.parents[i].Children))
+		m = max(m, len(sg.parents[i].edges))
+	}
+	var s graph.Search
+	s.Reserve(n)
+	buf := make([]int32, n+1+m)
 	var all []tname.TxID
 	// sg.parents is sorted ascending, so parents are processed in a
 	// deterministic order and certificates are reproducible.
 	for i := range sg.parents {
 		pgr := &sg.parents[i]
-		topo := s.sort(pgr)
-		if topo == nil {
-			cyc := s.findCycle(pgr)
+		g := pgr.csr(buf)
+		topo, ok := s.TopoSort(g)
+		if !ok {
+			cyc := s.Cycle(g)
 			c := &Cycle{Parent: pgr.Parent, Nodes: make([]tname.TxID, len(cyc)), Kinds: make([]EdgeKind, len(cyc))}
 			for i, n := range cyc {
 				c.Nodes[i] = pgr.Children[n]
@@ -473,162 +481,21 @@ func (sg *SG) Acyclicity() (*SiblingOrder, *Cycle) {
 	return order, nil
 }
 
-// topoScratch is the working memory Acyclicity shares across the parent
-// graphs of one SG. off indexes a graph's edges as adjacency runs (CSR):
-// node v's out-edges are edges[off[v]:off[v+1]], in ascending target order.
-type topoScratch struct {
-	off, indeg, heap, order []int32
-	stack                   []dfsFrame
-}
-
-// dfsFrame is a node on the cycle search's path and the index of the next
-// out-edge to follow.
-type dfsFrame struct{ v, next int32 }
-
-// size reserves room for the largest parent graph of sg.
-func (s *topoScratch) size(sg *SG) {
-	n := 0
-	for i := range sg.parents {
-		n = max(n, len(sg.parents[i].Children))
-	}
-	s.off = make([]int32, 0, n+1)
-	s.indeg = make([]int32, 0, n)
-	s.heap = make([]int32, 0, n)
-	s.order = make([]int32, 0, n)
-}
-
-// index fills s.off for pg, whose edges are sorted by (From, To).
-func (s *topoScratch) index(pg *ParentGraph) []int32 {
+// csr lays pg out as a CSR graph in buf, which has room for one more entry
+// than pg has children and edges together. pg's edges are sorted by
+// (From, To), so node v's out-edges are one run, in ascending target order.
+func (pg *ParentGraph) csr(buf []int32) graph.CSR {
 	n := len(pg.Children)
-	off := slices.Grow(s.off[:0], n+1)[:n+1]
+	off, to := buf[:n+1], buf[n+1:n+1+len(pg.edges)]
 	clear(off)
-	for _, e := range pg.edges {
+	for i, e := range pg.edges {
 		off[e.From+1]++
+		to[i] = e.To
 	}
 	for v := range n {
 		off[v+1] += off[v]
 	}
-	s.off = off
-	return off
-}
-
-// sort returns pg's topological order (Kahn's algorithm over a min-heap
-// frontier), or nil when pg has a cycle. The order is s's until the next
-// call.
-func (s *topoScratch) sort(pg *ParentGraph) []int32 {
-	n := len(pg.Children)
-	off := s.index(pg)
-	indeg := slices.Grow(s.indeg[:0], n)[:n]
-	clear(indeg)
-	for _, e := range pg.edges {
-		indeg[e.To]++
-	}
-	// Ascending append order is already a valid min-heap.
-	h := s.heap[:0]
-	for v := range n {
-		if indeg[v] == 0 {
-			h = append(h, int32(v))
-		}
-	}
-	order := s.order[:0]
-	for len(h) > 0 {
-		v := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		siftDown(h)
-		order = append(order, v)
-		for _, e := range pg.edges[off[v]:off[v+1]] {
-			if indeg[e.To]--; indeg[e.To] == 0 {
-				h = append(h, e.To)
-				siftUp(h)
-			}
-		}
-	}
-	s.indeg, s.heap, s.order = indeg, h, order
-	if len(order) < n {
-		return nil
-	}
-	return order
-}
-
-// siftDown restores the min-heap h after its root was replaced.
-func siftDown(h []int32) {
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// siftUp restores the min-heap h after an append.
-func siftUp(h []int32) {
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-// findCycle returns a directed cycle of pg, in edge order; it must only be
-// called when one exists. Iterative DFS with an explicit stack, tracking
-// the path, from each unvisited node in index order.
-func (s *topoScratch) findCycle(pg *ParentGraph) []int32 {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	n := len(pg.Children)
-	off := s.index(pg)
-	color := make([]byte, n)
-	parent := make([]int32, n)
-	for start := range int32(n) {
-		if color[start] != white {
-			continue
-		}
-		stack := append(s.stack[:0], dfsFrame{v: start, next: off[start]})
-		color[start] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next == off[f.v+1] {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			w := pg.edges[f.next].To
-			f.next++
-			switch color[w] {
-			case white:
-				color[w] = grey
-				parent[w] = f.v
-				stack = append(stack, dfsFrame{v: w, next: off[w]})
-			case grey:
-				// Found a back edge f.v -> w; walk parents from f.v to w.
-				cyc := []int32{w}
-				for u := f.v; u != w; u = parent[u] {
-					cyc = append(cyc, u)
-				}
-				// Reverse so the cycle reads in edge direction.
-				slices.Reverse(cyc)
-				return cyc
-			}
-		}
-		s.stack = stack
-	}
-	return nil
+	return graph.CSR{Off: off, To: to}
 }
 
 // DOT renders one digraph per materialized parent graph — every SG(β, T)

@@ -144,9 +144,11 @@ type txState struct {
 	askedAt, blockersAt uint64
 	abort, blocked      bool
 	blockers            []tname.TxID
-	// victimRound marks the breakDeadlock round that already chose this
-	// transaction as a candidate victim.
-	victimRound uint64
+	// round marks the breaker round that last took this transaction: as a
+	// candidate victim (breakDeadlock), or as node wfNode of the waits-for
+	// graph (breakWaitsForCycle).
+	round  uint64
+	wfNode int32
 }
 
 func (ts *txState) touch(x tname.ObjID) {
@@ -213,7 +215,7 @@ type Runner struct {
 
 	acts   []act      // reused action buffer
 	cands  []*txState // reused candidate buffer (failure injection, victims)
-	rounds uint64     // breakDeadlock calls, the victimRound stamp
+	rounds uint64     // breaker calls, the txState.round stamp
 
 	trace event.Behavior
 	stats Stats
@@ -657,8 +659,8 @@ func (r *Runner) breakDeadlock() bool {
 					break
 				}
 				if ts.status < stCommitted {
-					if ts.victimRound != r.rounds {
-						ts.victimRound = r.rounds
+					if ts.round != r.rounds {
+						ts.round = r.rounds
 						victims = append(victims, ts)
 					}
 					break
@@ -688,19 +690,19 @@ func (r *Runner) abortVictim(victims []*txState) bool {
 // blocker's) and, if it contains a cycle, aborts one cycle member. It
 // returns whether a victim was aborted.
 func (r *Runner) breakWaitsForCycle() bool {
-	index := make(map[tname.TxID]int)
-	var tops []tname.TxID
+	// Number the top-level transactions in first-seen order; a stamp from
+	// an earlier round marks a top not yet seen in this one.
+	r.rounds++
+	var tops []*txState
 	node := func(t tname.TxID) int {
-		if i, ok := index[t]; ok {
-			return i
+		ts := r.tx(t)
+		if ts.round != r.rounds {
+			ts.round, ts.wfNode = r.rounds, int32(len(tops))
+			tops = append(tops, ts)
 		}
-		i := len(tops)
-		index[t] = i
-		tops = append(tops, t)
-		return i
+		return int(ts.wfNode)
 	}
-	type edge struct{ from, to tname.TxID }
-	var edges []edge
+	var edges [][2]int
 	for _, ts := range r.live {
 		if ts.dead || ts.status != stCreated || !ts.node.IsAccess {
 			continue
@@ -714,9 +716,7 @@ func (r *Runner) breakWaitsForCycle() bool {
 		for _, blk := range blks {
 			holder := r.tr.ChildAncestor(tname.Root, blk)
 			if holder != waiter {
-				node(waiter)
-				node(holder)
-				edges = append(edges, edge{waiter, holder})
+				edges = append(edges, [2]int{node(waiter), node(holder)})
 			}
 		}
 	}
@@ -725,7 +725,7 @@ func (r *Runner) breakWaitsForCycle() bool {
 	}
 	g := graph.New(len(tops))
 	for _, e := range edges {
-		g.AddEdge(index[e.from], index[e.to])
+		g.AddEdge(e[0], e[1])
 	}
 	_, cyc := g.TopoSort()
 	if cyc == nil {
@@ -734,8 +734,7 @@ func (r *Runner) breakWaitsForCycle() bool {
 	// Abort one cycle member that is still abortable.
 	victims := r.cands[:0]
 	for _, n := range cyc {
-		ts := r.tx(tops[n])
-		if ts != nil && !ts.dead && ts.status < stCommitted {
+		if ts := tops[n]; !ts.dead && ts.status < stCommitted {
 			victims = append(victims, ts)
 		}
 	}

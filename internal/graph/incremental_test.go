@@ -165,7 +165,7 @@ func TestIncrementalVsStatic(t *testing.T) {
 				// Validate the cycle against the edge set, including the
 				// closing edge, then stop: the order is stale now.
 				for i := range cyc {
-					if !static.HasEdge(cyc[i], cyc[(i+1)%len(cyc)]) {
+					if !hasEdge(static, cyc[i], cyc[(i+1)%len(cyc)]) {
 						return false
 					}
 				}
@@ -174,7 +174,7 @@ func TestIncrementalVsStatic(t *testing.T) {
 		}
 		// Stayed acyclic throughout: the final order must respect all edges.
 		for v := 0; v < n; v++ {
-			for _, w := range static.Succ(v) {
+			for _, w := range static.adj[v] {
 				if int(w) != v && inc.Pos(v) >= inc.Pos(int(w)) {
 					return false
 				}

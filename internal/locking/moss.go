@@ -10,7 +10,7 @@
 //     holding an exclusive lock, together with value(U) — the object state
 //     as seen at U (the paper's stack of values);
 //   - read-lockholders: the transactions holding shared locks;
-//   - created / commit-requested bookkeeping.
+//   - created / commit-requested bookkeeping, one access state per access.
 //
 // On INFORM_COMMIT the locks and value of the committed transaction move to
 // its parent; on INFORM_ABORT the locks of all its descendants are
@@ -33,8 +33,9 @@ type Moss struct {
 	x  tname.ObjID
 	sp spec.Spec
 
-	created         map[tname.TxID]bool
-	commitRequested map[tname.TxID]bool
+	// accesses and readLockholders are made on their first write: a server
+	// configures objects that may never be accessed.
+	accesses        map[tname.TxID]accessState
 	readLockholders map[tname.TxID]bool
 	// writeLockholders maps each exclusive-lock holder to its view of the
 	// object state. The holders always form a chain under ancestry
@@ -47,15 +48,20 @@ type Moss struct {
 	brokenKeepAbortState  bool
 }
 
+// accessState holds an access's created and commit-requested flags.
+type accessState uint8
+
+const (
+	created accessState = 1 << iota
+	commitRequested
+)
+
 // NewMoss builds the faithful M1_X automaton for object x.
 func NewMoss(tr *tname.Tree, x tname.ObjID) *Moss {
 	m := &Moss{
 		tr:               tr,
 		x:                x,
 		sp:               tr.Spec(x),
-		created:          make(map[tname.TxID]bool),
-		commitRequested:  make(map[tname.TxID]bool),
-		readLockholders:  make(map[tname.TxID]bool),
 		writeLockholders: make(map[tname.TxID]spec.State),
 	}
 	m.writeLockholders[tname.Root] = m.sp.Init()
@@ -63,7 +69,15 @@ func NewMoss(tr *tname.Tree, x tname.ObjID) *Moss {
 }
 
 // Create implements object.Generic.
-func (m *Moss) Create(t tname.TxID) { m.created[t] = true }
+func (m *Moss) Create(t tname.TxID) {
+	if m.accesses == nil {
+		m.accesses = make(map[tname.TxID]accessState)
+	}
+	m.accesses[t] |= created
+}
+
+// pending reports whether t is created and has not requested to commit.
+func (m *Moss) pending(t tname.TxID) bool { return m.accesses[t] == created }
 
 // InformCommit implements object.Generic: locks and the stored state pass
 // to the parent.
@@ -147,7 +161,7 @@ func (m *Moss) least() tname.TxID {
 
 // TryRequestCommit implements object.Generic.
 func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
-	if !m.created[t] || m.commitRequested[t] {
+	if !m.pending(t) {
 		return spec.Nil, false
 	}
 	op := m.tr.AccessOp(t)
@@ -159,7 +173,10 @@ func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 			}
 		}
 		_, v := m.sp.Apply(m.writeLockholders[m.least()], op)
-		m.commitRequested[t] = true
+		m.accesses[t] |= commitRequested
+		if m.readLockholders == nil {
+			m.readLockholders = make(map[tname.TxID]bool)
+		}
 		m.readLockholders[t] = true
 		return v, true
 	}
@@ -177,14 +194,14 @@ func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 		}
 	}
 	st, v := m.sp.Apply(m.writeLockholders[m.least()], op)
-	m.commitRequested[t] = true
+	m.accesses[t] |= commitRequested
 	m.writeLockholders[t] = st
 	return v, true
 }
 
 // Blockers implements object.Generic.
 func (m *Moss) Blockers(t tname.TxID) []tname.TxID {
-	if !m.created[t] || m.commitRequested[t] {
+	if !m.pending(t) {
 		return nil
 	}
 	op := m.tr.AccessOp(t)
@@ -208,7 +225,7 @@ func (m *Moss) Blockers(t tname.TxID) []tname.TxID {
 // len(Blockers(t)) > 0, but returns at the first non-ancestor lockholder
 // without building the list. The runner polls this on every step.
 func (m *Moss) Blocked(t tname.TxID) bool {
-	if !m.created[t] || m.commitRequested[t] {
+	if !m.pending(t) {
 		return false
 	}
 	for u := range m.writeLockholders {

@@ -201,7 +201,11 @@ func TestSnapshotNeverAheadOfDisk(t *testing.T) {
 	if _, got := roReadValue(t, b, "x"); got != spec.Int(0) {
 		t.Fatalf("read-only BEGIN during the held fsync read x=%s, want 0", got)
 	}
-	for label := range durableCommits(t, disk.durableImage()) {
+	image, err := disk.durableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label := range durableCommits(t, image) {
 		t.Fatalf("setup: top-level %s is already durable", label)
 	}
 	close(g.release)

@@ -78,18 +78,18 @@ func (d *countedDirDisk) hold() *syncGate {
 func (d *countedDirDisk) fsyncs() int64 { return d.syncs.Load() }
 
 // durableImage is the disk a crash would leave now: each segment's synced
-// prefix, read back from its file.
-func (d *countedDirDisk) durableImage() *server.MemDisk {
+// prefix, read back from its file. It reports a read error rather than
+// failing d.t, because a committer's goroutine calls it.
+func (d *countedDirDisk) durableImage() (*server.MemDisk, error) {
 	img := server.NewMemDisk()
 	for _, s := range d.snapshot() {
 		data, err := d.ReadSegment(s.name)
 		if err != nil {
-			d.t.Errorf("read %s: %v", s.name, err)
-			continue
+			return nil, fmt.Errorf("read %s: %w", s.name, err)
 		}
 		img.SetSegment(s.name, data[:s.synced])
 	}
-	return img
+	return img, nil
 }
 
 func (d *countedDirDisk) fileSize(name string) int64 {

@@ -45,12 +45,12 @@ type cohortDisk interface {
 	server.Disk
 	hold() *syncGate
 	fsyncs() int64
-	durableImage() *server.MemDisk
+	durableImage() (*server.MemDisk, error)
 }
 
-func (d *gatedDisk) hold() *syncGate               { return d.arm(nil) }
-func (d *gatedDisk) fsyncs() int64                 { return d.syncs.Load() }
-func (d *gatedDisk) durableImage() *server.MemDisk { return d.Crash(0) }
+func (d *gatedDisk) hold() *syncGate                        { return d.arm(nil) }
+func (d *gatedDisk) fsyncs() int64                          { return d.syncs.Load() }
+func (d *gatedDisk) durableImage() (*server.MemDisk, error) { return d.Crash(0), nil }
 
 func (d *gatedDisk) arm(err error) *syncGate {
 	g := &syncGate{entered: make(chan struct{}), release: make(chan struct{}), err: err}
@@ -159,16 +159,33 @@ func gatedCohort(t *testing.T, disk cohortDisk, n, open int, check func()) {
 	baseArrived, basePending := s.GroupArrived(), s.GroupPending()
 
 	g := disk.hold()
+	// The commits run on goroutines of their own. On every exit path they
+	// end before the test does: the gate opens, the server kills their
+	// sessions, and the test waits for them, so nothing they touch is gone
+	// and no failure of theirs lands on a finished test.
+	var running sync.WaitGroup
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(g.release)
+		}
+		s.Kill()
+		running.Wait()
+	})
 	type ack struct {
-		i     int
-		err   error
-		image *server.MemDisk // the durable image when the ack arrived
+		i        int
+		err      error
+		image    *server.MemDisk // the durable image when the ack arrived
+		imageErr error
 	}
 	acks := make(chan ack, n)
 	commit := func(i int) {
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			_, err := conns[i].Commit()
-			acks <- ack{i, err, disk.durableImage()}
+			image, imageErr := disk.durableImage()
+			acks <- ack{i, err, image, imageErr}
 		}()
 	}
 	for i := 0; i < open; i++ {
@@ -186,10 +203,13 @@ func gatedCohort(t *testing.T, disk cohortDisk, n, open int, check func()) {
 	default:
 	}
 	close(g.release)
+	released = true
 	for k := 0; k < n; k++ {
 		a := <-acks
 		if a.err != nil {
 			t.Errorf("commit %d: %v", a.i, a.err)
+		} else if a.imageErr != nil {
+			t.Errorf("commit %d: durable image: %v", a.i, a.imageErr)
 		} else if !durableCommits(t, a.image)[labels[a.i]] {
 			t.Errorf("commit %d (%s) was acked before its COMMIT was durable", a.i, labels[a.i])
 		}

@@ -41,7 +41,6 @@ func referenceRecover(opts Options) (s *Server, rep *RecoveryReport, err error) 
 		tr:      tname.NewTree(),
 		log:     &eventLog{},
 		metrics: newMetrics(),
-		waits:   newWaitTable(),
 		conns:   make(map[*session]struct{}),
 	}
 	p, err := resolveProtocol(opts, s.tr)

@@ -153,7 +153,7 @@ type Server struct {
 	backend string
 	proto   object.Protocol
 	metrics *Metrics
-	waits   *waitTable
+	waits   waitTable
 	wal     *walWriter // nil without durability
 
 	lis        net.Listener
@@ -205,7 +205,6 @@ func newServer(opts Options) (*Server, *RecoveryReport, error) {
 		tr:      tname.NewTree(),
 		log:     &eventLog{},
 		metrics: newMetrics(),
-		waits:   newWaitTable(),
 		conns:   make(map[*session]struct{}),
 	}
 	p, err := resolveProtocol(opts, s.tr)

@@ -440,7 +440,7 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 				// Entered under the mutex hold that refused: no INFORM can
 				// slip between the refusal and the park.
 				w = &waitEntry{
-					sess: sn.id, access: acc, top: sn.frames[0].id, obj: obj,
+					access: acc, top: sn.frames[0].id, obj: obj,
 					wake:     make(chan struct{}, 1),
 					deadline: opts.Hooks.Now().Add(opts.LockTimeout),
 				}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nestedsg/internal/graph"
 	"nestedsg/internal/tname"
 )
 
@@ -14,7 +16,6 @@ import (
 // ends, so a signal or victim mark that arrives late lands on garbage
 // instead of on the session's next wait.
 type waitEntry struct {
-	sess   int64
 	access tname.TxID
 	top    tname.TxID
 	obj    *sharedObject
@@ -46,40 +47,41 @@ func (o *sharedObject) wakeWaiters() {
 	}
 }
 
-// waitTable is the set of sessions currently parked on a refused access,
-// keyed by session. The deadlock detector builds the waits-for graph
-// between the waiters' top-level transactions from the objects' Blockers;
-// Kill and a forced drain walk it to wake everyone.
+// waitTable is the set of sessions currently parked on a refused access.
+// A session runs one top-level transaction at a time, so there is one entry
+// per waiting top, and the table keeps them sorted by top. The deadlock
+// detector builds the waits-for graph between the waiters' top-level
+// transactions from the objects' Blockers; Kill and a forced drain walk it
+// to wake everyone.
 type waitTable struct {
 	mu      sync.Mutex
-	waiters map[int64]*waitEntry //sgvet:guardedby mu
-}
-
-func newWaitTable() *waitTable {
-	return &waitTable{waiters: make(map[int64]*waitEntry)}
+	waiters []*waitEntry //sgvet:guardedby mu
 }
 
 func (w *waitTable) register(e *waitEntry) {
 	w.mu.Lock()
-	w.waiters[e.sess] = e
+	i, _ := slices.BinarySearchFunc(w.waiters, e.top, byTop)
+	w.waiters = slices.Insert(w.waiters, i, e)
 	w.mu.Unlock()
 }
 
-func (w *waitTable) unregister(sess int64) {
+func (w *waitTable) unregister(e *waitEntry) {
 	w.mu.Lock()
-	delete(w.waiters, sess)
+	if i, ok := slices.BinarySearchFunc(w.waiters, e.top, byTop); ok && w.waiters[i] == e {
+		w.waiters = slices.Delete(w.waiters, i, i+1)
+	}
 	w.mu.Unlock()
 }
 
+// entries returns a copy of the table, sorted by top.
 func (w *waitTable) entries() []*waitEntry {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]*waitEntry, 0, len(w.waiters))
-	for _, e := range w.waiters {
-		out = append(out, e)
-	}
-	return out
+	return slices.Clone(w.waiters)
 }
+
+// byTop orders wait entries by their top-level transaction.
+func byTop(e *waitEntry, top tname.TxID) int { return cmp.Compare(e.top, top) }
 
 // wakeAll signals every registered waiter. Kill and a forced drain call it
 // after setting s.killed; a session registers before it checks that flag,
@@ -109,7 +111,7 @@ func (s *Server) exitWait(e *waitEntry) {
 	if i := slices.Index(e.obj.waiters, e); i >= 0 {
 		e.obj.waiters = slices.Delete(e.obj.waiters, i, i+1)
 	}
-	s.waits.unregister(e.sess)
+	s.waits.unregister(e)
 }
 
 // leaveWait ends e's wait on every path that is not a grant (the granting
@@ -141,28 +143,32 @@ func (s *Server) breakDeadlock(me *waitEntry) bool {
 	if len(entries) < 2 {
 		return false
 	}
-	byTop := make(map[tname.TxID]*waitEntry, len(entries))
-	for _, e := range entries {
-		byTop[e.top] = e
-	}
-	switch victim := sccVictim(me.top, s.waitsFor(entries, byTop)); victim {
-	case tname.None:
+	// The waiting tops are numbered densely in TxID order, so a blocker's
+	// top is found by binary search and the largest node is the youngest.
+	i, ok := slices.BinarySearchFunc(entries, me.top, byTop)
+	if !ok {
 		return false
-	case me.top:
+	}
+	switch victim := knotVictim(s.waitsFor(entries), i); {
+	case victim < 0:
+		return false
+	case entries[victim] == me:
 		return true
 	default:
-		v := byTop[victim]
+		v := entries[victim]
 		v.victim.Store(true)
 		v.signal()
 		return false
 	}
 }
 
-// waitsFor builds the top-level waits-for edges of the registered waiters.
-// Entries whose access was granted since the snapshot are skipped: they are
-// dequeued under the same object mutex the edge computation takes.
-func (s *Server) waitsFor(entries []*waitEntry, waiting map[tname.TxID]*waitEntry) map[tname.TxID][]tname.TxID {
-	edges := make(map[tname.TxID][]tname.TxID, len(entries))
+// waitsFor builds the top-level waits-for graph of the registered waiters,
+// entries sorted by top: node i is entries[i].top. Entries whose access was
+// granted since the snapshot keep no out-edges: they are dequeued under the
+// same object mutex the edge computation takes.
+func (s *Server) waitsFor(entries []*waitEntry) graph.CSR {
+	off := make([]int32, 1, len(entries)+1)
+	var to []int32
 	for _, e := range entries {
 		s.withObj(e.obj, func() { //sgvet:holds e.obj.mu, s.mu:r
 			if !slices.Contains(e.obj.waiters, e) {
@@ -172,71 +178,33 @@ func (s *Server) waitsFor(entries []*waitEntry, waiting map[tname.TxID]*waitEntr
 				// Blockers never include ancestors of the access, so Root is
 				// excluded and every blocker has a top-level ancestor.
 				bt := s.tr.ChildAncestor(tname.Root, blk)
-				if bt != e.top && waiting[bt] != nil {
-					edges[e.top] = append(edges[e.top], bt)
+				if j, ok := slices.BinarySearchFunc(entries, bt, byTop); ok && bt != e.top {
+					to = append(to, int32(j))
 				}
 			}
 		})
+		off = append(off, int32(len(to)))
 	}
-	return edges
+	return graph.CSR{Off: off, To: to}
 }
 
-// sccVictim returns the transaction that must abort to break the waits-for
-// knot through start — the largest TxID of start's strongly connected
-// component — or tname.None when start lies on no cycle. Every member of a
-// component computes the same answer whatever the order of its edge lists.
-func sccVictim(start tname.TxID, edges map[tname.TxID][]tname.TxID) tname.TxID {
-	scc := sccThrough(start, edges)
-	if len(scc) < 2 {
-		// start waits into other transactions but no wait chain leads back.
-		// (Self-edges cannot occur: waitsFor filters bt == e.top.)
-		return tname.None
-	}
-	victim := scc[0]
-	for _, t := range scc[1:] {
-		if t > victim {
-			victim = t
+// knotVictim returns the node that must abort to break the waits-for knot
+// through me — the largest node of me's strongly connected component — or
+// -1 when me lies on no cycle. Every member of a component computes the
+// same answer whatever the order of its edges.
+func knotVictim(g graph.CSR, me int) int {
+	var search graph.Search
+	comp, _ := search.Components(g)
+	victim, size := -1, 0
+	for v, c := range comp {
+		if c == comp[me] {
+			victim, size = v, size+1
 		}
+	}
+	if size < 2 {
+		// me waits into other transactions but no wait chain leads back.
+		// (Self-edges cannot occur: waitsFor filters bt == e.top.)
+		return -1
 	}
 	return victim
-}
-
-// sccThrough returns the strongly connected component containing start:
-// the nodes reachable from start that also reach it. The component always
-// contains start itself; any second member certifies a cycle through
-// start, and the set is the union of every such cycle's nodes.
-func sccThrough(start tname.TxID, edges map[tname.TxID][]tname.TxID) []tname.TxID {
-	fwd := reachable(start, edges)
-	rev := make(map[tname.TxID][]tname.TxID, len(edges))
-	for u, vs := range edges {
-		for _, v := range vs {
-			rev[v] = append(rev[v], u)
-		}
-	}
-	bwd := reachable(start, rev)
-	var scc []tname.TxID
-	for t := range fwd {
-		if bwd[t] {
-			scc = append(scc, t)
-		}
-	}
-	return scc
-}
-
-// reachable returns the set of nodes reachable from start (including
-// start) by following edges.
-func reachable(start tname.TxID, edges map[tname.TxID][]tname.TxID) map[tname.TxID]bool {
-	seen := map[tname.TxID]bool{start: true}
-	stack := []tname.TxID{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range edges[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }
