@@ -506,6 +506,7 @@ func BenchmarkE15BatchBuild(b *testing.B) {
 	tr, trace := denseTrace(b, 128)
 	want := core.Build(tr, trace).NumEdges()
 	c := core.NewChecker(tr)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := c.Build(trace).NumEdges(); got != want {
 			b.Fatalf("edges = %d, want %d", got, want)

@@ -1,0 +1,193 @@
+package generic
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"nestedsg/internal/locking"
+	"nestedsg/internal/object"
+	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
+	"nestedsg/internal/undolog"
+	"nestedsg/internal/workload"
+)
+
+// automaton is what the differential drives: a generic object with the
+// runner's fast blocked check and an invariant audit.
+type automaton interface {
+	object.Generic
+	object.BlockChecker
+	object.Auditor
+}
+
+// lockstep is one object driven as two automata at once: got, the
+// package's, whose answers the runner acts on, and want, the parent's
+// reference copy. Every input goes to both, and every answer is compared:
+// TryRequestCommit's value and ok, Blocked, Blockers as a multiset, and
+// the Audit verdict after each input. The first difference is kept in
+// *diff.
+type lockstep struct {
+	tr        *tname.Tree
+	got, want automaton
+	diff      *string
+}
+
+func (l *lockstep) fail(format string, args ...any) {
+	if *l.diff == "" {
+		*l.diff = fmt.Sprintf(format, args...)
+	}
+}
+
+// audit compares the two automata's invariant verdicts after input what.
+func (l *lockstep) audit(what string, t tname.TxID) {
+	if g, w := l.got.Audit(), l.want.Audit(); (g == nil) != (w == nil) {
+		l.fail("Audit after %s(%s) = %v, reference %v", what, l.tr.Name(t), g, w)
+	}
+}
+
+func (l *lockstep) Create(t tname.TxID) {
+	l.got.Create(t)
+	l.want.Create(t)
+	l.audit("Create", t)
+}
+
+func (l *lockstep) InformCommit(t tname.TxID) {
+	l.got.InformCommit(t)
+	l.want.InformCommit(t)
+	l.audit("InformCommit", t)
+}
+
+func (l *lockstep) InformAbort(t tname.TxID) {
+	l.got.InformAbort(t)
+	l.want.InformAbort(t)
+	l.audit("InformAbort", t)
+}
+
+func (l *lockstep) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
+	v, ok := l.got.TryRequestCommit(t)
+	wv, wok := l.want.TryRequestCommit(t)
+	if v != wv || ok != wok {
+		l.fail("TryRequestCommit(%s) = %s, %v; reference %s, %v", l.tr.Name(t), v, ok, wv, wok)
+	}
+	l.audit("TryRequestCommit", t)
+	return v, ok
+}
+
+func (l *lockstep) Blocked(t tname.TxID) bool {
+	b := l.got.Blocked(t)
+	if w := l.want.Blocked(t); b != w {
+		l.fail("Blocked(%s) = %v, reference %v", l.tr.Name(t), b, w)
+	}
+	return b
+}
+
+func (l *lockstep) Blockers(t tname.TxID) []tname.TxID {
+	blk := l.got.Blockers(t)
+	g, w := slices.Clone(blk), slices.Clone(l.want.Blockers(t))
+	slices.Sort(g)
+	slices.Sort(w)
+	if !slices.Equal(g, w) {
+		l.fail("Blockers(%s) = %v, reference %v", l.tr.Name(t), g, w)
+	}
+	return blk
+}
+
+func (l *lockstep) Audit() error { return l.got.Audit() }
+
+// lockstepProtocol builds a lockstep object per object of the system.
+type lockstepProtocol struct {
+	got, want func(tr *tname.Tree, x tname.ObjID) automaton
+	diff      *string
+}
+
+func (lockstepProtocol) Name() string { return "lockstep" }
+
+func (p lockstepProtocol) New(tr *tname.Tree, x tname.ObjID) object.Generic {
+	return &lockstep{tr: tr, got: p.got(tr, x), want: p.want(tr, x), diff: p.diff}
+}
+
+// automataPairs are the automata of the differential, each beside the
+// parent's reference with the same broken flag set.
+var automataPairs = []struct {
+	name      string
+	got, want func(tr *tname.Tree, x tname.ObjID) automaton
+}{
+	{"moss",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return locking.NewMoss(tr, x) },
+		func(tr *tname.Tree, x tname.ObjID) automaton { return newRefMoss(tr, x) }},
+	{"moss-broken-readlocks",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.IgnoreReadLocks) },
+		func(tr *tname.Tree, x tname.ObjID) automaton {
+			m := newRefMoss(tr, x)
+			m.brokenIgnoreReadLocks = true
+			return m
+		}},
+	{"moss-broken-noinh",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.NoInheritance) },
+		func(tr *tname.Tree, x tname.ObjID) automaton {
+			m := newRefMoss(tr, x)
+			m.brokenNoInheritance = true
+			return m
+		}},
+	{"moss-broken-recovery",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.KeepAbortState) },
+		func(tr *tname.Tree, x tname.ObjID) automaton {
+			m := newRefMoss(tr, x)
+			m.brokenKeepAbortState = true
+			return m
+		}},
+	{"undolog",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return undolog.New(tr, x) },
+		func(tr *tname.Tree, x tname.ObjID) automaton { return newRefUndo(tr, x) }},
+	{"undolog-broken-noundo",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenUndo(tr, x, undolog.NoUndo) },
+		func(tr *tname.Tree, x tname.ObjID) automaton {
+			u := newRefUndo(tr, x)
+			u.brokenNoUndo = true
+			return u
+		}},
+	{"undolog-broken-commute",
+		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenUndo(tr, x, undolog.SkipCommute) },
+		func(tr *tname.Tree, x tname.ObjID) automaton {
+			u := newRefUndo(tr, x)
+			u.brokenSkipCommute = true
+			return u
+		}},
+}
+
+func brokenMoss(tr *tname.Tree, x tname.ObjID, mode locking.BrokenMode) automaton {
+	return locking.BrokenProtocol{Mode: mode}.New(tr, x).(automaton)
+}
+
+func brokenUndo(tr *tname.Tree, x tname.ObjID, mode undolog.BrokenMode) automaton {
+	return undolog.BrokenProtocol{Mode: mode}.New(tr, x).(automaton)
+}
+
+// TestAutomataMatchReference runs every automaton pair in lockstep over the
+// pinned matrix's workloads and option sets, on registers and on the mixed
+// types, and requires the two to answer every query alike.
+func TestAutomataMatchReference(t *testing.T) {
+	for _, pair := range automataPairs {
+		for _, specName := range []string{"register", "mixed"} {
+			for o := range pinnedOptions {
+				for seed := int64(0); seed < 12; seed++ {
+					var diff string
+					tr := tname.NewTree()
+					root := workload.Build(tr, workload.Config{Seed: seed, TopLevel: 8, Depth: 2, Fanout: 3,
+						Objects: 3, SpecName: specName, HotProb: 0.5, ParProb: 0.7})
+					opts := pinnedOptions[o]
+					opts.Seed = seed*7919 + 1
+					opts.Protocol = lockstepProtocol{got: pair.got, want: pair.want, diff: &diff}
+					_, _, err := Run(tr, root, opts)
+					if diff != "" {
+						t.Fatalf("%s/%s/%d/%d: %s", pair.name, specName, o, seed, diff)
+					}
+					if err != nil {
+						t.Fatalf("%s/%s/%d/%d: %v", pair.name, specName, o, seed, err)
+					}
+				}
+			}
+		}
+	}
+}

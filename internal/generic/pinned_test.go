@@ -22,13 +22,9 @@ import (
 // exercise the victim and abort paths hardest. spec is the workload's data
 // type (mvto and replica support registers only). Moss's KeepAbortState
 // variant is left out, so that the digest stays the one made before that
-// variant became deterministic; TestKeepAbortStateDeterministic holds it
-// to its seed instead.
-var pinnedProtocols = []struct {
-	name string
-	spec string
-	make func(tr *tname.Tree, seed int64) object.Protocol
-}{
+// variant became deterministic; TestKeepAbortStateTracesPinned pins it
+// with a digest of its own.
+var pinnedProtocols = []pinnedProtocol{
 	{"moss", "mixed", func(*tname.Tree, int64) object.Protocol { return locking.Protocol{} }},
 	{"undolog", "mixed", func(*tname.Tree, int64) object.Protocol { return undolog.Protocol{} }},
 	{"mvto", "register", func(tr *tname.Tree, _ int64) object.Protocol { return mvto.NewProtocol(tr) }},
@@ -51,6 +47,19 @@ var pinnedProtocols = []struct {
 	}},
 }
 
+// pinnedProtocol is one protocol row of a pinned matrix.
+type pinnedProtocol struct {
+	name string
+	spec string
+	make func(tr *tname.Tree, seed int64) object.Protocol
+}
+
+// keepAbortStateProtocol is Moss's KeepAbortState variant, pinned by a
+// digest of its own (TestKeepAbortStateTracesPinned).
+var keepAbortStateProtocol = pinnedProtocol{"moss-broken-recovery", "register", func(*tname.Tree, int64) object.Protocol {
+	return locking.BrokenProtocol{Mode: locking.KeepAbortState}
+}}
+
 // pinnedOptions are the option sets of the pinned matrix; Seed and
 // Protocol are filled per run.
 var pinnedOptions = []Options{
@@ -63,8 +72,7 @@ var pinnedOptions = []Options{
 
 // pinnedRun runs one cell of the matrix and writes its trace (NSGB) and
 // Stats, or its error, into h.
-func pinnedRun(h hash.Hash, p, o int, seed int64) {
-	proto := pinnedProtocols[p]
+func pinnedRun(h hash.Hash, proto pinnedProtocol, o int, seed int64) {
 	tr := tname.NewTree()
 	root := workload.Build(tr, workload.Config{Seed: seed, TopLevel: 8, Depth: 2, Fanout: 3,
 		Objects: 3, SpecName: proto.spec, HotProb: 0.5, ParProb: 0.7})
@@ -92,15 +100,35 @@ const pinnedDigest = "1b6cc8f23f332cf400efadffc3ab640b8478083eb6035a94303e086210
 // matrix to the traces and Stats it produced when the digest was made.
 func TestRunTracesPinned(t *testing.T) {
 	h := sha256.New()
-	for p := range pinnedProtocols {
+	for _, proto := range pinnedProtocols {
 		for o := range pinnedOptions {
 			for seed := int64(0); seed < 12; seed++ {
-				pinnedRun(h, p, o, seed)
+				pinnedRun(h, proto, o, seed)
 			}
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedDigest {
 		t.Fatalf("matrix digest = %s, want %s", got, pinnedDigest)
+	}
+}
+
+// keepAbortStateDigest is the SHA-256 of keepAbortStateProtocol over every
+// option set and seed of the pinned matrix. It was generated while Moss
+// kept its lock holders in maps, before the write-lock chain became a
+// slice; the variant's InformAbort merge is the path that rewrite changed.
+const keepAbortStateDigest = "31386030b02c49a0e3bb045d5c4028ead77692885f91050eace1a3dd0dd7713b"
+
+// TestKeepAbortStateTracesPinned holds Moss's KeepAbortState variant to the
+// traces and Stats of its 60 cells when its digest was made.
+func TestKeepAbortStateTracesPinned(t *testing.T) {
+	h := sha256.New()
+	for o := range pinnedOptions {
+		for seed := int64(0); seed < 12; seed++ {
+			pinnedRun(h, keepAbortStateProtocol, o, seed)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != keepAbortStateDigest {
+		t.Fatalf("KeepAbortState digest = %s, want %s", got, keepAbortStateDigest)
 	}
 }
 

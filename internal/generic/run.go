@@ -29,13 +29,19 @@
 // runner's own calls into it change (object.Generic states the contract),
 // so the runner keeps an epoch per object, bumped on every such call, and
 // each pending access caches its answers with the epoch they were asked
-// at: a step re-asks only the accesses whose object moved. The enumeration
-// walks the live transactions only, those that can still take a step.
-// Enabled actions are value structs in a reused slice, and per-object
-// automata and per-transaction states are dense slices indexed by the
-// interned names. The enumeration order and random-number consumption are
-// exactly those of the original closure-based loop, so seeds reproduce the
-// same traces.
+// at. A blocked access parks on its object: it leaves the enumeration
+// until that object's epoch moves, and then rejoins it at its creation
+// position and is asked again. A transaction idle until a child reports to
+// it parks the same way, until the report. The enumeration walks the live
+// transactions only, those that can still take a step and are not parked,
+// and Stats.Blocked adds a running count of the parked, non-dead accesses
+// per enumeration. The failure injector and the eager deadlock breaker,
+// whose draws depend on creation order, take the parked transactions in,
+// in creation order, when they fire. Enabled actions are value structs in a
+// reused slice, and per-object automata and per-transaction states are
+// dense slices indexed by the interned names. The enumeration order and
+// random-number consumption are exactly those of the original
+// closure-based loop, so seeds reproduce the same traces.
 package generic
 
 import (
@@ -103,9 +109,9 @@ type Stats struct {
 	// restarts demanded by the protocol itself (object.Aborter).
 	SpontaneousAborts, DeadlockVictims, ProtocolAborts int
 	// Accesses counts access REQUEST_COMMITs granted; Blocked counts, per
-	// step, the pending accesses the enumeration found waiting for locks or
-	// commutativity (whether or not their object had to be asked again),
-	// plus refused REQUEST_COMMIT attempts.
+	// enumeration, the pending accesses waiting for locks or commutativity
+	// (the parked ones, whether or not their object had to be asked
+	// again), plus refused REQUEST_COMMIT attempts.
 	Accesses, Blocked int
 }
 
@@ -149,6 +155,12 @@ type txState struct {
 	// graph (breakWaitsForCycle).
 	round  uint64
 	wfNode int32
+	// seq is the transaction's position in creation order, the order of
+	// live.
+	seq int32
+	// parked marks a transaction waiting out of live: a blocked access
+	// until its object moves, an idle one until a child reports to it.
+	parked bool
 }
 
 func (ts *txState) touch(x tname.ObjID) {
@@ -209,12 +221,22 @@ type Runner struct {
 	txs   []*txState   // indexed by TxID; nil for unknown names
 	order []tname.TxID // stable enumeration order of known transactions
 	// live is order without the transactions that can take no more steps
-	// (dead ones, and completed ones that have reported); the enumeration
-	// compacts it as it walks.
+	// (dead ones, and completed ones that have reported) and without the
+	// parked ones; the enumeration compacts it as it walks.
 	live []*txState
+	// parked holds, per object, the blocked accesses parked on it since
+	// its epoch last moved; entries whose parked flag is clear have left.
+	// woken are the transactions unparked since the last enumeration,
+	// which merges them back into live. nParked counts the parked
+	// accesses.
+	parked  [][]*txState
+	woken   []*txState
+	spare   []*txState // live's other buffer, for the merge
+	nParked int
 
 	acts   []act      // reused action buffer
-	cands  []*txState // reused candidate buffer (failure injection, victims)
+	cands  []*txState // reused victim buffer
+	others []*txState // reused buffer of waiters
 	rounds uint64     // breaker calls, the txState.round stamp
 
 	trace event.Behavior
@@ -238,6 +260,7 @@ func (r *Runner) putTx(ts *txState) {
 		panic(fmt.Sprintf("generic: duplicate child %s", r.tr.Name(ts.id)))
 	}
 	r.txs[ts.id] = ts
+	ts.seq = int32(len(r.order))
 	r.order = append(r.order, ts.id)
 	r.live = append(r.live, ts)
 }
@@ -271,6 +294,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		auditors: make([]object.Auditor, numObj),
 		informQ:  make([][]informMsg, numObj),
 		epochs:   make([]uint64, numObj),
+		parked:   make([][]*txState, numObj),
 	}
 	for x := tname.ObjID(0); int(x) < numObj; x++ {
 		g := opts.Protocol.New(tr, x)
@@ -366,19 +390,138 @@ func (r *Runner) blockersOf(ts *txState) []tname.TxID {
 	return ts.blockers
 }
 
+// moved records a call into x's automaton: answers cached at the old epoch
+// are stale, so the waiters parked on x wake.
+func (r *Runner) moved(x tname.ObjID) {
+	r.epochs[x]++
+	for _, ts := range r.parked[x] {
+		if ts.parked {
+			r.unpark(ts)
+		}
+	}
+	r.parked[x] = r.parked[x][:0]
+}
+
+// park takes ts out of live: a blocked access until its object moves, an
+// idle transaction until a child reports to it.
+func (r *Runner) park(ts *txState) {
+	ts.parked = true
+	if x := ts.node.Obj; ts.node.IsAccess {
+		r.nParked++
+		r.parked[x] = append(r.parked[x], ts)
+	}
+}
+
+// leave clears ts's parked flag. An access's entry in its object's parked
+// list stays behind.
+func (r *Runner) leave(ts *txState) {
+	ts.parked = false
+	if ts.node.IsAccess {
+		r.nParked--
+	}
+}
+
+// unpark queues the parked ts to rejoin live at the next enumeration.
+func (r *Runner) unpark(ts *txState) {
+	r.leave(ts)
+	r.woken = append(r.woken, ts)
+}
+
+func bySeq(a, b *txState) int { return cmp.Compare(a.seq, b.seq) }
+
+// rejoin merges the woken transactions back into live at their creation
+// positions. Waiters wake an object at a time, in the order they parked, so
+// woken is usually sorted already.
+func (r *Runner) rejoin() {
+	woken := r.woken
+	if len(woken) == 0 {
+		return
+	}
+	if !slices.IsSortedFunc(woken, bySeq) {
+		slices.SortFunc(woken, bySeq)
+	}
+	merged, live := r.spare[:0], r.live
+	for len(live) > 0 && len(woken) > 0 {
+		if live[0].seq < woken[0].seq {
+			merged, live = append(merged, live[0]), live[1:]
+		} else {
+			merged, woken = append(merged, woken[0]), woken[1:]
+		}
+	}
+	merged = append(append(merged, live...), woken...)
+	r.woken = r.woken[:0]
+	r.spare, r.live = r.live[:0], merged
+}
+
+// waiters returns the pending accesses of live transactions, parked or
+// not, in a reused buffer: the ones in live first, in creation order, then
+// the others in no order. A caller that needs creation order sorts them
+// with bySeq.
+func (r *Runner) waiters() []*txState {
+	out := r.others[:0]
+	for _, ts := range r.live {
+		if isWaiter(ts) {
+			out = append(out, ts)
+		}
+	}
+	for _, ts := range r.woken {
+		if isWaiter(ts) {
+			out = append(out, ts)
+		}
+	}
+	for _, q := range r.parked {
+		for _, ts := range q {
+			if ts.parked && isWaiter(ts) {
+				out = append(out, ts)
+			}
+		}
+	}
+	r.others = out
+	return out
+}
+
+// isWaiter reports whether ts is a pending access of a live transaction.
+func isWaiter(ts *txState) bool {
+	return !ts.dead && ts.status == stCreated && ts.node.IsAccess
+}
+
+// idle reports whether the created transaction ts, not an access, has no
+// step to take until a child reports to it.
+func idle(ts *txState) bool {
+	return len(ts.pendingRequests) == 0 && (!ts.exec.Ready() || ts.id == tname.Root)
+}
+
 // enabledActions enumerates every enabled action of the composed system
 // into the reused buffer, dropping from live the transactions that can take
-// no more steps. The enumeration order is fixed (transactions in creation
+// no more steps and parking the blocked accesses and the idle
+// transactions. The enumeration order is fixed (transactions in creation
 // order, then object inform queues), so the scheduler's uniform pick is a
-// pure function of the seed.
+// pure function of the seed. Parked transactions take no step; each
+// enumeration counts the parked accesses as blocked.
 func (r *Runner) enabledActions() []act {
+	r.rejoin()
 	acts := r.acts[:0]
-	live := r.live[:0]
-	for _, ts := range r.live {
+	n := 0
+	for i, ts := range r.live {
 		if ts.dead || ts.status >= stCommitted && ts.reported {
 			continue
 		}
-		live = append(live, ts)
+		if ts.status == stCreated {
+			if ts.node.IsAccess {
+				r.ask(ts)
+				if !ts.abort && ts.blocked {
+					r.park(ts)
+					continue
+				}
+			} else if idle(ts) {
+				r.park(ts)
+				continue
+			}
+		}
+		if n != i {
+			r.live[n] = ts
+		}
+		n++
 		switch ts.status {
 		case stRequested:
 			acts = append(acts, act{kind: akCreate, ts: ts})
@@ -388,16 +531,13 @@ func (r *Runner) enabledActions() []act {
 			// abort rates are a workload parameter.
 		case stCreated:
 			if ts.node.IsAccess {
-				r.ask(ts)
 				if ts.abort {
 					// The protocol demands a restart (e.g. an MVTO write
 					// that arrived too late): abort the classical
 					// transaction the access belongs to.
 					acts = append(acts, act{kind: akProtocolAbort, ts: ts})
-				} else if !ts.blocked {
-					acts = append(acts, act{kind: akRespond, ts: ts})
 				} else {
-					r.stats.Blocked++
+					acts = append(acts, act{kind: akRespond, ts: ts})
 				}
 			} else {
 				if len(ts.pendingRequests) > 0 {
@@ -423,12 +563,13 @@ func (r *Runner) enabledActions() []act {
 			}
 		}
 	}
+	r.stats.Blocked += r.nParked
 	for x := range r.informQ {
 		if len(r.informQ[x]) > 0 {
 			acts = append(acts, act{kind: akInform, x: tname.ObjID(x)})
 		}
 	}
-	r.live = live
+	r.live = r.live[:n]
 	r.acts = acts
 	return acts
 }
@@ -463,7 +604,7 @@ func (r *Runner) doCreate(ts *txState) {
 	if ts.node.IsAccess {
 		x := ts.node.Obj
 		r.objects[x].Create(ts.id)
-		r.epochs[x]++
+		r.moved(x)
 		r.markTouched(ts.id, x)
 		return
 	}
@@ -500,7 +641,7 @@ func (r *Runner) doRespond(ts *txState) {
 	v, ok := r.objects[x].TryRequestCommit(ts.id)
 	// A refused attempt may change state too (replica's consumes its
 	// availability draws).
-	r.epochs[x]++
+	r.moved(x)
 	if !ok {
 		// Blockers said it was enabled; a protocol for which that is
 		// not equivalent would simply lose a step.
@@ -548,6 +689,9 @@ func (r *Runner) doCommit(ts *txState) {
 // abortTx aborts a requested-or-created transaction and, unless orphan
 // activity is allowed, freezes its subtree.
 func (r *Runner) abortTx(ts *txState) {
+	if ts.parked {
+		r.unpark(ts)
+	}
 	ts.status = stAborted
 	r.stats.Aborts++
 	r.emit(event.NewEvent(event.Abort, ts.id))
@@ -559,10 +703,16 @@ func (r *Runner) abortTx(ts *txState) {
 	}
 	// Freeze descendants. This walks order, not live: finished descendants
 	// must be marked dead too, because breakDeadlock's ancestor walk stops
-	// at a dead transaction instead of climbing past this abort.
-	for _, id := range r.order {
-		if id != ts.id && r.tr.IsDescendant(id, ts.id) {
-			r.txs[id].dead = true
+	// at a dead transaction instead of climbing past this abort. A
+	// descendant is created after ts, so the walk starts past it.
+	for _, id := range r.order[ts.seq+1:] {
+		if r.tr.IsDescendant(id, ts.id) {
+			d := r.txs[id]
+			d.dead = true
+			if d.parked {
+				// Dead waiters are not counted as blocked.
+				r.leave(d)
+			}
 		}
 	}
 }
@@ -596,13 +746,16 @@ func (r *Runner) deliverOutcome(child *txState, oc program.Outcome) {
 	idx := parent.exec.RequestIndex(child.node.Label)
 	more := parent.exec.OnReport(idx, oc)
 	parent.pendingRequests = append(parent.pendingRequests, more...)
+	if parent.parked {
+		r.unpark(parent)
+	}
 }
 
 func (r *Runner) doInform(x tname.ObjID) {
 	q := r.informQ[x]
 	msg := q[0]
 	r.informQ[x] = q[1:]
-	r.epochs[x]++
+	r.moved(x)
 	if msg.commit {
 		r.objects[x].InformCommit(msg.tx)
 		r.emit(event.NewInform(event.InformCommit, msg.tx, x))
@@ -621,9 +774,11 @@ func (r *Runner) maybeInjectAbort() bool {
 	if r.rng.Float64() >= r.opts.AbortProb {
 		return false
 	}
+	// Walk every transaction in creation order: parked ones are
+	// candidates too, and the coin rarely lands.
 	candidates := r.cands[:0]
-	for _, ts := range r.live {
-		if ts.id != tname.Root && !ts.dead && ts.status < stCommitted {
+	for _, id := range r.order {
+		if ts := r.txs[id]; ts.id != tname.Root && !ts.dead && ts.status < stCommitted {
 			candidates = append(candidates, ts)
 		}
 	}
@@ -648,10 +803,7 @@ func (r *Runner) maybeInjectAbort() bool {
 func (r *Runner) breakDeadlock() bool {
 	r.rounds++
 	victims := r.cands[:0]
-	for _, w := range r.live {
-		if w.dead || w.status != stCreated || !w.node.IsAccess {
-			continue
-		}
+	for _, w := range r.waiters() {
 		for _, blk := range r.blockersOf(w) {
 			for u := blk; u != tname.Root && u != tname.None; u = r.tr.Parent(u) {
 				ts := r.tx(u)
@@ -703,12 +855,11 @@ func (r *Runner) breakWaitsForCycle() bool {
 		return int(ts.wfNode)
 	}
 	var edges [][2]int
-	for _, ts := range r.live {
-		if ts.dead || ts.status != stCreated || !ts.node.IsAccess {
-			continue
-		}
+	waiters := r.waiters()
+	slices.SortFunc(waiters, bySeq)
+	for _, ts := range waiters {
 		waiter := r.tr.ChildAncestor(tname.Root, ts.id)
-		// Objects may report blockers in map order, and node numbering
+		// Objects may report blockers in any order, and node numbering
 		// decides which cycle TopoSort reports: sort so the victim is a
 		// pure function of the seed.
 		blks := r.blockersOf(ts)

@@ -8,9 +8,17 @@
 //
 //   - write-lockholders: a chain of transactions ordered by ancestry, each
 //     holding an exclusive lock, together with value(U) — the object state
-//     as seen at U (the paper's stack of values);
-//   - read-lockholders: the transactions holding shared locks;
+//     as seen at U (the paper's stack of values). Lemma 9 makes the
+//     holders a chain, so they are a slice, T0 first: the least holder is
+//     the last entry, "every write-lockholder is an ancestor of T" asks
+//     only about it, and the holders that are not ancestors of T are a
+//     suffix;
+//   - read-lockholders: the transactions holding shared locks, a small
+//     slice;
 //   - created / commit-requested bookkeeping, one access state per access.
+//
+// No query iterates a map, so a step costs what the locks it looks at
+// cost, and the answers do not depend on map order.
 //
 // On INFORM_COMMIT the locks and value of the committed transaction move to
 // its parent; on INFORM_ABORT the locks of all its descendants are
@@ -21,6 +29,7 @@ package locking
 
 import (
 	"fmt"
+	"slices"
 
 	"nestedsg/internal/object"
 	"nestedsg/internal/spec"
@@ -33,19 +42,29 @@ type Moss struct {
 	x  tname.ObjID
 	sp spec.Spec
 
-	// accesses and readLockholders are made on their first write: a server
-	// configures objects that may never be accessed.
-	accesses        map[tname.TxID]accessState
-	readLockholders map[tname.TxID]bool
-	// writeLockholders maps each exclusive-lock holder to its view of the
-	// object state. The holders always form a chain under ancestry
-	// (Lemma 9); T0 is a permanent holder of the initial state.
-	writeLockholders map[tname.TxID]spec.State
+	// accesses is made on its first write: a server configures objects
+	// that may never be accessed.
+	accesses map[tname.TxID]accessState
+	// writeLockholders is the write-lock chain, T0 first: each holder is
+	// an ancestor of the next (Lemma 9), so the least holder is the last,
+	// and the holders that are not ancestors of a transaction are a
+	// suffix. T0 is a permanent holder of the initial state.
+	writeLockholders []holder
+	// readLockholders are the shared-lock holders, each once.
+	readLockholders []tname.TxID
+	// blockers is Blockers' result buffer.
+	blockers []tname.TxID
 
 	// broken configuration; all false for the faithful automaton.
 	brokenIgnoreReadLocks bool
 	brokenNoInheritance   bool
 	brokenKeepAbortState  bool
+}
+
+// holder is one write-lockholder and its view of the object state.
+type holder struct {
+	tx tname.TxID
+	st spec.State
 }
 
 // accessState holds an access's created and commit-requested flags.
@@ -58,14 +77,13 @@ const (
 
 // NewMoss builds the faithful M1_X automaton for object x.
 func NewMoss(tr *tname.Tree, x tname.ObjID) *Moss {
-	m := &Moss{
+	sp := tr.Spec(x)
+	return &Moss{
 		tr:               tr,
 		x:                x,
-		sp:               tr.Spec(x),
-		writeLockholders: make(map[tname.TxID]spec.State),
+		sp:               sp,
+		writeLockholders: []holder{{tx: tname.Root, st: sp.Init()}},
 	}
-	m.writeLockholders[tname.Root] = m.sp.Init()
-	return m
 }
 
 // Create implements object.Generic.
@@ -79,6 +97,33 @@ func (m *Moss) Create(t tname.TxID) {
 // pending reports whether t is created and has not requested to commit.
 func (m *Moss) pending(t tname.TxID) bool { return m.accesses[t] == created }
 
+// writeIndex returns the chain index of t's write lock, or -1.
+func (m *Moss) writeIndex(t tname.TxID) int {
+	for i := len(m.writeLockholders) - 1; i >= 0; i-- {
+		if m.writeLockholders[i].tx == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropWrite removes chain entry i and returns its state.
+func (m *Moss) dropWrite(i int) spec.State {
+	st := m.writeLockholders[i].st
+	m.writeLockholders = append(m.writeLockholders[:i], m.writeLockholders[i+1:]...)
+	return st
+}
+
+// readIndex returns the index of t's read lock, or -1.
+func (m *Moss) readIndex(t tname.TxID) int {
+	for i, u := range m.readLockholders {
+		if u == t {
+			return i
+		}
+	}
+	return -1
+}
+
 // InformCommit implements object.Generic: locks and the stored state pass
 // to the parent.
 func (m *Moss) InformCommit(t tname.TxID) {
@@ -88,21 +133,30 @@ func (m *Moss) InformCommit(t tname.TxID) {
 	if m.brokenNoInheritance {
 		// Negative control: drop the lock instead of passing it upward,
 		// making the transaction's effects visible to everyone immediately.
-		if st, ok := m.writeLockholders[t]; ok {
-			delete(m.writeLockholders, t)
-			m.writeLockholders[tname.Root] = st
+		if i := m.writeIndex(t); i >= 0 {
+			m.writeLockholders[0].st = m.dropWrite(i)
 		}
-		delete(m.readLockholders, t)
+		if i := m.readIndex(t); i >= 0 {
+			m.readLockholders = slices.Delete(m.readLockholders, i, i+1)
+		}
 		return
 	}
 	p := m.tr.Parent(t)
-	if st, ok := m.writeLockholders[t]; ok {
-		delete(m.writeLockholders, t)
-		m.writeLockholders[p] = st
+	if i := m.writeIndex(t); i >= 0 {
+		// The holder above t is an ancestor of t, so of p too: t's entry
+		// becomes p's, or merges into it when p already holds the lock.
+		if m.writeLockholders[i-1].tx == p {
+			m.writeLockholders[i-1].st = m.dropWrite(i)
+		} else {
+			m.writeLockholders[i].tx = p
+		}
 	}
-	if m.readLockholders[t] {
-		delete(m.readLockholders, t)
-		m.readLockholders[p] = true
+	if i := m.readIndex(t); i >= 0 {
+		if m.readIndex(p) >= 0 {
+			m.readLockholders = slices.Delete(m.readLockholders, i, i+1)
+		} else {
+			m.readLockholders[i] = p
+		}
 	}
 }
 
@@ -110,53 +164,48 @@ func (m *Moss) InformCommit(t tname.TxID) {
 // locks; the surviving chain values are exactly the pre-abort states, so no
 // explicit restore is needed.
 func (m *Moss) InformAbort(t tname.TxID) {
-	if m.brokenKeepAbortState {
+	// The descendants of t on the chain are a suffix of it.
+	chain := m.writeLockholders
+	n := len(chain)
+	for n > 1 && m.tr.IsDescendant(chain[n-1].tx, t) {
+		n--
+	}
+	if m.brokenKeepAbortState && n < len(chain) {
 		// Negative control: "forget to undo" — instead of discarding the
-		// aborted writers' state, merge it into the parent as if it had
-		// committed. The holders form a chain, so if any holder lies below
-		// t, the least one does, and it holds the latest write: merging
-		// its state, whatever order the lock map yields the holders in,
-		// keeps the run a function of its seed.
-		latest := m.least()
-		st, merge := m.writeLockholders[latest], latest != tname.Root && m.tr.IsDescendant(latest, t)
-		for u := range m.writeLockholders {
-			if u != tname.Root && m.tr.IsDescendant(u, t) {
-				delete(m.writeLockholders, u)
-			}
-		}
-		if merge {
-			m.writeLockholders[m.tr.Parent(t)] = st
-		}
-		for u := range m.readLockholders {
-			if m.tr.IsDescendant(u, t) {
-				delete(m.readLockholders, u)
-			}
-		}
-		return
-	}
-	for u := range m.writeLockholders {
-		if u != tname.Root && m.tr.IsDescendant(u, t) {
-			delete(m.writeLockholders, u)
+		// aborted writers' state, merge the latest one, the least
+		// holder's, into the parent as if it had committed. The holders
+		// left are ancestors of t, so the parent joins the chain last.
+		st, p := chain[len(chain)-1].st, m.tr.Parent(t)
+		if chain[n-1].tx == p {
+			chain[n-1].st = st
+		} else {
+			chain[n] = holder{tx: p, st: st}
+			n++
 		}
 	}
-	for u := range m.readLockholders {
-		if m.tr.IsDescendant(u, t) {
-			delete(m.readLockholders, u)
-		}
-	}
+	clear(chain[n:])
+	m.writeLockholders = chain[:n]
+	m.readLockholders = slices.DeleteFunc(m.readLockholders, func(u tname.TxID) bool {
+		return m.tr.IsDescendant(u, t)
+	})
 }
 
-// least returns the least (deepest) write-lockholder: the unique descendant
-// of all other holders.
-func (m *Moss) least() tname.TxID {
-	var best tname.TxID = tname.None
-	bestDepth := -1
-	for u := range m.writeLockholders {
-		if d := m.tr.Depth(u); d > bestDepth {
-			best, bestDepth = u, d
+// least returns the least (deepest) write-lockholder's entry: the unique
+// descendant of all other holders.
+func (m *Moss) least() holder { return m.writeLockholders[len(m.writeLockholders)-1] }
+
+// readBlocked reports whether a read lock held by a non-ancestor of t
+// blocks an update by t.
+func (m *Moss) readBlocked(t tname.TxID) bool {
+	if m.brokenIgnoreReadLocks {
+		return false
+	}
+	for _, u := range m.readLockholders {
+		if !m.tr.IsAncestor(u, t) {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
 // TryRequestCommit implements object.Generic.
@@ -164,83 +213,62 @@ func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	if !m.pending(t) {
 		return spec.Nil, false
 	}
+	// Every write-lockholder must be an ancestor of t; on the chain it is
+	// enough that the least one is.
+	least := m.least()
+	if !m.tr.IsAncestor(least.tx, t) {
+		return spec.Nil, false
+	}
 	op := m.tr.AccessOp(t)
 	if m.sp.ReadOnly(op) {
-		// Read-class access: every write-lockholder must be an ancestor.
-		for u := range m.writeLockholders {
-			if !m.tr.IsAncestor(u, t) {
-				return spec.Nil, false
-			}
-		}
-		_, v := m.sp.Apply(m.writeLockholders[m.least()], op)
+		_, v := m.sp.Apply(least.st, op)
 		m.accesses[t] |= commitRequested
-		if m.readLockholders == nil {
-			m.readLockholders = make(map[tname.TxID]bool)
-		}
-		m.readLockholders[t] = true
+		m.readLockholders = append(m.readLockholders, t)
 		return v, true
 	}
 	// Update-class access: every holder of any lock must be an ancestor.
-	for u := range m.writeLockholders {
-		if !m.tr.IsAncestor(u, t) {
-			return spec.Nil, false
-		}
+	if m.readBlocked(t) {
+		return spec.Nil, false
 	}
-	if !m.brokenIgnoreReadLocks {
-		for u := range m.readLockholders {
-			if !m.tr.IsAncestor(u, t) {
-				return spec.Nil, false
-			}
-		}
-	}
-	st, v := m.sp.Apply(m.writeLockholders[m.least()], op)
+	st, v := m.sp.Apply(least.st, op)
 	m.accesses[t] |= commitRequested
-	m.writeLockholders[t] = st
+	m.writeLockholders = append(m.writeLockholders, holder{tx: t, st: st})
 	return v, true
 }
 
-// Blockers implements object.Generic.
+// Blockers implements object.Generic. The result is m's own buffer, valid
+// until the next call into m.
 func (m *Moss) Blockers(t tname.TxID) []tname.TxID {
 	if !m.pending(t) {
 		return nil
 	}
-	op := m.tr.AccessOp(t)
-	var out []tname.TxID
-	for u := range m.writeLockholders {
-		if !m.tr.IsAncestor(u, t) {
-			out = append(out, u)
-		}
+	out := m.blockers[:0]
+	for i := len(m.writeLockholders) - 1; i > 0 && !m.tr.IsAncestor(m.writeLockholders[i].tx, t); i-- {
+		out = append(out, m.writeLockholders[i].tx)
 	}
-	if !m.sp.ReadOnly(op) && !m.brokenIgnoreReadLocks {
-		for u := range m.readLockholders {
+	if !m.sp.ReadOnly(m.tr.AccessOp(t)) && !m.brokenIgnoreReadLocks {
+		for _, u := range m.readLockholders {
 			if !m.tr.IsAncestor(u, t) {
 				out = append(out, u)
 			}
 		}
 	}
+	m.blockers = out
 	return out
 }
 
 // Blocked implements object.BlockChecker: equivalent to
-// len(Blockers(t)) > 0, but returns at the first non-ancestor lockholder
-// without building the list. The runner polls this on every step.
+// len(Blockers(t)) > 0, but asks only whether the least write-lockholder
+// is an ancestor and returns at the first non-ancestor read-lockholder.
+// The runner polls this whenever the object moves.
 func (m *Moss) Blocked(t tname.TxID) bool {
 	if !m.pending(t) {
 		return false
 	}
-	for u := range m.writeLockholders {
-		if !m.tr.IsAncestor(u, t) {
-			return true
-		}
+	if !m.tr.IsAncestor(m.least().tx, t) {
+		return true
 	}
-	if !m.sp.ReadOnly(m.tr.AccessOp(t)) && !m.brokenIgnoreReadLocks {
-		for u := range m.readLockholders {
-			if !m.tr.IsAncestor(u, t) {
-				return true
-			}
-		}
-	}
-	return false
+	return !m.sp.ReadOnly(m.tr.AccessOp(t)) && m.readBlocked(t)
 }
 
 // Audit implements object.Auditor: the faithful automaton must satisfy the
@@ -254,18 +282,23 @@ func (m *Moss) Audit() error {
 }
 
 // CheckChainInvariant verifies Lemma 9: any write-lockholder is ancestrally
-// related to every other lockholder. Used by tests after every step.
+// related to every other lockholder. The chain is stored in ancestry order,
+// T0 first, so it checks each holder against the next, and each
+// read-lockholder against the least holder. Used by tests after every step.
 func (m *Moss) CheckChainInvariant() error {
-	for u := range m.writeLockholders {
-		for w := range m.writeLockholders {
-			if !m.tr.IsOrdered(u, w) {
-				return fmt.Errorf("locking: write-lockholders %s and %s unrelated", m.tr.Name(u), m.tr.Name(w))
-			}
+	chain := m.writeLockholders
+	if chain[0].tx != tname.Root {
+		return fmt.Errorf("locking: write-lock chain starts at %s, not T0", m.tr.Name(chain[0].tx))
+	}
+	for i := 1; i < len(chain); i++ {
+		if u, w := chain[i-1].tx, chain[i].tx; u == w || !m.tr.IsAncestor(u, w) {
+			return fmt.Errorf("locking: write-lockholders %s and %s unrelated", m.tr.Name(u), m.tr.Name(w))
 		}
-		for w := range m.readLockholders {
-			if !m.tr.IsOrdered(u, w) {
-				return fmt.Errorf("locking: write-lockholder %s and read-lockholder %s unrelated", m.tr.Name(u), m.tr.Name(w))
-			}
+	}
+	least := m.least().tx
+	for _, w := range m.readLockholders {
+		if !m.tr.IsOrdered(least, w) {
+			return fmt.Errorf("locking: write-lockholder %s and read-lockholder %s unrelated", m.tr.Name(least), m.tr.Name(w))
 		}
 	}
 	return nil
@@ -274,11 +307,11 @@ func (m *Moss) CheckChainInvariant() error {
 // Holders reports the current lock tables (copies); used by tests.
 func (m *Moss) Holders() (writes map[tname.TxID]spec.State, reads map[tname.TxID]bool) {
 	writes = make(map[tname.TxID]spec.State, len(m.writeLockholders))
-	for u, st := range m.writeLockholders {
-		writes[u] = st
+	for _, h := range m.writeLockholders {
+		writes[h.tx] = h.st
 	}
 	reads = make(map[tname.TxID]bool, len(m.readLockholders))
-	for u := range m.readLockholders {
+	for _, u := range m.readLockholders {
 		reads[u] = true
 	}
 	return writes, reads

@@ -66,7 +66,7 @@ func TestUncreatedAccessNotEnabled(t *testing.T) {
 	if _, ok := f.m.TryRequestCommit(f.r2); ok {
 		t.Error("respond before CREATE must be disabled")
 	}
-	if f.m.Blockers(f.r2) != nil {
+	if len(f.m.Blockers(f.r2)) != 0 {
 		t.Error("uncreated access has no blockers")
 	}
 }

@@ -51,7 +51,9 @@ type Generic interface {
 	// REQUEST_COMMIT for access t (lock holders that are not ancestors of
 	// t, or uncommitted non-commuting operations). The runner uses this for
 	// deadlock victim selection; it must not change state. The order of the
-	// list carries no meaning, and the caller does not keep the slice.
+	// list carries no meaning. The result may be the automaton's own
+	// buffer, valid until the next call into it, so the caller does not
+	// keep the slice; an empty result may be nil or not.
 	Blockers(t tname.TxID) []tname.TxID
 }
 

@@ -14,6 +14,13 @@
 // transaction from the log — the "undo". INFORM_COMMIT merely records the
 // commit, enlarging the set of operations later accesses need not commute
 // with.
+//
+// Each log entry keeps low, the lowest ancestor-or-self of its transaction
+// not yet known committed at X (T0 if there is none below T0), and
+// INFORM_COMMIT moves low up past the committed transaction. Some ancestor
+// of the entry outside ancestors(T) is uncommitted exactly when low is not
+// an ancestor of T, so the gate asks one ancestry question per entry, and
+// none for an entry whose low has reached T0.
 package undolog
 
 import (
@@ -28,6 +35,10 @@ import (
 type entry struct {
 	tx tname.TxID
 	ov spec.OpVal
+	// low is the lowest ancestor-or-self of tx not known committed at X,
+	// or T0: the entry blocks an access T only while low lies outside
+	// ancestors(T).
+	low tname.TxID
 }
 
 // Undo is the undo logging generic object automaton U_X.
@@ -36,10 +47,12 @@ type Undo struct {
 	x  tname.ObjID
 	sp spec.Spec
 
-	created         map[tname.TxID]bool
-	commitRequested map[tname.TxID]bool
-	committed       map[tname.TxID]bool
-	operations      []entry
+	// flags holds each transaction's created, commit-requested and
+	// committed bits.
+	flags      map[tname.TxID]txFlags
+	operations []entry
+	// blockers is Blockers' result buffer.
+	blockers []tname.TxID
 
 	// cache of the state reached by replaying operations; invalidated when
 	// the log shrinks on INFORM_ABORT.
@@ -53,23 +66,52 @@ type Undo struct {
 	brokenSkipCommute bool
 }
 
+// txFlags are the automaton's per-transaction bits.
+type txFlags uint8
+
+const (
+	created txFlags = 1 << iota
+	commitRequested
+	committed
+)
+
 // New builds the faithful U_X automaton for object x.
 func New(tr *tname.Tree, x tname.ObjID) *Undo {
 	return &Undo{
-		tr:              tr,
-		x:               x,
-		sp:              tr.Spec(x),
-		created:         make(map[tname.TxID]bool),
-		commitRequested: make(map[tname.TxID]bool),
-		committed:       make(map[tname.TxID]bool),
+		tr:    tr,
+		x:     x,
+		sp:    tr.Spec(x),
+		flags: make(map[tname.TxID]txFlags),
 	}
 }
 
 // Create implements object.Generic.
-func (u *Undo) Create(t tname.TxID) { u.created[t] = true }
+func (u *Undo) Create(t tname.TxID) { u.flags[t] |= created }
 
-// InformCommit implements object.Generic.
-func (u *Undo) InformCommit(t tname.TxID) { u.committed[t] = true }
+// pending reports whether t is created and has not requested to commit.
+func (u *Undo) pending(t tname.TxID) bool {
+	return u.flags[t]&(created|commitRequested) == created
+}
+
+// lowest returns the lowest ancestor-or-self of t not known committed, or
+// T0 if every proper descendant of T0 on the path is.
+func (u *Undo) lowest(t tname.TxID) tname.TxID {
+	for t != tname.Root && u.flags[t]&committed != 0 {
+		t = u.tr.Parent(t)
+	}
+	return t
+}
+
+// InformCommit implements object.Generic: the entries whose lowest
+// uncommitted ancestor was t move their mark up past it.
+func (u *Undo) InformCommit(t tname.TxID) {
+	u.flags[t] |= committed
+	for i := range u.operations {
+		if e := &u.operations[i]; e.low == t {
+			e.low = u.lowest(t)
+		}
+	}
+}
 
 // InformAbort implements object.Generic.
 func (u *Undo) InformAbort(t tname.TxID) {
@@ -78,14 +120,18 @@ func (u *Undo) InformAbort(t tname.TxID) {
 		// commit — the aborted subtree's operations stay in the log and
 		// every owner on the path is marked committed, so later accesses
 		// unblock into the corrupted state.
-		u.committed[t] = true
+		u.flags[t] |= committed
 		for _, e := range u.operations {
 			if !u.tr.IsDescendant(e.tx, t) {
 				continue
 			}
 			for a := e.tx; a != t; a = u.tr.Parent(a) {
-				u.committed[a] = true
+				u.flags[a] |= committed
 			}
+		}
+		for i := range u.operations {
+			e := &u.operations[i]
+			e.low = u.lowest(e.low)
 		}
 		return
 	}
@@ -98,6 +144,7 @@ func (u *Undo) InformAbort(t tname.TxID) {
 		}
 		kept = append(kept, e)
 	}
+	clear(u.operations[len(kept):])
 	u.operations = kept
 	if removed {
 		u.cacheValid = false
@@ -116,54 +163,67 @@ func (u *Undo) state() spec.State {
 	return u.cache
 }
 
-// uncommittedOutside reports whether some ancestor of t2 outside
-// ancestors(t) is not in committed — i.e. whether the logged operation of
-// t2 still belongs to a transaction whose fate t cannot rely on.
-func (u *Undo) uncommittedOutside(t2, t tname.TxID) bool {
-	lca := u.tr.LCA(t2, t)
-	for a := t2; a != lca; a = u.tr.Parent(a) {
-		if !u.committed[a] {
-			return true
-		}
-	}
-	return false
+// uncommittedOutside reports whether some ancestor of e's transaction
+// outside ancestors(t) is not known committed — i.e. whether the logged
+// operation still belongs to a transaction whose fate t cannot rely on.
+// The lowest such ancestor is e.low, and it lies outside ancestors(t)
+// exactly when some uncommitted one does.
+func (u *Undo) uncommittedOutside(e *entry, t tname.TxID) bool {
+	return e.low != tname.Root && !u.tr.IsAncestor(e.low, t)
+}
+
+// blocks reports whether logged entry e, not known committed outside
+// ancestors(t), does not commute backward with (t, ov).
+func (u *Undo) blocks(e *entry, t tname.TxID, ov spec.OpVal) bool {
+	return u.uncommittedOutside(e, t) && u.sp.Conflicts(ov, e.ov)
 }
 
 // TryRequestCommit implements object.Generic.
 func (u *Undo) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
-	if !u.created[t] || u.commitRequested[t] {
+	if !u.pending(t) {
 		return spec.Nil, false
 	}
 	op := u.tr.AccessOp(t)
 	st, v := u.sp.Apply(u.state(), op)
 	ov := spec.OpVal{Op: op, Val: v}
 	if !u.brokenSkipCommute {
-		for _, e := range u.operations {
-			if u.uncommittedOutside(e.tx, t) && u.sp.Conflicts(ov, e.ov) {
+		for i := range u.operations {
+			if u.blocks(&u.operations[i], t, ov) {
 				return spec.Nil, false
 			}
 		}
 	}
-	u.operations = append(u.operations, entry{tx: t, ov: ov})
+	u.operations = append(u.operations, entry{tx: t, ov: ov, low: u.lowest(t)})
 	u.cache, u.cacheValid = st, true
-	u.commitRequested[t] = true
+	u.flags[t] |= commitRequested
 	return v, true
 }
 
-// Blockers implements object.Generic.
-func (u *Undo) Blockers(t tname.TxID) []tname.TxID {
-	if !u.created[t] || u.commitRequested[t] || u.brokenSkipCommute {
-		return nil
+// pendingOpVal returns the operation and value pending access t would be
+// logged with, and whether the gate applies to it at all.
+func (u *Undo) pendingOpVal(t tname.TxID) (spec.OpVal, bool) {
+	if !u.pending(t) || u.brokenSkipCommute {
+		return spec.OpVal{}, false
 	}
 	op := u.tr.AccessOp(t)
 	_, v := u.sp.Apply(u.state(), op)
-	ov := spec.OpVal{Op: op, Val: v}
-	var out []tname.TxID
-	for _, e := range u.operations {
-		if u.uncommittedOutside(e.tx, t) && u.sp.Conflicts(ov, e.ov) {
+	return spec.OpVal{Op: op, Val: v}, true
+}
+
+// Blockers implements object.Generic. The result is u's own buffer, valid
+// until the next call into u.
+func (u *Undo) Blockers(t tname.TxID) []tname.TxID {
+	ov, ok := u.pendingOpVal(t)
+	if !ok {
+		return nil
+	}
+	out := u.blockers[:0]
+	for i := range u.operations {
+		if e := &u.operations[i]; u.blocks(e, t, ov) {
 			out = append(out, e.tx)
 		}
 	}
+	u.blockers = out
 	return out
 }
 
@@ -171,14 +231,12 @@ func (u *Undo) Blockers(t tname.TxID) []tname.TxID {
 // len(Blockers(t)) > 0, but returns at the first non-commuting uncommitted
 // entry without building the list.
 func (u *Undo) Blocked(t tname.TxID) bool {
-	if !u.created[t] || u.commitRequested[t] || u.brokenSkipCommute {
+	ov, ok := u.pendingOpVal(t)
+	if !ok {
 		return false
 	}
-	op := u.tr.AccessOp(t)
-	_, v := u.sp.Apply(u.state(), op)
-	ov := spec.OpVal{Op: op, Val: v}
-	for _, e := range u.operations {
-		if u.uncommittedOutside(e.tx, t) && u.sp.Conflicts(ov, e.ov) {
+	for i := range u.operations {
+		if u.blocks(&u.operations[i], t, ov) {
 			return true
 		}
 	}

@@ -133,7 +133,7 @@ func TestUncreatedAndDoubleRespond(t *testing.T) {
 	if _, ok := f.u.TryRequestCommit(f.i1); ok {
 		t.Error("double respond must fail")
 	}
-	if f.u.Blockers(f.i1) != nil {
+	if len(f.u.Blockers(f.i1)) != 0 {
 		t.Error("responded access has no blockers")
 	}
 }
