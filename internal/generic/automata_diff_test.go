@@ -24,13 +24,27 @@ type automaton interface {
 // lockstep is one object driven as two automata at once: got, the
 // package's, whose answers the runner acts on, and want, the parent's
 // reference copy. Every input goes to both, and every answer is compared:
-// TryRequestCommit's value and ok, Blocked, Blockers as a multiset, and
-// the Audit verdict after each input. The first difference is kept in
-// *diff.
+// TryRequestCommit's value and ok, Blocked, Blockers (as a multiset for
+// one access, as a set for several), and after each input the Audit
+// verdict and the union: got's Blockers over every pending access against
+// the union of want's per-access Blockers, as sets. The first difference
+// is kept in *diff.
 type lockstep struct {
 	tr        *tname.Tree
 	got, want automaton
 	diff      *string
+	// pending are the accesses created and not granted, in creation order.
+	pending []tname.TxID
+}
+
+// sorted returns a sorted copy of s, without repeats if set.
+func sorted(s []tname.TxID, set bool) []tname.TxID {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	if set {
+		s = slices.Compact(s)
+	}
+	return s
 }
 
 func (l *lockstep) fail(format string, args ...any) {
@@ -39,16 +53,27 @@ func (l *lockstep) fail(format string, args ...any) {
 	}
 }
 
-// audit compares the two automata's invariant verdicts after input what.
+// audit compares the two automata's invariant verdicts, and the union of
+// the pending accesses' blockers, after input what.
 func (l *lockstep) audit(what string, t tname.TxID) {
 	if g, w := l.got.Audit(), l.want.Audit(); (g == nil) != (w == nil) {
 		l.fail("Audit after %s(%s) = %v, reference %v", what, l.tr.Name(t), g, w)
+	}
+	var w []tname.TxID
+	for _, p := range l.pending {
+		w = l.want.Blockers([]tname.TxID{p}, w)
+	}
+	g := sorted(l.got.Blockers(l.pending, nil), true)
+	if w = sorted(w, true); !slices.Equal(g, w) {
+		l.fail("after %s(%s), Blockers of the %d pending = %v, reference union %v",
+			what, l.tr.Name(t), len(l.pending), g, w)
 	}
 }
 
 func (l *lockstep) Create(t tname.TxID) {
 	l.got.Create(t)
 	l.want.Create(t)
+	l.pending = append(l.pending, t)
 	l.audit("Create", t)
 }
 
@@ -70,6 +95,9 @@ func (l *lockstep) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	if v != wv || ok != wok {
 		l.fail("TryRequestCommit(%s) = %s, %v; reference %s, %v", l.tr.Name(t), v, ok, wv, wok)
 	}
+	if ok {
+		l.pending = slices.DeleteFunc(l.pending, func(p tname.TxID) bool { return p == t })
+	}
 	l.audit("TryRequestCommit", t)
 	return v, ok
 }
@@ -82,15 +110,15 @@ func (l *lockstep) Blocked(t tname.TxID) bool {
 	return b
 }
 
-func (l *lockstep) Blockers(t tname.TxID) []tname.TxID {
-	blk := l.got.Blockers(t)
-	g, w := slices.Clone(blk), slices.Clone(l.want.Blockers(t))
-	slices.Sort(g)
-	slices.Sort(w)
+func (l *lockstep) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	n := len(out)
+	out = l.got.Blockers(ts, out)
+	set := len(ts) > 1
+	g, w := sorted(out[n:], set), sorted(l.want.Blockers(ts, nil), set)
 	if !slices.Equal(g, w) {
-		l.fail("Blockers(%s) = %v, reference %v", l.tr.Name(t), g, w)
+		l.fail("Blockers(%d accesses) = %v, reference %v", len(ts), g, w)
 	}
-	return blk
+	return out
 }
 
 func (l *lockstep) Audit() error { return l.got.Audit() }

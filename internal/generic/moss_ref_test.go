@@ -185,8 +185,16 @@ func (m *refMoss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	return v, true
 }
 
-// Blockers implements object.Generic.
-func (m *refMoss) Blockers(t tname.TxID) []tname.TxID {
+// Blockers implements object.Generic: each access's blockers in turn.
+func (m *refMoss) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	for _, t := range ts {
+		out = append(out, m.blockersOf(t)...)
+	}
+	return out
+}
+
+// blockersOf returns the blockers of access t.
+func (m *refMoss) blockersOf(t tname.TxID) []tname.TxID {
 	if !m.pending(t) {
 		return nil
 	}
@@ -208,7 +216,7 @@ func (m *refMoss) Blockers(t tname.TxID) []tname.TxID {
 }
 
 // Blocked implements object.BlockChecker: equivalent to
-// len(Blockers(t)) > 0, but returns at the first non-ancestor lockholder
+// len(blockersOf(t)) > 0, but returns at the first non-ancestor lockholder
 // without building the list. The runner polls this on every step.
 func (m *refMoss) Blocked(t tname.TxID) bool {
 	if !m.pending(t) {

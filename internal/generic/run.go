@@ -26,20 +26,24 @@
 //
 // A step costs what it changed. An object's answers to ShouldAbort, Blocked
 // and Blockers are functions of its automaton's state, which only the
-// runner's own calls into it change (object.Generic states the contract),
-// so the runner keeps an epoch per object, bumped on every such call, and
+// runner's own calls into it change, and a Create changes no answer about
+// another access (object.Generic states both contracts). So the runner
+// keeps an epoch per object, bumped on every call into it but Create, and
 // each pending access caches its answers with the epoch they were asked
-// at. A blocked access parks on its object: it leaves the enumeration
-// until that object's epoch moves, and then rejoins it at its creation
-// position and is asked again. A transaction idle until a child reports to
-// it parks the same way, until the report. The enumeration walks the live
-// transactions only, those that can still take a step and are not parked,
-// and Stats.Blocked adds a running count of the parked, non-dead accesses
-// per enumeration. The failure injector and the eager deadlock breaker,
-// whose draws depend on creation order, take the parked transactions in,
-// in creation order, when they fire. Enabled actions are value structs in a
-// reused slice, and per-object automata and per-transaction states are
-// dense slices indexed by the interned names. The enumeration order and
+// at; epochs start at 1, so 0 means never asked. A blocked access parks on
+// its object: it leaves the enumeration until that object's epoch moves,
+// and then rejoins it at its creation position and is asked again. A
+// transaction idle until a child reports to it parks the same way, until
+// the report. The enumeration walks the live transactions only, those that
+// can still take a step and are not parked, and Stats.Blocked adds a
+// running count of the parked, non-dead accesses per enumeration. The
+// failure injector and the eager deadlock breaker, whose draws depend on
+// creation order, take the parked transactions in, in creation order, when
+// they fire. At quiescence every waiter is parked, so the quiescence
+// breaker asks each object once, with one Blockers call for all the
+// waiters parked on it. Enabled actions are value structs in a reused
+// slice, and per-object automata and per-transaction states are dense
+// slices indexed by the interned names. The enumeration order and
 // random-number consumption are exactly those of the original
 // closure-based loop, so seeds reproduce the same traces.
 package generic
@@ -134,6 +138,10 @@ type txState struct {
 	reported bool
 	value    spec.Value
 	exec     *program.Exec
+	// child and sibling thread the transactions this one has requested
+	// into a list, the latest first: an abort freezes the subtree they
+	// span.
+	child, sibling *txState
 	// pendingRequests are children the program has requested but whose
 	// REQUEST_CREATE the controller has not yet emitted.
 	pendingRequests []*program.Node
@@ -145,8 +153,7 @@ type txState struct {
 
 	// A pending access's object answers: abort (ShouldAbort) and blocked
 	// (Blocked) as of object epoch askedAt, blockers (Blockers) as of
-	// blockersAt. Creating the access moves its object's epoch past 0, so
-	// 0 means never asked.
+	// blockersAt. Epochs start at 1, so 0 means never asked.
 	askedAt, blockersAt uint64
 	abort, blocked      bool
 	blockers            []tname.TxID
@@ -214,8 +221,9 @@ type Runner struct {
 	checkers []object.BlockChecker
 	auditors []object.Auditor
 	informQ  [][]informMsg
-	// epochs counts, per object, the runner's calls into its automaton:
-	// answers cached at an older epoch are stale.
+	// epochs counts, per object, the runner's calls into its automaton
+	// other than Create, from 1: answers cached at an older epoch are
+	// stale.
 	epochs []uint64
 
 	txs   []*txState   // indexed by TxID; nil for unknown names
@@ -234,10 +242,13 @@ type Runner struct {
 	spare   []*txState // live's other buffer, for the merge
 	nParked int
 
-	acts   []act      // reused action buffer
-	cands  []*txState // reused victim buffer
-	others []*txState // reused buffer of waiters
-	rounds uint64     // breaker calls, the txState.round stamp
+	acts   []act         // reused action buffer
+	cands  []tname.TxID  // reused victim buffer
+	others []*txState    // reused buffer of waiters
+	ids    []tname.TxID  // reused buffer of one object's waiters
+	blk    []tname.TxID  // reused Blockers buffer
+	one    [1]tname.TxID // a single access, for a per-waiter Blockers call
+	rounds uint64        // breaker calls, the txState.round stamp
 
 	trace event.Behavior
 	stats Stats
@@ -297,6 +308,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		parked:   make([][]*txState, numObj),
 	}
 	for x := tname.ObjID(0); int(x) < numObj; x++ {
+		r.epochs[x] = 1
 		g := opts.Protocol.New(tr, x)
 		r.objects[x] = g
 		if ab, ok := g.(object.Aborter); ok {
@@ -385,7 +397,8 @@ func (r *Runner) blockersOf(ts *txState) []tname.TxID {
 	x := ts.node.Obj
 	if ts.blockersAt != r.epochs[x] {
 		ts.blockersAt = r.epochs[x]
-		ts.blockers = append(ts.blockers[:0], r.objects[x].Blockers(ts.id)...)
+		r.one[0] = ts.id
+		ts.blockers = r.objects[x].Blockers(r.one[:], ts.blockers[:0])
 	}
 	return ts.blockers
 }
@@ -602,9 +615,11 @@ func (r *Runner) doCreate(ts *txState) {
 	ts.status = stCreated
 	r.emit(event.NewEvent(event.Create, ts.id))
 	if ts.node.IsAccess {
+		// Create changes no answer about x's other accesses, so x's epoch
+		// stays and its waiters stay parked; the new access has never
+		// been asked.
 		x := ts.node.Obj
 		r.objects[x].Create(ts.id)
-		r.moved(x)
 		r.markTouched(ts.id, x)
 		return
 	}
@@ -633,6 +648,7 @@ func (r *Runner) doIssueRequest(ts *txState) {
 	}
 	cs := &txState{id: childID, node: child, status: stRequested}
 	r.putTx(cs)
+	cs.sibling, ts.child = ts.child, cs
 	r.emit(event.NewEvent(event.RequestCreate, childID))
 }
 
@@ -698,22 +714,22 @@ func (r *Runner) abortTx(ts *txState) {
 	for _, x := range ts.touched {
 		r.informQ[x] = append(r.informQ[x], informMsg{commit: false, tx: ts.id})
 	}
-	if r.opts.AllowOrphans {
-		return
+	if !r.opts.AllowOrphans {
+		r.freeze(ts)
 	}
-	// Freeze descendants. This walks order, not live: finished descendants
-	// must be marked dead too, because breakDeadlock's ancestor walk stops
-	// at a dead transaction instead of climbing past this abort. A
-	// descendant is created after ts, so the walk starts past it.
-	for _, id := range r.order[ts.seq+1:] {
-		if r.tr.IsDescendant(id, ts.id) {
-			d := r.txs[id]
-			d.dead = true
-			if d.parked {
-				// Dead waiters are not counted as blocked.
-				r.leave(d)
-			}
+}
+
+// freeze marks every descendant of ts dead. Finished descendants are marked
+// too, because breakDeadlock's ancestor walk stops at a dead transaction
+// instead of climbing past the abort.
+func (r *Runner) freeze(ts *txState) {
+	for d := ts.child; d != nil; d = d.sibling {
+		d.dead = true
+		if d.parked {
+			// Dead waiters are not counted as blocked.
+			r.leave(d)
 		}
+		r.freeze(d)
 	}
 }
 
@@ -778,8 +794,8 @@ func (r *Runner) maybeInjectAbort() bool {
 	// candidates too, and the coin rarely lands.
 	candidates := r.cands[:0]
 	for _, id := range r.order {
-		if ts := r.txs[id]; ts.id != tname.Root && !ts.dead && ts.status < stCommitted {
-			candidates = append(candidates, ts)
+		if ts := r.txs[id]; id != tname.Root && !ts.dead && ts.status < stCommitted {
+			candidates = append(candidates, id)
 		}
 	}
 	r.cands = candidates
@@ -787,12 +803,14 @@ func (r *Runner) maybeInjectAbort() bool {
 		return false
 	}
 	r.stats.SpontaneousAborts++
-	r.abortTx(candidates[r.rng.Intn(len(candidates))])
+	r.abortTx(r.txs[candidates[r.rng.Intn(len(candidates))]])
 	return true
 }
 
 // breakDeadlock fires when no action is enabled: if blocked accesses
-// remain, abort a transaction whose activity blocks one of them.
+// remain, abort a transaction whose activity blocks one of them. Every
+// waiter is parked then, so it asks each object once for the blockers of
+// all the waiters parked on it.
 //
 // A blocker reported by an object may itself have committed already (an
 // undo-log entry whose owning access committed while an enclosing
@@ -803,8 +821,19 @@ func (r *Runner) maybeInjectAbort() bool {
 func (r *Runner) breakDeadlock() bool {
 	r.rounds++
 	victims := r.cands[:0]
-	for _, w := range r.waiters() {
-		for _, blk := range r.blockersOf(w) {
+	for x, q := range r.parked {
+		ids := r.ids[:0]
+		for _, ts := range q {
+			if ts.parked && isWaiter(ts) {
+				ids = append(ids, ts.id)
+			}
+		}
+		r.ids = ids
+		if len(ids) == 0 {
+			continue
+		}
+		r.blk = r.objects[x].Blockers(ids, r.blk[:0])
+		for _, blk := range r.blk {
 			for u := blk; u != tname.Root && u != tname.None; u = r.tr.Parent(u) {
 				ts := r.tx(u)
 				if ts == nil || ts.dead {
@@ -813,7 +842,7 @@ func (r *Runner) breakDeadlock() bool {
 				if ts.status < stCommitted {
 					if ts.round != r.rounds {
 						ts.round = r.rounds
-						victims = append(victims, ts)
+						victims = append(victims, u)
 					}
 					break
 				}
@@ -827,13 +856,13 @@ func (r *Runner) breakDeadlock() bool {
 // abortVictim aborts one of victims, if there are any, drawn by the seed
 // after sorting them, so the choice does not depend on the order in which
 // they were found.
-func (r *Runner) abortVictim(victims []*txState) bool {
+func (r *Runner) abortVictim(victims []tname.TxID) bool {
 	if len(victims) == 0 {
 		return false
 	}
-	slices.SortFunc(victims, func(a, b *txState) int { return cmp.Compare(a.id, b.id) })
+	slices.Sort(victims)
 	r.stats.DeadlockVictims++
-	r.abortTx(victims[r.rng.Intn(len(victims))])
+	r.abortTx(r.txs[victims[r.rng.Intn(len(victims))]])
 	return true
 }
 
@@ -886,7 +915,7 @@ func (r *Runner) breakWaitsForCycle() bool {
 	victims := r.cands[:0]
 	for _, n := range cyc {
 		if ts := tops[n]; !ts.dead && ts.status < stCommitted {
-			victims = append(victims, ts)
+			victims = append(victims, ts.id)
 		}
 	}
 	r.cands = victims

@@ -361,10 +361,10 @@ type abortingStub struct {
 	tr      *tname.Tree
 }
 
-func (s *abortingStub) Create(t tname.TxID)              { s.created[t] = true }
-func (s *abortingStub) InformCommit(tname.TxID)          {}
-func (s *abortingStub) InformAbort(tname.TxID)           {}
-func (s *abortingStub) Blockers(tname.TxID) []tname.TxID { return nil }
+func (s *abortingStub) Create(t tname.TxID)                       { s.created[t] = true }
+func (s *abortingStub) InformCommit(tname.TxID)                   {}
+func (s *abortingStub) InformAbort(tname.TxID)                    {}
+func (s *abortingStub) Blockers(_, out []tname.TxID) []tname.TxID { return out }
 func (s *abortingStub) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	if !s.created[t] {
 		return spec.Nil, false

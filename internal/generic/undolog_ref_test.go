@@ -139,8 +139,16 @@ func (u *refUndo) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	return v, true
 }
 
-// Blockers implements object.Generic.
-func (u *refUndo) Blockers(t tname.TxID) []tname.TxID {
+// Blockers implements object.Generic: each access's blockers in turn.
+func (u *refUndo) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	for _, t := range ts {
+		out = append(out, u.blockersOf(t)...)
+	}
+	return out
+}
+
+// blockersOf returns the blockers of access t.
+func (u *refUndo) blockersOf(t tname.TxID) []tname.TxID {
 	if !u.created[t] || u.commitRequested[t] || u.brokenSkipCommute {
 		return nil
 	}
@@ -157,7 +165,7 @@ func (u *refUndo) Blockers(t tname.TxID) []tname.TxID {
 }
 
 // Blocked implements object.BlockChecker: equivalent to
-// len(Blockers(t)) > 0, but returns at the first non-commuting uncommitted
+// len(blockersOf(t)) > 0, but returns at the first non-commuting uncommitted
 // refEntry without building the list.
 func (u *refUndo) Blocked(t tname.TxID) bool {
 	if !u.created[t] || u.commitRequested[t] || u.brokenSkipCommute {

@@ -52,8 +52,6 @@ type Moss struct {
 	writeLockholders []holder
 	// readLockholders are the shared-lock holders, each once.
 	readLockholders []tname.TxID
-	// blockers is Blockers' result buffer.
-	blockers []tname.TxID
 
 	// broken configuration; all false for the faithful automaton.
 	brokenIgnoreReadLocks bool
@@ -236,31 +234,44 @@ func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	return v, true
 }
 
-// Blockers implements object.Generic. The result is m's own buffer, valid
-// until the next call into m.
-func (m *Moss) Blockers(t tname.TxID) []tname.TxID {
-	if !m.pending(t) {
-		return nil
+// Blockers implements object.Generic. The write-lockholders that are not
+// ancestors of a waiter are a suffix of the chain, so the union of the
+// waiters' suffixes is the longest one: each waiter extends it past the
+// entries already listed, and the chain is walked once for all of them. A
+// read-lockholder is listed at the first update waiter it is not an
+// ancestor of.
+func (m *Moss) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	lo := len(m.writeLockholders) // the suffix listed so far
+	update := false               // some pending waiter is an update
+	for _, t := range ts {
+		if !m.pending(t) {
+			continue
+		}
+		i := lo - 1
+		for ; i > 0 && !m.tr.IsAncestor(m.writeLockholders[i].tx, t); i-- {
+			out = append(out, m.writeLockholders[i].tx)
+		}
+		lo = i + 1
+		update = update || !m.sp.ReadOnly(m.tr.AccessOp(t))
 	}
-	out := m.blockers[:0]
-	for i := len(m.writeLockholders) - 1; i > 0 && !m.tr.IsAncestor(m.writeLockholders[i].tx, t); i-- {
-		out = append(out, m.writeLockholders[i].tx)
+	if !update || m.brokenIgnoreReadLocks {
+		return out
 	}
-	if !m.sp.ReadOnly(m.tr.AccessOp(t)) && !m.brokenIgnoreReadLocks {
-		for _, u := range m.readLockholders {
-			if !m.tr.IsAncestor(u, t) {
+	for _, u := range m.readLockholders {
+		for _, t := range ts {
+			if m.pending(t) && !m.sp.ReadOnly(m.tr.AccessOp(t)) && !m.tr.IsAncestor(u, t) {
 				out = append(out, u)
+				break
 			}
 		}
 	}
-	m.blockers = out
 	return out
 }
 
 // Blocked implements object.BlockChecker: equivalent to
-// len(Blockers(t)) > 0, but asks only whether the least write-lockholder
-// is an ancestor and returns at the first non-ancestor read-lockholder.
-// The runner polls this whenever the object moves.
+// len(Blockers({t}, nil)) > 0, but asks only whether the least
+// write-lockholder is an ancestor and returns at the first non-ancestor
+// read-lockholder. The runner polls this whenever the object moves.
 func (m *Moss) Blocked(t tname.TxID) bool {
 	if !m.pending(t) {
 		return false

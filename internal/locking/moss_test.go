@@ -48,7 +48,7 @@ func (f *fix) mustBlock(t *testing.T, acc tname.TxID) {
 	if _, ok := f.m.TryRequestCommit(acc); ok {
 		t.Fatalf("access %s should be blocked", f.tr.Name(acc))
 	}
-	if len(f.m.Blockers(acc)) == 0 {
+	if len(f.m.Blockers([]tname.TxID{acc}, nil)) == 0 {
 		t.Fatalf("blocked access %s must report blockers", f.tr.Name(acc))
 	}
 }
@@ -66,7 +66,7 @@ func TestUncreatedAccessNotEnabled(t *testing.T) {
 	if _, ok := f.m.TryRequestCommit(f.r2); ok {
 		t.Error("respond before CREATE must be disabled")
 	}
-	if len(f.m.Blockers(f.r2)) != 0 {
+	if len(f.m.Blockers([]tname.TxID{f.r2}, nil)) != 0 {
 		t.Error("uncreated access has no blockers")
 	}
 }

@@ -316,19 +316,16 @@ func (m *MVTO) ShouldAbort(t tname.TxID) bool {
 
 // Blockers implements object.Generic: a read waiting for its candidate
 // version's commit chain names the writer.
-func (m *MVTO) Blockers(t tname.TxID) []tname.TxID {
-	if !m.created[t] || m.commitRequested[t] {
-		return nil
+func (m *MVTO) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	for _, t := range ts {
+		if !m.created[t] || m.commitRequested[t] || !spec.IsRead(m.tr.AccessOp(t)) {
+			continue
+		}
+		if v := m.candidate(m.clock.PathTS(t)); v != nil && !m.visibleTo(v, t) {
+			out = append(out, v.writer)
+		}
 	}
-	if !spec.IsRead(m.tr.AccessOp(t)) {
-		return nil
-	}
-	p := m.clock.PathTS(t)
-	v := m.candidate(p)
-	if v == nil || m.visibleTo(v, t) {
-		return nil
-	}
-	return []tname.TxID{v.writer}
+	return out
 }
 
 // Audit implements object.Auditor: versions stay sorted by path and the

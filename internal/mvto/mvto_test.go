@@ -123,7 +123,7 @@ func TestReadWaitsForUncommittedEarlierWriter(t *testing.T) {
 	if _, ok := f.m.TryRequestCommit(f.r2); ok {
 		t.Fatal("r2 must wait for t1's commit chain")
 	}
-	blk := f.m.Blockers(f.r2)
+	blk := f.m.Blockers([]tname.TxID{f.r2}, nil)
 	if len(blk) != 1 || blk[0] != f.w1 {
 		t.Fatalf("blockers = %v", blk)
 	}

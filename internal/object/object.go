@@ -28,6 +28,13 @@ import (
 // random draw. Shared state that is fixed by the time it is read is fine:
 // MVTO's clock assigns an access its path at Create, and later reads only
 // return it.
+//
+// Create(T) changes no query answer about any other access: as in the
+// paper's M1_X and U_X (§5.2, §6.2), CREATE(T) only adds T to created, and
+// what blocks or dooms another access is the object's locks, log or
+// versions, which Create does not touch. The runner relies on this too: a
+// Create leaves the cached answers of the object's other accesses, and
+// its parked waiters, as they were.
 type Generic interface {
 	// Create handles the CREATE(T) input for an access T to this object.
 	Create(t tname.TxID)
@@ -47,22 +54,26 @@ type Generic interface {
 	// and ok is false.
 	TryRequestCommit(t tname.TxID) (v spec.Value, ok bool)
 
-	// Blockers returns the transactions whose activity currently disables
-	// REQUEST_COMMIT for access t (lock holders that are not ancestors of
-	// t, or uncommitted non-commuting operations). The runner uses this for
-	// deadlock victim selection; it must not change state. The order of the
-	// list carries no meaning. The result may be the automaton's own
-	// buffer, valid until the next call into it, so the caller does not
-	// keep the slice; an empty result may be nil or not.
-	Blockers(t tname.TxID) []tname.TxID
+	// Blockers appends to out, and returns, the union over the accesses ts
+	// of the transactions whose activity currently disables REQUEST_COMMIT
+	// for the access (lock holders that are not ancestors of it, or
+	// uncommitted non-commuting operations); accesses of ts that are not
+	// pending add nothing. One call answers for all the waiters of the
+	// object, so an implementation can share the work among them; a
+	// caller that wants one access's blockers passes one access. The
+	// runner uses this for deadlock victim selection; it must not change
+	// state. The order of the list carries no meaning, and a transaction
+	// may appear more than once. The buffer is the caller's: the
+	// automaton keeps no reference to out or ts.
+	Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID
 }
 
 // BlockChecker is optionally implemented by generic objects that can
 // answer "is access t currently blocked?" without materializing the
-// blocker list. Blocked(t) must be equivalent to len(Blockers(t)) > 0 —
-// the runner asks it whenever the object has moved since it last asked
-// about t, and only falls back to Blockers when choosing deadlock victims,
-// where the full list is needed. Blocked must not change state.
+// blocker list. Blocked(t) must be equivalent to len(Blockers({t}, nil))
+// > 0 — the runner asks it whenever the object has moved since it last
+// asked about t, and only falls back to Blockers when choosing deadlock
+// victims, where the full list is needed. Blocked must not change state.
 type BlockChecker interface {
 	Blocked(t tname.TxID) bool
 }

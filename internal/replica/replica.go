@@ -285,21 +285,21 @@ func (r *Replicated) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 
 // Blockers implements object.Generic (lock conflicts only; quorum
 // unavailability is transient and resolves by itself).
-func (r *Replicated) Blockers(t tname.TxID) []tname.TxID {
-	if !r.created[t] || r.commitRequested[t] {
-		return nil
-	}
-	op := r.tr.AccessOp(t)
-	var out []tname.TxID
-	for u := range r.writeLockholders {
-		if !r.tr.IsAncestor(u, t) {
-			out = append(out, u)
+func (r *Replicated) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	for _, t := range ts {
+		if !r.created[t] || r.commitRequested[t] {
+			continue
 		}
-	}
-	if spec.IsWrite(op) {
-		for u := range r.readLockholders {
+		for u := range r.writeLockholders {
 			if !r.tr.IsAncestor(u, t) {
 				out = append(out, u)
+			}
+		}
+		if spec.IsWrite(r.tr.AccessOp(t)) {
+			for u := range r.readLockholders {
+				if !r.tr.IsAncestor(u, t) {
+					out = append(out, u)
+				}
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func TestLockDisciplineMatchesMoss(t *testing.T) {
 	if _, ok := f.r.TryRequestCommit(f.r2); ok {
 		t.Fatal("reader must block behind the uncommitted writer")
 	}
-	if blk := f.r.Blockers(f.r2); len(blk) != 1 || blk[0] != f.w1 {
+	if blk := f.r.Blockers([]tname.TxID{f.r2}, nil); len(blk) != 1 || blk[0] != f.w1 {
 		t.Fatalf("blockers = %v", blk)
 	}
 	f.r.InformCommit(f.w1)

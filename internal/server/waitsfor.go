@@ -169,12 +169,17 @@ func (s *Server) breakDeadlock(me *waitEntry) bool {
 func (s *Server) waitsFor(entries []*waitEntry) graph.CSR {
 	off := make([]int32, 1, len(entries)+1)
 	var to []int32
+	// one and blks are reused by every waiter's Blockers call.
+	var one [1]tname.TxID
+	var blks []tname.TxID
 	for _, e := range entries {
 		s.withObj(e.obj, func() { //sgvet:holds e.obj.mu, s.mu:r
 			if !slices.Contains(e.obj.waiters, e) {
 				return
 			}
-			for _, blk := range e.obj.g.Blockers(e.access) {
+			one[0] = e.access
+			blks = e.obj.g.Blockers(one[:], blks[:0])
+			for _, blk := range blks {
 				// Blockers never include ancestors of the access, so Root is
 				// excluded and every blocker has a top-level ancestor.
 				bt := s.tr.ChildAncestor(tname.Root, blk)

@@ -21,6 +21,14 @@
 // of the entry outside ancestors(T) is uncommitted exactly when low is not
 // an ancestor of T, so the gate asks one ancestry question per entry, and
 // none for an entry whose low has reached T0.
+//
+// A pending access's operation and the value it would return are a
+// function of the replayed state, which changes only when the log gains or
+// loses an entry. The automaton numbers those changes, and each pending
+// access keeps its (op, value) with the version it was computed at, in its
+// per-transaction record: Blocked and Blockers replay nothing while the log
+// stands still. Blockers answers for all the waiters of the object at once,
+// and stops at the first waiter each entry blocks.
 package undolog
 
 import (
@@ -47,17 +55,21 @@ type Undo struct {
 	x  tname.ObjID
 	sp spec.Spec
 
-	// flags holds each transaction's created, commit-requested and
-	// committed bits.
-	flags      map[tname.TxID]txFlags
+	// recs holds each transaction's record: its created, commit-requested
+	// and committed bits, and a pending access's memo.
+	recs       map[tname.TxID]txRec
 	operations []entry
-	// blockers is Blockers' result buffer.
-	blockers []tname.TxID
+	// waiting is Blockers' scratch: the pending waiters it was asked
+	// about, with their operations and values.
+	waiting []waiter
 
 	// cache of the state reached by replaying operations; invalidated when
 	// the log shrinks on INFORM_ABORT.
 	cache      spec.State
 	cacheValid bool
+	// version numbers the states the log has been in: it moves whenever
+	// an entry is appended or removed, and only then.
+	version uint64
 
 	// brokenNoUndo disables log erasure on abort (negative control).
 	brokenNoUndo bool
@@ -75,28 +87,51 @@ const (
 	committed
 )
 
+// txRec is one transaction's record. For a pending access, ov is the
+// operation it would be logged with and the value it would return, as of
+// log version ver (0: never computed).
+type txRec struct {
+	flags txFlags
+	ver   uint64
+	ov    spec.OpVal
+}
+
+// waiter is a pending access and its (op, value).
+type waiter struct {
+	tx tname.TxID
+	ov spec.OpVal
+}
+
 // New builds the faithful U_X automaton for object x.
 func New(tr *tname.Tree, x tname.ObjID) *Undo {
 	return &Undo{
-		tr:    tr,
-		x:     x,
-		sp:    tr.Spec(x),
-		flags: make(map[tname.TxID]txFlags),
+		tr:      tr,
+		x:       x,
+		sp:      tr.Spec(x),
+		recs:    make(map[tname.TxID]txRec),
+		version: 1,
 	}
 }
 
+// mark sets bits f in t's record.
+func (u *Undo) mark(t tname.TxID, f txFlags) {
+	r := u.recs[t]
+	r.flags |= f
+	u.recs[t] = r
+}
+
 // Create implements object.Generic.
-func (u *Undo) Create(t tname.TxID) { u.flags[t] |= created }
+func (u *Undo) Create(t tname.TxID) { u.mark(t, created) }
 
 // pending reports whether t is created and has not requested to commit.
 func (u *Undo) pending(t tname.TxID) bool {
-	return u.flags[t]&(created|commitRequested) == created
+	return u.recs[t].flags&(created|commitRequested) == created
 }
 
 // lowest returns the lowest ancestor-or-self of t not known committed, or
 // T0 if every proper descendant of T0 on the path is.
 func (u *Undo) lowest(t tname.TxID) tname.TxID {
-	for t != tname.Root && u.flags[t]&committed != 0 {
+	for t != tname.Root && u.recs[t].flags&committed != 0 {
 		t = u.tr.Parent(t)
 	}
 	return t
@@ -105,7 +140,7 @@ func (u *Undo) lowest(t tname.TxID) tname.TxID {
 // InformCommit implements object.Generic: the entries whose lowest
 // uncommitted ancestor was t move their mark up past it.
 func (u *Undo) InformCommit(t tname.TxID) {
-	u.flags[t] |= committed
+	u.mark(t, committed)
 	for i := range u.operations {
 		if e := &u.operations[i]; e.low == t {
 			e.low = u.lowest(t)
@@ -120,13 +155,13 @@ func (u *Undo) InformAbort(t tname.TxID) {
 		// commit — the aborted subtree's operations stay in the log and
 		// every owner on the path is marked committed, so later accesses
 		// unblock into the corrupted state.
-		u.flags[t] |= committed
+		u.mark(t, committed)
 		for _, e := range u.operations {
 			if !u.tr.IsDescendant(e.tx, t) {
 				continue
 			}
 			for a := e.tx; a != t; a = u.tr.Parent(a) {
-				u.flags[a] |= committed
+				u.mark(a, committed)
 			}
 		}
 		for i := range u.operations {
@@ -148,6 +183,7 @@ func (u *Undo) InformAbort(t tname.TxID) {
 	u.operations = kept
 	if removed {
 		u.cacheValid = false
+		u.version++
 	}
 }
 
@@ -195,41 +231,63 @@ func (u *Undo) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	}
 	u.operations = append(u.operations, entry{tx: t, ov: ov, low: u.lowest(t)})
 	u.cache, u.cacheValid = st, true
-	u.flags[t] |= commitRequested
+	u.version++
+	u.mark(t, commitRequested)
 	return v, true
 }
 
 // pendingOpVal returns the operation and value pending access t would be
-// logged with, and whether the gate applies to it at all.
+// logged with, and whether the gate applies to it at all. It looks t's
+// record up once, and replays only when the log has changed since t's
+// memo was made.
 func (u *Undo) pendingOpVal(t tname.TxID) (spec.OpVal, bool) {
-	if !u.pending(t) || u.brokenSkipCommute {
+	if u.brokenSkipCommute {
 		return spec.OpVal{}, false
 	}
-	op := u.tr.AccessOp(t)
-	_, v := u.sp.Apply(u.state(), op)
-	return spec.OpVal{Op: op, Val: v}, true
+	r := u.recs[t]
+	if r.flags&(created|commitRequested) != created {
+		return spec.OpVal{}, false
+	}
+	if r.ver != u.version {
+		op := u.tr.AccessOp(t)
+		_, v := u.sp.Apply(u.state(), op)
+		r.ver, r.ov = u.version, spec.OpVal{Op: op, Val: v}
+		u.recs[t] = r
+	}
+	return r.ov, true
 }
 
-// Blockers implements object.Generic. The result is u's own buffer, valid
-// until the next call into u.
-func (u *Undo) Blockers(t tname.TxID) []tname.TxID {
-	ov, ok := u.pendingOpVal(t)
-	if !ok {
-		return nil
-	}
-	out := u.blockers[:0]
-	for i := range u.operations {
-		if e := &u.operations[i]; u.blocks(e, t, ov) {
-			out = append(out, e.tx)
+// Blockers implements object.Generic. Each entry not known committed is
+// listed at the first waiter it blocks.
+func (u *Undo) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
+	ws := u.waiting[:0]
+	for _, t := range ts {
+		if ov, ok := u.pendingOpVal(t); ok {
+			ws = append(ws, waiter{tx: t, ov: ov})
 		}
 	}
-	u.blockers = out
+	u.waiting = ws
+	if len(ws) == 0 {
+		return out
+	}
+	for i := range u.operations {
+		e := &u.operations[i]
+		if e.low == tname.Root {
+			continue // committed up to T0: it blocks nobody
+		}
+		for _, w := range ws {
+			if u.blocks(e, w.tx, w.ov) {
+				out = append(out, e.tx)
+				break
+			}
+		}
+	}
 	return out
 }
 
 // Blocked implements object.BlockChecker: equivalent to
-// len(Blockers(t)) > 0, but returns at the first non-commuting uncommitted
-// entry without building the list.
+// len(Blockers({t}, nil)) > 0, but returns at the first non-commuting
+// uncommitted entry without building the list.
 func (u *Undo) Blocked(t tname.TxID) bool {
 	ov, ok := u.pendingOpVal(t)
 	if !ok {

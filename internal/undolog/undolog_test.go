@@ -66,7 +66,7 @@ func TestObserverBlockedByUncommittedUpdate(t *testing.T) {
 	if _, ok := f.u.TryRequestCommit(f.g2); ok {
 		t.Fatal("get must wait for the uncommitted increment")
 	}
-	blockers := f.u.Blockers(f.g2)
+	blockers := f.u.Blockers([]tname.TxID{f.g2}, nil)
 	if len(blockers) != 1 || blockers[0] != f.i1 {
 		t.Errorf("blockers = %v", blockers)
 	}
@@ -133,7 +133,7 @@ func TestUncreatedAndDoubleRespond(t *testing.T) {
 	if _, ok := f.u.TryRequestCommit(f.i1); ok {
 		t.Error("double respond must fail")
 	}
-	if len(f.u.Blockers(f.i1)) != 0 {
+	if len(f.u.Blockers([]tname.TxID{f.i1}, nil)) != 0 {
 		t.Error("responded access has no blockers")
 	}
 }
