@@ -13,11 +13,22 @@ import (
 	"nestedsg/internal/workload"
 )
 
-// automaton is what the differential drives: a generic object with the
-// runner's fast blocked check and an invariant audit.
+// automaton is what the differential drives: a generic object with an
+// invariant audit.
 type automaton interface {
 	object.Generic
-	object.BlockChecker
+	object.Auditor
+}
+
+// refAutomaton is what the reference automata offer: their Blocked
+// answers whether the access is blocked and names no witness.
+type refAutomaton interface {
+	Create(t tname.TxID)
+	InformCommit(t tname.TxID)
+	InformAbort(t tname.TxID)
+	TryRequestCommit(t tname.TxID) (spec.Value, bool)
+	Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID
+	Blocked(t tname.TxID) bool
 	object.Auditor
 }
 
@@ -30,9 +41,10 @@ type automaton interface {
 // the union of want's per-access Blockers, as sets. The first difference
 // is kept in *diff.
 type lockstep struct {
-	tr        *tname.Tree
-	got, want automaton
-	diff      *string
+	tr   *tname.Tree
+	got  automaton
+	want refAutomaton
+	diff *string
 	// pending are the accesses created and not granted, in creation order.
 	pending []tname.TxID
 }
@@ -102,12 +114,12 @@ func (l *lockstep) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	return v, ok
 }
 
-func (l *lockstep) Blocked(t tname.TxID) bool {
-	b := l.got.Blocked(t)
+func (l *lockstep) Blocked(t tname.TxID) (tname.TxID, bool) {
+	wit, b := l.got.Blocked(t)
 	if w := l.want.Blocked(t); b != w {
 		l.fail("Blocked(%s) = %v, reference %v", l.tr.Name(t), b, w)
 	}
-	return b
+	return wit, b
 }
 
 func (l *lockstep) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
@@ -125,8 +137,9 @@ func (l *lockstep) Audit() error { return l.got.Audit() }
 
 // lockstepProtocol builds a lockstep object per object of the system.
 type lockstepProtocol struct {
-	got, want func(tr *tname.Tree, x tname.ObjID) automaton
-	diff      *string
+	got  func(tr *tname.Tree, x tname.ObjID) automaton
+	want func(tr *tname.Tree, x tname.ObjID) refAutomaton
+	diff *string
 }
 
 func (lockstepProtocol) Name() string { return "lockstep" }
@@ -138,46 +151,47 @@ func (p lockstepProtocol) New(tr *tname.Tree, x tname.ObjID) object.Generic {
 // automataPairs are the automata of the differential, each beside the
 // parent's reference with the same broken flag set.
 var automataPairs = []struct {
-	name      string
-	got, want func(tr *tname.Tree, x tname.ObjID) automaton
+	name string
+	got  func(tr *tname.Tree, x tname.ObjID) automaton
+	want func(tr *tname.Tree, x tname.ObjID) refAutomaton
 }{
 	{"moss",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return locking.NewMoss(tr, x) },
-		func(tr *tname.Tree, x tname.ObjID) automaton { return newRefMoss(tr, x) }},
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton { return newRefMoss(tr, x) }},
 	{"moss-broken-readlocks",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.IgnoreReadLocks) },
-		func(tr *tname.Tree, x tname.ObjID) automaton {
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton {
 			m := newRefMoss(tr, x)
 			m.brokenIgnoreReadLocks = true
 			return m
 		}},
 	{"moss-broken-noinh",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.NoInheritance) },
-		func(tr *tname.Tree, x tname.ObjID) automaton {
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton {
 			m := newRefMoss(tr, x)
 			m.brokenNoInheritance = true
 			return m
 		}},
 	{"moss-broken-recovery",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenMoss(tr, x, locking.KeepAbortState) },
-		func(tr *tname.Tree, x tname.ObjID) automaton {
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton {
 			m := newRefMoss(tr, x)
 			m.brokenKeepAbortState = true
 			return m
 		}},
 	{"undolog",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return undolog.New(tr, x) },
-		func(tr *tname.Tree, x tname.ObjID) automaton { return newRefUndo(tr, x) }},
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton { return newRefUndo(tr, x) }},
 	{"undolog-broken-noundo",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenUndo(tr, x, undolog.NoUndo) },
-		func(tr *tname.Tree, x tname.ObjID) automaton {
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton {
 			u := newRefUndo(tr, x)
 			u.brokenNoUndo = true
 			return u
 		}},
 	{"undolog-broken-commute",
 		func(tr *tname.Tree, x tname.ObjID) automaton { return brokenUndo(tr, x, undolog.SkipCommute) },
-		func(tr *tname.Tree, x tname.ObjID) automaton {
+		func(tr *tname.Tree, x tname.ObjID) refAutomaton {
 			u := newRefUndo(tr, x)
 			u.brokenSkipCommute = true
 			return u

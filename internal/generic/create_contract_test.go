@@ -35,7 +35,8 @@ type answer struct {
 func (p *createProbe) answers() []answer {
 	out := make([]answer, len(p.pending))
 	for i, t := range p.pending {
-		out[i] = answer{blocked: p.Blocked(t), abort: p.ShouldAbort(t),
+		_, blocked := p.g.Blocked(t)
+		out[i] = answer{blocked: blocked, abort: p.ShouldAbort(t),
 			blockers: sorted(p.g.Blockers([]tname.TxID{t}, nil), false)}
 	}
 	return out
@@ -70,12 +71,7 @@ func (p *createProbe) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
 	return p.g.Blockers(ts, out)
 }
 
-func (p *createProbe) Blocked(t tname.TxID) bool {
-	if bc, ok := p.g.(object.BlockChecker); ok {
-		return bc.Blocked(t)
-	}
-	return len(p.g.Blockers([]tname.TxID{t}, nil)) > 0
-}
+func (p *createProbe) Blocked(t tname.TxID) (tname.TxID, bool) { return p.g.Blocked(t) }
 
 func (p *createProbe) ShouldAbort(t tname.TxID) bool {
 	ab, ok := p.g.(object.Aborter)

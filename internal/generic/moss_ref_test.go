@@ -215,9 +215,9 @@ func (m *refMoss) blockersOf(t tname.TxID) []tname.TxID {
 	return out
 }
 
-// Blocked implements object.BlockChecker: equivalent to
-// len(blockersOf(t)) > 0, but returns at the first non-ancestor lockholder
-// without building the list. The runner polls this on every step.
+// Blocked is the bool query the lockstep compares object.Generic's Blocked
+// against: equivalent to len(blockersOf(t)) > 0, but returns at the first
+// non-ancestor lockholder without building the list.
 func (m *refMoss) Blocked(t tname.TxID) bool {
 	if !m.pending(t) {
 		return false

@@ -29,23 +29,28 @@
 // runner's own calls into it change, and a Create changes no answer about
 // another access (object.Generic states both contracts). So the runner
 // keeps an epoch per object, bumped on every call into it but Create, and
-// each pending access caches its answers with the epoch they were asked
-// at; epochs start at 1, so 0 means never asked. A blocked access parks on
-// its object: it leaves the enumeration until that object's epoch moves,
-// and then rejoins it at its creation position and is asked again. A
-// transaction idle until a child reports to it parks the same way, until
-// the report. The enumeration walks the live transactions only, those that
-// can still take a step and are not parked, and Stats.Blocked adds a
-// running count of the parked, non-dead accesses per enumeration. The
-// failure injector and the eager deadlock breaker, whose draws depend on
-// creation order, take the parked transactions in, in creation order, when
-// they fire. At quiescence every waiter is parked, so the quiescence
-// breaker asks each object once, with one Blockers call for all the
-// waiters parked on it. Enabled actions are value structs in a reused
-// slice, and per-object automata and per-transaction states are dense
-// slices indexed by the interned names. The enumeration order and
-// random-number consumption are exactly those of the original
-// closure-based loop, so seeds reproduce the same traces.
+// each pending access caches its answers with the epoch they were asked at;
+// epochs start at 1, so 0 means never asked. A blocked access parks on its
+// object with the witness Blocked named: it leaves the enumeration until a
+// call into the object that object.Generic's wake clause does not cover,
+// and then rejoins it at its creation position and is asked again. An
+// INFORM about U wakes the waiters whose witness is tname.None or a
+// descendant-or-self of U, a grant only those with no witness, and a
+// refused attempt every waiter. The waiters left parked are still blocked,
+// as they would answer if asked, so the enumeration and Stats.Blocked are
+// those of a runner that woke them all. A transaction idle until a child
+// reports to it parks the same way, until the report. The enumeration walks
+// the live transactions only, those that can still take a step and are not
+// parked, and Stats.Blocked adds a running count of the parked, non-dead
+// accesses per enumeration. The failure injector and the eager deadlock
+// breaker, whose draws depend on creation order, take the parked
+// transactions in, in creation order, when they fire. At quiescence every
+// waiter is parked, so the quiescence breaker asks each object once, with
+// one Blockers call for all the waiters parked on it. Enabled actions are
+// value structs in a reused slice, and per-object automata and
+// per-transaction states are dense slices indexed by the interned names.
+// The enumeration order and random-number consumption are exactly those of
+// the original closure-based loop, so seeds reproduce the same traces.
 package generic
 
 import (
@@ -151,11 +156,13 @@ type txState struct {
 	// slice beats a map.
 	touched []tname.ObjID
 
-	// A pending access's object answers: abort (ShouldAbort) and blocked
-	// (Blocked) as of object epoch askedAt, blockers (Blockers) as of
-	// blockersAt. Epochs start at 1, so 0 means never asked.
+	// A pending access's object answers: abort (ShouldAbort), and blocked
+	// with its witness (Blocked), as of object epoch askedAt, blockers
+	// (Blockers) as of blockersAt. Epochs start at 1, so 0 means never
+	// asked. A parked access keeps its witness while the epoch moves on.
 	askedAt, blockersAt uint64
 	abort, blocked      bool
+	witness             tname.TxID
 	blockers            []tname.TxID
 	// round marks the breaker round that last took this transaction: as a
 	// candidate victim (breakDeadlock), or as node wfNode of the waits-for
@@ -166,7 +173,8 @@ type txState struct {
 	// live.
 	seq int32
 	// parked marks a transaction waiting out of live: a blocked access
-	// until its object moves, an idle one until a child reports to it.
+	// until a call into its object that can unblock it, an idle one until
+	// a child reports to it.
 	parked bool
 }
 
@@ -210,15 +218,14 @@ type act struct {
 
 // Runner holds the mutable state of one generic-system execution. Objects
 // and transaction states are dense slices indexed by the interned names;
-// the optional per-object interfaces (Aborter, BlockChecker, Auditor) are
-// resolved once at startup rather than type-asserted per step.
+// the optional per-object interfaces (Aborter, Auditor) are resolved once
+// at startup rather than type-asserted per step.
 type Runner struct {
 	tr       *tname.Tree
 	opts     Options
 	rng      *rand.Rand
 	objects  []object.Generic
 	aborters []object.Aborter
-	checkers []object.BlockChecker
 	auditors []object.Auditor
 	informQ  [][]informMsg
 	// epochs counts, per object, the runner's calls into its automaton
@@ -232,8 +239,8 @@ type Runner struct {
 	// (dead ones, and completed ones that have reported) and without the
 	// parked ones; the enumeration compacts it as it walks.
 	live []*txState
-	// parked holds, per object, the blocked accesses parked on it since
-	// its epoch last moved; entries whose parked flag is clear have left.
+	// parked holds, per object, the blocked accesses parked on it; entries
+	// whose parked flag is clear have left.
 	// woken are the transactions unparked since the last enumeration,
 	// which merges them back into live. nParked counts the parked
 	// accesses.
@@ -301,7 +308,6 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		objects:  make([]object.Generic, numObj),
 		aborters: make([]object.Aborter, numObj),
-		checkers: make([]object.BlockChecker, numObj),
 		auditors: make([]object.Auditor, numObj),
 		informQ:  make([][]informMsg, numObj),
 		epochs:   make([]uint64, numObj),
@@ -313,9 +319,6 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		r.objects[x] = g
 		if ab, ok := g.(object.Aborter); ok {
 			r.aborters[x] = ab
-		}
-		if bc, ok := g.(object.BlockChecker); ok {
-			r.checkers[x] = bc
 		}
 		if au, ok := g.(object.Auditor); ok {
 			r.auditors[x] = au
@@ -372,8 +375,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 func (r *Runner) emit(e event.Event) { r.trace = append(r.trace, e) }
 
 // ask brings the pending access ts's cached ShouldAbort and Blocked answers
-// up to its object's epoch, asking the object only if it moved. Blocked
-// uses the protocol's fast path when it offers one.
+// up to its object's epoch, asking the object only if it moved.
 func (r *Runner) ask(ts *txState) {
 	x := ts.node.Obj
 	if ts.askedAt == r.epochs[x] {
@@ -384,11 +386,7 @@ func (r *Runner) ask(ts *txState) {
 	if ts.abort {
 		return
 	}
-	if bc := r.checkers[x]; bc != nil {
-		ts.blocked = bc.Blocked(ts.id)
-	} else {
-		ts.blocked = len(r.blockersOf(ts)) > 0
-	}
+	ts.witness, ts.blocked = r.objects[x].Blocked(ts.id)
 }
 
 // blockersOf returns the pending access ts's blockers as of its object's
@@ -404,19 +402,32 @@ func (r *Runner) blockersOf(ts *txState) []tname.TxID {
 }
 
 // moved records a call into x's automaton: answers cached at the old epoch
-// are stale, so the waiters parked on x wake.
-func (r *Runner) moved(x tname.ObjID) {
+// are stale. It wakes the waiters parked on x that the call can unblock,
+// by object.Generic's wake clause, and keeps the others parked in their
+// order: all of them if all is set; else those that named no witness, and
+// for an INFORM about u (u other than tname.None) those whose witness is a
+// descendant-or-self of u.
+func (r *Runner) moved(x tname.ObjID, all bool, u tname.TxID) {
 	r.epochs[x]++
-	for _, ts := range r.parked[x] {
-		if ts.parked {
-			r.unpark(ts)
+	q, n := r.parked[x], 0
+	for _, ts := range q {
+		if !ts.parked {
+			continue
 		}
+		if all || ts.witness == tname.None || u != tname.None && r.tr.IsAncestor(u, ts.witness) {
+			r.unpark(ts)
+			continue
+		}
+		q[n] = ts
+		n++
 	}
-	r.parked[x] = r.parked[x][:0]
+	clear(q[n:])
+	r.parked[x] = q[:n]
 }
 
-// park takes ts out of live: a blocked access until its object moves, an
-// idle transaction until a child reports to it.
+// park takes ts out of live: a blocked access until a call into its object
+// can unblock it (object.Generic's wake clause), an idle transaction until
+// a child reports to it.
 func (r *Runner) park(ts *txState) {
 	ts.parked = true
 	if x := ts.node.Obj; ts.node.IsAccess {
@@ -656,8 +667,9 @@ func (r *Runner) doRespond(ts *txState) {
 	x := ts.node.Obj
 	v, ok := r.objects[x].TryRequestCommit(ts.id)
 	// A refused attempt may change state too (replica's consumes its
-	// availability draws).
-	r.moved(x)
+	// availability draws), so it wakes every waiter. A grant wakes only
+	// those that named no witness.
+	r.moved(x, !ok, tname.None)
 	if !ok {
 		// Blockers said it was enabled; a protocol for which that is
 		// not equivalent would simply lose a step.
@@ -771,7 +783,7 @@ func (r *Runner) doInform(x tname.ObjID) {
 	q := r.informQ[x]
 	msg := q[0]
 	r.informQ[x] = q[1:]
-	r.moved(x)
+	r.moved(x, false, msg.tx)
 	if msg.commit {
 		r.objects[x].InformCommit(msg.tx)
 		r.emit(event.NewInform(event.InformCommit, msg.tx, x))

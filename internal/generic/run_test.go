@@ -365,6 +365,7 @@ func (s *abortingStub) Create(t tname.TxID)                       { s.created[t]
 func (s *abortingStub) InformCommit(tname.TxID)                   {}
 func (s *abortingStub) InformAbort(tname.TxID)                    {}
 func (s *abortingStub) Blockers(_, out []tname.TxID) []tname.TxID { return out }
+func (s *abortingStub) Blocked(tname.TxID) (tname.TxID, bool)     { return tname.None, false }
 func (s *abortingStub) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 	if !s.created[t] {
 		return spec.Nil, false

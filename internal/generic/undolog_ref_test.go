@@ -164,9 +164,9 @@ func (u *refUndo) blockersOf(t tname.TxID) []tname.TxID {
 	return out
 }
 
-// Blocked implements object.BlockChecker: equivalent to
-// len(blockersOf(t)) > 0, but returns at the first non-commuting uncommitted
-// refEntry without building the list.
+// Blocked is the bool query the lockstep compares object.Generic's Blocked
+// against: equivalent to len(blockersOf(t)) > 0, but returns at the first
+// non-commuting uncommitted refEntry without building the list.
 func (u *refUndo) Blocked(t tname.TxID) bool {
 	if !u.created[t] || u.commitRequested[t] || u.brokenSkipCommute {
 		return false

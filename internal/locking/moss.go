@@ -192,18 +192,18 @@ func (m *Moss) InformAbort(t tname.TxID) {
 // descendant of all other holders.
 func (m *Moss) least() holder { return m.writeLockholders[len(m.writeLockholders)-1] }
 
-// readBlocked reports whether a read lock held by a non-ancestor of t
-// blocks an update by t.
-func (m *Moss) readBlocked(t tname.TxID) bool {
+// readBlocker returns a read-lockholder that is not an ancestor of t, and
+// whether there is one: such a lock blocks an update by t.
+func (m *Moss) readBlocker(t tname.TxID) (tname.TxID, bool) {
 	if m.brokenIgnoreReadLocks {
-		return false
+		return tname.None, false
 	}
 	for _, u := range m.readLockholders {
 		if !m.tr.IsAncestor(u, t) {
-			return true
+			return u, true
 		}
 	}
-	return false
+	return tname.None, false
 }
 
 // TryRequestCommit implements object.Generic.
@@ -225,7 +225,7 @@ func (m *Moss) TryRequestCommit(t tname.TxID) (spec.Value, bool) {
 		return v, true
 	}
 	// Update-class access: every holder of any lock must be an ancestor.
-	if m.readBlocked(t) {
+	if _, blocked := m.readBlocker(t); blocked {
 		return spec.Nil, false
 	}
 	st, v := m.sp.Apply(least.st, op)
@@ -268,25 +268,47 @@ func (m *Moss) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
 	return out
 }
 
-// Blocked implements object.BlockChecker: equivalent to
-// len(Blockers({t}, nil)) > 0, but asks only whether the least
+// Blocked implements object.Generic: it asks only whether the least
 // write-lockholder is an ancestor and returns at the first non-ancestor
-// read-lockholder. The runner polls this whenever the object moves.
-func (m *Moss) Blocked(t tname.TxID) bool {
+// read-lockholder. The witness is the holder it stops at: the least
+// write-lockholder, which is the least of the non-ancestors when it is
+// one, else the read-lockholder. Under the wake clause only an INFORM
+// about an ancestor-or-self of a holder moves or drops its lock, and a
+// grant only adds one. A broken variant names no witness.
+func (m *Moss) Blocked(t tname.TxID) (tname.TxID, bool) {
 	if !m.pending(t) {
-		return false
+		return tname.None, false
 	}
-	if !m.tr.IsAncestor(m.least().tx, t) {
-		return true
+	if least := m.least().tx; !m.tr.IsAncestor(least, t) {
+		return m.witness(least), true
 	}
-	return !m.sp.ReadOnly(m.tr.AccessOp(t)) && m.readBlocked(t)
+	if m.sp.ReadOnly(m.tr.AccessOp(t)) {
+		return tname.None, false
+	}
+	if u, blocked := m.readBlocker(t); blocked {
+		return m.witness(u), true
+	}
+	return tname.None, false
+}
+
+// witness is u, or tname.None for a broken variant.
+func (m *Moss) witness(u tname.TxID) tname.TxID {
+	if m.broken() {
+		return tname.None
+	}
+	return u
+}
+
+// broken reports whether this is a deliberately incorrect variant.
+func (m *Moss) broken() bool {
+	return m.brokenIgnoreReadLocks || m.brokenNoInheritance || m.brokenKeepAbortState
 }
 
 // Audit implements object.Auditor: the faithful automaton must satisfy the
 // Lemma 9 chain invariant at all times. Broken variants are exempt — their
 // whole point is to violate the protocol.
 func (m *Moss) Audit() error {
-	if m.brokenIgnoreReadLocks || m.brokenNoInheritance || m.brokenKeepAbortState {
+	if m.broken() {
 		return nil
 	}
 	return m.CheckChainInvariant()

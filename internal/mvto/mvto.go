@@ -328,6 +328,19 @@ func (m *MVTO) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
 	return out
 }
 
+// Blocked implements object.Generic. It names no witness: a grant of a
+// write below a waiting read's path gives the read another candidate
+// version, and a grant of a read above a write's path dooms the write
+// (ShouldAbort), so no INFORM-only clause covers an MVTO waiter. It asks
+// what Blockers asks, without building the list.
+func (m *MVTO) Blocked(t tname.TxID) (tname.TxID, bool) {
+	if !m.created[t] || m.commitRequested[t] || !spec.IsRead(m.tr.AccessOp(t)) {
+		return tname.None, false
+	}
+	v := m.candidate(m.clock.PathTS(t))
+	return tname.None, v != nil && !m.visibleTo(v, t)
+}
+
 // Audit implements object.Auditor: versions stay sorted by path and the
 // initial version survives.
 func (m *MVTO) Audit() error {

@@ -17,17 +17,17 @@ import (
 // required to be safe for concurrent use: the generic controller serializes
 // all calls (the paper's automata take atomic steps).
 //
-// The queries — Blockers, BlockChecker.Blocked and Aborter.ShouldAbort —
-// are functions of the automaton's state, and that state changes only
-// through its own actions: Create, TryRequestCommit (performed or refused)
-// and the two INFORMs. This is the I/O-automaton discipline of §2, and the
-// runner in internal/generic relies on it: it caches each pending access's
-// answers until the next call into the same object. A query may keep a
-// memo of derived state, but its answer must not depend on anything that
-// can change without such a call, such as another object's state or a
-// random draw. Shared state that is fixed by the time it is read is fine:
-// MVTO's clock assigns an access its path at Create, and later reads only
-// return it.
+// The queries — Blockers, Blocked and Aborter.ShouldAbort — are functions
+// of the automaton's state, and that state changes only through its own
+// actions: Create, TryRequestCommit (performed or refused) and the two
+// INFORMs. This is the I/O-automaton discipline of §2, and the runner in
+// internal/generic relies on it: it caches each pending access's answers
+// until the next call into the same object. A query may keep a memo of
+// derived state, but its answer must not depend on anything that can
+// change without such a call, such as another object's state or a random
+// draw. Shared state that is fixed by the time it is read is fine: MVTO's
+// clock assigns an access its path at Create, and later reads only return
+// it.
 //
 // Create(T) changes no query answer about any other access: as in the
 // paper's M1_X and U_X (§5.2, §6.2), CREATE(T) only adds T to created, and
@@ -35,6 +35,26 @@ import (
 // versions, which Create does not touch. The runner relies on this too: a
 // Create leaves the cached answers of the object's other accesses, and
 // its parked waiters, as they were.
+//
+// The wake clause says which other calls can unblock a blocked access. Let
+// Blocked(T) name a witness W other than tname.None. Then W is a member of
+// Blockers({T}), and it stays one, so T stays blocked and ShouldAbort(T)
+// stays false, through every call into the object but these:
+//
+//   - an INFORM_COMMIT or INFORM_ABORT of an ancestor-or-self of W;
+//   - a refused TryRequestCommit, which may change state (a replicated
+//     object's consumes availability draws).
+//
+// In M1_X (§5.2, Lemma 9) an INFORM about U moves or drops only the locks
+// of U's subtree, and a grant only adds a lock. In U_X (§6.2) an INFORM
+// about U moves the low mark or drops the entries of U's subtree only;
+// a grant or an INFORM_ABORT changes the replayed state, and with it the
+// value a pending access would return, which only a type whose Conflicts
+// reads return values can see, so an undo log over such a type names no
+// witness. A witness of tname.None promises nothing: the access must be
+// asked again after every call into the object. The runner parks a
+// blocked access with its witness and wakes it only when the clause lets
+// it go.
 type Generic interface {
 	// Create handles the CREATE(T) input for an access T to this object.
 	Create(t tname.TxID)
@@ -66,16 +86,17 @@ type Generic interface {
 	// may appear more than once. The buffer is the caller's: the
 	// automaton keeps no reference to out or ts.
 	Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID
-}
 
-// BlockChecker is optionally implemented by generic objects that can
-// answer "is access t currently blocked?" without materializing the
-// blocker list. Blocked(t) must be equivalent to len(Blockers({t}, nil))
-// > 0 — the runner asks it whenever the object has moved since it last
-// asked about t, and only falls back to Blockers when choosing deadlock
-// victims, where the full list is needed. Blocked must not change state.
-type BlockChecker interface {
-	Blocked(t tname.TxID) bool
+	// Blocked reports whether the access t is pending and blocked, that
+	// is whether len(Blockers({t}, nil)) > 0, without building the list,
+	// and names a witness for the wake clause: a member of Blockers({t})
+	// that keeps t blocked until the clause lets it go, or tname.None,
+	// which promises nothing. An access that is not blocked names
+	// tname.None. The runner asks it for each pending access whose cached
+	// answer the clause no longer covers, and falls back to Blockers only
+	// when choosing deadlock victims, where the full list is needed.
+	// Blocked must not change state.
+	Blocked(t tname.TxID) (witness tname.TxID, blocked bool)
 }
 
 // Aborter is optionally implemented by generic objects whose protocol

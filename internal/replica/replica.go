@@ -306,6 +306,28 @@ func (r *Replicated) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
 	return out
 }
 
+// Blocked implements object.Generic. It names no witness, so the runner
+// asks a replicated object's waiters again after every call into it. It
+// returns at the first lockholder Blockers would list.
+func (r *Replicated) Blocked(t tname.TxID) (tname.TxID, bool) {
+	if !r.created[t] || r.commitRequested[t] {
+		return tname.None, false
+	}
+	for u := range r.writeLockholders {
+		if !r.tr.IsAncestor(u, t) {
+			return tname.None, true
+		}
+	}
+	if spec.IsWrite(r.tr.AccessOp(t)) {
+		for u := range r.readLockholders {
+			if !r.tr.IsAncestor(u, t) {
+				return tname.None, true
+			}
+		}
+	}
+	return tname.None, false
+}
+
 // Audit implements object.Auditor: the quorum-intersection invariant — the
 // highest installed version is present on at least WriteQuorum copies, so
 // every read quorum sees it; and the lock chain is totally ordered by

@@ -268,6 +268,23 @@ type Spec interface {
 	RandOp(r *rand.Rand) Op
 }
 
+// ValueFreeConflicts reports whether sp's Conflicts reads the two
+// operations only, never their return values, so that replacing either
+// value by any other leaves the answer as it was. The built-in Register,
+// Counter, IntSet and AppendLog say yes; Account (a withdrawal that failed
+// commutes differently from one that succeeded) and Queue (an empty deq)
+// say no, and so does every Spec this table does not name, which is always
+// safe. On an undo-log object over a value-free type, a grant or an abort
+// changes the values pending accesses would return but cannot unblock one
+// (object.Generic's wake clause).
+func ValueFreeConflicts(sp Spec) bool {
+	switch sp.(type) {
+	case Register, Counter, IntSet, AppendLog:
+		return true
+	}
+	return false
+}
+
 // Replay runs ops through the specification from Init and returns the final
 // state and the value returned by each operation.
 func Replay(sp Spec, ops []Op) (State, []Value) {

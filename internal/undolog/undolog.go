@@ -54,6 +54,9 @@ type Undo struct {
 	tr *tname.Tree
 	x  tname.ObjID
 	sp spec.Spec
+	// valueFree caches spec.ValueFreeConflicts(sp): only then can Blocked
+	// name a witness.
+	valueFree bool
 
 	// recs holds each transaction's record: its created, commit-requested
 	// and committed bits, and a pending access's memo.
@@ -104,12 +107,14 @@ type waiter struct {
 
 // New builds the faithful U_X automaton for object x.
 func New(tr *tname.Tree, x tname.ObjID) *Undo {
+	sp := tr.Spec(x)
 	return &Undo{
-		tr:      tr,
-		x:       x,
-		sp:      tr.Spec(x),
-		recs:    make(map[tname.TxID]txRec),
-		version: 1,
+		tr:        tr,
+		x:         x,
+		sp:        sp,
+		valueFree: spec.ValueFreeConflicts(sp),
+		recs:      make(map[tname.TxID]txRec),
+		version:   1,
 	}
 }
 
@@ -285,20 +290,27 @@ func (u *Undo) Blockers(ts []tname.TxID, out []tname.TxID) []tname.TxID {
 	return out
 }
 
-// Blocked implements object.BlockChecker: equivalent to
-// len(Blockers({t}, nil)) > 0, but returns at the first non-commuting
-// uncommitted entry without building the list.
-func (u *Undo) Blocked(t tname.TxID) bool {
+// Blocked implements object.Generic: it returns at the first
+// non-commuting uncommitted entry without building the list, and names
+// that entry's transaction. Under the wake clause the entry keeps blocking
+// until an INFORM about an ancestor-or-self of its transaction moves its
+// low mark or removes it. Over a type whose Conflicts reads values, a
+// grant or an abort can unblock the access by changing its value, so it
+// names no witness there, and neither does a broken variant.
+func (u *Undo) Blocked(t tname.TxID) (tname.TxID, bool) {
 	ov, ok := u.pendingOpVal(t)
 	if !ok {
-		return false
+		return tname.None, false
 	}
 	for i := range u.operations {
-		if u.blocks(&u.operations[i], t, ov) {
-			return true
+		if e := &u.operations[i]; u.blocks(e, t, ov) {
+			if u.brokenNoUndo || !u.valueFree {
+				return tname.None, true
+			}
+			return e.tx, true
 		}
 	}
-	return false
+	return tname.None, false
 }
 
 // Audit implements object.Auditor: the cached state must match a fresh
