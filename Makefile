@@ -29,7 +29,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every fuzz target in the tree: the trace codec
-# round-trip properties, the network-facing request and response parsers,
+# round-trip properties, the binary trace decoder against the one it
+# replaced, the network-facing request and response parsers,
 # the edge-batch wire parser, the graph search against the searches it
 # replaced, the two frontiers' closure lemmas, streaming ≡ batch, the WAL
 # record decoder against its bufio-based reference, the WAL recovery path, the event log's packed
@@ -41,6 +42,7 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDecodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/wire

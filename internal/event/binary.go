@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"unsafe"
 
 	"nestedsg/internal/spec"
@@ -36,6 +37,18 @@ import (
 // it, with no Trace in between. The event section can additionally be
 // consumed one event at a time through BinaryDecoder without materializing
 // a Behavior.
+//
+// The decoder reads every byte once. NewBinaryDecoder copies its input
+// (readAll), and every string it hands out — an object's label, an access's
+// string argument, a string value, and a transaction's label on its way
+// into the tree's text — is a view of that copy, which nothing writes: a
+// decoded trace that keeps one keeps the copy alive. The transaction table
+// is read in one pass with no pre-pass to size it; the tree's text grows as
+// the labels come. Each table entry and each event goes first through a
+// fast path (quickTxDef, quickEvent) that reads the common shape in place —
+// varints of one or two bytes, scalar values — and leaves any other,
+// well-formed or not, to the general path (txDef, event), which names what
+// is wrong with it.
 //
 // The same primitives frame the server's WAL records (wal.go), which reuse
 // the transaction-entry and event encodings verbatim, and the network
@@ -141,21 +154,20 @@ func WriteBinaryTrace(w io.Writer, tr *tname.Tree, b Behavior) error {
 // Cursor reads the NSGB primitives off the front of a byte slice: the one
 // decoder of binary traces, WAL record payloads and wire frames. It reads in
 // place — no reader, buffer or intermediate value behind it — so a field
-// costs an allocation only when it is a string. Every method names its
-// field, what, in the error it returns; the verdicts on a short or
-// overlong varint are binary.ReadUvarint's.
+// costs an allocation only when it is a string read without views. Every
+// method names its field, what, in the error it returns; the verdicts on a
+// short or overlong varint are binary.ReadUvarint's.
 type Cursor struct {
 	// b is never re-sliced: reading moves off, an integer, so that it
 	// stores no pointer and costs no write barrier while the collector
 	// runs.
 	b   []byte
 	off int
-	// copied, when not empty, is a copy of b: a string is then cut out of
-	// it instead of copied on its own. The trace header reads its
-	// transaction table so (header), with one allocation for all labels.
-	copied string
-	// views makes a label a view of b instead of a copy (label), for a
-	// caller that copies it on (DecodeWalRecord).
+	// views says that nothing writes to b while a string read from it
+	// lives: every string the cursor reads is then a view of b instead of
+	// a copy. A trace decoder's cursor has it, for b is the copy readAll
+	// made (header takes one otherwise); so has DecodeWalRecord's, whose
+	// caller copies labels on and which clones the strings it keeps.
 	views bool
 }
 
@@ -186,10 +198,20 @@ func (c *Cursor) Byte(what string) (byte, error) {
 }
 
 // uvarint reads a uvarint and returns a bare error for the caller to name.
-// Ten continuation bytes are an overflow even when nothing follows them
-// (binary.Uvarint alone calls that a short buffer), and running out
-// mid-number is io.ErrUnexpectedEOF.
+// A byte under 0x80 is a whole uvarint and is read inline; any other goes
+// to uvarintSlow.
 func (c *Cursor) uvarint() (uint64, error) {
+	if off := c.off; uint(off) < uint(len(c.b)) && c.b[off] < 0x80 {
+		c.off = off + 1
+		return uint64(c.b[off]), nil
+	}
+	return c.uvarintSlow()
+}
+
+// uvarintSlow reads a uvarint of any length. Ten continuation bytes are an
+// overflow even when nothing follows them (binary.Uvarint alone calls that
+// a short buffer), and running out mid-number is io.ErrUnexpectedEOF.
+func (c *Cursor) uvarintSlow() (uint64, error) {
 	rest := c.b[c.off:]
 	v, n := binary.Uvarint(rest)
 	switch {
@@ -203,6 +225,36 @@ func (c *Cursor) uvarint() (uint64, error) {
 	default:
 		return 0, io.ErrUnexpectedEOF
 	}
+}
+
+// uvarint14 reads a uvarint of one or two bytes, a number under 2^14, at
+// b[off:] and returns it and the offset past it. For anything else — a
+// longer uvarint, bytes that run out, or off itself -1 — the offset it
+// returns is -1, so that a chain of reads is checked once at its end.
+// quickTxDef and quickEvent read their fields so, and leave whatever they
+// refuse to the general path, which names its error.
+func uvarint14(b []byte, off int) (uint64, int) {
+	if uint(off) < uint(len(b)) {
+		x := uint64(b[off])
+		if x < 0x80 {
+			return x, off + 1
+		}
+		if uint(off+1) < uint(len(b)) {
+			if y := uint64(b[off+1]); y < 0x80 {
+				return x&0x7f | y<<7, off + 2
+			}
+		}
+	}
+	return 0, -1
+}
+
+// unzigzag is the signed integer a varint's uvarint encodes.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 // Uvarint reads a uvarint.
@@ -219,39 +271,22 @@ func (c *Cursor) varint(what, part string) (int64, error) {
 	if err != nil {
 		return 0, nsgbErr(what, part, err)
 	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, nil
+	return unzigzag(ux), nil
 }
 
-// Str reads a uvarint-length-prefixed string, copied out of the slice.
+// Str reads a uvarint-length-prefixed string: a view of the cursor's bytes
+// with views set, else a copy.
 func (c *Cursor) Str(what string) (string, error) { return c.str(what, "") }
 
 func (c *Cursor) str(what, part string) (string, error) {
 	start, err := c.span(what, part)
-	if err != nil {
-		return "", err
-	}
-	if c.copied != "" {
-		return c.copied[start:c.off], nil
-	}
-	return string(c.b[start:c.off]), nil
-}
-
-// label reads a name's label as Str does. With views set it returns a
-// view of the cursor's bytes rather than a copy: a label the caller copies
-// into its own table (tname.Tree.Define) then costs no allocation.
-func (c *Cursor) label(what string) (string, error) {
-	if !c.views {
-		return c.str(what, "")
-	}
-	start, err := c.span(what, "")
 	if err != nil || start == c.off {
 		return "", err
 	}
-	return unsafe.String(&c.b[start], c.off-start), nil
+	if c.views {
+		return unsafe.String(&c.b[start], c.off-start), nil
+	}
+	return string(c.b[start:c.off]), nil
 }
 
 // span steps over a uvarint-length-prefixed string and returns where its
@@ -322,75 +357,94 @@ func (c *Cursor) Value(what string) (spec.Value, error) {
 	}
 }
 
-// txDef reads a transaction entry as appendTxDef writes it. The parent and
-// the object are the caller's to range-check.
-func (c *Cursor) txDef() (parent, obj int64, label string, op spec.Op, err error) {
-	if parent, err = c.varint("tx parent", ""); err != nil {
-		return
+// scalar reads at b[off:] a value that quickTxDef and quickEvent take on
+// their fast path — nil, OK, or an int or bool whose varint takes one or two
+// bytes — as Value would, and returns the offset past it, or -1 for any
+// other value.
+func scalar(b []byte, off int) (spec.Value, int) {
+	if uint(off) >= uint(len(b)) {
+		return spec.Nil, -1
 	}
-	if label, err = c.label("tx label"); err != nil {
-		return
+	switch kind := spec.ValueKind(b[off]); kind {
+	case spec.VNil:
+		return spec.Nil, off + 1
+	case spec.VOK:
+		return spec.OK, off + 1
+	case spec.VInt:
+		ux, p := uvarint14(b, off+1)
+		return spec.Int(unzigzag(ux)), p
+	case spec.VBool:
+		ux, p := uvarint14(b, off+1)
+		return spec.Bool(ux != 0), p // zigzag maps 0, and only 0, to 0
+	default:
+		return spec.Nil, -1
 	}
-	if obj, err = c.varint("tx obj", ""); err != nil || obj < 0 {
-		return
-	}
-	if op.Kind, err = c.OpKind("tx op"); err != nil {
-		return
-	}
-	op.Arg, err = c.Value("tx op arg")
-	return
 }
 
-// skipTxDefs steps over n transaction entries, reading no string, and
-// returns the bytes they take and the bytes their labels take, or size -1
-// if they are not all there. It checks only their lengths: txDef judges
-// what they hold.
-func (c Cursor) skipTxDefs(n int) (size, labels int) {
-	start := c.off
-	skipStr := func() int {
-		l, err := c.uvarint()
-		if err != nil || l > uint64(c.Len()) {
-			return -1
-		}
-		c.off += int(l)
-		return int(l)
+// txEntry is a transaction entry as appendTxDef writes it. Its parent and
+// its object are the reader's to range-check; op is zero unless obj >= 0.
+type txEntry struct {
+	parent, obj int64
+	label       string
+	op          spec.Op
+}
+
+// txDef reads a transaction entry into *e.
+func (c *Cursor) txDef(e *txEntry) (err error) {
+	e.op = spec.Op{}
+	if e.parent, err = c.varint("tx parent", ""); err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if _, err := c.uvarint(); err != nil { // parent
-			return -1, 0
+	if e.label, err = c.str("tx label", ""); err != nil {
+		return err
+	}
+	if e.obj, err = c.varint("tx obj", ""); err != nil || e.obj < 0 {
+		return err
+	}
+	if e.op.Kind, err = c.OpKind("tx op"); err != nil {
+		return err
+	}
+	e.op.Arg, err = c.Value("tx op arg")
+	return err
+}
+
+// quickTxDef is txDef's fast path over a cursor with views: it reads into
+// *e an entry whose parent, label length and object varints take at most
+// two bytes each (a label that short is under maxBinaryStr) and whose
+// access argument scalar takes, and reports false, the cursor unmoved, for
+// any other.
+func (c *Cursor) quickTxDef(e *txEntry) bool {
+	b := c.b
+	parent, p := uvarint14(b, c.off)
+	n, p := uvarint14(b, p)
+	if p < 0 || int(n) > len(b)-p {
+		return false
+	}
+	label := ""
+	if n > 0 {
+		label = unsafe.String(&b[p], int(n))
+	}
+	obj, p := uvarint14(b, p+int(n))
+	if p < 0 {
+		return false
+	}
+	var kind spec.OpKind
+	var arg spec.Value
+	if obj&1 == 0 { // zigzag: an even uvarint is obj >= 0, an access
+		if uint(p) >= uint(len(b)) || b[p] == 0 || b[p] > byte(spec.OpDeq) {
+			return false
 		}
-		l := skipStr()
-		if l < 0 {
-			return -1, 0
-		}
-		labels += l
-		obj, err := c.uvarint() // zigzag: odd is negative, no access
-		if err != nil {
-			return -1, 0
-		}
-		if obj&1 != 0 {
-			continue
-		}
-		if _, err := c.uvarint(); err != nil || c.Len() == 0 { // op kind, arg kind
-			return -1, 0
-		}
-		kind := spec.ValueKind(c.b[c.off])
-		c.off++
-		switch kind {
-		case spec.VInt, spec.VBool:
-			_, err = c.uvarint()
-		case spec.VStr:
-			if skipStr() < 0 {
-				return -1, 0
-			}
-		default:
-			// VNil and VOK carry no payload; txDef refuses any other kind.
-		}
-		if err != nil {
-			return -1, 0
+		kind = spec.OpKind(b[p])
+		if arg, p = scalar(b, p+1); p < 0 {
+			return false
 		}
 	}
-	return c.off - start, labels
+	c.off = p
+	// Field by field: a spec.Op assigned whole is built on the stack and
+	// copied in.
+	e.parent, e.obj, e.label = unzigzag(parent), unzigzag(obj), label
+	e.op.Kind, e.op.Arg.Kind, e.op.Arg.Int, e.op.Arg.Str = kind, arg.Kind, arg.Int, ""
+	return true
 }
 
 // event reads an event as appendEvent writes it, checking its transaction
@@ -403,10 +457,48 @@ func (c *Cursor) event(numTx, numObjects int) (Event, error) {
 	return Event{Kind: kind, Tx: tx, Val: val, Obj: obj}, nil
 }
 
-// packed reads an event as event does into *p, appending a string value
-// to *strs; on an error it leaves both unspecified. It writes no pointer
-// but a string's, so a decoder filling a slice of records pays no write
-// barrier per event.
+// quickEvent is event's fast path: it reads into *e, which must be zero,
+// an event whose transaction and inform's object are under 2^14 and whose
+// value scalar takes, and reports false, *e and the cursor untouched, for
+// any other. It sets every field but Val.Str, which such an event leaves
+// empty, so it writes no pointer: a decoder filling a Behavior pays no
+// write barrier.
+func (c *Cursor) quickEvent(e *Event, numTx, numObjects int) bool {
+	b, off := c.b, c.off
+	if uint(off) >= uint(len(b)) {
+		return false
+	}
+	kind := Kind(b[off])
+	tx, p := uvarint14(b, off+1)
+	if kind < Create || kind > InformAbort || p < 0 || tx >= uint64(numTx) {
+		return false
+	}
+	var v spec.Value
+	obj := tname.NoObj
+	switch kind {
+	case RequestCommit, ReportCommit:
+		v, p = scalar(b, p)
+	case InformCommit, InformAbort:
+		var x uint64
+		if x, p = uvarint14(b, p); x >= uint64(numObjects) {
+			return false
+		}
+		obj = tname.ObjID(x)
+	default:
+		// Every other kind is fully described by (kind, tx).
+	}
+	if p < 0 {
+		return false
+	}
+	c.off = p
+	e.Kind, e.Tx, e.Val.Kind, e.Val.Int, e.Obj = kind, tname.TxID(tx), v.Kind, v.Int, obj
+	return true
+}
+
+// packed reads an event as event does into *p, appending a copy of a
+// string value to *strs, which outlives the bytes read; on an error it
+// leaves both unspecified. It writes no pointer but a string's, so a
+// decoder filling a slice of records pays no write barrier per event.
 func (c *Cursor) packed(p *Packed, strs *[]string, numTx, numObjects int) error {
 	kind, tx, val, obj, err := c.eventFields(numTx, numObjects)
 	if err != nil {
@@ -416,6 +508,7 @@ func (c *Cursor) packed(p *Packed, strs *[]string, numTx, numObjects int) error 
 	if obj != tname.NoObj {
 		p.X, p.VK = int64(obj), spec.VNil
 	} else {
+		val.Str = strings.Clone(val.Str)
 		p.VK, p.X, *strs = spec.Pack(val, *strs)
 	}
 	return nil
@@ -466,8 +559,14 @@ func (c *Cursor) eventFields(numTx, numObjects int) (kind Kind, tx tname.TxID, v
 }
 
 // header decodes the object and transaction tables straight into a tree,
-// one entry at a time, through the checks DecodeTrace runs on a JSON header.
+// in one pass, through the checks DecodeTrace runs on a JSON header. Every
+// string it reads is a view of the cursor's bytes, and the tree keeps some
+// (an object's label, an access's string argument), so a cursor without
+// views first takes a copy of what is left and reads that.
 func (c *Cursor) header() (*tname.Tree, error) {
+	if !c.views {
+		*c = Cursor{b: bytes.Clone(c.b[c.off:]), views: true}
+	}
 	if rest := c.b[c.off:]; !bytes.HasPrefix(rest, binaryMagic[:]) {
 		return nil, fmt.Errorf("nsgb: bad magic %q", rest[:min(len(rest), len(binaryMagic))])
 	}
@@ -508,38 +607,33 @@ func (c *Cursor) header() (*tname.Tree, error) {
 	if nTx > uint64(c.Len()/3) {
 		return nil, fmt.Errorf("nsgb: tx count %d exceeds input size", nTx)
 	}
-	// Read the table through one copy of its bytes, so that its labels are
-	// cut out of one string instead of allocated one by one on their way
-	// into the tree's text. A table that does not skip whole is read in
-	// place, where its first bad entry is named.
-	tab := NewCursor(c.b[c.off:])
-	n, labels := tab.skipTxDefs(int(nTx))
-	nt.grow(int(nTx), labels)
-	if n >= 0 {
-		tab = Cursor{b: tab.b[:n], copied: string(tab.b[:n])}
-	}
+	// The labels' size is not known before they are read: the tree's text
+	// grows as they come.
+	nt.grow(int(nTx), 0)
+	var e txEntry
 	for i := 0; i < int(nTx); i++ {
-		parent, obj, label, op, err := tab.txDef()
-		if err != nil {
-			return nil, err
+		if !c.quickTxDef(&e) {
+			if err := c.txDef(&e); err != nil {
+				return nil, err
+			}
 		}
-		if err := nt.check(i, parent, label, obj); err != nil {
+		if err := nt.check(i, e.parent, e.label, e.obj); err != nil {
 			return nil, err
 		}
 		if i > 0 {
-			nt.define(parent, label, obj, op)
+			nt.define(e.parent, e.label, e.obj, e.op)
 		}
 	}
-	c.off += tab.off
 	return nt.tr, nil
 }
 
 // BinaryDecoder decodes a binary trace incrementally: the header (system
 // type) is read eagerly by NewBinaryDecoder, then Next yields one validated
 // event at a time, so an incremental checker can consume a behavior without
-// it ever being materialized. The decoder holds the encoded trace (a few
-// bytes per event), never a Behavior (48 B per event); the tname.Tree it
-// returns from Tree is larger than the encoded trace.
+// it ever being materialized. The decoder holds a copy of the encoded
+// trace (a few bytes per event), never a Behavior (48 B per event); the
+// strings of its tree and its events are views of that copy, and the
+// tname.Tree it returns from Tree is larger than the encoded trace.
 type BinaryDecoder struct {
 	c    Cursor
 	tr   *tname.Tree
@@ -554,7 +648,8 @@ func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsgb: read: %w", err)
 	}
-	c := NewCursor(data)
+	// data is the decoder's own copy: its strings can be views of it.
+	c := Cursor{b: data, views: true}
 	tr, err := c.header()
 	if err != nil {
 		return nil, err
@@ -605,7 +700,16 @@ func (d *BinaryDecoder) Remaining() int { return int(d.left) }
 
 // Next decodes and validates the next event. It returns io.EOF after the
 // last event; any other error is sticky.
-func (d *BinaryDecoder) Next() (Event, error) {
+func (d *BinaryDecoder) Next() (e Event, err error) {
+	if d.left != 0 && d.err == nil && d.c.quickEvent(&e, d.tr.NumTx(), d.tr.NumObjects()) {
+		d.left--
+		return
+	}
+	return d.next()
+}
+
+// next is Next's general path, which names what is wrong with an event.
+func (d *BinaryDecoder) next() (Event, error) {
 	if d.err != nil {
 		return Event{}, d.err
 	}
@@ -622,24 +726,23 @@ func (d *BinaryDecoder) Next() (Event, error) {
 	return e, nil
 }
 
-// ReadBinaryTrace parses a binary trace in full. It is the same code path
-// as streaming through BinaryDecoder, so the two cannot disagree on
-// validity.
+// ReadBinaryTrace parses a binary trace in full. It reads the events as
+// BinaryDecoder.Next does, by the same two paths, so the two cannot
+// disagree on validity, but into a Behavior made at the declared length.
 func ReadBinaryTrace(r io.Reader) (*tname.Tree, Behavior, error) {
 	d, err := NewBinaryDecoder(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	b := make(Behavior, 0, d.left)
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			break
+	b := make(Behavior, d.left)
+	numTx, numObjects := d.tr.NumTx(), d.tr.NumObjects()
+	for i := range b {
+		if d.c.quickEvent(&b[i], numTx, numObjects) {
+			continue
 		}
-		if err != nil {
+		if b[i], err = d.c.event(numTx, numObjects); err != nil {
 			return nil, nil, err
 		}
-		b = append(b, e)
 	}
 	// Trailing garbage after the declared event count is a malformed trace,
 	// not silent success.

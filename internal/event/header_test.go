@@ -146,9 +146,9 @@ func TestBinaryRejectsOverclaimedTxCount(t *testing.T) {
 
 // TestBinaryHeaderAllocs: decoding a header allocates nothing per name —
 // the names go into a tree reserved to the declared count, and the labels
-// are cut out of one copy of the transaction table. Only the duplicate-name
-// map grows with the table, by one table of slots per several hundred
-// names. Encoding the header allocates nothing per name either: the labels
+// and string arguments are views of one copy of the input. Only the
+// duplicate-name map and the tree's text grow with the table, by one
+// table of slots or one doubling per several hundred names. Encoding the header allocates nothing per name either: the labels
 // are read out of the tree's text without a copy, and only the output
 // buffer grows.
 func TestBinaryHeaderAllocs(t *testing.T) {

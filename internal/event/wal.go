@@ -26,6 +26,7 @@ package event
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
@@ -163,9 +164,11 @@ func WalNames(payload []byte) (txNames, objects, labelBytes int) {
 	}
 }
 
-// decodeWalOp decodes payload into *op. With evs, a definition's strings
-// are left views of payload and a WalEvents record's events are appended
-// to evs; without, *op is zero and they get a slice of their own.
+// decodeWalOp decodes payload into *op. With evs, the cursor reads views
+// of payload: a definition's label and spec name are left so, a string
+// argument is cloned, and a WalEvents record's events are appended to evs;
+// without, *op is zero, every string is a copy and the events get a slice
+// of their own.
 func decodeWalOp(op *WalOp, evs *PackedEvents, payload []byte, numTx, numObjects int) error {
 	c := Cursor{b: payload, views: evs != nil}
 	kb, err := c.Byte("wal record kind")
@@ -175,10 +178,10 @@ func decodeWalOp(op *WalOp, evs *PackedEvents, payload []byte, numTx, numObjects
 	op.Kind, op.Obj = WalKind(kb), tname.NoObj
 	switch op.Kind {
 	case WalObjectDef:
-		if op.Label, err = c.label("wal object label"); err != nil {
+		if op.Label, err = c.Str("wal object label"); err != nil {
 			return err
 		}
-		if op.SpecName, err = c.label("wal object spec"); err != nil {
+		if op.SpecName, err = c.Str("wal object spec"); err != nil {
 			return err
 		}
 		if op.Label == "" {
@@ -188,18 +191,22 @@ func decodeWalOp(op *WalOp, evs *PackedEvents, payload []byte, numTx, numObjects
 			return fmt.Errorf("wal: object %q has unknown spec %q", op.Label, op.SpecName)
 		}
 	case WalTxDef:
-		parent, obj, label, txop, err := c.txDef()
+		var e txEntry
+		err := c.txDef(&e)
 		switch {
 		case err != nil:
 			return err
-		case parent < 0 || parent >= int64(numTx):
-			return fmt.Errorf("wal: tx definition names unknown parent %d", parent)
-		case label == "":
+		case e.parent < 0 || e.parent >= int64(numTx):
+			return fmt.Errorf("wal: tx definition names unknown parent %d", e.parent)
+		case e.label == "":
 			return fmt.Errorf("wal: tx definition with empty label")
-		case obj != int64(tname.NoObj) && (obj < 0 || obj >= int64(numObjects)):
-			return fmt.Errorf("wal: tx definition accesses unknown object %d", obj)
+		case e.obj != int64(tname.NoObj) && (e.obj < 0 || e.obj >= int64(numObjects)):
+			return fmt.Errorf("wal: tx definition accesses unknown object %d", e.obj)
 		}
-		op.Parent, op.Label, op.Obj, op.Op = tname.TxID(parent), label, tname.ObjID(obj), txop
+		if c.views {
+			e.op.Arg.Str = strings.Clone(e.op.Arg.Str)
+		}
+		op.Parent, op.Label, op.Obj, op.Op = tname.TxID(e.parent), e.label, tname.ObjID(e.obj), e.op
 	case WalEvents:
 		count, err := c.Uvarint("wal event count")
 		if err != nil {

@@ -187,6 +187,15 @@ func (ts *txState) touch(x tname.ObjID) {
 	ts.touched = append(ts.touched, x)
 }
 
+// blockerUnion is an object's answer to Blockers(ids) at epoch at. Blockers
+// is a function of the object's state, which only a call that moves the
+// epoch changes, so the answer holds while the epoch and the waiters stay.
+type blockerUnion struct {
+	at  uint64
+	ids []tname.TxID
+	blk []tname.TxID
+}
+
 type informMsg struct {
 	commit bool
 	tx     tname.TxID
@@ -253,9 +262,11 @@ type Runner struct {
 	cands  []tname.TxID  // reused victim buffer
 	others []*txState    // reused buffer of waiters
 	ids    []tname.TxID  // reused buffer of one object's waiters
-	blk    []tname.TxID  // reused Blockers buffer
 	one    [1]tname.TxID // a single access, for a per-waiter Blockers call
 	rounds uint64        // breaker calls, the txState.round stamp
+	// unions holds, per object, the Blockers union breakDeadlock asked it
+	// for last.
+	unions []blockerUnion
 
 	trace event.Behavior
 	stats Stats
@@ -312,6 +323,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 		informQ:  make([][]informMsg, numObj),
 		epochs:   make([]uint64, numObj),
 		parked:   make([][]*txState, numObj),
+		unions:   make([]blockerUnion, numObj),
 	}
 	for x := tname.ObjID(0); int(x) < numObj; x++ {
 		r.epochs[x] = 1
@@ -822,7 +834,10 @@ func (r *Runner) maybeInjectAbort() bool {
 // breakDeadlock fires when no action is enabled: if blocked accesses
 // remain, abort a transaction whose activity blocks one of them. Every
 // waiter is parked then, so it asks each object once for the blockers of
-// all the waiters parked on it.
+// all the waiters parked on it, and not at all if neither the object's
+// epoch nor its waiters moved since it last asked: a victim's abort
+// informs only the objects its subtree touched. Which blockers can still
+// be aborted it works out anew each time.
 //
 // A blocker reported by an object may itself have committed already (an
 // undo-log entry whose owning access committed while an enclosing
@@ -844,8 +859,12 @@ func (r *Runner) breakDeadlock() bool {
 		if len(ids) == 0 {
 			continue
 		}
-		r.blk = r.objects[x].Blockers(ids, r.blk[:0])
-		for _, blk := range r.blk {
+		un := &r.unions[x]
+		if un.at != r.epochs[x] || !slices.Equal(un.ids, ids) {
+			un.at, un.ids = r.epochs[x], append(un.ids[:0], ids...)
+			un.blk = r.objects[x].Blockers(ids, un.blk[:0])
+		}
+		for _, blk := range un.blk {
 			for u := blk; u != tname.Root && u != tname.None; u = r.tr.Parent(u) {
 				ts := r.tx(u)
 				if ts == nil || ts.dead {

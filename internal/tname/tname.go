@@ -220,13 +220,17 @@ func (t *Tree) Define(parent TxID, label string, x ObjID, op spec.Op) TxID {
 	if p.obj != NoObj || x != NoObj && (x < 0 || int(x) >= len(t.objects)) || uint64(len(t.text))+uint64(len(label)) > math.MaxUint32 {
 		t.badDefine(parent, label, x)
 	}
-	n := node{parent: parent, depth: p.depth + 1, obj: x, label: uint32(len(t.text)), size: uint32(len(label))}
+	depth := p.depth + 1
+	// The record is written in place, field by field: a node built whole
+	// is copied in through the stack.
+	t.nodes = append(t.nodes, node{})
+	n := &t.nodes[len(t.nodes)-1]
+	n.parent, n.depth, n.obj, n.label, n.size = parent, depth, x, uint32(len(t.text)), uint32(len(label))
 	if x != NoObj {
 		n.op = op.Kind
 		n.argKind, n.arg, t.strs = spec.Pack(op.Arg, t.strs)
 	}
 	t.text = append(t.text, label...)
-	t.nodes = append(t.nodes, n)
 	return TxID(len(t.nodes) - 1)
 }
 
