@@ -5,7 +5,8 @@
 //
 // The methods of Conn are one request, one answer: when Begin, Child, Access
 // or Commit returns, the request has reached the server and been answered.
-// RunTx and RunReadTx pay a round trip only for an answer the body reads.
+// RunTx and RunReadTx pay a round trip only for an answer the body reads and
+// does not already hold.
 // Five kinds of request are frames held back and sent in the same write as
 // the body's next request that waits for its answer (or the final COMMIT):
 //
@@ -34,6 +35,16 @@
 // has seen it. A request whose frame would not fit an empty write buffer is
 // the exception: it is always a plain round trip, since writing it straight
 // to the connection could block both ends.
+//
+// A snapshot transaction asks for each answer once. Every read of it is
+// served at the one certified cut its BEGIN pinned, and the state at a cut
+// never changes: every version inside it is already published, and a
+// published version is never mutated. So RunReadTx keeps the answers its
+// reads got, keyed by object, op and argument, for the attempt, and
+// Tx.Access answers a repeat from them without sending anything. A
+// transaction the server did not flag "snapshot" (every RunTx, and RunReadTx
+// on a backend without snapshots, whose reads are logged accesses) asks
+// every time, and so does the synchronous Conn.Access.
 //
 // So after RunReadTx the connection may still be owed answers between calls,
 // and the next call — a synchronous method, a RunTx, a Pool's health-check
@@ -113,9 +124,14 @@ type Conn struct {
 	// beginErr is why the BEGIN of the running RunTx attempt failed, once
 	// its answer has been read.
 	beginErr error
-	// snapshot says the BEGIN of the running RunTx attempt was answered OK
-	// with the snapshot flag, once its answer has been read.
-	snapshot bool
+	// ro says the running RunTx attempt is a RunReadTx's; snapshot says its
+	// BEGIN was answered OK with the snapshot flag, once that answer has been
+	// read.
+	ro, snapshot bool
+	// answers holds what the reads of the running RunReadTx attempt were
+	// answered, once its BEGIN came back with the snapshot flag; emptied at
+	// the start of every attempt.
+	answers map[readKey]spec.Value
 	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
 	dead error
@@ -314,6 +330,13 @@ func (c *Conn) Ping() error {
 	return err
 }
 
+// readKey names a read of a snapshot transaction: the object and the op
+// with its argument, which the state at the cut answers alike every time.
+type readKey struct {
+	obj string
+	op  spec.Op
+}
+
 // Tx is the in-transaction view passed to a RunTx body: the same cursor,
 // minus Begin/Commit (the retry loop owns those). It tracks the nesting
 // depth so the retry loop can unwind subtransactions the body left open.
@@ -345,17 +368,52 @@ func (t *Tx) Child() (string, error) {
 // failure — the transaction aborted by the server, an object that lacks the
 // op — is reported there. A nil error from such an access says only that it
 // was accepted for sending. Any other op, and a request too big to wait in
-// the write buffer, waits for its answer.
+// the write buffer, waits for its answer — except in a snapshot transaction
+// (see RunReadTx) that has already read the same object with the same op and
+// argument: the state at its cut has not changed, so the answer it got then
+// is returned at once, and nothing is sent. Whatever is still owed stays
+// owed until the next request that waits, or the COMMIT.
 func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
 	v, fixed := spec.FixedAnswer(op)
 	if !fixed {
-		return t.c.Access(obj, op, arg)
+		return t.read(obj, op, arg)
 	}
 	resp, answered, err := t.c.putAhead(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, sent{value: v, promised: true})
 	if answered {
 		return resp.Value, err
 	}
 	return v, nil
+}
+
+// read answers an access whose answer its type does not fix: from the
+// answers a snapshot transaction already holds, or with a round trip, whose
+// answer a snapshot transaction then keeps. The BEGIN's answer, which says
+// whether the transaction is one, comes with the first round trip at the
+// latest, and before it there is nothing kept to answer from.
+func (t *Tx) read(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
+	c, k := t.c, readKey{obj: obj, op: spec.Op{Kind: op, Arg: arg}}
+	if v, ok := t.answered(k); ok {
+		return v, nil
+	}
+	v, err := c.Access(obj, op, arg)
+	if err == nil && c.ro && c.snapshot {
+		if c.answers == nil {
+			c.answers = make(map[readKey]spec.Value)
+		}
+		c.answers[k] = v
+	}
+	return v, err
+}
+
+// answered looks k up among the answers a snapshot transaction holds.
+//
+//sgvet:hotpath
+func (t *Tx) answered(k readKey) (spec.Value, bool) {
+	if !t.c.ro || !t.c.snapshot {
+		return spec.Nil, false
+	}
+	v, ok := t.c.answers[k]
+	return v, ok
 }
 
 // Commit commits the current subtransaction. It returns seq 0 and a nil
@@ -411,6 +469,14 @@ func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 // RunReadTx waits for it. A snapshot transaction's COMMIT, whose answer
 // carries nothing, is left to ride with the connection's next request (see
 // the package comment), so the body's last read is its last round trip.
+//
+// A snapshot transaction also asks for each read once: every read is
+// answered from the state at the cut its BEGIN pinned, which nothing can
+// change, so a repeat of a read the attempt has made — the same object, op
+// and argument — is answered with what the first one got, and sends
+// nothing. Each attempt starts with no answers kept: a retry pins a new cut.
+// On a backend without snapshots every read is a logged access, and each is
+// sent.
 func (c *Conn) RunReadTx(maxAttempts int, fn func(tx *Tx) error) error {
 	return c.runTx(maxAttempts, true, fn)
 }
@@ -428,7 +494,8 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 				backoff = 64 * time.Millisecond
 			}
 		}
-		c.beginErr, c.snapshot = nil, false
+		c.beginErr, c.ro, c.snapshot = nil, ro, false
+		clear(c.answers)
 		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}

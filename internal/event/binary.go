@@ -584,6 +584,10 @@ func (c *Cursor) header() (*tname.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every entry takes at least two bytes (two string lengths): the bound
+	// caps what the tree reserves, and a count the input cannot hold is
+	// refused as before, at the first entry that is not there.
+	nt.tr.GrowObjects(int(min(nObj, uint64(c.Len()/2))))
 	for i := uint64(0); i < nObj; i++ {
 		label, err := c.Str("object label")
 		if err != nil {

@@ -183,3 +183,39 @@ func TestBinaryHeaderAllocs(t *testing.T) {
 		}
 	}
 }
+
+// mapSink keeps the map TestBinaryObjectTableAllocs sizes on the heap.
+var mapSink map[string]tname.ObjID
+
+// TestBinaryObjectTableAllocs: the object table is read into a tree
+// reserved to the declared count, bounded by what the input can hold, so a
+// header of 16 400 objects allocates no more than a header of one object
+// plus a label index made at that size: nothing per object, and nothing
+// for growing the index as the objects come.
+func TestBinaryObjectTableAllocs(t *testing.T) {
+	decode := func(objects int) float64 {
+		tr := tname.NewTree()
+		for i := 0; i < objects; i++ {
+			tr.AddObject("o"+strconv.Itoa(i), spec.Register{})
+		}
+		data := MarshalBinaryTrace(tr, nil)
+		return testing.AllocsPerRun(10, func() {
+			c := NewCursor(data)
+			got, err := c.header()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumObjects() != objects {
+				t.Fatalf("decoded %d objects, want %d", got.NumObjects(), objects)
+			}
+		})
+	}
+	const n = 16400
+	one, many := decode(1), decode(n)
+	index := testing.AllocsPerRun(10, func() { mapSink = make(map[string]tname.ObjID, n) })
+	t.Logf("header allocations: %.0f for 1 object, %.0f for %d; a label index made for %d takes %.0f", one, many, n, n, index)
+	if many > one+index {
+		t.Fatalf("a header of %d objects takes %.0f allocations, one of 1 object %.0f and a label index of that size %.0f: want at most %.0f",
+			n, many, one, index, one+index)
+	}
+}

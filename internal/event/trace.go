@@ -226,10 +226,9 @@ func (nt *nameTable) object(i int, label, specName string) error {
 	if sp == nil {
 		return fmt.Errorf("trace: unknown spec %q", specName)
 	}
-	if nt.tr.Object(label) != tname.NoObj {
+	if !nt.tr.AddNewObject(label, sp) {
 		return fmt.Errorf("trace: object %d reuses label %q", i, label)
 	}
-	nt.tr.AddObject(label, sp)
 	return nil
 }
 
@@ -289,6 +288,7 @@ func (nt *nameTable) define(parent int64, label string, obj int64, op spec.Op) {
 // FuzzTraceRoundTrip drives this contract with arbitrary inputs.
 func DecodeTrace(t *Trace) (*tname.Tree, Behavior, error) {
 	nt := newNameTable()
+	nt.tr.GrowObjects(len(t.Objects))
 	for i, to := range t.Objects {
 		if err := nt.object(i, to.Label, to.Spec); err != nil {
 			return nil, nil, err

@@ -192,3 +192,46 @@ func TestReadOnlyDegradesWithoutSnapshots(t *testing.T) {
 		t.Fatalf("degraded read-only transactions missing from the log: %d commits", f.Commits)
 	}
 }
+
+// TestSnapshotReadStableAtCut is the premise a snapshot transaction's client
+// relies on when it answers a repeated read from the answer it holds: a read
+// at the cut a read-only BEGIN pinned answers the same after a later commit
+// to the object has been certified, published and acknowledged. Only a new
+// BEGIN, which pins a new cut, sees that commit.
+func TestSnapshotReadStableAtCut(t *testing.T) {
+	s := startServer(t, server.Options{Backend: "mvto", Objects: []string{"x"}})
+	r, w := dialT(t, s), dialT(t, s)
+	defer r.Close()
+	defer w.Close()
+	if _, err := r.BeginRO(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Access("x", spec.OpRead, spec.Nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Access("x", spec.OpWrite, spec.Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the certifier to pass the commit", func() bool {
+		v, err := w.Verdict()
+		return err == nil && v.Certified >= seq
+	})
+
+	if again, err := r.Access("x", spec.OpRead, spec.Nil); err != nil || again != first {
+		t.Fatalf("reread at the pinned cut = %v, %v; want the first read's %v", again, err, first)
+	}
+	if _, err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	expectSnapshot(t, r, "x", spec.Int(7))
+	shutdownAndVerify(t, s)
+}

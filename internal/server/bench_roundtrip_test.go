@@ -85,6 +85,9 @@ var (
 	// readOnlyTx reads all four: the all-read transactions of the
 	// benchmark's readmostly workload.
 	readOnlyTx = shapedTx(func(int) bool { return true })
+	// repeatReadTx reads a, b (in the subtransaction), a and b: a
+	// read-only body that repeats two of its four reads.
+	repeatReadTx = shapedTxOn([4]string{"a", "b", "a", "b"}, func(int) bool { return true })
 )
 
 // BenchmarkClientRunTx measures one whole RunTx of the benchmark's shape,
@@ -108,6 +111,14 @@ func BenchmarkClientRunTxReadHalf(b *testing.B) {
 // the next transaction's first.
 func BenchmarkClientRunReadTx(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, readOnlyTx)
+}
+
+// BenchmarkClientRunReadTxRepeat is BenchmarkClientRunReadTx for a body that
+// reads a, b (in a subtransaction), a and b: 2 writes per transaction, since
+// a snapshot transaction's client answers the repeats from the answers it
+// holds, where asking again took 4.
+func BenchmarkClientRunReadTxRepeat(b *testing.B) {
+	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, repeatReadTx)
 }
 
 // benchmarkRunTx times run(body) on one loopback connection to a backend
@@ -278,6 +289,41 @@ func TestReadOnlyBeginAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per read-only BEGIN and its COMMIT", perBegin)
 	if perBegin > 2.5 {
 		t.Fatalf("%.2f allocations per read-only BEGIN and its COMMIT, want 2 (3 with a formatted label)", perBegin)
+	}
+	c.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRepeatReadAllocs pins what a snapshot transaction's repeated
+// read costs: nothing is sent, and the answer comes from the ones its client
+// holds, so it allocates nothing.
+func TestSnapshotRepeatReadAllocs(t *testing.T) {
+	s := server.New(server.Options{Backend: "mvto", Objects: []string{"x"}})
+	srvEnd, cliEnd := net.Pipe()
+	s.ServeConn(srvEnd)
+	c := client.NewConn(cliEnd)
+	var perRead float64
+	if err := c.RunReadTx(1, func(tx *client.Tx) error {
+		first, err := tx.Access("x", spec.OpRead, spec.Nil)
+		if err != nil {
+			return err
+		}
+		perRead = testing.AllocsPerRun(2000, func() {
+			if v, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil || v != first {
+				t.Fatalf("repeated read = %v, %v; want the first read's %v", v, err, first)
+			}
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if reads := s.Metrics().SnapshotReads.Load(); reads != 1 {
+		t.Fatalf("the server served %d snapshot reads, want the first alone", reads)
+	}
+	if perRead != 0 {
+		t.Fatalf("%.2f allocations per repeated snapshot read, want 0", perRead)
 	}
 	c.Close()
 	if err := s.Shutdown(context.Background()); err != nil {

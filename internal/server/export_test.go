@@ -40,3 +40,20 @@ func UnderStaging(f SegmentFile, wrap func(OSFile) OSFile) {
 // SettleRounds reports how many netpoll rounds the WAL's sync leaders have
 // settled for since boot (walWriter.settle).
 func (s *Server) SettleRounds() int64 { return s.wal.rounds.Load() }
+
+// NewWithSnapshots is New with a snapshot store that the certifier feeds
+// whatever the backend, so read-only BEGINs open snapshot transactions on
+// it: how a test reads an object of a type other than mvto's register at a
+// snapshot cut. The store's publication is spec-general; the locking
+// backends are the ones whose commit order the soundness argument covers
+// (THEORY.md, "Certified snapshots").
+func NewWithSnapshots(opts Options) *Server {
+	s := New(opts)
+	s.cert.snap = newSnapshotStore(s)
+	s.mu.RLock()
+	for _, o := range s.objs {
+		o.versions.Store(initVersion(o.sp))
+	}
+	s.mu.RUnlock()
+	return s
+}

@@ -74,19 +74,10 @@ func TestSnapshotCutStopsAtRejection(t *testing.T) {
 }
 
 // snapshotServer starts a server whose certifier feeds a snapshot store
-// whatever its backend, so read-only BEGINs open snapshot transactions on
-// it. The store's publication is spec-general; the locking backends are the
-// ones whose commit order the soundness argument covers (THEORY.md,
-// "Certified snapshots").
+// whatever its backend (NewWithSnapshots).
 func snapshotServer(t *testing.T, opts Options) *Server {
 	t.Helper()
-	s := New(opts)
-	s.cert.snap = newSnapshotStore(s)
-	s.mu.RLock()
-	for _, o := range s.objs {
-		o.versions.Store(initVersion(o.sp))
-	}
-	s.mu.RUnlock()
+	s := NewWithSnapshots(opts)
 	must(t, s.Start("127.0.0.1:0"))
 	return s
 }

@@ -1,0 +1,186 @@
+package server_test
+
+import (
+	"fmt"
+	"testing"
+
+	"nestedsg/internal/client"
+	"nestedsg/internal/event"
+	"nestedsg/internal/server"
+	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
+)
+
+// read is one read a transaction body makes, and the answer it must get.
+type read struct {
+	obj  string
+	op   spec.OpKind
+	arg  spec.Value
+	want spec.Value
+}
+
+// reads returns a body that makes rs in order and fails on a wrong answer.
+func reads(rs ...read) func(tx *client.Tx) error {
+	return func(tx *client.Tx) error {
+		for _, r := range rs {
+			v, err := tx.Access(r.obj, r.op, r.arg)
+			if err != nil {
+				return err
+			}
+			if v != r.want {
+				return fmt.Errorf("%s %s(%s) = %s, want %s", r.obj, r.op, r.arg, v, r.want)
+			}
+		}
+		return nil
+	}
+}
+
+// writeTx commits v to obj on c.
+func writeTx(t *testing.T, c *client.Conn, obj string, v int64) {
+	t.Helper()
+	if err := c.RunTx(1, func(tx *client.Tx) error {
+		_, err := tx.Access(obj, spec.OpWrite, spec.Int(v))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotReadsAskOnce: a snapshot transaction asks the server for each
+// (object, op, argument) once, and its client answers a repeat with the
+// answer it holds; nothing else is answered that way. Each row runs its
+// transactions on one counted connection, with a second one for the writes
+// between them, and counts the client's writes and the snapshot reads the
+// server served.
+func TestSnapshotReadsAskOnce(t *testing.T) {
+	x := func(want int64) read { return read{"x", spec.OpRead, spec.Nil, spec.Int(want)} }
+	y := func(want int64) read { return read{"y", spec.OpRead, spec.Nil, spec.Int(want)} }
+	member := func(n int64, want bool) read { return read{"s", spec.OpMember, spec.Int(n), spec.Bool(want)} }
+	size := read{"s", spec.OpSize, spec.Nil, spec.Int(1)}
+	mvto := func() *server.Server {
+		return server.New(server.Options{Backend: "mvto", Objects: []string{"x", "y"}})
+	}
+
+	for _, tc := range []struct {
+		name string
+		why  string
+		srv  func() *server.Server
+		// run runs the row's transactions on c, and any write between
+		// them on w.
+		run func(t *testing.T, c, w *client.Conn) error
+		// writes is what c writes; served is how many snapshot reads the
+		// server answers; logged is how many accesses it logs.
+		writes, served, logged int64
+	}{
+		{
+			name: "the same read twice",
+			why:  "the state at the cut answers a repeat as it answered the first: 1 write, where asking again took 2",
+			srv:  mvto,
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				return c.RunReadTx(1, reads(x(0), x(0)))
+			},
+			writes: 1, served: 1,
+		},
+		{
+			name: "another op or argument on the same object",
+			why:  "member(4) and size are other questions than member(3): each is asked once, and only the repeats are answered by the client",
+			srv: func() *server.Server {
+				return server.NewWithSnapshots(server.Options{DefaultSpec: spec.IntSet{}, Objects: []string{"s"}})
+			},
+			run: func(t *testing.T, c, w *client.Conn) error {
+				if err := w.RunTx(1, func(tx *client.Tx) error {
+					_, err := tx.Access("s", spec.OpInsert, spec.Int(3))
+					return err
+				}); err != nil {
+					return err
+				}
+				return c.RunReadTx(1, reads(member(3, true), member(4, false), size, member(4, false), size, member(3, true)))
+			},
+			writes: 3, served: 3, logged: 1,
+		},
+		{
+			name: "the next transaction",
+			why:  "a new BEGIN pins a new cut, which holds the commit made since: the second transaction asks again and reads it",
+			srv:  mvto,
+			run: func(t *testing.T, c, w *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0))); err != nil {
+					return err
+				}
+				writeTx(t, w, "x", 7)
+				return c.RunReadTx(1, reads(y(0), x(7), x(7)))
+			},
+			writes: 3, served: 3, logged: 1,
+		},
+		{
+			name: "a retried attempt",
+			why:  "a retry pins a new cut, so it starts with no answers kept: its read of x is asked again and sees the commit made since",
+			srv:  mvto,
+			run: func(t *testing.T, c, w *client.Conn) error {
+				attempts := 0
+				return c.RunReadTx(2, func(tx *client.Tx) error {
+					if attempts++; attempts == 2 {
+						return reads(y(0), x(7))(tx)
+					}
+					if err := reads(x(0))(tx); err != nil {
+						return err
+					}
+					writeTx(t, w, "x", 7)
+					if err := tx.Abort(); err != nil {
+						return err
+					}
+					return fmt.Errorf("the body ends its first attempt: %w", client.ErrTxAborted)
+				})
+			},
+			writes: 4, served: 3, logged: 1,
+		},
+		{
+			name: "a backend without snapshots",
+			why:  "moss serves RunReadTx as an ordinary transaction whose reads are logged accesses: each is sent and logged, and the COMMIT waits for its verdict",
+			srv: func() *server.Server {
+				return server.New(server.Options{Backend: "moss", Objects: []string{"x", "y"}})
+			},
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				return c.RunReadTx(1, reads(x(0), x(0), y(0), x(0)))
+			},
+			writes: 5, served: 0, logged: 4,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.srv()
+			c, cli, _ := countedSession(t, s, false)
+			w, _, _ := countedSession(t, s, false)
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			writes, served := cli.writes.Load(), s.Metrics().SnapshotReads.Load()
+			if err := tc.run(t, c, w); err != nil {
+				t.Fatalf("%v (%s)", err, tc.why)
+			}
+			if got := cli.writes.Load() - writes; got != tc.writes {
+				t.Errorf("%d client writes, want %d: %s", got, tc.writes, tc.why)
+			}
+			if got := s.Metrics().SnapshotReads.Load() - served; got != tc.served {
+				t.Errorf("the server served %d snapshot reads, want %d: %s", got, tc.served, tc.why)
+			}
+			c.Close()
+			w.Close()
+			shutdownAndVerify(t, s)
+			if got := loggedAccesses(s); got != tc.logged {
+				t.Errorf("%d accesses logged, want %d: %s", got, tc.logged, tc.why)
+			}
+		})
+	}
+}
+
+// loggedAccesses counts the REQUEST_COMMIT events of accesses in the log of
+// a server that has shut down.
+func loggedAccesses(s *server.Server) int64 {
+	tr := s.Tree()
+	var n int64
+	for _, e := range s.Log() {
+		if e.Kind == event.RequestCommit && e.Tx != tname.Root && tr.IsAccess(e.Tx) {
+			n++
+		}
+	}
+	return n
+}

@@ -159,8 +159,10 @@ type Report struct {
 	Seed  uint64
 	Steps int
 	// Begins counts the driver's BEGINs. Accesses, TopCommits and TxAborts
-	// sum server counters over every incarnation: granted accesses and
-	// snapshot reads, logged top-level commits, server-made aborts.
+	// sum server counters over every incarnation: granted accesses and the
+	// snapshot reads the server served (a snapshot transaction's client
+	// answers a repeated read itself), logged top-level commits, server-made
+	// aborts.
 	Begins, Accesses, TopCommits, TxAborts int
 	// ROBegins and ROReads count read-only top-level BEGINs and the
 	// reads they issued (zero unless Config.ROPermille > 0).
@@ -256,7 +258,8 @@ type slot struct {
 	// client package comment's rule; drains: the call in flight reads them.
 	owed         []wire.Cmd
 	drains       bool
-	dropAtCommit bool // FaultDropAfterCommit hangs up at this call's top-level COMMIT
+	asked        []roAsk // the reads the open snapshot transaction sent
+	dropAtCommit bool    // FaultDropAfterCommit hangs up at this call's top-level COMMIT
 }
 
 // roRead is one observed read of a read-only transaction: the object label
@@ -264,6 +267,12 @@ type slot struct {
 type roRead struct {
 	obj string
 	val spec.Value
+}
+
+// roAsk is a read a snapshot transaction sent: its object and op.
+type roAsk struct {
+	obj string
+	op  spec.Op
 }
 
 // sim is the driver state. Exactly one goroutine (the driver) mutates it;
@@ -550,9 +559,10 @@ func (s *sim) nextRequest(sl *slot) wire.Request {
 // issue hands q to sl's goroutine as one client call and pumps until it
 // returns, parks on a lock or waits on a stalled certifier.
 func (s *sim) issue(sl *slot, q wire.Request) error {
+	local := false // the client answers q without sending it
 	switch q.Cmd {
 	case wire.CmdBegin:
-		sl.inTx, sl.depth, sl.ro = true, 1, q.RO
+		sl.inTx, sl.depth, sl.ro, sl.asked = true, 1, q.RO, sl.asked[:0]
 		s.rep.Begins++
 		if q.RO {
 			s.rep.ROBegins++
@@ -563,6 +573,16 @@ func (s *sim) issue(sl *slot, q wire.Request) error {
 		}
 		_, fixed := spec.FixedAnswer(q.Op)
 		sl.drains = !fixed
+		if sl.ro && s.roSnap && !fixed {
+			// A snapshot transaction's client answers a repeated read itself:
+			// it sends nothing, so it drains nothing and owes nothing.
+			read := roAsk{obj: q.Obj, op: spec.Op{Kind: q.Op, Arg: q.Arg}}
+			local = slices.Contains(sl.asked, read)
+			if !local {
+				sl.asked = append(sl.asked, read)
+			}
+			sl.drains = !local
+		}
 	case wire.CmdChild:
 		sl.depth++
 	case wire.CmdCommit:
@@ -574,7 +594,7 @@ func (s *sim) issue(sl *slot, q wire.Request) error {
 		sl.depth--
 		sl.drains = true
 	}
-	if !sl.drains {
+	if !sl.drains && !local {
 		sl.owed = append(sl.owed, q.Cmd)
 	}
 	sl.phase = phAwait

@@ -311,11 +311,16 @@ func IsBehavior(sp Spec, xi []OpVal) (bool, int) {
 	return true, -1
 }
 
+// register is the zero Register as a Spec: a Register is not zero-sized,
+// so each conversion of Register{} to an interface would allocate.
+var register Spec = Register{}
+
 // ByName returns the built-in specification with the given name, or nil.
+// It allocates nothing: a decoder calls it once per object it reads.
 func ByName(name string) Spec {
 	switch name {
 	case "register":
-		return Register{}
+		return register
 	case "counter":
 		return Counter{}
 	case "account":

@@ -153,6 +153,22 @@ func (t *Tree) AddObject(label string, sp spec.Spec) ObjID {
 	return id
 }
 
+// AddNewObject interns label as a new object with the given serial
+// specification and reports true, or reports false and leaves the tree as
+// it was when label is already interned. A new label costs one map
+// operation, where Object followed by AddObject costs three.
+func (t *Tree) AddNewObject(label string, sp spec.Spec) bool {
+	n := len(t.objByLabel)
+	t.objByLabel[label] = ObjID(len(t.objects))
+	if len(t.objByLabel) == n {
+		// The label was there: give it back its own ID.
+		t.objByLabel[label] = ObjID(slices.IndexFunc(t.objects, func(o object) bool { return o.label == label }))
+		return false
+	}
+	t.objects = append(t.objects, object{label: label, sp: sp})
+	return true
+}
+
 // Object returns the interned ID for an object label, or NoObj.
 func (t *Tree) Object(label string) ObjID {
 	if id, ok := t.objByLabel[label]; ok {

@@ -216,6 +216,26 @@ func TestObjects(t *testing.T) {
 	assertPanics(t, "respec object", func() { tr.AddObject("x", spec.Counter{}) })
 }
 
+// TestAddNewObject: a new label is interned under the next ID; a label
+// already interned, whatever the spec, is refused and keeps its own ID.
+func TestAddNewObject(t *testing.T) {
+	tr, _, objs := buildSample(t)
+	for _, label := range []string{"x", "y"} {
+		if tr.AddNewObject(label, spec.Counter{}) {
+			t.Fatalf("AddNewObject(%q) took a label already interned", label)
+		}
+		if tr.Object(label) != objs[label] || tr.Spec(objs[label]).Name() != "register" {
+			t.Fatalf("refusing %q changed it: ID %d, spec %s", label, tr.Object(label), tr.Spec(tr.Object(label)).Name())
+		}
+	}
+	if !tr.AddNewObject("z", spec.Counter{}) {
+		t.Fatal("AddNewObject refused a new label")
+	}
+	if z := tr.Object("z"); z != 2 || tr.NumObjects() != 3 || tr.ObjectLabel(z) != "z" || tr.Spec(z).Name() != "counter" {
+		t.Fatalf("z interned as %d of %d objects", z, tr.NumObjects())
+	}
+}
+
 func TestChildrenOrder(t *testing.T) {
 	tr, ids, _ := buildSample(t)
 	kids := tr.Children(Root)
