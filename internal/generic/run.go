@@ -18,6 +18,10 @@
 //     which yields the ascending ("leaf-to-root") commit-inform order the
 //     lock-visibility notion of §5.3 relies on.
 //
+// The runner is the Controller plus a seeded scheduler: every event it
+// emits steps the controller, whose facts the enumeration reads. Orphan
+// freezing, parking, object epochs and the scheduler are runner policy.
+//
 // Blocking protocols can deadlock; the runner aborts a blocking
 // transaction (the timeout analogue, always safe in this model) either at
 // quiescence or, with Options.EagerDeadlock, as soon as a waits-for cycle
@@ -64,7 +68,7 @@ import (
 	"nestedsg/internal/graph"
 	"nestedsg/internal/object"
 	"nestedsg/internal/program"
-	"nestedsg/internal/spec"
+	"nestedsg/internal/simple"
 	"nestedsg/internal/tname"
 )
 
@@ -124,25 +128,14 @@ type Stats struct {
 	Accesses, Blocked int
 }
 
-type status uint8
-
-const (
-	stRequested status = iota
-	stCreated
-	stCommitRequested
-	stCommitted
-	stAborted
-)
-
+// txState is a transaction's program and the runner's policy about it;
+// what it has done, and what its subtree touched, the Controller keeps.
 type txState struct {
-	id     tname.TxID
-	node   *program.Node
-	status status
+	id   tname.TxID
+	node *program.Node
 	// dead marks descendants of aborted transactions: frozen.
-	dead     bool
-	reported bool
-	value    spec.Value
-	exec     *program.Exec
+	dead bool
+	exec *program.Exec
 	// child and sibling thread the transactions this one has requested
 	// into a list, the latest first: an abort freezes the subtree they
 	// span.
@@ -150,11 +143,6 @@ type txState struct {
 	// pendingRequests are children the program has requested but whose
 	// REQUEST_CREATE the controller has not yet emitted.
 	pendingRequests []*program.Node
-	// touched is the set of objects accessed in this transaction's subtree
-	// so far, in first-touch order; informs about this transaction go to
-	// exactly these objects. Subtrees touch few objects, so a scanned
-	// slice beats a map.
-	touched []tname.ObjID
 
 	// A pending access's object answers: abort (ShouldAbort), and blocked
 	// with its witness (Blocked), as of object epoch askedAt, blockers
@@ -178,15 +166,6 @@ type txState struct {
 	parked bool
 }
 
-func (ts *txState) touch(x tname.ObjID) {
-	for _, y := range ts.touched {
-		if y == x {
-			return
-		}
-	}
-	ts.touched = append(ts.touched, x)
-}
-
 // blockerUnion is an object's answer to Blockers(ids) at epoch at. Blockers
 // is a function of the object's state, which only a call that moves the
 // epoch changes, so the answer holds while the epoch and the waiters stay.
@@ -194,11 +173,6 @@ type blockerUnion struct {
 	at  uint64
 	ids []tname.TxID
 	blk []tname.TxID
-}
-
-type informMsg struct {
-	commit bool
-	tx     tname.TxID
 }
 
 // actKind discriminates the enabled-action structs.
@@ -211,8 +185,7 @@ const (
 	akIssueRequest
 	akRequestCommit
 	akCommit
-	akReportCommit
-	akReportAbort
+	akReport
 	akInform
 )
 
@@ -233,10 +206,13 @@ type Runner struct {
 	tr       *tname.Tree
 	opts     Options
 	rng      *rand.Rand
+	ctl      *Controller // steps through every emitted event
 	objects  []object.Generic
 	aborters []object.Aborter
 	auditors []object.Auditor
-	informQ  [][]informMsg
+	// informQ holds, per object, the completed transactions to inform it
+	// of, in order; the controller knows which completion each had.
+	informQ [][]tname.TxID
 	// epochs counts, per object, the runner's calls into its automaton
 	// other than Create, from 1: answers cached at an older epoch are
 	// stale.
@@ -259,6 +235,7 @@ type Runner struct {
 	nParked int
 
 	acts   []act         // reused action buffer
+	xs     []tname.ObjID // reused buffer of a completion's objects
 	cands  []tname.TxID  // reused victim buffer
 	others []*txState    // reused buffer of waiters
 	ids    []tname.TxID  // reused buffer of one object's waiters
@@ -312,15 +289,16 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 	if opts.Protocol == nil {
 		return nil, Stats{}, fmt.Errorf("generic: Options.Protocol is required")
 	}
-	numObj := tr.NumObjects()
+	numObj, nodes := tr.NumObjects(), program.CountNodes(root)
 	r := &Runner{
 		tr:       tr,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
+		ctl:      NewController(tr, nodes), // each program node is named at most once
 		objects:  make([]object.Generic, numObj),
 		aborters: make([]object.Aborter, numObj),
 		auditors: make([]object.Auditor, numObj),
-		informQ:  make([][]informMsg, numObj),
+		informQ:  make([][]tname.TxID, numObj),
 		epochs:   make([]uint64, numObj),
 		parked:   make([][]*txState, numObj),
 		unions:   make([]blockerUnion, numObj),
@@ -338,7 +316,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 	}
 
 	// CREATE(T0) and start its program.
-	rootState := &txState{id: tname.Root, node: root, status: stCreated}
+	rootState := &txState{id: tname.Root, node: root}
 	rootState.exec = program.NewExec(root)
 	rootState.pendingRequests = rootState.exec.Start()
 	r.putTx(rootState)
@@ -346,7 +324,7 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
-		maxSteps = 200*program.CountNodes(root) + 10000
+		maxSteps = 200*nodes + 10000
 	}
 
 	for ; r.stats.Steps < maxSteps; r.stats.Steps++ {
@@ -384,7 +362,13 @@ func RunContext(ctx context.Context, tr *tname.Tree, root *program.Node, opts Op
 	return nil, r.stats, fmt.Errorf("generic: no quiescence after %d steps", maxSteps)
 }
 
-func (r *Runner) emit(e event.Event) { r.trace = append(r.trace, e) }
+// emit steps the controller through e and records it; a refusal is a bug.
+func (r *Runner) emit(e event.Event) {
+	if err := r.ctl.Step(len(r.trace), e); err != nil {
+		panic(fmt.Sprintf("generic: runner emitted an event the controller refuses: %v", err))
+	}
+	r.trace = append(r.trace, e)
+}
 
 // ask brings the pending access ts's cached ShouldAbort and Blocked answers
 // up to its object's epoch, asking the object only if it moved.
@@ -496,18 +480,18 @@ func (r *Runner) rejoin() {
 func (r *Runner) waiters() []*txState {
 	out := r.others[:0]
 	for _, ts := range r.live {
-		if isWaiter(ts) {
+		if r.isWaiter(ts) {
 			out = append(out, ts)
 		}
 	}
 	for _, ts := range r.woken {
-		if isWaiter(ts) {
+		if r.isWaiter(ts) {
 			out = append(out, ts)
 		}
 	}
 	for _, q := range r.parked {
 		for _, ts := range q {
-			if ts.parked && isWaiter(ts) {
+			if ts.parked && r.isWaiter(ts) {
 				out = append(out, ts)
 			}
 		}
@@ -517,8 +501,8 @@ func (r *Runner) waiters() []*txState {
 }
 
 // isWaiter reports whether ts is a pending access of a live transaction.
-func isWaiter(ts *txState) bool {
-	return !ts.dead && ts.status == stCreated && ts.node.IsAccess
+func (r *Runner) isWaiter(ts *txState) bool {
+	return !ts.dead && ts.node.IsAccess && r.ctl.Open(ts.id)
 }
 
 // idle reports whether the created transaction ts, not an access, has no
@@ -539,10 +523,12 @@ func (r *Runner) enabledActions() []act {
 	acts := r.acts[:0]
 	n := 0
 	for i, ts := range r.live {
-		if ts.dead || ts.status >= stCommitted && ts.reported {
+		f := r.ctl.Facts(ts.id)
+		if ts.dead || f.Has(simple.Reported) {
 			continue
 		}
-		if ts.status == stCreated {
+		open := isOpen(f)
+		if open {
 			if ts.node.IsAccess {
 				r.ask(ts)
 				if !ts.abort && ts.blocked {
@@ -558,14 +544,14 @@ func (r *Runner) enabledActions() []act {
 			r.live[n] = ts
 		}
 		n++
-		switch ts.status {
-		case stRequested:
+		switch {
+		case f&(simple.Created|simple.Aborted) == 0:
 			acts = append(acts, act{kind: akCreate, ts: ts})
 			// The controller may also abort any requested, uncompleted
 			// transaction; that nondeterminism is exercised through
 			// failure injection rather than the uniform pick, so that
 			// abort rates are a workload parameter.
-		case stCreated:
+		case open:
 			if ts.node.IsAccess {
 				if ts.abort {
 					// The protocol demands a restart (e.g. an MVTO write
@@ -583,19 +569,11 @@ func (r *Runner) enabledActions() []act {
 					acts = append(acts, act{kind: akRequestCommit, ts: ts})
 				}
 			}
-		case stCommitRequested:
+		case f&(simple.Committed|simple.Aborted) == 0:
 			acts = append(acts, act{kind: akCommit, ts: ts})
-		case stCommitted:
-			if !ts.reported {
-				if p := r.tx(r.tr.Parent(ts.id)); p != nil && !p.dead && p.status == stCreated {
-					acts = append(acts, act{kind: akReportCommit, ts: ts})
-				}
-			}
-		case stAborted:
-			if !ts.reported {
-				if p := r.tx(r.tr.Parent(ts.id)); p != nil && !p.dead && p.status == stCreated {
-					acts = append(acts, act{kind: akReportAbort, ts: ts})
-				}
+		default:
+			if p := r.tx(r.tr.Parent(ts.id)); p != nil && !p.dead && r.ctl.Open(p.id) {
+				acts = append(acts, act{kind: akReport, ts: ts})
 			}
 		}
 	}
@@ -622,42 +600,27 @@ func (r *Runner) perform(a act) {
 	case akIssueRequest:
 		r.doIssueRequest(a.ts)
 	case akRequestCommit:
-		r.doRequestCommit(a.ts)
+		r.emit(event.NewValEvent(event.RequestCommit, a.ts.id, a.ts.exec.Value()))
 	case akCommit:
 		r.doCommit(a.ts)
-	case akReportCommit:
-		r.doReportCommit(a.ts)
-	case akReportAbort:
-		r.doReportAbort(a.ts)
+	case akReport:
+		r.doReport(a.ts)
 	case akInform:
 		r.doInform(a.x)
 	}
 }
 
 func (r *Runner) doCreate(ts *txState) {
-	ts.status = stCreated
 	r.emit(event.NewEvent(event.Create, ts.id))
 	if ts.node.IsAccess {
 		// Create changes no answer about x's other accesses, so x's epoch
 		// stays and its waiters stay parked; the new access has never
 		// been asked.
-		x := ts.node.Obj
-		r.objects[x].Create(ts.id)
-		r.markTouched(ts.id, x)
+		r.objects[ts.node.Obj].Create(ts.id)
 		return
 	}
 	ts.exec = program.NewExec(ts.node)
 	ts.pendingRequests = ts.exec.Start()
-}
-
-// markTouched records that x was accessed in the subtree of every ancestor
-// of the access.
-func (r *Runner) markTouched(acc tname.TxID, x tname.ObjID) {
-	for u := acc; u != tname.None; u = r.tr.Parent(u) {
-		if ts := r.tx(u); ts != nil {
-			ts.touch(x)
-		}
-	}
 }
 
 func (r *Runner) doIssueRequest(ts *txState) {
@@ -669,7 +632,7 @@ func (r *Runner) doIssueRequest(ts *txState) {
 	} else {
 		childID = r.tr.Child(ts.id, child.Label)
 	}
-	cs := &txState{id: childID, node: child, status: stRequested}
+	cs := &txState{id: childID, node: child}
 	r.putTx(cs)
 	cs.sibling, ts.child = ts.child, cs
 	r.emit(event.NewEvent(event.RequestCreate, childID))
@@ -688,20 +651,11 @@ func (r *Runner) doRespond(ts *txState) {
 		r.stats.Blocked++
 		return
 	}
-	ts.status = stCommitRequested
-	ts.value = v
 	r.stats.Accesses++
 	r.emit(event.NewValEvent(event.RequestCommit, ts.id, v))
 }
 
-func (r *Runner) doRequestCommit(ts *txState) {
-	ts.status = stCommitRequested
-	ts.value = ts.exec.Value()
-	r.emit(event.NewValEvent(event.RequestCommit, ts.id, ts.value))
-}
-
 func (r *Runner) doCommit(ts *txState) {
-	ts.status = stCommitted
 	r.stats.Commits++
 	r.emit(event.NewEvent(event.Commit, ts.id))
 	// When orphans run, a committing orphan's locks/log entries would
@@ -712,16 +666,17 @@ func (r *Runner) doCommit(ts *txState) {
 	var orphanOf tname.TxID = tname.None
 	if r.opts.AllowOrphans {
 		for u := r.tr.Parent(ts.id); u != tname.None; u = r.tr.Parent(u) {
-			if p := r.tx(u); p != nil && p.status == stAborted {
+			if r.ctl.Completion(u) == event.Abort {
 				orphanOf = u
 				break
 			}
 		}
 	}
-	for _, x := range ts.touched {
-		r.informQ[x] = append(r.informQ[x], informMsg{commit: true, tx: ts.id})
+	r.xs = r.ctl.Touched(r.xs[:0], ts.id)
+	for _, x := range r.xs {
+		r.informQ[x] = append(r.informQ[x], ts.id)
 		if orphanOf != tname.None {
-			r.informQ[x] = append(r.informQ[x], informMsg{commit: false, tx: orphanOf})
+			r.informQ[x] = append(r.informQ[x], orphanOf)
 		}
 	}
 }
@@ -732,11 +687,11 @@ func (r *Runner) abortTx(ts *txState) {
 	if ts.parked {
 		r.unpark(ts)
 	}
-	ts.status = stAborted
 	r.stats.Aborts++
 	r.emit(event.NewEvent(event.Abort, ts.id))
-	for _, x := range ts.touched {
-		r.informQ[x] = append(r.informQ[x], informMsg{commit: false, tx: ts.id})
+	r.xs = r.ctl.Touched(r.xs[:0], ts.id)
+	for _, x := range r.xs {
+		r.informQ[x] = append(r.informQ[x], ts.id)
 	}
 	if !r.opts.AllowOrphans {
 		r.freeze(ts)
@@ -762,28 +717,25 @@ func (r *Runner) freeze(ts *txState) {
 func (r *Runner) doProtocolAbort(ts *txState) {
 	top := r.tr.ChildAncestor(tname.Root, ts.id)
 	vs := r.tx(top)
-	if vs == nil || vs.dead || vs.status >= stCommitted {
+	if vs == nil || vs.dead || r.ctl.Completion(top) != event.KindInvalid {
 		return
 	}
 	r.stats.ProtocolAborts++
 	r.abortTx(vs)
 }
 
-func (r *Runner) doReportCommit(ts *txState) {
-	ts.reported = true
-	r.emit(event.NewValEvent(event.ReportCommit, ts.id, ts.value))
-	r.deliverOutcome(ts, program.Outcome{Committed: true, Val: ts.value})
-}
-
-func (r *Runner) doReportAbort(ts *txState) {
-	ts.reported = true
-	r.emit(event.NewEvent(event.ReportAbort, ts.id))
-	r.deliverOutcome(ts, program.Outcome{Committed: false})
-}
-
-func (r *Runner) deliverOutcome(child *txState, oc program.Outcome) {
-	parent := r.tx(r.tr.Parent(child.id))
-	idx := parent.exec.RequestIndex(child.node.Label)
+// doReport reports the completed ts to its parent, and its outcome to the
+// parent's program.
+func (r *Runner) doReport(ts *txState) {
+	var oc program.Outcome
+	if r.ctl.Completion(ts.id) == event.Commit {
+		oc = program.Outcome{Committed: true, Val: r.ctl.wf.Value(ts.id)}
+		r.emit(event.NewValEvent(event.ReportCommit, ts.id, oc.Val))
+	} else {
+		r.emit(event.NewEvent(event.ReportAbort, ts.id))
+	}
+	parent := r.tx(r.tr.Parent(ts.id))
+	idx := parent.exec.RequestIndex(ts.node.Label)
 	more := parent.exec.OnReport(idx, oc)
 	parent.pendingRequests = append(parent.pendingRequests, more...)
 	if parent.parked {
@@ -793,15 +745,15 @@ func (r *Runner) deliverOutcome(child *txState, oc program.Outcome) {
 
 func (r *Runner) doInform(x tname.ObjID) {
 	q := r.informQ[x]
-	msg := q[0]
+	t := q[0]
 	r.informQ[x] = q[1:]
-	r.moved(x, false, msg.tx)
-	if msg.commit {
-		r.objects[x].InformCommit(msg.tx)
-		r.emit(event.NewInform(event.InformCommit, msg.tx, x))
+	r.moved(x, false, t)
+	if r.ctl.Completion(t) == event.Commit {
+		r.objects[x].InformCommit(t)
+		r.emit(event.NewInform(event.InformCommit, t, x))
 	} else {
-		r.objects[x].InformAbort(msg.tx)
-		r.emit(event.NewInform(event.InformAbort, msg.tx, x))
+		r.objects[x].InformAbort(t)
+		r.emit(event.NewInform(event.InformAbort, t, x))
 	}
 }
 
@@ -818,7 +770,7 @@ func (r *Runner) maybeInjectAbort() bool {
 	// candidates too, and the coin rarely lands.
 	candidates := r.cands[:0]
 	for _, id := range r.order {
-		if ts := r.txs[id]; id != tname.Root && !ts.dead && ts.status < stCommitted {
+		if id != tname.Root && !r.txs[id].dead && r.ctl.Completion(id) == event.KindInvalid {
 			candidates = append(candidates, id)
 		}
 	}
@@ -851,7 +803,7 @@ func (r *Runner) breakDeadlock() bool {
 	for x, q := range r.parked {
 		ids := r.ids[:0]
 		for _, ts := range q {
-			if ts.parked && isWaiter(ts) {
+			if ts.parked && r.isWaiter(ts) {
 				ids = append(ids, ts.id)
 			}
 		}
@@ -870,7 +822,7 @@ func (r *Runner) breakDeadlock() bool {
 				if ts == nil || ts.dead {
 					break
 				}
-				if ts.status < stCommitted {
+				if r.ctl.Completion(u) == event.KindInvalid {
 					if ts.round != r.rounds {
 						ts.round = r.rounds
 						victims = append(victims, u)
@@ -945,7 +897,7 @@ func (r *Runner) breakWaitsForCycle() bool {
 	// Abort one cycle member that is still abortable.
 	victims := r.cands[:0]
 	for _, n := range cyc {
-		if ts := tops[n]; !ts.dead && ts.status < stCommitted {
+		if ts := tops[n]; !ts.dead && r.ctl.Completion(ts.id) == event.KindInvalid {
 			victims = append(victims, ts.id)
 		}
 	}

@@ -218,44 +218,88 @@ func BenchmarkServerDurableRunTx(b *testing.B) {
 	}
 }
 
-// TestAccessRequestAllocs pins what one ACCESS request allocates end to end,
-// both sides and the certifier included, in the steady state of a long
-// transaction: the request's object name, the access's label — built in the
-// session's scratch buffer, where fmt.Sprintf would box its operand and
-// cost one more — and what the name tree, the log, the object and the graph
-// keep per access: just over 3 in all.
+// TestAccessRequestAllocs pins what requests allocate end to end, both
+// sides and the certifier included, one row a request sequence, each in
+// its steady state:
+//
+//   - one ACCESS in a long transaction: the request's object name, the
+//     access's label — built in the session's scratch buffer, where
+//     fmt.Sprintf would box its operand and cost one more — and what the
+//     name tree, the log, the object and the graph keep per access: 2 to
+//     3 in all;
+//   - a whole BEGIN → CHILD → ACCESS → COMMIT → COMMIT transaction: just
+//     over 6, the names the server makes and what the tree, the log and
+//     the graph keep among them. The session's frames are values whose
+//     slots keep their backing arrays, so BEGIN and CHILD allocate no
+//     frame and the touches no array; a frame apiece and a touched array
+//     apiece cost 4 more. A race build adds raceTxAllocs.
 func TestAccessRequestAllocs(t *testing.T) {
-	s := server.New(server.Options{Objects: []string{"x"}})
-	srvEnd, cliEnd := net.Pipe()
-	s.ServeConn(srvEnd)
-	c := client.NewConn(cliEnd)
-	if _, err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	access := func(n int) {
-		for i := 0; i < n; i++ {
+	for _, row := range []struct {
+		name string
+		// begin and end, if set, run once around the measured ops.
+		begin, end bool
+		op         func(c *client.Conn) error
+		want       float64
+	}{
+		{"ACCESS", true, true, func(c *client.Conn) error {
+			_, err := c.Access("x", spec.OpWrite, spec.Int(1))
+			return err
+		}, 3.5},
+		{"BEGIN CHILD ACCESS COMMIT COMMIT", false, false, func(c *client.Conn) error {
+			if _, err := c.Begin(); err != nil {
+				return err
+			}
+			if _, err := c.Child(); err != nil {
+				return err
+			}
 			if _, err := c.Access("x", spec.OpWrite, spec.Int(1)); err != nil {
+				return err
+			}
+			if _, err := c.Commit(); err != nil {
+				return err
+			}
+			_, err := c.Commit()
+			return err
+		}, 6.5 + raceTxAllocs},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := server.New(server.Options{Objects: []string{"x"}})
+			srvEnd, cliEnd := net.Pipe()
+			s.ServeConn(srvEnd)
+			c := client.NewConn(cliEnd)
+			if row.begin {
+				if _, err := c.Begin(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := row.op(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run(500) // warm the scratch buffers and the first doublings
+			const n = 2000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(n)
+			runtime.ReadMemStats(&after)
+			per := float64(after.Mallocs-before.Mallocs) / n
+			t.Logf("%.2f allocations per %s", per, row.name)
+			if per > row.want {
+				t.Fatalf("%.2f allocations per %s, want at most %.1f", per, row.name, row.want)
+			}
+			if row.end {
+				if _, err := c.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Close()
+			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	access(500) // warm the scratch buffers and the first doublings
-	const n = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	access(n)
-	runtime.ReadMemStats(&after)
-	perAccess := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("%.2f allocations per ACCESS request", perAccess)
-	if perAccess > 3.5 {
-		t.Fatalf("%.2f allocations per ACCESS request, want about 3 (4 with a formatted label)", perAccess)
-	}
-	if _, err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

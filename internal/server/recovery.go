@@ -2,13 +2,13 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/generic"
 	"nestedsg/internal/object"
+	"nestedsg/internal/simple"
 	"nestedsg/internal/tname"
 )
 
@@ -52,19 +52,14 @@ func (r *RecoveryReport) Summary() string {
 // Recover builds a server from the durable WAL in opts.WAL (an empty WAL
 // is a fresh start). The scan decodes each record once, the definitions
 // straight into the name tree and the events straight into the log's
-// records. Then one pass over the durable event prefix checks that it is a
-// behavior of the generic system — well-formed, every INFORM after its
-// completion, and every logged REQUEST_COMMIT granted by its object's
-// automaton with the logged value, so a WAL that could not have come from
-// a faithful run is rejected instead of served — gathers what the repairs
-// need, and certifies it. Then the log is "stitched": transactions whose
-// completion was logged but whose informs were lost get the missing
-// informs, and top-level transactions still in flight at the crash are
-// aborted exactly as a dropped connection would have been (the paper's
-// well-formedness keeps orphans harmless: an aborted top's INFORM_ABORT
+// records. One pass over the durable event prefix accepts it as a behavior
+// of the generic system and certifies it (replay). Then the log is
+// stitched: the INFORMs a crashed session owed are delivered, and
+// top-level transactions still in flight at the crash are aborted exactly
+// as a dropped connection would have been (an aborted top's INFORM_ABORT
 // discards the whole subtree's locks). The online certifier catches up
 // over the repairs synchronously and is audited as Final audits a drained
-// server — so the resumed server's certificate is byte-identical to an
+// server, so the resumed server's certificate is byte-identical to an
 // uninterrupted batch check of the stitched log.
 //
 // Recovery never panics on bad WAL bytes: any torn tail outside the last
@@ -87,40 +82,16 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 	return newServer(opts)
 }
 
-// replayed is what the one pass over the durable prefix leaves the
-// repairs, in arrays dense in the log and in the names; its zero value
-// repairs nothing.
-type replayed struct {
-	// acc has stepped the prefix; it knows each transaction's completion.
-	acc *generic.Acceptor
-	// accesses are the accesses created, in CREATE order: the objects
-	// they touch are the recovery analogue of txFrame.touched.
-	accesses []tname.TxID
-	// informs are the INFORM events, in log order.
-	informs []txObj
-	// completions are the COMMITted and ABORTed transactions, in log
-	// order.
-	completions []tname.TxID
-	// tops are the created top-level transactions, in CREATE order.
-	tops []tname.TxID
-}
-
-// txObj is a transaction and an object.
-type txObj struct {
-	t tname.TxID
-	x tname.ObjID
-}
-
 // replayWAL scans the WAL straight into the name tree and the log, makes
-// its objects, and replays its durable event prefix into r. The writer is
-// attached after the prefix, so that it is not written again; every later
-// append, repairs included, tees into the WAL.
+// its objects, and replays its durable event prefix, returning the
+// acceptor that stepped it (nil for an empty log). The writer is attached
+// after the prefix; every later append, repairs included, tees into it.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
+func (s *Server) replayWAL(rep *RecoveryReport) (acc *generic.Acceptor, err error) {
 	scan, err := scanWAL(s.opts.WAL, s.tr, s.log)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.Segments, rep.Records = scan.segments, scan.records
 	rep.TornBytes, rep.TornSegment, rep.ZeroBytes = scan.tornBytes, scan.tornSegment, scan.zeroBytes
@@ -132,7 +103,7 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 	// named in a top-level definition, created or not: a name defined
 	// durably owns its label even when its CREATE was lost.
 	if err := s.tr.Validate(); err != nil {
-		return fmt.Errorf("server: recovery rejected wal: %w", err)
+		return nil, fmt.Errorf("server: recovery rejected wal: %w", err)
 	}
 	s.sessionSeq.Store(scan.sessions)
 	n := s.log.len()
@@ -142,24 +113,24 @@ func (s *Server) replayWAL(r *replayed, rep *RecoveryReport) error {
 		if s.tr.NumTx() > 1 || s.tr.NumObjects() > 0 {
 			// Definitions with no events cannot come from a live server,
 			// which logs CREATE(T0) before anything else.
-			return fmt.Errorf("server: recovery rejected wal: definitions without events")
+			return nil, fmt.Errorf("server: recovery rejected wal: definitions without events")
 		}
 	case s.log.chunks[0][0].Kind != event.Create || s.log.chunks[0][0].Tx != tname.Root:
-		return fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
+		return nil, fmt.Errorf("server: recovery rejected wal: log does not open with CREATE(T0)")
 	default:
-		if err := s.replay(r); err != nil {
-			return err
+		if acc, err = s.replay(); err != nil {
+			return nil, err
 		}
 	}
 	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The prefix was read back from the disk, so it is durable.
 	w.logEnd = n
 	w.durableLog.Store(int64(n))
 	s.wal, s.log.wal = w, w
-	return nil
+	return acc, nil
 }
 
 // sessionOf returns n for a label "s<n>.<k>", the label session n gives its
@@ -182,100 +153,57 @@ func sessionOf(label string) int64 {
 // and the automata driven exactly as the live sessions drove them, with
 // the grant and the value of every access's REQUEST_COMMIT asserted (the
 // automata are deterministic and failed polls don't mutate, so a faithful
-// log replays to the same state) — then counts the metrics the prefix
-// accounts for, so verdicts and the final report stay consistent across a
-// restart (the repairs count themselves, like any session's appends), and
-// records in r what the repairs need; then it certifies the run. A log
-// that could not have come from a faithful run is rejected instead of
-// served.
+// log replays to the same state) — then certifies the run. A log that
+// could not have come from a faithful run is rejected instead of served.
+// The acceptor it returns knows what the repairs need.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) replay(r *replayed) error {
+func (s *Server) replay() (*generic.Acceptor, error) {
 	objs := make([]object.Generic, len(s.objs))
 	for x, o := range s.objs {
 		objs[x] = o.g
 	}
-	r.acc = generic.NewAcceptor(s.tr, objs)
+	acc := generic.NewAcceptor(s.tr, objs)
 	v := s.log.view()
-	k := v.kinds()
-	r.accesses, r.tops = make([]tname.TxID, 0, k[event.Create]), make([]tname.TxID, 0, k[event.Create])
-	r.completions = make([]tname.TxID, 0, k[event.Commit]+k[event.Abort])
-	r.informs = make([]txObj, 0, k[event.InformCommit]+k[event.InformAbort])
-	m := s.metrics
-	check := func(i int, evs []event.Event) error {
-		for k, e := range evs {
-			if err := r.acc.Step(i+k, e); err != nil {
-				return fmt.Errorf("server: recovery rejected wal: %w", err)
-			}
-			switch e.Kind {
-			case event.Create:
-				if s.tr.IsAccess(e.Tx) {
-					r.accesses = append(r.accesses, e.Tx)
-				}
-				if e.Tx != tname.Root && s.tr.Parent(e.Tx) == tname.Root {
-					m.Begins.Add(1)
-					r.tops = append(r.tops, e.Tx)
-				}
-			case event.Commit:
-				m.CommitEvents.Add(1)
-				if s.tr.Parent(e.Tx) == tname.Root {
-					m.TopCommits.Add(1)
-				}
-				r.completions = append(r.completions, e.Tx)
-			case event.Abort:
-				m.AbortEvents.Add(1)
-				r.completions = append(r.completions, e.Tx)
-			case event.InformCommit, event.InformAbort:
-				r.informs = append(r.informs, txObj{e.Tx, e.Obj})
-			default:
-				// RequestCreate, RequestCommit, reports: nothing to count.
-			}
-		}
-		return nil
-	}
 	s.cert.mu.Lock()
 	defer s.cert.mu.Unlock()
 	s.cert.inc.Reserve(v)
-	return s.cert.apply(v.n, check)
+	return acc, s.cert.apply(v.n, func(i int, evs []event.Event) error {
+		for k, e := range evs {
+			if err := acc.Step(i+k, e); err != nil {
+				return fmt.Errorf("server: recovery rejected wal: %w", err)
+			}
+		}
+		return nil
+	})
 }
 
-// stitch appends the repair events: missing informs for completions whose
-// session died before delivering them, then an abort for every orphaned
-// in-flight top-level transaction. Both go through the sessions' own
-// paths — inform, and the abort a dropped connection's abortTop appends —
-// so they are also made durable.
+// stitch counts, from acc, the acceptor of the durable prefix, the metrics
+// the prefix accounts for, so verdicts and the final report stay
+// consistent across a restart. Then it appends the repairs, through the
+// sessions' own paths, so they count themselves and are made durable: the
+// INFORMs each completion still owes, in completion order (a leaf's
+// completion precedes its ancestors', so lock hand-up replays in order),
+// then the abort a dropped connection appends, for every orphaned top.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
-func (s *Server) stitch(r *replayed, rep *RecoveryReport) {
-	if r.acc != nil {
-		touched, informed := r.touched(s.tr), groupByTx(s.tr.NumTx(), r.informs)
-		// mark[x] == q once x is done with for the q-th transaction looked
-		// at; fresh returns the objects of xs not done with, once each.
-		mark, q := make([]int32, s.tr.NumObjects()), int32(0)
-		var buf []tname.ObjID
-		fresh := func(xs []tname.ObjID) []tname.ObjID {
-			buf = buf[:0]
-			for _, x := range xs {
-				if mark[x] != q {
-					mark[x] = q
-					buf = append(buf, x)
+func (s *Server) stitch(acc *generic.Acceptor, rep *RecoveryReport) {
+	if acc != nil {
+		m := s.metrics
+		var xs []tname.ObjID
+		for _, t := range acc.Completions() {
+			kind := event.InformAbort
+			if acc.Completion(t) == event.Commit {
+				kind = event.InformCommit
+				m.CommitEvents.Add(1)
+				if s.tr.Parent(t) == tname.Root {
+					m.TopCommits.Add(1)
 				}
+			} else {
+				m.AbortEvents.Add(1)
 			}
-			return buf
-		}
-
-		// Missing informs, in completion order — leaf completions precede
-		// their ancestors' in any well-formed log, so lock hand-up replays
-		// in the right order — at the objects the transaction's subtree
-		// touched, in first-touch order.
-		for _, t := range r.completions {
-			kind := event.InformCommit
-			if r.acc.Completion(t) == event.Abort {
-				kind = event.InformAbort
-			}
-			q++
-			fresh(informed.of(t))
-			for _, x := range fresh(touched.of(t)) {
+			xs = acc.Owed(xs[:0], t)
+			for _, x := range xs {
 				s.inform(kind, s.objs[x], t)
 				rep.FixupInforms++
 			}
@@ -284,62 +212,20 @@ func (s *Server) stitch(r *replayed, rep *RecoveryReport) {
 		// Orphaned tops: created, never completed, session gone. They
 		// abort in TxID order, which is not CREATE order when two sessions
 		// interleave defining a name and logging its CREATE.
-		slices.Sort(r.tops)
-		for _, t := range r.tops {
-			if r.acc.Completion(t) == event.KindInvalid {
-				q++
-				s.abort(t, fresh(touched.of(t)))
+		for t := tname.Root + 1; int(t) < s.tr.NumTx(); t++ {
+			if s.tr.Parent(t) != tname.Root || !acc.Facts(t).Has(simple.Created) {
+				continue
+			}
+			m.Begins.Add(1)
+			if acc.Completion(t) == event.KindInvalid {
+				xs = acc.Touched(xs[:0], t)
+				s.abort(t, xs)
 				rep.OrphanTops++
 			}
 		}
 	}
 	rep.StitchedEvents = s.log.len()
 }
-
-// touched groups, by transaction, the objects of the accesses created in
-// each subtree, in CREATE order: an object appears once per access to it.
-func (r *replayed) touched(tr *tname.Tree) objsByTx {
-	n := 0
-	for _, a := range r.accesses {
-		n += tr.Depth(a)
-	}
-	pairs := make([]txObj, 0, n)
-	for _, a := range r.accesses {
-		x := tr.AccessObject(a)
-		for u := a; u != tname.Root; u = tr.Parent(u) {
-			pairs = append(pairs, txObj{u, x})
-		}
-	}
-	return groupByTx(tr.NumTx(), pairs)
-}
-
-// objsByTx holds objects grouped by transaction: t's are
-// objs[start[t]:start[t+1]], in the order they were given.
-type objsByTx struct {
-	start []int32
-	objs  []tname.ObjID
-}
-
-// groupByTx groups pairs, over n transactions, by transaction with one
-// counting pass, keeping each transaction's objects in order.
-func groupByTx(n int, pairs []txObj) objsByTx {
-	g := objsByTx{start: make([]int32, n+1), objs: make([]tname.ObjID, len(pairs))}
-	for _, p := range pairs {
-		g.start[p.t+1]++
-	}
-	for t := range n {
-		g.start[t+1] += g.start[t]
-	}
-	next := slices.Clone(g.start[:n])
-	for _, p := range pairs {
-		g.objs[next[p.t]] = p.x
-		next[p.t]++
-	}
-	return g
-}
-
-// of returns t's objects.
-func (g objsByTx) of(t tname.TxID) []tname.ObjID { return g.objs[g.start[t]:g.start[t+1]] }
 
 // primeCertifier certifies the rest of the stitched log — the replay pass
 // certified the durable prefix, so what is left is the repairs — through

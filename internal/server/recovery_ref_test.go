@@ -199,6 +199,12 @@ type refReplayed struct {
 	tops        []tname.TxID
 }
 
+// txObj is a transaction and an object.
+type txObj struct {
+	t tname.TxID
+	x tname.ObjID
+}
+
 func (s *Server) refReplayWAL(r *refReplayed, rep *RecoveryReport) error {
 	scan, err := refScanWAL(s.opts.WAL)
 	if err != nil {

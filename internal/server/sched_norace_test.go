@@ -8,3 +8,7 @@ import "time"
 // busy peer keeps every processor occupied: the runtime then polls the
 // network only on its own tick. Tests that time a commit's hops allow it.
 const schedSlack = 100 * time.Millisecond
+
+// raceTxAllocs is what the race detector adds to one whole transaction's
+// allocations: nothing without it.
+const raceTxAllocs = 0

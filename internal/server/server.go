@@ -43,6 +43,7 @@ import (
 
 	"nestedsg/internal/core"
 	"nestedsg/internal/event"
+	"nestedsg/internal/generic"
 	"nestedsg/internal/object"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
@@ -222,16 +223,16 @@ func newServer(opts Options) (*Server, *RecoveryReport, error) {
 	}
 
 	rep := &RecoveryReport{}
-	var r replayed
+	var acc *generic.Acceptor
 	if opts.WAL != nil {
-		if err := s.replayWAL(&r, rep); err != nil {
+		if acc, err = s.replayWAL(rep); err != nil {
 			return nil, nil, err
 		}
 	}
 	if s.log.len() == 0 {
 		s.log.append(event.NewEvent(event.Create, tname.Root))
 	}
-	s.stitch(&r, rep)
+	s.stitch(acc, rep)
 	for _, label := range opts.Objects {
 		if _, err := s.resolveObject(label); err != nil {
 			return nil, nil, fmt.Errorf("server: pre-creating object %q: %w", label, err)
@@ -606,6 +607,9 @@ func (s *Server) Log() event.Behavior { return s.log.snapshot() }
 // Backend reports the object backend's name ("moss", "undolog", "mvto", or
 // an injected protocol's name).
 func (s *Server) Backend() string { return s.backend }
+
+// Protocol returns the protocol that builds every object automaton.
+func (s *Server) Protocol() object.Protocol { return s.proto }
 
 // Tree returns the server's system type. It must only be read concurrently
 // with running sessions under external synchronization; tests use it after

@@ -14,6 +14,7 @@ import (
 
 	"nestedsg/internal/client"
 	"nestedsg/internal/core"
+	"nestedsg/internal/generic"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/undolog"
@@ -59,6 +60,10 @@ func shutdownAndVerify(t *testing.T, s *server.Server) *server.Final {
 	// must equal the batch SG, labelled edges and all.
 	if !s.OnlineSG().Equal(f.Batch.SG) {
 		t.Fatal("online SG differs from the batch SG in its parents, children or labelled edges")
+	}
+	// The log is a behavior of the generic system, WAL or none.
+	if err := generic.Accept(s.Tree(), s.Log(), s.Protocol()); err != nil {
+		t.Fatalf("the log is not a behavior of the generic system: %v", err)
 	}
 	return f
 }

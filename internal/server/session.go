@@ -21,9 +21,8 @@ import (
 type txFrame struct {
 	id tname.TxID
 	// touched is the set of objects accessed anywhere in this frame's
-	// subtree, in first-touch order; completion informs go to exactly these
-	// objects (the runner's markTouched, maintained eagerly at access
-	// creation).
+	// subtree, in first-touch order, recorded at each access's creation;
+	// completion informs go to exactly these objects.
 	touched []tname.ObjID
 	// named holds the numbers of the children this frame's client has
 	// named ("k<n>"), ascending: the one place a duplicate name can arise,
@@ -48,12 +47,9 @@ func (f *txFrame) name(n uint64) bool {
 }
 
 func (f *txFrame) touch(x tname.ObjID) {
-	for _, y := range f.touched {
-		if y == x {
-			return
-		}
+	if !slices.Contains(f.touched, x) {
+		f.touched = append(f.touched, x)
 	}
-	f.touched = append(f.touched, x)
 }
 
 // session is one connection: a strictly sequential request loop driving one
@@ -70,7 +66,7 @@ type session struct {
 	out  []byte
 	lbl  []byte // scratch for building labels
 
-	frames []*txFrame
+	frames []txFrame
 	labelN int // session-local unique label counter for children/accesses
 	topN   int // top-level transactions begun on this session
 
@@ -327,7 +323,7 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		event.NewEvent(event.RequestCreate, top),
 		event.NewEvent(event.Create, top),
 	)
-	sn.frames = append(sn.frames, &txFrame{id: top})
+	sn.pushFrame(top)
 	sn.setInTx(true)
 	sn.s.metrics.Begins.Add(1)
 	if sn.lastAborted {
@@ -345,7 +341,7 @@ func (sn *session) handleChild(q wire.Request) wire.Response {
 	if len(sn.frames) == 0 {
 		return errResp("CHILD outside a transaction")
 	}
-	cur := sn.frames[len(sn.frames)-1]
+	cur := &sn.frames[len(sn.frames)-1]
 	label := sn.childLabel(q)
 	if q.Named && !cur.name(q.N) {
 		return errResp("CHILD " + label + ": the current transaction already has a child of that name")
@@ -355,7 +351,7 @@ func (sn *session) handleChild(q wire.Request) wire.Response {
 		event.NewEvent(event.RequestCreate, child),
 		event.NewEvent(event.Create, child),
 	)
-	sn.frames = append(sn.frames, &txFrame{id: child})
+	sn.pushFrame(child)
 	return wire.Response{Status: wire.StatusOK, Name: label}
 }
 
@@ -375,17 +371,16 @@ func (sn *session) handleAccess(q wire.Request) wire.Response {
 	if !specAllows(obj.sp, q.Op) {
 		return errResp(fmt.Sprintf("object %q (%s) does not support op %s", q.Obj, obj.sp.Name(), q.Op))
 	}
-	cur := sn.frames[len(sn.frames)-1]
 	sn.labelN++
 	label := sn.label('a', uint64(sn.labelN))
 	op := spec.Op{Kind: q.Op, Arg: q.Arg}
-	acc := sn.s.internTx(cur.id, label, obj.id, op)
+	acc := sn.s.internTx(sn.frames[len(sn.frames)-1].id, label, obj.id, op)
 
 	// Every open frame is an ancestor of the access: record the touch now,
 	// before the access can block, so an abort that interrupts the wait
-	// still informs the object (the runner's markTouched at CREATE time).
-	for _, f := range sn.frames {
-		f.touch(obj.id)
+	// still informs the object.
+	for i := range sn.frames {
+		sn.frames[i].touch(obj.id)
 	}
 
 	sn.s.appendLog(event.NewEvent(event.RequestCreate, acc))
@@ -614,6 +609,15 @@ func (s *Server) informAll(kind event.Kind, t tname.TxID, touched []tname.ObjID)
 		s.mu.RUnlock()
 		s.inform(kind, obj, t)
 	}
+}
+
+// pushFrame opens a frame for t in the next slot, reusing the arrays a
+// transaction at its depth left there.
+func (sn *session) pushFrame(t tname.TxID) {
+	n := len(sn.frames)
+	sn.frames = slices.Grow(sn.frames, 1)[:n+1]
+	f := &sn.frames[n]
+	f.id, f.touched, f.named = t, f.touched[:0], f.named[:0]
 }
 
 // popFrame closes the innermost frame after its completion events are in the

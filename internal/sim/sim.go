@@ -39,6 +39,7 @@ import (
 	"nestedsg/internal/client"
 	"nestedsg/internal/core"
 	"nestedsg/internal/event"
+	"nestedsg/internal/generic"
 	"nestedsg/internal/oracle"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
@@ -986,8 +987,12 @@ func (s *sim) finish() error {
 	if !f.Match || !s.srv.OnlineSG().Equal(f.Batch.SG) {
 		return fmt.Errorf("final online SG differs from batch SG")
 	}
+	log := s.srv.Log()
+	if err := generic.Accept(s.srv.Tree(), log, s.srv.Protocol()); err != nil {
+		return fmt.Errorf("final log is not a behavior of the generic system: %w", err)
+	}
 	s.rep.FinalEvents = f.Events
-	s.rep.Trace = event.MarshalBinaryTrace(s.srv.Tree(), s.srv.Log())
+	s.rep.Trace = event.MarshalBinaryTrace(s.srv.Tree(), log)
 	if f.Batch.SG != nil {
 		s.rep.CertDOT = f.Batch.SG.DOT()
 	}

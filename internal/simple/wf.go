@@ -2,6 +2,7 @@ package simple
 
 import (
 	"fmt"
+	"slices"
 
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
@@ -25,26 +26,28 @@ func (e *WFError) Error() string {
 // carried is kept as spec.Pack splits it, its string, if any, in the
 // checker's side table.
 type txWFState struct {
-	x            int64 // the value's integer or string index, once commitRequested
+	x            int64 // the value's integer or string index, once CommitRequested
 	openChildren int32 // children whose creation was requested but not yet reported
-	facts        wfFacts
-	vk           spec.ValueKind // the value's kind, once commitRequested
+	facts        Facts
+	vk           spec.ValueKind // the value's kind, once CommitRequested
 }
 
-// wfFacts is a set of lifecycle facts of one transaction.
-type wfFacts uint8
+// Facts is a set of lifecycle facts of one transaction: the serial actions
+// about it that a prefix holds.
+type Facts uint8
 
+// The facts, one for each serial action about the transaction.
 const (
-	requested wfFacts = 1 << iota
-	created
-	commitRequested
-	committed
-	aborted
-	reported
+	Requested Facts = 1 << iota
+	Created
+	CommitRequested
+	Committed
+	Aborted
+	Reported
 )
 
-// has reports whether every fact of f holds.
-func (s *txWFState) has(f wfFacts) bool { return s.facts&f == f }
+// Has reports whether every fact of g holds.
+func (f Facts) Has(g Facts) bool { return f&g == g }
 
 // WellFormed checks the axioms of CheckWellFormed one event at a time, so a
 // caller that walks a behavior for another reason can decide
@@ -70,11 +73,27 @@ func (w *WellFormed) Reset() {
 	w.grow()
 }
 
+// Reserve makes room for n transaction names.
+func (w *WellFormed) Reserve(n int) { w.st = slices.Grow(w.st, max(0, n-len(w.st))) }
+
 // grow sizes the state to the tree, which may gain names between steps.
 func (w *WellFormed) grow() {
 	for len(w.st) < w.tr.NumTx() {
 		w.st = append(w.st, txWFState{})
 	}
+}
+
+// Facts returns t's facts in the prefix stepped so far.
+func (w *WellFormed) Facts(t tname.TxID) Facts {
+	if t < 0 || int(t) >= len(w.st) {
+		return 0
+	}
+	return w.st[t].facts
+}
+
+// Value returns the value t's REQUEST_COMMIT carried, once it has one.
+func (w *WellFormed) Value(t tname.TxID) spec.Value {
+	return spec.Unpack(w.st[t].vk, w.st[t].x, w.strs)
 }
 
 // Step consumes the next event e, at index i of the behavior, and returns
@@ -93,93 +112,93 @@ func (w *WellFormed) Step(i int, e event.Event) error {
 	s := &w.st[e.Tx]
 	switch e.Kind {
 	case event.Create:
-		if e.Tx != tname.Root && !s.has(requested) {
+		if e.Tx != tname.Root && !s.facts.Has(Requested) {
 			return wfFail(i, e, "CREATE without prior REQUEST_CREATE")
 		}
-		if s.has(created) {
+		if s.facts.Has(Created) {
 			return wfFail(i, e, "second CREATE")
 		}
-		if s.has(aborted) || s.has(committed) {
+		if s.facts.Has(Aborted) || s.facts.Has(Committed) {
 			return wfFail(i, e, "CREATE after completion")
 		}
-		s.facts |= created
+		s.facts |= Created
 
 	case event.RequestCreate:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "REQUEST_CREATE of T0")
 		}
-		if s.has(requested) {
+		if s.facts.Has(Requested) {
 			return wfFail(i, e, "second REQUEST_CREATE")
 		}
 		p := &w.st[w.tr.Parent(e.Tx)]
-		if !p.has(created) {
+		if !p.facts.Has(Created) {
 			return wfFail(i, e, "parent not created")
 		}
-		if p.has(commitRequested) {
+		if p.facts.Has(CommitRequested) {
 			return wfFail(i, e, "parent already requested commit")
 		}
-		s.facts |= requested
+		s.facts |= Requested
 		p.openChildren++
 
 	case event.RequestCommit:
-		if !s.has(created) {
+		if !s.facts.Has(Created) {
 			return wfFail(i, e, "REQUEST_COMMIT without CREATE")
 		}
-		if s.has(commitRequested) {
+		if s.facts.Has(CommitRequested) {
 			return wfFail(i, e, "second REQUEST_COMMIT")
 		}
 		if !w.tr.IsAccess(e.Tx) && e.Tx != tname.Root && s.openChildren > 0 {
 			return wfFail(i, e, "REQUEST_COMMIT with %d unreported children", s.openChildren)
 		}
-		s.facts |= commitRequested
+		s.facts |= CommitRequested
 		s.vk, s.x, w.strs = spec.Pack(e.Val, w.strs)
 
 	case event.Commit:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "COMMIT of T0")
 		}
-		if !s.has(commitRequested) {
+		if !s.facts.Has(CommitRequested) {
 			return wfFail(i, e, "COMMIT without REQUEST_COMMIT")
 		}
-		if s.has(committed) || s.has(aborted) {
+		if s.facts.Has(Committed) || s.facts.Has(Aborted) {
 			return wfFail(i, e, "second completion event")
 		}
-		s.facts |= committed
+		s.facts |= Committed
 
 	case event.Abort:
 		if e.Tx == tname.Root {
 			return wfFail(i, e, "ABORT of T0")
 		}
-		if !s.has(requested) {
+		if !s.facts.Has(Requested) {
 			return wfFail(i, e, "ABORT without REQUEST_CREATE")
 		}
-		if s.has(committed) || s.has(aborted) {
+		if s.facts.Has(Committed) || s.facts.Has(Aborted) {
 			return wfFail(i, e, "second completion event")
 		}
-		s.facts |= aborted
+		s.facts |= Aborted
 
 	case event.ReportCommit:
 		// A committed transaction requested commit, so its value is set.
-		if !s.has(committed) {
+		if !s.facts.Has(Committed) {
 			return wfFail(i, e, "REPORT_COMMIT without COMMIT")
 		}
-		if s.has(reported) {
+		if s.facts.Has(Reported) {
 			return wfFail(i, e, "second report")
 		}
-		if v := spec.Unpack(s.vk, s.x, w.strs); v != e.Val {
+		if v := w.Value(e.Tx); v != e.Val {
 			return wfFail(i, e, "REPORT_COMMIT value %s does not match requested %s", e.Val, v)
 		}
-		s.facts |= reported
+		s.facts |= Reported
 		w.st[w.tr.Parent(e.Tx)].openChildren--
 
 	case event.ReportAbort:
-		if !s.has(aborted) {
+		if !s.facts.Has(Aborted) {
 			return wfFail(i, e, "REPORT_ABORT without ABORT")
 		}
-		if s.has(reported) {
+		if s.facts.Has(Reported) {
 			return wfFail(i, e, "second report")
 		}
-		s.facts |= reported
+		s.facts |= Reported
 		w.st[w.tr.Parent(e.Tx)].openChildren--
 
 	default:
