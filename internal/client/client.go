@@ -7,7 +7,7 @@
 // or Commit returns, the request has reached the server and been answered.
 // RunTx and RunReadTx pay a round trip only for an answer the body reads and
 // does not already hold.
-// Five kinds of request are frames held back and sent in the same write as
+// Six kinds of request are frames held back and sent in the same write as
 // the body's next request that waits for its answer (or the final COMMIT):
 //
 //   - their BEGIN;
@@ -15,6 +15,11 @@
 //   - each Tx.Access whose op has an answer its type fixes in every state
 //     (spec.FixedAnswer: a write, increment, deposit, insert, append, enq …),
 //     which returns that answer;
+//   - each Tx.Access of a read-only op whose answer the attempt already
+//     holds: a repeat of a read it made, or a read its own update of the
+//     object answers (spec.AnswerAfter: a register's read after its write,
+//     a set's member(x) after its insert(x) or remove(x)), which returns
+//     that answer;
 //   - each Tx.Commit of a subtransaction, which returns seq 0 — never a real
 //     log index, since those start at 1;
 //   - the top-level COMMIT of a RunReadTx whose BEGIN the server answered
@@ -36,15 +41,20 @@
 // the exception: it is always a plain round trip, since writing it straight
 // to the connection could block both ends.
 //
-// A snapshot transaction asks for each answer once. Every read of it is
-// served at the one certified cut its BEGIN pinned, and the state at a cut
-// never changes: every version inside it is already published, and a
-// published version is never mutated. So RunReadTx keeps the answers its
-// reads got, keyed by object, op and argument, for the attempt, and
-// Tx.Access answers a repeat from them without sending anything. A
+// An attempt holds the answers it can already give, keyed by object, op and
+// argument: what each read-only op got, and what a read-only op must answer
+// after the attempt's own update of the object. Until the attempt ends, or
+// one of its subtransactions aborts, the server can only give such a read
+// the held answer, or abort the attempt: the attempt holds the object's lock
+// (Moss), every operation granted since commutes backward with its own (undo
+// logging), or a later version restarts it (strict mvto); and a snapshot
+// transaction reads the one certified cut its BEGIN pinned, whose published
+// versions never change. So Tx.Access answers such a read at once. A
 // transaction the server did not flag "snapshot" (every RunTx, and RunReadTx
-// on a backend without snapshots, whose reads are logged accesses) asks
-// every time, and so does the synchronous Conn.Access.
+// on a backend without snapshots, whose reads are logged accesses) still
+// sends it ahead, promised the held answer, so that every value the body is
+// handed is one the log holds; a snapshot transaction sends nothing. The
+// synchronous Conn.Access asks every time.
 //
 // So after RunReadTx the connection may still be owed answers between calls,
 // and the next call — a synchronous method, a RunTx, a Pool's health-check
@@ -101,7 +111,7 @@ type sent struct {
 	// answer must echo; "" when the server chooses.
 	name string
 	// value is the answer an ACCESS sent ahead was promised to give, when
-	// promised is set.
+	// promised is set: the one its type fixes, or one the attempt holds.
 	value    spec.Value
 	promised bool
 }
@@ -128,10 +138,10 @@ type Conn struct {
 	// BEGIN was answered OK with the snapshot flag, once that answer has been
 	// read.
 	ro, snapshot bool
-	// answers holds what the reads of the running RunReadTx attempt were
-	// answered, once its BEGIN came back with the snapshot flag; emptied at
-	// the start of every attempt.
-	answers map[readKey]spec.Value
+	// held is the running attempt's table of held answers (see heldAnswer),
+	// a slice reused from attempt to attempt and scanned linearly: a body
+	// touches a handful of objects.
+	held []heldAnswer
 	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
 	dead error
@@ -253,10 +263,11 @@ func (c *Conn) answer(s sent) (wire.Response, error) {
 			return resp, fmt.Errorf("client: server named the child %q, not %q", resp.Name, s.name)
 		}
 		if s.promised && resp.Value != s.value {
-			return resp, fmt.Errorf("client: server answered ACCESS with %s, not the %s its type promises", resp.Value, s.value)
+			return resp, fmt.Errorf("client: server answered ACCESS with %s, not the %s the client promised", resp.Value, s.value)
 		}
 		return resp, nil
 	case wire.StatusTxAborted:
+		c.held = c.held[:0]
 		return resp, fmt.Errorf("%w: %s", ErrTxAborted, resp.Reason)
 	case wire.StatusError:
 		return resp, fmt.Errorf("client: server rejected %s: %s", s.cmd, resp.Reason)
@@ -299,7 +310,12 @@ func (c *Conn) Child() (string, error) {
 // Access performs one access (a leaf child of the current transaction) and
 // returns its committed value. An ErrTxAborted-wrapped error means the
 // server aborted the whole top-level transaction while the access waited.
+// It is always a round trip: it answers nothing from the answers a RunTx
+// attempt holds, though an update it makes drops those it may change.
 func (c *Conn) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
+	if !spec.ReadOnlyKind(op) {
+		c.forget(obj)
+	}
 	resp, err := c.roundTrip(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg})
 	return resp.Value, err
 }
@@ -312,8 +328,10 @@ func (c *Conn) Commit() (uint64, error) {
 	return resp.Seq, err
 }
 
-// Abort aborts the current transaction.
+// Abort aborts the current transaction. Whatever answers the running
+// attempt held are dropped with it.
 func (c *Conn) Abort() error {
+	c.held = c.held[:0]
 	_, err := c.roundTrip(wire.Request{Cmd: wire.CmdAbort})
 	return err
 }
@@ -330,11 +348,25 @@ func (c *Conn) Ping() error {
 	return err
 }
 
-// readKey names a read of a snapshot transaction: the object and the op
-// with its argument, which the state at the cut answers alike every time.
-type readKey struct {
-	obj string
-	op  spec.Op
+// heldAnswer is one entry of the running attempt's table of held answers,
+// each about obj. A read entry (update false) is the answer v the read-only
+// op got. An update entry is the attempt's last own update of obj, op, and
+// answers a read-only op with spec.AnswerAfter(op, read). An own update of
+// obj drops every entry about obj and adds its own; a subtransaction's
+// Abort, a server-side abort and the start of an attempt empty the table.
+//
+// An entry answers a repeat of its read, or a read after its update, with
+// what the server must answer, or the attempt is aborted: a snapshot
+// transaction reads the one cut its BEGIN pinned, which never changes; a
+// locking transaction holds the lock its access took until it commits or
+// aborts (Moss), or every operation granted since commutes backward with
+// the attempt's own (undo logging); and strict mvto serves the attempt's
+// later read the same version, or restarts it (THEORY.md).
+type heldAnswer struct {
+	obj    string
+	op     spec.Op
+	v      spec.Value
+	update bool
 }
 
 // Tx is the in-transaction view passed to a RunTx body: the same cursor,
@@ -367,53 +399,82 @@ func (t *Tx) Child() (string, error) {
 // waits, the server's answer is checked against the promise then, and any
 // failure — the transaction aborted by the server, an object that lacks the
 // op — is reported there. A nil error from such an access says only that it
-// was accepted for sending. Any other op, and a request too big to wait in
-// the write buffer, waits for its answer — except in a snapshot transaction
-// (see RunReadTx) that has already read the same object with the same op and
-// argument: the state at its cut has not changed, so the answer it got then
-// is returned at once, and nothing is sent. Whatever is still owed stays
-// owed until the next request that waits, or the COMMIT.
+// was accepted for sending. So does a read-only op whose answer the attempt
+// already holds (see heldAnswer): a repeat of a read it made, with the same
+// object, op and argument, or a read its own update of the object answers
+// (spec.AnswerAfter). It returns the held answer at once and is sent ahead
+// with that answer as its promise, so the server still grants, logs and
+// certifies it — except in a snapshot transaction (see RunReadTx), whose
+// repeat sends nothing. Any other op, and a request too big to wait in the
+// write buffer, waits for its answer. Whatever is still owed stays owed until
+// the next request that waits, or the COMMIT.
 func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
+	c, o := t.c, spec.Op{Kind: op, Arg: arg}
 	v, fixed := spec.FixedAnswer(op)
-	if !fixed {
-		return t.read(obj, op, arg)
+	if fixed {
+		c.updated(obj, o)
+	} else {
+		var held bool
+		if v, held = c.lookup(obj, o); !held {
+			return t.read(obj, o)
+		}
+		if c.ro && c.snapshot {
+			return v, nil
+		}
 	}
-	resp, answered, err := t.c.putAhead(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, sent{value: v, promised: true})
+	resp, answered, err := c.putAhead(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, sent{value: v, promised: true})
 	if answered {
 		return resp.Value, err
 	}
 	return v, nil
 }
 
-// read answers an access whose answer its type does not fix: from the
-// answers a snapshot transaction already holds, or with a round trip, whose
-// answer a snapshot transaction then keeps. The BEGIN's answer, which says
-// whether the transaction is one, comes with the first round trip at the
-// latest, and before it there is nothing kept to answer from.
-func (t *Tx) read(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
-	c, k := t.c, readKey{obj: obj, op: spec.Op{Kind: op, Arg: arg}}
-	if v, ok := t.answered(k); ok {
-		return v, nil
-	}
-	v, err := c.Access(obj, op, arg)
-	if err == nil && c.ro && c.snapshot {
-		if c.answers == nil {
-			c.answers = make(map[readKey]spec.Value)
-		}
-		c.answers[k] = v
+// read makes an access whose answer the attempt cannot give with a round
+// trip, and holds the answer if the op is read-only.
+func (t *Tx) read(obj string, o spec.Op) (spec.Value, error) {
+	c := t.c
+	v, err := c.Access(obj, o.Kind, o.Arg)
+	if err == nil && spec.ReadOnlyKind(o.Kind) {
+		c.held = append(c.held, heldAnswer{obj: obj, op: o, v: v})
 	}
 	return v, err
 }
 
-// answered looks k up among the answers a snapshot transaction holds.
+// lookup returns the answer the attempt holds for the read-only op o on obj.
 //
 //sgvet:hotpath
-func (t *Tx) answered(k readKey) (spec.Value, bool) {
-	if !t.c.ro || !t.c.snapshot {
-		return spec.Nil, false
+func (c *Conn) lookup(obj string, o spec.Op) (spec.Value, bool) {
+	for i := range c.held {
+		h := &c.held[i]
+		if h.obj != obj {
+			continue
+		}
+		if h.update {
+			if v, ok := spec.AnswerAfter(h.op, o); ok {
+				return v, true
+			}
+		} else if h.op == o {
+			return h.v, true
+		}
 	}
-	v, ok := t.c.answers[k]
-	return v, ok
+	return spec.Nil, false
+}
+
+// updated records the attempt's own update o of obj in the held answers.
+func (c *Conn) updated(obj string, o spec.Op) {
+	c.forget(obj)
+	c.held = append(c.held, heldAnswer{obj: obj, op: o, update: true})
+}
+
+// forget drops every held answer about obj.
+func (c *Conn) forget(obj string) {
+	kept := c.held[:0]
+	for _, h := range c.held {
+		if h.obj != obj {
+			kept = append(kept, h)
+		}
+	}
+	c.held = kept
 }
 
 // Commit commits the current subtransaction. It returns seq 0 and a nil
@@ -450,9 +511,11 @@ func (t *Tx) Abort() error {
 //
 // BEGIN is sent with fn's first request that waits for its answer (or with
 // the COMMIT of an fn that makes none), so fn starts before the server has
-// seen it; so do Tx.Child, Tx.Access of a blind update and a subtransaction's
-// Tx.Commit (see the package comment). If the server refuses BEGIN (draining,
-// WAL failed), RunTx returns the server's refusal, whatever fn made of it.
+// seen it; so do Tx.Child, Tx.Access of a blind update or of a read whose
+// answer the attempt holds, and a subtransaction's Tx.Commit (see the package
+// comment). Each attempt starts with no answers held. If the server refuses
+// BEGIN (draining, WAL failed), RunTx returns the server's refusal, whatever
+// fn made of it.
 // Before judging fn's error, or the subtransactions it left open, RunTx reads
 // every answer still owed: a failure among them happened first and is
 // returned in place of fn's own error. One that arrives with the top-level
@@ -476,7 +539,7 @@ func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 // and argument — is answered with what the first one got, and sends
 // nothing. Each attempt starts with no answers kept: a retry pins a new cut.
 // On a backend without snapshots every read is a logged access, and each is
-// sent.
+// sent, a repeat ahead of its answer as in RunTx.
 func (c *Conn) RunReadTx(maxAttempts int, fn func(tx *Tx) error) error {
 	return c.runTx(maxAttempts, true, fn)
 }
@@ -494,8 +557,7 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 				backoff = 64 * time.Millisecond
 			}
 		}
-		c.beginErr, c.ro, c.snapshot = nil, ro, false
-		clear(c.answers)
+		c.beginErr, c.ro, c.snapshot, c.held = nil, ro, false, c.held[:0]
 		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}

@@ -245,18 +245,59 @@ func TestDeferredChildNameIsChecked(t *testing.T) {
 // TestDeferredWriteAnswerIsChecked: Tx.Access hands the body a write's OK
 // before the server has answered, so the answer, when it is read, must be
 // that OK. A peer whose type answers otherwise fails RunTx, naming both
-// values: through the body's next read, after which RunTx unwinds the
-// transaction, or through the COMMIT the write rode with, which the peer
-// applied — and RunTx says so.
+// values: through the body's next request that waits — a synchronous read on
+// the same connection, since a read of the written object the attempt
+// answers itself — after which RunTx unwinds the transaction, or through the
+// COMMIT the write rode with, which the peer applied — and RunTx says so. A
+// read the attempt answers from its own write is promised the written value
+// in the same way, and checked in the same way.
 func TestDeferredWriteAnswerIsChecked(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		readAfter bool
+		name string
+		// body runs in the transaction on c and returns what the access it
+		// checks was promised.
+		body func(c *client.Conn, tx *client.Tx) (spec.Value, error)
+		// promised is that access's promise; complaint what the error says.
+		promised  spec.Value
+		complaint string
+		// wrote is what the peer answers a write with; it answers a read
+		// with 7.
+		wrote     spec.Value
 		committed bool
 		want      []wire.Cmd
 	}{
-		{"read behind the write", true, false, []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdAccess, wire.CmdAbort, wire.CmdPing}},
-		{"write rides with the commit", false, true, []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdCommit, wire.CmdPing}},
+		{
+			name: "read behind the write",
+			body: func(c *client.Conn, tx *client.Tx) (spec.Value, error) {
+				promised, err := tx.Access("x", spec.OpWrite, spec.Int(1))
+				if err != nil {
+					return promised, err
+				}
+				_, err = c.Access("x", spec.OpRead, spec.Nil)
+				return promised, err
+			},
+			promised: spec.OK, complaint: "with 7, not the OK", wrote: spec.Int(7),
+			want: []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdAccess, wire.CmdAbort, wire.CmdPing},
+		},
+		{
+			name: "write rides with the commit",
+			body: func(_ *client.Conn, tx *client.Tx) (spec.Value, error) {
+				return tx.Access("x", spec.OpWrite, spec.Int(1))
+			},
+			promised: spec.OK, complaint: "with 7, not the OK", wrote: spec.Int(7), committed: true,
+			want: []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdCommit, wire.CmdPing},
+		},
+		{
+			name: "promised read rides with the commit",
+			body: func(_ *client.Conn, tx *client.Tx) (spec.Value, error) {
+				if _, err := tx.Access("x", spec.OpWrite, spec.Int(1)); err != nil {
+					return spec.Nil, err
+				}
+				return tx.Access("x", spec.OpRead, spec.Nil)
+			},
+			promised: spec.Int(1), complaint: "with 7, not the 1", wrote: spec.OK, committed: true,
+			want: []wire.Cmd{wire.CmdBegin, wire.CmdAccess, wire.CmdAccess, wire.CmdCommit, wire.CmdPing},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, seen := scriptedPeer(t, func(q wire.Request) *wire.Response {
@@ -264,7 +305,10 @@ func TestDeferredWriteAnswerIsChecked(t *testing.T) {
 				case wire.CmdBegin:
 					return &wire.Response{Name: "s1.1"}
 				case wire.CmdAccess:
-					return &wire.Response{Value: spec.Int(7)} // a register that answers writes with 7
+					if q.Op == spec.OpWrite {
+						return &wire.Response{Value: tc.wrote}
+					}
+					return &wire.Response{Value: spec.Int(7)} // a register that reads 7 whatever was written
 				case wire.CmdCommit:
 					return &wire.Response{Seq: 9}
 				default:
@@ -273,17 +317,14 @@ func TestDeferredWriteAnswerIsChecked(t *testing.T) {
 			})
 			var promised spec.Value
 			err := c.RunTx(3, func(tx *client.Tx) (err error) {
-				if promised, err = tx.Access("x", spec.OpWrite, spec.Int(1)); err != nil || !tc.readAfter {
-					return err
-				}
-				_, err = tx.Access("x", spec.OpRead, spec.Nil)
+				promised, err = tc.body(c, tx)
 				return err
 			})
-			if promised != spec.OK {
-				t.Fatalf("write returned %v before its answer, want OK", promised)
+			if promised != tc.promised {
+				t.Fatalf("the access returned %v before its answer, want %v", promised, tc.promised)
 			}
-			if err == nil || !strings.Contains(err.Error(), "with 7, not the OK") {
-				t.Fatalf("RunTx = %v, want a complaint naming 7 and OK", err)
+			if err == nil || !strings.Contains(err.Error(), tc.complaint) {
+				t.Fatalf("RunTx = %v, want a complaint %q", err, tc.complaint)
 			}
 			if errors.Is(err, client.ErrTxAborted) || errors.Is(err, client.ErrCommittedAnyway) != tc.committed {
 				t.Fatalf("RunTx = %v; committed anyway should be %v", err, tc.committed)

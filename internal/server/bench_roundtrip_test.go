@@ -88,6 +88,9 @@ var (
 	// repeatReadTx reads a, b (in the subtransaction), a and b: a
 	// read-only body that repeats two of its four reads.
 	repeatReadTx = shapedTxOn([4]string{"a", "b", "a", "b"}, func(int) bool { return true })
+	// readOwnWriteTx writes a, reads a, writes b (in the subtransaction)
+	// and reads b: each read follows the attempt's own write.
+	readOwnWriteTx = shapedTxOn([4]string{"a", "a", "b", "b"}, func(i int) bool { return i%2 == 1 })
 )
 
 // BenchmarkClientRunTx measures one whole RunTx of the benchmark's shape,
@@ -119,6 +122,22 @@ func BenchmarkClientRunReadTx(b *testing.B) {
 // holds, where asking again took 4.
 func BenchmarkClientRunReadTxRepeat(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, repeatReadTx)
+}
+
+// BenchmarkClientRunTxRepeat is BenchmarkClientRunReadTxRepeat's body as a
+// locking transaction, a moss RunTx: 3 writes per transaction, one for each
+// first read and one for the COMMIT, since the attempt holds the repeats'
+// answers and sends them ahead, where asking again took 5.
+func BenchmarkClientRunTxRepeat(b *testing.B) {
+	benchmarkRunTx(b, "moss", (*client.Conn).RunTx, repeatReadTx)
+}
+
+// BenchmarkClientRunTxReadOwnWrite is BenchmarkClientRunTx for a body that
+// writes a, reads a, writes b and reads b, on moss: 1 write per transaction,
+// the COMMIT, since each read is answered by the attempt's own write and
+// sent ahead, where waiting for each read took 3.
+func BenchmarkClientRunTxReadOwnWrite(b *testing.B) {
+	benchmarkRunTx(b, "moss", (*client.Conn).RunTx, readOwnWriteTx)
 }
 
 // benchmarkRunTx times run(body) on one loopback connection to a backend
@@ -225,27 +244,45 @@ func BenchmarkServerDurableRunTx(b *testing.B) {
 //   - one ACCESS in a long transaction: the request's object name, the
 //     access's label — built in the session's scratch buffer, where
 //     fmt.Sprintf would box its operand and cost one more — and what the
-//     name tree, the log, the object and the graph keep per access: 2 to
-//     3 in all;
+//     name tree, the log, the object and the graph keep per access: 2.02
+//     measured;
+//   - a blind write sent ahead inside a RunTx: 2.02, the same as the
+//     synchronous ACCESS, since neither the held answer its write records
+//     nor the promise allocates;
+//   - a read sent ahead whose answer the attempt holds: 1.02, one fewer
+//     than a blind write's;
 //   - a whole BEGIN → CHILD → ACCESS → COMMIT → COMMIT transaction: just
 //     over 6, the names the server makes and what the tree, the log and
 //     the graph keep among them. The session's frames are values whose
 //     slots keep their backing arrays, so BEGIN and CHILD allocate no
 //     frame and the touches no array; a frame apiece and a touched array
 //     apiece cost 4 more. A race build adds raceTxAllocs.
+//
+// Each bar is the measured value plus less than one allocation, so one
+// more allocation per request fails it.
 func TestAccessRequestAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		// begin and end, if set, run once around the measured ops.
 		begin, end bool
 		op         func(c *client.Conn) error
-		want       float64
+		// ahead, if set, is measured in place of op inside one RunTx.
+		ahead func(tx *client.Tx) error
+		want  float64
 	}{
-		{"ACCESS", true, true, func(c *client.Conn) error {
+		{name: "ACCESS", begin: true, end: true, op: func(c *client.Conn) error {
 			_, err := c.Access("x", spec.OpWrite, spec.Int(1))
 			return err
-		}, 3.5},
-		{"BEGIN CHILD ACCESS COMMIT COMMIT", false, false, func(c *client.Conn) error {
+		}, want: 2.5},
+		{name: "blind write sent ahead", ahead: func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
+			return err
+		}, want: 2.5},
+		{name: "promised read sent ahead", ahead: func(tx *client.Tx) error {
+			_, err := tx.Access("x", spec.OpRead, spec.Nil)
+			return err
+		}, want: 1.5},
+		{name: "BEGIN CHILD ACCESS COMMIT COMMIT", op: func(c *client.Conn) error {
 			if _, err := c.Begin(); err != nil {
 				return err
 			}
@@ -260,39 +297,51 @@ func TestAccessRequestAllocs(t *testing.T) {
 			}
 			_, err := c.Commit()
 			return err
-		}, 6.5 + raceTxAllocs},
+		}, want: 6.5 + raceTxAllocs},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := server.New(server.Options{Objects: []string{"x"}})
 			srvEnd, cliEnd := net.Pipe()
 			s.ServeConn(srvEnd)
 			c := client.NewConn(cliEnd)
-			if row.begin {
-				if _, err := c.Begin(); err != nil {
-					t.Fatal(err)
+			measure := func(op func() error) {
+				run := func(n int) {
+					for i := 0; i < n; i++ {
+						if err := op(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				run(500) // warm the scratch buffers and the first doublings
+				const n = 2000
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run(n)
+				runtime.ReadMemStats(&after)
+				per := float64(after.Mallocs-before.Mallocs) / n
+				t.Logf("%.2f allocations per %s", per, row.name)
+				if per > row.want {
+					t.Errorf("%.2f allocations per %s, want at most %.1f", per, row.name, row.want)
 				}
 			}
-			run := func(n int) {
-				for i := 0; i < n; i++ {
-					if err := row.op(c); err != nil {
+			if row.ahead != nil {
+				if err := c.RunTx(1, func(tx *client.Tx) error {
+					measure(func() error { return row.ahead(tx) })
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if row.begin {
+					if _, err := c.Begin(); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			run(500) // warm the scratch buffers and the first doublings
-			const n = 2000
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run(n)
-			runtime.ReadMemStats(&after)
-			per := float64(after.Mallocs-before.Mallocs) / n
-			t.Logf("%.2f allocations per %s", per, row.name)
-			if per > row.want {
-				t.Fatalf("%.2f allocations per %s, want at most %.1f", per, row.name, row.want)
-			}
-			if row.end {
-				if _, err := c.Commit(); err != nil {
-					t.Fatal(err)
+				measure(func() error { return row.op(c) })
+				if row.end {
+					if _, err := c.Commit(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			c.Close()

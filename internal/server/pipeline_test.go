@@ -781,7 +781,7 @@ func TestDeferredFrameErrors(t *testing.T) {
 	})
 
 	// (j) A subtransaction's COMMIT sent ahead is refused (the WAL failed
-	// under it): the next read reports it; the server has already popped the
+	// under it): the next read that waits reports it; the server has already popped the
 	// child, so one ABORT — not two — unwinds the top level.
 	t.Run("deferred sub-commit refused", func(t *testing.T) {
 		disk := &failingDisk{MemDisk: server.NewMemDisk()}
@@ -811,7 +811,9 @@ func TestDeferredFrameErrors(t *testing.T) {
 			if seq, err := tx.Commit(); err != nil || seq != 0 {
 				return fmt.Errorf("a sub-commit sent ahead returned %d, %v", seq, err)
 			}
-			_, err := tx.Access("x", spec.OpRead, spec.Nil)
+			// The attempt holds x's answer, so Tx.Access would send this read
+			// ahead too: the synchronous read waits.
+			_, err := c.Access("x", spec.OpRead, spec.Nil)
 			return err
 		})
 		if err == nil || strings.Count(err.Error(), "commit not durable") != 1 || strings.Contains(err.Error(), "ABORT") {

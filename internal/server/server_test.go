@@ -290,10 +290,11 @@ func TestDeadlockResolution(t *testing.T) {
 					if attempt == 1 {
 						// First attempt only: wait until the peer holds its
 						// first lock, guaranteeing the cross-lock. The write
-						// was sent ahead of its answer, so a read of the same
-						// object — whose answer the body waits for — is what
-						// says this side's lock is held.
-						if _, err := tx.Access(order[who].first, spec.OpRead, spec.Nil); err != nil {
+						// was sent ahead of its answer, and so would a read
+						// of the same object be, whose answer the attempt
+						// holds: a synchronous read on the same connection
+						// is what says this side's lock is held.
+						if _, err := c.Access(order[who].first, spec.OpRead, spec.Nil); err != nil {
 							return err
 						}
 						close(gates[who])

@@ -48,7 +48,8 @@ func writeTx(t *testing.T, c *client.Conn, obj string, v int64) {
 
 // TestSnapshotReadsAskOnce: a snapshot transaction asks the server for each
 // (object, op, argument) once, and its client answers a repeat with the
-// answer it holds; nothing else is answered that way. Each row runs its
+// answer it holds, sending nothing; any other transaction sends every read
+// (TestHeldAnswers). Each row runs its
 // transactions on one counted connection, with a second one for the writes
 // between them, and counts the client's writes and the snapshot reads the
 // server served.
@@ -135,14 +136,14 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "a backend without snapshots",
-			why:  "moss serves RunReadTx as an ordinary transaction whose reads are logged accesses: each is sent and logged, and the COMMIT waits for its verdict",
+			why:  "moss serves RunReadTx as an ordinary transaction whose reads are logged accesses: each is sent and logged, the repeats ahead of their answers with the first read's answer as their promise, and the COMMIT waits for its verdict",
 			srv: func() *server.Server {
 				return server.New(server.Options{Backend: "moss", Objects: []string{"x", "y"}})
 			},
 			run: func(t *testing.T, c, _ *client.Conn) error {
 				return c.RunReadTx(1, reads(x(0), x(0), y(0), x(0)))
 			},
-			writes: 5, served: 0, logged: 4,
+			writes: 3, served: 0, logged: 4,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

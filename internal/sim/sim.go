@@ -248,19 +248,22 @@ const (
 type slot struct {
 	idx    int
 	c      *client.Conn
-	calls  chan wire.Request // to the goroutine running c; closed to stop it
-	exited chan struct{}     // closed when that goroutine returns
-	sid    int64             // server session id
+	calls  chan call     // to the goroutine running c; closed to stop it
+	exited chan struct{} // closed when that goroutine returns
+	sid    int64         // server session id
 	phase  int
 	inTx   bool
 	depth  int
 	ro     bool // the open top-level transaction is read-only
 	// owed mirrors the requests c has put ahead of their answers, by the
 	// client package comment's rule; drains: the call in flight reads them.
-	owed         []wire.Cmd
-	drains       bool
-	asked        []roAsk // the reads the open snapshot transaction sent
-	dropAtCommit bool    // FaultDropAfterCommit hangs up at this call's top-level COMMIT
+	owed   []wire.Cmd
+	drains bool
+	// held mirrors the client's held answers: the objects the open attempt
+	// has read or written since it began or a subtransaction of it aborted,
+	// whose read the client answers itself.
+	held         []string
+	dropAtCommit bool // FaultDropAfterCommit hangs up at this call's top-level COMMIT
 }
 
 // roRead is one observed read of a read-only transaction: the object label
@@ -268,12 +271,6 @@ type slot struct {
 type roRead struct {
 	obj string
 	val spec.Value
-}
-
-// roAsk is a read a snapshot transaction sent: its object and op.
-type roAsk struct {
-	obj string
-	op  spec.Op
 }
 
 // sim is the driver state. Exactly one goroutine (the driver) mutates it;
@@ -411,7 +408,7 @@ func (s *sim) connect(sl *slot) error {
 	*sl = slot{
 		idx:    sl.idx,
 		c:      client.NewConn(clientEnd),
-		calls:  make(chan wire.Request),
+		calls:  make(chan call),
 		exited: make(chan struct{}),
 		sid:    sid,
 	}
@@ -423,23 +420,37 @@ func (s *sim) connect(sl *slot) error {
 // errAbortTop is what a transaction body returns to abort its top level.
 var errAbortTop = errors.New("sim: the driver aborts the transaction")
 
+// call is one driver call: a request, and for an ACCESS whether the body
+// makes it with the synchronous Conn.Access in place of Tx.Access.
+type call struct {
+	q    wire.Request
+	sync bool
+}
+
 // run makes the driver's calls on c until calls is closed: a BEGIN starts a
 // one-attempt RunTx (RunReadTx if RO) whose body makes each later call as a
-// Tx method, up to a top-level COMMIT or ABORT, and reports it as evReturn.
-func (s *sim) run(gen uint64, sid int64, c *client.Conn, calls <-chan wire.Request, exited chan<- struct{}) {
+// Tx method (or a synchronous access), up to a top-level COMMIT or ABORT,
+// and reports it as evReturn.
+func (s *sim) run(gen uint64, sid int64, c *client.Conn, calls <-chan call, exited chan<- struct{}) {
 	defer close(exited)
-	for begin := range calls {
+	for b := range calls {
+		begin := b.q
 		var reads []roRead
 		body := func(tx *client.Tx) error {
 			depth := 0
 			var err error
 			for err == nil {
 				s.send(gen, simEvent{kind: evReturn, sess: sid}) // BEGIN or the last call returned
-				q, ok := <-calls
+				next, ok := <-calls
+				q := next.q
 				switch {
 				case q.Cmd == wire.CmdAccess:
+					access := tx.Access
+					if next.sync {
+						access = c.Access
+					}
 					var v spec.Value
-					if v, err = tx.Access(q.Obj, q.Op, q.Arg); err == nil && begin.RO {
+					if v, err = access(q.Obj, q.Op, q.Arg); err == nil && begin.RO {
 						reads = append(reads, roRead{obj: q.Obj, val: v})
 					}
 				case q.Cmd == wire.CmdChild:
@@ -508,7 +519,7 @@ func (s *sim) tick() error {
 		return fmt.Errorf("no runnable session (phases %v)", s.phases())
 	}
 	sl := idle[s.r.intn(len(idle))]
-	return s.issue(sl, s.nextRequest(sl))
+	return s.issue(sl, call{q: s.nextRequest(sl)})
 }
 
 func (s *sim) phases() []int {
@@ -557,13 +568,14 @@ func (s *sim) nextRequest(sl *slot) wire.Request {
 	}
 }
 
-// issue hands q to sl's goroutine as one client call and pumps until it
+// issue hands cl to sl's goroutine as one client call and pumps until it
 // returns, parks on a lock or waits on a stalled certifier.
-func (s *sim) issue(sl *slot, q wire.Request) error {
+func (s *sim) issue(sl *slot, cl call) error {
+	q := cl.q
 	local := false // the client answers q without sending it
 	switch q.Cmd {
 	case wire.CmdBegin:
-		sl.inTx, sl.depth, sl.ro, sl.asked = true, 1, q.RO, sl.asked[:0]
+		sl.inTx, sl.depth, sl.ro, sl.held = true, 1, q.RO, sl.held[:0]
 		s.rep.Begins++
 		if q.RO {
 			s.rep.ROBegins++
@@ -572,18 +584,21 @@ func (s *sim) issue(sl *slot, q wire.Request) error {
 		if sl.ro {
 			s.rep.ROReads++
 		}
-		_, fixed := spec.FixedAnswer(q.Op)
-		sl.drains = !fixed
-		if sl.ro && s.roSnap && !fixed {
-			// A snapshot transaction's client answers a repeated read itself:
-			// it sends nothing, so it drains nothing and owes nothing.
-			read := roAsk{obj: q.Obj, op: spec.Op{Kind: q.Op, Arg: q.Arg}}
-			local = slices.Contains(sl.asked, read)
-			if !local {
-				sl.asked = append(sl.asked, read)
-			}
-			sl.drains = !local
+		if cl.sync { // a synchronous read neither uses nor changes the table
+			sl.drains = true
+			break
 		}
+		// The client answers a read of an object the attempt has read or
+		// written itself (the driver's reads and writes are a register's):
+		// a snapshot transaction sends nothing, so it drains nothing and
+		// owes nothing; any other sends the read ahead, owed like a write.
+		_, fixed := spec.FixedAnswer(q.Op)
+		held := slices.Contains(sl.held, q.Obj)
+		if !held {
+			sl.held = append(sl.held, q.Obj)
+		}
+		sl.drains = !fixed && !held
+		local = !fixed && held && sl.ro && s.roSnap
 	case wire.CmdChild:
 		sl.depth++
 	case wire.CmdCommit:
@@ -594,12 +609,13 @@ func (s *sim) issue(sl *slot, q wire.Request) error {
 	default:
 		sl.depth--
 		sl.drains = true
+		sl.held = sl.held[:0] // a subtransaction's Abort drops what the attempt held
 	}
 	if !sl.drains && !local {
 		sl.owed = append(sl.owed, q.Cmd)
 	}
 	sl.phase = phAwait
-	sl.calls <- q
+	sl.calls <- cl
 	return s.pumpUntil(func() bool { return sl.phase != phAwait })
 }
 
@@ -716,7 +732,7 @@ func (s *sim) fault(class FaultClass) (did bool, err error) {
 		if class == FaultDropAfterCommit {
 			// A COMMIT that logs nothing (a snapshot's) drops after it returns.
 			sl.dropAtCommit = true
-			if err := s.issue(sl, wire.Request{Cmd: wire.CmdCommit}); err != nil {
+			if err := s.issue(sl, call{q: wire.Request{Cmd: wire.CmdCommit}}); err != nil {
 				return true, err
 			}
 		}
@@ -814,10 +830,11 @@ func (s *sim) hangUp(sl *slot) {
 
 // crossWrites drives sessions a and b into a crossing write conflict:
 // a writes x then wants y, b writes y then wants x. Each write is followed
-// by a read of its object, which sends the write the client put ahead and
-// waits for it. When both halves of the cross block, the waits-for graph
-// has the cycle a → b → a, which the server's deadlock detector (or lock
-// timeout) must break by aborting a victim. Each call is only issued while
+// by a synchronous read of its object, which sends the write the client put
+// ahead and waits for it: Tx.Access would send that read ahead as well,
+// since the attempt holds its answer. When both halves of the cross block,
+// the waits-for graph has the cycle a → b → a, which the server's deadlock
+// detector (or lock timeout) must break by aborting a victim. Each call is only issued while
 // its session is still idle inside its transaction — an earlier park or
 // abort leaves a harmless partial pattern.
 func (s *sim) crossWrites(a, b *slot, x, y string) error {
@@ -830,14 +847,14 @@ func (s *sim) crossWrites(a, b *slot, x, y string) error {
 			continue
 		}
 		q := wire.Request{Cmd: wire.CmdAccess, Obj: st.obj, Op: spec.OpWrite, Arg: spec.Int(int64(s.r.intn(8)))}
-		if err := s.issue(st.sl, q); err != nil {
+		if err := s.issue(st.sl, call{q: q}); err != nil {
 			return err
 		}
 		if st.sl.phase != phIdle || !st.sl.inTx {
 			continue
 		}
 		q.Op, q.Arg = spec.OpRead, spec.Nil
-		if err := s.issue(st.sl, q); err != nil {
+		if err := s.issue(st.sl, call{q: q, sync: true}); err != nil {
 			return err
 		}
 	}

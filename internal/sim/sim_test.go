@@ -117,7 +117,7 @@ func TestSimFaultMatrix(t *testing.T) {
 // TestSimDeadlockFaultMakesVictims: FaultDeadlock is the one class that
 // closes a waits-for cycle on purpose, so its injections must turn into
 // deadlock victims. Two sessions on five objects, seeds 1..8: without
-// faults the seeds give 9 victims; with the fault, 113 injections give 75.
+// faults the seeds give 10 victims; with the fault, 114 injections give 61.
 // An injection whose crossing writes go to one object instead makes no
 // cycle of its own — about one victim per four injections, from the extra
 // contention — so the bar is one victim per two injections.

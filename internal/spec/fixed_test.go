@@ -80,3 +80,93 @@ func TestFixedAnswer(t *testing.T) {
 		t.Error("an op kind past the enumeration has a fixed answer")
 	}
 }
+
+// TestReadOnlyKind holds the kind-level table to every built-in type's own
+// ReadOnly, for every op the type draws; kinds no type defines are not
+// read-only.
+func TestReadOnlyKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	defined := map[OpKind]bool{}
+	for _, sp := range All() {
+		for i := 0; i < 500; i++ {
+			op := sp.RandOp(rng)
+			defined[op.Kind] = true
+			if ReadOnlyKind(op.Kind) != sp.ReadOnly(op) {
+				t.Errorf("%s: ReadOnlyKind(%s) = %v, but ReadOnly(%s) = %v", sp.Name(), op.Kind, ReadOnlyKind(op.Kind), op, sp.ReadOnly(op))
+			}
+		}
+	}
+	for k := OpInvalid; k <= OpDeq+1; k++ {
+		if !defined[k] && ReadOnlyKind(k) {
+			t.Errorf("ReadOnlyKind(%s) is true, but no type defines the kind", k)
+		}
+	}
+}
+
+// TestAnswerAfter holds the table to the types it speaks for, as
+// TestFixedAnswer does. For every built-in type, every update u and every
+// read-only op r the type draws, over the states reached by 300 random
+// operation sequences:
+//
+//   - a pair in the table answers the table's value after u, in every
+//     state — so a client that answers a read after its own update never
+//     promises what the type does not do;
+//   - a pair not in the table answers two different values after u in two
+//     reachable states — so no pair left out could have been promised.
+func TestAnswerAfter(t *testing.T) {
+	inTable := 0
+	for _, sp := range All() {
+		rng := rand.New(rand.NewSource(1))
+		var updates, readOps []Op
+		seen := map[Op]bool{}
+		for i := 0; i < 2000; i++ {
+			op := sp.RandOp(rng)
+			if seen[op] {
+				continue
+			}
+			seen[op] = true
+			if sp.ReadOnly(op) {
+				readOps = append(readOps, op)
+			} else {
+				updates = append(updates, op)
+			}
+		}
+		type pair struct{ u, r Op }
+		first := map[pair]Value{}
+		varies := map[pair]bool{}
+		for seq := 0; seq < 300; seq++ {
+			st := sp.Init()
+			for step, n := 0, rng.Intn(12); ; step++ {
+				for _, u := range updates {
+					after, _ := sp.Apply(st, u)
+					for _, r := range readOps {
+						_, v := sp.Apply(after, r)
+						if want, ok := AnswerAfter(u, r); ok && v != want {
+							t.Fatalf("%s: %s then %s answered %s from state %s, but AnswerAfter = %s", sp.Name(), u, r, v, sp.Encode(st), want)
+						}
+						p := pair{u, r}
+						if v0, ok := first[p]; !ok {
+							first[p] = v
+						} else if v0 != v {
+							varies[p] = true
+						}
+					}
+				}
+				if step == n {
+					break
+				}
+				st, _ = sp.Apply(st, sp.RandOp(rng))
+			}
+		}
+		for p := range first {
+			if _, ok := AnswerAfter(p.u, p.r); ok {
+				inTable++
+			} else if !varies[p] {
+				t.Errorf("%s: %s then %s is not in the table, yet it gave one answer in every state reached", sp.Name(), p.u, p.r)
+			}
+		}
+	}
+	if inTable == 0 {
+		t.Fatal("no drawn pair is in the table")
+	}
+}

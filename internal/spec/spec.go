@@ -188,6 +188,38 @@ func FixedAnswer(k OpKind) (Value, bool) {
 	}
 }
 
+// ReadOnlyKind reports whether an operation of kind k leaves the state of
+// the built-in type that defines it as it was, whatever its argument: read,
+// get, balance, member, size and len. It is Spec.ReadOnly for a caller that
+// knows an operation but not its object's type, as a client does.
+func ReadOnlyKind(k OpKind) bool {
+	switch k {
+	case OpRead, OpGet, OpBalance, OpMember, OpSize, OpLen:
+		return true
+	default:
+		return false
+	}
+}
+
+// AnswerAfter returns the answer the read-only operation read gives right
+// after update on the same object, in every state of the built-in type that
+// defines both, and false when that answer depends on the state update met.
+// Three pairs are fixed so: a register's write(v) then read answers v, and a
+// set's insert(x) then member(x) answers true and remove(x) then member(x)
+// false.
+func AnswerAfter(update, read Op) (Value, bool) {
+	switch {
+	case update.Kind == OpWrite && read.Kind == OpRead:
+		return update.Arg, true
+	case update.Kind == OpInsert && read.Kind == OpMember && read.Arg == update.Arg:
+		return Bool(true), true
+	case update.Kind == OpRemove && read.Kind == OpMember && read.Arg == update.Arg:
+		return Bool(false), true
+	default:
+		return Nil, false
+	}
+}
+
 // Op is an operation invocation: a kind plus its argument. Following the
 // paper, all parameters of an access are encoded in its (interned) name, so
 // Op is comparable and hashable.
