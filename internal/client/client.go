@@ -56,6 +56,19 @@
 // handed is one the log holds; a snapshot transaction sends nothing. The
 // synchronous Conn.Access asks every time.
 //
+// A snapshot transaction also fetches. A connection whose BEGIN the server
+// has answered "snapshot" keeps a hint: the last maxAhead distinct (object,
+// op, argument) reads its snapshot transactions were answered OK. A
+// RunReadTx attempt's first read that waits carries, in the same write, a
+// read of every hint key the attempt does not hold, as many as keep the
+// burst within maxAhead requests, and the attempt holds their answers. A
+// fetched read is asked at the cut the attempt's BEGIN pinned, so its
+// answer is the one the body's own read would get, and one the body never
+// makes is a query outside the behavior the server certifies, like the
+// transaction itself. So a warm connection's snapshot transaction whose
+// reads its last ones made pays one write: its first read. RunTx, the
+// synchronous methods and a backend without snapshots never fetch.
+//
 // So after RunReadTx the connection may still be owed answers between calls,
 // and the next call — a synchronous method, a RunTx, a Pool's health-check
 // Ping — reads them first. Should one of them fail, which takes a transport
@@ -77,6 +90,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -114,6 +128,16 @@ type sent struct {
 	// promised is set: the one its type fixes, or one the attempt holds.
 	value    spec.Value
 	promised bool
+	// fetch is the read a snapshot attempt fetched from the hint, whose
+	// answer drain files among the held ones; its obj is "" for any other
+	// request, since the server refuses an empty object name.
+	fetch readKey
+}
+
+// readKey is what a read asks: an op, with its argument, on an object.
+type readKey struct {
+	obj string
+	op  spec.Op
 }
 
 // Conn is one connection — hence one server-side session. A Conn is not
@@ -142,6 +166,12 @@ type Conn struct {
 	// a slice reused from attempt to attempt and scanned linearly: a body
 	// touches a handful of objects.
 	held []heldAnswer
+	// hint is the last maxAhead distinct reads the connection's snapshot
+	// transactions were answered OK, least recent first; fetching says the
+	// running attempt has yet to make its first read that waits, which
+	// fetches them (see fetch).
+	hint     []readKey
+	fetching bool
 	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
 	dead error
@@ -175,23 +205,32 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // comes first if maxAhead requests are already waiting, or if q would make
 // the burst more than one write.
 func (c *Conn) put(q wire.Request, s sent) error {
+	c.out = wire.AppendRequest(c.out[:0], q)
+	return c.putOut(q.Cmd, s)
+}
+
+// putOut is put for the request whose frame c.out holds.
+func (c *Conn) putOut(cmd wire.Cmd, s sent) error {
 	if c.dead != nil {
 		return c.dead
 	}
-	c.out = wire.AppendRequest(c.out[:0], q)
 	if n := len(c.ahead); n == maxAhead || n > 0 && len(c.out)+binary.MaxVarintLen32 > c.w.Available() {
 		if _, err := c.drain(); err != nil {
 			return err
 		}
 	}
 	if err := wire.PutFrame(c.w, c.out); err != nil {
-		c.dead = fmt.Errorf("client: write %s: %w", q.Cmd, err)
+		c.dead = fmt.Errorf("client: write %s: %w", cmd, err)
 		return c.dead
 	}
-	s.cmd = q.Cmd
+	s.cmd = cmd
 	c.ahead = append(c.ahead, s)
 	return nil
 }
+
+// fits reports that the frame c.out holds fits an empty write buffer, so it
+// can wait there behind others.
+func (c *Conn) fits() bool { return len(c.out)+binary.MaxVarintLen32 <= c.w.Size() }
 
 // putAhead puts q to be answered with a later request. The exception is a
 // frame too big for an empty write buffer: bufio writes it straight to the
@@ -203,7 +242,7 @@ func (c *Conn) putAhead(q wire.Request, s sent) (resp wire.Response, answered bo
 	if err := c.put(q, s); err != nil {
 		return wire.Response{}, true, err
 	}
-	if len(c.out)+binary.MaxVarintLen32 <= c.w.Size() {
+	if c.fits() {
 		return wire.Response{}, false, nil
 	}
 	resp, err = c.drain()
@@ -215,7 +254,8 @@ func (c *Conn) putAhead(q wire.Request, s sent) (resp wire.Response, answered bo
 // answers cannot fall out of step, and returns the last request's response
 // (the zero Response if it could not be read) together with the first
 // failure. Once the transport has failed, that failure is the answer to
-// everything still waiting.
+// everything still waiting. A fetched read's answer is held, and its
+// failure is no one's: the body never asked it.
 func (c *Conn) drain() (wire.Response, error) {
 	var (
 		resp  wire.Response
@@ -236,6 +276,12 @@ func (c *Conn) drain() (wire.Response, error) {
 			// BEGIN is the first request owed, but for answers a RunReadTx
 			// left behind: its own failure is why no transaction opened.
 			c.beginErr, c.snapshot = err, err == nil && resp.Snapshot
+		}
+		if s.fetch.obj != "" {
+			if err == nil {
+				c.held = append(c.held, heldAnswer{readKey: s.fetch, v: resp.Value})
+			}
+			continue
 		}
 		if err != nil && first == nil {
 			first = err
@@ -363,8 +409,7 @@ func (c *Conn) Ping() error {
 // the attempt's own (undo logging); and strict mvto serves the attempt's
 // later read the same version, or restarts it (THEORY.md).
 type heldAnswer struct {
-	obj    string
-	op     spec.Op
+	readKey
 	v      spec.Value
 	update bool
 }
@@ -419,6 +464,7 @@ func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, err
 			return t.read(obj, o)
 		}
 		if c.ro && c.snapshot {
+			c.learn(obj, o)
 			return v, nil
 		}
 	}
@@ -430,14 +476,69 @@ func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, err
 }
 
 // read makes an access whose answer the attempt cannot give with a round
-// trip, and holds the answer if the op is read-only.
+// trip, and holds the answer if the op is read-only. A RunReadTx attempt's
+// first such read fetches the hint with it.
 func (t *Tx) read(obj string, o spec.Op) (spec.Value, error) {
 	c := t.c
+	ro := spec.ReadOnlyKind(o.Kind)
+	if ro && c.fetching {
+		c.fetching = false
+		if err := c.fetch(obj, o); err != nil {
+			return spec.Nil, err
+		}
+	}
 	v, err := c.Access(obj, o.Kind, o.Arg)
-	if err == nil && spec.ReadOnlyKind(o.Kind) {
-		c.held = append(c.held, heldAnswer{obj: obj, op: o, v: v})
+	if err == nil && ro {
+		c.held = append(c.held, heldAnswer{readKey: readKey{obj: obj, op: o}, v: v})
+		if c.ro && c.snapshot {
+			c.learn(obj, o)
+		}
 	}
 	return v, err
+}
+
+// fetch puts a read of each key the hint holds and the attempt does not,
+// most recent first, into the burst that the attempt's first read that
+// waits, o on obj, is about to send: as many as leave that read room, so
+// the burst stays one write. drain holds their answers. Each is a read at
+// the cut the attempt's BEGIN pinned, so its answer is the one the body's
+// own read of the key would get, and one the body never asks for is a
+// query outside the behavior, like the transaction itself. A key whose
+// frame would not fit an empty write buffer is not fetched (see putAhead).
+func (c *Conn) fetch(obj string, o spec.Op) error {
+	for i := len(c.hint) - 1; i >= 0 && len(c.ahead) < maxAhead-1; i-- {
+		k := c.hint[i]
+		if k.obj == obj && k.op == o {
+			continue
+		}
+		if _, held := c.lookup(k.obj, k.op); held {
+			continue
+		}
+		c.out = wire.AppendRequest(c.out[:0], wire.Request{Cmd: wire.CmdAccess, Obj: k.obj, Op: k.op.Kind, Arg: k.op.Arg})
+		if !c.fits() {
+			continue
+		}
+		if err := c.putOut(wire.CmdAccess, sent{fetch: k}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// learn makes the read o of obj the hint's most recent key, dropping the
+// least recent when the hint would hold more than maxAhead.
+func (c *Conn) learn(obj string, o spec.Op) {
+	k := readKey{obj: obj, op: o}
+	i := slices.Index(c.hint, k)
+	switch {
+	case i < 0 && len(c.hint) < maxAhead:
+		c.hint = append(c.hint, k)
+		return
+	case i < 0:
+		i = 0
+	}
+	copy(c.hint[i:], c.hint[i+1:])
+	c.hint[len(c.hint)-1] = k
 }
 
 // lookup returns the answer the attempt holds for the read-only op o on obj.
@@ -463,7 +564,7 @@ func (c *Conn) lookup(obj string, o spec.Op) (spec.Value, bool) {
 // updated records the attempt's own update o of obj in the held answers.
 func (c *Conn) updated(obj string, o spec.Op) {
 	c.forget(obj)
-	c.held = append(c.held, heldAnswer{obj: obj, op: o, update: true})
+	c.held = append(c.held, heldAnswer{readKey: readKey{obj: obj, op: o}, update: true})
 }
 
 // forget drops every held answer about obj.
@@ -557,7 +658,7 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 				backoff = 64 * time.Millisecond
 			}
 		}
-		c.beginErr, c.ro, c.snapshot, c.held = nil, ro, false, c.held[:0]
+		c.beginErr, c.ro, c.snapshot, c.held, c.fetching = nil, ro, false, c.held[:0], ro
 		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}

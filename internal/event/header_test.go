@@ -150,7 +150,9 @@ func TestBinaryRejectsOverclaimedTxCount(t *testing.T) {
 // duplicate-name map and the tree's text grow with the table, by one
 // table of slots or one doubling per several hundred names. Encoding the header allocates nothing per name either: the labels
 // are read out of the tree's text without a copy, and only the output
-// buffer grows.
+// buffer grows. Measured from 200 names to 20 000: decoding 25 → 50
+// allocations (27 → 52 under -race), encoding 10 → 27; each bar is the
+// measured growth plus half an allocation.
 func TestBinaryHeaderAllocs(t *testing.T) {
 	allocs := func(names int) (decode, encode float64) {
 		tr := tname.NewTree()
@@ -176,10 +178,11 @@ func TestBinaryHeaderAllocs(t *testing.T) {
 	for _, c := range []struct {
 		what         string
 		small, large float64
-	}{{"decoding", smallDec, largeDec}, {"encoding", smallEnc, largeEnc}} {
-		if perName := (c.large - c.small) / (20000 - 200); perName > 0.01 {
-			t.Errorf("%s a header of 20 000 names takes %.0f allocations, one of 200 takes %.0f: %.3f per name, want < 0.01",
-				c.what, c.large, c.small, perName)
+		grows        float64
+	}{{"decoding", smallDec, largeDec, 25.5}, {"encoding", smallEnc, largeEnc, 17.5}} {
+		if c.large-c.small > c.grows {
+			t.Errorf("%s a header of 20 000 names takes %.0f allocations, one of 200 takes %.0f: %.0f more, want at most %.1f",
+				c.what, c.large, c.small, c.large-c.small, c.grows)
 		}
 	}
 }
@@ -191,7 +194,10 @@ var mapSink map[string]tname.ObjID
 // reserved to the declared count, bounded by what the input can hold, so a
 // header of 16 400 objects allocates no more than a header of one object
 // plus a label index made at that size: nothing per object, and nothing
-// for growing the index as the objects come.
+// for growing the index as the objects come. Measured: 74 allocations for
+// 16 400 objects, 10 for one object and 66 for the index alone (76, 12 and
+// 66 under -race): the decoder's index takes two fewer than one made
+// alone, and the bar is that plus half an allocation.
 func TestBinaryObjectTableAllocs(t *testing.T) {
 	decode := func(objects int) float64 {
 		tr := tname.NewTree()
@@ -214,8 +220,8 @@ func TestBinaryObjectTableAllocs(t *testing.T) {
 	one, many := decode(1), decode(n)
 	index := testing.AllocsPerRun(10, func() { mapSink = make(map[string]tname.ObjID, n) })
 	t.Logf("header allocations: %.0f for 1 object, %.0f for %d; a label index made for %d takes %.0f", one, many, n, n, index)
-	if many > one+index {
-		t.Fatalf("a header of %d objects takes %.0f allocations, one of 1 object %.0f and a label index of that size %.0f: want at most %.0f",
-			n, many, one, index, one+index)
+	if want := one + index - 1.5; many > want {
+		t.Fatalf("a header of %d objects takes %.0f allocations, one of 1 object %.0f and a label index of that size %.0f: want at most %.1f",
+			n, many, one, index, want)
 	}
 }

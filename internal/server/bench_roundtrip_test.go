@@ -110,16 +110,48 @@ func BenchmarkClientRunTxReadHalf(b *testing.B) {
 
 // BenchmarkClientRunReadTx is BenchmarkClientRunTx for the shape's all-read
 // form through RunReadTx on mvto, which serves it from a certified snapshot:
-// 4 writes per transaction, one for each read, since the COMMIT rides with
-// the next transaction's first.
+// 1 write per transaction, where asking for each read took 4. Its first read
+// fetches the other three, which the transaction before it read, and the
+// COMMIT rides with the next transaction's first write. It also reports the
+// snapshot reads the server served per transaction: 4, the fetched three
+// among them.
 func BenchmarkClientRunReadTx(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, readOnlyTx)
 }
 
+// BenchmarkClientRunReadTxMiss prices a fetch that misses: the shape's
+// all-read form on mvto, each transaction on the next of four groups of
+// four objects, so that the eight keys its connection's hint holds are the
+// two groups before it and none of the four it reads. Each read waits,
+// 4 writes per transaction, and the first also fetches five keys the body
+// never reads, as many as its burst has room for beside the last
+// transaction's COMMIT, the BEGIN and the read: 9 snapshot reads served per
+// transaction, where asking for each read took 4.
+func BenchmarkClientRunReadTxMiss(b *testing.B) {
+	var (
+		objs   []string
+		bodies [4]func(tx *client.Tx) error
+	)
+	for g := range bodies {
+		var group [4]string
+		for i := range group {
+			group[i] = fmt.Sprintf("%c%d", 'a'+i, g)
+		}
+		objs = append(objs, group[:]...)
+		bodies[g] = shapedTxOn(group, func(int) bool { return true })
+	}
+	n := 0
+	benchmarkRunTxOn(b, objs, "mvto", (*client.Conn).RunReadTx, func(tx *client.Tx) error {
+		n++
+		return bodies[n%len(bodies)](tx)
+	})
+}
+
 // BenchmarkClientRunReadTxRepeat is BenchmarkClientRunReadTx for a body that
-// reads a, b (in a subtransaction), a and b: 2 writes per transaction, since
-// a snapshot transaction's client answers the repeats from the answers it
-// holds, where asking again took 4.
+// reads a, b (in a subtransaction), a and b: 1 write per transaction, where
+// asking again took 4, since a snapshot transaction's client answers the
+// repeats from the answers it holds, and the first read fetches b, which the
+// transaction before it read: 2 snapshot reads served per transaction.
 func BenchmarkClientRunReadTxRepeat(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, repeatReadTx)
 }
@@ -141,16 +173,23 @@ func BenchmarkClientRunTxReadOwnWrite(b *testing.B) {
 }
 
 // benchmarkRunTx times run(body) on one loopback connection to a backend
-// server.
+// server of the objects a, b, c and d.
 func benchmarkRunTx(b *testing.B, backend string, run func(*client.Conn, int, func(*client.Tx) error) error, body func(tx *client.Tx) error) {
-	s := server.New(server.Options{Backend: backend, Objects: []string{"a", "b", "c", "d"}})
+	benchmarkRunTxOn(b, []string{"a", "b", "c", "d"}, backend, run, body)
+}
+
+// benchmarkRunTxOn is benchmarkRunTx on a server of the objects objs. It
+// reports the client's writes per transaction, and on mvto the snapshot
+// reads the server served per transaction.
+func benchmarkRunTxOn(b *testing.B, objs []string, backend string, run func(*client.Conn, int, func(*client.Tx) error) error, body func(tx *client.Tx) error) {
+	s := server.New(server.Options{Backend: backend, Objects: objs})
 	c, cli, _ := countedSession(b, s, false)
 	if err := run(c, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	writes := cli.writes.Load()
+	writes, served := cli.writes.Load(), s.Metrics().SnapshotReads.Load()
 	for i := 0; i < b.N; i++ {
 		if err := run(c, 1, body); err != nil {
 			b.Fatal(err)
@@ -158,6 +197,9 @@ func benchmarkRunTx(b *testing.B, backend string, run func(*client.Conn, int, fu
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cli.writes.Load()-writes)/float64(b.N), "writes/tx")
+	if backend == "mvto" {
+		b.ReportMetric(float64(s.Metrics().SnapshotReads.Load()-served)/float64(b.N), "served/tx")
+	}
 	c.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		b.Fatal(err)
@@ -389,37 +431,62 @@ func TestReadOnlyBeginAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotRepeatReadAllocs pins what a snapshot transaction's repeated
-// read costs: nothing is sent, and the answer comes from the ones its client
-// holds, so it allocates nothing.
+// TestSnapshotRepeatReadAllocs pins what a snapshot transaction's read of x
+// costs when its client holds the answer: nothing is sent, and the answer
+// comes from the ones the client holds, so it allocates nothing. It holds
+// it either as a repeat of the attempt's own read of x, or because the
+// attempt's first read, of y, fetched x from the connection's hint, since a
+// transaction before it read x.
 func TestSnapshotRepeatReadAllocs(t *testing.T) {
-	s := server.New(server.Options{Backend: "mvto", Objects: []string{"x"}})
-	srvEnd, cliEnd := net.Pipe()
-	s.ServeConn(srvEnd)
-	c := client.NewConn(cliEnd)
-	var perRead float64
-	if err := c.RunReadTx(1, func(tx *client.Tx) error {
-		first, err := tx.Access("x", spec.OpRead, spec.Nil)
-		if err != nil {
-			return err
-		}
-		perRead = testing.AllocsPerRun(2000, func() {
-			if v, err := tx.Access("x", spec.OpRead, spec.Nil); err != nil || v != first {
-				t.Fatalf("repeated read = %v, %v; want the first read's %v", v, err, first)
+	read := func(tx *client.Tx, obj string) (spec.Value, error) { return tx.Access(obj, spec.OpRead, spec.Nil) }
+	for _, row := range []struct {
+		name string
+		// warm runs on the connection before the measured transaction, whose
+		// first read is of first.
+		warm   bool
+		first  string
+		served int64 // snapshot reads the server serves in all
+	}{
+		{name: "repeated", first: "x", served: 1},
+		{name: "fetched", warm: true, first: "y", served: 3},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := server.New(server.Options{Backend: "mvto", Objects: []string{"x", "y"}})
+			srvEnd, cliEnd := net.Pipe()
+			s.ServeConn(srvEnd)
+			c := client.NewConn(cliEnd)
+			if row.warm {
+				if err := c.RunReadTx(1, func(tx *client.Tx) error {
+					_, err := read(tx, "x")
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var perRead float64
+			if err := c.RunReadTx(1, func(tx *client.Tx) error {
+				if _, err := read(tx, row.first); err != nil {
+					return err
+				}
+				perRead = testing.AllocsPerRun(2000, func() {
+					if v, err := read(tx, "x"); err != nil || v != spec.Int(0) {
+						t.Fatalf("held read = %v, %v; want 0", v, err)
+					}
+				})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if reads := s.Metrics().SnapshotReads.Load(); reads != row.served {
+				t.Fatalf("the server served %d snapshot reads, want %d", reads, row.served)
+			}
+			if perRead != 0 {
+				t.Fatalf("%.2f allocations per held snapshot read, want 0", perRead)
+			}
+			c.Close()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
 			}
 		})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reads := s.Metrics().SnapshotReads.Load(); reads != 1 {
-		t.Fatalf("the server served %d snapshot reads, want the first alone", reads)
-	}
-	if perRead != 0 {
-		t.Fatalf("%.2f allocations per repeated snapshot read, want 0", perRead)
-	}
-	c.Close()
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -49,10 +49,13 @@ func writeTx(t *testing.T, c *client.Conn, obj string, v int64) {
 // TestSnapshotReadsAskOnce: a snapshot transaction asks the server for each
 // (object, op, argument) once, and its client answers a repeat with the
 // answer it holds, sending nothing; any other transaction sends every read
-// (TestHeldAnswers). Each row runs its
-// transactions on one counted connection, with a second one for the writes
-// between them, and counts the client's writes and the snapshot reads the
-// server served.
+// (TestHeldAnswers). A snapshot attempt's first read that waits also
+// fetches, in the same write, what its connection's snapshot transactions
+// last read, and the body's later reads of those keys send nothing; RunTx,
+// the synchronous Conn.Access and a backend without snapshots never fetch.
+// Each row runs its transactions on one counted connection, with a second
+// one for the writes between them, and counts the client's writes and the
+// snapshot reads the server served, fetched ones included.
 func TestSnapshotReadsAskOnce(t *testing.T) {
 	x := func(want int64) read { return read{"x", spec.OpRead, spec.Nil, spec.Int(want)} }
 	y := func(want int64) read { return read{"y", spec.OpRead, spec.Nil, spec.Int(want)} }
@@ -101,7 +104,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "the next transaction",
-			why:  "a new BEGIN pins a new cut, which holds the commit made since: the second transaction asks again and reads it",
+			why:  "a new BEGIN pins a new cut, which holds the commit made since: the second transaction's read of y fetches x, which the first read, at that cut, so it reads the new value, and its reads of x send nothing: 2 writes, where asking again took 3",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0))); err != nil {
@@ -110,11 +113,59 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				writeTx(t, w, "x", 7)
 				return c.RunReadTx(1, reads(y(0), x(7), x(7)))
 			},
-			writes: 3, served: 3, logged: 1,
+			writes: 2, served: 3, logged: 1,
+		},
+		{
+			name: "a warm connection's next transaction",
+			why:  "the first transaction pays a write for each of its reads; the second's first read fetches the other key, so the second gets its whole read set in one write: 3 writes, where asking again took 4",
+			srv:  mvto,
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
+					return err
+				}
+				return c.RunReadTx(1, reads(x(0), y(0), x(0), y(0)))
+			},
+			writes: 3, served: 4,
+		},
+		{
+			name: "a hint key the body never reads",
+			why:  "the second transaction reads only y, and the x it fetches goes unused: one more snapshot read served, no write more, nothing logged, and no lock, so the write of x does not wait; the third transaction's first read, of x, fetches y at its own cut and reads the new x",
+			srv:  mvto,
+			run: func(t *testing.T, c, w *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
+					return err
+				}
+				if err := c.RunReadTx(1, reads(y(0))); err != nil {
+					return err
+				}
+				writeTx(t, w, "x", 7)
+				return c.RunReadTx(1, reads(x(7), y(0)))
+			},
+			writes: 4, served: 6, logged: 1,
+		},
+		{
+			name: "a warm connection fetches each op and argument",
+			why:  "the hint keys a read by object, op and argument: the second transaction's size fetches both member questions, and nothing else is asked: 3 writes, where a hint by object alone asks again",
+			srv: func() *server.Server {
+				return server.NewWithSnapshots(server.Options{DefaultSpec: spec.IntSet{}, Objects: []string{"s"}})
+			},
+			run: func(t *testing.T, c, w *client.Conn) error {
+				if err := w.RunTx(1, func(tx *client.Tx) error {
+					_, err := tx.Access("s", spec.OpInsert, spec.Int(3))
+					return err
+				}); err != nil {
+					return err
+				}
+				if err := c.RunReadTx(1, reads(member(3, true), member(4, false))); err != nil {
+					return err
+				}
+				return c.RunReadTx(1, reads(size, member(3, true), member(4, false)))
+			},
+			writes: 3, served: 5, logged: 1,
 		},
 		{
 			name: "a retried attempt",
-			why:  "a retry pins a new cut, so it starts with no answers kept: its read of x is asked again and sees the commit made since",
+			why:  "a retry pins a new cut, so it starts with no answers kept: its first read, of y, fetches x, which the first attempt read, at the new cut, and sees the commit made since: 3 writes, where asking again took 4",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				attempts := 0
@@ -132,7 +183,35 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 					return fmt.Errorf("the body ends its first attempt: %w", client.ErrTxAborted)
 				})
 			},
-			writes: 4, served: 3, logged: 1,
+			writes: 3, served: 3, logged: 1,
+		},
+		{
+			name: "a retried attempt on a warm connection",
+			why:  "each attempt's read of y fetches x at its own cut: the first holds x = 0, and the retry, which holds nothing from it, fetches again and holds the 7 committed since: a write for each attempt's read and one for the first attempt's COMMIT",
+			srv:  mvto,
+			run: func(t *testing.T, c, w *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0))); err != nil {
+					return err
+				}
+				attempts := 0
+				return c.RunReadTx(2, func(tx *client.Tx) error {
+					if attempts++; attempts == 2 {
+						return reads(y(0), x(7))(tx)
+					}
+					if err := reads(y(0), x(0))(tx); err != nil {
+						return err
+					}
+					writeTx(t, w, "x", 7)
+					// The body ends the snapshot with a COMMIT, not an Abort,
+					// which would drop what the attempt holds: only the retry
+					// itself may.
+					if _, err := tx.Commit(); err != nil {
+						return err
+					}
+					return fmt.Errorf("the body ends its first attempt: %w", client.ErrTxAborted)
+				})
+			},
+			writes: 4, served: 5, logged: 1,
 		},
 		{
 			name: "a backend without snapshots",
@@ -144,6 +223,53 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				return c.RunReadTx(1, reads(x(0), x(0), y(0), x(0)))
 			},
 			writes: 3, served: 0, logged: 4,
+		},
+		{
+			name: "a moss connection never fetches",
+			why:  "moss never answers BEGIN with the snapshot flag, so its connection learns no hint: the second transaction asks for x and y again, each read a logged access, 3 writes each",
+			srv: func() *server.Server {
+				return server.New(server.Options{Backend: "moss", Objects: []string{"x", "y"}})
+			},
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
+					return err
+				}
+				return c.RunReadTx(1, reads(x(0), y(0)))
+			},
+			writes: 6, served: 0, logged: 4,
+		},
+		{
+			name: "RunTx never fetches",
+			why:  "a locking transaction on a warm connection asks for each of its reads, logged, and waits for its COMMIT: 3 writes after the snapshot transaction's 2",
+			srv:  mvto,
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
+					return err
+				}
+				return c.RunTx(1, reads(x(0), y(0)))
+			},
+			writes: 5, served: 2, logged: 2,
+		},
+		{
+			name: "Conn.Access never fetches",
+			why:  "the synchronous methods on a warm connection are one request, one answer: BeginRO, two reads and the COMMIT are 4 writes after the snapshot transaction's 2, and the server serves each read once",
+			srv:  mvto,
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
+					return err
+				}
+				if _, err := c.BeginRO(); err != nil {
+					return err
+				}
+				for _, obj := range []string{"x", "y"} {
+					if v, err := c.Access(obj, spec.OpRead, spec.Nil); err != nil || v != spec.Int(0) {
+						return fmt.Errorf("read %s = %s, %v; want 0", obj, v, err)
+					}
+				}
+				_, err := c.Commit()
+				return err
+			},
+			writes: 6, served: 4,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -260,10 +260,42 @@ type slot struct {
 	owed   []wire.Cmd
 	drains bool
 	// held mirrors the client's held answers: the objects the open attempt
-	// has read or written since it began or a subtransaction of it aborted,
-	// whose read the client answers itself.
-	held         []string
+	// has read or written, or fetched, since it began or a subtransaction of
+	// it aborted, whose read the client answers itself.
+	held []string
+	// hint mirrors the client's hint: the last maxAhead distinct objects the
+	// connection's snapshot transactions read, least recent first. fetching:
+	// the open read-only attempt has yet to make its first read that waits,
+	// which fetches them.
+	hint         []string
+	fetching     bool
 	dropAtCommit bool // FaultDropAfterCommit hangs up at this call's top-level COMMIT
+}
+
+// maxAhead is the client's bound on the requests a burst holds.
+const maxAhead = 8
+
+// fetch mirrors client.Conn.fetch: every hint object the attempt does not
+// hold, most recent first, while the burst has room beside the read that
+// waits.
+func (sl *slot) fetch() {
+	room := maxAhead - 1 - len(sl.owed)
+	for i := len(sl.hint) - 1; i >= 0 && room > 0; i-- {
+		if !slices.Contains(sl.held, sl.hint[i]) {
+			sl.held = append(sl.held, sl.hint[i])
+			room--
+		}
+	}
+}
+
+// learn mirrors client.Conn.learn: obj becomes the hint's most recent.
+func (sl *slot) learn(obj string) {
+	if i := slices.Index(sl.hint, obj); i >= 0 {
+		sl.hint = slices.Delete(sl.hint, i, i+1)
+	} else if len(sl.hint) == maxAhead {
+		sl.hint = slices.Delete(sl.hint, 0, 1)
+	}
+	sl.hint = append(sl.hint, obj)
 }
 
 // roRead is one observed read of a read-only transaction: the object label
@@ -575,7 +607,7 @@ func (s *sim) issue(sl *slot, cl call) error {
 	local := false // the client answers q without sending it
 	switch q.Cmd {
 	case wire.CmdBegin:
-		sl.inTx, sl.depth, sl.ro, sl.held = true, 1, q.RO, sl.held[:0]
+		sl.inTx, sl.depth, sl.ro, sl.held, sl.fetching = true, 1, q.RO, sl.held[:0], q.RO
 		s.rep.Begins++
 		if q.RO {
 			s.rep.ROBegins++
@@ -588,10 +620,12 @@ func (s *sim) issue(sl *slot, cl call) error {
 			sl.drains = true
 			break
 		}
-		// The client answers a read of an object the attempt has read or
-		// written itself (the driver's reads and writes are a register's):
-		// a snapshot transaction sends nothing, so it drains nothing and
-		// owes nothing; any other sends the read ahead, owed like a write.
+		// The client answers a read of an object the attempt has read,
+		// written or fetched itself (the driver's reads and writes are a
+		// register's): a snapshot transaction sends nothing, so it drains
+		// nothing and owes nothing; any other sends the read ahead, owed
+		// like a write. A read-only attempt's first read that waits fetches
+		// the hint with it, in the same burst.
 		_, fixed := spec.FixedAnswer(q.Op)
 		held := slices.Contains(sl.held, q.Obj)
 		if !held {
@@ -599,6 +633,13 @@ func (s *sim) issue(sl *slot, cl call) error {
 		}
 		sl.drains = !fixed && !held
 		local = !fixed && held && sl.ro && s.roSnap
+		if sl.drains && sl.fetching {
+			sl.fetching = false
+			sl.fetch()
+		}
+		if sl.ro && s.roSnap {
+			sl.learn(q.Obj)
+		}
 	case wire.CmdChild:
 		sl.depth++
 	case wire.CmdCommit:
@@ -612,6 +653,9 @@ func (s *sim) issue(sl *slot, cl call) error {
 		sl.held = sl.held[:0] // a subtransaction's Abort drops what the attempt held
 	}
 	if !sl.drains && !local {
+		if len(sl.owed) == maxAhead { // the client drains a full burst first
+			sl.owed = sl.owed[:0]
+		}
 		sl.owed = append(sl.owed, q.Cmd)
 	}
 	sl.phase = phAwait
