@@ -679,10 +679,11 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 		if err == nil && tx.depth > 0 {
 			err = fmt.Errorf("client: transaction body left %d subtransaction(s) open", tx.depth)
 		}
-		if err == nil && ro && c.snapshot && c.owesNoVerdict() {
-			// Nothing the server could still refuse is owed, and a snapshot
-			// transaction's COMMIT is answered OK whatever happens: it rides
-			// with the connection's next request.
+		if _, access := c.Owed(); err == nil && ro && c.snapshot && !access {
+			// Nothing the server could still refuse is owed — an ACCESS sent
+			// ahead here is a blind update, which the snapshot refuses — and
+			// a snapshot transaction's COMMIT is answered OK whatever
+			// happens: it rides with the connection's next request.
 			return c.put(wire.Request{Cmd: wire.CmdCommit}, sent{})
 		}
 		if err == nil {
@@ -723,16 +724,17 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 	return fmt.Errorf("client: transaction failed after %d attempts: %w", maxAttempts, last)
 }
 
-// owesNoVerdict reports that every request still owed an answer is a CHILD
-// or a COMMIT, which a snapshot transaction answers OK unconditionally: an
-// ACCESS sent ahead there is a blind update, which the snapshot refuses.
-func (c *Conn) owesNoVerdict() bool {
+// Owed reports how many requests the connection has sent, or put in its
+// write buffer, whose answers it has yet to read, and whether an ACCESS is
+// among them. While a call waits for an answer, its own request is the last
+// one owed. It only reads: a scheduler that runs the connection's calls on
+// another goroutine may ask while that goroutine waits for its next call, or
+// for an answer the server is holding back.
+func (c *Conn) Owed() (n int, access bool) {
 	for _, s := range c.ahead {
-		if s.cmd == wire.CmdAccess {
-			return false
-		}
+		access = access || s.cmd == wire.CmdAccess
 	}
-	return true
+	return len(c.ahead), access
 }
 
 // Pool is a trivial free-list of connections to one server, for callers
