@@ -276,14 +276,19 @@ func (c *Cursor) varint(what, part string) (int64, error) {
 
 // Str reads a uvarint-length-prefixed string: a view of the cursor's bytes
 // with views set, else a copy.
-func (c *Cursor) Str(what string) (string, error) { return c.str(what, "") }
+func (c *Cursor) Str(what string) (string, error) { return c.str(what, "", c.views) }
 
-func (c *Cursor) str(what, part string) (string, error) {
+// View reads a uvarint-length-prefixed string as a view of the cursor's
+// bytes, views set or not: the caller promises that nothing writes to them
+// while the string lives, and clones what it keeps longer.
+func (c *Cursor) View(what string) (string, error) { return c.str(what, "", true) }
+
+func (c *Cursor) str(what, part string, view bool) (string, error) {
 	start, err := c.span(what, part)
 	if err != nil || start == c.off {
 		return "", err
 	}
-	if c.views {
+	if view {
 		return unsafe.String(&c.b[start], c.off-start), nil
 	}
 	return string(c.b[start:c.off]), nil
@@ -347,7 +352,7 @@ func (c *Cursor) Value(what string) (spec.Value, error) {
 		}
 		return spec.Int(v), nil
 	case spec.VStr:
-		s, err := c.str(what, " str")
+		s, err := c.str(what, " str", c.views)
 		if err != nil {
 			return spec.Nil, err
 		}
@@ -395,7 +400,7 @@ func (c *Cursor) txDef(e *txEntry) (err error) {
 	if e.parent, err = c.varint("tx parent", ""); err != nil {
 		return err
 	}
-	if e.label, err = c.str("tx label", ""); err != nil {
+	if e.label, err = c.str("tx label", "", c.views); err != nil {
 		return err
 	}
 	if e.obj, err = c.varint("tx obj", ""); err != nil || e.obj < 0 {

@@ -288,6 +288,11 @@ func BenchmarkServerDurableRunTx(b *testing.B) {
 //     fmt.Sprintf would box its operand and cost one more — and what the
 //     name tree, the log, the object and the graph keep per access: 2.02
 //     measured;
+//   - the same ACCESS to a label longer than a byte: 2.02 as well, since
+//     the request parser reads the label as a view of the frame and the
+//     session only looks it up;
+//   - a snapshot read in a read-only transaction on mvto: 0.03, for the
+//     same reason;
 //   - a blind write sent ahead inside a RunTx: 2.02, the same as the
 //     synchronous ACCESS, since neither the held answer its write records
 //     nor the promise allocates;
@@ -305,9 +310,10 @@ func BenchmarkServerDurableRunTx(b *testing.B) {
 func TestAccessRequestAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name string
-		// begin and end, if set, run once around the measured ops.
-		begin, end bool
-		op         func(c *client.Conn) error
+		// begin and end, if set, run once around the measured ops; ro makes
+		// the begin a BeginRO on mvto, whose reads are snapshot reads.
+		begin, end, ro bool
+		op             func(c *client.Conn) error
 		// ahead, if set, is measured in place of op inside one RunTx.
 		ahead func(tx *client.Tx) error
 		want  float64
@@ -316,6 +322,14 @@ func TestAccessRequestAllocs(t *testing.T) {
 			_, err := c.Access("x", spec.OpWrite, spec.Int(1))
 			return err
 		}, want: 2.5},
+		{name: "ACCESS to a multi-byte label", begin: true, end: true, op: func(c *client.Conn) error {
+			_, err := c.Access("xyz", spec.OpWrite, spec.Int(1))
+			return err
+		}, want: 2.5},
+		{name: "snapshot read", begin: true, end: true, ro: true, op: func(c *client.Conn) error {
+			_, err := c.Access("xyz", spec.OpRead, spec.Nil)
+			return err
+		}, want: 0.5},
 		{name: "blind write sent ahead", ahead: func(tx *client.Tx) error {
 			_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
 			return err
@@ -342,7 +356,11 @@ func TestAccessRequestAllocs(t *testing.T) {
 		}, want: 6.5 + raceTxAllocs},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s := server.New(server.Options{Objects: []string{"x"}})
+			opts := server.Options{Objects: []string{"x", "xyz"}}
+			if row.ro {
+				opts.Backend = "mvto"
+			}
+			s := server.New(opts)
 			srvEnd, cliEnd := net.Pipe()
 			s.ServeConn(srvEnd)
 			c := client.NewConn(cliEnd)
@@ -374,8 +392,12 @@ func TestAccessRequestAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
+				begin := c.Begin
+				if row.ro {
+					begin = c.BeginRO
+				}
 				if row.begin {
-					if _, err := c.Begin(); err != nil {
+					if _, err := begin(); err != nil {
 						t.Fatal(err)
 					}
 				}

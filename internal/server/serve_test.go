@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"nestedsg/internal/client"
 	"nestedsg/internal/server"
 	"nestedsg/internal/spec"
+	"nestedsg/internal/tname"
 	"nestedsg/internal/wire"
 )
 
@@ -291,5 +293,54 @@ func TestMalformedFrameRejectedWithoutKillingSession(t *testing.T) {
 		t.Fatalf("the top-level commit left CommitLatency at %d, want %d", got, base+1)
 	}
 	nc.Close()
+	shutdownAndVerify(t, s)
+}
+
+// TestAccessLabelOutlivesItsFrame: the request parser hands the session an
+// ACCESS's object label as a view of its frame buffer, which the next frame
+// overwrites. The labels the server interns must be its own copies: after
+// two new objects whose frames have the same length, and a third frame over
+// them, each name still finds its own object and value.
+func TestAccessLabelOutlivesItsFrame(t *testing.T) {
+	s := startServer(t, server.Options{})
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	labels := []string{"label-one", "label-two"}
+	if _, err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range labels {
+		if _, err := c.Access(label, spec.OpWrite, spec.Int(int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range labels {
+		id := s.Tree().Object(label)
+		if id == tname.NoObj {
+			t.Fatalf("no object is labelled %q", label)
+		}
+		if got := s.Tree().ObjectLabel(id); got != label {
+			t.Fatalf("object %d interned for %q is labelled %q", id, label, got)
+		}
+		if _, err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Access(label, spec.OpRead, spec.Nil); err != nil || v != spec.Int(int64(i+1)) {
+			t.Fatalf("read %q = %v, %v; want %d", label, v, err, i+1)
+		}
+		if _, err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Tree().NumObjects(); n != len(labels) {
+		t.Errorf("%d objects interned, want %d", n, len(labels))
+	}
+	c.Close()
 	shutdownAndVerify(t, s)
 }

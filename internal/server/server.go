@@ -27,7 +27,7 @@
 // Deadlock is the blocking protocols' price for real concurrency: a session
 // whose access is refused parks on the object's waiter queue until an INFORM
 // wakes it, after checking whether the refusal closed a waits-for cycle (the
-// youngest member of the knot aborts); a timeout is the safety net. Either
+// youngest top on it aborts); a timeout is the safety net. Either
 // way the server aborts the victim's whole top-level transaction and the
 // client retries with bounded exponential backoff.
 package server
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,7 +363,9 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 	if label == "" {
 		return nil, errors.New("empty object label")
 	}
-	id := s.tr.AddObject(label, s.opts.DefaultSpec)
+	// label may be a view of a session's frame buffer (wire.ParseRequest):
+	// the tree keeps a copy.
+	id := s.tr.AddObject(strings.Clone(label), s.opts.DefaultSpec)
 	// The definition record is written inside the tree's write-lock
 	// critical section, so WAL definition order equals interning order and
 	// recovery's sequential ID re-assignment reproduces the tree exactly —

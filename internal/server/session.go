@@ -430,8 +430,10 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 				}
 				return
 			}
-			restart = restartReason(obj.g, acc)
-			if restart == "" && w == nil {
+			if restart = restartReason(obj.g, acc); restart != "" {
+				return
+			}
+			if w == nil {
 				// Entered under the mutex hold that refused: no INFORM can
 				// slip between the refusal and the park.
 				w = &waitEntry{
@@ -441,6 +443,7 @@ func (sn *session) waitGrant(obj *sharedObject, acc tname.TxID) (spec.Value, boo
 				}
 				sn.s.enterWait(w)
 			}
+			sn.s.askWitness(w)
 		})
 		if ok {
 			return v, true, ""
@@ -596,7 +599,7 @@ func (s *Server) inform(kind event.Kind, obj *sharedObject, t tname.TxID) {
 			obj.g.InformAbort(t)
 		}
 		s.appendLog(event.NewInform(kind, t, obj.id))
-		obj.wakeWaiters()
+		s.wakeWaiters(obj, t)
 	})
 }
 

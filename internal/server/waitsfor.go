@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nestedsg/internal/graph"
 	"nestedsg/internal/tname"
 )
 
@@ -19,6 +18,16 @@ type waitEntry struct {
 	access tname.TxID
 	top    tname.TxID
 	obj    *sharedObject
+	// witness is a blocker of access, asked under obj.mu, which guards it
+	// and exact, at each refusal and at each INFORM that signals the entry
+	// (askWitness). exact says the object named it, so object.Generic's wake
+	// clause keeps it a blocker until an INFORM about an ancestor-or-self.
+	witness tname.TxID
+	exact   bool
+	// witnessTop is the top of witness, or tname.None: top's one edge in the
+	// waits-for relation, which breakDeadlock reads holding no object mutex.
+	// Until the first ask it is Root, which never waits.
+	witnessTop atomic.Int32
 	// wake holds at most one pending wake-up. Senders never block: a second
 	// signal before the session looks is the same news as the first.
 	wake chan struct{}
@@ -36,23 +45,56 @@ func (e *waitEntry) signal() {
 	}
 }
 
-// wakeWaiters signals every session parked on o. It runs in the critical
-// section of each INFORM_COMMIT and INFORM_ABORT applied to o — the only
-// automaton steps that can enable a refused REQUEST_COMMIT (DESIGN.md §8).
+// askWitness records a current blocker of e's refused access: the object's
+// own witness when it names one, else the first of its Blockers, which can
+// move at any call into the object, so every INFORM there re-asks it.
 //
-//sgvet:holds o.mu
-func (o *sharedObject) wakeWaiters() {
-	for _, w := range o.waiters {
-		w.signal()
+//sgvet:holds e.obj.mu, s.mu:r
+func (s *Server) askWitness(e *waitEntry) {
+	w, _ := e.obj.g.Blocked(e.access)
+	e.exact = w != tname.None
+	if !e.exact {
+		if blk := e.obj.g.Blockers([]tname.TxID{e.access}, nil); len(blk) > 0 {
+			w = blk[0]
+		}
+	}
+	e.witness = w
+	top := tname.None
+	if w != tname.None {
+		// Blockers never include ancestors of the access, so Root is
+		// excluded and every blocker has a top-level ancestor; one under
+		// the waiter's own top is no edge between tops.
+		if t := s.tr.ChildAncestor(tname.Root, w); t != e.top {
+			top = t
+		}
+	}
+	e.witnessTop.Store(int32(top))
+}
+
+// wakeWaiters signals the sessions parked on o whose witness the INFORM of t
+// can have moved: an exact witness of which t is an ancestor-or-self, and
+// every inexact one (an mvto reader's, whose too-late read must restart).
+// It re-asks each one's witness, so that a scan before the session re-tries
+// follows a current blocker. It runs in the critical section of each
+// INFORM_COMMIT and INFORM_ABORT applied to o — the only automaton steps
+// that can enable a refused REQUEST_COMMIT (DESIGN.md §8).
+//
+//sgvet:holds o.mu, s.mu:r
+func (s *Server) wakeWaiters(o *sharedObject, t tname.TxID) {
+	for _, e := range o.waiters {
+		if e.exact && !s.tr.IsAncestor(t, e.witness) {
+			continue
+		}
+		s.askWitness(e)
+		e.signal()
 	}
 }
 
 // waitTable is the set of sessions currently parked on a refused access.
 // A session runs one top-level transaction at a time, so there is one entry
 // per waiting top, and the table keeps them sorted by top. The deadlock
-// detector builds the waits-for graph between the waiters' top-level
-// transactions from the objects' Blockers; Kill and a forced drain walk it
-// to wake everyone.
+// detector follows the waiters' witness tops through it; Kill and a forced
+// drain walk it to wake everyone.
 type waitTable struct {
 	mu      sync.Mutex
 	waiters []*waitEntry //sgvet:guardedby mu
@@ -71,13 +113,6 @@ func (w *waitTable) unregister(e *waitEntry) {
 		w.waiters = slices.Delete(w.waiters, i, i+1)
 	}
 	w.mu.Unlock()
-}
-
-// entries returns a copy of the table, sorted by top.
-func (w *waitTable) entries() []*waitEntry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return slices.Clone(w.waiters)
 }
 
 // byTop orders wait entries by their top-level transaction.
@@ -123,93 +158,43 @@ func (s *Server) leaveWait(e *waitEntry) {
 	e.obj.mu.Unlock()
 }
 
-// breakDeadlock runs once after each refusal of me's access — the moment a
-// waits-for edge out of me.top can have appeared — and reports whether me
-// must abort to break a cycle.
+// breakDeadlock runs once after each refusal of me's access — the moment
+// me.top's edge in the waits-for relation can have appeared or moved — and
+// reports whether me must abort to break a cycle.
 //
-// It snapshots the wait table, asks each waited-on object for the blockers
-// of the waiting access, lifts every edge to the top-level transactions
-// (waiter-top → blocker-top), and computes the strongly connected component
-// containing me.top — not one DFS-discovered cycle: with overlapping cycles
-// (T1⇄T2 and T2⇄T3 sharing T2) a per-cycle victim names several
-// transactions, more than breaking the knot requires. The victim is the
-// component's youngest member (largest TxID, the least work lost). It may
-// be a session that parked before the edge that closed the cycle existed
-// and will not look again by itself, so a victim other than me is marked
-// and woken. Survivors scan again when the victim's INFORM_ABORTs wake them
-// and they are still refused.
+// A session runs one access at a time, so a waiting top has one edge: to
+// the top of its entry's witness. breakDeadlock follows those edges from
+// me.top, holding only the table's mutex. Back at me.top, the chain is a
+// cycle, and its youngest top (largest TxID, the least work lost) is the
+// victim. At a top that is not waiting, no deadlock runs through me; after
+// more steps than the table has entries, me only leads into a cycle, which
+// its members' own scans find. A victim other than me may have parked
+// before the edge that closed the cycle existed and will not look again by
+// itself, so it is marked and woken. Survivors scan again when the victim's
+// INFORM_ABORTs wake them and they are still refused.
 func (s *Server) breakDeadlock(me *waitEntry) bool {
-	entries := s.waits.entries()
-	if len(entries) < 2 {
-		return false
-	}
-	// The waiting tops are numbered densely in TxID order, so a blocker's
-	// top is found by binary search and the largest node is the youngest.
-	i, ok := slices.BinarySearchFunc(entries, me.top, byTop)
-	if !ok {
-		return false
-	}
-	switch victim := knotVictim(s.waitsFor(entries), i); {
-	case victim < 0:
-		return false
-	case entries[victim] == me:
-		return true
-	default:
-		v := entries[victim]
-		v.victim.Store(true)
-		v.signal()
-		return false
-	}
-}
-
-// waitsFor builds the top-level waits-for graph of the registered waiters,
-// entries sorted by top: node i is entries[i].top. Entries whose access was
-// granted since the snapshot keep no out-edges: they are dequeued under the
-// same object mutex the edge computation takes.
-func (s *Server) waitsFor(entries []*waitEntry) graph.CSR {
-	off := make([]int32, 1, len(entries)+1)
-	var to []int32
-	// one and blks are reused by every waiter's Blockers call.
-	var one [1]tname.TxID
-	var blks []tname.TxID
-	for _, e := range entries {
-		s.withObj(e.obj, func() { //sgvet:holds e.obj.mu, s.mu:r
-			if !slices.Contains(e.obj.waiters, e) {
-				return
+	w := &s.waits
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	victim, next := me, tname.TxID(me.witnessTop.Load())
+	for range w.waiters {
+		if next == me.top {
+			if victim == me {
+				return true
 			}
-			one[0] = e.access
-			blks = e.obj.g.Blockers(one[:], blks[:0])
-			for _, blk := range blks {
-				// Blockers never include ancestors of the access, so Root is
-				// excluded and every blocker has a top-level ancestor.
-				bt := s.tr.ChildAncestor(tname.Root, blk)
-				if j, ok := slices.BinarySearchFunc(entries, bt, byTop); ok && bt != e.top {
-					to = append(to, int32(j))
-				}
-			}
-		})
-		off = append(off, int32(len(to)))
-	}
-	return graph.CSR{Off: off, To: to}
-}
-
-// knotVictim returns the node that must abort to break the waits-for knot
-// through me — the largest node of me's strongly connected component — or
-// -1 when me lies on no cycle. Every member of a component computes the
-// same answer whatever the order of its edges.
-func knotVictim(g graph.CSR, me int) int {
-	var search graph.Search
-	comp, _ := search.Components(g)
-	victim, size := -1, 0
-	for v, c := range comp {
-		if c == comp[me] {
-			victim, size = v, size+1
+			victim.victim.Store(true)
+			victim.signal()
+			return false
 		}
+		i, ok := slices.BinarySearchFunc(w.waiters, next, byTop)
+		if !ok {
+			return false
+		}
+		e := w.waiters[i]
+		if e.top > victim.top {
+			victim = e
+		}
+		next = tname.TxID(e.witnessTop.Load())
 	}
-	if size < 2 {
-		// me waits into other transactions but no wait chain leads back.
-		// (Self-edges cannot occur: waitsFor filters bt == e.top.)
-		return -1
-	}
-	return victim
+	return false
 }

@@ -3,18 +3,151 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"nestedsg/internal/client"
+	"nestedsg/internal/event"
 	"nestedsg/internal/graph"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
 )
 
-// The overlapping-cycles knot both tests below build: two waits-for cycles
+var (
+	read  = spec.Op{Kind: spec.OpRead, Arg: spec.Nil}
+	write = spec.Op{Kind: spec.OpWrite, Arg: spec.Int(1)}
+)
+
+// waitRig drives a server's automata and wait table by hand, as
+// session.waitGrant and Server.inform do, with no sessions behind it: nothing
+// re-tries an access or resolves a knot behind a test's back.
+type waitRig struct {
+	t     *testing.T
+	s     *Server
+	label int
+}
+
+func newWaitRig(t *testing.T, backend string) *waitRig {
+	s := New(Options{Backend: backend, Objects: []string{"x", "y", "z"}, LockTimeout: noTimeout})
+	t.Cleanup(s.Kill)
+	return &waitRig{t: t, s: s}
+}
+
+// tx defines a transaction under parent: tname.Root for a top.
+func (r *waitRig) tx(parent tname.TxID) tname.TxID {
+	r.label++
+	return r.s.internTx(parent, fmt.Sprintf("t%d", r.label), tname.NoObj, spec.Op{})
+}
+
+func (r *waitRig) obj(name string) *sharedObject {
+	r.t.Helper()
+	o, err := r.s.resolveObject(name)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return o
+}
+
+// try creates an access of parent to the object and asks for its grant. A
+// granted access commits at once, and its lock passes to parent; a refused
+// one enters the wait with its witness, as waitGrant's refusal does, and is
+// returned.
+func (r *waitRig) try(parent tname.TxID, name string, op spec.Op) *waitEntry {
+	s, o := r.s, r.obj(name)
+	r.label++
+	acc := s.internTx(parent, fmt.Sprintf("a%d", r.label), o.id, op)
+	s.mu.RLock()
+	top := s.tr.ChildAncestor(tname.Root, acc)
+	s.mu.RUnlock()
+	var e *waitEntry
+	s.withObj(o, func() { //sgvet:holds o.mu, s.mu:r
+		o.g.Create(acc)
+		if _, ok := o.g.TryRequestCommit(acc); ok {
+			return
+		}
+		e = &waitEntry{access: acc, top: top, obj: o, wake: make(chan struct{}, 1)}
+		s.askWitness(e)
+		s.enterWait(e)
+	})
+	if e == nil {
+		r.inform(event.InformCommit, acc, name)
+	}
+	return e
+}
+
+func (r *waitRig) hold(parent tname.TxID, name string, op spec.Op) {
+	r.t.Helper()
+	if r.try(parent, name, op) != nil {
+		r.t.Fatalf("access of %v to %s refused, want granted", parent, name)
+	}
+}
+
+func (r *waitRig) block(parent tname.TxID, name string, op spec.Op) *waitEntry {
+	r.t.Helper()
+	e := r.try(parent, name, op)
+	if e == nil {
+		r.t.Fatalf("access of %v to %s granted, want refused", parent, name)
+	}
+	return e
+}
+
+// inform applies an INFORM of t at each named object, waking its waiters.
+func (r *waitRig) inform(kind event.Kind, t tname.TxID, names ...string) {
+	for _, name := range names {
+		o := r.obj(name)
+		r.s.withObj(o, func() { //sgvet:holds o.mu, r.s.mu:r
+			if kind == event.InformCommit {
+				o.g.InformCommit(t)
+			} else {
+				o.g.InformAbort(t)
+			}
+			r.s.wakeWaiters(o, t)
+		})
+	}
+}
+
+// signalled reports, and consumes, a pending wake-up of e.
+func signalled(e *waitEntry) bool {
+	select {
+	case <-e.wake:
+		return true
+	default:
+		return false
+	}
+}
+
+// scan runs the deadlock scan of scanner with every victim mark and wake-up
+// cleared first, and returns the waiter it names: scanner itself when it
+// self-selects, the one it marks and wakes, or nil.
+func (r *waitRig) scan(waiters []*waitEntry, scanner *waitEntry) *waitEntry {
+	r.t.Helper()
+	for _, w := range waiters {
+		w.victim.Store(false)
+		signalled(w)
+	}
+	var named *waitEntry
+	if r.s.breakDeadlock(scanner) {
+		named = scanner
+	}
+	for _, w := range waiters {
+		if !w.victim.Load() {
+			continue
+		}
+		if named != nil {
+			r.t.Fatalf("scan by %v named %v and %v; a cycle needs one victim", scanner.top, named.top, w.top)
+		}
+		if !signalled(w) {
+			r.t.Fatalf("scan by %v marked %v but did not wake it", scanner.top, w.top)
+		}
+		named = w
+	}
+	return named
+}
+
+// The overlapping-cycles knot the tests below build: two waits-for cycles
 // sharing a transaction, T1⇄T2 and T2⇄T3 (Moss read/update locks; reads
 // share, writes exclude):
 //
@@ -22,119 +155,298 @@ import (
 //	T3 holds read x, blocks on read z  → edge T3→T2
 //	T2 holds write y and write z, blocks on write x → edges T2→T1, T2→T3
 //
-// A per-cycle victim rule names both T2 (maximum of its cycle with T1) and
-// T3 (maximum of its cycle with T2); the SCC rule must name one victim for
-// the whole knot: its largest TxID.
+// T2's witness at x is T1, the first read-lockholder, so the witness chain
+// holds the cycle T1⇄T2, and T3's chain leads into it. One victim breaks
+// the knot: T2, which lies on both cycles. The rule the chain replaced took
+// the strongly connected component's largest top, T3, and left T1⇄T2 for a
+// second victim.
+func buildKnot(r *waitRig) []*waitEntry {
+	t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+	r.hold(t1, "x", read)
+	r.hold(t2, "y", write)
+	r.hold(t2, "z", write)
+	r.hold(t3, "x", read)
+	return []*waitEntry{r.block(t1, "y", read), r.block(t3, "z", read), r.block(t2, "x", write)}
+}
 
-// TestVictimChoiceOverlappingCycles drives the automata and the wait table
-// by hand — no sessions, so nothing resolves the knot behind the test's
-// back — and checks that whichever of the three waiters runs the scan, the
-// same single victim comes out, marked and woken when it is not the scanner.
+// TestVictimChoiceOverlappingCycles checks each waiter's scan of the knot:
+// T1's marks and wakes T2, T2's selects itself, T3's names nobody. Once T2
+// aborts, T1 and T3 are both granted: no second victim is needed.
 func TestVictimChoiceOverlappingCycles(t *testing.T) {
-	s := New(Options{Objects: []string{"x", "y", "z"}, LockTimeout: 30 * time.Second})
-	defer s.Kill()
-
-	tops := make([]tname.TxID, 3)
-	for i := range tops {
-		tops[i] = s.internTx(tname.Root, fmt.Sprintf("t%d", i+1), tname.NoObj, spec.Op{})
-	}
-	label := 0
-	// try creates one access of top on obj and attempts its grant; a granted
-	// access commits at once (its lock passes to top), a refused one enters
-	// the wait exactly as session.waitGrant does.
-	try := func(top tname.TxID, name string, op spec.Op) *waitEntry {
-		t.Helper()
-		obj, err := s.resolveObject(name)
-		if err != nil {
-			t.Fatal(err)
+	r := newWaitRig(t, "moss")
+	waiters := buildKnot(r)
+	w1, w3, w2 := waiters[0], waiters[1], waiters[2]
+	for _, c := range []struct {
+		scanner, want *waitEntry
+	}{{w1, w2}, {w2, w2}, {w3, nil}} {
+		if got := r.scan(waiters, c.scanner); got != c.want {
+			t.Errorf("scan by %v named %v, want %v", c.scanner.top, topOf(got), topOf(c.want))
 		}
-		label++
-		acc := s.internTx(top, fmt.Sprintf("a%d", label), obj.id, op)
-		var e *waitEntry
-		s.withObj(obj, func() { //sgvet:holds obj.mu, s.mu:r
-			obj.g.Create(acc)
-			if _, ok := obj.g.TryRequestCommit(acc); ok {
-				obj.g.InformCommit(acc)
-				return
+	}
+
+	r.s.leaveWait(w2)
+	r.inform(event.InformAbort, w2.top, "x", "y", "z")
+	for _, w := range []*waitEntry{w1, w3} {
+		if !signalled(w) {
+			t.Errorf("%v's abort did not wake %v", w2.top, w.top)
+		}
+		r.s.withObj(w.obj, func() { //sgvet:holds w.obj.mu, r.s.mu:r
+			if _, ok := w.obj.g.TryRequestCommit(w.access); !ok {
+				t.Errorf("%v still refused after %v aborted", w.top, w2.top)
 			}
-			e = &waitEntry{access: acc, top: top, obj: obj, wake: make(chan struct{}, 1)}
-			s.enterWait(e)
+			r.s.exitWait(w)
 		})
-		return e
 	}
-	hold := func(top tname.TxID, name string, op spec.Op) {
-		t.Helper()
-		if try(top, name, op) != nil {
-			t.Fatalf("access of %v to %s refused, want granted", top, name)
-		}
-	}
-	block := func(top tname.TxID, name string, op spec.Op) *waitEntry {
-		t.Helper()
-		e := try(top, name, op)
-		if e == nil {
-			t.Fatalf("access of %v to %s granted, want refused", top, name)
-		}
-		return e
-	}
-	read := spec.Op{Kind: spec.OpRead, Arg: spec.Nil}
-	write := spec.Op{Kind: spec.OpWrite, Arg: spec.Int(1)}
-
-	hold(tops[0], "x", read)
-	hold(tops[1], "y", write)
-	hold(tops[1], "z", write)
-	hold(tops[2], "x", read)
-	waiters := []*waitEntry{
-		block(tops[0], "y", read),
-		block(tops[2], "z", read),
-		block(tops[1], "x", write),
-	}
-	victim := waiters[1] // T3: the largest TxID of the one component
-
-	for _, scanner := range waiters {
-		victim.victim.Store(false)
-		select {
-		case <-victim.wake:
-		default:
-		}
-		self := s.breakDeadlock(scanner)
-		if self != (scanner == victim) {
-			t.Fatalf("scan by %v: self-selected = %v, want %v", scanner.top, self, scanner == victim)
-		}
-		for _, w := range waiters {
-			if w != victim && w.victim.Load() {
-				t.Fatalf("scan by %v marked %v; the knot needs exactly one victim, %v", scanner.top, w.top, victim.top)
-			}
-		}
-		if scanner == victim {
-			continue
-		}
-		if !victim.victim.Load() {
-			t.Fatalf("scan by %v did not mark the victim %v", scanner.top, victim.top)
-		}
-		select {
-		case <-victim.wake:
-		default:
-			t.Fatalf("scan by %v marked the victim but did not wake it", scanner.top)
-		}
-	}
-
-	// Once the victim has left, the residual T1⇄T2 cycle has its own victim.
-	s.leaveWait(victim)
-	if !s.breakDeadlock(waiters[2]) {
-		t.Fatalf("after %v left, %v must self-select in the residual cycle", victim.top, waiters[2].top)
-	}
-	for _, w := range waiters {
-		s.leaveWait(w)
-	}
-	if n := len(s.waits.entries()); n != 0 {
+	if n := len(r.s.waits.entries()); n != 0 {
 		t.Fatalf("%d entries left in the wait table", n)
 	}
+}
+
+// topOf names a waiter in a failure message.
+func topOf(e *waitEntry) tname.TxID {
+	if e == nil {
+		return tname.None
+	}
+	return e.top
+}
+
+// TestWitnessChain builds one wait-for shape per row and checks whom each
+// waiter's scan names: victims[i] is the index of the waiter the scan by
+// waiters[i] names (itself when it self-selects), or -1 for nobody.
+func TestWitnessChain(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		backend string
+		build   func(r *waitRig) []*waitEntry
+		victims []int
+	}{
+		{"2-cycle", "moss", func(r *waitRig) []*waitEntry {
+			t1, t2 := r.tx(tname.Root), r.tx(tname.Root)
+			r.hold(t1, "x", write)
+			r.hold(t2, "y", write)
+			return []*waitEntry{r.block(t1, "y", write), r.block(t2, "x", write)}
+		}, []int{1, 1}},
+		{"3-cycle", "moss", func(r *waitRig) []*waitEntry {
+			t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+			r.hold(t1, "x", write)
+			r.hold(t2, "y", write)
+			r.hold(t3, "z", write)
+			return []*waitEntry{r.block(t1, "y", read), r.block(t2, "z", read), r.block(t3, "x", read)}
+		}, []int{2, 2, 2}},
+		{"chain ending at a running top", "moss", func(r *waitRig) []*waitEntry {
+			t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+			r.hold(t1, "x", write)
+			r.hold(t2, "y", write)
+			r.hold(t3, "z", write)
+			return []*waitEntry{r.block(t1, "y", write), r.block(t2, "z", write)}
+		}, []int{-1, -1}},
+		{"overlapping cycles", "moss", buildKnot, []int{2, -1, 2}},
+		{"witness moved by a sub-commit", "moss", func(r *waitRig) []*waitEntry {
+			t1, t2 := r.tx(tname.Root), r.tx(tname.Root)
+			c := r.tx(t2)
+			r.hold(c, "y", write)
+			r.hold(t1, "x", write)
+			w1 := r.block(t1, "y", read)
+			if w1.witness != c || !w1.exact {
+				r.t.Errorf("witness %v (exact %v), want the lockholder %v", w1.witness, w1.exact, c)
+			}
+			r.inform(event.InformCommit, c, "y") // the lock passes to t2
+			if !signalled(w1) || w1.witness != t2 || tname.TxID(w1.witnessTop.Load()) != t2 {
+				r.t.Errorf("after the sub-commit: witness %v, top %v; want %v, woken", w1.witness, w1.witnessTop.Load(), t2)
+			}
+			return []*waitEntry{w1, r.block(t2, "x", write)}
+		}, []int{1, 1}},
+		{"mvto read whose witness is a writer", "mvto", func(r *waitRig) []*waitEntry {
+			t1, t2 := r.tx(tname.Root), r.tx(tname.Root)
+			r.hold(t1, "x", write)
+			w2 := r.block(t2, "x", read)
+			if w2.exact || tname.TxID(w2.witnessTop.Load()) != t1 {
+				r.t.Errorf("witness %v (exact %v, top %v), want an inexact one under %v", w2.witness, w2.exact, w2.witnessTop.Load(), t1)
+			}
+			return []*waitEntry{w2}
+		}, []int{-1}},
+		{"undolog over a register", "undolog", func(r *waitRig) []*waitEntry {
+			t1, t2 := r.tx(tname.Root), r.tx(tname.Root)
+			r.hold(t1, "x", write)
+			r.hold(t2, "y", write)
+			w1, w2 := r.block(t1, "y", write), r.block(t2, "x", write)
+			if !w1.exact || !w2.exact {
+				r.t.Errorf("an undo log over a register names an exact witness")
+			}
+			return []*waitEntry{w1, w2}
+		}, []int{1, 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			r := newWaitRig(t, row.backend)
+			waiters := row.build(r)
+			for i, scanner := range waiters {
+				var want *waitEntry
+				if v := row.victims[i]; v >= 0 {
+					want = waiters[v]
+				}
+				if got := r.scan(waiters, scanner); got != want {
+					t.Errorf("scan by %v named %v, want %v", scanner.top, topOf(got), topOf(want))
+				}
+			}
+		})
+	}
+	t.Run("random waits match the reference", func(t *testing.T) {
+		cycles := 0
+		for seed := int64(1); seed <= 300; seed++ {
+			cycles += randomWaits(t, rand.New(rand.NewSource(seed)))
+		}
+		if cycles == 0 {
+			t.Fatal("no seed made a cycle: the lockstep checked nothing")
+		}
+		t.Logf("%d scans followed a cycle", cycles)
+	})
+}
+
+// randomWaits runs two to five tops over three Moss registers, each
+// accessing objects at random, now and then inside a subtransaction that
+// sub-commits, until every top waits or the steps run out. Then it holds
+// every waiter's chain to the reference: a cycle the chain follows lies in
+// the waiter's strongly connected component of the full waits-for graph,
+// and the scan names the cycle's youngest top, or nobody when there is no
+// cycle. It returns how many scans found a cycle.
+func randomWaits(t *testing.T, rnd *rand.Rand) int {
+	r := newWaitRig(t, "moss")
+	names := []string{"x", "y", "z"}
+	type top struct {
+		id, cur tname.TxID
+		touched []string // by cur, when cur is a subtransaction
+		waiting bool
+	}
+	tops := make([]*top, 2+rnd.Intn(4))
+	for i := range tops {
+		id := r.tx(tname.Root)
+		tops[i] = &top{id: id, cur: id}
+	}
+	for step := 0; step < 30; step++ {
+		tp := tops[rnd.Intn(len(tops))]
+		if tp.waiting {
+			continue
+		}
+		switch roll := rnd.Intn(10); {
+		case roll < 2 && tp.cur != tp.id:
+			r.inform(event.InformCommit, tp.cur, tp.touched...)
+			tp.cur, tp.touched = tp.id, nil
+		case roll < 2:
+			tp.cur = r.tx(tp.id)
+		default:
+			op := read
+			if rnd.Intn(2) == 0 {
+				op = write
+			}
+			name := names[rnd.Intn(len(names))]
+			tp.waiting = r.try(tp.cur, name, op) != nil
+			if !tp.waiting && tp.cur != tp.id && !slices.Contains(tp.touched, name) {
+				tp.touched = append(tp.touched, name)
+			}
+		}
+	}
+	entries := r.s.waits.entries()
+	var search graph.Search
+	comp, _ := search.Components(r.s.waitsFor(entries))
+	found := 0
+	for i, me := range entries {
+		cycle := chainCycle(entries, me)
+		want := -1
+		for _, tp := range cycle {
+			j, _ := slices.BinarySearchFunc(entries, tp, byTop)
+			if comp[j] != comp[i] {
+				t.Fatalf("the chain from %v closes a cycle %v through %v, outside its strongly connected component", me.top, cycle, tp)
+			}
+			want = max(want, j)
+		}
+		var wantE *waitEntry
+		if want >= 0 {
+			found++
+			wantE = entries[want]
+		}
+		if got := r.scan(entries, me); got != wantE {
+			t.Fatalf("scan by %v named %v; its chain's cycle %v names %v", me.top, topOf(got), cycle, topOf(wantE))
+		}
+	}
+	return found
+}
+
+// chainCycle follows the witness tops from me through the table and returns
+// the cycle back to me, or nil when the chain ends or enters a cycle that
+// does not pass through me.
+func chainCycle(entries []*waitEntry, me *waitEntry) []tname.TxID {
+	cycle := []tname.TxID{me.top}
+	for next := tname.TxID(me.witnessTop.Load()); next != me.top; {
+		i, ok := slices.BinarySearchFunc(entries, next, byTop)
+		if !ok || slices.Contains(cycle, next) {
+			return nil
+		}
+		cycle = append(cycle, next)
+		next = tname.TxID(entries[i].witnessTop.Load())
+	}
+	return cycle
+}
+
+// TestInformWakesWitnessWaiters checks whom an INFORM wakes. A Moss waiter
+// is woken only by an INFORM about an ancestor-or-self of its witness, and
+// then names a current witness; an mvto waiter, whose witness is not exact,
+// is woken by every INFORM on its object, which is how a read that the
+// protocol must restart learns it (DESIGN.md §8).
+func TestInformWakesWitnessWaiters(t *testing.T) {
+	t.Run("an unrelated INFORM wakes no Moss waiter", func(t *testing.T) {
+		r := newWaitRig(t, "moss")
+		t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+		r.hold(t1, "x", read)
+		r.hold(t2, "x", read)
+		w := r.block(t3, "x", write)
+		if w.witness != t1 {
+			t.Fatalf("witness %v, want the first read-lockholder %v", w.witness, t1)
+		}
+		r.inform(event.InformAbort, t2, "x")
+		if signalled(w) {
+			t.Errorf("%v's abort woke a waiter whose witness is %v", t2, t1)
+		}
+		r.inform(event.InformAbort, t1, "x")
+		if woke := signalled(w); !woke || w.witnessTop.Load() != int32(tname.None) {
+			t.Errorf("the witness's abort: woken %v, witness top %v; want woken, no witness", woke, w.witnessTop.Load())
+		}
+	})
+	t.Run("an INFORM about the witness's ancestor re-names it", func(t *testing.T) {
+		r := newWaitRig(t, "moss")
+		t1, t2 := r.tx(tname.Root), r.tx(tname.Root)
+		r.hold(t1, "x", write)
+		c := r.tx(t1)
+		d := r.tx(c)
+		r.hold(d, "x", write)
+		w := r.block(t2, "x", read)
+		if w.witness != d {
+			t.Fatalf("witness %v, want the least write-lockholder %v", w.witness, d)
+		}
+		r.inform(event.InformAbort, c, "x")
+		if !signalled(w) {
+			t.Errorf("the abort of %v, an ancestor of the witness %v, did not wake the waiter", c, d)
+		}
+		if w.witness != t1 || !w.exact {
+			t.Errorf("witness %v (exact %v) after the abort, want %v", w.witness, w.exact, t1)
+		}
+	})
+	t.Run("every INFORM wakes an mvto waiter", func(t *testing.T) {
+		r := newWaitRig(t, "mvto")
+		t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+		r.hold(t1, "x", write)
+		w := r.block(t2, "x", read)
+		r.inform(event.InformAbort, t3, "x")
+		if !signalled(w) {
+			t.Errorf("an INFORM on x left an mvto waiter asleep")
+		}
+	})
 }
 
 // TestOverlappingCyclesAllCommit runs the knot through real sessions: it
 // must dissolve by itself — detection is immediate, so the three sessions
 // never all stay blocked — with every transaction committing in the end,
-// at most two victims (T3, then the younger of the residual T1⇄T2 cycle)
+// at most two victims (one, T2, breaks both cycles; see
+// TestVictimChoiceOverlappingCycles)
 // and no lock timeout. An aborted transaction retries only after every
 // first attempt is over, one at a time, so retries add no new cycle.
 func TestOverlappingCyclesAllCommit(t *testing.T) {
@@ -220,101 +532,4 @@ func TestOverlappingCyclesAllCommit(t *testing.T) {
 		t.Errorf("LockTimeouts = %d, want 0", got)
 	}
 	s.Kill()
-}
-
-// TestKnotVictimMatchesReference holds knotVictim over the dense waits-for
-// graph to the map-based sccVictim it replaced, from every waiting top, on
-// one row per shape of the graph.
-func TestKnotVictimMatchesReference(t *testing.T) {
-	for _, row := range []struct {
-		name  string
-		tops  []tname.TxID
-		edges map[tname.TxID][]tname.TxID
-	}{
-		{"no cycle", []tname.TxID{3, 5, 8, 9}, map[tname.TxID][]tname.TxID{3: {5}, 5: {8}, 9: {3, 8}}},
-		{"one cycle", []tname.TxID{3, 5, 8, 9}, map[tname.TxID][]tname.TxID{3: {5}, 5: {8}, 8: {3}, 9: {3}}},
-		{"overlapping cycles", []tname.TxID{3, 5, 8}, map[tname.TxID][]tname.TxID{3: {5}, 5: {3, 8}, 8: {5}}},
-		{"chain into a cycle", []tname.TxID{3, 5, 8, 9}, map[tname.TxID][]tname.TxID{3: {5}, 5: {8}, 8: {9}, 9: {8}}},
-	} {
-		off := []int32{0}
-		var to []int32
-		for _, u := range row.tops {
-			for _, v := range row.edges[u] {
-				j, _ := slices.BinarySearch(row.tops, v)
-				to = append(to, int32(j))
-			}
-			off = append(off, int32(len(to)))
-		}
-		g := graph.CSR{Off: off, To: to}
-		for i, start := range row.tops {
-			got := tname.None
-			if v := knotVictim(g, i); v >= 0 {
-				got = row.tops[v]
-			}
-			if want := sccVictim(start, row.edges); got != want {
-				t.Errorf("%s: the victim of the knot through %v is %v, the reference names %v", row.name, start, got, want)
-			}
-		}
-	}
-}
-
-// sccVictim is the server's victim rule as it was before breakDeadlock
-// moved onto graph.Search, over maps: the transaction that must abort to
-// break the waits-for knot through start — the largest TxID of start's strongly connected
-// component — or tname.None when start lies on no cycle. Every member of a
-// component computes the same answer whatever the order of its edge lists.
-func sccVictim(start tname.TxID, edges map[tname.TxID][]tname.TxID) tname.TxID {
-	scc := sccThrough(start, edges)
-	if len(scc) < 2 {
-		// start waits into other transactions but no wait chain leads back.
-		// (Self-edges cannot occur: waitsFor filters bt == e.top.)
-		return tname.None
-	}
-	victim := scc[0]
-	for _, t := range scc[1:] {
-		if t > victim {
-			victim = t
-		}
-	}
-	return victim
-}
-
-// sccThrough returns the strongly connected component containing start:
-// the nodes reachable from start that also reach it. The component always
-// contains start itself; any second member certifies a cycle through
-// start, and the set is the union of every such cycle's nodes.
-func sccThrough(start tname.TxID, edges map[tname.TxID][]tname.TxID) []tname.TxID {
-	fwd := reachable(start, edges)
-	rev := make(map[tname.TxID][]tname.TxID, len(edges))
-	for u, vs := range edges {
-		for _, v := range vs {
-			rev[v] = append(rev[v], u)
-		}
-	}
-	bwd := reachable(start, rev)
-	var scc []tname.TxID
-	for t := range fwd {
-		if bwd[t] {
-			scc = append(scc, t)
-		}
-	}
-	return scc
-}
-
-// reachable returns the set of nodes reachable from start (including
-// start) by following edges.
-func reachable(start tname.TxID, edges map[tname.TxID][]tname.TxID) map[tname.TxID]bool {
-	seen := map[tname.TxID]bool{start: true}
-	stack := []tname.TxID{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range edges[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }

@@ -124,7 +124,7 @@ const MaxFrame = 1 << 20
 // for CmdAccess; RO only for CmdBegin; Named and N only for CmdChild.
 type Request struct {
 	Cmd Cmd
-	Obj string
+	Obj string // a view of the payload ParseRequest read it from
 	Op  spec.OpKind
 	Arg spec.Value
 	// RO asks for a read-only transaction: backends with a snapshot store
@@ -290,7 +290,10 @@ func AppendRequest(buf []byte, q Request) []byte {
 
 // ParseRequest decodes a request payload. It reads the byte slice in place
 // through an event.Cursor, so commands without string payloads parse
-// without allocating; an ACCESS request's one allocation is the Obj string.
+// without allocating. An ACCESS request's Obj is a view of payload, not a
+// copy: it is valid only until payload is written again, and a caller that
+// keeps the label longer clones it. Its Arg, which the server keeps in the
+// access's name, is a copy.
 func ParseRequest(payload []byte) (Request, error) {
 	c := event.NewCursor(payload)
 	cb, err := c.Byte("request cmd")
@@ -300,7 +303,7 @@ func ParseRequest(payload []byte) (Request, error) {
 	q := Request{Cmd: Cmd(cb), Arg: spec.Nil}
 	switch q.Cmd {
 	case CmdAccess:
-		if q.Obj, err = c.Str("request obj"); err != nil {
+		if q.Obj, err = c.View("request obj"); err != nil {
 			return Request{}, err
 		}
 		if q.Op, err = c.OpKind("request op"); err != nil {
