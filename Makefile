@@ -31,8 +31,7 @@ race:
 # Short fuzz pass over every fuzz target in the tree: the trace codec
 # round-trip properties, the binary trace decoder against the one it
 # replaced, the network-facing request and response parsers,
-# the edge-batch wire parser, the graph search against the searches it
-# replaced, the two frontiers' closure lemmas, streaming ≡ batch, the WAL
+# the graph search against the searches it replaced, the two frontiers' closure lemmas, streaming ≡ batch, the WAL
 # record decoder against its bufio-based reference, the WAL recovery path, the event log's packed
 # records, the partitioned certificate
 # and the moss-vs-undolog backend differential. The committed
@@ -46,7 +45,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphSearchDifferential$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecedesFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzConflictFrontierClosure$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -127,15 +127,8 @@ func Check(tr *tname.Tree, b event.Behavior) *Result {
 	return NewChecker(tr).Check(b)
 }
 
-// ComputeViews orders the visible operations of each object by R_trans and
-// verifies each resulting view is a behavior of the serial object. The
-// error identifies the object and operation that failed.
-func ComputeViews(tr *tname.Tree, sg *SG, order *SiblingOrder) ([]View, error) {
-	var vs viewScratch
-	return vs.compute(tr, sg, order)
-}
-
-// viewScratch is the working memory of ComputeViews; a Checker pools one.
+// viewScratch is the working memory of the view computation; a Checker
+// pools one.
 type viewScratch struct {
 	// seen[x] is one more than x's position among the objects in order of
 	// first visible operation, or 0; at[i] is where the view of the i-th
@@ -166,9 +159,11 @@ const (
 	unlisted tname.TxID = -2
 )
 
-// compute is ComputeViews over the scratch. Views come out in the order
-// of each object's first visible operation, and share one fresh backing
-// array, so they outlive the scratch.
+// compute orders the visible operations of each object by R_trans and
+// verifies each resulting view is a behavior of the serial object; the
+// error identifies the object and operation that failed. Views come out in
+// the order of each object's first visible operation, and share one fresh
+// backing array, so they outlive the scratch.
 //
 // R_trans orders two operations as R orders the children of their least
 // common ancestor they descend from, so a depth-first walk of the names

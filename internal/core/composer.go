@@ -1,17 +1,13 @@
 package core
 
-import (
-	"fmt"
-
-	"nestedsg/internal/tname"
-)
+import "nestedsg/internal/tname"
 
 // Composer rebuilds SG(β) from edge *records* rather than events. It is
 // the receiving half of the offline partitioned certifier
 // (internal/part): each partition streams its local event sub-stream
-// through an Incremental and exports the edges it derives; the Composer
-// unions those edge sets into the global graph and runs the same
-// per-edge Pearce–Kelly cycle detection over the union.
+// through an Incremental, and the Composer absorbs the edge records each
+// one holds into the global graph, running the same per-edge Pearce–Kelly
+// cycle detection over the union.
 //
 // Correctness rests on two facts. First, SG(β) is a pure function of its
 // edge set — Snapshot applies the same canonical freeze as Build, so two
@@ -35,14 +31,23 @@ func NewComposer(tr *tname.Tree) *Composer {
 	return &Composer{sg: newRecords(tr)}
 }
 
-// AddEdge records from→to in SG(β, parent) and feeds any new pair to the
-// Pearce–Kelly order, flagging the first cycle. It reports whether the
-// record was new — a duplicate (already delivered by this or another
-// partition) is a no-op. The tree is append-only and may gain names between
-// AddEdges, so AddEdge re-checks its size on every call.
-func (c *Composer) AddEdge(parent, from, to tname.TxID, kind EdgeKind) bool {
+// Absorb adds every edge record inc holds, parent graph by parent graph,
+// feeding each new pair to the Pearce–Kelly order and flagging the first
+// cycle. A record already absorbed from this or another partition is a
+// no-op. inc must run over the composer's tree; the tree is append-only
+// and may have gained names since the last Absorb, so Absorb re-checks its
+// size first.
+//
+//sgvet:hotpath
+func (c *Composer) Absorb(inc *Incremental) {
 	c.sg.grow()
-	return c.sg.add(parent, from, to, kind)
+	r := &inc.sg
+	for _, p := range r.parents {
+		for i := r.names[p].firstEdge; i >= 0; i = r.recs[i].next {
+			e := r.recs[i]
+			c.sg.add(p, e.from, e.to, e.kind)
+		}
+	}
 }
 
 // Cyclic reports the sticky verdict: whether any delivered edge closed a
@@ -63,12 +68,3 @@ func (c *Composer) Snapshot() *SG {
 // Reset rewinds the composer to the empty graph, retaining every backing
 // array so the next composition over the same tree allocates nothing.
 func (c *Composer) Reset() { c.sg.reset() }
-
-// String summarizes the composer state for diagnostics.
-func (c *Composer) String() string {
-	verdict := "acyclic"
-	if c.sg.cyclic {
-		verdict = "cyclic"
-	}
-	return fmt.Sprintf("composer: %d parents, %d edges, %s", len(c.sg.parents), len(c.sg.recs), verdict)
-}

@@ -8,29 +8,40 @@ import (
 	"nestedsg/internal/tname"
 )
 
-// edgeRecord is one sink observation, kept in TxID space so it can be
-// replayed into a Composer in any order.
+// edgeRecord is one edge record of an Incremental, kept in TxID space so
+// it can be replayed into a Composer in any order.
 type edgeRecord struct {
 	parent, from, to tname.TxID
 	kind             EdgeKind
 }
 
-// collectEdges streams b through an Incremental with a recording sink and
-// returns the deduped edge records in discovery order.
+// collectEdges streams b through an Incremental and returns its deduped
+// edge records, parent graph by parent graph.
 func collectEdges(tr *tname.Tree, b event.Behavior) []edgeRecord {
 	inc := NewIncremental(tr)
-	var recs []edgeRecord
-	inc.SetEdgeSink(func(parent, from, to tname.TxID, kind EdgeKind) {
-		recs = append(recs, edgeRecord{parent, from, to, kind})
-	})
 	for _, e := range b {
 		inc.Append(e)
+	}
+	r := &inc.sg
+	var recs []edgeRecord
+	for _, p := range r.parents {
+		for i := r.names[p].firstEdge; i >= 0; i = r.recs[i].next {
+			e := r.recs[i]
+			recs = append(recs, edgeRecord{p, e.from, e.to, e.kind})
+		}
 	}
 	return recs
 }
 
-// TestComposerMatchesBuild: replaying the sink's edge records into a
-// Composer reconstructs SG(β) byte-for-byte, on protocol traces and on
+// add feeds one record to c the way Absorb does, reporting whether it was
+// new.
+func (c *Composer) add(r edgeRecord) bool {
+	c.sg.grow()
+	return c.sg.add(r.parent, r.from, r.to, r.kind)
+}
+
+// TestComposerMatchesBuild: replaying an Incremental's edge records into
+// a Composer reconstructs SG(β) byte-for-byte, on protocol traces and on
 // random event soup, cyclic traces included.
 func TestComposerMatchesBuild(t *testing.T) {
 	for _, proto := range []string{"moss", "broken"} {
@@ -55,7 +66,7 @@ func verifyComposed(t *testing.T, tr *tname.Tree, b event.Behavior) {
 
 	comp := NewComposer(tr)
 	for _, r := range recs {
-		comp.AddEdge(r.parent, r.from, r.to, r.kind)
+		comp.add(r)
 	}
 	if got, w := comp.Snapshot().DOT(), want.DOT(); got != w {
 		t.Fatalf("composed snapshot diverges from Build:\n--- composed ---\n%s\n--- build ---\n%s", got, w)
@@ -71,8 +82,8 @@ func verifyComposed(t *testing.T, tr *tname.Tree, b event.Behavior) {
 	comp2 := NewComposer(tr)
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
-		comp2.AddEdge(r.parent, r.from, r.to, r.kind)
-		if comp2.AddEdge(r.parent, r.from, r.to, r.kind) {
+		comp2.add(r)
+		if comp2.add(r) {
 			t.Fatalf("duplicate record reported as new: %+v", r)
 		}
 	}
@@ -93,7 +104,7 @@ func TestComposerReset(t *testing.T) {
 	comp := NewComposer(tr)
 	feed := func() {
 		for _, r := range recs {
-			comp.AddEdge(r.parent, r.from, r.to, r.kind)
+			comp.add(r)
 		}
 	}
 	feed()
@@ -105,29 +116,5 @@ func TestComposerReset(t *testing.T) {
 	feed()
 	if got := comp.Snapshot().DOT(); got != first {
 		t.Fatalf("post-reset composition diverges:\n%s\n%s", got, first)
-	}
-}
-
-// TestEdgeSinkFiresOncePerRecord: the sink sees exactly the dedup map's
-// support — len(seen) records, no duplicates.
-func TestEdgeSinkFiresOncePerRecord(t *testing.T) {
-	tr := tname.NewTree()
-	b := protocolTrace(t, "moss", 7, tr)
-	inc := NewIncremental(tr)
-	seen := map[edgeRecord]int{}
-	inc.SetEdgeSink(func(parent, from, to tname.TxID, kind EdgeKind) {
-		seen[edgeRecord{parent, from, to, kind}]++
-	})
-	for _, e := range b {
-		inc.Append(e)
-	}
-	_, _, edges := inc.Counts()
-	if len(seen) != edges {
-		t.Fatalf("sink saw %d distinct records, checker holds %d", len(seen), edges)
-	}
-	for r, n := range seen {
-		if n != 1 {
-			t.Fatalf("record %+v delivered %d times", r, n)
-		}
 	}
 }

@@ -104,7 +104,7 @@ func checkReference(t *testing.T, ctx string, tr *tname.Tree, b event.Behavior) 
 		// requests commit twice.
 		return false
 	}
-	views, err := ComputeViews(tr, got, order)
+	views, err := new(viewScratch).compute(tr, got, order)
 	wantViews, wantErr := referenceViews(tr, want, wantOrder)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: view error %v, reference %v", ctx, err, wantErr)

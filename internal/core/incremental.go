@@ -68,22 +68,7 @@ type Incremental struct {
 
 	rejected   *Cycle
 	rejectedAt int
-
-	// sink, when set, observes every new deduped edge record as it enters
-	// the graph — the export half of the partitioned certification scheme
-	// (the Composer is the import half). Reset keeps it: the sink belongs
-	// to the stream's owner, not to any one prefix.
-	sink EdgeSink
 }
-
-// EdgeSink observes one new (parent, from, to, kind) edge record. The
-// callback fires at most once per distinct record (the arc labels gate
-// it), synchronously inside Append, whether or not the edge closes a cycle
-// — so a sink always sees the edge that closes one.
-type EdgeSink func(parent, from, to tname.TxID, kind EdgeKind)
-
-// SetEdgeSink installs (or, with nil, removes) the edge observer.
-func (inc *Incremental) SetEdgeSink(f EdgeSink) { inc.sink = f }
 
 // txState is what the engine keeps per transaction name beside its graph
 // records, free of pointers: the tails of the lists of items parked on it
@@ -223,9 +208,6 @@ func (inc *Incremental) Reserve(src event.Source) {
 	countPass(&Checker{tr: inc.tr}, src, k)
 	inc.reserve(k)
 }
-
-// EventsSeen returns how many events have been appended.
-func (inc *Incremental) EventsSeen() int { return inc.seq }
 
 // Rejected returns the sticky verdict: the cycle certificate and the raw
 // index of the event whose prefix first made SG cyclic, or (nil, -1) while
@@ -399,7 +381,7 @@ func (inc *Incremental) conflict(prev, cur tname.TxID) {
 		return
 	}
 	lca := inc.tr.LCA(prev, cur)
-	inc.addEdge(lca, inc.tr.ChildAncestor(lca, prev), inc.tr.ChildAncestor(lca, cur), EdgeConflict)
+	inc.sg.add(lca, inc.tr.ChildAncestor(lca, prev), inc.tr.ChildAncestor(lca, cur), EdgeConflict)
 }
 
 // admitReq materializes the precedes edges of one REQUEST_CREATE whose
@@ -413,18 +395,8 @@ func (inc *Incremental) admitReq(req pendingReq) {
 		var t tname.TxID
 		t, k = inc.prec.sibling(k)
 		if t != req.child {
-			inc.addEdge(req.parent, t, req.child, EdgePrecedes)
+			inc.sg.add(req.parent, t, req.child, EdgePrecedes)
 		}
-	}
-}
-
-// addEdge records from→to in SG(β, parent) (sgRecords.add) and hands a new
-// record to the sink.
-//
-//sgvet:hotpath
-func (inc *Incremental) addEdge(parent, from, to tname.TxID, kind EdgeKind) {
-	if inc.sg.add(parent, from, to, kind) && inc.sink != nil {
-		inc.sink(parent, from, to, kind)
 	}
 }
 

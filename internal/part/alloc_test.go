@@ -14,8 +14,8 @@ import (
 )
 
 // TestCertifierResetSteadyStateAllocs pins the whole partitioned apply
-// path — ownership routing, per-partition streaming, the codec round
-// trip, and edge composition — at zero steady-state allocations: after
+// path — ownership routing, per-partition streaming and edge
+// composition — at zero steady-state allocations: after
 // one warm-up pass, Reset + Prime over the same tree must not allocate.
 func TestCertifierResetSteadyStateAllocs(t *testing.T) {
 	tr, b := protocolBehavior(t, 19, 57)
@@ -32,8 +32,8 @@ func TestCertifierResetSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkPartitionedApply measures the per-event cost of the
-// partitioned apply path, end to end through the edge exchange. The
-// benchdiff gate holds its allocs/op at zero.
+// partitioned apply path, end to end through the composer. The benchdiff
+// gate holds its allocs/op at zero.
 func BenchmarkPartitionedApply(b *testing.B) {
 	tr, tb := protocolBehavior(b, 19, 57)
 	c := part.New(part.Config{Partitions: 4, Tree: tr})

@@ -25,11 +25,11 @@
 // copies. "Deciding Serializability in Network Systems" (PAPERS.md) is the
 // template.
 //
-// Partitions ship their edges through the wire.EdgeBatch codec, and the
-// composer (core.Composer) unions the batches. Because the canonical freeze
-// makes SG a pure function of its edge set, Snapshot is byte-identical to a
-// batch core.Build over β; the package's differential tests and
-// FuzzPartitionedCertificate hold it to that.
+// The composer (core.Composer) absorbs each partition's edge records in
+// place. Because the canonical freeze makes SG a pure function of its edge
+// set, the order of absorption does not matter and Snapshot is
+// byte-identical to a batch core.Build over β; the package's differential
+// tests and FuzzPartitionedCertificate hold it to that.
 package part
 
 // Owner maps an object label to its owning partition in [0, parts). The

@@ -302,6 +302,46 @@ func TestWitnessChain(t *testing.T) {
 	})
 }
 
+// TestLatentWitnessCycle pins a deadlock the witness chain sees only late:
+// one whose cycle closes through a blocker other than a waiter's witness.
+//
+//	T3 holds read x, T1 holds read x, T2 holds write y
+//	T1 blocks on write y → witness T2
+//	T2 blocks on write x → witness T3, the first read-lockholder
+//
+// T1⇄T2 is a cycle of the full waits-for graph, but T2's chain leads to the
+// running T3, so neither scan names anybody. T3's commit at x wakes T2 and
+// re-names its witness T1, and both scans then name T2, the cycle's
+// youngest top: the waiter the INFORM wakes finds the cycle on its re-try,
+// with no lock timeout.
+func TestLatentWitnessCycle(t *testing.T) {
+	r := newWaitRig(t, "moss")
+	t1, t2, t3 := r.tx(tname.Root), r.tx(tname.Root), r.tx(tname.Root)
+	r.hold(t3, "x", read)
+	r.hold(t1, "x", read)
+	r.hold(t2, "y", write)
+	w1, w2 := r.block(t1, "y", write), r.block(t2, "x", write)
+	waiters := []*waitEntry{w1, w2}
+	if w2.witness != t3 {
+		t.Fatalf("%v's witness %v, want the first read-lockholder %v", t2, w2.witness, t3)
+	}
+	for _, w := range waiters {
+		if got := r.scan(waiters, w); got != nil {
+			t.Errorf("before %v commits: scan by %v named %v, want nobody", t3, w.top, got.top)
+		}
+	}
+
+	r.inform(event.InformCommit, t3, "x")
+	if !signalled(w2) || w2.witness != t1 || tname.TxID(w2.witnessTop.Load()) != t1 {
+		t.Fatalf("after %v commits: %v's witness %v (top %v), want %v, woken", t3, t2, w2.witness, w2.witnessTop.Load(), t1)
+	}
+	for _, w := range waiters {
+		if got := r.scan(waiters, w); got != w2 {
+			t.Errorf("after %v commits: scan by %v named %v, want %v", t3, w.top, topOf(got), t2)
+		}
+	}
+}
+
 // randomWaits runs two to five tops over three Moss registers, each
 // accessing objects at random, now and then inside a subtransaction that
 // sub-commits, until every top waits or the steps run out. Then it holds

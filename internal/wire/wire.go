@@ -120,6 +120,11 @@ func (s Status) String() string {
 // fails fast instead of allocating gigabytes.
 const MaxFrame = 1 << 20
 
+// MaxEdgeBatch bounds nothing in this module: the benchmark's replay of
+// the partitioned certifier (bench/layers.go) cuts its prefixes by it, and
+// it goes when that replay does.
+const MaxEdgeBatch = 1 << 20
+
 // Request is a decoded request frame. Obj, Op and Arg are meaningful only
 // for CmdAccess; RO only for CmdBegin; Named and N only for CmdChild.
 type Request struct {
