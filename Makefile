@@ -1,5 +1,11 @@
 GO ?= go
 
+# The allocation gates' margin, in percent: a row fails when its allocs/op
+# or B/op is more than this far above its baseline, and a refresh lowers a
+# baseline that the fresh run beats by more than this.
+GATE_MARGIN = 25
+GATE = -max-allocs-regress $(GATE_MARGIN) -max-bytes-regress $(GATE_MARGIN)
+
 .PHONY: all build test vet sgvet lockreport race fuzz-short bench-smoke bench-test bench-json bench-gate bench-server bench-server-gate serve loadtest-smoke sim-soak ci
 
 all: build test vet sgvet
@@ -73,18 +79,20 @@ bench-test:
 # engine, CheckFresh) plus the trace-codec table (E16). The committed
 # "baseline" side (the pre-optimization numbers; for E24 and E25 the numbers
 # of the PR that introduced each, 0 allocs/op; for CheckFresh the per-parent
-# engine it replaced) is preserved.
+# engine it replaced) is never raised: a row whose fresh allocs/op or B/op
+# beats it by more than the gate's margin has it lowered to the fresh
+# value (the ratchet), so a landed win is what the gate holds next.
 bench-json:
 	$(GO) test -run '^$$' -bench 'E1MossSerialCorrectness|E15|E16|E24|E25|GenericRun|CheckFresh' -benchmem -count 1 . \
-		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json
+		| $(GO) run ./cmd/benchdiff -write-current BENCH_PR3.json $(GATE)
 
 # Fail when the checker or runner benchmarks or the two trace-decode rows of E16
-# regress against the committed baseline by more than 25% in allocs/op or
-# B/op (ns/op is reported but never gated — wall-clock timing is hardware
+# regress against the committed baseline by more than GATE_MARGIN percent
+# in allocs/op or B/op (ns/op is reported but never gated — wall-clock timing is hardware
 # noise on shared runners).
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -suite BENCH_PR3.json \
-		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25|GenericRun|CheckFresh' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'E1MossSerialCorrectness|E15|E16TraceCodec/binary-(decode|stream-check)|E24|E25|GenericRun|CheckFresh' $(GATE)
 
 # Refresh the "current" side of BENCH_SERVER.json: the server hot-path
 # micro benchmarks (log append with WAL attached, the WAL writer's group
@@ -98,7 +106,8 @@ bench-gate: bench-json
 # the offline partitioned certifier's apply+compose)
 # plus two short certified nestedload sweeps — clients × read-ratio × zipf,
 # and backends × read-ratio — whose latency percentiles and throughput
-# parse into the suite as first-class columns (p50-us, p99-us, tx/s).
+# parse into the suite as first-class columns (p50-us, p99-us, tx/s). The
+# "baseline" side is ratcheted as bench-json's is.
 bench-server:
 	( $(GO) test -run '^$$' -bench 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerRecover|ServerFinal' -benchmem -count 1 ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'PartitionedApply' -benchmem -count 1 ./internal/part ; \
@@ -107,16 +116,16 @@ bench-server:
 	  $(GO) run ./cmd/nestedload -sweep -dur 250ms -objects 8 \
 		-sweep-backends moss,undolog,mvto -sweep-clients 8 \
 		-sweep-readratios 0.5,0.95 -sweep-zipfs 0 ) \
-		| $(GO) run ./cmd/benchdiff -write-current BENCH_SERVER.json
+		| $(GO) run ./cmd/benchdiff -write-current BENCH_SERVER.json $(GATE)
 
 # Fail when the server hot-path benchmarks regress against the committed
-# baseline by more than 25% in allocs/op or B/op, or when a gated
+# baseline by more than GATE_MARGIN percent in allocs/op or B/op, or when a gated
 # benchmark is missing from the fresh run. Sweep latency and
 # throughput are reported in the diff table but never gated — wall-clock
 # numbers are hardware noise on shared runners.
 bench-server-gate: bench-server
 	$(GO) run ./cmd/benchdiff -suite BENCH_SERVER.json \
-		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerRecover|ServerFinal|PartitionedApply' -max-allocs-regress 25 -max-bytes-regress 25
+		-match 'LogAppend|ServerGroupCommit|ServerSessionRoundTrip|ClientRunTx|ClientRunReadTx|WalScan|E18Recover|ServerRecover|ServerFinal|PartitionedApply' $(GATE)
 
 # Run the certified transaction server on the default port. SIGTERM (or
 # ctrl-C) drains it and prints the final online-vs-batch certificate.

@@ -443,7 +443,9 @@ func contendedTrace(b *testing.B, topLevel int) (*tname.Tree, event.Behavior) {
 
 // BenchmarkE15StreamingCheck measures the incremental checker's replay of a
 // clean trace; the ns/event metric is the streaming cost per event. The
-// toplevel rows reuse one pooled engine; the fresh row builds a new engine
+// toplevel rows reuse one pooled engine, warmed by one replay before the
+// timer starts, so their B/op is what a replay costs and not the first
+// replay's array growth divided by b.N; the fresh row builds a new engine
 // per stream and never resets it, which is how every server life starts,
 // so its allocations are those of an engine growing its arrays.
 func BenchmarkE15StreamingCheck(b *testing.B) {
@@ -459,6 +461,7 @@ func BenchmarkE15StreamingCheck(b *testing.B) {
 			tr, trace := contendedTrace(b, topLevel)
 			b.ReportMetric(float64(len(trace)), "events")
 			c := core.NewChecker(tr)
+			c.StreamPrefix(trace)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if at, _ := c.StreamPrefix(trace); at >= 0 {
@@ -501,11 +504,14 @@ func denseTrace(b *testing.B, topLevel int) (*tname.Tree, event.Behavior) {
 
 // BenchmarkE15BatchBuild measures the batch SG construction — the whole
 // behavior streamed through a pooled Checker's engine, then frozen — on
-// one dense trace.
+// one dense trace. The Checker is warmed by one build before the timer
+// starts, so B/op is what a build costs and not the first build's array
+// growth divided by b.N.
 func BenchmarkE15BatchBuild(b *testing.B) {
 	tr, trace := denseTrace(b, 128)
 	want := core.Build(tr, trace).NumEdges()
 	c := core.NewChecker(tr)
+	c.Build(trace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := c.Build(trace).NumEdges(); got != want {

@@ -8,13 +8,18 @@
 //	benchdiff -old old.json -new new.json
 //	benchdiff -old old.json -new new.json -max-allocs-regress 25
 //	go test ... -benchmem . | benchdiff -write-current BENCH_PR3.json
+//	go test ... -benchmem . | benchdiff -write-current BENCH_PR3.json -max-allocs-regress 25
 //	benchdiff -suite BENCH_PR3.json -match 'E1|E15' -max-allocs-regress 25
 //
 // A suite file is a JSON object mapping benchmark names to
 // {ns_op, b_op, allocs_op}; a combined file (BENCH_PR3.json) holds a
 // "baseline" and a "current" suite side by side, so the repository can
 // commit the pre-optimization numbers next to the current ones and CI can
-// verify the improvement never regresses away.
+// verify the improvement never regresses away. Given a gate's margins,
+// -write-current also ratchets the baseline: a row whose fresh allocs/op or
+// B/op beats its baseline by more than the margin has that baseline lowered
+// to the fresh value, so the next gate run holds the win. It never raises a
+// baseline.
 //
 // Exit status: 0 on success, 1 when a gate is exceeded or a gated baseline
 // benchmark is missing from the new side, 2 on usage or I/O errors.
@@ -44,6 +49,9 @@ type Entry struct {
 	P50Us    float64 `json:"p50_us,omitempty"`
 	P99Us    float64 `json:"p99_us,omitempty"`
 	TxS      float64 `json:"tx_s,omitempty"`
+	// mem says the line reported B/op and allocs/op (-benchmem), so their
+	// zeros are measurements, not absences.
+	mem bool
 }
 
 // hasLatency reports whether the entry carries the sweep's latency and
@@ -71,7 +79,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		oldFile      = fs.String("old", "", "baseline suite JSON file")
 		newFile      = fs.String("new", "", "candidate suite JSON file")
 		suiteFile    = fs.String("suite", "", "combined baseline/current JSON file to diff")
-		writeCurrent = fs.String("write-current", "", "parse bench text from stdin and replace the 'current' side of this combined file")
+		writeCurrent = fs.String("write-current", "", "parse bench text from stdin and replace the 'current' side of this combined file, lowering a baseline the fresh run beats by more than the -max-*-regress margin")
 		match        = fs.String("match", "", "regexp restricting which benchmarks are compared and gated")
 		maxAllocs    = fs.Float64("max-allocs-regress", -1, "fail when allocs/op regresses by more than this percent (-1 disables)")
 		maxBytes     = fs.Float64("max-bytes-regress", -1, "fail when B/op regresses by more than this percent (-1 disables)")
@@ -106,6 +114,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if c.Baseline == nil {
 			// First run: seed the baseline too, so the file is complete.
 			c.Baseline = cur
+		}
+		if lowered := ratchet(c.Baseline, cur, *maxAllocs, *maxBytes); len(lowered) > 0 {
+			fmt.Fprintf(stdout, "lowered the baseline of %s\n", strings.Join(lowered, ", "))
 		}
 		out, err := json.MarshalIndent(&c, "", "  ")
 		if err != nil {
@@ -203,9 +214,9 @@ func parseBench(r io.Reader) (Suite, error) {
 			case "ns/op":
 				e.NsOp = v
 			case "B/op":
-				e.BOp = v
+				e.BOp, e.mem = v, true
 			case "allocs/op":
-				e.AllocsOp = v
+				e.AllocsOp, e.mem = v, true
 			case "p50-us":
 				e.P50Us = v
 			case "p99-us":
@@ -235,6 +246,33 @@ func pct(old, new float64) float64 {
 		return 100 * new
 	}
 	return (new - old) / old * 100
+}
+
+// ratchet lowers each baseline allocs/op and B/op that cur beats by more
+// than its margin, a percent (negative: leave that column alone), to cur's
+// value, and returns the names of the rows it lowered, sorted. It never
+// raises a baseline, and it lowers only from a line that reported memory.
+func ratchet(base, cur Suite, maxAllocs, maxBytes float64) []string {
+	var lowered []string
+	for name, b := range base {
+		c, ok := cur[name]
+		if !ok || !c.mem {
+			continue
+		}
+		was := b
+		if maxAllocs >= 0 && pct(b.AllocsOp, c.AllocsOp) < -maxAllocs {
+			b.AllocsOp = c.AllocsOp
+		}
+		if maxBytes >= 0 && pct(b.BOp, c.BOp) < -maxBytes {
+			b.BOp = c.BOp
+		}
+		if b != was {
+			base[name] = b
+			lowered = append(lowered, name)
+		}
+	}
+	sort.Strings(lowered)
+	return lowered
 }
 
 func diff(stdout, stderr io.Writer, oldS, newS Suite, match string, maxAllocs, maxBytes float64) int {

@@ -230,3 +230,91 @@ func TestDiffLatencyColumns(t *testing.T) {
 		t.Fatalf("latency columns leaked into a micro-only table:\n%s", out.String())
 	}
 }
+
+// TestBaselineRatchet: -write-current with a gate's margins lowers a
+// baseline column that the fresh run beats by more than the margin, to the
+// fresh value, and leaves every other column, and every row it does not
+// beat by that much, as it was: it never raises one.
+func TestBaselineRatchet(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		base, cur       Entry
+		maxAllocs, maxB float64
+		want            Entry
+		lowered         bool
+	}{
+		{"a win past both margins lowers both",
+			Entry{NsOp: 100, BOp: 1000, AllocsOp: 10}, Entry{NsOp: 50, BOp: 500, AllocsOp: 5, mem: true},
+			25, 25, Entry{NsOp: 100, BOp: 500, AllocsOp: 5}, true},
+		{"a win inside the margin is noise",
+			Entry{BOp: 1000, AllocsOp: 10}, Entry{BOp: 800, AllocsOp: 8, mem: true},
+			25, 25, Entry{BOp: 1000, AllocsOp: 10}, false},
+		{"only the column that won moves",
+			Entry{BOp: 299, AllocsOp: 10}, Entry{BOp: 0, AllocsOp: 10, mem: true},
+			25, 25, Entry{BOp: 0, AllocsOp: 10}, true},
+		{"a regression never raises the baseline",
+			Entry{BOp: 100, AllocsOp: 1}, Entry{BOp: 400, AllocsOp: 4, mem: true},
+			25, 25, Entry{BOp: 100, AllocsOp: 1}, false},
+		{"a zero baseline stays zero",
+			Entry{}, Entry{BOp: 8, AllocsOp: 1, mem: true},
+			25, 25, Entry{}, false},
+		{"a disabled gate ratchets nothing",
+			Entry{BOp: 1000, AllocsOp: 10}, Entry{BOp: 10, AllocsOp: 1, mem: true},
+			-1, -1, Entry{BOp: 1000, AllocsOp: 10}, false},
+		{"one margin set ratchets its column only",
+			Entry{BOp: 1000, AllocsOp: 10}, Entry{BOp: 10, AllocsOp: 1, mem: true},
+			25, -1, Entry{BOp: 1000, AllocsOp: 1}, true},
+		{"a line without -benchmem measured no memory",
+			Entry{NsOp: 100, BOp: 1000, AllocsOp: 10}, Entry{NsOp: 90},
+			25, 25, Entry{NsOp: 100, BOp: 1000, AllocsOp: 10}, false},
+	} {
+		base := Suite{"BenchmarkX": tc.base, "BenchmarkGone": tc.base}
+		lowered := ratchet(base, Suite{"BenchmarkX": tc.cur}, tc.maxAllocs, tc.maxB)
+		if got := base["BenchmarkX"]; got != tc.want {
+			t.Errorf("%s: baseline %+v, want %+v", tc.name, got, tc.want)
+		}
+		if base["BenchmarkGone"] != tc.base {
+			t.Errorf("%s: a row missing from the fresh run moved: %+v", tc.name, base["BenchmarkGone"])
+		}
+		if got := len(lowered) == 1 && lowered[0] == "BenchmarkX"; got != tc.lowered || !tc.lowered && len(lowered) > 0 {
+			t.Errorf("%s: lowered %v, want BenchmarkX lowered: %v", tc.name, lowered, tc.lowered)
+		}
+	}
+
+	// End to end: a fresh run that halves E1's allocations lowers its
+	// baseline when the gate's margin is given, and the gate then holds it.
+	path := filepath.Join(t.TempDir(), "combined.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-write-current", path}, strings.NewReader(sampleBench), &out, &errb); code != 0 {
+		t.Fatalf("write-current failed: code %d, stderr %s", code, errb.String())
+	}
+	improved := strings.ReplaceAll(sampleBench, "5889 allocs/op", "100 allocs/op")
+	out.Reset()
+	if code := run([]string{"-write-current", path, "-max-allocs-regress", "25", "-max-bytes-regress", "25"}, strings.NewReader(improved), &out, &errb); code != 0 {
+		t.Fatalf("write-current with margins failed: code %d, stderr %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "lowered the baseline of BenchmarkE1MossSerialCorrectness") {
+		t.Fatalf("the ratchet did not say what it lowered: %s", out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Combined
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Baseline["BenchmarkE1MossSerialCorrectness"]; got.AllocsOp != 100 || got.BOp != 359730 {
+		t.Fatalf("E1's baseline = %+v, want 100 allocs/op and its B/op unchanged", got)
+	}
+	if got := c.Baseline["BenchmarkE15StreamingCheck/toplevel=8"]; got.AllocsOp != 844 {
+		t.Fatalf("an unchanged row's baseline moved: %+v", got)
+	}
+	if code := run([]string{"-write-current", path}, strings.NewReader(sampleBench), &out, &errb); code != 0 {
+		t.Fatal("rewrite failed")
+	}
+	errb.Reset()
+	if code := run([]string{"-suite", path, "-max-allocs-regress", "25"}, strings.NewReader(""), &out, &errb); code != 1 {
+		t.Fatalf("the lost win passed the gate: code %d", code)
+	}
+}

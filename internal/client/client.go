@@ -30,8 +30,17 @@
 //     returns nil at once, and the COMMIT travels with the connection's next
 //     request, whatever call makes it.
 //
-// The server answers the burst in one write, and every answer is still read
-// and checked: its status, a CHILD's echoed name, an access's promised value.
+// A burst — the requests held back and the request that waits for them — is
+// one write: a request whose frame would not fit the rest of the write buffer
+// makes the burst go first. Nothing else bounds it, so a body that sends a
+// hundred blind writes and then reads pays one write for all of them. One
+// write is what keeps both ends moving even over a net.Pipe, which buffers
+// nothing: the server takes the whole write in one read of its own buffer,
+// the same size, before it answers anything, so however many bytes its
+// answers are, the client is reading them by the time the server writes.
+// The server answers the burst in one write when the answers fit its write
+// buffer, and every answer is still read and checked: its status, a CHILD's
+// echoed name, an access's promised value.
 // So a nil error from one of these calls means only "accepted for sending".
 // Whatever goes wrong with the request — a refused BEGIN, a deadlock victim,
 // an object that lacks the op — is reported by the body's next request that
@@ -57,17 +66,18 @@
 // synchronous Conn.Access asks every time.
 //
 // A snapshot transaction also fetches. A connection whose BEGIN the server
-// has answered "snapshot" keeps a hint: the last maxAhead distinct (object,
+// has answered "snapshot" keeps a hint: the last hintKeys distinct (object,
 // op, argument) reads its snapshot transactions were answered OK. A
 // RunReadTx attempt's first read that waits carries, in the same write, a
-// read of every hint key the attempt does not hold, as many as keep the
-// burst within maxAhead requests, and the attempt holds their answers. A
+// read of every hint key the attempt does not hold — all of them, unless
+// the write runs out of room first — and the attempt holds their answers. A
 // fetched read is asked at the cut the attempt's BEGIN pinned, so its
 // answer is the one the body's own read would get, and one the body never
 // makes is a query outside the behavior the server certifies, like the
 // transaction itself. So a warm connection's snapshot transaction whose
-// reads its last ones made pays one write: its first read. RunTx, the
-// synchronous methods and a backend without snapshots never fetch.
+// reads its last ones made pays one write: its first read, whatever CHILD
+// and COMMIT frames ride with it. RunTx, the synchronous methods and a
+// backend without snapshots never fetch.
 //
 // So after RunReadTx the connection may still be owed answers between calls,
 // and the next call — a synchronous method, a RunTx, a Pool's health-check
@@ -109,13 +119,11 @@ var ErrTxAborted = errors.New("transaction aborted by server")
 // transaction committed all the same, without whatever the server refused.
 var ErrCommittedAnyway = errors.New("the transaction committed anyway")
 
-// maxAhead bounds the requests sent ahead of their answers. Together with
-// put's rule that a burst is a single write, it keeps a burst and its
-// answers (a dozen bytes each for BEGIN, CHILD, a blind update and a
-// subtransaction's COMMIT) within the peer's read buffer, so neither side
-// can block writing while the other is not reading — even over a net.Pipe,
-// which buffers nothing.
-const maxAhead = 8
+// hintKeys is how many distinct reads a connection's hint remembers, and so
+// how many a snapshot attempt's first read can fetch. It bounds what a fetch
+// that misses costs the server, not the burst: a burst is bounded only by
+// the write buffer (see putOut).
+const hintKeys = 8
 
 // sent is a request that has been put on the wire (or into the write
 // buffer) and not yet answered.
@@ -166,7 +174,7 @@ type Conn struct {
 	// a slice reused from attempt to attempt and scanned linearly: a body
 	// touches a handful of objects.
 	held []heldAnswer
-	// hint is the last maxAhead distinct reads the connection's snapshot
+	// hint is the last hintKeys distinct reads the connection's snapshot
 	// transactions were answered OK, least recent first; fetching says the
 	// running attempt has yet to make its first read that waits, which
 	// fetches them (see fetch).
@@ -202,8 +210,10 @@ func (c *Conn) Close() error { return c.nc.Close() }
 
 // put appends q's frame to the write buffer and records that the answer s
 // describes is owed. Nothing reaches the server before the next drain — which
-// comes first if maxAhead requests are already waiting, or if q would make
-// the burst more than one write.
+// comes first if q would not fit the rest of the write buffer, so a burst is
+// always one write: the server reads it whole, into a read buffer of the
+// same size, before it writes any answer, and neither end can block writing
+// while the other is not reading.
 func (c *Conn) put(q wire.Request, s sent) error {
 	c.out = wire.AppendRequest(c.out[:0], q)
 	return c.putOut(q.Cmd, s)
@@ -214,7 +224,7 @@ func (c *Conn) putOut(cmd wire.Cmd, s sent) error {
 	if c.dead != nil {
 		return c.dead
 	}
-	if n := len(c.ahead); n == maxAhead || n > 0 && len(c.out)+binary.MaxVarintLen32 > c.w.Available() {
+	if len(c.ahead) > 0 && len(c.out)+binary.MaxVarintLen32 > c.w.Available() {
 		if _, err := c.drain(); err != nil {
 			return err
 		}
@@ -499,14 +509,16 @@ func (t *Tx) read(obj string, o spec.Op) (spec.Value, error) {
 
 // fetch puts a read of each key the hint holds and the attempt does not,
 // most recent first, into the burst that the attempt's first read that
-// waits, o on obj, is about to send: as many as leave that read room, so
-// the burst stays one write. drain holds their answers. Each is a read at
-// the cut the attempt's BEGIN pinned, so its answer is the one the body's
-// own read of the key would get, and one the body never asks for is a
-// query outside the behavior, like the transaction itself. A key whose
-// frame would not fit an empty write buffer is not fetched (see putAhead).
+// waits, o on obj, is about to send. It stops at the first key whose frame,
+// with that read's own, would not fit the rest of the write buffer, so the
+// burst stays one write. drain holds their answers. Each is a read at the
+// cut the attempt's BEGIN pinned, so its answer is the one the body's own
+// read of the key would get, and one the body never asks for is a query
+// outside the behavior, like the transaction itself.
 func (c *Conn) fetch(obj string, o spec.Op) error {
-	for i := len(c.hint) - 1; i >= 0 && len(c.ahead) < maxAhead-1; i-- {
+	c.out = wire.AppendRequest(c.out[:0], wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: o.Kind, Arg: o.Arg})
+	own := len(c.out) + binary.MaxVarintLen32
+	for i := len(c.hint) - 1; i >= 0; i-- {
 		k := c.hint[i]
 		if k.obj == obj && k.op == o {
 			continue
@@ -515,8 +527,8 @@ func (c *Conn) fetch(obj string, o spec.Op) error {
 			continue
 		}
 		c.out = wire.AppendRequest(c.out[:0], wire.Request{Cmd: wire.CmdAccess, Obj: k.obj, Op: k.op.Kind, Arg: k.op.Arg})
-		if !c.fits() {
-			continue
+		if len(c.out)+binary.MaxVarintLen32+own > c.w.Available() {
+			return nil
 		}
 		if err := c.putOut(wire.CmdAccess, sent{fetch: k}); err != nil {
 			return err
@@ -526,12 +538,12 @@ func (c *Conn) fetch(obj string, o spec.Op) error {
 }
 
 // learn makes the read o of obj the hint's most recent key, dropping the
-// least recent when the hint would hold more than maxAhead.
+// least recent when the hint would hold more than hintKeys.
 func (c *Conn) learn(obj string, o spec.Op) {
 	k := readKey{obj: obj, op: o}
 	i := slices.Index(c.hint, k)
 	switch {
-	case i < 0 && len(c.hint) < maxAhead:
+	case i < 0 && len(c.hint) < hintKeys:
 		c.hint = append(c.hint, k)
 		return
 	case i < 0:

@@ -123,10 +123,9 @@ func BenchmarkClientRunReadTx(b *testing.B) {
 // all-read form on mvto, each transaction on the next of four groups of
 // four objects, so that the eight keys its connection's hint holds are the
 // two groups before it and none of the four it reads. Each read waits,
-// 4 writes per transaction, and the first also fetches five keys the body
-// never reads, as many as its burst has room for beside the last
-// transaction's COMMIT, the BEGIN and the read: 9 snapshot reads served per
-// transaction, where asking for each read took 4.
+// 4 writes per transaction, and the first also fetches all eight keys, none
+// of which the body reads: 12 snapshot reads served per transaction, where
+// asking for each read took 4.
 func BenchmarkClientRunReadTxMiss(b *testing.B) {
 	var (
 		objs   []string

@@ -119,17 +119,29 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 		}, 6, 1},
 		// BEGIN rides with COMMIT.
 		{"empty body", func(*client.Tx) error { return nil }, 2, 1},
-		// BEGIN, three CHILDs, the write and three sub-commits fill the
-		// queue, so the COMMIT drains it first and goes alone.
-		{"depth 3 before the first access", nested(3), 9, 2},
-		// The queue bound drains after BEGIN and seven CHILDs, again after
-		// two CHILDs, the write and five sub-commits, and the COMMIT takes
-		// the last four sub-commits: 3 writes for 21 frames.
-		{"9 nested children hit the queue bound", nested(9), 21, 3},
+		// BEGIN, three CHILDs, the write and three sub-commits all ride
+		// with the COMMIT: a burst is bounded only by the write buffer.
+		{"depth 3 before the first access", nested(3), 9, 1},
+		// So do BEGIN, nine CHILDs, the write and nine sub-commits: 1 write
+		// for 21 frames, where a bound of 8 requests made it 3.
+		{"9 nested children, one write", nested(9), 21, 1},
+		// BEGIN, 20 blind writes and a read are one write, and the COMMIT
+		// the second, where a bound of 8 requests made it 4.
+		{"20 blind writes and a read", func(tx *client.Tx) error {
+			for v := int64(1); v <= 20; v++ {
+				if err := write(tx, v); err != nil {
+					return err
+				}
+			}
+			if v, err := tx.Access("y", spec.OpRead, spec.Nil); err != nil || v != spec.Int(0) {
+				return fmt.Errorf("read y = %s, %v; want 0", v, err)
+			}
+			return nil
+		}, 23, 2},
 	}
 	for _, pipe := range []bool{false, true} {
 		transport := map[bool]string{false: "tcp", true: "pipe"}[pipe]
-		s := server.New(server.Options{Objects: []string{"x"}})
+		s := server.New(server.Options{Objects: []string{"x", "y"}})
 		c, cli, srv := countedSession(t, s, pipe)
 		if err := c.Ping(); err != nil { // settle both ends before counting
 			t.Fatal(err)
@@ -208,6 +220,68 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 			shutdownAndVerify(t, s)
 		}
 	}
+}
+
+// TestBurstIsOneWrite: a burst bounded by the write buffer alone, not by a
+// count of requests, still never blocks either end of a net.Pipe, which
+// buffers nothing, however many bytes the answers are.
+func TestBurstIsOneWrite(t *testing.T) {
+	// Eight objects hold 600 bytes each. A warm connection's snapshot
+	// transaction reads all eight: its first read fetches the other
+	// seven in the same write, and their answers, 4.8 KiB, are more
+	// than the server's 4 KiB write buffer holds, so the server writes
+	// while the client reads; it must not write before it has read the
+	// whole burst, or both ends of the pipe would wait for ever.
+	var objs []string
+	for i := 0; i < 8; i++ {
+		objs = append(objs, fmt.Sprintf("o%d", i))
+	}
+	big := func(i int) spec.Value { return spec.Str(strings.Repeat(string(rune('a'+i)), 600)) }
+	s := server.New(server.Options{Backend: "mvto", Objects: objs})
+	c, cli, srv := countedSession(t, s, true)
+	if err := cli.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunTx(1, func(tx *client.Tx) error {
+		for i, obj := range objs {
+			if _, err := tx.Access(obj, spec.OpWrite, big(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	readAll := func(tx *client.Tx) error {
+		for i, obj := range objs {
+			if v, err := tx.Access(obj, spec.OpRead, spec.Nil); err != nil || v != big(i) {
+				return fmt.Errorf("read %s: %d bytes, %v", obj, len(v.Str), err)
+			}
+		}
+		return nil
+	}
+	if err := c.RunReadTx(1, readAll); err != nil { // learns the hint
+		t.Fatal(err)
+	}
+	served := s.Metrics().SnapshotReads.Load()
+	cli0, srv0 := cli.writes.Load(), srv.writes.Load()
+	if err := c.RunReadTx(1, readAll); err != nil {
+		t.Fatal(err)
+	}
+	if got := cli.writes.Load() - cli0; got != 1 {
+		t.Errorf("the warm transaction made %d client writes, want 1", got)
+	}
+	if got := srv.writes.Load() - srv0; got < 2 {
+		t.Errorf("the server answered in %d writes: the answers did not exceed its buffer", got)
+	}
+	if got := s.Metrics().SnapshotReads.Load() - served; got != 8 {
+		t.Errorf("the server served %d snapshot reads, want 8", got)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	shutdownAndVerify(t, s)
 }
 
 // TestPipelinedLargeFrameOverPipe: a request too big to share a write with

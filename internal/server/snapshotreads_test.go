@@ -64,6 +64,15 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 	mvto := func() *server.Server {
 		return server.New(server.Options{Backend: "mvto", Objects: []string{"x", "y"}})
 	}
+	var (
+		eight []string
+		rs    []read
+	)
+	for i := 0; i < 8; i++ {
+		eight = append(eight, fmt.Sprintf("k%d", i))
+		rs = append(rs, read{eight[i], spec.OpRead, spec.Nil, spec.Int(0)})
+	}
+	readEight := reads(rs...)
 
 	for _, tc := range []struct {
 		name string
@@ -126,6 +135,29 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				return c.RunReadTx(1, reads(x(0), y(0), x(0), y(0)))
 			},
 			writes: 3, served: 4,
+		},
+		{
+			name: "a warm connection's 8 keys and a CHILD, one write",
+			why:  "the first transaction pays a write for each of its 8 reads; the second opens a child before its first read, whose burst carries the first transaction's COMMIT, the BEGIN, the CHILD and a fetch of the other 7 keys: 1 write, where a burst bounded at 8 requests fetched 4 and paid a write for each of the other 3 reads (4 writes)",
+			srv: func() *server.Server {
+				return server.New(server.Options{Backend: "mvto", Objects: eight})
+			},
+			run: func(t *testing.T, c, _ *client.Conn) error {
+				if err := c.RunReadTx(1, readEight); err != nil {
+					return err
+				}
+				return c.RunReadTx(1, func(tx *client.Tx) error {
+					if _, err := tx.Child(); err != nil {
+						return err
+					}
+					if err := readEight(tx); err != nil {
+						return err
+					}
+					_, err := tx.Commit()
+					return err
+				})
+			},
+			writes: 9, served: 16,
 		},
 		{
 			name: "a hint key the body never reads",
