@@ -40,9 +40,9 @@ const (
 	WalObjectDef WalKind = 'O'
 	// WalTxDef defines the next transaction (sequential TxID after Root).
 	WalTxDef WalKind = 'T'
-	// WalEvents carries one atomic batch of log events: every multi-event
-	// append the server makes (e.g. REQUEST_CREATE+CREATE) is one record,
-	// so recovery never sees half of an atomic batch.
+	// WalEvents carries a run of consecutive log events: the server's WAL
+	// writer copies what a sync adds to the log as one record, split only
+	// where a record would pass its size bound.
 	WalEvents WalKind = 'E'
 )
 
@@ -87,13 +87,26 @@ func AppendWalTxDef(buf []byte, parent tname.TxID, label string, obj tname.ObjID
 //
 //sgvet:hotpath
 func AppendWalEvents(buf []byte, evs ...Event) []byte {
-	buf = append(buf, byte(WalEvents))
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
+	buf = AppendWalEventsHead(buf, len(evs))
 	for _, e := range evs {
 		buf = appendEvent(buf, e)
 	}
 	return buf
 }
+
+// AppendWalEventsHead appends the head of an event-batch payload of count
+// events, which AppendWalEvent's encodings then follow. A writer that learns
+// a batch's length only as it encodes it gathers the events first.
+//
+//sgvet:hotpath
+func AppendWalEventsHead(buf []byte, count int) []byte {
+	return binary.AppendUvarint(append(buf, byte(WalEvents)), uint64(count))
+}
+
+// AppendWalEvent appends one event of an event-batch payload.
+//
+//sgvet:hotpath
+func AppendWalEvent(buf []byte, e Event) []byte { return appendEvent(buf, e) }
 
 // DecodeWalOp decodes one record payload, validating every transaction and
 // object reference against the caller's running counts (numTx includes the

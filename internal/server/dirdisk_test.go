@@ -15,13 +15,12 @@ import (
 	"nestedsg/internal/spec"
 )
 
-// countedDirDisk is a DirDisk observed at both sides of its segments'
-// staging buffer. Above it, each segment remembers how many bytes the WAL
-// writer has appended and how many of them a Sync has covered. Below it,
-// the disk counts the write(2)s and fsyncs that reach the os file, and can
-// hold an fsync at a gate (the group-commit tests' syncGate). Create also
-// checks the rotation invariant: the segment before is fully synced, and
-// on disk, before the next one exists.
+// countedDirDisk is a DirDisk observed at its segments. Each segment
+// remembers how many bytes the WAL writer has written to it and how many of
+// them a Sync has covered; the disk counts the Writes, each one write(2),
+// and the fsyncs, and can hold an fsync at a gate (the group-commit tests'
+// syncGate). Create also checks the rotation invariant: the segment before
+// is fully synced, and on disk, before the next one exists.
 type countedDirDisk struct {
 	*server.DirDisk
 	t *testing.T
@@ -59,9 +58,6 @@ func (d *countedDirDisk) Create(name string) (server.SegmentFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	server.UnderStaging(f, func(osFile server.OSFile) server.OSFile {
-		return &countedOSFile{OSFile: osFile, d: d}
-	})
 	seg := &countedSegment{SegmentFile: f, d: d, name: name}
 	d.mu.Lock()
 	d.segs = append(d.segs, seg)
@@ -122,8 +118,7 @@ func (d *countedDirDisk) totals() (appended, synced int64, segments int) {
 	return appended, synced, len(segs)
 }
 
-// countedSegment sits where the WAL writer sees it, above the staging
-// buffer.
+// countedSegment is a DirDisk segment as the WAL writer sees it.
 type countedSegment struct {
 	server.SegmentFile
 	d                *countedDirDisk
@@ -132,6 +127,7 @@ type countedSegment struct {
 }
 
 func (s *countedSegment) Write(p []byte) (int, error) {
+	s.d.writes.Add(1)
 	n, err := s.SegmentFile.Write(p)
 	s.d.mu.Lock()
 	s.appended += int64(n)
@@ -139,12 +135,18 @@ func (s *countedSegment) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Sync covers what had been appended when it started: the WAL writer
-// fsyncs with its append lock released.
+// Sync covers what had been written when it started. With something to
+// cover, it waits at the gate, if one is armed, first: a rotation's Sync of
+// a segment the last fsync covered goes through.
 func (s *countedSegment) Sync() error {
 	s.d.mu.Lock()
-	upTo := s.appended
+	upTo, owed := s.appended, s.appended > s.synced
 	s.d.mu.Unlock()
+	if g := s.d.gate.Load(); g != nil && owed {
+		g.enterOnce.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	s.d.syncs.Add(1)
 	err := s.SegmentFile.Sync()
 	s.d.mu.Lock()
 	if err == nil && upTo > s.synced {
@@ -154,27 +156,6 @@ func (s *countedSegment) Sync() error {
 	return err
 }
 
-// countedOSFile sits below the staging buffer, in place of the *os.File.
-// Truncate, which grows the segment, passes through uncounted.
-type countedOSFile struct {
-	server.OSFile
-	d *countedDirDisk
-}
-
-func (f *countedOSFile) Write(p []byte) (int, error) {
-	f.d.writes.Add(1)
-	return f.OSFile.Write(p)
-}
-
-func (f *countedOSFile) Sync() error {
-	if g := f.d.gate.Load(); g != nil {
-		g.enterOnce.Do(func() { close(g.entered) })
-		<-g.release
-	}
-	f.d.syncs.Add(1)
-	return f.OSFile.Sync()
-}
-
 func writeX(i int) func(tx *client.Tx) error {
 	return func(tx *client.Tx) error {
 		_, err := tx.Access("x", spec.OpWrite, spec.Int(int64(i)))
@@ -182,19 +163,19 @@ func writeX(i int) func(tx *client.Tx) error {
 	}
 }
 
-// TestDirDiskKillLosesOnlyUnsynced: N acknowledged commits and one
-// transaction in flight over a real directory. The directory as it stands
-// at that instant is what a SIGKILL would leave, so the test copies it:
-// every segment file's records must end exactly where its last Sync did —
-// not one byte of the in-flight transaction's records, which exist only in
-// the staging buffer — and the rest of the file must be zeros: the open
-// segment has grown ahead of its records, the closed ones were trimmed.
-// Recover from the copy must give back exactly the N commits, trimming the
-// zeros without a torn byte. (Server.Kill itself is too polite to show
-// this: its session teardown aborts the open transaction and syncs the
-// abort.) Run once in a single segment and once with segments small enough
-// to rotate many times, where Create checks that each rotation flushed and
-// fsynced the old segment first.
+// TestDirDiskKillLosesOnlyUnsynced: N acknowledged commits over a real
+// directory, then one more whose sync is held between its write and its
+// fsync: the only window in which a segment holds unsynced bytes. The test
+// copies the directory as it stands at that instant twice: as a kill leaves
+// it, whole, and as a power cut leaves it, with every byte past each
+// segment's last Sync zeroed. Every segment file must hold the bytes its
+// Syncs covered, then the held write's, then zeros: the open segment has
+// grown ahead of its records, the closed ones were trimmed. Recover from
+// the power-cut copy must give back exactly the N commits, trimming the
+// zeros without a torn byte; from the kill copy, the held write's records
+// as well, so N+1. Run once in a single segment and once with segments
+// small enough to rotate many times, where Create checks that each
+// rotation fsynced the old segment first.
 func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 	const n = 12
 	for _, segBytes := range []int{0, 256} {
@@ -214,10 +195,17 @@ func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 			if _, err := c.Access("x", spec.OpRead, spec.Nil); err != nil {
 				t.Fatal(err)
 			}
+			g := disk.hold()
+			committed := make(chan error, 1)
+			go func() {
+				_, err := c.Commit()
+				committed <- err
+			}()
+			<-g.entered
 
 			appended, synced, segments := disk.totals()
 			if appended == synced {
-				t.Fatal("nothing is unsynced with a transaction in flight")
+				t.Fatal("nothing is unsynced with a sync held after its write")
 			}
 			if segBytes > 0 && segments < 4 {
 				t.Fatalf("WALSegmentBytes=%d made only %d segments, want several rotations", segBytes, segments)
@@ -226,23 +214,42 @@ func TestDirDiskKillLosesOnlyUnsynced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cut, err := server.NewDirDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, seg := range disk.snapshot() {
 				data, err := disk.ReadSegment(seg.name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if int64(len(data)) < seg.synced || len(bytes.TrimRight(data[seg.synced:], "\x00")) != 0 {
-					t.Errorf("%s holds %d bytes, not the %d its last Sync covered (of %d appended) and then zeros",
-						seg.name, len(data), seg.synced, seg.appended)
+				if int64(len(data)) < seg.appended || len(bytes.TrimRight(data[seg.appended:], "\x00")) != 0 {
+					t.Errorf("%s holds %d bytes, not the %d written to it (%d of them synced) and then zeros",
+						seg.name, len(data), seg.appended, seg.synced)
 				}
 				if err := os.WriteFile(filepath.Join(killed.Dir(), seg.name), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				lost := append(data[:seg.synced:seg.synced], make([]byte, int64(len(data))-seg.synced)...)
+				if err := os.WriteFile(filepath.Join(cut.Dir(), seg.name), lost, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(g.release)
+			if err := <-committed; err != nil {
+				t.Fatalf("the held commit: %v", err)
 			}
 			s.Kill()
 			c.Close()
 
 			opts.WAL = killed
+			s1, rep := recoverAndStart(t, opts)
+			if got := s1.Metrics().TopCommits.Load(); !rep.AuditOK || rep.TornBytes != 0 || got != n+1 {
+				t.Fatalf("the kill copy recovered %d top-level commits, want %d, and no torn byte: %s", got, n+1, rep.Summary())
+			}
+			s1.Kill()
+
+			opts.WAL = cut
 			s2, rep := recoverAndStart(t, opts)
 			if !rep.AuditOK || rep.TornBytes != 0 || rep.ZeroBytes == 0 {
 				t.Fatalf("recovery saw more than a synced prefix and a zero tail: %s", rep.Summary())
@@ -325,11 +332,11 @@ func TestDirDiskSyncKeepsFileSize(t *testing.T) {
 
 // TestDirDiskOneWritePerFsync counts what reaches the os file. Sequential
 // durable commits cost one fsync each and at most one write(2) per fsync —
-// the WAL writer's dozen appends per transaction all land in the staging
-// buffer — with and without rotation.
+// the sync leader copies a transaction's events and names in one Write —
+// with and without rotation.
 func TestDirDiskOneWritePerFsync(t *testing.T) {
 	const n = 20
-	for _, segBytes := range []int{0, 512} {
+	for _, segBytes := range []int{0, 256} {
 		disk := newCountedDirDisk(t, t.TempDir())
 		s, _ := recoverAndStart(t, server.Options{WAL: disk, WALSegmentBytes: segBytes, Objects: []string{"x"}})
 		c := dialT(t, s)
@@ -381,8 +388,8 @@ func TestDirDiskCohortOneWritePerFsync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			disk := newCountedDirDisk(t, t.TempDir())
 			gatedCohort(t, disk, cohort, tc.open, func() {
-				// Boot's sync and every cohort fsync each wrote what was
-				// staged in one write(2).
+				// Boot's sync and every cohort fsync each wrote what it
+				// copied in one write(2).
 				if writes, syncs := disk.writes.Load(), disk.syncs.Load(); writes != syncs {
 					t.Fatalf("%d write(2)s for %d fsyncs, want one before each", writes, syncs)
 				}
@@ -391,11 +398,13 @@ func TestDirDiskCohortOneWritePerFsync(t *testing.T) {
 	}
 }
 
-// TestDirDiskConcurrentWriteSync overlaps Write and Sync on one segment
-// file, as the WAL writer does (it fsyncs with its append lock released),
-// with chunks large enough to spill past the staging bound now and then.
-// Run under -race; the file must hold every chunk, in order, once.
-func TestDirDiskConcurrentWriteSync(t *testing.T) {
+// TestDirDiskWriteSyncClose writes chunks to one segment file, syncing
+// after some, as the WAL writer does, and large enough now and then to grow
+// the file more than one step. The file must hold every chunk, in order,
+// once; Close puts a chunk written after the last Sync in the file with
+// no fsync (bench's timedDisk.Crash cuts exactly that tail away), and the
+// closed file takes no more.
+func TestDirDiskWriteSyncClose(t *testing.T) {
 	disk, err := server.NewDirDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -409,49 +418,19 @@ func TestDirDiskConcurrentWriteSync(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		size := 1 + i%37
 		if i%97 == 0 {
-			size = 40 << 10 // two of these cross the 64 KiB spill bound
+			size = 400 << 10
 		}
-		want = append(want, bytes.Repeat([]byte{byte(i)}, size)...)
-	}
-
-	done := make(chan struct{})
-	var syncers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		syncers.Add(1)
-		go func() {
-			defer syncers.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if err := f.Sync(); err != nil {
-					t.Errorf("Sync: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	for rest := want; len(rest) > 0; {
-		size := 1
-		for size < len(rest) && rest[size] == rest[0] {
-			size++
-		}
-		if _, err := f.Write(rest[:size]); err != nil {
+		chunk := bytes.Repeat([]byte{byte(i)}, size)
+		want = append(want, chunk...)
+		if _, err := f.Write(chunk); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		rest = rest[size:]
+		if i%3 == 0 {
+			if err := f.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+		}
 	}
-	close(done)
-	syncers.Wait()
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Close hands a tail written after the last Sync to the file (with no
-	// fsync: bench's timedDisk.Crash cuts exactly that tail away), and the
-	// closed file takes no more.
 	want = append(want, "unsynced"...)
 	if _, err := f.Write([]byte("unsynced")); err != nil {
 		t.Fatal(err)

@@ -5,37 +5,18 @@ package server
 // first fsync and need to know when the whole cohort has arrived before
 // releasing it, so the coalescing assertion is deterministic instead of
 // timing-dependent.
-func (s *Server) GroupArrived() uint64 {
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
-	return s.wal.arrived
-}
+func (s *Server) GroupArrived() uint64 { return s.wal.arrived.Load() }
 
 // GroupPending reports how many sync callers have arrived since the last
 // fsync began: the callers the next fsync will count as its cohort.
 // Together with GroupSize it accounts for every arrival.
 func (s *Server) GroupPending() uint64 {
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
-	return s.wal.arrived - s.wal.began
+	began := s.wal.began.Load() // first: began never passes arrived
+	return s.wal.arrived.Load() - began
 }
 
 // WALSync runs the sync a top-level completion runs.
 func (s *Server) WALSync() error { return s.walSync() }
-
-// OSFile is the file beneath a DirDisk segment's staging buffer: a
-// SegmentFile that can also Truncate, which is how the segment grows.
-type OSFile = osFile
-
-// UnderStaging replaces the os file beneath a DirDisk segment's staging
-// buffer with wrap(file), so a test can count (or hold) the write(2)s,
-// truncates and fsyncs that actually reach the file rather than the appends
-// the WAL writer makes. A wrapper must forward Truncate: without it the
-// segment could not grow ahead of its records.
-func UnderStaging(f SegmentFile, wrap func(OSFile) OSFile) {
-	df := f.(*dirFile)
-	df.f = wrap(df.f)
-}
 
 // SettleRounds reports how many netpoll rounds the WAL's sync leaders have
 // settled for since boot (walWriter.settle).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nestedsg/internal/client"
@@ -26,18 +28,7 @@ func segmentImage(t testing.TB) []byte { return walImage(t, tinyWal()) }
 func walImage(t testing.TB, payloads [][]byte) []byte {
 	t.Helper()
 	disk := NewMemDisk()
-	w, err := newTestWalWriter(disk, 1<<20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range payloads {
-		if err := w.appendRecord(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, disk, 1<<20, payloads...)
 	data, err := disk.ReadSegment(segmentName(1))
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +295,54 @@ func TestRecoverRepairPrefixes(t *testing.T) {
 	if recovered < len(img)/2 || fixups == 0 || twoOrphans == 0 {
 		t.Fatalf("%d of %d prefixes recovered, %d with fix-up informs, %d with two orphans",
 			recovered, len(img)+1, fixups, twoOrphans)
+	}
+}
+
+// TestRecoverEveryEventPrefix: a torn sync, or a split at maxWalRecord,
+// may end the WAL after any event: inside one session append (between
+// REQUEST_COMMIT and COMMIT, or ABORT and its INFORMs) as well as between
+// two. For every k, the WAL writer copies the first k events of the
+// twoSessionWal log, with the names they use, as a sync's leader does, and
+// Recover must serve the result: its audit passes, the online engine
+// matches the batch check, and the recovered log is those k events
+// followed by the stitch's repairs, which append only completions, the
+// INFORMs they owe, and REPORT_ABORTs.
+func TestRecoverEveryEventPrefix(t *testing.T) {
+	full, err := scanFresh(segmentDisk(walImage(t, twoSessionWal())))
+	must(t, err)
+	beta := full.log.snapshot()
+	want := strings.Split(strings.TrimSuffix(beta.Format(full.tr), "\n"), "\n")
+	for k := 1; k <= len(beta); k++ {
+		disk := NewMemDisk()
+		w, err := newTestWalWriter(disk, 0, 1)
+		must(t, err)
+		w.srv.tr = full.tr
+		w.srv.log.append(beta[:k]...)
+		must(t, w.sync())
+		w.closeNoSync()
+
+		checkRecoveryDifferential(t, fmt.Sprintf("k=%d", k), disk, true)
+		s, rep, err := Recover(Options{WAL: disk})
+		if err != nil {
+			t.Fatalf("k=%d: Recover: %v", k, err)
+		}
+		f := s.Final()
+		log := s.log.snapshot()
+		got := strings.Split(strings.TrimSuffix(log.Format(s.tr), "\n"), "\n")
+		s.Kill()
+		if !rep.AuditOK || !f.Batch.OK || !f.Match {
+			t.Fatalf("k=%d: audit %v, batch %v, online matches batch %v: %s", k, rep.AuditOK, f.Batch.OK, f.Match, rep.Summary())
+		}
+		if rep.DurableEvents != k || rep.StitchedEvents != len(log) || !slices.Equal(got[:k], want[:k]) {
+			t.Fatalf("k=%d: recovered %d durable events of %d:\n%s", k, rep.DurableEvents, len(log), log.Format(s.tr))
+		}
+		for _, e := range log[k:] {
+			switch e.Kind {
+			case event.Abort, event.InformCommit, event.InformAbort, event.ReportAbort:
+			default:
+				t.Fatalf("k=%d: the stitch appended %s:\n%s", k, e.Format(s.tr), log.Format(s.tr))
+			}
+		}
 	}
 }
 

@@ -33,13 +33,6 @@ type eventLog struct {
 	// strs holds the string values of the events, by spec.Pack. Like the
 	// chunks, an entry once appended is never rewritten.
 	strs []string //sgvet:guardedby mu
-
-	// wal, when set, receives every atomic append as one WalEvents record —
-	// written under mu, so the durable record order IS the log order.
-	// Recovery installs it after the durable prefix, before any session
-	// exists.
-	wal    *walWriter //sgvet:guardedby mu
-	walBuf []byte     //sgvet:guardedby mu
 }
 
 // logRec is one event of the log, packed into 16 bytes that hold no
@@ -52,8 +45,8 @@ type logRec = event.Packed
 const logChunk = 2048
 
 // append atomically appends evs and returns the log index of the first one.
-// A write failure is sticky in the writer and surfaces at the next walSync
-// or WALError, which is where the commit path refuses to acknowledge.
+// It writes nothing to the WAL: the next sync's leader copies the events
+// there (walWriter.writeSuffix).
 //
 //sgvet:hotpath
 func (l *eventLog) append(evs ...event.Event) int {
@@ -66,16 +59,12 @@ func (l *eventLog) append(evs ...event.Event) int {
 		l.chunks[l.n/logChunk][l.n%logChunk], l.strs = event.Pack(e, l.strs)
 		l.n++
 	}
-	if l.wal != nil {
-		l.walBuf = event.AppendWalEvents(l.walBuf[:0], evs...)
-		l.wal.appendEvents(l.walBuf, l.n)
-	}
 	l.mu.Unlock()
 	return base
 }
 
-// appendPacked appends the events evs holds, packed, with no WAL record:
-// recovery puts what it reads back from the WAL into the log so.
+// appendPacked appends the events evs holds, packed: recovery puts what it
+// reads back from the WAL into the log so.
 func (l *eventLog) appendPacked(evs *event.PackedEvents) {
 	l.mu.Lock()
 	base := int64(len(l.strs))
@@ -139,7 +128,7 @@ func (v logView) Len() int { return v.n }
 // Run rebuilds events i, i+1, … into buf, up to the end of i's chunk, of
 // the log or of buf, whichever comes first, through the event
 // constructors. It is the log's one decoder: the certifier, the batch
-// check and snapshot all read through it, a run per call.
+// check, snapshot and the WAL writer all read through it, a run per call.
 func (v logView) Run(i int, buf []event.Event) []event.Event {
 	recs := v.chunks[i/logChunk][i%logChunk:]
 	recs = recs[:min(len(recs), len(buf), v.n-i)]

@@ -85,7 +85,7 @@ func Recover(opts Options) (s *Server, rep *RecoveryReport, err error) {
 // replayWAL scans the WAL straight into the name tree and the log, makes
 // its objects, and replays its durable event prefix, returning the
 // acceptor that stepped it (nil for an empty log). The writer is attached
-// after the prefix; every later append, repairs included, tees into it.
+// behind the prefix; the repairs reach the WAL at the next sync.
 //
 //sgvet:ignore[lockguard] recovery is single-threaded: no session exists yet
 func (s *Server) replayWAL(rep *RecoveryReport) (acc *generic.Acceptor, err error) {
@@ -122,14 +122,11 @@ func (s *Server) replayWAL(rep *RecoveryReport) (acc *generic.Acceptor, err erro
 			return nil, err
 		}
 	}
-	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
-	if err != nil {
+	// The prefix and its names were read back from the disk, so they are
+	// durable.
+	if s.wal, err = newWalWriter(s, scan.nextIdx); err != nil {
 		return nil, err
 	}
-	// The prefix was read back from the disk, so it is durable.
-	w.logEnd = n
-	w.durableLog.Store(int64(n))
-	s.wal, s.log.wal = w, w
 	return acc, nil
 }
 

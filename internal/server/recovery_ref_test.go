@@ -233,14 +233,8 @@ func (s *Server) refReplayWAL(r *refReplayed, rep *RecoveryReport) error {
 		}
 	}
 	s.log.append(b...)
-	w, err := newWalWriter(s.opts.WAL, s.opts.WALSegmentBytes, scan.nextIdx, s.metrics, &s.openTops, s.opts.Hooks.Now)
-	if err != nil {
-		return err
-	}
-	w.logEnd = len(b)
-	w.durableLog.Store(int64(len(b)))
-	s.wal, s.log.wal = w, w
-	return nil
+	s.wal, err = newWalWriter(s, scan.nextIdx)
+	return err
 }
 
 func (s *Server) refReplayDefs(defs []event.WalOp) error {

@@ -227,10 +227,12 @@ func TestRecoverAfterCrashAbortsOrphans(t *testing.T) {
 }
 
 // TestRecoverCrashTornTail: unsynced WAL bytes partially survive the
-// crash (a torn write). Recovery must truncate the torn suffix and serve
-// from the valid prefix for every possible tear point.
+// crash (a torn write). They exist only between a sync's write and its
+// fsync, so the test holds a commit's sync there, with a transaction's
+// events and names in its write. Recovery must truncate the torn suffix
+// and serve from the valid prefix for every possible tear point.
 func TestRecoverCrashTornTail(t *testing.T) {
-	disk := server.NewMemDisk()
+	disk := newGatedDisk()
 	opts := server.Options{WAL: disk, Objects: []string{"x"}}
 	s1, _ := recoverAndStart(t, opts)
 
@@ -241,23 +243,31 @@ func TestRecoverCrashTornTail(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Leave a transaction in flight so unsynced bytes exist.
 	if _, err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Access("x", spec.OpRead, spec.Nil); err != nil {
 		t.Fatal(err)
 	}
+	g := disk.hold()
+	committed := make(chan error, 1)
+	go func() {
+		_, err := c.Commit()
+		committed <- err
+	}()
+	<-g.entered
 
 	unsynced := disk.UnsyncedBytes()
 	if unsynced == 0 {
-		t.Fatal("nothing is unsynced with a transaction in flight: every tear point below would be the clean crash")
+		t.Fatal("nothing is unsynced with a sync held after its write: every tear point below would be the clean crash")
 	}
 	crashes := make([]*server.MemDisk, 0, unsynced+1)
 	for keep := 0; keep <= unsynced; keep++ {
 		crashes = append(crashes, disk.Crash(keep))
 	}
 	disk.Freeze()
+	close(g.release)
+	<-committed // the frozen disk drops the fsync: whatever the answer, it is not in any crash image
 	s1.Kill()
 	c.Close()
 

@@ -76,9 +76,9 @@ type Options struct {
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 
-	// WAL, when set, makes the event log durable: every name definition
-	// and every atomic event append is written as one framed record (see
-	// wal.go), and the log is fsynced at each top-level completion.
+	// WAL, when set, makes the event log durable: at each top-level
+	// completion the log's unsynced suffix, with the names its events use,
+	// is copied into framed records (see wal.go) and fsynced.
 	// Servers with a WAL are built with Recover (which also handles an
 	// empty WAL as a fresh start); New panics if WAL is set.
 	WAL Disk
@@ -145,8 +145,6 @@ type Server struct {
 	mu   sync.RWMutex
 	tr   *tname.Tree     //sgvet:guardedby mu
 	objs []*sharedObject //sgvet:guardedby mu
-	// defBuf is the scratch buffer WAL definition records are encoded into.
-	defBuf []byte //sgvet:guardedby mu
 
 	log  *eventLog
 	cert *certifier
@@ -366,31 +364,19 @@ func (s *Server) resolveObject(label string) (*sharedObject, error) {
 	// label may be a view of a session's frame buffer (wire.ParseRequest):
 	// the tree keeps a copy.
 	id := s.tr.AddObject(strings.Clone(label), s.opts.DefaultSpec)
-	// The definition record is written inside the tree's write-lock
-	// critical section, so WAL definition order equals interning order and
-	// recovery's sequential ID re-assignment reproduces the tree exactly —
-	// and before the caller can append an event that uses the name.
-	if s.wal != nil {
-		s.defBuf = event.AppendWalObjectDef(s.defBuf[:0], label, s.opts.DefaultSpec.Name())
-		s.wal.appendRecord(s.defBuf)
-	}
 	return s.newSharedObject(id), nil
 }
 
 // internTx defines a subtransaction (or access, when obj != NoObj) under
-// the tree write lock, writing the WAL definition record in the same
-// critical section. The session vouches that the name is new: every
+// the tree write lock. The session vouches that the name is new: every
 // server-made label is unique by construction, and a client-chosen one has
 // passed its parent frame's check (txFrame.name), so nothing is looked up.
+// The WAL learns the name from the tree, in ID order, at the first sync
+// whose events use it.
 func (s *Server) internTx(parent tname.TxID, label string, obj tname.ObjID, op spec.Op) tname.TxID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.tr.Define(parent, label, obj, op)
-	if s.wal != nil {
-		s.defBuf = event.AppendWalTxDef(s.defBuf[:0], parent, label, obj, op)
-		s.wal.appendRecord(s.defBuf)
-	}
-	return id
+	return s.tr.Define(parent, label, obj, op)
 }
 
 // walSync makes the log durable through the present; sessions call it at

@@ -295,9 +295,9 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 		return errResp("server draining")
 	}
 	if err := sn.s.WALError(); err != nil {
-		// The WAL writer's failure is sticky: every further append would be
-		// silently dropped, so stop accepting work instead of building
-		// transactions that recovery can never see.
+		// The WAL writer's failure is sticky: no later sync makes an event
+		// durable, so stop accepting work instead of building transactions
+		// that recovery can never see.
 		return errResp(fmt.Sprintf("wal unavailable: %v", err))
 	}
 	if q.RO {
@@ -528,8 +528,8 @@ func (sn *session) handleCommit() wire.Response {
 			return errResp(err.Error())
 		}
 	} else {
-		// Writer failures are sticky: if any earlier append was dropped,
-		// this subtree's events are not on their way to disk either.
+		// Writer failures are sticky: no later sync will copy this
+		// subtree's events to disk either.
 		walErr = sn.s.WALError()
 	}
 	if walErr != nil {

@@ -21,7 +21,7 @@ func TestSettleRoundAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.close()
-	w.open.Store(1)
+	w.srv.openTops.Store(1)
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.syncTimes = [2]time.Duration{time.Hour, time.Hour}

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,12 +31,17 @@ import (
 //	payload-length uvarint | payload | crc32(payload) LE32
 //
 // and payloads are the WAL record codec of internal/event (WalObjectDef /
-// WalTxDef / WalEvents). Two invariants make recovery simple:
+// WalTxDef / WalEvents). The WAL is a copy of the event log, which is β, and
+// the sync leader is its one writer: it appends the log's unsynced suffix
+// in order, each name ahead of the first record that uses it. Two
+// invariants make recovery simple:
 //
 //   - a segment is synced before the next one is created (rotation syncs),
 //     so after a crash only the LAST segment can hold a torn tail;
-//   - every atomic append the server makes is one WalEvents record, so a
-//     valid record prefix of the WAL is a prefix of atomic appends.
+//   - a valid record prefix of the WAL is a prefix of β, with names to
+//     spare. The generic system's behaviors are prefix-closed, so that
+//     prefix is a behavior, and recovery completes it as a dropped
+//     connection would (recovery.go), wherever the cut fell.
 //
 // Recovery (scanWAL) therefore reads segments in order, stops at the first
 // invalid byte of the last segment (truncating the torn tail so the next
@@ -59,12 +66,12 @@ const (
 )
 
 // SegmentFile is one open WAL segment. Bytes handed to Write are volatile
-// until a later Sync returns nil: an implementation may keep them in
-// process memory (DirDisk and MemDisk both do), so a crash or a process
-// kill loses them. Close does not imply Sync — whatever was written since
-// the last Sync is no more durable after Close than before it, which is
-// what the crash path (closeNoSync) wants and why rotation and clean close
-// Sync first. While it is open, a segment may be longer than its records,
+// until a later Sync returns nil: a crash may keep any prefix of them. The
+// WAL writer writes a sync's records in one Write and Syncs at once, so
+// that is the only window in which a segment holds unsynced bytes. Close
+// does not imply Sync, which is what the crash path (closeNoSync) wants and
+// why rotation and clean close Sync first. A segment is used by one
+// goroutine at a time. While it is open, it may be longer than its records,
 // with zeros after them (DirDisk grows its files ahead of the writes); after
 // Close it holds exactly the bytes written.
 type SegmentFile interface {
@@ -107,8 +114,8 @@ func segmentIndex(name string) (int, bool) {
 // fsync the directory (and Truncate the file) so segment metadata survives
 // an OS crash — the rotation invariant "only the last segment can be torn"
 // needs a synced segment's directory entry to be durable too. A segment it
-// creates stages writes in memory until Sync, and its file grows in
-// dirGrowBytes steps of zeros ahead of the records (see dirFile).
+// creates grows in dirGrowBytes steps of zeros ahead of its records (see
+// dirFile).
 type DirDisk struct{ dir string }
 
 // NewDirDisk creates the directory if needed and returns a Disk over it.
@@ -162,121 +169,58 @@ func (d *DirDisk) Create(name string) (SegmentFile, error) {
 // changes its size once while open and once more when Close trims it.
 const dirGrowBytes = defaultSegmentBytes
 
-// osFile is what a dirFile needs of the file beneath its staging buffer.
-type osFile interface {
-	SegmentFile
-	Truncate(size int64) error
-}
-
-// dirSpillBytes is how many staged bytes a dirFile hands to the OS without
-// waiting for a Sync, so a load that appends but never syncs (aborts only,
-// or one long transaction) cannot grow the staging buffer without bound.
-const dirSpillBytes = 64 << 10
-
-// dirFile is a DirDisk segment. The durability contract only needs bytes
-// on disk at Sync, so Write stages them in memory and Sync hands the whole
-// cohort to the file in one write(2) before the fsync — the WAL writer
-// appends ≈ 40 twelve-byte records per transaction, and a system call for
-// each, under the event-log mutex, was most of a durable commit's CPU.
-// What a process kill loses is therefore what a power cut loses: every
-// byte not yet synced, exactly as on MemDisk. (An orderly Close is gentler:
-// see Close.)
+// dirFile is a DirDisk segment. Each Write is one write(2): the WAL writer
+// hands a sync's records to it in one Write, so a durable commit costs one
+// write(2) and one fsync. What a process kill loses is nothing written; what
+// a power cut loses is every byte not yet synced, as on MemDisk.
 //
-// The file grows in dirGrowBytes steps: a drain that would write past its
-// length first extends it with Truncate, which writes no bytes and leaves a
-// sparse run of zeros that the records then overwrite. A commit's fsync
-// therefore finds the file's size unchanged. Close trims the file back to
-// the bytes written; a process killed before it leaves records up to the
-// last drain and zeros after them, which recovery reads as the end of the
-// records.
+// The file grows in dirGrowBytes steps: a write that would pass its length
+// first extends it with Truncate, which writes no bytes and leaves a sparse
+// run of zeros that the records then overwrite. A commit's fsync therefore
+// finds the file's size unchanged. Close trims the file back to the bytes
+// written; a process killed before it leaves records and zeros after them,
+// which recovery reads as the end of the records.
 type dirFile struct {
-	// f is the *os.File; the interface lets a test count what reaches it.
-	f osFile
-	// mu orders staging and the write(2) that drains it, so spilled and
-	// synced bytes reach the file in append order. The fsync runs with it
-	// released: the WAL writer appends while a cohort's fsync is in flight.
-	mu  sync.Mutex
-	buf []byte //sgvet:guardedby mu
+	f *os.File
 	// size is the bytes handed to the file, and length the file's length:
 	// zeros fill the file from size to length.
-	size   int64 //sgvet:guardedby mu
-	length int64 //sgvet:guardedby mu
+	size, length int64
 	// err is the first write(2) failure, or os.ErrClosed after Close. It is
 	// sticky because a failed write may have been a short one: writing the
-	// buffer again would duplicate its head in the file.
-	err error //sgvet:guardedby mu
+	// records again would duplicate their head in the file.
+	err error
 }
 
 func (f *dirFile) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.err != nil {
 		return 0, f.err
 	}
-	f.buf = append(f.buf, p...)
-	if len(f.buf) >= dirSpillBytes {
-		if err := f.drain(); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// drain hands the staged bytes to the file in one write(2), unless an
-// earlier one failed or the file is closed, growing the file first if the
-// write would pass its end.
-//
-//sgvet:holds f.mu
-func (f *dirFile) drain() error {
-	if f.err != nil || len(f.buf) == 0 {
-		return f.err
-	}
-	if end := f.size + int64(len(f.buf)); end > f.length {
+	if end := f.size + int64(len(p)); end > f.length {
 		length := (end + dirGrowBytes - 1) / dirGrowBytes * dirGrowBytes
 		if f.err = f.f.Truncate(length); f.err != nil {
-			return f.err
+			return 0, f.err
 		}
 		f.length = length
 	}
-	n, err := f.f.Write(f.buf)
+	n, err := f.f.Write(p)
 	f.size += int64(n)
 	f.err = err
-	f.buf = f.buf[:0]
-	return f.err
+	return n, err
 }
 
-func (f *dirFile) Sync() error {
-	f.mu.Lock()
-	err := f.drain()
-	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return f.f.Sync()
-}
+func (f *dirFile) Sync() error { return f.f.Sync() }
 
-// Close hands a tail staged since the last Sync to the file without an
-// fsync: the bytes are then where an unbuffered file would have left them,
-// in the page cache, promised to nobody. Every caller that needs them
-// durable Syncs first, so this costs a write(2) on the crash path only.
-// Close then trims the file's zeros, on the clean path and the crash path
-// alike, so a closed segment holds exactly the bytes written; the trim is
-// not fsynced, and a zero tail that outlives an OS crash is one recovery
+// Close trims the file's zeros, on the clean path and the crash path alike,
+// so a closed segment holds exactly the bytes written; the trim is not
+// fsynced, and a zero tail that outlives an OS crash is one recovery
 // accepts.
 func (f *dirFile) Close() error {
-	f.mu.Lock()
-	werr := f.drain()
 	var terr error
 	if f.length > f.size {
 		terr = f.f.Truncate(f.size)
-		f.length = f.size
 	}
-	if f.err == nil {
-		f.err = os.ErrClosed
-	}
-	f.buf = nil
-	f.mu.Unlock()
-	return errors.Join(werr, terr, f.f.Close())
+	f.err = os.ErrClosed
+	return errors.Join(terr, f.f.Close())
 }
 
 func (d *DirDisk) Truncate(name string, size int64) error {
@@ -472,68 +416,87 @@ func (f *memFile) Sync() error {
 
 func (f *memFile) Close() error { return nil }
 
-// walWriter appends framed records to the current segment, rotating (and
-// syncing) when it grows past segMax. Event records are written under the
-// event log's mutex and definition records under the server's tree write
-// lock; both are ordered before mu, which serializes the appends.
+// walWriter is the WAL's one writer. An append, an interning or an object
+// step writes nothing; a sync's leader copies what the WAL lacks — the
+// log's unsynced suffix and the names its events use — in one Write, then
+// fsyncs (sync). A clean close copies the rest.
 type walWriter struct {
-	mu      sync.Mutex
-	disk    Disk
-	m       *Metrics
-	cur     SegmentFile //sgvet:guardedby mu
-	curSize int         //sgvet:guardedby mu
-	nextIdx int         //sgvet:guardedby mu
-	segMax  int
-	scratch []byte //sgvet:guardedby mu
-	// err is sticky: the first write/sync failure, surfaced on every
-	// later call.
+	srv    *Server
+	segMax int
+
+	// mu guards what sync callers, close and WALError share outside syncMu.
+	mu sync.Mutex
+	// err is sticky: the first write/sync failure, surfaced on every call.
 	err error //sgvet:guardedby mu
-	// records counts the records appended; logEnd is the event-log length
-	// their events reach; arrived counts sync callers, and began is what
-	// arrived was when the last fsync began.
-	records int    //sgvet:guardedby mu
-	logEnd  int    //sgvet:guardedby mu
-	arrived uint64 //sgvet:guardedby mu
-	began   uint64 //sgvet:guardedby mu
-	// settler parks a settling sync leader in the netpoller (see settle). The
-	// first leader to settle makes it; close and closeNoSync release it.
+	// settler parks a settling sync leader in the netpoller (see settle).
+	// The first leader to settle makes it; close and closeNoSync, which run
+	// when no session is left to lead a sync, release it.
 	settler *settler //sgvet:guardedby mu
-	// syncMu serializes sync callers; the fsync itself runs with mu
-	// RELEASED so appends never stall behind the disk (see sync).
+
+	// syncMu serializes sync callers. Its holder, a leader or close, is the
+	// only code that encodes a record or touches a segment.
 	syncMu sync.Mutex
-	// durable is the record count the last completed fsync covered, and
-	// durableLog the event-log length: the snapshot cut's disk bound. It is
-	// stored before the committers that fsync covers are woken.
-	durable    int //sgvet:guardedby syncMu
-	durableLog atomic.Int64
-	// syncTimes are how long the last two fsyncs took on the now clock,
+	// cur is the open segment, curSize the bytes written to it, and nextIdx
+	// the next one's index.
+	cur              SegmentFile //sgvet:guardedby syncMu
+	curSize, nextIdx int         //sgvet:guardedby syncMu
+	// txN and objN are the tree's transaction and object counts the
+	// definitions framed so far reach.
+	txN, objN int //sgvet:guardedby syncMu
+	// buf holds a segment header and then the records framed since the last
+	// write, body the encoded events of the batch being framed, rec the
+	// payload being framed, and evs the run the log is decoded into.
+	buf, body, rec []byte               //sgvet:guardedby syncMu
+	evs            [certRun]event.Event //sgvet:guardedby syncMu
+	// syncTimes are how long the last two fsyncs took on the Hooks clock,
 	// the latest first; a settle lasts at most as long as the shorter.
 	syncTimes [2]time.Duration //sgvet:guardedby syncMu
+	// arrived counts sync callers, and began is what arrived was when the
+	// last fsync began.
+	arrived, began atomic.Uint64
+	// durableLog is the log length the last completed fsync covered: where
+	// the next copy starts, the mark a sync caller's target is held to, and
+	// the snapshot cut's disk bound. It is stored before the committers that
+	// fsync covers are woken.
+	durableLog atomic.Int64
 	// rounds counts the netpoll rounds sync leaders have settled for; it is
 	// atomic so that a test can watch a leader that holds syncMu.
 	rounds atomic.Int64
-	// open counts the sessions with a logged top-level transaction open
-	// (the server's openTops), and now is the clock fsyncs are timed on.
-	open *atomic.Int64
-	now  func() time.Time
 }
 
-func newWalWriter(disk Disk, segMax, firstIndex int, m *Metrics, open *atomic.Int64, now func() time.Time) (*walWriter, error) {
-	if segMax <= 0 {
-		segMax = defaultSegmentBytes
+// newWalWriter opens segment firstIndex of s's WAL behind what s holds: its
+// log and its names are durable, read back from the WAL or about to be
+// synced in full.
+func newWalWriter(s *Server, firstIndex int) (*walWriter, error) {
+	w := &walWriter{srv: s, segMax: s.opts.WALSegmentBytes, nextIdx: firstIndex}
+	if w.segMax <= 0 {
+		w.segMax = defaultSegmentBytes
 	}
-	w := &walWriter{disk: disk, m: m, segMax: segMax, nextIdx: firstIndex, open: open, now: now}
+	s.mu.RLock()
+	w.txN, w.objN = s.tr.NumTx(), s.tr.NumObjects()
+	s.mu.RUnlock()
+	w.durableLog.Store(int64(s.log.len()))
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if err := w.rotate(); err != nil {
 		return nil, err
 	}
+	w.buf = binary.AppendUvarint(append([]byte(nil), walMagic[:]...), walVersion)
 	return w, nil
 }
 
-// rotate seals the current segment and opens the next. appendRecord calls
-// it with w.mu held; newWalWriter calls it on a writer no other goroutine
-// can see yet, which satisfies the same exclusion.
+// appendFrame appends payload framed as one record. It is the WAL's one
+// framing: the writer frames every record with it.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+}
+
+// rotate seals the current segment, if any, and creates the next, empty:
+// its first write brings its header.
 //
-//sgvet:holds w.mu
+//sgvet:holds w.syncMu
 func (w *walWriter) rotate() error {
 	if w.cur != nil {
 		if err := w.cur.Sync(); err != nil {
@@ -543,121 +506,165 @@ func (w *walWriter) rotate() error {
 			return err
 		}
 	}
-	f, err := w.disk.Create(segmentName(w.nextIdx))
+	f, err := w.srv.opts.WAL.Create(segmentName(w.nextIdx))
 	if err != nil {
 		return err
 	}
-	hdr := append([]byte(nil), walMagic[:]...)
-	hdr = binary.AppendUvarint(hdr, walVersion)
-	if _, err := f.Write(hdr); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	w.cur, w.curSize = f, len(hdr)
+	w.cur, w.curSize = f, 0
 	w.nextIdx++
 	return nil
 }
 
-// errEmptyRecord refuses an empty payload: its framing would start with a
-// zero byte, which recovery reads as the end of a segment's records.
-var errEmptyRecord = errors.New("wal: empty record payload")
-
-// appendRecord frames and writes one payload that carries no event.
-func (w *walWriter) appendRecord(payload []byte) error { return w.appendEvents(payload, 0) }
-
-// appendEvents frames and writes one payload whose events end the event log
-// at length logEnd (0 when it carries none). Errors are sticky; the server
-// surfaces them rather than silently dropping durability. An empty payload
-// is refused without touching the segment.
-func (w *walWriter) appendEvents(payload []byte, logEnd int) error {
-	if len(payload) == 0 {
-		return errEmptyRecord
+// writeSuffix copies what the WAL lacks into records and writes them. The
+// log's events from durableLog on become WalEvents records, split only
+// where one would pass maxWalRecord, each behind the definitions of the
+// names its events are the first to use; with all, the rest of the tree's
+// names follow. It returns the log length the records reach.
+//
+//sgvet:holds w.syncMu
+func (w *walWriter) writeSuffix(all bool) (int, error) {
+	v := w.srv.log.view()
+	w.body = w.body[:0]
+	n, needTx, needObj := 0, 0, 0
+	for i := int(w.durableLog.Load()); i < v.n; {
+		run := v.Run(i, w.evs[:])
+		for _, e := range run {
+			mark := len(w.body)
+			w.body = event.AppendWalEvent(w.body, e)
+			if n > 0 && 1+binary.MaxVarintLen64+len(w.body) > maxWalRecord {
+				w.frameEvents(mark, n, needTx, needObj)
+				n, needTx, needObj = 0, 0, 0
+			}
+			n++
+			needTx, needObj = max(needTx, int(e.Tx)+1), max(needObj, int(e.Obj)+1)
+		}
+		i += len(run)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
+	if n > 0 {
+		w.frameEvents(len(w.body), n, needTx, needObj)
 	}
-	w.scratch = binary.AppendUvarint(w.scratch[:0], uint64(len(payload)))
-	w.scratch = append(w.scratch, payload...)
-	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, crc32.ChecksumIEEE(payload))
-	if w.curSize > len(walMagic)+1 && w.curSize+len(w.scratch) > w.segMax {
+	if all {
+		w.defs(math.MaxInt, math.MaxInt)
+	}
+	return v.n, w.write()
+}
+
+// frameEvents frames the first n events gathered in body, which end at
+// end, behind the definitions of the transactions below tx and the objects
+// below obj that the WAL lacks.
+//
+//sgvet:holds w.syncMu
+func (w *walWriter) frameEvents(end, n, tx, obj int) {
+	w.defs(tx, obj)
+	w.rec = append(event.AppendWalEventsHead(w.rec[:0], n), w.body[:end]...)
+	w.buf = appendFrame(w.buf, w.rec)
+	w.body = w.body[:copy(w.body, w.body[end:])]
+}
+
+// defs frames the definitions of the transactions below tx and the objects
+// below obj that the WAL lacks, in ID order, each object ahead of the first
+// access definition that names it.
+//
+//sgvet:holds w.syncMu
+func (w *walWriter) defs(tx, obj int) {
+	s := w.srv
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for ; w.txN < min(tx, s.tr.NumTx()); w.txN++ {
+		t := tname.TxID(w.txN)
+		x, op := s.tr.AccessObject(t), spec.Op{}
+		if x != tname.NoObj {
+			w.objects(s.tr, int(x)+1)
+			op = s.tr.AccessOp(t)
+		}
+		w.rec = event.AppendWalTxDef(w.rec[:0], s.tr.Parent(t), s.tr.Label(t), x, op)
+		w.buf = appendFrame(w.buf, w.rec)
+	}
+	w.objects(s.tr, min(obj, s.tr.NumObjects()))
+}
+
+// objects frames the definitions of the objects below n that the WAL
+// lacks, reading them from tr, which the caller holds read-locked.
+//
+//sgvet:holds w.syncMu
+func (w *walWriter) objects(tr *tname.Tree, n int) {
+	for ; w.objN < n; w.objN++ {
+		x := tname.ObjID(w.objN)
+		w.rec = event.AppendWalObjectDef(w.rec[:0], tr.ObjectLabel(x), tr.Spec(x).Name())
+		w.buf = appendFrame(w.buf, w.rec)
+	}
+}
+
+// write hands the records framed since the last write to the segment in one
+// Write, after a rotation when they would take a segment that holds records
+// past segMax; a segment's first write brings its header.
+//
+//sgvet:holds w.syncMu
+func (w *walWriter) write() error {
+	out := w.buf[headerLen():]
+	if len(out) == 0 {
+		return nil
+	}
+	if w.curSize > headerLen() && w.curSize+len(out) > w.segMax {
 		if err := w.rotate(); err != nil {
-			w.err = err
 			return err
 		}
 	}
-	if _, err := w.cur.Write(w.scratch); err != nil {
-		w.err = err
-		return err
+	if w.curSize == 0 {
+		out = w.buf
 	}
-	w.curSize += len(w.scratch)
-	w.records++
-	w.logEnd = max(w.logEnd, logEnd)
-	return nil
+	_, err := w.cur.Write(out)
+	w.buf, w.curSize = w.buf[:headerLen()], w.curSize+len(out)
+	return err
 }
 
-// sync makes every record appended before the call durable, and it is the
+// sync makes the log durable through its length at the call, and it is the
 // group commit: the certifier's rule (certifier.waitCertified) applied to
-// fsyncs. A caller notes its target — the record count after its own
-// records — and queues on syncMu; whoever holds it finds the durable
-// watermark already past its target (some fsync that began after its
-// records were appended covered them) and returns without I/O, or leads:
-// it settles (see settle), so that peers a hop away from their own COMMITs
-// append them and queue behind it, then fsyncs once for every record
-// appended so far and publishes the new watermark. The fsync runs with mu
-// RELEASED: the append path holds the event-log mutex while it writes
-// records, so an fsync that held mu would stall every session, and with
-// them the next cohort.
-//
-// If the segment is rotated away while the fsync is in flight, rotation
-// has already synced it before closing, so every record this call must
-// cover is durable and a racing fsync error on the closed file is not a
-// durability failure.
+// fsyncs. A caller notes its target and queues on syncMu; whoever holds it
+// finds the durable mark already past its target (some fsync that began
+// after its events were appended covered them) and returns without I/O, or
+// leads: it settles (see settle), so that peers a hop away from their own
+// COMMITs append them and queue behind it, then copies the log's unsynced
+// suffix (writeSuffix), fsyncs once for all of it and publishes the new
+// mark. Sessions append with no WAL lock at all, so the next cohort forms
+// while the fsync runs.
 func (w *walWriter) sync() error {
-	w.m.WALSyncRequests.Add(1)
-	w.mu.Lock()
-	target := w.records
-	w.arrived++
-	w.mu.Unlock()
+	w.srv.metrics.WALSyncRequests.Add(1)
+	target := w.srv.log.len()
+	w.arrived.Add(1)
 
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if w.durable >= target {
+	if int(w.durableLog.Load()) >= target {
 		return w.stickyErr()
 	}
 	w.settle()
-	w.mu.Lock()
-	cur, n, logN, cohort, err := w.cur, w.records, w.logEnd, w.arrived-w.began, w.err
-	w.began = w.arrived
-	w.mu.Unlock()
-	if err != nil || cur == nil {
+	arrived := w.arrived.Load()
+	cohort := arrived - w.began.Swap(arrived)
+	if err := w.stickyErr(); err != nil || w.cur == nil {
 		// A sticky failure, or a closed writer: close synced what it owed.
 		return err
 	}
-	start := w.now()
-	err = cur.Sync()
-	w.syncTimes = [2]time.Duration{w.now().Sub(start), w.syncTimes[0]}
-	w.m.WALSyncs.Add(1)
-	w.m.GroupSize.Observe(int64(cohort))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil && w.cur == cur {
-		if w.err == nil {
-			w.err = err
-		}
-		return err
+	end, err := w.writeSuffix(false)
+	if err == nil {
+		start := w.srv.opts.Hooks.Now()
+		err = w.cur.Sync()
+		w.syncTimes = [2]time.Duration{w.srv.opts.Hooks.Now().Sub(start), w.syncTimes[0]}
+		w.srv.metrics.WALSyncs.Add(1)
+		w.srv.metrics.GroupSize.Observe(int64(cohort))
 	}
-	// Synced, or rotated (or closed) mid-fsync: the records are durable.
-	w.durable = n
-	w.durableLog.Store(int64(logN))
-	return w.err
+	if err != nil {
+		return w.fail(err)
+	}
+	w.durableLog.Store(int64(end))
+	return nil
 }
 
-// settle holds a sync leader back from its fsync while peers may still join
-// the cohort. On one processor the thread blocked in fsync keeps the only
-// P, so a peer session one client hop and one session hop away from its
-// COMMIT cannot append it during the fsync, and every commit pays its own.
-// A settling leader instead parks in the netpoller round by round
+// settle holds a sync leader back from its copy and fsync while peers may
+// still join the cohort. On one processor the thread blocked in fsync keeps
+// the only P, so a peer session one client hop and one session hop away
+// from its COMMIT cannot append it during the fsync, and every commit pays
+// its own. A settling leader instead parks in the netpoller round by round
 // (settler.round): everything runnable runs first, and every connection
 // that became ready is served, so a peer that appends its COMMIT and calls
 // sync queues on syncMu and is covered by the fsync that follows. The
@@ -665,8 +672,8 @@ func (w *walWriter) sync() error {
 //
 //   - no other session has a top-level transaction open, so no COMMIT is
 //     coming (a lone committer syncs at once);
-//   - two rounds pass with no record appended: one loopback round trip,
-//     a client hop and a session hop, brought nothing;
+//   - two rounds pass with the log's length unchanged: one loopback round
+//     trip, a client hop and a session hop, brought nothing;
 //   - it has lasted as long as the shorter of the last two fsyncs took:
 //     waiting longer costs more than a second fsync would. Taking the
 //     shorter keeps one stalled fsync from stretching the next settle, and
@@ -674,51 +681,39 @@ func (w *walWriter) sync() error {
 //     time on the server's clock (MemDisk under the simulator) never
 //     settles, and neither does a leader with fewer than two fsyncs timed.
 //
-// Followers the watermark already covers never get here, and soundness is
-// the watermark's, unchanged: the leader reads the record count it
-// publishes after settling, before its fsync begins.
+// Followers the durable mark already covers never get here, and soundness
+// is the mark's, unchanged: the leader copies the log after settling, and
+// publishes the length it copied.
 //
 //sgvet:holds w.syncMu
 //sgvet:hotpath
 func (w *walWriter) settle() {
 	budget := min(w.syncTimes[0], w.syncTimes[1])
-	if w.open.Load() == 0 || budget <= 0 {
+	open := &w.srv.openTops
+	if open.Load() == 0 || budget <= 0 {
 		return
 	}
 	w.mu.Lock()
 	if w.settler == nil && w.cur != nil {
 		w.settler = newSettler()
 	}
-	p, seen := w.settler, w.records
+	p := w.settler
 	w.mu.Unlock()
 	if p == nil {
 		return // the writer is closed, or no pipe could be made
 	}
-	start := w.now()
-	for quiet := 0; quiet < 2 && w.open.Load() > 0 && w.now().Sub(start) < budget; {
+	seen := w.srv.log.len()
+	start := w.srv.opts.Hooks.Now()
+	for quiet := 0; quiet < 2 && open.Load() > 0 && w.srv.opts.Hooks.Now().Sub(start) < budget; {
 		if !p.round() {
 			return // the writer was closed under the leader
 		}
 		w.rounds.Add(1)
-		w.mu.Lock()
-		n := w.records
-		w.mu.Unlock()
-		if n == seen {
+		if n := w.srv.log.len(); n == seen {
 			quiet++
 		} else {
 			quiet, seen = 0, n
 		}
-	}
-}
-
-// releaseSettler stops the settler, if one was made; a leader parked in it
-// wakes and fsyncs at once.
-//
-//sgvet:holds w.mu
-func (w *walWriter) releaseSettler() {
-	if w.settler != nil {
-		w.settler.close()
-		w.settler = nil
 	}
 }
 
@@ -793,11 +788,33 @@ func (w *walWriter) stickyErr() error {
 	return w.err
 }
 
-// closeNoSync closes the current segment without a final sync — the crash
-// path, where pretending the tail became durable would be a lie.
-func (w *walWriter) closeNoSync() {
+// fail records err as the writer's failure, unless it has one, and returns
+// it.
+func (w *walWriter) fail(err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = err
+	}
+	return err
+}
+
+// releaseSettler stops the settler, if one was made.
+func (w *walWriter) releaseSettler() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.settler != nil {
+		w.settler.close()
+		w.settler = nil
+	}
+}
+
+// closeNoSync closes the current segment without copying or syncing
+// anything — the crash path, where pretending the log's tail became durable
+// would be a lie.
+func (w *walWriter) closeNoSync() {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.releaseSettler()
 	if w.cur != nil {
 		w.cur.Close() //sgvet:ignore[checkederr] crash path: the close error is moot once the tail is deliberately not synced
@@ -805,24 +822,27 @@ func (w *walWriter) closeNoSync() {
 	}
 }
 
+// close copies everything the WAL lacks, names no event uses included,
+// syncs it and closes the segment.
 func (w *walWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.releaseSettler()
 	if w.cur == nil {
-		return w.err
+		return w.stickyErr()
 	}
-	serr := w.cur.Sync()
-	cerr := w.cur.Close()
-	w.cur = nil
-	if w.err == nil {
-		if serr != nil {
-			w.err = serr
-		} else if cerr != nil {
-			w.err = cerr
+	err := w.stickyErr()
+	if err == nil {
+		if _, err = w.writeSuffix(true); err == nil {
+			err = w.cur.Sync()
 		}
 	}
-	return w.err
+	err = cmp.Or(err, w.cur.Close())
+	w.cur = nil
+	if err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // walScan reads a WAL off a Disk straight into a name tree and an event

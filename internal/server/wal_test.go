@@ -3,13 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,10 +16,17 @@ import (
 	"nestedsg/internal/tname"
 )
 
-// newTestWalWriter is newWalWriter on the real clock, with fresh metrics and
-// an open-tops count of its own that a test may set.
+// newTestWalWriter opens segment firstIndex of a WAL on disk for a server
+// of its own: an empty log and a fresh tree, fresh metrics, an open-tops
+// count a test may set, and the real clock.
 func newTestWalWriter(disk Disk, segMax, firstIndex int) (*walWriter, error) {
-	return newWalWriter(disk, segMax, firstIndex, newMetrics(), new(atomic.Int64), time.Now)
+	s := &Server{
+		opts:    Options{WAL: disk, WALSegmentBytes: segMax, Hooks: realHooks{}},
+		tr:      tname.NewTree(),
+		log:     &eventLog{},
+		metrics: newMetrics(),
+	}
+	return newWalWriter(s, firstIndex)
 }
 
 // newTestScan returns a scan into a fresh tree and log.
@@ -30,17 +35,23 @@ func newTestScan() *walScan { return &walScan{tr: tname.NewTree(), log: &eventLo
 // scanFresh scans disk into a fresh tree and log.
 func scanFresh(disk Disk) (*walScan, error) { return scanWAL(disk, tname.NewTree(), &eventLog{}) }
 
-// writeRecords drives a walWriter over disk with the given payloads.
+// writeRecords writes the given payloads to disk through a walWriter's
+// framing and rotation, each as one record in a write of its own.
 func writeRecords(t testing.TB, disk Disk, segMax int, payloads ...[]byte) {
 	t.Helper()
 	w, err := newTestWalWriter(disk, segMax, 1)
 	if err != nil {
 		t.Fatalf("newWalWriter: %v", err)
 	}
+	w.syncMu.Lock()
 	for _, p := range payloads {
-		if err := w.appendRecord(p); err != nil {
-			t.Fatalf("appendRecord: %v", err)
+		if w.buf = appendFrame(w.buf, p); err == nil {
+			err = w.write()
 		}
+	}
+	w.syncMu.Unlock()
+	if err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -255,29 +266,26 @@ func TestMemDiskCrashSemantics(t *testing.T) {
 	}
 }
 
-// TestWalAppendRefusesEmptyPayload: an empty payload would frame to a
-// zero length byte, which recovery reads as the end of the records, so the
-// writer refuses it, writes nothing, and keeps working.
-func TestWalAppendRefusesEmptyPayload(t *testing.T) {
+// TestWalSplitsEventsAtRecordBound: a sync whose events take more than
+// maxWalRecord to encode writes them as several WalEvents records, each
+// within the bound, in one Write, and they scan back to the same events.
+func TestWalSplitsEventsAtRecordBound(t *testing.T) {
 	disk := NewMemDisk()
-	w, err := newTestWalWriter(disk, 1<<20, 1)
+	w, err := newTestWalWriter(disk, 0, 1)
 	must(t, err)
-	payloads := tinyWal()
-	must(t, w.appendRecord(payloads[0]))
-	for _, empty := range [][]byte{nil, {}} {
-		if err := w.appendRecord(empty); !errors.Is(err, errEmptyRecord) {
-			t.Fatalf("appendRecord(%#v) = %v, want %v", empty, err, errEmptyRecord)
-		}
+	val := spec.Str(strings.Repeat("v", 1000))
+	evs := make(event.Behavior, 2500) // ≈ 2.5 MB of events
+	for i := range evs {
+		evs[i] = event.NewValEvent(event.ReportCommit, tname.Root, val)
 	}
-	for _, p := range payloads[1:] {
-		must(t, w.appendRecord(p))
-	}
+	w.srv.log.append(evs...)
+	must(t, w.sync())
 	must(t, w.close())
-	scan, err := scanFresh(disk)
+	sc, err := scanFresh(disk)
 	must(t, err)
-	if scan.records != len(payloads) || scan.tornBytes != 0 || scan.zeroBytes != 0 {
-		t.Fatalf("scan read %d records (%d torn, %d zero bytes), want the %d appended and nothing to trim",
-			scan.records, scan.tornBytes, scan.zeroBytes, len(payloads))
+	if sc.records < 3 || sc.segments != 1 || !sc.log.snapshot().Equal(evs) {
+		t.Fatalf("scanned %d records in %d segments, %d events, want the %d events in at least 3 records of one segment",
+			sc.records, sc.segments, sc.log.len(), len(evs))
 	}
 }
 
@@ -455,14 +463,13 @@ func TestWALDefinitionPrecedesFirstUse(t *testing.T) {
 	}
 }
 
-// TestSettleEndsAfterOneFsync: while a peer's top stays open and records
+// TestSettleEndsAfterOneFsync: while a peer's top stays open and events
 // keep being appended, neither of the settle's other ends comes, and it
 // lasts as long as the shorter of the last two fsyncs took — and not much
 // longer: the leader looks at the clock after every round. A stalled latest
 // fsync does not stretch it. At GOMAXPROCS=1 the appender keeps the
-// processor between the leader's rounds, so every round sees records
-// appended; the disk discards them, so the appender never waits on the
-// collector.
+// processor between the leader's rounds, so every round sees the log grown;
+// it yields after each append, which keeps it runnable and the log small.
 //
 // With the appender always runnable, a round ends only when the runtime
 // preempts it and polls the network, every 10–20 ms (a 20 ms budget reads
@@ -485,12 +492,12 @@ func TestSettleEndsAfterOneFsync(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.close()
-			w.open.Store(1)
+			w.srv.openTops.Store(1)
 			stop, stopped := make(chan struct{}), make(chan struct{})
 			go func() {
 				defer close(stopped)
 				// A settle without its time bound would never end while
-				// records come; the appender gives up after a second, so
+				// events come; the appender gives up after a second, so
 				// such a settle fails the test instead of hanging it.
 				for give := time.Now().Add(time.Second); time.Now().Before(give); {
 					select {
@@ -498,9 +505,8 @@ func TestSettleEndsAfterOneFsync(t *testing.T) {
 						return
 					default:
 					}
-					if err := w.appendRecord([]byte{1}); err != nil {
-						return
-					}
+					w.srv.log.append(event.NewEvent(event.Create, tname.Root))
+					runtime.Gosched()
 				}
 			}()
 			w.syncMu.Lock()
@@ -512,7 +518,7 @@ func TestSettleEndsAfterOneFsync(t *testing.T) {
 			close(stop)
 			<-stopped
 			if d < budget || d > budget+slack {
-				t.Fatalf("settled for %v with records arriving throughout and fsyncs of %v, want %v to %v",
+				t.Fatalf("settled for %v with events arriving throughout and fsyncs of %v, want %v to %v",
 					d, tc.times, budget, budget+slack)
 			}
 			if w.rounds.Load() == 0 {

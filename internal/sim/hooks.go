@@ -3,6 +3,8 @@ package sim
 import (
 	"runtime"
 	"time"
+
+	"nestedsg/internal/server"
 )
 
 // Event kinds flowing from the server (via hooks) and from the sessions'
@@ -16,6 +18,9 @@ const (
 	// evCommitWait: a session logged a top-level COMMIT at log index seq
 	// and is about to wait for the certification watermark.
 	evCommitWait
+	// evWalPark: an armed sync parked between its write and its fsync
+	// (crashFile.Sync).
+	evWalPark
 	// evDone: a session's serve loop finished; all of its events are in
 	// the log.
 	evDone
@@ -143,4 +148,48 @@ func (s *sim) send(gen uint64, ev simEvent) {
 	}
 	ev.gen = gen
 	s.events <- ev
+}
+
+// crashDisk is an incarnation's WAL disk: a MemDisk whose segments park a
+// sync between its write and its fsync once the scheduler arms them. A WAL
+// holds unsynced bytes in that window only, so it is where FaultCrash
+// lands to tear a write.
+type crashDisk struct {
+	*server.MemDisk
+	s   *sim
+	gen uint64
+}
+
+func (d *crashDisk) Create(name string) (server.SegmentFile, error) {
+	f, err := d.MemDisk.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &crashFile{SegmentFile: f, d: d}, nil
+}
+
+// crashFile is a segment of a crashDisk.
+type crashFile struct {
+	server.SegmentFile
+	d *crashDisk
+}
+
+// Sync parks an armed sync, with its write done: it tells the scheduler,
+// which crashes the incarnation there, and waits for the generation to
+// retire. The frozen disk then drops the fsync. A sync that was not armed,
+// or one of a retired generation, goes straight through.
+func (f *crashFile) Sync() error {
+	s := f.d.s
+	s.mu.Lock()
+	park := s.armed && f.d.gen == s.gen.Load()
+	if park {
+		s.armed = false
+	}
+	rel := s.release
+	s.mu.Unlock()
+	if park {
+		s.send(f.d.gen, simEvent{kind: evWalPark})
+		<-rel
+	}
+	return f.SegmentFile.Sync()
 }

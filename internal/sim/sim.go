@@ -15,13 +15,13 @@
 // waits on a stalled certifier. The client pipelines as in production, so
 // drops and crashes land with answers still owed (Report.MidPipeline).
 //
-// Crashes use the in-memory Disk: the simulator snapshots the durable
-// prefix (plus a random torn tail of unsynced bytes), freezes the old
-// disk, kills the server, and rebuilds it with server.Recover — whose
-// audit proves the resumed certificate is byte-identical to a batch
-// core.Check over the stitched log. On small runs the stitched log is
-// additionally cross-checked against the internal/oracle sibling-order
-// search.
+// Crashes use the in-memory Disk: the simulator parks a sync between its
+// write and its fsync, snapshots the durable prefix (plus a random torn
+// tail of that write), freezes the old disk, kills the server, and rebuilds
+// it with server.Recover — whose audit proves the resumed certificate is
+// byte-identical to a batch core.Check over the stitched log. On small
+// runs the stitched log is additionally cross-checked against the
+// internal/oracle sibling-order search.
 package sim
 
 import (
@@ -65,9 +65,12 @@ const (
 	// FaultClockStorm jumps the virtual clock past every blocked
 	// access's lock-wait deadline, forcing a storm of timeout aborts.
 	FaultClockStorm
-	// FaultCrash kills the process at the current instant: the disk
-	// keeps only the synced prefix plus a random torn tail of unsynced
-	// bytes, and the server is rebuilt with server.Recover.
+	// FaultCrash kills the process inside a sync, between its write and
+	// its fsync, the one window in which the WAL holds unsynced bytes: a
+	// session with its top-level transaction open commits it, and the disk
+	// keeps the synced prefix plus a random torn prefix of that sync's
+	// write. With no such session it kills the process at once. The server
+	// is rebuilt with server.Recover.
 	FaultCrash
 	// FaultDeadlock drives two sessions into a crossing write conflict over
 	// two distinct objects — a writes x, b writes y, a wants y, b wants x —
@@ -126,10 +129,6 @@ type Config struct {
 	// FaultPermille is the per-step probability (in 1/1000) of injecting
 	// one of the enabled faults (default 30 when Faults is non-empty).
 	FaultPermille int
-	// OracleMaxEvents bounds the log size for the sibling-order oracle
-	// cross-check after recoveries and at the end (default 60; 0 keeps
-	// the default, negative disables).
-	OracleMaxEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -147,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FaultPermille <= 0 {
 		c.FaultPermille = 30
-	}
-	if c.OracleMaxEvents == 0 {
-		c.OracleMaxEvents = 60
 	}
 	return c
 }
@@ -241,6 +237,7 @@ const (
 	phAwait           // call handed to the session's goroutine, not settled yet
 	phParkLock        // blocked access parked in LockWait
 	phParkCert        // top-level commit parked behind a stalled certifier
+	phParkWal         // top-level commit parked inside its sync, where a crash lands
 	phClosed          // connection dropped, waiting for SessionDone
 )
 
@@ -264,7 +261,7 @@ type slot struct {
 // an answer the server holds back, so the question races nothing.
 func (sl *slot) owed() (n int, access bool) {
 	n, access = sl.c.Owed()
-	if sl.phase == phParkLock || sl.phase == phParkCert {
+	if sl.phase == phParkLock || sl.phase == phParkCert || sl.phase == phParkWal {
 		n-- // the parked call's own request
 	}
 	return n, access
@@ -302,6 +299,10 @@ type sim struct {
 	wakes   map[int64]chan struct{} //sgvet:guardedby mu
 	release chan struct{}           //sgvet:guardedby mu
 	stall   *stallState             //sgvet:guardedby mu
+	// armed parks the next sync between its write and its fsync
+	// (crashFile.Sync); walParked notes that one has.
+	armed     bool //sgvet:guardedby mu
+	walParked bool
 
 	disk  *server.MemDisk
 	srv   *server.Server
@@ -361,7 +362,7 @@ func (s *sim) serverOpts(disk *server.MemDisk) server.Options {
 		Backend:     s.cfg.Backend,
 		Objects:     s.objs,
 		LockTimeout: lockTimeout,
-		WAL:         disk,
+		WAL:         &crashDisk{MemDisk: disk, s: s, gen: s.gen.Load()},
 		Hooks:       &simHooks{s: s, gen: s.gen.Load()},
 	}
 }
@@ -573,7 +574,8 @@ func (s *sim) nextRequest(sl *slot) wire.Request {
 }
 
 // issue hands cl to sl's goroutine as one client call and pumps until it
-// returns, parks on a lock or waits on a stalled certifier.
+// returns, parks on a lock, waits on a stalled certifier or, armed for a
+// crash, parks in a sync.
 func (s *sim) issue(sl *slot, cl call) error {
 	q := cl.q
 	switch q.Cmd {
@@ -594,7 +596,13 @@ func (s *sim) issue(sl *slot, cl call) error {
 	}
 	sl.phase = phAwait
 	sl.calls <- cl
-	return s.pumpUntil(func() bool { return sl.phase != phAwait })
+	if err := s.pumpUntil(func() bool { return sl.phase != phAwait || s.walParked }); err != nil {
+		return err
+	}
+	if s.walParked {
+		sl.phase = phParkWal
+	}
+	return nil
 }
 
 // wakeOne advances the virtual clock by one wake quantum, wakes the parked
@@ -654,6 +662,8 @@ func (s *sim) handleEvent(ev simEvent) error {
 			sl.phase = phParkCert
 			s.rep.CertParks++
 		}
+	case evWalPark:
+		s.walParked = true
 	case evDone:
 		s.done[ev.sess] = true
 	case evReturn:
@@ -872,11 +882,29 @@ func (s *sim) unstall() error {
 	return s.pumpUntil(func() bool { return len(s.phaseSlots(phParkCert)) == 0 })
 }
 
-// crash kills the server at the current instant and recovers it from the
-// durable prefix plus a random torn tail.
+// crash kills the server inside a sync, where one can be had, and
+// recovers it from the durable prefix plus a random torn tail of the sync's
+// write. The sync is a top-level COMMIT's: crash arms the disk and commits
+// a slot whose transaction is open at its top, outside a snapshot;
+// the sync it leads parks between its write and its fsync. Without such a
+// slot, or when the COMMIT parks on a lock first, the crash lands at once,
+// with every written byte synced.
 func (s *sim) crash() error {
-	// Every session is settled, so the counters are a function of the
-	// schedule; once the generation retires, parked sessions run again.
+	var open []*slot
+	for _, sl := range s.slots {
+		if sl.phase == phIdle && sl.inTx && sl.depth == 1 && !(sl.ro && s.roSnap) {
+			open = append(open, sl)
+		}
+	}
+	if len(open) > 0 {
+		s.setArmed(true)
+		if err := s.issue(open[s.r.intn(len(open))], call{q: wire.Request{Cmd: wire.CmdCommit}}); err != nil {
+			return err
+		}
+		s.setArmed(false)
+	}
+	// Every session is settled or parked, so the counters are a function of
+	// the schedule; once the generation retires, parked sessions run again.
 	s.count()
 	if slices.ContainsFunc(s.slots, func(sl *slot) bool { n, _ := sl.owed(); return n > 0 }) {
 		s.rep.MidPipeline++
@@ -901,6 +929,7 @@ func (s *sim) crash() error {
 	s.wakes = make(map[int64]chan struct{})
 	s.stall = nil
 	s.mu.Unlock()
+	s.walParked = false
 
 	s.rep.ROSetsBeforeCrash = len(s.roSets)
 	s.srv.Kill()
@@ -909,6 +938,13 @@ func (s *sim) crash() error {
 	}
 	s.rep.Recoveries++
 	return s.boot(crashDisk)
+}
+
+// setArmed arms or disarms the disk's sync park.
+func (s *sim) setArmed(armed bool) {
+	s.mu.Lock()
+	s.armed = armed
+	s.mu.Unlock()
 }
 
 // count adds the incarnation's server counters to the report; the driver
@@ -921,15 +957,16 @@ func (s *sim) count() {
 	s.rep.DeadlockAborts += m.DeadlockAborts.Load()
 }
 
+// oracleMaxEvents bounds the log size for the sibling-order oracle
+// cross-check after recoveries and at the end.
+const oracleMaxEvents = 60
+
 // checkOracle cross-checks the current log against the sibling-order
 // search on small runs: an SG-certified behavior must admit a suitable
 // sibling order (Theorem 2 ⊆ Theorem 8/19).
 func (s *sim) checkOracle() error {
-	if s.cfg.OracleMaxEvents < 0 {
-		return nil
-	}
 	b := s.srv.Log()
-	if len(b) > s.cfg.OracleMaxEvents {
+	if len(b) > oracleMaxEvents {
 		return nil
 	}
 	res := oracle.Search(s.srv.Tree(), b, 200000)
