@@ -56,28 +56,31 @@
 // one of its subtransactions aborts, the server can only give such a read
 // the held answer, or abort the attempt: the attempt holds the object's lock
 // (Moss), every operation granted since commutes backward with its own (undo
-// logging), or a later version restarts it (strict mvto); and a snapshot
-// transaction reads the one certified cut its BEGIN pinned, whose published
-// versions never change. So Tx.Access answers such a read at once. A
-// transaction the server did not flag "snapshot" (every RunTx, and RunReadTx
-// on a backend without snapshots, whose reads are logged accesses) still
-// sends it ahead, promised the held answer, so that every value the body is
-// handed is one the log holds; a snapshot transaction sends nothing. The
+// logging), or a later version restarts it (strict mvto). So Tx.Access
+// answers such a read at once, and still sends it ahead, promised the held
+// answer, so that every value the body is handed is one the log holds. The
 // synchronous Conn.Access asks every time.
 //
-// A snapshot transaction also fetches. A connection whose BEGIN the server
-// has answered "snapshot" keeps a hint: the last hintKeys distinct (object,
-// op, argument) reads its snapshot transactions were answered OK. A
-// RunReadTx attempt's first read that waits carries, in the same write, a
-// read of every hint key the attempt does not hold — all of them, unless
-// the write runs out of room first — and the attempt holds their answers. A
-// fetched read is asked at the cut the attempt's BEGIN pinned, so its
-// answer is the one the body's own read would get, and one the body never
-// makes is a query outside the behavior the server certifies, like the
-// transaction itself. So a warm connection's snapshot transaction whose
-// reads its last ones made pays one write: its first read, whatever CHILD
-// and COMMIT frames ride with it. RunTx, the synchronous methods and a
-// backend without snapshots never fetch.
+// A snapshot transaction — a RunReadTx attempt whose BEGIN the server
+// answered "snapshot" — answers from the connection's view instead. The
+// server's session keeps the last few distinct (object, op, argument) reads
+// it served the connection's snapshot transactions, and only it evicts one;
+// the connection keeps a copy of their answers, valid at the cut the last
+// snapshot BEGIN pinned. Each snapshot BEGIN's answer brings the copy to
+// its own cut: it drops the keys the session evicted since the last one,
+// and pushes, with its value at the new cut, every key whose object a
+// top-level COMMIT changed in between; an object that nothing changed
+// answers the same at both cuts. From that answer until the attempt ends,
+// Tx.Access answers a read whose key the copy holds at once and sends
+// nothing, and one it lacks waits for its answer, which the session serves
+// at the attempt's cut and both ends then keep. A read of a key the copy
+// holds waits for the BEGIN's answer first, if it has not come. So a warm
+// connection's snapshot transaction whose reads are all in its view pays
+// one write, its BEGIN, with the previous transaction's COMMIT and whatever
+// CHILD frames ride along, and is served no read. Its answers are all at
+// the one cut its BEGIN pinned, like any snapshot transaction's. RunTx and a
+// backend without snapshots keep no view; the synchronous Conn.Access always
+// asks, and in a snapshot transaction its answer joins the view as well.
 //
 // So after RunReadTx the connection may still be owed answers between calls,
 // and the next call — a synchronous method, a RunTx, a Pool's health-check
@@ -119,12 +122,6 @@ var ErrTxAborted = errors.New("transaction aborted by server")
 // transaction committed all the same, without whatever the server refused.
 var ErrCommittedAnyway = errors.New("the transaction committed anyway")
 
-// hintKeys is how many distinct reads a connection's hint remembers, and so
-// how many a snapshot attempt's first read can fetch. It bounds what a fetch
-// that misses costs the server, not the burst: a burst is bounded only by
-// the write buffer (see putOut).
-const hintKeys = 8
-
 // sent is a request that has been put on the wire (or into the write
 // buffer) and not yet answered.
 type sent struct {
@@ -136,10 +133,10 @@ type sent struct {
 	// promised is set: the one its type fixes, or one the attempt holds.
 	value    spec.Value
 	promised bool
-	// fetch is the read a snapshot attempt fetched from the hint, whose
-	// answer drain files among the held ones; its obj is "" for any other
-	// request, since the server refuses an empty object name.
-	fetch readKey
+	// key is what an ACCESS of a read-only op asks, whose answer drain keeps
+	// in the view when the session serves it to a snapshot transaction; its
+	// obj is "" for any other request.
+	key readKey
 }
 
 // readKey is what a read asks: an op, with its argument, on an object.
@@ -164,22 +161,24 @@ type Conn struct {
 	// session's names never repeat, so none can collide under one parent.
 	children uint64
 	// beginErr is why the BEGIN of the running RunTx attempt failed, once
-	// its answer has been read.
+	// its answer has been read; begun says that answer has been read.
 	beginErr error
-	// ro says the running RunTx attempt is a RunReadTx's; snapshot says its
-	// BEGIN was answered OK with the snapshot flag, once that answer has been
-	// read.
+	begun    bool
+	// ro says the running RunTx attempt is a RunReadTx's; snapshot says the
+	// last BEGIN was answered OK with the snapshot flag, once that answer
+	// has been read.
 	ro, snapshot bool
 	// held is the running attempt's table of held answers (see heldAnswer),
 	// a slice reused from attempt to attempt and scanned linearly: a body
 	// touches a handful of objects.
 	held []heldAnswer
-	// hint is the last hintKeys distinct reads the connection's snapshot
-	// transactions were answered OK, least recent first; fetching says the
-	// running attempt has yet to make its first read that waits, which
-	// fetches them (see fetch).
-	hint     []readKey
-	fetching bool
+	// view is the connection's copy of its session's view (see the package
+	// comment): read entries, valid at the cut of the last snapshot BEGIN
+	// whose answer has been read, in no order. That answer leaves it no
+	// more keys than the session keeps, since it drops every other or
+	// empties the copy; until the next one it also keeps what the session
+	// serves, as a transaction's held answers would.
+	view []heldAnswer
 	// dead is the first transport failure: the server-side session is gone,
 	// so the connection must not be pooled or reused.
 	dead error
@@ -264,8 +263,8 @@ func (c *Conn) putAhead(q wire.Request, s sent) (resp wire.Response, answered bo
 // answers cannot fall out of step, and returns the last request's response
 // (the zero Response if it could not be read) together with the first
 // failure. Once the transport has failed, that failure is the answer to
-// everything still waiting. A fetched read's answer is held, and its
-// failure is no one's: the body never asked it.
+// everything still waiting. A snapshot BEGIN's answer updates the view, and
+// a read the session served a snapshot transaction joins it.
 func (c *Conn) drain() (wire.Response, error) {
 	var (
 		resp  wire.Response
@@ -282,16 +281,16 @@ func (c *Conn) drain() (wire.Response, error) {
 		if err == nil {
 			resp, err = c.answer(s)
 		}
-		if s.cmd == wire.CmdBegin {
+		switch {
+		case s.cmd == wire.CmdBegin:
 			// BEGIN is the first request owed, but for answers a RunReadTx
 			// left behind: its own failure is why no transaction opened.
-			c.beginErr, c.snapshot = err, err == nil && resp.Snapshot
-		}
-		if s.fetch.obj != "" {
-			if err == nil {
-				c.held = append(c.held, heldAnswer{readKey: s.fetch, v: resp.Value})
+			c.beginErr, c.begun, c.snapshot = err, true, err == nil && resp.Snapshot
+			if c.snapshot {
+				c.applyView(resp)
 			}
-			continue
+		case s.key.obj != "" && err == nil && c.snapshot:
+			c.keep(s.key, resp.Value)
 		}
 		if err != nil && first == nil {
 			first = err
@@ -369,10 +368,16 @@ func (c *Conn) Child() (string, error) {
 // It is always a round trip: it answers nothing from the answers a RunTx
 // attempt holds, though an update it makes drops those it may change.
 func (c *Conn) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
-	if !spec.ReadOnlyKind(op) {
+	var s sent
+	if spec.ReadOnlyKind(op) {
+		s.key = readKey{obj: obj, op: spec.Op{Kind: op, Arg: arg}}
+	} else {
 		c.forget(obj)
 	}
-	resp, err := c.roundTrip(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg})
+	if err := c.put(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, s); err != nil {
+		return spec.Nil, err
+	}
+	resp, err := c.drain()
 	return resp.Value, err
 }
 
@@ -459,23 +464,33 @@ func (t *Tx) Child() (string, error) {
 // object, op and argument, or a read its own update of the object answers
 // (spec.AnswerAfter). It returns the held answer at once and is sent ahead
 // with that answer as its promise, so the server still grants, logs and
-// certifies it — except in a snapshot transaction (see RunReadTx), whose
-// repeat sends nothing. Any other op, and a request too big to wait in the
-// write buffer, waits for its answer. Whatever is still owed stays owed until
-// the next request that waits, or the COMMIT.
+// certifies it. In a snapshot transaction (see RunReadTx) a read whose key
+// the connection's view holds returns its answer there and sends nothing.
+// Any other op, and a request too big to wait in the write buffer, waits
+// for its answer. Whatever is still owed stays owed until the next request
+// that waits, or the COMMIT.
 func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, error) {
 	c, o := t.c, spec.Op{Kind: op, Arg: arg}
 	v, fixed := spec.FixedAnswer(op)
 	if fixed {
 		c.updated(obj, o)
 	} else {
+		if c.ro && !c.begun && c.viewed(obj, o) >= 0 {
+			// The copy answers at the last snapshot BEGIN's cut until this
+			// attempt's BEGIN answer brings it to the attempt's own.
+			if _, err := c.drain(); err != nil {
+				return spec.Nil, err
+			}
+		}
+		if c.snapshot {
+			if i := c.viewed(obj, o); i >= 0 {
+				return c.view[i].v, nil
+			}
+			return c.Access(obj, op, arg) // drain keeps the answer in the view
+		}
 		var held bool
 		if v, held = c.lookup(obj, o); !held {
 			return t.read(obj, o)
-		}
-		if c.ro && c.snapshot {
-			c.learn(obj, o)
-			return v, nil
 		}
 	}
 	resp, answered, err := c.putAhead(wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: op, Arg: arg}, sent{value: v, promised: true})
@@ -486,71 +501,56 @@ func (t *Tx) Access(obj string, op spec.OpKind, arg spec.Value) (spec.Value, err
 }
 
 // read makes an access whose answer the attempt cannot give with a round
-// trip, and holds the answer if the op is read-only. A RunReadTx attempt's
-// first such read fetches the hint with it.
+// trip, and holds the answer if the op is read-only and the transaction is
+// not a snapshot one, whose reads drain keeps in the view instead.
 func (t *Tx) read(obj string, o spec.Op) (spec.Value, error) {
 	c := t.c
-	ro := spec.ReadOnlyKind(o.Kind)
-	if ro && c.fetching {
-		c.fetching = false
-		if err := c.fetch(obj, o); err != nil {
-			return spec.Nil, err
-		}
-	}
 	v, err := c.Access(obj, o.Kind, o.Arg)
-	if err == nil && ro {
+	if err == nil && !c.snapshot && spec.ReadOnlyKind(o.Kind) {
 		c.held = append(c.held, heldAnswer{readKey: readKey{obj: obj, op: o}, v: v})
-		if c.ro && c.snapshot {
-			c.learn(obj, o)
-		}
 	}
 	return v, err
 }
 
-// fetch puts a read of each key the hint holds and the attempt does not,
-// most recent first, into the burst that the attempt's first read that
-// waits, o on obj, is about to send. It stops at the first key whose frame,
-// with that read's own, would not fit the rest of the write buffer, so the
-// burst stays one write. drain holds their answers. Each is a read at the
-// cut the attempt's BEGIN pinned, so its answer is the one the body's own
-// read of the key would get, and one the body never asks for is a query
-// outside the behavior, like the transaction itself.
-func (c *Conn) fetch(obj string, o spec.Op) error {
-	c.out = wire.AppendRequest(c.out[:0], wire.Request{Cmd: wire.CmdAccess, Obj: obj, Op: o.Kind, Arg: o.Arg})
-	own := len(c.out) + binary.MaxVarintLen32
-	for i := len(c.hint) - 1; i >= 0; i-- {
-		k := c.hint[i]
-		if k.obj == obj && k.op == o {
-			continue
-		}
-		if _, held := c.lookup(k.obj, k.op); held {
-			continue
-		}
-		c.out = wire.AppendRequest(c.out[:0], wire.Request{Cmd: wire.CmdAccess, Obj: k.obj, Op: k.op.Kind, Arg: k.op.Arg})
-		if len(c.out)+binary.MaxVarintLen32+own > c.w.Available() {
-			return nil
-		}
-		if err := c.putOut(wire.CmdAccess, sent{fetch: k}); err != nil {
-			return err
+// viewed returns the index of the read o of obj in the view, or -1.
+//
+//sgvet:hotpath
+func (c *Conn) viewed(obj string, o spec.Op) int {
+	for i := range c.view {
+		if h := &c.view[i]; h.obj == obj && h.op == o {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// learn makes the read o of obj the hint's most recent key, dropping the
-// least recent when the hint would hold more than hintKeys.
-func (c *Conn) learn(obj string, o spec.Op) {
-	k := readKey{obj: obj, op: o}
-	i := slices.Index(c.hint, k)
-	switch {
-	case i < 0 && len(c.hint) < hintKeys:
-		c.hint = append(c.hint, k)
-		return
-	case i < 0:
-		i = 0
+// keep puts the answer v to the read k, which the session served a snapshot
+// transaction, in the view.
+func (c *Conn) keep(k readKey, v spec.Value) {
+	if i := c.viewed(k.obj, k.op); i >= 0 {
+		c.view[i].v = v
+	} else {
+		c.view = append(c.view, heldAnswer{readKey: k, v: v})
 	}
-	copy(c.hint[i:], c.hint[i+1:])
-	c.hint[len(c.hint)-1] = k
+}
+
+// applyView brings the view to the cut of the snapshot BEGIN whose answer
+// resp is: it drops what the session dropped, then takes what it pushed.
+func (c *Conn) applyView(resp wire.Response) {
+	if resp.ViewReset {
+		c.view = c.view[:0]
+		return
+	}
+	r := wire.NewViewReader(resp.View)
+	for e, ok := r.Next(); ok; e, ok = r.Next() {
+		switch i := c.viewed(e.Obj, e.Op); {
+		case i < 0: // a key the client did not keep
+		case e.Push:
+			c.view[i].v = e.Value
+		default:
+			c.view = slices.Delete(c.view, i, i+1)
+		}
+	}
 }
 
 // lookup returns the answer the attempt holds for the read-only op o on obj.
@@ -646,13 +646,14 @@ func (c *Conn) RunTx(maxAttempts int, fn func(tx *Tx) error) error {
 // carries nothing, is left to ride with the connection's next request (see
 // the package comment), so the body's last read is its last round trip.
 //
-// A snapshot transaction also asks for each read once: every read is
+// A snapshot transaction asks for each read at most once: every read is
 // answered from the state at the cut its BEGIN pinned, which nothing can
-// change, so a repeat of a read the attempt has made — the same object, op
-// and argument — is answered with what the first one got, and sends
-// nothing. Each attempt starts with no answers kept: a retry pins a new cut.
-// On a backend without snapshots every read is a logged access, and each is
-// sent, a repeat ahead of its answer as in RunTx.
+// change, and the connection's view, brought to that cut by the BEGIN's
+// answer, answers every key it holds, a repeat of the attempt's own read
+// among them, and sends nothing (see the package comment). A retry pins a
+// new cut, and its BEGIN's answer brings the view to it. On a backend
+// without snapshots every read is a logged access, and each is sent, a
+// repeat ahead of its answer as in RunTx.
 func (c *Conn) RunReadTx(maxAttempts int, fn func(tx *Tx) error) error {
 	return c.runTx(maxAttempts, true, fn)
 }
@@ -670,7 +671,7 @@ func (c *Conn) runTx(maxAttempts int, ro bool, fn func(tx *Tx) error) error {
 				backoff = 64 * time.Millisecond
 			}
 		}
-		c.beginErr, c.ro, c.snapshot, c.held, c.fetching = nil, ro, false, c.held[:0], ro
+		c.beginErr, c.begun, c.ro, c.snapshot, c.held = nil, false, ro, false, c.held[:0]
 		if err := c.put(wire.Request{Cmd: wire.CmdBegin, RO: ro}, sent{}); err != nil {
 			return err
 		}

@@ -105,13 +105,21 @@ func appendTxDef(buf []byte, parent tname.TxID, label string, obj tname.ObjID, o
 //
 //sgvet:hotpath
 func appendEvent(buf []byte, e Event) []byte {
-	buf = append(buf, byte(e.Kind))
-	buf = binary.AppendUvarint(buf, uint64(e.Tx))
-	switch e.Kind {
+	return appendEventOf(buf, e.Kind, e.Tx, e.Val, uint64(e.Obj))
+}
+
+// appendEventOf is appendEvent for an event given by its fields: val is
+// read only for REQUEST_COMMIT/REPORT_COMMIT, obj only for informs.
+//
+//sgvet:hotpath
+func appendEventOf(buf []byte, kind Kind, tx tname.TxID, val spec.Value, obj uint64) []byte {
+	buf = append(buf, byte(kind))
+	buf = binary.AppendUvarint(buf, uint64(tx))
+	switch kind {
 	case RequestCommit, ReportCommit:
-		buf = AppendValue(buf, e.Val)
+		buf = AppendValue(buf, val)
 	case InformCommit, InformAbort:
-		buf = binary.AppendUvarint(buf, uint64(e.Obj))
+		buf = binary.AppendUvarint(buf, obj)
 	default:
 		// Every other kind is fully described by (kind, tx).
 	}

@@ -108,6 +108,19 @@ func AppendWalEventsHead(buf []byte, count int) []byte {
 //sgvet:hotpath
 func AppendWalEvent(buf []byte, e Event) []byte { return appendEvent(buf, e) }
 
+// AppendWalPacked is AppendWalEvent for the event rec packs (Pack), with
+// strs the side table its string value indexes: the same bytes, read from
+// the record in place.
+//
+//sgvet:hotpath
+func AppendWalPacked(buf []byte, rec Packed, strs []string) []byte {
+	var val spec.Value
+	if rec.Kind == RequestCommit || rec.Kind == ReportCommit {
+		val = spec.Unpack(rec.VK, rec.X, strs)
+	}
+	return appendEventOf(buf, rec.Kind, rec.Tx, val, uint64(rec.X))
+}
+
 // DecodeWalOp decodes one record payload, validating every transaction and
 // object reference against the caller's running counts (numTx includes the
 // root). It never panics on malformed input: any violation — short

@@ -551,3 +551,30 @@ func (br binReader) readValue(what string) (*TraceValue, error) {
 	}
 	return tv, nil
 }
+
+// TestAppendWalPackedMatchesEvent: an event encoded from its packed record
+// is the same bytes as the event itself, for every kind and value kind.
+func TestAppendWalPackedMatchesEvent(t *testing.T) {
+	var strs []string
+	for _, e := range []Event{
+		NewEvent(RequestCreate, 1),
+		NewEvent(Create, 300),
+		NewValEvent(RequestCommit, 2, spec.Int(-7)),
+		NewValEvent(RequestCommit, 2, spec.Nil),
+		NewEvent(Commit, 2),
+		NewInform(InformCommit, 2, 0),
+		NewValEvent(ReportCommit, 2, spec.Str("hi")),
+		NewEvent(Abort, 1),
+		NewInform(InformAbort, 1, 200),
+		NewEvent(ReportAbort, 1),
+		NewValEvent(RequestCommit, 1, spec.OK),
+		NewValEvent(ReportCommit, 1, spec.Bool(true)),
+		NewValEvent(ReportCommit, 1, spec.Str("")),
+	} {
+		var rec Packed
+		rec, strs = Pack(e, strs)
+		if got, want := AppendWalPacked(nil, rec, strs), AppendWalEvent(nil, e); !bytes.Equal(got, want) {
+			t.Errorf("%v packed encodes to %x, want %x", e, got, want)
+		}
+	}
+}

@@ -111,21 +111,23 @@ func BenchmarkClientRunTxReadHalf(b *testing.B) {
 // BenchmarkClientRunReadTx is BenchmarkClientRunTx for the shape's all-read
 // form through RunReadTx on mvto, which serves it from a certified snapshot:
 // 1 write per transaction, where asking for each read took 4. Its first read
-// fetches the other three, which the transaction before it read, and the
-// COMMIT rides with the next transaction's first write. It also reports the
-// snapshot reads the server served per transaction: 4, the fetched three
-// among them.
+// waits for the BEGIN's answer, which brings the connection's view, holding
+// the four keys the transaction before it read, to its cut, and the view
+// answers all four reads; the COMMIT rides with the next transaction's
+// first write. It also reports the snapshot reads the server served per
+// transaction: 0, since nothing commits between two transactions (4 when
+// the first read fetched the other three).
 func BenchmarkClientRunReadTx(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, readOnlyTx)
 }
 
-// BenchmarkClientRunReadTxMiss prices a fetch that misses: the shape's
+// BenchmarkClientRunReadTxMiss prices a view that misses: the shape's
 // all-read form on mvto, each transaction on the next of four groups of
-// four objects, so that the eight keys its connection's hint holds are the
+// four objects, so that the eight keys its connection's view holds are the
 // two groups before it and none of the four it reads. Each read waits,
-// 4 writes per transaction, and the first also fetches all eight keys, none
-// of which the body reads: 12 snapshot reads served per transaction, where
-// asking for each read took 4.
+// 4 writes per transaction, and the session serves 4 snapshot reads per
+// transaction, evicting the four oldest keys, which the next BEGIN's
+// answer drops (12 when the first read fetched all eight keys).
 //
 // Its connection is warmed with missWarm transactions before the timer.
 // The labels a transaction's names carry, which the server makes and the
@@ -160,9 +162,9 @@ const missWarm = 9999
 
 // BenchmarkClientRunReadTxRepeat is BenchmarkClientRunReadTx for a body that
 // reads a, b (in a subtransaction), a and b: 1 write per transaction, where
-// asking again took 4, since a snapshot transaction's client answers the
-// repeats from the answers it holds, and the first read fetches b, which the
-// transaction before it read: 2 snapshot reads served per transaction.
+// asking again took 4, since the connection's view, brought to the
+// transaction's cut by its BEGIN's answer, answers every read: 0 snapshot
+// reads served per transaction (2 when the first read fetched b).
 func BenchmarkClientRunReadTxRepeat(b *testing.B) {
 	benchmarkRunTx(b, "mvto", (*client.Conn).RunReadTx, repeatReadTx)
 }
@@ -469,10 +471,10 @@ func TestReadOnlyBeginAllocs(t *testing.T) {
 
 // TestSnapshotRepeatReadAllocs pins what a snapshot transaction's read of x
 // costs when its client holds the answer: nothing is sent, and the answer
-// comes from the ones the client holds, so it allocates nothing. It holds
-// it either as a repeat of the attempt's own read of x, or because the
-// attempt's first read, of y, fetched x from the connection's hint, since a
-// transaction before it read x.
+// comes from the connection's view, so it allocates nothing. The view holds
+// it either as a repeat of the attempt's own read of x, or because a
+// transaction before it read x, and the attempt's first read, of y, brought
+// the view to the attempt's cut.
 func TestSnapshotRepeatReadAllocs(t *testing.T) {
 	read := func(tx *client.Tx, obj string) (spec.Value, error) { return tx.Access(obj, spec.OpRead, spec.Nil) }
 	for _, row := range []struct {
@@ -484,7 +486,7 @@ func TestSnapshotRepeatReadAllocs(t *testing.T) {
 		served int64 // snapshot reads the server serves in all
 	}{
 		{name: "repeated", first: "x", served: 1},
-		{name: "fetched", warm: true, first: "y", served: 3},
+		{name: "fetched", warm: true, first: "y", served: 2},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := server.New(server.Options{Backend: "mvto", Objects: []string{"x", "y"}})

@@ -125,13 +125,21 @@ func (l *eventLog) view() logView {
 // which is how Final and Recover hand the log to the batch check in place.
 func (v logView) Len() int { return v.n }
 
+// recs returns records i, i+1, …, up to the end of i's chunk or of the
+// log, whichever comes first, in place.
+func (v logView) recs(i int) []logRec {
+	recs := v.chunks[i/logChunk][i%logChunk:]
+	return recs[:min(len(recs), v.n-i)]
+}
+
 // Run rebuilds events i, i+1, … into buf, up to the end of i's chunk, of
 // the log or of buf, whichever comes first, through the event
 // constructors. It is the log's one decoder: the certifier, the batch
-// check, snapshot and the WAL writer all read through it, a run per call.
+// check and snapshot read through it, a run per call, and the WAL writer
+// encodes the records themselves (event.AppendWalPacked).
 func (v logView) Run(i int, buf []event.Event) []event.Event {
-	recs := v.chunks[i/logChunk][i%logChunk:]
-	recs = recs[:min(len(recs), len(buf), v.n-i)]
+	recs := v.recs(i)
+	recs = recs[:min(len(recs), len(buf))]
 	buf = buf[:len(recs)]
 	for k := range recs {
 		r := &recs[k]

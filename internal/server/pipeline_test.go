@@ -171,17 +171,17 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 	// answer carries nothing, is left in the write buffer, and the next
 	// transaction's first write carries it, as does the PING's. The first
 	// transaction, on a cold connection, pays 4 writes each way, one a read;
-	// each later one pays 1, since its first read fetches the other three
-	// keys its connection's snapshot transactions last read, and their
-	// answers are held. On moss read-only is degraded to an ordinary
-	// transaction, whose COMMIT answer is the certifier's verdict: that is
-	// waited for, and nothing is fetched: 5 writes every time. The frames
-	// are the same on both: every COMMIT is still sent, and each fetched
-	// read stands in for one the body would have sent.
+	// each later one pays 1, its BEGIN, since the connection's view holds
+	// all four keys and the BEGIN's answer brings them to its cut: its 4
+	// reads send nothing, and its frames are the BEGIN, the CHILD and the
+	// two COMMITs. On moss read-only is degraded to an ordinary transaction,
+	// whose COMMIT answer is the certifier's verdict: that is waited for,
+	// and every read is sent: 5 writes and 8 frames every time.
 	for _, tc := range []struct {
 		backend    string
 		cold, warm int64 // per side: the first transaction, each later one
-	}{{"mvto", 4, 1}, {"moss", 5, 5}} {
+		frames     int64 // requests the server handles: 3 transactions and a PING
+	}{{"mvto", 4, 1, 8 + 4 + 4 + 1}, {"moss", 5, 5, 3*8 + 1}} {
 		for _, pipe := range []bool{false, true} {
 			name := tc.backend + "/" + map[bool]string{false: "tcp", true: "pipe"}[pipe]
 			s := server.New(server.Options{Backend: tc.backend, Objects: []string{"a", "b", "c", "d"}})
@@ -213,8 +213,8 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 			if cw, sw := cli.writes.Load()-cli0, srv.writes.Load()-srv0; cw != 1 || sw != 1 {
 				t.Errorf("%s: the PING took %d client and %d server writes, want 1 and 1", name, cw, sw)
 			}
-			if got := s.Metrics().Requests.Load() - req0; got != 3*8+1 {
-				t.Errorf("%s: server handled %d requests, want %d", name, got, 3*8+1)
+			if got := s.Metrics().Requests.Load() - req0; got != tc.frames {
+				t.Errorf("%s: server handled %d requests, want %d", name, got, tc.frames)
 			}
 			c.Close()
 			shutdownAndVerify(t, s)
@@ -227,11 +227,11 @@ func TestPipelinedWritesPerTx(t *testing.T) {
 // buffers nothing, however many bytes the answers are.
 func TestBurstIsOneWrite(t *testing.T) {
 	// Eight objects hold 600 bytes each. A warm connection's snapshot
-	// transaction reads all eight: its first read fetches the other
-	// seven in the same write, and their answers, 4.8 KiB, are more
-	// than the server's 4 KiB write buffer holds, so the server writes
-	// while the client reads; it must not write before it has read the
-	// whole burst, or both ends of the pipe would wait for ever.
+	// transaction reads all eight after a commit rewrote them: its BEGIN's
+	// answer pushes the eight new values, 4.8 KiB, more than the server's
+	// 4 KiB write buffer holds, so the server writes while the client
+	// reads; it must not write before it has read the whole burst, or both
+	// ends of the pipe would wait for ever.
 	var objs []string
 	for i := 0; i < 8; i++ {
 		objs = append(objs, fmt.Sprintf("o%d", i))
@@ -242,15 +242,18 @@ func TestBurstIsOneWrite(t *testing.T) {
 	if err := cli.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunTx(1, func(tx *client.Tx) error {
-		for i, obj := range objs {
-			if _, err := tx.Access(obj, spec.OpWrite, big(i)); err != nil {
-				return err
+	writeAll := func(at func(i int) spec.Value) {
+		t.Helper()
+		if err := c.RunTx(1, func(tx *client.Tx) error {
+			for i, obj := range objs {
+				if _, err := tx.Access(obj, spec.OpWrite, at(i)); err != nil {
+					return err
+				}
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	readAll := func(tx *client.Tx) error {
 		for i, obj := range objs {
@@ -260,9 +263,18 @@ func TestBurstIsOneWrite(t *testing.T) {
 		}
 		return nil
 	}
-	if err := c.RunReadTx(1, readAll); err != nil { // learns the hint
+	writeAll(func(int) spec.Value { return spec.Int(0) })
+	if err := c.RunReadTx(1, func(tx *client.Tx) error { // fills the view
+		for _, obj := range objs {
+			if _, err := tx.Access(obj, spec.OpRead, spec.Nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	writeAll(big)
 	served := s.Metrics().SnapshotReads.Load()
 	cli0, srv0 := cli.writes.Load(), srv.writes.Load()
 	if err := c.RunReadTx(1, readAll); err != nil {
@@ -1018,15 +1030,18 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		return err
 	}
 	// owe runs one snapshot transaction on a connection that owes nothing,
-	// and checks that its COMMIT has not reached the server.
-	owe := func(t *testing.T, s *server.Server, c *client.Conn) {
+	// and checks that its COMMIT has not reached the server: the server
+	// handles its BEGIN and, unless warm, the connection's view already
+	// holding x, its read.
+	owe := func(t *testing.T, s *server.Server, c *client.Conn, warm bool) {
 		t.Helper()
 		req := s.Metrics().Requests.Load()
 		if err := c.RunReadTx(1, readX); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Metrics().Requests.Load() - req; got != 2 {
-			t.Fatalf("the server handled %d requests of the transaction, want BEGIN and the read", got)
+		want := map[bool]int64{false: 2, true: 1}[warm]
+		if got := s.Metrics().Requests.Load() - req; got != want {
+			t.Fatalf("the server handled %d requests of the transaction, want %d: BEGIN, and the read unless warm (%v)", got, want, warm)
 		}
 	}
 	// untouched fails unless s logged nothing since the log was before
@@ -1049,7 +1064,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		opts.Hooks = h
 		s := startServer(t, opts)
 		c := dialT(t, s)
-		owe(t, s, c)
+		owe(t, s, c, false)
 		before := s.LogLen()
 		c.Close()
 		waitFor(t, "the session to end", func() bool { return h.done.Load() == 1 })
@@ -1065,7 +1080,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owe(t, s, c)
+		owe(t, s, c, false)
 		pool.Put(c)
 		req := s.Metrics().Requests.Load()
 		got, err := pool.Get()
@@ -1075,7 +1090,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		if n := s.Metrics().Requests.Load() - req; n != 2 {
 			t.Fatalf("the health check sent %d requests, want the owed COMMIT and the PING", n)
 		}
-		owe(t, s, c) // nothing was left owed
+		owe(t, s, c, true) // nothing was left owed
 		pool.Put(c)
 		pool.Close()
 		shutdownAndVerify(t, s)
@@ -1091,7 +1106,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		owe(t, s, c)
+		owe(t, s, c, false)
 		req := s.Metrics().Requests.Load()
 		v, err := c.Verdict()
 		if err != nil || !v.Acyclic || v.Commits == 0 || v.Events != uint64(s.LogLen()) {
@@ -1114,7 +1129,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		c, other := dialT(t, s), dialT(t, s)
 		defer c.Close()
 		defer other.Close()
-		owe(t, s, c)
+		owe(t, s, c, false)
 		disk.fail.Store(true)
 		if err := other.RunTx(1, func(tx *client.Tx) error {
 			_, err := tx.Access("x", spec.OpWrite, spec.Int(1))
@@ -1143,7 +1158,7 @@ func TestDeferredSnapshotCommit(t *testing.T) {
 		s := startServer(t, opts)
 		c := dialT(t, s)
 		defer c.Close()
-		owe(t, s, c)
+		owe(t, s, c, false)
 		before := s.LogLen()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -108,7 +108,9 @@ type sharedObject struct {
 	mu sync.Mutex
 	id tname.ObjID
 	sp spec.Spec
-	g  object.Generic //sgvet:guardedby mu
+	// label is the object's name, the tree's own string.
+	label string
+	g     object.Generic //sgvet:guardedby mu
 	// waiters are the sessions parked on an access g refused; every INFORM
 	// applied to g wakes them (waitsfor.go).
 	waiters []*waitEntry //sgvet:guardedby mu
@@ -124,7 +126,7 @@ type sharedObject struct {
 //sgvet:holds s.mu
 func (s *Server) newSharedObject(id tname.ObjID) *sharedObject {
 	sp := s.tr.Spec(id)
-	o := &sharedObject{id: id, sp: sp, g: s.proto.New(s.tr, id)}
+	o := &sharedObject{id: id, sp: sp, label: s.tr.ObjectLabel(id), g: s.proto.New(s.tr, id)}
 	if s.cert.snap != nil {
 		o.versions.Store(initVersion(sp))
 	}

@@ -75,6 +75,9 @@ type session struct {
 	// every read resolves against the log prefix pinned in roCut at BEGIN.
 	roDepth int
 	roCut   int
+	// view is what the connection's client holds of the reads this session
+	// served its snapshot transactions.
+	view view
 
 	// lastAborted marks that the previous transaction ended in a
 	// server-side abort, so the next BEGIN counts as a retry.
@@ -206,10 +209,12 @@ func (sn *session) handle(q wire.Request) wire.Response {
 		if q.Obj == "" {
 			return errResp("empty object label")
 		}
-		v, ok := sn.s.cert.snap.read(q.Obj, spec.Op{Kind: q.Op, Arg: q.Arg}, sn.roCut)
+		op := spec.Op{Kind: q.Op, Arg: q.Arg}
+		v, o, ok := sn.s.cert.snap.read(q.Obj, op, sn.roCut)
 		if !ok {
 			return errResp(fmt.Sprintf("read-only transaction: op %s not allowed", q.Op))
 		}
+		sn.view.served(q.Obj, op, o)
 		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.CmdCommit, wire.CmdAbort:
 		if ro {
@@ -312,8 +317,10 @@ func (sn *session) handleBegin(q wire.Request) wire.Response {
 			// The name is cosmetic — a read-only transaction is a query
 			// outside the behavior β, so nothing is interned or logged. The
 			// flag tells the client so: the COMMIT it will send is answered
-			// OK unconditionally, and need not be waited for.
-			return wire.Response{Status: wire.StatusOK, Name: sn.topLabel(true), Snapshot: true}
+			// OK unconditionally, and need not be waited for. The view delta
+			// brings the client's copy to the new cut.
+			delta, reset := sn.view.advance(st, sn.roCut)
+			return wire.Response{Status: wire.StatusOK, Name: sn.topLabel(true), Snapshot: true, View: delta, ViewReset: reset}
 		}
 	}
 	sn.topN++

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"slices"
+	"strings"
+
 	"nestedsg/internal/event"
 	"nestedsg/internal/spec"
 	"nestedsg/internal/tname"
+	"nestedsg/internal/wire"
 )
 
 // snapVersion is one committed state of one object, tagged with the log
@@ -149,25 +153,154 @@ func (st *snapshotStore) cut() int {
 	return c
 }
 
+// changedIn reports whether a version of o was published by a COMMIT at a
+// log index in [lo, hi): whether o's state at cut lo and at cut hi can
+// differ. It walks the newest versions down to lo, without a lock.
+func (o *sharedObject) changedIn(lo, hi int) bool {
+	for v := o.versions.Load(); v.seq >= lo; v = v.older {
+		if v.seq < hi {
+			return true
+		}
+	}
+	return false
+}
+
 // read answers op on the object named label from the state at the cut: the
 // state the last top-level COMMIT inside the cut prefix published, or the
 // initial state when none did (to a prefix that predates an object, it holds
-// its initial value). ok is false when op is not a read-only op of the
-// object's type, which a snapshot cannot serve.
+// its initial value). It also returns the object, nil when none has the
+// label yet. ok is false when op is not a read-only op of the object's type,
+// which a snapshot cannot serve.
 //
 //sgvet:hotpath
-func (st *snapshotStore) read(label string, op spec.Op, cut int) (v spec.Value, ok bool) {
+func (st *snapshotStore) read(label string, op spec.Op, cut int) (v spec.Value, o *sharedObject, ok bool) {
 	sp, state := st.srv.opts.DefaultSpec, st.init
-	st.srv.mu.RLock()
-	if id := st.srv.tr.Object(label); id != tname.NoObj {
-		o := st.srv.objs[id]
+	if o = st.object(label); o != nil {
 		sp, state = o.sp, o.stateAt(cut)
 	}
-	st.srv.mu.RUnlock()
 	if !sp.ReadOnly(op) {
-		return spec.Nil, false
+		return spec.Nil, nil, false
 	}
 	st.srv.metrics.SnapshotReads.Add(1)
 	_, v = sp.Apply(state, op)
-	return v, true
+	return v, o, true
+}
+
+// object returns the object named label, nil when there is none yet.
+func (st *snapshotStore) object(label string) *sharedObject {
+	st.srv.mu.RLock()
+	defer st.srv.mu.RUnlock()
+	if id := st.srv.tr.Object(label); id != tname.NoObj {
+		return st.srv.objs[id]
+	}
+	return nil
+}
+
+// viewKeys is how many distinct reads a session's view keeps: so how many
+// a warm snapshot transaction can have answered with no read served, and
+// how many keys a snapshot BEGIN looks at.
+const viewKeys = 8
+
+// viewBudget bounds a snapshot BEGIN answer's view delta, so that the
+// frame, whose name is a few bytes, stays under wire.MaxFrame. A delta that
+// would pass it empties the view instead.
+const viewBudget = wire.MaxFrame / 2
+
+// viewKey is a read a session's view keeps: op, with its argument, on the
+// object labelled obj, which is o, or nil while no object had the label
+// when the read was last served.
+type viewKey struct {
+	obj string
+	op  spec.Op
+	o   *sharedObject
+}
+
+// view is a session's record of its client's copy of the snapshot reads it
+// served that connection (client.Conn keeps the copy): the last viewKeys
+// distinct reads, least recently served first, each answered at cut. Only
+// the session evicts. A served read enters the view and the client's copy
+// alike; an eviction is sent as a drop at the next snapshot BEGIN, whose
+// answer also pushes every key whose object published a version since cut
+// with its value at the BEGIN's cut, so that the client answers every key
+// of its copy at that cut with no request (THEORY.md "Certified
+// snapshots", the view lemma).
+type view struct {
+	keys []viewKey
+	cut  int
+	// dropped holds the keys evicted since the last snapshot BEGIN, which
+	// the client still answers from its copy; reset says more than viewKeys
+	// were, so the next BEGIN empties the view and the copy instead.
+	dropped []viewKey
+	reset   bool
+	buf     []byte // the delta being built
+}
+
+// served records that the session served the read op of the object label
+// names, o, to a snapshot transaction: the key becomes the most recent,
+// and the least recent is evicted when the view is full.
+func (vw *view) served(label string, op spec.Op, o *sharedObject) {
+	for i := range vw.keys {
+		if k := vw.keys[i]; k.obj == label && k.op == op {
+			k.o = o
+			copy(vw.keys[i:], vw.keys[i+1:])
+			vw.keys[len(vw.keys)-1] = k
+			return
+		}
+	}
+	// label may be a view of the session's frame buffer (wire.ParseRequest):
+	// the key keeps the object's own, or a copy while there is no object.
+	k := viewKey{op: op, o: o}
+	if o != nil {
+		k.obj = o.label
+	} else {
+		k.obj = strings.Clone(label)
+	}
+	vw.dropped = slices.DeleteFunc(vw.dropped, func(d viewKey) bool { return d.obj == label && d.op == op })
+	if len(vw.keys) < viewKeys {
+		vw.keys = append(vw.keys, k)
+		return
+	}
+	if len(vw.dropped) < viewKeys {
+		vw.dropped = append(vw.dropped, vw.keys[0])
+	} else {
+		vw.reset = true
+	}
+	copy(vw.keys, vw.keys[1:])
+	vw.keys[len(vw.keys)-1] = k
+}
+
+// advance brings the view from its cut to the cut c a snapshot BEGIN
+// pinned, and returns the delta its answer carries — the drops, then the
+// pushes — or reset, when the view and the client's copy start empty
+// instead. A push is counted as a snapshot read served.
+func (vw *view) advance(st *snapshotStore, c int) (delta []byte, reset bool) {
+	lo, hi := min(vw.cut, c), max(vw.cut, c)
+	vw.cut = c
+	vw.buf = vw.buf[:0]
+	if !vw.reset {
+		for _, k := range vw.dropped {
+			vw.buf = wire.AppendViewDrop(vw.buf, k.obj, k.op)
+		}
+		pushed := int64(0)
+		for i := range vw.keys {
+			k := &vw.keys[i]
+			if k.o == nil {
+				if k.o = st.object(k.obj); k.o == nil {
+					continue // the initial state at both cuts
+				}
+			} else if !k.o.changedIn(lo, hi) {
+				continue
+			}
+			_, v := k.o.sp.Apply(k.o.stateAt(c), k.op)
+			vw.buf = wire.AppendViewPush(vw.buf, k.obj, k.op, v)
+			pushed++
+		}
+		vw.dropped = vw.dropped[:0]
+		if len(vw.buf) <= viewBudget {
+			st.srv.metrics.SnapshotReads.Add(pushed)
+			return vw.buf, false
+		}
+	}
+	vw.keys, vw.dropped, vw.reset = vw.keys[:0], vw.dropped[:0], false
+	return nil, true
 }

@@ -47,15 +47,16 @@ func writeTx(t *testing.T, c *client.Conn, obj string, v int64) {
 }
 
 // TestSnapshotReadsAskOnce: a snapshot transaction asks the server for each
-// (object, op, argument) once, and its client answers a repeat with the
-// answer it holds, sending nothing; any other transaction sends every read
-// (TestHeldAnswers). A snapshot attempt's first read that waits also
-// fetches, in the same write, what its connection's snapshot transactions
-// last read, and the body's later reads of those keys send nothing; RunTx,
-// the synchronous Conn.Access and a backend without snapshots never fetch.
-// Each row runs its transactions on one counted connection, with a second
-// one for the writes between them, and counts the client's writes and the
-// snapshot reads the server served, fetched ones included.
+// (object, op, argument) at most once, and its client answers a repeat from
+// the connection's view, sending nothing; any other transaction sends every
+// read (TestHeldAnswers). The view also answers the reads the connection's
+// earlier snapshot transactions made, at the new cut its BEGIN's answer
+// brings it to, so the body's reads of those keys send nothing either;
+// RunTx and a backend without snapshots keep no view, and the synchronous
+// Conn.Access always asks. Each row runs its transactions on one counted
+// connection, with a second one for the writes between them, and counts the
+// client's writes and the snapshot reads the server served, pushed values
+// included.
 func TestSnapshotReadsAskOnce(t *testing.T) {
 	x := func(want int64) read { return read{"x", spec.OpRead, spec.Nil, spec.Int(want)} }
 	y := func(want int64) read { return read{"y", spec.OpRead, spec.Nil, spec.Int(want)} }
@@ -113,7 +114,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "the next transaction",
-			why:  "a new BEGIN pins a new cut, which holds the commit made since: the second transaction's read of y fetches x, which the first read, at that cut, so it reads the new value, and its reads of x send nothing: 2 writes, where asking again took 3",
+			why:  "a new BEGIN pins a new cut, which holds the commit made since: the second transaction's read of y carries its BEGIN, whose answer pushes x, which the first read, at that cut, so it reads the new value, and its reads of x send nothing: 2 writes, where asking again took 3",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0))); err != nil {
@@ -126,7 +127,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "a warm connection's next transaction",
-			why:  "the first transaction pays a write for each of its reads; the second's first read fetches the other key, so the second gets its whole read set in one write: 3 writes, where asking again took 4",
+			why:  "the first transaction pays a write for each of its reads; the second's first read waits for its BEGIN's answer, which pushes nothing, since nothing changed, and the view answers all four reads: 3 writes and 2 reads served, where asking again took 4 of each",
 			srv:  mvto,
 			run: func(t *testing.T, c, _ *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
@@ -134,11 +135,11 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				}
 				return c.RunReadTx(1, reads(x(0), y(0), x(0), y(0)))
 			},
-			writes: 3, served: 4,
+			writes: 3, served: 2,
 		},
 		{
 			name: "a warm connection's 8 keys and a CHILD, one write",
-			why:  "the first transaction pays a write for each of its 8 reads; the second opens a child before its first read, whose burst carries the first transaction's COMMIT, the BEGIN, the CHILD and a fetch of the other 7 keys: 1 write, where a burst bounded at 8 requests fetched 4 and paid a write for each of the other 3 reads (4 writes)",
+			why:  "the first transaction pays a write for each of its 8 reads; the second opens a child before its first read, which waits for the burst of the first transaction's COMMIT, the BEGIN and the CHILD, and the view answers all 8 reads: 1 write and no read served",
 			srv: func() *server.Server {
 				return server.New(server.Options{Backend: "mvto", Objects: eight})
 			},
@@ -157,11 +158,11 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 					return err
 				})
 			},
-			writes: 9, served: 16,
+			writes: 9, served: 8,
 		},
 		{
 			name: "a hint key the body never reads",
-			why:  "the second transaction reads only y, and the x it fetches goes unused: one more snapshot read served, no write more, nothing logged, and no lock, so the write of x does not wait; the third transaction's first read, of x, fetches y at its own cut and reads the new x",
+			why:  "the second transaction reads only y, and the x its view holds costs nothing: no read served, no write more, nothing logged, and no lock, so the write of x does not wait; the third transaction's BEGIN answer pushes the new x, and the view answers both its reads at its own cut: 4 writes and 3 reads served",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {
@@ -173,11 +174,11 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				writeTx(t, w, "x", 7)
 				return c.RunReadTx(1, reads(x(7), y(0)))
 			},
-			writes: 4, served: 6, logged: 1,
+			writes: 4, served: 3, logged: 1,
 		},
 		{
 			name: "a warm connection fetches each op and argument",
-			why:  "the hint keys a read by object, op and argument: the second transaction's size fetches both member questions, and nothing else is asked: 3 writes, where a hint by object alone asks again",
+			why:  "the view keys a read by object, op and argument: the second transaction asks for size, which carries its BEGIN, and the view answers both member questions: 3 writes and 3 reads served, where a view by object alone asks again",
 			srv: func() *server.Server {
 				return server.NewWithSnapshots(server.Options{DefaultSpec: spec.IntSet{}, Objects: []string{"s"}})
 			},
@@ -193,11 +194,11 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 				}
 				return c.RunReadTx(1, reads(size, member(3, true), member(4, false)))
 			},
-			writes: 3, served: 5, logged: 1,
+			writes: 3, served: 3, logged: 1,
 		},
 		{
 			name: "a retried attempt",
-			why:  "a retry pins a new cut, so it starts with no answers kept: its first read, of y, fetches x, which the first attempt read, at the new cut, and sees the commit made since: 3 writes, where asking again took 4",
+			why:  "a retry pins a new cut, and its BEGIN's answer pushes x, which the first attempt read, at that cut: its first read, of y, carries the BEGIN, and its read of x sees the commit made since and sends nothing: 3 writes, where asking again took 4",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				attempts := 0
@@ -219,7 +220,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "a retried attempt on a warm connection",
-			why:  "each attempt's read of y fetches x at its own cut: the first holds x = 0, and the retry, which holds nothing from it, fetches again and holds the 7 committed since: a write for each attempt's read and one for the first attempt's COMMIT",
+			why:  "each attempt's BEGIN answer brings the view to its own cut: the first attempt's read of y is served with its BEGIN and its x = 0 comes from the view; the retry's first read waits for its BEGIN's answer, which pushes the 7 committed since, and the view answers both reads: a write for each attempt's first read and one for the first attempt's COMMIT, and 3 reads served",
 			srv:  mvto,
 			run: func(t *testing.T, c, w *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0))); err != nil {
@@ -243,7 +244,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 					return fmt.Errorf("the body ends its first attempt: %w", client.ErrTxAborted)
 				})
 			},
-			writes: 4, served: 5, logged: 1,
+			writes: 4, served: 3, logged: 1,
 		},
 		{
 			name: "a backend without snapshots",
@@ -258,7 +259,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "a moss connection never fetches",
-			why:  "moss never answers BEGIN with the snapshot flag, so its connection learns no hint: the second transaction asks for x and y again, each read a logged access, 3 writes each",
+			why:  "moss never answers BEGIN with the snapshot flag, so its connection keeps no view: the second transaction asks for x and y again, each read a logged access, 3 writes each",
 			srv: func() *server.Server {
 				return server.New(server.Options{Backend: "moss", Objects: []string{"x", "y"}})
 			},
@@ -284,7 +285,7 @@ func TestSnapshotReadsAskOnce(t *testing.T) {
 		},
 		{
 			name: "Conn.Access never fetches",
-			why:  "the synchronous methods on a warm connection are one request, one answer: BeginRO, two reads and the COMMIT are 4 writes after the snapshot transaction's 2, and the server serves each read once",
+			why:  "the synchronous methods on a warm connection are one request, one answer, whatever its view holds: BeginRO, two reads and the COMMIT are 4 writes after the snapshot transaction's 2, and the server serves each read once",
 			srv:  mvto,
 			run: func(t *testing.T, c, _ *client.Conn) error {
 				if err := c.RunReadTx(1, reads(x(0), y(0))); err != nil {

@@ -444,10 +444,9 @@ type walWriter struct {
 	// definitions framed so far reach.
 	txN, objN int //sgvet:guardedby syncMu
 	// buf holds a segment header and then the records framed since the last
-	// write, body the encoded events of the batch being framed, rec the
-	// payload being framed, and evs the run the log is decoded into.
-	buf, body, rec []byte               //sgvet:guardedby syncMu
-	evs            [certRun]event.Event //sgvet:guardedby syncMu
+	// write, body the encoded events of the batch being framed, and rec the
+	// payload being framed.
+	buf, body, rec []byte //sgvet:guardedby syncMu
 	// syncTimes are how long the last two fsyncs took on the Hooks clock,
 	// the latest first; a settle lasts at most as long as the shorter.
 	syncTimes [2]time.Duration //sgvet:guardedby syncMu
@@ -516,10 +515,11 @@ func (w *walWriter) rotate() error {
 }
 
 // writeSuffix copies what the WAL lacks into records and writes them. The
-// log's events from durableLog on become WalEvents records, split only
-// where one would pass maxWalRecord, each behind the definitions of the
-// names its events are the first to use; with all, the rest of the tree's
-// names follow. It returns the log length the records reach.
+// log's events from durableLog on become WalEvents records, encoded from
+// the log's packed records in place and split only where one would pass
+// maxWalRecord, each behind the definitions of the names its events are
+// the first to use; with all, the rest of the tree's names follow. It
+// returns the log length the records reach.
 //
 //sgvet:holds w.syncMu
 func (w *walWriter) writeSuffix(all bool) (int, error) {
@@ -527,18 +527,21 @@ func (w *walWriter) writeSuffix(all bool) (int, error) {
 	w.body = w.body[:0]
 	n, needTx, needObj := 0, 0, 0
 	for i := int(w.durableLog.Load()); i < v.n; {
-		run := v.Run(i, w.evs[:])
-		for _, e := range run {
+		recs := v.recs(i)
+		for _, r := range recs {
 			mark := len(w.body)
-			w.body = event.AppendWalEvent(w.body, e)
+			w.body = event.AppendWalPacked(w.body, r, v.strs)
 			if n > 0 && 1+binary.MaxVarintLen64+len(w.body) > maxWalRecord {
 				w.frameEvents(mark, n, needTx, needObj)
 				n, needTx, needObj = 0, 0, 0
 			}
 			n++
-			needTx, needObj = max(needTx, int(e.Tx)+1), max(needObj, int(e.Obj)+1)
+			needTx = max(needTx, int(r.Tx)+1)
+			if r.Kind == event.InformCommit || r.Kind == event.InformAbort {
+				needObj = max(needObj, int(r.X)+1)
+			}
 		}
-		i += len(run)
+		i += len(recs)
 	}
 	if n > 0 {
 		w.frameEvents(len(w.body), n, needTx, needObj)

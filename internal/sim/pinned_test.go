@@ -40,6 +40,13 @@ import (
 // schedule. Fault-free runs stayed byte-identical: seeds 1–60 × the three
 // backends, 300 steps, gave the same Trace, CertDOT and Summary, and WALs
 // that decode to the same tree and events.
+// The summary of 11 of the 12 mvto rows moved, and nothing else, when the
+// connection's view replaced the fetch: the session pushes only the keys a
+// commit changed and a snapshot read of a key the view holds is served no
+// read, so accesses= counts 0 to 8 fewer per row (mvto/6 kept its count).
+// Over seeds 1–60 × the three backends, with and without every fault class,
+// at 300 ‰ read-only BEGINs, every Trace, CertDOT and WAL stayed
+// byte-identical, and so did every Summary but its accesses= on mvto.
 var pinnedDigests = map[string]struct{ log, summary string }{
 	"moss/1": {
 		"5840cbc21da3182f8403ea153f9a624dbc59a61fa9d62feaa028417852b39aa2",
@@ -139,23 +146,23 @@ var pinnedDigests = map[string]struct{ log, summary string }{
 	},
 	"mvto/1": {
 		"f1698486b1483dace70a93d7fc1aa09b0ff89dfa9551cfec2dd21e217f05df7c",
-		"a79991919b4ba40e94eb2579974e27ee6944b89ee3c92b777509f63f1849e626",
+		"bb77d04d80a795cabf48dfe006b03b93184b4825d8d6abec3d93f7eade76658f",
 	},
 	"mvto/2": {
 		"a04c73cd498d5fb9903c46e4abe318fe6f28f0eb14f41e072dfad67555d56d25",
-		"0c8f0604c1adc02c9e1355b66dd37da20c55747040433d091e415d56f625827b",
+		"cb700f3e508c1f72a9c7053b9a80c4880074cfe279c642a74b68eb7aaa0ac1ae",
 	},
 	"mvto/3": {
 		"8ef21f700751616137ba93fdb97ec4886dd7e7348763f29a88f9c9cf9dcd6cf9",
-		"3fe58eda514b0fa2fec4946ae4f0b3203646aad4ca691cc430b042d81eb8e7a5",
+		"14c689abd0d6684fcb49fdd4ecdf7455882693dcf98f9a4e43016ff64a383c6e",
 	},
 	"mvto/4": {
 		"402a94c9cac671cc70574c902dc673123bdb2f0bed41af5be0c5ba9f760cb76c",
-		"ac1a3c8403fc338e6d04783e00c90d7d6fadfcd6c741e2805e0afc2b078ade96",
+		"6434be81022c5ea5387d35ff5108b1082085f1302a9ed3c09078e861c514f27d",
 	},
 	"mvto/5": {
 		"1f00e1e36b145a0fb2f3b567f56ad06ccb6380e2e0ff195d516abe24b413e569",
-		"2a6e901e242dd1090e556f715edd5a7c0f15108b7bb4496c2ac5c94d71be8531",
+		"bbbe090b6800911497159defd3bd5ad1339c2db73bc4076208258a241527f11d",
 	},
 	"mvto/6": {
 		"c99fe69d06383193eee9b17f4555052a075dbaf0caac12746feca97425536792",
@@ -163,27 +170,27 @@ var pinnedDigests = map[string]struct{ log, summary string }{
 	},
 	"mvto/7": {
 		"6d3038abc2d3355ce2deb951aa36daf49dd9771d497b7d6b0e4bb8f2ff446c11",
-		"96edc6b18045c85e65e7c1fe21322ccace5990041b03428ccfe6c9ff3c536d8f",
+		"5131003f1cf970646d33722eb4c45f0806ceee68d0ec6e79359891c07132a0de",
 	},
 	"mvto/8": {
 		"29f2bf1b43308f8a7213936d9cba9aa93e677fd1cd2fccb100270ec1baf18e7d",
-		"d41e442885828a413b4b3d2a4e33d63ec833e9133738e19107d46097ab2cb086",
+		"a663b063540f060535be93cd73aa17f576ed12e2364a7b5f37afe824a2682205",
 	},
 	"mvto/9": {
 		"ff97568a2eedaeaa42a158adcb53cb1e90ab51e681890429e5197357a7fad7f4",
-		"1b7ddaa5dfc875b1761b18ba6e1012c85835f92edd09a6b7005c120f8dbb8edb",
+		"31ac92d9e391febcfcc58d53ccd001aab2808ae4c49175ccf2f2e57b317322bf",
 	},
 	"mvto/10": {
 		"c9219a8eef6c5e16be937f5086f9398dca829d46cd643c70ddb4c797965f8c5b",
-		"b37ed5c4b9f3ba598658fa8e46962c9d109f47f0efa4d3fe9ae554f2412aae6c",
+		"1ce0c81e75c8bd2118c4b59885b4f517ec0e19ab8d27930683f59a12f62cb22f",
 	},
 	"mvto/11": {
 		"eb1fcb5bc1407f3dea52b6215b1ebad9c8939ee2c6f4a8c347146b5fbe1ef00e",
-		"7511c0b97b1f28f90ce542b0c96fa76900a8c3557f03b424131d7bcd1d2e3834",
+		"568f8957b5a9287c89f3a09b19017e946e0f5d7c096e6c505686d3745b3bb377",
 	},
 	"mvto/12": {
 		"7d8334928794d5d1301d94e17915941f882082f8cebf32046296c644bbda6458",
-		"46a65d85908bfcf807c9f1bdd374fb1402aaad4c7dacaa7bdfa7842d270b8771",
+		"a37a373656b858339da53d3738dc8db98a1fdb2c8c8816a33ea1f9ae23e03215",
 	},
 }
 

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
+
+	"nestedsg/internal/spec"
 )
 
 // FuzzParseRequest: the request parser faces the network. It must never
@@ -49,7 +52,15 @@ func FuzzParseResponse(f *testing.F) {
 	f.Add(byte(CmdVerdict), []byte{byte(StatusOK), 0xac, 0x02, 0xac})
 	f.Add(byte(CmdChild), []byte{byte(StatusOK), 2, 'k', '1', 0xff})
 	f.Add(byte(CmdCommit), append([]byte{byte(StatusOK)}, overlongVarint...))
-	f.Add(byte(CmdBegin), []byte{byte(StatusOK), 4, 's', '1', '.', '1', 2}) // no such flag
+	f.Add(byte(CmdBegin), []byte{byte(StatusOK), 4, 's', '1', '.', '1', 3}) // no such flag
+	read := spec.Op{Kind: spec.OpRead, Arg: spec.Nil}
+	begin := []byte{byte(StatusOK), 4, 's', '1', '.', '1', flagSnapshot}
+	push := AppendViewPush(nil, "x", read, spec.Str("seven"))
+	drop := AppendViewDrop(nil, "y", read)
+	f.Add(byte(CmdBegin), append(append(begin, push...), drop...))             // a drop after a push
+	f.Add(byte(CmdBegin), append(begin, push[:len(push)-1]...))                // a push cut short
+	f.Add(byte(CmdBegin), append(append(begin, drop...), 2))                   // no such entry tag
+	f.Add(byte(CmdBegin), []byte{byte(StatusOK), 4, 's', '1', '.', '1', 2, 0}) // a reset carries no delta
 	f.Fuzz(func(t *testing.T, cmd byte, data []byte) {
 		resp, err := ParseResponse(Cmd(cmd), data)
 		if err != nil {
@@ -60,7 +71,7 @@ func FuzzParseResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded %s response %+v rejected: %v", Cmd(cmd), resp, err)
 		}
-		if again != resp {
+		if !reflect.DeepEqual(again, resp) {
 			t.Fatalf("re-encoding changed the %s response: %+v, was %+v", Cmd(cmd), again, resp)
 		}
 		if enc2 := AppendResponse(nil, Cmd(cmd), again); !bytes.Equal(enc2, enc) {

@@ -38,9 +38,13 @@
 // session's whole top-level transaction — deadlock timeout or drain; the
 // session is reset to idle and the client should retry the transaction), or
 // ERROR (protocol misuse; the transaction state is unchanged). An OK answer
-// to BEGIN may end in a flag byte 1, which says the server opened a snapshot
+// to BEGIN may end in a flag byte, which says the server opened a snapshot
 // read-only transaction: one outside the behavior, whose COMMIT is answered
-// OK whatever happens, so a client need not wait for that answer.
+// OK whatever happens, so a client need not wait for that answer. The flag
+// also updates the connection's copy of its session's view, the reads the
+// session last served its snapshot transactions: 1 is followed by the view
+// delta, the keys the session dropped from the view and then the keys it
+// pushes with their values at the new cut, if any; 2 empties the copy.
 package wire
 
 import (
@@ -179,6 +183,113 @@ type Response struct {
 	// Encoded as an optional flag byte after the name, the way a request's
 	// RO travels, so an answer without it is the same bytes as before.
 	Snapshot bool
+	// ViewReset says the client must empty its copy of the session's view,
+	// which the session has emptied too; View is the view delta otherwise,
+	// drops then pushes (ViewReader), encoded after the flag byte so that an
+	// answer with no delta is the same bytes as before. Both ride only on a
+	// snapshot BEGIN's answer. A parsed View is a view of the payload,
+	// checked whole by ParseResponse.
+	ViewReset bool
+	View      []byte
+}
+
+// Snapshot flag bytes of a BEGIN answer.
+const (
+	flagSnapshot  = 1 // a snapshot transaction; the view delta follows
+	flagViewReset = 2 // a snapshot transaction whose view starts empty
+)
+
+// View delta entry tags.
+const (
+	viewDrop = 0 // a key the session dropped from its view
+	viewPush = 1 // a key, and its value at the new cut
+)
+
+// AppendViewDrop appends to a view delta the key obj, op: the session no
+// longer keeps it, so the client must stop answering it from its copy.
+// Every drop precedes every push.
+func AppendViewDrop(buf []byte, obj string, op spec.Op) []byte {
+	return appendViewKey(append(buf, viewDrop), obj, op)
+}
+
+// AppendViewPush appends to a view delta the key obj, op and v, its answer
+// at the cut the BEGIN pinned.
+func AppendViewPush(buf []byte, obj string, op spec.Op, v spec.Value) []byte {
+	return event.AppendValue(appendViewKey(append(buf, viewPush), obj, op), v)
+}
+
+func appendViewKey(buf []byte, obj string, op spec.Op) []byte {
+	buf = event.AppendString(buf, obj)
+	buf = binary.AppendUvarint(buf, uint64(op.Kind))
+	return event.AppendValue(buf, op.Arg)
+}
+
+// ViewEntry is one entry of a view delta: a key, and for a push its value.
+// Obj is a view of the payload the delta was parsed from.
+type ViewEntry struct {
+	Obj   string
+	Op    spec.Op
+	Push  bool
+	Value spec.Value
+}
+
+// ViewReader walks a parsed Response's View, in order.
+type ViewReader struct{ c event.Cursor }
+
+// NewViewReader returns a reader of the view delta view.
+func NewViewReader(view []byte) ViewReader { return ViewReader{c: event.NewCursor(view)} }
+
+// Next returns the next entry, and false once there is none. On a View that
+// ParseResponse accepted it cannot fail.
+func (r *ViewReader) Next() (ViewEntry, bool) {
+	if r.c.Len() == 0 {
+		return ViewEntry{}, false
+	}
+	e, err := r.next()
+	return e, err == nil
+}
+
+// next decodes one entry.
+func (r *ViewReader) next() (ViewEntry, error) {
+	var e ViewEntry
+	tag, err := r.c.Byte("view tag")
+	if err != nil {
+		return e, err
+	}
+	if tag > viewPush {
+		return e, fmt.Errorf("wire: view entry tag %d", tag)
+	}
+	e.Push = tag == viewPush
+	if e.Obj, err = r.c.View("view obj"); err != nil {
+		return e, err
+	}
+	if e.Op.Kind, err = r.c.OpKind("view op"); err != nil {
+		return e, err
+	}
+	if e.Op.Arg, err = r.c.Value("view arg"); err != nil {
+		return e, err
+	}
+	if e.Push {
+		e.Value, err = r.c.Value("view value")
+	}
+	return e, err
+}
+
+// checkView reports whether view is a well-formed view delta: whole
+// entries, every drop ahead of every push.
+func checkView(view []byte) error {
+	r, pushed := NewViewReader(view), false
+	for r.c.Len() > 0 {
+		e, err := r.next()
+		if err != nil {
+			return err
+		}
+		if pushed && !e.Push {
+			return fmt.Errorf("wire: view drop after a push")
+		}
+		pushed = e.Push
+	}
+	return nil
 }
 
 // errFrameTooLarge formats the one cold error of the framing functions. It
@@ -364,8 +475,12 @@ func AppendResponse(buf []byte, cmd Cmd, resp Response) []byte {
 	switch cmd {
 	case CmdBegin, CmdChild:
 		buf = event.AppendString(buf, resp.Name)
-		if cmd == CmdBegin && resp.Snapshot {
-			buf = append(buf, 1)
+		switch {
+		case cmd != CmdBegin || !resp.Snapshot:
+		case resp.ViewReset:
+			buf = append(buf, flagViewReset)
+		default:
+			buf = append(append(buf, flagSnapshot), resp.View...)
 		}
 	case CmdAccess:
 		buf = event.AppendValue(buf, resp.Value)
@@ -411,10 +526,22 @@ func ParseResponse(cmd Cmd, payload []byte) (Response, error) {
 	case cmd == CmdBegin:
 		if resp.Name, err = c.Str("response name"); err == nil && c.Len() > 0 {
 			// Optional snapshot flag byte; absent means an ordinary transaction.
-			if f, _ := c.Byte("response flag"); f != 1 { // cannot fail: a byte is left
+			resp.Snapshot = true
+			switch f, _ := c.Byte("response flag"); f { // cannot fail: a byte is left
+			case flagSnapshot:
+				if c.Len() > 0 {
+					// The view delta runs to the end of the payload.
+					resp.View = payload[len(payload)-c.Len():]
+					if err := checkView(resp.View); err != nil {
+						return Response{}, err
+					}
+					return resp, nil
+				}
+			case flagViewReset:
+				resp.ViewReset = true
+			default:
 				return Response{}, fmt.Errorf("wire: BEGIN answer flag byte %d", f)
 			}
-			resp.Snapshot = true
 		}
 	case cmd == CmdChild:
 		resp.Name, err = c.Str("response name")

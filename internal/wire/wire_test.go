@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,6 +137,12 @@ func sampleResponses() []sampleResponse {
 	return []sampleResponse{
 		{CmdBegin, Response{Status: StatusOK, Name: "s1.1", Value: spec.Nil}},
 		{CmdBegin, Response{Status: StatusOK, Name: "s1.r2", Value: spec.Nil, Snapshot: true}},
+		{CmdBegin, Response{Status: StatusOK, Name: "s1.r3", Value: spec.Nil, Snapshot: true,
+			View: AppendViewPush(nil, "x", spec.Op{Kind: spec.OpRead, Arg: spec.Nil}, spec.Int(7))}},
+		{CmdBegin, Response{Status: StatusOK, Name: "s1.r4", Value: spec.Nil, Snapshot: true,
+			View: AppendViewPush(AppendViewDrop(nil, "k0", spec.Op{Kind: spec.OpRead, Arg: spec.Nil}),
+				"s", spec.Op{Kind: spec.OpMember, Arg: spec.Int(3)}, spec.Bool(true))}},
+		{CmdBegin, Response{Status: StatusOK, Name: "s1.r5", Value: spec.Nil, Snapshot: true, ViewReset: true}},
 		{CmdChild, Response{Status: StatusOK, Name: "c7", Value: spec.Nil}},
 		{CmdAccess, Response{Status: StatusOK, Value: spec.Int(-3)}},
 		{CmdAccess, Response{Status: StatusOK, Value: spec.OK}},
@@ -156,7 +163,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.cmd, c.resp.Status, err)
 		}
-		if got != c.resp {
+		if !reflect.DeepEqual(got, c.resp) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", c.cmd, got, c.resp)
 		}
 	}
@@ -184,13 +191,15 @@ func TestResponseRejectsJunk(t *testing.T) {
 	if _, err := ParseResponse(CmdChild, []byte{byte(StatusOK), 2, 'k', '1', 0xff}); err == nil {
 		t.Error("CHILD answer with a trailing byte accepted")
 	}
-	// BEGIN's snapshot flag is the one byte 1: neither 0 nor 2 stands for
-	// it, and nothing may follow it.
+	// BEGIN's snapshot flag is the one byte 1, or 2 for a reset view: 0 and
+	// 3 stand for neither, only whole view entries follow a 1, and nothing
+	// follows a 2.
 	begin := AppendResponse(nil, CmdBegin, Response{Status: StatusOK, Name: "s1.r1"})
 	for name, tail := range map[string][]byte{
-		"flag byte 0":         {0},
-		"flag byte 2":         {2},
-		"byte after the flag": {1, 1},
+		"flag byte 0":               {0},
+		"flag byte 3":               {3},
+		"a view tag alone":          {1, 1},
+		"byte after the reset flag": {2, 0},
 	} {
 		if resp, err := ParseResponse(CmdBegin, append(begin[:len(begin):len(begin)], tail...)); err == nil {
 			t.Errorf("BEGIN answer, %s: accepted as %+v", name, resp)
@@ -211,7 +220,7 @@ func TestBeginSnapshotFlag(t *testing.T) {
 	}
 	for _, r := range []Response{plain, flagged} {
 		got, err := ParseResponse(CmdBegin, AppendResponse(nil, CmdBegin, r))
-		if err != nil || got != r {
+		if err != nil || !reflect.DeepEqual(got, r) {
 			t.Fatalf("BEGIN answer %+v round-tripped to %+v, %v", r, got, err)
 		}
 	}
